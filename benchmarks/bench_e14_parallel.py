@@ -4,9 +4,12 @@ The paper (Section 5.1) reduces all of Charles' database work to counts
 and medians over predicates — an embarrassingly scannable workload.  This
 benchmark measures how far the partitioned execution substrate
 (:class:`~repro.storage.partition.PartitionedTable` +
-:class:`~repro.backends.pool.ExecutorPool` +
-:class:`~repro.backends.parallel.ParallelEngine`) pushes that observation
-on the two scalability axes the paper names:
+:class:`~repro.backends.pool.ExecutorPool`, driven by the partition-aware
+:class:`~repro.storage.engine.QueryEngine`) pushes that observation on the
+two scalability axes the paper names.  Every spec below *forces* its
+shard count (``partitions=N``), so the engine fans out at every size —
+left to itself it would map these shards inline (see
+``FANOUT_MIN_ROWS_PER_SHARD``):
 
 * **vertical (E6)** — raw count throughput (counts/s) on the large VOC
   table as the worker/partition count grows, with caching disabled so

@@ -8,8 +8,7 @@ column store fits this workload.  This benchmark:
   end-to-end runtime together with the number of database operations it
   issued (which stays constant: the work per operation grows, not their
   count);
-* measures the two primitive operations in isolation at the largest size;
-* quantifies the sorted-index ablation for full-column medians.
+* measures the two primitive operations in isolation at the largest size.
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ from __future__ import annotations
 import time
 
 import pytest
-from conftest import is_smoke, print_table, scale
+from conftest import print_table, scale
 
 from repro.core import Charles
 from repro.sdl import RangePredicate, SDLQuery
@@ -93,35 +92,3 @@ def test_e6_primitive_median_cost(benchmark, large_voc):
     median = benchmark(lambda: engine.median("tonnage", query))
     assert 1000 <= median <= 5000
     benchmark.extra_info["median_tonnage"] = median
-
-
-def test_e6_ablation_sorted_index_for_full_column_medians(benchmark, large_voc):
-    plain = QueryEngine(large_voc, use_index=False)
-    indexed = QueryEngine(large_voc, use_index=True)
-    indexed.index_for("tonnage")  # build once, outside the timed section
-
-    def timed_medians():
-        started = time.perf_counter()
-        for _ in range(20):
-            plain.median("tonnage")
-        plain_elapsed = time.perf_counter() - started
-        started = time.perf_counter()
-        for _ in range(20):
-            indexed.median("tonnage")
-        indexed_elapsed = time.perf_counter() - started
-        return plain_elapsed, indexed_elapsed
-
-    plain_elapsed, indexed_elapsed = benchmark.pedantic(timed_medians, rounds=1, iterations=1)
-
-    print_table(
-        "E6 / §5.1 — ablation: sorted index for repeated full-column medians (20 calls)",
-        ["engine", "runtime"],
-        [
-            ("column scan + np.median", f"{plain_elapsed * 1000:.1f} ms"),
-            ("sorted index", f"{indexed_elapsed * 1000:.1f} ms"),
-        ],
-    )
-    assert plain.median("tonnage") == indexed.median("tonnage")
-    if not is_smoke():  # wall-clock comparison is meaningless at smoke scale
-        assert indexed_elapsed < plain_elapsed
-    benchmark.extra_info["speedup"] = round(plain_elapsed / max(indexed_elapsed, 1e-9), 1)

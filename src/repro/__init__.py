@@ -55,7 +55,6 @@ from repro.backends import (
     BackendWrapper,
     ExecutionBackend,
     ExecutorPool,
-    ParallelEngine,
     SQLiteBackend,
     open_backend,
     register_backend,
@@ -132,7 +131,6 @@ __all__ = [
     "BackendWrapper",
     "BackendRegistry",
     "ExecutorPool",
-    "ParallelEngine",
     "SQLiteBackend",
     "open_backend",
     "register_backend",

@@ -7,9 +7,7 @@ package owns that contract:
 * :mod:`repro.backends.base` — the :class:`ExecutionBackend` protocol and
   the :class:`BackendWrapper` delegation base for decorating backends;
 * :mod:`repro.backends.pool` — :class:`ExecutorPool`, the bounded,
-  shared worker pool behind partitioned parallel evaluation;
-* :mod:`repro.backends.parallel` — :class:`ParallelEngine`, fanning
-  counts/medians across row-range partitions through the pool;
+  shared worker pool the in-memory engine maps its shards through;
 * :mod:`repro.backends.approx` — :class:`ApproxEngine`, answering counts
   and medians from mergeable per-shard sketches with explicit error
   bounds (``memory?approx=...``);
@@ -17,12 +15,12 @@ package owns that contract:
   through the :mod:`repro.storage.sql` glue against ``sqlite3``;
 * :mod:`repro.backends.registry` — :class:`BackendRegistry` and
   :func:`open_backend`, resolving specs such as ``"memory"``,
-  ``"memory?partitions=4&workers=4"`` or ``"sqlite:///path.db#table"``.
+  ``"memory?workers=4"`` or ``"sqlite:///path.db#table"``.
 
 ``base`` and ``pool`` are imported eagerly (they have no storage
 dependencies, so the storage layer itself may use
 :class:`BackendWrapper`); the registry, the SQLite backend and the
-parallel engine load lazily on first attribute access to keep the import
+approximate engine load lazily on first attribute access to keep the import
 graph acyclic (``registry`` → ``storage.sampling`` → ``base``).
 """
 
@@ -33,7 +31,6 @@ __all__ = [
     "ExecutionBackend",
     "BackendWrapper",
     "ExecutorPool",
-    "ParallelEngine",
     "ApproxEngine",
     "Estimate",
     "SQLiteBackend",
@@ -45,7 +42,6 @@ __all__ = [
 ]
 
 _LAZY = {
-    "ParallelEngine": "repro.backends.parallel",
     "ApproxEngine": "repro.backends.approx",
     "Estimate": "repro.backends.approx",
     "SQLiteBackend": "repro.backends.sqlite",

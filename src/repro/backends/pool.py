@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import BackendError
 
-__all__ = ["ExecutorPool", "parallel_requested", "resolve_workers"]
+__all__ = ["ExecutorPool", "resolve_workers"]
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -56,27 +56,6 @@ def resolve_workers(workers: Optional[int]) -> int:
     if workers < 0:
         raise BackendError(f"workers cannot be negative, got {workers}")
     return min(workers, MAX_WORKERS)
-
-
-def parallel_requested(
-    partitions: Optional[int] = None,
-    workers: Optional[int] = None,
-    pool: Optional["ExecutorPool"] = None,
-) -> bool:
-    """Whether any of the parallel knobs opts into partitioned execution.
-
-    The single definition of "did the caller ask for parallelism": more
-    than one partition, a worker count other than the sequential default
-    of ``1`` (so ``0`` — one worker per core — counts as opting in), or an
-    explicit pool.  Every entry point (``Charles``, ``open_backend``,
-    ``AdvisorService``) consults this one predicate so the same value
-    means the same thing everywhere.
-    """
-    return (
-        pool is not None
-        or (partitions is not None and int(partitions) > 1)
-        or (workers is not None and int(workers) != 1)
-    )
 
 
 class ExecutorPool:

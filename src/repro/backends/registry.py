@@ -2,11 +2,15 @@
 
 A backend *spec* is a compact URI-like string::
 
-    memory                      the in-memory columnar QueryEngine
+    memory                      the in-memory columnar QueryEngine; it picks
+                                its own access path per query
     memory?sample=0.1&seed=7    SampledEngine over a 10% uniform sample
-    memory?index=1&cache=512    engine options as query parameters
-    memory?index=zonemap,bitmap,maskreuse   skipping-index tier (or index=all)
-    memory?partitions=4&workers=4   ParallelEngine: sharded, pooled evaluation
+    memory?cache=512            engine options as query parameters
+    memory?index=zonemap,bitmap force exactly these index features
+                                (index=all, index=none: every one, the plain scan)
+    memory?workers=4            a 4-worker pool; one shard per worker, fanned
+                                out when the shards are large enough
+    memory?partitions=4&workers=2   force 4 shards, always mapped through the pool
     memory?approx=1             ApproxEngine: sketch answers with error bounds
     memory?approx=4096          … with a 4096-item retention budget per sketch
     sqlite                      load the table into an in-memory SQLite db
@@ -34,8 +38,7 @@ from typing import Any, Callable, Dict, List, Optional
 from urllib.parse import parse_qsl, unquote
 
 from repro.backends.base import ExecutionBackend
-from repro.backends.parallel import ParallelEngine
-from repro.backends.pool import ExecutorPool, parallel_requested, resolve_workers
+from repro.backends.pool import ExecutorPool
 from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError, StorageError
 from repro.storage.cache import ResultCache
@@ -91,10 +94,9 @@ class BackendRegistry:
     """Maps spec schemes to backend factories.
 
     Factories are called as ``factory(spec, table=..., cache=...,
-    cache_aggregates=..., cache_size=..., use_index=...)`` — plus, when a
-    caller requests parallel execution, ``partitions=...``, ``workers=...``
-    and ``pool=...`` — where ``spec`` is the parsed :class:`BackendSpec`
-    and ``table`` is the optional source
+    cache_aggregates=..., cache_size=...)`` — plus, from callers that run
+    a shared pool, ``partitions=...`` and ``pool=...`` — where ``spec`` is
+    the parsed :class:`BackendSpec` and ``table`` is the optional source
     :class:`~repro.storage.table.Table` (required by schemes that have no
     external storage of their own).
     """
@@ -135,58 +137,25 @@ class BackendRegistry:
         return factory(parsed, table=table, **context)
 
 
-def _spec_bool(spec: BackendSpec, key: str, default: bool = False) -> bool:
-    raw = spec.params.get(key)
-    if raw is None:
-        return default
-    return raw.strip().lower() in ("1", "true", "yes", "on")
-
-
-def _spec_index(spec: BackendSpec, default: Any) -> Any:
-    """The ``index=`` parameter as engine index features (spec wins).
-
-    Accepts everything :func:`repro.storage.engine.resolve_index_features`
-    does — ``index=1`` keeps its historical sorted-only meaning,
-    ``index=zonemap,bitmap,maskreuse`` or ``index=all`` enables the
-    skipping tier.  Validation happens eagerly so a typo in a spec string
-    fails at ``open_backend`` time, as a :class:`BackendError`.
-    """
-    raw = spec.params.get("index")
-    value = default if raw is None else raw
-    try:
-        return resolve_index_features(value)
-    except StorageError as exc:
-        raise BackendError(exc.message) from exc
-
-
-def _spec_float(spec: BackendSpec, key: str) -> Optional[float]:
+def _spec_number(spec: BackendSpec, key: str, kind: type = int) -> Optional[Any]:
     raw = spec.params.get(key)
     if raw is None:
         return None
     try:
-        return float(raw)
+        return kind(raw)
     except ValueError:
-        raise BackendError(f"backend parameter {key}={raw!r} is not a number")
-
-
-def _spec_int(spec: BackendSpec, key: str) -> Optional[int]:
-    raw = spec.params.get(key)
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise BackendError(f"backend parameter {key}={raw!r} is not an integer")
+        what = "an integer" if kind is int else "a number"
+        raise BackendError(f"backend parameter {key}={raw!r} is not {what}")
 
 
 def _maybe_sampled(
     backend: ExecutionBackend, spec: BackendSpec
 ) -> ExecutionBackend:
     """Wrap a backend in a :class:`SampledEngine` when ``sample=f`` is set."""
-    fraction = _spec_float(spec, "sample")
+    fraction = _spec_number(spec, "sample", float)
     if fraction is None or fraction >= 1.0:
         return backend
-    return SampledEngine(backend, fraction=fraction, seed=_spec_int(spec, "seed"))
+    return SampledEngine(backend, fraction=fraction, seed=_spec_number(spec, "seed"))
 
 
 def _maybe_approx(
@@ -203,7 +172,7 @@ def _maybe_approx(
     raw = spec.params.get("approx")
     if raw is None or raw.strip().lower() in ("", "0", "false", "no", "off"):
         return backend
-    if _spec_float(spec, "sample") is not None:
+    if _spec_number(spec, "sample", float) is not None:
         raise BackendError(
             "backend parameters 'approx' and 'sample' cannot be combined"
         )
@@ -219,56 +188,47 @@ def _maybe_approx(
     return ApproxEngine(backend, budget=budget)
 
 
-def _resolve_parallel_params(
-    spec: BackendSpec,
-    partitions: Optional[int],
-    workers: Optional[int],
-) -> tuple:
-    """Merge spec-level and context-level partitions/workers (spec wins).
-
-    Either parameter alone enables partitioned execution: ``workers``
-    defaults to the partition count and vice versa.
-    """
-    spec_partitions = _spec_int(spec, "partitions")
-    spec_workers = _spec_int(spec, "workers")
-    resolved_partitions = spec_partitions if spec_partitions is not None else partitions
-    resolved_workers = spec_workers if spec_workers is not None else workers
-    if resolved_partitions is None and resolved_workers is not None:
-        # workers=0 means "one per core" — shard to the resolved pool
-        # size, not to the raw sentinel (0 partitions is an error).
-        resolved_partitions = resolve_workers(resolved_workers)
-    if resolved_workers is None and resolved_partitions is not None:
-        resolved_workers = resolved_partitions
-    return resolved_partitions, resolved_workers
-
-
 def _memory_factory(
     spec: BackendSpec,
     table: Optional[Table] = None,
     cache: Optional[ResultCache] = None,
     cache_aggregates: bool = False,
     cache_size: int = 256,
-    use_index: Any = False,
     partitions: Optional[int] = None,
-    workers: Optional[int] = None,
     pool: Optional[ExecutorPool] = None,
 ) -> ExecutionBackend:
     if table is None:
         raise BackendError("the 'memory' backend requires a source table")
-    spec_cache = _spec_int(spec, "cache")
-    options = {
-        "cache_size": spec_cache if spec_cache is not None else cache_size,
-        "use_index": _spec_index(spec, use_index),
-        "cache": cache,
-        "cache_aggregates": cache_aggregates,
-    }
-    partitions, workers = _resolve_parallel_params(spec, partitions, workers)
-    if parallel_requested(partitions, workers, pool):
-        engine: ExecutionBackend = ParallelEngine(
-            table, partitions=partitions, workers=workers, pool=pool, **options
+    spec_cache = _spec_number(spec, "cache")
+    spec_partitions = _spec_number(spec, "partitions")
+    if spec_partitions is not None:
+        if spec_partitions < 1:
+            raise BackendError(
+                f"partitions must be at least 1, got {spec_partitions}"
+            )
+        partitions = spec_partitions
+    workers = _spec_number(spec, "workers")
+    if pool is None and (workers is not None or (partitions or 1) > 1):
+        # No shared pool from the caller: the spec's own (``workers=0``:
+        # one per core), or a worker per forced shard.
+        pool = ExecutorPool(
+            workers if workers is not None else partitions,
+            name=f"memory:{table.name}",
         )
-    else:
-        engine = QueryEngine(table, **options)
+    index = spec.params.get("index")  # absent: nothing forced, the engine picks
+    try:  # eagerly, so a typo in ``index=`` fails here, as a BackendError
+        features = None if index is None else resolve_index_features(index)
+    except StorageError as exc:
+        raise BackendError(exc.message) from exc
+    engine = QueryEngine(
+        table,
+        cache_size=spec_cache if spec_cache is not None else cache_size,
+        use_index=features,
+        cache=cache,
+        cache_aggregates=cache_aggregates,
+        partitions=partitions,
+        pool=pool,
+    )
     return _maybe_sampled(_maybe_approx(engine, spec), spec)
 
 
@@ -278,15 +238,12 @@ def _sqlite_factory(
     cache: Optional[ResultCache] = None,
     cache_aggregates: bool = True,
     cache_size: int = 256,
-    use_index: bool = False,
     partitions: Optional[int] = None,
-    workers: Optional[int] = None,
     pool: Optional[ExecutorPool] = None,
 ) -> ExecutionBackend:
-    del use_index  # SQLite plans its own access paths
-    del partitions, workers, pool  # SQLite parallelises (or not) internally
+    del partitions, pool  # SQLite plans and parallelises (or not) internally
     database = spec.path or ":memory:"
-    spec_cache = _spec_int(spec, "cache")
+    spec_cache = _spec_number(spec, "cache")
     options = {
         "cache": cache,
         "cache_aggregates": cache_aggregates,
@@ -346,8 +303,8 @@ def open_backend(
         Registry to resolve against (default: the process-wide one).
     context:
         Construction context forwarded to the factory (``cache``,
-        ``cache_aggregates``, ``cache_size``, ``use_index`` — and
-        ``partitions``/``workers``/``pool`` for parallel execution).
+        ``cache_aggregates``, ``cache_size`` — and ``partitions``/``pool``
+        from callers sharing an executor pool).
     """
     if not isinstance(spec, str):
         if isinstance(spec, ExecutionBackend):

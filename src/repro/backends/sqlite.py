@@ -59,6 +59,7 @@ from repro.sdl.query import SDLQuery
 from repro.storage.cache import ResultCache
 from repro.storage.engine import (
     OperationCounter,
+    aggregate_key,
     deduplicated_count_batch,
     deduplicated_median_batch,
 )
@@ -618,10 +619,7 @@ class SQLiteBackend:
         INT medians stay ``int``; DATE medians round down to a date).
         """
         self.counter.add(median_calls=1)
-        unconstrained = query is None or not query.constrained_attributes
-        key = "median:{}:{}".format(
-            attribute, "" if unconstrained else query_signature(query)
-        )
+        key = aggregate_key("median", attribute, query)
         cached = self._aggregate_get(key)
         if cached is not None:
             return cached
@@ -663,10 +661,7 @@ class SQLiteBackend:
         """Minimum and maximum via ``SELECT MIN(a), MAX(a)``."""
         self.counter.add(minmax_calls=1)
         dtype = self.dtype_of(attribute)
-        unconstrained = query is None or not query.constrained_attributes
-        key = "minmax:{}:{}".format(
-            attribute, "" if unconstrained else query_signature(query)
-        )
+        key = aggregate_key("minmax", attribute, query)
         cached = self._aggregate_get(key)
         if cached is not None:
             return cached

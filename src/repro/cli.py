@@ -98,17 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--sample", type=float, default=None,
                          help="sampling fraction for statistics (0 < f < 1)")
         sub.add_argument("--backend", default="memory",
-                         help="execution backend spec: memory (default), "
-                              "memory?sample=0.1, "
-                              "memory?partitions=4&workers=4, sqlite, "
-                              "sqlite:///path.db#table")
+                         help="execution backend spec: memory (default; the "
+                              "engine picks its access path per query), "
+                              "memory?sample=0.1, memory?workers=4, sqlite, "
+                              "sqlite:///path.db#table; index=... and "
+                              "partitions=... force a path")
         sub.add_argument("--workers", type=int, default=1,
                          help="executor-pool threads: partitioned scans and "
                               "HB-cuts INDEP evaluations run concurrently "
                               "(identical answers; 1 = sequential)")
         sub.add_argument("--partitions", type=int, default=None,
-                         help="row-range shards per table for partitioned "
-                              "evaluation (default: the worker count)")
+                         help="force this many row-range shards per table "
+                              "(default: one per worker, fanned out only "
+                              "when the shards are large enough)")
         sub.add_argument("--style", choices=("pie", "treemap", "table"), default="pie",
                          help="detail renderer for the selected answer")
 
@@ -181,9 +183,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="executor-pool threads for partitioned backend "
                             "evaluation (default: the --workers value)")
     serve.add_argument("--partitions", type=int, default=None,
-                       help="row-range shards per registered table "
-                            "(evaluated across the engine pool; "
-                            "default: the engine worker count)")
+                       help="force this many row-range shards per "
+                            "registered table (default: one per engine "
+                            "worker, fanned out only when large enough)")
     serve.add_argument("--distinct-paths", type=int, default=None,
                        help="unique exploration paths shared round-robin "
                             "(default: one per user)")

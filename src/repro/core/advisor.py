@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.backends.base import ExecutionBackend
-from repro.backends.pool import parallel_requested
 from repro.backends.registry import open_backend
 from repro.errors import AdvisorError, SDLSyntaxError
 from repro.sdl.formatter import format_segment_label, format_segmentation
@@ -166,14 +165,16 @@ class Charles:
         ``"memory?sample=0.1"``, ``"memory?partitions=4&workers=4"`` or
         ``"sqlite"``.
     partitions:
-        Shard the table into this many row-range partitions and evaluate
-        them through the worker pool (only meaningful for backends built
-        from a ``Table``; spec parameters take precedence).  Results are
-        identical for every partition count.
+        Force this many row-range shards, evaluated through the worker
+        pool (only meaningful for backends built from a ``Table``; spec
+        parameters take precedence).  Unset, the engine shards to the
+        pool and fans out only when it pays.  Results are identical for
+        every partition count.
     workers:
-        Size of the executor pool.  ``workers > 1`` additionally runs the
-        HB-cuts INDEP evaluations of each iteration concurrently —
-        bit-for-bit the same answers, on more cores.
+        Size of the executor pool (``0``: one per core; ``1``, the
+        default, runs without one).  More than one worker additionally
+        runs the HB-cuts INDEP evaluations of each iteration concurrently
+        — bit-for-bit the same answers, on more cores.
     pool:
         Share an existing :class:`~repro.backends.pool.ExecutorPool`
         instead of creating one (the service layer passes its own).  When
@@ -198,25 +199,21 @@ class Charles:
         sample_fraction: Optional[float] = None,
         seed: Optional[int] = None,
         cache_size: int = 256,
-        use_index: Union[bool, str] = False,
         backend: Optional[str] = None,
         partitions: Optional[int] = None,
         workers: Optional[int] = None,
         pool: Optional[Any] = None,
     ):
-        wants_parallel = parallel_requested(partitions, workers, pool)
-        if wants_parallel and pool is None:
+        if pool is None and (workers not in (None, 1) or (partitions or 1) > 1):
             from repro.backends.pool import ExecutorPool
 
             pool = ExecutorPool(
                 workers if workers is not None else partitions, name="charles"
             )
         if isinstance(table, Table):
-            context: Dict[str, Any] = dict(
-                cache_size=cache_size, use_index=use_index
-            )
-            if wants_parallel:
-                context.update(partitions=partitions, workers=workers, pool=pool)
+            context: Dict[str, Any] = dict(cache_size=cache_size)
+            if partitions is not None or pool is not None:
+                context.update(partitions=partitions, pool=pool)
             self.engine = open_backend(backend or "memory", table, **context)
         else:
             if backend is not None:
@@ -239,13 +236,12 @@ class Charles:
                 else self.engine
             )
             self.engine = SampledEngine(
-                source, fraction=sample_fraction, seed=seed,
-                cache_size=cache_size, use_index=use_index,
+                source, fraction=sample_fraction, seed=seed, cache_size=cache_size
             )
         self.config = config or HBCutsConfig()
         self.ranker = ranker or EntropyRanker()
         # The pool driving parallel INDEP evaluation: an explicit one wins,
-        # else whatever the backend itself runs on (e.g. a ParallelEngine's).
+        # else whatever the backend itself runs on (a ``memory?workers=4``'s).
         self.pool = pool if pool is not None else getattr(self.engine, "pool", None)
         self._generator = HBCuts(self.config, pool=self.pool)
         # Lazily built approximate tier for advise(mode="interactive");

@@ -27,13 +27,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.sdl.formatter import query_signature
 from repro.sdl.query import SDLQuery
-from repro.storage.cache import ResultCache
-from repro.storage.table import Table
 
 __all__ = ["BatchStats", "BatchCoordinator", "BatchedEngine"]
 
@@ -177,32 +175,13 @@ class BatchedEngine(BackendWrapper):
     its :meth:`count_batch` is routed through the table's
     :class:`BatchCoordinator`, merging concurrent HB-cuts INDEP passes
     into single multi-query evaluations.
-
-    For backward compatibility the constructor also accepts a raw
-    :class:`~repro.storage.table.Table` plus a shared cache, in which
-    case the wrapped backend is an aggregate-caching ``"memory"`` engine
-    opened through the registry.
     """
 
     def __init__(
         self,
-        source: Union[Table, ExecutionBackend],
-        cache: Optional[ResultCache] = None,
+        inner: ExecutionBackend,
         coordinator: Optional[BatchCoordinator] = None,
-        use_index: bool = False,
     ):
-        if isinstance(source, Table):
-            from repro.backends.registry import open_backend
-
-            inner = open_backend(
-                "memory",
-                source,
-                cache=cache,
-                cache_aggregates=True,
-                use_index=use_index,
-            )
-        else:
-            inner = source
         super().__init__(inner)
         self._coordinator = coordinator
 

@@ -44,7 +44,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.api.protocol import OPERATIONS, Request, Response, canonical_op
 from repro.backends.base import ExecutionBackend
-from repro.backends.pool import ExecutorPool, parallel_requested, resolve_workers
+from repro.backends.pool import ExecutorPool
 from repro.backends.registry import open_backend
 from repro.core.advisor import Advice, Charles, ContextLike
 from repro.core.hbcuts import HBCutsConfig
@@ -138,9 +138,8 @@ class _TableRuntime:
     cache, private operation counters) wrapped in a
     :class:`~repro.service.batching.BatchedEngine` that routes batched
     passes through the table's coordinator.  With the service running a
-    shared :class:`~repro.backends.pool.ExecutorPool`, the backend is a
-    partitioned :class:`~repro.backends.parallel.ParallelEngine` and every
-    sibling fans its evaluation across the same pool.
+    shared :class:`~repro.backends.pool.ExecutorPool`, the backend shards
+    the table and every sibling maps its shards through the same pool.
     """
 
     def __init__(
@@ -150,24 +149,19 @@ class _TableRuntime:
         cache_capacity: int,
         advice_capacity: int,
         batch_window: float,
-        use_index: Union[bool, str, Any],
         backend_spec: str = "memory",
-        partitions: int = 1,
-        workers: int = 1,
+        partitions: Optional[int] = None,
         pool: Optional[Any] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
         self.table = table
-        self.use_index = use_index
         self.backend_spec = backend_spec
         self.cache = ResultCache(capacity=cache_capacity, name=f"results:{name}")
         self.advice_cache = ResultCache(capacity=advice_capacity, name=f"advice:{name}")
-        context: Dict[str, Any] = dict(
-            cache=self.cache, cache_aggregates=True, use_index=use_index
-        )
-        if partitions > 1 or workers > 1 or pool is not None:
-            context.update(partitions=partitions, workers=workers, pool=pool)
+        context: Dict[str, Any] = dict(cache=self.cache, cache_aggregates=True)
+        if partitions is not None or pool is not None:
+            context.update(partitions=partitions, pool=pool)
         self._backend = open_backend(backend_spec, table, **context)
         self.engine = BatchedEngine(self._backend)
         self.coordinator = BatchCoordinator(self.engine, window_seconds=batch_window)
@@ -286,11 +280,6 @@ class AdvisorService:
         Route HB-cuts INDEP evaluations through batched engine passes.
     max_answers:
         Default number of ranked answers per advise.
-    use_index:
-        Index features for session engines — anything
-        :func:`repro.storage.engine.resolve_index_features` accepts
-        (``True`` for sorted indexes only, ``"all"`` or
-        ``"zonemap,bitmap,maskreuse"`` for the skipping tier).
     backend:
         Default backend spec for registered tables (resolved through
         :func:`repro.backends.open_backend`); ``register_table`` can
@@ -299,12 +288,13 @@ class AdvisorService:
         Size of the **one** :class:`~repro.backends.pool.ExecutorPool` the
         service shares across every session and table (bounded;
         introspectable through :meth:`stats`).  ``1`` keeps execution
-        sequential.
+        sequential; ``0`` means one worker per core.
     partitions:
-        Row-range shards per registered table; per-partition evaluation
-        fans out across the shared pool.  ``None`` (the default) shards to
-        the worker count, matching ``Charles``.  Answers are identical for
-        every ``partitions × workers`` combination.
+        Force this many row-range shards per registered table, always
+        mapped through the shared pool.  ``None`` (the default) leaves it
+        to the engine: one shard per worker, fanned out only when the
+        shards are large enough.  Answers are identical for every
+        ``partitions × workers`` combination.
     """
 
     def __init__(
@@ -316,7 +306,6 @@ class AdvisorService:
         config: Optional[HBCutsConfig] = None,
         batch_indep: bool = True,
         max_answers: int = 10,
-        use_index: Union[bool, str] = False,
         backend: str = "memory",
         workers: int = 1,
         partitions: Optional[int] = None,
@@ -332,25 +321,16 @@ class AdvisorService:
             dataclasses.replace(base, batch_indep=True) if batch_indep else base
         )
         self._max_answers = int(max_answers)
-        self._use_index = use_index
         self._backend_spec = str(backend)
         # One bounded pool for the whole service: every session of every
-        # table runtime fans its partitioned work through it.  The opt-in
-        # predicate and worker normalisation are the ones Charles and
-        # open_backend use, so workers=0 means "one per core" here too,
-        # and partitions default to the worker count.
-        if parallel_requested(partitions=partitions, workers=workers):
-            self._workers = resolve_workers(workers)
-            self._partitions = (
-                max(1, int(partitions)) if partitions is not None else self._workers
-            )
-            self._pool: Optional[ExecutorPool] = ExecutorPool(
-                self._workers, name="service"
-            )
-        else:
-            self._workers = 1
-            self._partitions = max(1, int(partitions or 1))
-            self._pool = None
+        # table runtime maps its shards through it.  As in Charles,
+        # workers=0 means one per core, and workers=1 runs without a pool
+        # unless shards are forced (then they map inline through it).
+        self._partitions = partitions
+        self._pool: Optional[ExecutorPool] = None
+        if workers != 1 or (partitions or 1) > 1:
+            self._pool = ExecutorPool(workers, name="service")
+        self._workers = self._pool.workers if self._pool is not None else 1
         self._requests = 0
         # Observability: one registry and one slow-op log per service.
         # Service-level numbers are *views* over state the service already
@@ -414,10 +394,8 @@ class AdvisorService:
                 cache_capacity=self._cache_capacity,
                 advice_capacity=self._advice_capacity,
                 batch_window=self._batch_window,
-                use_index=self._use_index,
                 backend_spec=backend or self._backend_spec,
                 partitions=self._partitions,
-                workers=self._workers,
                 pool=self._pool,
                 metrics=self.metrics,
             )
@@ -1004,7 +982,7 @@ class AdvisorService:
             "requests": requests,
             "parallel": {
                 "workers": self._workers,
-                "partitions": self._partitions,
+                "partitions": self._partitions or self._workers,
                 "pool": self._pool.stats() if self._pool is not None else None,
             },
             "tables": {name: runtime.stats() for name, runtime in tables.items()},

@@ -14,7 +14,7 @@ NumPy-backed, dictionary-encoded column store with exactly that surface:
 * :mod:`repro.storage.cache` — the shared, thread-safe result cache
   (masks and aggregates) engines and the service layer plug into;
 * :mod:`repro.storage.statistics` — column/table profiling;
-* :mod:`repro.storage.index` — sorted-column and bitmap indexes (E6, E17);
+* :mod:`repro.storage.index` — bitmap indexes (E17);
 * :mod:`repro.storage.zonemap` — per-partition zone maps and shard
   skipping (the aggregate hot path's skipping-index tier);
 * :mod:`repro.storage.sampling` — sampled engines (paper §5.2, E8);
@@ -49,7 +49,7 @@ from repro.storage.engine import (
     deduplicated_median_batch,
     resolve_index_features,
 )
-from repro.storage.index import BitmapIndex, SortedIndex
+from repro.storage.index import BitmapIndex
 from repro.storage.zonemap import SkippingIndexes, ZoneMap
 from repro.storage.statistics import (
     ColumnProfile,
@@ -104,7 +104,6 @@ __all__ = [
     "deduplicated_median_batch",
     "ResultCache",
     "CacheStats",
-    "SortedIndex",
     "BitmapIndex",
     "SkippingIndexes",
     "ZoneMap",

@@ -435,13 +435,23 @@ class StringColumn(Column):
 
     @classmethod
     def _from_encoding(
-        cls, name: str, codes: np.ndarray, categories: List[str]
+        cls,
+        name: str,
+        codes: np.ndarray,
+        categories: List[str],
+        index_of: Dict[str, int],
     ) -> "StringColumn":
+        """A column over ``codes`` that *shares* the given dictionary.
+
+        Neither structure is ever mutated in place (``append_values``
+        copies before it grows them), so row slices and gathers reuse the
+        parent's instead of paying O(distinct values) per shard.
+        """
         column = cls.__new__(cls)
         Column.__init__(column, name, DataType.STRING)
         column._codes = codes
-        column._categories = list(categories)
-        column._index_of = {c: i for i, c in enumerate(categories)}
+        column._categories = categories
+        column._index_of = index_of
         return column
 
     def __len__(self) -> int:
@@ -524,12 +534,12 @@ class StringColumn(Column):
     def take(self, indices: np.ndarray) -> "StringColumn":
         indices = np.asarray(indices, dtype=np.int64)
         return StringColumn._from_encoding(
-            self.name, self._codes[indices], self._categories
+            self.name, self._codes[indices], self._categories, self._index_of
         )
 
     def slice_rows(self, start: int, stop: int) -> "StringColumn":
         return StringColumn._from_encoding(
-            self.name, self._codes[start:stop], self._categories
+            self.name, self._codes[start:stop], self._categories, self._index_of
         )
 
     def append_values(self, values: Sequence[Any]) -> "StringColumn":
@@ -551,7 +561,7 @@ class StringColumn(Column):
                 index_of[text] = code
             codes[position] = code
         return StringColumn._from_encoding(
-            self.name, np.concatenate([self._codes, codes]), categories
+            self.name, np.concatenate([self._codes, codes]), categories, index_of
         )
 
 

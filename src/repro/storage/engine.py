@@ -27,12 +27,17 @@ evictions, approximate bytes) are reported by the cache itself through
 
 Evaluation is *partitioned*: the engine always routes masks, counts and
 medians through a :class:`~repro.storage.partition.PartitionedTable` —
-the classic sequential engine is simply the ``partitions=1`` special case
-with the inline mapper.  With ``partitions=N`` and a
+the classic sequential engine is simply the one-shard special case with
+the inline mapper.  With several shards and a
 :class:`~repro.backends.pool.ExecutorPool`, per-partition work fans out
 across worker threads while counters, cache contents and results stay
 bit-for-bit identical to the sequential path (masks concatenate, counts
 sum, medians merge through per-partition value gathers).
+
+Evaluation is *planned*: every uncached mask or count goes through
+:meth:`QueryEngine._plan` (which :class:`AccessPath`, from facts the
+engine already holds) then :meth:`QueryEngine._execute`.  The engine picks
+the path; ``use_index`` / ``partitions`` only *force* a reference path.
 
 The engine is *mutation-aware*: its data lives in a
 :class:`~repro.live.VersionedTable` (a plain :class:`Table` is wrapped in
@@ -69,28 +74,28 @@ import numpy as np
 from repro.errors import StorageError
 from repro.obs.trace import current_span, tracing_active
 from repro.sdl.formatter import query_signature
-from repro.sdl.predicates import NoConstraint
+from repro.sdl.predicates import NoConstraint, Predicate
 from repro.sdl.query import SDLQuery
 from repro.storage.cache import ResultCache
-from repro.storage.expression import predicate_mask, refinement_delta
-from repro.storage.index import SortedIndex
+from repro.storage.expression import refinement_delta
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 
 __all__ = [
     "OperationCounter",
     "QueryEngine",
+    "AccessPath",
+    "FANOUT_MIN_ROWS_PER_SHARD",
+    "REUSE_MIN_ROWS",
     "INDEX_FEATURES",
     "resolve_index_features",
+    "aggregate_key",
     "deduplicated_count_batch",
     "deduplicated_median_batch",
 ]
 
-#: The individually toggleable index features of the engine:
+#: The index features ``use_index`` can force, one by one:
 #:
-#: ``sorted``
-#:     Lazily built sorted projections answering full-table medians and
-#:     min/max without re-sorting (:class:`~repro.storage.index.SortedIndex`).
 #: ``zonemap``
 #:     Per-partition min/max/null/distinct statistics that skip shards a
 #:     predicate provably cannot match (:mod:`repro.storage.zonemap`).
@@ -100,10 +105,18 @@ __all__ = [
 #: ``maskreuse``
 #:     Incremental mask algebra: a drill-down ANDs the parent step's
 #:     cached selection vector with only the new predicate's mask.
-INDEX_FEATURES = frozenset({"sorted", "zonemap", "bitmap", "maskreuse"})
+INDEX_FEATURES = frozenset({"zonemap", "bitmap", "maskreuse"})
 
 _INDEX_OFF_WORDS = frozenset({"", "none", "off", "false", "no", "0"})
-_INDEX_LEGACY_ON_WORDS = frozenset({"true", "yes", "on", "1"})
+_INDEX_ALL_WORDS = frozenset({"all", "true", "yes", "on", "1"})
+
+#: Planner thresholds, each the measured break-even (CHANGES.md, PR 12).
+#: Fewest rows per shard at which an unforced engine maps shards through
+#: its pool rather than inline.
+FANOUT_MIN_ROWS_PER_SHARD = 1_000_000
+#: Fewest rows at which an unforced engine looks for a resident parent
+#: mask (the search costs a fixed time per uncached mask, a scan per row).
+REUSE_MIN_ROWS = 10_000
 
 
 def resolve_index_features(value: Any) -> frozenset:
@@ -111,27 +124,22 @@ def resolve_index_features(value: Any) -> frozenset:
 
     Accepted forms:
 
-    * ``False`` / ``None`` / ``"none"`` / ``"off"`` — no indexes;
-    * ``True`` / ``"true"`` — the legacy meaning: sorted indexes only,
-      exactly what ``use_index=True`` enabled before the skipping tier;
-    * ``"all"`` — every feature in :data:`INDEX_FEATURES`;
+    * ``False`` / ``"none"`` / ``"off"`` — no indexes (the plain scan);
+    * ``True`` / ``"true"`` / ``"all"`` — every feature in
+      :data:`INDEX_FEATURES`;
     * a comma-separated string (``"zonemap,bitmap"``, the
       ``memory?index=...`` backend-spec form) or any iterable of feature
       names.
 
     Unknown feature names raise :class:`~repro.errors.StorageError`.
     """
-    if value is None or isinstance(value, bool):
-        return frozenset({"sorted"}) if value else frozenset()
     if isinstance(value, str):
         features: set = set()
         for part in value.lower().split(","):
             word = part.strip()
             if word in _INDEX_OFF_WORDS:
                 continue
-            if word in _INDEX_LEGACY_ON_WORDS:
-                features.add("sorted")
-            elif word == "all":
+            if word in _INDEX_ALL_WORDS:
                 features |= INDEX_FEATURES
             elif word in INDEX_FEATURES:
                 features.add(word)
@@ -146,7 +154,46 @@ def resolve_index_features(value: Any) -> frozenset:
         for item in value:
             features |= resolve_index_features(item)
         return frozenset(features)
-    return frozenset({"sorted"}) if value else frozenset()
+    return INDEX_FEATURES if value else frozenset()
+
+
+def _deduplicated_batch(
+    queries: Sequence[Optional[SDLQuery]],
+    counter: "OperationCounter",
+    calls: str,
+    key_of: Callable[[Optional[SDLQuery]], str],
+    aggregate_get,
+    aggregate_put,
+    compute,
+) -> Tuple[Any, ...]:
+    """One engine pass over many queries: each distinct aggregate-cache
+    key (``key_of(query)``) is computed once and its result fanned out,
+    tallying ``calls`` once per request and duplicates as cache hits —
+    exactly what the sequential equivalent would have recorded."""
+    if not queries:
+        return ()
+    counter.add(batch_calls=1)
+    results: List[Any] = [None] * len(queries)
+    positions: Dict[str, List[int]] = {}
+    for index, query in enumerate(queries):
+        positions.setdefault(key_of(query), []).append(index)
+    for key, indices in positions.items():
+        counter.add(**{calls: len(indices)})
+        value = aggregate_get(key)
+        if value is None:
+            value = compute(queries[indices[0]])
+            aggregate_put(key, value)
+        counter.add(cache_hits=len(indices) - 1)
+        for position in indices:
+            results[position] = value
+    return tuple(results)
+
+
+def aggregate_key(op: str, attribute: str, query: Optional[SDLQuery]) -> str:
+    """The aggregate-cache key ``<op>:<attribute>:<signature>`` (``None``
+    and unconstrained queries share the empty signature)."""
+    unconstrained = query is None or not query.constrained_attributes
+    return f"{op}:{attribute}:{'' if unconstrained else query_signature(query)}"
 
 
 def deduplicated_count_batch(
@@ -158,49 +205,22 @@ def deduplicated_count_batch(
 ) -> Tuple[int, ...]:
     """Shared engine-pass skeleton for :meth:`count_batch` implementations.
 
-    Queries with identical signatures are computed once and their result
-    fanned out, with operation accounting matching the sequential
-    equivalent: one count call per request, duplicates recorded as cache
-    hits.  Both the columnar engine and the SQLite backend route their
-    batches through this single implementation so their traces stay
-    bit-for-bit comparable.
-
-    Parameters
-    ----------
-    counter:
-        The backend's :class:`OperationCounter` (tallied in place).
-    aggregate_get / aggregate_put:
-        The backend's aggregate-cache accessors (keyed ``count::<sig>``).
-    compute:
-        ``query -> int`` computing one uncached cardinality.
+    Both the columnar engine and the SQLite backend route their batches
+    through this single implementation so their traces stay bit-for-bit
+    comparable.  ``counter`` is the backend's :class:`OperationCounter`
+    (tallied in place), ``aggregate_get`` / ``aggregate_put`` its
+    aggregate-cache accessors (keyed ``count::<signature>``) and
+    ``compute`` maps a query to one uncached cardinality.
     """
-    if not queries:
-        return ()
-    counter.add(batch_calls=1)
-    results: List[Optional[int]] = [None] * len(queries)
-    positions: Dict[str, List[int]] = {}
-    order: List[str] = []
-    for index, query in enumerate(queries):
-        signature = query_signature(query)
-        if signature not in positions:
-            positions[signature] = []
-            order.append(signature)
-        positions[signature].append(index)
-    for signature in order:
-        indices = positions[signature]
-        query = queries[indices[0]]
-        counter.add(count_calls=len(indices))
-        key = "count::" + signature
-        value = aggregate_get(key)
-        if value is None:
-            value = compute(query)
-            aggregate_put(key, value)
-        # Duplicates coalesced within the pass would have been cache hits
-        # sequentially; account for them the same way.
-        counter.add(cache_hits=len(indices) - 1)
-        for position in indices:
-            results[position] = value
-    return tuple(results)  # type: ignore[return-value]
+    return _deduplicated_batch(
+        queries,
+        counter,
+        "count_calls",
+        lambda query: "count::" + query_signature(query),
+        aggregate_get,
+        aggregate_put,
+        compute,
+    )
 
 
 def deduplicated_median_batch(
@@ -211,53 +231,17 @@ def deduplicated_median_batch(
     aggregate_put,
     compute,
 ) -> Tuple[Any, ...]:
-    """Shared engine-pass skeleton for :meth:`median_batch` implementations.
-
-    The median twin of :func:`deduplicated_count_batch`: queries with
-    identical signatures (``None`` and unconstrained queries coalesce under
-    the unconstrained key) are computed once and their result fanned out,
-    with operation accounting matching the sequential equivalent — one
-    median call per request, duplicates recorded as cache hits.  Both the
-    columnar engine and the SQLite backend route their batches through this
-    single implementation so median traces stay bit-for-bit comparable
-    across backends.
-
-    Parameters
-    ----------
-    counter:
-        The backend's :class:`OperationCounter` (tallied in place).
-    aggregate_get / aggregate_put:
-        The backend's aggregate-cache accessors (keyed
-        ``median:<attribute>:<signature>``).
-    compute:
-        ``query -> value`` computing one uncached median.
-    """
-    if not queries:
-        return ()
-    counter.add(batch_calls=1)
-    results: List[Any] = [None] * len(queries)
-    positions: Dict[str, List[int]] = {}
-    order: List[str] = []
-    for index, query in enumerate(queries):
-        unconstrained = query is None or not query.constrained_attributes
-        signature = "" if unconstrained else query_signature(query)
-        if signature not in positions:
-            positions[signature] = []
-            order.append(signature)
-        positions[signature].append(index)
-    for signature in order:
-        indices = positions[signature]
-        query = queries[indices[0]]
-        counter.add(median_calls=len(indices))
-        key = f"median:{attribute}:{signature}"
-        value = aggregate_get(key)
-        if value is None:
-            value = compute(query)
-            aggregate_put(key, value)
-        counter.add(cache_hits=len(indices) - 1)
-        for position in indices:
-            results[position] = value
-    return tuple(results)
+    """The median twin of :func:`deduplicated_count_batch`, keyed by
+    :func:`aggregate_key`."""
+    return _deduplicated_batch(
+        queries,
+        counter,
+        "median_calls",
+        lambda query: aggregate_key("median", attribute, query),
+        aggregate_get,
+        aggregate_put,
+        compute,
+    )
 
 
 @dataclass
@@ -396,6 +380,30 @@ class _LiveState(NamedTuple):
     partitioned: PartitionedTable
 
 
+class AccessPath(NamedTuple):
+    """How :meth:`QueryEngine._execute` computes one uncached mask (or count).
+
+    ``parent``: the resident parent mask and the one new predicate to scan
+    and AND onto it (``None``: scan the whole query).  The scan skips
+    shards by ``zonemap``, answers nominal predicates by ``bitmap``, maps
+    shards through the pool on ``fanout`` and, with ``assemble`` off, sums
+    per-shard counts instead of building the mask.
+    """
+
+    parent: Optional[Tuple[np.ndarray, Predicate]]
+    zonemap: bool
+    bitmap: bool
+    fanout: bool
+    assemble: bool = True
+
+    @property
+    def scan(self) -> str:
+        """The scan's span label, e.g. ``scan+zonemap+bitmap+fanout``."""
+        steps = ["scan" if self.assemble else "count"]
+        steps += [name for name in ("zonemap", "bitmap", "fanout") if getattr(self, name)]
+        return "+".join(steps)
+
+
 class QueryEngine:
     """Evaluates SDL queries against a single table.
 
@@ -411,14 +419,12 @@ class QueryEngine:
         no shared ``cache`` is given.  ``0`` disables caching entirely
         (used by the scalability ablations).
     use_index:
-        Which index features to enable — anything
-        :func:`resolve_index_features` accepts.  ``True`` keeps its
-        historical meaning (sorted-column indexes answering full-table
-        medians and min/max without re-sorting); ``"all"`` or a feature
-        list such as ``"zonemap,bitmap,maskreuse"`` additionally enables
-        the skipping tier.  Results are bit-for-bit identical for every
-        setting (the differential harness enforces it); only the work
-        performed differs.
+        ``None`` (the default) lets the engine pick index features (see
+        :meth:`_plan`); anything :func:`resolve_index_features` accepts —
+        ``False``, ``"all"``, ``"zonemap,bitmap"`` — *forces* exactly
+        those, which is how tests and ablations pin a reference path.
+        Results are bit-for-bit identical for every setting (the
+        differential harness enforces it); only the work differs.
     cache:
         An externally owned :class:`~repro.storage.cache.ResultCache` to
         use instead of a private one.  Sharing a cache between engines is
@@ -431,9 +437,11 @@ class QueryEngine:
         experiments; the service layer turns it on.
     partitions:
         Number of contiguous row-range shards evaluation maps over (see
-        :class:`~repro.storage.partition.PartitionedTable`).  ``1`` (the
-        default) is the classic sequential engine; results, counters and
-        cache contents are identical for every partition count.
+        :class:`~repro.storage.partition.PartitionedTable`).  ``None``
+        (the default): one per pool worker (one without a pool — the
+        classic sequential engine), fanned out only when large enough;
+        an explicit count is forced and always mapped through the pool.
+        Results, counters and cache contents are identical either way.
     pool:
         An :class:`~repro.backends.pool.ExecutorPool` running the
         per-partition work; ``None`` maps inline on the calling thread.
@@ -444,10 +452,10 @@ class QueryEngine:
         self,
         table: Union[Table, Any],
         cache_size: int = 256,
-        use_index: Union[bool, str, Iterable] = False,
+        use_index: Union[None, bool, str, Iterable] = None,
         cache: Optional[ResultCache] = None,
         cache_aggregates: bool = False,
-        partitions: int = 1,
+        partitions: Optional[int] = None,
         pool: Optional[Any] = None,
     ):
         # Deferred import: repro.live sits above repro.storage.statistics,
@@ -464,24 +472,37 @@ class QueryEngine:
             capacity=int(cache_size), name=f"engine:{self._source.name}"
         )
         self._cache_aggregates = bool(cache_aggregates)
-        self._features = resolve_index_features(use_index)
-        self._use_index = "sorted" in self._features
-        self._indexes: Dict[Tuple[int, str], SortedIndex] = {}
         # Drill-down breadcrumbs for mask reuse: child signature -> parent
         # query, recorded by hint_parent() and consumed opportunistically.
         self._hints: Dict[str, SDLQuery] = {}
         self._hints_lock = threading.Lock()
-        # Guards _state replacement and the _indexes memo; readers of
-        # _state stay lock-free (single atomic reference read).
+        # Guards _state replacement; readers of _state stay lock-free
+        # (single atomic reference read).
         self._state_lock = threading.Lock()
+        self._pool = pool
+        # Unforced: one shard per pool worker, one without a pool.
+        self._forced_partitions = None if partitions is None else max(1, int(partitions))
+        self._partitions = self._forced_partitions or (
+            pool.workers if pool is not None else 1
+        )
+        self._forced_features = (
+            None if use_index is None else resolve_index_features(use_index)
+        )
+        if self._forced_features is not None:
+            self._features = self._forced_features
+        elif self._partitions > 1:
+            self._features = INDEX_FEATURES
+        else:
+            # Bitmaps only ever replace a nominal column scan, so they are
+            # on (reuse is sized per query in _plan); a single shard can
+            # skip nothing, so zone maps need at least two.
+            self._features = INDEX_FEATURES - {"zonemap"}
         # Shards are shared between siblings through the source's memo
         # (same data, one materialisation per version).
-        self._partitions = max(1, int(partitions))
         version, snapshot = self._source.state()
         self._state = _LiveState(
             version, snapshot, self._source.partitioned(self._partitions)
         )
-        self._pool = pool
         # Optional observability sink: a callable ``(op, seconds)`` fed by
         # count/median when attached (see set_metrics_sink).  ``None``
         # keeps the aggregate entry points on their original fast path.
@@ -573,7 +594,7 @@ class QueryEngine:
         return self._refresh().table.column(attribute).dtype.is_numeric
 
     def stats(self) -> Dict[str, Any]:
-        """Backend statistics: identity, operation tallies and cache traffic."""
+        """Backend statistics: identity, operation tallies, cache and pool."""
         state = self._refresh()
         return {
             "backend": "memory",
@@ -584,6 +605,7 @@ class QueryEngine:
             "index": sorted(self._features),
             "operations": self.counter.snapshot(),
             "cache": self.cache_info,
+            "pool": None if self._pool is None else self._pool.stats(),
         }
 
     def reset(self) -> None:
@@ -604,9 +626,9 @@ class QueryEngine:
         clone = QueryEngine(
             self._source,
             cache=self._cache,
-            use_index=self._features,
+            use_index=self._forced_features,
             cache_aggregates=self._cache_aggregates,
-            partitions=self._partitions,
+            partitions=self._forced_partitions,
             pool=self._pool,
         )
         # Session siblings inherit the table runtime's metrics sink, so
@@ -634,8 +656,8 @@ class QueryEngine:
         return QueryEngine(
             sampled,
             cache_size=self._cache_size,
-            use_index=self._features,
-            partitions=self._partitions,
+            use_index=self._forced_features,
+            partitions=self._forced_partitions,
             pool=self._pool,
         )
 
@@ -659,27 +681,8 @@ class QueryEngine:
 
     @property
     def index_features(self) -> frozenset:
-        """The enabled index features (subset of :data:`INDEX_FEATURES`)."""
+        """The index features in effect (forced, or picked at construction)."""
         return self._features
-
-    def index_for(self, attribute: str) -> SortedIndex:
-        """The (lazily built) sorted index for a column."""
-        return self._index_for(attribute, self._refresh())
-
-    def _index_for(self, attribute: str, state: _LiveState) -> SortedIndex:
-        """Indexes are keyed by data version; a mutation drops old ones."""
-        key = (state.version, attribute)
-        with self._state_lock:
-            index = self._indexes.get(key)
-            if index is not None:
-                return index
-            if any(version != state.version for version, _ in self._indexes):
-                self._indexes = {}
-        # Build outside the lock (sorting can be expensive); two racing
-        # builders produce equal indexes and setdefault keeps one.
-        index = SortedIndex(state.table.column(attribute))
-        with self._state_lock:
-            return self._indexes.setdefault(key, index)
 
     # -- partitioned execution ------------------------------------------------
 
@@ -698,11 +701,23 @@ class QueryEngine:
         """The (shared) executor pool, or ``None`` for inline mapping."""
         return self._pool
 
-    def _map(self, fn, items):
-        """Run per-partition work through the pool (inline without one)."""
-        if self._pool is None:
-            return [fn(item) for item in items]
-        return self._pool.map(fn, items)
+    def _map_fn(self, state: _LiveState) -> Optional[Callable]:
+        """Where per-shard work runs: the pool's ``map``, or ``None`` (inline).
+
+        Forced ``partitions`` always go through the pool; unforced, only
+        with several workers and :data:`FANOUT_MIN_ROWS_PER_SHARD` rows a
+        shard — below that the dispatch costs more than the scan it spreads.
+        """
+        pool = self._pool
+        if pool is None:
+            return None
+        if self._forced_partitions is None and (
+            pool.workers <= 1
+            or state.table.num_rows
+            < FANOUT_MIN_ROWS_PER_SHARD * state.partitioned.num_partitions
+        ):
+            return None
+        return pool.map
 
     # -- evaluation ------------------------------------------------------------
 
@@ -715,45 +730,82 @@ class QueryEngine:
         sharing a cache interoperate key-for-key and a mask from before an
         ingest can never answer a query issued after it.
         """
-        return self._evaluate(query, self._refresh())
+        return self._mask(query, self._refresh())[0]
 
-    def _evaluate(self, query: SDLQuery, state: _LiveState) -> np.ndarray:
-        """One mask against an already-captured live state."""
+    def _mask(self, query: SDLQuery, state: _LiveState) -> Tuple[np.ndarray, str]:
+        """One mask against an already-captured live state, with the span
+        label of how it was obtained."""
         key = "mask:" + query_signature(query)
         cached = self._cache.get(key, version=state.version)
         if cached is not None:
             self.counter.add(cache_hits=1)
-            return cached
+            return cached, "cached"
         self.counter.add(evaluations=1)
-        mask = self._compute_mask(query, state)
+        mask, taken = self._execute(self._plan(query, state), query, state)
         self._cache.put(key, mask, version=state.version)
-        return mask
+        return mask, taken
 
-    def _compute_mask(self, query: SDLQuery, state: _LiveState) -> np.ndarray:
-        """One uncached mask, through whatever index features are enabled.
+    # -- the plan -> execute seam ------------------------------------------------
 
-        Every branch yields bit-for-bit the mask of the plain partitioned
-        scan — the features only change how much work it takes.  Counter
-        and cache traffic also match the plain path exactly (the caller
-        already tallied the evaluation and will put the mask), with one
-        observational exception: zone-map pruning tallies
-        ``skipped_partitions``.
+    def _plan(
+        self, query: SDLQuery, state: _LiveState, counting: bool = False
+    ) -> AccessPath:
+        """Pick the access path of one uncached mask (or count); reads, never writes.
+
+        Forced features and shards are taken as given.  Unforced: bitmaps
+        always, zone maps with more than one shard (both fixed at
+        construction), the parent's mask when one is resident and the
+        table has :data:`REUSE_MIN_ROWS` rows, the pool per
+        :meth:`_map_fn`; a count skips assembling the mask when the cache
+        could not keep it.  Every path yields bit-for-bit the plain scan's
+        answer, counters and cache traffic (``skipped_partitions`` aside).
         """
-        if "maskreuse" in self._features:
-            reused = self._reuse_parent_mask(query, state)
-            if reused is not None:
-                return reused
-        if self._features & {"zonemap", "bitmap"}:
-            mask, skipped = state.partitioned.skipping().query_mask(
-                query,
-                self._map,
-                zonemaps="zonemap" in self._features,
-                bitmaps="bitmap" in self._features,
+        features = self._features
+        parent = None
+        if (
+            "maskreuse" in features
+            and self._cache.enabled
+            and (
+                self._forced_features is not None
+                or state.table.num_rows >= REUSE_MIN_ROWS
             )
-            if skipped:
-                self.counter.add(skipped_partitions=skipped)
-            return mask
-        return state.partitioned.query_mask(query, self._map)
+        ):
+            parent = self._resident_parent(query, state)
+        return AccessPath(
+            parent,
+            zonemap="zonemap" in features,
+            bitmap="bitmap" in features,
+            fanout=self._map_fn(state) is not None,
+            assemble=not counting or self._cache.enabled,
+        )
+
+    def _execute(
+        self, path: AccessPath, query: SDLQuery, state: _LiveState
+    ) -> Tuple[Any, str]:
+        """Carry a planned path out: the mask (the count when not assembling)
+        and the span label of the path taken."""
+        if path.parent is not None:
+            parent_mask, delta = path.parent
+            try:  # Scan only the new predicate, through the same indexes.
+                return parent_mask & self._scan(path, SDLQuery([delta]), state), "reuse"
+            except Exception:
+                # It cannot encode: the whole query's scan then raises, or
+                # short-circuits before reaching it, exactly as the plain path.
+                pass
+        return self._scan(path, query, state), path.scan
+
+    def _scan(self, path: AccessPath, query: SDLQuery, state: _LiveState) -> Any:
+        skipping = state.partitioned.skipping()
+        run = skipping.query_mask if path.assemble else skipping.count
+        result, skipped = run(
+            query,
+            self._pool.map if path.fanout else None,
+            zonemaps=path.zonemap,
+            bitmaps=path.bitmap,
+        )
+        if skipped:
+            self.counter.add(skipped_partitions=skipped)
+        return result
 
     # -- incremental mask algebra ----------------------------------------------
 
@@ -765,7 +817,7 @@ class QueryEngine:
         child's aggregate, so mask reuse can find the parent's cached
         selection vector without guessing.  Hints are advisory — reuse
         still proves the refinement relationship predicate-by-predicate —
-        and are a no-op unless the ``maskreuse`` feature is enabled.
+        and are a no-op when the ``maskreuse`` feature is forced off.
         """
         if "maskreuse" not in self._features:
             return
@@ -793,19 +845,16 @@ class QueryEngine:
                 for p in query.predicates
             )
 
-    def _reuse_parent_mask(
+    def _resident_parent(
         self, query: SDLQuery, state: _LiveState
-    ) -> Optional[np.ndarray]:
-        """The query's mask as ``parent_mask & delta_mask``, if provable.
+    ) -> Optional[Tuple[np.ndarray, Predicate]]:
+        """A cached parent mask and the one predicate separating the query from it.
 
         Requires a parent whose mask is already cached at the current data
         version and whose relationship to the query is a single new
         predicate (see :func:`~repro.storage.expression.refinement_delta`).
-        The parent lookup uses :meth:`ResultCache.peek` — no hit/miss/LRU
-        side effects — and the delta predicate is probed against a
-        zero-row slice first so a predicate that cannot encode falls back
-        to the plain path and raises (or short-circuits) exactly as the
-        unindexed engine would.  ``None`` declines the shortcut.
+        The lookup uses :meth:`ResultCache.peek` — no hit/miss/LRU side
+        effects.  ``None``: no such parent.
         """
         for parent in self._parent_candidates(query):
             delta = refinement_delta(query, parent, state.table)
@@ -814,105 +863,76 @@ class QueryEngine:
             parent_mask = self._cache.peek(
                 "mask:" + query_signature(parent), version=state.version
             )
-            if parent_mask is None or len(parent_mask) != state.table.num_rows:
-                continue
-            try:
-                predicate_mask(state.table.slice_rows(0, 0), delta)
-            except Exception:
-                return None
-            if not parent_mask.any():
-                return np.zeros(state.table.num_rows, dtype=bool)
-            return parent_mask & predicate_mask(state.table, delta)
+            if parent_mask is not None and len(parent_mask) == state.table.num_rows:
+                return parent_mask, delta
         return None
 
-    def _aggregate_get(self, key: str, version: Optional[int] = None) -> Optional[Any]:
+    def _aggregate_get(self, key: str, version: int) -> Optional[Any]:
         if not self._cache_aggregates:
             return None
-        value = self._cache.get(
-            key, version=self._state.version if version is None else version
-        )
+        value = self._cache.get(key, version=version)
         if value is not None:
             self.counter.add(aggregate_hits=1)
         return value
 
-    def _aggregate_put(
-        self, key: str, value: Any, version: Optional[int] = None
-    ) -> None:
+    def _aggregate_put(self, key: str, value: Any, version: int) -> None:
         if self._cache_aggregates:
-            self._cache.put(
-                key,
-                value,
-                version=self._state.version if version is None else version,
-            )
+            self._cache.put(key, value, version=version)
 
-    def _count_uncached(self, query: SDLQuery) -> int:
-        """One cardinality, bypassing the aggregate cache.
+    def _count_uncached(
+        self, query: SDLQuery, state: _LiveState
+    ) -> Tuple[int, str]:
+        """One cardinality and its span label, bypassing the aggregate cache.
 
-        With mask caching disabled (``cache_size=0``) and several
-        partitions, per-partition counts are summed without assembling the
-        full mask — the uncached-scan fast path the scalability ablations
-        measure.  Tallies match the mask path: one evaluation per scan.
+        With mask caching disabled (``cache_size=0``) there is nothing to
+        look up or keep, so the planned path sums per-shard counts without
+        assembling the mask — the uncached-scan path the scalability
+        ablations measure.  Tallies match the mask path: one evaluation
+        per scan.
         """
-        state = self._refresh()
-        if state.partitioned.num_partitions > 1 and not self._cache.enabled:
-            self.counter.add(evaluations=1)
-            if self._features & {"zonemap", "bitmap"}:
-                value, skipped = state.partitioned.skipping().count(
-                    query,
-                    self._map,
-                    zonemaps="zonemap" in self._features,
-                    bitmaps="bitmap" in self._features,
-                )
-                if skipped:
-                    self.counter.add(skipped_partitions=skipped)
-                return value
-            return state.partitioned.count(query, self._map)
-        return int(np.count_nonzero(self._evaluate(query, state)))
+        if self._cache.enabled:
+            mask, taken = self._mask(query, state)
+            return int(np.count_nonzero(mask)), taken
+        self.counter.add(evaluations=1)
+        return self._execute(self._plan(query, state, counting=True), query, state)
 
     def count(self, query: SDLQuery) -> int:
         """``|R(Q)|``: number of rows selected by the query."""
-        if self._metrics_sink is None and not tracing_active():
-            # The unobserved fast path — kept byte-for-byte so disabled
-            # observability costs exactly one attribute read and one
-            # module-global check (the E20 overhead guard measures this).
-            self.counter.add(count_calls=1)
-            state = self._refresh()
-            key = "count::" + query_signature(query)
-            cached = self._aggregate_get(key, state.version)
-            if cached is not None:
-                return cached
-            value = self._count_uncached(query)
-            self._aggregate_put(key, value, state.version)
-            return value
-        started = time.perf_counter()
-        skipped_before = self.counter.skipped_partitions
+        # Unobserved, the clock is never read: disabled observability costs
+        # one attribute read and one module-global check (E20 guards this).
+        observed = self._metrics_sink is not None or tracing_active()
+        started = time.perf_counter() if observed else 0.0
         self.counter.add(count_calls=1)
         state = self._refresh()
         key = "count::" + query_signature(query)
-        cached = self._aggregate_get(key, state.version)
-        if cached is not None:
-            self._observe("count", started, state, cache_hit=True)
-            return cached
-        value = self._count_uncached(query)
+        value = self._aggregate_get(key, state.version)
+        if value is not None:
+            if observed:
+                self._observe("count", started, state)
+            return value
+        skipped_before = self.counter.skipped_partitions
+        value, taken = self._count_uncached(query, state)
         self._aggregate_put(key, value, state.version)
-        self._observe(
-            "count",
-            started,
-            state,
-            cache_hit=False,
-            skipped_partitions=self.counter.skipped_partitions - skipped_before,
-        )
+        if observed:
+            skipped = self.counter.skipped_partitions - skipped_before
+            self._observe("count", started, state, taken, skipped_partitions=skipped)
         return value
 
     def _observe(
-        self, op: str, started: float, state: _LiveState, **attributes: Any
+        self,
+        op: str,
+        started: float,
+        state: _LiveState,
+        taken: Optional[str] = None,
+        **attributes: Any,
     ) -> None:
         """Report one finished aggregate to the sink and the ambient span.
 
-        Runs *after* the measured region: the sink call is one histogram
-        append, and the span child is attached retroactively
-        (:meth:`~repro.obs.trace.Span.record`), so nothing observability-
-        related executes inside the timed operation.
+        ``taken`` is the path label of a computed answer (``None``: an
+        aggregate-cache hit).  Runs *after* the measured region: the sink
+        call is one histogram append, and the span child is attached
+        retroactively (:meth:`~repro.obs.trace.Span.record`), so nothing
+        observability-related executes inside the timed operation.
         """
         elapsed = time.perf_counter() - started
         sink = self._metrics_sink
@@ -920,11 +940,13 @@ class QueryEngine:
             sink(op, elapsed)
         parent = current_span()
         if parent is not None:
+            if taken is not None:
+                attributes["path"] = taken
             parent.record(
                 f"engine.{op}",
                 elapsed,
                 partitions=state.partitioned.num_partitions,
-                index=",".join(sorted(self._features)) or "none",
+                cache_hit=taken is None,
                 **attributes,
             )
 
@@ -946,81 +968,54 @@ class QueryEngine:
 
     # -- aggregates --------------------------------------------------------------
 
-    def _median_uncached(self, attribute: str, query: Optional[SDLQuery]) -> Any:
-        """One median, bypassing the aggregate cache.
+    def _median_uncached(
+        self, attribute: str, query: Optional[SDLQuery], state: _LiveState
+    ) -> Tuple[Any, str]:
+        """One median and its mask's span label, bypassing the aggregate cache.
 
-        Constrained medians over several partitions merge per-partition
-        value gathers (the mask still comes from — and lands in — the
-        shared cache); nominal columns raise exactly like the sequential
-        ``column.median`` path.
+        Constrained medians merge per-shard value gathers, mapped wherever
+        :meth:`_map_fn` maps scans (the mask still comes from — and lands
+        in — the shared cache); nominal columns raise exactly like the
+        sequential ``column.median`` path.
         """
-        state = self._refresh()
-        unconstrained = query is None or not query.constrained_attributes
         column = state.table.column(attribute)
-        if unconstrained:
-            if self._use_index:
-                return self._index_for(attribute, state).median()
-            return column.median()
-        mask = self._evaluate(query, state)
-        if state.partitioned.num_partitions > 1 and hasattr(
-            column, "median_from_gathered"
-        ):
-            return state.partitioned.median(attribute, mask, self._map)
-        return column.median(mask)
+        if query is None or not query.constrained_attributes:
+            return column.median(), "column"
+        mask, taken = self._mask(query, state)
+        if hasattr(column, "median_from_gathered"):
+            return state.partitioned.median(attribute, mask, self._map_fn(state)), taken
+        return column.median(mask), taken
 
     def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
         """Arithmetic median of ``attribute`` over the query's result set."""
-        if self._metrics_sink is None and not tracing_active():
-            # Unobserved fast path, byte-for-byte (see count()).
-            self.counter.add(median_calls=1)
-            state = self._refresh()
-            unconstrained = query is None or not query.constrained_attributes
-            key = "median:{}:{}".format(
-                attribute, "" if unconstrained else query_signature(query)
-            )
-            cached = self._aggregate_get(key, state.version)
-            if cached is not None:
-                return cached
-            value = self._median_uncached(attribute, query)
-            self._aggregate_put(key, value, state.version)
-            return value
-        started = time.perf_counter()
+        observed = self._metrics_sink is not None or tracing_active()
+        started = time.perf_counter() if observed else 0.0
         self.counter.add(median_calls=1)
         state = self._refresh()
-        unconstrained = query is None or not query.constrained_attributes
-        key = "median:{}:{}".format(
-            attribute, "" if unconstrained else query_signature(query)
-        )
-        cached = self._aggregate_get(key, state.version)
-        if cached is not None:
-            self._observe("median", started, state, cache_hit=True, attribute=attribute)
-            return cached
-        value = self._median_uncached(attribute, query)
+        key = aggregate_key("median", attribute, query)
+        value = self._aggregate_get(key, state.version)
+        if value is not None:
+            if observed:
+                self._observe("median", started, state, attribute=attribute)
+            return value
+        value, taken = self._median_uncached(attribute, query, state)
         self._aggregate_put(key, value, state.version)
-        self._observe("median", started, state, cache_hit=False, attribute=attribute)
+        if observed:
+            self._observe("median", started, state, taken, attribute=attribute)
         return value
 
     def minmax(self, attribute: str, query: Optional[SDLQuery] = None) -> Tuple[Any, Any]:
         """Minimum and maximum of ``attribute`` over the query's result set."""
         self.counter.add(minmax_calls=1)
         state = self._refresh()
-        unconstrained = query is None or not query.constrained_attributes
-        key = "minmax:{}:{}".format(
-            attribute, "" if unconstrained else query_signature(query)
-        )
+        key = aggregate_key("minmax", attribute, query)
         cached = self._aggregate_get(key, state.version)
         if cached is not None:
             return cached
         column = state.table.column(attribute)
-        if unconstrained:
-            if self._use_index:
-                index = self._index_for(attribute, state)
-                value = (index.minimum(), index.maximum())
-            else:
-                value = (column.minimum(), column.maximum())
-        else:
-            mask = self._evaluate(query, state)
-            value = (column.minimum(mask), column.maximum(mask))
+        unconstrained = query is None or not query.constrained_attributes
+        mask = None if unconstrained else self._mask(query, state)[0]
+        value = (column.minimum(mask), column.maximum(mask))
         self._aggregate_put(key, value, state.version)
         return value
 
@@ -1031,7 +1026,7 @@ class QueryEngine:
         self.counter.add(frequency_calls=1)
         state = self._refresh()
         column = state.table.column(attribute)
-        mask = None if query is None else self._evaluate(query, state)
+        mask = None if query is None else self._mask(query, state)[0]
         return column.value_counts(mask)
 
     def distinct_count(self, attribute: str, query: Optional[SDLQuery] = None) -> int:
@@ -1055,7 +1050,7 @@ class QueryEngine:
             self.counter,
             lambda key: self._aggregate_get(key, state.version),
             lambda key, value: self._aggregate_put(key, value, state.version),
-            self._count_uncached,
+            lambda query: self._count_uncached(query, state)[0],
         )
 
     def median_batch(
@@ -1076,7 +1071,7 @@ class QueryEngine:
             self.counter,
             lambda key: self._aggregate_get(key, state.version),
             lambda key, value: self._aggregate_put(key, value, state.version),
-            lambda query: self._median_uncached(attribute, query),
+            lambda query: self._median_uncached(attribute, query, state)[0],
         )
 
     # -- materialisation ----------------------------------------------------------
@@ -1084,7 +1079,7 @@ class QueryEngine:
     def materialize(self, query: SDLQuery, name: Optional[str] = None) -> Table:
         """The result set of a query as a new table (used for drill-down)."""
         state = self._refresh()
-        mask = self._evaluate(query, state)
+        mask = self._mask(query, state)[0]
         return state.table.filter(
             mask, name=name or f"{state.table.name}_selection"
         )

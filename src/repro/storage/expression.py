@@ -7,16 +7,15 @@ conjunction is the element-wise AND of those arrays.  The query engine
 top.
 
 Evaluation is *partitionable*: a mask over a table is the concatenation
-of the masks over any contiguous row-range shards of it, which is what
-:func:`query_masks` exposes — one query over many shard tables, with a
-pluggable mapper deciding where each shard is evaluated (inline, or on
-an :class:`~repro.backends.pool.ExecutorPool`).  See
-:mod:`repro.storage.partition` for the sharding itself.
+of the masks over any contiguous row-range shards of it.  See
+:mod:`repro.storage.partition` for the sharding and
+:class:`repro.storage.zonemap.SkippingIndexes` for the per-shard
+evaluation (inline, or on an :class:`~repro.backends.pool.ExecutorPool`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +33,6 @@ from repro.storage.table import Table
 __all__ = [
     "predicate_mask",
     "query_mask",
-    "query_masks",
     "predicate_implies",
     "refinement_delta",
 ]
@@ -102,45 +100,6 @@ def query_mask(
         if not mask.any():
             break
     return mask
-
-
-def query_masks(
-    tables: Sequence[Table],
-    query: SDLQuery,
-    map_fn: Optional[Callable] = None,
-    bitmaps: Optional[Callable[[int], Optional[BitmapLookup]]] = None,
-    skip: Optional[Callable[[int], bool]] = None,
-) -> List[np.ndarray]:
-    """One query evaluated over several shard tables, in order.
-
-    Conjunctions evaluate row-at-a-time independently, so the mask over a
-    table equals the concatenation of the masks over its row-range shards.
-    ``map_fn(fn, items)`` decides where each shard is evaluated; the
-    default maps inline, an executor pool's ``map`` fans the shards out
-    across workers.  Results always come back in shard order.
-
-    The optional hooks take a *shard index*: ``skip(i)`` declares shard
-    ``i`` provably empty under the query (its mask is all-``False``
-    without evaluation — the caller carries the proof, see
-    :class:`repro.storage.zonemap.SkippingIndexes`), and ``bitmaps(i)``
-    supplies the shard's per-column bitmap lookup.
-    """
-    if bitmaps is None and skip is None:
-        if map_fn is None:
-            return [query_mask(table, query) for table in tables]
-        return map_fn(lambda table: query_mask(table, query), tables)
-
-    def evaluate(item: Tuple[int, Table]) -> np.ndarray:
-        index, table = item
-        if skip is not None and skip(index):
-            return np.zeros(table.num_rows, dtype=bool)
-        lookup = bitmaps(index) if bitmaps is not None else None
-        return query_mask(table, query, lookup)
-
-    items = list(enumerate(tables))
-    if map_fn is None:
-        return [evaluate(item) for item in items]
-    return map_fn(evaluate, items)
 
 
 def predicate_implies(child: Predicate, parent: Predicate, column: object) -> bool:

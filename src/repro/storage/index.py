@@ -1,19 +1,13 @@
-"""Sorted-column and bitmap indexes.
+"""Bitmap indexes.
 
-The paper notes (Section 5.1) that median calculation is a major
-bottleneck and that, because the queried columns are not known in advance,
-indexes cannot be created a priori — which is why a column store fits the
-workload.  This module provides the closest equivalents the substrate can
-offer, both built lazily on first use:
-
-* :class:`SortedIndex` — a sorted projection of a column answering
-  full-column quantiles, minima/maxima and range counts in logarithmic or
-  constant time (``use_index`` feature ``sorted``; benchmark E6 toggles it
-  to quantify the effect);
-* :class:`BitmapIndex` — per-distinct-value selection vectors over a
-  dictionary-encoded nominal column, answering the equality / IN /
-  NOT-IN masks HB-cuts issues for every nominal drill-down by OR-ing
-  cached bitmaps instead of re-scanning codes (feature ``bitmap``).
+The paper notes (Section 5.1) that, because the queried columns are not
+known in advance, indexes cannot be created a priori — which is why a
+column store fits the workload.  This module provides the closest
+equivalent the substrate can offer, built lazily on first use:
+:class:`BitmapIndex` — per-distinct-value selection vectors over a
+dictionary-encoded nominal column, answering the equality / IN / NOT-IN
+masks HB-cuts issues for every nominal drill-down by OR-ing cached
+bitmaps instead of re-scanning codes (feature ``bitmap``).
 """
 
 from __future__ import annotations
@@ -23,140 +17,10 @@ from typing import Any, Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import EmptyColumnError, TypeMismatchError
-from repro.storage.column import Column, NumericColumn, StringColumn
-from repro.storage.types import DataType, is_missing
+from repro.storage.column import Column
+from repro.storage.types import is_missing
 
-__all__ = ["SortedIndex", "BitmapIndex"]
-
-
-class SortedIndex:
-    """A sorted projection of one column.
-
-    For numeric and date columns the physical values are sorted once; for
-    dictionary-encoded string columns the decoded categories are sorted.
-    Missing rows are excluded from the index.
-    """
-
-    def __init__(self, column: Column):
-        self.column = column
-        self.dtype = column.dtype
-        if isinstance(column, NumericColumn):
-            valid = column.valid_mask()
-            data = column.to_numpy()[valid]
-            self._sorted = np.sort(data)
-            self._decoder = column._decode_scalar
-        elif isinstance(column, StringColumn):
-            values = [v for v in column.values_list() if v is not None]
-            self._sorted = np.array(sorted(values), dtype=object)
-            self._decoder = lambda value: value
-        else:
-            # Boolean columns: trivially small, sort decoded values.
-            values = [v for v in column.values_list() if v is not None]
-            self._sorted = np.array(sorted(values), dtype=object)
-            self._decoder = lambda value: value
-
-    # -- basic properties ---------------------------------------------------
-
-    def __len__(self) -> int:
-        return int(self._sorted.shape[0])
-
-    @property
-    def is_empty(self) -> bool:
-        return len(self) == 0
-
-    def _require_non_empty(self, operation: str) -> None:
-        if self.is_empty:
-            raise EmptyColumnError(
-                f"{operation} on empty index for column {self.column.name!r}"
-            )
-
-    # -- point lookups --------------------------------------------------------
-
-    def minimum(self) -> Any:
-        """Smallest non-missing value."""
-        self._require_non_empty("minimum")
-        return self._decoder(self._sorted[0])
-
-    def maximum(self) -> Any:
-        """Largest non-missing value."""
-        self._require_non_empty("maximum")
-        return self._decoder(self._sorted[-1])
-
-    def quantile(self, q: float) -> Any:
-        """Value at quantile ``q`` (0 <= q <= 1) using nearest-rank selection."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be within [0, 1], got {q}")
-        self._require_non_empty("quantile")
-        position = int(round(q * (len(self) - 1)))
-        return self._decoder(self._sorted[position])
-
-    def median(self) -> Any:
-        """Arithmetic median for numeric types, middle element otherwise."""
-        self._require_non_empty("median")
-        if self.dtype.is_numeric:
-            value = float(np.median(self._sorted.astype(np.float64)))
-            if self.dtype is DataType.INT and value.is_integer():
-                return int(value)
-            if self.dtype is DataType.DATE:
-                return self.column._decode_median(value)  # type: ignore[attr-defined]
-            return value
-        middle = (len(self) - 1) // 2
-        return self._decoder(self._sorted[middle])
-
-    # -- range counting ---------------------------------------------------------
-
-    def range_count(
-        self,
-        low: Any,
-        high: Any,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> int:
-        """Number of indexed values inside the interval, via binary search."""
-        if self.is_empty:
-            return 0
-        if self.dtype.is_numeric:
-            low_key, high_key = self._encode_pair(low, high)
-            left = np.searchsorted(
-                self._sorted, low_key, side="left" if include_low else "right"
-            )
-            right = np.searchsorted(
-                self._sorted, high_key, side="right" if include_high else "left"
-            )
-            return int(max(0, right - left))
-        values = self._sorted
-        count = 0
-        for value in values:
-            above = value >= low if include_low else value > low
-            below = value <= high if include_high else value < high
-            if above and below:
-                count += 1
-        return count
-
-    def _encode_pair(self, low: Any, high: Any) -> Tuple[float, float]:
-        column = self.column
-        if isinstance(column, NumericColumn):
-            return column._encode_bound(low), column._encode_bound(high)
-        raise TypeMismatchError(
-            f"range counts require a numeric column, got {self.dtype}"
-        )  # pragma: no cover - guarded by dtype check
-
-    def rank(self, value: Any, side: str = "left") -> int:
-        """Number of indexed values strictly below (``left``) or at/below (``right``)."""
-        if self.is_empty:
-            return 0
-        if self.dtype.is_numeric and isinstance(self.column, NumericColumn):
-            key = self.column._encode_bound(value)
-            return int(np.searchsorted(self._sorted, key, side=side))
-        count = 0
-        for item in self._sorted:
-            if item < value or (side == "right" and item == value):
-                count += 1
-        return count
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"SortedIndex({self.column.name!r}, {self.dtype}, n={len(self)})"
+__all__ = ["BitmapIndex"]
 
 
 class BitmapIndex:

@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.errors import StorageError, TypeMismatchError
 from repro.sdl.query import SDLQuery
-from repro.storage.expression import query_mask, query_masks
+from repro.storage.expression import query_mask
 from repro.storage.table import Table
 
 __all__ = ["partition_bounds", "PartitionedTable"]
@@ -182,7 +182,8 @@ class PartitionedTable:
         self, query: SDLQuery, map_fn: Optional[MapFn] = None
     ) -> List[np.ndarray]:
         """Per-partition boolean selection vectors, in partition order."""
-        return query_masks(self._shards, query, map_fn)
+        mapper = map_fn or _inline_map
+        return mapper(lambda shard: query_mask(shard, query), self._shards)
 
     def query_mask(
         self, query: SDLQuery, map_fn: Optional[MapFn] = None
@@ -191,20 +192,16 @@ class PartitionedTable:
 
         Concatenating the per-partition masks in partition order is
         bit-for-bit the mask :func:`~repro.storage.expression.query_mask`
-        computes over the unsharded table.
+        computes over the unsharded table.  The plain scan is the skipping
+        tier's evaluation with every index off.
         """
-        if len(self._shards) == 1:
-            return query_mask(self._table, query)
-        return np.concatenate(self.partition_masks(query, map_fn))
+        return self.skipping().query_mask(
+            query, map_fn, zonemaps=False, bitmaps=False
+        )[0]
 
     def count(self, query: SDLQuery, map_fn: Optional[MapFn] = None) -> int:
         """``|R(Q)|`` as the sum of per-partition cardinalities."""
-        mapper = map_fn or _inline_map
-        partials = mapper(
-            lambda shard: int(np.count_nonzero(query_mask(shard, query))),
-            self._shards,
-        )
-        return int(sum(partials))
+        return self.skipping().count(query, map_fn, zonemaps=False, bitmaps=False)[0]
 
     def median(
         self,

@@ -124,7 +124,7 @@ class SampledEngine(BackendWrapper):
         Sampling rate in ``(0, 1]``.
     seed:
         Random seed for reproducible samples.
-    cache_size, use_index:
+    cache_size:
         Forwarded to the in-memory engine built for a ``Table`` source.
     """
 
@@ -134,7 +134,6 @@ class SampledEngine(BackendWrapper):
         fraction: float = 0.1,
         seed: Optional[int] = None,
         cache_size: int = 256,
-        use_index: Any = False,
     ):
         if not 0.0 < fraction <= 1.0:
             raise StorageError(f"fraction must lie in (0, 1], got {fraction}")
@@ -146,7 +145,7 @@ class SampledEngine(BackendWrapper):
             self._base = None  # built lazily over the full table
             full_rows = source.num_rows
             sampled = sample_table(source, fraction=fraction, seed=seed)
-            inner = QueryEngine(sampled, cache_size=cache_size, use_index=use_index)
+            inner = QueryEngine(sampled, cache_size=cache_size)
         else:
             self.full_table = getattr(source, "table", None)
             self._base = source

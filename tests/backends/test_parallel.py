@@ -1,11 +1,10 @@
-"""Tests for the ParallelEngine backend and its registry specs."""
+"""Tests for partitioned, pooled evaluation and its registry specs."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.backends import ExecutionBackend, open_backend
-from repro.backends.parallel import ParallelEngine
 from repro.backends.pool import ExecutorPool
 from repro.errors import BackendError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
@@ -26,14 +25,14 @@ def _queries():
     ]
 
 
-class TestParallelEngine:
+class TestPartitionedEngine:
     def test_conforms_to_the_protocol(self, voc):
-        engine = ParallelEngine(voc, partitions=3, workers=2)
+        engine = open_backend("memory?partitions=3&workers=2", voc)
         assert isinstance(engine, ExecutionBackend)
 
     def test_everything_matches_the_sequential_engine(self, voc):
-        sequential = QueryEngine(voc)
-        parallel = ParallelEngine(voc, partitions=4, workers=2)
+        sequential = QueryEngine(voc, use_index=False, partitions=1)
+        parallel = open_backend("memory?partitions=4&workers=2&index=none", voc)
         for query in _queries():
             assert parallel.count(query) == sequential.count(query)
             assert parallel.cover(query) == sequential.cover(query)
@@ -50,25 +49,25 @@ class TestParallelEngine:
         # Operation accounting is identical to the sequential path.
         assert parallel.counter.snapshot() == sequential.counter.snapshot()
 
-    def test_defaults_workers_to_partitions_and_vice_versa(self, voc):
-        assert ParallelEngine(voc, partitions=3).pool.workers == 3
-        assert ParallelEngine(voc, workers=2).partitions == 2
+    def test_unset_partitions_follow_the_pool(self, voc):
+        assert QueryEngine(voc).partitions == 1
+        assert QueryEngine(voc, pool=ExecutorPool(3)).partitions == 3
+        assert QueryEngine(voc, partitions=5, pool=ExecutorPool(3)).partitions == 5
 
     def test_shares_an_external_pool(self, voc):
         pool = ExecutorPool(2, name="shared")
-        engine = ParallelEngine(voc, partitions=4, pool=pool)
+        engine = QueryEngine(voc, partitions=4, pool=pool)
         assert engine.pool is pool
         engine.count(_queries()[0])
         assert pool.stats()["tasks"] > 0
 
     def test_sibling_shares_pool_shards_and_cache(self, voc):
         cache = ResultCache(capacity=64)
-        engine = ParallelEngine(voc, partitions=3, workers=2, cache=cache)
+        engine = open_backend("memory?partitions=3&workers=2", voc, cache=cache)
         sibling = engine.sibling()
-        assert isinstance(sibling, ParallelEngine)
         assert sibling.pool is engine.pool
         assert sibling.partitions == engine.partitions
-        assert sibling.inner.partitioned_table is engine.inner.partitioned_table
+        assert sibling.partitioned_table is engine.partitioned_table
         assert sibling.cache is engine.cache
         engine.count(_queries()[0])
         sibling.count(_queries()[0])
@@ -76,71 +75,65 @@ class TestParallelEngine:
         assert sibling.counter.evaluations == 0
 
     def test_stats_report_the_parallel_substrate(self, voc):
-        engine = ParallelEngine(voc, partitions=3, workers=2)
-        stats = engine.stats()
-        assert stats["backend"] == "parallel(memory)"
+        stats = open_backend("memory?partitions=3&workers=2", voc).stats()
+        assert stats["backend"] == "memory"
         assert stats["partitions"] == 3
         assert stats["pool"]["workers"] == 2
-
-    def test_requires_an_in_memory_table(self):
-        class Opaque:
-            pass
-
-        with pytest.raises(BackendError):
-            ParallelEngine(Opaque())
+        assert QueryEngine(voc).stats()["pool"] is None
 
     def test_rejects_non_positive_partitions(self, voc):
         with pytest.raises(BackendError):
-            ParallelEngine(voc, partitions=0)
+            open_backend("memory?partitions=0", voc)
 
 
 class TestParallelSpecs:
     def test_partitions_and_workers_spec(self, voc):
         backend = open_backend("memory?partitions=4&workers=2", voc)
-        assert isinstance(backend, ParallelEngine)
+        assert isinstance(backend, QueryEngine)
         assert backend.partitions == 4
         assert backend.pool.workers == 2
 
     def test_workers_alone_implies_partitions(self, voc):
         backend = open_backend("memory?workers=3", voc)
-        assert isinstance(backend, ParallelEngine)
         assert backend.partitions == 3
 
     def test_partitions_alone_implies_workers(self, voc):
         backend = open_backend("memory?partitions=2", voc)
         assert backend.pool.workers == 2
 
-    def test_plain_memory_stays_a_query_engine(self, voc):
-        assert isinstance(open_backend("memory", voc), QueryEngine)
-        assert isinstance(open_backend("memory?workers=1", voc), QueryEngine)
+    def test_plain_memory_runs_without_a_pool(self, voc):
+        backend = open_backend("memory", voc)
+        assert backend.pool is None
+        assert backend.partitions == 1
 
     def test_context_parameters_from_consumers(self, voc):
         pool = ExecutorPool(2)
-        backend = open_backend("memory", voc, partitions=2, workers=2, pool=pool)
-        assert isinstance(backend, ParallelEngine)
+        backend = open_backend("memory", voc, partitions=2, pool=pool)
+        assert backend.partitions == 2
         assert backend.pool is pool
+        # A caller's shared pool wins over the spec's own worker count.
+        assert open_backend("memory?workers=4", voc, pool=pool).pool is pool
 
     def test_spec_overrides_context(self, voc):
-        backend = open_backend("memory?partitions=5", voc, partitions=2, workers=2)
+        backend = open_backend("memory?partitions=5", voc, partitions=2)
         assert backend.partitions == 5
 
     def test_composes_with_sampling(self, voc):
         backend = open_backend("memory?partitions=2&workers=2&sample=0.5&seed=3", voc)
         assert isinstance(backend, SampledEngine)
-        assert isinstance(backend.inner, ParallelEngine)
+        assert backend.inner.partitions == 2
+        assert backend.inner.pool.workers == 2
 
     def test_sample_preserves_engine_options(self, voc):
-        # The sequential QueryEngine.sample carries cache_size/use_index to
-        # the sampled sibling; the parallel wrapper must do the same (plus
-        # shard count and pool), or sampled specs silently lose options.
-        engine = ParallelEngine(
-            voc, partitions=2, workers=2, cache_size=512, use_index=True
-        )
+        # QueryEngine.sample carries cache_size, forced index features,
+        # shard count and pool to the sampled engine, or sampled specs
+        # would silently lose options.
+        engine = open_backend("memory?partitions=2&workers=2&cache=512&index=zonemap", voc)
         sampled = engine.sample(0.5, seed=3)
         assert sampled.partitions == engine.partitions
         assert sampled.pool is engine.pool
-        assert sampled.inner._cache_size == 512
-        assert sampled.inner._use_index is True
+        assert sampled._cache_size == 512
+        assert sampled.index_features == frozenset({"zonemap"})
 
     def test_workers_zero_shards_to_the_per_core_pool(self, voc):
         # workers=0 means "one worker per core" everywhere; the shard
@@ -148,10 +141,9 @@ class TestParallelSpecs:
         from repro.backends.pool import resolve_workers
 
         backend = open_backend("memory?workers=0", voc)
-        assert isinstance(backend, ParallelEngine)
         assert backend.pool.workers == resolve_workers(0)
         assert backend.partitions == resolve_workers(0)
 
     def test_sqlite_ignores_parallel_context(self, voc):
-        backend = open_backend("sqlite", voc, partitions=2, workers=2, pool=None)
+        backend = open_backend("sqlite", voc, partitions=2, pool=None)
         assert backend.count(_queries()[0]) == QueryEngine(voc).count(_queries()[0])

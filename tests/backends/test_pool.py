@@ -10,7 +10,6 @@ import pytest
 from repro.backends.pool import (
     MAX_WORKERS,
     ExecutorPool,
-    parallel_requested,
     resolve_workers,
 )
 from repro.errors import BackendError
@@ -31,19 +30,6 @@ class TestResolveWorkers:
     def test_negative_is_an_error(self):
         with pytest.raises(BackendError):
             resolve_workers(-2)
-
-
-class TestParallelRequested:
-    def test_sequential_defaults_do_not_opt_in(self):
-        assert not parallel_requested()
-        assert not parallel_requested(partitions=1, workers=1)
-        assert not parallel_requested(partitions=None, workers=None)
-
-    def test_any_knob_opts_in(self):
-        assert parallel_requested(partitions=2)
-        assert parallel_requested(workers=4)
-        assert parallel_requested(workers=0)  # one worker per core
-        assert parallel_requested(pool=ExecutorPool(1))
 
 
 class TestExecutorPool:

@@ -30,8 +30,8 @@ _QUERIES = (
 #: (backend spec, engine context) cells of the parity grid.
 _GRID = [
     ("memory", {}),
-    ("memory", {"partitions": 2, "workers": 2}),
-    ("memory", {"partitions": 3, "workers": 2}),
+    ("memory?workers=2", {"partitions": 2}),
+    ("memory?workers=2", {"partitions": 3}),
     ("sqlite", {}),
 ]
 

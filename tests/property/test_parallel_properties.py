@@ -13,7 +13,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.backends.parallel import ParallelEngine
 from repro.backends.pool import ExecutorPool
 from repro.core import HBCuts, HBCutsConfig
 from repro.errors import EmptyColumnError, TypeMismatchError
@@ -125,6 +124,6 @@ class TestPartitionedResultParity:
         expected = fingerprint(baseline)
         for partitions, workers in _GRID:
             pool = _POOLS[workers]
-            engine = ParallelEngine(table, partitions=partitions, pool=pool)
+            engine = QueryEngine(table, partitions=partitions, pool=pool)
             result = HBCuts(HBCutsConfig(), pool=pool).run(engine, context)
             assert fingerprint(result) == expected

@@ -6,6 +6,7 @@ import threading
 
 import pytest
 
+from repro.backends import open_backend
 from repro.core import HBCuts, HBCutsConfig
 from repro.sdl import RangePredicate, SDLQuery
 from repro.service import BatchCoordinator, BatchedEngine
@@ -20,6 +21,11 @@ def table() -> Table:
 
 def _context() -> SDLQuery:
     return SDLQuery.over(["type_of_boat", "departure_harbour", "tonnage", "built"])
+
+
+def _shared_memory_backend(table: Table, cache: ResultCache):
+    """What the service opens per table: aggregate-caching, on a shared cache."""
+    return open_backend("memory", table, cache=cache, cache_aggregates=True)
 
 
 def _range_queries(n: int):
@@ -117,7 +123,7 @@ class TestBatchCoordinator:
     def test_concurrent_callers_get_correct_results(self, table):
         reference = QueryEngine(table)
         cache = ResultCache(capacity=1024)
-        engine = BatchedEngine(table, cache=cache)
+        engine = BatchedEngine(_shared_memory_backend(table, cache))
         coordinator = BatchCoordinator(engine, window_seconds=0.005)
         queries = _range_queries(6)
         expected = reference.counts_for(queries)
@@ -144,9 +150,11 @@ class TestBatchCoordinator:
 
     def test_batched_engine_routes_through_coordinator(self, table):
         cache = ResultCache(capacity=1024)
-        primary = BatchedEngine(table, cache=cache)
+        primary = BatchedEngine(_shared_memory_backend(table, cache))
         coordinator = BatchCoordinator(primary, window_seconds=0.0)
-        session_engine = BatchedEngine(table, cache=cache, coordinator=coordinator)
+        session_engine = BatchedEngine(
+            _shared_memory_backend(table, cache), coordinator=coordinator
+        )
         queries = _range_queries(3)
         expected = QueryEngine(table).counts_for(queries)
         assert session_engine.count_batch(queries) == tuple(expected)

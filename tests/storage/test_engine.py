@@ -259,9 +259,3 @@ class TestIndexedEngine:
         indexed = QueryEngine(table, use_index=True)
         assert plain.median("tonnage") == indexed.median("tonnage")
         assert plain.minmax("year") == indexed.minmax("year")
-
-    def test_index_is_reused(self, table):
-        engine = QueryEngine(table, use_index=True)
-        first = engine.index_for("tonnage")
-        second = engine.index_for("tonnage")
-        assert first is second

@@ -128,6 +128,25 @@ class TestPartitionedTable:
                 assert shard_data.base is not None
                 assert np.shares_memory(shard_data, source_data[start:stop])
 
+    def test_shards_share_the_source_dictionary(self):
+        # One category per row (VOC's trip id is like this): rebuilding the
+        # dictionary per shard would make "zero-copy" sharding O(rows).
+        source = Table.from_dict({"id": [f"row{i}" for i in range(50)]}).column("id")
+        pieces = [
+            *(shard.column("id") for shard in PartitionedTable(
+                Table("ids", [source]), 4
+            ).shards),
+            source.slice_rows(0, 0),
+            source.take(np.array([3, 1, 2])),
+        ]
+        for piece in pieces:
+            assert piece._categories is source._categories
+            assert piece._index_of is source._index_of
+        grown = source.append_values(["row7", "new"])
+        assert grown._categories is not source._categories
+        assert len(source.categories) == 50 and len(grown.categories) == 51
+        assert pieces[-1].values_list() == ["row3", "row1", "row2"]
+
     def test_more_partitions_than_rows(self):
         tiny = Table.from_dict({"x": [1, 2, 3]}, name="tiny")
         partitioned = PartitionedTable(tiny, 7)

@@ -16,6 +16,7 @@ from repro.sdl import (
     SetPredicate,
 )
 from repro.storage import (
+    INDEX_FEATURES,
     DataType,
     QueryEngine,
     ResultCache,
@@ -133,10 +134,11 @@ class TestBitmapIndex:
 
 
 class TestFeatureResolution:
-    def test_legacy_forms(self):
+    def test_boolean_forms(self):
         assert resolve_index_features(False) == frozenset()
-        assert resolve_index_features(None) == frozenset()
-        assert resolve_index_features(True) == frozenset({"sorted"})
+        assert resolve_index_features(True) == INDEX_FEATURES
+        assert resolve_index_features("1") == INDEX_FEATURES
+        assert INDEX_FEATURES == frozenset({"zonemap", "bitmap", "maskreuse"})
 
     def test_strings(self):
         assert resolve_index_features("none") == frozenset()
@@ -144,9 +146,7 @@ class TestFeatureResolution:
         assert resolve_index_features("zonemap,bitmap") == frozenset(
             {"zonemap", "bitmap"}
         )
-        assert resolve_index_features("all") == frozenset(
-            {"sorted", "zonemap", "bitmap", "maskreuse"}
-        )
+        assert resolve_index_features("all") == INDEX_FEATURES
         assert resolve_index_features(" Zonemap , MASKREUSE ") == frozenset(
             {"zonemap", "maskreuse"}
         )
@@ -163,8 +163,8 @@ class TestFeatureResolution:
     def test_backend_spec_parses_features(self, voc_table):
         engine = open_backend("memory?index=zonemap,bitmap", voc_table)
         assert engine.index_features == frozenset({"zonemap", "bitmap"})
-        assert open_backend("memory?index=all", voc_table).index_features == frozenset(
-            {"sorted", "zonemap", "bitmap", "maskreuse"}
+        assert open_backend("memory?index=all", voc_table).index_features == (
+            INDEX_FEATURES
         )
 
     def test_backend_spec_typo_raises_backend_error(self, voc_table):
@@ -173,7 +173,7 @@ class TestFeatureResolution:
 
     def test_repr_shows_features(self, voc_table):
         assert "zonemap" in repr(QueryEngine(voc_table, use_index="zonemap"))
-        assert "index=off" in repr(QueryEngine(voc_table))
+        assert "index=off" in repr(QueryEngine(voc_table, use_index=False))
 
 
 class TestCachePeek:
