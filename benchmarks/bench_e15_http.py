@@ -61,7 +61,9 @@ def test_e15_count_throughput_by_path(benchmark, service_table, server):
         in_process = AdvisorService(service_table, batch_window=0.0)
         started = time.perf_counter()
         for context in contexts:
-            response = in_process.submit(Request(op="count", context=context))
+            response = in_process.submit(
+                Request(op="count", params={"context": context})
+            )
             assert response.ok
         timings["in-process submit"] = time.perf_counter() - started
 
@@ -69,7 +71,7 @@ def test_e15_count_throughput_by_path(benchmark, service_table, server):
         started = time.perf_counter()
         for context in contexts:
             envelope = dispatcher.handle_wire(
-                Request(op="count", context=context).to_wire()
+                Request(op="count", params={"context": context}).to_wire()
             )
             assert envelope["ok"]
         timings["dispatcher (codec)"] = time.perf_counter() - started

@@ -93,8 +93,6 @@ from repro.core import (
 from repro.service import (
     AdvisorService,
     ServiceReport,
-    ServiceRequest,
-    ServiceResponse,
     ServiceSession,
 )
 from repro.api import (
@@ -168,8 +166,6 @@ __all__ = [
     "LazyAdvisor",
     # service
     "AdvisorService",
-    "ServiceRequest",
-    "ServiceResponse",
     "ServiceReport",
     "ServiceSession",
     # api

@@ -8,8 +8,8 @@ The moving parts, smallest first:
 * :class:`Rule` — base class.  A rule either inspects one module at a
   time (override :meth:`Rule.check_module`) or needs the whole project
   at once (override :meth:`Rule.check_project` — used by cross-file
-  rules like CHR005 that compare the wire-protocol op table against
-  the client methods).
+  rules like CHR005 that compare the error hierarchy's wire codes
+  across modules).
 * :func:`register` — decorator adding a rule class to the global
   registry keyed by rule id.
 * :class:`LintConfig` — enable/ignore lists, path excludes and

@@ -550,21 +550,20 @@ class WireSyncRule(ProjectRule):
     * the codec's ``_OBJECT_ENCODERS`` tags and ``_OBJECT_DECODERS`` tags
       are the same set — nothing encodes that cannot decode, and vice
       versa;
-    * the op table (``OPERATIONS``), its aliases, the service's ``_op_*``
-      handlers and the client's ``call("<op>")`` sites agree;
-    * the cluster router's routing sets (``SESSION_OPS`` / ``TABLE_OPS``
-      / ``REPLICATED_OPS`` / ``FANOUT_OPS``) form an exact partition of
-      the op table — an operation the router cannot route, or routes two
-      ways, is a drift between protocol and forwarding;
     * every declared envelope extension (``ENVELOPE_EXTENSIONS`` — the
       optional cross-cutting envelope fields, e.g. ``trace``) is carried
       by both envelope classes: present in their ``__slots__`` and named
       in both ``to_wire`` and ``from_wire``, so an extension can never be
       silently dropped on one side of the wire.
+
+    The op table needs no rule: ``repro.api.protocol.OPERATIONS`` is the
+    only statement of each operation (validation and routing read it),
+    and ``tests/api/test_op_table.py`` holds handlers, client and docs
+    to it at run time.
     """
 
     rule_id = "CHR005"
-    summary = "wire sync (error codes, codec tables, op table vs handlers vs client/router)"
+    summary = "wire sync (error codes, codec tables, envelope extensions)"
     hint = "keep the parallel wire tables in lock-step; see docs/analysis.md#chr005"
 
     DEFAULTS = {
@@ -574,20 +573,8 @@ class WireSyncRule(ProjectRule):
         "encoders_name": "_OBJECT_ENCODERS",
         "decoders_name": "_OBJECT_DECODERS",
         "protocol_module": "repro.api.protocol",
-        "operations_name": "OPERATIONS",
-        "aliases_name": "OPERATION_ALIASES",
         "extensions_name": "ENVELOPE_EXTENSIONS",
         "envelope_classes": ("Request", "Response"),
-        "service_module": "repro.service.service",
-        "service_class": "AdvisorService",
-        "client_module": "repro.api.client",
-        "router_module": "repro.cluster.router",
-        "routing_sets": (
-            "SESSION_OPS",
-            "TABLE_OPS",
-            "REPLICATED_OPS",
-            "FANOUT_OPS",
-        ),
     }
 
     def _opt(self, name: str) -> str:
@@ -596,7 +583,6 @@ class WireSyncRule(ProjectRule):
     def check_project(self, modules: Mapping[str, ModuleSource]) -> Iterator[Finding]:
         yield from self._check_error_codes(modules)
         yield from self._check_codec_tables(modules)
-        yield from self._check_operations(modules)
         yield from self._check_envelope_extensions(modules)
 
     # -- error codes ---------------------------------------------------------
@@ -741,19 +727,19 @@ class WireSyncRule(ProjectRule):
                 )
 
     @staticmethod
-    def _module_dict(module: ModuleSource, name: str) -> Optional[ast.Dict]:
+    def _module_value(module: ModuleSource, name: str) -> Optional[ast.expr]:
+        """The value of the module-level assignment ``name = ...``, if any."""
         for node in module.tree.body:
-            target: Optional[str] = None
-            value: Optional[ast.expr] = None
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = _terminal_name(node.targets[0])
-                value = node.value
-            elif isinstance(node, ast.AnnAssign):
-                target = _terminal_name(node.target)
-                value = node.value
-            if target == name and isinstance(value, ast.Dict):
-                return value
+                if _terminal_name(node.targets[0]) == name:
+                    return node.value
+            elif isinstance(node, ast.AnnAssign) and _terminal_name(node.target) == name:
+                return node.value
         return None
+
+    def _module_dict(self, module: ModuleSource, name: str) -> Optional[ast.Dict]:
+        value = self._module_value(module, name)
+        return value if isinstance(value, ast.Dict) else None
 
     @staticmethod
     def _emitted_tag(function: ast.FunctionDef) -> Optional[str]:
@@ -770,223 +756,19 @@ class WireSyncRule(ProjectRule):
                     return value.value
         return None
 
-    # -- op table vs service handlers vs client ------------------------------
-
-    def _check_operations(self, modules: Mapping[str, ModuleSource]) -> Iterator[Finding]:
-        protocol = modules.get(self._opt("protocol_module"))
-        if protocol is None:
-            return
-        operations_dict = self._module_dict(protocol, self._opt("operations_name"))
-        if operations_dict is None:
-            return
-        operations: Dict[str, ast.AST] = {
-            key.value: key
-            for key in operations_dict.keys
-            if isinstance(key, ast.Constant) and isinstance(key.value, str)
-        }
-        aliases: Dict[str, str] = {}
-        aliases_dict = self._module_dict(protocol, self._opt("aliases_name"))
-        if aliases_dict is not None:
-            for key, value in zip(aliases_dict.keys, aliases_dict.values):
-                if (
-                    isinstance(key, ast.Constant)
-                    and isinstance(key.value, str)
-                    and isinstance(value, ast.Constant)
-                    and isinstance(value.value, str)
-                ):
-                    aliases[key.value] = value.value
-                    if value.value not in operations:
-                        yield self.finding(
-                            protocol,
-                            value,
-                            f"operation alias {key.value!r} targets unknown "
-                            f"operation {value.value!r}",
-                        )
-                    if key.value in operations:
-                        yield self.finding(
-                            protocol,
-                            key,
-                            f"alias {key.value!r} shadows a canonical operation name",
-                        )
-
-        service = modules.get(self._opt("service_module"))
-        if service is not None:
-            yield from self._check_service(service, protocol, operations)
-        client = modules.get(self._opt("client_module"))
-        if client is not None:
-            yield from self._check_client(client, operations, aliases)
-        router = modules.get(self._opt("router_module"))
-        if router is not None:
-            yield from self._check_router(router, operations, aliases)
-
-    def _check_service(
-        self,
-        service: ModuleSource,
-        protocol: ModuleSource,
-        operations: Mapping[str, ast.AST],
-    ) -> Iterator[Finding]:
-        class_name = self._opt("service_class")
-        class_node = next(
-            (
-                node
-                for node in ast.walk(service.tree)
-                if isinstance(node, ast.ClassDef) and node.name == class_name
-            ),
-            None,
-        )
-        if class_node is None:
-            return
-        handlers: Dict[str, ast.AST] = {
-            item.name[len("_op_") :]: item
-            for item in class_node.body
-            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and item.name.startswith("_op_")
-        }
-        for op, node in sorted(operations.items()):
-            if op not in handlers:
-                yield self.finding(
-                    service,
-                    class_node,
-                    f"operation {op!r} is in the op table but {class_name} has "
-                    f"no _op_{op} handler",
-                )
-        for op, handler in sorted(handlers.items()):
-            if op not in operations:
-                yield self.finding(
-                    service,
-                    handler,
-                    f"handler _op_{op} has no entry in the "
-                    f"{self._opt('operations_name')} table",
-                    hint="add the operation (and its parameters) to the op table",
-                )
-
-    def _check_client(
-        self,
-        client: ModuleSource,
-        operations: Mapping[str, ast.AST],
-        aliases: Mapping[str, str],
-    ) -> Iterator[Finding]:
-        used: Dict[str, ast.AST] = {}
-        for node in ast.walk(client.tree):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if not isinstance(func, ast.Attribute) or func.attr != "call":
-                continue
-            op_node: Optional[ast.expr] = node.args[0] if node.args else None
-            for keyword in node.keywords:
-                if keyword.arg == "op":
-                    op_node = keyword.value
-            if isinstance(op_node, ast.Constant) and isinstance(op_node.value, str):
-                op = aliases.get(op_node.value, op_node.value)
-                used.setdefault(op, op_node)
-                if op not in operations:
-                    yield self.finding(
-                        client,
-                        op_node,
-                        f"client calls unknown operation {op_node.value!r}",
-                    )
-        for op in sorted(operations):
-            if op not in used:
-                yield self.finding(
-                    client,
-                    1,
-                    f"operation {op!r} is in the op table but no client method "
-                    f"calls it — the client surface has drifted",
-                    hint="add (or re-route) a RemoteAdvisor/RemoteSession method "
-                    "through call('<op>', ...)",
-                )
-
-    @staticmethod
     def _module_string_set(
-        module: ModuleSource, name: str
+        self, module: ModuleSource, name: str
     ) -> Optional[Dict[str, ast.AST]]:
-        """A module-level ``NAME = frozenset({"a", ...})`` as string → node.
-
-        Plain ``set``/tuple/list literals are accepted too; non-string
-        members are ignored (the checks below only reason about names).
-        """
-        for node in module.tree.body:
-            target: Optional[str] = None
-            value: Optional[ast.expr] = None
-            if isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target = _terminal_name(node.targets[0])
-                value = node.value
-            elif isinstance(node, ast.AnnAssign):
-                target = _terminal_name(node.target)
-                value = node.value
-            if target != name:
-                continue
-            if (
-                isinstance(value, ast.Call)
-                and _terminal_name(value.func) in ("frozenset", "set")
-                and len(value.args) == 1
-            ):
-                value = value.args[0]
-            if isinstance(value, (ast.Set, ast.Tuple, ast.List)):
-                return {
-                    element.value: element
-                    for element in value.elts
-                    if isinstance(element, ast.Constant)
-                    and isinstance(element.value, str)
-                }
-        return None
-
-    def _check_router(
-        self,
-        router: ModuleSource,
-        operations: Mapping[str, ast.AST],
-        aliases: Mapping[str, str],
-    ) -> Iterator[Finding]:
-        """The router's routing sets must partition the op table exactly."""
-        set_names = [
-            str(name)
-            for name in self.option("routing_sets", self.DEFAULTS["routing_sets"])
-        ]
-        found: Dict[str, Dict[str, ast.AST]] = {}
-        for set_name in set_names:
-            members = self._module_string_set(router, set_name)
-            if members is not None:
-                found[set_name] = members
-        if not found:
-            return  # no routing sets in the module: nothing to sync against
-        claimed: Dict[str, str] = {}
-        for set_name in set_names:
-            for op, node in sorted(found.get(set_name, {}).items()):
-                if op in aliases:
-                    yield self.finding(
-                        router,
-                        node,
-                        f"routing set {set_name} lists alias {op!r}; route the "
-                        f"canonical operation {aliases[op]!r} (the router "
-                        f"canonicalises names before routing)",
-                    )
-                    continue
-                if op not in operations:
-                    yield self.finding(
-                        router,
-                        node,
-                        f"routing set {set_name} routes unknown operation {op!r}",
-                    )
-                    continue
-                if op in claimed:
-                    yield self.finding(
-                        router,
-                        node,
-                        f"operation {op!r} is classified by both {claimed[op]} "
-                        f"and {set_name} — routing must be a partition",
-                    )
-                else:
-                    claimed[op] = set_name
-        for op in sorted(operations):
-            if op not in claimed:
-                yield self.finding(
-                    router,
-                    1,
-                    f"operation {op!r} is in the op table but no routing set "
-                    f"classifies it — the router cannot route it",
-                    hint="add the operation to one of: " + ", ".join(set_names),
-                )
+        """A module-level ``NAME = ("a", ...)`` literal as string → node
+        (non-string members are ignored)."""
+        value = self._module_value(module, name)
+        if not isinstance(value, (ast.Set, ast.Tuple, ast.List)):
+            return None
+        return {
+            element.value: element
+            for element in value.elts
+            if isinstance(element, ast.Constant) and isinstance(element.value, str)
+        }
 
     # -- envelope extensions ---------------------------------------------------
 

@@ -10,9 +10,9 @@ protocol provides on the storage side, applied to the service surface:
   (SDL queries, segmentations, ranked answers, whole advice payloads);
 * :mod:`repro.api.protocol` — the canonical :class:`Request` /
   :class:`Response` envelopes (op, params, session, request id, api
-  version; result, timing, structured error code) and the operation
-  table.  ``repro.service.ServiceRequest``/``ServiceResponse`` are
-  aliases of these classes;
+  version; result, timing, structured error code) and
+  :data:`OPERATIONS`, the one table every layer reads an operation's
+  parameters and routing class from;
 * :mod:`repro.api.dispatcher` — :class:`Dispatcher`, mapping envelopes
   onto an :class:`~repro.service.AdvisorService` and the
   :class:`~repro.errors.CharlesError` hierarchy onto stable wire codes;

@@ -9,10 +9,15 @@ in-process :meth:`~repro.service.AdvisorService.submit` speaks exactly
 the same objects, which is what lets :class:`~repro.api.client.RemoteAdvisor`
 mirror the local session surface verbatim.
 
-``ServiceRequest`` and ``ServiceResponse`` in :mod:`repro.service` are
-aliases of these classes: the dataclasses of the original in-process
-service layer were refactored *into* the wire envelopes, not duplicated
-next to them.
+The op table
+------------
+
+:data:`OPERATIONS` is the **only** place a wire operation is written
+down: one :class:`Operation` record per op.  Request validation
+(:meth:`repro.service.AdvisorService.submit`), cluster routing, the
+health documents and the CLI's ``--op`` choices all read it; what it
+cannot enforce by construction — a handler and a client method per op,
+the table in ``docs/api.md`` — ``tests/api/test_op_table.py`` holds to it.
 
 Versioning policy
 -----------------
@@ -30,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.api.codec import SCHEMA_VERSION, from_wire, to_wire
@@ -39,6 +45,8 @@ __all__ = [
     "API_VERSION",
     "ENVELOPE_EXTENSIONS",
     "OPERATIONS",
+    "Operation",
+    "PARAM_KINDS",
     "Request",
     "Response",
     "error_from_wire",
@@ -48,20 +56,58 @@ __all__ = [
 #: Version of the envelope shape and operation table.
 API_VERSION = 1
 
-#: The canonical operation names a version-1 server must answer, with the
-#: parameters each accepts (documentation + validation; see docs/api.md).
-OPERATIONS: Dict[str, Tuple[str, ...]] = {
-    "open_session": ("table", "context", "max_answers", "replace"),
-    "advise": ("context", "current", "refresh", "mode"),
-    "drill": ("answer_index", "segment_index"),
-    "back": (),
-    "refine": (),
-    "count": ("context", "table"),
-    "describe": (),
-    "stats": (),
-    "ingest": ("table", "rows", "delete"),
-    "slow_ops": ("limit",),
-    "close_session": (),
+#: The Python types each parameter kind accepts (``True`` is never an
+#: ``int`` on the wire).  ``None`` means "not given" and passes every
+#: kind but ``index``: a drill position may be omitted (→ 0), not null.
+PARAM_KINDS: Dict[str, Tuple[type, ...]] = {
+    "int": (int,),
+    "index": (int,),
+    "str": (str,),
+    "bool": (bool,),
+    "any": (object,),
+}
+
+
+@dataclass(frozen=True)
+class Operation:
+    """One row of the op table.
+
+    ``params`` maps each accepted parameter to a key of
+    :data:`PARAM_KINDS`; anything else is rejected.  ``route`` is how a
+    cluster router serves the op: ``session`` (needs a non-empty session
+    name; goes to the node owning it, journaled for failover), ``table``
+    (stateless, to the table's node), ``replicated`` (a mutation applied
+    to every live node) or ``fanout`` (every live node answers, the
+    router aggregates).  ``advice``: the result is an advice object.
+    """
+
+    params: Mapping[str, str]
+    route: str
+    advice: bool = False
+
+
+#: The operations a version-1 server answers (see docs/api.md).
+OPERATIONS: Dict[str, Operation] = {
+    "open_session": Operation(
+        {"table": "str", "context": "any", "max_answers": "int", "replace": "bool"},
+        "session",
+    ),
+    "advise": Operation(
+        {"context": "any", "current": "bool", "refresh": "bool", "mode": "str"},
+        "session",
+        advice=True,
+    ),
+    "drill": Operation(
+        {"answer_index": "index", "segment_index": "index"}, "session", advice=True
+    ),
+    "back": Operation({}, "session", advice=True),
+    "refine": Operation({}, "session", advice=True),
+    "count": Operation({"context": "any", "table": "str"}, "table"),
+    "describe": Operation({}, "session"),
+    "stats": Operation({}, "fanout"),
+    "ingest": Operation({"table": "str", "rows": "any", "delete": "any"}, "replicated"),
+    "slow_ops": Operation({"limit": "int"}, "fanout"),
+    "close_session": Operation({}, "session"),
 }
 
 #: Optional envelope fields carried outside ``params`` on *both* the
@@ -71,12 +117,6 @@ OPERATIONS: Dict[str, Tuple[str, ...]] = {
 #: an ``API_VERSION``.  The CHR005 wire-sync lint keeps this tuple, the
 #: envelope ``__slots__`` and both codecs' field lists aligned.
 ENVELOPE_EXTENSIONS: Tuple[str, ...] = ("trace",)
-
-#: Accepted spellings of each operation (legacy in-process names).
-OPERATION_ALIASES: Dict[str, str] = {
-    "open": "open_session",
-    "close": "close_session",
-}
 
 _COUNTER = itertools.count(1)
 
@@ -99,34 +139,18 @@ def next_request_id() -> str:
     return f"{os.getpid():x}-{next(_COUNTER)}"
 
 
-def canonical_op(op: str) -> str:
-    """Resolve an operation name (or legacy alias) to its canonical form.
-
-    Raises
-    ------
-    ProtocolError
-        When ``op`` is not a string.
-    """
-    if not isinstance(op, str):
-        raise ProtocolError(f"operation must be a string, got {type(op).__name__}")
-    return OPERATION_ALIASES.get(op, op)
-
-
 class Request:
     """One operation submitted to the advisor service.
 
     Parameters
     ----------
     op:
-        The operation name (see :data:`OPERATIONS`; legacy aliases
-        ``open``/``close`` are accepted and canonicalised).
+        The operation name (see :data:`OPERATIONS`).
     session:
         The session the operation addresses (empty for session-less ops
         such as ``count`` and ``stats``).
     params:
-        Operation parameters as a mapping.  The legacy keyword form —
-        ``Request(op="drill", answer_index=1, segment_index=0)`` — is
-        still accepted and routed into ``params``.
+        Operation parameters as a mapping.
     request_id:
         Client-chosen identifier echoed back in the response (one is
         generated when omitted).
@@ -150,39 +174,15 @@ class Request:
         request_id: Optional[str] = None,
         api_version: int = API_VERSION,
         trace: Optional[Dict[str, Any]] = None,
-        **legacy: Any,
     ) -> None:
-        self.op = canonical_op(op)
+        if not isinstance(op, str):
+            raise ProtocolError(f"operation must be a string, got {type(op).__name__}")
+        self.op = op
         self.session = session
-        merged: Dict[str, Any] = dict(params or {})
-        for key, value in legacy.items():
-            if key in merged:
-                raise ProtocolError(
-                    f"parameter {key!r} passed both in params and as a keyword"
-                )
-            merged[key] = value
-        self.params = merged
+        self.params: Dict[str, Any] = dict(params or {})
         self.request_id = request_id if request_id is not None else next_request_id()
         self.api_version = int(api_version)
         self.trace = _validated_trace(trace, "request")
-
-    # -- legacy field accessors (the pre-wire ServiceRequest surface) -------
-
-    @property
-    def table(self) -> Optional[str]:
-        return self.params.get("table")
-
-    @property
-    def context(self) -> Any:
-        return self.params.get("context")
-
-    @property
-    def answer_index(self) -> Any:
-        return self.params.get("answer_index", 0)
-
-    @property
-    def segment_index(self) -> Any:
-        return self.params.get("segment_index", 0)
 
     # -- wire form -----------------------------------------------------------
 

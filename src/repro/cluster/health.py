@@ -123,8 +123,10 @@ class HealthMonitor:
             status.name = str(node_info.get("node_id", status.name))
             status.pid = node_info.get("pid")
             status.started_at = node_info.get("started_at")
-            versions = document.get("data_versions") or {}
-            status.data_versions = dict(versions)
+            # Merged, not assigned: the router may have recorded a newer
+            # version (note_data_version) while this probe was in flight.
+            for table, version in (document.get("data_versions") or {}).items():
+                self._merge_version(status, table, version)
             return True
 
     def probe_all(self) -> None:
@@ -197,6 +199,14 @@ class HealthMonitor:
 
     # -- data versions -------------------------------------------------------
 
+    @staticmethod
+    def _merge_version(status: NodeStatus, table: str, version: Optional[int]) -> None:
+        """Record ``version`` unless a newer one is known (they only grow)."""
+        known = status.data_versions.get(table)
+        stale = isinstance(known, int) and isinstance(version, int) and version < known
+        if not stale:
+            status.data_versions[table] = version
+
     def data_version(self, node_id: int, table: str) -> Optional[int]:
         """The data version ``node_id`` last reported for ``table``."""
         with self._lock:
@@ -212,8 +222,7 @@ class HealthMonitor:
         ``degraded`` flag.
         """
         with self._lock:
-            status = self._status[node_id]
-            status.data_versions[table] = version
+            self._merge_version(self._status[node_id], table, version)
 
     def max_data_version(self, table: str) -> Optional[int]:
         """The newest version of ``table`` reported by *any* node.

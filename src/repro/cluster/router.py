@@ -24,15 +24,15 @@ server.  Behind the door it:
 Operation classes
 -----------------
 
-Every operation in :data:`repro.api.protocol.OPERATIONS` belongs to
-exactly one routing set below — the CHR005 wire-sync lint enforces the
-partition, so adding an operation without teaching the router how to
-route it fails static analysis:
-
-* :data:`SESSION_OPS` route by session name and are journaled;
-* :data:`TABLE_OPS` route by table name, stateless;
-* :data:`REPLICATED_OPS` are mutations applied to every live node;
-* :data:`FANOUT_OPS` ask every node and aggregate.
+The router keeps no list of operations.  Each entry of
+:data:`repro.api.protocol.OPERATIONS` names its own routing class
+(``OPERATIONS[op].route``) and :meth:`ClusterRouter._route` calls the
+``_route_<class>`` method of that name — ``session`` (by session name,
+journaled), ``table`` (by table name, stateless), ``replicated`` (a
+mutation applied to every live node) or ``fanout`` (every node asked,
+answers aggregated) — so every operation is routed exactly one way by
+construction.  An operation the table does not know is forwarded to a
+node, which answers for it: the node stays the authority.
 """
 
 from __future__ import annotations
@@ -42,13 +42,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.client import RemoteAdvisor
 from repro.api.codec import SCHEMA_VERSION
-from repro.api.protocol import (
-    API_VERSION,
-    OPERATIONS,
-    Response,
-    canonical_op,
-    next_request_id,
-)
+from repro.api.protocol import API_VERSION, OPERATIONS, Response, next_request_id
 from repro.api.server import HTTPFrontServer
 from repro.cluster.health import HealthMonitor
 from repro.cluster.shardmap import DEFAULT_SHARDS, ShardMap, session_key, table_key
@@ -62,41 +56,7 @@ from repro.errors import (
 from repro.obs import MetricsRegistry, SlowOpLog, current_span, start_trace
 from repro.obs.metrics import render_document
 
-__all__ = [
-    "SESSION_OPS",
-    "TABLE_OPS",
-    "REPLICATED_OPS",
-    "FANOUT_OPS",
-    "ClusterRouter",
-    "RouterHTTPServer",
-    "SessionJournal",
-]
-
-#: Operations routed by session name to the session's owning node.
-SESSION_OPS = frozenset(
-    {
-        "open_session",
-        "advise",
-        "drill",
-        "back",
-        "refine",
-        "describe",
-        "close_session",
-    }
-)
-
-#: Stateless operations routed by table name.
-TABLE_OPS = frozenset({"count"})
-
-#: Mutations replicated to every live node (owner first).
-REPLICATED_OPS = frozenset({"ingest"})
-
-#: Operations fanned out to every live node and aggregated.
-FANOUT_OPS = frozenset({"stats", "slow_ops"})
-
-#: Operations whose successful result is an advice object — the ones the
-#: router inspects for the in-band ``degraded`` staleness flag.
-_ADVICE_OPS = frozenset({"advise", "refine", "drill", "back"})
+__all__ = ["ClusterRouter", "RouterHTTPServer", "SessionJournal"]
 
 
 def _envelope(op: str, session: str, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -350,36 +310,50 @@ class ClusterRouter:
                 f"request envelope must be an object, got {type(payload).__name__}"
             )
             return self._error_envelope("", "", "", error)
-        raw_op = payload.get("op", "")
+        op = payload.get("op", "")
         request_id = str(payload.get("request_id", ""))
         session = payload.get("session", "")
         if not isinstance(session, str):
             session = ""
-        try:
-            op = canonical_op(raw_op)
-        except CharlesError as error:
-            return self._error_envelope(str(raw_op), session, request_id, error)
         params = payload.get("params")
         params = params if isinstance(params, Mapping) else {}
         self._bump("requests")
-        if op in REPLICATED_OPS:
-            return self._handle_replicated(op, session, request_id, payload, params)
-        if op in FANOUT_OPS:
-            return self._handle_fanout(op, session, request_id, payload)
-        if op in TABLE_OPS or (op not in SESSION_OPS and not session):
-            key = table_key(params.get("table"))
+        entry = OPERATIONS.get(op) if isinstance(op, str) else None
+        if entry is None:
+            # Not an operation the table knows: forward it statelessly and
+            # let the node answer (or reject) it.
+            key = session_key(session) if session else table_key(params.get("table"))
             return self._forward_with_failover(
-                op, session, request_id, payload, key, session_op=False
+                str(op), session, request_id, payload, key
             )
-        key = session_key(session)
-        if op in SESSION_OPS:
-            with self._session_lock(session):
-                return self._forward_with_failover(
-                    op, session, request_id, payload, key, session_op=True
-                )
-        return self._forward_with_failover(
-            op, session, request_id, payload, key, session_op=False
-        )
+        route = getattr(self, f"_route_{entry.route}")
+        return route(op, session, request_id, payload, params)
+
+    def _route_session(
+        self,
+        op: str,
+        session: str,
+        request_id: str,
+        payload: Mapping[str, Any],
+        params: Mapping[str, Any],
+    ) -> Dict[str, Any]:
+        """Forward to the node owning the session, one op at a time."""
+        with self._session_lock(session):
+            return self._forward_with_failover(
+                op, session, request_id, payload, session_key(session)
+            )
+
+    def _route_table(
+        self,
+        op: str,
+        session: str,
+        request_id: str,
+        payload: Mapping[str, Any],
+        params: Mapping[str, Any],
+    ) -> Dict[str, Any]:
+        """Forward to the node owning the table; nothing is journaled."""
+        key = table_key(params.get("table"))
+        return self._forward_with_failover(op, session, request_id, payload, key)
 
     # -- routed forwarding with failover -------------------------------------
 
@@ -390,8 +364,9 @@ class ClusterRouter:
         request_id: str,
         payload: Mapping[str, Any],
         key: str,
-        session_op: bool,
     ) -> Dict[str, Any]:
+        entry = OPERATIONS.get(op)
+        session_op = entry is not None and entry.route == "session"
         candidates = self._shard_map.route(key)
         failed_over = False
         for node_id in candidates:
@@ -423,7 +398,7 @@ class ClusterRouter:
                 self._bump("failovers")
             if session_op:
                 self._record_session_op(op, session, node_id, payload, reply)
-            if op in _ADVICE_OPS and reply.get("ok"):
+            if entry is not None and entry.advice and reply.get("ok"):
                 self._flag_if_stale(node_id, session, reply)
             return reply
         self._bump("degraded_requests")
@@ -522,7 +497,7 @@ class ClusterRouter:
 
     # -- replicated mutations ------------------------------------------------
 
-    def _handle_replicated(
+    def _route_replicated(
         self,
         op: str,
         session: str,
@@ -610,8 +585,13 @@ class ClusterRouter:
 
     # -- fan-out aggregation -------------------------------------------------
 
-    def _handle_fanout(
-        self, op: str, session: str, request_id: str, payload: Mapping[str, Any]
+    def _route_fanout(
+        self,
+        op: str,
+        session: str,
+        request_id: str,
+        payload: Mapping[str, Any],
+        params: Mapping[str, Any],
     ) -> Dict[str, Any]:
         """Ask every live node and aggregate (``stats`` and ``slow_ops``)."""
         replies: Dict[int, Dict[str, Any]] = {}
@@ -640,7 +620,7 @@ class ClusterRouter:
             if isinstance(value, (int, float)):
                 elapsed += float(value)
         if op == "slow_ops":
-            result = self._aggregate_slow_ops(payload, replies)
+            result = self._aggregate_slow_ops(params.get("limit"), replies)
         else:
             result = self._aggregate_stats(replies)
         return {
@@ -673,12 +653,9 @@ class ClusterRouter:
 
     @staticmethod
     def _aggregate_slow_ops(
-        payload: Mapping[str, Any], replies: Mapping[int, Mapping[str, Any]]
+        limit: Any, replies: Mapping[int, Mapping[str, Any]]
     ) -> Dict[str, Any]:
         """Re-rank the union of every node's worst spans per operation."""
-        params = payload.get("params")
-        params = params if isinstance(params, Mapping) else {}
-        limit = params.get("limit")
         if not isinstance(limit, int) or isinstance(limit, bool):
             limit = None
         documents = [
@@ -717,9 +694,8 @@ class ClusterRouter:
 
     def stats_document(self) -> Dict[str, Any]:
         """The aggregated statistics document (``GET /v1/stats``)."""
-        request_id = next_request_id()
-        envelope = self._handle_fanout(
-            "stats", "", request_id, _envelope("stats", "", {})
+        envelope = self._route_fanout(
+            "stats", "", next_request_id(), _envelope("stats", "", {}), {}
         )
         return {
             "api_version": API_VERSION,
@@ -767,8 +743,8 @@ class ClusterRouter:
     def slow_ops_document(self, limit: Optional[int] = None) -> Dict[str, Any]:
         """The merged cluster slow-op log (``GET``-side convenience)."""
         params: Dict[str, Any] = {} if limit is None else {"limit": limit}
-        envelope = self._handle_fanout(
-            "slow_ops", "", next_request_id(), _envelope("slow_ops", "", params)
+        envelope = self._route_fanout(
+            "slow_ops", "", next_request_id(), _envelope("slow_ops", "", params), params
         )
         result = envelope.get("result")
         return result if isinstance(result, dict) else {"per_op": 0, "ops": {}}

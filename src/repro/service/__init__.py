@@ -13,10 +13,10 @@ is the subsystem built on that observation:
   :class:`BatchedEngine`, which merge concurrent HB-cuts INDEP passes
   into single multi-query engine evaluations.
 
-``ServiceRequest``/``ServiceResponse`` are the wire envelopes of
-:mod:`repro.api.protocol` (the historical dataclasses were refactored
-into them), so :meth:`AdvisorService.submit` speaks the same versioned
-protocol the HTTP server (:mod:`repro.api.server`) puts on the network.
+:meth:`AdvisorService.submit` takes and returns the wire envelopes of
+:mod:`repro.api.protocol` (``Request``/``Response``), validated against
+its op table — the same versioned protocol the HTTP server
+(:mod:`repro.api.server`) puts on the network.
 
 The CLI's ``serve`` sub-command and benchmark E12 drive this layer with
 the multi-user scenarios of :mod:`repro.workloads.concurrent`;
@@ -25,18 +25,11 @@ the multi-user scenarios of :mod:`repro.workloads.concurrent`;
 """
 
 from repro.service.batching import BatchCoordinator, BatchedEngine, BatchStats
-from repro.service.service import (
-    AdvisorService,
-    ServiceReport,
-    ServiceRequest,
-    ServiceResponse,
-)
+from repro.service.service import AdvisorService, ServiceReport
 from repro.service.sessions import ServiceSession
 
 __all__ = [
     "AdvisorService",
-    "ServiceRequest",
-    "ServiceResponse",
     "ServiceReport",
     "ServiceSession",
     "BatchCoordinator",

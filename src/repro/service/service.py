@@ -42,7 +42,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
-from repro.api.protocol import OPERATIONS, Request, Response, canonical_op
+from repro.api.protocol import OPERATIONS, PARAM_KINDS, Request, Response
 from repro.backends.base import ExecutionBackend
 from repro.backends.pool import ExecutorPool
 from repro.backends.registry import open_backend
@@ -64,13 +64,7 @@ from repro.service.sessions import ServiceSession
 from repro.storage.cache import ResultCache
 from repro.storage.table import Table
 
-__all__ = ["ServiceRequest", "ServiceResponse", "ServiceReport", "AdvisorService"]
-
-#: The in-process request/response dataclasses of the original service
-#: layer were refactored into the wire envelopes of :mod:`repro.api` —
-#: these aliases keep the historical names working.
-ServiceRequest = Request
-ServiceResponse = Response
+__all__ = ["ServiceReport", "AdvisorService"]
 
 
 @dataclass
@@ -681,121 +675,100 @@ class AdvisorService:
             "stats": session.stats(),
         }
 
-    # -- the wire operation table --------------------------------------------
-
-    @staticmethod
-    def _validated_index(request: Request, name: str) -> int:
-        value = request.params.get(name, 0)
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ProtocolError(
-                f"parameter {name!r} of {request.op!r} must be an integer, "
-                f"got {type(value).__name__}"
-            )
-        return value
-
-    @staticmethod
-    def _session_name(request: Request) -> str:
-        if not isinstance(request.session, str) or not request.session:
-            raise ProtocolError(
-                f"operation {request.op!r} requires a non-empty session name"
-            )
-        return request.session
+    # -- the wire operations ------------------------------------------------
+    # One ``_op_<name>`` handler per entry of :data:`OPERATIONS`; each runs
+    # only after :meth:`_execute` validated the request against that entry.
 
     def _op_open_session(self, request: Request) -> Any:
-        max_answers = request.params.get("max_answers")
-        if max_answers is not None and (
-            isinstance(max_answers, bool) or not isinstance(max_answers, int)
-        ):
-            raise ProtocolError(
-                f"parameter 'max_answers' must be an integer, "
-                f"got {type(max_answers).__name__}"
-            )
+        params = request.params
+        replace = params.get("replace")
         session = self.open_session(
-            self._session_name(request),
-            table=request.table,
-            context=request.context,
-            max_answers=max_answers,
-            replace=bool(request.params.get("replace", True)),
+            request.session,
+            table=params.get("table"),
+            context=params.get("context"),
+            max_answers=params.get("max_answers"),
+            replace=True if replace is None else replace,
         )
         return session.name
 
     def _op_advise(self, request: Request) -> Any:
-        name = self._session_name(request)
-        if request.params.get("current"):
+        params = request.params
+        if params.get("current"):
             # Peek at the current context's advice without restarting the
             # exploration (RemoteSession.current_advice's path).
-            return self.session(name).current_advice()
-        mode = request.params.get("mode", "exact")
-        if not isinstance(mode, str):
-            raise ProtocolError(
-                f"parameter 'mode' of 'advise' must be a string, "
-                f"got {type(mode).__name__}"
-            )
+            return self.session(request.session).current_advice()
+        mode = params.get("mode")
         return self.advise(
-            name,
-            request.context,
-            refresh=bool(request.params.get("refresh", False)),
-            mode=mode,
+            request.session,
+            params.get("context"),
+            refresh=bool(params.get("refresh")),
+            mode="exact" if mode is None else mode,
         )
 
     def _op_refine(self, request: Request) -> Any:
-        return self.refine(self._session_name(request))
+        return self.refine(request.session)
 
     def _op_drill(self, request: Request) -> Any:
         return self.drill(
-            self._session_name(request),
-            self._validated_index(request, "answer_index"),
-            self._validated_index(request, "segment_index"),
+            request.session,
+            request.params.get("answer_index", 0),
+            request.params.get("segment_index", 0),
         )
 
     def _op_back(self, request: Request) -> Any:
-        return self.back(self._session_name(request))
+        return self.back(request.session)
 
     def _op_count(self, request: Request) -> Any:
-        return self.count(request.context, table=request.table)
-
-    def _op_ingest(self, request: Request) -> Any:
-        return self.ingest(
-            rows=request.params.get("rows"),
-            delete=request.params.get("delete"),
-            table=request.table,
+        return self.count(
+            request.params.get("context"), table=request.params.get("table")
         )
 
+    def _op_ingest(self, request: Request) -> Any:
+        return self.ingest(**request.params)
+
     def _op_describe(self, request: Request) -> Any:
-        return self.describe_session(self._session_name(request))
+        return self.describe_session(request.session)
 
     def _op_stats(self, request: Request) -> Any:
         return self.stats()
 
     def _op_slow_ops(self, request: Request) -> Any:
-        limit = request.params.get("limit")
-        if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, int)
-        ):
-            raise ProtocolError(
-                f"parameter 'limit' of 'slow_ops' must be an integer, "
-                f"got {type(limit).__name__}"
-            )
-        return self.slow_ops(limit)
+        return self.slow_ops(request.params.get("limit"))
 
     def _op_close_session(self, request: Request) -> Any:
-        return self.close_session(self._session_name(request))
+        return self.close_session(request.session)
 
     def _execute(self, request: Request) -> Any:
-        """Validate and run one request, raising typed errors on bad input."""
-        op = canonical_op(request.op)
-        allowed = OPERATIONS.get(op)
-        if allowed is None:
+        """Validate one request against the op table, then run its handler."""
+        op = request.op
+        entry = OPERATIONS.get(op)
+        if entry is None:
             raise UnknownOperationError(
-                f"unknown service operation {request.op!r}; "
-                f"known: {sorted(OPERATIONS)}"
+                f"unknown service operation {op!r}; known: {sorted(OPERATIONS)}"
             )
-        unexpected = sorted(set(request.params) - set(allowed))
+        unexpected = sorted(set(request.params) - set(entry.params))
         if unexpected:
             raise ProtocolError(
                 f"operation {op!r} does not accept parameter(s) {unexpected}; "
-                f"allowed: {sorted(allowed)}"
+                f"allowed: {sorted(entry.params)}"
             )
+        for name, value in request.params.items():
+            kind = entry.params[name]
+            if value is None:
+                accepted = kind != "index"
+            elif isinstance(value, bool):
+                accepted = kind in ("bool", "any")
+            else:
+                accepted = isinstance(value, PARAM_KINDS[kind])
+            if not accepted:
+                raise ProtocolError(
+                    f"parameter {name!r} of {op!r} must be "
+                    f"{PARAM_KINDS[kind][0].__name__}, got {type(value).__name__}"
+                )
+        if entry.route == "session" and not (
+            isinstance(request.session, str) and request.session
+        ):
+            raise ProtocolError(f"operation {op!r} requires a non-empty session name")
         return getattr(self, f"_op_{op}")(request)
 
     def submit(self, request: Request) -> Response:

@@ -65,11 +65,6 @@ from repro.storage.sampling import (
     sample_table,
     uniform_sample_indices,
 )
-from repro.storage.streaming import (
-    P2QuantileEstimator,
-    StreamingMedianSketch,
-    streaming_median,
-)
 from repro.storage.sql import (
     count_query_sql,
     parse_where,
@@ -117,9 +112,6 @@ __all__ = [
     "sample_table",
     "uniform_sample_indices",
     "reservoir_sample",
-    "P2QuantileEstimator",
-    "StreamingMedianSketch",
-    "streaming_median",
     "sql_literal",
     "predicate_to_sql",
     "query_to_where",

@@ -6,8 +6,7 @@ exact answer can catch up afterwards.  This module provides the summary
 structures that make the first answer cheap:
 
 * :class:`MergeableQuantileSketch` — a fixed-budget weighted summary of a
-  numeric (or date) column.  Unlike the P² estimator in
-  :mod:`repro.storage.streaming` it is **mergeable**: per-shard sketches
+  numeric (or date) column.  It is **mergeable**: per-shard sketches
   combine into one table-level sketch whose rank error is the *sum* of
   the parts' tracked errors plus the compaction stride, so the merged
   sketch still reports an honest bound.  Construction is vectorised

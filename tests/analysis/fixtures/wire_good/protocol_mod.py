@@ -1,11 +1,8 @@
-"""CHR005 fixture (clean): op table and aliases are consistent."""
+"""CHR005 fixture (clean): a protocol module that declares no
+``ENVELOPE_EXTENSIONS`` table — the extension check must stand down."""
 
 OPERATIONS = {
-    "advise": {"params": ("question",)},
-    "drill": {"params": ("dimension",)},
-    "stats": {"params": ()},
-}
-
-OPERATION_ALIASES = {
-    "explore": "drill",
+    "advise": ("question",),
+    "drill": ("dimension",),
+    "stats": (),
 }

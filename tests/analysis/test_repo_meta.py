@@ -101,13 +101,7 @@ class TestRuleDefaultsTrackTheCode:
         import importlib
 
         defaults = WireSyncRule.DEFAULTS
-        for key in (
-            "errors_module",
-            "codec_module",
-            "protocol_module",
-            "service_module",
-            "client_module",
-        ):
+        for key in ("errors_module", "codec_module", "protocol_module"):
             module = importlib.import_module(defaults[key])
             if key == "errors_module":
                 assert hasattr(module, defaults["base_error"])
@@ -115,10 +109,9 @@ class TestRuleDefaultsTrackTheCode:
                 assert hasattr(module, defaults["encoders_name"])
                 assert hasattr(module, defaults["decoders_name"])
             if key == "protocol_module":
-                assert hasattr(module, defaults["operations_name"])
-                assert hasattr(module, defaults["aliases_name"])
-            if key == "service_module":
-                assert hasattr(module, defaults["service_class"])
+                assert hasattr(module, defaults["extensions_name"])
+                for name in defaults["envelope_classes"]:
+                    assert hasattr(module, name)
 
     def test_pyproject_chr001_options_equal_rule_defaults(self):
         """The pyproject restates CHR001's defaults so Python 3.10 (no

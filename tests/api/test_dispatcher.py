@@ -34,17 +34,23 @@ def dispatcher(service):
 class TestWireDispatch:
     def test_full_exploration_over_the_wire(self, dispatcher):
         opened = dispatcher.handle_wire(
-            Request(op="open_session", session="s1", context=_CONTEXT).to_wire()
+            Request(
+                op="open_session", session="s1", params={"context": _CONTEXT}
+            ).to_wire()
         )
         assert opened["ok"] and opened["result"] == "s1"
         advice = dispatcher.handle_wire(
-            Request(op="advise", session="s1", context=_CONTEXT).to_wire()
+            Request(op="advise", session="s1", params={"context": _CONTEXT}).to_wire()
         )
         assert advice["ok"]
         decoded = from_wire(advice["result"])
         assert isinstance(decoded, Advice) and decoded.answers
         drilled = dispatcher.handle_wire(
-            Request(op="drill", session="s1", answer_index=0, segment_index=0).to_wire()
+            Request(
+                op="drill",
+                session="s1",
+                params={"answer_index": 0, "segment_index": 0},
+            ).to_wire()
         )
         assert drilled["ok"]
         described = dispatcher.handle_wire(
@@ -145,7 +151,7 @@ class TestSubmitValidation:
         service.open_session("s1", context=_CONTEXT)
         for bad in ("0", 1.5, True, None):
             response = service.submit(
-                Request(op="drill", session="s1", answer_index=bad)
+                Request(op="drill", session="s1", params={"answer_index": bad})
             )
             assert not response.ok, bad
             assert response.error_code == "protocol"
@@ -159,7 +165,7 @@ class TestSubmitValidation:
 
     def test_non_integer_max_answers_is_rejected(self, service):
         response = service.submit(
-            Request(op="open_session", session="s9", max_answers="many")
+            Request(op="open_session", session="s9", params={"max_answers": "many"})
         )
         assert not response.ok
         assert response.error_code == "protocol"

@@ -95,10 +95,12 @@ class TestServiceTracing:
 
     def test_traced_advise_assembles_the_span_tree(self, service):
         service.submit(
-            Request(op="open_session", session="probe", table="voc")
+            Request(op="open_session", session="probe", params={"table": "voc"})
         )
         response = service.submit(
-            Request(op="advise", session="probe", context=_CONTEXT, trace={})
+            Request(
+                op="advise", session="probe", params={"context": _CONTEXT}, trace={}
+            )
         )
         assert response.ok
         tree = response.trace
@@ -142,13 +144,15 @@ class TestServiceTracing:
 
     def test_slow_ops_limit_is_validated(self, service):
         for bad_limit in ("three", True):
-            response = service.submit(Request(op="slow_ops", limit=bad_limit))
+            response = service.submit(
+                Request(op="slow_ops", params={"limit": bad_limit})
+            )
             assert not response.ok
             assert response.error_code == ProtocolError.code
 
     def test_metrics_document_covers_requests_and_engine_ops(self, service):
-        service.submit(Request(op="open_session", session="m", table="voc"))
-        service.submit(Request(op="advise", session="m", context=_CONTEXT))
+        service.submit(Request(op="open_session", session="m", params={"table": "voc"}))
+        service.submit(Request(op="advise", session="m", params={"context": _CONTEXT}))
         document = service.metrics_document()
         counter_names = {row["name"] for row in document["counters"]}
         gauge_names = {row["name"] for row in document["gauges"]}
@@ -165,8 +169,8 @@ class TestServiceTracing:
         assert {row["labels"]["op"] for row in request_rows} >= {"advise"}
 
     def test_cache_gauges_track_the_result_cache(self, service):
-        service.submit(Request(op="open_session", session="g", table="voc"))
-        service.submit(Request(op="advise", session="g", context=_CONTEXT))
+        service.submit(Request(op="open_session", session="g", params={"table": "voc"}))
+        service.submit(Request(op="advise", session="g", params={"context": _CONTEXT}))
         document = service.metrics_document()
         entries = {
             (row["labels"].get("cache"), row["name"]): row["value"]

@@ -65,28 +65,25 @@ class TestErrorCodes:
 
 
 class TestRequestEnvelope:
-    def test_legacy_keyword_construction_routes_into_params(self):
-        request = Request(op="drill", session="s", answer_index=2, segment_index=1)
+    def test_params_are_copied_into_the_request(self):
+        params = {"answer_index": 2, "segment_index": 1}
+        request = Request(op="drill", session="s", params=params)
         assert request.params == {"answer_index": 2, "segment_index": 1}
-        assert request.answer_index == 2
-        assert request.segment_index == 1
-
-    def test_legacy_aliases_are_canonicalised(self):
-        assert Request(op="open", session="s").op == "open_session"
-        assert Request(op="close", session="s").op == "close_session"
+        params["answer_index"] = 9
+        assert request.params["answer_index"] == 2
 
     def test_request_ids_are_generated_and_unique(self):
         first, second = Request(op="stats"), Request(op="stats")
         assert first.request_id and second.request_id
         assert first.request_id != second.request_id
 
-    def test_duplicate_param_spellings_are_rejected(self):
+    def test_operation_names_must_be_strings(self):
         with pytest.raises(ProtocolError):
-            Request(op="drill", params={"answer_index": 0}, answer_index=1)
+            Request(op=7)
 
     def test_wire_round_trip_with_structured_context(self):
         context = SDLQuery([RangePredicate("tonnage", 100, 900)])
-        request = Request(op="advise", session="s", context=context)
+        request = Request(op="advise", session="s", params={"context": context})
         decoded = Request.from_wire(request.to_wire())
         assert decoded == request
         assert decoded.params["context"] == context

@@ -210,6 +210,41 @@ class TestDegradedAnswers:
             assert cluster.router.counters()["degraded_answers"] >= 1
 
 
+    def test_probe_racing_an_ingest_keeps_the_newer_version(self):
+        # Regression: a probe fetches /v1/health outside the monitor's
+        # lock.  An ingest completing during that round-trip records the
+        # new version (note_data_version); the probe's older document
+        # must not overwrite it, or fresh advice gets flagged degraded
+        # until the next sweep.
+        with _ThreadedCluster(nodes=2) as cluster:
+            client = cluster.client()
+            remote = client.open_session("alice")
+            remote.advise(_CONTEXT)
+            owner = cluster.owner_of("alice")
+            monitor = cluster.router.monitor
+            before = monitor.data_version(owner, "voc")
+
+            class IngestDuringProbe:
+                """The owner's health client, with an ingest landing
+                between the node's answer and the probe's bookkeeping."""
+
+                url = monitor._clients[owner].url
+                inner = monitor._clients[owner]
+
+                def health(self):
+                    document = self.inner.health()
+                    client.ingest(rows=[{"tonnage": 901, "type_of_boat": "pinas"}])
+                    return document
+
+            monitor._clients[owner] = IngestDuringProbe()
+            assert monitor.probe(owner) is True
+            assert monitor.data_version(owner, "voc") == before + 1
+            assert monitor.data_version(1 - owner, "voc") == before + 1
+            fresh = remote.advise(refresh=True)
+            assert fresh.degraded is False
+            assert cluster.router.counters()["degraded_answers"] == 0
+
+
 class TestClusterDocuments:
     def test_stats_fan_out_aggregates_every_node(self):
         with _ThreadedCluster(nodes=3) as cluster:

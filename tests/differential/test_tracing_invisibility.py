@@ -52,12 +52,12 @@ def _wire_bytes(advice) -> str:
 
 
 def _advise(service: AdvisorService, session: str, traced: bool):
-    service.submit(Request(op="open_session", session=session, table="voc"))
+    service.submit(Request(op="open_session", session=session, params={"table": "voc"}))
     response = service.submit(
         Request(
             op="advise",
             session=session,
-            context=_CONTEXT,
+            params={"context": _CONTEXT},
             trace={} if traced else None,
         )
     )
@@ -81,13 +81,22 @@ class TestTracingInvisibility:
         for label, traced in (("traced", True), ("plain", False)):
             service = _service(spec)
             trace = {} if traced else None
-            service.submit(Request(op="open_session", session="s", table="voc"))
             service.submit(
-                Request(op="advise", session="s", context=_CONTEXT, trace=trace)
+                Request(op="open_session", session="s", params={"table": "voc"})
+            )
+            service.submit(
+                Request(
+                    op="advise",
+                    session="s",
+                    params={"context": _CONTEXT},
+                    trace=trace,
+                )
             )
             drilled = service.submit(
                 Request(
-                    op="drill", session="s", answer_index=0, segment_index=0,
+                    op="drill",
+                    session="s",
+                    params={"answer_index": 0, "segment_index": 0},
                     trace=trace,
                 )
             )
@@ -100,17 +109,17 @@ class TestTracingInvisibility:
         # request between two untraced ones changes nothing (shared
         # caches included).
         service = _service("memory?index=all")
-        service.submit(Request(op="open_session", session="a", table="voc"))
+        service.submit(Request(op="open_session", session="a", params={"table": "voc"}))
         first = service.submit(
-            Request(op="advise", session="a", context=_CONTEXT)
+            Request(op="advise", session="a", params={"context": _CONTEXT})
         )
-        service.submit(Request(op="open_session", session="b", table="voc"))
+        service.submit(Request(op="open_session", session="b", params={"table": "voc"}))
         traced = service.submit(
-            Request(op="advise", session="b", context=_CONTEXT, trace={})
+            Request(op="advise", session="b", params={"context": _CONTEXT}, trace={})
         )
-        service.submit(Request(op="open_session", session="c", table="voc"))
+        service.submit(Request(op="open_session", session="c", params={"table": "voc"}))
         second = service.submit(
-            Request(op="advise", session="c", context=_CONTEXT)
+            Request(op="advise", session="c", params={"context": _CONTEXT})
         )
         assert (
             _wire_bytes(first.result)

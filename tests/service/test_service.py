@@ -6,8 +6,9 @@ import threading
 
 import pytest
 
+from repro.api.protocol import Request
 from repro.errors import AdvisorError, SessionError
-from repro.service import AdvisorService, ServiceRequest
+from repro.service import AdvisorService
 from repro.workloads import generate_concurrent_workload, generate_voc
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
@@ -143,50 +144,50 @@ class TestSharedCaching:
 class TestSubmitAndServe:
     def test_submit_round_trip(self, service):
         assert service.submit(
-            ServiceRequest(op="open", session="s1", context=_CONTEXT)
+            Request(op="open_session", session="s1", params={"context": _CONTEXT})
         ).ok
-        drill = service.submit(ServiceRequest(op="drill", session="s1"))
+        drill = service.submit(Request(op="drill", session="s1"))
         assert drill.ok and drill.result.answers
-        assert service.submit(ServiceRequest(op="back", session="s1")).ok
+        assert service.submit(Request(op="back", session="s1")).ok
         count = service.submit(
-            ServiceRequest(op="count", context="tonnage: [0, 100000]")
+            Request(op="count", params={"context": "tonnage: [0, 100000]"})
         )
         assert count.ok and count.result > 0
-        stats = service.submit(ServiceRequest(op="stats"))
+        stats = service.submit(Request(op="stats"))
         assert stats.ok and "tables" in stats.result
-        closed = service.submit(ServiceRequest(op="close", session="s1"))
+        closed = service.submit(Request(op="close_session", session="s1"))
         assert closed.ok and closed.result["requests"] >= 2
 
     def test_submit_reports_errors_instead_of_raising(self, service):
-        response = service.submit(ServiceRequest(op="drill", session="ghost"))
+        response = service.submit(Request(op="drill", session="ghost"))
         assert not response.ok
         assert "ghost" in (response.error or "")
-        unknown = service.submit(ServiceRequest(op="frobnicate"))
+        unknown = service.submit(Request(op="frobnicate"))
         assert not unknown.ok
 
     def test_submit_validates_ops_and_sessions_with_typed_errors(self, service):
         # Regression: unknown ops and sessions surface stable wire codes,
         # never a bare KeyError/TypeError escaping submit().
-        unknown_op = service.submit(ServiceRequest(op="frobnicate"))
+        unknown_op = service.submit(Request(op="frobnicate"))
         assert unknown_op.error_code == "protocol_unknown_op"
-        unknown_session = service.submit(ServiceRequest(op="back", session="ghost"))
+        unknown_session = service.submit(Request(op="back", session="ghost"))
         assert unknown_session.error_code == "core_session"
         bad_index = service.submit(
-            ServiceRequest(op="drill", session="ghost", answer_index="first")
+            Request(op="drill", session="ghost", params={"answer_index": "first"})
         )
         assert bad_index.error_code == "protocol"
 
     def test_submit_canonical_op_names_and_timing(self, service):
         opened = service.submit(
-            ServiceRequest(op="open_session", session="w1", context=_CONTEXT)
+            Request(op="open_session", session="w1", params={"context": _CONTEXT})
         )
         assert opened.ok and opened.result == "w1"
         assert opened.elapsed_seconds > 0.0
         assert opened.request_id
-        described = service.submit(ServiceRequest(op="describe", session="w1"))
+        described = service.submit(Request(op="describe", session="w1"))
         assert described.ok
         assert described.result["breadcrumbs"] == ["(root)"]
-        closed = service.submit(ServiceRequest(op="close_session", session="w1"))
+        closed = service.submit(Request(op="close_session", session="w1"))
         assert closed.ok
 
     def test_serve_workload_sequential_and_threaded(self, table):
