@@ -11,9 +11,7 @@ benchmark quantifies what the service layer buys:
 * the headline comparison: 16 users on one :class:`AdvisorService`
   (shared cache + batched INDEP passes) versus 16 *independent* advisors,
   each with its own engine and cache — the acceptance bar is ≥ 2×
-  aggregate throughput for the shared service;
-* the correctness guard: batched and sequential HB-cuts produce
-  identical segmentations, so the speed-up is free.
+  aggregate throughput for the shared service.
 """
 
 from __future__ import annotations
@@ -23,11 +21,10 @@ import time
 import pytest
 from conftest import is_smoke, print_table, scale
 
-from repro.core import Charles, ExplorationSession, HBCuts, HBCutsConfig
-from repro.sdl import SDLQuery
+from repro.core import Charles, ExplorationSession
 from repro.service import AdvisorService
 from repro.storage import QueryEngine
-from repro.workloads import generate_concurrent_workload, generate_voc
+from repro.workloads import generate_concurrent_workload, generate_voc, serve
 
 _ROWS = scale(3000, 400)
 _SEED = 5
@@ -55,7 +52,7 @@ def _run_shared(table, users):
     """One AdvisorService serving every user (sequentially, deterministic)."""
     scripts = _scripts(table, users)
     service = AdvisorService(table, batch_window=0.0)
-    report = service.serve(scripts, workers=1)
+    report = serve(service, scripts, workers=1)
     assert not report.errors, report.errors
     return report
 
@@ -164,45 +161,3 @@ def test_e12_shared_service_vs_independent_engines(benchmark, service_table):
     # Acceptance bar: ≥ 2× aggregate throughput from sharing + batching.
     assert speedup >= 2.0, f"expected ≥2x throughput, measured {speedup:.2f}x"
     benchmark.extra_info["speedup_at_16_users"] = speedup
-
-
-def test_e12_batched_equals_sequential_segmentations(benchmark, service_table):
-    context = SDLQuery.over(
-        ["type_of_boat", "departure_harbour", "tonnage", "built"]
-    )
-
-    def run_both():
-        sequential = HBCuts(HBCutsConfig(batch_indep=False)).run(
-            QueryEngine(service_table), context
-        )
-        batched = HBCuts(HBCutsConfig(batch_indep=True)).run(
-            QueryEngine(service_table), context
-        )
-        return sequential, batched
-
-    sequential, batched = benchmark.pedantic(run_both, rounds=1, iterations=1)
-
-    def fingerprint(result):
-        return [
-            (
-                segmentation.cut_attributes,
-                tuple(
-                    (segment.query.to_sdl(), segment.count)
-                    for segment in segmentation.segments
-                ),
-            )
-            for segmentation in result.segmentations
-        ]
-
-    assert fingerprint(sequential) == fingerprint(batched)
-    assert sequential.trace.indep_values == batched.trace.indep_values
-    print_table(
-        "E12 / §5.1 — batched INDEP evaluation is exact",
-        ["path", "segmentations", "pair evaluations", "batched passes"],
-        [
-            ("sequential", len(sequential), sequential.trace.pair_evaluations, 0),
-            ("batched", len(batched), batched.trace.pair_evaluations,
-             batched.trace.batched_passes),
-        ],
-    )
-    benchmark.extra_info["identical_segmentations"] = len(sequential)

@@ -6,7 +6,7 @@ benchmark measures how far the partitioned execution substrate
 (:class:`~repro.storage.partition.PartitionedTable` +
 :class:`~repro.backends.pool.ExecutorPool`, driven by the partition-aware
 :class:`~repro.storage.engine.QueryEngine`) pushes that observation on the
-two scalability axes the paper names.  Every spec below *forces* its
+vertical scalability axis the paper names.  Every spec below *forces* its
 shard count (``partitions=N``), so the engine fans out at every size —
 left to itself it would map these shards inline (see
 ``FANOUT_MIN_ROWS_PER_SHARD``):
@@ -15,10 +15,7 @@ left to itself it would map these shards inline (see
   table as the worker/partition count grows, with caching disabled so
   every count is a genuine scan (the per-partition "counts sum" path);
 * **end-to-end** — whole ``advise`` latency on the same dataset per
-  worker count, asserting the ranked answers are bit-for-bit identical;
-* **horizontal (E5)** — HB-cuts over widening contexts on the wide
-  synthetic table, with the INDEP pairs of each iteration evaluated
-  concurrently through the pool — again asserting identical traces.
+  worker count, asserting the ranked answers are bit-for-bit identical.
 
 Wall-clock speedups only materialise with real cores; the >1.5× assertion
 is therefore guarded to measurement runs (not ``--smoke``) on machines
@@ -35,17 +32,14 @@ import pytest
 from conftest import is_smoke, print_table, scale
 
 from repro.backends import open_backend
-from repro.backends.pool import ExecutorPool
-from repro.core import Charles, HBCuts, HBCutsConfig
+from repro.core import Charles
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery
-from repro.storage import QueryEngine
-from repro.workloads import generate_voc, make_wide_table
+from repro.workloads import generate_voc
 
 _WORKER_COUNTS = (1, 2, 4)
 _E6_ROWS = scale(400_000, 2_000)
 _ADVISE_ROWS = scale(50_000, 1_200)
 _COUNT_REPEATS = scale(30, 3)
-_E5_WIDTHS = scale((3, 5), (2, 4))
 _CAN_MEASURE_SPEEDUP = (os.cpu_count() or 1) >= 4
 
 
@@ -162,54 +156,3 @@ def test_e14_advise_latency_vs_workers(benchmark):
     benchmark.extra_info["latency_ms_at_4_workers"] = round(
         results[4]["latency"] * 1000, 1
     )
-
-
-def test_e14_parallel_hbcuts_on_wide_contexts(benchmark):
-    table = make_wide_table(
-        rows=scale(3000, 500),
-        attributes=max(_E5_WIDTHS),
-        dependent_pairs=min(3, max(_E5_WIDTHS) // 2),
-        seed=17,
-    )
-
-    def run_widths():
-        outcomes = {}
-        for width in _E5_WIDTHS:
-            context = SDLQuery.over(table.column_names[:width])
-            sequential = HBCuts(HBCutsConfig()).run(QueryEngine(table), context)
-            with ExecutorPool(4) as pool:
-                started = time.perf_counter()
-                parallel = HBCuts(HBCutsConfig(), pool=pool).run(
-                    QueryEngine(table), context
-                )
-                elapsed = time.perf_counter() - started
-            outcomes[width] = {
-                "runtime": elapsed,
-                "pair_evaluations": parallel.trace.pair_evaluations,
-                "parallel_rounds": parallel.trace.parallel_rounds,
-                "identical": (
-                    parallel.trace.indep_values == sequential.trace.indep_values
-                    and [s.cut_attributes for s in parallel.segmentations]
-                    == [s.cut_attributes for s in sequential.segmentations]
-                ),
-            }
-        return outcomes
-
-    results = benchmark.pedantic(run_widths, rounds=1, iterations=1)
-
-    print_table(
-        "E14 — parallel HB-cuts vs context width (E5 wide table, 4 workers)",
-        ["width", "runtime", "pair evals", "parallel rounds", "identical"],
-        [
-            (
-                width,
-                f"{o['runtime'] * 1000:.1f} ms",
-                o["pair_evaluations"],
-                o["parallel_rounds"],
-                o["identical"],
-            )
-            for width, o in results.items()
-        ],
-    )
-    assert all(outcome["identical"] for outcome in results.values())
-    assert all(outcome["parallel_rounds"] > 0 for outcome in results.values())

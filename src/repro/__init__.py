@@ -90,11 +90,7 @@ from repro.core import (
     indep,
     product,
 )
-from repro.service import (
-    AdvisorService,
-    ServiceReport,
-    ServiceSession,
-)
+from repro.service import AdvisorService, ServiceSession
 from repro.api import (
     AdvisorHTTPServer,
     RemoteAdvisor,
@@ -102,6 +98,7 @@ from repro.api import (
 )
 from repro.live import IncrementalTableProfile, VersionedTable
 from repro.workloads import (
+    ServiceReport,
     generate_astronomy,
     generate_concurrent_workload,
     generate_voc,

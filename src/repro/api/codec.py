@@ -212,7 +212,6 @@ def _encode_trace(trace: HBCutsTrace) -> Dict[str, Any]:
         "pair_evaluations": trace.pair_evaluations,
         "pair_cache_hits": trace.pair_cache_hits,
         "batched_passes": trace.batched_passes,
-        "parallel_rounds": trace.parallel_rounds,
         "compositions": [list(composition) for composition in trace.compositions],
         "indep_values": [to_wire(value) for value in trace.indep_values],
         "stop_reason": trace.stop_reason,
@@ -341,7 +340,6 @@ def _decode_trace(payload: Dict[str, Any]) -> HBCutsTrace:
         pair_evaluations=int(_field(payload, "pair_evaluations")),
         pair_cache_hits=int(_field(payload, "pair_cache_hits")),
         batched_passes=int(_field(payload, "batched_passes")),
-        parallel_rounds=int(_field(payload, "parallel_rounds")),
         compositions=[
             tuple(composition) for composition in _field(payload, "compositions")
         ],

@@ -56,6 +56,7 @@ from repro.workloads import (
     generate_voc,
     generate_weblog,
 )
+from repro.workloads.concurrent import serve as serve_workload
 
 __all__ = ["main", "build_parser"]
 
@@ -193,8 +194,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="size of the popular starting-context pool")
     serve.add_argument("--cache-capacity", type=int, default=4096,
                        help="entries of the shared per-table result cache")
-    serve.add_argument("--no-batching", action="store_true",
-                       help="disable batched INDEP evaluation")
     serve.add_argument("--backend", default="memory",
                        help="execution backend spec for the table runtime "
                             "(memory, sqlite, ...)")
@@ -450,7 +449,6 @@ def _serve_service(args: argparse.Namespace, table: Table) -> AdvisorService:
     return AdvisorService(
         table,
         cache_capacity=args.cache_capacity,
-        batch_indep=not args.no_batching,
         backend=getattr(args, "backend", None) or "memory",
         workers=engine_workers,
         partitions=getattr(args, "partitions", None),
@@ -488,7 +486,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         hot_contexts=args.hot_contexts,
         distinct_paths=args.distinct_paths,
     )
-    report = service.serve(scripts, workers=args.workers)
+    report = serve_workload(service, scripts, workers=args.workers)
     print(report.describe())
     print()
     print(service.describe())

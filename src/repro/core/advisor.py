@@ -172,15 +172,10 @@ class Charles:
         every partition count.
     workers:
         Size of the executor pool (``0``: one per core; ``1``, the
-        default, runs without one).  More than one worker additionally
-        runs the HB-cuts INDEP evaluations of each iteration concurrently
-        — bit-for-bit the same answers, on more cores.
+        default, runs without one) the engine fans its shards across.
     pool:
         Share an existing :class:`~repro.backends.pool.ExecutorPool`
-        instead of creating one (the service layer passes its own).  When
-        omitted and the opened backend carries a pool (e.g. a
-        ``memory?workers=4`` spec), that pool also drives the INDEP
-        evaluations.
+        instead of creating one.
 
     Examples
     --------
@@ -240,10 +235,8 @@ class Charles:
             )
         self.config = config or HBCutsConfig()
         self.ranker = ranker or EntropyRanker()
-        # The pool driving parallel INDEP evaluation: an explicit one wins,
-        # else whatever the backend itself runs on (a ``memory?workers=4``'s).
-        self.pool = pool if pool is not None else getattr(self.engine, "pool", None)
-        self._generator = HBCuts(self.config, pool=self.pool)
+        self.pool = pool
+        self._generator = HBCuts(self.config)
         # Lazily built approximate tier for advise(mode="interactive");
         # wraps a sibling so approximate runs keep private counters and
         # never touch the exact engine's cache.

@@ -174,34 +174,20 @@ def analyse_dependence(
 
 
 def pairwise_indep_matrix(
-    engine: ExecutionBackend,
-    segmentations: Sequence[Segmentation],
-    pool=None,
+    engine: ExecutionBackend, segmentations: Sequence[Segmentation]
 ) -> List[List[float]]:
     """Symmetric matrix of INDEP values over a list of segmentations.
 
     Diagonal entries are set to 1.0 by convention.  Used by examples and
     the E4 benchmark to visualise the dependency structure of a dataset.
-
-    The pairs are independent of one another, so an optional
-    :class:`~repro.backends.pool.ExecutorPool` evaluates them
-    concurrently; results are placed by index, making the matrix
-    identical for every worker count.
     """
     size = len(segmentations)
     matrix = [[1.0] * size for _ in range(size)]
-    pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
-
-    def evaluate(pair: Tuple[int, int]) -> float:
-        i, j = pair
-        return indep_from_table(
-            contingency_table(engine, segmentations[i], segmentations[j])
-        )
-
-    values = pool.map(evaluate, pairs) if pool is not None else [
-        evaluate(pair) for pair in pairs
-    ]
-    for (i, j), value in zip(pairs, values):
-        matrix[i][j] = value
-        matrix[j][i] = value
+    for i in range(size):
+        for j in range(i + 1, size):
+            value = indep_from_table(
+                contingency_table(engine, segmentations[i], segmentations[j])
+            )
+            matrix[i][j] = value
+            matrix[j][i] = value
     return matrix

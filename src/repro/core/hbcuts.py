@@ -17,38 +17,35 @@ and recorded in the trace) and the computation-reuse optimisation the
 paper hints at in Section 5.1 (INDEP values of unchanged candidate pairs
 are cached across iterations).
 
-Step 2 — finding the most dependent pair — admits three equivalent
-execution strategies, selected per run and **bit-for-bit identical** in
-their output (same counts, same tie-breaking, same trace values in the
-same order):
+Step 2 — finding the most dependent pair — is one multi-query engine pass
+per iteration: the product cells of every pair whose INDEP is not cached
+are counted through a single
+:meth:`~repro.backends.base.ExecutionBackend.count_batch` call (the
+Section 5.1 reading: the cost of HB-cuts is counts over product cells),
+which the service layer coalesces across sessions and a partitioned
+engine fans across its shard pool.
 
-* *sequential* — one product at a time (the Figure 4 reading);
-* *batched* (``batch_indep=True``) — the product cells of every uncached
-  pair issued as one multi-query engine pass, which the service layer
-  coalesces across sessions;
-* *parallel* (an :class:`~repro.backends.pool.ExecutorPool` passed to
-  :class:`HBCuts`) — the uncached pairs of an iteration evaluated
-  concurrently through the pool; the pairs are independent by
-  construction, and the results are merged — and the argmin taken — in
-  the sequential pair order.
+The loop is written once, as the generator :meth:`HBCuts.steps`;
+:meth:`HBCuts.run` drains it and :class:`~repro.core.lazy.LazyAdvisor`
+hands its segmentations out one at a time.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import AdvisorError, CannotCutError, CompositionError
+from repro.errors import AdvisorError, CannotCutError
 from repro.sdl.query import SDLQuery
-from repro.sdl.segmentation import Segment, Segmentation
+from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
 from repro.core.compose import compose
 from repro.core.cut import cut_query
 from repro.core.dependence import chi_square_test, contingency_table
 from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD
 from repro.core.metrics import entropy, indep_from_entropies
-from repro.core.product import product
+from repro.core.product import assemble_product, product_cells
 
 __all__ = ["HBCutsConfig", "HBCutsTrace", "HBCutsResult", "HBCuts", "hb_cuts"]
 
@@ -87,13 +84,6 @@ class HBCutsConfig:
     reuse_indep:
         Cache INDEP values of candidate pairs across iterations (the
         Section 5.1 optimisation).  Disabling it is the E5 ablation.
-    batch_indep:
-        Evaluate the INDEP of every not-yet-cached candidate pair of an
-        iteration in a single multi-query engine pass
-        (:meth:`~repro.backends.base.ExecutionBackend.count_batch`) instead of
-        one product at a time.  Bit-for-bit identical results — same
-        counts, same tie-breaking, same ordering — but concurrent sessions
-        routed through the service layer coalesce their passes.
     """
 
     max_indep: float = DEFAULT_MAX_INDEP
@@ -103,7 +93,6 @@ class HBCutsConfig:
     stopping: str = "threshold"
     alpha: float = 0.01
     reuse_indep: bool = True
-    batch_indep: bool = False
 
     def __post_init__(self) -> None:
         if not 0.0 < self.max_indep <= 1.0:
@@ -134,12 +123,8 @@ class HBCutsTrace:
     pair_cache_hits:
         Number of INDEP evaluations answered from the cache.
     batched_passes:
-        Number of multi-query engine passes issued by the batched INDEP
-        path (0 unless ``batch_indep`` is enabled).
-    parallel_rounds:
-        Number of pool-mapped INDEP rounds issued by the parallel path
-        (0 unless the run holds an executor pool).  Depends only on the
-        iteration structure, never on the worker count.
+        Number of multi-query engine passes issued for INDEP evaluation
+        (one per iteration that had an uncached pair).
     compositions:
         Attribute sets composed, in order.
     indep_values:
@@ -157,7 +142,6 @@ class HBCutsTrace:
     pair_evaluations: int = 0
     pair_cache_hits: int = 0
     batched_passes: int = 0
-    parallel_rounds: int = 0
     compositions: List[Tuple[str, ...]] = field(default_factory=list)
     indep_values: List[float] = field(default_factory=list)
     stop_reason: str = ""
@@ -188,6 +172,11 @@ class HBCutsResult:
         return self.segmentations[0]
 
 
+#: One event of the Figure 4 loop: a new candidate and the two candidates it
+#: replaces (none for the initial single-attribute cuts).
+Step = Tuple[Segmentation, Tuple[Segmentation, ...]]
+
+
 class HBCuts:
     """The HB-cuts segmentation generator (Figure 4).
 
@@ -195,23 +184,10 @@ class HBCuts:
     ----------
     config:
         Heuristic parameters; defaults follow the paper.
-    pool:
-        An :class:`~repro.backends.pool.ExecutorPool` evaluating the
-        candidate INDEP pairs of each iteration concurrently (they are
-        independent by construction).  ``None`` keeps the classic
-        sequential evaluation; a one-worker pool takes the parallel code
-        path but maps inline, so ``workers=1`` is the deterministic
-        special case the parallel runs are compared against.  The batched
-        path (``batch_indep=True``) takes precedence — its single engine
-        pass is what the service layer coalesces across sessions, and a
-        partitioned engine already fans each count across the pool.
     """
 
-    def __init__(
-        self, config: Optional[HBCutsConfig] = None, pool: Optional[object] = None
-    ):
+    def __init__(self, config: Optional[HBCutsConfig] = None):
         self.config = config or HBCutsConfig()
-        self.pool = pool
 
     # -- public API -----------------------------------------------------------
 
@@ -231,65 +207,41 @@ class HBCuts:
         """
         started = time.perf_counter()
         trace = HBCutsTrace()
-        explored = list(attributes) if attributes is not None else list(context.attributes)
-        if not explored:
-            raise AdvisorError("the context mentions no attribute to explore")
-
-        candidates = self._initial_candidates(engine, context, explored, trace)
-        output: List[Segmentation] = []
-        indep_cache: Dict[frozenset, Tuple[float, Segmentation]] = {}
-
-        if not candidates:
-            trace.stop_reason = "no_candidates"
-        while candidates:
-            if len(candidates) < 2:
-                trace.stop_reason = trace.stop_reason or "exhausted"
-                break
-            trace.iterations += 1
-            best_pair, best_indep, best_product = self._most_dependent_pair(
-                engine, candidates, indep_cache, trace
-            )
-            first, second = best_pair
-            new_segmentation = compose(
-                engine,
-                first,
-                second,
-                low_cardinality_threshold=self.config.low_cardinality_threshold,
-                drop_empty=self.config.drop_empty,
-            )
-            trace.indep_values.append(best_indep)
-
-            if self._should_stop(engine, first, second, best_indep, new_segmentation):
-                trace.stop_reason = (
-                    "depth" if new_segmentation.depth >= self.config.max_depth else "indep"
-                )
-                break
-            trace.compositions.append(new_segmentation.cut_attributes)
-            candidates = [
-                candidate
-                for candidate in candidates
-                if candidate is not first and candidate is not second
-            ]
-            candidates.append(new_segmentation)
-            output.extend([first, second])
-
-        output.extend(candidates)
+        produced: List[Segmentation] = []
+        replaced: List[Segmentation] = []
+        for segmentation, parents in self.steps(engine, context, attributes, trace):
+            produced.append(segmentation)
+            replaced.extend(parents)
+        # Figure 4's output order — each composed pair as it is replaced,
+        # then the surviving candidates — breaks entropy ties in the sort.
+        replaced_ids = set(map(id, replaced))
+        output = replaced + [s for s in produced if id(s) not in replaced_ids]
         trace.runtime_seconds = time.perf_counter() - started
         ordered = sorted(output, key=entropy, reverse=True)
         return HBCutsResult(context=context, segmentations=ordered, trace=trace)
 
-    # -- internals ---------------------------------------------------------------
-
-    def _initial_candidates(
+    def steps(
         self,
         engine: ExecutionBackend,
         context: SDLQuery,
-        attributes: Sequence[str],
-        trace: HBCutsTrace,
-    ) -> List[Segmentation]:
-        """Lines 2-5 of Figure 4: one binary cut per context attribute."""
+        attributes: Optional[Sequence[str]] = None,
+        trace: Optional[HBCutsTrace] = None,
+    ) -> Iterator[Step]:
+        """The Figure 4 loop, one :data:`Step` per segmentation it creates.
+
+        Each initial cut is yielded before the next is computed and before
+        any pair is evaluated; each accepted composition follows as soon
+        as it exists, until a stopping rule fires.  ``trace`` is filled as
+        the loop advances.
+        """
+        trace = trace if trace is not None else HBCutsTrace()
+        explored = list(attributes) if attributes is not None else list(context.attributes)
+        if not explored:
+            raise AdvisorError("the context mentions no attribute to explore")
+
+        # Lines 2-5 of Figure 4: one binary cut per context attribute.
         candidates: List[Segmentation] = []
-        for attribute in attributes:
+        for attribute in explored:
             try:
                 candidate = cut_query(
                     engine,
@@ -303,213 +255,90 @@ class HBCuts:
                 continue
             candidates.append(candidate)
             trace.initial_candidates.append(attribute)
-        return candidates
+            yield candidate, ()
 
-    def _pair_key(self, first: Segmentation, second: Segmentation) -> frozenset:
-        return frozenset((id(first), id(second)))
+        # The INDEP cache is keyed by candidate ids, so replaced candidates
+        # stay referenced for the whole run: a freed one's id could be
+        # reused by a later composition and hit a stale entry.
+        indep_cache: Dict[frozenset, float] = {}
+        retired: List[Segmentation] = []
+        while len(candidates) >= 2:
+            trace.iterations += 1
+            first, second, indep_value = self._most_dependent_pair(
+                engine, candidates, indep_cache, trace
+            )
+            composed = compose(
+                engine,
+                first,
+                second,
+                low_cardinality_threshold=self.config.low_cardinality_threshold,
+                drop_empty=self.config.drop_empty,
+            )
+            trace.indep_values.append(indep_value)
+            if self._should_stop(engine, first, second, indep_value, composed):
+                trace.stop_reason = (
+                    "depth" if composed.depth >= self.config.max_depth else "indep"
+                )
+                return
+            trace.compositions.append(composed.cut_attributes)
+            retired += (first, second)
+            candidates = [
+                candidate
+                for candidate in candidates
+                if candidate is not first and candidate is not second
+            ]
+            candidates.append(composed)
+            yield composed, (first, second)
+        trace.stop_reason = "exhausted" if candidates else "no_candidates"
 
-    def _classify_pairs(
-        self,
-        candidates: Sequence[Segmentation],
-        cache: Dict[frozenset, Tuple[float, Segmentation]],
-        trace: HBCutsTrace,
-    ) -> Tuple[
-        List[Tuple[Segmentation, Segmentation]],
-        Dict[frozenset, Tuple[float, Segmentation]],
-        List[Tuple[Segmentation, Segmentation]],
-    ]:
-        """Enumerate candidate pairs and split them into cached/uncached.
-
-        The pair order fixed here is the canonical order every execution
-        strategy shares — it decides the argmin tie-breaking and the order
-        uncached pairs are evaluated (and their trace values recorded) in.
-        Returns ``(pairs, evaluated, uncached)`` where ``evaluated`` is
-        pre-seeded with the cache hits (tallied in the trace).
-        """
-        pairs = [
-            (candidates[i], candidates[j])
-            for i in range(len(candidates))
-            for j in range(i + 1, len(candidates))
-        ]
-        evaluated: Dict[frozenset, Tuple[float, Segmentation]] = {}
-        uncached: List[Tuple[Segmentation, Segmentation]] = []
-        for first, second in pairs:
-            key = self._pair_key(first, second)
-            cached = cache.get(key) if self.config.reuse_indep else None
-            if cached is not None:
-                trace.pair_cache_hits += 1
-                evaluated[key] = cached
-            else:
-                uncached.append((first, second))
-        return pairs, evaluated, uncached
-
-    def _record_pair(
-        self,
-        first: Segmentation,
-        second: Segmentation,
-        value: float,
-        product_segmentation: Segmentation,
-        evaluated: Dict[frozenset, Tuple[float, Segmentation]],
-        cache: Dict[frozenset, Tuple[float, Segmentation]],
-        trace: HBCutsTrace,
-    ) -> None:
-        """Fold one evaluated pair into the trace, the argmin input and the cache."""
-        trace.pair_evaluations += 1
-        key = self._pair_key(first, second)
-        evaluated[key] = (value, product_segmentation)
-        if self.config.reuse_indep:
-            cache[key] = (value, product_segmentation)
+    # -- internals ---------------------------------------------------------------
 
     def _most_dependent_pair(
         self,
         engine: ExecutionBackend,
         candidates: Sequence[Segmentation],
-        cache: Dict[frozenset, Tuple[float, Segmentation]],
+        cache: Dict[frozenset, float],
         trace: HBCutsTrace,
-    ) -> Tuple[Tuple[Segmentation, Segmentation], float, Segmentation]:
-        """Line 11 of Figure 4: argmin over candidate pairs of INDEP."""
-        if self.config.batch_indep and hasattr(engine, "count_batch"):
-            return self._most_dependent_pair_batched(engine, candidates, cache, trace)
-        if self.pool is not None:
-            return self._most_dependent_pair_parallel(engine, candidates, cache, trace)
-        pairs, evaluated, uncached = self._classify_pairs(candidates, cache, trace)
-        for first, second in uncached:
-            product_segmentation = product(
-                engine, first, second, drop_empty=self.config.drop_empty
-            )
-            value = indep_from_entropies(
-                entropy(product_segmentation), entropy(first), entropy(second)
-            )
-            self._record_pair(
-                first, second, value, product_segmentation, evaluated, cache, trace
-            )
-        return self._argmin_pair(pairs, evaluated)
+    ) -> Tuple[Segmentation, Segmentation, float]:
+        """Line 11 of Figure 4: argmin over candidate pairs of INDEP.
 
-    def _most_dependent_pair_batched(
-        self,
-        engine: ExecutionBackend,
-        candidates: Sequence[Segmentation],
-        cache: Dict[frozenset, Tuple[float, Segmentation]],
-        trace: HBCutsTrace,
-    ) -> Tuple[Tuple[Segmentation, Segmentation], float, Segmentation]:
-        """The argmin of Figure 4's line 11, with all products in one pass.
-
-        Collects the product cells of every candidate pair whose INDEP is
-        not cached, issues their counts through one
-        :meth:`~repro.backends.base.ExecutionBackend.count_batch` call, and
-        rebuilds each product exactly as :func:`repro.core.product.product`
-        would (same cell order, same ``drop_empty`` rule), so the selected
-        pair — and therefore the whole HB-cuts run — is identical to the
-        sequential path.
+        The product cells of every pair whose INDEP is not cached are
+        counted in one ``count_batch`` pass (Section 5.1); with
+        ``reuse_indep`` off nothing carries over between iterations.
         """
-        pairs, evaluated, uncached = self._classify_pairs(candidates, cache, trace)
+        if not self.config.reuse_indep:
+            cache.clear()
 
+        def key(pair: Tuple[Segmentation, Segmentation]) -> frozenset:
+            return frozenset(map(id, pair))
+
+        pairs = [
+            (candidates[i], candidates[j])
+            for i in range(len(candidates))
+            for j in range(i + 1, len(candidates))
+        ]
+        uncached = [pair for pair in pairs if key(pair) not in cache]
+        trace.pair_cache_hits += len(pairs) - len(uncached)
         if uncached:
             trace.batched_passes += 1
-            # Same breadcrumb the sequential product() hands the engine:
-            # each cell refines the piece it was merged from, which lets
-            # mask reuse build the cell mask from the piece's cached one.
-            hint = getattr(engine, "hint_parent", None)
-            cells_per_pair: List[List[SDLQuery]] = []
-            flat_queries: List[SDLQuery] = []
-            for first, second in uncached:
-                cells: List[SDLQuery] = []
-                for left in first.segments:
-                    for right in second.segments:
-                        merged = left.query.merge(right.query)
-                        if merged is None:
-                            continue
-                        if hint is not None:
-                            hint(merged, left.query)
-                        cells.append(merged)
-                cells_per_pair.append(cells)
-                flat_queries.extend(cells)
-            counts = engine.count_batch(flat_queries)
-            position = 0
-            for (first, second), cells in zip(uncached, cells_per_pair):
-                segments: List[Segment] = []
-                for merged in cells:
-                    count = counts[position]
-                    position += 1
-                    if self.config.drop_empty and count == 0:
-                        continue
-                    segments.append(Segment(merged, count))
-                if not segments:
-                    raise CompositionError("the SDL product is empty")
-                product_segmentation = Segmentation(
-                    context=first.context,
-                    segments=segments,
-                    context_count=first.context_count,
-                    cut_attributes=tuple(
-                        dict.fromkeys((*first.cut_attributes, *second.cut_attributes))
-                    ),
+            trace.pair_evaluations += len(uncached)
+            cells = [product_cells(engine, *pair) for pair in uncached]
+            counts = iter(
+                engine.count_batch([cell for pair_cells in cells for cell in pair_cells])
+            )
+            for pair, pair_cells in zip(uncached, cells):
+                product = assemble_product(
+                    *pair,
+                    pair_cells,
+                    [next(counts) for _ in pair_cells],
+                    drop_empty=self.config.drop_empty,
                 )
-                value = indep_from_entropies(
-                    entropy(product_segmentation), entropy(first), entropy(second)
+                cache[key(pair)] = indep_from_entropies(
+                    entropy(product), entropy(pair[0]), entropy(pair[1])
                 )
-                self._record_pair(
-                    first, second, value, product_segmentation, evaluated, cache, trace
-                )
-
-        return self._argmin_pair(pairs, evaluated)
-
-    def _most_dependent_pair_parallel(
-        self,
-        engine: ExecutionBackend,
-        candidates: Sequence[Segmentation],
-        cache: Dict[frozenset, Tuple[float, Segmentation]],
-        trace: HBCutsTrace,
-    ) -> Tuple[Tuple[Segmentation, Segmentation], float, Segmentation]:
-        """The argmin of Figure 4's line 11, pairs evaluated through the pool.
-
-        Every candidate pair whose INDEP is not cached is evaluated
-        concurrently — the pairs are independent by construction, and the
-        engine's counters and caches are thread-safe.  Results come back
-        in submission order and are folded into the cache (and the argmin)
-        in exactly the sequential pair order, so the selected pair, its
-        INDEP value and the whole trace are bit-for-bit identical whatever
-        the worker count.
-        """
-        pairs, evaluated, uncached = self._classify_pairs(candidates, cache, trace)
-
-        if uncached:
-            trace.parallel_rounds += 1
-
-            def evaluate_pair(
-                pair: Tuple[Segmentation, Segmentation]
-            ) -> Tuple[float, Segmentation]:
-                first, second = pair
-                product_segmentation = product(
-                    engine, first, second, drop_empty=self.config.drop_empty
-                )
-                value = indep_from_entropies(
-                    entropy(product_segmentation), entropy(first), entropy(second)
-                )
-                return value, product_segmentation
-
-            results = self.pool.map(evaluate_pair, uncached)
-            for (first, second), (value, product_segmentation) in zip(
-                uncached, results
-            ):
-                self._record_pair(
-                    first, second, value, product_segmentation, evaluated, cache, trace
-                )
-
-        return self._argmin_pair(pairs, evaluated)
-
-    def _argmin_pair(
-        self,
-        pairs: Sequence[Tuple[Segmentation, Segmentation]],
-        evaluated: Dict[frozenset, Tuple[float, Segmentation]],
-    ) -> Tuple[Tuple[Segmentation, Segmentation], float, Segmentation]:
-        """Strict argmin in pair order — the tie-breaking every strategy shares."""
-        best: Optional[Tuple[Tuple[Segmentation, Segmentation], float, Segmentation]] = None
-        for first, second in pairs:
-            value, product_segmentation = evaluated[self._pair_key(first, second)]
-            if best is None or value < best[1]:
-                best = ((first, second), value, product_segmentation)
-        assert best is not None  # the caller guarantees >= 2 candidates
-        return best
+        # min() keeps the first of equal values: ties go to the earlier pair.
+        first, second = min(pairs, key=lambda pair: cache[key(pair)])
+        return first, second, cache[key((first, second))]
 
     def _should_stop(
         self,
@@ -538,15 +367,12 @@ def hb_cuts(
     context: SDLQuery,
     max_indep: float = DEFAULT_MAX_INDEP,
     max_depth: int = DEFAULT_MAX_DEPTH,
-    pool=None,
     **config_options,
 ) -> HBCutsResult:
     """Functional wrapper around :class:`HBCuts` matching the paper's signature.
 
     ``HB_CUTS(query, maxIndep, maxDepth)`` from Figure 4, plus any extra
-    :class:`HBCutsConfig` option as a keyword argument.  ``pool`` is an
-    optional :class:`~repro.backends.pool.ExecutorPool` evaluating each
-    iteration's INDEP pairs concurrently (identical results).
+    :class:`HBCutsConfig` option as a keyword argument.
     """
     config = HBCutsConfig(max_indep=max_indep, max_depth=max_depth, **config_options)
-    return HBCuts(config, pool=pool).run(engine, context)
+    return HBCuts(config).run(engine, context)

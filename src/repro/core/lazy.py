@@ -10,23 +10,24 @@ module implements that extension as a generator-driven advisor:
 * composed segmentations are then produced one greedy composition at a
   time, each emitted as soon as it exists.
 
+The loop itself is :meth:`repro.core.hbcuts.HBCuts.steps` — the very one
+the eager advisor drains — so a fully consumed stream holds exactly the
+eager run's segmentations, under every stopping rule.
+
 Benchmark E10 measures the latency-to-first-answer advantage over the
 eager :class:`~repro.core.advisor.Charles` facade.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
-from repro.errors import AdvisorError, CannotCutError
+from repro.errors import AdvisorError
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
-from repro.core.compose import compose
-from repro.core.cut import cut_query
-from repro.core.hbcuts import HBCutsConfig
-from repro.core.metrics import entropy, indep_from_entropies
-from repro.core.product import product
+from repro.core.hbcuts import HBCuts, HBCutsConfig
+from repro.core.metrics import entropy
 
 __all__ = ["LazyAdvisor"]
 
@@ -66,41 +67,10 @@ class LazyAdvisor:
         available almost immediately); afterwards, each greedy composition
         is yielded as soon as it is built, until a stopping rule fires.
         """
-        explored = list(attributes) if attributes is not None else list(context.attributes)
-        if not explored:
-            raise AdvisorError("the context mentions no attribute to explore")
-
-        candidates: List[Segmentation] = []
-        for attribute in explored:
-            try:
-                candidate = cut_query(
-                    self.engine,
-                    context,
-                    attribute,
-                    low_cardinality_threshold=self.config.low_cardinality_threshold,
-                    drop_empty=self.config.drop_empty,
-                )
-            except CannotCutError:
-                continue
-            candidates.append(candidate)
-            yield candidate
-
-        indep_cache: Dict[frozenset, float] = {}
-        while len(candidates) >= 2:
-            pair, best_indep = self._most_dependent_pair(candidates, indep_cache)
-            first, second = pair
-            composed = compose(
-                self.engine,
-                first,
-                second,
-                low_cardinality_threshold=self.config.low_cardinality_threshold,
-                drop_empty=self.config.drop_empty,
-            )
-            if best_indep >= self.config.max_indep or composed.depth >= self.config.max_depth:
-                return
-            candidates = [c for c in candidates if c is not first and c is not second]
-            candidates.append(composed)
-            yield composed
+        for segmentation, _ in HBCuts(self.config).steps(
+            self.engine, context, attributes
+        ):
+            yield segmentation
 
     def next_batch(self, stream: Iterator[Segmentation], size: int) -> List[Segmentation]:
         """Pull up to ``size`` more segmentations from a stream."""
@@ -138,34 +108,3 @@ class LazyAdvisor:
         produced = self.next_batch(stream, 2 * count)
         produced.sort(key=entropy, reverse=True)
         return produced[:count]
-
-    # -- internals ------------------------------------------------------------------
-
-    def _pair_key(self, first: Segmentation, second: Segmentation) -> frozenset:
-        return frozenset((id(first), id(second)))
-
-    def _most_dependent_pair(
-        self,
-        candidates: Sequence[Segmentation],
-        cache: Dict[frozenset, float],
-    ) -> Tuple[Tuple[Segmentation, Segmentation], float]:
-        best_pair: Optional[Tuple[Segmentation, Segmentation]] = None
-        best_value = float("inf")
-        for i in range(len(candidates)):
-            for j in range(i + 1, len(candidates)):
-                first, second = candidates[i], candidates[j]
-                key = self._pair_key(first, second)
-                value = cache.get(key)
-                if value is None:
-                    product_segmentation = product(
-                        self.engine, first, second, drop_empty=self.config.drop_empty
-                    )
-                    value = indep_from_entropies(
-                        entropy(product_segmentation), entropy(first), entropy(second)
-                    )
-                    cache[key] = value
-                if value < best_value:
-                    best_value = value
-                    best_pair = (first, second)
-        assert best_pair is not None
-        return best_pair, best_value

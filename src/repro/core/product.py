@@ -9,13 +9,86 @@ variables ``E(S1 × S2) = E(S1) + E(S2)``.
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Optional, Sequence
 
 from repro.errors import CompositionError
+from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segment, Segmentation
 from repro.backends.base import ExecutionBackend
 
-__all__ = ["product", "product_counts"]
+__all__ = ["product", "product_cells", "assemble_product", "product_counts"]
+
+
+def _cell_grid(
+    engine: ExecutionBackend, first: Segmentation, second: Segmentation
+) -> List[List[Optional[SDLQuery]]]:
+    """The ``K × L`` grid of cell queries; ``None`` where two pieces contradict.
+
+    Raises
+    ------
+    CompositionError
+        When the operands partition different contexts.
+    """
+    if first.context != second.context:
+        raise CompositionError(
+            "the SDL product requires both segmentations to partition the same context"
+        )
+    # Product cells refine the pieces they are merged from; the hint lets
+    # mask reuse AND a piece's cached mask with just the other side's
+    # predicate (engines without the feature have no hint_parent).
+    hint = getattr(engine, "hint_parent", None)
+    grid: List[List[Optional[SDLQuery]]] = []
+    for left in first.segments:
+        row: List[Optional[SDLQuery]] = []
+        for right in second.segments:
+            merged = left.query.merge(right.query)
+            if merged is not None and hint is not None:
+                hint(merged, left.query)
+            row.append(merged)
+        grid.append(row)
+    return grid
+
+
+def product_cells(
+    engine: ExecutionBackend, first: Segmentation, second: Segmentation
+) -> List[SDLQuery]:
+    """The satisfiable cell queries of ``first × second``, row-major.
+
+    Whoever counts them — one :meth:`count` each in :func:`product`, one
+    ``count_batch`` pass over many pairs in HB-cuts — hands the counts to
+    :func:`assemble_product`.
+    """
+    return [
+        cell
+        for row in _cell_grid(engine, first, second)
+        for cell in row
+        if cell is not None
+    ]
+
+
+def assemble_product(
+    first: Segmentation,
+    second: Segmentation,
+    cells: Sequence[SDLQuery],
+    counts: Sequence[int],
+    drop_empty: bool = True,
+) -> Segmentation:
+    """``first × second`` from its :func:`product_cells` and their counts."""
+    segments = [
+        Segment(cell, count)
+        for cell, count in zip(cells, counts)
+        if count or not drop_empty
+    ]
+    if not segments:
+        raise CompositionError("the SDL product is empty")
+    return Segmentation(
+        context=first.context,
+        segments=segments,
+        context_count=first.context_count,
+        cut_attributes=tuple(
+            dict.fromkeys((*first.cut_attributes, *second.cut_attributes))
+        ),
+    )
 
 
 def product(
@@ -38,37 +111,9 @@ def product(
     CompositionError
         When the operands partition different contexts.
     """
-    if first.context != second.context:
-        raise CompositionError(
-            "the SDL product requires both segmentations to partition the same context"
-        )
-    # Product cells refine the pieces they are merged from; the hint lets
-    # mask reuse AND a piece's cached mask with just the other side's
-    # predicate (engines without the feature have no hint_parent).
-    hint = getattr(engine, "hint_parent", None)
-    segments: List[Segment] = []
-    for left in first.segments:
-        for right in second.segments:
-            merged = left.query.merge(right.query)
-            if merged is None:
-                continue
-            if hint is not None:
-                hint(merged, left.query)
-            count = engine.count(merged)
-            if drop_empty and count == 0:
-                continue
-            segments.append(Segment(merged, count))
-    if not segments:
-        raise CompositionError("the SDL product is empty")
-    cut_attributes = tuple(
-        dict.fromkeys((*first.cut_attributes, *second.cut_attributes))
-    )
-    return Segmentation(
-        context=first.context,
-        segments=segments,
-        context_count=first.context_count,
-        cut_attributes=cut_attributes,
-    )
+    cells = product_cells(engine, first, second)
+    counts = [engine.count(cell) for cell in cells]
+    return assemble_product(first, second, cells, counts, drop_empty)
 
 
 def product_counts(
@@ -81,15 +126,7 @@ def product_counts(
     by Proposition 1 checks, which need the complete table rather than the
     non-empty cells only.
     """
-    if first.context != second.context:
-        raise CompositionError(
-            "the SDL product requires both segmentations to partition the same context"
-        )
-    table: List[List[int]] = []
-    for left in first.segments:
-        row: List[int] = []
-        for right in second.segments:
-            merged = left.query.merge(right.query)
-            row.append(0 if merged is None else engine.count(merged))
-        table.append(row)
-    return table
+    return [
+        [0 if cell is None else engine.count(cell) for cell in row]
+        for row in _cell_grid(engine, first, second)
+    ]

@@ -26,7 +26,6 @@ from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segment, Segmentation
 from repro.sdl.parser import parse_predicate, parse_query
 from repro.sdl.formatter import (
-    format_predicate,
     format_query,
     format_segment_label,
     format_segmentation,
@@ -52,7 +51,6 @@ __all__ = [
     "Segmentation",
     "parse_query",
     "parse_predicate",
-    "format_predicate",
     "format_query",
     "format_segmentation",
     "format_segment_label",

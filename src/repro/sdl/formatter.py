@@ -4,8 +4,8 @@
 syntax; this module adds higher-level renderings used by the CLI, the
 report generator and the tests:
 
-* :func:`format_predicate` / :func:`format_query` — thin wrappers kept for
-  symmetry with the parser module;
+* :func:`format_query` — ``SDLQuery.to_sdl`` with the option of leaving
+  unconstrained attributes out;
 * :func:`format_segmentation` — a compact one-segment-per-line listing;
 * :func:`format_segment_label` — the short labels shown on pie-chart
   slices in Figure 1 (only the cut attributes, not the whole context);
@@ -21,17 +21,11 @@ from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 
 __all__ = [
-    "format_predicate",
     "format_query",
     "format_segmentation",
     "format_segment_label",
     "query_signature",
 ]
-
-
-def format_predicate(predicate: Predicate) -> str:
-    """Render a predicate in SDL text syntax."""
-    return predicate.to_sdl()
 
 
 def format_query(query: SDLQuery, include_unconstrained: bool = True) -> str:

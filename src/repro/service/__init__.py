@@ -6,7 +6,7 @@ advisor embarrassingly cacheable and batchable across users.  This package
 is the subsystem built on that observation:
 
 * :mod:`repro.service.service` — :class:`AdvisorService`, the session
-  pool, per-table shared caches and the ``submit``/``serve`` entry points;
+  pool, per-table shared caches and the ``submit`` entry point;
 * :mod:`repro.service.sessions` — :class:`ServiceSession`, one named
   drill-down session backed by the shared runtime;
 * :mod:`repro.service.batching` — :class:`BatchCoordinator` and
@@ -19,18 +19,18 @@ its op table — the same versioned protocol the HTTP server
 (:mod:`repro.api.server`) puts on the network.
 
 The CLI's ``serve`` sub-command and benchmark E12 drive this layer with
-the multi-user scenarios of :mod:`repro.workloads.concurrent`;
+the multi-user scenarios of :mod:`repro.workloads.concurrent` (replayed
+by its :func:`~repro.workloads.concurrent.serve`);
 ``serve --http`` exposes it to remote
 :class:`~repro.api.client.RemoteAdvisor` clients.
 """
 
 from repro.service.batching import BatchCoordinator, BatchedEngine, BatchStats
-from repro.service.service import AdvisorService, ServiceReport
+from repro.service.service import AdvisorService
 from repro.service.sessions import ServiceSession
 
 __all__ = [
     "AdvisorService",
-    "ServiceReport",
     "ServiceSession",
     "BatchCoordinator",
     "BatchedEngine",

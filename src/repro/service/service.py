@@ -27,10 +27,9 @@ Sessions are named and concurrent: each owns a
 counters, shared cache) and a thin
 :class:`~repro.core.session.ExplorationSession` navigation stack.
 
-Entry points: :meth:`AdvisorService.submit` for one request,
-:meth:`AdvisorService.serve` for a whole multi-user workload (see
-:func:`repro.workloads.concurrent.generate_concurrent_workload`), both
-wired into the CLI's ``serve`` sub-command.
+Entry point: :meth:`AdvisorService.submit` for one request; a whole
+multi-user workload is replayed against the public session methods by
+:func:`repro.workloads.concurrent.serve` (the CLI's ``serve --simulate``).
 """
 
 from __future__ import annotations
@@ -38,8 +37,6 @@ from __future__ import annotations
 import dataclasses
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.api.protocol import OPERATIONS, PARAM_KINDS, Request, Response
@@ -61,49 +58,14 @@ from repro.sdl.formatter import query_signature
 from repro.sdl.query import SDLQuery
 from repro.service.batching import BatchCoordinator, BatchedEngine
 from repro.service.sessions import ServiceSession
-from repro.storage.cache import ResultCache
+from repro.storage.cache import CacheStats, ResultCache
 from repro.storage.table import Table
 
-__all__ = ["ServiceReport", "AdvisorService"]
+__all__ = ["AdvisorService"]
 
-
-@dataclass
-class ServiceReport:
-    """Summary of one :meth:`AdvisorService.serve` run."""
-
-    users: int
-    requests: int
-    wall_seconds: float
-    errors: List[str] = field(default_factory=list)
-    table_stats: Dict[str, Dict[str, Any]] = field(default_factory=dict)
-
-    @property
-    def throughput(self) -> float:
-        """Aggregate requests per second across all simulated users."""
-        return self.requests / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    def describe(self) -> str:
-        lines = [
-            f"served {self.requests} request(s) from {self.users} user(s) "
-            f"in {self.wall_seconds:.3f}s — {self.throughput:.1f} req/s"
-        ]
-        for table, stats in self.table_stats.items():
-            results = stats["result_cache"]
-            advice = stats["advice_cache"]
-            batching = stats["batching"]
-            lines.append(
-                f"  table {table!r}: result cache hit rate {results['hit_rate']:.1%} "
-                f"({results['entries']} entries, {results['approx_bytes']} bytes), "
-                f"advice cache hit rate {advice['hit_rate']:.1%}"
-            )
-            lines.append(
-                f"    batching: {batching['passes']} pass(es) for "
-                f"{batching['queries']} queries "
-                f"({batching['unique_queries']} unique after dedup)"
-            )
-        if self.errors:
-            lines.append(f"  {len(self.errors)} request error(s); first: {self.errors[0]}")
-        return "\n".join(lines)
+#: The :class:`CacheStats` fields that are levels (exported as gauges);
+#: every other field is a monotonic tally (exported as a counter).
+_CACHE_LEVELS = ("capacity", "entries", "approx_bytes")
 
 
 def _ranker_cache_key(ranker: Ranker) -> str:
@@ -173,33 +135,23 @@ class _TableRuntime:
         """
         for kind, cache in (("results", self.cache), ("advice", self.advice_cache)):
             labels = {"table": self.name, "cache": kind}
-            metrics.gauge(
-                "cache_entries",
-                "Entries currently held by a result cache.",
-                labels=labels,
-                fn=lambda c=cache: c.stats().entries,
-            )
-            metrics.gauge(
-                "cache_approx_bytes",
-                "Approximate bytes held by a result cache.",
-                labels=labels,
-                fn=lambda c=cache: c.stats().approx_bytes,
-            )
-            for tally in ("hits", "misses", "evictions", "invalidations"):
-                metrics.counter(
-                    f"cache_{tally}_total",
-                    f"Result-cache {tally} since service start.",
-                    labels=labels,
-                    fn=lambda c=cache, t=tally: getattr(c.stats(), t),
-                )
-        for tally in (
-            "count_calls",
-            "median_calls",
-            "cache_hits",
-            "aggregate_hits",
-            "batch_calls",
-            "skipped_partitions",
-        ):
+            for stat in dataclasses.fields(CacheStats):
+                read = lambda c=cache, n=stat.name: getattr(c.stats(), n)
+                if stat.name in _CACHE_LEVELS:
+                    metrics.gauge(
+                        f"cache_{stat.name}",
+                        f"Result-cache {stat.name.replace('_', ' ')}.",
+                        labels=labels,
+                        fn=read,
+                    )
+                else:
+                    metrics.counter(
+                        f"cache_{stat.name}_total",
+                        f"Result-cache {stat.name} since service start.",
+                        labels=labels,
+                        fn=read,
+                    )
+        for tally in self.engine.counter._FIELDS:
             metrics.counter(
                 f"engine_{tally}_total",
                 "Primary-engine operation tally.",
@@ -268,10 +220,7 @@ class AdvisorService:
         Seconds a batch leader waits for concurrent sessions before
         flushing a merged engine pass (0 disables the wait, not batching).
     config:
-        Base HB-cuts parameters for new sessions; ``batch_indep`` is
-        turned on by the service unless ``batch_indep=False`` is passed.
-    batch_indep:
-        Route HB-cuts INDEP evaluations through batched engine passes.
+        Base HB-cuts parameters for new sessions.
     max_answers:
         Default number of ranked answers per advise.
     backend:
@@ -298,7 +247,6 @@ class AdvisorService:
         advice_capacity: int = 256,
         batch_window: float = 0.002,
         config: Optional[HBCutsConfig] = None,
-        batch_indep: bool = True,
         max_answers: int = 10,
         backend: str = "memory",
         workers: int = 1,
@@ -310,10 +258,7 @@ class AdvisorService:
         self._cache_capacity = int(cache_capacity)
         self._advice_capacity = int(advice_capacity)
         self._batch_window = float(batch_window)
-        base = config or HBCutsConfig()
-        self._config = (
-            dataclasses.replace(base, batch_indep=True) if batch_indep else base
-        )
+        self._config = config or HBCutsConfig()
         self._max_answers = int(max_answers)
         self._backend_spec = str(backend)
         # One bounded pool for the whole service: every session of every
@@ -847,93 +792,6 @@ class AdvisorService:
             request_id=request.request_id,
             elapsed_seconds=time.perf_counter() - started,
         )
-
-    # -- workload execution -------------------------------------------------
-
-    def serve(
-        self,
-        scripts: Sequence[Any],
-        workers: int = 1,
-        table: Optional[str] = None,
-    ) -> ServiceReport:
-        """Run a multi-user workload and return a throughput report.
-
-        Parameters
-        ----------
-        scripts:
-            :class:`~repro.workloads.concurrent.UserScript` objects (or any
-            object with ``user`` and ``actions`` of the same shape).
-        workers:
-            Thread count; ``1`` executes users sequentially (deterministic),
-            more lets sessions run — and batch — concurrently.
-        table:
-            Table to serve when several are registered.
-        """
-        errors: List[str] = []
-        errors_lock = threading.Lock()
-        started = time.perf_counter()
-        if workers <= 1:
-            requests = sum(
-                self._run_script(script, table, errors, errors_lock)
-                for script in scripts
-            )
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as executor:
-                futures = [
-                    executor.submit(
-                        self._run_script, script, table, errors, errors_lock
-                    )
-                    for script in scripts
-                ]
-                requests = sum(future.result() for future in futures)
-        wall = time.perf_counter() - started
-        with self._lock:
-            table_stats = {name: rt.stats() for name, rt in self._tables.items()}
-        return ServiceReport(
-            users=len(scripts),
-            requests=requests,
-            wall_seconds=wall,
-            errors=errors,
-            table_stats=table_stats,
-        )
-
-    def _run_script(
-        self,
-        script: Any,
-        table: Optional[str],
-        errors: List[str],
-        errors_lock: threading.Lock,
-    ) -> int:
-        try:
-            session = self.open_session(script.user, table=table, replace=True)
-        except CharlesError as error:
-            with errors_lock:
-                errors.append(f"{script.user}: {error}")
-            return 0
-        executed = 0
-        for action in script.actions:
-            try:
-                if action.op == "advise":
-                    context = list(action.context) if action.context else None
-                    self.advise(script.user, context)
-                elif action.op == "drill":
-                    advice = session.current_advice()
-                    if advice is None or not advice.answers:
-                        continue
-                    answer_index = action.answer % len(advice.answers)
-                    segmentation = advice.answers[answer_index].segmentation
-                    segment_index = action.segment % segmentation.depth
-                    self.drill(script.user, answer_index, segment_index)
-                elif action.op == "back":
-                    if session.depth > 0:
-                        self.back(script.user)
-                else:
-                    raise AdvisorError(f"unknown workload action {action.op!r}")
-                executed += 1
-            except CharlesError as error:
-                with errors_lock:
-                    errors.append(f"{script.user}: {error}")
-        return executed
 
     # -- reporting ----------------------------------------------------------
 

@@ -25,9 +25,11 @@ from repro.workloads.voc import FIGURE1_CONTEXT_COLUMNS, VOC_COLUMNS, generate_v
 from repro.workloads.astronomy import ASTRONOMY_COLUMNS, generate_astronomy
 from repro.workloads.weblog import WEBLOG_COLUMNS, generate_weblog
 from repro.workloads.concurrent import (
+    ServiceReport,
     UserAction,
     UserScript,
     generate_concurrent_workload,
+    serve,
 )
 from repro.workloads.synthetic import (
     make_correlated_table,
@@ -59,6 +61,8 @@ __all__ = [
     "UserAction",
     "UserScript",
     "generate_concurrent_workload",
+    "ServiceReport",
+    "serve",
     "make_independent_table",
     "make_dependent_pair_table",
     "make_correlated_table",

@@ -10,19 +10,29 @@ knobs: a small pool of *hot contexts* and a bounded number of *distinct
 drill paths* shared round-robin among the users.
 
 The scripts are plain data (no engine references), so the same workload
-can be replayed against an :class:`~repro.service.AdvisorService` and
-against independent per-user advisors to compare throughput.
+can be replayed against an :class:`~repro.service.AdvisorService` — by
+:func:`serve`, through the service's public session methods — and against
+independent per-user advisors to compare throughput.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, field
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import WorkloadError
+from repro.errors import AdvisorError, CharlesError, WorkloadError
 
-__all__ = ["UserAction", "UserScript", "generate_concurrent_workload"]
+__all__ = [
+    "UserAction",
+    "UserScript",
+    "generate_concurrent_workload",
+    "ServiceReport",
+    "serve",
+]
 
 
 @dataclass(frozen=True)
@@ -123,3 +133,114 @@ def generate_concurrent_workload(
         UserScript(user=f"user-{index:02d}", actions=paths[index % len(paths)])
         for index in range(users)
     ]
+
+
+@dataclass
+class ServiceReport:
+    """Summary of one :func:`serve` run."""
+
+    users: int
+    requests: int
+    wall_seconds: float
+    errors: List[str] = field(default_factory=list)
+    table_stats: Dict[str, Dict[str, Any]] = field(default_factory=dict)
+
+    @property
+    def throughput(self) -> float:
+        """Aggregate requests per second across all simulated users."""
+        return self.requests / self.wall_seconds if self.wall_seconds > 0 else 0.0
+
+    def describe(self) -> str:
+        lines = [
+            f"served {self.requests} request(s) from {self.users} user(s) "
+            f"in {self.wall_seconds:.3f}s — {self.throughput:.1f} req/s"
+        ]
+        for table, stats in self.table_stats.items():
+            results = stats["result_cache"]
+            advice = stats["advice_cache"]
+            batching = stats["batching"]
+            lines.append(
+                f"  table {table!r}: result cache hit rate {results['hit_rate']:.1%} "
+                f"({results['entries']} entries, {results['approx_bytes']} bytes), "
+                f"advice cache hit rate {advice['hit_rate']:.1%}"
+            )
+            lines.append(
+                f"    batching: {batching['passes']} pass(es) for "
+                f"{batching['queries']} queries "
+                f"({batching['unique_queries']} unique after dedup)"
+            )
+        if self.errors:
+            lines.append(f"  {len(self.errors)} request error(s); first: {self.errors[0]}")
+        return "\n".join(lines)
+
+
+def serve(
+    service: Any,
+    scripts: Sequence[UserScript],
+    workers: int = 1,
+    table: Optional[str] = None,
+) -> ServiceReport:
+    """Replay a multi-user workload against a service; report throughput.
+
+    Parameters
+    ----------
+    service:
+        An :class:`~repro.service.AdvisorService`; only its public
+        ``open_session`` / ``advise`` / ``drill`` / ``back`` / ``stats``
+        methods are used.
+    scripts:
+        One :class:`UserScript` per simulated user.
+    workers:
+        Thread count; ``1`` executes users sequentially (deterministic),
+        more lets sessions run — and batch — concurrently.
+    table:
+        Table to serve when several are registered.
+    """
+    errors: List[str] = []
+    errors_lock = threading.Lock()
+
+    def run_script(script: UserScript) -> int:
+        try:
+            session = service.open_session(script.user, table=table, replace=True)
+        except CharlesError as error:
+            with errors_lock:
+                errors.append(f"{script.user}: {error}")
+            return 0
+        executed = 0
+        for action in script.actions:
+            try:
+                if action.op == "advise":
+                    context = list(action.context) if action.context else None
+                    service.advise(script.user, context)
+                elif action.op == "drill":
+                    advice = session.current_advice()
+                    if advice is None or not advice.answers:
+                        continue
+                    answer_index = action.answer % len(advice.answers)
+                    segmentation = advice.answers[answer_index].segmentation
+                    segment_index = action.segment % segmentation.depth
+                    service.drill(script.user, answer_index, segment_index)
+                elif action.op == "back":
+                    if session.depth > 0:
+                        service.back(script.user)
+                else:
+                    raise AdvisorError(f"unknown workload action {action.op!r}")
+                executed += 1
+            except CharlesError as error:
+                with errors_lock:
+                    errors.append(f"{script.user}: {error}")
+        return executed
+
+    started = time.perf_counter()
+    if workers <= 1:
+        requests = sum(run_script(script) for script in scripts)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
+            requests = sum(executor.map(run_script, scripts))
+    return ServiceReport(
+        users=len(scripts),
+        requests=requests,
+        wall_seconds=time.perf_counter() - started,
+        errors=errors,
+        table_stats=service.stats()["tables"],
+    )

@@ -171,6 +171,15 @@ class TestAdviceApproxFields:
         assert legacy.error_bound is None
         assert legacy.answers == advice.answers
 
+    def test_older_trace_payloads_with_parallel_rounds_still_decode(self, advisor):
+        # Peers before the single INDEP pass sent one more trace counter;
+        # the encoder dropped it, the decoder must keep ignoring it.
+        advice = advisor.advise(["type_of_boat", "tonnage"], max_answers=2)
+        payload = to_wire(advice)
+        assert "parallel_rounds" not in payload["trace"]
+        payload["trace"]["parallel_rounds"] = 3
+        assert from_wire(payload).trace == advice.trace
+
     def test_schema_envelope_still_version_one(self, advisor):
         advice = advisor.advise(["type_of_boat"], max_answers=2)
         envelope = json.loads(dumps(advice))

@@ -168,6 +168,33 @@ class TestServiceTracing:
         ]
         assert {row["labels"]["op"] for row in request_rows} >= {"advise"}
 
+    def test_every_stats_tally_has_a_metrics_row(self, service):
+        """The registry's views are derived from the structures ``stats``
+        snapshots, so no engine or cache tally can be missing from
+        ``/v1/metrics`` (the hand-kept list dropped four of them)."""
+        service.submit(Request(op="open_session", session="t", params={"table": "voc"}))
+        service.submit(Request(op="advise", session="t", params={"context": _CONTEXT}))
+        document = service.metrics_document()
+        rows = {
+            (row["name"], row["labels"].get("cache")): row["value"]
+            for row in document["counters"] + document["gauges"]
+            if row["labels"].get("table") == "voc"
+        }
+        stats = service.stats()["tables"]["voc"]
+        engine = dict(stats["primary_engine"])
+        engine.pop("total_database_operations")  # the sum of four tallies below
+        assert {"evaluations", "frequency_calls", "minmax_calls"} <= set(engine)
+        for tally, value in engine.items():
+            assert rows[(f"engine_{tally}_total", None)] == value
+        for kind, key in (("results", "result_cache"), ("advice", "advice_cache")):
+            cache = dict(stats[key])
+            cache.pop("hit_rate")  # a ratio of two tallies below
+            assert "puts" in cache
+            for stat, value in cache.items():
+                levels = ("capacity", "entries", "approx_bytes")
+                name = f"cache_{stat}" if stat in levels else f"cache_{stat}_total"
+                assert rows[(name, kind)] == value
+
     def test_cache_gauges_track_the_result_cache(self, service):
         service.submit(Request(op="open_session", session="g", params={"table": "voc"}))
         service.submit(Request(op="advise", session="g", params={"context": _CONTEXT}))

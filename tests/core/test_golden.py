@@ -1,12 +1,15 @@
-"""Paper fidelity: E1 and E3 outputs pinned as golden files.
+"""Paper fidelity: E1–E4 outputs pinned as golden files.
 
 ``golden/e1_figure1.json`` holds the VOC Figure-1 answer list and the
 selected ``departure_harbour × tonnage`` segmentation (queries, counts,
-scores); ``golden/e3_hbcuts_trace.json`` holds the HB-cuts trace and
-segmentations of the Figure-3 table.  Both use exactly the data of
-``benchmarks/bench_e1_figure1_voc.py`` / ``bench_e3_figure3_hbcuts_trace.py``
-at experiment scale.  Every backend below must reproduce them: which
-access path the engine takes may never move what HB-cuts advises.
+scores); ``golden/e2_operators.json`` the CUT / COMPOSE / product results
+on the Figure-2 fleet; ``golden/e3_hbcuts_trace.json`` the HB-cuts trace
+and segmentations of the Figure-3 table; ``golden/e4_independence.json``
+the Proposition-1 INDEP values and contingency tables per planted
+dependence strength.  Each uses exactly the data of its
+``benchmarks/bench_e<N>_*.py`` at experiment scale.  Every backend below
+must reproduce them: which access path the engine takes may never move
+what the operators return or what HB-cuts advises.
 
 Regenerate (only when the advisor's output is *meant* to change)::
 
@@ -23,10 +26,27 @@ import numpy as np
 import pytest
 
 from repro.backends import open_backend
-from repro.core import Charles, HBCuts, HBCutsConfig, entropy
+from repro.core import (
+    Charles,
+    HBCuts,
+    HBCutsConfig,
+    analyse_dependence,
+    compose,
+    contingency_table,
+    cut_query,
+    cut_segmentation,
+    entropy,
+    indep,
+    product,
+)
 from repro.sdl import SDLQuery
 from repro.storage import Table
-from repro.workloads import FIGURE1_CONTEXT_COLUMNS, generate_voc
+from repro.workloads import (
+    FIGURE1_CONTEXT_COLUMNS,
+    generate_voc,
+    make_dependent_pair_table,
+    make_rng,
+)
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
 
@@ -63,6 +83,35 @@ def e1_document(backend: str) -> Dict[str, Any]:
             for answer in advice
         ],
         "selected": _segmentation(selected),
+    }
+
+
+def _figure2_table(rows: int = 4000, seed: int = 2) -> Table:
+    """The Figure-2 fleet: the boat type determines tonnage band and era."""
+    rng = make_rng(seed)
+    data: Dict[str, list] = {"type_of_boat": [], "tonnage": [], "departure_date": []}
+    for _ in range(rows):
+        if rng.random() < 0.5:
+            data["type_of_boat"].append("fluit")
+            data["tonnage"].append(int(rng.uniform(1000, 2000)))
+            data["departure_date"].append(int(rng.uniform(1700, 1750)))
+        else:
+            data["type_of_boat"].append("jacht")
+            data["tonnage"].append(int(rng.uniform(3000, 5000)))
+            data["departure_date"].append(int(rng.uniform(1750, 1780)))
+    return Table.from_dict(data, name="figure2")
+
+
+def e2_document(backend: str) -> Dict[str, Any]:
+    engine = open_backend(backend, _figure2_table())
+    context = SDLQuery.over(["type_of_boat", "tonnage", "departure_date"])
+    by_type = cut_query(engine, context, "type_of_boat")
+    by_date = cut_query(engine, context, "departure_date")
+    return {
+        "cut": _segmentation(cut_segmentation(engine, by_type, "tonnage")),
+        "compose": _segmentation(compose(engine, by_type, by_date)),
+        "product": _segmentation(product(engine, by_type, by_date, drop_empty=False)),
+        "indep": indep(engine, by_type, by_date),
     }
 
 
@@ -108,7 +157,37 @@ def e3_document(backend: str) -> Dict[str, Any]:
     }
 
 
-DOCUMENTS = {"e1_figure1": e1_document, "e3_hbcuts_trace": e3_document}
+def e4_document(backend: str) -> Dict[str, Any]:
+    document: Dict[str, Any] = {}
+    for strength in (0.0, 0.25, 0.5, 0.75, 0.9, 1.0):
+        table = make_dependent_pair_table(
+            rows=6000, strength=strength, cardinality=2, seed=11
+        )
+        engine = open_backend(backend, table)
+        context = SDLQuery.over(["x", "y"])
+        first = cut_query(engine, context, "x")
+        second = cut_query(engine, context, "y")
+        report = analyse_dependence(engine, first, second)
+        document[f"{strength:.2f}"] = {
+            "table": contingency_table(engine, first, second).tolist(),
+            "indep": report.indep,
+            "mutual_information": report.mutual_information,
+            "chi_square": report.chi_square,
+            "p_value": report.p_value,
+            "sum_entropy": entropy(first) + entropy(second),
+            "product_entropy": entropy(
+                product(engine, first, second, drop_empty=False)
+            ),
+        }
+    return document
+
+
+DOCUMENTS = {
+    "e1_figure1": e1_document,
+    "e2_operators": e2_document,
+    "e3_hbcuts_trace": e3_document,
+    "e4_independence": e4_document,
+}
 
 
 def _assert_same(actual: Any, expected: Any, where: str) -> None:

@@ -1,11 +1,12 @@
-"""Parallel HB-cuts: bit-for-bit identical results at every worker count."""
+"""HB-cuts over pooled, sharded engines: bit-for-bit identical results at
+every worker and partition count."""
 
 from __future__ import annotations
 
 import pytest
 
 from repro.backends.pool import ExecutorPool
-from repro.core import Charles, HBCuts, HBCutsConfig, hb_cuts
+from repro.core import Charles, HBCuts, HBCutsConfig
 from repro.sdl import SDLQuery
 from repro.storage import QueryEngine
 from repro.workloads import generate_voc
@@ -34,16 +35,15 @@ def _segmentation_fingerprint(result):
 
 
 def _run(voc, workers=None, partitions=1, **config_options):
-    engine = QueryEngine(generate_voc(rows=600, seed=23), partitions=partitions)
     pool = ExecutorPool(workers) if workers is not None else None
-    config = HBCutsConfig(**config_options)
-    return HBCuts(config, pool=pool).run(engine, _context())
+    engine = QueryEngine(voc, partitions=partitions, pool=pool)
+    return HBCuts(HBCutsConfig(**config_options)).run(engine, _context())
 
 
 class TestParallelIndepParity:
     def test_workers_1_and_workers_4_are_bit_for_bit_identical(self, voc):
-        one = _run(voc, workers=1)
-        four = _run(voc, workers=4)
+        one = _run(voc, workers=1, partitions=4)
+        four = _run(voc, workers=4, partitions=4)
         assert _segmentation_fingerprint(one) == _segmentation_fingerprint(four)
         # The whole trace — everything except wall-clock — is identical.
         for field in (
@@ -53,26 +53,11 @@ class TestParallelIndepParity:
             "pair_evaluations",
             "pair_cache_hits",
             "batched_passes",
-            "parallel_rounds",
             "compositions",
             "indep_values",
             "stop_reason",
         ):
             assert getattr(one.trace, field) == getattr(four.trace, field)
-
-    def test_parallel_matches_the_sequential_strategy(self, voc):
-        sequential = _run(voc)
-        parallel = _run(voc, workers=4)
-        assert _segmentation_fingerprint(sequential) == (
-            _segmentation_fingerprint(parallel)
-        )
-        assert sequential.trace.indep_values == parallel.trace.indep_values
-        assert sequential.trace.compositions == parallel.trace.compositions
-        assert sequential.trace.pair_evaluations == parallel.trace.pair_evaluations
-        assert sequential.trace.pair_cache_hits == parallel.trace.pair_cache_hits
-        assert sequential.trace.stop_reason == parallel.trace.stop_reason
-        assert parallel.trace.parallel_rounds > 0
-        assert sequential.trace.parallel_rounds == 0
 
     def test_parallel_matches_with_partitioned_engines(self, voc):
         baseline = _run(voc)
@@ -82,42 +67,22 @@ class TestParallelIndepParity:
         )
         assert baseline.trace.indep_values == combined.trace.indep_values
 
-    def test_batched_path_takes_precedence(self, voc):
-        result = _run(voc, workers=4, batch_indep=True)
-        baseline = _run(voc, batch_indep=True)
-        assert result.trace.batched_passes == baseline.trace.batched_passes
-        assert result.trace.parallel_rounds == 0
-        assert _segmentation_fingerprint(result) == (
-            _segmentation_fingerprint(baseline)
-        )
-
     def test_parallel_without_indep_reuse(self, voc):
         baseline = _run(voc, reuse_indep=False)
-        parallel = _run(voc, workers=4, reuse_indep=False)
+        parallel = _run(voc, workers=4, partitions=4, reuse_indep=False)
         assert baseline.trace.indep_values == parallel.trace.indep_values
         assert baseline.trace.pair_evaluations == parallel.trace.pair_evaluations
         assert _segmentation_fingerprint(baseline) == (
             _segmentation_fingerprint(parallel)
         )
 
-    def test_hb_cuts_wrapper_accepts_a_pool(self, voc):
-        engine = QueryEngine(voc)
-        with ExecutorPool(2) as pool:
-            pooled = hb_cuts(engine, _context(), pool=pool)
-        plain = hb_cuts(QueryEngine(voc), _context())
-        assert _segmentation_fingerprint(pooled) == _segmentation_fingerprint(plain)
-
 
 class TestCharlesParallelWiring:
-    def test_charles_picks_up_the_backend_pool(self, voc):
-        advisor = Charles(voc, backend="memory?partitions=2&workers=2")
-        assert advisor.pool is advisor.engine.pool
-        assert advisor._generator.pool is advisor.pool
-
     def test_charles_workers_build_a_pool(self, voc):
         advisor = Charles(voc, workers=2)
         assert advisor.pool is not None
         assert advisor.pool.workers == 2
+        assert advisor.engine.pool is advisor.pool
 
     def test_charles_sequential_has_no_pool(self, voc):
         advisor = Charles(voc)
@@ -141,20 +106,3 @@ class TestCharlesParallelWiring:
             )
             assert fingerprint(advice) == fingerprint(baseline)
             assert advice.trace.indep_values == baseline.trace.indep_values
-
-
-class TestParallelDependenceMatrix:
-    def test_pairwise_indep_matrix_identical_with_pool(self, voc):
-        from repro.core import cut_query
-        from repro.core.dependence import pairwise_indep_matrix
-
-        engine = QueryEngine(voc)
-        context = _context()
-        segmentations = [
-            cut_query(engine, context, attribute)
-            for attribute in ("tonnage", "built", "type_of_boat")
-        ]
-        plain = pairwise_indep_matrix(engine, segmentations)
-        with ExecutorPool(3) as pool:
-            pooled = pairwise_indep_matrix(engine, segmentations, pool=pool)
-        assert pooled == plain

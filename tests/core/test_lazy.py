@@ -109,3 +109,38 @@ class TestConsistencyWithEagerAdvisor:
         LazyAdvisor(lazy_engine).first_answer(context)
         lazy_operations = lazy_engine.counter.total_database_operations
         assert lazy_operations < eager_operations
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            HBCutsConfig(),
+            HBCutsConfig(max_indep=0.9),
+            HBCutsConfig(reuse_indep=False),
+            # Levels at which the chi-square rule — not the INDEP threshold —
+            # ends the run on these tables.
+            HBCutsConfig(stopping="chi2", alpha=1e-30),
+            HBCutsConfig(stopping="chi2", alpha=1e-60),
+        ],
+        ids=["threshold", "max_indep", "no_reuse", "chi2_1e-30", "chi2_1e-60"],
+    )
+    @pytest.mark.parametrize("dataset", ["voc", "figure3"])
+    def test_drained_stream_holds_exactly_the_eager_segmentations(
+        self, engine, dataset, config
+    ):
+        from test_golden import _figure3_table
+
+        if dataset == "voc":
+            table = engine.table
+            context = SDLQuery.over(
+                ["type_of_boat", "departure_harbour", "tonnage", "built"]
+            )
+        else:
+            table = _figure3_table(rows=400)
+            context = SDLQuery.over(table.column_names)
+
+        def fingerprint(segmentations):
+            return {(s.cut_attributes, tuple(s.counts)) for s in segmentations}
+
+        eager = HBCuts(config).run(QueryEngine(table), context)
+        lazy = LazyAdvisor(QueryEngine(table), config).stream(context)
+        assert fingerprint(lazy) == fingerprint(eager)

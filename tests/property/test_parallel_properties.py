@@ -123,7 +123,6 @@ class TestPartitionedResultParity:
 
         expected = fingerprint(baseline)
         for partitions, workers in _GRID:
-            pool = _POOLS[workers]
-            engine = QueryEngine(table, partitions=partitions, pool=pool)
-            result = HBCuts(HBCutsConfig(), pool=pool).run(engine, context)
+            engine = QueryEngine(table, partitions=partitions, pool=_POOLS[workers])
+            result = HBCuts(HBCutsConfig()).run(engine, context)
             assert fingerprint(result) == expected

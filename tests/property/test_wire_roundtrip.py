@@ -97,7 +97,6 @@ def advice_payloads(draw):
         pair_evaluations=draw(st.integers(min_value=0, max_value=500)),
         pair_cache_hits=draw(st.integers(min_value=0, max_value=500)),
         batched_passes=draw(st.integers(min_value=0, max_value=50)),
-        parallel_rounds=draw(st.integers(min_value=0, max_value=50)),
         compositions=[
             tuple(composition)
             for composition in draw(

@@ -1,4 +1,4 @@
-"""Tests for batched engine passes, the batched INDEP path and the coordinator."""
+"""Tests for batched engine passes, the HB-cuts INDEP pass and the coordinator."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.backends import open_backend
-from repro.core import HBCuts, HBCutsConfig
+from repro.core import HBCuts, HBCutsConfig, cut_query, product
 from repro.sdl import RangePredicate, SDLQuery
 from repro.service import BatchCoordinator, BatchedEngine
 from repro.storage import QueryEngine, ResultCache, Table
@@ -65,50 +65,43 @@ class TestCountBatch:
         assert second.counter.aggregate_hits == len(queries)
 
 
-class TestBatchedIndep:
-    def test_batched_equals_sequential_bit_for_bit(self, table):
-        """The acceptance criterion: identical segmentations, not just scores."""
+class TestIndepPass:
+    def test_one_pass_per_iteration_with_counts_equal_to_product(self, table):
+        """Every iteration has an uncached pair (the newest composition's), so
+        it issues exactly one ``count_batch``; the first pass holds, pair by
+        pair in candidate order, the cells and counts ``product()`` returns."""
+        engine = QueryEngine(table)
+        passes = []
+        count_batch = engine.count_batch
 
-        def run(batch: bool):
-            engine = QueryEngine(table)
-            return HBCuts(HBCutsConfig(batch_indep=batch)).run(engine, _context())
+        def recording(queries):
+            counts = count_batch(queries)
+            passes.append(list(zip(queries, counts)))
+            return counts
 
-        sequential, batched = run(False), run(True)
+        engine.count_batch = recording
+        result = HBCuts().run(engine, _context())
+        assert result.trace.iterations > 1
+        assert len(passes) == result.trace.batched_passes == result.trace.iterations
 
-        def fingerprint(result):
-            return [
-                (
-                    segmentation.cut_attributes,
-                    tuple(
-                        (segment.query.to_sdl(), segment.count)
-                        for segment in segmentation.segments
-                    ),
-                )
-                for segmentation in result.segmentations
+        reference = QueryEngine(table)
+        cuts = [cut_query(reference, _context(), a) for a in _context().attributes]
+        expected = [
+            (segment.query.to_sdl(), segment.count)
+            for i, first in enumerate(cuts)
+            for second in cuts[i + 1 :]
+            for segment in product(reference, first, second, drop_empty=False)
+        ]
+        assert [(query.to_sdl(), count) for query, count in passes[0]] == expected
+        for later in passes[1:]:
+            assert [count for _, count in later] == [
+                reference.count(query) for query, _ in later
             ]
 
-        assert fingerprint(sequential) == fingerprint(batched)
-        assert sequential.trace.indep_values == batched.trace.indep_values
-        assert sequential.trace.stop_reason == batched.trace.stop_reason
-        assert sequential.trace.pair_evaluations == batched.trace.pair_evaluations
-        assert batched.trace.batched_passes > 0
-        assert sequential.trace.batched_passes == 0
-
-    def test_batched_respects_reuse_ablation(self, table):
+    def test_pass_respects_reuse_ablation(self, table):
         engine = QueryEngine(table)
-        config = HBCutsConfig(batch_indep=True, reuse_indep=False)
-        result = HBCuts(config).run(engine, _context())
+        result = HBCuts(HBCutsConfig(reuse_indep=False)).run(engine, _context())
         assert result.trace.pair_cache_hits == 0
-
-    def test_same_operation_accounting(self, table):
-        def ops(batch: bool):
-            engine = QueryEngine(table)
-            HBCuts(HBCutsConfig(batch_indep=batch)).run(engine, _context())
-            snapshot = engine.counter.snapshot()
-            snapshot.pop("batch_calls")
-            return snapshot
-
-        assert ops(False) == ops(True)
 
 
 class TestBatchCoordinator:

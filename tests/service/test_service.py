@@ -9,7 +9,7 @@ import pytest
 from repro.api.protocol import Request
 from repro.errors import AdvisorError, SessionError
 from repro.service import AdvisorService
-from repro.workloads import generate_concurrent_workload, generate_voc
+from repro.workloads import generate_concurrent_workload, generate_voc, serve
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
 
@@ -194,8 +194,8 @@ class TestSubmitAndServe:
         scripts = generate_concurrent_workload(
             table.column_names, users=4, steps=3, seed=2, distinct_paths=2
         )
-        sequential = AdvisorService(table, batch_window=0.0).serve(scripts, workers=1)
-        threaded = AdvisorService(table, batch_window=0.002).serve(scripts, workers=4)
+        sequential = serve(AdvisorService(table, batch_window=0.0), scripts, workers=1)
+        threaded = serve(AdvisorService(table, batch_window=0.002), scripts, workers=4)
         assert sequential.requests == threaded.requests > 0
         assert not sequential.errors
         assert not threaded.errors
@@ -208,7 +208,7 @@ class TestSubmitAndServe:
         scripts = generate_concurrent_workload(table.column_names, users=2, seed=4)
         # Two tables and no table named: opening each session fails, but
         # serve() reports it per user rather than crashing.
-        report = service.serve(scripts, workers=1)
+        report = serve(service, scripts, workers=1)
         assert report.requests == 0
         assert len(report.errors) == 2
 
@@ -263,10 +263,10 @@ class TestParallelService:
         assert parallel.pool is not None
         assert parallel.pool.workers == 2
         session = parallel.open_session("alice", context=_CONTEXT)
-        assert session.advisor.pool is parallel.pool
+        assert session.advisor.engine.pool is parallel.pool
         parallel.register_table(generate_voc(rows=300, seed=3), name="voc2")
         other = parallel.open_session("bob", table="voc2", context=_CONTEXT)
-        assert other.advisor.pool is parallel.pool
+        assert other.advisor.engine.pool is parallel.pool
         stats = parallel.stats()
         assert stats["parallel"]["workers"] == 2
         assert stats["parallel"]["partitions"] == 2
@@ -299,7 +299,7 @@ class TestParallelService:
         )
         sequential = AdvisorService(table, batch_window=0.0)
         parallel = AdvisorService(table, batch_window=0.0, workers=2, partitions=2)
-        report_a = sequential.serve(scripts, workers=2)
-        report_b = parallel.serve(scripts, workers=2)
+        report_a = serve(sequential, scripts, workers=2)
+        report_b = serve(parallel, scripts, workers=2)
         assert not report_a.errors and not report_b.errors
         assert report_a.requests == report_b.requests
