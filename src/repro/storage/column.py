@@ -20,7 +20,7 @@ constraint and are excluded from aggregates, matching SQL semantics.
 from __future__ import annotations
 
 import datetime as _dt
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,6 +41,36 @@ __all__ = [
     "BoolColumn",
     "build_column",
 ]
+
+
+# Per logical type: the physical NumPy dtype, and the Python scalar types
+# that are stored without conversion.
+_LAYOUT: Dict[DataType, Tuple[Any, frozenset]] = {
+    DataType.INT: (np.int64, frozenset({int})),
+    DataType.FLOAT: (np.float64, frozenset({int, float})),
+    DataType.DATE: (np.int64, frozenset()),
+    DataType.BOOL: (np.bool_, frozenset({bool})),
+}
+
+
+def _encode(values: Sequence[Any], dtype: DataType) -> Tuple[np.ndarray, np.ndarray]:
+    """Physical ``(data, valid)`` arrays of raw values for a non-string column.
+
+    Missing rows hold the fill value 0.  Values that are all of a type
+    the column stores without conversion (generated tables, NumPy input)
+    are adopted in one C pass; anything else is coerced value by value.
+    """
+    physical, stored_as_is = _LAYOUT[dtype]
+    if set(map(type, values)) <= stored_as_is:
+        data = np.array(values, dtype=physical)
+        if dtype is not DataType.FLOAT:
+            return data, np.ones(len(data), dtype=bool)
+        valid = ~np.isnan(data)
+        data[~valid] = 0.0
+        return data, valid
+    coerced = [coerce_value(v, dtype) for v in values]
+    valid = np.array([v is not None for v in coerced], dtype=bool)
+    return np.array([0 if v is None else v for v in coerced], dtype=physical), valid
 
 
 class Column:
@@ -175,13 +205,7 @@ class NumericColumn(Column):
         if dtype not in (DataType.INT, DataType.FLOAT):
             raise TypeMismatchError(f"NumericColumn does not support {dtype}")
         super().__init__(name, dtype)
-        coerced = [coerce_value(v, dtype) for v in values]
-        self._valid = np.array([v is not None for v in coerced], dtype=bool)
-        fill = 0 if dtype is DataType.INT else 0.0
-        np_dtype = np.int64 if dtype is DataType.INT else np.float64
-        self._data = np.array(
-            [fill if v is None else v for v in coerced], dtype=np_dtype
-        )
+        self._data, self._valid = _encode(values, dtype)
 
     @classmethod
     def _from_arrays(
@@ -316,12 +340,7 @@ class NumericColumn(Column):
         )
 
     def append_values(self, values: Sequence[Any]) -> "NumericColumn":
-        coerced = [coerce_value(v, self.dtype) for v in values]
-        fill = 0 if self.dtype is DataType.INT else 0.0
-        valid = np.array([v is not None for v in coerced], dtype=bool)
-        data = np.array(
-            [fill if v is None else v for v in coerced], dtype=self._data.dtype
-        )
+        data, valid = _encode(values, self.dtype)
         return NumericColumn._from_arrays(
             self.name,
             np.concatenate([self._data, data]),
@@ -338,12 +357,8 @@ class DateColumn(NumericColumn):
     """A date column stored as proleptic Gregorian ordinals (int64)."""
 
     def __init__(self, name: str, values: Sequence[Any]):
-        ordinals = []
-        for value in values:
-            ordinals.append(None if is_missing(value) else date_to_ordinal(value))
         Column.__init__(self, name, DataType.DATE)
-        self._valid = np.array([v is not None for v in ordinals], dtype=bool)
-        self._data = np.array([0 if v is None else v for v in ordinals], dtype=np.int64)
+        self._data, self._valid = _encode(values, DataType.DATE)
 
     @classmethod
     def _from_arrays(  # type: ignore[override]
@@ -389,11 +404,7 @@ class DateColumn(NumericColumn):
         )
 
     def append_values(self, values: Sequence[Any]) -> "DateColumn":
-        ordinals = [
-            None if is_missing(v) else date_to_ordinal(v) for v in values
-        ]
-        valid = np.array([v is not None for v in ordinals], dtype=bool)
-        data = np.array([0 if v is None else v for v in ordinals], dtype=np.int64)
+        data, valid = _encode(values, DataType.DATE)
         return DateColumn._from_arrays(
             self.name,
             np.concatenate([self._data, data]),
@@ -570,9 +581,7 @@ class BoolColumn(Column):
 
     def __init__(self, name: str, values: Sequence[Any]):
         super().__init__(name, DataType.BOOL)
-        coerced = [coerce_value(v, DataType.BOOL) for v in values]
-        self._valid = np.array([v is not None for v in coerced], dtype=bool)
-        self._data = np.array([bool(v) for v in coerced], dtype=bool)
+        self._data, self._valid = _encode(values, DataType.BOOL)
 
     @classmethod
     def _from_arrays(cls, name: str, data: np.ndarray, valid: np.ndarray) -> "BoolColumn":
@@ -662,9 +671,7 @@ class BoolColumn(Column):
         )
 
     def append_values(self, values: Sequence[Any]) -> "BoolColumn":
-        coerced = [coerce_value(v, DataType.BOOL) for v in values]
-        valid = np.array([v is not None for v in coerced], dtype=bool)
-        data = np.array([bool(v) for v in coerced], dtype=bool)
+        data, valid = _encode(values, DataType.BOOL)
         return BoolColumn._from_arrays(
             self.name,
             np.concatenate([self._data, data]),

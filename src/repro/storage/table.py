@@ -70,19 +70,26 @@ class Table:
     @classmethod
     def from_dict(
         cls,
-        data: Mapping[str, Sequence[Any]],
+        data: Mapping[str, Iterable[Any]],
         name: str = "table",
         types: Optional[Mapping[str, DataType]] = None,
     ) -> "Table":
         """Build a table from ``column name -> values``.
 
         Types are inferred per column unless overridden through ``types``.
+        Values may be any iterable, including NumPy arrays.
         """
         types = dict(types or {})
         columns = []
         for column_name, values in data.items():
+            # Read each column once (it may be a one-shot iterable); a NumPy
+            # array becomes Python scalars in a single C pass.
+            if isinstance(values, np.ndarray):
+                values = values.tolist()
+            elif not isinstance(values, (list, tuple)):
+                values = list(values)
             dtype = types.get(column_name) or infer_collection_type(values)
-            columns.append(build_column(column_name, list(values), dtype))
+            columns.append(build_column(column_name, values, dtype))
         return cls(name, columns)
 
     @classmethod

@@ -15,7 +15,9 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 import math
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional
+
+import numpy as np
 
 from repro.errors import TypeMismatchError
 
@@ -31,6 +33,12 @@ __all__ = [
 ]
 
 _DATE_FORMATS = ("%Y-%m-%d", "%Y/%m/%d", "%d-%m-%Y", "%d/%m/%Y")
+
+# NumPy scalars are accepted wherever the Python scalar of the same kind is.
+_BOOLS = (bool, np.bool_)
+_INTS = (int, np.integer)
+_FLOATS = (float, np.floating)
+_NUMBERS = _BOOLS + _INTS + _FLOATS
 
 
 class DataType(enum.Enum):
@@ -60,7 +68,7 @@ def is_missing(value: Any) -> bool:
     """Whether a raw value represents a missing entry (None, NaN, empty string)."""
     if value is None:
         return True
-    if isinstance(value, float) and math.isnan(value):
+    if isinstance(value, _FLOATS) and math.isnan(value):
         return True
     if isinstance(value, str) and value.strip() == "":
         return True
@@ -106,11 +114,11 @@ def infer_value_type(value: Any) -> Optional[DataType]:
     """
     if is_missing(value):
         return None
-    if isinstance(value, bool):
+    if isinstance(value, _BOOLS):
         return DataType.BOOL
-    if isinstance(value, int):
+    if isinstance(value, _INTS):
         return DataType.INT
-    if isinstance(value, float):
+    if isinstance(value, _FLOATS):
         return DataType.FLOAT
     if isinstance(value, (_dt.date, _dt.datetime)):
         return DataType.DATE
@@ -135,12 +143,15 @@ def _infer_string_type(text: str) -> DataType:
         return DataType.FLOAT
     except ValueError:
         pass
-    for fmt in _DATE_FORMATS:
-        try:
-            _dt.datetime.strptime(stripped, fmt)
-            return DataType.DATE
-        except ValueError:
-            continue
+    # Every format starts with a digit field and has a "-" or "/" separator;
+    # anything else is text, without four ``strptime`` calls that raise.
+    if stripped[:1].isdigit() and ("-" in stripped or "/" in stripped):
+        for fmt in _DATE_FORMATS:
+            try:
+                _dt.datetime.strptime(stripped, fmt)
+                return DataType.DATE
+            except ValueError:
+                continue
     return DataType.STRING
 
 
@@ -154,12 +165,21 @@ def infer_collection_type(values: Iterable[Any]) -> DataType:
     * BOOL mixed with numbers widens to the numeric type;
     * any other mix (for example numbers with free text) falls back to STRING;
     * an all-missing or empty collection defaults to STRING.
+
+    A textual value is parsed once per *distinct* string, which is what
+    keeps loading a CSV or a generated table cheap.  Only strings are
+    deduplicated: ``True == 1 == 1.0`` hash alike, so a set of raw values
+    would lose the types of a mixed bool/int/float column.
     """
-    seen: set[DataType] = set()
+    seen: set[Optional[DataType]] = set()
+    texts: set[str] = set()
     for value in values:
-        inferred = infer_value_type(value)
-        if inferred is not None:
-            seen.add(inferred)
+        if isinstance(value, str):
+            texts.add(value)
+        else:
+            seen.add(infer_value_type(value))
+    seen.update(map(infer_value_type, texts))
+    seen.discard(None)
     if not seen:
         return DataType.STRING
     if seen == {DataType.BOOL}:
@@ -184,7 +204,8 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
     if dtype is DataType.INT:
         return _coerce_int(value)
     if dtype is DataType.FLOAT:
-        return _coerce_float(value)
+        number = _coerce_float(value)
+        return None if math.isnan(number) else number  # a textual "nan" is missing too
     if dtype is DataType.DATE:
         return date_to_ordinal(value)
     if dtype is DataType.BOOL:
@@ -195,13 +216,9 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
 
 
 def _coerce_int(value: Any) -> int:
-    if isinstance(value, bool):
-        return int(value)
-    if isinstance(value, int):
-        return value
-    if isinstance(value, float):
-        if not value.is_integer():
-            raise TypeMismatchError(f"cannot store {value!r} in an INT column")
+    if isinstance(value, _FLOATS) and not float(value).is_integer():
+        raise TypeMismatchError(f"cannot store {value!r} in an INT column")
+    if isinstance(value, _NUMBERS):
         return int(value)
     if isinstance(value, str):
         try:
@@ -212,9 +229,7 @@ def _coerce_int(value: Any) -> int:
 
 
 def _coerce_float(value: Any) -> float:
-    if isinstance(value, bool):
-        return float(value)
-    if isinstance(value, (int, float)):
+    if isinstance(value, _NUMBERS):
         return float(value)
     if isinstance(value, str):
         try:
@@ -225,9 +240,7 @@ def _coerce_float(value: Any) -> float:
 
 
 def _coerce_bool(value: Any) -> bool:
-    if isinstance(value, bool):
-        return value
-    if isinstance(value, (int, float)) and value in (0, 1):
+    if isinstance(value, _NUMBERS) and value in (0, 1):
         return bool(value)
     if isinstance(value, str):
         lowered = value.strip().lower()
@@ -236,8 +249,3 @@ def _coerce_bool(value: Any) -> bool:
         if lowered in ("false", "0", "no"):
             return False
     raise TypeMismatchError(f"cannot parse {value!r} as a boolean")
-
-
-def coerce_collection(values: Sequence[Any], dtype: DataType) -> list:
-    """Coerce a whole collection; missing entries stay ``None``."""
-    return [coerce_value(value, dtype) for value in values]

@@ -16,6 +16,7 @@ from repro.core import (
     mutual_information,
     pairwise_indep_matrix,
 )
+from repro.core.dependence import _chi2_sf
 from repro.sdl import SDLQuery
 from repro.storage import QueryEngine
 from repro.workloads import make_dependent_pair_table, make_independent_table
@@ -97,6 +98,39 @@ class TestStatisticalTests:
         independent = np.array([[250, 250], [250, 250]], dtype=float)
         assert g_test(dependent)[1] < 0.01
         assert g_test(independent)[1] > 0.9
+
+    # The production code calls scipy.special.chdtrc so that no process
+    # imports scipy.stats; these two tests are the one place that does, to
+    # show the p-values are exactly the ones chi2.sf gives.
+
+    def test_upper_tail_equals_scipy_stats_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        statistics = [-1.0, -4e-24, -0.0, 0.0, 5e-324, 1e-300, 1e-12, 0.5, 1.0, 3.841, 10.0, 100.0,
+                      745.0, 1e3, 1e4, 1e6, 1e308, float("inf")]
+        dofs = [1, 2, 3, 4, 7, 20, 100, 1000, 10**6]
+        tails = set()
+        for statistic in statistics:
+            for dof in dofs:
+                p_value = _chi2_sf(statistic, dof)
+                assert p_value == float(chi2.sf(statistic, dof)), (statistic, dof)
+                tails.add(p_value if p_value in (0.0, 1.0) else 0.5)
+        assert tails == {0.0, 0.5, 1.0}  # exact 1, interior, and underflow to 0
+        assert np.isnan(_chi2_sf(float("nan"), 3))
+
+    @pytest.mark.parametrize("test", [chi_square_test, g_test])
+    def test_p_values_equal_scipy_stats_on_tables(self, test):
+        from scipy.stats import chi2
+
+        for rows, columns in [(2, 2), (2, 3), (3, 3), (2, 8), (5, 6), (12, 12)]:
+            independent = np.outer(np.arange(1, rows + 1), np.arange(1, columns + 1))
+            diagonal = np.zeros((rows, columns))
+            diagonal[np.arange(rows), np.arange(rows) % columns] = independent.sum() / rows
+            for scale in [1e-9, 1e-3, 1.0, 40.0, 1e4, 1e9]:
+                for mix in [0.0, 1e-12, 1e-6, 0.01, 0.3, 1.0]:
+                    table = scale * ((1 - mix) * independent + mix * diagonal)
+                    statistic, p_value, dof = test(table)
+                    assert p_value == float(chi2.sf(statistic, dof)), (table, statistic, dof)
 
     def test_cramers_v_range(self):
         perfect = np.array([[500, 0], [0, 500]], dtype=float)

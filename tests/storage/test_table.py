@@ -32,6 +32,72 @@ class TestConstruction:
         table = Table.from_dict({"x": [1, 2]}, types={"x": DataType.FLOAT})
         assert table.dtype("x") is DataType.FLOAT
 
+    def test_from_dict_accepts_numpy_arrays_and_scalars(self):
+        table = Table.from_dict(
+            {
+                "i": np.array([1, 2, 3]),
+                "f": np.array([1.5, np.nan, 2.0], dtype=np.float32),
+                "b": np.array([True, False, True]),
+                "s": np.array(["x", "y", "x"]),
+                "scalars": [np.int64(4), None, np.int64(6)],
+            }
+        )
+        assert table.schema() == {
+            "i": DataType.INT,
+            "f": DataType.FLOAT,
+            "b": DataType.BOOL,
+            "s": DataType.STRING,
+            "scalars": DataType.INT,
+        }
+        assert table.to_dict() == {
+            "i": [1, 2, 3],
+            "f": [1.5, None, 2.0],
+            "b": [True, False, True],
+            "s": ["x", "y", "x"],
+            "scalars": [4, None, 6],
+        }
+        assert all(type(v) is int for v in table.to_dict()["i"])
+
+    def test_from_dict_numpy_array_under_explicit_type(self):
+        table = Table.from_dict(
+            {"x": np.array([1, 2, 3])}, types={"x": DataType.FLOAT}
+        )
+        assert table.to_dict() == {"x": [1.0, 2.0, 3.0]}
+
+    def test_from_dict_does_not_alias_the_input_array(self):
+        source = np.array([1, 2, 3])
+        table = Table.from_dict({"x": source})
+        source[0] = 99
+        assert table.to_dict() == {"x": [1, 2, 3]}
+
+    def test_from_dict_reads_a_one_shot_iterable_once(self):
+        # Regression: inference used to consume the iterator, leaving an
+        # empty column and a misleading "inconsistent lengths: [0, 3]".
+        table = Table.from_dict(
+            {"x": (value for value in ["1", "2", "3"]), "y": iter([0.5, None, 1.5])}
+        )
+        assert table.to_dict() == {"x": [1, 2, 3], "y": [0.5, None, 1.5]}
+
+    def test_bulk_and_per_value_encoding_agree(self):
+        # Homogeneous columns are adopted in one pass; one stray string
+        # forces per-value coercion.  Both must store the same arrays.
+        for dtype, plain, mixed in [
+            (DataType.INT, [3, 0, -7], ["3", 0, -7]),
+            (DataType.FLOAT, [1, float("nan"), 2.5], ["1", float("nan"), 2.5]),
+            (DataType.BOOL, [True, False, True], ["yes", False, True]),
+        ]:
+            fast = Table.from_dict({"x": plain}, types={"x": dtype}).column("x")
+            slow = Table.from_dict({"x": mixed}, types={"x": dtype}).column("x")
+            assert fast._data.dtype == slow._data.dtype
+            assert fast._data.tolist() == slow._data.tolist()
+            assert fast._valid.tolist() == slow._valid.tolist()
+
+    def test_textual_nan_is_missing_like_float_nan(self):
+        table = Table.from_dict({"x": ["1.5", "nan"], "y": [1.5, float("nan")]})
+        assert table.dtype("x") is DataType.FLOAT
+        assert table.to_dict() == {"x": [1.5, None], "y": [1.5, None]}
+        assert table.column("x").valid_mask().tolist() == [True, False]
+
     def test_from_rows_preserves_first_seen_order(self):
         table = Table.from_rows([{"a": 1, "b": 2}, {"b": 3, "a": 4, "c": 5}])
         assert table.column_names == ["a", "b", "c"]

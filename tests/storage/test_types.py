@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import datetime as dt
 
+import numpy as np
 import pytest
 
 from repro.errors import TypeMismatchError
@@ -111,6 +112,25 @@ class TestCollectionInference:
     def test_dates(self):
         assert infer_collection_type(["2020-01-01", "2021-05-05"]) is DataType.DATE
 
+    def test_equal_numbers_of_different_types_are_not_deduplicated(self):
+        # True == 1 == 1.0 hash alike; only strings may be deduplicated.
+        assert infer_collection_type([True, 1]) is DataType.INT
+        assert infer_collection_type([1, True, 1.0]) is DataType.FLOAT
+        assert infer_collection_type([1.0, True]) is DataType.FLOAT
+
+    def test_one_shot_iterable(self):
+        assert infer_collection_type(iter(["1", "2", "2"])) is DataType.INT
+
+    def test_numpy_scalars(self):
+        assert infer_collection_type([np.int64(1), np.int32(2)]) is DataType.INT
+        assert infer_collection_type([np.float32(1.5), np.int8(2)]) is DataType.FLOAT
+        assert infer_collection_type([np.bool_(True)]) is DataType.BOOL
+        assert infer_collection_type([np.float32("nan"), None]) is DataType.STRING
+
+    def test_unsupported_value_rejected_even_after_text(self):
+        with pytest.raises(TypeMismatchError, match="unsupported value type: list"):
+            infer_collection_type(["abc", [1], object()])
+
 
 class TestCoercion:
     def test_int_coercion(self):
@@ -123,6 +143,22 @@ class TestCoercion:
 
     def test_float_coercion(self):
         assert coerce_value("3.25", DataType.FLOAT) == pytest.approx(3.25)
+
+    @pytest.mark.parametrize("value", ["nan", " NaN ", float("nan"), np.float32("nan")])
+    def test_nan_is_missing_whether_textual_or_float(self, value):
+        # A CSV cell "nan" and a Python nan must agree (regression: the
+        # textual one used to be stored as a valid NaN).
+        assert coerce_value(value, DataType.FLOAT) is None
+
+    def test_numpy_scalars_coerce_to_python_scalars(self):
+        assert coerce_value(np.int64(7), DataType.INT) == 7
+        assert type(coerce_value(np.int64(7), DataType.INT)) is int
+        assert coerce_value(np.float32(7.0), DataType.INT) == 7
+        assert type(coerce_value(np.int16(2), DataType.FLOAT)) is float
+        assert coerce_value(np.bool_(True), DataType.BOOL) is True
+        assert coerce_value(np.int64(0), DataType.BOOL) is False
+        with pytest.raises(TypeMismatchError):
+            coerce_value(np.float64(7.5), DataType.INT)
 
     def test_bool_coercion(self):
         assert coerce_value("yes", DataType.BOOL) is True

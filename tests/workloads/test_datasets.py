@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +44,22 @@ class TestVOC:
         assert first.to_dict() == second.to_dict()
         different = generate_voc(rows=300, seed=2)
         assert different.to_dict() != first.to_dict()
+
+    @pytest.mark.parametrize(
+        "rows, digest",
+        [
+            (10_000, "826791e296a272c13b0a8e27e5226c0a19d1186f3e438af496898947666c0d19"),
+            (5_000, "91654b85f2ad19f3e644c01de0b31f29fc8d5996bfc3108fbb348661132c0dd1"),
+        ],
+    )
+    def test_generated_table_is_pinned(self, rows, digest):
+        # Digests recorded at commit 0d4fc05, before table load was changed to
+        # infer types per distinct string and adopt homogeneous columns in
+        # bulk: schema and every decoded value must stay exactly what they were.
+        table = generate_voc(rows, seed=42)
+        schema = {name: dtype.value for name, dtype in table.schema().items()}
+        text = json.dumps({"schema": schema, "data": table.to_dict()}, default=str, sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_tonnage_within_figure1_bounds(self, voc_table):
         tonnage = voc_table.column("tonnage")
