@@ -60,12 +60,10 @@ from repro.backends import (
     register_backend,
 )
 from repro.storage import (
-    Catalog,
     DataType,
     PartitionedTable,
     QueryEngine,
     ResultCache,
-    SampledEngine,
     Table,
     load_csv,
     parse_where,
@@ -134,9 +132,7 @@ __all__ = [
     "Table",
     "PartitionedTable",
     "QueryEngine",
-    "SampledEngine",
     "ResultCache",
-    "Catalog",
     "load_csv",
     "parse_where",
     "profile_table",

@@ -438,11 +438,9 @@ class VersionedCacheRule(Rule):
     An unversioned ``get``/``peek``/``put`` on a live table can serve a
     stale answer across a mutation (PR 5's invariant).  The rule matches
     call sites whose receiver name matches one of the configured
-    ``receivers`` patterns (default: ``cache`` / ``*_cache`` /
-    ``sketches`` / ``*_sketches``, covering the approximate tier's
-    sketch caches) — except receivers statically annotated as plain
-    dicts (the memoisation dictionaries in ``core/`` are not
-    version-keyed caches).
+    ``receivers`` patterns (default: ``cache`` / ``*_cache``) — except
+    receivers statically annotated as plain dicts (the memoisation
+    dictionaries in ``core/`` are not version-keyed caches).
     """
 
     rule_id = "CHR004"
@@ -457,16 +455,8 @@ class VersionedCacheRule(Rule):
         "put": 3,
         "get_or_compute": 3,
     }
-    #: ``fnmatch``-style receiver-name patterns the rule covers.  The
-    #: sketch patterns arrived with the approximate tier: its merged-sketch
-    #: ``ResultCache`` receivers (``self._sketches``) must be version-keyed
-    #: exactly like result caches, or an ingest serves stale sketches.
-    DEFAULT_RECEIVERS: Tuple[str, ...] = (
-        "cache",
-        "*_cache",
-        "sketches",
-        "*_sketches",
-    )
+    #: ``fnmatch``-style receiver-name patterns the rule covers.
+    DEFAULT_RECEIVERS: Tuple[str, ...] = ("cache", "*_cache")
     _DICT_ANNOTATIONS = ("Dict", "dict", "Mapping", "MutableMapping", "OrderedDict")
 
     def check_module(self, module: ModuleSource) -> Iterator[Finding]:

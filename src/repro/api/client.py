@@ -325,7 +325,7 @@ class RemoteSession:
         self,
         context: ContextLike = None,
         refresh: bool = False,
-        mode: str = "exact",
+        mode: Optional[str] = None,
     ) -> Advice:
         """Start (or restart) the session at a context and return advice.
 
@@ -333,16 +333,17 @@ class RemoteSession:
         advice against the server's newest data version — the follow-up
         to a :attr:`stale` flag raised by an ingest.
 
-        ``mode="interactive"`` serves sketch-ranked approximate advice
-        (the returned :class:`~repro.core.advisor.Advice` has
-        ``approximate=True`` and an ``error_bound``) while the server
+        ``mode="interactive"`` serves approximate advice computed on a
+        uniform sample (the returned :class:`~repro.core.advisor.Advice`
+        has ``approximate=True`` and an ``error_bound``) while the server
         refines it exactly in the background; collect the exact answers
-        with :meth:`refine`.
+        with :meth:`refine`.  ``None`` leaves the mode to the server's
+        backend (exact unless its spec samples).
         """
         params: Dict[str, Any] = {"context": context}
         if refresh:
             params["refresh"] = True
-        if mode != "exact":
+        if mode is not None:
             params["mode"] = mode
         return self.advisor.call("advise", session=self.name, **params)
 

@@ -8,24 +8,27 @@ package owns that contract:
   the :class:`BackendWrapper` delegation base for decorating backends;
 * :mod:`repro.backends.pool` — :class:`ExecutorPool`, the bounded,
   shared worker pool the in-memory engine maps its shards through;
-* :mod:`repro.backends.approx` — :class:`ApproxEngine`, answering counts
-  and medians from mergeable per-shard sketches with explicit error
-  bounds (``memory?approx=...``);
+* :mod:`repro.backends.approx` — :class:`ApproxEngine`, the approximate
+  view: statistics from a uniform row sample of any backend, with an
+  explicit error bound (``memory?sample=...``, ``mode="interactive"``);
 * :mod:`repro.backends.sqlite` — :class:`SQLiteBackend`, executing SDL
   through the :mod:`repro.storage.sql` glue against ``sqlite3``;
 * :mod:`repro.backends.registry` — :class:`BackendRegistry` and
   :func:`open_backend`, resolving specs such as ``"memory"``,
   ``"memory?workers=4"`` or ``"sqlite:///path.db#table"``.
-
-``base`` and ``pool`` are imported eagerly (they have no storage
-dependencies, so the storage layer itself may use
-:class:`BackendWrapper`); the registry, the SQLite backend and the
-approximate engine load lazily on first attribute access to keep the import
-graph acyclic (``registry`` → ``storage.sampling`` → ``base``).
 """
 
+from repro.backends.approx import ApproxEngine, Estimate
 from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.backends.pool import ExecutorPool
+from repro.backends.registry import (
+    BackendRegistry,
+    BackendSpec,
+    default_registry,
+    open_backend,
+    register_backend,
+)
+from repro.backends.sqlite import SQLiteBackend
 
 __all__ = [
     "ExecutionBackend",
@@ -40,29 +43,3 @@ __all__ = [
     "register_backend",
     "open_backend",
 ]
-
-_LAZY = {
-    "ApproxEngine": "repro.backends.approx",
-    "Estimate": "repro.backends.approx",
-    "SQLiteBackend": "repro.backends.sqlite",
-    "BackendSpec": "repro.backends.registry",
-    "BackendRegistry": "repro.backends.registry",
-    "default_registry": "repro.backends.registry",
-    "register_backend": "repro.backends.registry",
-    "open_backend": "repro.backends.registry",
-}
-
-
-def __getattr__(name: str):
-    module_name = _LAZY.get(name)
-    if module_name is None:
-        raise AttributeError(f"module 'repro.backends' has no attribute {name!r}")
-    import importlib
-
-    value = getattr(importlib.import_module(module_name), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_LAZY))

@@ -1,80 +1,108 @@
-"""ApproxEngine: bounded-error answers from mergeable per-shard sketches.
+"""ApproxEngine: the one approximate view — a uniform row sample with a bound.
 
-The interactive half of ROADMAP's raw-speed work: instead of scanning,
-:class:`ApproxEngine` answers ``count`` / ``median`` /
-``value_frequencies`` by **merging per-shard sketches**
-(:mod:`repro.storage.sketches`) built lazily over the wrapped engine's
-:class:`~repro.storage.partition.PartitionedTable`.  Every approximate
-answer carries an explicit error bound, surfaced two ways:
+The paper's only approximation is Section 5.2's "not all tuples are
+necessary to give good results".  :class:`ApproxEngine` is that idea as a
+backend: it decorates an unsampled backend, answers the eight statistics
+from a uniform sample of its rows (counts scaled back to ``|T|``; medians,
+min/max and value frequencies on the sample as they are) and leaves
+identity, schema, data version and mutation to the backend it decorates.
 
-* the rich API (:meth:`approx_count`, :meth:`approx_median`) returns
-  :class:`Estimate` objects — ``(estimate, error_bound,
-  approximate=True)``;
-* the :class:`~repro.backends.base.ExecutionBackend` protocol methods
-  return plain values (so HB-cuts runs unchanged) while the engine
-  tracks the worst bound it reported, drained by
-  :meth:`take_error_bound` — that is the figure an interactive
-  :class:`~repro.core.advisor.Advice` stamps on itself.
+Why a row sample and not per-column summaries: the advisor's job is to
+find *dependent* attributes, and a summary of each column alone cannot see
+dependence — a sample keeps whole rows, so every conjunctive query is
+answered with the same accuracy.
 
-Error semantics, precisely: estimates for a **single** predicate (one
-range, one value set) are within the reported bound *provably* — the
-sketches track their rank error exactly and the differential harness
-asserts containment.  Multi-predicate counts multiply marginal
-selectivities under an attribute-independence assumption (the reported
-bound is the propagated marginal interval, not a joint guarantee), which
-is why approximate advice is always backed by an exact refinement path.
+Every answer carries one error bound ``ε``, the half-width of the
+two-sided Hoeffding–Serfling interval (sampling without replacement) at
+:data:`CONFIDENCE` for a sample of ``n`` of ``|T|`` rows.  It is a
+fraction of ``|T|`` and depends on nothing but ``n`` and ``|T|``:
 
-Isolation is a hard invariant: the engine keeps its merged summaries in
-a **private** version-keyed cache and never computes masks or touches the
-wrapped engine's :class:`~repro.storage.cache.ResultCache`, so a later
-exact run over the same engine is byte-identical to one that never saw
-the approximate tier (the refinement-parity differential test enforces
-this).
+* a count is, with probability at least :data:`CONFIDENCE`, within
+  ``ε·|T|`` rows of the exact count — for *any* conjunctive query;
+* a median's rank in the exact selection is, in the same sense, within
+  ``ε·|T|`` rows of the selection's middle;
+* ``ε`` is 0 when the sample is the whole table.
 
-Specs: ``memory?approx=1`` (default budget) or ``memory?approx=4096``
-(budget in retained items per sketch) resolve here through
-:func:`repro.backends.open_backend`, composing with ``partitions``,
-``workers`` and ``index``.
+The bound is per answer, not simultaneous over all answers of one advise,
+and says nothing about min/max or about values absent from the sample —
+which is why approximate advice is always backed by an exact refinement
+on :attr:`ApproxEngine.base_engine`.  Rich answers
+(:meth:`ApproxEngine.approx_count`, :meth:`ApproxEngine.approx_median`)
+return :class:`Estimate` objects; the protocol methods return plain
+values and :meth:`ApproxEngine.take_error_bound` reports the bound they
+carry — the figure :class:`~repro.core.advisor.Advice` stamps on itself.
+
+The view follows its backend's ``data_version``: one integer comparison
+per call, and the first call after a mutation draws a fresh sample,
+seeded by the view's seed and the version, so equal data gives equal
+advice.  ``sample(fraction, seed)`` is the backend's own (SQLite samples
+in SQL); the sample's engine has a private cache and counts into the
+view's own counter, so approximate traffic never shows on the exact
+engine.
+
+Specs: ``memory?sample=0.1`` / ``sqlite?sample=0.25`` (optionally
+``&seed=7``) resolve here through :func:`repro.backends.open_backend`;
+``advise(mode="interactive")`` builds a view of
+:data:`INTERACTIVE_SAMPLE_ROWS` rows over whatever backend it has.
 """
 
 from __future__ import annotations
 
+import math
 import threading
-import time
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Sequence, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendWrapper, ExecutionBackend
-from repro.errors import BackendError, EmptyColumnError
-from repro.obs.trace import current_span
-from repro.sdl.predicates import (
-    ExclusionPredicate,
-    Predicate,
-    RangePredicate,
-    SetPredicate,
-)
+from repro.errors import BackendError
 from repro.sdl.query import SDLQuery
-from repro.storage.cache import ResultCache
-from repro.storage.column import BoolColumn, NumericColumn
-from repro.storage.partition import PartitionedTable
-from repro.storage.sketches import (
-    DEFAULT_SKETCH_BUDGET,
-    MergeableQuantileSketch,
-    NominalCountSketch,
-    TableSketches,
-)
-from repro.storage.types import DataType, coerce_value
+from repro.storage.engine import OperationCounter
 
-__all__ = ["Estimate", "ApproxEngine"]
+__all__ = [
+    "CONFIDENCE",
+    "INTERACTIVE_SAMPLE_ROWS",
+    "sampling_error_bound",
+    "Estimate",
+    "ApproxEngine",
+]
+
+#: Confidence of every reported bound.
+CONFIDENCE = 0.99
+
+#: Rows of the view ``advise(mode="interactive")`` builds.  Measured on 28
+#: three-attribute VOC contexts (12 000 rows, 3 sample seeds) against the
+#: exact advice: 1 000 rows gave 8 spurious compositions, 2 000 none and
+#: every exact one, 4 096 the same answers 25 % slower
+#: (docs/architecture.md has the table).
+INTERACTIVE_SAMPLE_ROWS = 2000
+
+#: Seed of a view built without one.
+_SEED = 2013
+
+
+def sampling_error_bound(sample_rows: int, rows: int) -> float:
+    """Half-width of the Hoeffding–Serfling interval at :data:`CONFIDENCE`.
+
+    For a mean of ``[0, 1]`` values over ``sample_rows`` of ``rows`` rows
+    drawn without replacement (Bardenet & Maillard 2015, Corollary 2.5,
+    two-sided); 0 when the sample is the whole table.
+    """
+    n, population = sample_rows, rows
+    if n >= population:
+        return 0.0
+    if n <= population / 2:
+        rho = 1.0 - (n - 1) / population
+    else:
+        rho = (1.0 - n / population) * (1.0 + 1.0 / n)
+    return min(1.0, math.sqrt(rho * math.log(2.0 / (1.0 - CONFIDENCE)) / (2.0 * n)))
 
 
 @dataclass(frozen=True)
 class Estimate:
     """One approximate answer: the value, its bound, and the approx flag.
 
-    ``error_bound`` is a fraction — of the table's rows for counts and
-    frequencies, of the selection's rank span for medians — so bounds are
-    comparable across table sizes.
+    ``error_bound`` is a fraction of the table's rows — of the count for
+    counts, of the rank for medians — so bounds compare across table sizes.
     """
 
     estimate: Any
@@ -82,462 +110,190 @@ class Estimate:
     approximate: bool = True
 
 
+class _Sample(NamedTuple):
+    """One data version's sample and the figures derived from its size."""
+
+    version: int
+    engine: Any  # the backend over the sampled rows
+    scale: float  # |T| / n
+    bound: float  # sampling_error_bound(n, |T|)
+
+
 class ApproxEngine(BackendWrapper):
-    """A backend answering statistics from merged per-shard sketches.
+    """A backend answering statistics from a uniform sample of another.
 
     Parameters
     ----------
     inner:
-        The engine to wrap.  Must be memory-backed (a
-        :class:`~repro.storage.engine.QueryEngine` or a wrapper around
-        one): the sketch tier hangs off its partitioned shard set.
-    budget:
-        Retained items per quantile sketch (error shrinks as the budget
-        grows; see :data:`~repro.storage.sketches.DEFAULT_SKETCH_BUDGET`).
-    cache:
-        A private version-keyed cache for merged table-level summaries.
-        Shared between siblings (the summaries are deterministic per data
-        version); **never** the wrapped engine's result cache.
+        The unsampled backend to decorate.  It must expose
+        ``sample(fraction, seed)`` returning a backend over a uniform
+        sample of its current rows (the memory engine and SQLite do).
+    fraction:
+        Sampling rate in ``(0, 1]`` (the backend's ``sample`` rejects any
+        other); ``None`` samples :data:`INTERACTIVE_SAMPLE_ROWS` rows
+        whatever the table's size.
+    seed:
+        Seed of the samples (mixed with the data version); ``None`` uses
+        a constant, so two views of equal data answer alike.
     """
 
     def __init__(
         self,
         inner: ExecutionBackend,
-        budget: int = DEFAULT_SKETCH_BUDGET,
-        cache: Optional[ResultCache] = None,
+        fraction: Optional[float] = None,
+        seed: Optional[int] = None,
     ):
-        if getattr(inner, "source", None) is None or not hasattr(
-            inner, "partitioned_table"
-        ):
+        if not hasattr(inner, "sample"):
             raise BackendError(
-                f"the approx tier requires a memory-backed engine exposing "
-                f"partitioned shards; {type(inner).__name__} does not"
+                f"backend {type(inner).__name__} cannot produce a sample; "
+                "it must expose sample(fraction, seed)"
             )
         super().__init__(inner)
-        self._budget = max(2, int(budget))
-        self._sketches = cache if cache is not None else ResultCache(
-            capacity=128, name=f"approx:{inner.name}"
-        )
-        self._bound_lock = threading.Lock()
-        self._max_error = 0.0
+        self.fraction = fraction
+        self.seed = seed
+        # One tally for the life of the view: every version's sample
+        # engine counts into it, so deltas survive a resample.
+        self._counter = OperationCounter()
+        self._lock = threading.Lock()
+        self._sample = self._draw()
 
-    # -- identity ---------------------------------------------------------------
+    # -- the sample ---------------------------------------------------------------
 
-    @property
-    def budget(self) -> int:
-        """Retained items per quantile sketch."""
-        return self._budget
-
-    @property
-    def sketch_cache(self) -> ResultCache:
-        """The private cache holding merged table-level summaries."""
-        return self._sketches
-
-    def stats(self) -> Dict[str, Any]:
-        inner_stats = self.inner.stats()
-        return {
-            **inner_stats,
-            "backend": f"approx({inner_stats.get('backend', 'memory')})",
-            "approx": {
-                "budget": self._budget,
-                "sketch_cache": self._sketches.stats().snapshot(),
-            },
-        }
-
-    def sibling(self) -> "ApproxEngine":
-        """An approx engine over a sibling of the wrapped engine.
-
-        Shares the merged-summary cache (summaries are deterministic per
-        data version) while the sibling keeps private operation counters.
-        """
-        return ApproxEngine(
-            self.inner.sibling(), budget=self._budget, cache=self._sketches
+    def _draw(self) -> _Sample:
+        base = self.inner
+        seed = _SEED if self.seed is None else self.seed
+        while True:
+            version = base.data_version
+            rows = base.num_rows
+            fraction = self.fraction
+            if fraction is None:
+                fraction = min(1.0, INTERACTIVE_SAMPLE_ROWS / max(rows, 1))
+            engine = base.sample(fraction, seed=seed + version)
+            if base.data_version == version:  # else a mutation raced the draw
+                break
+        engine.counter = self._counter
+        sampled = engine.num_rows
+        return _Sample(
+            version,
+            engine,
+            rows / sampled if sampled else 1.0,
+            sampling_error_bound(sampled, rows),
         )
 
-    # -- error-bound accounting -------------------------------------------------
+    def _current(self) -> _Sample:
+        """The sample of the backend's current data version (drawn lazily)."""
+        sample = self._sample
+        if sample.version == self.inner.data_version:
+            return sample
+        with self._lock:
+            if self._sample.version != self.inner.data_version:
+                self._sample = self._draw()
+            return self._sample
 
-    def _note_error(self, fraction: float) -> None:
-        with self._bound_lock:
-            if fraction > self._max_error:
-                self._max_error = float(fraction)
+    @property
+    def base_engine(self) -> ExecutionBackend:
+        """The unsampled backend (what exact refinement runs on)."""
+        return self.inner
+
+    @property
+    def scale_factor(self) -> float:
+        """Inverse sampling rate used to extrapolate counts."""
+        return self._current().scale
 
     def take_error_bound(self) -> float:
-        """The worst error bound reported since the last drain (and reset)."""
-        with self._bound_lock:
-            bound, self._max_error = self._max_error, 0.0
-        return bound
+        """The bound every answer from the current sample carries."""
+        return self._current().bound
 
-    # -- sketch access ----------------------------------------------------------
+    def sibling(self) -> "ApproxEngine":
+        """A view over a sibling of the decorated backend: same sampled
+        rows (the backend memoizes them per version and seed), private
+        cache and counters."""
+        return ApproxEngine(self.inner.sibling(), self.fraction, self.seed)
 
-    def _state(self) -> Tuple[int, PartitionedTable]:
-        """The wrapped engine's live ``(version, shard set)``, atomically.
-
-        Uses the shared :class:`~repro.live.VersionedTable` memo, so the
-        sketches attached to a superseded shard set can never answer a
-        query against newer data.
-        """
-        source = self.inner.source
-        partitions = self.inner.partitions
-        version, snapshot = source.state()
-        sharded = source.partitioned(partitions)
-        if sharded.table is not snapshot:  # pragma: no cover - mutation race
-            sharded = PartitionedTable(snapshot, partitions)
-        return version, sharded
-
-    def _tier(self, sharded: PartitionedTable) -> TableSketches:
-        return sharded.sketches(self._budget)
-
-    def _quantile_summary(
-        self, attribute: str, version: int, tier: TableSketches
-    ) -> MergeableQuantileSketch:
-        key = f"sketch:quantile:{self._budget}:{attribute}"
-        return self._sketches.get_or_compute(
-            key, lambda: tier.merged_quantile(attribute), version=version
-        )
-
-    def _nominal_summary(
-        self, attribute: str, version: int, tier: TableSketches
-    ) -> NominalCountSketch:
-        key = f"sketch:nominal:{self._budget}:{attribute}"
-        return self._sketches.get_or_compute(
-            key, lambda: tier.merged_nominal(attribute), version=version
-        )
-
-    # -- selectivities ----------------------------------------------------------
-
-    def _normalise(self, column: Any, value: Any) -> Any:
-        """A predicate value in the column's ``value_counts`` domain.
-
-        Mirrors the encodings ``mask_set`` applies, raising the same
-        errors, so an unanswerable predicate fails identically here.
-        """
-        if isinstance(column, NumericColumn):
-            return column._decode_scalar(column._encode_bound(value))
-        if isinstance(column, BoolColumn):
-            return bool(coerce_value(value, DataType.BOOL))
-        return str(value)
-
-    def _selectivity(
-        self,
-        predicate: Predicate,
-        version: int,
-        sharded: PartitionedTable,
-        tier: TableSketches,
-    ) -> Tuple[float, float]:
-        """``(fraction, error_fraction)`` of rows the predicate selects.
-
-        Fractions are relative to the full table (missing values never
-        satisfy a constraint, and the sketches only summarise valid
-        rows, so no missing-value correction is needed).
-        """
-        rows = sharded.num_rows
-        if rows == 0:
-            return 0.0, 0.0
-        column = sharded.table.column(predicate.attribute)
-        if isinstance(predicate, RangePredicate) and isinstance(
-            column, NumericColumn
-        ):
-            sketch = self._quantile_summary(predicate.attribute, version, tier)
-            estimate, error = sketch.range_weight(
-                column._encode_bound(predicate.low),
-                column._encode_bound(predicate.high),
-                predicate.include_low,
-                predicate.include_high,
-            )
-            return estimate / rows, error / rows
-        nominal = self._nominal_summary(predicate.attribute, version, tier)
-        if isinstance(predicate, RangePredicate):
-            low, high = str(predicate.low), str(predicate.high)
-            estimate = sum(
-                count
-                for value, count in nominal.counts.items()
-                if self._within(value, low, high, predicate)
-            )
-            return estimate / rows, nominal.spilled_weight / rows
-        if isinstance(predicate, (SetPredicate, ExclusionPredicate)):
-            members = {self._normalise(column, v) for v in predicate.values}
-            selected = sum(nominal.estimate(value)[0] for value in members)
-            error = len(members) * nominal.max_dropped
-            if isinstance(predicate, SetPredicate):
-                return selected / rows, error / rows
-            return (nominal.total_weight - selected) / rows, error / rows
-        return 1.0, 0.0
-
-    @staticmethod
-    def _within(value: Any, low: str, high: str, predicate: RangePredicate) -> bool:
-        text = str(value)
-        if predicate.include_low:
-            if text < low:
-                return False
-        elif text <= low:
-            return False
-        if predicate.include_high:
-            if text > high:
-                return False
-        elif text >= high:
-            return False
-        return True
-
-    def _query_selectivity(
-        self,
-        query: Optional[SDLQuery],
-        version: int,
-        sharded: PartitionedTable,
-        tier: TableSketches,
-        skip_attribute: Optional[str] = None,
-    ) -> Tuple[float, float, float]:
-        """``(estimate, low, high)`` of the query's joint selectivity.
-
-        Marginal intervals multiply (the independence assumption); the
-        interval is exact for a single constrained predicate and a
-        propagated heuristic beyond that.
-        """
-        estimate = low = high = 1.0
-        if query is None:
-            return estimate, low, high
-        for predicate in query.predicates:
-            if not predicate.is_constrained:
-                continue
-            if predicate.attribute == skip_attribute:
-                continue
-            fraction, error = self._selectivity(predicate, version, sharded, tier)
-            estimate *= fraction
-            low *= max(0.0, fraction - error)
-            high *= min(1.0, fraction + error)
-        return estimate, low, high
-
-    # -- rich approximate answers ------------------------------------------------
+    # -- rich approximate answers -------------------------------------------------
 
     def approx_count(self, query: SDLQuery) -> Estimate:
-        """``|R(Q)|`` as an :class:`Estimate` from merged sketches."""
-        version, sharded = self._state()
-        tier = self._tier(sharded)
-        rows = sharded.num_rows
-        fraction, low, high = self._query_selectivity(query, version, sharded, tier)
-        estimate = int(round(rows * min(1.0, max(0.0, fraction))))
-        bound = max(fraction - low, high - fraction)
-        return Estimate(estimate, min(1.0, bound))
-
-    def _range_on(
-        self, query: Optional[SDLQuery], attribute: str
-    ) -> Optional[RangePredicate]:
-        if query is None:
-            return None
-        for predicate in query.predicates:
-            if (
-                isinstance(predicate, RangePredicate)
-                and predicate.attribute == attribute
-            ):
-                return predicate
-        return None
+        """``|R(Q)|`` as an :class:`Estimate`: the sample count scaled to ``|T|``."""
+        sample = self._current()
+        return Estimate(
+            int(round(sample.engine.count(query) * sample.scale)), sample.bound
+        )
 
     def approx_median(
         self, attribute: str, query: Optional[SDLQuery] = None
     ) -> Estimate:
-        """Median of ``attribute`` from the merged quantile sketch.
+        """Median of ``attribute`` over the sampled selection, as an :class:`Estimate`."""
+        sample = self._current()
+        return Estimate(sample.engine.median(attribute, query), sample.bound)
 
-        The query's own range constraint on ``attribute`` restricts the
-        sketch; constraints on *other* attributes are ignored (the
-        marginal, independence-flavoured answer).  The bound is the rank
-        tolerance of the answered quantile.
-        """
-        version, sharded = self._state()
-        tier = self._tier(sharded)
-        column = sharded.table.column(attribute)
-        if isinstance(column, NumericColumn):
-            sketch = self._quantile_summary(attribute, version, tier)
-            own = self._range_on(query, attribute)
-            if own is not None:
-                sketch = sketch.restrict(
-                    column._encode_bound(own.low),
-                    column._encode_bound(own.high),
-                    own.include_low,
-                    own.include_high,
-                )
-            if sketch.total_weight == 0:
-                raise EmptyColumnError(
-                    f"median of empty selection on {attribute!r}"
-                )
-            value = column._decode_median(sketch.quantile(0.5))
-            return Estimate(value, sketch.rank_error_fraction)
-        nominal = self._nominal_summary(attribute, version, tier)
-        if nominal.total_weight == 0 or not nominal.counts:
-            raise EmptyColumnError(f"median of empty selection on {attribute!r}")
-        target = nominal.total_weight / 2
-        cumulative = 0
-        value = None
-        for value, count in sorted(nominal.counts.items(), key=lambda kv: str(kv[0])):
-            cumulative += count
-            if cumulative >= target:
-                break
-        bound = (
-            nominal.spilled_weight / nominal.total_weight
-            if nominal.total_weight
-            else 0.0
-        )
-        return Estimate(value, min(1.0, bound))
+    # -- ExecutionBackend protocol: the statistics, from the sample -----------------
 
-    # -- ExecutionBackend protocol (approximate) ----------------------------------
+    @property
+    def counter(self) -> OperationCounter:
+        return self._counter
+
+    def reset(self) -> None:
+        self._counter.reset()
 
     def count(self, query: SDLQuery) -> int:
-        parent = current_span()
-        if parent is None:
-            self.counter.add(count_calls=1)
-            answer = self.approx_count(query)
-            self._note_error(answer.error_bound)
-            return int(answer.estimate)
-        started = time.perf_counter()
-        self.counter.add(count_calls=1)
-        answer = self.approx_count(query)
-        self._note_error(answer.error_bound)
-        parent.record(
-            "approx.count",
-            time.perf_counter() - started,
-            approximate=True,
-            error_bound=answer.error_bound,
-        )
-        return int(answer.estimate)
-
-    def cover(self, query: SDLQuery, context: Optional[SDLQuery] = None) -> float:
-        numerator = self.count(query)
-        if context is None:
-            denominator = self.num_rows
-        else:
-            denominator = self.count(context)
-        if denominator == 0:
-            return 0.0
-        return numerator / denominator
-
-    def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
-        parent = current_span()
-        if parent is None:
-            self.counter.add(median_calls=1)
-            answer = self.approx_median(attribute, query)
-            self._note_error(answer.error_bound)
-            return answer.estimate
-        started = time.perf_counter()
-        self.counter.add(median_calls=1)
-        answer = self.approx_median(attribute, query)
-        self._note_error(answer.error_bound)
-        parent.record(
-            "approx.median",
-            time.perf_counter() - started,
-            approximate=True,
-            error_bound=answer.error_bound,
-            attribute=attribute,
-        )
-        return answer.estimate
-
-    def minmax(
-        self, attribute: str, query: Optional[SDLQuery] = None
-    ) -> Tuple[Any, Any]:
-        """Exact per-shard extrema, clipped to the query's own range.
-
-        Extrema merge exactly across shards (one scan each, memoized), so
-        the unconstrained answer matches the exact engine; a range
-        constraint on the attribute itself clips the interval, other
-        constraints are ignored.
-        """
-        self.counter.add(minmax_calls=1)
-        version, sharded = self._state()
-        tier = self._tier(sharded)
-        _, valid, minimum, maximum = tier.merged_stats(attribute)
-        if valid == 0:
-            raise EmptyColumnError(
-                f"minimum of empty selection on {attribute!r}"
-            )
-        own = self._range_on(query, attribute)
-        if own is not None:
-            column = sharded.table.column(attribute)
-            if isinstance(column, NumericColumn):
-                low = column._decode_scalar(column._encode_bound(own.low))
-                high = column._decode_scalar(column._encode_bound(own.high))
-                minimum = max(minimum, low)
-                maximum = min(maximum, high)
-                if minimum > maximum:
-                    raise EmptyColumnError(
-                        f"minimum of empty selection on {attribute!r}"
-                    )
-        return minimum, maximum
-
-    def value_frequencies(
-        self, attribute: str, query: Optional[SDLQuery] = None
-    ) -> Dict[Any, int]:
-        """Marginal value counts, scaled by the other attributes' selectivity."""
-        self.counter.add(frequency_calls=1)
-        version, sharded = self._state()
-        tier = self._tier(sharded)
-        nominal = self._nominal_summary(attribute, version, tier)
-        counts: Dict[Any, int] = dict(nominal.counts)
-        column = sharded.table.column(attribute)
-        own = None if query is None else [
-            predicate
-            for predicate in query.predicates
-            if predicate.is_constrained and predicate.attribute == attribute
-        ]
-        if own:
-            for predicate in own:
-                counts = {
-                    value: count
-                    for value, count in counts.items()
-                    if self._satisfies(column, value, predicate)
-                }
-        scale, low, high = self._query_selectivity(
-            query, version, sharded, tier, skip_attribute=attribute
-        )
-        spill = (
-            nominal.spilled_weight / sharded.num_rows if sharded.num_rows else 0.0
-        )
-        self._note_error(min(1.0, max(scale - low, high - scale) + spill))
-        if scale >= 1.0:
-            return counts
-        scaled = {
-            value: int(round(count * scale)) for value, count in counts.items()
-        }
-        return {value: count for value, count in scaled.items() if count > 0}
-
-    def _satisfies(self, column: Any, value: Any, predicate: Predicate) -> bool:
-        """Whether a retained sketch value satisfies its own-attribute predicate."""
-        if isinstance(predicate, RangePredicate):
-            if isinstance(column, NumericColumn):
-                low = column._decode_scalar(column._encode_bound(predicate.low))
-                high = column._decode_scalar(column._encode_bound(predicate.high))
-                if predicate.include_low:
-                    if value < low:
-                        return False
-                elif value <= low:
-                    return False
-                if predicate.include_high:
-                    if value > high:
-                        return False
-                elif value >= high:
-                    return False
-                return True
-            return self._within(value, str(predicate.low), str(predicate.high), predicate)
-        if isinstance(predicate, SetPredicate):
-            return value in {self._normalise(column, v) for v in predicate.values}
-        if isinstance(predicate, ExclusionPredicate):
-            return value not in {self._normalise(column, v) for v in predicate.values}
-        return True
-
-    def distinct_count(self, attribute: str, query: Optional[SDLQuery] = None) -> int:
-        return len(self.value_frequencies(attribute, query))
+        return self.approx_count(query).estimate
 
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
-        self.counter.add(batch_calls=1)
-        return tuple(self.count(query) for query in queries)
+        sample = self._current()
+        return tuple(
+            int(round(count * sample.scale))
+            for count in sample.engine.count_batch(queries)
+        )
+
+    def cover(self, query: SDLQuery, context: Optional[SDLQuery] = None) -> float:
+        """Covers are scale-free: both operands come from the sample."""
+        return self._current().engine.cover(query, context)
+
+    def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
+        return self.approx_median(attribute, query).estimate
 
     def median_batch(
         self, attribute: str, queries: Sequence[Optional[SDLQuery]]
     ) -> Tuple[Any, ...]:
-        self.counter.add(batch_calls=1)
-        return tuple(self.median(attribute, query) for query in queries)
+        return self._current().engine.median_batch(attribute, queries)
 
-    def counts_for(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
-        return tuple(self.count(query) for query in queries)
+    def minmax(
+        self, attribute: str, query: Optional[SDLQuery] = None
+    ) -> Tuple[Any, Any]:
+        return self._current().engine.minmax(attribute, query)
+
+    def value_frequencies(
+        self, attribute: str, query: Optional[SDLQuery] = None
+    ) -> Dict[Any, int]:
+        return self._current().engine.value_frequencies(attribute, query)
+
+    def distinct_count(self, attribute: str, query: Optional[SDLQuery] = None) -> int:
+        return self._current().engine.distinct_count(attribute, query)
+
+    def hint_parent(self, child: SDLQuery, parent: SDLQuery) -> None:
+        """Drill-down breadcrumbs belong to the engine that scans: the sample's."""
+        hint = getattr(self._current().engine, "hint_parent", None)
+        if hint is not None:
+            hint(child, parent)
+
+    def stats(self) -> Dict[str, Any]:
+        sample = self._current()
+        inner_stats = self.inner.stats()
+        return {
+            **inner_stats,
+            "backend": f"sampled({inner_stats.get('backend', 'unknown')})",
+            "operations": self._counter.snapshot(),
+            "sample": {
+                "rows": sample.engine.num_rows,
+                "scale_factor": sample.scale,
+                "error_bound": sample.bound,
+                "confidence": CONFIDENCE,
+            },
+        }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        sample = self._sample
         return (
             f"ApproxEngine(table={self.name!r}, rows={self.num_rows}, "
-            f"budget={self._budget})"
+            f"sample_rows={sample.engine.num_rows}, error_bound={sample.bound:.4f})"
         )

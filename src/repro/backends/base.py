@@ -13,8 +13,9 @@ Conforming implementations shipped with the repo:
 
 * :class:`~repro.storage.engine.QueryEngine` — the in-memory columnar
   engine (spec ``"memory"``);
-* :class:`~repro.storage.sampling.SampledEngine` — a wrapper that answers
-  statistics from a uniform sample of any backend (``"memory?sample=f"``);
+* :class:`~repro.backends.approx.ApproxEngine` — a wrapper that answers
+  statistics from a uniform sample of any backend, with an error bound
+  (``"memory?sample=f"``, ``advise(mode="interactive")``);
 * :class:`~repro.backends.sqlite.SQLiteBackend` — executes segments by
   rendering SDL through the :mod:`repro.storage.sql` glue against a
   ``sqlite3`` database (spec ``"sqlite"`` / ``"sqlite:///path.db#table"``);
@@ -90,9 +91,9 @@ class ExecutionBackend(Protocol):
     ``ingest``/``delete_where`` bump the monotonic ``data_version`` and
     surgically evict superseded cache entries, and callers (sessions, the
     service layer, remote clients) compare versions to detect stale
-    advice.  Backends that cannot mutate (frozen statistical views such
-    as :class:`~repro.storage.sampling.SampledEngine`) still expose the
-    members but raise on mutation.
+    advice.  The approximate view
+    (:class:`~repro.backends.approx.ApproxEngine`) mutates the backend it
+    decorates and resamples on its next call.
     """
 
     @property
@@ -148,10 +149,9 @@ class ExecutionBackend(Protocol):
 class BackendWrapper:
     """Base class for backends that decorate another backend.
 
-    :class:`~repro.storage.sampling.SampledEngine` and
-    :class:`~repro.service.batching.BatchedEngine` used to *subclass* the
-    concrete ``QueryEngine``; they now wrap **any**
-    :class:`ExecutionBackend` instead, overriding only the operations they
+    :class:`~repro.backends.approx.ApproxEngine` and
+    :class:`~repro.service.batching.BatchedEngine` wrap **any**
+    :class:`ExecutionBackend`, overriding only the operations they
     change.  Every protocol member delegates to the wrapped backend;
     optional capabilities (``table``, ``evaluate``, ``materialize``,
     ``cache`` …) pass through via ``__getattr__`` so a wrapper is exactly

@@ -4,15 +4,14 @@ A backend *spec* is a compact URI-like string::
 
     memory                      the in-memory columnar QueryEngine; it picks
                                 its own access path per query
-    memory?sample=0.1&seed=7    SampledEngine over a 10% uniform sample
+    memory?sample=0.1&seed=7    the approximate view (ApproxEngine) over a 10%
+                                uniform sample: scaled counts with an error bound
     memory?cache=512            engine options as query parameters
     memory?index=zonemap,bitmap force exactly these index features
                                 (index=all, index=none: every one, the plain scan)
     memory?workers=4            a 4-worker pool; one shard per worker, fanned
                                 out when the shards are large enough
     memory?partitions=4&workers=2   force 4 shards, always mapped through the pool
-    memory?approx=1             ApproxEngine: sketch answers with error bounds
-    memory?approx=4096          … with a 4096-item retention budget per sketch
     sqlite                      load the table into an in-memory SQLite db
     sqlite?sample=0.25          … sampled, materialised inside SQLite
     sqlite:///path/to/db.db#t   open table ``t`` of an existing database
@@ -37,13 +36,13 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 from urllib.parse import parse_qsl, unquote
 
+from repro.backends.approx import ApproxEngine
 from repro.backends.base import ExecutionBackend
 from repro.backends.pool import ExecutorPool
 from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError, StorageError
 from repro.storage.cache import ResultCache
 from repro.storage.engine import QueryEngine, resolve_index_features
-from repro.storage.sampling import SampledEngine
 from repro.storage.table import Table
 
 __all__ = [
@@ -151,41 +150,11 @@ def _spec_number(spec: BackendSpec, key: str, kind: type = int) -> Optional[Any]
 def _maybe_sampled(
     backend: ExecutionBackend, spec: BackendSpec
 ) -> ExecutionBackend:
-    """Wrap a backend in a :class:`SampledEngine` when ``sample=f`` is set."""
+    """Decorate a backend with the approximate view when ``sample=f`` is set."""
     fraction = _spec_number(spec, "sample", float)
     if fraction is None or fraction >= 1.0:
         return backend
-    return SampledEngine(backend, fraction=fraction, seed=_spec_number(spec, "seed"))
-
-
-def _maybe_approx(
-    backend: ExecutionBackend, spec: BackendSpec
-) -> ExecutionBackend:
-    """Wrap a backend in an :class:`ApproxEngine` when ``approx=...`` is set.
-
-    ``approx=1`` / ``approx=true`` enables the sketch tier at its default
-    budget; ``approx=N`` (N > 1) sets the per-sketch retention budget.
-    Composable with ``partitions``/``workers``/``index``; combining with
-    ``sample=`` is rejected — both are statistical views and stacking
-    them would make the reported error bounds meaningless.
-    """
-    raw = spec.params.get("approx")
-    if raw is None or raw.strip().lower() in ("", "0", "false", "no", "off"):
-        return backend
-    if _spec_number(spec, "sample", float) is not None:
-        raise BackendError(
-            "backend parameters 'approx' and 'sample' cannot be combined"
-        )
-    from repro.backends.approx import ApproxEngine
-    from repro.storage.sketches import DEFAULT_SKETCH_BUDGET
-
-    try:
-        budget = int(raw)
-    except ValueError:
-        budget = DEFAULT_SKETCH_BUDGET
-    if budget <= 1:
-        budget = DEFAULT_SKETCH_BUDGET
-    return ApproxEngine(backend, budget=budget)
+    return ApproxEngine(backend, fraction=fraction, seed=_spec_number(spec, "seed"))
 
 
 def _memory_factory(
@@ -229,7 +198,7 @@ def _memory_factory(
         partitions=partitions,
         pool=pool,
     )
-    return _maybe_sampled(_maybe_approx(engine, spec), spec)
+    return _maybe_sampled(engine, spec)
 
 
 def _sqlite_factory(

@@ -126,8 +126,8 @@ def build_parser() -> argparse.ArgumentParser:
     advise.add_argument("--context", help="SDL query or SQL WHERE clause")
     advise.add_argument("--columns", nargs="*", help="columns forming the context")
     advise.add_argument("--approximate", action="store_true",
-                        help="rank from the mergeable sketch tier instead of "
-                             "exact scans: answers arrive faster and carry an "
+                        help="advise on a uniform sample of the rows instead "
+                             "of every row: answers arrive faster and carry an "
                              "explicit error bound")
     advise.add_argument("--show-distribution", metavar="ATTR",
                         help="also plot this attribute's distribution per segment "
@@ -257,9 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
                       help="recompute the current context's advice against "
                            "the newest data version (advise)")
     call.add_argument("--mode", choices=("exact", "interactive"), default=None,
-                      help="advise mode: interactive serves sketch-ranked "
-                           "approximate advice the refine op later replaces "
-                           "(advise)")
+                      help="advise mode: interactive serves approximate "
+                           "advice from a uniform sample, which the refine op "
+                           "later replaces (advise)")
     call.add_argument("--limit", type=int, default=None,
                       help="max entries per operation (slow_ops)")
     call.add_argument("--timeout", type=float, default=30.0,
@@ -369,17 +369,17 @@ def _command_demo(args: argparse.Namespace) -> int:
 def _command_advise(args: argparse.Namespace) -> int:
     table = _load_table(args)
     advisor = _make_advisor(table, args)
-    mode = "interactive" if getattr(args, "approximate", False) else "exact"
+    mode = "interactive" if getattr(args, "approximate", False) else None
     advice = advisor.advise(
         _resolve_context(args), max_answers=args.max_answers, mode=mode
     )
     print(render_advice(advice, style=args.style))
     if advice.approximate:
-        note = "approximate advice (sketch tier)"
+        note = "approximate advice (uniform sample)"
         if advice.error_bound is not None:
-            note += f": estimates within ±{advice.error_bound:.1%} of exact"
+            note += f": counts within ±{advice.error_bound:.1%} of the table's rows"
         print()
-        print(note + "; re-run without --approximate for exact numbers")
+        print(note + "; re-run without --approximate/--sample for exact numbers")
     probe = getattr(args, "show_distribution", None)
     if probe and advice.answers:
         print()

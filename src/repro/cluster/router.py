@@ -98,7 +98,7 @@ class SessionJournal:
                 return  # refresh recomputes in place, context unchanged
             advise: Dict[str, Any] = {"context": params.get("context")}
             mode = params.get("mode")
-            if isinstance(mode, str) and mode != "exact":
+            if isinstance(mode, str):  # null: the node's default, on replay too
                 advise["mode"] = mode
             self.advise_params = advise
             self.drills.clear()
@@ -113,7 +113,7 @@ class SessionJournal:
             # The session's current advice is now exact; replay as an
             # exact advise (deterministically identical, one op cheaper).
             if self.advise_params is not None:
-                self.advise_params.pop("mode", None)
+                self.advise_params["mode"] = "exact"
 
     def replay_payloads(self, session: str) -> List[Dict[str, Any]]:
         """The request envelopes that rebuild this session from nothing."""

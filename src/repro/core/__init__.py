@@ -83,13 +83,6 @@ from repro.core.interestingness import (
     segment_surprise,
     segmentation_interestingness,
 )
-from repro.core.provenance import (
-    advice_record,
-    answer_record,
-    segmentation_record,
-    session_record,
-    session_to_json,
-)
 from repro.core.baselines import (
     all_facet_segmentations,
     clique_like_segmentation,
@@ -163,11 +156,6 @@ __all__ = [
     "divergence_from_counts",
     "segment_surprise",
     "segmentation_interestingness",
-    "segmentation_record",
-    "answer_record",
-    "advice_record",
-    "session_record",
-    "session_to_json",
     # baselines
     "facet_segmentation",
     "all_facet_segmentations",

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
+from repro.backends.approx import ApproxEngine
 from repro.backends.base import ExecutionBackend
 from repro.backends.registry import open_backend
 from repro.errors import AdvisorError, SDLSyntaxError
@@ -21,7 +22,6 @@ from repro.sdl.formatter import format_segment_label, format_segmentation
 from repro.sdl.parser import parse_query
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
-from repro.storage.sampling import SampledEngine
 from repro.storage.sql import parse_where
 from repro.storage.statistics import TableProfile, profile_backend, profile_table
 from repro.storage.table import Table
@@ -83,11 +83,12 @@ class RankedAnswer:
 class Advice:
     """Charles' full answer to one context query.
 
-    ``approximate`` advice was ranked from merged sketch estimates
+    ``approximate`` advice was computed on a uniform row sample
     (:class:`~repro.backends.approx.ApproxEngine`); ``error_bound`` is
-    then the worst marginal error fraction any estimate reported during
-    the run.  Exact advice carries the defaults (``False`` / ``None``),
-    so pre-existing payloads decode unchanged.
+    then the bound every count and median of the run carries — a
+    fraction of ``|T|``, at the view's fixed confidence.  Exact advice
+    carries the defaults (``False`` / ``None``), so pre-existing payloads
+    decode unchanged.
 
     ``degraded`` advice was served by a cluster node whose table copy is
     known to lag the newest data version (a failover target that missed
@@ -145,7 +146,6 @@ class Charles:
         (executed through the backend selected by ``backend``) or an
         already-built :class:`~repro.backends.base.ExecutionBackend`
         (useful to share caches, or to plug a
-        :class:`~repro.storage.sampling.SampledEngine` or
         :class:`~repro.backends.sqlite.SQLiteBackend` directly).
     config:
         HB-cuts parameters; defaults follow the paper (``max_indep=0.99``,
@@ -153,11 +153,12 @@ class Charles:
     ranker:
         Ranking policy; defaults to the paper's entropy ordering.
     sample_fraction:
-        When set (0 < f < 1), statistics are computed on a uniform sample
-        of the data (Section 5.2's sampling extension) regardless of the
-        backend.
+        When set (0 < f < 1), the advisor's default data is a uniform
+        sample of that rate (Section 5.2's sampling extension), whatever
+        the backend: advice is stamped ``approximate`` with its bound,
+        and ``mode="exact"`` still reaches the unsampled backend.
     seed:
-        Random seed of the sampling engine.
+        Random seed of the samples.
     backend:
         Backend spec resolved through
         :func:`repro.backends.open_backend` when ``table`` is a
@@ -217,30 +218,21 @@ class Charles:
                 )
             self.engine = open_backend(table)
         if sample_fraction is not None and sample_fraction < 1.0:
-            if isinstance(self.engine, SampledEngine):
+            if self.default_mode == "interactive":
                 raise AdvisorError(
                     "the backend already samples; pass either sample_fraction "
                     "or a sampled backend spec (e.g. 'memory?sample=0.1'), "
                     "not both"
                 )
-            # Sample whatever backend was opened (SQLite samples in SQL);
-            # the plain-table fast path keeps the historical behaviour.
-            source: Union[Table, ExecutionBackend] = (
-                table
-                if isinstance(table, Table) and (backend or "memory") == "memory"
-                else self.engine
-            )
-            self.engine = SampledEngine(
-                source, fraction=sample_fraction, seed=seed, cache_size=cache_size
+            self.engine = ApproxEngine(
+                self.engine, fraction=sample_fraction, seed=seed
             )
         self.config = config or HBCutsConfig()
         self.ranker = ranker or EntropyRanker()
         self.pool = pool
         self._generator = HBCuts(self.config)
-        # Lazily built approximate tier for advise(mode="interactive");
-        # wraps a sibling so approximate runs keep private counters and
-        # never touch the exact engine's cache.
-        self._approx: Optional[ExecutionBackend] = None
+        # The view advise(mode="interactive") runs on, built on first use.
+        self._view: Optional[ExecutionBackend] = None
 
     @property
     def table(self) -> Optional[Table]:
@@ -308,52 +300,38 @@ class Charles:
 
     # -- main entry points -------------------------------------------------------
 
+    @property
+    def default_mode(self) -> str:
+        """The mode an advise without one runs in: ``interactive`` when the
+        configured backend is itself the sampled view, else ``exact``."""
+        return "interactive" if hasattr(self.engine, "take_error_bound") else "exact"
+
     def _advice_engine(self, mode: str) -> ExecutionBackend:
-        """The engine one advise run executes against.
+        """The data one advise run executes against.
 
-        ``exact`` uses the configured backend — unwrapped to its inner
-        engine when the backend itself is approximate (a
-        ``memory?approx=...`` spec), so refinement is always truly exact.
-        ``interactive`` routes through the sketch tier: the configured
-        backend if it already *is* approximate, else a lazily built
-        :class:`~repro.backends.approx.ApproxEngine` over a **sibling**
-        of the exact engine — private counters, private sketch cache,
-        zero traffic on the exact result cache, so a later exact run is
-        byte-identical to one that never went approximate.
+        ``exact`` is the unsampled backend, ``interactive`` the sampled
+        view of it (:class:`~repro.backends.approx.ApproxEngine`): the
+        configured backend when it already is one of the two, else the
+        view's ``base_engine``, or a view of
+        :data:`~repro.backends.approx.INTERACTIVE_SAMPLE_ROWS` rows built
+        on first use.  The view scans its own sample through its own
+        cache and counter, so a later exact run is byte-identical to one
+        that never went approximate.
         """
+        if mode == self.default_mode:
+            return self.engine
         if mode == "exact":
-            if hasattr(self.engine, "take_error_bound"):
-                inner = getattr(self.engine, "inner", None)
-                if inner is not None:
-                    return inner
-            return self.engine
-        if hasattr(self.engine, "take_error_bound"):
-            return self.engine
-        if self._approx is None:
-            from repro.backends.approx import ApproxEngine
-            from repro.errors import BackendError
-
-            sibling = getattr(self.engine, "sibling", None)
-            if sibling is None:
-                raise AdvisorError(
-                    "interactive advise requires a memory-backed engine "
-                    f"(got {type(self.engine).__name__})"
-                )
-            try:
-                self._approx = ApproxEngine(sibling())
-            except BackendError as exc:
-                raise AdvisorError(
-                    f"interactive advise is unavailable on this backend: "
-                    f"{exc.message}"
-                ) from exc
-        return self._approx
+            return self.engine.base_engine
+        if self._view is None:
+            self._view = ApproxEngine(self.engine)
+        return self._view
 
     def advise(
         self,
         context: ContextLike = None,
         max_answers: Optional[int] = 10,
         attributes: Optional[Sequence[str]] = None,
-        mode: str = "exact",
+        mode: Optional[str] = None,
     ) -> Advice:
         """Answer a context query with ranked segmentations.
 
@@ -367,20 +345,21 @@ class Charles:
             Restrict exploration to these attributes instead of every
             attribute the context mentions.
         mode:
-            ``"exact"`` (default) scans; ``"interactive"`` ranks from
-            merged sketches and stamps the advice ``approximate`` with
-            its worst reported ``error_bound`` — the fast first answer
-            an exact refinement then replaces.
+            ``"exact"`` runs on the unsampled backend; ``"interactive"``
+            on a uniform sample of it, stamping the advice
+            ``approximate`` with its ``error_bound`` — the fast first
+            answer an exact refinement then replaces.  ``None`` is
+            :attr:`default_mode`.
         """
+        if mode is None:
+            mode = self.default_mode
         if mode not in ("exact", "interactive"):
             raise AdvisorError(
                 f"unknown advise mode {mode!r}; expected 'exact' or 'interactive'"
             )
         resolved = self.resolve_context(context)
         engine = self._advice_engine(mode)
-        approximate = hasattr(engine, "take_error_bound")
-        if approximate:
-            engine.take_error_bound()  # drain bounds left by earlier runs
+        approximate = mode == "interactive"
         operations_before = engine.counter.snapshot()
         result: HBCutsResult = self._generator.run(engine, resolved, attributes)
         ranked = self.ranker.rank(result.segmentations)

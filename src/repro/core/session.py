@@ -117,13 +117,13 @@ class ExplorationSession:
 
     advisor: Charles
     max_answers: int = 10
-    advise_fn: Optional[Callable[[SDLQuery, int, str], Advice]] = None
+    advise_fn: Optional[Callable[[SDLQuery, int, Optional[str]], Advice]] = None
     count_fn: Optional[Callable[[SDLQuery], int]] = None
     _stack: List[ExplorationStep] = field(default_factory=list)
 
     # -- navigation -------------------------------------------------------------
 
-    def start(self, context: ContextLike = None, mode: str = "exact") -> Advice:
+    def start(self, context: ContextLike = None, mode: Optional[str] = None) -> Advice:
         """Begin (or restart) the session at the given context."""
         resolved = self.advisor.resolve_context(context)
         self._stack = [ExplorationStep(context=resolved)]
@@ -150,7 +150,7 @@ class ExplorationSession:
         """The current exploration context."""
         return self.current.context
 
-    def advise(self, refresh: bool = False, mode: str = "exact") -> Advice:
+    def advise(self, refresh: bool = False, mode: Optional[str] = None) -> Advice:
         """Ask Charles for segmentations of the current context (cached per step).
 
         With ``refresh=True`` the step's cached advice (and row count) is
@@ -158,8 +158,9 @@ class ExplorationSession:
         version — the way to bring a session up to date after an ingest
         marked its advice stale (see :meth:`is_stale`).
 
-        With ``mode="interactive"`` a fresh advice is ranked from the
-        sketch tier (``advice.approximate`` is set, with its reported
+        ``mode`` is :meth:`Charles.advise`'s (``None``: the advisor's
+        default).  With ``mode="interactive"`` a fresh advice is computed
+        on the sampled view (``advice.approximate`` is set, with its
         ``error_bound``) and an exact recomputation starts immediately in
         the background; :meth:`refine` swaps it in when it lands.
         """
@@ -177,7 +178,7 @@ class ExplorationSession:
                 version = self.data_version
                 step.advice = self._compute_advice(step.context, mode)
                 step.data_version = version
-                if step.advice.approximate:
+                if mode == "interactive":
                     self._schedule_refinement(step)
             elif current:
                 current.annotate(cached=True)
@@ -189,7 +190,7 @@ class ExplorationSession:
                 )
             return step.advice
 
-    def _compute_advice(self, context: SDLQuery, mode: str) -> Advice:
+    def _compute_advice(self, context: SDLQuery, mode: Optional[str]) -> Advice:
         if self.advise_fn is not None:
             return self.advise_fn(context, self.max_answers, mode)
         return self.advisor.advise(context, max_answers=self.max_answers, mode=mode)

@@ -27,6 +27,8 @@ trivially safe.  :class:`VersionedTable` reconciles the two: it is the one
   the current version per partition count, so engines sharing one source
   **re-shard lazily on growth**: the first operation after a mutation
   rebuilds the (zero-copy) shards, every other sibling reuses them;
+  :meth:`VersionedTable.sampled` memoizes seeded uniform samples of the
+  current version the same way;
 * :meth:`VersionedTable.profile` maintains
   :class:`~repro.live.profile.IncrementalTableProfile` statistics —
   counts, min/max, frequencies, medians and quantiles updated from each
@@ -48,6 +50,7 @@ from repro.errors import StorageError
 from repro.sdl.query import SDLQuery
 from repro.storage.expression import query_mask
 from repro.storage.partition import PartitionedTable
+from repro.storage.sampling import sample_table
 from repro.storage.statistics import TableProfile
 from repro.storage.table import Table
 
@@ -117,6 +120,8 @@ class VersionedTable:
         self._pins: Dict[int, int] = {}
         #: Shard sets of the *current* version: partitions -> PartitionedTable.
         self._partitioned: Dict[int, PartitionedTable] = {}
+        #: Seeded samples of the *current* version: (fraction, seed) -> Table.
+        self._sampled: Dict[Tuple[float, int], Table] = {}
         self._profile: Optional[Any] = None
 
     # -- introspection --------------------------------------------------------
@@ -239,9 +244,10 @@ class VersionedTable:
             self._retained[self._version] = self._current
         self._current = table
         self._version += 1
-        # Shards of the old snapshot are stale; they rebuild lazily (and
-        # zero-copy) on the next partitioned() call.
+        # Shards and samples of the old snapshot are stale; they rebuild
+        # lazily on the next partitioned() / sampled() call.
         self._partitioned.clear()
+        self._sampled.clear()
 
     # -- derived structures ---------------------------------------------------
 
@@ -267,6 +273,24 @@ class VersionedTable:
                 sharded = PartitionedTable(self._current, partitions)
                 self._partitioned[partitions] = sharded
             return sharded
+
+    def sampled(self, fraction: float, seed: Optional[int] = None) -> Table:
+        """A uniform sample of the current version, memoized per seed.
+
+        Engines sharing this source all receive the same sampled table
+        for one ``(fraction, seed)``, exactly as they share shard sets;
+        a mutation clears the memo.  An unseeded sample is drawn afresh
+        on every call.
+        """
+        if seed is None:
+            return sample_table(self.table, fraction=fraction)
+        key = (float(fraction), int(seed))
+        with self._lock:
+            table = self._sampled.get(key)
+            if table is None:
+                table = sample_table(self._current, fraction=fraction, seed=seed)
+                self._sampled[key] = table
+            return table
 
     def profile(self) -> TableProfile:
         """Incrementally maintained statistics of the current snapshot.

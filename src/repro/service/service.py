@@ -464,11 +464,14 @@ class AdvisorService:
         config_key = repr(session.advisor.config)
         ranker_key = _ranker_cache_key(session.advisor.ranker)
 
-        def advise(context: SDLQuery, max_answers: int, mode: str = "exact") -> Advice:
+        def advise(
+            context: SDLQuery, max_answers: int, mode: Optional[str] = None
+        ) -> Advice:
             # Approximate advice caches under its own prefix: an
             # interactive hit must never masquerade as exact (and vice
             # versa), while the exact key format stays unchanged — a
             # refinement populates exactly the entry a plain advise would.
+            mode = mode or session.advisor.default_mode
             prefix = "advice:approx:" if mode == "interactive" else "advice:"
             key = (
                 f"{prefix}{max_answers}:{ranker_key}:{config_key}:"
@@ -495,15 +498,16 @@ class AdvisorService:
         session_name: str,
         context: ContextLike = None,
         refresh: bool = False,
-        mode: str = "exact",
+        mode: Optional[str] = None,
     ) -> Advice:
         """(Re)start a session at a context and return the ranked answers.
 
         ``refresh=True`` with no context recomputes the current context's
         advice against the newest data version (clearing the stale flag)
         without restarting the exploration.  ``mode="interactive"`` serves
-        sketch-ranked approximate advice and schedules its exact
-        refinement in the background (collect with :meth:`refine`).
+        approximate advice from the sampled view and schedules its exact
+        refinement in the background (collect with :meth:`refine`);
+        ``None`` is the table backend's default.
         """
         self._tally()
         return self.session(session_name).advise(context, refresh=refresh, mode=mode)
@@ -642,12 +646,11 @@ class AdvisorService:
             # Peek at the current context's advice without restarting the
             # exploration (RemoteSession.current_advice's path).
             return self.session(request.session).current_advice()
-        mode = params.get("mode")
         return self.advise(
             request.session,
             params.get("context"),
             refresh=bool(params.get("refresh")),
-            mode="exact" if mode is None else mode,
+            mode=params.get("mode"),
         )
 
     def _op_refine(self, request: Request) -> Any:

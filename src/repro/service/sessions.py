@@ -61,7 +61,7 @@ class ServiceSession:
         self,
         context: ContextLike = None,
         refresh: bool = False,
-        mode: str = "exact",
+        mode: Optional[str] = None,
     ) -> Advice:
         """Start (or restart) the session at a context and return advice.
 
@@ -70,10 +70,10 @@ class ServiceSession:
         instead of restarting the exploration — the way to clear the
         stale flag after an ingest without losing the drill-down stack.
 
-        With ``mode="interactive"`` the advice is ranked from the sketch
-        tier (``approximate`` flag and ``error_bound`` set on the advice)
+        With ``mode="interactive"`` the advice is computed on the sampled
+        view (``approximate`` flag and ``error_bound`` set on the advice)
         and an exact refinement starts in the background; collect it with
-        :meth:`refine`.
+        :meth:`refine`.  ``None`` is the advisor's default mode.
         """
         with self._lock:
             self.requests += 1

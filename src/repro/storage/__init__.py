@@ -17,10 +17,9 @@ NumPy-backed, dictionary-encoded column store with exactly that surface:
 * :mod:`repro.storage.index` — bitmap indexes (E17);
 * :mod:`repro.storage.zonemap` — per-partition zone maps and shard
   skipping (the aggregate hot path's skipping-index tier);
-* :mod:`repro.storage.sampling` — sampled engines (paper §5.2, E8);
+* :mod:`repro.storage.sampling` — uniform sampling primitives (paper §5.2, E8);
 * :mod:`repro.storage.sql` — SDL↔SQL translation (Charles as SQL front-end);
-* :mod:`repro.storage.csv_loader`, :mod:`repro.storage.catalog` — ingestion
-  and the multi-dataset registry.
+* :mod:`repro.storage.csv_loader` — CSV ingestion.
 """
 
 from repro.storage.types import DataType
@@ -59,12 +58,7 @@ from repro.storage.statistics import (
     profile_column,
     profile_table,
 )
-from repro.storage.sampling import (
-    SampledEngine,
-    reservoir_sample,
-    sample_table,
-    uniform_sample_indices,
-)
+from repro.storage.sampling import sample_table, uniform_sample_indices
 from repro.storage.sql import (
     count_query_sql,
     parse_where,
@@ -74,7 +68,6 @@ from repro.storage.sql import (
     sql_literal,
 )
 from repro.storage.csv_loader import load_csv, load_csv_text, write_csv
-from repro.storage.catalog import Catalog
 
 __all__ = [
     "DataType",
@@ -108,10 +101,8 @@ __all__ = [
     "profile_table",
     "profile_backend",
     "column_entropy",
-    "SampledEngine",
     "sample_table",
     "uniform_sample_indices",
-    "reservoir_sample",
     "sql_literal",
     "predicate_to_sql",
     "query_to_where",
@@ -121,5 +112,4 @@ __all__ = [
     "load_csv",
     "load_csv_text",
     "write_csv",
-    "Catalog",
 ]

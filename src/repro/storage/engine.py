@@ -649,16 +649,17 @@ class QueryEngine:
             self._metrics_sink = sink
 
     def sample(self, fraction: float, seed: Optional[int] = None) -> "QueryEngine":
-        """An engine over a uniform sample of the table (same engine options)."""
-        from repro.storage.sampling import sample_table
+        """An engine over a uniform sample of the current snapshot.
 
-        sampled = sample_table(self.table, fraction=fraction, seed=seed)
+        The sample's engine is never forced and shares neither this
+        engine's cache nor its counters: a sample is a small table of its
+        own, and the planner serves small tables best unforced (cutting a
+        2 000-row sample into the parent's eight forced shards doubled the
+        cost of an advise).  Siblings share one sampled table per data
+        version and seed through the source's memo.
+        """
         return QueryEngine(
-            sampled,
-            cache_size=self._cache_size,
-            use_index=self._forced_features,
-            partitions=self._forced_partitions,
-            pool=self._pool,
+            self._source.sampled(fraction, seed), cache_size=self._cache_size
         )
 
     # -- cache --------------------------------------------------------------

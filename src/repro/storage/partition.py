@@ -31,7 +31,7 @@ shards contribute empty partials).
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -106,8 +106,6 @@ class PartitionedTable:
             ]
         self._skipping_lock = threading.Lock()
         self._skipping: Optional[Any] = None
-        self._sketches_lock = threading.Lock()
-        self._sketch_tiers: Dict[int, Any] = {}
 
     # -- introspection --------------------------------------------------------
 
@@ -154,27 +152,6 @@ class PartitionedTable:
 
                 self._skipping = SkippingIndexes(self)
             return self._skipping
-
-    def sketches(self, budget: Optional[int] = None) -> "Any":
-        """The shared :class:`~repro.storage.sketches.TableSketches` tier.
-
-        Built lazily per retention budget and memoized on the partitioned
-        table itself, exactly like :meth:`skipping`, so every approximate
-        engine over the same shard set reuses one set of per-shard
-        sketches.  Version keying is inherited the same way: live tables
-        memoize one ``PartitionedTable`` per data version
-        (:meth:`repro.live.VersionedTable.partitioned`) and drop it on
-        mutation, taking the attached sketches with it.
-        """
-        from repro.storage.sketches import DEFAULT_SKETCH_BUDGET, TableSketches
-
-        resolved = DEFAULT_SKETCH_BUDGET if budget is None else max(2, int(budget))
-        with self._sketches_lock:
-            tier = self._sketch_tiers.get(resolved)
-            if tier is None:
-                tier = TableSketches(self, budget=resolved)
-                self._sketch_tiers[resolved] = tier
-            return tier
 
     # -- partition-aware evaluation -------------------------------------------
 

@@ -1,31 +1,30 @@
-"""Mergeable per-shard sketches for the approximate query tier.
-
-The paper frames Charles as a *latency-bound interactive* system: the
-analyst needs a ranked next step before their attention drifts, and the
-exact answer can catch up afterwards.  This module provides the summary
-structures that make the first answer cheap:
+"""Mergeable fixed-budget summaries of one column.
 
 * :class:`MergeableQuantileSketch` — a fixed-budget weighted summary of a
-  numeric (or date) column.  It is **mergeable**: per-shard sketches
-  combine into one table-level sketch whose rank error is the *sum* of
-  the parts' tracked errors plus the compaction stride, so the merged
-  sketch still reports an honest bound.  Construction is vectorised
-  (one sort per shard column), which is what makes sketch-building
-  dramatically cheaper than repeated scan-based aggregation.
+  numeric (or date) column.  It is **mergeable**: sketches combine into
+  one whose rank error is the *sum* of the parts' tracked errors plus the
+  compaction stride, so the merged sketch still reports an honest bound.
+  Construction is vectorised (one sort per input).  The latency
+  histograms of :mod:`repro.obs.metrics` are built on it.
 * :class:`NominalCountSketch` — a capped value → count summary of a
   nominal column with exact spill accounting: values beyond the cap are
   dropped but their total mass and the largest dropped count are kept,
   so per-value estimates carry a provable undercount bound.
 * :class:`TableSketches` — the lazy per-``(shard, attribute)`` registry
-  hanging off one :class:`~repro.storage.partition.PartitionedTable`,
-  exactly like :class:`~repro.storage.zonemap.SkippingIndexes`: version
-  keying is inherited from :meth:`repro.live.VersionedTable.partitioned`,
-  so ingest/delete invalidation is free.
+  over one :class:`~repro.storage.partition.PartitionedTable`.
+
+No request path reads the last two: approximate answers come
+from a row sample (:mod:`repro.backends.approx`), because per-column
+summaries cannot see the dependence between attributes the advisor
+looks for.  They stay only because ``bench/spans.py`` wraps
+``TableSketches.quantile_sketch`` / ``.nominal_sketch`` by name and a PR
+that is not a ``[benchmark]`` PR may not edit ``bench/``; the next one
+deletes them.
 
 Determinism is a design requirement, not an accident: there is no
 randomness anywhere (stride compaction picks centred representatives),
-so the differential harness can assert *exact* containment of every
-estimate within its reported bound, reproducibly.
+so tests can assert *exact* containment of every estimate within its
+reported bound, reproducibly.
 """
 
 from __future__ import annotations
@@ -217,59 +216,6 @@ class MergeableQuantileSketch:
         index = int(np.searchsorted(cumulative, target, side="left"))
         return float(self.values[min(index, self.values.size - 1)])
 
-    def weight_below(self, value: float, inclusive: bool) -> int:
-        """Estimated number of rows with value ``< value`` (or ``<=``)."""
-        side = "right" if inclusive else "left"
-        position = int(np.searchsorted(self.values, float(value), side=side))
-        if position == 0:
-            return 0
-        return int(np.cumsum(self.weights[:position])[-1])
-
-    def range_weight(
-        self,
-        low: float,
-        high: float,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> Tuple[int, int]:
-        """``(estimate, error_bound)`` for rows with value in the interval.
-
-        Each endpoint's threshold rank carries at most ``rank_error +
-        max_item_weight`` of error, so the interval estimate is within
-        twice that of the true count — an exact, testable bound.
-        """
-        upper = self.weight_below(high, include_high)
-        lower = self.weight_below(low, not include_low)
-        estimate = max(0, upper - lower)
-        error = min(
-            self.total_weight, 2 * (self.rank_error + self.max_item_weight)
-        )
-        return estimate, error
-
-    def restrict(
-        self,
-        low: float,
-        high: float,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> "MergeableQuantileSketch":
-        """The sub-sketch of retained items inside the interval.
-
-        Used for conditioned medians (``median(a, Q)`` where ``Q``
-        constrains ``a`` itself).  The restriction keeps the parent's
-        tracked rank error: items near the cut boundary may misplace up
-        to that many rows.
-        """
-        data = self.values
-        low_mask = data >= low if include_low else data > low
-        high_mask = data <= high if include_high else data < high
-        keep = low_mask & high_mask
-        weights = self.weights[keep]
-        total = int(weights.sum()) if weights.size else 0
-        return MergeableQuantileSketch(
-            self.budget, data[keep], weights, total, self.rank_error
-        )
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"MergeableQuantileSketch(items={self.values.size}, "
@@ -379,10 +325,8 @@ class TableSketches:
     Holds lazily built :class:`MergeableQuantileSketch` /
     :class:`NominalCountSketch` instances per ``(shard, attribute)`` pair
     (quantile sketches only for numeric/date columns, nominal sketches
-    for every type), plus exact per-shard extrema.  One instance is
-    shared by every engine over the same shard set (see
-    :meth:`repro.storage.partition.PartitionedTable.sketches`); laziness
-    means only queried columns ever pay the summarisation scan.
+    for every type), plus exact per-shard extrema.  Laziness means only
+    queried columns ever pay the summarisation scan.
 
     Thread safety mirrors :class:`~repro.storage.zonemap.SkippingIndexes`:
     the registries are guarded by a lock, builds happen outside it, and a

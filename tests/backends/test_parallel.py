@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import ExecutionBackend, open_backend
+from repro.backends.approx import ApproxEngine
 from repro.backends.pool import ExecutorPool
 from repro.errors import BackendError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
-from repro.storage import QueryEngine, ResultCache, SampledEngine
+from repro.storage import QueryEngine, ResultCache
 from repro.workloads import generate_voc
 
 
@@ -119,21 +120,12 @@ class TestParallelSpecs:
         assert backend.partitions == 5
 
     def test_composes_with_sampling(self, voc):
+        # The forced shards and the pool belong to the unsampled engine
+        # the view decorates (and refines on), not to the sample's.
         backend = open_backend("memory?partitions=2&workers=2&sample=0.5&seed=3", voc)
-        assert isinstance(backend, SampledEngine)
-        assert backend.inner.partitions == 2
-        assert backend.inner.pool.workers == 2
-
-    def test_sample_preserves_engine_options(self, voc):
-        # QueryEngine.sample carries cache_size, forced index features,
-        # shard count and pool to the sampled engine, or sampled specs
-        # would silently lose options.
-        engine = open_backend("memory?partitions=2&workers=2&cache=512&index=zonemap", voc)
-        sampled = engine.sample(0.5, seed=3)
-        assert sampled.partitions == engine.partitions
-        assert sampled.pool is engine.pool
-        assert sampled._cache_size == 512
-        assert sampled.index_features == frozenset({"zonemap"})
+        assert isinstance(backend, ApproxEngine)
+        assert backend.base_engine.partitions == 2
+        assert backend.base_engine.pool.workers == 2
 
     def test_workers_zero_shards_to_the_per_core_pool(self, voc):
         # workers=0 means "one worker per core" everywhere; the shard

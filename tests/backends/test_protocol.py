@@ -11,11 +11,11 @@ import pathlib
 
 import pytest
 
-from repro.backends import BackendWrapper, ExecutionBackend
+from repro.backends import ApproxEngine, BackendWrapper, ExecutionBackend
 from repro.sdl import SDLQuery
 from repro.backends.sqlite import SQLiteBackend
 from repro.service.batching import BatchedEngine
-from repro.storage import QueryEngine, SampledEngine
+from repro.storage import QueryEngine
 from repro.workloads import generate_voc
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
@@ -31,7 +31,8 @@ class TestConformance:
         assert isinstance(QueryEngine(table), ExecutionBackend)
 
     def test_sampled_engine_conforms(self, table):
-        assert isinstance(SampledEngine(table, fraction=0.5, seed=1), ExecutionBackend)
+        view = ApproxEngine(QueryEngine(table), fraction=0.5, seed=1)
+        assert isinstance(view, ExecutionBackend)
 
     def test_batched_engine_conforms(self, table):
         assert isinstance(BatchedEngine(QueryEngine(table)), ExecutionBackend)
@@ -75,7 +76,7 @@ class TestBackendWrapper:
     def test_cover_delegates_through_sampling_wrappers(self, table):
         # Regression: a wrapper recomputing cover from scaled counts over
         # the sample's num_rows used to return covers > 1.
-        sampled = SampledEngine(table, fraction=0.25, seed=2)
+        sampled = ApproxEngine(QueryEngine(table), fraction=0.25, seed=2)
         wrapped = BatchedEngine(sampled)
         whole = SDLQuery.over(["tonnage"])
         assert wrapped.cover(whole) == pytest.approx(1.0)

@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import BackendRegistry, BackendSpec, open_backend
+from repro.backends import ApproxEngine, BackendRegistry, BackendSpec, open_backend
 from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError
 from repro.sdl import RangePredicate, SDLQuery
-from repro.storage import QueryEngine, SampledEngine
+from repro.storage import QueryEngine
 from repro.workloads import generate_voc
 
 
@@ -59,9 +59,13 @@ class TestOpenBackend:
 
     def test_memory_sampled(self, table):
         backend = open_backend("memory?sample=0.2&seed=3", table)
-        assert isinstance(backend, SampledEngine)
+        assert isinstance(backend, ApproxEngine)
         assert backend.fraction == pytest.approx(0.2)
-        assert backend.inner.num_rows == pytest.approx(table.num_rows * 0.2, rel=0.05)
+        assert backend.num_rows == table.num_rows
+        assert backend.stats()["sample"]["rows"] == pytest.approx(
+            table.num_rows * 0.2, rel=0.05
+        )
+        assert isinstance(backend.base_engine, QueryEngine)
 
     def test_sqlite_in_memory(self, table):
         backend = open_backend("sqlite", table)

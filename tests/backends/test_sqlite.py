@@ -206,6 +206,25 @@ class TestLifecycle:
         query = SDLQuery([SetPredicate("type_of_boat", frozenset({"fluit"}))])
         assert sampled.count(query) == mem.count(query)
 
+    def test_interactive_advise_samples_inside_sqlite(self, voc):
+        # mode="interactive" works wherever sample() does: the view's
+        # statistics run in SQL, over a sampled sibling table.
+        from repro.backends.approx import ApproxEngine
+        from repro.core import Charles
+
+        rows = generate_voc(rows=3000, seed=17)
+        advisor = Charles(rows, backend="sqlite")
+        assert ApproxEngine(advisor.engine).stats()["backend"] == "sampled(sqlite)"
+        context = ["type_of_boat", "tonnage"]
+        advice = advisor.advise(context, max_answers=4, mode="interactive")
+        assert advice.approximate is True
+        assert 0.0 < advice.error_bound < 0.05
+        # The exact engine saw none of it.
+        assert advisor.engine.counter.total_database_operations == 0
+        exact = advisor.advise(context, max_answers=4)
+        assert exact.approximate is False
+        assert [a.attributes for a in advice] == [a.attributes for a in exact]
+
     def test_thread_safe_counts(self, voc, engine, backend):
         query = SDLQuery([RangePredicate("tonnage", 200, 2200)])
         expected = engine.count(query)

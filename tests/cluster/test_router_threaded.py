@@ -312,4 +312,10 @@ class TestSessionJournal:
         journal.record("advise", {"context": _CONTEXT, "mode": "approximate"})
         assert journal.replay_payloads("a")[1]["params"]["mode"] == "approximate"
         journal.record("refine", {})
+        assert journal.replay_payloads("a")[1]["params"]["mode"] == "exact"
+        # An explicit mode is replayed verbatim: on a sampled backend the
+        # default is the sample, so "exact" must survive a failover.
+        journal.record("advise", {"context": _CONTEXT, "mode": "exact"})
+        assert journal.replay_payloads("a")[1]["params"]["mode"] == "exact"
+        journal.record("advise", {"context": _CONTEXT})
         assert "mode" not in journal.replay_payloads("a")[1]["params"]

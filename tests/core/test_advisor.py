@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import pytest
 
+import math
+
+from repro.api.codec import dumps
+from repro.backends import ApproxEngine
 from repro.core import Charles, HBCutsConfig, WeightedRanker
 from repro.errors import AdvisorError
 from repro.sdl import SDLQuery, check_partition
-from repro.storage import QueryEngine, SampledEngine
+from repro.storage import QueryEngine
 from repro.workloads import FIGURE1_CONTEXT_COLUMNS, generate_voc
 
 
@@ -145,15 +149,70 @@ class TestConfigurationOptions:
 
     def test_sampling_advisor_uses_sampled_engine(self, voc_table):
         advisor = Charles(voc_table, sample_fraction=0.25, seed=1)
-        assert isinstance(advisor.engine, SampledEngine)
+        assert isinstance(advisor.engine, ApproxEngine)
         advice = advisor.advise(["type_of_boat", "tonnage"], max_answers=2)
         assert len(advice) >= 1
+
+    def test_sample_fraction_on_a_sampled_spec_is_rejected(self, voc_table):
+        with pytest.raises(AdvisorError):
+            Charles(voc_table, backend="memory?sample=0.5", sample_fraction=0.25)
 
     def test_prebuilt_engine_is_reused(self, voc_table):
         engine = QueryEngine(voc_table)
         advisor = Charles(engine)
         assert advisor.engine is engine
         assert advisor.table is voc_table
+
+
+def _answers(advice) -> str:
+    return dumps({"context": advice.context, "answers": advice.answers})
+
+
+class TestModes:
+    """``mode`` picks the data: the unsampled backend or the sampled view."""
+
+    _CONTEXT = ["type_of_boat", "tonnage"]
+
+    @pytest.mark.parametrize(
+        "options, mode",
+        [
+            ({}, "interactive"),
+            ({"backend": "sqlite"}, "interactive"),
+            ({"sample_fraction": 0.25, "seed": 1}, None),
+            ({"backend": "memory?sample=0.25&seed=1"}, None),
+            ({"backend": "sqlite?sample=0.25&seed=1"}, None),
+            ({"backend": "memory?sample=0.25"}, "interactive"),
+        ],
+    )
+    def test_every_way_to_the_view_is_flagged_and_refinable(
+        self, voc_table, options, mode
+    ):
+        advisor = Charles(voc_table, **options)
+        advice = advisor.advise(self._CONTEXT, max_answers=4, mode=mode)
+        assert advice.approximate is True
+        assert advice.error_bound is not None and math.isfinite(advice.error_bound)
+        assert 0.0 <= advice.error_bound < 1.0
+        exact = advisor.advise(self._CONTEXT, max_answers=4, mode="exact")
+        assert exact.approximate is False and exact.error_bound is None
+        plain = Charles(voc_table).advise(self._CONTEXT, max_answers=4)
+        assert _answers(exact) == _answers(plain)
+
+    def test_default_mode_follows_the_backend(self, voc_table):
+        assert Charles(voc_table).default_mode == "exact"
+        assert Charles(voc_table, sample_fraction=0.1).default_mode == "interactive"
+        assert Charles(voc_table).advise(self._CONTEXT).approximate is False
+
+    def test_unknown_mode_rejected(self, advisor):
+        with pytest.raises(AdvisorError):
+            advisor.advise(self._CONTEXT, mode="approximate")
+
+    def test_small_tables_are_sampled_whole(self, voc_table):
+        # Fewer rows than the interactive view samples: every row is in
+        # the sample, so the answers are exact's and the bound is 0.
+        advisor = Charles(voc_table)
+        view = advisor.advise(self._CONTEXT, max_answers=4, mode="interactive")
+        assert view.approximate is True and view.error_bound == 0.0
+        assert _answers(view) == _answers(advisor.advise(self._CONTEXT, max_answers=4))
 
 
 class TestFigure1Shape:

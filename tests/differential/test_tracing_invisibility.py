@@ -28,8 +28,8 @@ _GRID = (
     "memory",
     "memory?index=all",
     "memory?index=all&partitions=3&workers=2",
-    "memory?approx=256",
-    "memory?approx=256&index=all&partitions=3&workers=2",
+    "memory?sample=0.5&seed=3",
+    "memory?sample=0.5&seed=3&index=all&partitions=3&workers=2",
 )
 
 

@@ -12,7 +12,7 @@ from repro.core import (
     entropy,
 )
 from repro.sdl import check_partition, parse_query
-from repro.storage import Catalog, QueryEngine, load_csv, write_csv
+from repro.storage import QueryEngine, load_csv, write_csv
 from repro.viz import render_advice
 from repro.workloads import (
     FIGURE1_CONTEXT_COLUMNS,
@@ -124,9 +124,7 @@ class TestCSVAndCatalogPipeline:
         reloaded = load_csv(path)
         assert reloaded.num_rows == table.num_rows
 
-        catalog = Catalog()
-        catalog.register(reloaded, name="voc")
-        advisor = Charles(catalog.table("voc"))
+        advisor = Charles(reloaded)
         advice = advisor.advise(["type_of_boat", "tonnage"], max_answers=3)
         assert len(advice) >= 1
         assert entropy(advice.best().segmentation) > 0.0

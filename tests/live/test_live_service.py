@@ -12,11 +12,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import AdvisorHTTPServer, RemoteAdvisor, Request, dumps
+from repro.backends import open_backend
 from repro.core.advisor import Charles
 from repro.core.session import ExplorationSession
-from repro.errors import ProtocolError, StorageError
+from repro.errors import ProtocolError
+from repro.sdl import RangePredicate, SDLQuery
 from repro.service import AdvisorService
-from repro.storage import QueryEngine, SampledEngine
+from repro.storage import QueryEngine
 from repro.workloads import generate_voc
 
 _ROWS = 320
@@ -69,12 +71,69 @@ class TestSessionStaleness:
         assert session.depth == 1  # refresh never pops the stack
         assert not session.is_stale()
 
-    def test_sampled_backends_refuse_mutation(self, table):
-        sampled = SampledEngine(table, fraction=0.5, seed=1)
-        with pytest.raises(StorageError):
-            sampled.ingest([table.row(0)])
-        with pytest.raises(StorageError):
-            sampled.delete_where(None)
+
+
+class TestSampledViewFollowsMutation:
+    """One rule for the approximate view: mutations go to the backend it
+    decorates, and its next call answers from a sample of the new version."""
+
+    @pytest.mark.parametrize("scheme", ["memory", "sqlite"])
+    def test_view_mutates_its_base_and_resamples(self, table, batch, scheme):
+        view = open_backend(f"{scheme}?sample=0.5&seed=1", table)
+        whole = SDLQuery.over(_CONTEXT)
+        assert view.count(whole) == _ROWS
+        before = view.stats()["sample"]["rows"]
+
+        assert view.ingest(batch) == 2
+        assert view.data_version == view.base_engine.data_version == 2
+        assert view.num_rows == view.base_engine.num_rows == _ROWS + len(batch)
+        assert view.count(whole) == _ROWS + len(batch)
+        assert view.stats()["sample"]["rows"] > before
+
+        heavy = SDLQuery([RangePredicate("tonnage", 0, 10**9)])
+        assert view.delete_where(heavy) == _ROWS + len(batch)
+        assert view.num_rows == 0 and view.count(whole) == 0
+
+    def test_view_tallies_survive_a_resample(self, table, batch):
+        view = open_backend("memory?sample=0.5&seed=1", table)
+        view.count(SDLQuery.over(_CONTEXT))
+        view.ingest(batch)
+        view.count(SDLQuery.over(_CONTEXT))
+        assert view.counter.count_calls == 2
+        assert view.base_engine.counter.count_calls == 0
+
+    def test_interactive_advice_follows_an_ingest(self, table, batch):
+        advisor = Charles(table, backend="memory?sample=0.5&seed=1")
+        session = ExplorationSession(advisor)
+        first = session.start(_CONTEXT)
+        assert first.approximate is True
+        advisor.ingest(batch)
+        assert session.is_stale()
+        refreshed = session.advise(refresh=True)
+        assert refreshed.approximate is True and not session.is_stale()
+        assert refreshed.answers[0].segmentation.context_count == _ROWS + len(batch)
+        # Equal history, equal advice: the sample is seeded by the version.
+        twin = Charles(table, backend="memory?sample=0.5&seed=1")
+        twin.ingest(batch)
+        assert _advice_wire(
+            twin.advise(_CONTEXT, max_answers=session.max_answers)
+        ) == _advice_wire(refreshed)
+        # ...and refinement reaches the unsampled rows of the new version.
+        fresh = Charles(table.append_rows(batch)).advise(
+            _CONTEXT, max_answers=session.max_answers
+        )
+        assert _advice_wire(session.refine()) == _advice_wire(fresh)
+
+    def test_service_interactive_refresh_and_refine_after_ingest(self, table, batch):
+        service = AdvisorService(table, batch_window=0.0)
+        service.open_session("alice", context=_CONTEXT)
+        service.ingest(rows=batch)
+        first = service.advise("alice", refresh=True, mode="interactive")
+        assert first.approximate is True and first.error_bound is not None
+        refined = service.refine("alice")
+        fresh = Charles(table.append_rows(batch)).advise(_CONTEXT, max_answers=10)
+        assert refined.approximate is False
+        assert _advice_wire(refined) == _advice_wire(fresh)
 
 
 class TestServiceIngest:

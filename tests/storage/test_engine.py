@@ -259,3 +259,44 @@ class TestIndexedEngine:
         indexed = QueryEngine(table, use_index=True)
         assert plain.median("tonnage") == indexed.median("tonnage")
         assert plain.minmax("year") == indexed.minmax("year")
+
+
+class TestSample:
+    """``QueryEngine.sample``: a small table of its own, never forced."""
+
+    def test_sample_engine_is_never_forced(self, table):
+        from repro.backends.pool import ExecutorPool
+
+        pool = ExecutorPool(2)
+        engine = QueryEngine(
+            table, partitions=4, pool=pool, use_index="zonemap", cache_size=512
+        )
+        sampled = engine.sample(0.5, seed=9)
+        assert sampled.partitions == 1
+        assert sampled.partitioned_table.num_partitions == 1
+        assert sampled.pool is None
+        assert sampled.index_features != engine.index_features
+        assert sampled._cache_size == 512
+
+    def test_sample_engine_shares_neither_cache_nor_counters(self, engine):
+        sampled = engine.sample(0.5, seed=9)
+        assert sampled.cache is not engine.cache
+        counters = engine.counter.snapshot()
+        traffic = engine.cache.stats().snapshot()
+        sampled.count(_fluit_query())
+        sampled.median("tonnage", _fluit_query())
+        assert engine.counter.snapshot() == counters
+        assert engine.cache.stats().snapshot() == traffic
+
+    def test_siblings_share_one_sampled_table_per_version(self, engine):
+        first = engine.sample(0.5, seed=9)
+        second = engine.sibling().sample(0.5, seed=9)
+        assert second.table is first.table
+        assert engine.sample(0.5, seed=10).table is not first.table
+        engine.ingest([{"tonnage": 1600, "type": "jacht", "year": 1765}])
+        resampled = engine.sample(0.5, seed=9)
+        assert resampled.table is not first.table
+        assert engine.sibling().sample(0.5, seed=9).table is resampled.table
+
+    def test_unseeded_samples_are_drawn_afresh(self, engine):
+        assert engine.sample(0.5).table is not engine.sample(0.5).table

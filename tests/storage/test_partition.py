@@ -213,16 +213,6 @@ class TestPartitionedEngine:
         )
         assert partitioned.counter.snapshot() == sequential.counter.snapshot()
 
-    def test_sample_keeps_partitions_and_pool(self, table):
-        from repro.backends.pool import ExecutorPool
-
-        pool = ExecutorPool(2)
-        engine = QueryEngine(table, partitions=4, pool=pool)
-        sampled = engine.sample(0.5, seed=9)
-        assert sampled.partitions == 4
-        assert sampled.partitioned_table.num_partitions == 4
-        assert sampled.pool is pool
-
     def test_sibling_shares_shards_and_pool(self, table):
         from repro.backends.pool import ExecutorPool
 

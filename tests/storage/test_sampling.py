@@ -1,13 +1,13 @@
-"""Unit tests for sampling strategies and the sampled engine."""
+"""Unit tests for the sampling primitives and the sampled view built on them."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.errors import StorageError
+from repro.backends.approx import ApproxEngine
+from repro.errors import BackendError, StorageError
 from repro.sdl import RangePredicate, SDLQuery, SetPredicate
-from repro.storage import SampledEngine, Table, sample_table, uniform_sample_indices
-from repro.storage.sampling import reservoir_sample
+from repro.storage import QueryEngine, Table, sample_table, uniform_sample_indices
 from repro.workloads import generate_voc
 
 
@@ -52,23 +52,6 @@ class TestUniformSampleIndices:
             uniform_sample_indices(10, sample_size=0)
 
 
-class TestReservoirSample:
-    def test_sample_size_respected(self):
-        sample = reservoir_sample(range(1000), k=10, seed=7)
-        assert len(sample) == 10
-        assert all(0 <= value < 1000 for value in sample)
-
-    def test_short_stream_returned_whole(self):
-        assert reservoir_sample(range(3), k=10, seed=7) == [0, 1, 2]
-
-    def test_invalid_k(self):
-        with pytest.raises(StorageError):
-            reservoir_sample(range(10), k=0)
-
-    def test_deterministic_with_seed(self):
-        assert reservoir_sample(range(100), 5, seed=1) == reservoir_sample(range(100), 5, seed=1)
-
-
 class TestSampleTable:
     def test_sampled_table_size(self):
         table = Table.from_dict({"x": list(range(100))})
@@ -78,37 +61,74 @@ class TestSampleTable:
 
 
 class TestSampledEngine:
+    """The sampled view (:class:`ApproxEngine`) over an in-memory engine."""
+
     @pytest.fixture(scope="class")
     def voc(self):
-        return generate_voc(rows=4000, seed=5)
+        return QueryEngine(generate_voc(rows=4000, seed=5))
 
     def test_invalid_fraction_rejected(self, voc):
         with pytest.raises(StorageError):
-            SampledEngine(voc, fraction=0.0)
+            ApproxEngine(voc, fraction=0.0)
+
+    def test_backend_without_sample_rejected(self):
+        with pytest.raises(BackendError):
+            ApproxEngine(object())
 
     def test_count_estimates_are_scaled(self, voc):
-        engine = SampledEngine(voc, fraction=0.25, seed=1)
+        engine = ApproxEngine(voc, fraction=0.25, seed=1)
         query = SDLQuery([SetPredicate("type_of_boat", frozenset({"fluit"}))])
-        exact = engine.exact_count(query)
+        exact = engine.base_engine.count(query)
         estimate = engine.count(query)
         assert estimate == pytest.approx(exact, rel=0.25)
+        assert engine.count_batch([query, query]) == (estimate, estimate)
 
     def test_estimation_error_reasonable(self, voc):
-        engine = SampledEngine(voc, fraction=0.3, seed=2)
+        engine = ApproxEngine(voc, fraction=0.3, seed=2)
         query = SDLQuery([RangePredicate("tonnage", 1000, 2000)])
-        assert engine.estimation_error(query) < 0.2
+        exact = engine.base_engine.count(query)
+        assert abs(engine.count(query) - exact) / exact < 0.2
 
     def test_median_close_to_exact(self, voc):
-        engine = SampledEngine(voc, fraction=0.25, seed=3)
+        engine = ApproxEngine(voc, fraction=0.25, seed=3)
         exact_median = engine.base_engine.median("tonnage")
         sampled_median = engine.median("tonnage")
         assert abs(sampled_median - exact_median) / exact_median < 0.1
 
     def test_scale_factor(self, voc):
-        engine = SampledEngine(voc, fraction=0.5, seed=1)
+        engine = ApproxEngine(voc, fraction=0.5, seed=1)
         assert engine.scale_factor == pytest.approx(2.0, rel=0.05)
 
-    def test_zero_exact_count_error_is_zero_or_one(self, voc):
-        engine = SampledEngine(voc, fraction=0.5, seed=1)
-        query = SDLQuery([RangePredicate("tonnage", 90_000, 99_000)])
-        assert engine.estimation_error(query) in (0.0, 1.0)
+    def test_identity_is_the_unsampled_relation(self, voc):
+        engine = ApproxEngine(voc, fraction=0.25, seed=1)
+        assert engine.num_rows == voc.num_rows
+        assert engine.data_version == voc.data_version
+        whole = SDLQuery.over(["tonnage"])
+        assert engine.count(whole) == voc.num_rows
+        assert engine.cover(whole) == pytest.approx(1.0)
+
+    def test_default_size_is_the_interactive_constant(self, voc):
+        from repro.backends.approx import INTERACTIVE_SAMPLE_ROWS
+
+        engine = ApproxEngine(voc)
+        assert engine.stats()["sample"]["rows"] == INTERACTIVE_SAMPLE_ROWS
+        assert ApproxEngine(QueryEngine(generate_voc(rows=300, seed=5))).scale_factor == 1.0
+
+
+class TestErrorBound:
+    def test_zero_when_the_sample_is_the_whole_table(self):
+        from repro.backends.approx import sampling_error_bound
+
+        assert sampling_error_bound(500, 500) == 0.0
+        assert sampling_error_bound(0, 0) == 0.0
+        engine = ApproxEngine(QueryEngine(generate_voc(rows=300, seed=5)), fraction=1.0)
+        assert engine.take_error_bound() == 0.0
+
+    def test_shrinks_with_the_sample_and_with_the_sampled_share(self):
+        from repro.backends.approx import sampling_error_bound
+
+        assert sampling_error_bound(2000, 12_000) == pytest.approx(0.0332, abs=5e-4)
+        assert sampling_error_bound(4000, 12_000) < sampling_error_bound(2000, 12_000)
+        # Finite-population correction: the same n is worth more of a small table.
+        assert sampling_error_bound(2000, 3000) < sampling_error_bound(2000, 200_000)
+        assert sampling_error_bound(1, 10**9) == 1.0

@@ -2,7 +2,7 @@
 
 The bound proofs: every estimate a sketch reports must sit within the
 error it advertises — exactly, since construction is deterministic —
-across builds, merges, compactions and restrictions.
+across builds, merges and compactions.
 """
 
 from __future__ import annotations
@@ -14,19 +14,13 @@ from hypothesis import strategies as st
 
 from repro.storage.partition import PartitionedTable
 from repro.storage.sketches import (
-    DEFAULT_SKETCH_BUDGET,
     MergeableQuantileSketch,
     NominalCountSketch,
+    TableSketches,
 )
 from repro.workloads import generate_voc
 
 _floats = st.floats(-1e9, 1e9, allow_nan=False)
-
-
-def _true_range_count(data, low, high, include_low, include_high):
-    lower = data >= low if include_low else data > low
-    upper = data <= high if include_high else data < high
-    return int(np.count_nonzero(lower & upper))
 
 
 class TestQuantileSketchBuild:
@@ -89,25 +83,6 @@ class TestQuantileSketchBounds:
             distance = max(0, int(low - target), int(target - high))
             assert distance <= tolerance
 
-    @given(
-        st.lists(_floats, min_size=0, max_size=800),
-        st.integers(min_value=2, max_value=48),
-        _floats,
-        _floats,
-        st.booleans(),
-        st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_range_weight_within_advertised_error(
-        self, values, budget, a, b, include_low, include_high
-    ):
-        low, high = min(a, b), max(a, b)
-        data = np.asarray(values, dtype=float)
-        sketch = MergeableQuantileSketch.from_values(data, budget)
-        estimate, error = sketch.range_weight(low, high, include_low, include_high)
-        true = _true_range_count(data, low, high, include_low, include_high)
-        assert abs(true - estimate) <= error
-
     def test_merge_accumulates_error_honestly(self):
         rng = np.random.default_rng(11)
         parts = [rng.normal(size=3000) for _ in range(4)]
@@ -115,17 +90,10 @@ class TestQuantileSketchBounds:
         for part in parts:
             merged = merged.merge(MergeableQuantileSketch.from_values(part, 32))
         data = np.sort(np.concatenate(parts))
-        estimate, error = merged.range_weight(-1.0, 1.0)
-        true = _true_range_count(data, -1.0, 1.0, True, True)
-        assert abs(true - estimate) <= error
-        assert error < data.size  # the bound stays informative
-
-    def test_restrict_keeps_weights_and_error(self):
-        sketch = MergeableQuantileSketch.from_values(np.arange(100.0), 16)
-        restricted = sketch.restrict(20.0, 60.0)
-        assert restricted.total_weight <= sketch.total_weight
-        assert restricted.rank_error == sketch.rank_error
-        assert all(20.0 <= v <= 60.0 for v in restricted.values)
+        assert merged.rank_error >= 4 * (3000 // 32)  # the parts' errors add
+        rank = np.searchsorted(data, merged.quantile(0.5))
+        assert abs(rank - data.size / 2) <= merged.rank_error_fraction * data.size
+        assert merged.rank_error_fraction < 0.5  # the bound stays informative
 
 
 class TestNominalCountSketch:
@@ -187,13 +155,8 @@ class TestTableSketchesTier:
     def sharded(self):
         return PartitionedTable(generate_voc(rows=600, seed=9), partitions=4)
 
-    def test_memoised_per_budget_on_the_partitioned_table(self, sharded):
-        assert sharded.sketches(64) is sharded.sketches(64)
-        assert sharded.sketches(64) is not sharded.sketches(128)
-        assert sharded.sketches() is sharded.sketches(DEFAULT_SKETCH_BUDGET)
-
     def test_quantile_sketches_only_for_numeric_columns(self, sharded):
-        tier = sharded.sketches(64)
+        tier = TableSketches(sharded, 64)
         assert tier.quantile_sketch(0, "tonnage") is not None
         assert tier.quantile_sketch(0, "type_of_boat") is None
         assert tier.merged_quantile("type_of_boat") is None
@@ -201,7 +164,7 @@ class TestTableSketchesTier:
         assert not tier.is_nominal("tonnage")
 
     def test_merged_stats_match_exact_extrema(self, sharded):
-        tier = sharded.sketches(64)
+        tier = TableSketches(sharded, 64)
         column = sharded.table.column("tonnage")
         rows, valid, minimum, maximum = tier.merged_stats("tonnage")
         assert rows == sharded.num_rows
@@ -209,13 +172,7 @@ class TestTableSketchesTier:
         assert maximum == column.maximum()
 
     def test_merged_nominal_matches_exact_value_counts_under_cap(self, sharded):
-        tier = sharded.sketches(64)
+        tier = TableSketches(sharded, 64)
         merged = tier.merged_nominal("type_of_boat")
         assert merged.counts == sharded.table.column("type_of_boat").value_counts()
         assert merged.spilled_weight == 0
-
-    def test_fresh_partitioned_table_gets_fresh_sketches(self):
-        table = generate_voc(rows=100, seed=1)
-        first = PartitionedTable(table, 2).sketches(32)
-        second = PartitionedTable(table, 2).sketches(32)
-        assert first is not second

@@ -211,6 +211,30 @@ class TestCommands:
         assert exit_code == 0
         assert "weighted" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--approximate"],
+            ["--approximate", "--backend", "sqlite"],
+            ["--sample", "0.5"],
+            ["--backend", "memory?sample=0.5"],
+        ],
+    )
+    def test_sampled_advice_is_announced_with_its_bound(self, capsys, flags):
+        arguments = [
+            "advise",
+            "--dataset", "voc",
+            "--rows", "2400",
+            "--columns", "type_of_boat", "tonnage",
+            "--max-answers", "2",
+        ]
+        assert main([*arguments, *flags]) == 0
+        output = capsys.readouterr().out
+        assert "approximate advice (uniform sample): counts within ±" in output
+        assert "±0.0%" not in output
+        assert main(arguments) == 0
+        assert "approximate advice" not in capsys.readouterr().out
+
     def test_advise_with_parallel_flags_matches_sequential(self, capsys):
         arguments = [
             "advise",
