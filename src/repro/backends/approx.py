@@ -51,7 +51,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.errors import BackendError
@@ -155,6 +155,11 @@ class ApproxEngine(BackendWrapper):
         # engine counts into it, so deltas survive a resample.
         self._counter = OperationCounter()
         self._lock = threading.Lock()
+        # close() of the sample before the current one, if it has one
+        # (SQLite: a table per sample).  Called at the *next* redraw: a
+        # call that captured that sample just before the redraw may still
+        # be reading it.
+        self._close_retired: Optional[Callable[[], None]] = None
         self._sample = self._draw()
 
     # -- the sample ---------------------------------------------------------------
@@ -187,6 +192,9 @@ class ApproxEngine(BackendWrapper):
             return sample
         with self._lock:
             if self._sample.version != self.inner.data_version:
+                if self._close_retired is not None:
+                    self._close_retired()
+                self._close_retired = getattr(self._sample.engine, "close", None)
                 self._sample = self._draw()
             return self._sample
 

@@ -173,6 +173,8 @@ class SQLiteBackend:
                 raise BackendError(f"cannot open SQLite database {database!r}: {error}")
             self._owns_connection = True
         self._lock = _lock if _lock is not None else threading.Lock()
+        # Set by sample(): the backend's table is its own, dropped on close().
+        self._owns_table = False
         self._table_name = self._resolve_table_name(table_name)
         self._dtypes = dict(_dtypes) if _dtypes is not None else self._load_schema()
         if not self._dtypes:
@@ -320,7 +322,8 @@ class SQLiteBackend:
         Row positions are drawn with the same
         :func:`~repro.storage.sampling.uniform_sample_indices` primitive
         the memory engine uses, then copied into a sibling table inside
-        the same database, so sampled execution stays in SQL.
+        the same database, so sampled execution stays in SQL.  The table
+        belongs to the returned backend: :meth:`close` drops it.
         """
         from repro.storage.sampling import uniform_sample_indices
 
@@ -347,7 +350,7 @@ class SQLiteBackend:
                 f"WHERE rowid IN ({id_list}) ORDER BY rowid"
             )
             self._connection.commit()
-        return SQLiteBackend(
+        sampled = SQLiteBackend(
             self.database,
             table_name=sample_name,
             cache_size=self._cache.capacity,
@@ -355,9 +358,18 @@ class SQLiteBackend:
             _lock=self._lock,
             _dtypes=self._dtypes,
         )
+        sampled._owns_table = True
+        return sampled
 
     def close(self) -> None:
-        """Close the underlying connection (no-op for shared siblings)."""
+        """Close the underlying connection (no-op for shared siblings); a
+        sample drops its table."""
+        if self._owns_table:
+            with self._lock:
+                self._connection.execute(
+                    f"DROP TABLE IF EXISTS {_quote(self._table_name)}"
+                )
+                self._connection.commit()
         if self._owns_connection:
             self._connection.close()
 

@@ -41,19 +41,20 @@ class _RefinementTask:
     """
 
     def __init__(self, compute: Callable[[], Tuple[Advice, Optional[int]]]):
-        self._compute = compute
         self._done = threading.Event()
         self.advice: Optional[Advice] = None
         self.version: Optional[int] = None
         self.error: Optional[BaseException] = None
+        # ``compute`` reaches the session, which reaches this task: only
+        # the thread holds it, and a thread drops its arguments when done.
         thread = threading.Thread(
-            target=self._run, name="charles-refine", daemon=True
+            target=self._run, args=(compute,), name="charles-refine", daemon=True
         )
         thread.start()
 
-    def _run(self) -> None:
+    def _run(self, compute: Callable[[], Tuple[Advice, Optional[int]]]) -> None:
         try:
-            self.advice, self.version = self._compute()
+            self.advice, self.version = compute()
         except BaseException as exc:  # published, re-raised by refine()
             self.error = exc
         finally:
@@ -198,9 +199,11 @@ class ExplorationSession:
     def _schedule_refinement(self, step: ExplorationStep) -> None:
         """Kick off the background exact advise replacing ``step``'s advice."""
 
+        context = step.context
+
         def compute() -> Tuple[Advice, Optional[int]]:
             version = self.data_version
-            return self._compute_advice(step.context, "exact"), version
+            return self._compute_advice(context, "exact"), version
 
         step.refinement = _RefinementTask(compute)
 

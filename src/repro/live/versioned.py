@@ -23,10 +23,17 @@ trivially safe.  :class:`VersionedTable` reconciles the two: it is the one
   snapshot alive across mutations — snapshot isolation for sessions that
   must finish a pass on consistent data; unpinned superseded snapshots
   are released immediately;
-* :meth:`VersionedTable.partitioned` memoizes the row-range shard set of
-  the current version per partition count, so engines sharing one source
-  **re-shard lazily on growth**: the first operation after a mutation
-  rebuilds the (zero-copy) shards, every other sibling reuses them;
+* :meth:`VersionedTable.state` hands out the current version's whole
+  evaluation context — the :class:`LiveState` triple ``(version,
+  snapshot, shard set)`` — memoized per partition count, so engines
+  sharing one source **re-shard lazily on growth**: the first operation
+  after a mutation rebuilds the (zero-copy) shards, every other sibling
+  borrows them.  The table is the *only* owner of that triple: engines
+  hold it for the length of one operation, so the moment a mutation
+  installs the next version, the superseded snapshot, its shards, zone
+  maps and bitmaps are freed by reference count — however many idle
+  sessions last saw them (a :meth:`pin` is the one way to keep a
+  superseded snapshot);
   :meth:`VersionedTable.sampled` memoizes seeded uniform samples of the
   current version the same way;
 * :meth:`VersionedTable.profile` maintains
@@ -35,14 +42,15 @@ trivially safe.  :class:`VersionedTable` reconciles the two: it is the one
   batch instead of recomputed from scratch.
 
 Thread safety: all mutations and snapshot bookkeeping run under one
-reentrant lock; ``version`` and ``table`` reads are single-reference reads
-of values that are only ever replaced atomically.
+reentrant lock; ``version``, ``table`` and memoized :meth:`state` reads
+are single-reference reads of values that are only ever replaced
+atomically.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -54,7 +62,20 @@ from repro.storage.sampling import sample_table
 from repro.storage.statistics import TableProfile
 from repro.storage.table import Table
 
-__all__ = ["VersionPin", "VersionedTable"]
+__all__ = ["LiveState", "VersionPin", "VersionedTable"]
+
+
+class LiveState(NamedTuple):
+    """One version's evaluation context, handed out whole.
+
+    Operations capture the triple once up front, so a concurrent ingest
+    can never pair a new snapshot with an old version tag (or an old
+    shard set with a new mask length) inside a single evaluation.
+    """
+
+    version: int
+    table: Table
+    partitioned: PartitionedTable
 
 
 class VersionPin:
@@ -118,8 +139,10 @@ class VersionedTable:
         self._retained: Dict[int, Table] = {}
         #: Pin reference counts per version.
         self._pins: Dict[int, int] = {}
-        #: Shard sets of the *current* version: partitions -> PartitionedTable.
-        self._partitioned: Dict[int, PartitionedTable] = {}
+        #: Evaluation contexts of the *current* version: partitions ->
+        #: LiveState.  The dict is replaced, never cleared, on install, so
+        #: state() reads it without the lock.
+        self._states: Dict[int, LiveState] = {}
         #: Seeded samples of the *current* version: (fraction, seed) -> Table.
         self._sampled: Dict[Tuple[float, int], Table] = {}
         self._profile: Optional[Any] = None
@@ -145,14 +168,21 @@ class VersionedTable:
     def num_rows(self) -> int:
         return self._current.num_rows
 
-    def state(self) -> Tuple[int, Table]:
-        """The ``(version, snapshot)`` pair, captured atomically.
+    def state(self, partitions: int) -> LiveState:
+        """The current ``(version, snapshot, shard set)``, captured atomically.
 
-        Engines refresh through this so a mutation landing mid-read can
-        never pair one version's number with another version's rows.
+        Every operation of every engine over this source starts here, so
+        a mutation landing mid-read can never pair one version's number
+        with another version's rows or shards.  The hit is one lock-free
+        dictionary read; only the first caller after a mutation (per
+        partition count) takes the lock and shards the new snapshot.
         """
-        with self._lock:
-            return self._version, self._current
+        state = self._states.get(partitions)
+        if state is None:
+            with self._lock:
+                self.partitioned(partitions)
+                state = self._states[partitions]
+        return state
 
     def snapshot(self, version: Optional[int] = None) -> Table:
         """The snapshot of a version (current by default).
@@ -245,8 +275,9 @@ class VersionedTable:
         self._current = table
         self._version += 1
         # Shards and samples of the old snapshot are stale; they rebuild
-        # lazily on the next partitioned() / sampled() call.
-        self._partitioned.clear()
+        # lazily on the next state() / sampled() call.  Dropping the memo
+        # drops the last reference to them.
+        self._states = {}
         self._sampled.clear()
 
     # -- derived structures ---------------------------------------------------
@@ -261,18 +292,22 @@ class VersionedTable:
 
         This memo is also the version key of every structure derived from
         the shards — in particular the zone maps and bitmap indexes of
-        :meth:`PartitionedTable.skipping`.  An ingest or delete clears the
+        :meth:`PartitionedTable.skipping`.  An ingest or delete drops the
         memo (:meth:`_install_locked`), so superseded skipping indexes vanish
         with their shard set and can never answer a query against newer
         data; no separate invalidation protocol is needed.
         """
         partitions = int(partitions)
         with self._lock:
-            sharded = self._partitioned.get(partitions)
-            if sharded is None:
-                sharded = PartitionedTable(self._current, partitions)
-                self._partitioned[partitions] = sharded
-            return sharded
+            state = self._states.get(partitions)
+            if state is None:
+                state = LiveState(
+                    self._version,
+                    self._current,
+                    PartitionedTable(self._current, partitions),
+                )
+                self._states[partitions] = state
+            return state.partitioned
 
     def sampled(self, fraction: float, seed: Optional[int] = None) -> Table:
         """A uniform sample of the current version, memoized per seed.

@@ -35,6 +35,7 @@ multi-user workload is replayed against the public session methods by
 from __future__ import annotations
 
 import dataclasses
+import os
 import threading
 import time
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
@@ -63,9 +64,18 @@ from repro.storage.table import Table
 
 __all__ = ["AdvisorService"]
 
+#: Where Linux reports a process's memory, in pages (second field: resident).
+_STATM = "/proc/self/statm"
+
 #: The :class:`CacheStats` fields that are levels (exported as gauges);
 #: every other field is a monotonic tally (exported as a counter).
 _CACHE_LEVELS = ("capacity", "entries", "approx_bytes")
+
+
+def _resident_bytes() -> int:
+    """This process's resident set size."""
+    with open(_STATM) as statm:
+        return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
 
 
 def _ranker_cache_key(ranker: Ranker) -> str:
@@ -111,7 +121,6 @@ class _TableRuntime:
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
-        self.table = table
         self.backend_spec = backend_spec
         self.cache = ResultCache(capacity=cache_capacity, name=f"results:{name}")
         self.advice_cache = ResultCache(capacity=advice_capacity, name=f"advice:{name}")
@@ -157,6 +166,16 @@ class _TableRuntime:
                 "Primary-engine operation tally.",
                 labels={"table": self.name},
                 fn=lambda t=tally: getattr(self.engine.counter, t),
+            )
+        # Superseded snapshots a pin keeps alive (0 unless a reader holds
+        # one): what the table retains beyond its current version.
+        source = getattr(self._backend, "source", None)
+        if source is not None:
+            metrics.gauge(
+                "table_retained_versions",
+                "Superseded data versions still resident through pins.",
+                labels={"table": self.name},
+                fn=lambda: len(source.retained_versions()),
             )
         histograms = {
             op: metrics.histogram(
@@ -296,6 +315,12 @@ class AdvisorService:
             "Workers in the shared executor pool (0 = sequential).",
             fn=lambda: self._workers if self._pool is not None else 0,
         )
+        if os.path.exists(_STATM):
+            self.metrics.gauge(
+                "process_resident_bytes",
+                "Resident set size of the serving process.",
+                fn=_resident_bytes,
+            )
         if tables is None:
             return
         if isinstance(tables, Table):
@@ -406,7 +431,7 @@ class AdvisorService:
             advisor=advisor,
             max_answers=max_answers if max_answers is not None else self._max_answers,
         )
-        session.exploration.advise_fn = self._make_advise_fn(session, runtime)
+        session.exploration.advise_fn = self._make_advise_fn(advisor, runtime)
         # Route the session's ad-hoc counts (describe(), breadcrumb row
         # counts) through the runtime's primary engine: shared cache,
         # aggregate caching, no private-engine bypass.
@@ -459,10 +484,15 @@ class AdvisorService:
 
     # -- shared advice cache ------------------------------------------------
 
-    def _make_advise_fn(self, session: ServiceSession, runtime: _TableRuntime):
-        """The hook routing a session's advise through the shared advice cache."""
-        config_key = repr(session.advisor.config)
-        ranker_key = _ranker_cache_key(session.advisor.ranker)
+    def _make_advise_fn(self, advisor: Charles, runtime: _TableRuntime):
+        """The hook routing a session's advise through the shared advice cache.
+
+        It closes over the session's advisor, never the session: the
+        session holds the hook, so a hook holding the session would be a
+        cycle and a closed session would wait for the collector.
+        """
+        config_key = repr(advisor.config)
+        ranker_key = _ranker_cache_key(advisor.ranker)
 
         def advise(
             context: SDLQuery, max_answers: int, mode: Optional[str] = None
@@ -471,7 +501,7 @@ class AdvisorService:
             # interactive hit must never masquerade as exact (and vice
             # versa), while the exact key format stays unchanged — a
             # refinement populates exactly the entry a plain advise would.
-            mode = mode or session.advisor.default_mode
+            mode = mode or advisor.default_mode
             prefix = "advice:approx:" if mode == "interactive" else "advice:"
             key = (
                 f"{prefix}{max_answers}:{ranker_key}:{config_key}:"
@@ -483,9 +513,7 @@ class AdvisorService:
             # for data that no longer exists.
             return runtime.advice_cache.get_or_compute(
                 key,
-                lambda: session.advisor.advise(
-                    context, max_answers=max_answers, mode=mode
-                ),
+                lambda: advisor.advise(context, max_answers=max_answers, mode=mode),
                 version=runtime.data_version,
             )
 

@@ -24,6 +24,12 @@ entries already recomputed at the current version, other namespaces in a
 shared cache) in place.  That is the precision alternative to
 flush-the-world invalidation; benchmark E16 measures the difference.
 
+Selection masks are the bulk of what is cached, and a mask is one bit of
+information per row: a one-dimensional ``bool`` array is stored
+``np.packbits``-ed (``ceil(n / 8)`` bytes beside its length) and every
+lookup hands back a fresh, equal ``bool`` array — callers never see the
+packed form, and no two lookups alias.
+
 Statistics (hits, misses, evictions, invalidations, approximate byte
 footprint) are tracked under the cache's own lock, so concurrent sessions
 always observe consistent numbers: ``hits + misses == lookups`` holds at
@@ -36,19 +42,42 @@ import sys
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = ["CacheStats", "ResultCache"]
 
 
-def _approx_size(value: Any) -> int:
-    """Approximate in-memory footprint of a cached value, in bytes."""
-    if isinstance(value, np.ndarray):
-        return int(value.nbytes)
+class _PackedMask(NamedTuple):
+    """A selection mask as stored: eight rows a byte, and the row count."""
+
+    bits: np.ndarray
+    length: int
+
+
+def _pack(value: Any) -> Any:
+    """The stored form of a value: masks packed, anything else as it is."""
+    if isinstance(value, np.ndarray) and value.dtype == np.bool_ and value.ndim == 1:
+        return _PackedMask(np.packbits(value), len(value))
+    return value
+
+
+def _unpack(stored: Any) -> Any:
+    """The value a lookup returns: a fresh ``bool`` array for a packed mask."""
+    if type(stored) is _PackedMask:
+        return np.unpackbits(stored.bits, count=stored.length).view(np.bool_)
+    return stored
+
+
+def _approx_size(stored: Any) -> int:
+    """Approximate in-memory footprint of a stored value, in bytes."""
+    if type(stored) is _PackedMask:
+        return int(stored.bits.nbytes)
+    if isinstance(stored, np.ndarray):
+        return int(stored.nbytes)
     try:
-        return int(sys.getsizeof(value))
+        return int(sys.getsizeof(stored))
     except TypeError:  # pragma: no cover - exotic objects
         return 0
 
@@ -70,8 +99,9 @@ class CacheStats:
     puts:
         Successful insertions.
     approx_bytes:
-        Approximate footprint of the cached values (``ndarray.nbytes`` for
-        masks, ``sys.getsizeof`` otherwise).
+        Approximate footprint of the cached values as stored (``ceil(n /
+        8)`` bytes for an ``n``-row mask, ``ndarray.nbytes`` for any other
+        array, ``sys.getsizeof`` otherwise).
     invalidations:
         Entries dropped because their data version was superseded — by a
         version-mismatched lookup or by :meth:`ResultCache.evict_superseded`.
@@ -196,7 +226,7 @@ class ResultCache:
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-            return value
+        return _unpack(value)
 
     def peek(self, key: str, version: Optional[int] = None) -> Optional[Any]:
         """The cached value without any observable side effect.
@@ -216,7 +246,7 @@ class ResultCache:
                 return None
             if version is not None and self._versions.get(key, version) != version:
                 return None
-            return value
+        return _unpack(value)
 
     def put(self, key: str, value: Any, version: Optional[int] = None) -> None:
         """Insert (or refresh) an entry, evicting LRU entries beyond capacity.
@@ -226,6 +256,7 @@ class ResultCache:
         """
         if not self.enabled:
             return
+        value = _pack(value)
         size = _approx_size(value)
         with self._lock:
             if key in self._entries:

@@ -41,13 +41,14 @@ the path; ``use_index`` / ``partitions`` only *force* a reference path.
 
 The engine is *mutation-aware*: its data lives in a
 :class:`~repro.live.VersionedTable` (a plain :class:`Table` is wrapped in
-a private one), every operation runs against an atomically captured
-``(version, snapshot, shards)`` state, cache entries are tagged with the
-data version they were computed at, and :meth:`QueryEngine.ingest` /
-:meth:`QueryEngine.delete_where` mutate the source, re-shard lazily and
-surgically evict the superseded cache entries.  Siblings sharing one
-source observe every mutation; static workloads stay at version 1 and pay
-a single integer comparison per operation.
+a private one), every operation borrows the source's atomically captured
+``(version, snapshot, shards)`` state for its own length and keeps
+nothing of it afterwards (an idle engine pins no version), cache entries
+are tagged with the data version they were computed at, and
+:meth:`QueryEngine.ingest` / :meth:`QueryEngine.delete_where` mutate the
+source and surgically evict the superseded cache entries; shards rebuild
+lazily.  Siblings sharing one source observe every mutation; static
+workloads stay at version 1 and pay one dictionary read per operation.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from typing import (
+    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -80,6 +82,9 @@ from repro.storage.cache import ResultCache
 from repro.storage.expression import refinement_delta
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
+
+if TYPE_CHECKING:  # repro.live sits above this module (see QueryEngine.__init__)
+    from repro.live.versioned import LiveState
 
 __all__ = [
     "OperationCounter",
@@ -367,19 +372,6 @@ class OperationCounter:
         return snapshot
 
 
-class _LiveState(NamedTuple):
-    """One version's evaluation context, swapped atomically on refresh.
-
-    Operations capture the whole triple up front, so a concurrent ingest
-    can never pair a new snapshot with an old version tag (or an old
-    shard set with a new mask length) inside a single evaluation.
-    """
-
-    version: int
-    table: Table
-    partitioned: PartitionedTable
-
-
 class AccessPath(NamedTuple):
     """How :meth:`QueryEngine._execute` computes one uncached mask (or count).
 
@@ -476,9 +468,6 @@ class QueryEngine:
         # query, recorded by hint_parent() and consumed opportunistically.
         self._hints: Dict[str, SDLQuery] = {}
         self._hints_lock = threading.Lock()
-        # Guards _state replacement; readers of _state stay lock-free
-        # (single atomic reference read).
-        self._state_lock = threading.Lock()
         self._pool = pool
         # Unforced: one shard per pool worker, one without a pool.
         self._forced_partitions = None if partitions is None else max(1, int(partitions))
@@ -497,12 +486,6 @@ class QueryEngine:
             # on (reuse is sized per query in _plan); a single shard can
             # skip nothing, so zone maps need at least two.
             self._features = INDEX_FEATURES - {"zonemap"}
-        # Shards are shared between siblings through the source's memo
-        # (same data, one materialisation per version).
-        version, snapshot = self._source.state()
-        self._state = _LiveState(
-            version, snapshot, self._source.partitioned(self._partitions)
-        )
         # Optional observability sink: a callable ``(op, seconds)`` fed by
         # count/median when attached (see set_metrics_sink).  ``None``
         # keeps the aggregate entry points on their original fast path.
@@ -510,27 +493,14 @@ class QueryEngine:
 
     # -- live data -------------------------------------------------------------
 
-    def _refresh(self) -> _LiveState:
-        """The current evaluation state, re-sharding after a mutation.
+    def _refresh(self) -> LiveState:
+        """The current evaluation state, borrowed from the source.
 
-        Double-checked: the hot path is one lock-free reference read plus
-        an integer comparison; only the first caller after a mutation
-        takes the state lock and rebuilds.
+        The source owns one ``(version, snapshot, shards)`` triple per
+        version and partition count, shared by every sibling; the engine
+        keeps no copy, so the triple dies with its version.
         """
-        state = self._state
-        if self._source.version == state.version:
-            return state
-        with self._state_lock:
-            state = self._state
-            if self._source.version == state.version:
-                return state
-            version, snapshot = self._source.state()
-            sharded = self._source.partitioned(self._partitions)
-            if sharded.table is not snapshot:  # pragma: no cover - mutation race
-                sharded = PartitionedTable(snapshot, self._partitions)
-            state = _LiveState(version, snapshot, sharded)
-            self._state = state
-            return state
+        return self._source.state(self._partitions)
 
     @property
     def source(self) -> Any:
@@ -551,7 +521,6 @@ class QueryEngine:
         empty batch changes nothing.
         """
         version = self._source.append_batch(rows)
-        self._refresh()
         self._cache.evict_superseded(version)
         return version
 
@@ -563,7 +532,6 @@ class QueryEngine:
         """
         deleted, version = self._source.delete_where(query)
         if deleted:
-            self._refresh()
             self._cache.evict_superseded(version)
         return deleted
 
@@ -645,8 +613,7 @@ class QueryEngine:
         their inner engine), so the storage layer stays import-free of the
         observability package's registry.
         """
-        with self._state_lock:
-            self._metrics_sink = sink
+        self._metrics_sink = sink  # lint: ignore[CHR002] atomic reference swap
 
     def sample(self, fraction: float, seed: Optional[int] = None) -> "QueryEngine":
         """An engine over a uniform sample of the current snapshot.
@@ -702,7 +669,7 @@ class QueryEngine:
         """The (shared) executor pool, or ``None`` for inline mapping."""
         return self._pool
 
-    def _map_fn(self, state: _LiveState) -> Optional[Callable]:
+    def _map_fn(self, state: LiveState) -> Optional[Callable]:
         """Where per-shard work runs: the pool's ``map``, or ``None`` (inline).
 
         Forced ``partitions`` always go through the pool; unforced, only
@@ -733,7 +700,7 @@ class QueryEngine:
         """
         return self._mask(query, self._refresh())[0]
 
-    def _mask(self, query: SDLQuery, state: _LiveState) -> Tuple[np.ndarray, str]:
+    def _mask(self, query: SDLQuery, state: LiveState) -> Tuple[np.ndarray, str]:
         """One mask against an already-captured live state, with the span
         label of how it was obtained."""
         key = "mask:" + query_signature(query)
@@ -749,7 +716,7 @@ class QueryEngine:
     # -- the plan -> execute seam ------------------------------------------------
 
     def _plan(
-        self, query: SDLQuery, state: _LiveState, counting: bool = False
+        self, query: SDLQuery, state: LiveState, counting: bool = False
     ) -> AccessPath:
         """Pick the access path of one uncached mask (or count); reads, never writes.
 
@@ -781,7 +748,7 @@ class QueryEngine:
         )
 
     def _execute(
-        self, path: AccessPath, query: SDLQuery, state: _LiveState
+        self, path: AccessPath, query: SDLQuery, state: LiveState
     ) -> Tuple[Any, str]:
         """Carry a planned path out: the mask (the count when not assembling)
         and the span label of the path taken."""
@@ -795,7 +762,7 @@ class QueryEngine:
                 pass
         return self._scan(path, query, state), path.scan
 
-    def _scan(self, path: AccessPath, query: SDLQuery, state: _LiveState) -> Any:
+    def _scan(self, path: AccessPath, query: SDLQuery, state: LiveState) -> Any:
         skipping = state.partitioned.skipping()
         run = skipping.query_mask if path.assemble else skipping.count
         result, skipped = run(
@@ -847,7 +814,7 @@ class QueryEngine:
             )
 
     def _resident_parent(
-        self, query: SDLQuery, state: _LiveState
+        self, query: SDLQuery, state: LiveState
     ) -> Optional[Tuple[np.ndarray, Predicate]]:
         """A cached parent mask and the one predicate separating the query from it.
 
@@ -881,7 +848,7 @@ class QueryEngine:
             self._cache.put(key, value, version=version)
 
     def _count_uncached(
-        self, query: SDLQuery, state: _LiveState
+        self, query: SDLQuery, state: LiveState
     ) -> Tuple[int, str]:
         """One cardinality and its span label, bypassing the aggregate cache.
 
@@ -923,7 +890,7 @@ class QueryEngine:
         self,
         op: str,
         started: float,
-        state: _LiveState,
+        state: LiveState,
         taken: Optional[str] = None,
         **attributes: Any,
     ) -> None:
@@ -970,7 +937,7 @@ class QueryEngine:
     # -- aggregates --------------------------------------------------------------
 
     def _median_uncached(
-        self, attribute: str, query: Optional[SDLQuery], state: _LiveState
+        self, attribute: str, query: Optional[SDLQuery], state: LiveState
     ) -> Tuple[Any, str]:
         """One median and its mask's span label, bypassing the aggregate cache.
 

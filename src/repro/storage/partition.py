@@ -141,10 +141,12 @@ class PartitionedTable:
         Built lazily and memoized on the partitioned table itself, so
         every engine over the same shard set (siblings on a shared cache,
         workers on a pool) reuses one set of zone maps and bitmap
-        indexes.  Version keying is inherited: live tables memoize one
-        ``PartitionedTable`` per data version
-        (:meth:`repro.live.VersionedTable.partitioned`) and drop it on
-        mutation, taking the attached indexes with it.
+        indexes.  Version keying is inherited: a live table is the only
+        owner of its current version's ``PartitionedTable``
+        (:meth:`repro.live.VersionedTable.state`; engines borrow it per
+        operation) and drops it on mutation, taking the attached indexes
+        with it — at once, by reference count: the indexes refer to the
+        shards, never back to this object.
         """
         with self._skipping_lock:
             if self._skipping is None:

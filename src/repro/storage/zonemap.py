@@ -253,8 +253,10 @@ class SkippingIndexes:
     :class:`~repro.storage.index.BitmapIndex` per ``(shard, attribute)``
     pair, and evaluates masks/counts with shard skipping.  One instance is
     shared by every engine over the same shard set (see
-    :meth:`repro.storage.partition.PartitionedTable.skipping`); laziness
-    means only queried columns ever pay the collection scan.
+    :meth:`repro.storage.partition.PartitionedTable.skipping`, which owns
+    it; it refers to the shards only, so both die together without a
+    collector pass); laziness means only queried columns ever pay the
+    collection scan.
 
     Thread safety: the index dictionaries are guarded by a lock; a racing
     double build is resolved by ``setdefault`` (both structures are
@@ -263,7 +265,6 @@ class SkippingIndexes:
     """
 
     def __init__(self, partitioned: Any):
-        self._partitioned = partitioned
         self._shards: List[Any] = partitioned.shards
         self._lock = threading.Lock()
         self._zones: Dict[Tuple[int, str], ZoneMap] = {}

@@ -225,6 +225,40 @@ class TestLifecycle:
         assert exact.approximate is False
         assert [a.attributes for a in advice] == [a.attributes for a in exact]
 
+    def test_interactive_advise_leaves_no_sample_table_per_version(self):
+        # The view draws one sample table per data version; each redraw
+        # closes the sample two versions back, so a live table under
+        # interactive traffic holds a constant number of them.
+        from repro.core import Charles
+
+        advisor = Charles(generate_voc(rows=3000, seed=17), backend="sqlite")
+        fresh = generate_voc(rows=100, seed=18)
+        context = ["type_of_boat", "tonnage"]
+
+        def master_rows():
+            return advisor.engine._execute("SELECT COUNT(*) FROM sqlite_master")[0][0]
+
+        advisor.advise(context, max_answers=4, mode="interactive")
+        counts = []
+        for round_index in range(50):
+            advisor.ingest([fresh.row(2 * round_index), fresh.row(2 * round_index + 1)])
+            advice = advisor.advise(context, max_answers=4, mode="interactive")
+            assert advice.approximate is True
+            counts.append(master_rows())
+        assert counts[-1] == counts[0]
+        assert advisor.data_version == 51
+
+    def test_closing_a_sample_drops_its_table_only(self, voc):
+        backend = SQLiteBackend.from_table(voc)
+        query = SDLQuery([RangePredicate("tonnage", 300, 1500)])
+        expected = backend.count(query)
+        sampled = backend.sample(0.25, seed=3)
+        sampled.close()
+        with pytest.raises(BackendError):
+            sampled.count(query)
+        backend.reset()
+        assert backend.count(query) == expected  # base table and connection intact
+
     def test_thread_safe_counts(self, voc, engine, backend):
         query = SDLQuery([RangePredicate("tonnage", 200, 2200)])
         expected = engine.count(query)

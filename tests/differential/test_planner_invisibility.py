@@ -19,6 +19,7 @@ from __future__ import annotations
 from unittest import mock
 
 import hypothesis.strategies as st
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -236,7 +237,7 @@ def test_plan_reuses_a_resident_parent():
         parent_mask = engine.evaluate(_PARENT)
         path = engine._plan(_CHILD, state)
         mask, delta = path.parent
-        assert mask is parent_mask
+        assert np.array_equal(mask, parent_mask)
         assert delta == _CHILD.predicate_for("cat")
         reused, taken = engine._execute(path, _CHILD, state)
         assert taken == "reuse"

@@ -64,8 +64,9 @@ class TestLRUBounds:
             cache.put(f"mask{index}", mask.copy())
         stats = cache.stats()
         assert stats.entries == 2
-        # Bounded by capacity × mask size, not by the 5 masks inserted.
-        assert stats.approx_bytes == 2 * mask.nbytes
+        # Bounded by capacity × mask size (one bit a row), not by the 5
+        # masks inserted.
+        assert stats.approx_bytes == 2 * (mask.size // 8)
 
     def test_recently_used_entry_survives(self):
         cache = ResultCache(capacity=2)
@@ -82,7 +83,7 @@ class TestLRUBounds:
             cache.put("k", np.ones(100, dtype=bool))
         stats = cache.stats()
         assert stats.entries == 1
-        assert stats.approx_bytes == 100
+        assert stats.approx_bytes == 13  # ceil(100 / 8)
 
 
 class TestThreadSafety:
