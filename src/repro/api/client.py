@@ -2,7 +2,7 @@
 
 The client half of the front-end/back-end split: a
 :class:`RemoteAdvisor` speaks the versioned JSON protocol of
-:mod:`repro.api.protocol` over HTTP (stdlib ``urllib`` only) and hands
+:mod:`repro.api.protocol` over HTTP (stdlib ``http.client`` only) and hands
 out :class:`RemoteSession` objects exposing the **same surface** as the
 in-process :class:`~repro.service.ServiceSession` —
 ``advise`` / ``drill`` / ``back`` / ``breadcrumbs`` / ``describe`` /
@@ -12,22 +12,48 @@ decode back into the real domain objects (:class:`~repro.core.advisor.Advice`,
 :class:`~repro.sdl.segmentation.Segmentation`, ...), and server-side
 failures re-raise as the matching :class:`~repro.errors.CharlesError`
 subclass, resolved through the stable wire error codes.
+
+Connections are persistent: a :class:`RemoteAdvisor` keeps a small stack
+of idle keep-alive connections, takes one per request (or opens one) and
+puts it back once the reply is fully read, so a conversation costs one
+TCP connection and threads sharing a client never share a socket.
+Delivery stays **at most once** per attempt: an idle connection is
+checked *before* the request is written and silently replaced when the
+server has closed it, but nothing is ever resent behind the caller's
+back — a failure after the write counts against ``retries`` like any
+other connection-level failure.
 """
 
 from __future__ import annotations
 
 import http.client
 import json
+import selectors
+import socket
+import threading
 import time
-import urllib.error
-import urllib.request
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+from urllib.parse import urlsplit
 
 from repro.api.protocol import Request, Response, error_from_wire
 from repro.core.advisor import Advice, ContextLike
 from repro.errors import RemoteError, RemoteTransportError
 
 __all__ = ["RemoteAdvisor", "RemoteSession"]
+
+#: Seconds a connection may sit idle and still be reused — well under the
+#: server's ``SOCKET_TIMEOUT_SECONDS``, so the client never writes into a
+#: connection the server is about to time out.
+MAX_IDLE_SECONDS = 10.0
+
+_HEADERS = {"Content-Type": "application/json; charset=utf-8"}
+
+
+def _readable(sock: socket.socket) -> bool:
+    """Whether a read would not block: on an idle connection, a close."""
+    with selectors.DefaultSelector() as selector:
+        selector.register(sock, selectors.EVENT_READ)
+        return bool(selector.select(0))
 
 
 class RemoteAdvisor:
@@ -84,54 +110,101 @@ class RemoteAdvisor:
         self.trace = bool(trace)
         #: Span tree of the most recent traced call (``None`` otherwise).
         self.last_trace: Optional[Dict[str, Any]] = None
+        parts = urlsplit(self.url)
+        self._connection_type = (
+            http.client.HTTPSConnection
+            if parts.scheme == "https"
+            else http.client.HTTPConnection
+        )
+        self._netloc = parts.netloc
+        self._path = parts.path
+        # Idle keep-alive connections, most recently used on top, each
+        # with the time it was put back.
+        self._idle_lock = threading.Lock()
+        self._idle: List[Tuple[http.client.HTTPConnection, float]] = []
 
     # -- transport -----------------------------------------------------------
 
-    def _http_once(self, method: str, path: str, body: Optional[bytes]) -> Any:
-        request = urllib.request.Request(
-            f"{self.url}{path}",
-            data=body,
-            method=method,
-            headers={"Content-Type": "application/json; charset=utf-8"},
-        )
-        with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-            text = reply.read().decode("utf-8")
-        try:
-            return json.loads(text)
-        except ValueError as exc:
-            raise RemoteError(f"server returned invalid JSON: {exc}") from exc
+    def _take(self) -> http.client.HTTPConnection:
+        """An idle connection that is still open, else a new one."""
+        while True:
+            with self._idle_lock:
+                if not self._idle:
+                    break
+                connection, since = self._idle.pop()
+            fresh = time.monotonic() - since < MAX_IDLE_SECONDS
+            # Nothing is in flight, so anything readable is the peer's close.
+            if fresh and not _readable(connection.sock):
+                return connection
+            connection.close()
+        connection = self._connection_type(self._netloc, timeout=self.timeout)
+        connection.connect()
+        # http.client sends headers and body in two writes; without this
+        # the second waits for the server's delayed ACK of the first.
+        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        return connection
 
-    def _http(self, method: str, path: str, body: Optional[bytes] = None) -> Any:
+    def _http_once(self, method: str, path: str, body: Optional[bytes]) -> Tuple[int, bytes]:
+        connection = self._take()
+        try:
+            connection.request(method, self._path + path, body=body, headers=_HEADERS)
+            reply = connection.getresponse()
+            data = reply.read()
+        except BaseException:
+            connection.close()
+            raise
+        if reply.will_close:
+            connection.close()
+        else:
+            with self._idle_lock:
+                self._idle.append((connection, time.monotonic()))
+        return reply.status, data
+
+    def _exchange(self, method: str, path: str, body: Optional[bytes] = None) -> bytes:
+        """One exchange within the retry budget; returns the reply body."""
         attempts = self.retries + 1
         failure: Optional[BaseException] = None
         for attempt in range(attempts):
             if attempt:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
-                return self._http_once(method, path, body)
-            except urllib.error.HTTPError as exc:
-                # The server answered: transport-level rejections (bad
-                # path, bad JSON) still carry an error envelope; surface
-                # its message and code without retrying.
-                try:
-                    payload = json.loads(exc.read().decode("utf-8"))
-                    error = payload.get("error") or {}
-                    raise RemoteError(
-                        str(error.get("message") or exc), code=error.get("code")
-                    ) from exc
-                except (ValueError, AttributeError):
-                    raise RemoteError(f"HTTP {exc.code} from {self.url}{path}") from exc
-            except urllib.error.URLError as exc:
-                failure = exc
+                status, data = self._http_once(method, path, body)
             except (http.client.HTTPException, OSError) as exc:
                 # A node killed mid-exchange surfaces as RemoteDisconnected,
                 # ConnectionResetError or a bare timeout, depending on where
                 # the connection died; all are connection-level failures.
                 failure = exc
-        reason = getattr(failure, "reason", failure)
+                continue
+            if status < 400:
+                return data
+            # The server answered: transport-level rejections (bad path,
+            # bad JSON) still carry an error envelope; surface its message
+            # and code without retrying.
+            fallback = f"HTTP {status} from {self.url}{path}"
+            try:
+                error = json.loads(data).get("error") or {}
+                message, code = str(error.get("message") or fallback), error.get("code")
+            except (ValueError, AttributeError):
+                raise RemoteError(fallback) from None
+            raise RemoteError(message, code=code)
         raise RemoteTransportError(
-            f"cannot reach {self.url}{path} after {attempts} attempt(s): {reason}"
+            f"cannot reach {self.url}{path} after {attempts} attempt(s): {failure}"
         ) from failure
+
+    def _http(self, method: str, path: str, body: Optional[bytes] = None) -> Any:
+        """One exchange whose reply is JSON, decoded."""
+        data = self._exchange(method, path, body)
+        try:
+            return json.loads(data)
+        except ValueError as exc:
+            raise RemoteError(f"server returned invalid JSON: {exc}") from exc
+
+    def close(self) -> None:
+        """Close the idle connections (the client stays usable)."""
+        with self._idle_lock:
+            idle, self._idle = self._idle, []
+        for connection, _ in idle:
+            connection.close()
 
     def forward(self, payload: Mapping[str, Any]) -> Dict[str, Any]:
         """POST one already-encoded request envelope; returns the raw reply.
@@ -226,20 +299,9 @@ class RemoteAdvisor:
     def metrics_text(self) -> str:
         """The Prometheus text exposition (``GET /v1/metrics``).
 
-        The one endpoint that is not JSON, so it bypasses the JSON
-        transport helper; connection failures raise the same typed
-        :class:`~repro.errors.RemoteTransportError`.
+        The one endpoint that is not JSON; same transport, same errors.
         """
-        request = urllib.request.Request(f"{self.url}/v1/metrics", method="GET")
-        try:
-            with urllib.request.urlopen(request, timeout=self.timeout) as reply:
-                return str(reply.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            raise RemoteError(f"HTTP {exc.code} from {self.url}/v1/metrics") from exc
-        except (urllib.error.URLError, http.client.HTTPException, OSError) as exc:
-            raise RemoteTransportError(
-                f"cannot reach {self.url}/v1/metrics: {getattr(exc, 'reason', exc)}"
-            ) from exc
+        return self._exchange("GET", "/v1/metrics").decode("utf-8")
 
     @property
     def table_names(self) -> List[str]:

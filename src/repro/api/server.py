@@ -8,6 +8,15 @@ are lock-protected and every session engine shares the table runtime's
 caches, so concurrent requests batch and reuse work exactly as the
 in-process multi-user path does.
 
+Connections are HTTP/1.1 keep-alive: a handler thread serves one
+connection, request after request, until the peer closes it, a read
+stalls for :data:`SOCKET_TIMEOUT_SECONDS` (idle, silent or half-sent —
+the thread is given back quietly), a transport-level error reply
+(status >= 400) ends it, or the server shuts down — ``shutdown()`` closes
+every open connection, so a stopped server answers nobody.  Each reply
+leaves as one buffered write with Nagle's algorithm off, which is what
+makes keep-alive usable at all (``docs/api.md``, "Connections").
+
 Endpoints:
 
 * ``POST /v1/rpc`` — one request envelope in, one response envelope out
@@ -41,24 +50,31 @@ from __future__ import annotations
 
 import json
 import os
+import socket
 import sys
 import threading
 import time
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, Optional, Protocol
+from typing import TYPE_CHECKING, Any, Dict, Optional, Protocol, Set, Tuple, Type
 
 from repro.api.codec import SCHEMA_VERSION, to_wire
 from repro.api.dispatcher import Dispatcher
 from repro.api.protocol import API_VERSION, OPERATIONS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
+    from repro.obs.metrics import MetricsRegistry
     from repro.service.service import AdvisorService
 
 __all__ = ["AdvisorHTTPServer", "HTTPFront", "HTTPFrontServer"]
 
 #: Maximum accepted request body, a guard against runaway clients.
 _MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Seconds a handler thread waits on its socket — for the next request of
+#: a keep-alive connection, or for the rest of a half-sent one — before it
+#: closes the connection and ends.  Read when a server is constructed.
+SOCKET_TIMEOUT_SECONDS = 30.0
 
 
 class HTTPFront(Protocol):
@@ -90,6 +106,11 @@ class _Handler(BaseHTTPRequestHandler):
     quiet: bool = True
 
     protocol_version = "HTTP/1.1"
+    # Status line, headers and body leave in one segment: buffered until
+    # handle_one_request flushes, and not held back by Nagle's algorithm
+    # waiting on the keep-alive peer's delayed ACK.
+    wbufsize = 64 * 1024
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
 
@@ -97,21 +118,21 @@ class _Handler(BaseHTTPRequestHandler):
         if not self.quiet:  # pragma: no cover - debug aid
             super().log_message(format, *args)
 
-    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
-        body = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
+    def _send(self, status: int, content_type: str, body: bytes) -> None:
+        self.server.count_request()  # type: ignore[attr-defined]
         self.send_response(status)
-        self.send_header("Content-Type", "application/json; charset=utf-8")
+        self.send_header("Content-Type", content_type)
         self.send_header("Content-Length", str(len(body)))
+        if status >= 400:
+            # A rejected request may have left its body unread; the next
+            # request on this connection would be parsed out of it.
+            self.send_header("Connection", "close")
         self.end_headers()
         self.wfile.write(body)
 
-    def _send_text(self, status: int, body: str) -> None:
-        encoded = body.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        self.wfile.write(encoded)
+    def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
+        body = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
+        self._send(status, "application/json; charset=utf-8", body)
 
     def _error(self, status: int, code: str, message: str) -> None:
         self._send_json(
@@ -161,7 +182,9 @@ class _Handler(BaseHTTPRequestHandler):
         try:
             text = self.front.get_plain(path)
             if text is not None:
-                self._send_text(200, text)
+                self._send(
+                    200, "text/plain; version=0.0.4; charset=utf-8", text.encode("utf-8")
+                )
                 return
             document = self.front.get_document(path)
         except Exception as exc:
@@ -214,6 +237,61 @@ class _Handler(BaseHTTPRequestHandler):
     do_DELETE = do_PUT
 
 
+class _TrackingHTTPServer(ThreadingHTTPServer):
+    """The stdlib threaded server, plus a record of its open connections.
+
+    ``socketserver`` forgets a connection once its handler thread has
+    started, so ``shutdown()`` alone leaves every keep-alive connection
+    being served.  This keeps the accepted sockets until their threads
+    release them, which lets :meth:`close_connections` end them all, and
+    counts connections and requests for ``/v1/metrics``.
+    """
+
+    daemon_threads = True
+
+    def __init__(
+        self, address: Tuple[str, int], handler: Type[BaseHTTPRequestHandler]
+    ) -> None:
+        self._lock = threading.Lock()
+        self._open: Set[socket.socket] = set()
+        #: Connections accepted and requests answered so far.
+        self.accepted = 0
+        self.requests = 0
+        super().__init__(address, handler)
+
+    def get_request(self) -> Tuple[socket.socket, Any]:
+        connection, address = super().get_request()
+        with self._lock:
+            self._open.add(connection)
+            self.accepted += 1
+        return connection, address
+
+    def shutdown_request(self, request: Any) -> None:
+        with self._lock:
+            self._open.discard(request)
+        super().shutdown_request(request)
+
+    def handle_error(self, request: Any, client_address: Any) -> None:
+        # A peer that vanishes mid-exchange (or a connection closed under
+        # its handler by close_connections) is not a server failure.
+        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
+            super().handle_error(request, client_address)
+
+    def count_request(self) -> None:
+        with self._lock:
+            self.requests += 1
+
+    def close_connections(self) -> None:
+        """End every open connection; their handler threads then exit."""
+        with self._lock:
+            connections = list(self._open)
+        for connection in connections:
+            try:
+                connection.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass  # already closed by its handler or its peer
+
+
 class HTTPFrontServer:
     """A threaded HTTP server bound to one :class:`HTTPFront`.
 
@@ -228,10 +306,9 @@ class HTTPFrontServer:
         handler = type(
             "_BoundHandler",
             (_Handler,),
-            {"front": self, "quiet": quiet},
+            {"front": self, "quiet": quiet, "timeout": SOCKET_TIMEOUT_SECONDS},
         )
-        self._httpd = ThreadingHTTPServer((host, port), handler)
-        self._httpd.daemon_threads = True
+        self._httpd = _TrackingHTTPServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     # -- the front surface ---------------------------------------------------
@@ -279,7 +356,7 @@ class HTTPFrontServer:
         self._httpd.serve_forever()
 
     def shutdown(self) -> None:
-        """Stop serving and release the port."""
+        """Stop serving, release the port and close every open connection."""
         if self._thread is not None:
             # socketserver's shutdown() blocks forever unless a
             # serve_forever loop is actually running.
@@ -287,6 +364,30 @@ class HTTPFrontServer:
             self._thread.join(timeout=5.0)
             self._thread = None
         self._httpd.server_close()
+        # Only the accept loop has stopped: a handler thread parked on a
+        # keep-alive connection would go on answering.
+        self._httpd.close_connections()
+
+    def export_http_metrics(self, registry: "MetricsRegistry", front: str) -> None:
+        """Register this front's connection and request counters as views.
+
+        Their ratio is the connection reuse rate: near 1 means every
+        request opened its own connection.  ``front`` labels the rows, so
+        a router's own traffic stays apart from its nodes' when merged.
+        """
+        for name, help_text, read in (
+            (
+                "http_connections_accepted_total",
+                "TCP connections accepted by the HTTP front.",
+                lambda: self._httpd.accepted,
+            ),
+            (
+                "http_requests_total",
+                "HTTP requests answered by the HTTP front.",
+                lambda: self._httpd.requests,
+            ),
+        ):
+            registry.counter(name, help_text, labels={"front": front}, fn=read)
 
     def __enter__(self) -> "HTTPFrontServer":
         return self.start()
@@ -330,6 +431,7 @@ class AdvisorHTTPServer(HTTPFrontServer):
         self.node_id = node_id if node_id is not None else f"pid:{os.getpid()}"
         self.started_at = time.time()
         super().__init__(host=host, port=port, quiet=quiet)
+        self.export_http_metrics(service.metrics, front="node")
 
     @property
     def service(self) -> "AdvisorService":

@@ -7,8 +7,11 @@ standard library:
 
 * :mod:`~repro.cluster.specs` — deterministic table recipes every node
   loads identically;
-* :mod:`~repro.cluster.nodes` — a supervisor spawning N advisor server
-  *processes* (spawn start method, ephemeral ports, pipe handshake);
+* :mod:`~repro.cluster.nodes` — a supervisor launching N advisor server
+  *processes* as plain subprocesses of
+  :mod:`~repro.cluster.node_main` (JSON configuration on the command
+  line, ephemeral ports announced on stdout, stdin as the lifeline): N
+  nodes are N + 1 processes;
 * :mod:`~repro.cluster.shardmap` — the explicit consistent-hash
   assignment of sessions and tables to nodes;
 * :mod:`~repro.cluster.health` — probes and the sticky node-state table;

@@ -10,11 +10,11 @@ The one-call deployment the CLI, the tests and the benchmark all use::
         cluster.kill_node(0)          # failure injection
         session.advise(refresh=True)  # fails over transparently
 
-``start()`` spawns the node processes, waits for their ports, builds the
+``start()`` launches the node processes, waits for their ports, builds the
 router over them, probes once so the node-state table starts accurate,
 and binds the HTTP front door.  ``stop()`` tears everything down in
 reverse.  The context manager form guarantees no node processes outlive
-the test that spawned them.
+the test that launched them.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class AdvisorCluster:
         Bind address of the router's front door (``0`` = ephemeral).
     service_options:
         Per-node :class:`~repro.service.AdvisorService` keyword
-        arguments (must be picklable).
+        arguments (must be JSON-safe: they reach each node as JSON).
     probe_interval:
         Router health-probe cadence in seconds.
     timeout, retries:
@@ -90,7 +90,7 @@ class AdvisorCluster:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "AdvisorCluster":
-        """Spawn the nodes, start the router, open the front door."""
+        """Launch the nodes, start the router, open the front door."""
         if self.router is not None:
             raise ClusterError("the cluster is already running")
         self.supervisor.start()

@@ -7,65 +7,60 @@ point: killing a node with SIGKILL exercises exactly the failure the
 router's degradation machinery exists for, which a thread could never
 simulate faithfully.
 
-Processes are created with the **spawn** start method, never fork: the
-supervisor usually runs inside a threaded process (pytest, the router's
-HTTP server) and forking a threaded CPython process can deadlock in the
-child.  Spawn also guarantees each node builds its tables from the
+A node is a plain subprocess — ``python -m repro.cluster.node_main`` —
+never a fork: the supervisor usually runs inside a threaded process
+(pytest, the router's HTTP server) and forking a threaded CPython
+process can deadlock in the child.  A fresh interpreter also guarantees
+each node builds its tables from the
 :class:`~repro.cluster.specs.TableSpec` recipes from scratch, the same
-way a node on another machine would.
+way a node on another machine would.  An N-node cluster is N + 1
+processes: there is no helper process between supervisor and nodes.
 
-Each child binds an ephemeral port and reports it back over a pipe; the
-supervisor blocks until every node has checked in (or a timeout raises
-:class:`~repro.errors.ClusterError` naming the stragglers).
+The node's whole configuration (node id, host, table specs, service
+options) travels as one JSON argument.  The child binds an ephemeral
+port and announces ``ok <port>`` (or ``error <reason>``) on its stdout;
+the supervisor blocks until every node has checked in (or a timeout
+raises :class:`~repro.errors.ClusterError` naming the straggler), then
+closes that pipe.  The node's stdin is a pipe from the supervisor that
+carries nothing: the node exits when it reaches end-of-file, so nodes
+die with the supervisor however it dies — SIGKILL included.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import multiprocessing.connection
+import dataclasses
+import json
+import os
+import selectors
+import subprocess
+import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from pathlib import Path
+from typing import IO, Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.specs import TableSpec
 from repro.errors import ClusterError
 
 __all__ = ["NodeHandle", "NodeSupervisor"]
 
+_NODE_MODULE = "repro.cluster.node_main"
 
-def _node_main(
-    node_id: int,
-    host: str,
-    specs: Sequence[TableSpec],
-    service_options: Dict[str, Any],
-    conn: multiprocessing.connection.Connection,
-) -> None:
-    """Entry point of one node process (runs in the spawned child).
 
-    Builds the tables, starts the HTTP server on an ephemeral port,
-    reports ``("ok", port)`` (or ``("error", reason)``) over the pipe,
-    then serves until killed.
-    """
-    # Imported here, not at module top: the parent imports this module to
-    # pickle the entry point, and must not pay for the service stack.
-    from repro.api.server import AdvisorHTTPServer
-    from repro.service import AdvisorService
-
-    try:
-        tables = [spec.load() for spec in specs]
-        service = AdvisorService(tables, **service_options)
-        server = AdvisorHTTPServer(
-            service, host=host, port=0, node_id=f"node-{node_id}"
-        )
-    except BaseException as exc:  # noqa: BLE001 - reported to the parent
-        try:
-            conn.send(("error", f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        raise
-    conn.send(("ok", server.port))
-    conn.close()
-    server.serve_forever()
+def _read_announcement(stream: IO[bytes], deadline: float) -> Optional[str]:
+    """The first line of a node's stdout; ``None`` if the deadline passes."""
+    data = b""
+    with selectors.DefaultSelector() as selector:
+        selector.register(stream, selectors.EVENT_READ)
+        while b"\n" not in data:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0 or not selector.select(remaining):
+                return None
+            chunk = os.read(stream.fileno(), 4096)
+            if not chunk:
+                break  # the node exited (or closed stdout) mid-line
+            data += chunk
+    return data.split(b"\n", 1)[0].decode("utf-8", "replace")
 
 
 @dataclass
@@ -73,7 +68,7 @@ class NodeHandle:
     """The supervisor's view of one running node process."""
 
     node_id: int
-    process: multiprocessing.process.BaseProcess
+    process: "subprocess.Popen[bytes]"
     host: str
     port: int = 0
     killed: bool = field(default=False)
@@ -87,7 +82,7 @@ class NodeHandle:
         return f"node-{self.node_id}"
 
     def alive(self) -> bool:
-        return self.process.is_alive()
+        return self.process.poll() is None
 
     @property
     def pid(self) -> Optional[int]:
@@ -105,7 +100,7 @@ class NodeHandle:
 
 
 class NodeSupervisor:
-    """Spawns, tracks and kills the advisor node processes of one cluster.
+    """Launches, tracks and kills the advisor node processes of one cluster.
 
     Parameters
     ----------
@@ -113,13 +108,13 @@ class NodeSupervisor:
         The tables every node serves — each node loads its *own* copy
         deterministically (see :mod:`repro.cluster.specs`).
     nodes:
-        How many node processes to spawn.
+        How many node processes to launch.
     host:
         Bind address for every node (loopback by default).
     service_options:
         Extra keyword arguments for each node's
         :class:`~repro.service.AdvisorService` (``workers``,
-        ``backend``, ...); must be picklable.
+        ``backend``, ...); must be JSON-safe.
     start_timeout:
         Seconds to wait for all nodes to report their ports.
     """
@@ -143,51 +138,59 @@ class NodeSupervisor:
         self.start_timeout = float(start_timeout)
         self._handles: Dict[int, NodeHandle] = {}
 
+    def _launch(self, node_id: int) -> "subprocess.Popen[bytes]":
+        config = {
+            "node_id": node_id,
+            "host": self.host,
+            "specs": [dataclasses.asdict(spec) for spec in self.specs],
+            "service_options": self.service_options,
+        }
+        try:
+            argument = json.dumps(config)
+        except (TypeError, ValueError) as exc:
+            raise ClusterError(f"service_options must be JSON-safe: {exc}") from exc
+        # The node must import the same ``repro`` this process runs,
+        # however it got onto this process's path.
+        env = dict(os.environ)
+        source = str(Path(__file__).resolve().parents[2])
+        env["PYTHONPATH"] = os.pathsep.join(
+            part for part in (source, env.get("PYTHONPATH")) if part
+        )
+        return subprocess.Popen(
+            [sys.executable, "-m", _NODE_MODULE, argument],
+            stdin=subprocess.PIPE,  # never written: its EOF is the node's exit signal
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+
     def start(self) -> List[NodeHandle]:
-        """Spawn every node and block until all have reported a port."""
+        """Launch every node and block until all have announced a port."""
         if self._handles:
             raise ClusterError("the supervisor has already started its nodes")
-        context = multiprocessing.get_context("spawn")
-        pending: Dict[int, multiprocessing.connection.Connection] = {}
-        for node_id in range(self.nodes):
-            parent_conn, child_conn = context.Pipe(duplex=False)
-            process = context.Process(
-                target=_node_main,
-                args=(
-                    node_id,
-                    self.host,
-                    self.specs,
-                    self.service_options,
-                    child_conn,
-                ),
-                name=f"advisor-node-{node_id}",
-                daemon=True,  # nodes die with the supervisor, never linger
-            )
-            process.start()
-            child_conn.close()  # the child holds the write end now
-            pending[node_id] = parent_conn
-            self._handles[node_id] = NodeHandle(
-                node_id=node_id, process=process, host=self.host
-            )
-        deadline = time.monotonic() + self.start_timeout
         try:
-            for node_id, conn in pending.items():
-                remaining = deadline - time.monotonic()
-                if remaining <= 0 or not conn.poll(timeout=remaining):
+            for node_id in range(self.nodes):
+                self._handles[node_id] = NodeHandle(
+                    node_id=node_id, process=self._launch(node_id), host=self.host
+                )
+            deadline = time.monotonic() + self.start_timeout
+            for node_id, handle in self._handles.items():
+                stdout = handle.process.stdout
+                assert stdout is not None  # launched with stdout=PIPE
+                line = _read_announcement(stdout, deadline)
+                stdout.close()  # the node has redirected its end by now
+                if line is None:
                     raise ClusterError(
                         f"node {node_id} did not report a port within "
                         f"{self.start_timeout:.0f}s"
                     )
-                status, value = conn.recv()
+                status, _, value = line.partition(" ")
                 if status != "ok":
-                    raise ClusterError(f"node {node_id} failed to start: {value}")
-                self._handles[node_id].port = int(value)
+                    reason = value or "it exited before announcing a port"
+                    raise ClusterError(f"node {node_id} failed to start: {reason}")
+                handle.port = int(value)
         except ClusterError:
             self.stop()
             raise
-        finally:
-            for conn in pending.values():
-                conn.close()
         return self.handles()
 
     def handles(self) -> List[NodeHandle]:
@@ -212,20 +215,24 @@ class NodeSupervisor:
         """
         handle = self.handle(node_id)
         handle.process.kill()
-        handle.process.join(timeout=10.0)
+        handle.process.wait(timeout=10.0)
         handle.killed = True
         return handle
 
     def stop(self) -> None:
         """Terminate every node process and reap it."""
         for handle in self._handles.values():
-            if handle.process.is_alive():
-                handle.process.terminate()
+            handle.process.terminate()  # a no-op once the node is reaped
         for handle in self._handles.values():
-            handle.process.join(timeout=10.0)
-            if handle.process.is_alive():  # pragma: no cover - last resort
-                handle.process.kill()
-                handle.process.join(timeout=5.0)
+            process = handle.process
+            try:
+                process.wait(timeout=10.0)
+            except subprocess.TimeoutExpired:  # pragma: no cover - last resort
+                process.kill()
+                process.wait(timeout=5.0)
+            for pipe in (process.stdin, process.stdout):
+                if pipe is not None:
+                    pipe.close()
 
     def __enter__(self) -> "NodeSupervisor":
         self.start()

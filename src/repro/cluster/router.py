@@ -38,6 +38,7 @@ node, which answers for it: the node stays the authority.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.api.client import RemoteAdvisor
@@ -180,6 +181,17 @@ class ClusterRouter:
             sorted(self._clients), replicas=replicas, shards=shards
         )
         self._monitor = HealthMonitor(self._clients, interval=probe_interval)
+        # The router's own instruments; metrics_document() merges them
+        # with every node's.
+        self.metrics = MetricsRegistry()
+        self._forward_seconds = {
+            node_id: self.metrics.histogram(
+                "router_forward_seconds",
+                "Router-side latency of one forward to a node.",
+                labels={"node": str(node_id)},
+            )
+            for node_id in self._clients
+        }
         self._lock = threading.RLock()
         # Serializes replicated mutations: every node must see every
         # ingest in the same order or data versions drift apart.
@@ -216,6 +228,8 @@ class ClusterRouter:
 
     def close(self) -> None:
         self._monitor.stop()
+        for client in self._clients.values():
+            client.close()
 
     def __enter__(self) -> "ClusterRouter":
         return self.start()
@@ -380,7 +394,9 @@ class ClusterRouter:
             try:
                 if session_op and op != "open_session":
                     self._ensure_session(node_id, session)
+                started = time.perf_counter()
                 reply = self._clients[node_id].forward(dict(payload))
+                self._forward_seconds[node_id].observe(time.perf_counter() - started)
             except RemoteTransportError:
                 self._monitor.mark_dead(node_id)
                 self._bump("node_failures")
@@ -723,7 +739,7 @@ class ClusterRouter:
                 self._bump("node_failures")
             except RemoteError:
                 continue
-        merged = MetricsRegistry.merge_documents(documents)
+        merged = MetricsRegistry.merge_documents(documents + [self.metrics.to_document()])
         for name, value in sorted(self.counters().items()):
             merged["counters"].append(
                 {
@@ -789,6 +805,7 @@ class RouterHTTPServer(HTTPFrontServer):
     ) -> None:
         self.router = router
         super().__init__(host=host, port=port, quiet=quiet)
+        self.export_http_metrics(router.metrics, front="router")
 
     def handle_rpc(self, payload: Any) -> Dict[str, Any]:
         return self.router.handle_wire(payload)

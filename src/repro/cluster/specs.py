@@ -1,11 +1,12 @@
 """Table specifications: how a cluster node knows what data to serve.
 
-A cluster spawns N advisor server *processes*; each must build its own
+A cluster launches N advisor server *processes*; each must build its own
 copy of the served tables.  Shipping live :class:`~repro.storage.table.Table`
 objects across a process boundary would be slow and version-fragile, so
-the supervisor ships a :class:`TableSpec` instead — a tiny picklable
+the supervisor ships a :class:`TableSpec` instead — a tiny JSON-safe
 recipe (a built-in synthetic dataset with its row count and seed, or a
-CSV path) that every node loads *deterministically*: two nodes given the
+CSV path; ``dataclasses.asdict`` is its wire form) that every node loads
+*deterministically*: two nodes given the
 same spec hold bit-identical tables, which is what makes router-vs-local
 advice parity possible at all.
 """
@@ -44,7 +45,7 @@ def dataset_names() -> tuple:
 
 @dataclass(frozen=True)
 class TableSpec:
-    """A deterministic, picklable recipe for one served table.
+    """A deterministic, JSON-safe recipe for one served table.
 
     Parameters
     ----------

@@ -8,12 +8,18 @@ wire text.
 
 from __future__ import annotations
 
+import http.client
 import json
+import socket
+import statistics
+import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
 
+import repro.api.server as server_module
 from repro.api.codec import dumps
 from repro.api.client import RemoteAdvisor
 from repro.api.server import AdvisorHTTPServer
@@ -174,3 +180,84 @@ class TestHTTPEndpoints:
         assert after > before  # the second session was served from cache
         first.close()
         second.close()
+
+
+class TestKeepAlive:
+    def test_third_party_keep_alive_client_is_not_stalled(self, server, client):
+        # A reply that leaves in two segments costs a keep-alive client
+        # ~40 ms per request (Nagle's algorithm against the delayed ACK):
+        # this is what ``curl`` or a browser sees, not only RemoteAdvisor.
+        session = client.open_session("keepalive", context=_CONTEXT)
+        session.advise(_CONTEXT)
+        body = json.dumps(
+            {"api_version": 1, "op": "advise", "session": "keepalive",
+             "params": {"current": True}}
+        )
+        plain = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
+        round_trips = []
+        try:
+            for _ in range(20):
+                started = time.perf_counter()
+                plain.request("POST", "/v1/rpc", body=body,
+                              headers={"Content-Type": "application/json"})
+                reply = plain.getresponse().read()
+                round_trips.append(time.perf_counter() - started)
+                assert len(reply) >= 10_000 and json.loads(reply)["ok"]
+        finally:
+            plain.close()
+            session.close()
+        assert statistics.median(round_trips) < 0.020
+
+    def test_rejected_request_ends_its_connection(self, server):
+        # The body of a request rejected on its headers is never read; the
+        # connection must not be parsed on from the middle of it.
+        plain = http.client.HTTPConnection(server.host, server.port, timeout=10.0)
+        try:
+            plain.request("POST", "/v2/nope", body=b'{"op": "count"}')
+            reply = plain.getresponse()
+            assert reply.status == 404 and reply.will_close
+            assert json.loads(reply.read())["error"]["code"] == "protocol"
+        finally:
+            plain.close()
+
+
+class TestSocketBounds:
+    """A client that stops talking gives its handler thread back."""
+
+    @pytest.fixture()
+    def impatient(self, monkeypatch):
+        monkeypatch.setattr(server_module, "SOCKET_TIMEOUT_SECONDS", 0.2)
+        service = AdvisorService(generate_voc(rows=60, seed=1), batch_window=0.0)
+        with AdvisorHTTPServer(service, port=0) as running:
+            yield running
+
+    @pytest.mark.parametrize(
+        "sent",
+        [
+            b"",
+            b"POST /v1/rpc HTTP/1.1\r\nContent-Length: 100\r\n\r\n0123456789",
+            b"GET /v1/health HTTP/1.1\r\n\r\n",  # answered, then parked
+        ],
+        ids=["nothing", "half-a-body", "parked-keep-alive"],
+    )
+    def test_stalled_connection_is_closed_quietly(self, impatient, capfd, sent):
+        baseline = threading.active_count()
+        with socket.create_connection((impatient.host, impatient.port)) as raw:
+            raw.settimeout(5.0)
+            raw.sendall(sent)
+            started = time.monotonic()
+            received = b""
+            while True:  # the server's close ends the loop; a hang times out
+                chunk = raw.recv(65536)
+                if not chunk:
+                    break
+                received += chunk
+            assert time.monotonic() - started < 2.0
+        # No 500 (no reply at all to a request that never arrived) …
+        assert received == b"" or received.startswith(b"HTTP/1.1 200")
+        deadline = time.monotonic() + 2.0
+        while threading.active_count() > baseline and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert threading.active_count() <= baseline
+        # … and not a line on stderr.
+        assert capfd.readouterr().err == ""

@@ -257,6 +257,32 @@ class TestMetricsEndpoints:
         document = client.metrics_document()
         assert {"counters", "gauges", "histograms"} <= document.keys()
 
+    def test_http_front_counts_connections_and_requests(self, server):
+        client = RemoteAdvisor(server.url)
+
+        def counts():
+            rows = {
+                row["name"]: row
+                for row in client.metrics_document()["counters"]
+                if row["name"].startswith("http_")
+            }
+            assert {row["labels"]["front"] for row in rows.values()} == {"node"}
+            return (
+                rows["http_connections_accepted_total"]["value"],
+                rows["http_requests_total"]["value"],
+            )
+
+        accepted, requests = counts()
+        for _ in range(10):
+            client.count()
+        # Eleven more requests (ten counts and the second scrape itself, the
+        # scrape's own reply not yet counted), no more connections: the
+        # ratio of the two is the reuse rate.
+        assert counts() == (accepted, requests + 11)
+        text = client.metrics_text()
+        assert 'charles_http_connections_accepted_total{front="node"}' in text
+        assert 'charles_http_requests_total{front="node"}' in text
+
     def test_remote_slow_ops(self, server):
         client = RemoteAdvisor(server.url)
         client.open_session("slow", context=_CONTEXT).close()

@@ -13,14 +13,18 @@ starts exactly one cluster.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 from repro.api.client import RemoteAdvisor
 from repro.api.codec import dumps
-from repro.cluster import AdvisorCluster, TableSpec
-from repro.errors import DegradedError
+from repro.cluster import AdvisorCluster, NodeSupervisor, TableSpec
+from repro.errors import ClusterError, DegradedError
 from repro.service import AdvisorService
 from repro.workloads import generate_voc
 
@@ -111,3 +115,115 @@ def test_sigkilled_owner_fails_over_then_cluster_degrades():
 
         # The front door itself is still answering.
         assert client.health()["status"] == "down"
+
+
+# -- the process model: N nodes are N plain subprocesses -------------------------
+
+
+def _children(pid):
+    """pid → command line of every live child of ``pid``, from ``/proc``."""
+    found = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            stat = Path("/proc", entry, "stat").read_text()
+            cmdline = Path("/proc", entry, "cmdline").read_bytes()
+        except OSError:
+            continue
+        # Fields after the parenthesised command name: state ppid ...
+        state, ppid = stat.rsplit(")", 1)[-1].split()[:2]
+        if int(ppid) == pid and state != "Z":
+            found[int(entry)] = cmdline.replace(b"\0", b" ").decode()
+    return found
+
+
+def _alive(pid):
+    try:
+        state = Path("/proc", str(pid), "stat").read_text().rsplit(")", 1)[-1].split()[0]
+    except OSError:
+        return False
+    return state != "Z"
+
+
+def test_a_two_node_cluster_is_two_child_processes():
+    before = set(_children(os.getpid()))
+    with AdvisorCluster([_SPEC], nodes=2) as cluster:
+        children = {
+            pid: cmdline
+            for pid, cmdline in _children(os.getpid()).items()
+            if pid not in before
+        }
+        assert set(children) == {handle.pid for handle in cluster.handles()}
+        for cmdline in children.values():
+            assert "repro.cluster.node_main" in cmdline
+            assert "resource_tracker" not in cmdline
+            assert "spawn_main" not in cmdline
+        node_pids = list(children)
+    assert not any(_alive(pid) for pid in node_pids)
+    assert set(_children(os.getpid())) <= before
+
+
+_SUPERVISOR_SCRIPT = """
+import sys, time
+from repro.cluster import NodeSupervisor, TableSpec
+supervisor = NodeSupervisor([TableSpec.dataset("voc", rows=100, seed=1)], nodes=2)
+print(*(handle.pid for handle in supervisor.start()), flush=True)
+time.sleep(60)
+"""
+
+
+def test_nodes_die_with_a_sigkilled_supervisor():
+    # The supervisor gets no chance to clean up; each node notices the
+    # end-of-file on the stdin pipe the supervisor held and exits.
+    supervisor = subprocess.Popen(
+        [sys.executable, "-c", _SUPERVISOR_SCRIPT],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    try:
+        node_pids = [int(pid) for pid in supervisor.stdout.readline().split()]
+        assert len(node_pids) == 2 and all(_alive(pid) for pid in node_pids)
+        supervisor.kill()
+        supervisor.wait(timeout=10.0)
+        deadline = time.monotonic() + 2.0
+        while any(_alive(pid) for pid in node_pids) and time.monotonic() < deadline:
+            time.sleep(0.02)
+        assert not any(_alive(pid) for pid in node_pids)
+    finally:
+        supervisor.kill()
+        supervisor.wait(timeout=10.0)
+        supervisor.stdout.close()
+
+
+def test_node_that_cannot_load_its_table_fails_the_start():
+    before = set(_children(os.getpid()))
+    supervisor = NodeSupervisor([TableSpec.csv("/nonexistent/table.csv")], nodes=2)
+    with pytest.raises(ClusterError) as excinfo:
+        supervisor.start()
+    message = str(excinfo.value)
+    assert "node 0 failed to start" in message
+    assert "/nonexistent/table.csv" in message
+    assert set(_children(os.getpid())) <= before
+
+
+def test_service_options_that_are_not_json_fail_before_any_launch(monkeypatch):
+    launched = []
+    monkeypatch.setattr(subprocess, "Popen", lambda *args, **kwargs: launched.append(args))
+    supervisor = NodeSupervisor([_SPEC], nodes=2, service_options={"backend": object()})
+    with pytest.raises(ClusterError) as excinfo:
+        supervisor.start()
+    assert "JSON-safe" in str(excinfo.value)
+    assert not launched
+
+
+def test_node_that_never_announces_is_killed_and_named():
+    before = set(_children(os.getpid()))
+    # Too short for an interpreter to even start: no node can announce.
+    supervisor = NodeSupervisor([_SPEC], nodes=2, start_timeout=0.05)
+    with pytest.raises(ClusterError) as excinfo:
+        supervisor.start()
+    assert "node 0 did not report a port" in str(excinfo.value)
+    assert not any(handle.alive() for handle in supervisor.handles())
+    assert set(_children(os.getpid())) <= before

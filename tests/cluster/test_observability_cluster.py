@@ -146,6 +146,43 @@ class TestMergedMetrics:
         ]
         assert merged_total == node_totals
 
+    def test_router_times_its_forwards_per_node(self, cluster):
+        client = cluster.client()
+        before = {
+            row["labels"]["node"]: row["count"]
+            for row in cluster.router.metrics_document()["histograms"]
+            if row["name"] == "router_forward_seconds"
+        }
+        assert set(before) == {"0", "1"}
+        for _ in range(5):
+            client.count()  # a table op: always the same owner node
+        after = {
+            row["labels"]["node"]: row["count"]
+            for row in cluster.router.metrics_document()["histograms"]
+            if row["name"] == "router_forward_seconds"
+        }
+        assert sum(after.values()) - sum(before.values()) == 5
+        assert sorted(after[node] - before[node] for node in after) == [0, 5]
+        assert 'charles_router_forward_seconds{node="0",quantile="0.5"}' in (
+            cluster.router.metrics_text()
+        )
+
+    def test_connection_counters_keep_router_and_nodes_apart(self, cluster):
+        client = cluster.client()
+        for _ in range(20):
+            client.count()
+        rows = {
+            (row["name"], row["labels"]["front"]): row["value"]
+            for row in client.metrics_document()["counters"]
+            if row["name"].startswith("http_")
+        }
+        assert {front for _, front in rows} == {"node", "router"}
+        for front in ("node", "router"):
+            accepted = rows[("http_connections_accepted_total", front)]
+            requests = rows[("http_requests_total", front)]
+            # Connection-per-request would read a ratio of 1 on both hops.
+            assert accepted >= 1 and requests >= 4 * accepted
+
     def test_router_serves_prometheus_text(self, cluster):
         with urllib.request.urlopen(f"{cluster.front.url}/v1/metrics") as reply:
             assert reply.headers["Content-Type"].startswith("text/plain")
