@@ -30,6 +30,14 @@ Package layout
 * :mod:`repro.viz` — terminal pie charts, tree maps and advice reports;
 * :mod:`repro.cli` — the ``charles`` command-line interface.
 
+Importing the package is cheap
+------------------------------
+``import repro`` (and so ``import repro.cluster``, ``repro.api``,
+``repro.obs``, ``repro.cli``) loads no NumPy and no engine: every public
+name below is resolved from its home module on first access (PEP 562).
+``from repro import Charles`` loads what ``Charles`` needs; the cluster
+router, which only moves wire envelopes, never does.
+
 Quickstart
 ----------
 >>> from repro import Charles, generate_voc
@@ -38,140 +46,70 @@ Quickstart
 >>> print(advice.best().describe())          # doctest: +SKIP
 """
 
-from repro.errors import CharlesError
-from repro.sdl import (
-    ExclusionPredicate,
-    NoConstraint,
-    Predicate,
-    RangePredicate,
-    SDLQuery,
-    Segment,
-    Segmentation,
-    SetPredicate,
-    parse_query,
-)
-from repro.backends import (
-    BackendRegistry,
-    BackendWrapper,
-    ExecutionBackend,
-    ExecutorPool,
-    SQLiteBackend,
-    open_backend,
-    register_backend,
-)
-from repro.storage import (
-    DataType,
-    PartitionedTable,
-    QueryEngine,
-    ResultCache,
-    Table,
-    load_csv,
-    parse_where,
-    profile_table,
-    query_to_sql,
-)
-from repro.core import (
-    Advice,
-    Charles,
-    EntropyRanker,
-    ExplorationSession,
-    HBCuts,
-    HBCutsConfig,
-    LazyAdvisor,
-    RankedAnswer,
-    WeightedRanker,
-    compose,
-    cut_query,
-    cut_segmentation,
-    entropy,
-    hb_cuts,
-    indep,
-    product,
-)
-from repro.service import AdvisorService, ServiceSession
-from repro.api import (
-    AdvisorHTTPServer,
-    RemoteAdvisor,
-    RemoteSession,
-)
-from repro.live import IncrementalTableProfile, VersionedTable
-from repro.workloads import (
-    ServiceReport,
-    generate_astronomy,
-    generate_concurrent_workload,
-    generate_voc,
-    generate_weblog,
-)
-from repro.viz import pie_chart, render_advice, treemap
+from __future__ import annotations
+
+import importlib
+import sys
+from typing import Any, Callable, Dict, List, Mapping, Tuple
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
-    "CharlesError",
-    # SDL
-    "Predicate",
-    "NoConstraint",
-    "RangePredicate",
-    "SetPredicate",
-    "ExclusionPredicate",
-    "SDLQuery",
-    "Segment",
-    "Segmentation",
-    "parse_query",
-    # backends
-    "ExecutionBackend",
-    "BackendWrapper",
-    "BackendRegistry",
-    "ExecutorPool",
-    "SQLiteBackend",
-    "open_backend",
-    "register_backend",
-    # storage
-    "DataType",
-    "Table",
-    "PartitionedTable",
-    "QueryEngine",
-    "ResultCache",
-    "load_csv",
-    "parse_where",
-    "profile_table",
-    "query_to_sql",
-    # live data
-    "VersionedTable",
-    "IncrementalTableProfile",
-    # core
-    "Charles",
-    "Advice",
-    "RankedAnswer",
-    "HBCuts",
-    "HBCutsConfig",
-    "hb_cuts",
-    "cut_query",
-    "cut_segmentation",
-    "compose",
-    "product",
-    "entropy",
-    "indep",
-    "EntropyRanker",
-    "WeightedRanker",
-    "ExplorationSession",
-    "LazyAdvisor",
-    # service
-    "AdvisorService",
-    "ServiceReport",
-    "ServiceSession",
-    # api
-    "AdvisorHTTPServer",
-    "RemoteAdvisor",
-    "RemoteSession",
-    # workloads
-    "generate_voc",
-    "generate_astronomy",
-    "generate_weblog",
-    "generate_concurrent_workload",
-    # viz
-    "pie_chart",
-    "treemap",
-    "render_advice",
-]
+
+def _lazy_exports(
+    package: str, exports: Mapping[str, str]
+) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
+    """PEP 562 ``__getattr__`` and ``__dir__`` for a package whose public
+    names (``exports``: name → module) are imported on first access."""
+
+    def __getattr__(name: str) -> Any:
+        module = exports.get(name)
+        if module is None:
+            raise AttributeError(f"module {package!r} has no attribute {name!r}")
+        value = getattr(importlib.import_module(module), name)
+        setattr(sys.modules[package], name, value)  # later lookups never get here
+        return value
+
+    def __dir__() -> List[str]:
+        return sorted({*vars(sys.modules[package]), *exports})
+
+    return __getattr__, __dir__
+
+
+#: Each public name → the module it is imported from on first access.
+_EXPORTS: Dict[str, str] = {
+    name: module
+    for module, names in (
+        ("repro.errors", ("CharlesError",)),
+        ("repro.sdl", (
+            "Predicate", "NoConstraint", "RangePredicate", "SetPredicate",
+            "ExclusionPredicate", "SDLQuery", "Segment", "Segmentation",
+            "parse_query",
+        )),
+        ("repro.backends", (
+            "ExecutionBackend", "BackendWrapper", "BackendRegistry", "ExecutorPool",
+            "SQLiteBackend", "open_backend", "register_backend",
+        )),
+        ("repro.storage", (
+            "DataType", "Table", "PartitionedTable", "QueryEngine", "ResultCache",
+            "load_csv", "parse_where", "profile_table", "query_to_sql",
+        )),
+        ("repro.live", ("VersionedTable", "IncrementalTableProfile")),
+        ("repro.core", (
+            "Charles", "Advice", "RankedAnswer", "HBCuts", "HBCutsConfig", "hb_cuts",
+            "cut_query", "cut_segmentation", "compose", "product", "entropy", "indep",
+            "EntropyRanker", "WeightedRanker", "ExplorationSession", "LazyAdvisor",
+        )),
+        ("repro.service", ("AdvisorService", "ServiceSession")),
+        ("repro.api", ("AdvisorHTTPServer", "RemoteAdvisor", "RemoteSession")),
+        ("repro.workloads", (
+            "ServiceReport", "generate_voc", "generate_astronomy", "generate_weblog",
+            "generate_concurrent_workload",
+        )),
+        ("repro.viz", ("pie_chart", "treemap", "render_advice")),
+    )
+    for name in names
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

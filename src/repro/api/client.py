@@ -32,12 +32,14 @@ import selectors
 import socket
 import threading
 import time
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
 from urllib.parse import urlsplit
 
 from repro.api.protocol import Request, Response, error_from_wire
-from repro.core.advisor import Advice, ContextLike
 from repro.errors import RemoteError, RemoteTransportError
+
+if TYPE_CHECKING:  # typing only: the client itself loads no engine
+    from repro.core.advisor import Advice, ContextLike
 
 __all__ = ["RemoteAdvisor", "RemoteSession"]
 

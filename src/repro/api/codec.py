@@ -27,28 +27,38 @@ guessing.
 
 The codec is transport-agnostic: the HTTP server, the CLI ``call``
 command and the in-process tests all speak exactly these bytes.
+
+Two layers, one module: the *value* layer (JSON natives and the tags
+above) needs only the standard library, so the cluster router — which
+moves envelopes and never builds a domain object — loads no NumPy and no
+engine through it.  The *domain* layer is keyed by dotted class name on
+the encoding side (an object's class is loaded already) and binds the
+domain classes it constructs on the first ``$type`` tag it decodes.
 """
 
 from __future__ import annotations
 
 import datetime
+import importlib
 import json
 import math
-from typing import Any, Callable, Dict, Iterable
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable
 
-from repro.core.advisor import Advice, RankedAnswer
-from repro.core.hbcuts import HBCutsTrace
-from repro.core.metrics import SegmentationScores
 from repro.errors import WireFormatError
-from repro.sdl.predicates import (
-    ExclusionPredicate,
-    NoConstraint,
-    Predicate,
-    RangePredicate,
-    SetPredicate,
-)
-from repro.sdl.query import SDLQuery
-from repro.sdl.segmentation import Segment, Segmentation
+
+if TYPE_CHECKING:  # bound at run time by _load_domain(), not imported
+    from repro.core.advisor import Advice, RankedAnswer
+    from repro.core.hbcuts import HBCutsTrace
+    from repro.core.metrics import SegmentationScores
+    from repro.sdl.predicates import (
+        ExclusionPredicate,
+        NoConstraint,
+        Predicate,
+        RangePredicate,
+        SetPredicate,
+    )
+    from repro.sdl.query import SDLQuery
+    from repro.sdl.segmentation import Segment, Segmentation
 
 __all__ = ["SCHEMA_VERSION", "to_wire", "from_wire", "dumps", "loads"]
 
@@ -110,14 +120,18 @@ def to_wire(obj: Any) -> Any:
         return _encode_set(obj)
     if isinstance(obj, dict):
         return _encode_dict(obj)
-    encoder = _OBJECT_ENCODERS.get(type(obj))
+    encoder = _ENCODERS_BY_TYPE.get(type(obj))
     if encoder is None:
+        cls = type(obj)
         # Subclasses (e.g. a custom Ranker's scores) are not encodable:
         # the wire format enumerates its types explicitly.
-        raise WireFormatError(
-            f"cannot encode {type(obj).__name__!r} for the wire; "
-            f"supported types: {sorted(tag for tag in _OBJECT_DECODERS)}"
-        )
+        encoder = _OBJECT_ENCODERS.get(f"{cls.__module__}.{cls.__qualname__}")
+        if encoder is None:
+            raise WireFormatError(
+                f"cannot encode {cls.__name__!r} for the wire; "
+                f"supported types: {sorted(tag for tag in _OBJECT_DECODERS)}"
+            )
+        _ENCODERS_BY_TYPE[cls] = encoder
     return encoder(obj)
 
 
@@ -233,22 +247,39 @@ def _encode_advice(advice: Advice) -> Dict[str, Any]:
     }
 
 
-_OBJECT_ENCODERS: Dict[type, Callable[[Any], Dict[str, Any]]] = {
-    NoConstraint: _encode_no_constraint,
-    RangePredicate: _encode_range,
-    SetPredicate: _encode_set_predicate,
-    ExclusionPredicate: _encode_exclusion,
-    SDLQuery: _encode_query,
-    Segment: _encode_segment,
-    Segmentation: _encode_segmentation,
-    SegmentationScores: _encode_scores,
-    RankedAnswer: _encode_ranked_answer,
-    HBCutsTrace: _encode_trace,
-    Advice: _encode_advice,
+#: Encoder per domain class, keyed by the class's dotted name so that no
+#: domain module is imported to build the table.
+_OBJECT_ENCODERS: Dict[str, Callable[[Any], Dict[str, Any]]] = {
+    "repro.sdl.predicates.NoConstraint": _encode_no_constraint,
+    "repro.sdl.predicates.RangePredicate": _encode_range,
+    "repro.sdl.predicates.SetPredicate": _encode_set_predicate,
+    "repro.sdl.predicates.ExclusionPredicate": _encode_exclusion,
+    "repro.sdl.query.SDLQuery": _encode_query,
+    "repro.sdl.segmentation.Segment": _encode_segment,
+    "repro.sdl.segmentation.Segmentation": _encode_segmentation,
+    "repro.core.metrics.SegmentationScores": _encode_scores,
+    "repro.core.advisor.RankedAnswer": _encode_ranked_answer,
+    "repro.core.hbcuts.HBCutsTrace": _encode_trace,
+    "repro.core.advisor.Advice": _encode_advice,
 }
+
+#: The same encoders keyed by class, filled in as classes are first seen.
+_ENCODERS_BY_TYPE: Dict[type, Callable[[Any], Dict[str, Any]]] = {}
 
 
 # -- decoding ----------------------------------------------------------------
+
+_domain_loaded = False
+
+
+def _load_domain() -> None:
+    """Bind the domain classes the decoders build (on the first ``$type``)."""
+    global _domain_loaded
+    namespace = globals()
+    for dotted in (*_OBJECT_ENCODERS, "repro.sdl.predicates.Predicate"):
+        module, _, name = dotted.rpartition(".")
+        namespace[name] = getattr(importlib.import_module(module), name)
+    _domain_loaded = True
 
 
 def _field(payload: Dict[str, Any], name: str) -> Any:
@@ -416,6 +447,8 @@ def _decode_mapping(payload: Dict[str, Any]) -> Any:
                 f"unknown wire type tag {tag!r}; "
                 f"known: {sorted(_OBJECT_DECODERS)}"
             )
+        if not _domain_loaded:
+            _load_domain()
         return decoder(payload)
     if "$date" in payload:
         try:

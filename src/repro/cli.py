@@ -29,46 +29,24 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
-from repro.api.client import RemoteAdvisor
-from repro.api.codec import to_wire
 from repro.api.protocol import OPERATIONS
-from repro.api.server import AdvisorHTTPServer
-from repro.core.advisor import Advice, Charles
-from repro.core.hbcuts import HBCutsConfig
-from repro.core.interestingness import SurpriseRanker
-from repro.core.ranking import EntropyRanker, LexicographicRanker, WeightedRanker
-from repro.core.session import ExplorationSession
 from repro.errors import CharlesError
-from repro.service import AdvisorService
-from repro.backends.registry import open_backend
-from repro.storage.csv_loader import load_csv
-from repro.storage.table import Table
-from repro.viz.histogram import segment_distributions
-from repro.viz.piechart import pie_chart
-from repro.viz.report import render_advice
-from repro.viz.treemap import treemap
-from repro.workloads import (
-    FIGURE1_CONTEXT_COLUMNS,
-    generate_astronomy,
-    generate_concurrent_workload,
-    generate_voc,
-    generate_weblog,
-)
-from repro.workloads.concurrent import serve as serve_workload
+
+if TYPE_CHECKING:  # each command imports what it runs: `cluster serve` no engine
+    from repro.cluster.specs import TableSpec
+    from repro.core.advisor import Charles
+    from repro.service import AdvisorService
+    from repro.storage.table import Table
 
 __all__ = ["main", "build_parser"]
-
-_BUILTIN_DATASETS = {
-    "voc": lambda rows, seed: generate_voc(rows=rows or 5000, seed=seed),
-    "astronomy": lambda rows, seed: generate_astronomy(rows=rows or 8000, seed=seed),
-    "weblog": lambda rows, seed: generate_weblog(rows=rows or 10000, seed=seed),
-}
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser (exposed for testing)."""
+    from repro.cluster.specs import dataset_names
+
     parser = argparse.ArgumentParser(
         prog="charles",
         description="Charles, big data query advisor (CIDR 2013 reproduction)",
@@ -79,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--csv", help="path of a CSV file to explore")
         sub.add_argument(
             "--dataset",
-            choices=sorted(_BUILTIN_DATASETS),
+            choices=dataset_names(),
             help="built-in synthetic dataset to explore",
         )
         sub.add_argument("--rows", type=int, default=None,
@@ -312,26 +290,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_table(args: argparse.Namespace) -> Table:
+def _table_spec(args: argparse.Namespace) -> TableSpec:
+    from repro.cluster.specs import TableSpec
+
     if getattr(args, "csv", None):
-        return load_csv(args.csv)
+        return TableSpec.csv(args.csv)
     dataset = getattr(args, "dataset", None)
     if dataset:
-        return _BUILTIN_DATASETS[dataset](getattr(args, "rows", None), args.seed)
+        # --rows 0, like no --rows, means the dataset's default size.
+        rows = getattr(args, "rows", None) or None
+        return TableSpec.dataset(dataset, rows=rows, seed=args.seed)
     raise CharlesError("provide either --csv or --dataset")
 
 
+def _load_table(args: argparse.Namespace) -> Table:
+    return _table_spec(args).load()
+
+
 def _make_ranker(name: str, table: Table):
+    from repro.core.ranking import EntropyRanker, LexicographicRanker, WeightedRanker
+
     if name == "weighted":
         return WeightedRanker()
     if name == "lexicographic":
         return LexicographicRanker()
     if name == "surprise":
+        from repro.backends.registry import open_backend
+        from repro.core.interestingness import SurpriseRanker
+
         return SurpriseRanker(engine=open_backend("memory", table))
     return EntropyRanker()
 
 
 def _make_advisor(table: Table, args: argparse.Namespace) -> Charles:
+    from repro.core.advisor import Charles
+    from repro.core.hbcuts import HBCutsConfig
+
     config = HBCutsConfig(
         max_indep=getattr(args, "max_indep", 0.99),
         max_depth=getattr(args, "max_depth", 12),
@@ -359,6 +353,10 @@ def _resolve_context(args: argparse.Namespace):
 
 
 def _command_demo(args: argparse.Namespace) -> int:
+    from repro.core.advisor import Charles
+    from repro.viz.report import render_advice
+    from repro.workloads import FIGURE1_CONTEXT_COLUMNS, generate_voc
+
     table = generate_voc(rows=args.rows, seed=args.seed)
     advisor = Charles(table)
     advice = advisor.advise(list(FIGURE1_CONTEXT_COLUMNS), max_answers=6)
@@ -367,6 +365,9 @@ def _command_demo(args: argparse.Namespace) -> int:
 
 
 def _command_advise(args: argparse.Namespace) -> int:
+    from repro.viz.histogram import segment_distributions
+    from repro.viz.report import render_advice
+
     table = _load_table(args)
     advisor = _make_advisor(table, args)
     mode = "interactive" if getattr(args, "approximate", False) else None
@@ -405,6 +406,9 @@ def _parse_drill_path(raw_path):
 
 
 def _command_explore(args: argparse.Namespace) -> int:
+    from repro.core.session import ExplorationSession
+    from repro.viz.report import render_advice
+
     table = _load_table(args)
     advisor = _make_advisor(table, args)
     session = ExplorationSession(advisor, max_answers=args.max_answers)
@@ -422,6 +426,8 @@ def _command_explore(args: argparse.Namespace) -> int:
 
 
 def _command_profile(args: argparse.Namespace) -> int:
+    from repro.core.advisor import Charles
+
     table = _load_table(args)
     advisor = Charles(table)
     profile = advisor.profile(getattr(args, "context", None))
@@ -430,6 +436,9 @@ def _command_profile(args: argparse.Namespace) -> int:
 
 
 def _command_segment(args: argparse.Namespace) -> int:
+    from repro.viz.piechart import pie_chart
+    from repro.viz.treemap import treemap
+
     table = _load_table(args)
     advisor = _make_advisor(table, args)
     segmentation = advisor.segment(_resolve_context(args), args.on)
@@ -443,6 +452,8 @@ def _command_segment(args: argparse.Namespace) -> int:
 
 
 def _serve_service(args: argparse.Namespace, table: Table) -> AdvisorService:
+    from repro.service import AdvisorService
+
     engine_workers = getattr(args, "engine_workers", None)
     if engine_workers is None:
         engine_workers = args.workers
@@ -463,6 +474,10 @@ def _command_serve(args: argparse.Namespace) -> int:
             "pass --http PORT to run the HTTP server, "
             "or --simulate to replay a synthetic workload"
         )
+    from repro.api.server import AdvisorHTTPServer
+    from repro.workloads import generate_concurrent_workload
+    from repro.workloads.concurrent import serve as serve_workload
+
     table = _load_table(args)
     service = _serve_service(args, table)
     if args.http is not None:
@@ -494,6 +509,9 @@ def _command_serve(args: argparse.Namespace) -> int:
 
 
 def _render_call_result(result) -> str:
+    from repro.api.codec import to_wire
+    from repro.core.advisor import Advice
+
     if isinstance(result, Advice):
         return result.describe()
     if isinstance(result, (dict, list)):
@@ -518,27 +536,12 @@ def _parse_rows_json(raw: Optional[str]):
     return rows
 
 
-def _cluster_specs(args: argparse.Namespace) -> List["TableSpec"]:
-    from repro.cluster import TableSpec
-
-    if getattr(args, "csv", None):
-        return [TableSpec.csv(args.csv)]
-    dataset = getattr(args, "dataset", None)
-    if dataset:
-        return [
-            TableSpec.dataset(
-                dataset, rows=getattr(args, "rows", None), seed=args.seed
-            )
-        ]
-    raise CharlesError("provide either --csv or --dataset")
-
-
 def _command_cluster(args: argparse.Namespace) -> int:
     from repro.cluster import AdvisorCluster
 
     if getattr(args, "cluster_command", None) != "serve":
         raise CharlesError("usage: charles cluster serve --nodes N --http PORT ...")
-    specs = _cluster_specs(args)
+    specs = [_table_spec(args)]
     cluster = AdvisorCluster(
         specs,
         nodes=args.nodes,
@@ -570,6 +573,9 @@ def _command_cluster(args: argparse.Namespace) -> int:
 
 
 def _command_call(args: argparse.Namespace) -> int:
+    from repro.api.client import RemoteAdvisor
+    from repro.api.codec import to_wire
+
     advisor = RemoteAdvisor(
         args.url, timeout=args.timeout, retries=args.retries, trace=args.trace
     )
@@ -606,6 +612,10 @@ def _command_call(args: argparse.Namespace) -> int:
 
 
 def _command_ingest(args: argparse.Namespace) -> int:
+    from repro.api.client import RemoteAdvisor
+    from repro.api.codec import to_wire
+    from repro.storage.csv_loader import load_csv
+
     rows: List[dict] = list(_parse_rows_json(args.rows_json) or [])
     if args.csv:
         rows.extend(load_csv(args.csv).iter_rows())

@@ -28,24 +28,25 @@ at which point answers stay typed (``DegradedError``, ``advice.degraded``)
 rather than hanging or leaking socket errors.
 """
 
-from repro.cluster.deployment import AdvisorCluster
-from repro.cluster.health import HealthMonitor, NodeStatus
-from repro.cluster.nodes import NodeHandle, NodeSupervisor
-from repro.cluster.router import ClusterRouter, RouterHTTPServer, SessionJournal
-from repro.cluster.shardmap import ShardMap, session_key, table_key
-from repro.cluster.specs import TableSpec
+from repro import _lazy_exports
 
-__all__ = [
-    "AdvisorCluster",
-    "ClusterRouter",
-    "HealthMonitor",
-    "NodeHandle",
-    "NodeStatus",
-    "NodeSupervisor",
-    "RouterHTTPServer",
-    "SessionJournal",
-    "ShardMap",
-    "TableSpec",
-    "session_key",
-    "table_key",
-]
+#: Each public name → its module, imported on first access: a node needs
+#: the spec, not the router; ``charles serve`` needs the dataset names only.
+_EXPORTS = {
+    "AdvisorCluster": "repro.cluster.deployment",
+    "ClusterRouter": "repro.cluster.router",
+    "HealthMonitor": "repro.cluster.health",
+    "NodeHandle": "repro.cluster.nodes",
+    "NodeStatus": "repro.cluster.health",
+    "NodeSupervisor": "repro.cluster.nodes",
+    "RouterHTTPServer": "repro.cluster.router",
+    "SessionJournal": "repro.cluster.router",
+    "ShardMap": "repro.cluster.shardmap",
+    "TableSpec": "repro.cluster.specs",
+    "session_key": "repro.cluster.shardmap",
+    "table_key": "repro.cluster.shardmap",
+}
+
+__all__ = list(_EXPORTS)
+
+__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -9,22 +9,30 @@ CSV path; ``dataclasses.asdict`` is its wire form) that every node loads
 *deterministically*: two nodes given the
 same spec hold bit-identical tables, which is what makes router-vs-local
 advice parity possible at all.
+
+It is also the one table of built-in datasets: the CLI resolves
+``--dataset`` through :meth:`TableSpec.load` too.  Importing the module
+loads neither the engine nor NumPy — the router and the CLI's argument
+parser read it; only :meth:`TableSpec.load`, which runs in the process
+that serves the table, imports the generators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import TYPE_CHECKING, Callable, Dict, Optional
 
 from repro.errors import ClusterError
-from repro.storage.table import Table
+
+if TYPE_CHECKING:  # typing only: a spec is loaded in the node, not the router
+    from repro.storage.table import Table
 
 __all__ = ["TableSpec", "dataset_names"]
 
 
 def _generators() -> Dict[str, Callable[..., Table]]:
-    # Imported lazily: workloads pulls in numpy-heavy generators and the
-    # spec module itself must stay cheap to import in every node process.
+    # Imported lazily: workloads pulls in numpy-heavy generators, and the
+    # router and CLI import this module without ever loading a table.
     from repro.workloads import generate_astronomy, generate_voc, generate_weblog
 
     return {
@@ -34,7 +42,7 @@ def _generators() -> Dict[str, Callable[..., Table]]:
     }
 
 
-#: Default row counts per built-in dataset (mirrors the CLI's defaults).
+#: Default row counts per built-in dataset (``rows=None``).
 _DEFAULT_ROWS = {"voc": 5000, "astronomy": 8000, "weblog": 10000}
 
 

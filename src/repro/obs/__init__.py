@@ -10,10 +10,10 @@ deployment; this package is that window, in three stdlib-only pieces:
   trace id follows a request from the cluster router through the owning
   node down to individual engine operations.
 * :mod:`repro.obs.metrics` — a :class:`~repro.obs.metrics.MetricsRegistry`
-  of named counters, gauge views and latency histograms backed by
-  :class:`~repro.storage.sketches.MergeableQuantileSketch`, rendered in
-  Prometheus text format (``GET /v1/metrics``) and mergeable across
-  nodes (the router fans out and merges).
+  of named counters, gauge views and latency histograms backed by the
+  pure-Python :class:`~repro.obs.metrics.MergeableQuantileSketch`,
+  rendered in Prometheus text format (``GET /v1/metrics``) and mergeable
+  across nodes (the router fans out and merges without loading NumPy).
 * :mod:`repro.obs.slowlog` — a :class:`~repro.obs.slowlog.SlowOpLog`
   ring of the N worst requests per operation, with their span trees when
   tracing was on (the ``slow_ops`` wire operation).

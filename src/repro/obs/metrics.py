@@ -13,12 +13,15 @@ the cluster router fans out for and combines):
 * :class:`Gauge` — a point-in-time value (cache entries, pool workers);
   same owned/view split.
 * :class:`Histogram` — a latency summary backed by
-  :class:`~repro.storage.sketches.MergeableQuantileSketch`.  Observations
-  are appended to a small pending buffer and folded into the sketch
-  lazily (sketch construction is vectorised, so folding a batch costs one
-  sort), and because the sketch is mergeable the router can combine the
+  :class:`MergeableQuantileSketch`.  Observations are appended to a small
+  pending buffer and folded into the sketch lazily (one sort per batch of
+  256), and because the sketch is mergeable the router can combine the
   per-node histograms into cluster-wide p50/p95/p99 with an honest rank
-  bound.
+  bound.  Non-finite observations are dropped: a NaN has no rank.
+
+The module is pure standard library — the sketch included — because the
+cluster router merges and renders these documents and must not load
+NumPy to do it.
 
 Instruments are keyed by ``(name, sorted labels)``; asking for the same
 key twice returns the same instrument, so modules can register views
@@ -27,17 +30,17 @@ idempotently.
 
 from __future__ import annotations
 
+import math
 import threading
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
-
-import numpy as np
-
-from repro.storage.sketches import MergeableQuantileSketch
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
+    "MergeableQuantileSketch",
     "MetricsRegistry",
 ]
 
@@ -66,6 +69,157 @@ def _render_labels(labels: _LabelsKey, extra: Optional[Tuple[str, str]] = None) 
         return ""
     body = ",".join(f'{key}="{value}"' for key, value in pairs)
     return "{" + body + "}"
+
+
+class MergeableQuantileSketch:
+    """A fixed-budget weighted quantile summary with tracked rank error.
+
+    The sketch holds at most ``budget`` *(value, weight)* items, sorted by
+    value, summarising ``total_weight`` underlying finite values.
+    ``rank_error`` is an upper bound, maintained exactly, on how far the
+    sketch's cumulative weight at any threshold can sit from the true rank:
+
+    * building from ``n`` raw values with stride ``k = ceil(n/budget)``
+      keeps every ``k``-th sorted value (centred) at weight ``k`` — at
+      any threshold at most one stride block straddles it, so the error
+      is at most ``k``;
+    * merging concatenates the inputs (errors add) and, over budget,
+      re-compacts by cumulative-weight stride ``s = ceil(W/budget)``,
+      adding at most ``s`` more.
+
+    Everything is deterministic, so two sketches built from the same data
+    are identical and every reported bound is testable exactly.
+    """
+
+    __slots__ = ("budget", "values", "weights", "total_weight", "rank_error")
+
+    def __init__(
+        self,
+        budget: int,
+        values: List[float],
+        weights: List[int],
+        total_weight: int,
+        rank_error: int,
+    ) -> None:
+        self.budget = int(budget)
+        self.values = values
+        self.weights = weights
+        self.total_weight = int(total_weight)
+        self.rank_error = int(rank_error)
+
+    # -- construction ----------------------------------------------------------
+
+    @classmethod
+    def from_values(cls, values: Iterable[float], budget: int) -> "MergeableQuantileSketch":
+        """Summarise raw finite values in one sort."""
+        budget = max(2, int(budget))
+        data = sorted(map(float, values))
+        n = len(data)
+        if n <= budget:
+            return cls(budget, data, [1] * n, n, 0)
+        stride = -(-n // budget)  # ceil
+        starts = range(0, n, stride)
+        stops = [min(start + stride, n) for start in starts]
+        return cls(
+            budget,
+            [data[start + (stop - start - 1) // 2] for start, stop in zip(starts, stops)],
+            [stop - start for start, stop in zip(starts, stops)],
+            n,
+            stride,
+        )
+
+    @classmethod
+    def empty(cls, budget: int) -> "MergeableQuantileSketch":
+        return cls(max(2, int(budget)), [], [], 0, 0)
+
+    # -- merging ---------------------------------------------------------------
+
+    def merge(self, other: "MergeableQuantileSketch") -> "MergeableQuantileSketch":
+        """A new sketch summarising the union of both inputs' data.
+
+        Rank errors add; if the combined item count exceeds the (larger)
+        budget, a cumulative-weight compaction brings it back under,
+        adding its stride to the tracked error.
+        """
+        budget = max(self.budget, other.budget)
+        if other.total_weight == 0:
+            return MergeableQuantileSketch(
+                budget, self.values, self.weights, self.total_weight, self.rank_error
+            )
+        if self.total_weight == 0:
+            return MergeableQuantileSketch(
+                budget, other.values, other.weights, other.total_weight, other.rank_error
+            )
+        values = self.values + other.values
+        weights = self.weights + other.weights
+        order = sorted(range(len(values)), key=values.__getitem__)  # stable
+        merged = MergeableQuantileSketch(
+            budget,
+            [values[i] for i in order],
+            [weights[i] for i in order],
+            self.total_weight + other.total_weight,
+            self.rank_error + other.rank_error,
+        )
+        if len(values) > budget:
+            merged = merged._compacted()
+        return merged
+
+    def _compacted(self) -> "MergeableQuantileSketch":
+        """Re-compact to at most ``budget`` items by weight-stride selection."""
+        cumulative = list(accumulate(self.weights))
+        total = cumulative[-1]
+        stride = -(-total // self.budget)  # ceil
+        edges = sorted({min(k * stride, total) for k in range(1, self.budget + 1)})
+        starts = [0] + edges[:-1]
+        new_weights = [edge - start for start, edge in zip(starts, edges)]
+        return MergeableQuantileSketch(
+            self.budget,
+            [
+                self.values[bisect_left(cumulative, start + (weight + 1) // 2)]
+                for start, weight in zip(starts, new_weights)
+            ],
+            new_weights,
+            total,
+            self.rank_error + stride,
+        )
+
+    # -- queries ---------------------------------------------------------------
+
+    @property
+    def max_item_weight(self) -> int:
+        """Weight of the heaviest retained item (quantile discretisation)."""
+        return max(self.weights, default=0)
+
+    @property
+    def rank_error_fraction(self) -> float:
+        """Reported rank tolerance of a quantile answer, as a fraction.
+
+        Covers both the tracked compaction error and the discretisation of
+        landing on a whole retained item.  ``0.0`` for an empty sketch.
+        """
+        if self.total_weight == 0:
+            return 0.0
+        return min(1.0, (self.rank_error + self.max_item_weight) / self.total_weight)
+
+    def quantile(self, fraction: float) -> float:
+        """The value whose rank is closest to ``fraction``.
+
+        The true rank of the returned value lies within
+        ``rank_error_fraction`` of the requested one.  Raises
+        :class:`ValueError` on an empty sketch.
+        """
+        if self.total_weight == 0:
+            raise ValueError("quantile of an empty sketch")
+        fraction = min(1.0, max(0.0, float(fraction)))
+        target = int(round(fraction * (self.total_weight - 1))) + 1
+        index = bisect_left(list(accumulate(self.weights)), target)
+        return self.values[min(index, len(self.values) - 1)]
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return (
+            f"MergeableQuantileSketch(items={len(self.values)}, "
+            f"weight={self.total_weight}, rank_error={self.rank_error})"
+        )
 
 
 class Counter:
@@ -144,7 +298,9 @@ class Histogram:
     ``observe`` appends to a pending buffer under the lock; the buffer is
     folded into the :class:`MergeableQuantileSketch` lazily — on scrape,
     or whenever it reaches the fold threshold — so the observation path
-    stays an append plus an occasional vectorised batch sort.
+    stays an append plus an occasional batch sort.  A non-finite value
+    (NaN, ±inf) is dropped, not counted: it has no rank, and one NaN in
+    ``_sum`` would poison the histogram for the life of the process.
     """
 
     __slots__ = ("name", "labels", "help", "budget", "_lock", "_pending", "_sketch", "_count", "_sum")
@@ -171,6 +327,8 @@ class Histogram:
 
     def observe(self, seconds: float) -> None:
         value = float(seconds)
+        if not math.isfinite(value):
+            return
         with self._lock:
             self._pending.append(value)
             self._count = self._count + 1
@@ -181,9 +339,7 @@ class Histogram:
     def _fold_locked(self) -> None:
         if not self._pending:
             return
-        batch = MergeableQuantileSketch.from_values(
-            np.asarray(self._pending, dtype=np.float64), self.budget
-        )
+        batch = MergeableQuantileSketch.from_values(self._pending, self.budget)
         self._sketch = self._sketch.merge(batch)
         self._pending = []
 
@@ -301,8 +457,8 @@ class MetricsRegistry:
                     "count": count,
                     "sum": total,
                     "budget": sketch.budget,
-                    "values": [float(v) for v in sketch.values],
-                    "weights": [int(w) for w in sketch.weights],
+                    "values": list(sketch.values),
+                    "weights": list(sketch.weights),
                     "total_weight": sketch.total_weight,
                     "rank_error": sketch.rank_error,
                 }
@@ -352,8 +508,8 @@ class MetricsRegistry:
                 slot["count"] = int(slot["count"]) + int(row["count"])
                 slot["sum"] = float(slot["sum"]) + float(row["sum"])
                 slot["budget"] = merged.budget
-                slot["values"] = [float(v) for v in merged.values]
-                slot["weights"] = [int(w) for w in merged.weights]
+                slot["values"] = list(merged.values)
+                slot["weights"] = list(merged.weights)
                 slot["total_weight"] = merged.total_weight
                 slot["rank_error"] = merged.rank_error
         return {
@@ -367,8 +523,8 @@ def _sketch_from_row(row: Mapping[str, Any]) -> MergeableQuantileSketch:
     """Reconstruct a quantile sketch from its document row."""
     return MergeableQuantileSketch(
         int(row.get("budget", DEFAULT_HISTOGRAM_BUDGET)),
-        np.asarray(row.get("values", []), dtype=np.float64),
-        np.asarray(row.get("weights", []), dtype=np.int64),
+        [float(v) for v in row.get("values", [])],
+        [int(w) for w in row.get("weights", [])],
         int(row.get("total_weight", 0)),
         int(row.get("rank_error", 0)),
     )
@@ -418,8 +574,10 @@ def render_document(document: Mapping[str, Any], namespace: str = "charles") -> 
 
 def _format_value(value: Any) -> str:
     number = float(value)
-    if number != number:  # NaN
+    if math.isnan(number):
         return "NaN"
+    if math.isinf(number):
+        return "+Inf" if number > 0 else "-Inf"
     if number == int(number) and abs(number) < 1e15:
         return str(int(number))
     return repr(number)

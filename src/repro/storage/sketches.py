@@ -1,11 +1,10 @@
 """Mergeable fixed-budget summaries of one column.
 
 * :class:`MergeableQuantileSketch` — a fixed-budget weighted summary of a
-  numeric (or date) column.  It is **mergeable**: sketches combine into
-  one whose rank error is the *sum* of the parts' tracked errors plus the
-  compaction stride, so the merged sketch still reports an honest bound.
-  Construction is vectorised (one sort per input).  The latency
-  histograms of :mod:`repro.obs.metrics` are built on it.
+  numeric (or date) column in its encoded domain.  It lives in
+  :mod:`repro.obs.metrics` (pure Python: the latency histograms are built
+  on it and the cluster router merges them without NumPy) and is imported
+  here for :class:`TableSketches`.
 * :class:`NominalCountSketch` — a capped value → count summary of a
   nominal column with exact spill accounting: values beyond the cap are
   dropped but their total mass and the largest dropped count are kept,
@@ -34,6 +33,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.obs.metrics import MergeableQuantileSketch
 from repro.storage.column import BoolColumn, NumericColumn, StringColumn
 
 __all__ = [
@@ -56,171 +56,6 @@ DEFAULT_NOMINAL_CAP = 256
 #: Deterministic ordering key for values of mixed types (mirrors the
 #: codec's set ordering, so capped retention is reproducible).
 _VALUE_ORDER = lambda item: (-item[1], str(type(item[0])), str(item[0]))  # noqa: E731
-
-
-class MergeableQuantileSketch:
-    """A fixed-budget weighted quantile summary with tracked rank error.
-
-    The sketch holds at most ``budget`` *(value, weight)* items, sorted by
-    value, summarising ``total_weight`` underlying rows in the column's
-    **encoded** domain (floats for numeric and date columns — the same
-    domain :meth:`NumericColumn.gather` yields).  ``rank_error`` is an
-    upper bound, maintained exactly, on how far the sketch's cumulative
-    weight at any threshold can sit from the true rank:
-
-    * building from ``n`` raw values with stride ``k = ceil(n/budget)``
-      keeps every ``k``-th sorted value (centred) at weight ``k`` — at
-      any threshold at most one stride block straddles it, so the error
-      is at most ``k``;
-    * merging concatenates the inputs (errors add) and, over budget,
-      re-compacts by cumulative-weight stride ``s = ceil(W/budget)``,
-      adding at most ``s`` more.
-
-    Everything is deterministic, so two sketches built from the same data
-    are identical and every reported bound is testable exactly.
-    """
-
-    __slots__ = ("budget", "values", "weights", "total_weight", "rank_error")
-
-    def __init__(
-        self,
-        budget: int,
-        values: np.ndarray,
-        weights: np.ndarray,
-        total_weight: int,
-        rank_error: int,
-    ) -> None:
-        self.budget = int(budget)
-        self.values = values
-        self.weights = weights
-        self.total_weight = int(total_weight)
-        self.rank_error = int(rank_error)
-
-    # -- construction ----------------------------------------------------------
-
-    @classmethod
-    def from_values(
-        cls, values: np.ndarray, budget: int = DEFAULT_SKETCH_BUDGET
-    ) -> "MergeableQuantileSketch":
-        """Summarise a raw (encoded) value array in one vectorised pass."""
-        budget = max(2, int(budget))
-        data = np.sort(np.asarray(values, dtype=np.float64))
-        n = int(data.size)
-        if n <= budget:
-            return cls(budget, data, np.ones(n, dtype=np.int64), n, 0)
-        stride = -(-n // budget)  # ceil
-        starts = np.arange(0, n, stride, dtype=np.int64)
-        stops = np.minimum(starts + stride, n)
-        centres = starts + (stops - starts - 1) // 2
-        return cls(
-            budget,
-            data[centres],
-            (stops - starts).astype(np.int64),
-            n,
-            stride,
-        )
-
-    @classmethod
-    def empty(cls, budget: int = DEFAULT_SKETCH_BUDGET) -> "MergeableQuantileSketch":
-        return cls(
-            max(2, int(budget)),
-            np.empty(0, dtype=np.float64),
-            np.empty(0, dtype=np.int64),
-            0,
-            0,
-        )
-
-    # -- merging ---------------------------------------------------------------
-
-    def merge(self, other: "MergeableQuantileSketch") -> "MergeableQuantileSketch":
-        """A new sketch summarising the union of both inputs' data.
-
-        Rank errors add; if the combined item count exceeds the (larger)
-        budget, a cumulative-weight compaction brings it back under,
-        adding its stride to the tracked error.
-        """
-        budget = max(self.budget, other.budget)
-        if other.total_weight == 0:
-            return MergeableQuantileSketch(
-                budget, self.values, self.weights, self.total_weight, self.rank_error
-            )
-        if self.total_weight == 0:
-            return MergeableQuantileSketch(
-                budget, other.values, other.weights, other.total_weight, other.rank_error
-            )
-        values = np.concatenate([self.values, other.values])
-        weights = np.concatenate([self.weights, other.weights])
-        order = np.argsort(values, kind="stable")
-        values, weights = values[order], weights[order]
-        total = self.total_weight + other.total_weight
-        error = self.rank_error + other.rank_error
-        merged = MergeableQuantileSketch(budget, values, weights, total, error)
-        if values.size > budget:
-            merged = merged._compacted()
-        return merged
-
-    def _compacted(self) -> "MergeableQuantileSketch":
-        """Re-compact to at most ``budget`` items by weight-stride selection."""
-        cumulative = np.cumsum(self.weights)
-        total = int(cumulative[-1])
-        stride = -(-total // self.budget)  # ceil
-        edges = np.minimum(
-            np.arange(1, self.budget + 1, dtype=np.int64) * stride, total
-        )
-        edges = np.unique(edges)
-        starts = np.concatenate([np.zeros(1, dtype=np.int64), edges[:-1]])
-        new_weights = edges - starts
-        midpoints = starts + (new_weights + 1) // 2
-        indices = np.searchsorted(cumulative, midpoints, side="left")
-        return MergeableQuantileSketch(
-            self.budget,
-            self.values[indices],
-            new_weights,
-            total,
-            self.rank_error + stride,
-        )
-
-    # -- queries ---------------------------------------------------------------
-
-    @property
-    def max_item_weight(self) -> int:
-        """Weight of the heaviest retained item (quantile discretisation)."""
-        if self.weights.size == 0:
-            return 0
-        return int(self.weights.max())
-
-    @property
-    def rank_error_fraction(self) -> float:
-        """Reported rank tolerance of a quantile answer, as a fraction.
-
-        Covers both the tracked compaction error and the discretisation of
-        landing on a whole retained item.  ``0.0`` for an empty sketch.
-        """
-        if self.total_weight == 0:
-            return 0.0
-        return min(1.0, (self.rank_error + self.max_item_weight) / self.total_weight)
-
-    def quantile(self, fraction: float) -> float:
-        """The (encoded) value whose rank is closest to ``fraction``.
-
-        The true rank of the returned value lies within
-        ``rank_error_fraction`` of the requested one.  Raises
-        :class:`ValueError` on an empty sketch — callers translate this
-        into the engine's empty-selection error.
-        """
-        if self.total_weight == 0:
-            raise ValueError("quantile of an empty sketch")
-        fraction = min(1.0, max(0.0, float(fraction)))
-        target = int(round(fraction * (self.total_weight - 1))) + 1
-        cumulative = np.cumsum(self.weights)
-        index = int(np.searchsorted(cumulative, target, side="left"))
-        return float(self.values[min(index, self.values.size - 1)])
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (
-            f"MergeableQuantileSketch(items={self.values.size}, "
-            f"weight={self.total_weight}, rank_error={self.rank_error})"
-        )
 
 
 class NominalCountSketch:

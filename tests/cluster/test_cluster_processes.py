@@ -227,3 +227,33 @@ def test_node_that_never_announces_is_killed_and_named():
     assert "node 0 did not report a port" in str(excinfo.value)
     assert not any(handle.alive() for handle in supervisor.handles())
     assert set(_children(os.getpid())) <= before
+
+
+def _maps_numpy(pid):
+    """Whether the process maps NumPy's core extension module."""
+    return "_multiarray_umath" in Path("/proc", str(pid), "maps").read_text()
+
+
+def test_the_cluster_front_door_maps_no_numpy():
+    # `cluster serve` is the router plus the supervisor: it moves wire
+    # envelopes and holds no table, so NumPy is mapped in the nodes only.
+    cli = subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", "cluster", "serve", "--http", "0",
+         "--dataset", "voc", "--rows", "100", "--nodes", "2"],
+        stdout=subprocess.PIPE,
+        text=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    try:
+        url = cli.stdout.readline().split()[-1]
+        node_pids = [int(cli.stdout.readline().split("pid=")[1].split()[0]) for _ in range(2)]
+        client = RemoteAdvisor(url, timeout=30.0)
+        assert client.open_session("alice").advise(_CONTEXT).answers
+        assert "charles_router_forwards_total" in client.metrics_text()
+        client.close()
+        assert all(_maps_numpy(pid) for pid in node_pids)
+        assert not _maps_numpy(cli.pid)
+    finally:
+        cli.kill()
+        cli.wait(timeout=10.0)
+        cli.stdout.close()

@@ -461,3 +461,35 @@ class TestServeHTTPSubprocess:
         finally:
             process.terminate()
             process.wait(timeout=10)
+
+
+class TestBuiltinDatasets:
+    """``--dataset`` resolves through the cluster's ``TableSpec`` table."""
+
+    GENERATORS = {
+        "voc": ("generate_voc", 5000),
+        "astronomy": ("generate_astronomy", 8000),
+        "weblog": ("generate_weblog", 10000),
+    }
+
+    def test_choices_are_the_spec_datasets(self):
+        from repro.cluster.specs import dataset_names
+
+        assert dataset_names() == tuple(sorted(self.GENERATORS))
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["advise", "--dataset", "nope"])
+
+    @pytest.mark.parametrize("dataset", sorted(GENERATORS))
+    @pytest.mark.parametrize("rows", [None, 0, 60])
+    def test_tables_equal_the_generators_output(self, dataset, rows):
+        import repro.workloads
+        from repro.cli import _load_table
+
+        name, default_rows = self.GENERATORS[dataset]
+        argv = ["advise", "--dataset", dataset, "--seed", "9"]
+        if rows is not None:
+            argv += ["--rows", str(rows)]
+        table = _load_table(build_parser().parse_args(argv))
+        expected = getattr(repro.workloads, name)(rows=rows or default_rows, seed=9)
+        assert table.schema() == expected.schema()
+        assert list(table.iter_rows()) == list(expected.iter_rows())
