@@ -46,11 +46,14 @@ MAX_WORKERS = 64
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalise a worker-count request.
 
-    ``None`` or ``0`` means "one worker per available core"; explicit
+    ``None`` or ``0`` means "one worker per available core" — the cores
+    this process may run on (its CPU affinity), not the host's; explicit
     values are clamped to ``[1, MAX_WORKERS]``.  Negative values are an
     error rather than silently sequential.
     """
     if workers is None or workers == 0:
+        if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
+            return min(len(os.sched_getaffinity(0)), MAX_WORKERS)
         return min(os.cpu_count() or 1, MAX_WORKERS)
     workers = int(workers)
     if workers < 0:
@@ -90,6 +93,19 @@ class ExecutorPool:
         # Process-unique worker-thread prefix: how re-entrant maps from this
         # pool's own workers are recognised (and run inline).
         self._thread_prefix = f"charles-{name}-{next(self._POOL_IDS)}"
+
+    @classmethod
+    def requested(cls, workers: Optional[int], name: str) -> Optional["ExecutorPool"]:
+        """The pool a ``workers`` option asks for, or ``None`` for none.
+
+        The one place ``Charles``, the ``memory`` spec and
+        ``AdvisorService`` decide who starts threads: ``None`` and ``1``
+        ask for no pool (shards, forced or not, are scanned on the calling
+        thread); anything else gets :func:`resolve_workers` threads.
+        """
+        if workers is None or workers == 1:
+            return None
+        return cls(workers, name=name)
 
     @property
     def workers(self) -> int:

@@ -11,7 +11,8 @@ A backend *spec* is a compact URI-like string::
                                 (index=all, index=none: every one, the plain scan)
     memory?workers=4            a 4-worker pool; one shard per worker, fanned
                                 out when the shards are large enough
-    memory?partitions=4&workers=2   force 4 shards, always mapped through the pool
+    memory?partitions=4         force 4 shards, scanned on the calling thread
+    memory?partitions=4&workers=2   … always mapped through a 2-worker pool
     sqlite                      load the table into an in-memory SQLite db
     sqlite?sample=0.25          … sampled, materialised inside SQLite
     sqlite:///path/to/db.db#t   open table ``t`` of an existing database
@@ -177,13 +178,8 @@ def _memory_factory(
             )
         partitions = spec_partitions
     workers = _spec_number(spec, "workers")
-    if pool is None and (workers is not None or (partitions or 1) > 1):
-        # No shared pool from the caller: the spec's own (``workers=0``:
-        # one per core), or a worker per forced shard.
-        pool = ExecutorPool(
-            workers if workers is not None else partitions,
-            name=f"memory:{table.name}",
-        )
+    if pool is None:  # no shared pool from the caller: the spec's own, if any
+        pool = ExecutorPool.requested(workers, name=f"memory:{table.name}")
     index = spec.params.get("index")  # absent: nothing forced, the engine picks
     try:  # eagerly, so a typo in ``index=`` fails here, as a BackendError
         features = None if index is None else resolve_index_features(index)

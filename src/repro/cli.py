@@ -87,7 +87,8 @@ def build_parser() -> argparse.ArgumentParser:
                               "HB-cuts INDEP evaluations run concurrently "
                               "(identical answers; 1 = sequential)")
         sub.add_argument("--partitions", type=int, default=None,
-                         help="force this many row-range shards per table "
+                         help="force this many row-range shards per table, "
+                              "scanned inline unless --workers starts a pool "
                               "(default: one per worker, fanned out only "
                               "when the shards are large enough)")
         sub.add_argument("--style", choices=("pie", "treemap", "table"), default="pie",
@@ -163,8 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "evaluation (default: the --workers value)")
     serve.add_argument("--partitions", type=int, default=None,
                        help="force this many row-range shards per "
-                            "registered table (default: one per engine "
-                            "worker, fanned out only when large enough)")
+                            "registered table, scanned inline unless the "
+                            "engine workers start a pool (default: one per "
+                            "engine worker, fanned out only when large enough)")
     serve.add_argument("--distinct-paths", type=int, default=None,
                        help="unique exploration paths shared round-robin "
                             "(default: one per user)")

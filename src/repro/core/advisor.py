@@ -16,6 +16,7 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.backends.approx import ApproxEngine
 from repro.backends.base import ExecutionBackend
+from repro.backends.pool import ExecutorPool
 from repro.backends.registry import open_backend
 from repro.errors import AdvisorError, SDLSyntaxError
 from repro.sdl.formatter import format_segment_label, format_segmentation
@@ -166,14 +167,16 @@ class Charles:
         ``"memory?sample=0.1"``, ``"memory?partitions=4&workers=4"`` or
         ``"sqlite"``.
     partitions:
-        Force this many row-range shards, evaluated through the worker
-        pool (only meaningful for backends built from a ``Table``; spec
-        parameters take precedence).  Unset, the engine shards to the
-        pool and fans out only when it pays.  Results are identical for
-        every partition count.
+        Force this many row-range shards (only meaningful for backends
+        built from a ``Table``; spec parameters take precedence).  Shards
+        alone start no threads: they are scanned on the calling thread,
+        and mapped through the pool only when ``workers`` or ``pool``
+        gives one.  Unset, the engine shards to the pool and fans out
+        only when it pays.  Results are identical for every partition
+        count.
     workers:
-        Size of the executor pool (``0``: one per core; ``1``, the
-        default, runs without one) the engine fans its shards across.
+        Size of the executor pool (``0``: one per core; ``None`` or ``1``,
+        the default, runs without one) the engine fans its shards across.
     pool:
         Share an existing :class:`~repro.backends.pool.ExecutorPool`
         instead of creating one.
@@ -200,12 +203,8 @@ class Charles:
         workers: Optional[int] = None,
         pool: Optional[Any] = None,
     ):
-        if pool is None and (workers not in (None, 1) or (partitions or 1) > 1):
-            from repro.backends.pool import ExecutorPool
-
-            pool = ExecutorPool(
-                workers if workers is not None else partitions, name="charles"
-            )
+        if pool is None:
+            pool = ExecutorPool.requested(workers, name="charles")
         if isinstance(table, Table):
             context: Dict[str, Any] = dict(cache_size=cache_size)
             if partitions is not None or pool is not None:

@@ -16,9 +16,9 @@ execute pipeline idiom of service layers.  Per registered table it keeps a
   batched INDEP passes of concurrently running HB-cuts into single
   multi-query engine evaluations.
 
-With ``workers``/``partitions`` set, the service additionally owns **one**
-bounded :class:`~repro.backends.pool.ExecutorPool` shared by every session
-and table: tables are sharded into row-range partitions and every session
+With ``workers`` set, the service additionally owns **one** bounded
+:class:`~repro.backends.pool.ExecutorPool` shared by every session and
+table: tables are sharded into row-range partitions and every session
 engine fans its scans across the pool (identical answers, more cores);
 :meth:`AdvisorService.stats` reports the pool's traffic.
 
@@ -66,6 +66,8 @@ __all__ = ["AdvisorService"]
 
 #: Where Linux reports a process's memory, in pages (second field: resident).
 _STATM = "/proc/self/statm"
+#: Where Linux reports a process's status (``Threads:`` line: its thread count).
+_STATUS = "/proc/self/status"
 
 #: The :class:`CacheStats` fields that are levels (exported as gauges);
 #: every other field is a monotonic tally (exported as a counter).
@@ -76,6 +78,15 @@ def _resident_bytes() -> int:
     """This process's resident set size."""
     with open(_STATM) as statm:
         return int(statm.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+
+
+def _thread_count() -> int:
+    """This process's live threads, as the kernel counts them."""
+    with open(_STATUS) as status:
+        for line in status:
+            if line.startswith("Threads:"):
+                return int(line.split()[1])
+    return 0
 
 
 def _ranker_cache_key(ranker: Ranker) -> str:
@@ -252,10 +263,11 @@ class AdvisorService:
         introspectable through :meth:`stats`).  ``1`` keeps execution
         sequential; ``0`` means one worker per core.
     partitions:
-        Force this many row-range shards per registered table, always
-        mapped through the shared pool.  ``None`` (the default) leaves it
-        to the engine: one shard per worker, fanned out only when the
-        shards are large enough.  Answers are identical for every
+        Force this many row-range shards per registered table: scanned on
+        the calling thread with ``workers=1``, always mapped through the
+        shared pool otherwise.  ``None`` (the default) leaves it to the
+        engine: one shard per worker, fanned out only when the shards are
+        large enough.  Answers are identical for every
         ``partitions × workers`` combination.
     """
 
@@ -280,14 +292,11 @@ class AdvisorService:
         self._config = config or HBCutsConfig()
         self._max_answers = int(max_answers)
         self._backend_spec = str(backend)
-        # One bounded pool for the whole service: every session of every
-        # table runtime maps its shards through it.  As in Charles,
-        # workers=0 means one per core, and workers=1 runs without a pool
-        # unless shards are forced (then they map inline through it).
+        # At most one bounded pool for the whole service: every session of
+        # every table runtime maps its shards through it.  As in Charles,
+        # workers=0 means one per core and workers=1 runs without a pool.
         self._partitions = partitions
-        self._pool: Optional[ExecutorPool] = None
-        if workers != 1 or (partitions or 1) > 1:
-            self._pool = ExecutorPool(workers, name="service")
+        self._pool = ExecutorPool.requested(workers, name="service")
         self._workers = self._pool.workers if self._pool is not None else 1
         self._requests = 0
         # Observability: one registry and one slow-op log per service.
@@ -320,6 +329,12 @@ class AdvisorService:
                 "process_resident_bytes",
                 "Resident set size of the serving process.",
                 fn=_resident_bytes,
+            )
+        if os.path.exists(_STATUS):
+            self.metrics.gauge(
+                "process_threads",
+                "Live threads of the serving process.",
+                fn=_thread_count,
             )
         if tables is None:
             return

@@ -432,8 +432,10 @@ class QueryEngine:
         :class:`~repro.storage.partition.PartitionedTable`).  ``None``
         (the default): one per pool worker (one without a pool — the
         classic sequential engine), fanned out only when large enough;
-        an explicit count is forced and always mapped through the pool.
-        Results, counters and cache contents are identical either way.
+        an explicit count is forced, mapped through the pool when there
+        is one and scanned inline when there is not — a shard count never
+        starts threads.  Results, counters and cache contents are
+        identical either way.
     pool:
         An :class:`~repro.backends.pool.ExecutorPool` running the
         per-partition work; ``None`` maps inline on the calling thread.
@@ -672,7 +674,9 @@ class QueryEngine:
     def _map_fn(self, state: LiveState) -> Optional[Callable]:
         """Where per-shard work runs: the pool's ``map``, or ``None`` (inline).
 
-        Forced ``partitions`` always go through the pool; unforced, only
+        Without a pool, always inline: only a ``workers`` request builds
+        one (:meth:`~repro.backends.pool.ExecutorPool.requested`).  With a
+        pool, forced ``partitions`` always go through it; unforced, only
         with several workers and :data:`FANOUT_MIN_ROWS_PER_SHARD` rows a
         shard — below that the dispatch costs more than the scan it spreads.
         """

@@ -237,6 +237,32 @@ class TestServiceTracing:
         bare = AdvisorService(generate_voc(rows=50, seed=1)).metrics_document()
         assert "process_resident_bytes" not in {row["name"] for row in bare["gauges"]}
 
+    def test_thread_gauge(self, service, monkeypatch, tmp_path):
+        """The kernel's thread count, summed over nodes like RSS, absent
+        where ``/proc/self/status`` is."""
+        import os
+
+        from repro.obs import MetricsRegistry
+        from repro.service import service as service_module
+
+        def threads(document):
+            rows = [row for row in document["gauges"] if row["name"] == "process_threads"]
+            return rows[0]["value"] if rows else None
+
+        if os.path.exists("/proc/self/status"):
+            assert threads(service.metrics_document()) >= 1
+        status = tmp_path / "status"
+        status.write_text("Name:\tpython\nThreads:\t7\nVmRSS:\t1 kB\n")
+        monkeypatch.setattr(service_module, "_STATUS", str(status))
+        node = AdvisorService(generate_voc(rows=50, seed=1)).metrics_document()
+        assert threads(node) == 7
+        assert "process_threads" not in service.stats()
+        # Through the router, the gauge is the sum over the node processes.
+        assert threads(MetricsRegistry.merge_documents([node, node])) == 14
+        monkeypatch.setattr(service_module, "_STATUS", "/nonexistent/status")
+        bare = AdvisorService(generate_voc(rows=50, seed=1)).metrics_document()
+        assert threads(bare) is None
+
 
 class TestMetricsEndpoints:
     def test_plain_metrics_is_prometheus_text(self, server):

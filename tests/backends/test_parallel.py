@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.backends import ExecutionBackend, open_backend
 from repro.backends.approx import ApproxEngine
 from repro.backends.pool import ExecutorPool
+from repro.core import Charles
 from repro.errors import BackendError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
+from repro.service import AdvisorService
 from repro.storage import QueryEngine, ResultCache
 from repro.workloads import generate_voc
 
@@ -24,6 +28,27 @@ def _queries():
         SDLQuery([RangePredicate("tonnage", 500, 2500), NoConstraint("built")]),
         SDLQuery([RangePredicate("tonnage", 500, 2500), NoConstraint("built")]),
     ]
+
+
+_CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
+
+#: Who starts threads: (case, build, pool workers; ``None``: no pool).  Only
+#: ``workers`` does; a shard count alone is scanned on the calling thread.
+_THREAD_RULES = [
+    ("spec partitions", lambda t: open_backend("memory?partitions=4", t), None),
+    ("Charles partitions", lambda t: Charles(t, partitions=4), None),
+    ("service partitions", lambda t: AdvisorService(t, partitions=4), None),
+    (
+        "advise on index=all&partitions=8",
+        lambda t: Charles(t, backend="memory?index=all&partitions=8"),
+        None,
+    ),
+    (
+        "spec partitions and workers",
+        lambda t: open_backend("memory?partitions=4&workers=2", t),
+        2,
+    ),
+]
 
 
 class TestPartitionedEngine:
@@ -98,9 +123,27 @@ class TestParallelSpecs:
         backend = open_backend("memory?workers=3", voc)
         assert backend.partitions == 3
 
-    def test_partitions_alone_implies_workers(self, voc):
-        backend = open_backend("memory?partitions=2", voc)
-        assert backend.pool.workers == 2
+    @pytest.mark.parametrize(
+        "build,workers",
+        [rule[1:] for rule in _THREAD_RULES],
+        ids=[rule[0] for rule in _THREAD_RULES],
+    )
+    def test_only_workers_start_threads(self, voc, build, workers):
+        before = set(threading.enumerate())
+        built = build(voc)
+        if isinstance(built, AdvisorService):
+            built.open_session("s", context=_CONTEXT)
+        elif isinstance(built, Charles):
+            built.advise(_CONTEXT)
+        else:
+            built.count_batch(_queries())
+        if workers is None:
+            assert built.pool is None
+            assert set(threading.enumerate()) <= before
+        else:
+            assert built.pool.workers == workers
+            assert built.pool.stats()["parallel_batches"] > 0  # forced fan-out
+            built.pool.shutdown()
 
     def test_plain_memory_runs_without_a_pool(self, voc):
         backend = open_backend("memory", voc)

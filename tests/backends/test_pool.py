@@ -20,9 +20,18 @@ class TestResolveWorkers:
         assert resolve_workers(3) == 3
 
     def test_none_and_zero_mean_one_per_core(self):
-        expected = min(os.cpu_count() or 1, MAX_WORKERS)
-        assert resolve_workers(None) == expected
-        assert resolve_workers(0) == expected
+        assert 1 <= resolve_workers(None) == resolve_workers(0) <= MAX_WORKERS
+
+    def test_one_per_core_counts_the_cores_this_process_may_use(self, monkeypatch):
+        # A CPU-pinned container sees every host core in os.cpu_count().
+        monkeypatch.setattr(os, "cpu_count", lambda: 96)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        assert resolve_workers(0) == 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(200)))
+        assert resolve_workers(0) == MAX_WORKERS
+        # Where the platform has no affinity call, the host count is used.
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert resolve_workers(0) == min(96, MAX_WORKERS)
 
     def test_values_are_bounded(self):
         assert resolve_workers(10_000) == MAX_WORKERS
@@ -30,6 +39,13 @@ class TestResolveWorkers:
     def test_negative_is_an_error(self):
         with pytest.raises(BackendError):
             resolve_workers(-2)
+
+    def test_only_a_worker_count_other_than_one_requests_a_pool(self):
+        assert ExecutorPool.requested(None, name="x") is None
+        assert ExecutorPool.requested(1, name="x") is None
+        pool = ExecutorPool.requested(3, name="x")
+        assert pool.workers == 3 and pool.name == "x"
+        assert ExecutorPool.requested(0, name="x").workers == resolve_workers(0)
 
 
 class TestExecutorPool:
