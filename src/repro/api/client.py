@@ -399,10 +399,10 @@ class RemoteSession:
 
         ``mode="interactive"`` serves approximate advice computed on a
         uniform sample (the returned :class:`~repro.core.advisor.Advice`
-        has ``approximate=True`` and an ``error_bound``) while the server
-        refines it exactly in the background; collect the exact answers
-        with :meth:`refine`.  ``None`` leaves the mode to the server's
-        backend (exact unless its spec samples).
+        has ``approximate=True`` and an ``error_bound``); :meth:`refine`
+        asks the server for the exact answers, which it computes on
+        request through its advice cache.  ``None`` leaves the mode to the
+        server's backend (exact unless its spec samples).
         """
         params: Dict[str, Any] = {"context": context}
         if refresh:

@@ -275,9 +275,6 @@ class ApproxEngine(BackendWrapper):
     ) -> Dict[Any, int]:
         return self._current().engine.value_frequencies(attribute, query)
 
-    def distinct_count(self, attribute: str, query: Optional[SDLQuery] = None) -> int:
-        return self._current().engine.distinct_count(attribute, query)
-
     def hint_parent(self, child: SDLQuery, parent: SDLQuery) -> None:
         """Drill-down breadcrumbs belong to the engine that scans: the sample's."""
         hint = getattr(self._current().engine, "hint_parent", None)

@@ -27,9 +27,9 @@ resolves a textual spec against the :class:`~repro.backends.registry.BackendRegi
 
 Optional capabilities
 ---------------------
-Two method families are deliberately *not* part of the protocol because
-they expose in-memory representations: ``evaluate(query) -> mask`` and
-``materialize(query) -> Table`` (plus the ``table`` attribute).  Callers
+Two members are deliberately *not* part of the protocol because they
+expose in-memory representations: ``evaluate(query) -> mask`` and the
+``table`` attribute.  Callers
 that need them — the profiler's fast path, the partition validator, the
 histogram renderer — must check for them (``getattr(backend, "table",
 None)``) and degrade gracefully; :func:`repro.storage.statistics.profile_backend`
@@ -75,10 +75,8 @@ class ExecutionBackend(Protocol):
     ``median(a, q)``        arithmetic median of ``a`` over ``R(Q)``
     ``minmax(a, q)``        minimum and maximum of ``a`` over ``R(Q)``
     ``value_frequencies``   value → count histogram of ``a`` over ``R(Q)``
-    ``distinct_count``      number of distinct non-missing values
     ``count_batch(qs)``     many counts in one engine pass (deduplicated)
     ``median_batch``        many medians of one attribute as one pass
-    ``counts_for(qs)``      sequential convenience counts (one call each)
     ``counter``             an ``OperationCounter`` tallying logical work
     ``stats()``             backend-specific statistics snapshot (dict)
     ``reset()``             zero the operation counters
@@ -124,15 +122,11 @@ class ExecutionBackend(Protocol):
         self, attribute: str, query: Optional[SDLQuery] = None
     ) -> Dict[Any, int]: ...
 
-    def distinct_count(self, attribute: str, query: Optional[SDLQuery] = None) -> int: ...
-
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]: ...
 
     def median_batch(
         self, attribute: str, queries: Sequence[Optional[SDLQuery]]
     ) -> Tuple[Any, ...]: ...
-
-    def counts_for(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]: ...
 
     def stats(self) -> Dict[str, Any]: ...
 
@@ -153,9 +147,9 @@ class BackendWrapper:
     :class:`~repro.service.batching.BatchedEngine` wrap **any**
     :class:`ExecutionBackend`, overriding only the operations they
     change.  Every protocol member delegates to the wrapped backend;
-    optional capabilities (``table``, ``evaluate``, ``materialize``,
-    ``cache`` …) pass through via ``__getattr__`` so a wrapper is exactly
-    as capable as what it wraps.
+    optional capabilities (``table``, ``evaluate``, ``cache`` …) pass
+    through via ``__getattr__`` so a wrapper is exactly as capable as
+    what it wraps.
     """
 
     def __init__(self, inner: ExecutionBackend):
@@ -216,9 +210,6 @@ class BackendWrapper:
     ) -> Dict[Any, int]:
         return self._inner.value_frequencies(attribute, query)
 
-    def distinct_count(self, attribute: str, query: Optional[SDLQuery] = None) -> int:
-        return self._inner.distinct_count(attribute, query)
-
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
         return self._inner.count_batch(queries)
 
@@ -226,9 +217,6 @@ class BackendWrapper:
         self, attribute: str, queries: Sequence[Optional[SDLQuery]]
     ) -> Tuple[Any, ...]:
         return self._inner.median_batch(attribute, queries)
-
-    def counts_for(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
-        return tuple(self.count(query) for query in queries)
 
     def stats(self) -> Dict[str, Any]:
         return self._inner.stats()
@@ -250,7 +238,7 @@ class BackendWrapper:
 
     def __getattr__(self, item: str) -> Any:
         # Only called when normal lookup fails: optional capabilities such
-        # as ``table``, ``evaluate``, ``materialize``, ``cache`` delegate to
+        # as ``table``, ``evaluate``, ``cache`` delegate to
         # the wrapped backend.
         if item == "_inner":  # guard against recursion before __init__ ran
             raise AttributeError(item)

@@ -703,10 +703,6 @@ class SQLiteBackend:
         )
         return {self._decode_value(dtype, value): int(count) for value, count in rows}
 
-    def distinct_count(self, attribute: str, query: Optional[SDLQuery] = None) -> int:
-        """Number of distinct non-missing values under the query."""
-        return len(self.value_frequencies(attribute, query))
-
     # -- batched passes -------------------------------------------------------
 
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
@@ -743,10 +739,6 @@ class SQLiteBackend:
             self._aggregate_put,
             lambda query: self._median_uncached(attribute, query),
         )
-
-    def counts_for(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
-        """Cardinalities for a batch of queries (one count call per query)."""
-        return tuple(self.count(query) for query in queries)
 
     # -- statistics -----------------------------------------------------------
 

@@ -238,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "the newest data version (advise)")
     call.add_argument("--mode", choices=("exact", "interactive"), default=None,
                       help="advise mode: interactive serves approximate "
-                           "advice from a uniform sample, which the refine op "
-                           "later replaces (advise)")
+                           "advice from a uniform sample; the refine op "
+                           "computes the exact advice on request (advise)")
     call.add_argument("--limit", type=int, default=None,
                       help="max entries per operation (slow_ops)")
     call.add_argument("--timeout", type=float, default=30.0,

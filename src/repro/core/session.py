@@ -16,9 +16,8 @@ the shared per-table result cache and the batched engine passes.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Optional
 
 from repro.errors import SessionError
 from repro.obs.trace import span
@@ -29,42 +28,6 @@ from repro.core.advisor import Advice, Charles, ContextLike
 __all__ = ["ExplorationStep", "ExplorationSession"]
 
 
-class _RefinementTask:
-    """One background exact-refinement computation.
-
-    Constructed by :meth:`ExplorationSession.advise` right after an
-    interactive (approximate) advice is produced: ``compute()`` — the
-    exact advise of the same context — starts immediately on a daemon
-    thread and publishes ``(advice, data_version)`` (or the raised error)
-    through an event.  :meth:`ExplorationSession.refine` waits on it;
-    a task whose step was refreshed or drilled away is simply dropped.
-    """
-
-    def __init__(self, compute: Callable[[], Tuple[Advice, Optional[int]]]):
-        self._done = threading.Event()
-        self.advice: Optional[Advice] = None
-        self.version: Optional[int] = None
-        self.error: Optional[BaseException] = None
-        # ``compute`` reaches the session, which reaches this task: only
-        # the thread holds it, and a thread drops its arguments when done.
-        thread = threading.Thread(
-            target=self._run, args=(compute,), name="charles-refine", daemon=True
-        )
-        thread.start()
-
-    def _run(self, compute: Callable[[], Tuple[Advice, Optional[int]]]) -> None:
-        try:
-            self.advice, self.version = compute()
-        except BaseException as exc:  # published, re-raised by refine()
-            self.error = exc
-        finally:
-            self._done.set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until the refinement finishes; ``False`` on timeout."""
-        return self._done.wait(timeout)
-
-
 @dataclass
 class ExplorationStep:
     """One level of the exploration stack.
@@ -72,8 +35,6 @@ class ExplorationStep:
     ``data_version`` records the engine's monotonic data version at the
     moment the step's advice was computed; comparing it with the current
     version is how the session detects stale advice after an ingest.
-    ``refinement`` holds the in-flight background exact recomputation of
-    an approximate advice (interactive mode), if any.
     """
 
     context: SDLQuery
@@ -83,9 +44,6 @@ class ExplorationStep:
     label: str = "(root)"
     cached_count: Optional[int] = None
     data_version: Optional[int] = None
-    refinement: Optional[_RefinementTask] = field(
-        default=None, repr=False, compare=False
-    )
 
     @property
     def row_count(self) -> Optional[int]:
@@ -162,15 +120,14 @@ class ExplorationSession:
         ``mode`` is :meth:`Charles.advise`'s (``None``: the advisor's
         default).  With ``mode="interactive"`` a fresh advice is computed
         on the sampled view (``advice.approximate`` is set, with its
-        ``error_bound``) and an exact recomputation starts immediately in
-        the background; :meth:`refine` swaps it in when it lands.
+        ``error_bound``); :meth:`refine` replaces it with the exact advice
+        when asked.
         """
         with span("session.advise", mode=mode, refresh=refresh) as current:
             step = self.current
             if refresh:
                 step.advice = None
                 step.cached_count = None
-                step.refinement = None
             if step.advice is None:
                 # Capture the version *before* computing: if an ingest lands
                 # mid-advise, the advice is tagged with the pre-ingest version
@@ -179,8 +136,6 @@ class ExplorationSession:
                 version = self.data_version
                 step.advice = self._compute_advice(step.context, mode)
                 step.data_version = version
-                if mode == "interactive":
-                    self._schedule_refinement(step)
             elif current:
                 current.annotate(cached=True)
             if current:
@@ -196,52 +151,29 @@ class ExplorationSession:
             return self.advise_fn(context, self.max_answers, mode)
         return self.advisor.advise(context, max_answers=self.max_answers, mode=mode)
 
-    def _schedule_refinement(self, step: ExplorationStep) -> None:
-        """Kick off the background exact advise replacing ``step``'s advice."""
-
-        context = step.context
-
-        def compute() -> Tuple[Advice, Optional[int]]:
-            version = self.data_version
-            return self._compute_advice(context, "exact"), version
-
-        step.refinement = _RefinementTask(compute)
-
-    def refine(self, timeout: Optional[float] = None) -> Advice:
+    def refine(self) -> Advice:
         """Exact advice for the current step, replacing an approximate one.
 
         Returns immediately when the step's advice is already exact.
-        Otherwise waits for the background refinement scheduled by the
-        interactive advise (computing it inline if none is pending) and
-        swaps the exact advice into the step, so subsequent
-        :meth:`advise`/:meth:`drill` calls see exact numbers.  Raises
-        :class:`~repro.errors.SessionError` when ``timeout`` (seconds)
-        expires before refinement lands.
+        Otherwise the exact advice is computed on the calling thread —
+        through ``advise_fn`` when the service set it, so a context any
+        session already refined or advised exactly is an advice-cache hit
+        — and swapped into the step, so subsequent :meth:`advise`/
+        :meth:`drill` calls see exact numbers.  If the exact advise
+        raises, the error propagates and the step keeps its approximate
+        advice.
         """
         with span("session.refine"):
             approximate = self.advise()
             if not approximate.approximate:
                 return approximate
             step = self.current
-            task = step.refinement
-            if task is not None:
-                if not task.wait(timeout):
-                    raise SessionError(
-                        f"refinement did not finish within {timeout} seconds"
-                    )
-                if task.error is not None:
-                    step.refinement = None
-                    raise task.error
-                exact, version = task.advice, task.version
-            else:
-                version = self.data_version
-                exact = self._compute_advice(step.context, "exact")
-            assert exact is not None
+            version = self.data_version
+            exact = self._compute_advice(step.context, "exact")
             if step.advice is approximate:
                 step.advice = exact
                 step.data_version = version
                 step.cached_count = None
-            step.refinement = None
             return exact
 
     # -- live data ----------------------------------------------------------------

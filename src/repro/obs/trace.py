@@ -25,8 +25,9 @@ Tracing costs nothing until the first trace starts in a process:
   touches the context var.
 
 Spans are built and finished on the request thread; work handed to
-background threads (batch leaders, pool workers, refinement tasks) is
-not traced — the ambient span deliberately does not cross threads.
+other threads (batch leaders, pool workers) is not traced — the ambient
+span deliberately does not cross threads.  A ``refine`` runs on the
+request thread, so its exact advise is traced under ``session.refine``.
 """
 
 from __future__ import annotations

@@ -25,7 +25,10 @@ engine fans its scans across the pool (identical answers, more cores);
 Sessions are named and concurrent: each owns a
 :class:`~repro.service.batching.BatchedEngine` (private operation
 counters, shared cache) and a thin
-:class:`~repro.core.session.ExplorationSession` navigation stack.
+:class:`~repro.core.session.ExplorationSession` navigation stack.  A
+request runs on the thread that submitted it — ``refine`` too, which is
+one exact advise through the advice cache — so a service without
+``workers`` starts no thread of its own.
 
 Entry point: :meth:`AdvisorService.submit` for one request; a whole
 multi-user workload is replayed against the public session methods by
@@ -47,6 +50,7 @@ from repro.backends.registry import open_backend
 from repro.core.advisor import Advice, Charles, ContextLike
 from repro.core.hbcuts import HBCutsConfig
 from repro.core.ranking import EntropyRanker, Ranker
+from repro.core.session import ExplorationSession
 from repro.errors import (
     AdvisorError,
     CharlesError,
@@ -440,17 +444,16 @@ class AdvisorService:
             config=session_config,
             ranker=ranker or EntropyRanker(),
         )
-        session = ServiceSession(
-            name=name,
-            table_name=runtime.name,
-            advisor=advisor,
+        exploration = ExplorationSession(
+            advisor,
             max_answers=max_answers if max_answers is not None else self._max_answers,
+            advise_fn=self._make_advise_fn(advisor, runtime),
+            # Route the session's ad-hoc counts (describe(), breadcrumb row
+            # counts) through the runtime's primary engine: shared cache,
+            # aggregate caching, no private-engine bypass.
+            count_fn=runtime.engine.count,
         )
-        session.exploration.advise_fn = self._make_advise_fn(advisor, runtime)
-        # Route the session's ad-hoc counts (describe(), breadcrumb row
-        # counts) through the runtime's primary engine: shared cache,
-        # aggregate caching, no private-engine bypass.
-        session.exploration.count_fn = runtime.engine.count
+        session = ServiceSession(name, runtime.name, exploration)
         with self._lock:
             if name in self._sessions and not replace:
                 raise SessionError(
@@ -515,7 +518,7 @@ class AdvisorService:
             # Approximate advice caches under its own prefix: an
             # interactive hit must never masquerade as exact (and vice
             # versa), while the exact key format stays unchanged — a
-            # refinement populates exactly the entry a plain advise would.
+            # refine reads and fills exactly the entry a plain advise would.
             mode = mode or advisor.default_mode
             prefix = "advice:approx:" if mode == "interactive" else "advice:"
             key = (
@@ -548,15 +551,19 @@ class AdvisorService:
         ``refresh=True`` with no context recomputes the current context's
         advice against the newest data version (clearing the stale flag)
         without restarting the exploration.  ``mode="interactive"`` serves
-        approximate advice from the sampled view and schedules its exact
-        refinement in the background (collect with :meth:`refine`);
-        ``None`` is the table backend's default.
+        approximate advice from the sampled view (:meth:`refine` replaces
+        it with the exact advice); ``None`` is the table backend's default.
         """
         self._tally()
         return self.session(session_name).advise(context, refresh=refresh, mode=mode)
 
     def refine(self, session_name: str) -> Advice:
-        """Exact advice at a session's current context, replacing approximate."""
+        """Exact advice at a session's current context, replacing approximate.
+
+        Computed on the request thread as one exact advise through the
+        table's advice cache: a context any session already refined or
+        advised exactly at the current data version is a cache hit.
+        """
         self._tally()
         return self.session(session_name).refine()
 

@@ -1,11 +1,12 @@
 """Named exploration sessions managed by the advisor service.
 
-A :class:`ServiceSession` pairs one user-visible session name with a
-:class:`~repro.core.session.ExplorationSession` whose advisor runs on a
-:class:`~repro.service.batching.BatchedEngine` — a per-session engine that
-shares the table's result cache and coalesces batched passes with other
-sessions.  The session object itself stays thin: navigation state lives in
-the exploration stack, all heavy lifting in the table runtime.
+A :class:`ServiceSession` adds what the service needs to a
+:class:`~repro.core.session.ExplorationSession`: a user-visible name, the
+table it runs on, a request tally and a lock serialising its requests.
+Navigation state lives in the exploration stack; advice comes through the
+exploration's ``advise_fn`` hook, which the service points at the table's
+shared advice cache — an interactive advise and its :meth:`refine` are two
+advises through that cache, both on the request thread.
 """
 
 from __future__ import annotations
@@ -29,31 +30,30 @@ class ServiceSession:
         The service-wide unique session name.
     table_name:
         Name the backing table was registered under.
-    advisor:
-        A :class:`~repro.core.advisor.Charles` whose engine shares the
-        table runtime's cache.
-    max_answers:
-        Ranked answers requested at each step.
-    advise_fn:
-        Service hook that serves advice from the shared advice cache.
+    exploration:
+        The navigation stack; its advisor's engine shares the table
+        runtime's cache and its ``advise_fn`` serves the shared advice
+        cache.
     """
 
-    def __init__(
-        self,
-        name: str,
-        table_name: str,
-        advisor: Charles,
-        max_answers: int = 10,
-        advise_fn=None,
-    ):
+    def __init__(self, name: str, table_name: str, exploration: ExplorationSession):
         self.name = name
         self.table_name = table_name
-        self.advisor = advisor
-        self.exploration = ExplorationSession(
-            advisor=advisor, max_answers=max_answers, advise_fn=advise_fn
-        )
+        self.exploration = exploration
         self.requests = 0
         self._lock = threading.RLock()
+
+    @property
+    def advisor(self) -> Charles:
+        return self.exploration.advisor
+
+    def _started(self) -> ExplorationSession:
+        """The exploration, once an advise has given it a context."""
+        if not self.exploration.started:
+            raise SessionError(
+                f"session {self.name!r} has no context yet; submit an advise first"
+            )
+        return self.exploration
 
     # -- the Figure 1 loop --------------------------------------------------
 
@@ -71,9 +71,9 @@ class ServiceSession:
         stale flag after an ingest without losing the drill-down stack.
 
         With ``mode="interactive"`` the advice is computed on the sampled
-        view (``approximate`` flag and ``error_bound`` set on the advice)
-        and an exact refinement starts in the background; collect it with
-        :meth:`refine`.  ``None`` is the advisor's default mode.
+        view (``approximate`` flag and ``error_bound`` set on the advice);
+        :meth:`refine` computes the exact advice when asked.  ``None`` is
+        the advisor's default mode.
         """
         with self._lock:
             self.requests += 1
@@ -81,32 +81,25 @@ class ServiceSession:
                 return self.exploration.advise(refresh=True, mode=mode)
             return self.exploration.start(context, mode=mode)
 
-    def refine(self, timeout: Optional[float] = None) -> Advice:
+    def refine(self) -> Advice:
         """Exact advice at the current context, replacing an approximate one."""
         with self._lock:
             self.requests += 1
-            if not self.exploration.started:
-                raise SessionError(
-                    f"session {self.name!r} has no context yet; submit an advise first"
-                )
-            return self.exploration.refine(timeout=timeout)
+            return self._started().refine()
 
     def drill(self, answer_index: int, segment_index: int) -> Advice:
         """Drill into one segment of one ranked answer."""
         with self._lock:
             self.requests += 1
-            if not self.exploration.started:
-                raise SessionError(
-                    f"session {self.name!r} has no context yet; submit an advise first"
-                )
-            return self.exploration.drill(answer_index, segment_index)
+            return self._started().drill(answer_index, segment_index)
 
     def back(self) -> Advice:
         """Pop one drill-down level and return the advice at the restored context."""
         with self._lock:
             self.requests += 1
-            self.exploration.back()
-            return self.exploration.advise()
+            exploration = self._started()
+            exploration.back()
+            return exploration.advise()
 
     def current_advice(self) -> Optional[Advice]:
         """The advice at the current context, or ``None`` before the first advise."""
@@ -119,7 +112,7 @@ class ServiceSession:
 
     @property
     def depth(self) -> int:
-        return self.exploration.depth if self.exploration.started else 0
+        return self.exploration.depth
 
     @property
     def data_version(self) -> Optional[int]:
@@ -134,8 +127,6 @@ class ServiceSession:
 
     def breadcrumbs(self) -> List[str]:
         with self._lock:
-            if not self.exploration.started:
-                return []
             return self.exploration.breadcrumbs()
 
     def stats(self) -> Dict[str, Any]:

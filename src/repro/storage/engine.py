@@ -643,10 +643,6 @@ class QueryEngine:
         """Cache occupancy, traffic and eviction statistics."""
         return self._cache.stats().snapshot()
 
-    def clear_cache(self) -> None:
-        """Drop every cached result (affects all engines sharing the cache)."""
-        self._cache.clear()  # lint: ignore[CHR002] ResultCache locks internally
-
     # -- index ---------------------------------------------------------------
 
     @property
@@ -1001,10 +997,6 @@ class QueryEngine:
         mask = None if query is None else self._mask(query, state)[0]
         return column.value_counts(mask)
 
-    def distinct_count(self, attribute: str, query: Optional[SDLQuery] = None) -> int:
-        """Number of distinct non-missing values of ``attribute`` under the query."""
-        return len(self.value_frequencies(attribute, query))
-
     # -- batched passes -----------------------------------------------------------
 
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
@@ -1045,20 +1037,6 @@ class QueryEngine:
             lambda key, value: self._aggregate_put(key, value, state.version),
             lambda query: self._median_uncached(attribute, query, state)[0],
         )
-
-    # -- materialisation ----------------------------------------------------------
-
-    def materialize(self, query: SDLQuery, name: Optional[str] = None) -> Table:
-        """The result set of a query as a new table (used for drill-down)."""
-        state = self._refresh()
-        mask = self._mask(query, state)[0]
-        return state.table.filter(
-            mask, name=name or f"{state.table.name}_selection"
-        )
-
-    def counts_for(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
-        """Cardinalities for a batch of queries (one count call per query)."""
-        return tuple(self.count(query) for query in queries)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         index = ",".join(sorted(self._features)) or "off"

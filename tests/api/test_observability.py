@@ -112,6 +112,24 @@ class TestServiceTracing:
         assert len(_trace_ids(tree)) == 1  # one trace id for the whole tree
         assert tree["attributes"]["op"] == "advise"
 
+    def test_traced_refine_shows_its_exact_advise(self, service):
+        assert service.submit(Request(op="open_session", session="probe")).ok
+        assert service.submit(
+            Request(
+                op="advise",
+                session="probe",
+                params={"context": _CONTEXT, "mode": "interactive"},
+            )
+        ).ok
+        response = service.submit(Request(op="refine", session="probe", trace={}))
+        assert response.ok and response.result.approximate is False
+        (refine,) = [
+            child
+            for child in response.trace.get("children", [])
+            if child["name"] == "session.refine"
+        ]
+        assert any(name.startswith("engine.") for name in _span_names(refine))
+
     def test_traced_request_joins_a_distributed_trace(self, service):
         response = service.submit(
             Request(

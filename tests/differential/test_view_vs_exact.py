@@ -30,6 +30,7 @@ import dataclasses
 import itertools
 import math
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -246,14 +247,15 @@ class TestRefinementIdentity:
 
     def test_a_sampled_advisor_refines_without_being_asked_interactive(self):
         # sample= makes the view the default: the advice is flagged, no
-        # background refinement is started, and refine() computes inline.
+        # thread is started, and refine() computes on the calling thread.
         session = ExplorationSession(
             Charles(generate_voc(rows=200, seed=13), backend="memory?sample=0.5"),
             max_answers=4,
         )
+        threads = threading.active_count()
         first = session.start(["type_of_boat", "tonnage"])
         assert first.approximate is True
-        assert session.current.refinement is None
+        assert threading.active_count() == threads
         assert session.refine().approximate is False
 
 

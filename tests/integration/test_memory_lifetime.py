@@ -18,7 +18,6 @@ picture:
 from __future__ import annotations
 
 import gc
-import threading
 import weakref
 
 import numpy as np
@@ -184,6 +183,41 @@ class TestNothingCyclicIsLeftBehind:
         _assert_nothing_of_ours(unreachable_after(traffic))
 
 
+class _ExactPassFailed(RuntimeError):
+    """Raised in place of every exact advise."""
+
+
+class TestARefineThatRaises:
+    def test_propagates_keeps_the_approximate_step_and_leaves_nothing(
+        self, monkeypatch
+    ):
+        interactive = Charles.advise
+
+        def advise(self, context=None, max_answers=10, attributes=None, mode=None):
+            if mode == "exact":
+                raise _ExactPassFailed("the exact pass failed")
+            return interactive(self, context, max_answers, attributes, mode)
+
+        monkeypatch.setattr(Charles, "advise", advise)
+
+        def traffic():
+            service = AdvisorService(
+                generate_voc(rows=_ROWS, seed=_SEED), batch_window=0.0
+            )
+            session = service.open_session("alice")
+            approximate = session.advise(_CONTEXT, mode="interactive")
+            try:
+                session.refine()
+            except _ExactPassFailed:
+                pass
+            else:
+                raise AssertionError("refine swallowed its exact advise's error")
+            assert session.exploration.current.advice is approximate
+            return service
+
+        _assert_nothing_of_ours(unreachable_after(traffic))
+
+
 class TestFreedByReferenceCount:
     def test_a_superseded_version_dies_while_an_idle_session_is_open(self):
         gc.collect()
@@ -220,13 +254,8 @@ class TestFreedByReferenceCount:
             service = AdvisorService(generate_voc(rows=_ROWS, seed=_SEED))
             session = service.open_session("alice", context=_CONTEXT)
             session.drill(0, 0)
-            # An interactive advice whose background refinement lands but
-            # is never asked for.
+            # An interactive advice that is never refined.
             session.advise(refresh=True, mode="interactive")
-            for thread in threading.enumerate():
-                if thread.name == "charles-refine":
-                    thread.join(timeout=30.0)
-                    assert not thread.is_alive()
             exploration = weakref.ref(session.exploration)
             del session
             service.close_session("alice")

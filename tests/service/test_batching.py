@@ -109,7 +109,7 @@ class TestBatchCoordinator:
         engine = QueryEngine(table)
         coordinator = BatchCoordinator(engine, window_seconds=0.0)
         queries = _range_queries(5)
-        assert coordinator.counts(queries) == engine.counts_for(queries)
+        assert coordinator.counts(queries) == tuple(engine.count(q) for q in queries)
         assert coordinator.stats.passes == 1
         assert coordinator.stats.requests == 1
 
@@ -119,7 +119,7 @@ class TestBatchCoordinator:
         engine = BatchedEngine(_shared_memory_backend(table, cache))
         coordinator = BatchCoordinator(engine, window_seconds=0.005)
         queries = _range_queries(6)
-        expected = reference.counts_for(queries)
+        expected = tuple(reference.count(q) for q in queries)
         results = {}
         barrier = threading.Barrier(4)
 
@@ -149,7 +149,7 @@ class TestBatchCoordinator:
             _shared_memory_backend(table, cache), coordinator=coordinator
         )
         queries = _range_queries(3)
-        expected = QueryEngine(table).counts_for(queries)
+        expected = tuple(QueryEngine(table).count(q) for q in queries)
         assert session_engine.count_batch(queries) == tuple(expected)
         assert coordinator.stats.passes == 1
         # Logical accounting stays on the session engine.

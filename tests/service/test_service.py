@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import threading
 
 import pytest
@@ -139,6 +140,45 @@ class TestSharedCaching:
         # bool masks over 1500 rows: 16 entries stay under 16 × 1500 bytes
         # plus scalar aggregates.
         assert stats["approx_bytes"] <= 16 * table.num_rows
+
+
+class TestRefine:
+    """``refine`` is one exact advise through the advice cache, on the request thread."""
+
+    _COLUMNS = ("master", "tonnage", "type_of_boat", "built", "departure_harbour",
+                "cape_arrival")
+
+    def test_back_to_back_interactive_users_start_no_thread(self, service):
+        baseline = threading.active_count()
+        for user, context in enumerate(itertools.combinations(self._COLUMNS, 3)):
+            session = service.open_session(f"user-{user}")
+            assert session.advise(list(context), mode="interactive").approximate
+            assert threading.active_count() <= baseline
+        assert user == 19
+
+    def test_a_context_another_session_refined_is_a_cache_hit(self, service):
+        alice = service.open_session("alice")
+        bob = service.open_session("bob")
+        alice.advise(_CONTEXT, mode="interactive")
+        refined = alice.refine()
+        assert bob.advise(_CONTEXT, mode="interactive").approximate
+
+        def advice_hits():
+            return service.stats()["tables"]["voc"]["advice_cache"]["hits"]
+
+        hits, count_calls = advice_hits(), bob.advisor.engine.counter.count_calls
+        assert bob.refine() is refined
+        assert advice_hits() == hits + 1
+        assert bob.advisor.engine.counter.count_calls == count_calls
+
+    def test_back_drill_and_refine_need_a_context(self, service):
+        assert service.submit(Request(op="open_session", session="fresh")).ok
+        for op in ("back", "drill", "refine"):
+            response = service.submit(Request(op=op, session="fresh"))
+            assert not response.ok and response.error_code == "core_session", op
+            assert response.error == (
+                "session 'fresh' has no context yet; submit an advise first"
+            ), op
 
 
 class TestSubmitAndServe:

@@ -65,10 +65,6 @@ class TestAggregates:
         query = SDLQuery([RangePredicate("year", 1750, 1760)])
         assert engine.value_frequencies("type", query) == {"jacht": 3}
 
-    def test_distinct_count(self, engine):
-        assert engine.distinct_count("type") == 2
-        assert engine.distinct_count("type", _fluit_query()) == 1
-
     def test_unconstrained_query_equals_no_query(self, engine):
         context = SDLQuery.over(["tonnage", "type"])
         assert engine.median("tonnage", context) == engine.median("tonnage")
@@ -96,11 +92,6 @@ class TestCaching:
             engine.count(SDLQuery([RangePredicate("tonnage", low, low + 50)]))
         assert engine.cache_info["entries"] <= 2
         assert engine.cache_info["evictions"] > 0
-
-    def test_clear_cache(self, engine):
-        engine.count(_fluit_query())
-        engine.clear_cache()
-        assert engine.cache_info["entries"] == 0
 
     def test_equivalent_queries_share_cache_entry(self, engine):
         first = SDLQuery([SetPredicate("type", frozenset({"fluit"})), NoConstraint("tonnage")])
@@ -132,17 +123,6 @@ class TestOperationCounter:
         assert engine.counter.total_database_operations == 0
 
 
-class TestMaterialise:
-    def test_materialize_returns_filtered_table(self, engine):
-        result = engine.materialize(_fluit_query())
-        assert result.num_rows == 3
-        assert set(result.to_dict()["type"]) == {"fluit"}
-
-    def test_counts_for_batch(self, engine):
-        queries = [_fluit_query(), SDLQuery([RangePredicate("tonnage", 1300, 1500)])]
-        assert engine.counts_for(queries) == (3, 3)
-
-
 class TestSharedCache:
     def test_engines_share_masks(self, table):
         from repro.storage import ResultCache
@@ -172,9 +152,9 @@ class TestSharedCache:
         assert second.counter.count_calls == 1
         assert second.counter.median_calls == 1
 
-    def test_count_batch_matches_counts_for(self, engine):
+    def test_count_batch_matches_sequential_counts(self, engine):
         queries = [_fluit_query(), SDLQuery([RangePredicate("tonnage", 1300, 1500)])]
-        assert engine.count_batch(queries) == engine.counts_for(queries)
+        assert engine.count_batch(queries) == tuple(engine.count(q) for q in queries)
         assert engine.counter.batch_calls == 1
 
     def test_median_batch(self, engine):
