@@ -43,7 +43,6 @@ from repro.errors import ProtocolError, WireFormatError, error_code_registry
 
 __all__ = [
     "API_VERSION",
-    "ENVELOPE_EXTENSIONS",
     "OPERATIONS",
     "Operation",
     "PARAM_KINDS",
@@ -109,14 +108,6 @@ OPERATIONS: Dict[str, Operation] = {
     "slow_ops": Operation({"limit": "int"}, "fanout"),
     "close_session": Operation({}, "session"),
 }
-
-#: Optional envelope fields carried outside ``params`` on *both* the
-#: request and the response.  Extensions are absent from legacy payloads
-#: (decoding tolerates the missing key) and omitted from the wire form
-#: when unset, so adding one is backward- and forward-compatible within
-#: an ``API_VERSION``.  The CHR005 wire-sync lint keeps this tuple, the
-#: envelope ``__slots__`` and both codecs' field lists aligned.
-ENVELOPE_EXTENSIONS: Tuple[str, ...] = ("trace",)
 
 _COUNTER = itertools.count(1)
 

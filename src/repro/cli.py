@@ -19,9 +19,7 @@ Sub-commands:
 * ``ingest``   — mutate a served table live: append rows (inline JSON or
   a CSV file) and/or delete by a WHERE clause; open sessions see the
   change, their advice goes stale, and ``advise --refresh`` recomputes;
-* ``datasets`` — list the built-in synthetic workloads;
-* ``lint``     — run the project's AST invariant checks (CHR001–CHR006;
-  see ``docs/analysis.md``) over the given paths.
+* ``datasets`` — list the built-in synthetic workloads.
 """
 
 from __future__ import annotations
@@ -279,16 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "connection-level failure")
 
     subparsers.add_parser("datasets", help="list the built-in synthetic datasets")
-
-    lint = subparsers.add_parser(
-        "lint", help="run the project's AST invariant checks (CHR001–CHR006)"
-    )
-    lint.add_argument("paths", nargs="*", default=["src"],
-                      help="files or directories to lint (default: src)")
-    lint.add_argument("--json", action="store_true", dest="as_json",
-                      help="emit the machine-readable findings document")
-    lint.add_argument("--rules", nargs="*", metavar="RULE",
-                      help="restrict the run to these rule ids")
     return parser
 
 
@@ -641,14 +629,6 @@ def _command_datasets(_: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    from repro.analysis import run_lint
-
-    code, report = run_lint(args.paths, as_json=args.as_json, rules=args.rules)
-    print(report)
-    return code
-
-
 _COMMANDS = {
     "demo": _command_demo,
     "advise": _command_advise,
@@ -660,7 +640,6 @@ _COMMANDS = {
     "call": _command_call,
     "ingest": _command_ingest,
     "datasets": _command_datasets,
-    "lint": _command_lint,
 }
 
 

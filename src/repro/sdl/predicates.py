@@ -26,7 +26,7 @@ engine caches selection masks keyed by query).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Iterable, Optional
+from typing import Any, FrozenSet, Iterable, Optional, Tuple
 
 from repro.errors import PredicateError
 
@@ -199,7 +199,7 @@ class SetPredicate(Predicate):
         return True
 
     @property
-    def sorted_values(self) -> tuple:
+    def sorted_values(self) -> Tuple[Any, ...]:
         """Values in a deterministic order (used for display and hashing text)."""
         return tuple(sorted(self.values, key=lambda v: (str(type(v)), str(v))))
 
@@ -243,7 +243,7 @@ class ExclusionPredicate(Predicate):
         return True
 
     @property
-    def sorted_values(self) -> tuple:
+    def sorted_values(self) -> Tuple[Any, ...]:
         """Excluded values in a deterministic order (display and signatures)."""
         return tuple(sorted(self.values, key=lambda v: (str(type(v)), str(v))))
 

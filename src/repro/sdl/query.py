@@ -8,7 +8,7 @@ constrained or not — define Charles' exploration context: by convention
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.sdl.predicates import (
@@ -200,7 +200,7 @@ class SDLQuery:
     def __str__(self) -> str:
         return self.to_sdl()
 
-    def _key(self) -> frozenset:
+    def _key(self) -> FrozenSet[Predicate]:
         return frozenset(self._predicates)
 
     def __eq__(self, other: object) -> bool:

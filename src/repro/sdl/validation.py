@@ -15,7 +15,7 @@ package and stays free of circular dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Protocol, Sequence, Tuple
+from typing import Any, List, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,7 @@ __all__ = ["PartitionReport", "check_partition", "validate_partition", "EnginePr
 class EngineProtocol(Protocol):
     """The minimal engine surface the validator relies on."""
 
-    def evaluate(self, query: SDLQuery) -> np.ndarray:  # pragma: no cover - protocol
+    def evaluate(self, query: SDLQuery) -> np.ndarray[Any, np.dtype[np.bool_]]:  # pragma: no cover - protocol
         ...
 
     def count(self, query: SDLQuery) -> int:  # pragma: no cover - protocol

@@ -155,13 +155,15 @@ class ResultCache:
 
     Version-keyed entries
     ---------------------
-    ``put``/``get``/``get_or_compute`` accept an optional integer
-    ``version`` — the monotonically increasing data version of a live
-    table.  A versioned lookup matches only entries tagged with the same
-    version (a mismatch is a miss, and the stale entry is dropped on the
-    spot); untagged entries (``version=None``, the static-table default)
-    behave exactly as before.  :meth:`evict_superseded` removes every
-    entry older than a given version in one pass.
+    ``get``/``peek``/``put``/``get_or_compute`` take a required
+    keyword-only ``version`` — the monotonically increasing data version
+    of a live table — so an unversioned call is a ``TypeError``, not a
+    stale answer served across a mutation.  A versioned lookup matches
+    only entries tagged with the same version (a mismatch is a miss, and
+    the stale entry is dropped on the spot); ``version=None``, written
+    out, marks an entry of a table that never changes and matches any
+    lookup.  :meth:`evict_superseded` removes every entry older than a
+    given version in one pass.
     """
 
     def __init__(self, capacity: int = 256, name: str = "results"):
@@ -205,7 +207,7 @@ class ResultCache:
         self._approx_bytes -= self._bytes.pop(key, 0)
         self._versions.pop(key, None)
 
-    def get(self, key: str, version: Optional[int] = None) -> Optional[Any]:
+    def get(self, key: str, *, version: Optional[int]) -> Optional[Any]:
         """The cached value, or ``None`` (recorded as hit/miss).
 
         With ``version`` given, an entry tagged with a *different* version
@@ -228,7 +230,7 @@ class ResultCache:
             self._hits += 1
         return _unpack(value)
 
-    def peek(self, key: str, version: Optional[int] = None) -> Optional[Any]:
+    def peek(self, key: str, *, version: Optional[int]) -> Optional[Any]:
         """The cached value without any observable side effect.
 
         Unlike :meth:`get`, a peek records no hit or miss, does not touch
@@ -248,7 +250,7 @@ class ResultCache:
                 return None
         return _unpack(value)
 
-    def put(self, key: str, value: Any, version: Optional[int] = None) -> None:
+    def put(self, key: str, value: Any, *, version: Optional[int]) -> None:
         """Insert (or refresh) an entry, evicting LRU entries beyond capacity.
 
         ``version`` tags the entry with the data version it was computed
@@ -280,7 +282,8 @@ class ResultCache:
         self,
         key: str,
         compute: Callable[[], Any],
-        version: Optional[int] = None,
+        *,
+        version: Optional[int],
     ) -> Any:
         """The cached value, computing and inserting it on a miss.
 

@@ -615,7 +615,7 @@ class QueryEngine:
         their inner engine), so the storage layer stays import-free of the
         observability package's registry.
         """
-        self._metrics_sink = sink  # lint: ignore[CHR002] atomic reference swap
+        self._metrics_sink = sink  # an atomic reference swap needs no lock
 
     def sample(self, fraction: float, seed: Optional[int] = None) -> "QueryEngine":
         """An engine over a uniform sample of the current snapshot.

@@ -10,7 +10,7 @@ import urllib.request
 import pytest
 
 from repro.api.client import RemoteAdvisor
-from repro.api.protocol import ENVELOPE_EXTENSIONS, Request, Response
+from repro.api.protocol import Request, Response
 from repro.api.server import AdvisorHTTPServer
 from repro.errors import ProtocolError, WireFormatError
 from repro.service import AdvisorService
@@ -44,9 +44,6 @@ def _trace_ids(document, into=None):
 
 
 class TestTraceEnvelope:
-    def test_trace_is_a_declared_envelope_extension(self):
-        assert "trace" in ENVELOPE_EXTENSIONS
-
     def test_request_trace_round_trips(self):
         request = Request(op="advise", session="s", trace={"trace_id": "t-1"})
         payload = request.to_wire()

@@ -4,7 +4,7 @@
 routing directly, so those cannot drift.  What still lives elsewhere —
 one ``_op_<name>`` handler per op on the service, one client method per
 op, the table in ``docs/api.md`` — is held to the table here, at run
-time, in place of the AST checks CHR005 used to carry.
+time.
 """
 
 import inspect

@@ -1,13 +1,11 @@
 """Tests for the ExecutionBackend protocol and the wrapper base.
 
-Includes the PR's architectural acceptance criterion: no module under
-``repro.core`` or ``repro.service`` may import the concrete
-``QueryEngine`` class — construction goes through the backend registry.
+That nothing outside ``storage/`` and ``backends/`` imports a concrete
+engine is ``TestLayerBoundary`` in
+``tests/integration/test_source_invariants.py``.
 """
 
 from __future__ import annotations
-
-import pathlib
 
 import pytest
 
@@ -17,8 +15,6 @@ from repro.backends.sqlite import SQLiteBackend
 from repro.service.batching import BatchedEngine
 from repro.storage import QueryEngine
 from repro.workloads import generate_voc
-
-SRC_ROOT = pathlib.Path(__file__).resolve().parents[2] / "src" / "repro"
 
 
 @pytest.fixture(scope="module")
@@ -87,35 +83,3 @@ class TestBackendWrapper:
         session = primary.sibling()
         assert session.cache is primary.cache
         assert session.counter is not primary.counter
-
-
-class TestLayerBoundary:
-    """The acceptance criterion: core/service never import QueryEngine.
-
-    Since the analysis package landed, the single source of truth for
-    this invariant is lint rule CHR001 (``repro.analysis``); the original
-    ad-hoc line scan lives on only as this thin, greppably-named wrapper.
-    """
-
-    @pytest.mark.parametrize("package", ["core", "service"])
-    def test_no_concrete_engine_imports(self, package):
-        from repro.analysis import get_rule, lint_paths
-
-        rule = get_rule("CHR001")()
-        findings = lint_paths([SRC_ROOT / package], rules=[rule])
-        assert not findings, (
-            "core/service modules must depend on the ExecutionBackend "
-            "protocol, not the concrete engine:\n"
-            + "\n".join(f.format(show_hint=False) for f in findings)
-        )
-
-    def test_rule_catches_a_planted_violation(self, tmp_path):
-        from repro.analysis import get_rule, lint_paths
-
-        planted = tmp_path / "offender.py"
-        planted.write_text(
-            "from repro.storage.engine import QueryEngine\n", encoding="utf-8"
-        )
-        findings = lint_paths([planted], rules=[get_rule("CHR001")()])
-        assert [f.rule_id for f in findings] == ["CHR001"]
-        assert findings[0].line == 1

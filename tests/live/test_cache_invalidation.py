@@ -19,8 +19,8 @@ def table():
 class TestVersionedResultCache:
     def test_untagged_entries_behave_classically(self):
         cache = ResultCache(capacity=8)
-        cache.put("k", 1)
-        assert cache.get("k") == 1
+        cache.put("k", 1, version=None)
+        assert cache.get("k", version=None) == 1
         assert cache.get("k", version=7) == 1  # untagged matches any version
 
     def test_version_match_hits(self):
@@ -40,19 +40,19 @@ class TestVersionedResultCache:
     def test_unversioned_get_serves_tagged_entry(self):
         cache = ResultCache(capacity=8)
         cache.put("k", 1, version=1)
-        assert cache.get("k") == 1
+        assert cache.get("k", version=None) == 1
 
     def test_evict_superseded_is_surgical(self):
         cache = ResultCache(capacity=16)
         cache.put("old-a", 1, version=1)
         cache.put("old-b", 2, version=1)
         cache.put("current", 3, version=2)
-        cache.put("untagged", 4)
+        cache.put("untagged", 4, version=None)
         removed = cache.evict_superseded(2)
         assert removed == 2
         assert "old-a" not in cache and "old-b" not in cache
         assert cache.get("current", version=2) == 3
-        assert cache.get("untagged") == 4
+        assert cache.get("untagged", version=None) == 4
         assert cache.stats().invalidations == 2
 
     def test_get_or_compute_recomputes_for_new_version(self):
@@ -96,7 +96,7 @@ class TestEngineInvalidationPrecision:
         assert stats.invalidations >= 2
         assert stats.entries < entries_before
         # ...but everything not superseded survived, for every sibling.
-        assert cache.get("untagged-probe") == "keep"
+        assert cache.get("untagged-probe", version=None) == "keep"
         assert cache.get("ahead-probe", version=sibling.data_version) == "keep"
 
     def test_stale_mask_never_answers_new_version(self, table):

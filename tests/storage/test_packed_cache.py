@@ -146,7 +146,8 @@ def test_packing_is_invisible_but_for_approx_bytes(capacity, script):
             actual = cache.evict_superseded(*arguments)
             expected = reference.evict_superseded(*arguments)
         else:
-            actual = getattr(cache, name)(*arguments)
+            *positional, version = arguments
+            actual = getattr(cache, name)(*positional, version=version)
             expected = getattr(reference, name)(*arguments)
         _assert_same(actual, expected)
 
