@@ -97,9 +97,16 @@ def concrete_engine_imports(module: str, source: str) -> List[int]:
     return lines
 
 
+#: Every top-level package or module of ``repro`` outside the engine layers.
+_LAYERS = sorted({module.split(".")[1] for module in _sources()} - {"storage", "backends"})
+
+
 class TestLayerBoundary:
-    def test_no_concrete_engine_imports(self):
-        offenders = {m: concrete_engine_imports(m, s) for m, s in _sources().items()}
+    @pytest.mark.parametrize("layer", _LAYERS)
+    def test_no_concrete_engine_imports(self, layer):
+        sources = {m: s for m, s in _sources().items() if m.split(".")[1] == layer}
+        assert sources
+        offenders = {m: concrete_engine_imports(m, s) for m, s in sources.items()}
         assert {m: lines for m, lines in offenders.items() if lines} == {}, (
             "program against ExecutionBackend, not the concrete engines"
         )
@@ -110,6 +117,22 @@ class TestLayerBoundary:
         planted = "from repro.storage import QueryEngine\nfrom repro.storage import engine\n"
         assert concrete_engine_imports("repro.service.offender", planted) == [1, 2]
         assert concrete_engine_imports("repro.storage.partition", planted) == []
+
+    @pytest.mark.parametrize("module, source, lines", [
+        pytest.param("repro.core.x", "import repro.storage.engine as engine\n", [1], id="aliased-module"),
+        pytest.param("repro.live.x", "from repro.backends.sqlite import SQLiteBackend\n", [1], id="sqlite-class"),
+        pytest.param("repro.cli", "def run():\n    from repro.storage.engine import QueryEngine\n", [2], id="lazy-import"),
+        pytest.param("repro.api.x", "import os\nfrom repro.backends import SQLiteBackend\n", [2], id="re-exported-sqlite"),
+        pytest.param(
+            "repro.core.x",
+            "from repro.backends.base import ExecutionBackend\nfrom repro.backends.registry import open_backend\n",
+            [], id="protocol-only",
+        ),
+        pytest.param("repro.core.x", "from repro.storage.table import Table\nfrom repro.storage import cache\n", [], id="other-storage-modules"),
+        pytest.param("repro.backends.parallel", "import repro.backends.sqlite\n", [], id="backends-are-exempt"),
+    ])
+    def test_import_shapes(self, module, source, lines):
+        assert concrete_engine_imports(module, source) == lines
 
 
 # -- lock discipline --------------------------------------------------------------
@@ -243,6 +266,68 @@ def test_a_planted_unlocked_mutation_is_caught():
     assert unlocked_mutations(PLANTED_RACE.replace("self._lock = threading.Lock()", "pass")) == []
 
 
+def _method_of_a_locked_class(method: str) -> str:
+    body = "\n".join("    " + line for line in method.strip("\n").splitlines())
+    return (
+        "import threading\n\nclass C:\n    def __init__(self):\n"
+        "        self._lock = threading.Lock()\n        self._hits = 0\n"
+        f"        self._entries = {{}}\n\n{body}\n"
+    )
+
+
+def _without_lines(found: List[str]) -> List[str]:
+    return sorted(re.sub(r":\d+", "", f) for f in found)
+
+
+@pytest.mark.parametrize("method, found", [
+    pytest.param("def m(self):\n    with self._lock:\n        self._hits += 1\n", [], id="guarded"),
+    pytest.param("def m(self):\n    with self._lock:\n        return dict(self._entries)\n", [], id="read-under-lock"),
+    pytest.param("def _drop_locked(self, key):\n    self._entries.pop(key, None)\n", [], id="locked-helper"),
+    pytest.param("def m(self):\n    self.hits = 1\n", [], id="public-attribute"),
+    pytest.param("def m(self, other):\n    other._hits += 1\n    seen = []\n    seen.append(1)\n", [], id="not-self"),
+    pytest.param(
+        "def m(self):\n    class Inner:\n        def f(self):\n            self._x = 1\n    return Inner\n",
+        [], id="nested-class-has-its-own-self",
+    ),
+    pytest.param("def m(self):\n    self._hits += 1\n", ["C.m self._hits"], id="augmented-assignment"),
+    pytest.param("def m(self, k, v):\n    self._entries[k] = v\n", ["C.m self._entries"], id="subscript-store"),
+    pytest.param("def m(self, k):\n    self._entries.pop(k, None)\n", ["C.m self._entries"], id="mutator-call"),
+    pytest.param("def m(self, k):\n    del self._entries[k]\n", ["C.m self._entries"], id="delete"),
+    pytest.param(
+        "def m(self):\n    self._hits, self._entries = 0, {}\n",
+        ["C.m self._entries", "C.m self._hits"], id="tuple-unpacking",
+    ),
+    pytest.param(
+        "def m(self):\n    with self._lock:\n        def later():\n            self._hits = 0\n        return later\n",
+        ["C.m self._hits"], id="nested-def-under-lock",
+    ),
+    pytest.param(
+        "def m(self):\n    with self._lock:\n        return lambda: self._entries.clear()\n",
+        ["C.m self._entries"], id="lambda-under-lock",
+    ),
+    pytest.param("def m(self, other):\n    with other._lock:\n        self._hits += 1\n", ["C.m self._hits"], id="someone-elses-lock"),
+    pytest.param("def m(self):\n    with self._lock:\n        pass\n    self._hits += 1\n", ["C.m self._hits"], id="after-the-with"),
+])
+def test_lock_discipline_shapes(method, found):
+    assert _without_lines(unlocked_mutations(_method_of_a_locked_class(method))) == found
+
+
+@pytest.mark.parametrize("declare, guard, found", [
+    pytest.param("    def __init__(self):\n        self._lock = threading.RLock()", "_lock", ["C.m self._hits"], id="rlock"),
+    pytest.param("    _lock = threading.Lock()", "_lock", ["C.m self._hits"], id="class-attribute"),
+    pytest.param("    _lock: threading.Lock = threading.Lock()", "_lock", ["C.m self._hits"], id="annotated-class-attribute"),
+    pytest.param("    def __init__(self):\n        self._mu = Lock()", "_mu", ["C.m self._hits"], id="imported-name"),
+    pytest.param("    def __post_init__(self):\n        self._lock = threading.Lock()", "_lock", ["C.m self._hits"], id="post-init"),
+    pytest.param("    def __init__(self):\n        self._hits = 0", "_lock", [], id="lock-free-class"),
+])
+def test_lock_owners_are_recognised(declare, guard, found):
+    source = (
+        f"import threading\nfrom threading import Lock\n\nclass C:\n{declare}\n\n"
+        f"    def m(self):\n        self._hits += 1\n        with self.{guard}:\n            self._hits += 1\n"
+    )
+    assert _without_lines(unlocked_mutations(source)) == found
+
+
 # -- counter discipline -----------------------------------------------------------
 
 
@@ -268,6 +353,18 @@ def test_src_changes_counters_through_add():
 def test_a_planted_counter_increment_is_caught():
     assert counter_increments(PLANTED_RACE) == [12]
     assert counter_increments("self._counter.anything += 1\nstats.count_calls += 2\n") == [1, 2]
+
+
+@pytest.mark.parametrize("source, lines", [
+    pytest.param("counter.count_calls += 1\n", [1], id="tally-field"),
+    pytest.param("engine.counter.whatever += 2\n", [1], id="counter-receiver"),
+    pytest.param("stats.evaluations -= 1\n", [1], id="any-augmented-operator"),
+    pytest.param("counter.add(count_calls=1, cache_hits=2)\ncounter.merge(other)\n", [], id="add-and-merge"),
+    pytest.param("trace.pair_cache_rounds += 1\n", [], id="unrelated-attribute"),
+    pytest.param("total = 0\ntotal += 1\n", [], id="local-name"),
+])
+def test_counter_discipline_shapes(source, lines):
+    assert counter_increments(source) == lines
 
 
 # -- the codec: every tag decodes, and the bytes do not depend on hash order -------
@@ -316,6 +413,29 @@ def test_a_planted_unordered_iteration_is_caught():
     planted = "for tag in {'b', 'a'}:\n    pass\nx = [k for k in d.keys()]\ny = [v for v in sorted(s)]\n"
     assert unordered_iterations(planted) == [1, 3]
     assert emitted_tags("def f(x):\n    return {'$type': 'ghost'}\n") - set(_OBJECT_DECODERS)
+
+
+@pytest.mark.parametrize("source, lines", [
+    pytest.param("out = [v for v in set(values)]\n", [1], id="set-call"),
+    pytest.param("out = [v for v in frozenset(values)]\n", [1], id="frozenset-call"),
+    pytest.param("for key in mapping.keys():\n    pass\n", [1], id="keys"),
+    pytest.param("out = list(k for k in mapping.keys())\n", [1], id="keys-in-generator"),
+    pytest.param("out = {k: 1 for k in {x for x in xs}}\n", [1], id="set-comprehension"),
+    pytest.param("for key in sorted(mapping.keys()):\n    pass\n", [], id="sorted-keys"),
+    pytest.param("out = [v for v in sorted(values, key=str)]\n", [], id="sorted-values"),
+    pytest.param("for key, value in mapping.items():\n    pass\n", [], id="insertion-ordered-items"),
+])
+def test_codec_ordering_shapes(source, lines):
+    assert unordered_iterations(source) == lines
+
+
+@pytest.mark.parametrize("source, tags", [
+    pytest.param("def f(v):\n    return {'$type': 'span', 'lo': v.lo}\n", {"span"}, id="one-tag"),
+    pytest.param("x = {'$type': 'mark', 'at': {'$type': 'point'}}\n", {"mark", "point"}, id="nested-tags"),
+    pytest.param("x = {'bytes': [], '$set': [1]}\n", set(), id="untagged"),
+])
+def test_emitted_tag_shapes(source, tags):
+    assert emitted_tags(source) == tags
 
 
 # -- things that stay deleted -----------------------------------------------------
@@ -388,6 +508,25 @@ def test_stays_deleted(why, pattern, where, allowed):
         if path not in allowed and re.search(pattern, line)
     ]
     assert hits == [], why
+
+
+#: A line each pattern of ``_FORBIDDEN`` exists to catch.
+_PLANTED_LINES = {
+    "indep-knobs": "config = HBCutsConfig(batch_indep=True)",
+    "one-approximate-view": "advisor = Charles(table, approx=0.1)",
+    "no-collector": "    def __del__(self):",
+    "one-http-transport": "    with urllib.request.urlopen(url) as response:",
+    "one-pool-factory": "pool = ExecutorPool(4)",
+    "few-thread-starters": "threading.Thread(target=refine, daemon=True).start()",
+    "no-multiprocessing": "from multiprocessing import Process",
+}
+
+
+@pytest.mark.parametrize("pattern, planted", [
+    pytest.param(param.values[1], _PLANTED_LINES[param.id], id=param.id) for param in _FORBIDDEN
+])
+def test_a_planted_line_is_caught(pattern, planted):
+    assert re.search(pattern, planted)
 
 
 # -- the strict-typing gate -------------------------------------------------------
@@ -463,6 +602,25 @@ def test_planted_annotation_gaps_are_caught():
         "2 bare List",
         "4 bare ndarray",
     ]
+
+
+@pytest.mark.parametrize("source, gaps", [
+    pytest.param("def f(x: int) -> int: ...\n", [], id="annotated"),
+    pytest.param("def f(x: int): ...\n", ["1 f has no return annotation"], id="no-return"),
+    pytest.param("def f(*args, **kwargs) -> None: ...\n", ["1 f(args) unannotated", "1 f(kwargs) unannotated"], id="star-args"),
+    pytest.param("def f(*, key) -> None: ...\n", ["1 f(key) unannotated"], id="keyword-only"),
+    pytest.param("async def f() -> dict: ...\n", ["1 bare dict"], id="async-bare-return"),
+    pytest.param(
+        "class C:\n    def m(self) -> None: ...\n    @classmethod\n    def k(cls) -> None: ...\n",
+        [], id="self-and-cls",
+    ),
+    pytest.param("def f() -> Dict[str, Tuple[int, ...]]: ...\n", [], id="nested-parameters"),
+    pytest.param("def f(g: Callable[[int], str]) -> Callable: ...\n", ["1 bare Callable"], id="bare-callable"),
+    pytest.param("def f(x: 'Optional[list]') -> None: ...\n", ["1 bare list"], id="bare-inside-string"),
+    pytest.param("x: set = set()\n", ["1 bare set"], id="variable-annotation"),
+])
+def test_annotation_gap_shapes(source, gaps):
+    assert sorted(annotation_gaps(source)) == gaps
 
 
 def test_mypy_strict_gate_passes():
