@@ -7,10 +7,6 @@ data.  This benchmark quantifies its two performance claims:
   :class:`~repro.live.VersionedTable` (array-level concatenation, only
   the batch is encoded) versus the naive alternative of rebuilding the
   table from all decoded rows at every batch;
-* **incremental statistics** — maintaining the
-  :class:`~repro.storage.statistics.TableProfile` from each batch versus
-  re-profiling the grown table after every batch (identical results,
-  asserted inline);
 * **invalidation precision** — after an ingest into one of two served
   tables, version-keyed eviction removes only the mutated table's
   superseded cache entries, while a flush-the-world strategy forces the
@@ -25,9 +21,9 @@ import time
 import pytest
 from conftest import print_table, scale
 
-from repro.live import IncrementalTableProfile, VersionedTable
+from repro.live import VersionedTable
 from repro.service import AdvisorService
-from repro.storage import Table, profile_table
+from repro.storage import Table
 from repro.workloads import batched, generate_voc
 
 _ROWS = scale(6000, 600)
@@ -80,41 +76,6 @@ def test_e16_ingest_throughput(benchmark, full_table):
     for name, seconds in timings.items():
         benchmark.extra_info[f"rows_per_s[{name}]"] = appended / seconds
     assert timings["VersionedTable.append_batch"] < timings["rebuild from rows"]
-
-
-def test_e16_incremental_profile_maintenance(benchmark, full_table):
-    batches = list(batched(full_table, _BATCH, start=_SEED_ROWS))
-
-    def run_both():
-        timings = {}
-
-        source = VersionedTable(full_table.slice_rows(0, _SEED_ROWS))
-        source.profile()  # seed the histograms
-        started = time.perf_counter()
-        for batch in batches:
-            source.append_batch(batch)
-            source.profile()
-        incremental = source.profile()
-        timings["incremental (per batch)"] = time.perf_counter() - started
-
-        grown = full_table.slice_rows(0, _SEED_ROWS)
-        started = time.perf_counter()
-        for batch in batches:
-            grown = grown.append_rows(batch)
-            rescan = profile_table(grown)
-        timings["rescan (per batch)"] = time.perf_counter() - started
-
-        assert incremental == rescan  # identical statistics, fewer scans
-        return timings
-
-    timings = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    print_table(
-        f"E16 — profile maintenance across {len(batches)} batches",
-        ["strategy", "wall time"],
-        [(name, f"{seconds:.3f}s") for name, seconds in timings.items()],
-    )
-    for name, seconds in timings.items():
-        benchmark.extra_info[f"profile_s[{name}]"] = seconds
 
 
 def test_e16_invalidation_precision_vs_flush(benchmark, full_table):

@@ -12,14 +12,14 @@ Package layout
 * :mod:`repro.storage` — the in-memory column-store substrate (standing in
   for MonetDB): tables, the query engine, profiling, sampling, SQL glue;
 * :mod:`repro.backends` — the :class:`ExecutionBackend` protocol, the
-  SQLite backend and the spec registry (``"memory"``, ``"sqlite"``, …)
+  SQLite backend and the backend specs (``"memory"``, ``"sqlite"``, …)
   that make Charles a true front-end for SQL systems;
 * :mod:`repro.core` — the paper's contribution: CUT / COMPOSE / product,
   quality metrics, the HB-cuts heuristic, ranking, the Charles facade,
   interactive sessions, quantile/lazy extensions and baselines;
 * :mod:`repro.live` — the live data subsystem: versioned mutable tables
-  (:class:`VersionedTable`), incremental statistics maintenance and the
-  data-version plumbing behind cache invalidation and advice staleness;
+  (:class:`VersionedTable`) and the data-version plumbing behind cache
+  invalidation and advice staleness;
 * :mod:`repro.service` — the multi-user service layer: named sessions,
   shared per-table result caches, batched engine passes;
 * :mod:`repro.api` — the wire-level advisor API: versioned JSON codec,
@@ -86,14 +86,14 @@ _EXPORTS: Dict[str, str] = {
             "parse_query",
         )),
         ("repro.backends", (
-            "ExecutionBackend", "BackendWrapper", "BackendRegistry", "ExecutorPool",
-            "SQLiteBackend", "open_backend", "register_backend",
+            "ExecutionBackend", "BackendWrapper", "ExecutorPool", "SQLiteBackend",
+            "open_backend",
         )),
         ("repro.storage", (
             "DataType", "Table", "PartitionedTable", "QueryEngine", "ResultCache",
             "load_csv", "parse_where", "profile_table", "query_to_sql",
         )),
-        ("repro.live", ("VersionedTable", "IncrementalTableProfile")),
+        ("repro.live", ("VersionedTable",)),
         ("repro.core", (
             "Charles", "Advice", "RankedAnswer", "HBCuts", "HBCutsConfig", "hb_cuts",
             "cut_query", "cut_segmentation", "compose", "product", "entropy", "indep",

@@ -13,21 +13,15 @@ package owns that contract:
   explicit error bound (``memory?sample=...``, ``mode="interactive"``);
 * :mod:`repro.backends.sqlite` — :class:`SQLiteBackend`, executing SDL
   through the :mod:`repro.storage.sql` glue against ``sqlite3``;
-* :mod:`repro.backends.registry` — :class:`BackendRegistry` and
-  :func:`open_backend`, resolving specs such as ``"memory"``,
-  ``"memory?workers=4"`` or ``"sqlite:///path.db#table"``.
+* :mod:`repro.backends.registry` — :func:`open_backend`, resolving specs
+  such as ``"memory"``, ``"memory?workers=4"`` or
+  ``"sqlite:///path.db#table"``.
 """
 
 from repro.backends.approx import ApproxEngine, Estimate
 from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.backends.pool import ExecutorPool
-from repro.backends.registry import (
-    BackendRegistry,
-    BackendSpec,
-    default_registry,
-    open_backend,
-    register_backend,
-)
+from repro.backends.registry import BackendSpec, open_backend
 from repro.backends.sqlite import SQLiteBackend
 
 __all__ = [
@@ -38,8 +32,5 @@ __all__ = [
     "Estimate",
     "SQLiteBackend",
     "BackendSpec",
-    "BackendRegistry",
-    "default_registry",
-    "register_backend",
     "open_backend",
 ]

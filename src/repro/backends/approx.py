@@ -240,9 +240,6 @@ class ApproxEngine(BackendWrapper):
     def counter(self) -> OperationCounter:
         return self._counter
 
-    def reset(self) -> None:
-        self._counter.reset()
-
     def count(self, query: SDLQuery) -> int:
         return self.approx_count(query).estimate
 
@@ -253,17 +250,8 @@ class ApproxEngine(BackendWrapper):
             for count in sample.engine.count_batch(queries)
         )
 
-    def cover(self, query: SDLQuery, context: Optional[SDLQuery] = None) -> float:
-        """Covers are scale-free: both operands come from the sample."""
-        return self._current().engine.cover(query, context)
-
     def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
         return self.approx_median(attribute, query).estimate
-
-    def median_batch(
-        self, attribute: str, queries: Sequence[Optional[SDLQuery]]
-    ) -> Tuple[Any, ...]:
-        return self._current().engine.median_batch(attribute, queries)
 
     def minmax(
         self, attribute: str, query: Optional[SDLQuery] = None

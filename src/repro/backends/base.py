@@ -23,7 +23,8 @@ Conforming implementations shipped with the repo:
   batched count passes through a cross-session coordinator.
 
 Backends are obtained through :func:`repro.backends.open_backend`, which
-resolves a textual spec against the :class:`~repro.backends.registry.BackendRegistry`.
+resolves a textual spec (``"memory"``, ``"sqlite"``) or passes an instance
+through.
 
 Optional capabilities
 ---------------------
@@ -71,15 +72,12 @@ class ExecutionBackend(Protocol):
     ``column_names``        attributes of the relation, in schema order
     ``is_numeric(a)``       whether ``a`` supports arithmetic medians
     ``count(q)``            ``|R(Q)|`` — rows selected by an SDL query
-    ``cover(q, c)``         ``|R(Q)| / |R(C)|`` (table-relative without ``c``)
     ``median(a, q)``        arithmetic median of ``a`` over ``R(Q)``
     ``minmax(a, q)``        minimum and maximum of ``a`` over ``R(Q)``
     ``value_frequencies``   value → count histogram of ``a`` over ``R(Q)``
     ``count_batch(qs)``     many counts in one engine pass (deduplicated)
-    ``median_batch``        many medians of one attribute as one pass
     ``counter``             an ``OperationCounter`` tallying logical work
     ``stats()``             backend-specific statistics snapshot (dict)
-    ``reset()``             zero the operation counters
     ``data_version``        monotonic version of the data answers reflect
     ``ingest(rows)``        append a batch of row mappings (new version)
     ``delete_where(q)``     delete the rows a query selects (count removed)
@@ -110,8 +108,6 @@ class ExecutionBackend(Protocol):
 
     def count(self, query: SDLQuery) -> int: ...
 
-    def cover(self, query: SDLQuery, context: Optional[SDLQuery] = None) -> float: ...
-
     def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any: ...
 
     def minmax(
@@ -124,13 +120,7 @@ class ExecutionBackend(Protocol):
 
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]: ...
 
-    def median_batch(
-        self, attribute: str, queries: Sequence[Optional[SDLQuery]]
-    ) -> Tuple[Any, ...]: ...
-
     def stats(self) -> Dict[str, Any]: ...
-
-    def reset(self) -> None: ...
 
     @property
     def data_version(self) -> int: ...
@@ -191,12 +181,6 @@ class BackendWrapper:
     def count(self, query: SDLQuery) -> int:
         return self._inner.count(query)
 
-    def cover(self, query: SDLQuery, context: Optional[SDLQuery] = None) -> float:
-        # Delegate rather than recompute from self.count: a wrapper that
-        # transforms counts (e.g. a sampling wrapper scaling estimates)
-        # defines its own consistent cover.
-        return self._inner.cover(query, context)
-
     def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
         return self._inner.median(attribute, query)
 
@@ -213,16 +197,8 @@ class BackendWrapper:
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
         return self._inner.count_batch(queries)
 
-    def median_batch(
-        self, attribute: str, queries: Sequence[Optional[SDLQuery]]
-    ) -> Tuple[Any, ...]:
-        return self._inner.median_batch(attribute, queries)
-
     def stats(self) -> Dict[str, Any]:
         return self._inner.stats()
-
-    def reset(self) -> None:
-        self._inner.reset()
 
     @property
     def data_version(self) -> int:

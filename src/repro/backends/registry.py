@@ -1,4 +1,4 @@
-"""Backend registry: textual specs → :class:`ExecutionBackend` instances.
+"""Backend specs: textual specs → :class:`ExecutionBackend` instances.
 
 A backend *spec* is a compact URI-like string::
 
@@ -21,20 +21,19 @@ Grammar: ``scheme[://path][?key=value&...][#fragment]``.  The path after
 ``://`` is used verbatim as a filesystem path — ``sqlite://x.db`` is
 relative to the working directory, ``sqlite:///var/data/x.db`` is
 absolute (note: *not* SQLAlchemy's three-slash-relative rule).  The
-scheme picks
-the factory from the :class:`BackendRegistry`; path, fragment and
+scheme picks the factory (``memory`` or ``sqlite``); path, fragment and
 parameters are passed through.  :func:`open_backend` is the single entry
 point used by :class:`repro.core.advisor.Charles`,
 :meth:`repro.service.AdvisorService.register_table` and the CLI's
-``--backend`` flag; third-party backends (DuckDB, a remote service, a
-shard router) plug in through :func:`register_backend` without touching
-any consumer.
+``--backend`` flag.  Any other engine is passed to them as an
+:class:`ExecutionBackend` instance, which :func:`open_backend` returns
+unchanged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, unquote
 
 from repro.backends.approx import ApproxEngine
@@ -46,13 +45,7 @@ from repro.storage.cache import ResultCache
 from repro.storage.engine import QueryEngine, resolve_index_features
 from repro.storage.table import Table
 
-__all__ = [
-    "BackendSpec",
-    "BackendRegistry",
-    "default_registry",
-    "register_backend",
-    "open_backend",
-]
+__all__ = ["BackendSpec", "open_backend"]
 
 
 @dataclass(frozen=True)
@@ -83,58 +76,6 @@ class BackendSpec:
             params=params,
             fragment=unquote(fragment),
         )
-
-
-#: A factory receives the parsed spec plus construction context and
-#: returns a conforming backend.
-BackendFactory = Callable[..., ExecutionBackend]
-
-
-class BackendRegistry:
-    """Maps spec schemes to backend factories.
-
-    Factories are called as ``factory(spec, table=..., cache=...,
-    cache_aggregates=..., cache_size=...)`` — plus, from callers that run
-    a shared pool, ``partitions=...`` and ``pool=...`` — where ``spec`` is
-    the parsed :class:`BackendSpec` and ``table`` is the optional source
-    :class:`~repro.storage.table.Table` (required by schemes that have no
-    external storage of their own).
-    """
-
-    def __init__(self) -> None:
-        self._factories: Dict[str, BackendFactory] = {}
-
-    def register(
-        self, scheme: str, factory: BackendFactory, replace: bool = False
-    ) -> None:
-        """Register a factory under a scheme name."""
-        key = scheme.lower()
-        if key in self._factories and not replace:
-            raise BackendError(
-                f"backend scheme {key!r} is already registered; pass replace=True"
-            )
-        self._factories[key] = factory
-
-    @property
-    def schemes(self) -> List[str]:
-        """The registered scheme names, sorted."""
-        return sorted(self._factories)
-
-    def open(
-        self,
-        spec: str,
-        table: Optional[Table] = None,
-        **context: Any,
-    ) -> ExecutionBackend:
-        """Resolve a spec string into a live backend."""
-        parsed = BackendSpec.parse(spec)
-        factory = self._factories.get(parsed.scheme)
-        if factory is None:
-            raise BackendError(
-                f"unknown backend scheme {parsed.scheme!r}; "
-                f"registered: {', '.join(self.schemes)}"
-            )
-        return factory(parsed, table=table, **context)
 
 
 def _spec_number(spec: BackendSpec, key: str, kind: type = int) -> Optional[Any]:
@@ -234,23 +175,9 @@ def _sqlite_factory(
     return _maybe_sampled(backend, spec)
 
 
-#: The process-wide registry, pre-populated with the built-in backends.
-default_registry = BackendRegistry()
-default_registry.register("memory", _memory_factory)
-default_registry.register("sqlite", _sqlite_factory)
-
-
-def register_backend(
-    scheme: str, factory: BackendFactory, replace: bool = False
-) -> None:
-    """Register a backend factory in the process-wide registry."""
-    default_registry.register(scheme, factory, replace=replace)
-
-
 def open_backend(
     spec: Any,
     table: Optional[Table] = None,
-    registry: Optional[BackendRegistry] = None,
     **context: Any,
 ) -> ExecutionBackend:
     """Open a backend from a spec string (or pass an instance through).
@@ -264,8 +191,6 @@ def open_backend(
         can accept either form).
     table:
         Source table for backends without external storage.
-    registry:
-        Registry to resolve against (default: the process-wide one).
     context:
         Construction context forwarded to the factory (``cache``,
         ``cache_aggregates``, ``cache_size`` — and ``partitions``/``pool``
@@ -278,4 +203,10 @@ def open_backend(
             f"cannot open a backend from {type(spec).__name__!r}; "
             "pass a spec string or an ExecutionBackend instance"
         )
-    return (registry or default_registry).open(spec, table=table, **context)
+    parsed = BackendSpec.parse(spec)
+    factory = {"memory": _memory_factory, "sqlite": _sqlite_factory}.get(parsed.scheme)
+    if factory is None:
+        raise BackendError(
+            f"unknown backend scheme {parsed.scheme!r}; expected 'memory' or 'sqlite'"
+        )
+    return factory(parsed, table=table, **context)

@@ -61,7 +61,6 @@ from repro.storage.engine import (
     OperationCounter,
     aggregate_key,
     deduplicated_count_batch,
-    deduplicated_median_batch,
 )
 from repro.storage.sql import count_query_sql, query_to_where
 from repro.storage.table import Table, reject_unknown_columns
@@ -615,14 +614,6 @@ class SQLiteBackend:
         sql = count_query_sql(self._encoded_query(query), self._table_name)
         return int(self._execute(sql)[0][0])
 
-    def cover(self, query: SDLQuery, context: Optional[SDLQuery] = None) -> float:
-        """``C(Q)`` — table-relative, or context-relative when given."""
-        numerator = self.count(query)
-        denominator = self.num_rows if context is None else self.count(context)
-        if denominator == 0:
-            return 0.0
-        return numerator / denominator
-
     def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
         """Arithmetic median via ordered ``LIMIT/OFFSET`` selection.
 
@@ -721,35 +712,12 @@ class SQLiteBackend:
             self._count_uncached,
         )
 
-    def median_batch(
-        self, attribute: str, queries: Sequence[Optional[SDLQuery]]
-    ) -> Tuple[Any, ...]:
-        """Medians of one attribute under many queries as one logical batch.
-
-        Deduplication and accounting run through the shared
-        :func:`~repro.storage.engine.deduplicated_median_batch` skeleton —
-        the same one the columnar engine uses — so median traces stay
-        bit-for-bit comparable across backends.
-        """
-        return deduplicated_median_batch(
-            attribute,
-            queries,
-            self.counter,
-            self._aggregate_get,
-            self._aggregate_put,
-            lambda query: self._median_uncached(attribute, query),
-        )
-
     # -- statistics -----------------------------------------------------------
 
     @property
     def cache(self) -> ResultCache:
         """The (possibly shared) aggregate cache backing this backend."""
         return self._cache
-
-    @property
-    def cache_info(self) -> Dict[str, Any]:
-        return self._cache.stats().snapshot()
 
     def stats(self) -> Dict[str, Any]:
         """Backend statistics: identity, operation tallies and cache traffic."""
@@ -760,12 +728,8 @@ class SQLiteBackend:
             "rows": self.num_rows,
             "data_version": self.data_version,
             "operations": self.counter.snapshot(),
-            "cache": self.cache_info,
+            "cache": self._cache.stats().snapshot(),
         }
-
-    def reset(self) -> None:
-        """Zero the operation counters (cache contents are kept)."""
-        self.counter.reset()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -395,15 +395,17 @@ class Charles:
 
         Bypasses the dependence-driven search: the attributes are composed
         in the given order.  Useful for reproducing hand-picked answers
-        such as Figure 1's ``departure_harbour × tonnage`` view.
+        such as Figure 1's ``departure_harbour × tonnage`` view.  Counts
+        are exact, on a sampled advisor too.
         """
         from repro.core.cut import cut_query, cut_segmentation
 
         resolved = self.resolve_context(context)
         if not attributes:
             raise AdvisorError("segment() requires at least one attribute")
+        engine = self._advice_engine("exact")
         segmentation = cut_query(
-            self.engine,
+            engine,
             resolved,
             attributes[0],
             low_cardinality_threshold=self.config.low_cardinality_threshold,
@@ -411,7 +413,7 @@ class Charles:
         )
         for attribute in attributes[1:]:
             segmentation = cut_segmentation(
-                self.engine,
+                engine,
                 segmentation,
                 attribute,
                 low_cardinality_threshold=self.config.low_cardinality_threshold,
@@ -431,8 +433,8 @@ class Charles:
         return profile_backend(self.engine, context=resolved)
 
     def count(self, context: ContextLike) -> int:
-        """Cardinality of a context (convenience wrapper over the engine)."""
-        return self.engine.count(self.resolve_context(context))
+        """Exact cardinality of a context, on a sampled advisor too."""
+        return self._advice_engine("exact").count(self.resolve_context(context))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

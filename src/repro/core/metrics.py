@@ -115,9 +115,12 @@ def cover(
     """The cover ``C(Q)``.
 
     Table-relative (``|R(Q)| / |T|``, the paper's Definition) without a
-    context; context-relative otherwise (what segmentation entropy uses).
+    context; context-relative (``|R(Q)| / |R(C)|``) otherwise.  An empty
+    denominator gives 0.
     """
-    return engine.cover(query, context)
+    numerator = engine.count(query)
+    denominator = engine.num_rows if context is None else engine.count(context)
+    return numerator / denominator if denominator else 0.0
 
 
 def indep_from_entropies(

@@ -5,13 +5,9 @@ makes the whole stack *mutation-aware* on top of it:
 
 * :mod:`repro.live.versioned` — :class:`VersionedTable`, the one mutable
   handle over a chain of immutable copy-on-write snapshots:
-  ``append_batch``/``delete_where`` bump a monotonic data version,
-  readers pin snapshots for isolation, and row-range shard sets rebuild
-  lazily (and zero-copy) on growth;
-* :mod:`repro.live.profile` — :class:`IncrementalTableProfile`,
-  maintaining exact :class:`~repro.storage.statistics.TableProfile`
-  statistics (counts, min/max, frequencies, medians, quantiles) from each
-  batch instead of rescanning the table.
+  ``append_batch``/``delete_where`` bump a monotonic data version, a
+  reader holding a snapshot keeps its rows (snapshots never change), and
+  row-range shard sets rebuild lazily (and zero-copy) on growth.
 
 Everything above consumes the data version this package mints: the
 :class:`~repro.storage.cache.ResultCache` keys entries by it and evicts
@@ -23,7 +19,6 @@ wire protocol carries an ``ingest`` operation end-to-end (service op,
 HTTP route, ``RemoteAdvisor.ingest``, ``charles ingest``).
 """
 
-from repro.live.profile import IncrementalTableProfile
-from repro.live.versioned import VersionPin, VersionedTable
+from repro.live.versioned import VersionedTable
 
-__all__ = ["VersionedTable", "VersionPin", "IncrementalTableProfile"]
+__all__ = ["VersionedTable"]

@@ -19,10 +19,6 @@ trivially safe.  :class:`VersionedTable` reconciles the two: it is the one
   integer the caches (:meth:`repro.storage.cache.ResultCache.put`), the
   breadcrumbs (:class:`repro.core.session.ExplorationStep.data_version`)
   and the wire protocol report;
-* readers *pin* a version (:meth:`VersionedTable.pin`) to keep its
-  snapshot alive across mutations — snapshot isolation for sessions that
-  must finish a pass on consistent data; unpinned superseded snapshots
-  are released immediately;
 * :meth:`VersionedTable.state` hands out the current version's whole
   evaluation context — the :class:`LiveState` triple ``(version,
   snapshot, shard set)`` — memoized per partition count, so engines
@@ -32,14 +28,14 @@ trivially safe.  :class:`VersionedTable` reconciles the two: it is the one
   hold it for the length of one operation, so the moment a mutation
   installs the next version, the superseded snapshot, its shards, zone
   maps and bitmaps are freed by reference count — however many idle
-  sessions last saw them (a :meth:`pin` is the one way to keep a
-  superseded snapshot);
+  sessions last saw them;
   :meth:`VersionedTable.sampled` memoizes seeded uniform samples of the
-  current version the same way;
-* :meth:`VersionedTable.profile` maintains
-  :class:`~repro.live.profile.IncrementalTableProfile` statistics —
-  counts, min/max, frequencies, medians and quantiles updated from each
-  batch instead of recomputed from scratch.
+  current version the same way.
+
+Isolation needs no bookkeeping: a snapshot is immutable, so an operation that
+captured its :class:`LiveState`, or any caller holding a reference to
+:attr:`VersionedTable.table`, keeps answering on the rows it saw while
+later mutations install new versions; a snapshot nobody holds is freed.
 
 Thread safety: all mutations and snapshot bookkeeping run under one
 reentrant lock; ``version``, ``table`` and memoized :meth:`state` reads
@@ -50,19 +46,17 @@ atomically.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import StorageError
 from repro.sdl.query import SDLQuery
 from repro.storage.expression import query_mask
 from repro.storage.partition import PartitionedTable
 from repro.storage.sampling import sample_table
-from repro.storage.statistics import TableProfile
 from repro.storage.table import Table
 
-__all__ = ["LiveState", "VersionPin", "VersionedTable"]
+__all__ = ["LiveState", "VersionedTable"]
 
 
 class LiveState(NamedTuple):
@@ -76,43 +70,6 @@ class LiveState(NamedTuple):
     version: int
     table: Table
     partitioned: PartitionedTable
-
-
-class VersionPin:
-    """A reader's hold on one snapshot of a :class:`VersionedTable`.
-
-    While at least one pin on a version exists, its snapshot (and the
-    guarantee that every mask/aggregate computed against it stays
-    meaningful) survives subsequent mutations.  Pins are context managers::
-
-        with source.pin() as pin:
-            table = pin.table        # immutable, never changes under you
-            ...                      # released on exit
-
-    Releasing is idempotent.
-    """
-
-    def __init__(self, source: "VersionedTable", version: int, table: Table):
-        self._source = source
-        self.version = version
-        self.table = table
-        self._released = False
-
-    def release(self) -> None:
-        """Give the snapshot back (idempotent)."""
-        if not self._released:
-            self._released = True
-            self._source._release(self.version)
-
-    def __enter__(self) -> "VersionPin":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.release()
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "released" if self._released else "held"
-        return f"VersionPin(version={self.version}, {state})"
 
 
 class VersionedTable:
@@ -135,17 +92,12 @@ class VersionedTable:
         self._lock = threading.RLock()
         self._version = 1
         self._current = table
-        #: Superseded snapshots kept alive by pins: version -> table.
-        self._retained: Dict[int, Table] = {}
-        #: Pin reference counts per version.
-        self._pins: Dict[int, int] = {}
         #: Evaluation contexts of the *current* version: partitions ->
         #: LiveState.  The dict is replaced, never cleared, on install, so
         #: state() reads it without the lock.
         self._states: Dict[int, LiveState] = {}
         #: Seeded samples of the *current* version: (fraction, seed) -> Table.
         self._sampled: Dict[Tuple[float, int], Table] = {}
-        self._profile: Optional[Any] = None
 
     # -- introspection --------------------------------------------------------
 
@@ -184,51 +136,6 @@ class VersionedTable:
                 state = self._states[partitions]
         return state
 
-    def snapshot(self, version: Optional[int] = None) -> Table:
-        """The snapshot of a version (current by default).
-
-        Raises
-        ------
-        StorageError
-            When the version is neither current nor retained by a pin.
-        """
-        with self._lock:
-            if version is None or version == self._version:
-                return self._current
-            retained = self._retained.get(version)
-            if retained is None:
-                raise StorageError(
-                    f"version {version} of table {self.name!r} is no longer "
-                    f"available (current: {self._version}, retained: "
-                    f"{sorted(self._retained)})"
-                )
-            return retained
-
-    def retained_versions(self) -> List[int]:
-        """Superseded versions still alive through pins, oldest first."""
-        with self._lock:
-            return sorted(self._retained)
-
-    # -- pinning --------------------------------------------------------------
-
-    def pin(self, version: Optional[int] = None) -> VersionPin:
-        """Pin a version's snapshot so mutations cannot release it."""
-        with self._lock:
-            resolved = self._version if version is None else int(version)
-            table = self.snapshot(resolved)
-            self._pins[resolved] = self._pins.get(resolved, 0) + 1
-            return VersionPin(self, resolved, table)
-
-    def _release(self, version: int) -> None:
-        with self._lock:
-            remaining = self._pins.get(version, 0) - 1
-            if remaining > 0:
-                self._pins[version] = remaining
-                return
-            self._pins.pop(version, None)
-            if version != self._version:
-                self._retained.pop(version, None)
-
     # -- mutation -------------------------------------------------------------
 
     def append_batch(self, rows: Iterable[Mapping[str, Any]]) -> int:
@@ -243,13 +150,7 @@ class VersionedTable:
         with self._lock:
             if not materialised:
                 return self._version
-            new_table = self._current.append_rows(materialised)
-            if self._profile is not None:
-                appended = new_table.slice_rows(
-                    self._current.num_rows, new_table.num_rows
-                )
-                self._profile.absorb_append(appended)
-            self._install_locked(new_table)
+            self._install_locked(self._current.append_rows(materialised))
             return self._version
 
     def delete_where(self, query: SDLQuery) -> Tuple[int, int]:
@@ -263,15 +164,11 @@ class VersionedTable:
             deleted = int(np.count_nonzero(mask))
             if deleted == 0:
                 return 0, self._version
-            if self._profile is not None:
-                self._profile.absorb_delete(self._current, mask)
             self._install_locked(self._current.filter(~mask, name=self._current.name))
             return deleted, self._version
 
     def _install_locked(self, table: Table) -> None:
         """Make ``table`` the current snapshot under a bumped version (caller holds the lock)."""
-        if self._pins.get(self._version):
-            self._retained[self._version] = self._current
         self._current = table
         self._version += 1
         # Shards and samples of the old snapshot are stale; they rebuild
@@ -326,23 +223,6 @@ class VersionedTable:
                 table = sample_table(self._current, fraction=fraction, seed=seed)
                 self._sampled[key] = table
             return table
-
-    def profile(self) -> TableProfile:
-        """Incrementally maintained statistics of the current snapshot.
-
-        The first call scans the table once; every subsequent
-        :meth:`append_batch`/:meth:`delete_where` folds only the affected
-        rows into the frequency sketches, from which min/max, medians,
-        quantiles, entropies and top values are derived — identical to a
-        fresh :func:`~repro.storage.statistics.profile_table` run (the
-        live test suite asserts this bit-for-bit).
-        """
-        from repro.live.profile import IncrementalTableProfile
-
-        with self._lock:
-            if self._profile is None:
-                self._profile = IncrementalTableProfile(self._current)
-            return self._profile.profile()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

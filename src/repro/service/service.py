@@ -182,16 +182,6 @@ class _TableRuntime:
                 labels={"table": self.name},
                 fn=lambda t=tally: getattr(self.engine.counter, t),
             )
-        # Superseded snapshots a pin keeps alive (0 unless a reader holds
-        # one): what the table retains beyond its current version.
-        source = getattr(self._backend, "source", None)
-        if source is not None:
-            metrics.gauge(
-                "table_retained_versions",
-                "Superseded data versions still resident through pins.",
-                labels={"table": self.name},
-                fn=lambda: len(source.retained_versions()),
-            )
         histograms = {
             op: metrics.histogram(
                 "engine_op_seconds",

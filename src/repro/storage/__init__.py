@@ -45,7 +45,6 @@ from repro.storage.engine import (
     OperationCounter,
     QueryEngine,
     deduplicated_count_batch,
-    deduplicated_median_batch,
     resolve_index_features,
 )
 from repro.storage.index import BitmapIndex
@@ -89,7 +88,6 @@ __all__ = [
     "INDEX_FEATURES",
     "resolve_index_features",
     "deduplicated_count_batch",
-    "deduplicated_median_batch",
     "ResultCache",
     "CacheStats",
     "BitmapIndex",

@@ -21,8 +21,8 @@ the mask entirely.
 Every call is tallied in an :class:`OperationCounter`, so benchmarks can
 report back-end work (number of scans, medians, counts, cache hits)
 independent of wall-clock noise; cache-level statistics (hit rate,
-evictions, approximate bytes) are reported by the cache itself through
-:meth:`QueryEngine.cache_info` and surfaced per table by
+evictions, approximate bytes) are reported by the cache itself
+(:meth:`~repro.storage.cache.ResultCache.stats`) and surfaced per table by
 :meth:`repro.service.AdvisorService.stats`.
 
 Evaluation is *partitioned*: the engine always routes masks, counts and
@@ -43,7 +43,7 @@ The engine is *mutation-aware*: its data lives in a
 :class:`~repro.live.VersionedTable` (a plain :class:`Table` is wrapped in
 a private one), every operation borrows the source's atomically captured
 ``(version, snapshot, shards)`` state for its own length and keeps
-nothing of it afterwards (an idle engine pins no version), cache entries
+nothing of it afterwards (an idle engine holds no version), cache entries
 are tagged with the data version they were computed at, and
 :meth:`QueryEngine.ingest` / :meth:`QueryEngine.delete_where` mutate the
 source and surgically evict the superseded cache entries; shards rebuild
@@ -96,7 +96,6 @@ __all__ = [
     "resolve_index_features",
     "aggregate_key",
     "deduplicated_count_batch",
-    "deduplicated_median_batch",
 ]
 
 #: The index features ``use_index`` can force, one by one:
@@ -162,38 +161,6 @@ def resolve_index_features(value: Any) -> frozenset:
     return INDEX_FEATURES if value else frozenset()
 
 
-def _deduplicated_batch(
-    queries: Sequence[Optional[SDLQuery]],
-    counter: "OperationCounter",
-    calls: str,
-    key_of: Callable[[Optional[SDLQuery]], str],
-    aggregate_get,
-    aggregate_put,
-    compute,
-) -> Tuple[Any, ...]:
-    """One engine pass over many queries: each distinct aggregate-cache
-    key (``key_of(query)``) is computed once and its result fanned out,
-    tallying ``calls`` once per request and duplicates as cache hits —
-    exactly what the sequential equivalent would have recorded."""
-    if not queries:
-        return ()
-    counter.add(batch_calls=1)
-    results: List[Any] = [None] * len(queries)
-    positions: Dict[str, List[int]] = {}
-    for index, query in enumerate(queries):
-        positions.setdefault(key_of(query), []).append(index)
-    for key, indices in positions.items():
-        counter.add(**{calls: len(indices)})
-        value = aggregate_get(key)
-        if value is None:
-            value = compute(queries[indices[0]])
-            aggregate_put(key, value)
-        counter.add(cache_hits=len(indices) - 1)
-        for position in indices:
-            results[position] = value
-    return tuple(results)
-
-
 def aggregate_key(op: str, attribute: str, query: Optional[SDLQuery]) -> str:
     """The aggregate-cache key ``<op>:<attribute>:<signature>`` (``None``
     and unconstrained queries share the empty signature)."""
@@ -215,38 +182,28 @@ def deduplicated_count_batch(
     comparable.  ``counter`` is the backend's :class:`OperationCounter`
     (tallied in place), ``aggregate_get`` / ``aggregate_put`` its
     aggregate-cache accessors (keyed ``count::<signature>``) and
-    ``compute`` maps a query to one uncached cardinality.
+    ``compute`` maps a query to one uncached cardinality.  Each distinct
+    key is computed once and its result fanned out, tallying one count
+    call per request and the duplicates as cache hits — exactly what the
+    sequential equivalent would have recorded.
     """
-    return _deduplicated_batch(
-        queries,
-        counter,
-        "count_calls",
-        lambda query: "count::" + query_signature(query),
-        aggregate_get,
-        aggregate_put,
-        compute,
-    )
-
-
-def deduplicated_median_batch(
-    attribute: str,
-    queries: Sequence[Optional[SDLQuery]],
-    counter: "OperationCounter",
-    aggregate_get,
-    aggregate_put,
-    compute,
-) -> Tuple[Any, ...]:
-    """The median twin of :func:`deduplicated_count_batch`, keyed by
-    :func:`aggregate_key`."""
-    return _deduplicated_batch(
-        queries,
-        counter,
-        "median_calls",
-        lambda query: aggregate_key("median", attribute, query),
-        aggregate_get,
-        aggregate_put,
-        compute,
-    )
+    if not queries:
+        return ()
+    counter.add(batch_calls=1)
+    results: List[int] = [0] * len(queries)
+    positions: Dict[str, List[int]] = {}
+    for index, query in enumerate(queries):
+        positions.setdefault("count::" + query_signature(query), []).append(index)
+    for key, indices in positions.items():
+        counter.add(count_calls=len(indices))
+        value = aggregate_get(key)
+        if value is None:
+            value = compute(queries[indices[0]])
+            aggregate_put(key, value)
+        counter.add(cache_hits=len(indices) - 1)
+        for position in indices:
+            results[position] = value
+    return tuple(results)
 
 
 @dataclass
@@ -257,7 +214,7 @@ class OperationCounter:
     statistics (hits, misses, evictions, memory footprint) live in the
     engine's :class:`~repro.storage.cache.ResultCache` and — when the cache
     is shared between engines — aggregate the traffic of every session
-    using it (see :meth:`QueryEngine.cache_info`).
+    using it (see :meth:`QueryEngine.stats`).
 
     Tallies are **thread-safe**: every mutation goes through :meth:`add`
     (or :meth:`merge`, for folding per-worker counters together), which
@@ -286,8 +243,7 @@ class OperationCounter:
     minmax_calls:
         Number of min/max computations.
     batch_calls:
-        Number of multi-query engine passes (:meth:`QueryEngine.count_batch`
-        and :meth:`QueryEngine.median_batch`).
+        Number of multi-query engine passes (:meth:`QueryEngine.count_batch`).
     skipped_partitions:
         Number of shards skipped by zone-map pruning — shards the
         skipping tier proved empty under a query without scanning them
@@ -574,13 +530,9 @@ class QueryEngine:
             "data_version": state.version,
             "index": sorted(self._features),
             "operations": self.counter.snapshot(),
-            "cache": self.cache_info,
+            "cache": self._cache.stats().snapshot(),
             "pool": None if self._pool is None else self._pool.stats(),
         }
-
-    def reset(self) -> None:
-        """Zero the operation counters (cache contents are kept)."""
-        self.counter.reset()
 
     # -- backend construction helpers ----------------------------------------
 
@@ -637,11 +589,6 @@ class QueryEngine:
     def cache(self) -> ResultCache:
         """The (possibly shared) result cache backing this engine."""
         return self._cache
-
-    @property
-    def cache_info(self) -> Dict[str, Any]:
-        """Cache occupancy, traffic and eviction statistics."""
-        return self._cache.stats().snapshot()
 
     # -- index ---------------------------------------------------------------
 
@@ -918,22 +865,6 @@ class QueryEngine:
                 **attributes,
             )
 
-    def cover(self, query: SDLQuery, context: Optional[SDLQuery] = None) -> float:
-        """The cover ``C(Q)``.
-
-        With no ``context`` this is the paper's table-relative definition
-        ``|R(Q)| / |T|``; with a context it is relative to the context's
-        result set, which is what segmentation entropy uses.
-        """
-        numerator = self.count(query)
-        if context is None:
-            denominator = self._refresh().table.num_rows
-        else:
-            denominator = self.count(context)
-        if denominator == 0:
-            return 0.0
-        return numerator / denominator
-
     # -- aggregates --------------------------------------------------------------
 
     def _median_uncached(
@@ -1015,27 +946,6 @@ class QueryEngine:
             lambda key: self._aggregate_get(key, state.version),
             lambda key, value: self._aggregate_put(key, value, state.version),
             lambda query: self._count_uncached(query, state)[0],
-        )
-
-    def median_batch(
-        self, attribute: str, queries: Sequence[Optional[SDLQuery]]
-    ) -> Tuple[Any, ...]:
-        """Medians of ``attribute`` under many queries as one logical batch.
-
-        Deduplication and accounting run through the shared
-        :func:`deduplicated_median_batch` skeleton (one median call per
-        request, duplicates recorded as cache hits), the same skeleton the
-        SQLite backend uses, so median traces stay bit-for-bit comparable
-        across backends.
-        """
-        state = self._refresh()
-        return deduplicated_median_batch(
-            attribute,
-            queries,
-            self.counter,
-            lambda key: self._aggregate_get(key, state.version),
-            lambda key, value: self._aggregate_put(key, value, state.version),
-            lambda query: self._median_uncached(attribute, query, state)[0],
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

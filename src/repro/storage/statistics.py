@@ -35,8 +35,8 @@ def column_entropy(frequencies: Dict[Any, int]) -> float:
     """Shannon entropy (natural log) of a value-frequency histogram.
 
     Summed with :func:`math.fsum`, so the result is independent of the
-    histogram's iteration order — a freshly scanned column and an
-    incrementally maintained one (:mod:`repro.live.profile`) produce the
+    histogram's iteration order: a column scanned through its mask and
+    one profiled through aggregates (:func:`profile_backend`) produce the
     same bits.
     """
     total = sum(frequencies.values())

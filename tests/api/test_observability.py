@@ -224,29 +224,16 @@ class TestServiceTracing:
 
 
     def test_memory_gauges(self, service, monkeypatch):
-        """What is resident, and what the table keeps beyond its current
-        version; neither is part of the ``stats`` wire shape."""
+        """What is resident; not part of the ``stats`` wire shape."""
         import os
 
         from repro.service import service as service_module
 
-        gauges = lambda: {  # noqa: E731 - a one-line view
-            row["name"]: row for row in service.metrics_document()["gauges"]
-        }
+        gauges = {row["name"]: row for row in service.metrics_document()["gauges"]}
         if os.path.exists("/proc/self/statm"):
-            resident = gauges()["process_resident_bytes"]
+            resident = gauges["process_resident_bytes"]
             assert resident["labels"] == {} and resident["value"] > 10_000_000
-        retained = gauges()["table_retained_versions"]
-        assert retained["labels"] == {"table": "voc"} and retained["value"] == 0
-        # A pinned version survives the ingest that supersedes it.
-        source = service._tables["voc"].engine.source
-        with source.pin():
-            service.ingest([generate_voc(rows=1, seed=1).row(0)])
-            assert gauges()["table_retained_versions"]["value"] == 1
-        assert gauges()["table_retained_versions"]["value"] == 0
-        stats = service.stats()
-        assert "process_resident_bytes" not in stats
-        assert "retained_versions" not in stats["tables"]["voc"]
+        assert "process_resident_bytes" not in service.stats()
         # Where the kernel publishes no statm, the gauge is not exported.
         monkeypatch.setattr(service_module, "_STATM", "/nonexistent/statm")
         bare = AdvisorService(generate_voc(rows=50, seed=1)).metrics_document()

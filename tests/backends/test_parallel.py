@@ -61,11 +61,9 @@ class TestPartitionedEngine:
         parallel = open_backend("memory?partitions=4&workers=2&index=none", voc)
         for query in _queries():
             assert parallel.count(query) == sequential.count(query)
-            assert parallel.cover(query) == sequential.cover(query)
+            assert parallel.median("tonnage", query) == sequential.median("tonnage", query)
         assert parallel.count_batch(_queries()) == sequential.count_batch(_queries())
-        assert parallel.median_batch("tonnage", [None, *_queries()]) == (
-            sequential.median_batch("tonnage", [None, *_queries()])
-        )
+        assert parallel.median("tonnage") == sequential.median("tonnage")
         assert parallel.minmax("tonnage", _queries()[0]) == sequential.minmax(
             "tonnage", _queries()[0]
         )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backends import ApproxEngine, BackendWrapper, ExecutionBackend
+from repro.core.metrics import cover
 from repro.sdl import SDLQuery
 from repro.backends.sqlite import SQLiteBackend
 from repro.service.batching import BatchedEngine
@@ -44,13 +45,13 @@ class TestConformance:
         assert engine.is_numeric("tonnage")
         assert not engine.is_numeric("type_of_boat")
 
-    def test_stats_and_reset(self, table):
+    def test_stats_and_counter_reset(self, table):
         engine = QueryEngine(table)
         engine.count(SDLQuery.over(["tonnage"]))
         stats = engine.stats()
         assert stats["backend"] == "memory"
         assert stats["operations"]["count_calls"] == 1
-        engine.reset()
+        engine.counter.reset()
         assert engine.counter.count_calls == 0
 
 
@@ -69,14 +70,14 @@ class TestBackendWrapper:
         double = BackendWrapper(BackendWrapper(inner))
         assert double.unwrap() is inner
 
-    def test_cover_delegates_through_sampling_wrappers(self, table):
-        # Regression: a wrapper recomputing cover from scaled counts over
-        # the sample's num_rows used to return covers > 1.
+    def test_cover_through_sampling_wrappers_stays_a_fraction(self, table):
+        # Regression: a cover from scaled counts over the sample's
+        # num_rows used to exceed 1.
         sampled = ApproxEngine(QueryEngine(table), fraction=0.25, seed=2)
         wrapped = BatchedEngine(sampled)
         whole = SDLQuery.over(["tonnage"])
-        assert wrapped.cover(whole) == pytest.approx(1.0)
-        assert 0.0 <= wrapped.cover(whole, whole) <= 1.0
+        assert cover(wrapped, whole) == pytest.approx(1.0)
+        assert 0.0 <= cover(wrapped, whole, whole) <= 1.0
 
     def test_sibling_of_batched_engine_shares_cache(self, table):
         primary = BatchedEngine(QueryEngine(table, cache_aggregates=True))

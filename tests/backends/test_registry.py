@@ -1,10 +1,10 @@
-"""Backend spec parsing and registry resolution."""
+"""Backend spec parsing and resolution."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backends import ApproxEngine, BackendRegistry, BackendSpec, open_backend
+from repro.backends import ApproxEngine, BackendSpec, open_backend
 from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError
 from repro.sdl import RangePredicate, SDLQuery
@@ -97,23 +97,9 @@ class TestOpenBackend:
     def test_unknown_scheme(self, table):
         with pytest.raises(BackendError) as excinfo:
             open_backend("duckdb", table)
-        assert "memory" in str(excinfo.value)  # lists registered schemes
+        assert "memory" in str(excinfo.value)  # names the known schemes
 
     def test_rejects_non_backend_objects(self):
         with pytest.raises(BackendError):
             open_backend(42)
 
-
-class TestCustomRegistry:
-    def test_third_party_scheme(self, table):
-        registry = BackendRegistry()
-        registry.register("mem2", lambda spec, table=None, **_: QueryEngine(table))
-        backend = open_backend("mem2", table, registry=registry)
-        assert isinstance(backend, QueryEngine)
-
-    def test_duplicate_registration_rejected(self):
-        registry = BackendRegistry()
-        registry.register("x", lambda spec, **_: None)
-        with pytest.raises(BackendError):
-            registry.register("x", lambda spec, **_: None)
-        registry.register("x", lambda spec, **_: None, replace=True)

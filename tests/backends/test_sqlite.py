@@ -256,7 +256,7 @@ class TestLifecycle:
         sampled.close()
         with pytest.raises(BackendError):
             sampled.count(query)
-        backend.reset()
+        backend.counter.reset()
         assert backend.count(query) == expected  # base table and connection intact
 
     def test_thread_safe_counts(self, voc, engine, backend):

@@ -9,6 +9,7 @@ import math
 from repro.api.codec import dumps
 from repro.backends import ApproxEngine
 from repro.core import Charles, HBCutsConfig, WeightedRanker
+from repro.service import AdvisorService
 from repro.errors import AdvisorError
 from repro.sdl import SDLQuery, check_partition
 from repro.storage import QueryEngine
@@ -196,6 +197,21 @@ class TestModes:
         assert exact.approximate is False and exact.error_bound is None
         plain = Charles(voc_table).advise(self._CONTEXT, max_answers=4)
         assert _answers(exact) == _answers(plain)
+
+    @pytest.mark.parametrize(
+        "options",
+        [{"sample_fraction": 0.25, "seed": 1}, {"backend": "memory?sample=0.25&seed=1"}],
+    )
+    def test_count_and_segment_are_exact_on_a_sampled_advisor(self, voc_table, options):
+        # Only advise is flagged approximate, so nothing else may answer
+        # from the view: a count or a segmentation is the exact one.
+        plain, sampled = Charles(voc_table), Charles(voc_table, **options)
+        context = "(type_of_boat: {'fluit'}, tonnage:)"
+        assert sampled.count(context) == plain.count(context)
+        columns, cut = list(FIGURE1_CONTEXT_COLUMNS), ["departure_harbour", "tonnage"]
+        assert dumps(sampled.segment(columns, cut)) == dumps(plain.segment(columns, cut))
+        service = AdvisorService(voc_table, backend="memory?sample=0.25&seed=1")
+        assert service.count(context) == plain.count(context)
 
     def test_default_mode_follows_the_backend(self, voc_table):
         assert Charles(voc_table).default_mode == "exact"

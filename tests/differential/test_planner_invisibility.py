@@ -79,7 +79,6 @@ def _trace(engine: QueryEngine, queries, pairs) -> list:
         trace.append(outcome(engine.count, child))
         trace.append(outcome(engine.evaluate, child))
     trace.append(outcome(engine.count_batch, queries))
-    trace.append(outcome(engine.median_batch, "num", [None, *queries]))
     trace.append(counters_except_skips(engine))
     trace.append(engine.cache.stats().snapshot())
     return trace

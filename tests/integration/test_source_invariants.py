@@ -6,6 +6,8 @@ under ``src/repro``.  What each one guards:
 
 * the layer boundary: only ``storage/`` and ``backends/`` import the
   concrete engines, everything else programs against ``ExecutionBackend``;
+* protocol width: every ``ExecutionBackend`` member is used somewhere
+  above ``storage/`` and ``backends/``, or it is not in the protocol;
 * lock discipline: a class that owns a ``Lock``/``RLock`` mutates its
   ``self._*`` state only under ``with self.<lock>:`` (``__init__``,
   ``__post_init__`` and ``*_locked`` helpers excepted);
@@ -24,6 +26,7 @@ a required keyword argument, so such a call is a ``TypeError``.
 from __future__ import annotations
 
 import ast
+import inspect
 import re
 import subprocess
 import sys
@@ -34,6 +37,7 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 import pytest
 
 from repro.api.codec import _OBJECT_DECODERS
+from repro.backends.base import ExecutionBackend
 from repro.storage.engine import OperationCounter
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -133,6 +137,53 @@ class TestLayerBoundary:
     ])
     def test_import_shapes(self, module, source, lines):
         assert concrete_engine_imports(module, source) == lines
+
+
+# -- the protocol is as wide as its callers -----------------------------------------
+
+
+def protocol_call_pattern(member: str) -> str:
+    """How a use of an ``ExecutionBackend`` member reads in source: a property
+    is ``.member``; a method is called, and one with no parameters besides
+    ``self`` is called with no arguments (so ``ContextVar.reset(token)`` is
+    no use of ``reset()``)."""
+    declared = inspect.getattr_static(ExecutionBackend, member)
+    if isinstance(declared, property):
+        return rf"\.{member}\b"
+    if len(inspect.signature(declared).parameters) == 1:
+        return rf"\.{member}\(\)"
+    return rf"\.{member}\("
+
+
+def uncalled_members(members: List[str], sources: Dict[str, str]) -> List[str]:
+    """The members no source outside ``storage/`` and ``backends/`` uses."""
+    callers = [
+        source for module, source in sources.items()
+        if not module.startswith(("repro.storage.", "repro.backends."))
+    ]
+    return [
+        member for member in members
+        if not any(re.search(protocol_call_pattern(member), source) for source in callers)
+    ]
+
+
+_PROTOCOL_MEMBERS = sorted(name for name in vars(ExecutionBackend) if not name.startswith("_"))
+
+
+def test_every_backend_protocol_member_has_a_caller_above_the_backends():
+    assert len(_PROTOCOL_MEMBERS) == 14
+    assert uncalled_members(_PROTOCOL_MEMBERS, _sources()) == []
+
+
+@pytest.mark.parametrize("member, source, uncalled", [
+    pytest.param("count", "n = engine.count(query)\n", [], id="method-call"),
+    pytest.param("num_rows", "total = backend.num_rows\n", [], id="property"),
+    pytest.param("stats", "token = _ACTIVE.stats\n", ["stats"], id="method-not-called"),
+    pytest.param("count", "def count(self, q): ...\n", ["count"], id="a-definition-is-no-call"),
+])
+def test_protocol_use_shapes(member, source, uncalled):
+    assert uncalled_members([member], {"repro.core.x": source}) == uncalled
+    assert uncalled_members([member], {"repro.storage.x": source}) == [member]
 
 
 # -- lock discipline --------------------------------------------------------------
@@ -487,6 +538,29 @@ _FORBIDDEN = [
         r"^(import|from) multiprocessing", ("src/repro/cluster", "src/repro/api"), (),
         id="no-multiprocessing",
     ),
+    pytest.param(
+        "an operation's captured LiveState, or any reference to an immutable snapshot, "
+        "isolates a reader; nothing pins a version (docs/architecture.md, Memory lifetime)",
+        r"VersionPin|retained_versions|\.pin\(", ("src", "docs", "README.md"), (),
+        id="no-version-pins",
+    ),
+    pytest.param(
+        "charles profile rescans through profile_table; no statistics are maintained per "
+        "ingest",
+        r"IncrementalTableProfile", ("src", "docs", "README.md"), (),
+        id="no-incremental-profile",
+    ),
+    pytest.param(
+        "open_backend knows memory and sqlite; any other engine is passed as an "
+        "ExecutionBackend instance (docs/architecture.md, Backends)",
+        r"BackendRegistry|register_backend|default_registry", ("src", "docs", "README.md"), (),
+        id="no-backend-registry",
+    ),
+    pytest.param(
+        "HB-cuts asks for one median at a time; a batched median had no caller",
+        r"median_batch", ("src", "docs", "README.md"), (),
+        id="no-median-batch",
+    ),
 ]
 
 
@@ -519,6 +593,10 @@ _PLANTED_LINES = {
     "one-pool-factory": "pool = ExecutorPool(4)",
     "few-thread-starters": "threading.Thread(target=refine, daemon=True).start()",
     "no-multiprocessing": "from multiprocessing import Process",
+    "no-version-pins": "        with source.pin() as pin:",
+    "no-incremental-profile": "from repro.live.profile import IncrementalTableProfile",
+    "no-backend-registry": 'register_backend("duckdb", factory)',
+    "no-median-batch": '    medians = engine.median_batch("tonnage", queries)',
 }
 
 

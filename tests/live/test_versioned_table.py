@@ -1,4 +1,4 @@
-"""Tests for VersionedTable: versioning, isolation, re-sharding, profiles."""
+"""Tests for VersionedTable: versioning, isolation, re-sharding."""
 
 from __future__ import annotations
 
@@ -6,9 +6,9 @@ import datetime as dt
 
 import pytest
 
-from repro.errors import SchemaError, StorageError
+from repro.errors import SchemaError
 from repro.live import VersionedTable
-from repro.storage import QueryEngine, Table, profile_table
+from repro.storage import QueryEngine, Table
 from repro.storage.sql import parse_where
 from repro.workloads import batched, generate_voc
 
@@ -72,7 +72,6 @@ class TestVersioning:
         source = VersionedTable(dated)
         source.append_batch([{"day": "1701-05-02", "v": 3}])
         assert source.table.row(2)["day"] == dt.date(1701, 5, 2)
-        assert source.profile() == profile_table(source.table)
 
     def test_unknown_column_is_rejected(self, source):
         with pytest.raises(SchemaError):
@@ -86,28 +85,6 @@ class TestSnapshotIsolation:
         source.append_batch([table.row(0)])
         assert old.num_rows == table.num_rows
         assert source.table.num_rows == table.num_rows + 1
-
-    def test_pin_retains_superseded_version(self, source, table):
-        with source.pin() as pin:
-            assert pin.version == 1
-            source.append_batch([table.row(0)])
-            assert source.snapshot(1) is pin.table
-            assert pin.table.num_rows == table.num_rows
-        # Released on exit: the superseded snapshot is gone.
-        with pytest.raises(StorageError):
-            source.snapshot(1)
-
-    def test_unpinned_superseded_version_is_dropped(self, source, table):
-        source.append_batch([table.row(0)])
-        with pytest.raises(StorageError):
-            source.snapshot(1)
-
-    def test_release_is_idempotent(self, source, table):
-        pin = source.pin()
-        source.append_batch([table.row(0)])
-        pin.release()
-        pin.release()
-        assert source.retained_versions() == []
 
 
 class TestLazyResharding:
@@ -130,30 +107,6 @@ class TestLazyResharding:
         source.append_batch([source.table.row(0)])
         assert engine.partitioned_table is sibling.partitioned_table
         assert engine.partitioned_table.num_rows == source.num_rows
-
-
-class TestIncrementalProfile:
-    def test_matches_cold_profile_after_appends(self, source, table):
-        source.profile()  # seed the incremental statistics
-        for batch in batched(table, 37, start=120):
-            source.append_batch(batch)
-        assert source.profile() == profile_table(source.table)
-
-    def test_matches_cold_profile_after_deletes(self, source):
-        source.profile()
-        source.delete_where(parse_where("tonnage < 1800"))
-        source.delete_where(parse_where("type_of_boat IN ('pinas')"))
-        assert source.profile() == profile_table(source.table)
-
-    def test_matches_cold_profile_after_mixed_mutations(self, source, table):
-        source.profile()
-        source.append_batch([table.row(i) for i in range(25)])
-        source.delete_where(parse_where("tonnage > 4200"))
-        source.append_batch([table.row(i) for i in range(25, 40)])
-        assert source.profile() == profile_table(source.table)
-
-    def test_profile_without_mutations_matches(self, source, table):
-        assert source.profile() == profile_table(table)
 
 
 class TestBatchedGenerator:

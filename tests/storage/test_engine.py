@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core.metrics import cover
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
 from repro.storage import QueryEngine, Table
 
@@ -37,16 +38,16 @@ class TestEvaluationAndCounts:
         assert engine.count(_fluit_query()) == 3
 
     def test_cover_table_relative(self, engine):
-        assert engine.cover(_fluit_query()) == pytest.approx(0.5)
+        assert cover(engine, _fluit_query()) == pytest.approx(0.5)
 
     def test_cover_context_relative(self, engine):
         context = SDLQuery([RangePredicate("tonnage", 1000, 1200)])
         query = _fluit_query().refine(RangePredicate("tonnage", 1000, 1100))
-        assert engine.cover(query, context) == pytest.approx(2 / 3)
+        assert cover(engine, query, context) == pytest.approx(2 / 3)
 
     def test_cover_of_empty_context_is_zero(self, engine):
         context = SDLQuery([RangePredicate("tonnage", 9000, 9999)])
-        assert engine.cover(_fluit_query(), context) == 0.0
+        assert cover(engine, _fluit_query(), context) == 0.0
 
 
 class TestAggregates:
@@ -90,8 +91,8 @@ class TestCaching:
         engine = QueryEngine(table, cache_size=2)
         for low in range(1000, 1500, 100):
             engine.count(SDLQuery([RangePredicate("tonnage", low, low + 50)]))
-        assert engine.cache_info["entries"] <= 2
-        assert engine.cache_info["evictions"] > 0
+        assert engine.cache.stats().entries <= 2
+        assert engine.cache.stats().evictions > 0
 
     def test_equivalent_queries_share_cache_entry(self, engine):
         first = SDLQuery([SetPredicate("type", frozenset({"fluit"})), NoConstraint("tonnage")])
@@ -156,40 +157,6 @@ class TestSharedCache:
         queries = [_fluit_query(), SDLQuery([RangePredicate("tonnage", 1300, 1500)])]
         assert engine.count_batch(queries) == tuple(engine.count(q) for q in queries)
         assert engine.counter.batch_calls == 1
-
-    def test_median_batch(self, engine):
-        queries = [None, _fluit_query()]
-        assert engine.median_batch("tonnage", queries) == (
-            engine.median("tonnage"),
-            engine.median("tonnage", _fluit_query()),
-        )
-
-    def test_median_batch_deduplicates_like_count_batch(self, table):
-        engine = QueryEngine(table)
-        queries = [_fluit_query(), _fluit_query(), None, None]
-        results = engine.median_batch("tonnage", queries)
-        assert results == (1100, 1100, 1250, 1250)
-        # One median call per request; the coalesced duplicates are
-        # recorded as cache hits, mirroring deduplicated_count_batch.
-        assert engine.counter.batch_calls == 1
-        assert engine.counter.median_calls == 4
-        assert engine.counter.cache_hits == 2
-        # Each unique selection was evaluated exactly once.
-        assert engine.counter.evaluations == 1
-
-    def test_median_batch_accounting_matches_sqlite(self, table):
-        from repro.backends.sqlite import SQLiteBackend
-
-        queries = [_fluit_query(), _fluit_query(), None]
-        engine = QueryEngine(table)
-        backend = SQLiteBackend.from_table(table)
-        assert engine.median_batch("tonnage", queries) == backend.median_batch(
-            "tonnage", queries
-        )
-        assert (
-            engine.counter.batch_calls,
-            engine.counter.median_calls,
-        ) == (backend.counter.batch_calls, backend.counter.median_calls)
 
 
 class TestOperationCounterThreadSafety:

@@ -207,10 +207,6 @@ class TestPartitionedEngine:
         partitioned = QueryEngine(table, partitions=3)
         queries = [_fluit_query(), _range_query(), _fluit_query()]
         assert partitioned.count_batch(queries) == sequential.count_batch(queries)
-        medians = [None, _range_query(), _range_query()]
-        assert partitioned.median_batch("tonnage", medians) == (
-            sequential.median_batch("tonnage", medians)
-        )
         assert partitioned.counter.snapshot() == sequential.counter.snapshot()
 
     def test_sibling_shares_shards_and_pool(self, table):

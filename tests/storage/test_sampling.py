@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.backends.approx import ApproxEngine
+from repro.core.metrics import cover
 from repro.errors import BackendError, StorageError
 from repro.sdl import RangePredicate, SDLQuery, SetPredicate
 from repro.storage import QueryEngine, Table, sample_table, uniform_sample_indices
@@ -105,7 +106,7 @@ class TestSampledEngine:
         assert engine.data_version == voc.data_version
         whole = SDLQuery.over(["tonnage"])
         assert engine.count(whole) == voc.num_rows
-        assert engine.cover(whole) == pytest.approx(1.0)
+        assert cover(engine, whole) == pytest.approx(1.0)
 
     def test_default_size_is_the_interactive_constant(self, voc):
         from repro.backends.approx import INTERACTIVE_SAMPLE_ROWS
