@@ -122,7 +122,9 @@ def test_e14_advise_latency_vs_workers(benchmark):
     def advise_all():
         outcomes = {}
         for workers in _WORKER_COUNTS:
-            advisor = Charles(table, workers=workers, partitions=workers)
+            advisor = Charles(
+                table, backend=f"memory?partitions={workers}&workers={workers}"
+            )
             started = time.perf_counter()
             advice = advisor.advise(context, max_answers=6)
             elapsed = time.perf_counter() - started

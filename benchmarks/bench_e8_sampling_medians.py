@@ -52,7 +52,7 @@ def _advise_with_rate(table, rate: float):
     if rate >= 1.0:
         advisor = Charles(table)
     else:
-        advisor = Charles(table, sample_fraction=rate, seed=7)
+        advisor = Charles(table, backend=f"memory?sample={rate}&seed=7")
     started = time.perf_counter()
     advice = advisor.advise(_CONTEXT, max_answers=3)
     elapsed = time.perf_counter() - started

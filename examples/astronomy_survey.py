@@ -69,7 +69,7 @@ def main() -> None:
     print()
 
     # -- Sampled advisor (Section 5.2) ---------------------------------------------
-    sampled_advisor = Charles(table, sample_fraction=0.1, seed=1)
+    sampled_advisor = Charles(table, backend="memory?sample=0.1&seed=1")
     started = time.perf_counter()
     sampled_advice = sampled_advisor.advise(CONTEXT, max_answers=5)
     sampled_elapsed = time.perf_counter() - started

@@ -98,8 +98,8 @@ class ExecutorPool:
     def requested(cls, workers: Optional[int], name: str) -> Optional["ExecutorPool"]:
         """The pool a ``workers`` option asks for, or ``None`` for none.
 
-        The one place ``Charles``, the ``memory`` spec and
-        ``AdvisorService`` decide who starts threads: ``None`` and ``1``
+        The one place the ``memory`` spec and ``AdvisorService`` decide
+        who starts threads: ``None`` and ``1``
         ask for no pool (shards, forced or not, are scanned on the calling
         thread); anything else gets :func:`resolve_workers` threads.
         """

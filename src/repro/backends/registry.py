@@ -22,7 +22,8 @@ Grammar: ``scheme[://path][?key=value&...][#fragment]``.  The path after
 relative to the working directory, ``sqlite:///var/data/x.db`` is
 absolute (note: *not* SQLAlchemy's three-slash-relative rule).  The
 scheme picks the factory (``memory`` or ``sqlite``); path, fragment and
-parameters are passed through.  :func:`open_backend` is the single entry
+parameters are passed through, and a parameter the scheme does not read
+is an error.  :func:`open_backend` is the single entry
 point used by :class:`repro.core.advisor.Charles`,
 :meth:`repro.service.AdvisorService.register_table` and the CLI's
 ``--backend`` flag.  Any other engine is passed to them as an
@@ -78,10 +79,12 @@ class BackendSpec:
         )
 
 
-def _spec_number(spec: BackendSpec, key: str, kind: type = int) -> Optional[Any]:
+def _spec_number(
+    spec: BackendSpec, key: str, kind: type = int, default: Optional[Any] = None
+) -> Optional[Any]:
     raw = spec.params.get(key)
     if raw is None:
-        return None
+        return default
     try:
         return kind(raw)
     except ValueError:
@@ -104,23 +107,17 @@ def _memory_factory(
     table: Optional[Table] = None,
     cache: Optional[ResultCache] = None,
     cache_aggregates: bool = False,
-    cache_size: int = 256,
-    partitions: Optional[int] = None,
     pool: Optional[ExecutorPool] = None,
 ) -> ExecutionBackend:
     if table is None:
         raise BackendError("the 'memory' backend requires a source table")
-    spec_cache = _spec_number(spec, "cache")
-    spec_partitions = _spec_number(spec, "partitions")
-    if spec_partitions is not None:
-        if spec_partitions < 1:
-            raise BackendError(
-                f"partitions must be at least 1, got {spec_partitions}"
-            )
-        partitions = spec_partitions
-    workers = _spec_number(spec, "workers")
+    partitions = _spec_number(spec, "partitions")
+    if partitions is not None and partitions < 1:
+        raise BackendError(f"partitions must be at least 1, got {partitions}")
     if pool is None:  # no shared pool from the caller: the spec's own, if any
-        pool = ExecutorPool.requested(workers, name=f"memory:{table.name}")
+        pool = ExecutorPool.requested(
+            _spec_number(spec, "workers"), name=f"memory:{table.name}"
+        )
     index = spec.params.get("index")  # absent: nothing forced, the engine picks
     try:  # eagerly, so a typo in ``index=`` fails here, as a BackendError
         features = None if index is None else resolve_index_features(index)
@@ -128,7 +125,7 @@ def _memory_factory(
         raise BackendError(exc.message) from exc
     engine = QueryEngine(
         table,
-        cache_size=spec_cache if spec_cache is not None else cache_size,
+        cache_size=_spec_number(spec, "cache", default=256),
         use_index=features,
         cache=cache,
         cache_aggregates=cache_aggregates,
@@ -143,17 +140,14 @@ def _sqlite_factory(
     table: Optional[Table] = None,
     cache: Optional[ResultCache] = None,
     cache_aggregates: bool = True,
-    cache_size: int = 256,
-    partitions: Optional[int] = None,
     pool: Optional[ExecutorPool] = None,
 ) -> ExecutionBackend:
-    del partitions, pool  # SQLite plans and parallelises (or not) internally
+    del pool  # SQLite plans and parallelises (or not) internally
     database = spec.path or ":memory:"
-    spec_cache = _spec_number(spec, "cache")
     options = {
         "cache": cache,
         "cache_aggregates": cache_aggregates,
-        "cache_size": spec_cache if spec_cache is not None else cache_size,
+        "cache_size": _spec_number(spec, "cache", default=256),
     }
     if table is not None:
         backend: ExecutionBackend = SQLiteBackend.from_table(
@@ -175,6 +169,14 @@ def _sqlite_factory(
     return _maybe_sampled(backend, spec)
 
 
+#: scheme → (factory, the spec parameters it reads).  Any other parameter
+#: is a typo, rejected rather than silently run as the plain engine.
+_SCHEMES = {
+    "memory": (_memory_factory, ("cache", "index", "partitions", "workers", "sample", "seed")),
+    "sqlite": (_sqlite_factory, ("cache", "sample", "seed")),
+}
+
+
 def open_backend(
     spec: Any,
     table: Optional[Table] = None,
@@ -192,9 +194,10 @@ def open_backend(
     table:
         Source table for backends without external storage.
     context:
-        Construction context forwarded to the factory (``cache``,
-        ``cache_aggregates``, ``cache_size`` — and ``partitions``/``pool``
-        from callers sharing an executor pool).
+        Construction context forwarded to the factory: ``cache`` and
+        ``cache_aggregates`` from callers sharing a result cache, ``pool``
+        from callers sharing an executor pool.  Everything a spec can say
+        (cache size, shards, workers, sampling) is said in the spec.
     """
     if not isinstance(spec, str):
         if isinstance(spec, ExecutionBackend):
@@ -204,9 +207,16 @@ def open_backend(
             "pass a spec string or an ExecutionBackend instance"
         )
     parsed = BackendSpec.parse(spec)
-    factory = {"memory": _memory_factory, "sqlite": _sqlite_factory}.get(parsed.scheme)
-    if factory is None:
+    scheme = _SCHEMES.get(parsed.scheme)
+    if scheme is None:
         raise BackendError(
             f"unknown backend scheme {parsed.scheme!r}; expected 'memory' or 'sqlite'"
+        )
+    factory, accepted = scheme
+    unknown = ", ".join(sorted(set(parsed.params) - set(accepted)))
+    if unknown:
+        raise BackendError(
+            f"unknown {parsed.scheme!r} backend parameter(s) {unknown}; "
+            f"accepted: {', '.join(accepted)}"
         )
     return factory(parsed, table=table, **context)

@@ -72,23 +72,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--ranker",
                          choices=("entropy", "weighted", "lexicographic", "surprise"),
                          default="entropy", help="ranking policy")
-        sub.add_argument("--sample", type=float, default=None,
-                         help="sampling fraction for statistics (0 < f < 1)")
         sub.add_argument("--backend", default="memory",
                          help="execution backend spec: memory (default; the "
                               "engine picks its access path per query), "
-                              "memory?sample=0.1, memory?workers=4, sqlite, "
-                              "sqlite:///path.db#table; index=... and "
-                              "partitions=... force a path")
-        sub.add_argument("--workers", type=int, default=1,
-                         help="executor-pool threads: partitioned scans and "
-                              "HB-cuts INDEP evaluations run concurrently "
-                              "(identical answers; 1 = sequential)")
-        sub.add_argument("--partitions", type=int, default=None,
-                         help="force this many row-range shards per table, "
-                              "scanned inline unless --workers starts a pool "
-                              "(default: one per worker, fanned out only "
-                              "when the shards are large enough)")
+                              "memory?sample=0.1&seed=7 (advise on a uniform "
+                              "sample), memory?workers=4&partitions=4 (shards "
+                              "on a 4-thread pool; identical answers), sqlite, "
+                              "sqlite:///path.db#table; index=... forces a path")
         sub.add_argument("--style", choices=("pie", "treemap", "table"), default="pie",
                          help="detail renderer for the selected answer")
 
@@ -156,15 +146,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--steps", type=int, default=3,
                        help="drill/back actions per user after the first advise")
     serve.add_argument("--workers", type=int, default=1,
-                       help="threads serving the users (1 = sequential)")
-    serve.add_argument("--engine-workers", type=int, default=None,
-                       help="executor-pool threads for partitioned backend "
-                            "evaluation (default: the --workers value)")
-    serve.add_argument("--partitions", type=int, default=None,
-                       help="force this many row-range shards per "
-                            "registered table, scanned inline unless the "
-                            "engine workers start a pool (default: one per "
-                            "engine worker, fanned out only when large enough)")
+                       help="threads serving the users, and of the one "
+                            "executor pool the service shares across tables "
+                            "(1 = sequential)")
     serve.add_argument("--distinct-paths", type=int, default=None,
                        help="unique exploration paths shared round-robin "
                             "(default: one per user)")
@@ -174,7 +158,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="entries of the shared per-table result cache")
     serve.add_argument("--backend", default="memory",
                        help="execution backend spec for the table runtime "
-                            "(memory, sqlite, ...)")
+                            "(memory, sqlite, memory?partitions=4, ...)")
 
     cluster = subparsers.add_parser(
         "cluster",
@@ -197,9 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="advisor node processes to spawn")
     cluster_serve.add_argument("--replicas", type=int, default=1,
                                help="failover candidates per shard")
-    cluster_serve.add_argument("--shards", type=int, default=32,
-                               help="shards the session/table key space "
-                                    "is cut into")
     cluster_serve.add_argument("--probe-interval", type=float, default=0.5,
                                help="seconds between node health probes")
     cluster_serve.add_argument("--workers", type=int, default=1,
@@ -324,11 +305,7 @@ def _make_advisor(table: Table, args: argparse.Namespace) -> Charles:
         table,
         config=config,
         ranker=_make_ranker(getattr(args, "ranker", "entropy"), table),
-        sample_fraction=getattr(args, "sample", None),
-        seed=getattr(args, "seed", None),
         backend=getattr(args, "backend", None) or "memory",
-        workers=getattr(args, "workers", 1),
-        partitions=getattr(args, "partitions", None),
     )
 
 
@@ -370,7 +347,7 @@ def _command_advise(args: argparse.Namespace) -> int:
         if advice.error_bound is not None:
             note += f": counts within ±{advice.error_bound:.1%} of the table's rows"
         print()
-        print(note + "; re-run without --approximate/--sample for exact numbers")
+        print(note + "; re-run without --approximate for exact numbers")
     probe = getattr(args, "show_distribution", None)
     if probe and advice.answers:
         print()
@@ -444,15 +421,11 @@ def _command_segment(args: argparse.Namespace) -> int:
 def _serve_service(args: argparse.Namespace, table: Table) -> AdvisorService:
     from repro.service import AdvisorService
 
-    engine_workers = getattr(args, "engine_workers", None)
-    if engine_workers is None:
-        engine_workers = args.workers
     return AdvisorService(
         table,
         cache_capacity=args.cache_capacity,
         backend=getattr(args, "backend", None) or "memory",
-        workers=engine_workers,
-        partitions=getattr(args, "partitions", None),
+        workers=args.workers,
     )
 
 
@@ -536,7 +509,6 @@ def _command_cluster(args: argparse.Namespace) -> int:
         specs,
         nodes=args.nodes,
         replicas=args.replicas,
-        shards=args.shards,
         host=args.host,
         port=args.http,
         probe_interval=args.probe_interval,
@@ -550,7 +522,7 @@ def _command_cluster(args: argparse.Namespace) -> int:
             print(f"  {handle.name} pid={handle.pid} {handle.url}")
         print(f"  {len(specs)} table(s): "
               f"{', '.join(spec.describe() for spec in specs)}; "
-              f"replicas={args.replicas}, shards={args.shards}")
+              f"replicas={args.replicas}")
         print(f"  POST {cluster.url}/v1/rpc, GET {cluster.url}/v1/health, "
               f"GET {cluster.url}/v1/cluster")
         sys.stdout.flush()

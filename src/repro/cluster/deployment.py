@@ -23,7 +23,6 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.cluster.nodes import NodeHandle, NodeSupervisor
 from repro.cluster.router import ClusterRouter, RouterHTTPServer
-from repro.cluster.shardmap import DEFAULT_SHARDS
 from repro.cluster.specs import TableSpec
 from repro.errors import ClusterError
 
@@ -65,7 +64,6 @@ class AdvisorCluster:
         probe_interval: float = 0.5,
         timeout: float = 15.0,
         retries: int = 1,
-        shards: int = DEFAULT_SHARDS,
         start_timeout: float = 60.0,
         quiet: bool = True,
     ) -> None:
@@ -77,7 +75,6 @@ class AdvisorCluster:
             start_timeout=start_timeout,
         )
         self.replicas = int(replicas)
-        self.shards = int(shards)
         self.host = host
         self.port = int(port)
         self.probe_interval = float(probe_interval)
@@ -98,7 +95,6 @@ class AdvisorCluster:
             self.router = ClusterRouter(
                 self.supervisor.urls(),
                 replicas=self.replicas,
-                shards=self.shards,
                 timeout=self.timeout,
                 retries=self.retries,
                 probe_interval=self.probe_interval,

@@ -46,7 +46,7 @@ from repro.api.codec import SCHEMA_VERSION
 from repro.api.protocol import API_VERSION, OPERATIONS, Response, next_request_id
 from repro.api.server import HTTPFrontServer
 from repro.cluster.health import HealthMonitor
-from repro.cluster.shardmap import DEFAULT_SHARDS, ShardMap, session_key, table_key
+from repro.cluster.shardmap import ShardMap, session_key, table_key
 from repro.errors import (
     CharlesError,
     ClusterError,
@@ -152,9 +152,7 @@ class ClusterRouter:
         node id → base URL (the supervisor's :meth:`urls` output).
     replicas:
         Failover candidates per shard (see :class:`ShardMap`).
-    shards:
-        Shard count of the key space.
-    timeout, retries, backoff:
+    timeout, retries:
         Transport knobs for the per-node
         :class:`~repro.api.client.RemoteAdvisor` clients.
     probe_interval:
@@ -165,21 +163,17 @@ class ClusterRouter:
         self,
         node_urls: Mapping[int, str],
         replicas: int = 1,
-        shards: int = DEFAULT_SHARDS,
         timeout: float = 15.0,
         retries: int = 1,
-        backoff: float = 0.05,
         probe_interval: float = 0.5,
     ) -> None:
         if not node_urls:
             raise ClusterError("a router needs at least one node url")
         self._clients: Dict[int, RemoteAdvisor] = {
-            node_id: RemoteAdvisor(url, timeout=timeout, retries=retries, backoff=backoff)
+            node_id: RemoteAdvisor(url, timeout=timeout, retries=retries)
             for node_id, url in sorted(node_urls.items())
         }
-        self._shard_map = ShardMap(
-            sorted(self._clients), replicas=replicas, shards=shards
-        )
+        self._shard_map = ShardMap(sorted(self._clients), replicas=replicas)
         self._monitor = HealthMonitor(self._clients, interval=probe_interval)
         # The router's own instruments; metrics_document() merges them
         # with every node's.

@@ -1,7 +1,7 @@
 """The explicit shard map: which node owns which slice of the key space.
 
 Routing is *consistent hashing with an explicit assignment table*: the
-key space is cut into a fixed number of shards, every shard is assigned
+key space is cut into :data:`DEFAULT_SHARDS` shards, every shard is assigned
 an owner node plus ``replicas`` distinct fallback nodes at construction
 time, and a key routes by hashing into a shard and reading the table.
 Making the table explicit (rather than recomputing ``hash % nodes`` per
@@ -24,8 +24,8 @@ from repro.errors import ClusterError
 
 __all__ = ["ShardMap", "session_key", "table_key"]
 
-#: Default shard count: comfortably more shards than nodes so session
-#: load spreads evenly, small enough to print.
+#: The shard count: comfortably more shards than nodes so session load
+#: spreads evenly, small enough to print.
 DEFAULT_SHARDS = 32
 
 
@@ -57,16 +57,11 @@ class ShardMap:
         build the same table).
     replicas:
         Fallback nodes per shard, clamped to ``len(node_ids) - 1``.
-    shards:
-        Number of shards the key space is cut into.
     """
 
-    def __init__(
-        self,
-        node_ids: Sequence[int],
-        replicas: int = 1,
-        shards: int = DEFAULT_SHARDS,
-    ) -> None:
+    shards = DEFAULT_SHARDS
+
+    def __init__(self, node_ids: Sequence[int], replicas: int = 1) -> None:
         nodes = list(node_ids)
         if not nodes:
             raise ClusterError("a shard map needs at least one node")
@@ -76,11 +71,8 @@ class ShardMap:
         # the same assignment table — determinism must not hinge on the
         # caller's iteration order.
         nodes.sort()
-        if shards < 1:
-            raise ClusterError(f"shard count must be >= 1, got {shards}")
         self.node_ids: Tuple[int, ...] = tuple(nodes)
         self.replicas = max(0, min(int(replicas), len(nodes) - 1))
-        self.shards = int(shards)
         # Owner by rotation, replicas by walking the ring: shard i is
         # owned by node i mod n with the next `replicas` distinct nodes
         # as its fallback chain.

@@ -16,7 +16,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
 
 from repro.backends.approx import ApproxEngine
 from repro.backends.base import ExecutionBackend
-from repro.backends.pool import ExecutorPool
 from repro.backends.registry import open_backend
 from repro.errors import AdvisorError, SDLSyntaxError
 from repro.sdl.formatter import format_segment_label, format_segmentation
@@ -153,33 +152,15 @@ class Charles:
         ``max_depth=12``).
     ranker:
         Ranking policy; defaults to the paper's entropy ordering.
-    sample_fraction:
-        When set (0 < f < 1), the advisor's default data is a uniform
-        sample of that rate (Section 5.2's sampling extension), whatever
-        the backend: advice is stamped ``approximate`` with its bound,
-        and ``mode="exact"`` still reaches the unsampled backend.
-    seed:
-        Random seed of the samples.
     backend:
         Backend spec resolved through
         :func:`repro.backends.open_backend` when ``table`` is a
-        :class:`Table` — e.g. ``"memory"`` (default),
-        ``"memory?sample=0.1"``, ``"memory?partitions=4&workers=4"`` or
-        ``"sqlite"``.
-    partitions:
-        Force this many row-range shards (only meaningful for backends
-        built from a ``Table``; spec parameters take precedence).  Shards
-        alone start no threads: they are scanned on the calling thread,
-        and mapped through the pool only when ``workers`` or ``pool``
-        gives one.  Unset, the engine shards to the pool and fans out
-        only when it pays.  Results are identical for every partition
-        count.
-    workers:
-        Size of the executor pool (``0``: one per core; ``None`` or ``1``,
-        the default, runs without one) the engine fans its shards across.
-    pool:
-        Share an existing :class:`~repro.backends.pool.ExecutorPool`
-        instead of creating one.
+        :class:`Table`, and the one place execution is configured: e.g.
+        ``"memory"`` (default), ``"memory?partitions=4&workers=2"``,
+        ``"sqlite"``, or ``"memory?sample=0.1&seed=7"``, whose uniform
+        sample is the default data (§5.2; ``mode="exact"`` still reaches
+        the unsampled backend).  A prebuilt engine is sampled by wrapping
+        it in :class:`~repro.backends.approx.ApproxEngine`.
 
     Examples
     --------
@@ -195,40 +176,18 @@ class Charles:
         table: Union[Table, ExecutionBackend],
         config: Optional[HBCutsConfig] = None,
         ranker: Optional[Ranker] = None,
-        sample_fraction: Optional[float] = None,
-        seed: Optional[int] = None,
-        cache_size: int = 256,
         backend: Optional[str] = None,
-        partitions: Optional[int] = None,
-        workers: Optional[int] = None,
-        pool: Optional[Any] = None,
     ):
-        if pool is None:
-            pool = ExecutorPool.requested(workers, name="charles")
         if isinstance(table, Table):
-            context: Dict[str, Any] = dict(cache_size=cache_size)
-            if partitions is not None or pool is not None:
-                context.update(partitions=partitions, pool=pool)
-            self.engine = open_backend(backend or "memory", table, **context)
-        else:
-            if backend is not None:
-                raise AdvisorError(
-                    "pass either a backend spec or a backend instance, not both"
-                )
-            self.engine = open_backend(table)
-        if sample_fraction is not None and sample_fraction < 1.0:
-            if self.default_mode == "interactive":
-                raise AdvisorError(
-                    "the backend already samples; pass either sample_fraction "
-                    "or a sampled backend spec (e.g. 'memory?sample=0.1'), "
-                    "not both"
-                )
-            self.engine = ApproxEngine(
-                self.engine, fraction=sample_fraction, seed=seed
+            self.engine = open_backend(backend or "memory", table)
+        elif backend is not None:
+            raise AdvisorError(
+                "pass either a backend spec or a backend instance, not both"
             )
+        else:
+            self.engine = open_backend(table)
         self.config = config or HBCutsConfig()
         self.ranker = ranker or EntropyRanker()
-        self.pool = pool
         self._generator = HBCuts(self.config)
         # The view advise(mode="interactive") runs on, built on first use.
         self._view: Optional[ExecutionBackend] = None

@@ -20,7 +20,8 @@ With ``workers`` set, the service additionally owns **one** bounded
 :class:`~repro.backends.pool.ExecutorPool` shared by every session and
 table: tables are sharded into row-range partitions and every session
 engine fans its scans across the pool (identical answers, more cores);
-:meth:`AdvisorService.stats` reports the pool's traffic.
+:meth:`AdvisorService.stats` reports the pool's traffic.  Shards, index
+features and sampling are the table's backend spec.
 
 Sessions are named and concurrent: each owns a
 :class:`~repro.service.batching.BatchedEngine` (private operation
@@ -131,18 +132,16 @@ class _TableRuntime:
         advice_capacity: int,
         batch_window: float,
         backend_spec: str = "memory",
-        partitions: Optional[int] = None,
-        pool: Optional[Any] = None,
+        pool: Optional[ExecutorPool] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
         self.backend_spec = backend_spec
         self.cache = ResultCache(capacity=cache_capacity, name=f"results:{name}")
         self.advice_cache = ResultCache(capacity=advice_capacity, name=f"advice:{name}")
-        context: Dict[str, Any] = dict(cache=self.cache, cache_aggregates=True)
-        if partitions is not None or pool is not None:
-            context.update(partitions=partitions, pool=pool)
-        self._backend = open_backend(backend_spec, table, **context)
+        self._backend = open_backend(
+            backend_spec, table, cache=self.cache, cache_aggregates=True, pool=pool
+        )
         self.engine = BatchedEngine(self._backend)
         self.coordinator = BatchCoordinator(self.engine, window_seconds=batch_window)
         if metrics is not None:
@@ -255,14 +254,8 @@ class AdvisorService:
         Size of the **one** :class:`~repro.backends.pool.ExecutorPool` the
         service shares across every session and table (bounded;
         introspectable through :meth:`stats`).  ``1`` keeps execution
-        sequential; ``0`` means one worker per core.
-    partitions:
-        Force this many row-range shards per registered table: scanned on
-        the calling thread with ``workers=1``, always mapped through the
-        shared pool otherwise.  ``None`` (the default) leaves it to the
-        engine: one shard per worker, fanned out only when the shards are
-        large enough.  Answers are identical for every
-        ``partitions × workers`` combination.
+        sequential; ``0`` means one worker per core.  A spec cannot say
+        this: its ``workers=K`` starts a pool per table.
     """
 
     def __init__(
@@ -275,7 +268,6 @@ class AdvisorService:
         max_answers: int = 10,
         backend: str = "memory",
         workers: int = 1,
-        partitions: Optional[int] = None,
     ):
         self._tables: Dict[str, _TableRuntime] = {}
         self._sessions: Dict[str, ServiceSession] = {}
@@ -287,9 +279,8 @@ class AdvisorService:
         self._max_answers = int(max_answers)
         self._backend_spec = str(backend)
         # At most one bounded pool for the whole service: every session of
-        # every table runtime maps its shards through it.  As in Charles,
-        # workers=0 means one per core and workers=1 runs without a pool.
-        self._partitions = partitions
+        # every table runtime maps its shards through it.  As in a memory
+        # spec, workers=0 means one per core and workers=1 runs without a pool.
         self._pool = ExecutorPool.requested(workers, name="service")
         self._workers = self._pool.workers if self._pool is not None else 1
         self._requests = 0
@@ -368,7 +359,6 @@ class AdvisorService:
                 advice_capacity=self._advice_capacity,
                 batch_window=self._batch_window,
                 backend_spec=backend or self._backend_spec,
-                partitions=self._partitions,
                 pool=self._pool,
                 metrics=self.metrics,
             )
@@ -856,7 +846,6 @@ class AdvisorService:
             "requests": requests,
             "parallel": {
                 "workers": self._workers,
-                "partitions": self._partitions or self._workers,
                 "pool": self._pool.stats() if self._pool is not None else None,
             },
             "tables": {name: runtime.stats() for name, runtime in tables.items()},

@@ -36,8 +36,12 @@ _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
 #: ``workers`` does; a shard count alone is scanned on the calling thread.
 _THREAD_RULES = [
     ("spec partitions", lambda t: open_backend("memory?partitions=4", t), None),
-    ("Charles partitions", lambda t: Charles(t, partitions=4), None),
-    ("service partitions", lambda t: AdvisorService(t, partitions=4), None),
+    ("Charles partitions", lambda t: Charles(t, backend="memory?partitions=4"), None),
+    (
+        "service partitions",
+        lambda t: AdvisorService(t, backend="memory?partitions=4"),
+        None,
+    ),
     (
         "advise on index=all&partitions=8",
         lambda t: Charles(t, backend="memory?index=all&partitions=8"),
@@ -131,17 +135,20 @@ class TestParallelSpecs:
         built = build(voc)
         if isinstance(built, AdvisorService):
             built.open_session("s", context=_CONTEXT)
+            pool = built.pool
         elif isinstance(built, Charles):
             built.advise(_CONTEXT)
+            pool = built.engine.pool
         else:
             built.count_batch(_queries())
+            pool = built.pool
         if workers is None:
-            assert built.pool is None
+            assert pool is None
             assert set(threading.enumerate()) <= before
         else:
-            assert built.pool.workers == workers
-            assert built.pool.stats()["parallel_batches"] > 0  # forced fan-out
-            built.pool.shutdown()
+            assert pool.workers == workers
+            assert pool.stats()["parallel_batches"] > 0  # forced fan-out
+            pool.shutdown()
 
     def test_plain_memory_runs_without_a_pool(self, voc):
         backend = open_backend("memory", voc)
@@ -150,15 +157,15 @@ class TestParallelSpecs:
 
     def test_context_parameters_from_consumers(self, voc):
         pool = ExecutorPool(2)
-        backend = open_backend("memory", voc, partitions=2, pool=pool)
+        backend = open_backend("memory?partitions=2", voc, pool=pool)
         assert backend.partitions == 2
         assert backend.pool is pool
         # A caller's shared pool wins over the spec's own worker count.
         assert open_backend("memory?workers=4", voc, pool=pool).pool is pool
 
-    def test_spec_overrides_context(self, voc):
-        backend = open_backend("memory?partitions=5", voc, partitions=2)
-        assert backend.partitions == 5
+    def test_shards_are_spelled_only_in_the_spec(self, voc):
+        with pytest.raises(TypeError):
+            open_backend("memory", voc, partitions=2)
 
     def test_composes_with_sampling(self, voc):
         # The forced shards and the pool belong to the unsampled engine
@@ -178,5 +185,7 @@ class TestParallelSpecs:
         assert backend.partitions == resolve_workers(0)
 
     def test_sqlite_ignores_parallel_context(self, voc):
-        backend = open_backend("sqlite", voc, partitions=2, pool=None)
+        pool = ExecutorPool(2)
+        backend = open_backend("sqlite", voc, pool=pool)
         assert backend.count(_queries()[0]) == QueryEngine(voc).count(_queries()[0])
+        assert pool.stats()["tasks"] == 0

@@ -11,6 +11,10 @@ from repro.sdl import RangePredicate, SDLQuery
 from repro.storage import QueryEngine
 from repro.workloads import generate_voc
 
+#: The spec keys each factory reads, as the rejection names them.
+_MEMORY_KEYS = "cache, index, partitions, workers, sample, seed"
+_SQLITE_KEYS = "cache, sample, seed"
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -102,4 +106,22 @@ class TestOpenBackend:
     def test_rejects_non_backend_objects(self):
         with pytest.raises(BackendError):
             open_backend(42)
+
+    @pytest.mark.parametrize(
+        "spec, key, accepted",
+        [
+            pytest.param("memory?partitons=4", "partitons", _MEMORY_KEYS, id="memory-partitons"),
+            pytest.param("memory?smaple=0.1", "smaple", _MEMORY_KEYS, id="memory-smaple"),
+            pytest.param("memory?index=all&worker=2", "worker", _MEMORY_KEYS, id="memory-worker"),
+            pytest.param("sqlite?partitions=4", "partitions", _SQLITE_KEYS, id="sqlite-partitions"),
+            pytest.param("sqlite?index=all", "index", _SQLITE_KEYS, id="sqlite-index"),
+        ],
+    )
+    def test_unknown_spec_keys_are_rejected(self, table, spec, key, accepted):
+        # A spec is input from outside the program: a misspelled key must
+        # fail, not run the plain engine as if it were not there.
+        with pytest.raises(BackendError) as excinfo:
+            open_backend(spec, table)
+        assert key in str(excinfo.value)
+        assert f"accepted: {accepted}" in str(excinfo.value)
 

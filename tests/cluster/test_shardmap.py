@@ -53,9 +53,9 @@ class TestDeterminism:
 
 class TestAssignment:
     def test_every_shard_has_owner_plus_replicas(self):
-        shard_map = ShardMap([0, 1, 2], replicas=1, shards=16)
+        shard_map = ShardMap([0, 1, 2], replicas=1)
         assignment = shard_map.assignment
-        assert sorted(assignment) == list(range(16))
+        assert sorted(assignment) == list(range(DEFAULT_SHARDS))
         for nodes in assignment.values():
             assert len(nodes) == 2
             assert len(set(nodes)) == 2
@@ -78,11 +78,11 @@ class TestAssignment:
         assert single.route(session_key("alice")) == (7,)
 
     def test_document_round_trips_the_assignment(self):
-        shard_map = ShardMap([0, 1], replicas=1, shards=8)
+        shard_map = ShardMap([0, 1], replicas=1)
         document = shard_map.to_document()
-        assert document["shards"] == 8
+        assert document["shards"] == DEFAULT_SHARDS
         assert document["replicas"] == 1
-        assert len(document["assignment"]) == 8
+        assert len(document["assignment"]) == DEFAULT_SHARDS
 
 
 class TestValidation:
@@ -93,7 +93,3 @@ class TestValidation:
     def test_duplicate_node_ids_are_rejected(self):
         with pytest.raises(ClusterError):
             ShardMap([0, 1, 1])
-
-    def test_nonpositive_shard_count_is_rejected(self):
-        with pytest.raises(ClusterError):
-            ShardMap([0, 1], shards=0)

@@ -149,14 +149,10 @@ class TestConfigurationOptions:
         assert all(answer.segmentation.depth <= 4 for answer in advice)
 
     def test_sampling_advisor_uses_sampled_engine(self, voc_table):
-        advisor = Charles(voc_table, sample_fraction=0.25, seed=1)
+        advisor = Charles(voc_table, backend="memory?sample=0.25&seed=1")
         assert isinstance(advisor.engine, ApproxEngine)
         advice = advisor.advise(["type_of_boat", "tonnage"], max_answers=2)
         assert len(advice) >= 1
-
-    def test_sample_fraction_on_a_sampled_spec_is_rejected(self, voc_table):
-        with pytest.raises(AdvisorError):
-            Charles(voc_table, backend="memory?sample=0.5", sample_fraction=0.25)
 
     def test_prebuilt_engine_is_reused(self, voc_table):
         engine = QueryEngine(voc_table)
@@ -179,7 +175,6 @@ class TestModes:
         [
             ({}, "interactive"),
             ({"backend": "sqlite"}, "interactive"),
-            ({"sample_fraction": 0.25, "seed": 1}, None),
             ({"backend": "memory?sample=0.25&seed=1"}, None),
             ({"backend": "sqlite?sample=0.25&seed=1"}, None),
             ({"backend": "memory?sample=0.25"}, "interactive"),
@@ -198,14 +193,11 @@ class TestModes:
         plain = Charles(voc_table).advise(self._CONTEXT, max_answers=4)
         assert _answers(exact) == _answers(plain)
 
-    @pytest.mark.parametrize(
-        "options",
-        [{"sample_fraction": 0.25, "seed": 1}, {"backend": "memory?sample=0.25&seed=1"}],
-    )
-    def test_count_and_segment_are_exact_on_a_sampled_advisor(self, voc_table, options):
+    def test_count_and_segment_are_exact_on_a_sampled_advisor(self, voc_table):
         # Only advise is flagged approximate, so nothing else may answer
         # from the view: a count or a segmentation is the exact one.
-        plain, sampled = Charles(voc_table), Charles(voc_table, **options)
+        plain = Charles(voc_table)
+        sampled = Charles(voc_table, backend="memory?sample=0.25&seed=1")
         context = "(type_of_boat: {'fluit'}, tonnage:)"
         assert sampled.count(context) == plain.count(context)
         columns, cut = list(FIGURE1_CONTEXT_COLUMNS), ["departure_harbour", "tonnage"]
@@ -215,7 +207,8 @@ class TestModes:
 
     def test_default_mode_follows_the_backend(self, voc_table):
         assert Charles(voc_table).default_mode == "exact"
-        assert Charles(voc_table, sample_fraction=0.1).default_mode == "interactive"
+        sampled = Charles(voc_table, backend="memory?sample=0.1")
+        assert sampled.default_mode == "interactive"
         assert Charles(voc_table).advise(self._CONTEXT).approximate is False
 
     def test_unknown_mode_rejected(self, advisor):

@@ -79,14 +79,13 @@ class TestParallelIndepParity:
 
 class TestCharlesParallelWiring:
     def test_charles_workers_build_a_pool(self, voc):
-        advisor = Charles(voc, workers=2)
-        assert advisor.pool is not None
-        assert advisor.pool.workers == 2
-        assert advisor.engine.pool is advisor.pool
+        advisor = Charles(voc, backend="memory?workers=2")
+        assert advisor.engine.pool is not None
+        assert advisor.engine.pool.workers == 2
 
     def test_charles_sequential_has_no_pool(self, voc):
         advisor = Charles(voc)
-        assert advisor.pool is None
+        assert advisor.engine.pool is None
 
     def test_advice_is_identical_across_worker_counts(self, voc):
         def fingerprint(advice):
@@ -101,7 +100,8 @@ class TestCharlesParallelWiring:
 
         baseline = Charles(voc).advise(list(CONTEXT_COLUMNS), max_answers=8)
         for workers, partitions in ((1, 4), (2, 2), (4, 4)):
-            advice = Charles(voc, workers=workers, partitions=partitions).advise(
+            spec = f"memory?workers={workers}&partitions={partitions}"
+            advice = Charles(voc, backend=spec).advise(
                 list(CONTEXT_COLUMNS), max_answers=8
             )
             assert fingerprint(advice) == fingerprint(baseline)

@@ -330,7 +330,7 @@ class TestTrafficAccounting:
 
 class TestSampledAdvisors:
     def test_sample_fraction_advice_is_stamped_with_a_finite_bound(self, voc):
-        advice = Charles(voc, sample_fraction=0.1).advise(["type_of_boat", "tonnage"])
+        advice = Charles(voc, backend="memory?sample=0.1").advise(["type_of_boat", "tonnage"])
         assert advice.approximate is True
         assert math.isfinite(advice.error_bound) and 0.0 < advice.error_bound < 0.06
 

@@ -491,6 +491,14 @@ def test_emitted_tag_shapes(source, tags):
 
 # -- things that stay deleted -----------------------------------------------------
 
+#: Every tree a user reads or copies from.
+_USER_FACING = ("src", "docs", "README.md", "examples", "benchmarks")
+
+#: The top-level text of a call's arguments on one line: a nested call
+#: (``generate_voc(seed=7)``) or a string literal (a spec's ``workers=2``)
+#: is consumed whole, so only the call's own keywords can follow it.
+_CALL_ARGS = r"""(?:[^()"']|\([^()]*\)|"[^"]*"|'[^']*')*"""
+
 #: (why, a pattern no line may match, where to look, files allowed to match it)
 _FORBIDDEN = [
     pytest.param(
@@ -519,8 +527,8 @@ _FORBIDDEN = [
     ),
     pytest.param(
         "only workers start threads, decided in one place: ExecutorPool.requested is where "
-        "Charles, the memory spec and AdvisorService turn workers= into a pool; a shard "
-        "count never does (docs/architecture.md, Parallel execution)",
+        "the memory spec and AdvisorService turn workers= into a pool; a shard count never "
+        "does (docs/architecture.md, Parallel execution)",
         r"ExecutorPool\(", ("src",), ("src/repro/backends/pool.py",),
         id="one-pool-factory",
     ),
@@ -561,6 +569,29 @@ _FORBIDDEN = [
         r"median_batch", ("src", "docs", "README.md"), (),
         id="no-median-batch",
     ),
+    pytest.param(
+        "sampled default data is spelled once, as the spec's sample=f&seed=s "
+        "(docs/architecture.md, Approximate-first advise)",
+        r"sample_fraction", _USER_FACING, (),
+        id="one-sampling-spelling",
+    ),
+    pytest.param(
+        "serve --workers sizes the service's one pool; shards are the spec's partitions=N",
+        r"--engine-workers", _USER_FACING, (),
+        id="no-engine-workers",
+    ),
+    pytest.param(
+        "Charles takes table, config, ranker and backend: shards, workers, pools, cache "
+        "size and sampling are the backend spec's (docs/architecture.md, Parallel execution)",
+        rf"Charles\({_CALL_ARGS}\b(workers|partitions|pool|cache_size|seed)=",
+        _USER_FACING, (),
+        id="charles-takes-a-spec",
+    ),
+    pytest.param(
+        "a table's shard count is its spec's partitions=N, reported under its backend stats",
+        rf"AdvisorService\({_CALL_ARGS}\bpartitions=", _USER_FACING, (),
+        id="service-shards-in-the-spec",
+    ),
 ]
 
 
@@ -597,6 +628,10 @@ _PLANTED_LINES = {
     "no-incremental-profile": "from repro.live.profile import IncrementalTableProfile",
     "no-backend-registry": 'register_backend("duckdb", factory)',
     "no-median-batch": '    medians = engine.median_batch("tonnage", queries)',
+    "one-sampling-spelling": "advisor = Charles(table, sample_fraction=0.1, seed=7)",
+    "no-engine-workers": "charles serve --simulate --workers 4 --engine-workers 4",
+    "charles-takes-a-spec": "advisor = Charles(generate_voc(rows=500), workers=4, partitions=4)",
+    "service-shards-in-the-spec": "service = AdvisorService(table, workers=2, partitions=4)",
 }
 
 

@@ -27,12 +27,12 @@ _QUERIES = (
     "tonnage >= 2500",
 )
 
-#: (backend spec, engine context) cells of the parity grid.
+#: Backend specs of the parity grid.
 _GRID = [
-    ("memory", {}),
-    ("memory?workers=2", {"partitions": 2}),
-    ("memory?workers=2", {"partitions": 3}),
-    ("sqlite", {}),
+    "memory",
+    "memory?workers=2&partitions=2",
+    "memory?workers=2&partitions=3",
+    "sqlite",
 ]
 
 
@@ -46,12 +46,11 @@ def _advice_wire(advice):
     return dumps({"context": advice.context, "answers": advice.answers})
 
 
-def _warm_backend(full_table, spec, context):
+def _warm_backend(full_table, spec):
     """A backend seeded with a prefix that ingests the rest in batches,
     with queries interleaved so the caches have something to invalidate."""
     backend = open_backend(
-        spec, full_table.slice_rows(0, _SEED_ROWS), cache_aggregates=True,
-        **context,
+        spec, full_table.slice_rows(0, _SEED_ROWS), cache_aggregates=True
     )
     probe = parse_where(_QUERIES[0])
     for index, batch in enumerate(batched(full_table, 75, start=_SEED_ROWS)):
@@ -63,13 +62,11 @@ def _warm_backend(full_table, spec, context):
     return backend
 
 
-@pytest.mark.parametrize(
-    "spec,context", _GRID, ids=[f"{s}-{c or 'seq'}" for s, c in _GRID]
-)
+@pytest.mark.parametrize("spec", _GRID)
 class TestWarmColdParity:
-    def test_counts_and_medians_are_identical(self, full_table, spec, context):
-        warm = _warm_backend(full_table, spec, context)
-        cold = open_backend(spec, full_table, cache_aggregates=True, **context)
+    def test_counts_and_medians_are_identical(self, full_table, spec):
+        warm = _warm_backend(full_table, spec)
+        cold = open_backend(spec, full_table, cache_aggregates=True)
         assert warm.num_rows == cold.num_rows == full_table.num_rows
         for text in _QUERIES:
             query = parse_where(text)
@@ -80,22 +77,20 @@ class TestWarmColdParity:
             cold.value_frequencies("type_of_boat")
         )
 
-    def test_advise_is_byte_identical(self, full_table, spec, context):
-        warm = _warm_backend(full_table, spec, context)
-        cold = open_backend(spec, full_table, cache_aggregates=True, **context)
+    def test_advise_is_byte_identical(self, full_table, spec):
+        warm = _warm_backend(full_table, spec)
+        cold = open_backend(spec, full_table, cache_aggregates=True)
         warm_advice = Charles(warm).advise(_CONTEXT, max_answers=8)
         cold_advice = Charles(cold).advise(_CONTEXT, max_answers=8)
         assert _advice_wire(warm_advice) == _advice_wire(cold_advice)
 
-    def test_delete_parity(self, full_table, spec, context):
-        warm = _warm_backend(full_table, spec, context)
+    def test_delete_parity(self, full_table, spec):
+        warm = _warm_backend(full_table, spec)
         delete = parse_where("tonnage < 1500")
         deleted = warm.delete_where(delete)
         expected_table = full_table.filter(~query_mask(full_table, delete))
         assert deleted == full_table.num_rows - expected_table.num_rows
-        cold = open_backend(
-            spec, expected_table, cache_aggregates=True, **context
-        )
+        cold = open_backend(spec, expected_table, cache_aggregates=True)
         assert warm.num_rows == cold.num_rows
         for text in _QUERIES:
             query = parse_where(text)

@@ -281,13 +281,13 @@ class TestParallelService:
         assert service.stats()["parallel"]["pool"] is None
 
     def test_partitions_default_to_the_worker_count(self, table):
-        # Like Charles: asking for workers alone must actually shard the
-        # tables, otherwise the pool is created but never used.
+        # Like a memory spec: asking for workers alone must actually shard
+        # the tables, otherwise the pool is created but never used.
         service = AdvisorService(table, batch_window=0.0, workers=2)
-        assert service.stats()["parallel"]["partitions"] == 2
+        assert service.stats()["tables"]["voc"]["backend"]["partitions"] == 2
 
     def test_workers_zero_means_one_per_core(self, table):
-        # The same opt-in rule as Charles and open_backend: workers=0 asks
+        # The same opt-in rule as open_backend: workers=0 asks
         # for one worker per core, it does not silently mean sequential.
         from repro.backends.pool import resolve_workers
 
@@ -298,7 +298,7 @@ class TestParallelService:
 
     def test_one_pool_is_shared_by_every_session_and_table(self, table):
         parallel = AdvisorService(
-            table, batch_window=0.0, workers=2, partitions=2
+            table, batch_window=0.0, workers=2, backend="memory?partitions=2"
         )
         assert parallel.pool is not None
         assert parallel.pool.workers == 2
@@ -309,7 +309,7 @@ class TestParallelService:
         assert other.advisor.engine.pool is parallel.pool
         stats = parallel.stats()
         assert stats["parallel"]["workers"] == 2
-        assert stats["parallel"]["partitions"] == 2
+        assert stats["tables"]["voc"]["backend"]["partitions"] == 2
         assert stats["parallel"]["pool"]["tasks"] > 0
 
     def test_parallel_service_answers_match_sequential(self, table):
@@ -324,7 +324,9 @@ class TestParallelService:
             ]
 
         sequential = AdvisorService(table, batch_window=0.0)
-        parallel = AdvisorService(table, batch_window=0.0, workers=2, partitions=4)
+        parallel = AdvisorService(
+            table, batch_window=0.0, workers=2, backend="memory?partitions=4"
+        )
         expected = fingerprint(
             sequential.open_session("a", context=_CONTEXT).current_advice()
         )
@@ -338,7 +340,9 @@ class TestParallelService:
             table.column_names, users=4, steps=2, seed=5
         )
         sequential = AdvisorService(table, batch_window=0.0)
-        parallel = AdvisorService(table, batch_window=0.0, workers=2, partitions=2)
+        parallel = AdvisorService(
+            table, batch_window=0.0, workers=2, backend="memory?partitions=2"
+        )
         report_a = serve(sequential, scripts, workers=2)
         report_b = serve(parallel, scripts, workers=2)
         assert not report_a.errors and not report_b.errors

@@ -216,7 +216,7 @@ class TestCommands:
         [
             ["--approximate"],
             ["--approximate", "--backend", "sqlite"],
-            ["--sample", "0.5"],
+            ["--backend", "memory?sample=0.5&seed=42"],
             ["--backend", "memory?sample=0.5"],
         ],
     )
@@ -245,11 +245,11 @@ class TestCommands:
         ]
         assert main(arguments) == 0
         sequential = capsys.readouterr().out
-        assert main([*arguments, "--workers", "2", "--partitions", "3"]) == 0
+        assert main([*arguments, "--backend", "memory?workers=2&partitions=3"]) == 0
         parallel = capsys.readouterr().out
         assert parallel == sequential
 
-    def test_serve_with_engine_workers_and_partitions(self, capsys):
+    def test_serve_with_workers_and_a_sharded_spec(self, capsys):
         exit_code = main(
             [
                 "serve",
@@ -259,8 +259,7 @@ class TestCommands:
                 "--users", "3",
                 "--steps", "2",
                 "--workers", "2",
-                "--engine-workers", "2",
-                "--partitions", "2",
+                "--backend", "memory?partitions=2",
             ]
         )
         assert exit_code == 0
