@@ -8,15 +8,16 @@ simplicity, and lets the user drill into any piece.
 Package layout
 --------------
 * :mod:`repro.sdl` — the Segmentation Description Language (predicates,
-  queries, segmentations, parser/formatter, partition validation);
+  queries, segmentations, parser/formatter, the partition check);
 * :mod:`repro.storage` — the in-memory column-store substrate (standing in
   for MonetDB): tables, the query engine, profiling, sampling, SQL glue;
 * :mod:`repro.backends` — the :class:`ExecutionBackend` protocol, the
   SQLite backend and the backend specs (``"memory"``, ``"sqlite"``, …)
   that make Charles a true front-end for SQL systems;
 * :mod:`repro.core` — the paper's contribution: CUT / COMPOSE / product,
-  quality metrics, the HB-cuts heuristic, ranking, the Charles facade,
-  interactive sessions, quantile/lazy extensions and baselines;
+  quality metrics, the HB-cuts heuristic, ranking, the Charles facade and
+  interactive sessions, plus the §5.2 extensions a user reaches (the
+  surprise ranker, lazy advice, quantile cuts) and E9's baselines;
 * :mod:`repro.live` — the live data subsystem: versioned mutable tables
   (:class:`VersionedTable`) and the data-version plumbing behind cache
   invalidation and advice staleness;
@@ -91,18 +92,18 @@ _EXPORTS: Dict[str, str] = {
         )),
         ("repro.storage", (
             "DataType", "Table", "PartitionedTable", "QueryEngine", "ResultCache",
-            "load_csv", "parse_where", "profile_table", "query_to_sql",
+            "load_csv", "parse_where", "query_to_sql",
         )),
         ("repro.live", ("VersionedTable",)),
         ("repro.core", (
-            "Charles", "Advice", "RankedAnswer", "HBCuts", "HBCutsConfig", "hb_cuts",
+            "Charles", "Advice", "RankedAnswer", "HBCuts", "HBCutsConfig",
             "cut_query", "cut_segmentation", "compose", "product", "entropy", "indep",
             "EntropyRanker", "WeightedRanker", "ExplorationSession", "LazyAdvisor",
         )),
         ("repro.service", ("AdvisorService", "ServiceSession")),
         ("repro.api", ("AdvisorHTTPServer", "RemoteAdvisor", "RemoteSession")),
         ("repro.workloads", (
-            "ServiceReport", "generate_voc", "generate_astronomy", "generate_weblog",
+            "generate_voc", "generate_astronomy", "generate_weblog",
             "generate_concurrent_workload",
         )),
         ("repro.viz", ("pie_chart", "treemap", "render_advice")),

@@ -44,7 +44,6 @@ from repro.errors import ProtocolError, WireFormatError, error_code_registry
 __all__ = [
     "API_VERSION",
     "OPERATIONS",
-    "Operation",
     "PARAM_KINDS",
     "Request",
     "Response",

@@ -66,7 +66,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.obs.metrics import MetricsRegistry
     from repro.service.service import AdvisorService
 
-__all__ = ["AdvisorHTTPServer", "HTTPFront", "HTTPFrontServer"]
+__all__ = ["AdvisorHTTPServer", "HTTPFrontServer"]
 
 #: Maximum accepted request body, a guard against runaway clients.
 _MAX_BODY_BYTES = 8 * 1024 * 1024

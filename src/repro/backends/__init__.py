@@ -18,10 +18,10 @@ package owns that contract:
   ``"sqlite:///path.db#table"``.
 """
 
-from repro.backends.approx import ApproxEngine, Estimate
+from repro.backends.approx import ApproxEngine
 from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.backends.pool import ExecutorPool
-from repro.backends.registry import BackendSpec, open_backend
+from repro.backends.registry import open_backend
 from repro.backends.sqlite import SQLiteBackend
 
 __all__ = [
@@ -29,8 +29,6 @@ __all__ = [
     "BackendWrapper",
     "ExecutorPool",
     "ApproxEngine",
-    "Estimate",
     "SQLiteBackend",
-    "BackendSpec",
     "open_backend",
 ]

@@ -58,13 +58,7 @@ from repro.errors import BackendError
 from repro.sdl.query import SDLQuery
 from repro.storage.engine import OperationCounter
 
-__all__ = [
-    "CONFIDENCE",
-    "INTERACTIVE_SAMPLE_ROWS",
-    "sampling_error_bound",
-    "Estimate",
-    "ApproxEngine",
-]
+__all__ = ["INTERACTIVE_SAMPLE_ROWS", "ApproxEngine"]
 
 #: Confidence of every reported bound.
 CONFIDENCE = 0.99

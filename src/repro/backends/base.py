@@ -30,11 +30,12 @@ Optional capabilities
 ---------------------
 Two members are deliberately *not* part of the protocol because they
 expose in-memory representations: ``evaluate(query) -> mask`` and the
-``table`` attribute.  Callers
-that need them — the profiler's fast path, the partition validator, the
+``table`` attribute.  Callers that need them — the partition check, the
 histogram renderer — must check for them (``getattr(backend, "table",
-None)``) and degrade gracefully; :func:`repro.storage.statistics.profile_backend`
-is the aggregate-only fallback used by ``Charles.profile``.
+None)``) and degrade gracefully.  A third, ``dtype_of(attribute)``, is
+what :func:`repro.storage.statistics.profile_backend` (``Charles.profile``)
+reads besides the protocol's aggregates; the in-memory engine and
+:class:`~repro.backends.sqlite.SQLiteBackend` both have it.
 """
 
 from __future__ import annotations

@@ -34,7 +34,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, TypeVar
 
 from repro.errors import BackendError
 
-__all__ = ["ExecutorPool", "resolve_workers"]
+__all__ = ["ExecutorPool"]
 
 T = TypeVar("T")
 R = TypeVar("R")

@@ -46,7 +46,7 @@ from repro.storage.cache import ResultCache
 from repro.storage.engine import QueryEngine, resolve_index_features
 from repro.storage.table import Table
 
-__all__ = ["BackendSpec", "open_backend"]
+__all__ = ["open_backend"]
 
 
 @dataclass(frozen=True)

@@ -33,12 +33,13 @@ from repro.api.protocol import OPERATIONS
 from repro.errors import CharlesError
 
 if TYPE_CHECKING:  # each command imports what it runs: `cluster serve` no engine
+    from repro.backends.base import ExecutionBackend
     from repro.cluster.specs import TableSpec
     from repro.core.advisor import Charles
     from repro.service import AdvisorService
     from repro.storage.table import Table
 
-__all__ = ["main", "build_parser"]
+__all__ = ["main"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,7 +279,7 @@ def _load_table(args: argparse.Namespace) -> Table:
     return _table_spec(args).load()
 
 
-def _make_ranker(name: str, table: Table):
+def _make_ranker(name: str, engine: ExecutionBackend):
     from repro.core.ranking import EntropyRanker, LexicographicRanker, WeightedRanker
 
     if name == "weighted":
@@ -286,14 +287,17 @@ def _make_ranker(name: str, table: Table):
     if name == "lexicographic":
         return LexicographicRanker()
     if name == "surprise":
-        from repro.backends.registry import open_backend
         from repro.core.interestingness import SurpriseRanker
 
-        return SurpriseRanker(engine=open_backend("memory", table))
+        return SurpriseRanker(engine=engine)
     return EntropyRanker()
 
 
 def _make_advisor(table: Table, args: argparse.Namespace) -> Charles:
+    """The advisor the advise/explore/segment commands run; a ranker that
+    issues queries (``--ranker surprise``) runs them on the advisor's own
+    backend."""
+    from repro.backends.registry import open_backend
     from repro.core.advisor import Charles
     from repro.core.hbcuts import HBCutsConfig
 
@@ -301,11 +305,11 @@ def _make_advisor(table: Table, args: argparse.Namespace) -> Charles:
         max_indep=getattr(args, "max_indep", 0.99),
         max_depth=getattr(args, "max_depth", 12),
     )
+    engine = open_backend(getattr(args, "backend", None) or "memory", table)
     return Charles(
-        table,
+        engine,
         config=config,
-        ranker=_make_ranker(getattr(args, "ranker", "entropy"), table),
-        backend=getattr(args, "backend", None) or "memory",
+        ranker=_make_ranker(getattr(args, "ranker", "entropy"), engine),
     )
 
 

@@ -37,10 +37,8 @@ _EXPORTS = {
     "ClusterRouter": "repro.cluster.router",
     "HealthMonitor": "repro.cluster.health",
     "NodeHandle": "repro.cluster.nodes",
-    "NodeStatus": "repro.cluster.health",
     "NodeSupervisor": "repro.cluster.nodes",
     "RouterHTTPServer": "repro.cluster.router",
-    "SessionJournal": "repro.cluster.router",
     "ShardMap": "repro.cluster.shardmap",
     "TableSpec": "repro.cluster.specs",
     "session_key": "repro.cluster.shardmap",

@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Mapping, Optional
 
 from repro.api.client import RemoteAdvisor
 
-__all__ = ["HealthMonitor", "NodeStatus"]
+__all__ = ["HealthMonitor"]
 
 
 @dataclass

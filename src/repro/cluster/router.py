@@ -57,7 +57,7 @@ from repro.errors import (
 from repro.obs import MetricsRegistry, SlowOpLog, current_span, start_trace
 from repro.obs.metrics import render_document
 
-__all__ = ["ClusterRouter", "RouterHTTPServer", "SessionJournal"]
+__all__ = ["ClusterRouter", "RouterHTTPServer"]
 
 
 def _envelope(op: str, session: str, params: Dict[str, Any]) -> Dict[str, Any]:

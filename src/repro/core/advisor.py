@@ -23,7 +23,7 @@ from repro.sdl.parser import parse_query
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 from repro.storage.sql import parse_where
-from repro.storage.statistics import TableProfile, profile_backend, profile_table
+from repro.storage.statistics import TableProfile, profile_backend
 from repro.storage.table import Table
 from repro.core.hbcuts import HBCuts, HBCutsConfig, HBCutsResult, HBCutsTrace
 from repro.core.metrics import SegmentationScores
@@ -197,7 +197,7 @@ class Charles:
         """The backend's current in-memory snapshot (``None`` for pure SQL).
 
         A property rather than a captured reference: live backends swap
-        snapshots on ingest, and :meth:`profile` must see the newest one.
+        snapshots on ingest, and a reader must see the newest one.
         """
         return getattr(self.engine, "table", None)
 
@@ -381,15 +381,11 @@ class Charles:
         return segmentation
 
     def profile(self, context: ContextLike = None) -> TableProfile:
-        """Statistical profile of the context's result set (CLI ``profile``).
-
-        Backends exposing their in-memory table use the mask-based fast
-        path; pure SQL backends are profiled through aggregates only.
-        """
-        resolved = self.resolve_context(context)
-        if self.table is not None:
-            return profile_table(self.table, context=resolved, engine=self.engine)
-        return profile_backend(self.engine, context=resolved)
+        """Statistical profile of the context's result set (CLI ``profile``),
+        exact on a sampled advisor too."""
+        return profile_backend(
+            self._advice_engine("exact"), context=self.resolve_context(context)
+        )
 
     def count(self, context: ContextLike) -> int:
         """Exact cardinality of a context, on a sampled advisor too."""

@@ -21,7 +21,7 @@ from repro.backends.base import ExecutionBackend
 from repro.core.cut import cut_segmentation
 from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD
 
-__all__ = ["compose", "compose_attributes"]
+__all__ = ["compose"]
 
 
 def compose_attributes(segmentation: Segmentation) -> Sequence[str]:

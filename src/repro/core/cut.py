@@ -8,7 +8,7 @@ number of partitions.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.errors import CannotCutError, PredicateError
 from repro.sdl.query import SDLQuery
@@ -16,16 +16,7 @@ from repro.sdl.segmentation import Segment, Segmentation
 from repro.backends.base import ExecutionBackend
 from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD, median_split
 
-__all__ = ["cut_query", "cut_segmentation", "can_cut"]
-
-
-def can_cut(engine: ExecutionBackend, query: SDLQuery, attribute: str) -> bool:
-    """Whether ``CUT_attribute(query)`` is defined (>= 2 distinct values)."""
-    try:
-        median_split(engine, query, attribute)
-    except CannotCutError:
-        return False
-    return True
+__all__ = ["cut_query", "cut_segmentation"]
 
 
 def cut_query(

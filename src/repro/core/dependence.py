@@ -8,15 +8,15 @@ statistical hypothesis testing.  This module provides both:
 
 * information-theoretic measures computed from the product contingency
   table (mutual information, normalised INDEP);
-* a chi-square (and G-test) independence test with p-values, plus Cramér's
-  V as an effect size, usable as an alternative stopping rule (ablation E7).
+* a chi-square independence test with p-values, plus Cramér's V as an
+  effect size, usable as an alternative stopping rule (ablation E7).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -27,11 +27,8 @@ from repro.core.product import product_counts
 __all__ = [
     "contingency_table",
     "mutual_information",
-    "indep_from_table",
     "cramers_v",
     "chi_square_test",
-    "g_test",
-    "DependenceReport",
     "analyse_dependence",
 ]
 
@@ -105,7 +102,7 @@ def _chi2_sf(statistic: float, dof: int) -> float:
     """
     from scipy.special import chdtrc
 
-    # A G statistic can round to just below 0, where chi2.sf is 1 and chdtrc NaN.
+    # Below 0, chi2.sf is 1 and chdtrc NaN.
     return float(chdtrc(dof, max(statistic, 0.0)))
 
 
@@ -120,19 +117,6 @@ def chi_square_test(table: np.ndarray) -> Tuple[float, float, int]:
     expected = _expected_counts(table)
     mask = expected > 0
     statistic = float(((table[mask] - expected[mask]) ** 2 / expected[mask]).sum())
-    rows = int((table.sum(axis=1) > 0).sum())
-    columns = int((table.sum(axis=0) > 0).sum())
-    dof = max(1, (rows - 1) * (columns - 1))
-    p_value = _chi2_sf(statistic, dof)
-    return statistic, p_value, dof
-
-
-def g_test(table: np.ndarray) -> Tuple[float, float, int]:
-    """Likelihood-ratio (G) independence test; same return shape as the chi-square."""
-    table = np.asarray(table, dtype=np.float64)
-    expected = _expected_counts(table)
-    mask = (table > 0) & (expected > 0)
-    statistic = float(2.0 * (table[mask] * np.log(table[mask] / expected[mask])).sum())
     rows = int((table.sum(axis=1) > 0).sum())
     columns = int((table.sum(axis=0) > 0).sum())
     dof = max(1, (rows - 1) * (columns - 1))
@@ -186,22 +170,3 @@ def analyse_dependence(
         cramers_v=cramers_v(table),
     )
 
-
-def pairwise_indep_matrix(
-    engine: ExecutionBackend, segmentations: Sequence[Segmentation]
-) -> List[List[float]]:
-    """Symmetric matrix of INDEP values over a list of segmentations.
-
-    Diagonal entries are set to 1.0 by convention.  Used by examples and
-    the E4 benchmark to visualise the dependency structure of a dataset.
-    """
-    size = len(segmentations)
-    matrix = [[1.0] * size for _ in range(size)]
-    for i in range(size):
-        for j in range(i + 1, size):
-            value = indep_from_table(
-                contingency_table(engine, segmentations[i], segmentations[j])
-            )
-            matrix[i][j] = value
-            matrix[j][i] = value
-    return matrix

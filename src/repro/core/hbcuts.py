@@ -47,7 +47,7 @@ from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD
 from repro.core.metrics import entropy, indep_from_entropies
 from repro.core.product import assemble_product, product_cells
 
-__all__ = ["HBCutsConfig", "HBCutsTrace", "HBCutsResult", "HBCuts", "hb_cuts"]
+__all__ = ["HBCutsConfig", "HBCutsTrace", "HBCutsResult", "HBCuts"]
 
 #: The INDEP threshold the paper reports as satisfying for most datasets.
 DEFAULT_MAX_INDEP = 0.99
@@ -360,19 +360,3 @@ class HBCuts:
                 # The pair is not significantly dependent: stop composing.
                 return True
         return False
-
-
-def hb_cuts(
-    engine: ExecutionBackend,
-    context: SDLQuery,
-    max_indep: float = DEFAULT_MAX_INDEP,
-    max_depth: int = DEFAULT_MAX_DEPTH,
-    **config_options,
-) -> HBCutsResult:
-    """Functional wrapper around :class:`HBCuts` matching the paper's signature.
-
-    ``HB_CUTS(query, maxIndep, maxDepth)`` from Figure 4, plus any extra
-    :class:`HBCutsConfig` option as a keyword argument.
-    """
-    config = HBCutsConfig(max_indep=max_indep, max_depth=max_depth, **config_options)
-    return HBCuts(config).run(engine, context)

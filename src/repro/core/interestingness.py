@@ -22,21 +22,16 @@ Provided pieces:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
-from repro.core.metrics import SegmentationScores
+from repro.core.metrics import SegmentationScores, score_segmentation
 from repro.core.ranking import Ranker
 
-__all__ = [
-    "divergence_from_counts",
-    "segment_surprise",
-    "segmentation_interestingness",
-    "SurpriseRanker",
-]
+__all__ = ["SurpriseRanker"]
 
 
 def _normalise(counts: Dict, keys: Sequence) -> List[float]:
@@ -130,14 +125,13 @@ class SurpriseRanker(Ranker):
     The score is ``entropy + surprise_weight * interestingness``; with
     ``surprise_weight = 0`` it degenerates to the paper's ordering.  Because
     interestingness needs the engine (it issues frequency queries), the
-    ranker is bound to one engine and caches scores per segmentation
-    identity within a ranking pass.
+    ranker is bound to one engine.  Scores are computed afresh on every
+    call: nothing a ranking pass learns outlives it.
     """
 
     engine: ExecutionBackend = None  # type: ignore[assignment]
     surprise_weight: float = 1.0
     probe_attributes: Optional[Sequence[str]] = None
-    _cache: Dict[int, float] = field(default_factory=dict, repr=False)
 
     name = "surprise"
 
@@ -148,12 +142,7 @@ class SurpriseRanker(Ranker):
             raise ValueError("surprise_weight must be non-negative")
 
     def interestingness(self, segmentation: Segmentation) -> float:
-        key = id(segmentation)
-        if key not in self._cache:
-            self._cache[key] = segmentation_interestingness(
-                self.engine, segmentation, self.probe_attributes
-            )
-        return self._cache[key]
+        return segmentation_interestingness(self.engine, segmentation, self.probe_attributes)
 
     def score(self, scores: SegmentationScores) -> float:
         # Without the segmentation the surprise bonus is unknown; fall back
@@ -164,8 +153,6 @@ class SurpriseRanker(Ranker):
         return scores.entropy + self.surprise_weight * self.interestingness(segmentation)
 
     def rank(self, segmentations: Sequence[Segmentation]):
-        from repro.core.metrics import score_segmentation
-
         scored = []
         for segmentation in segmentations:
             scores = score_segmentation(segmentation)

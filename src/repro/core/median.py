@@ -25,13 +25,7 @@ from repro.sdl.predicates import Predicate, RangePredicate, SetPredicate
 from repro.sdl.query import SDLQuery
 from repro.backends.base import ExecutionBackend
 
-__all__ = [
-    "SplitSpec",
-    "DEFAULT_LOW_CARDINALITY_THRESHOLD",
-    "median_split",
-    "nominal_value_order",
-    "nominal_split_point",
-]
+__all__ = ["DEFAULT_LOW_CARDINALITY_THRESHOLD", "median_split", "nominal_value_order"]
 
 #: Below this number of distinct values a nominal column is ordered by
 #: frequency of occurrence; at or above it, alphabetically (Definition 5:

@@ -10,7 +10,7 @@ binary median cuts on skewed data.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, List, Sequence
 
 from repro.errors import CannotCutError, PredicateError
 from repro.sdl.predicates import RangePredicate, SetPredicate
@@ -22,7 +22,7 @@ from repro.core.median import (
     nominal_value_order,
 )
 
-__all__ = ["quantile_points", "quantile_cut_query", "equal_frequency_segmentation"]
+__all__ = ["quantile_cut_query"]
 
 
 def quantile_points(values: Sequence[Any], quantiles: Sequence[float]) -> List[Any]:
@@ -173,26 +173,3 @@ def _nominal_quantile_predicates(
         raise CannotCutError(attribute, "quantile targets collapse into a single group")
     return [SetPredicate(attribute, frozenset(group)) for group in groups]
 
-
-def equal_frequency_segmentation(
-    engine: ExecutionBackend,
-    query: SDLQuery,
-    attribute: str,
-    pieces: int = 4,
-    low_cardinality_threshold: int = DEFAULT_LOW_CARDINALITY_THRESHOLD,
-) -> Segmentation:
-    """An equal-frequency ``pieces``-way split of one attribute.
-
-    Convenience wrapper around :func:`quantile_cut_query` with evenly
-    spaced quantiles (terciles for ``pieces=3``, quartiles for 4, ...).
-    """
-    if pieces < 2:
-        raise CannotCutError(attribute, f"pieces must be at least 2, got {pieces}")
-    quantiles = [i / pieces for i in range(1, pieces)]
-    return quantile_cut_query(
-        engine,
-        query,
-        attribute,
-        quantiles=quantiles,
-        low_cardinality_threshold=low_cardinality_threshold,
-    )

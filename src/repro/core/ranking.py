@@ -26,7 +26,6 @@ __all__ = [
     "EntropyRanker",
     "WeightedRanker",
     "LexicographicRanker",
-    "rank_segmentations",
 ]
 
 
@@ -147,9 +146,3 @@ class LexicographicRanker(Ranker):
                 key.append(-float(scores.simplicity))
         return tuple(key)
 
-
-def rank_segmentations(
-    segmentations: Sequence[Segmentation], ranker: Ranker | None = None
-) -> List[Tuple[Segmentation, SegmentationScores]]:
-    """Rank segmentations with the given ranker (entropy by default)."""
-    return (ranker or EntropyRanker()).rank(segmentations)

@@ -25,7 +25,7 @@ from repro.sdl.formatter import format_segment_label
 from repro.sdl.query import SDLQuery
 from repro.core.advisor import Advice, Charles, ContextLike
 
-__all__ = ["ExplorationStep", "ExplorationSession"]
+__all__ = ["ExplorationSession"]
 
 
 @dataclass

@@ -36,13 +36,7 @@ from bisect import bisect_left
 from itertools import accumulate
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MergeableQuantileSketch",
-    "MetricsRegistry",
-]
+__all__ = ["MergeableQuantileSketch", "MetricsRegistry"]
 
 #: Quantiles every histogram exposes in the Prometheus rendering.
 SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)

@@ -10,7 +10,7 @@ contains:
   (:mod:`repro.sdl.segmentation`);
 * a parser and formatter for the textual syntax
   (:mod:`repro.sdl.parser`, :mod:`repro.sdl.formatter`);
-* partition validation against Definition 3 (:mod:`repro.sdl.validation`).
+* the partition check of Definition 3 (:mod:`repro.sdl.validation`).
 """
 
 from repro.sdl.predicates import (
@@ -20,23 +20,12 @@ from repro.sdl.predicates import (
     RangePredicate,
     SetPredicate,
     intersect_predicates,
-    predicate_from_values,
 )
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segment, Segmentation
-from repro.sdl.parser import parse_predicate, parse_query
-from repro.sdl.formatter import (
-    format_query,
-    format_segment_label,
-    format_segmentation,
-    query_signature,
-)
-from repro.sdl.validation import (
-    PartitionReport,
-    check_partition,
-    queries_are_disjoint,
-    validate_partition,
-)
+from repro.sdl.parser import parse_query
+from repro.sdl.formatter import format_segment_label, format_segmentation, query_signature
+from repro.sdl.validation import check_partition
 
 __all__ = [
     "Predicate",
@@ -45,18 +34,12 @@ __all__ = [
     "SetPredicate",
     "ExclusionPredicate",
     "intersect_predicates",
-    "predicate_from_values",
     "SDLQuery",
     "Segment",
     "Segmentation",
     "parse_query",
-    "parse_predicate",
-    "format_query",
     "format_segmentation",
     "format_segment_label",
     "query_signature",
-    "PartitionReport",
     "check_partition",
-    "validate_partition",
-    "queries_are_disjoint",
 ]

@@ -20,12 +20,7 @@ from repro.sdl.predicates import Predicate
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 
-__all__ = [
-    "format_query",
-    "format_segmentation",
-    "format_segment_label",
-    "query_signature",
-]
+__all__ = ["format_segmentation", "format_segment_label", "query_signature"]
 
 
 def format_query(query: SDLQuery, include_unconstrained: bool = True) -> str:

@@ -23,7 +23,7 @@ set) are taken verbatim.  Whitespace is insignificant.
 from __future__ import annotations
 
 import re
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from repro.errors import SDLSyntaxError
 from repro.sdl.predicates import (
@@ -35,7 +35,7 @@ from repro.sdl.predicates import (
 )
 from repro.sdl.query import SDLQuery
 
-__all__ = ["parse_query", "parse_predicate", "parse_literal"]
+__all__ = ["parse_query"]
 
 _TOKEN_RE = re.compile(
     r"""
@@ -76,17 +76,6 @@ def _tokenise(text: str) -> List[_Token]:
             continue
         tokens.append(_Token(kind, match.group(), match.start()))
     return tokens
-
-
-def parse_literal(text: str) -> Any:
-    """Parse a single SDL literal: number, quoted string, or bareword."""
-    stripped = text.strip()
-    if not stripped:
-        raise SDLSyntaxError("empty literal", text=text)
-    tokens = _tokenise(stripped)
-    if len(tokens) != 1:
-        raise SDLSyntaxError(f"expected a single literal, got {stripped!r}", text=text)
-    return _literal_value(tokens[0])
 
 
 def _literal_value(token: _Token) -> Any:

@@ -26,7 +26,7 @@ engine caches selection masks keyed by query).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, FrozenSet, Iterable, Optional, Tuple
+from typing import Any, FrozenSet, Optional, Tuple
 
 from repro.errors import PredicateError
 
@@ -382,16 +382,3 @@ def _intersect_ranges(
         include_high=include_high,
     )
 
-
-def predicate_from_values(attribute: str, values: Iterable[Any]) -> Predicate:
-    """Build the tightest predicate describing an explicit set of values.
-
-    Numeric collections become a closed range ``[min, max]``; everything
-    else becomes a set constraint.  Used by workload helpers and tests.
-    """
-    materialised = list(values)
-    if not materialised:
-        raise PredicateError(f"cannot build a predicate on {attribute!r} from no values")
-    if all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in materialised):
-        return RangePredicate(attribute, low=min(materialised), high=max(materialised))
-    return SetPredicate(attribute, frozenset(materialised))

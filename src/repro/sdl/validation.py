@@ -15,15 +15,14 @@ package and stays free of circular dependencies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, List, Protocol, Sequence, Tuple
+from typing import Any, List, Protocol, Tuple
 
 import numpy as np
 
-from repro.errors import InvalidPartitionError
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 
-__all__ = ["PartitionReport", "check_partition", "validate_partition", "EngineProtocol"]
+__all__ = ["check_partition"]
 
 
 class EngineProtocol(Protocol):
@@ -108,26 +107,3 @@ def check_partition(engine: EngineProtocol, segmentation: Segmentation) -> Parti
         missing_rows=missing,
         multiply_counted_rows=multiple,
     )
-
-
-def validate_partition(engine: EngineProtocol, segmentation: Segmentation) -> None:
-    """Raise :class:`InvalidPartitionError` unless Definition 3 holds."""
-    report = check_partition(engine, segmentation)
-    if not report.is_partition:
-        raise InvalidPartitionError(report.summary())
-
-
-def queries_are_disjoint(
-    engine: EngineProtocol, queries: Sequence[SDLQuery]
-) -> bool:
-    """Convenience helper: whether the given queries select disjoint row sets."""
-    union = None
-    for query in queries:
-        mask = np.asarray(engine.evaluate(query), dtype=bool)
-        if union is None:
-            union = mask.copy()
-            continue
-        if np.any(union & mask):
-            return False
-        union |= mask
-    return True

@@ -25,7 +25,7 @@ by its :func:`~repro.workloads.concurrent.serve`);
 :class:`~repro.api.client.RemoteAdvisor` clients.
 """
 
-from repro.service.batching import BatchCoordinator, BatchedEngine, BatchStats
+from repro.service.batching import BatchCoordinator, BatchedEngine
 from repro.service.service import AdvisorService
 from repro.service.sessions import ServiceSession
 
@@ -34,5 +34,4 @@ __all__ = [
     "ServiceSession",
     "BatchCoordinator",
     "BatchedEngine",
-    "BatchStats",
 ]

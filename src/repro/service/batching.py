@@ -33,7 +33,7 @@ from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.sdl.formatter import query_signature
 from repro.sdl.query import SDLQuery
 
-__all__ = ["BatchStats", "BatchCoordinator", "BatchedEngine"]
+__all__ = ["BatchCoordinator", "BatchedEngine"]
 
 
 @dataclass

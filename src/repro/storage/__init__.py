@@ -13,7 +13,7 @@ NumPy-backed, dictionary-encoded column store with exactly that surface:
   per-partition map/merge evaluation behind parallel execution;
 * :mod:`repro.storage.cache` — the shared, thread-safe result cache
   (masks and aggregates) engines and the service layer plug into;
-* :mod:`repro.storage.statistics` — column/table profiling;
+* :mod:`repro.storage.statistics` — table profiling (``charles profile``);
 * :mod:`repro.storage.index` — bitmap indexes (E17);
 * :mod:`repro.storage.zonemap` — per-partition zone maps and shard
   skipping (the aggregate hot path's skipping-index tier);
@@ -26,88 +26,54 @@ from repro.storage.types import DataType
 from repro.storage.column import (
     BoolColumn,
     Column,
-    DateColumn,
     NumericColumn,
     StringColumn,
     build_column,
 )
 from repro.storage.table import Table
-from repro.storage.expression import (
-    predicate_implies,
-    predicate_mask,
-    query_mask,
-    refinement_delta,
-)
-from repro.storage.partition import PartitionedTable, partition_bounds
+from repro.storage.expression import query_mask, refinement_delta
+from repro.storage.partition import PartitionedTable
 from repro.storage.cache import CacheStats, ResultCache
 from repro.storage.engine import (
-    INDEX_FEATURES,
     OperationCounter,
     QueryEngine,
     deduplicated_count_batch,
     resolve_index_features,
 )
 from repro.storage.index import BitmapIndex
-from repro.storage.zonemap import SkippingIndexes, ZoneMap
-from repro.storage.statistics import (
-    ColumnProfile,
-    TableProfile,
-    column_entropy,
-    profile_backend,
-    profile_column,
-    profile_table,
-)
+from repro.storage.zonemap import SkippingIndexes
+from repro.storage.statistics import TableProfile, column_entropy, profile_backend
 from repro.storage.sampling import sample_table, uniform_sample_indices
-from repro.storage.sql import (
-    count_query_sql,
-    parse_where,
-    predicate_to_sql,
-    query_to_sql,
-    query_to_where,
-    sql_literal,
-)
-from repro.storage.csv_loader import load_csv, load_csv_text, write_csv
+from repro.storage.sql import count_query_sql, parse_where, query_to_sql, query_to_where
+from repro.storage.csv_loader import load_csv
 
 __all__ = [
     "DataType",
     "Column",
     "NumericColumn",
-    "DateColumn",
     "StringColumn",
     "BoolColumn",
     "build_column",
     "Table",
-    "predicate_mask",
     "query_mask",
-    "predicate_implies",
     "refinement_delta",
     "PartitionedTable",
-    "partition_bounds",
     "QueryEngine",
     "OperationCounter",
-    "INDEX_FEATURES",
     "resolve_index_features",
     "deduplicated_count_batch",
     "ResultCache",
     "CacheStats",
     "BitmapIndex",
     "SkippingIndexes",
-    "ZoneMap",
-    "ColumnProfile",
     "TableProfile",
-    "profile_column",
-    "profile_table",
     "profile_backend",
     "column_entropy",
     "sample_table",
     "uniform_sample_indices",
-    "sql_literal",
-    "predicate_to_sql",
     "query_to_where",
     "query_to_sql",
     "count_query_sql",
     "parse_where",
     "load_csv",
-    "load_csv_text",
-    "write_csv",
 ]

@@ -33,14 +33,7 @@ from repro.storage.types import (
     ordinal_to_date,
 )
 
-__all__ = [
-    "Column",
-    "NumericColumn",
-    "DateColumn",
-    "StringColumn",
-    "BoolColumn",
-    "build_column",
-]
+__all__ = ["Column", "NumericColumn", "StringColumn", "BoolColumn", "build_column"]
 
 
 # Per logical type: the physical NumPy dtype, and the Python scalar types

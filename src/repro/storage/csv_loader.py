@@ -9,15 +9,14 @@ logical type per column unless the caller overrides it.
 from __future__ import annotations
 
 import csv
-import io
 from pathlib import Path
-from typing import Mapping, Optional, Sequence, TextIO, Union
+from typing import Mapping, Optional, TextIO, Union
 
 from repro.errors import CSVFormatError
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
-__all__ = ["load_csv", "load_csv_text", "write_csv"]
+__all__ = ["load_csv"]
 
 
 def load_csv(
@@ -49,19 +48,6 @@ def load_csv(
         return _load_from_stream(
             handle, name=name or path.stem, types=types, delimiter=delimiter, limit=limit
         )
-
-
-def load_csv_text(
-    text: str,
-    name: str = "table",
-    types: Optional[Mapping[str, DataType]] = None,
-    delimiter: str = ",",
-    limit: Optional[int] = None,
-) -> Table:
-    """Load CSV content held in a string (useful in tests and examples)."""
-    return _load_from_stream(
-        io.StringIO(text), name=name, types=types, delimiter=delimiter, limit=limit
-    )
 
 
 def _load_from_stream(
@@ -98,15 +84,3 @@ def _load_from_stream(
     if not data[header[0]]:
         raise CSVFormatError("CSV input contains a header but no data rows")
     return Table.from_dict(data, name=name, types=types)
-
-
-def write_csv(table: Table, path: Union[str, Path], delimiter: str = ",") -> None:
-    """Write a table back out as CSV (decoded values, empty string for missing)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, delimiter=delimiter)
-        writer.writerow(table.column_names)
-        for row in table.iter_rows():
-            writer.writerow(
-                ["" if row[column] is None else row[column] for column in table.column_names]
-            )

@@ -82,6 +82,7 @@ from repro.storage.cache import ResultCache
 from repro.storage.expression import refinement_delta
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
+from repro.storage.types import DataType
 
 if TYPE_CHECKING:  # repro.live sits above this module (see QueryEngine.__init__)
     from repro.live.versioned import LiveState
@@ -89,10 +90,6 @@ if TYPE_CHECKING:  # repro.live sits above this module (see QueryEngine.__init__
 __all__ = [
     "OperationCounter",
     "QueryEngine",
-    "AccessPath",
-    "FANOUT_MIN_ROWS_PER_SHARD",
-    "REUSE_MIN_ROWS",
-    "INDEX_FEATURES",
     "resolve_index_features",
     "aggregate_key",
     "deduplicated_count_batch",
@@ -515,9 +512,13 @@ class QueryEngine:
         """Attributes of the relation, in schema order."""
         return self._refresh().table.column_names
 
+    def dtype_of(self, attribute: str) -> DataType:
+        """The logical type of ``attribute``."""
+        return self._refresh().table.column(attribute).dtype
+
     def is_numeric(self, attribute: str) -> bool:
         """Whether ``attribute`` supports arithmetic medians (paper §4.1)."""
-        return self._refresh().table.column(attribute).dtype.is_numeric
+        return self.dtype_of(attribute).is_numeric
 
     def stats(self) -> Dict[str, Any]:
         """Backend statistics: identity, operation tallies, cache and pool."""

@@ -30,12 +30,7 @@ from repro.sdl.predicates import (
 from repro.sdl.query import SDLQuery
 from repro.storage.table import Table
 
-__all__ = [
-    "predicate_mask",
-    "query_mask",
-    "predicate_implies",
-    "refinement_delta",
-]
+__all__ = ["query_mask", "refinement_delta"]
 
 #: ``bitmaps(attribute) -> BitmapIndex | None`` — an optional provider of
 #: per-column bitmap indexes (see :class:`repro.storage.index.BitmapIndex`).

@@ -40,7 +40,7 @@ from repro.sdl.query import SDLQuery
 from repro.storage.expression import query_mask
 from repro.storage.table import Table
 
-__all__ = ["partition_bounds", "PartitionedTable"]
+__all__ = ["PartitionedTable"]
 
 #: ``map_fn(fn, items) -> list`` — how per-partition work is executed.
 MapFn = Callable[[Callable[[Any], Any], Sequence[Any]], List[Any]]

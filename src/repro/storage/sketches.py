@@ -36,13 +36,7 @@ import numpy as np
 from repro.obs.metrics import MergeableQuantileSketch
 from repro.storage.column import BoolColumn, NumericColumn, StringColumn
 
-__all__ = [
-    "DEFAULT_SKETCH_BUDGET",
-    "DEFAULT_NOMINAL_CAP",
-    "MergeableQuantileSketch",
-    "NominalCountSketch",
-    "TableSketches",
-]
+__all__ = ["MergeableQuantileSketch", "TableSketches"]
 
 #: Default number of weighted items a quantile sketch retains.  512 items
 #: keep the rank error of a single-shard sketch under 0.2% of the rows

@@ -35,14 +35,7 @@ from repro.sdl.predicates import (
 )
 from repro.sdl.query import SDLQuery
 
-__all__ = [
-    "sql_literal",
-    "predicate_to_sql",
-    "query_to_where",
-    "query_to_sql",
-    "count_query_sql",
-    "parse_where",
-]
+__all__ = ["query_to_where", "query_to_sql", "count_query_sql", "parse_where"]
 
 
 def sql_literal(value: Any) -> str:

@@ -3,8 +3,9 @@
 Charles needs a cheap statistical sketch of the context before it starts
 cutting: per-column cardinalities decide the nominal ordering rule of
 Definition 5, and column entropies drive the workload generators' sanity
-checks.  The profiler also powers the ``charles profile`` CLI command and
-the quickstart example.
+checks.  The profiler powers :meth:`Charles.profile
+<repro.core.advisor.Charles.profile>` and the ``charles profile`` CLI
+command.
 """
 
 from __future__ import annotations
@@ -16,28 +17,16 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.sdl.query import SDLQuery
-from repro.storage.column import Column
-from repro.storage.engine import QueryEngine
-from repro.storage.table import Table
 from repro.storage.types import DataType
 
-__all__ = [
-    "ColumnProfile",
-    "TableProfile",
-    "profile_column",
-    "profile_table",
-    "profile_backend",
-    "column_entropy",
-]
+__all__ = ["TableProfile", "profile_backend", "column_entropy"]
 
 
 def column_entropy(frequencies: Dict[Any, int]) -> float:
     """Shannon entropy (natural log) of a value-frequency histogram.
 
     Summed with :func:`math.fsum`, so the result is independent of the
-    histogram's iteration order: a column scanned through its mask and
-    one profiled through aggregates (:func:`profile_backend`) produce the
-    same bits.
+    histogram's iteration order: every backend produces the same bits.
     """
     total = sum(frequencies.values())
     if total == 0:
@@ -138,81 +127,6 @@ class TableProfile:
 _DEFAULT_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
 
 
-def profile_column(
-    column: Column,
-    mask: Optional[np.ndarray] = None,
-    top_k: int = 10,
-    quantiles: Sequence[float] = _DEFAULT_QUANTILES,
-) -> ColumnProfile:
-    """Profile a single column, optionally restricted to a selection mask."""
-    row_count = len(column) if mask is None else int(np.count_nonzero(mask))
-    valid_count = column.count_valid(mask)
-    frequencies = column.value_counts(mask)
-    distinct = len(frequencies)
-    entropy = column_entropy(frequencies)
-    top_values = sorted(frequencies.items(), key=lambda kv: (-kv[1], str(kv[0])))[:top_k]
-
-    minimum = maximum = median = None
-    quantile_values: Dict[float, Any] = {}
-    if valid_count > 0:
-        minimum = column.minimum(mask)
-        maximum = column.maximum(mask)
-        if column.dtype.is_numeric:
-            median = column.median(mask)
-            decoded = [v for v in column.values_list(mask) if v is not None]
-            decoded.sort()
-            for q in quantiles:
-                position = int(round(q * (len(decoded) - 1)))
-                quantile_values[q] = decoded[position]
-
-    return ColumnProfile(
-        name=column.name,
-        dtype=column.dtype,
-        row_count=row_count,
-        valid_count=valid_count,
-        distinct_count=distinct,
-        minimum=minimum,
-        maximum=maximum,
-        median=median,
-        entropy=entropy,
-        top_values=top_values,
-        quantiles=quantile_values,
-    )
-
-
-def profile_table(
-    table: Table,
-    context: Optional[SDLQuery] = None,
-    engine: Optional[QueryEngine] = None,
-    columns: Optional[Sequence[str]] = None,
-    top_k: int = 10,
-) -> TableProfile:
-    """Profile a table, optionally restricted to a context query.
-
-    Parameters
-    ----------
-    table:
-        The relation to profile.
-    context:
-        Optional SDL query; only rows in its result set are profiled.
-    engine:
-        Reused engine (so that profiling benefits from the mask cache);
-        a fresh one is created when omitted and a context is given.
-    columns:
-        Restrict profiling to these columns (defaults to all).
-    """
-    mask = None
-    if context is not None:
-        engine = engine or QueryEngine(table)
-        mask = engine.evaluate(context)
-    names = list(columns) if columns is not None else table.column_names
-    profiles = {
-        name: profile_column(table.column(name), mask, top_k=top_k) for name in names
-    }
-    row_count = table.num_rows if mask is None else int(np.count_nonzero(mask))
-    return TableProfile(table_name=table.name, row_count=row_count, columns=profiles)
-
-
 def profile_backend(
     backend: Any,
     context: Optional[SDLQuery] = None,
@@ -220,15 +134,14 @@ def profile_backend(
     top_k: int = 10,
     quantiles: Sequence[float] = _DEFAULT_QUANTILES,
 ) -> TableProfile:
-    """Profile a relation through an execution backend's aggregates only.
+    """Profile a relation, optionally restricted to a context query.
 
-    The mask-based :func:`profile_table` needs the raw columns in memory;
-    this variant issues nothing but the
-    :class:`~repro.backends.base.ExecutionBackend` protocol operations
-    (counts, min/max, medians, value frequencies), so pure SQL backends
-    such as :class:`~repro.backends.sqlite.SQLiteBackend` can be profiled
-    too.  Quantiles are reconstructed exactly from the cumulative value
-    histogram, so the numbers match the fast path.
+    Issues nothing but aggregates — counts, min/max, medians and value
+    frequencies of the :class:`~repro.backends.base.ExecutionBackend`
+    protocol, plus ``dtype_of`` — so the in-memory engine and a pure SQL
+    backend such as :class:`~repro.backends.sqlite.SQLiteBackend` are
+    profiled the same way.  Quantiles are reconstructed exactly from the
+    cumulative value histogram.
     """
     names = list(columns) if columns is not None else list(backend.column_names)
     row_count = backend.num_rows if context is None else backend.count(context)
@@ -255,9 +168,7 @@ def profile_backend(
                     quantile_values[q] = ordered[index]
         profiles[name] = ColumnProfile(
             name=name,
-            dtype=backend.dtype_of(name) if hasattr(backend, "dtype_of") else (
-                DataType.FLOAT if numeric else DataType.STRING
-            ),
+            dtype=backend.dtype_of(name),
             row_count=row_count,
             valid_count=valid_count,
             distinct_count=len(frequencies),

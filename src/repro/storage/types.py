@@ -23,13 +23,11 @@ from repro.errors import TypeMismatchError
 
 __all__ = [
     "DataType",
-    "infer_value_type",
     "infer_collection_type",
     "coerce_value",
     "is_missing",
     "date_to_ordinal",
     "ordinal_to_date",
-    "parse_date",
 ]
 
 _DATE_FORMATS = ("%Y-%m-%d", "%Y/%m/%d", "%d-%m-%Y", "%d/%m/%Y")

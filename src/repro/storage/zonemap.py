@@ -37,7 +37,6 @@ import numpy as np
 
 from repro.sdl.predicates import (
     ExclusionPredicate,
-    NoConstraint,
     Predicate,
     RangePredicate,
     SetPredicate,
@@ -53,7 +52,7 @@ from repro.storage.expression import query_mask
 from repro.storage.index import BitmapIndex
 from repro.storage.types import DataType, coerce_value, is_missing
 
-__all__ = ["ZoneMap", "SkippingIndexes", "DEFAULT_DISTINCT_CAP"]
+__all__ = ["SkippingIndexes"]
 
 #: Largest distinct-value set a zone map materialises exactly.  Beyond the
 #: cap only min/max/null statistics are kept, which weakens exclusion

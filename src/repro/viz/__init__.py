@@ -6,36 +6,15 @@ information as plain text so examples, the CLI and the benchmarks stay
 headless.
 """
 
-from repro.viz.piechart import compact_pie, pie_chart, slice_fractions
-from repro.viz.treemap import TreemapCell, treemap, treemap_layout
-from repro.viz.histogram import (
-    numeric_sparkline,
-    segment_distributions,
-    value_histogram,
-)
-from repro.viz.multilevel import HierarchyNode, hierarchy_of, multilevel_pie
-from repro.viz.report import (
-    render_advice,
-    render_answer,
-    render_answer_list,
-    render_context,
-)
+from repro.viz.piechart import compact_pie, pie_chart
+from repro.viz.treemap import treemap
+from repro.viz.histogram import segment_distributions
+from repro.viz.report import render_advice
 
 __all__ = [
     "pie_chart",
     "compact_pie",
-    "slice_fractions",
     "treemap",
-    "treemap_layout",
-    "TreemapCell",
-    "value_histogram",
-    "numeric_sparkline",
     "segment_distributions",
-    "HierarchyNode",
-    "hierarchy_of",
-    "multilevel_pie",
     "render_advice",
-    "render_answer",
-    "render_answer_list",
-    "render_context",
 ]

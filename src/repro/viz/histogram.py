@@ -16,7 +16,7 @@ exactly that in plain text:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
 
-__all__ = ["value_histogram", "segment_distributions", "numeric_sparkline"]
+__all__ = ["segment_distributions"]
 
 _BAR = "▇"
 _SPARK_LEVELS = "▁▂▃▄▅▆▇█"

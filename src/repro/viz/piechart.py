@@ -9,13 +9,13 @@ compact one-line variant used in ranked answer lists.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 from repro.errors import VisualizationError
 from repro.sdl.formatter import format_segment_label
 from repro.sdl.segmentation import Segmentation
 
-__all__ = ["pie_chart", "compact_pie", "slice_fractions"]
+__all__ = ["pie_chart", "compact_pie"]
 
 _FULL_BLOCK = "█"
 _LIGHT_BLOCK = "░"

@@ -14,7 +14,7 @@ from repro.core.advisor import Advice, RankedAnswer
 from repro.viz.piechart import compact_pie, pie_chart
 from repro.viz.treemap import treemap
 
-__all__ = ["render_context", "render_answer_list", "render_answer", "render_advice"]
+__all__ = ["render_advice"]
 
 
 def render_context(advice: Advice) -> str:

@@ -16,7 +16,7 @@ from repro.errors import VisualizationError
 from repro.sdl.formatter import format_segment_label
 from repro.sdl.segmentation import Segmentation
 
-__all__ = ["TreemapCell", "treemap_layout", "treemap"]
+__all__ = ["treemap"]
 
 _FILL_GLYPHS = "█▓▒░▞▚▜▛▟▙◆◇"
 

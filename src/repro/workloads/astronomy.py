@@ -22,18 +22,7 @@ from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.workloads.generators import make_rng, numeric_from_category
 
-__all__ = ["generate_astronomy", "ASTRONOMY_COLUMNS"]
-
-ASTRONOMY_COLUMNS = (
-    "object_id",
-    "object_class",
-    "ra",
-    "dec",
-    "field",
-    "magnitude",
-    "redshift",
-    "colour_index",
-)
+__all__ = ["generate_astronomy"]
 
 _CLASSES = ("star", "galaxy", "quasar")
 _CLASS_WEIGHTS = (0.55, 0.35, 0.10)

@@ -26,13 +26,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import AdvisorError, CharlesError, WorkloadError
 
-__all__ = [
-    "UserAction",
-    "UserScript",
-    "generate_concurrent_workload",
-    "ServiceReport",
-    "serve",
-]
+__all__ = ["generate_concurrent_workload", "serve"]
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ All functions are deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -22,12 +22,9 @@ from repro.errors import WorkloadError
 __all__ = [
     "make_rng",
     "batched",
-    "categorical_series",
     "zipf_categorical_series",
     "dependent_categorical_series",
     "numeric_from_category",
-    "mixture_numeric_series",
-    "correlated_numeric_series",
     "year_series",
 ]
 
@@ -175,45 +172,6 @@ def numeric_from_category(
             value = max(minimum, value)
         if maximum is not None:
             value = min(maximum, value)
-        values.append(round(value) if integer else value)
-    return values
-
-
-def mixture_numeric_series(
-    rng: np.random.Generator,
-    rows: int,
-    components: Sequence[Tuple[float, float, float]],
-    integer: bool = False,
-) -> List[float]:
-    """Draw from a Gaussian mixture given ``(weight, mean, std)`` components."""
-    _validate_rows(rows)
-    if not components:
-        raise WorkloadError("at least one mixture component is required")
-    weights = np.asarray([c[0] for c in components], dtype=np.float64)
-    if weights.min() < 0 or weights.sum() <= 0:
-        raise WorkloadError("mixture weights must be non-negative and not all zero")
-    weights = weights / weights.sum()
-    choices = rng.choice(len(components), size=rows, p=weights)
-    values: List[float] = []
-    for choice in choices:
-        _, mean, std = components[int(choice)]
-        value = float(rng.normal(mean, max(1e-9, std)))
-        values.append(round(value) if integer else value)
-    return values
-
-
-def correlated_numeric_series(
-    rng: np.random.Generator,
-    base_values: Sequence[float],
-    slope: float,
-    intercept: float,
-    noise_std: float,
-    integer: bool = False,
-) -> List[float]:
-    """Draw a numeric column linearly correlated with another numeric column."""
-    values: List[float] = []
-    for base in base_values:
-        value = float(intercept + slope * float(base) + rng.normal(0.0, max(1e-9, noise_std)))
         values.append(round(value) if integer else value)
     return values
 

@@ -1,16 +1,15 @@
 """Parametric synthetic tables with controlled dependency structure.
 
-The benchmarks and property-based tests need datasets whose ground truth
-is known exactly: columns that are independent by construction (to verify
-Proposition 1), columns with a tunable dependence strength (to sweep the
-INDEP threshold), arbitrary numbers of attributes (to probe horizontal
-scalability) and rows (vertical scalability), and specific value
-distributions (Gaussian, Zipf) for the quantile-cut study.
+The benchmarks need datasets whose ground truth is known exactly: a pair
+of columns with a tunable dependence strength (Proposition 1, E4), many
+attributes with planted dependent pairs (horizontal scalability, E5), and
+specific value distributions (Gaussian, Zipf) for the quantile-cut study
+(E10).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -20,39 +19,11 @@ from repro.storage.types import DataType
 from repro.workloads.generators import make_rng
 
 __all__ = [
-    "make_independent_table",
     "make_dependent_pair_table",
-    "make_correlated_table",
     "make_wide_table",
-    "make_numeric_table",
     "make_gaussian_table",
     "make_zipf_table",
 ]
-
-
-def make_independent_table(
-    rows: int = 2000,
-    cardinalities: Sequence[int] = (4, 4, 6),
-    seed: Optional[int] = 0,
-    name: str = "independent",
-) -> Table:
-    """Categorical columns drawn independently and uniformly.
-
-    Columns are named ``a0, a1, ...``; column ``ai`` has
-    ``cardinalities[i]`` uniform values ``v0 ... v{k-1}``.  Any pair of
-    columns is independent by construction, so Proposition 1 predicts
-    ``INDEP ≈ 1``.
-    """
-    if rows <= 0:
-        raise WorkloadError(f"rows must be positive, got {rows}")
-    rng = make_rng(seed)
-    data = {}
-    for index, cardinality in enumerate(cardinalities):
-        if cardinality < 2:
-            raise WorkloadError("every cardinality must be at least 2")
-        draws = rng.integers(0, cardinality, size=rows)
-        data[f"a{index}"] = [f"v{int(v)}" for v in draws]
-    return Table.from_dict(data, name=name)
 
 
 def make_dependent_pair_table(
@@ -89,29 +60,6 @@ def make_dependent_pair_table(
     return Table.from_dict(data, name=name)
 
 
-def make_correlated_table(
-    rows: int = 2000,
-    correlation: float = 0.8,
-    seed: Optional[int] = 0,
-    name: str = "correlated",
-) -> Table:
-    """Two numeric columns with the given Pearson correlation, plus an independent one."""
-    if not -1.0 <= correlation <= 1.0:
-        raise WorkloadError(f"correlation must lie in [-1, 1], got {correlation}")
-    rng = make_rng(seed)
-    base = rng.standard_normal(rows)
-    noise = rng.standard_normal(rows)
-    partner = correlation * base + np.sqrt(max(0.0, 1.0 - correlation**2)) * noise
-    independent = rng.standard_normal(rows)
-    data = {
-        "u": [round(float(v), 4) for v in base],
-        "v": [round(float(v), 4) for v in partner],
-        "w": [round(float(v), 4) for v in independent],
-    }
-    types = {"u": DataType.FLOAT, "v": DataType.FLOAT, "w": DataType.FLOAT}
-    return Table.from_dict(data, name=name, types=types)
-
-
 def make_wide_table(
     rows: int = 2000,
     attributes: int = 8,
@@ -146,25 +94,6 @@ def make_wide_table(
         data[f"c{column}"] = [f"r{int(v)}" for v in draws]
         column += 1
     return Table.from_dict(data, name=name)
-
-
-def make_numeric_table(
-    rows: int = 10000,
-    columns: int = 4,
-    seed: Optional[int] = 0,
-    name: str = "numeric",
-) -> Table:
-    """Uniform numeric columns ``n0 ... n{k-1}`` (vertical-scalability bench, E6)."""
-    if columns < 1:
-        raise WorkloadError("at least one column is required")
-    rng = make_rng(seed)
-    data = {
-        f"n{index}": [float(round(v, 4)) for v in rng.uniform(0.0, 1000.0, size=rows)]
-        for index in range(columns)
-    }
-    return Table.from_dict(
-        data, name=name, types={key: DataType.FLOAT for key in data}
-    )
 
 
 def make_gaussian_table(

@@ -31,20 +31,7 @@ from repro.workloads.generators import (
     year_series,
 )
 
-__all__ = ["generate_voc", "VOC_COLUMNS", "FIGURE1_CONTEXT_COLUMNS"]
-
-#: Full schema of the generated table, in column order.
-VOC_COLUMNS = (
-    "trip",
-    "master",
-    "tonnage",
-    "type_of_boat",
-    "built",
-    "yard",
-    "departure_date",
-    "departure_harbour",
-    "cape_arrival",
-)
+__all__ = ["generate_voc", "FIGURE1_CONTEXT_COLUMNS"]
 
 #: The columns ticked in the Figure 1 screenshot's context.
 FIGURE1_CONTEXT_COLUMNS = ("type_of_boat", "departure_harbour", "tonnage")

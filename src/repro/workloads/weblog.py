@@ -25,19 +25,7 @@ from repro.workloads.generators import (
     zipf_categorical_series,
 )
 
-__all__ = ["generate_weblog", "WEBLOG_COLUMNS"]
-
-WEBLOG_COLUMNS = (
-    "request_id",
-    "url_category",
-    "status_code",
-    "response_time_ms",
-    "bytes_sent",
-    "country",
-    "device",
-    "referrer",
-    "hour",
-)
+__all__ = ["generate_weblog"]
 
 _URL_CATEGORIES = (
     "landing", "product", "search", "checkout", "api", "static", "account", "help",

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.backends import ApproxEngine, BackendSpec, open_backend
+from repro.backends import ApproxEngine, open_backend
+from repro.backends.registry import BackendSpec
 from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError
 from repro.sdl import RangePredicate, SDLQuery

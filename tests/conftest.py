@@ -24,13 +24,13 @@ hypothesis_settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 hypothesis_settings.load_profile("dev")
+from builders import make_independent_table
 from repro.storage import QueryEngine, Table
 from repro.workloads import (
     generate_astronomy,
     generate_voc,
     generate_weblog,
     make_dependent_pair_table,
-    make_independent_table,
 )
 
 

@@ -131,6 +131,12 @@ class TestSegmentAndProfile:
         assert profile.column("type_of_boat").distinct_count == 1
         assert profile.row_count == advisor.count("(type_of_boat: {'fluit'}, tonnage:)")
 
+    def test_a_sampled_advisors_profile_is_exact(self, advisor, voc_table):
+        sampled = Charles(voc_table, backend="memory?sample=0.1&seed=3")
+        assert sampled.profile("(type_of_boat: {'fluit'}, tonnage:)") == advisor.profile(
+            "(type_of_boat: {'fluit'}, tonnage:)"
+        )
+
     def test_count(self, advisor, voc_table):
         assert advisor.count(None) == voc_table.num_rows
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import can_cut, cut_query, cut_segmentation
+from repro.core import cut_query, cut_segmentation
 from repro.errors import CannotCutError
 from repro.sdl import RangePredicate, SDLQuery, check_partition
 from repro.storage import QueryEngine, Table
@@ -53,12 +53,6 @@ class TestCutQuery:
         engine = _engine({"x": [1, 1, 1]})
         with pytest.raises(CannotCutError):
             cut_query(engine, SDLQuery.over(["x"]), "x")
-
-    def test_can_cut_helper(self):
-        engine = _engine({"x": [1, 2, 3], "c": ["same"] * 3})
-        context = SDLQuery.over(["x", "c"])
-        assert can_cut(engine, context, "x")
-        assert not can_cut(engine, context, "c")
 
 
 class TestCutSegmentation:

@@ -5,21 +5,19 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from builders import make_independent_table
 from repro.core import (
     analyse_dependence,
     chi_square_test,
     contingency_table,
     cramers_v,
     cut_query,
-    g_test,
-    indep_from_table,
     mutual_information,
-    pairwise_indep_matrix,
 )
-from repro.core.dependence import _chi2_sf
+from repro.core.dependence import _chi2_sf, indep_from_table
 from repro.sdl import SDLQuery
 from repro.storage import QueryEngine
-from repro.workloads import make_dependent_pair_table, make_independent_table
+from repro.workloads import make_dependent_pair_table
 
 
 @pytest.fixture(scope="module")
@@ -93,12 +91,6 @@ class TestStatisticalTests:
         assert statistic == pytest.approx(0.0)
         assert p_value == pytest.approx(1.0)
 
-    def test_g_test_agrees_qualitatively(self):
-        dependent = np.array([[400, 100], [100, 400]], dtype=float)
-        independent = np.array([[250, 250], [250, 250]], dtype=float)
-        assert g_test(dependent)[1] < 0.01
-        assert g_test(independent)[1] > 0.9
-
     # The production code calls scipy.special.chdtrc so that no process
     # imports scipy.stats; these two tests are the one place that does, to
     # show the p-values are exactly the ones chi2.sf gives.
@@ -118,8 +110,7 @@ class TestStatisticalTests:
         assert tails == {0.0, 0.5, 1.0}  # exact 1, interior, and underflow to 0
         assert np.isnan(_chi2_sf(float("nan"), 3))
 
-    @pytest.mark.parametrize("test", [chi_square_test, g_test])
-    def test_p_values_equal_scipy_stats_on_tables(self, test):
+    def test_p_values_equal_scipy_stats_on_tables(self):
         from scipy.stats import chi2
 
         for rows, columns in [(2, 2), (2, 3), (3, 3), (2, 8), (5, 6), (12, 12)]:
@@ -129,7 +120,7 @@ class TestStatisticalTests:
             for scale in [1e-9, 1e-3, 1.0, 40.0, 1e4, 1e9]:
                 for mix in [0.0, 1e-12, 1e-6, 0.01, 0.3, 1.0]:
                     table = scale * ((1 - mix) * independent + mix * diagonal)
-                    statistic, p_value, dof = test(table)
+                    statistic, p_value, dof = chi_square_test(table)
                     assert p_value == float(chi2.sf(statistic, dof)), (table, statistic, dof)
 
     def test_cramers_v_range(self):
@@ -154,17 +145,3 @@ class TestAnalyseDependence:
         report = analyse_dependence(independent_engine, first, second)
         assert report.indep > 0.98
         assert not report.is_dependent(alpha=0.001)
-
-
-class TestPairwiseMatrix:
-    def test_symmetric_with_unit_diagonal(self, dependent_engine):
-        cuts = _cuts(dependent_engine, ["x", "y", "z"])
-        matrix = pairwise_indep_matrix(dependent_engine, cuts)
-        assert len(matrix) == 3
-        for i in range(3):
-            assert matrix[i][i] == 1.0
-            for j in range(3):
-                assert matrix[i][j] == pytest.approx(matrix[j][i])
-        # The planted x-y dependence is the lowest off-diagonal value.
-        off_diagonal = {(0, 1): matrix[0][1], (0, 2): matrix[0][2], (1, 2): matrix[1][2]}
-        assert min(off_diagonal, key=off_diagonal.get) == (0, 1)

@@ -4,21 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import (
-    HBCuts,
-    HBCutsConfig,
-    entropy,
-    hb_cuts,
-)
+from builders import make_independent_table
+from repro.core import HBCuts, HBCutsConfig, entropy
 from repro.errors import AdvisorError
 from repro.sdl import SDLQuery, check_partition
 from repro.storage import QueryEngine, Table
-from repro.workloads import (
-    generate_voc,
-    make_dependent_pair_table,
-    make_independent_table,
-    make_wide_table,
-)
+from repro.workloads import generate_voc, make_dependent_pair_table, make_wide_table
 
 
 @pytest.fixture(scope="module")
@@ -162,17 +153,7 @@ class TestTraceAndReuse:
         assert all(segmentation.cut_attributes == ("tonnage",) for segmentation in result)
 
 
-class TestFunctionalWrapper:
-    def test_hb_cuts_signature(self, voc_engine):
-        result = hb_cuts(
-            voc_engine,
-            SDLQuery.over(["type_of_boat", "tonnage"]),
-            max_indep=0.95,
-            max_depth=8,
-        )
-        assert len(result) >= 2
-        assert result.best().depth <= 8
-
+class TestResult:
     def test_result_is_indexable_and_iterable(self, voc_engine):
-        result = hb_cuts(voc_engine, SDLQuery.over(["type_of_boat", "tonnage"]))
+        result = HBCuts().run(voc_engine, SDLQuery.over(["type_of_boat", "tonnage"]))
         assert result[0] is list(iter(result))[0]

@@ -6,17 +6,16 @@ import math
 
 import pytest
 
-from repro.core import (
-    Charles,
-    SurpriseRanker,
-    cut_query,
+from builders import make_independent_table
+from repro.core import Charles, SurpriseRanker, cut_query
+from repro.core.interestingness import (
     divergence_from_counts,
     segment_surprise,
     segmentation_interestingness,
 )
 from repro.sdl import SDLQuery, SetPredicate
-from repro.storage import QueryEngine, Table
-from repro.workloads import generate_voc, make_independent_table
+from repro.storage import QueryEngine
+from repro.workloads import generate_voc
 
 
 @pytest.fixture(scope="module")
@@ -133,3 +132,31 @@ class TestSurpriseRanker:
         assert advice.ranker_name == "surprise"
         scores = [answer.score for answer in advice]
         assert scores == sorted(scores, reverse=True)
+
+    def test_scores_never_outlive_an_advise(self):
+        # Segmentations die between advises, and a freed one's id() is
+        # reused by the next: a score remembered by identity would be
+        # handed to a different segmentation.  Every advise must rank
+        # exactly as a ranker that never ranked before.
+        table = generate_voc(rows=3000, seed=7)
+        contexts = [
+            ["type_of_boat", "tonnage", "departure_harbour"],
+            ["master", "built", "yard"],
+            ["tonnage", "built", "departure_date"],
+            ["yard", "departure_harbour", "cape_arrival"],
+            ["type_of_boat", "master", "tonnage", "built"],
+        ]
+
+        def ranking(advice):
+            return [(answer.attributes, answer.score) for answer in advice]
+
+        def fresh(context):
+            engine = QueryEngine(table)
+            return Charles(engine, ranker=SurpriseRanker(engine=engine)).advise(context)
+
+        expected = [ranking(fresh(context)) for context in contexts]
+        engine = QueryEngine(table)
+        advisor = Charles(engine, ranker=SurpriseRanker(engine=engine))
+        for _ in range(3):
+            for context, want in zip(contexts, expected):
+                assert ranking(advisor.advise(context)) == want

@@ -6,11 +6,12 @@ import math
 
 import pytest
 
+from builders import make_independent_table
 from repro.core import cut_query, entropy, indep, product, product_counts
 from repro.errors import CompositionError
 from repro.sdl import SDLQuery, check_partition
 from repro.storage import QueryEngine, Table
-from repro.workloads import make_dependent_pair_table, make_independent_table
+from repro.workloads import make_dependent_pair_table
 
 
 def _figure2_engine() -> QueryEngine:

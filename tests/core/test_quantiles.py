@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import equal_frequency_segmentation, quantile_cut_query, quantile_points
+from repro.core import quantile_cut_query
+from repro.core.quantiles import quantile_points
 from repro.errors import CannotCutError
 from repro.sdl import SDLQuery, check_partition
 from repro.storage import QueryEngine, Table
@@ -44,7 +45,9 @@ class TestNumericQuantileCut:
 
     def test_quartile_cut(self):
         engine = _engine({"x": list(range(100))})
-        segmentation = equal_frequency_segmentation(engine, SDLQuery.over(["x"]), "x", pieces=4)
+        segmentation = quantile_cut_query(
+            engine, SDLQuery.over(["x"]), "x", quantiles=(0.25, 0.5, 0.75)
+        )
         assert segmentation.depth == 4
         assert check_partition(engine, segmentation).is_partition
 
@@ -72,16 +75,13 @@ class TestNumericQuantileCut:
         with pytest.raises(CannotCutError):
             quantile_cut_query(engine, context, "x")
 
-    def test_invalid_pieces_rejected(self):
-        engine = _engine({"x": [1, 2, 3, 4]})
-        with pytest.raises(CannotCutError):
-            equal_frequency_segmentation(engine, SDLQuery.over(["x"]), "x", pieces=1)
-
     def test_skewed_data_collapses_gracefully(self):
         # 80% of the mass on one value: some quantile points coincide, the
         # cut still returns at least two valid pieces.
         engine = _engine({"x": [1] * 80 + list(range(2, 22))})
-        segmentation = equal_frequency_segmentation(engine, SDLQuery.over(["x"]), "x", pieces=4)
+        segmentation = quantile_cut_query(
+            engine, SDLQuery.over(["x"]), "x", quantiles=(0.25, 0.5, 0.75)
+        )
         assert segmentation.depth >= 2
         assert check_partition(engine, segmentation).is_partition
 

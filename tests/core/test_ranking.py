@@ -8,7 +8,6 @@ from repro.core import (
     EntropyRanker,
     LexicographicRanker,
     WeightedRanker,
-    rank_segmentations,
     score_segmentation,
 )
 from repro.errors import AdvisorError
@@ -40,9 +39,6 @@ class TestEntropyRanker:
         ranked = EntropyRanker().rank(candidates)
         assert ranked[0][0] is candidates[1]
         assert ranked[-1][0] is candidates[2]
-
-    def test_rank_segmentations_defaults_to_entropy(self, candidates):
-        assert rank_segmentations(candidates)[0][0] is candidates[1]
 
     def test_scores_are_attached(self, candidates):
         ranked = EntropyRanker().rank(candidates)

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Charles, ExplorationSession, ExplorationStep
+from repro.core import Charles, ExplorationSession
+from repro.core.session import ExplorationStep
 from repro.errors import SessionError
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from builders import write_csv
 from repro.core import (
     Charles,
     ExplorationSession,
@@ -12,7 +13,7 @@ from repro.core import (
     entropy,
 )
 from repro.sdl import check_partition, parse_query
-from repro.storage import QueryEngine, load_csv, write_csv
+from repro.storage import QueryEngine, load_csv
 from repro.viz import render_advice
 from repro.workloads import (
     FIGURE1_CONTEXT_COLUMNS,

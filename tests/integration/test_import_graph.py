@@ -173,7 +173,7 @@ def test_a_serving_router_loads_no_numpy_and_no_engine():
 
 
 def test_every_public_name_resolves():
-    assert len(repro.__all__) == 55
+    assert len(repro.__all__) == 52
     for name in repro.__all__:
         assert getattr(repro, name) is not None, name
     assert set(repro.__all__) <= set(dir(repro))

@@ -8,6 +8,9 @@ under ``src/repro``.  What each one guards:
   concrete engines, everything else programs against ``ExecutionBackend``;
 * protocol width: every ``ExecutionBackend`` member is used somewhere
   above ``storage/`` and ``backends/``, or it is not in the protocol;
+* public width: every ``__all__`` name of a module is used outside it (in
+  ``src/repro``, the examples, ``bench/`` or benchmarks E1–E9), or it
+  leaves ``__all__``; a package ``__init__`` re-exports only such names;
 * lock discipline: a class that owns a ``Lock``/``RLock`` mutates its
   ``self._*`` state only under ``with self.<lock>:`` (``__init__``,
   ``__post_init__`` and ``*_locked`` helpers excepted);
@@ -26,6 +29,7 @@ a required keyword argument, so such a call is a ``TypeError``.
 from __future__ import annotations
 
 import ast
+import importlib
 import inspect
 import re
 import subprocess
@@ -184,6 +188,157 @@ def test_every_backend_protocol_member_has_a_caller_above_the_backends():
 def test_protocol_use_shapes(member, source, uncalled):
     assert uncalled_members([member], {"repro.core.x": source}) == uncalled
     assert uncalled_members([member], {"repro.storage.x": source}) == [member]
+
+
+# -- every public name has a caller -----------------------------------------------
+
+
+def referenced_names(source: str) -> Set[str]:
+    """The identifiers a source uses: names, attributes, imported names and
+    the words of its string literals (a wrap target ``"module:Class.method"``
+    names what it wraps).  A docstring or a comment is prose, not a use."""
+    tree = ast.parse(source)
+    docstrings = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and ast.get_docstring(node, clean=False) is not None
+    }
+    names: Set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if id(node) not in docstrings:
+                names.update(re.findall(r"\w+", node.value))
+    return names
+
+
+def public_names(source: str) -> Optional[List[str]]:
+    """A module's ``__all__`` when it is a literal list, else ``None``."""
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            try:
+                return list(ast.literal_eval(node.value))
+            except ValueError:
+                return None
+    return None
+
+
+def uncalled_public_names(sources: Dict[str, str], callers: Dict[str, str]) -> List[str]:
+    """``module.name`` for each ``__all__`` name of a module that no other
+    module and no caller file uses.  A package ``__init__`` only re-exports,
+    so it neither declares names here nor counts as a use."""
+    modules = {module: source for module, source in sources.items() if not module.endswith("__init__")}
+    used = {module: referenced_names(source) for module, source in {**modules, **callers}.items()}
+    return sorted(
+        f"{module}.{name}"
+        for module, source in modules.items()
+        for name in public_names(source) or []
+        if not any(name in names for other, names in used.items() if other != module)
+    )
+
+
+def _callers() -> Dict[str, str]:
+    """Where a caller outside ``src/repro`` may live: the examples, the gating
+    benchmark (its own tests excluded) and the paper's experiments E1–E9."""
+    paths = [
+        *sorted((ROOT / "examples").rglob("*.py")),
+        *sorted((ROOT / "bench").glob("*.py")),
+        *sorted(
+            path for path in (ROOT / "benchmarks").glob("bench_e*_*.py")
+            if 1 <= int(path.name.split("_")[1][1:]) <= 9
+        ),
+    ]
+    return {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8") for path in paths}
+
+
+#: Public names with no caller in reach, with the reason each stays public.
+_UNCALLED_BY_DESIGN = {
+    "repro.api.client.RemoteSession": "the session type RemoteAdvisor.open_session returns, "
+    "exported at the top level beside ServiceSession so local and remote scripts name the "
+    "same pair",
+    "repro.workloads.generators.batched": "E16 (live ingest, an extension experiment) "
+    "slices its ingest batches with it",
+    "repro.workloads.synthetic.make_gaussian_table": "E10 (the §5.2 quantile-cut "
+    "experiment) isolates the middle third of this Gaussian table",
+    "repro.workloads.synthetic.make_zipf_table": "E10 (the §5.2 quantile-cut experiment) "
+    "cuts this Zipf-skewed table",
+}
+
+
+def test_every_public_name_has_a_caller():
+    assert uncalled_public_names(_sources(), _callers()) == sorted(_UNCALLED_BY_DESIGN)
+
+
+#: A module whose one public name only the module itself calls.
+_PUBLIC_F = '__all__ = ["f"]\n\n\ndef f():\n    """f."""\n\n\ndef _g():\n    return f()\n'
+
+
+@pytest.mark.parametrize("sources, uncalled", [
+    pytest.param({"repro.b.y": "from repro.a.x import f\nf()\n"}, [], id="imported-and-called"),
+    pytest.param({"repro.b.y": "from repro.a import x\nx.f()\n"}, [], id="attribute"),
+    pytest.param({"examples/z.py": "print(f)\n"}, [], id="a-caller-file"),
+    pytest.param({"bench/spans.py": 'Target("repro.a.x:f", "a.ms")\n'}, [], id="wrap-target"),
+    pytest.param({}, ["repro.a.x.f"], id="only-its-own-module"),
+    pytest.param({"repro.b.y": '"""Calls :func:`f`."""\n'}, ["repro.a.x.f"], id="docstring"),
+    pytest.param({"repro.b.y": "# f() is elsewhere\n"}, ["repro.a.x.f"], id="comment"),
+    pytest.param(
+        {"repro.a.__init__": 'from repro.a.x import f\n__all__ = ["f"]\n'},
+        ["repro.a.x.f"], id="a-re-export-is-no-use",
+    ),
+])
+def test_public_name_use_shapes(sources, uncalled):
+    modules = {"repro.a.x": _PUBLIC_F}
+    callers = {}
+    for where, source in sources.items():
+        (modules if where.startswith("repro.") else callers)[where] = source
+    assert uncalled_public_names(modules, callers) == uncalled
+
+
+def facade_strays(source: str, homes: Dict[str, Optional[List[str]]]) -> List[str]:
+    """The names a package ``__init__`` re-exports (lists in its own
+    ``__all__``) from a module of the tree (``homes``: module → its literal
+    ``__all__``) that the module does not declare public."""
+    exported = public_names(source) or []
+    return sorted(
+        f"{node.module}.{alias.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ImportFrom) and homes.get(node.module) is not None
+        for alias in node.names
+        if alias.name in exported and alias.name not in homes[node.module]
+    )
+
+
+def test_facades_re_export_only_public_names():
+    sources = _sources()
+    homes = {module.removesuffix(".__init__"): public_names(source) for module, source in sources.items()}
+    strays = [
+        stray for facade, source in sources.items() if facade.endswith("__init__")
+        for stray in facade_strays(source, homes)
+    ]
+    for package in ("repro", "repro.cluster"):  # the PEP 562 facades: name → home
+        for name, home in importlib.import_module(package)._EXPORTS.items():
+            if name not in getattr(importlib.import_module(home), "__all__", [name]):
+                strays.append(f"{home}.{name}")
+    assert strays == []
+
+
+@pytest.mark.parametrize("source, strays", [
+    pytest.param('from repro.a.x import f\n__all__ = ["f"]\n', [], id="public"),
+    pytest.param('from repro.a.x import f, h\n__all__ = ["f", "h"]\n', ["repro.a.x.h"], id="not-in-all"),
+    pytest.param("from repro.a.x import f, h\n__all__ = ['f']\n", [], id="used-not-re-exported"),
+    pytest.param('from numpy import ndarray\n__all__ = ["ndarray"]\n', [], id="outside-the-tree"),
+    pytest.param('from repro.a.y import g\n__all__ = ["g"]\n', [], id="home-without-a-literal-all"),
+])
+def test_facade_shapes(source, strays):
+    assert facade_strays(source, {"repro.a.x": ["f"], "repro.a.y": None}) == strays
 
 
 # -- lock discipline --------------------------------------------------------------
@@ -553,7 +708,7 @@ _FORBIDDEN = [
         id="no-version-pins",
     ),
     pytest.param(
-        "charles profile rescans through profile_table; no statistics are maintained per "
+        "charles profile rescans through profile_backend; no statistics are maintained per "
         "ingest",
         r"IncrementalTableProfile", ("src", "docs", "README.md"), (),
         id="no-incremental-profile",
@@ -591,6 +746,24 @@ _FORBIDDEN = [
         "a table's shard count is its spec's partitions=N, reported under its backend stats",
         rf"AdvisorService\({_CALL_ARGS}\bpartitions=", _USER_FACING, (),
         id="service-shards-in-the-spec",
+    ),
+    pytest.param(
+        "heterogeneous segmentations (§5.2) had no caller but tests and half of E11; the "
+        "Figure 4 loop cuts every piece on the same attribute",
+        r"heterogeneous", ("src", "examples", "benchmarks"), (),
+        id="no-heterogeneous-cuts",
+    ),
+    pytest.param(
+        "the multi-level pie had no caller but its tests; advice renders as pie charts, "
+        "tree maps and reports",
+        r"multilevel|hierarchy_of", ("src", "examples", "benchmarks"), (),
+        id="no-multilevel-pie",
+    ),
+    pytest.param(
+        "one profiler: Charles.profile runs profile_backend on the exact engine, so every "
+        "backend is profiled through the same aggregates",
+        r"profile_table|profile_column", _USER_FACING, (),
+        id="one-profiler",
     ),
 ]
 
@@ -632,6 +805,9 @@ _PLANTED_LINES = {
     "no-engine-workers": "charles serve --simulate --workers 4 --engine-workers 4",
     "charles-takes-a-spec": "advisor = Charles(generate_voc(rows=500), workers=4, partitions=4)",
     "service-shards-in-the-spec": "service = AdvisorService(table, workers=2, partitions=4)",
+    "no-heterogeneous-cuts": "from repro.core.heterogeneous import greedy_heterogeneous",
+    "no-multilevel-pie": "print(multilevel_pie(hierarchy_of(segmentation)))",
+    "one-profiler": "    return profile_table(self.table, context=resolved, engine=self.engine)",
 }
 
 

@@ -14,11 +14,11 @@ from repro.core import (
     cut_query,
     entropy,
     indep,
-    indep_from_table,
     max_entropy,
     mutual_information,
     score_segmentation,
 )
+from repro.core.dependence import indep_from_table
 from repro.errors import CannotCutError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, Segment, Segmentation
 from repro.storage import QueryEngine, Table

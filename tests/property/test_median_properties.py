@@ -11,8 +11,8 @@ from repro.core import (
     HBCutsConfig,
     cut_query,
     entropy,
-    equal_frequency_segmentation,
     median_split,
+    quantile_cut_query,
 )
 from repro.errors import CannotCutError
 from repro.sdl import SDLQuery, check_partition
@@ -84,8 +84,11 @@ class TestQuantileCutProperties:
         table = Table.from_dict({"x": values})
         engine = QueryEngine(table)
         try:
-            segmentation = equal_frequency_segmentation(
-                engine, SDLQuery.over(["x"]), "x", pieces=pieces
+            segmentation = quantile_cut_query(
+                engine,
+                SDLQuery.over(["x"]),
+                "x",
+                quantiles=[index / pieces for index in range(1, pieces)],
             )
         except CannotCutError:
             return

@@ -9,11 +9,11 @@ from repro.sdl import (
     Segment,
     Segmentation,
     SetPredicate,
-    format_query,
     format_segment_label,
     format_segmentation,
     query_signature,
 )
+from repro.sdl.formatter import format_query
 
 
 def _context() -> SDLQuery:

@@ -5,13 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.errors import SDLSyntaxError
-from repro.sdl import (
-    NoConstraint,
-    RangePredicate,
-    SetPredicate,
-    parse_predicate,
-    parse_query,
-)
+from repro.sdl import NoConstraint, RangePredicate, SetPredicate, parse_query
+from repro.sdl.parser import parse_predicate
 
 
 class TestLiteralsAndPredicates:

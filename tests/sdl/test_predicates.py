@@ -10,7 +10,6 @@ from repro.sdl import (
     RangePredicate,
     SetPredicate,
     intersect_predicates,
-    predicate_from_values,
 )
 
 
@@ -169,17 +168,3 @@ class TestIntersectPredicates:
         range_predicate = RangePredicate("a", 1, 5)
         set_predicate = SetPredicate("a", frozenset({9}))
         assert intersect_predicates(range_predicate, set_predicate) is None
-
-
-class TestPredicateFromValues:
-    def test_numeric_values_become_range(self):
-        predicate = predicate_from_values("a", [3, 1, 2])
-        assert predicate == RangePredicate("a", 1, 3)
-
-    def test_string_values_become_set(self):
-        predicate = predicate_from_values("a", ["x", "y"])
-        assert predicate == SetPredicate("a", frozenset({"x", "y"}))
-
-    def test_empty_values_rejected(self):
-        with pytest.raises(PredicateError):
-            predicate_from_values("a", [])

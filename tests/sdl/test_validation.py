@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import pytest
 
-from repro.errors import InvalidPartitionError
 from repro.sdl import (
     NoConstraint,
     RangePredicate,
@@ -12,8 +11,6 @@ from repro.sdl import (
     Segment,
     Segmentation,
     check_partition,
-    queries_are_disjoint,
-    validate_partition,
 )
 from repro.storage import QueryEngine, Table
 
@@ -86,28 +83,3 @@ class TestCheckPartition:
         report = check_partition(engine, segmentation)
         # Rows outside the context are ignored; inside it the two segments overlap.
         assert not report.disjoint
-
-
-class TestValidatePartition:
-    def test_valid_partition_passes(self, engine):
-        segmentation = _segmentation(engine, [(1, 5, False), (5, 10, True)])
-        validate_partition(engine, segmentation)
-
-    def test_invalid_partition_raises(self, engine):
-        segmentation = _segmentation(engine, [(1, 3, True), (7, 10, True)])
-        with pytest.raises(InvalidPartitionError):
-            validate_partition(engine, segmentation)
-
-
-class TestQueriesAreDisjoint:
-    def test_disjoint_queries(self, engine):
-        context = _context()
-        first = context.refine(RangePredicate("value", 1, 5))
-        second = context.refine(RangePredicate("value", 6, 10))
-        assert queries_are_disjoint(engine, [first, second])
-
-    def test_overlapping_queries(self, engine):
-        context = _context()
-        first = context.refine(RangePredicate("value", 1, 6))
-        second = context.refine(RangePredicate("value", 6, 10))
-        assert not queries_are_disjoint(engine, [first, second])

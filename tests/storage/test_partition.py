@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import StorageError, TypeMismatchError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
-from repro.storage import PartitionedTable, QueryEngine, Table, partition_bounds
+from repro.storage import PartitionedTable, QueryEngine, Table
+from repro.storage.partition import partition_bounds
 from repro.storage.expression import query_mask
 from repro.workloads import generate_voc
 

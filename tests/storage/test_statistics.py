@@ -1,4 +1,4 @@
-"""Unit tests for column and table profiling."""
+"""Unit tests for table profiling through backend aggregates."""
 
 from __future__ import annotations
 
@@ -6,8 +6,9 @@ import math
 
 import pytest
 
+from repro.backends import open_backend
 from repro.sdl import RangePredicate, SDLQuery
-from repro.storage import DataType, Table, profile_column, profile_table
+from repro.storage import DataType, QueryEngine, Table, profile_backend
 from repro.storage.statistics import column_entropy
 
 
@@ -22,6 +23,10 @@ def table() -> Table:
         },
         name="boats",
     )
+
+
+def _column(table: Table, name: str):
+    return profile_backend(QueryEngine(table), columns=[name]).column(name)
 
 
 class TestColumnEntropy:
@@ -41,7 +46,7 @@ class TestColumnEntropy:
 
 class TestColumnProfile:
     def test_numeric_profile(self, table):
-        profile = profile_column(table.column("tonnage"))
+        profile = _column(table, "tonnage")
         assert profile.dtype is DataType.INT
         assert profile.minimum == 1000
         assert profile.maximum == 1700
@@ -50,47 +55,56 @@ class TestColumnProfile:
         assert profile.quantiles[0.5] in (1300, 1400)
 
     def test_nominal_profile(self, table):
-        profile = profile_column(table.column("type"))
+        profile = _column(table, "type")
         assert profile.top_values[0] == ("fluit", 6)
         assert profile.median is None
         assert not profile.quantiles
 
     def test_missing_counted(self, table):
-        profile = profile_column(table.column("with_missing"))
+        profile = _column(table, "with_missing")
         assert profile.missing_count == 2
         assert profile.valid_count == 6
 
     def test_constant_column_flagged(self, table):
-        assert profile_column(table.column("constant")).is_constant
+        assert _column(table, "constant").is_constant
 
     def test_describe_runs(self, table):
         for name in table.column_names:
-            assert name in profile_column(table.column(name)).describe()
+            assert name in _column(table, name).describe()
 
 
 class TestTableProfile:
     def test_profiles_every_column(self, table):
-        profile = profile_table(table)
+        profile = profile_backend(QueryEngine(table))
         assert set(profile.columns) == set(table.column_names)
         assert profile.row_count == 8
 
     def test_column_subset(self, table):
-        profile = profile_table(table, columns=["tonnage"])
+        profile = profile_backend(QueryEngine(table), columns=["tonnage"])
         assert list(profile.columns) == ["tonnage"]
 
     def test_cuttable_columns_excludes_constants(self, table):
-        profile = profile_table(table)
+        profile = profile_backend(QueryEngine(table))
         cuttable = profile.cuttable_columns()
         assert "constant" not in cuttable
         assert "tonnage" in cuttable
 
     def test_context_restricts_rows(self, table):
         context = SDLQuery([RangePredicate("tonnage", 1000, 1200)])
-        profile = profile_table(table, context=context)
+        profile = profile_backend(QueryEngine(table), context=context)
         assert profile.row_count == 3
         assert profile.column("type").top_values[0] == ("fluit", 3)
 
     def test_describe_runs(self, table):
-        text = profile_table(table).describe()
+        text = profile_backend(QueryEngine(table)).describe()
         assert "boats" in text
         assert "tonnage" in text
+
+
+class TestBackendsAgree:
+    def test_sqlite_profile_equals_memory_profile(self, table):
+        context = SDLQuery([RangePredicate("tonnage", 1000, 1500)])
+        memory = profile_backend(open_backend("memory", table), context=context)
+        sqlite = profile_backend(open_backend("sqlite", table), context=context)
+        assert sqlite == memory
+        assert memory.column("tonnage").dtype is DataType.INT

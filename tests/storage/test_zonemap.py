@@ -16,16 +16,16 @@ from repro.sdl import (
     SetPredicate,
 )
 from repro.storage import (
-    INDEX_FEATURES,
     DataType,
     QueryEngine,
     ResultCache,
     Table,
     build_column,
-    predicate_implies,
     refinement_delta,
     resolve_index_features,
 )
+from repro.storage.engine import INDEX_FEATURES
+from repro.storage.expression import predicate_implies
 from repro.storage.expression import query_mask
 from repro.storage.index import BitmapIndex
 from repro.storage.partition import PartitionedTable

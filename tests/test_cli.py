@@ -197,6 +197,20 @@ class TestCommands:
         assert exit_code == 0
         assert "surprise" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    def test_surprise_ranker_queries_the_advisors_backend(self, backend):
+        from repro.cli import _load_table, _make_advisor
+
+        args = build_parser().parse_args(
+            ["advise", "--dataset", "voc", "--rows", "400", "--ranker", "surprise",
+             "--backend", backend]
+        )
+        advisor = _make_advisor(_load_table(args), args)
+        assert advisor.ranker.engine is advisor.engine
+        assert type(advisor.engine).__name__ == {
+            "memory": "QueryEngine", "sqlite": "SQLiteBackend",
+        }[backend]
+
     def test_weighted_ranker_option(self, capsys):
         exit_code = main(
             [

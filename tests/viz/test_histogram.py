@@ -8,7 +8,8 @@ from repro.core import cut_query
 from repro.errors import VisualizationError
 from repro.sdl import RangePredicate, SDLQuery
 from repro.storage import QueryEngine, Table
-from repro.viz import numeric_sparkline, segment_distributions, value_histogram
+from repro.viz import segment_distributions
+from repro.viz.histogram import numeric_sparkline, value_histogram
 
 
 @pytest.fixture()

@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import VisualizationError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, Segment, Segmentation
-from repro.viz import compact_pie, pie_chart, slice_fractions
+from repro.viz import compact_pie, pie_chart
+from repro.viz.piechart import slice_fractions
 
 
 def _segmentation(counts) -> Segmentation:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from repro.core import Charles
-from repro.viz import render_advice, render_answer, render_answer_list, render_context
+from repro.viz import render_advice
+from repro.viz.report import render_answer, render_answer_list, render_context
 
 
 @pytest.fixture(scope="module")

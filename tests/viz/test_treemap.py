@@ -6,7 +6,8 @@ import pytest
 
 from repro.errors import VisualizationError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, Segment, Segmentation
-from repro.viz import treemap, treemap_layout
+from repro.viz import treemap
+from repro.viz.treemap import treemap_layout
 
 
 def _segmentation(counts) -> Segmentation:

@@ -8,25 +8,55 @@ import json
 import numpy as np
 import pytest
 
+from builders import make_independent_table
 from repro.core import cut_query, indep
 from repro.errors import WorkloadError
 from repro.sdl import SDLQuery
 from repro.storage import DataType, QueryEngine
 from repro.workloads import (
-    ASTRONOMY_COLUMNS,
     FIGURE1_CONTEXT_COLUMNS,
-    VOC_COLUMNS,
-    WEBLOG_COLUMNS,
     generate_astronomy,
     generate_voc,
     generate_weblog,
-    make_correlated_table,
     make_dependent_pair_table,
     make_gaussian_table,
-    make_independent_table,
-    make_numeric_table,
     make_wide_table,
     make_zipf_table,
+)
+
+VOC_COLUMNS = (
+    "trip",
+    "master",
+    "tonnage",
+    "type_of_boat",
+    "built",
+    "yard",
+    "departure_date",
+    "departure_harbour",
+    "cape_arrival",
+)
+
+ASTRONOMY_COLUMNS = (
+    "object_id",
+    "object_class",
+    "ra",
+    "dec",
+    "field",
+    "magnitude",
+    "redshift",
+    "colour_index",
+)
+
+WEBLOG_COLUMNS = (
+    "request_id",
+    "url_category",
+    "status_code",
+    "response_time_ms",
+    "bytes_sent",
+    "country",
+    "device",
+    "referrer",
+    "hour",
 )
 
 
@@ -175,16 +205,6 @@ class TestParametricTables:
         with pytest.raises(WorkloadError):
             make_dependent_pair_table(strength=1.5)
 
-    def test_correlated_table_reaches_target_correlation(self):
-        table = make_correlated_table(rows=4000, correlation=0.8, seed=3)
-        data = table.to_dict()
-        measured = np.corrcoef(data["u"], data["v"])[0, 1]
-        assert measured == pytest.approx(0.8, abs=0.05)
-
-    def test_correlated_table_invalid_correlation(self):
-        with pytest.raises(WorkloadError):
-            make_correlated_table(correlation=2.0)
-
     def test_wide_table_shape(self):
         table = make_wide_table(rows=200, attributes=7, dependent_pairs=2, seed=1)
         assert table.num_columns == 7
@@ -193,11 +213,6 @@ class TestParametricTables:
     def test_wide_table_too_many_pairs(self):
         with pytest.raises(WorkloadError):
             make_wide_table(attributes=3, dependent_pairs=2)
-
-    def test_numeric_table(self):
-        table = make_numeric_table(rows=100, columns=3, seed=1)
-        assert table.column_names == ["n0", "n1", "n2"]
-        assert table.dtype("n0") is DataType.FLOAT
 
     def test_gaussian_table_centres_on_mean(self):
         table = make_gaussian_table(rows=4000, mean=50.0, std=5.0, seed=4)

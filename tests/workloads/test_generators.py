@@ -7,15 +7,13 @@ import pytest
 
 from repro.errors import WorkloadError
 from repro.workloads import (
-    categorical_series,
-    correlated_numeric_series,
     dependent_categorical_series,
     make_rng,
-    mixture_numeric_series,
     numeric_from_category,
     year_series,
     zipf_categorical_series,
 )
+from repro.workloads.generators import categorical_series
 
 
 class TestCategoricalSeries:
@@ -123,28 +121,6 @@ class TestNumericFromCategory:
             make_rng(4), ["mystery"], means={"a": 5.0}, spreads={"a": 1.0}
         )
         assert len(values) == 1
-
-
-class TestMixtureAndCorrelated:
-    def test_mixture_draws_from_both_components(self):
-        values = mixture_numeric_series(
-            make_rng(5), 2000, [(0.5, 0.0, 1.0), (0.5, 100.0, 1.0)]
-        )
-        assert sum(1 for v in values if v < 50) > 700
-        assert sum(1 for v in values if v > 50) > 700
-
-    def test_mixture_invalid_arguments(self):
-        with pytest.raises(WorkloadError):
-            mixture_numeric_series(make_rng(1), 10, [])
-        with pytest.raises(WorkloadError):
-            mixture_numeric_series(make_rng(1), 10, [(-1.0, 0.0, 1.0)])
-
-    def test_correlated_series_follows_the_slope(self):
-        base = list(np.linspace(0, 10, 500))
-        partner = correlated_numeric_series(make_rng(6), base, slope=2.0, intercept=1.0,
-                                            noise_std=0.01)
-        correlation = np.corrcoef(base, partner)[0, 1]
-        assert correlation > 0.99
 
 
 class TestYearSeries:
