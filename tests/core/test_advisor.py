@@ -137,11 +137,30 @@ class TestSegmentAndProfile:
             "(type_of_boat: {'fluit'}, tonnage:)"
         )
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            "sqlite",
+            "sqlite?sample=0.1&seed=3",
+            "memory?partitions=4",
+            "memory?partitions=4&workers=2",
+        ],
+    )
+    def test_profile_is_the_same_on_every_backend(self, advisor, voc_table, spec):
+        context = "(type_of_boat: {'fluit', 'jacht'}, tonnage:)"
+        assert Charles(voc_table, backend=spec).profile(context) == advisor.profile(context)
+
     def test_count(self, advisor, voc_table):
         assert advisor.count(None) == voc_table.num_rows
 
 
 class TestConfigurationOptions:
+    def test_answers_are_ranked_by_entropy_by_default(self, advisor):
+        advice = advisor.advise(["type_of_boat", "tonnage"], max_answers=None)
+        assert advice.ranker_name == "entropy"
+        entropies = [answer.scores.entropy for answer in advice]
+        assert entropies == sorted(entropies, reverse=True)
+
     def test_custom_ranker_is_used(self, voc_table):
         advisor = Charles(voc_table, ranker=WeightedRanker(breadth_weight=2.0))
         advice = advisor.advise(["type_of_boat", "tonnage"], max_answers=3)

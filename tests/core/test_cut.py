@@ -54,6 +54,13 @@ class TestCutQuery:
         with pytest.raises(CannotCutError):
             cut_query(engine, SDLQuery.over(["x"]), "x")
 
+    def test_only_attributes_with_two_values_in_the_context_cut(self):
+        engine = _engine({"x": [1, 2, 3], "c": ["same"] * 3})
+        context = SDLQuery.over(["x", "c"])
+        assert cut_query(engine, context, "x").depth == 2
+        with pytest.raises(CannotCutError):
+            cut_query(engine, context, "c")
+
 
 class TestCutSegmentation:
     def test_doubles_the_pieces_when_possible(self):

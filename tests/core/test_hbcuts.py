@@ -157,3 +157,9 @@ class TestResult:
     def test_result_is_indexable_and_iterable(self, voc_engine):
         result = HBCuts().run(voc_engine, SDLQuery.over(["type_of_boat", "tonnage"]))
         assert result[0] is list(iter(result))[0]
+
+    def test_runs_are_deterministic(self, voc_engine):
+        context = SDLQuery.over(["type_of_boat", "departure_harbour", "tonnage"])
+        first = HBCuts().run(voc_engine, context)
+        second = HBCuts().run(voc_engine, context)
+        assert [s.queries for s in first] == [s.queries for s in second]

@@ -75,6 +75,11 @@ class TestNumericQuantileCut:
         with pytest.raises(CannotCutError):
             quantile_cut_query(engine, context, "x")
 
+    def test_no_quantiles_rejected(self):
+        engine = _engine({"x": [1, 2, 3, 4]})
+        with pytest.raises(CannotCutError):
+            quantile_cut_query(engine, SDLQuery.over(["x"]), "x", quantiles=())
+
     def test_skewed_data_collapses_gracefully(self):
         # 80% of the mass on one value: some quantile points coincide, the
         # cut still returns at least two valid pieces.

@@ -71,6 +71,22 @@ class TestCheckPartition:
         assert not report.exhaustive
         assert report.missing_rows == 3  # values 4, 5, 6
 
+    def test_every_overlapping_pair_is_listed(self, engine):
+        segmentation = _segmentation(engine, [(1, 6, True), (5, 10, True), (4, 7, True)])
+        report = check_partition(engine, segmentation)
+        assert report.overlapping_pairs == [(0, 1), (0, 2), (1, 2)]
+        assert report.exhaustive
+
+    def test_overlap_and_gap_are_both_summarised(self, engine):
+        segmentation = _segmentation(engine, [(1, 3, True), (2, 4, True), (8, 10, True)])
+        report = check_partition(engine, segmentation)
+        assert not report.disjoint and not report.exhaustive
+        assert report.missing_rows == 3  # values 5, 6, 7
+        summary = report.summary()
+        assert summary.startswith("invalid partition")
+        assert "1 overlapping pair(s), 2 multiply-counted row(s)" in summary
+        assert "3 uncovered row(s)" in summary
+
     def test_segments_clamped_to_context(self, engine):
         context = SDLQuery([RangePredicate("value", 1, 6), NoConstraint("label")])
         inside = context.refine(RangePredicate("value", 1, 3))

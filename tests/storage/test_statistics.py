@@ -7,9 +7,11 @@ import math
 import pytest
 
 from repro.backends import open_backend
+from repro.errors import UnknownColumnError
 from repro.sdl import RangePredicate, SDLQuery
 from repro.storage import DataType, QueryEngine, Table, profile_backend
 from repro.storage.statistics import column_entropy
+from repro.workloads import generate_astronomy, generate_voc
 
 
 @pytest.fixture()
@@ -99,6 +101,32 @@ class TestTableProfile:
         text = profile_backend(QueryEngine(table)).describe()
         assert "boats" in text
         assert "tonnage" in text
+
+
+@pytest.fixture(scope="module", params=["voc", "astronomy"])
+def dataset(request) -> Table:
+    if request.param == "voc":
+        return generate_voc(rows=300, seed=2)
+    return generate_astronomy(rows=300, seed=2)
+
+
+@pytest.mark.parametrize("scheme", ["memory", "sqlite"])
+class TestDtypes:
+    def test_dtype_of_matches_the_table_schema(self, scheme, dataset):
+        backend = open_backend(scheme, dataset)
+        for name in dataset.column_names:
+            dtype = dataset.column(name).dtype
+            assert backend.dtype_of(name) is dtype
+            assert backend.is_numeric(name) == dtype.is_numeric
+
+    def test_dtype_of_unknown_column_raises(self, scheme, table):
+        with pytest.raises(UnknownColumnError):
+            open_backend(scheme, table).dtype_of("no_such_column")
+
+    def test_profile_dtypes_match_the_table_schema(self, scheme, dataset):
+        profile = profile_backend(open_backend(scheme, dataset))
+        for name in dataset.column_names:
+            assert profile.column(name).dtype is dataset.column(name).dtype
 
 
 class TestBackendsAgree:

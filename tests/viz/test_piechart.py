@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import Charles
 from repro.errors import VisualizationError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, Segment, Segmentation
 from repro.viz import compact_pie, pie_chart
@@ -27,6 +28,13 @@ class TestSliceFractions:
 
 
 class TestPieChart:
+    def test_works_on_advisor_output(self, voc_table):
+        advice = Charles(voc_table).advise(
+            ["type_of_boat", "departure_harbour", "tonnage"], max_answers=1
+        )
+        segmentation = advice.best().segmentation
+        assert len(pie_chart(segmentation).splitlines()) == segmentation.depth + 1
+
     def test_one_line_per_slice_plus_header(self):
         text = pie_chart(_segmentation([60, 40]))
         assert len(text.splitlines()) == 3

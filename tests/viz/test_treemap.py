@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.core import Charles
 from repro.errors import VisualizationError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, Segment, Segmentation
 from repro.viz import treemap
@@ -64,6 +65,15 @@ class TestTreemapLayout:
 
 
 class TestTreemapRendering:
+    def test_works_on_advisor_output(self, voc_table):
+        advice = Charles(voc_table).advise(
+            ["type_of_boat", "departure_harbour", "tonnage"], max_answers=1
+        )
+        segmentation = advice.best().segmentation
+        text = treemap(segmentation, width=30, height=6)
+        legend_lines = [line for line in text.splitlines() if "%" in line]
+        assert len(legend_lines) == segmentation.depth
+
     def test_grid_dimensions(self):
         text = treemap(_segmentation([60, 40]), width=30, height=6, show_legend=False)
         lines = text.splitlines()
