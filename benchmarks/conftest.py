@@ -1,54 +1,25 @@
-"""Shared fixtures and reporting helpers for the benchmark suite.
+"""Shared fixtures and reporting helpers for the paper-experiment suite.
 
-Every benchmark regenerates one experiment of ``EXPERIMENTS.md`` (E1-E10).
-Besides the pytest-benchmark timings, each test prints a small result table
-— the rows the corresponding figure or claim in the paper would show — so
-that ``pytest benchmarks/ --benchmark-only -s`` doubles as the experiment
-log.  Key figures are also attached to ``benchmark.extra_info`` so they
-survive in the JSON output.
+E1–E9 regenerate the paper's figures and §5.1 claims, E10 and E11 its
+§5.2 extensions, and E13 checks memory/SQLite parity (README.md,
+Benchmarks).  Besides the pytest-benchmark timings, each test prints a
+small result table — the rows the corresponding figure or claim in the
+paper would show — so that ``pytest benchmarks/ --benchmark-only -s``
+doubles as the experiment log.  Key figures are also attached to
+``benchmark.extra_info`` so they survive in pytest-benchmark's JSON output.
+The gating speed benchmark is ``bench/run.py``, not this suite.
 """
 
 from __future__ import annotations
 
-import datetime
-import functools
-import json
-import pathlib
-import subprocess
-from typing import Any, Dict, Iterable, List, Sequence
+from typing import Any, Iterable, Sequence
 
 import pytest
 
-from repro.storage import QueryEngine
-from repro.workloads import generate_astronomy, generate_voc, generate_weblog
+from repro.workloads import generate_voc
 
 #: Set by ``--smoke`` (pytest_configure runs before bench modules import).
 SMOKE = False
-
-#: Structured result rows collected by :func:`record`, flushed to the
-#: ``--json-out`` path (if any) at session end.
-_JSON_ROWS: List[Dict[str, Any]] = []
-_JSON_PATH: Any = None
-
-
-@functools.lru_cache(maxsize=1)
-def _git_sha() -> str:
-    """The repository HEAD at measurement time (``"unknown"`` outside git)."""
-    try:
-        return subprocess.run(
-            ["git", "rev-parse", "HEAD"],
-            cwd=pathlib.Path(__file__).resolve().parent,
-            capture_output=True,
-            text=True,
-            check=True,
-            timeout=10,
-        ).stdout.strip()
-    except (OSError, subprocess.SubprocessError):
-        return "unknown"
-
-
-def _timestamp() -> str:
-    return datetime.datetime.now(datetime.timezone.utc).isoformat()
 
 
 def pytest_addoption(parser) -> None:
@@ -58,52 +29,11 @@ def pytest_addoption(parser) -> None:
         default=False,
         help="run every benchmark at tiny scale (CI rot check, not a measurement)",
     )
-    parser.addoption(
-        "--json-out",
-        default=None,
-        metavar="PATH",
-        help=(
-            "write the rows benchmarks record() as a JSON array of "
-            "{bench, metric, value, config, git_sha, timestamp} objects "
-            "(e.g. BENCH_results.json); "
-            "CI uploads these as the benchmark-trajectory artifact"
-        ),
-    )
 
 
 def pytest_configure(config) -> None:
-    global SMOKE, _JSON_PATH
+    global SMOKE
     SMOKE = bool(config.getoption("--smoke", default=False))
-    _JSON_PATH = config.getoption("--json-out", default=None)
-
-
-def record(bench: str, metric: str, value: Any, **config: Any) -> None:
-    """Record one machine-readable result row.
-
-    Rows accumulate regardless of flags (the cost is a dict append) and
-    are written out only when the session runs with ``--json-out``, so
-    benchmarks call this unconditionally next to their ``print_table``.
-    Every row is stamped with the git SHA and a UTC ISO timestamp so
-    archived artifact rows stay attributable to the commit that produced
-    them (the benchmark-trajectory requirement).
-    """
-    _JSON_ROWS.append(
-        {
-            "bench": bench,
-            "metric": metric,
-            "value": value,
-            "config": config,
-            "git_sha": _git_sha(),
-            "timestamp": _timestamp(),
-        }
-    )
-
-
-def pytest_sessionfinish(session, exitstatus) -> None:
-    if _JSON_PATH:
-        with open(_JSON_PATH, "w", encoding="utf-8") as handle:
-            json.dump(_JSON_ROWS, handle, indent=2, sort_keys=True, default=str)
-            handle.write("\n")
 
 
 def scale(value: Any, smoke_value: Any) -> Any:
@@ -141,19 +71,3 @@ def print_table(title: str, headers: Sequence[str], rows: Iterable[Sequence]) ->
 def voc_table():
     """The Figure 1 workload at demo scale."""
     return generate_voc(rows=scale(5000, 600), seed=42)
-
-
-@pytest.fixture(scope="session")
-def astronomy_table():
-    return generate_astronomy(rows=scale(5000, 600), seed=7)
-
-
-@pytest.fixture(scope="session")
-def weblog_table():
-    return generate_weblog(rows=scale(5000, 600), seed=13)
-
-
-@pytest.fixture()
-def voc_engine(voc_table):
-    """A fresh engine per test so operation counters start at zero."""
-    return QueryEngine(voc_table)

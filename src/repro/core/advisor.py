@@ -298,7 +298,8 @@ class Charles:
         context:
             The exploration context (see :meth:`resolve_context`).
         max_answers:
-            Keep only the best ``max_answers`` segmentations (None = all).
+            Keep only the best ``max_answers`` segmentations (None = all;
+            a negative count is an :class:`AdvisorError`).
         attributes:
             Restrict exploration to these attributes instead of every
             attribute the context mentions.
@@ -315,6 +316,8 @@ class Charles:
             raise AdvisorError(
                 f"unknown advise mode {mode!r}; expected 'exact' or 'interactive'"
             )
+        if max_answers is not None and max_answers < 0:
+            raise AdvisorError(f"max_answers cannot be negative, got {max_answers}")
         resolved = self.resolve_context(context)
         engine = self._advice_engine(mode)
         approximate = mode == "interactive"

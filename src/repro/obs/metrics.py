@@ -4,14 +4,12 @@ Three instrument kinds, all exported in Prometheus text format by
 ``GET /v1/metrics`` and as a JSON *metrics document* (the mergeable form
 the cluster router fans out for and combines):
 
-* :class:`Counter` — a monotonically increasing count.  Built either
-  *owned* (``inc()`` under a lock) or as a *view* over an existing tally
-  (a zero-argument callback reading, say, an
-  :class:`~repro.storage.engine.OperationCounter` field), so the
-  scattered stats the system already keeps become scrapeable without
-  double bookkeeping.
-* :class:`Gauge` — a point-in-time value (cache entries, pool workers);
-  same owned/view split.
+* counters (monotonically increasing counts) and gauges (point-in-time
+  values: cache entries, pool workers) — both a :class:`View`, a
+  zero-argument callback over a tally some other structure already owns
+  (say, an :class:`~repro.storage.engine.OperationCounter` field), so
+  the stats the system keeps become scrapeable without double
+  bookkeeping.
 * :class:`Histogram` — a latency summary backed by
   :class:`MergeableQuantileSketch`.  Observations are appended to a small
   pending buffer and folded into the sketch lazily (one sort per batch of
@@ -24,8 +22,8 @@ cluster router merges and renders these documents and must not load
 NumPy to do it.
 
 Instruments are keyed by ``(name, sorted labels)``; asking for the same
-key twice returns the same instrument, so modules can register views
-idempotently.
+key twice returns the same instrument (a view rebinds its callback), so
+modules can register views idempotently.
 """
 
 from __future__ import annotations
@@ -45,6 +43,9 @@ SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 #: rank error of a node-local histogram under ~1% while a full scrape
 #: stays a few kilobytes per operation.
 DEFAULT_HISTOGRAM_BUDGET = 128
+
+#: The view kinds, in document order, with their Prometheus ``# TYPE``.
+_VIEW_KINDS: Dict[str, str] = {"counters": "counter", "gauges": "gauge"}
 
 _LabelsKey = Tuple[Tuple[str, str], ...]
 
@@ -216,74 +217,21 @@ class MergeableQuantileSketch:
         )
 
 
-class Counter:
-    """A monotonically increasing count, owned or a view.
+class View:
+    """A counter or gauge: the current value of a tally owned elsewhere."""
 
-    A *view* counter is constructed with ``fn`` — a zero-argument
-    callback returning the current tally from whichever structure already
-    owns it; calling :meth:`inc` on a view raises, keeping ownership
-    unambiguous.
-    """
-
-    __slots__ = ("name", "labels", "help", "_fn", "_lock", "_value")
+    __slots__ = ("name", "labels", "help", "fn")
 
     def __init__(
-        self,
-        name: str,
-        labels: _LabelsKey,
-        help_text: str,
-        fn: Optional[Callable[[], float]] = None,
+        self, name: str, labels: _LabelsKey, help_text: str, fn: Callable[[], float]
     ) -> None:
         self.name = name
         self.labels = labels
         self.help = help_text
-        self._fn = fn
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        if self._fn is not None:
-            raise ValueError(f"counter {self.name!r} is a view; increment its source")
-        with self._lock:
-            self._value = self._value + float(amount)
+        self.fn = fn
 
     def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        with self._lock:
-            return self._value
-
-
-class Gauge:
-    """A point-in-time value, owned (``set``) or a view (callback)."""
-
-    __slots__ = ("name", "labels", "help", "_fn", "_lock", "_value")
-
-    def __init__(
-        self,
-        name: str,
-        labels: _LabelsKey,
-        help_text: str,
-        fn: Optional[Callable[[], float]] = None,
-    ) -> None:
-        self.name = name
-        self.labels = labels
-        self.help = help_text
-        self._fn = fn
-        self._lock = threading.Lock()
-        self._value = 0.0
-
-    def set(self, value: float) -> None:
-        if self._fn is not None:
-            raise ValueError(f"gauge {self.name!r} is a view; set its source")
-        with self._lock:
-            self._value = float(value)
-
-    def value(self) -> float:
-        if self._fn is not None:
-            return float(self._fn())
-        with self._lock:
-            return self._value
+        return float(self.fn())
 
 
 class Histogram:
@@ -356,8 +304,9 @@ class MetricsRegistry:
     def __init__(self, namespace: str = "charles") -> None:
         self.namespace = namespace
         self._lock = threading.Lock()
-        self._counters: Dict[Tuple[str, _LabelsKey], Counter] = {}
-        self._gauges: Dict[Tuple[str, _LabelsKey], Gauge] = {}
+        self._views: Dict[str, Dict[Tuple[str, _LabelsKey], View]] = {
+            kind: {} for kind in _VIEW_KINDS
+        }
         self._histograms: Dict[Tuple[str, _LabelsKey], Histogram] = {}
 
     # -- registration ----------------------------------------------------------
@@ -367,36 +316,34 @@ class MetricsRegistry:
         name: str,
         help_text: str = "",
         labels: Optional[Mapping[str, str]] = None,
-        fn: Optional[Callable[[], float]] = None,
-    ) -> Counter:
-        key = (name, _labels_key(labels))
-        with self._lock:
-            existing = self._counters.get(key)
-            if existing is not None:
-                if fn is not None:
-                    existing._fn = fn  # re-registering a view rebinds its source
-                return existing
-            created = Counter(name, key[1], help_text, fn=fn)
-            self._counters[key] = created
-            return created
+        *,
+        fn: Callable[[], float],
+    ) -> View:
+        return self._view("counters", name, help_text, fn, labels)
 
     def gauge(
         self,
         name: str,
         help_text: str = "",
         labels: Optional[Mapping[str, str]] = None,
-        fn: Optional[Callable[[], float]] = None,
-    ) -> Gauge:
+        *,
+        fn: Callable[[], float],
+    ) -> View:
+        return self._view("gauges", name, help_text, fn, labels)
+
+    def _view(
+        self,
+        kind: str,
+        name: str,
+        help_text: str,
+        fn: Callable[[], float],
+        labels: Optional[Mapping[str, str]],
+    ) -> View:
         key = (name, _labels_key(labels))
         with self._lock:
-            existing = self._gauges.get(key)
-            if existing is not None:
-                if fn is not None:
-                    existing._fn = fn
-                return existing
-            created = Gauge(name, key[1], help_text, fn=fn)
-            self._gauges[key] = created
-            return created
+            view = self._views[kind].setdefault(key, View(name, key[1], help_text, fn))
+            view.fn = fn  # re-registering a view rebinds its source
+            return view
 
     def histogram(
         self,
@@ -419,28 +366,21 @@ class MetricsRegistry:
     def to_document(self) -> Dict[str, Any]:
         """The registry as a JSON-safe, *mergeable* metrics document."""
         with self._lock:
-            counters = list(self._counters.values())
-            gauges = list(self._gauges.values())
+            views = {kind: list(found.values()) for kind, found in self._views.items()}
             histograms = list(self._histograms.values())
-        document: Dict[str, Any] = {"counters": [], "gauges": [], "histograms": []}
-        for counter in counters:
-            document["counters"].append(
+        document: Dict[str, Any] = {
+            kind: [
                 {
-                    "name": counter.name,
-                    "labels": dict(counter.labels),
-                    "help": counter.help,
-                    "value": counter.value(),
+                    "name": view.name,
+                    "labels": dict(view.labels),
+                    "help": view.help,
+                    "value": view.value(),
                 }
-            )
-        for gauge in gauges:
-            document["gauges"].append(
-                {
-                    "name": gauge.name,
-                    "labels": dict(gauge.labels),
-                    "help": gauge.help,
-                    "value": gauge.value(),
-                }
-            )
+                for view in views[kind]
+            ]
+            for kind in _VIEW_KINDS
+        }
+        document["histograms"] = []
         for histogram in histograms:
             count, total, sketch = histogram.snapshot()
             document["histograms"].append(
@@ -474,24 +414,19 @@ class MetricsRegistry:
         histograms merge their quantile sketches, so the combined
         percentile lines carry an honest, tracked rank bound.
         """
-        counters: Dict[Tuple[str, _LabelsKey], Dict[str, Any]] = {}
-        gauges: Dict[Tuple[str, _LabelsKey], Dict[str, Any]] = {}
+        views: Dict[str, Dict[Tuple[str, _LabelsKey], Dict[str, Any]]] = {
+            kind: {} for kind in _VIEW_KINDS
+        }
         histograms: Dict[Tuple[str, _LabelsKey], Dict[str, Any]] = {}
         for document in documents:
-            for row in document.get("counters", []):
-                key = (str(row["name"]), _labels_key(row.get("labels")))
-                slot = counters.get(key)
-                if slot is None:
-                    counters[key] = dict(row)
-                else:
-                    slot["value"] = float(slot["value"]) + float(row["value"])
-            for row in document.get("gauges", []):
-                key = (str(row["name"]), _labels_key(row.get("labels")))
-                slot = gauges.get(key)
-                if slot is None:
-                    gauges[key] = dict(row)
-                else:
-                    slot["value"] = float(slot["value"]) + float(row["value"])
+            for kind, rows in views.items():
+                for row in document.get(kind, []):
+                    key = (str(row["name"]), _labels_key(row.get("labels")))
+                    slot = rows.get(key)
+                    if slot is None:
+                        rows[key] = dict(row)
+                    else:
+                        slot["value"] = float(slot["value"]) + float(row["value"])
             for row in document.get("histograms", []):
                 key = (str(row["name"]), _labels_key(row.get("labels")))
                 slot = histograms.get(key)
@@ -506,11 +441,9 @@ class MetricsRegistry:
                 slot["weights"] = list(merged.weights)
                 slot["total_weight"] = merged.total_weight
                 slot["rank_error"] = merged.rank_error
-        return {
-            "counters": [counters[key] for key in sorted(counters)],
-            "gauges": [gauges[key] for key in sorted(gauges)],
-            "histograms": [histograms[key] for key in sorted(histograms)],
-        }
+        result = {kind: [rows[key] for key in sorted(rows)] for kind, rows in views.items()}
+        result["histograms"] = [histograms[key] for key in sorted(histograms)]
+        return result
 
 
 def _sketch_from_row(row: Mapping[str, Any]) -> MergeableQuantileSketch:
@@ -532,20 +465,14 @@ def render_document(document: Mapping[str, Any], namespace: str = "charles") -> 
     """
     prefix = f"{namespace}_" if namespace else ""
     lines: List[str] = []
-    for row in document.get("counters", []):
-        name = f"{prefix}{row['name']}"
-        if row.get("help"):
-            lines.append(f"# HELP {name} {row['help']}")
-        lines.append(f"# TYPE {name} counter")
-        labels = _render_labels(_labels_key(row.get("labels")))
-        lines.append(f"{name}{labels} {_format_value(row['value'])}")
-    for row in document.get("gauges", []):
-        name = f"{prefix}{row['name']}"
-        if row.get("help"):
-            lines.append(f"# HELP {name} {row['help']}")
-        lines.append(f"# TYPE {name} gauge")
-        labels = _render_labels(_labels_key(row.get("labels")))
-        lines.append(f"{name}{labels} {_format_value(row['value'])}")
+    for kind, kind_type in _VIEW_KINDS.items():
+        for row in document.get(kind, []):
+            name = f"{prefix}{row['name']}"
+            if row.get("help"):
+                lines.append(f"# HELP {name} {row['help']}")
+            lines.append(f"# TYPE {name} {kind_type}")
+            labels = _render_labels(_labels_key(row.get("labels")))
+            lines.append(f"{name}{labels} {_format_value(row['value'])}")
     for row in document.get("histograms", []):
         name = f"{prefix}{row['name']}"
         if row.get("help"):

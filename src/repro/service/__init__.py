@@ -18,7 +18,7 @@ is the subsystem built on that observation:
 its op table — the same versioned protocol the HTTP server
 (:mod:`repro.api.server`) puts on the network.
 
-The CLI's ``serve`` sub-command and benchmark E12 drive this layer with
+The CLI's ``serve`` sub-command drives this layer with
 the multi-user scenarios of :mod:`repro.workloads.concurrent` (replayed
 by its :func:`~repro.workloads.concurrent.serve`);
 ``serve --http`` exposes it to remote

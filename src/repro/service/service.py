@@ -100,7 +100,7 @@ def _ranker_cache_key(ranker: Ranker) -> str:
     ``ranker.name`` alone would let two differently-parameterised rankers
     of the same class (e.g. two :class:`WeightedRanker` weightings) share
     cached advice.  Instance ``vars`` cover dataclass parameters; private
-    attributes (per-pass score caches) are excluded.
+    attributes are state, not parameters, and are excluded.
     """
     parameters = sorted(
         (key, repr(value))
@@ -417,6 +417,8 @@ class AdvisorService:
         With ``context`` given, the session is started (its first advice is
         produced) before returning.
         """
+        if max_answers is not None and max_answers < 0:
+            raise AdvisorError(f"max_answers cannot be negative, got {max_answers}")
         runtime = self._runtime(table)
         session_config = config or self._config
         advisor = Charles(
@@ -605,6 +607,11 @@ class AdvisorService:
                     "ingest 'rows' must be a sequence of row mappings, "
                     f"got {type(rows).__name__}"
                 )
+            for row in rows:
+                if not isinstance(row, Mapping):
+                    raise ProtocolError(
+                        f"ingest 'rows' must hold row mappings, got {type(row).__name__}"
+                    )
             appended = len(rows)
             engine.ingest(rows)
         deleted = 0

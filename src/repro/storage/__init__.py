@@ -14,7 +14,7 @@ NumPy-backed, dictionary-encoded column store with exactly that surface:
 * :mod:`repro.storage.cache` — the shared, thread-safe result cache
   (masks and aggregates) engines and the service layer plug into;
 * :mod:`repro.storage.statistics` — table profiling (``charles profile``);
-* :mod:`repro.storage.index` — bitmap indexes (E17);
+* :mod:`repro.storage.index` — bitmap indexes;
 * :mod:`repro.storage.zonemap` — per-partition zone maps and shard
   skipping (the aggregate hot path's skipping-index tier);
 * :mod:`repro.storage.sampling` — uniform sampling primitives (paper §5.2, E8);

@@ -22,7 +22,8 @@ a mask computed before an ingest can never answer a query issued after it
 of superseded versions while leaving everything else (untagged entries,
 entries already recomputed at the current version, other namespaces in a
 shared cache) in place.  That is the precision alternative to
-flush-the-world invalidation; benchmark E16 measures the difference.
+flush-the-world invalidation: an ingest into one table leaves every
+other table's entries whole.
 
 Selection masks are the bulk of what is cached, and a mask is one bit of
 information per row: a one-dimensional ``bool`` array is stored

@@ -815,7 +815,7 @@ class QueryEngine:
     def count(self, query: SDLQuery) -> int:
         """``|R(Q)|``: number of rows selected by the query."""
         # Unobserved, the clock is never read: disabled observability costs
-        # one attribute read and one module-global check (E20 guards this).
+        # one attribute read and one module-global check.
         observed = self._metrics_sink is not None or tracing_active()
         started = time.perf_counter() if observed else 0.0
         self.counter.add(count_calls=1)

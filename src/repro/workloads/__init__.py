@@ -7,11 +7,10 @@ dependency structure so every figure-level experiment can be regenerated
 offline.  :mod:`repro.workloads.synthetic` additionally provides
 parametric tables with *known* ground truth for the benchmarks, and
 :mod:`repro.workloads.concurrent` generates multi-user exploration
-scenarios for the service layer and benchmark E12.
+scenarios for the service layer.
 """
 
 from repro.workloads.generators import (
-    batched,
     dependent_categorical_series,
     make_rng,
     numeric_from_category,
@@ -31,7 +30,6 @@ from repro.workloads.synthetic import (
 
 __all__ = [
     "make_rng",
-    "batched",
     "zipf_categorical_series",
     "dependent_categorical_series",
     "numeric_from_category",

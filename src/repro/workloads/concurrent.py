@@ -1,6 +1,6 @@
 """Multi-user exploration scenarios for the advisor service.
 
-The service layer (and benchmark E12) needs reproducible workloads in
+The service layer needs reproducible workloads in
 which *several users* explore the same table at once.  Real exploration
 traffic is skewed: most users start from a handful of popular contexts and
 many follow the same few drill paths (dashboards, shared links, tutorials)

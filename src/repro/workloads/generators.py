@@ -13,7 +13,7 @@ All functions are deterministic given a seed.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -21,7 +21,6 @@ from repro.errors import WorkloadError
 
 __all__ = [
     "make_rng",
-    "batched",
     "zipf_categorical_series",
     "dependent_categorical_series",
     "numeric_from_category",
@@ -37,36 +36,6 @@ def make_rng(seed: Optional[int]) -> np.random.Generator:
 def _validate_rows(rows: int) -> None:
     if rows <= 0:
         raise WorkloadError(f"the number of rows must be positive, got {rows}")
-
-
-def batched(
-    table: Any, batch_size: int, start: int = 0
-) -> Iterator[List[Dict[str, Any]]]:
-    """Yield a dataset as a stream of append batches of row mappings.
-
-    Turns any table-like object (anything with ``num_rows`` and
-    ``row(i)``, i.e. a :class:`~repro.storage.table.Table`) into the
-    batch stream a live deployment would receive: each yielded list holds
-    at most ``batch_size`` decoded rows, in row order, ready for
-    :meth:`repro.live.VersionedTable.append_batch` or a wire-level
-    ``ingest``.  ``start`` skips an initial prefix — the idiom for the
-    live scenarios and benchmark E16 is to seed an engine with the first
-    rows and stream the remainder::
-
-        seed = table.slice_rows(0, 1000)
-        for batch in batched(table, 500, start=1000):
-            engine.ingest(batch)
-
-    An exhausted (or empty) range yields nothing.
-    """
-    batch_size = int(batch_size)
-    if batch_size <= 0:
-        raise WorkloadError(f"batch_size must be positive, got {batch_size}")
-    if start < 0:
-        raise WorkloadError(f"start cannot be negative, got {start}")
-    for begin in range(int(start), table.num_rows, batch_size):
-        end = min(begin + batch_size, table.num_rows)
-        yield [table.row(index) for index in range(begin, end)]
 
 
 def categorical_series(

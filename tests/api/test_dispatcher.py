@@ -129,6 +129,14 @@ class TestWireDispatch:
         assert not response["ok"]
         assert response["error"]["code"] == "protocol_wire_format"
 
+    def test_ingest_row_that_is_not_a_mapping_is_a_protocol_error(self, dispatcher):
+        response = dispatcher.handle_wire(
+            Request(op="ingest", params={"rows": [1, 2]}).to_wire()
+        )
+        assert not response["ok"]
+        assert response["error"]["code"] == "protocol"
+        assert "row mappings" in response["error"]["message"]
+
 
 class TestSubmitValidation:
     """Regression tests: submit raises typed errors, never KeyError/TypeError."""
@@ -169,6 +177,16 @@ class TestSubmitValidation:
         )
         assert not response.ok
         assert response.error_code == "protocol"
+
+    @pytest.mark.parametrize("context", [None, _CONTEXT])
+    def test_negative_max_answers_is_rejected(self, dispatcher, context):
+        params = {"max_answers": -1, "context": context}
+        response = dispatcher.handle_wire(
+            Request(op="open_session", session="s9", params=params).to_wire()
+        )
+        assert not response["ok"]
+        assert response["error"]["code"] == "core_advisor"
+        assert "max_answers" in response["error"]["message"]
 
     def test_errors_carry_timing_and_request_id(self, service):
         response = service.submit(Request(op="frobnicate", request_id="rq-1"))

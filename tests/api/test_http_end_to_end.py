@@ -117,6 +117,13 @@ class TestRemoteErrors:
             remote.drill("zero", 0)
         remote.close()
 
+    def test_ingest_row_that_is_not_a_mapping_raises_protocol_error(self, client):
+        # Not a 500 "internal": the row is the caller's mistake.
+        version = client.health()["data_versions"]["voc"]
+        with pytest.raises(ProtocolError, match="row mappings"):
+            client.ingest(rows=[1, 2])
+        assert client.health()["data_versions"]["voc"] == version
+
     def test_unreachable_server_raises_remote_error(self):
         unreachable = RemoteAdvisor("http://127.0.0.1:9", timeout=0.5)
         with pytest.raises(RemoteError):

@@ -83,6 +83,14 @@ class TestAdvise:
         advice = advisor.advise(["type_of_boat", "tonnage"], max_answers=None)
         assert len(advice) >= 2
 
+    def test_negative_max_answers_is_rejected_not_sliced(self, advisor):
+        # ranked[:-1] used to drop the last answer without a word.
+        context = "(tonnage:, type_of_boat:, built:)"
+        assert len(advisor.advise(context, max_answers=None)) == 4
+        with pytest.raises(AdvisorError, match="max_answers"):
+            advisor.advise(context, max_answers=-1)
+        assert len(advisor.advise(context, max_answers=0)) == 0
+
     def test_attributes_argument(self, advisor):
         advice = advisor.advise(None, attributes=["tonnage", "type_of_boat"], max_answers=3)
         for answer in advice:

@@ -106,3 +106,4 @@ class TestCharlesParallelWiring:
             )
             assert fingerprint(advice) == fingerprint(baseline)
             assert advice.trace.indep_values == baseline.trace.indep_values
+            assert advice.engine_operations == baseline.engine_operations

@@ -58,8 +58,10 @@ def test_clustered_table_actually_skips():
     assert engine.count(query) == 21
     skipped = engine.counter.snapshot()["skipped_partitions"]
     assert skipped >= 6  # the range spans one of eight 50-row shards
-    # And the plain engine agrees on the answer, naturally.
-    assert QueryEngine(table).count(query) == 21
+    # And the plain scan agrees on the answer without skipping a shard.
+    plain = QueryEngine(table, use_index="none", partitions=8, cache_size=0)
+    assert plain.count(query) == 21
+    assert plain.counter.snapshot()["skipped_partitions"] == 0
 
 
 def test_skip_counter_survives_in_stats():

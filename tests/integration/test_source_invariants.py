@@ -264,8 +264,6 @@ _UNCALLED_BY_DESIGN = {
     "repro.api.client.RemoteSession": "the session type RemoteAdvisor.open_session returns, "
     "exported at the top level beside ServiceSession so local and remote scripts name the "
     "same pair",
-    "repro.workloads.generators.batched": "E16 (live ingest, an extension experiment) "
-    "slices its ingest batches with it",
     "repro.workloads.synthetic.make_gaussian_table": "E10 (the §5.2 quantile-cut "
     "experiment) isolates the middle third of this Gaussian table",
     "repro.workloads.synthetic.make_zipf_table": "E10 (the §5.2 quantile-cut experiment) "

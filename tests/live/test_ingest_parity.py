@@ -17,7 +17,7 @@ from repro.backends import open_backend
 from repro.core.advisor import Charles
 from repro.storage.expression import query_mask
 from repro.storage.sql import parse_where
-from repro.workloads import batched, generate_voc
+from repro.workloads import generate_voc
 
 _SEED_ROWS = 120
 _CONTEXT = ["tonnage", "type_of_boat", "departure_harbour"]
@@ -53,7 +53,9 @@ def _warm_backend(full_table, spec):
         spec, full_table.slice_rows(0, _SEED_ROWS), cache_aggregates=True
     )
     probe = parse_where(_QUERIES[0])
-    for index, batch in enumerate(batched(full_table, 75, start=_SEED_ROWS)):
+    rows = [full_table.row(i) for i in range(_SEED_ROWS, full_table.num_rows)]
+    for start in range(0, len(rows), 75):
+        batch = rows[start : start + 75]
         backend.count(probe)
         backend.median("tonnage", probe)
         version_before = backend.data_version

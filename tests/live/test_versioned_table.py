@@ -10,7 +10,7 @@ from repro.errors import SchemaError
 from repro.live import VersionedTable
 from repro.storage import QueryEngine, Table
 from repro.storage.sql import parse_where
-from repro.workloads import batched, generate_voc
+from repro.workloads import generate_voc
 
 
 @pytest.fixture()
@@ -54,6 +54,14 @@ class TestVersioning:
         source.append_batch(batch)
         cold = table.append_rows(batch)
         assert source.table.to_dict() == cold.to_dict()
+
+    def test_streamed_batches_rebuild_the_table(self, table):
+        source = VersionedTable(table.slice_rows(0, 100))
+        for begin in range(100, table.num_rows, 64):
+            end = min(begin + 64, table.num_rows)
+            source.append_batch([table.row(i) for i in range(begin, end)])
+        assert source.num_rows == table.num_rows
+        assert source.table.to_dict() == table.to_dict()
 
     def test_appended_values_are_coerced(self, source):
         before = source.num_rows
@@ -107,34 +115,3 @@ class TestLazyResharding:
         source.append_batch([source.table.row(0)])
         assert engine.partitioned_table is sibling.partitioned_table
         assert engine.partitioned_table.num_rows == source.num_rows
-
-
-class TestBatchedGenerator:
-    def test_batches_cover_the_table_in_order(self, table):
-        batches = list(batched(table, 90))
-        assert sum(len(b) for b in batches) == table.num_rows
-        assert [len(b) for b in batches[:-1]] == [90] * (len(batches) - 1)
-        rebuilt = [row for batch in batches for row in batch]
-        assert rebuilt[0] == table.row(0)
-        assert rebuilt[-1] == table.row(table.num_rows - 1)
-
-    def test_start_skips_a_seed_prefix(self, table):
-        batches = list(batched(table, 100, start=250))
-        assert sum(len(b) for b in batches) == table.num_rows - 250
-        assert batches[0][0] == table.row(250)
-
-    def test_exhausted_range_yields_nothing(self, table):
-        assert list(batched(table, 10, start=table.num_rows)) == []
-
-    def test_invalid_batch_size_is_rejected(self, table):
-        from repro.errors import WorkloadError
-
-        with pytest.raises(WorkloadError):
-            next(batched(table, 0))
-
-    def test_stream_rebuilds_the_table(self, table):
-        seed = table.slice_rows(0, 100)
-        source = VersionedTable(seed)
-        for batch in batched(table, 64, start=100):
-            source.append_batch(batch)
-        assert source.table.to_dict() == table.to_dict()

@@ -10,8 +10,8 @@ from repro.obs.metrics import MetricsRegistry
 
 def test_infinite_gauges_and_counters_render_as_prometheus_inf():
     registry = MetricsRegistry()
-    registry.gauge("up", "h").set(float("inf"))
-    registry.gauge("down", "h").set(float("-inf"))
+    registry.gauge("up", "h", fn=lambda: float("inf"))
+    registry.gauge("down", "h", fn=lambda: float("-inf"))
     registry.counter("total", "h", fn=lambda: float("inf"))
     text = registry.render_prometheus()
     assert "charles_up +Inf" in text

@@ -11,38 +11,38 @@ from repro.obs.metrics import (
 
 
 class TestCountersAndGauges:
-    def test_owned_counter_increments(self):
+    def test_counters_and_gauges_need_a_source(self):
         registry = MetricsRegistry()
-        counter = registry.counter("requests_total", "Requests.")
-        counter.inc()
-        counter.inc(2)
-        assert counter.value() == 3.0
+        with pytest.raises(TypeError):
+            registry.counter("requests_total", "Requests.")
+        with pytest.raises(TypeError):
+            registry.gauge("cache_entries", "Entries.")
 
-    def test_view_counter_reads_its_source_and_rejects_inc(self):
+    def test_view_counter_reads_its_source(self):
         registry = MetricsRegistry()
         tally = {"hits": 7}
         counter = registry.counter("hits_total", fn=lambda: tally["hits"])
         assert counter.value() == 7.0
         tally["hits"] = 9
         assert counter.value() == 9.0
-        with pytest.raises(ValueError):
-            counter.inc()
 
-    def test_view_gauge_tracks_and_rejects_set(self):
+    def test_view_gauge_tracks_its_source(self):
         registry = MetricsRegistry()
         state = {"entries": 4}
         gauge = registry.gauge("cache_entries", fn=lambda: state["entries"])
         assert gauge.value() == 4.0
-        with pytest.raises(ValueError):
-            gauge.set(1)
+        state["entries"] = 1
+        assert gauge.value() == 1.0
 
     def test_registration_is_idempotent_by_name_and_labels(self):
         registry = MetricsRegistry()
-        first = registry.counter("x_total", labels={"op": "count"})
-        again = registry.counter("x_total", labels={"op": "count"})
-        other = registry.counter("x_total", labels={"op": "median"})
+        first = registry.counter("x_total", labels={"op": "count"}, fn=lambda: 1)
+        again = registry.counter("x_total", labels={"op": "count"}, fn=lambda: 2)
+        other = registry.counter("x_total", labels={"op": "median"}, fn=lambda: 3)
         assert first is again
         assert first is not other
+        # Re-registering rebinds the view to its newest source.
+        assert first.value() == 2.0
 
 
 class TestHistograms:
@@ -67,8 +67,8 @@ class TestHistograms:
 class TestDocumentAndRendering:
     def _registry(self):
         registry = MetricsRegistry()
-        registry.counter("requests_total", "Requests.").inc(5)
-        registry.gauge("cache_entries", "Entries.", labels={"table": "voc"}).set(3)
+        registry.counter("requests_total", "Requests.", fn=lambda: 5)
+        registry.gauge("cache_entries", "Entries.", labels={"table": "voc"}, fn=lambda: 3)
         histogram = registry.histogram(
             "request_seconds", "Latency.", labels={"op": "advise"}
         )
@@ -98,7 +98,7 @@ class TestDocumentAndRendering:
 
     def test_namespace_prefixes_every_name(self):
         registry = MetricsRegistry(namespace="other")
-        registry.counter("x_total").inc()
+        registry.counter("x_total", fn=lambda: 1)
         assert "other_x_total 1" in registry.render_prometheus()
 
 
@@ -106,8 +106,8 @@ class TestMerging:
     def test_merge_sums_scalars_and_merges_sketches(self):
         def node():
             registry = MetricsRegistry()
-            registry.counter("requests_total").inc(10)
-            registry.gauge("cache_entries").set(4)
+            registry.counter("requests_total", fn=lambda: 10)
+            registry.gauge("cache_entries", fn=lambda: 4)
             histogram = registry.histogram("request_seconds", labels={"op": "advise"})
             for value in (0.1, 0.2):
                 histogram.observe(value)
@@ -134,9 +134,9 @@ class TestMerging:
 
     def test_disjoint_rows_union(self):
         left = MetricsRegistry()
-        left.counter("a_total").inc()
+        left.counter("a_total", fn=lambda: 1)
         right = MetricsRegistry()
-        right.counter("b_total").inc()
+        right.counter("b_total", fn=lambda: 1)
         merged = MetricsRegistry.merge_documents(
             [left.to_document(), right.to_document()]
         )

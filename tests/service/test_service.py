@@ -8,8 +8,10 @@ import threading
 import pytest
 
 from repro.api.protocol import Request
+from repro.core import Charles, ExplorationSession
 from repro.errors import AdvisorError, SessionError
 from repro.service import AdvisorService
+from repro.storage import QueryEngine
 from repro.workloads import generate_concurrent_workload, generate_voc, serve
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
@@ -251,6 +253,66 @@ class TestSubmitAndServe:
         report = serve(service, scripts, workers=1)
         assert report.requests == 0
         assert len(report.errors) == 2
+
+
+def _sixteen_user_scripts(table, users=16):
+    return generate_concurrent_workload(
+        table.column_names, users=users, steps=4, seed=5, distinct_paths=min(users, 4)
+    )
+
+
+def _replay_independently(table, scripts):
+    """Each user on a private advisor and engine: ``(requests, evaluations)``."""
+    requests = evaluations = 0
+    for script in scripts:
+        engine = QueryEngine(table)
+        session = ExplorationSession(Charles(engine), max_answers=10)
+        for action in script.actions:
+            if action.op == "advise":
+                session.start(list(action.context))
+            elif action.op == "drill":
+                advice = session.advise()
+                if not advice.answers:
+                    continue
+                answer_index = action.answer % len(advice.answers)
+                segmentation = advice.answers[answer_index].segmentation
+                session.drill(answer_index, action.segment % segmentation.depth)
+            elif session.depth > 0:
+                session.back()
+                session.advise()
+            requests += 1
+        evaluations += engine.counter.evaluations
+    return requests, evaluations
+
+
+class TestSharingSavesWork:
+    """Sixteen users on one service scan far less than sixteen on their own."""
+
+    @pytest.fixture(scope="class")
+    def small(self):
+        return generate_voc(rows=400, seed=42)
+
+    def test_shared_service_does_at_most_half_the_evaluations(self, small):
+        scripts = _sixteen_user_scripts(small)
+        service = AdvisorService(small)
+        report = serve(service, scripts, workers=1)
+        assert not report.errors
+        stats = service.stats()
+        shared = stats["tables"]["voc"]["primary_engine"]["evaluations"] + sum(
+            session["engine_operations"]["evaluations"]
+            for session in stats["sessions"].values()
+        )
+        requests, independent = _replay_independently(small, scripts)
+        # The same scripts, request for request; 618 against 2 980 today.
+        assert report.requests == requests
+        assert 0 < shared <= independent / 2
+
+    def test_cache_misses_per_request_fall_as_users_share_paths(self, small):
+        def misses_per_request(users):
+            report = serve(AdvisorService(small), _sixteen_user_scripts(small, users))
+            return report.table_stats["voc"]["result_cache"]["misses"] / report.requests
+
+        assert misses_per_request(16) < misses_per_request(1)
 
 
 class TestWorkloadGenerator:
