@@ -12,7 +12,7 @@ from builders import make_independent_table
 from repro.core import cut_query, indep
 from repro.errors import WorkloadError
 from repro.sdl import SDLQuery
-from repro.storage import DataType, QueryEngine
+from repro.storage import DataType, QueryEngine, StringColumn
 from repro.workloads import (
     FIGURE1_CONTEXT_COLUMNS,
     generate_astronomy,
@@ -60,6 +60,47 @@ WEBLOG_COLUMNS = (
 )
 
 
+def value_digest(table) -> str:
+    """sha256 of a table's schema and every decoded value."""
+    schema = {name: dtype.value for name, dtype in table.schema().items()}
+    text = json.dumps({"schema": schema, "data": table.to_dict()}, default=str, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def encoding_digest(table) -> str:
+    """sha256 of a table's physical encoding, column by column.
+
+    Covers what :func:`value_digest` cannot see: the class and NumPy dtype
+    of each column, its data and validity arrays (the fill value under a
+    missing row included), and a string column's codes and dictionary order.
+    """
+    digest = hashlib.sha256()
+    for name in table.column_names:
+        column = table.column(name)
+        digest.update(f"{name}:{type(column).__name__}:{column.dtype.value}".encode())
+        if isinstance(column, StringColumn):
+            arrays = [column._codes]
+            digest.update(json.dumps(column.categories).encode())
+        else:
+            arrays = [column._data, column._valid]
+        for array in arrays:
+            digest.update(array.dtype.str.encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+    return digest.hexdigest()
+
+
+# Recorded before the generators drew whole columns and string columns
+# were encoded in bulk: the tables must stay byte-identical.
+ENCODING_PINS = {
+    "voc-10000": "e8bab2a101239c008e1ac742607b665ff4d3ca45b84e1099efac60838924f919",
+    "voc-5000": "90a21f25488c582a918c2c261e2d1f2ebacceb1e209a743688d6679bdc6d0210",
+    "astronomy-values": "5db19edae113a3eba1e1d94f53a466504a333aea16f5e83556b3e4c02aab066a",
+    "astronomy-encoding": "bbc926a157b00cce7e722b794c701afabaa6049d50678c419940f52faad30763",
+    "weblog-values": "66bc05749f614966d240d39b76c16a0d8000a1fbc84f3c4bc2500816fec27ba1",
+    "weblog-encoding": "e4b372b7028f027130547934ad3a6264ca6a465c41e398b46564d716a0c9e927",
+}
+
+
 class TestVOC:
     def test_schema_matches_figure1(self, voc_table):
         assert tuple(voc_table.column_names) == VOC_COLUMNS
@@ -86,10 +127,17 @@ class TestVOC:
         # Digests recorded at commit 0d4fc05, before table load was changed to
         # infer types per distinct string and adopt homogeneous columns in
         # bulk: schema and every decoded value must stay exactly what they were.
-        table = generate_voc(rows, seed=42)
-        schema = {name: dtype.value for name, dtype in table.schema().items()}
-        text = json.dumps({"schema": schema, "data": table.to_dict()}, default=str, sort_keys=True)
-        assert hashlib.sha256(text.encode()).hexdigest() == digest
+        assert value_digest(generate_voc(rows, seed=42)) == digest
+
+    @pytest.mark.parametrize(
+        "rows, digest",
+        [
+            (10_000, ENCODING_PINS["voc-10000"]),
+            (5_000, ENCODING_PINS["voc-5000"]),
+        ],
+    )
+    def test_generated_encoding_is_pinned(self, rows, digest):
+        assert encoding_digest(generate_voc(rows, seed=42)) == digest
 
     def test_tonnage_within_figure1_bounds(self, voc_table):
         tonnage = voc_table.column("tonnage")
@@ -149,6 +197,11 @@ class TestAstronomy:
         with pytest.raises(WorkloadError):
             generate_astronomy(rows=-5)
 
+    def test_generated_table_is_pinned(self):
+        table = generate_astronomy()
+        assert value_digest(table) == ENCODING_PINS["astronomy-values"]
+        assert encoding_digest(table) == ENCODING_PINS["astronomy-encoding"]
+
 
 class TestWeblog:
     def test_schema(self, weblog_table):
@@ -183,6 +236,11 @@ class TestWeblog:
     def test_invalid_rows_rejected(self):
         with pytest.raises(WorkloadError):
             generate_weblog(rows=0)
+
+    def test_generated_table_is_pinned(self):
+        table = generate_weblog()
+        assert value_digest(table) == ENCODING_PINS["weblog-values"]
+        assert encoding_digest(table) == ENCODING_PINS["weblog-encoding"]
 
 
 class TestParametricTables:
