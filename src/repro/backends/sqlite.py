@@ -285,21 +285,20 @@ class SQLiteBackend:
         )
 
     @staticmethod
-    def _encoded_rows(table: Table, dtypes: Dict[str, DataType]):
-        columns = [table.column(name) for name in dtypes]
-        for index in range(table.num_rows):
-            row = []
-            for column in columns:
-                value = column.value_at(index)
-                if value is None:
-                    row.append(None)
-                elif column.dtype is DataType.DATE:
-                    row.append(date_to_ordinal(value))
-                elif column.dtype is DataType.BOOL:
-                    row.append(int(value))
-                else:
-                    row.append(value)
-            yield tuple(row)
+    def _encoded_rows(table: Table, dtypes: Dict[str, DataType]) -> Iterable[Tuple[Any, ...]]:
+        """SQL-ready row tuples, each column decoded once and the lists zipped."""
+        columns: List[List[Any]] = []
+        for name in dtypes:
+            column = table.column(name)
+            if column.dtype is DataType.DATE:  # the stored ordinal, not a date
+                ordinals = column.to_numpy().astype(object)
+                ordinals[~column.valid_mask()] = None
+                columns.append(ordinals.tolist())
+            elif column.dtype is DataType.BOOL:
+                columns.append([None if v is None else int(v) for v in column.values_list()])
+            else:
+                columns.append(column.values_list())
+        return zip(*columns)
 
     def sibling(self) -> "SQLiteBackend":
         """A backend over the same connection, schema and cache, with

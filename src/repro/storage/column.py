@@ -52,18 +52,32 @@ def _encode(values: Sequence[Any], dtype: DataType) -> Tuple[np.ndarray, np.ndar
     Missing rows hold the fill value 0.  Values that are all of a type
     the column stores without conversion (generated tables, NumPy input)
     are adopted in one C pass; anything else is coerced value by value.
+    An integer outside int64, or a number too large for a float, is a
+    :class:`TypeMismatchError`.
     """
     physical, stored_as_is = _LAYOUT[dtype]
-    if set(map(type, values)) <= stored_as_is:
-        data = np.array(values, dtype=physical)
-        if dtype is not DataType.FLOAT:
-            return data, np.ones(len(data), dtype=bool)
-        valid = ~np.isnan(data)
-        data[~valid] = 0.0
-        return data, valid
-    coerced = [coerce_value(v, dtype) for v in values]
-    valid = np.array([v is not None for v in coerced], dtype=bool)
-    return np.array([0 if v is None else v for v in coerced], dtype=physical), valid
+    try:
+        if set(map(type, values)) <= stored_as_is:
+            data = np.array(values, dtype=physical)
+            if dtype is not DataType.FLOAT:
+                return data, np.ones(len(data), dtype=bool)
+            valid = ~np.isnan(data)
+            data[~valid] = 0.0
+            return data, valid
+        coerced = [coerce_value(v, dtype) for v in values]
+        valid = np.array([v is not None for v in coerced], dtype=bool)
+        return np.array([0 if v is None else v for v in coerced], dtype=physical), valid
+    except OverflowError as exc:
+        raise TypeMismatchError(
+            f"a value is out of range for a {dtype.value.upper()} column"
+        ) from exc
+
+
+def _none_where_invalid(values: List[Any], valid: np.ndarray) -> List[Any]:
+    """``values`` with ``None`` at the rows ``valid`` marks missing."""
+    for position in np.flatnonzero(~valid).tolist():
+        values[position] = None
+    return values
 
 
 class Column:
@@ -83,23 +97,27 @@ class Column:
         raise NotImplementedError
 
     def values_list(self, mask: Optional[np.ndarray] = None) -> List[Any]:
-        """Decoded values, optionally restricted to a boolean mask."""
-        indices = self._selected_indices(mask)
-        return [self.value_at(int(i)) for i in indices]
+        """Decoded values, optionally restricted to a boolean mask.
 
-    def valid_mask(self) -> np.ndarray:
-        """Boolean array marking non-missing rows."""
-        raise NotImplementedError
-
-    def _selected_indices(self, mask: Optional[np.ndarray]) -> np.ndarray:
+        The whole selection is decoded in one pass, to exactly the values
+        :meth:`value_at` returns row by row.
+        """
         if mask is None:
-            return np.arange(len(self))
+            return self._decoded(slice(None))
         mask = np.asarray(mask, dtype=bool)
         if mask.shape[0] != len(self):
             raise TypeMismatchError(
                 f"mask length {mask.shape[0]} does not match column length {len(self)}"
             )
-        return np.flatnonzero(mask)
+        return self._decoded(mask)
+
+    def _decoded(self, rows: Any) -> List[Any]:
+        """Decoded values of the rows a slice or boolean mask selects."""
+        raise NotImplementedError
+
+    def valid_mask(self) -> np.ndarray:
+        """Boolean array marking non-missing rows."""
+        raise NotImplementedError
 
     def _effective_mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
         """Combine the validity bitmap with a caller-provided selection mask."""
@@ -191,21 +209,21 @@ class Column:
         return f"{type(self).__name__}({self.name!r}, {self.dtype}, n={len(self)})"
 
 
-class NumericColumn(Column):
-    """A column of INT or FLOAT values backed by a NumPy array."""
+class _ArrayColumn(Column):
+    """A column stored as one NumPy array plus a validity bitmap.
 
-    def __init__(self, name: str, values: Sequence[Any], dtype: DataType = DataType.FLOAT):
-        if dtype not in (DataType.INT, DataType.FLOAT):
-            raise TypeMismatchError(f"NumericColumn does not support {dtype}")
+    Every type but STRING: the array holds the values (dates as ordinals)
+    and a missing row holds the fill value 0.
+    """
+
+    def __init__(self, name: str, values: Sequence[Any], dtype: DataType):
         super().__init__(name, dtype)
         self._data, self._valid = _encode(values, dtype)
 
-    @classmethod
-    def _from_arrays(
-        cls, name: str, data: np.ndarray, valid: np.ndarray, dtype: DataType
-    ) -> "NumericColumn":
-        column = cls.__new__(cls)
-        Column.__init__(column, name, dtype)
+    def _with_arrays(self, data: np.ndarray, valid: np.ndarray) -> "_ArrayColumn":
+        """A column of the same class, name and type over other arrays."""
+        column = type(self).__new__(type(self))
+        Column.__init__(column, self.name, self.dtype)
         column._data = data
         column._valid = valid
         return column
@@ -219,11 +237,50 @@ class NumericColumn(Column):
     def value_at(self, index: int) -> Any:
         if not self._valid[index]:
             return None
-        value = self._data[index]
-        return int(value) if self.dtype is DataType.INT else float(value)
+        return self._decode_scalar(self._data[index])
+
+    def _decode_scalar(self, value: Any) -> Any:
+        raise NotImplementedError
+
+    def _decoded(self, rows: Any) -> List[Any]:
+        return _none_where_invalid(self._data[rows].tolist(), self._valid[rows])
 
     def _masked_data(self, mask: Optional[np.ndarray]) -> np.ndarray:
         return self._data[self._effective_mask(mask)]
+
+    def minimum(self, mask: Optional[np.ndarray] = None) -> Any:
+        data = self._masked_data(mask)
+        if data.size == 0:
+            raise EmptyColumnError(f"minimum of empty selection on {self.name!r}")
+        return self._decode_scalar(data.min())
+
+    def maximum(self, mask: Optional[np.ndarray] = None) -> Any:
+        data = self._masked_data(mask)
+        if data.size == 0:
+            raise EmptyColumnError(f"maximum of empty selection on {self.name!r}")
+        return self._decode_scalar(data.max())
+
+    def take(self, indices: np.ndarray) -> "_ArrayColumn":
+        indices = np.asarray(indices, dtype=np.int64)
+        return self._with_arrays(self._data[indices], self._valid[indices])
+
+    def slice_rows(self, start: int, stop: int) -> "_ArrayColumn":
+        return self._with_arrays(self._data[start:stop], self._valid[start:stop])
+
+    def append_values(self, values: Sequence[Any]) -> "_ArrayColumn":
+        data, valid = _encode(values, self.dtype)
+        return self._with_arrays(
+            np.concatenate([self._data, data]), np.concatenate([self._valid, valid])
+        )
+
+
+class NumericColumn(_ArrayColumn):
+    """A column of INT or FLOAT values backed by a NumPy array."""
+
+    def __init__(self, name: str, values: Sequence[Any], dtype: DataType = DataType.FLOAT):
+        if dtype not in (DataType.INT, DataType.FLOAT):
+            raise TypeMismatchError(f"NumericColumn does not support {dtype}")
+        super().__init__(name, values, dtype)
 
     def gather(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
         """Raw physical values of the non-missing rows under ``mask``.
@@ -245,18 +302,6 @@ class NumericColumn(Column):
         if data.size == 0:
             raise EmptyColumnError(f"median of empty selection on {self.name!r}")
         return self._decode_median(float(np.median(data)))
-
-    def minimum(self, mask: Optional[np.ndarray] = None) -> Any:
-        data = self._masked_data(mask)
-        if data.size == 0:
-            raise EmptyColumnError(f"minimum of empty selection on {self.name!r}")
-        return self._decode_scalar(data.min())
-
-    def maximum(self, mask: Optional[np.ndarray] = None) -> Any:
-        data = self._masked_data(mask)
-        if data.size == 0:
-            raise EmptyColumnError(f"maximum of empty selection on {self.name!r}")
-        return self._decode_scalar(data.max())
 
     def median(self, mask: Optional[np.ndarray] = None) -> Any:
         data = self._masked_data(mask)
@@ -321,26 +366,6 @@ class NumericColumn(Column):
             return np.zeros(len(self), dtype=bool)
         return np.isin(self._data, encoded) & self._valid
 
-    def take(self, indices: np.ndarray) -> "NumericColumn":
-        indices = np.asarray(indices, dtype=np.int64)
-        return NumericColumn._from_arrays(
-            self.name, self._data[indices], self._valid[indices], self.dtype
-        )
-
-    def slice_rows(self, start: int, stop: int) -> "NumericColumn":
-        return NumericColumn._from_arrays(
-            self.name, self._data[start:stop], self._valid[start:stop], self.dtype
-        )
-
-    def append_values(self, values: Sequence[Any]) -> "NumericColumn":
-        data, valid = _encode(values, self.dtype)
-        return NumericColumn._from_arrays(
-            self.name,
-            np.concatenate([self._data, data]),
-            np.concatenate([self._valid, valid]),
-            self.dtype,
-        )
-
     def to_numpy(self) -> np.ndarray:
         """The raw physical array (missing rows hold the fill value)."""
         return self._data
@@ -350,23 +375,14 @@ class DateColumn(NumericColumn):
     """A date column stored as proleptic Gregorian ordinals (int64)."""
 
     def __init__(self, name: str, values: Sequence[Any]):
-        Column.__init__(self, name, DataType.DATE)
-        self._data, self._valid = _encode(values, DataType.DATE)
+        _ArrayColumn.__init__(self, name, values, DataType.DATE)
 
-    @classmethod
-    def _from_arrays(  # type: ignore[override]
-        cls, name: str, data: np.ndarray, valid: np.ndarray, dtype: DataType = DataType.DATE
-    ) -> "DateColumn":
-        column = cls.__new__(cls)
-        Column.__init__(column, name, DataType.DATE)
-        column._data = data
-        column._valid = valid
-        return column
-
-    def value_at(self, index: int) -> Any:
-        if not self._valid[index]:
-            return None
-        return ordinal_to_date(int(self._data[index]))
+    def _decoded(self, rows: Any) -> List[Any]:
+        valid = self._valid[rows]
+        ordinals = self._data[rows].tolist()
+        if valid.all():
+            return list(map(_dt.date.fromordinal, ordinals))
+        return [_dt.date.fromordinal(o) if ok else None for o, ok in zip(ordinals, valid.tolist())]
 
     def _decode_scalar(self, value: Any) -> Any:
         return ordinal_to_date(int(value))
@@ -387,23 +403,6 @@ class DateColumn(NumericColumn):
             f"range bound {value!r} is not a date for column {self.name!r}"
         )
 
-    def take(self, indices: np.ndarray) -> "DateColumn":
-        indices = np.asarray(indices, dtype=np.int64)
-        return DateColumn._from_arrays(self.name, self._data[indices], self._valid[indices])
-
-    def slice_rows(self, start: int, stop: int) -> "DateColumn":
-        return DateColumn._from_arrays(
-            self.name, self._data[start:stop], self._valid[start:stop]
-        )
-
-    def append_values(self, values: Sequence[Any]) -> "DateColumn":
-        data, valid = _encode(values, DataType.DATE)
-        return DateColumn._from_arrays(
-            self.name,
-            np.concatenate([self._data, data]),
-            np.concatenate([self._valid, valid]),
-        )
-
 
 class StringColumn(Column):
     """A dictionary-encoded nominal column.
@@ -419,23 +418,36 @@ class StringColumn(Column):
 
     def __init__(self, name: str, values: Sequence[Any]):
         super().__init__(name, DataType.STRING)
-        categories: List[str] = []
-        index_of: Dict[str, int] = {}
-        codes = np.empty(len(values), dtype=np.int32)
-        for position, raw in enumerate(values):
-            if is_missing(raw):
-                codes[position] = self.MISSING_CODE
+        self._categories: List[str] = []
+        self._index_of: Dict[str, int] = {}
+        self._codes = self._encode_strings(values, self._categories, self._index_of)
+
+    @classmethod
+    def _encode_strings(
+        cls, values: Sequence[Any], categories: List[str], index_of: Dict[str, int]
+    ) -> np.ndarray:
+        """The ``int32`` codes of raw values, growing the dictionary in place.
+
+        New texts are appended to ``categories`` (and ``index_of``) in
+        first-appearance order.  An all-``str`` batch is encoded in bulk:
+        ``dict.fromkeys`` lists its distinct texts in that order, each is
+        checked for missing once, and one ``np.fromiter`` maps the rows.
+        Other input is first turned into texts (``None`` when missing)
+        value by value.
+        """
+        if not set(map(type, values)) <= {str}:
+            values = [None if is_missing(raw) else str(raw) for raw in values]
+        code_of: Dict[Optional[str], int] = {}
+        for text in dict.fromkeys(values):
+            if text is None or is_missing(text):
+                code_of[text] = cls.MISSING_CODE
                 continue
-            text = str(raw)
             code = index_of.get(text)
             if code is None:
-                code = len(categories)
+                code = index_of[text] = len(categories)
                 categories.append(text)
-                index_of[text] = code
-            codes[position] = code
-        self._codes = codes
-        self._categories = categories
-        self._index_of = index_of
+            code_of[text] = code
+        return np.fromiter(map(code_of.__getitem__, values), dtype=np.int32, count=len(values))
 
     @classmethod
     def _from_encoding(
@@ -474,6 +486,10 @@ class StringColumn(Column):
         if code == self.MISSING_CODE:
             return None
         return self._categories[code]
+
+    def _decoded(self, rows: Any) -> List[Any]:
+        # MISSING_CODE (-1) indexes the trailing None.
+        return list(map([*self._categories, None].__getitem__, self._codes[rows].tolist()))
 
     def minimum(self, mask: Optional[np.ndarray] = None) -> Any:
         values = [v for v in self.values_list(self._effective_mask(mask))]
@@ -552,60 +568,20 @@ class StringColumn(Column):
         # the column had been built from the concatenated values.
         categories = list(self._categories)
         index_of = dict(self._index_of)
-        codes = np.empty(len(values), dtype=np.int32)
-        for position, raw in enumerate(values):
-            if is_missing(raw):
-                codes[position] = self.MISSING_CODE
-                continue
-            text = str(raw)
-            code = index_of.get(text)
-            if code is None:
-                code = len(categories)
-                categories.append(text)
-                index_of[text] = code
-            codes[position] = code
+        codes = self._encode_strings(values, categories, index_of)
         return StringColumn._from_encoding(
             self.name, np.concatenate([self._codes, codes]), categories, index_of
         )
 
 
-class BoolColumn(Column):
+class BoolColumn(_ArrayColumn):
     """A boolean column with a validity bitmap."""
 
     def __init__(self, name: str, values: Sequence[Any]):
-        super().__init__(name, DataType.BOOL)
-        self._data, self._valid = _encode(values, DataType.BOOL)
+        super().__init__(name, values, DataType.BOOL)
 
-    @classmethod
-    def _from_arrays(cls, name: str, data: np.ndarray, valid: np.ndarray) -> "BoolColumn":
-        column = cls.__new__(cls)
-        Column.__init__(column, name, DataType.BOOL)
-        column._data = data
-        column._valid = valid
-        return column
-
-    def __len__(self) -> int:
-        return int(self._data.shape[0])
-
-    def valid_mask(self) -> np.ndarray:
-        return self._valid
-
-    def value_at(self, index: int) -> Any:
-        if not self._valid[index]:
-            return None
-        return bool(self._data[index])
-
-    def minimum(self, mask: Optional[np.ndarray] = None) -> Any:
-        data = self._data[self._effective_mask(mask)]
-        if data.size == 0:
-            raise EmptyColumnError(f"minimum of empty selection on {self.name!r}")
-        return bool(data.min())
-
-    def maximum(self, mask: Optional[np.ndarray] = None) -> Any:
-        data = self._data[self._effective_mask(mask)]
-        if data.size == 0:
-            raise EmptyColumnError(f"maximum of empty selection on {self.name!r}")
-        return bool(data.max())
+    def _decode_scalar(self, value: Any) -> Any:
+        return bool(value)
 
     def median(self, mask: Optional[np.ndarray] = None) -> Any:
         raise TypeMismatchError(
@@ -653,23 +629,6 @@ class BoolColumn(Column):
         if False in wanted:
             mask |= ~self._data
         return mask & self._valid
-
-    def take(self, indices: np.ndarray) -> "BoolColumn":
-        indices = np.asarray(indices, dtype=np.int64)
-        return BoolColumn._from_arrays(self.name, self._data[indices], self._valid[indices])
-
-    def slice_rows(self, start: int, stop: int) -> "BoolColumn":
-        return BoolColumn._from_arrays(
-            self.name, self._data[start:stop], self._valid[start:stop]
-        )
-
-    def append_values(self, values: Sequence[Any]) -> "BoolColumn":
-        data, valid = _encode(values, DataType.BOOL)
-        return BoolColumn._from_arrays(
-            self.name,
-            np.concatenate([self._data, data]),
-            np.concatenate([self._valid, valid]),
-        )
 
 
 def build_column(name: str, values: Sequence[Any], dtype: DataType) -> Column:

@@ -160,23 +160,35 @@ def infer_collection_type(values: Iterable[Any]) -> DataType:
 
     * missing values are ignored;
     * INT widens to FLOAT when both appear;
-    * BOOL mixed with numbers widens to the numeric type;
+    * BOOL mixed with numbers widens to the numeric type (a textual
+      ``true``/``false`` then loads as 1/0);
     * any other mix (for example numbers with free text) falls back to STRING;
     * an all-missing or empty collection defaults to STRING.
 
     A textual value is parsed once per *distinct* string, which is what
-    keeps loading a CSV or a generated table cheap.  Only strings are
-    deduplicated: ``True == 1 == 1.0`` hash alike, so a set of raw values
-    would lose the types of a mixed bool/int/float column.
+    keeps loading a CSV or a generated table cheap: an all-``str`` column
+    becomes one ``set``, and the first distinct text that parses as
+    STRING ends the scan, since any mix with free text is STRING.  Only
+    strings are deduplicated: ``True == 1 == 1.0`` hash alike, so a set of
+    raw values would lose the types of a mixed bool/int/float column.
     """
+    if not isinstance(values, (list, tuple)):
+        values = list(values)
     seen: set[Optional[DataType]] = set()
     texts: set[str] = set()
-    for value in values:
-        if isinstance(value, str):
-            texts.add(value)
-        else:
-            seen.add(infer_value_type(value))
-    seen.update(map(infer_value_type, texts))
+    if set(map(type, values)) <= {str}:
+        texts = set(values)
+    else:
+        for value in values:
+            if isinstance(value, str):
+                texts.add(value)
+            else:
+                seen.add(infer_value_type(value))
+    for text in texts:
+        dtype = infer_value_type(text)
+        if dtype is DataType.STRING:
+            return DataType.STRING
+        seen.add(dtype)
     seen.discard(None)
     if not seen:
         return DataType.STRING
@@ -213,14 +225,22 @@ def coerce_value(value: Any, dtype: DataType) -> Any:
     raise TypeMismatchError(f"unsupported data type: {dtype!r}")  # pragma: no cover
 
 
+#: Textual booleans, as :func:`_infer_string_type` recognises them: a
+#: column that mixes them with numbers is numeric, and they load as 1 and 0.
+_TEXT_BOOLS = {"true": 1, "false": 0}
+
+
 def _coerce_int(value: Any) -> int:
     if isinstance(value, _FLOATS) and not float(value).is_integer():
         raise TypeMismatchError(f"cannot store {value!r} in an INT column")
     if isinstance(value, _NUMBERS):
         return int(value)
     if isinstance(value, str):
+        text = value.strip()
+        if text.lower() in _TEXT_BOOLS:
+            return _TEXT_BOOLS[text.lower()]
         try:
-            return int(value.strip())
+            return int(text)
         except ValueError as exc:
             raise TypeMismatchError(f"cannot parse {value!r} as an integer") from exc
     raise TypeMismatchError(f"cannot store {value!r} in an INT column")
@@ -230,8 +250,11 @@ def _coerce_float(value: Any) -> float:
     if isinstance(value, _NUMBERS):
         return float(value)
     if isinstance(value, str):
+        text = value.strip()
+        if text.lower() in _TEXT_BOOLS:
+            return float(_TEXT_BOOLS[text.lower()])
         try:
-            return float(value.strip())
+            return float(text)
         except ValueError as exc:
             raise TypeMismatchError(f"cannot parse {value!r} as a float") from exc
     raise TypeMismatchError(f"cannot store {value!r} in a FLOAT column")

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.errors import WorkloadError
 from repro.storage.table import Table
 from repro.storage.types import DataType
@@ -49,10 +51,10 @@ def generate_astronomy(
     rng = make_rng(seed)
 
     draws = rng.choice(len(_CLASSES), size=rows, p=_CLASS_WEIGHTS)
-    classes = [_CLASSES[int(i)] for i in draws]
+    classes = np.array(_CLASSES, dtype=object)[draws].tolist()
 
-    ra: List[float] = [float(value) for value in rng.uniform(0.0, 360.0, size=rows)]
-    dec: List[float] = [float(value) for value in rng.uniform(-30.0, 60.0, size=rows)]
+    ra: List[float] = rng.uniform(0.0, 360.0, size=rows).tolist()
+    dec: List[float] = rng.uniform(-30.0, 60.0, size=rows).tolist()
     fields = [_field_for_ra(value) for value in ra]
 
     magnitude = numeric_from_category(
@@ -64,9 +66,8 @@ def generate_astronomy(
         minimum=0.0, maximum=6.0,
     )
     # Colour correlates with magnitude: fainter objects are redder on average.
-    colour_index = [
-        float(0.08 * (m - 14.0) + rng.normal(0.0, 0.25)) for m in magnitude
-    ]
+    scatter = rng.normal(0.0, 0.25, size=rows)
+    colour_index = (0.08 * (np.array(magnitude) - 14.0) + scatter).tolist()
 
     data = {
         "object_id": [f"obj-{index + 1:07d}" for index in range(rows)],

@@ -8,12 +8,18 @@ categorical attributes driving numeric ones, correlated categories, skewed
 (Zipf) popularity, temporal drift — so that HB-cuts has real dependencies
 to discover and the INDEP quotient has real independence to certify.
 
-All functions are deterministic given a seed.
+All functions are deterministic given a seed, and draw whole columns:
+NumPy's array calls run the same routine per element, in order, as the
+scalar calls a per-row loop would make.  Where a loop interleaves
+``random()`` with ``integers(0, n)``, :func:`_replay_draws` replays that run
+of calls from the PCG64 bit generator's raw words, leaving the generator
+exactly where the per-row calls leave it; it makes the scalar calls
+instead when a draw would be rejected or the bit generator is not PCG64.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -105,15 +111,21 @@ def dependent_categorical_series(
         all_categories = list(seen)
     if not all_categories:
         raise WorkloadError("the child category set is empty")
-    result: List[str] = []
-    for parent in parent_values:
-        children = mapping.get(parent, all_categories)
-        if rng.random() < noise or not children:
-            pool = all_categories
-        else:
-            pool = children
-        result.append(pool[int(rng.integers(0, len(pool)))])
-    return result
+    distinct, codes = _factorized(parent_values)
+    # Pool 0 is the full set; pool 1 + c holds the children of parent c.
+    pools = [all_categories] + [mapping.get(p, all_categories) or all_categories for p in distinct]
+    sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
+    choices = np.empty((len(pools), int(sizes.max())), dtype=object)
+    for row, pool in enumerate(pools):
+        choices[row, : len(pool)] = pool
+
+    def pool_of(drawn: List[np.ndarray], at: np.ndarray) -> np.ndarray:
+        return np.where(drawn[0] < noise, 0, 1 + codes[at])
+
+    draws, picks = _replay_draws(
+        rng, len(codes), [None, lambda drawn, at: sizes[pool_of(drawn, at)]]
+    )
+    return choices[pool_of([draws], np.arange(len(codes))), picks].tolist()
 
 
 def numeric_from_category(
@@ -132,17 +144,18 @@ def numeric_from_category(
     """
     default_mean = float(np.mean(list(means.values()))) if means else 0.0
     default_spread = float(np.mean(list(spreads.values()))) if spreads else 1.0
-    values: List[float] = []
-    for parent in parent_values:
-        mean = means.get(parent, default_mean)
-        spread = max(1e-9, spreads.get(parent, default_spread))
-        value = float(rng.normal(mean, spread))
-        if minimum is not None:
-            value = max(minimum, value)
-        if maximum is not None:
-            value = min(maximum, value)
-        values.append(round(value) if integer else value)
-    return values
+    distinct, codes = _factorized(parent_values)
+    mean = np.array([means.get(p, default_mean) for p in distinct], dtype=np.float64)
+    spread = np.array(
+        [max(1e-9, spreads.get(p, default_spread)) for p in distinct], dtype=np.float64
+    )
+    values = rng.normal(mean[codes], spread[codes])
+    # The same comparisons as ``max(minimum, v)`` and ``min(maximum, v)``.
+    if minimum is not None:
+        values = np.where(values > minimum, values, minimum)
+    if maximum is not None:
+        values = np.where(values < maximum, values, maximum)
+    return _rounded(values).tolist() if integer else values.tolist()
 
 
 def year_series(
@@ -165,5 +178,102 @@ def year_series(
     uniform = rng.random(rows)
     if skew_towards_end > 0:
         uniform = uniform ** (1.0 - 0.75 * skew_towards_end)
-    span = end - start
-    return [int(start + round(u * span)) for u in uniform]
+    return (start + _rounded(uniform * (end - start))).tolist()
+
+
+def _rounded(values: np.ndarray) -> np.ndarray:
+    """``round`` per value: to the nearest integer, half to even."""
+    return np.rint(values).astype(np.int64)
+
+
+def _factorized(values: Sequence[str]) -> Tuple[List[str], np.ndarray]:
+    """The distinct values in first-appearance order, and each value's position there."""
+    index = {value: code for code, value in enumerate(dict.fromkeys(values))}
+    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+#: One call of a per-row run: ``None`` is ``random()``, a bound ``n`` is
+#: ``integers(0, n)``; a callable bound gets the row's earlier results and rows.
+Draw = Union[None, int, Callable[[List[np.ndarray], np.ndarray], np.ndarray]]
+
+_LOW_HALF = np.uint64(0xFFFFFFFF)
+
+
+def _replay_draws(rng: np.random.Generator, rows: int, calls: Sequence[Draw]) -> List[np.ndarray]:
+    """The results of making ``calls`` in order, once per row, for ``rows`` rows.
+
+    Equal, value for value, to the scalar calls, and the generator is left
+    in the state they leave it in.  For PCG64 the run is replayed from one
+    ``random_raw`` block: a double is ``(word >> 11) * 2**-53``; an integer
+    is Lemire's ``(u32 * n) >> 32`` over 32-bit halves taken low half
+    first through the bit generator's ``has_uint32``/``uinteger`` buffer,
+    which ``random()`` leaves alone; ``integers(0, 1)`` draws nothing.  A
+    draw NumPy would reject and redraw, a computed bound outside
+    ``[2, 2**32]`` or another bit generator restores the state and makes
+    the scalar calls.
+    """
+    bitgen = rng.bit_generator
+    start = bitgen.state
+    if start["bit_generator"] == "PCG64":
+        results = _replayed(bitgen, start, rows, calls)
+        if results is not None:
+            return results
+        bitgen.state = start
+    return _scalar_draws(rng, rows, calls)
+
+
+def _replayed(
+    bitgen: np.random.BitGenerator, start: dict, rows: int, calls: Sequence[Draw]
+) -> Optional[List[np.ndarray]]:
+    is_double = np.tile(np.array([call is None for call in calls], dtype=bool), rows)
+    # A computed bound is taken to draw; the check below falls back if not.
+    draws_half = [call is not None and (callable(call) or call > 1) for call in calls]
+    takes_half = np.tile(np.array(draws_half, dtype=bool), rows)
+    buffered = int(start["has_uint32"])
+    half = np.cumsum(takes_half) - takes_half - buffered  # fresh halves drawn before
+    takes_word = is_double | (takes_half & (half >= 0) & (half % 2 == 0))
+    words = bitgen.random_raw(int(np.count_nonzero(takes_word)))
+    word_at = np.cumsum(takes_word) - 1
+    paired = words[word_at[takes_word & takes_half]]
+    halves = np.stack([paired & _LOW_HALF, paired >> np.uint64(32)], axis=1).reshape(-1)
+    halves = np.concatenate([np.array([start["uinteger"]] * buffered, dtype=np.uint64), halves])
+    drawn = int(np.count_nonzero(takes_half))
+    raw = np.zeros(rows * len(calls), dtype=np.uint64)
+    raw[is_double] = words[word_at[is_double]] >> np.uint64(11)
+    raw[takes_half] = halves[:drawn]
+    raw = raw.reshape(rows, len(calls))
+
+    results: List[np.ndarray] = []
+    for slot, call in enumerate(calls):
+        if call is None:
+            results.append(raw[:, slot] * 2.0**-53)
+            continue
+        n = np.broadcast_to(call(results, np.arange(rows)) if callable(call) else call, rows)
+        if not ((n >= (2 if callable(call) else 1)) & (n <= 2**32)).all():
+            return None
+        n = n.astype(np.uint64)
+        product = raw[:, slot] * n
+        if np.any((product & _LOW_HALF) < (np.uint64(2**32) - n) % n):
+            return None
+        results.append((product >> np.uint64(32)).astype(np.int64))
+
+    if drawn:
+        fresh = drawn - buffered
+        state = bitgen.state
+        state["has_uint32"] = fresh % 2
+        state["uinteger"] = int(halves[drawn if fresh % 2 else drawn - 1])
+        bitgen.state = state
+    return results
+
+
+def _scalar_draws(rng: np.random.Generator, rows: int, calls: Sequence[Draw]) -> List[np.ndarray]:
+    results = [np.zeros(rows, dtype=float if call is None else np.int64) for call in calls]
+    for row in range(rows):
+        at = np.array([row])
+        for slot, call in enumerate(calls):
+            if call is None:
+                results[slot][row] = rng.random()
+            else:
+                n = call([r[at] for r in results[:slot]], at) if callable(call) else call
+                results[slot][row] = rng.integers(0, np.asarray(n).item())
+    return results

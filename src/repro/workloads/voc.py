@@ -21,10 +21,13 @@ from __future__ import annotations
 
 from typing import Optional
 
+import numpy as np
+
 from repro.errors import WorkloadError
 from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.workloads.generators import (
+    _replay_draws,
     dependent_categorical_series,
     make_rng,
     numeric_from_category,
@@ -85,6 +88,7 @@ _MASTER_FIRST = ("Jan", "Pieter", "Willem", "Cornelis", "Dirck", "Hendrick", "Ge
                  "Claes", "Adriaen", "Jacob")
 _MASTER_LAST = ("Janszoon", "de Vries", "van Dam", "Bontekoe", "Tasman", "Houtman",
                 "van Neck", "de Houtman", "Evertsen", "van Riebeeck")
+_MASTER_NAMES = np.array([f"{a} {b}" for a in _MASTER_FIRST for b in _MASTER_LAST], dtype=object)
 
 
 def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") -> Table:
@@ -106,7 +110,7 @@ def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") 
     # Boat types: the two light types dominate, as in the historical fleet.
     type_weights = (0.30, 0.26, 0.16, 0.12, 0.09, 0.07)
     draws = rng.choice(len(_BOAT_TYPES), size=rows, p=type_weights)
-    boat_types = [_BOAT_TYPES[int(i)] for i in draws]
+    boat_types = np.array(_BOAT_TYPES, dtype=object)[draws].tolist()
 
     tonnage = numeric_from_category(
         rng,
@@ -133,21 +137,16 @@ def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") 
     )
 
     departure_years = year_series(rng, rows, start=1600, end=1780, skew_towards_end=0.4)
-    built_years = [
-        max(1580, year - int(rng.integers(1, 25))) for year in departure_years
-    ]
+    departure = np.array(departure_years, dtype=np.int64)
+    (ages,) = _replay_draws(rng, rows, [24])  # integers(1, 25) per row
+    built_years = np.maximum(1580, departure - 1 - ages).tolist()
     # Voyages to the Cape took roughly four to nine months; encode the
     # arrival as a year to keep the column comparable with the paper's
     # integer date examples.
-    cape_arrival = [
-        year + (1 if rng.random() < 0.45 else 0) for year in departure_years
-    ]
+    cape_arrival = (departure + (rng.random(rows) < 0.45)).tolist()
 
-    masters = [
-        f"{_MASTER_FIRST[int(rng.integers(0, len(_MASTER_FIRST)))]} "
-        f"{_MASTER_LAST[int(rng.integers(0, len(_MASTER_LAST)))]}"
-        for _ in range(rows)
-    ]
+    first, last = _replay_draws(rng, rows, [len(_MASTER_FIRST), len(_MASTER_LAST)])
+    masters = _MASTER_NAMES[first * len(_MASTER_LAST) + last].tolist()
     trips = [f"trip-{index + 1:05d}" for index in range(rows)]
 
     data = {

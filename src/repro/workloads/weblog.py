@@ -15,6 +15,8 @@ from __future__ import annotations
 
 from typing import List, Optional
 
+import numpy as np
+
 from repro.errors import WorkloadError
 from repro.storage.table import Table
 from repro.storage.types import DataType
@@ -91,10 +93,9 @@ def generate_weblog(
         rng, url_categories, mapping=_STATUS_BY_CATEGORY, noise=0.05,
         all_categories=_ALL_STATUSES,
     )
-    bytes_sent: List[int] = [
-        int(max(200, rng.lognormal(mean=8.0, sigma=1.0)))
-        for _ in range(rows)
-    ]
+    # ``int(max(200, x))``: x if above 200, truncated towards zero.
+    sizes = rng.lognormal(mean=8.0, sigma=1.0, size=rows)
+    bytes_sent: List[int] = np.where(sizes > 200, sizes, 200).astype(np.int64).tolist()
     countries = zipf_categorical_series(rng, rows, _COUNTRIES, exponent=0.9)
     devices = dependent_categorical_series(
         rng, countries, mapping=_DEVICES_BY_COUNTRY, noise=0.1,
@@ -104,7 +105,7 @@ def generate_weblog(
         rng, devices, mapping=_REFERRERS_BY_DEVICE, noise=0.15,
         all_categories=_ALL_REFERRERS,
     )
-    hours = [int(value) for value in rng.integers(0, 24, size=rows)]
+    hours = rng.integers(0, 24, size=rows).tolist()
 
     data = {
         "request_id": [f"req-{index + 1:08d}" for index in range(rows)],

@@ -138,6 +138,17 @@ class TestWireDispatch:
         assert "row mappings" in response["error"]["message"]
 
 
+    def test_ingest_of_an_out_of_range_integer_is_a_typed_error(self, dispatcher, service):
+        # handle_wire never raises: the overflow comes back as an envelope.
+        before = service.data_versions()["voc"]
+        response = dispatcher.handle_wire(
+            Request(op="ingest", params={"rows": [{"tonnage": 10**30}]}).to_wire()
+        )
+        assert not response["ok"]
+        assert response["error"]["code"] == "storage_type_mismatch"
+        assert service.data_versions()["voc"] == before
+
+
 class TestSubmitValidation:
     """Regression tests: submit raises typed errors, never KeyError/TypeError."""
 

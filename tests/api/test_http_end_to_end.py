@@ -23,7 +23,13 @@ import repro.api.server as server_module
 from repro.api.codec import dumps
 from repro.api.client import RemoteAdvisor
 from repro.api.server import AdvisorHTTPServer
-from repro.errors import ProtocolError, RemoteError, SessionError, UnknownOperationError
+from repro.errors import (
+    ProtocolError,
+    RemoteError,
+    SessionError,
+    TypeMismatchError,
+    UnknownOperationError,
+)
 from repro.service import AdvisorService
 from repro.workloads import generate_voc
 
@@ -122,6 +128,13 @@ class TestRemoteErrors:
         version = client.health()["data_versions"]["voc"]
         with pytest.raises(ProtocolError, match="row mappings"):
             client.ingest(rows=[1, 2])
+        assert client.health()["data_versions"]["voc"] == version
+
+    def test_ingest_of_an_out_of_range_integer_raises_type_mismatch(self, client):
+        # Not a 500 "internal": the value is the caller's mistake.
+        version = client.health()["data_versions"]["voc"]
+        with pytest.raises(TypeMismatchError, match="out of range"):
+            client.ingest(rows=[{"tonnage": 10**30}])
         assert client.health()["data_versions"]["voc"] == version
 
     def test_unreachable_server_raises_remote_error(self):

@@ -15,7 +15,7 @@ import pytest
 from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError, EmptyColumnError, UnknownColumnError
 from repro.sdl import ExclusionPredicate, RangePredicate, SDLQuery, SetPredicate
-from repro.storage import QueryEngine, Table
+from repro.storage import DataType, QueryEngine, Table
 from repro.workloads import generate_voc
 
 
@@ -145,6 +145,29 @@ class TestTypes:
         backend = SQLiteBackend.from_table(typed_table)
         with pytest.raises(UnknownColumnError):
             backend.count(SDLQuery.over(["nonexistent"]))
+
+
+    def test_inserted_rows_are_the_per_row_encoding(self, typed_table):
+        table = typed_table.append_rows([{"day": None, "flag": True, "label": "d"}])
+        stored = SQLiteBackend.from_table(table)
+        names = table.column_names
+        rows = stored._connection.execute(
+            f"SELECT {', '.join(names)} FROM typed ORDER BY rowid"
+        ).fetchall()
+        expected = []
+        for index in range(table.num_rows):
+            row = []
+            for name in names:
+                value = table.column(name).value_at(index)
+                if value is not None and table.dtype(name) is DataType.DATE:
+                    value = value.toordinal()
+                elif value is not None and table.dtype(name) is DataType.BOOL:
+                    value = int(value)
+                row.append(value)
+            expected.append(tuple(row))
+        assert rows == expected
+        types = [[type(v) for v in row] for row in rows]
+        assert types == [[type(v) for v in row] for row in expected]
 
 
 class TestLifecycle:

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import datetime as dt
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given
 
 from repro.errors import EmptyColumnError, TypeMismatchError
 from repro.storage.column import (
@@ -15,7 +17,7 @@ from repro.storage.column import (
     StringColumn,
     build_column,
 )
-from repro.storage.types import DataType
+from repro.storage.types import DataType, is_missing
 
 
 class TestNumericColumn:
@@ -210,3 +212,70 @@ class TestBuildColumn:
         column = build_column("c", values, dtype)
         assert isinstance(column, expected_class)
         assert column.dtype is dtype
+
+
+def per_value_string_encoding(values, categories, index_of):
+    """The per-value dictionary encoding string columns were built with."""
+    codes = np.empty(len(values), dtype=np.int32)
+    for position, raw in enumerate(values):
+        if is_missing(raw):
+            codes[position] = StringColumn.MISSING_CODE
+            continue
+        text = str(raw)
+        code = index_of.get(text)
+        if code is None:
+            code = len(categories)
+            categories.append(text)
+            index_of[text] = code
+        codes[position] = code
+    return codes
+
+
+texts = st.sampled_from(["a", "b", "ä", "", "  ", " a", "1", "x y"])
+raw_values = st.one_of(texts, st.none(), st.integers(-3, 3), st.just(float("nan")), st.just(2.5))
+
+
+class TestBulkStringEncoding:
+    @given(values=st.lists(texts, max_size=30), batch=st.lists(raw_values, max_size=30))
+    def test_bulk_encoding_is_the_per_value_loop(self, values, batch):
+        column = StringColumn("s", values)
+        categories, index_of = [], {}
+        codes = per_value_string_encoding(values, categories, index_of)
+        assert column._codes.dtype == codes.dtype and column._codes.tolist() == codes.tolist()
+        assert column.categories == categories and column._index_of == index_of
+        # Appending grows the same dictionary the concatenation would build.
+        grown = column.append_values(batch)
+        codes = np.concatenate([codes, per_value_string_encoding(batch, categories, index_of)])
+        assert grown._codes.tolist() == codes.tolist()
+        assert grown.categories == categories and grown._index_of == index_of
+        assert column.categories == StringColumn("s", values).categories  # untouched
+
+
+def _columns_with_missing():
+    return [
+        NumericColumn("i", [3, None, -1, 7], DataType.INT),
+        NumericColumn("f", [1.5, float("nan"), None, -0.0], DataType.FLOAT),
+        DateColumn("d", ["2020-01-02", None, dt.date(1700, 5, 1), ""]),
+        StringColumn("s", ["a", None, "b", "a"]),
+        BoolColumn("b", [True, None, False, "yes"]),
+    ]
+
+
+class TestBulkDecoding:
+    @pytest.mark.parametrize("column", _columns_with_missing(), ids=lambda c: c.name)
+    @pytest.mark.parametrize("mask", [None, [True, True, False, True], [False] * 4])
+    def test_values_list_is_value_at_per_row(self, column, mask):
+        rows = range(len(column)) if mask is None else np.flatnonzero(mask).tolist()
+        expected = [column.value_at(row) for row in rows]
+        for decoded in (column.values_list(mask), column.take(np.arange(4)).values_list(mask)):
+            assert decoded == expected
+            assert [type(v) for v in decoded] == [type(v) for v in expected]
+
+    def test_values_list_of_a_slice(self):
+        for column in _columns_with_missing():
+            part = column.slice_rows(1, 3)
+            assert part.values_list() == [column.value_at(1), column.value_at(2)]
+
+    def test_values_list_rejects_a_mask_of_the_wrong_length(self):
+        with pytest.raises(TypeMismatchError):
+            StringColumn("s", ["a", "b"]).values_list(np.array([True]))

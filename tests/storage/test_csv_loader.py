@@ -36,6 +36,11 @@ class TestLoadCSVText:
         assert schema["type"] is DataType.STRING
         assert schema["year"] is DataType.INT
 
+    def test_textual_booleans_mixed_with_numbers_load(self, load_text):
+        table = load_text("flag,ratio\ntrue,0.5\nfalse,true\n1,2\n0,\n")
+        assert table.schema() == {"flag": DataType.INT, "ratio": DataType.FLOAT}
+        assert table.to_dict() == {"flag": [1, 0, 1, 0], "ratio": [0.5, 1.0, 2.0, None]}
+
     def test_empty_fields_become_missing(self, load_text):
         table = load_text(_SAMPLE)
         assert table.row(1)["note"] is None

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.errors import SchemaError, UnknownColumnError
+from repro.errors import SchemaError, TypeMismatchError, UnknownColumnError
 from repro.storage import DataType, Table
 from repro.storage.column import NumericColumn, StringColumn
 
@@ -97,6 +97,35 @@ class TestConstruction:
         assert table.dtype("x") is DataType.FLOAT
         assert table.to_dict() == {"x": [1.5, None], "y": [1.5, None]}
         assert table.column("x").valid_mask().tolist() == [True, False]
+
+    def test_textual_booleans_mixed_with_numbers_load_as_one_and_zero(self):
+        # BOOL mixed with numbers widens to the numeric type, so the text
+        # the inference read as a boolean must load under that type too.
+        table = Table.from_dict({"a": ["true", "1", "0"], "b": ["True", "2.5", " FALSE "]})
+        assert table.schema() == {"a": DataType.INT, "b": DataType.FLOAT}
+        assert table.to_dict() == {"a": [1, 1, 0], "b": [1.0, 2.5, 0.0]}
+
+    def test_appended_textual_booleans_load_under_a_numeric_column(self):
+        table = Table.from_dict({"a": [1, 2], "b": [0.5, 1.5]})
+        grown = table.append_rows([{"a": "false", "b": "true"}, {"a": "TRUE", "b": "3"}])
+        assert grown.to_dict() == {"a": [1, 2, 0, 1], "b": [0.5, 1.5, 1.0, 3.0]}
+
+    @pytest.mark.parametrize("values, types", [
+        pytest.param([2**70, 1], None, id="int-above-int64"),
+        pytest.param([1, -(2**63) - 1], None, id="int-below-int64"),
+        pytest.param(["1", str(2**64)], None, id="text-above-int64"),
+        pytest.param([10**400, 1.5], None, id="int-beyond-float"),
+        pytest.param([10**400, 1], {"a": DataType.FLOAT}, id="int-beyond-float-by-type"),
+    ])
+    def test_out_of_range_numbers_are_a_type_mismatch(self, values, types):
+        with pytest.raises(TypeMismatchError, match="out of range"):
+            Table.from_dict({"a": values}, types=types)
+
+    def test_appending_an_out_of_range_integer_is_a_type_mismatch(self):
+        table = Table.from_dict({"a": [1, 2]})
+        with pytest.raises(TypeMismatchError, match="out of range"):
+            table.append_rows([{"a": 10**30}])
+        assert table.to_dict() == {"a": [1, 2]}
 
     def test_from_rows_preserves_first_seen_order(self):
         table = Table.from_rows([{"a": 1, "b": 2}, {"b": 3, "a": 4, "c": 5}])
