@@ -294,9 +294,7 @@ class SQLiteBackend:
                 ordinals = column.to_numpy().astype(object)
                 ordinals[~column.valid_mask()] = None
                 columns.append(ordinals.tolist())
-            elif column.dtype is DataType.BOOL:
-                columns.append([None if v is None else int(v) for v in column.values_list()])
-            else:
+            else:  # sqlite3 stores a bool as the integer 0 or 1
                 columns.append(column.values_list())
         return zip(*columns)
 

@@ -73,13 +73,6 @@ def _encode(values: Sequence[Any], dtype: DataType) -> Tuple[np.ndarray, np.ndar
         ) from exc
 
 
-def _none_where_invalid(values: List[Any], valid: np.ndarray) -> List[Any]:
-    """``values`` with ``None`` at the rows ``valid`` marks missing."""
-    for position in np.flatnonzero(~valid).tolist():
-        values[position] = None
-    return values
-
-
 class Column:
     """Abstract base class for all column implementations."""
 
@@ -243,7 +236,10 @@ class _ArrayColumn(Column):
         raise NotImplementedError
 
     def _decoded(self, rows: Any) -> List[Any]:
-        return _none_where_invalid(self._data[rows].tolist(), self._valid[rows])
+        values = self._data[rows].tolist()
+        for position in np.flatnonzero(~self._valid[rows]).tolist():
+            values[position] = None
+        return values
 
     def _masked_data(self, mask: Optional[np.ndarray]) -> np.ndarray:
         return self._data[self._effective_mask(mask)]
@@ -378,11 +374,7 @@ class DateColumn(NumericColumn):
         _ArrayColumn.__init__(self, name, values, DataType.DATE)
 
     def _decoded(self, rows: Any) -> List[Any]:
-        valid = self._valid[rows]
-        ordinals = self._data[rows].tolist()
-        if valid.all():
-            return list(map(_dt.date.fromordinal, ordinals))
-        return [_dt.date.fromordinal(o) if ok else None for o, ok in zip(ordinals, valid.tolist())]
+        return [None if o is None else _dt.date.fromordinal(o) for o in super()._decoded(rows)]
 
     def _decode_scalar(self, value: Any) -> Any:
         return ordinal_to_date(int(value))
