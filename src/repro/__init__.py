@@ -34,10 +34,12 @@ Package layout
 Importing the package is cheap
 ------------------------------
 ``import repro`` (and so ``import repro.cluster``, ``repro.api``,
-``repro.obs``, ``repro.cli``) loads no NumPy and no engine: every public
-name below is resolved from its home module on first access (PEP 562).
-``from repro import Charles`` loads what ``Charles`` needs; the cluster
-router, which only moves wire envelopes, never does.
+``repro.obs``, ``repro.cli``) loads no NumPy and no engine: this package
+and every package below resolve each public name from its home module on
+first access (PEP 562).  ``from repro import Charles`` loads what
+``Charles`` needs, and a service over the ``memory`` engine loads neither
+SQLite nor the CSV loader; the cluster router, which only moves wire
+envelopes, loads no engine at all.
 
 Quickstart
 ----------
@@ -51,16 +53,19 @@ from __future__ import annotations
 
 import importlib
 import sys
-from typing import Any, Callable, Dict, List, Mapping, Tuple
+from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 __version__ = "1.0.0"
 
 
 def _lazy_exports(
-    package: str, exports: Mapping[str, str]
-) -> Tuple[Callable[[str], Any], Callable[[], List[str]]]:
-    """PEP 562 ``__getattr__`` and ``__dir__`` for a package whose public
-    names (``exports``: name → module) are imported on first access."""
+    package: str, homes: Mapping[str, Sequence[str]]
+) -> Tuple[Dict[str, str], Callable[[str], Any], Callable[[], List[str]]]:
+    """The public names of ``package``, each imported from its home module on
+    first access (``homes``: module → the names it exports): the flat
+    ``name → module`` table and the package's PEP 562 ``__getattr__`` and
+    ``__dir__``."""
+    exports = {name: module for module, names in homes.items() for name in names}
 
     def __getattr__(name: str) -> Any:
         module = exports.get(name)
@@ -73,44 +78,35 @@ def _lazy_exports(
     def __dir__() -> List[str]:
         return sorted({*vars(sys.modules[package]), *exports})
 
-    return __getattr__, __dir__
+    return exports, __getattr__, __dir__
 
 
-#: Each public name → the module it is imported from on first access.
-_EXPORTS: Dict[str, str] = {
-    name: module
-    for module, names in (
-        ("repro.errors", ("CharlesError",)),
-        ("repro.sdl", (
-            "Predicate", "NoConstraint", "RangePredicate", "SetPredicate",
-            "ExclusionPredicate", "SDLQuery", "Segment", "Segmentation",
-            "parse_query",
-        )),
-        ("repro.backends", (
-            "ExecutionBackend", "BackendWrapper", "ExecutorPool", "SQLiteBackend",
-            "open_backend",
-        )),
-        ("repro.storage", (
-            "DataType", "Table", "PartitionedTable", "QueryEngine", "ResultCache",
-            "load_csv", "parse_where", "query_to_sql",
-        )),
-        ("repro.live", ("VersionedTable",)),
-        ("repro.core", (
-            "Charles", "Advice", "RankedAnswer", "HBCuts", "HBCutsConfig",
-            "cut_query", "cut_segmentation", "compose", "product", "entropy", "indep",
-            "EntropyRanker", "WeightedRanker", "ExplorationSession", "LazyAdvisor",
-        )),
-        ("repro.service", ("AdvisorService", "ServiceSession")),
-        ("repro.api", ("AdvisorHTTPServer", "RemoteAdvisor", "RemoteSession")),
-        ("repro.workloads", (
-            "generate_voc", "generate_astronomy", "generate_weblog",
-            "generate_concurrent_workload",
-        )),
-        ("repro.viz", ("pie_chart", "treemap", "render_advice")),
-    )
-    for name in names
-}
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.errors": ("CharlesError",),
+    "repro.sdl": (
+        "Predicate", "NoConstraint", "RangePredicate", "SetPredicate",
+        "ExclusionPredicate", "SDLQuery", "Segment", "Segmentation", "parse_query",
+    ),
+    "repro.backends": (
+        "ExecutionBackend", "BackendWrapper", "ExecutorPool", "SQLiteBackend", "open_backend",
+    ),
+    "repro.storage": (
+        "DataType", "Table", "PartitionedTable", "QueryEngine", "ResultCache",
+        "load_csv", "parse_where", "query_to_sql",
+    ),
+    "repro.live": ("VersionedTable",),
+    "repro.core": (
+        "Charles", "Advice", "RankedAnswer", "HBCuts", "HBCutsConfig",
+        "cut_query", "cut_segmentation", "compose", "product", "entropy", "indep",
+        "EntropyRanker", "WeightedRanker", "ExplorationSession", "LazyAdvisor",
+    ),
+    "repro.service": ("AdvisorService", "ServiceSession"),
+    "repro.api": ("AdvisorHTTPServer", "RemoteAdvisor", "RemoteSession"),
+    "repro.workloads": (
+        "generate_voc", "generate_astronomy", "generate_weblog",
+        "generate_concurrent_workload",
+    ),
+    "repro.viz": ("pie_chart", "treemap", "render_advice"),
+})
 
 __all__ = ["__version__", *_EXPORTS]
-
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

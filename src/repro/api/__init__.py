@@ -28,31 +28,16 @@ protocol provides on the storage side, applied to the service surface:
 See ``docs/api.md`` for the protocol reference.
 """
 
-from repro.api.codec import SCHEMA_VERSION, dumps, from_wire, loads, to_wire
-from repro.api.client import RemoteAdvisor, RemoteSession
-from repro.api.dispatcher import Dispatcher
-from repro.api.protocol import (
-    API_VERSION,
-    OPERATIONS,
-    Request,
-    Response,
-    error_from_wire,
-)
-from repro.api.server import AdvisorHTTPServer
+from repro import _lazy_exports
 
-__all__ = [
-    "API_VERSION",
-    "SCHEMA_VERSION",
-    "OPERATIONS",
-    "Request",
-    "Response",
-    "Dispatcher",
-    "AdvisorHTTPServer",
-    "RemoteAdvisor",
-    "RemoteSession",
-    "to_wire",
-    "from_wire",
-    "dumps",
-    "loads",
-    "error_from_wire",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.api.protocol": (
+        "API_VERSION", "OPERATIONS", "Request", "Response", "error_from_wire",
+    ),
+    "repro.api.codec": ("SCHEMA_VERSION", "to_wire", "from_wire", "dumps", "loads"),
+    "repro.api.dispatcher": ("Dispatcher",),
+    "repro.api.server": ("AdvisorHTTPServer",),
+    "repro.api.client": ("RemoteAdvisor", "RemoteSession"),
+})
+
+__all__ = list(_EXPORTS)

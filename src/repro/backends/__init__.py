@@ -18,17 +18,14 @@ package owns that contract:
   ``"sqlite:///path.db#table"``.
 """
 
-from repro.backends.approx import ApproxEngine
-from repro.backends.base import BackendWrapper, ExecutionBackend
-from repro.backends.pool import ExecutorPool
-from repro.backends.registry import open_backend
-from repro.backends.sqlite import SQLiteBackend
+from repro import _lazy_exports
 
-__all__ = [
-    "ExecutionBackend",
-    "BackendWrapper",
-    "ExecutorPool",
-    "ApproxEngine",
-    "SQLiteBackend",
-    "open_backend",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.backends.base": ("ExecutionBackend", "BackendWrapper"),
+    "repro.backends.pool": ("ExecutorPool",),
+    "repro.backends.approx": ("ApproxEngine",),
+    "repro.backends.sqlite": ("SQLiteBackend",),
+    "repro.backends.registry": ("open_backend",),
+})
+
+__all__ = list(_EXPORTS)

@@ -6,7 +6,9 @@ A backend *spec* is a compact URI-like string::
                                 its own access path per query
     memory?sample=0.1&seed=7    the approximate view (ApproxEngine) over a 10%
                                 uniform sample: scaled counts with an error bound
-    memory?cache=512            engine options as query parameters
+                                (0 < sample ≤ 1; sample=1 is the exact engine)
+    memory?cache=512            engine options as query parameters (cache=0:
+                                no result cache)
     memory?index=zonemap,bitmap force exactly these index features
                                 (index=all, index=none: every one, the plain scan)
     memory?workers=4            a 4-worker pool; one shard per worker, fanned
@@ -37,10 +39,8 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, unquote
 
-from repro.backends.approx import ApproxEngine
 from repro.backends.base import ExecutionBackend
 from repro.backends.pool import ExecutorPool
-from repro.backends.sqlite import SQLiteBackend
 from repro.errors import BackendError, StorageError
 from repro.storage.cache import ResultCache
 from repro.storage.engine import QueryEngine, resolve_index_features
@@ -92,14 +92,24 @@ def _spec_number(
         raise BackendError(f"backend parameter {key}={raw!r} is not {what}")
 
 
-def _maybe_sampled(
-    backend: ExecutionBackend, spec: BackendSpec
-) -> ExecutionBackend:
-    """Decorate a backend with the approximate view when ``sample=f`` is set."""
+def _cache_size(spec: BackendSpec) -> int:
+    """``cache=n``: result-cache entries, 0 turning the cache off."""
+    size = _spec_number(spec, "cache", default=256)
+    if size < 0:
+        raise BackendError(f"backend parameter cache={size} cannot be negative")
+    return size
+
+
+def _sampling(spec: BackendSpec) -> Optional[float]:
+    """``sample=f``: the sampled fraction, ``None`` for the exact engine."""
     fraction = _spec_number(spec, "sample", float)
-    if fraction is None or fraction >= 1.0:
-        return backend
-    return ApproxEngine(backend, fraction=fraction, seed=_spec_number(spec, "seed"))
+    if fraction is None or fraction == 1.0:
+        return None
+    if not 0.0 < fraction < 1.0:  # NaN fails the comparison too
+        raise BackendError(
+            f"backend parameter sample={spec.params['sample']!r} must lie in (0, 1]"
+        )
+    return fraction
 
 
 def _memory_factory(
@@ -114,6 +124,7 @@ def _memory_factory(
     partitions = _spec_number(spec, "partitions")
     if partitions is not None and partitions < 1:
         raise BackendError(f"partitions must be at least 1, got {partitions}")
+    cache_size = _cache_size(spec)
     if pool is None:  # no shared pool from the caller: the spec's own, if any
         pool = ExecutorPool.requested(
             _spec_number(spec, "workers"), name=f"memory:{table.name}"
@@ -123,16 +134,15 @@ def _memory_factory(
         features = None if index is None else resolve_index_features(index)
     except StorageError as exc:
         raise BackendError(exc.message) from exc
-    engine = QueryEngine(
+    return QueryEngine(
         table,
-        cache_size=_spec_number(spec, "cache", default=256),
+        cache_size=cache_size,
         use_index=features,
         cache=cache,
         cache_aggregates=cache_aggregates,
         partitions=partitions,
         pool=pool,
     )
-    return _maybe_sampled(engine, spec)
 
 
 def _sqlite_factory(
@@ -142,31 +152,29 @@ def _sqlite_factory(
     cache_aggregates: bool = True,
     pool: Optional[ExecutorPool] = None,
 ) -> ExecutionBackend:
+    from repro.backends.sqlite import SQLiteBackend
+
     del pool  # SQLite plans and parallelises (or not) internally
     database = spec.path or ":memory:"
     options = {
         "cache": cache,
         "cache_aggregates": cache_aggregates,
-        "cache_size": _spec_number(spec, "cache", default=256),
+        "cache_size": _cache_size(spec),
     }
     if table is not None:
-        backend: ExecutionBackend = SQLiteBackend.from_table(
+        return SQLiteBackend.from_table(
             table,
             database=database,
             table_name=spec.fragment or None,
             if_exists="skip" if spec.path else "fail",
             **options,
         )
-    else:
-        if not spec.path:
-            raise BackendError(
-                "the 'sqlite' backend needs a source table or a database "
-                "path (sqlite:///path.db#table)"
-            )
-        backend = SQLiteBackend(
-            database, table_name=spec.fragment or None, **options
+    if not spec.path:
+        raise BackendError(
+            "the 'sqlite' backend needs a source table or a database "
+            "path (sqlite:///path.db#table)"
         )
-    return _maybe_sampled(backend, spec)
+    return SQLiteBackend(database, table_name=spec.fragment or None, **options)
 
 
 #: scheme → (factory, the spec parameters it reads).  Any other parameter
@@ -219,4 +227,10 @@ def open_backend(
             f"unknown {parsed.scheme!r} backend parameter(s) {unknown}; "
             f"accepted: {', '.join(accepted)}"
         )
-    return factory(parsed, table=table, **context)
+    fraction = _sampling(parsed)  # checked before the backend is built
+    backend = factory(parsed, table=table, **context)
+    if fraction is None:
+        return backend
+    from repro.backends.approx import ApproxEngine
+
+    return ApproxEngine(backend, fraction=fraction, seed=_spec_number(parsed, "seed"))

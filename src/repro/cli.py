@@ -441,13 +441,11 @@ def _command_serve(args: argparse.Namespace) -> int:
             "pass --http PORT to run the HTTP server, "
             "or --simulate to replay a synthetic workload"
         )
-    from repro.api.server import AdvisorHTTPServer
-    from repro.workloads import generate_concurrent_workload
-    from repro.workloads.concurrent import serve as serve_workload
-
     table = _load_table(args)
     service = _serve_service(args, table)
     if args.http is not None:
+        from repro.api.server import AdvisorHTTPServer
+
         server = AdvisorHTTPServer(service, host=args.host, port=args.http)
         print(f"advisor service listening on {server.url}")
         print(f"  table {table.name!r} ({table.num_rows} rows); "
@@ -460,6 +458,9 @@ def _command_serve(args: argparse.Namespace) -> int:
         finally:
             server.shutdown()
         return 0
+    from repro.workloads.concurrent import generate_concurrent_workload
+    from repro.workloads.concurrent import serve as serve_workload
+
     scripts = generate_concurrent_workload(
         table.column_names,
         users=args.users,

@@ -30,21 +30,15 @@ rather than hanging or leaking socket errors.
 
 from repro import _lazy_exports
 
-#: Each public name → its module, imported on first access: a node needs
+#: Each public name, imported from its module on first access: a node needs
 #: the spec, not the router; ``charles serve`` needs the dataset names only.
-_EXPORTS = {
-    "AdvisorCluster": "repro.cluster.deployment",
-    "ClusterRouter": "repro.cluster.router",
-    "HealthMonitor": "repro.cluster.health",
-    "NodeHandle": "repro.cluster.nodes",
-    "NodeSupervisor": "repro.cluster.nodes",
-    "RouterHTTPServer": "repro.cluster.router",
-    "ShardMap": "repro.cluster.shardmap",
-    "TableSpec": "repro.cluster.specs",
-    "session_key": "repro.cluster.shardmap",
-    "table_key": "repro.cluster.shardmap",
-}
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.cluster.deployment": ("AdvisorCluster",),
+    "repro.cluster.health": ("HealthMonitor",),
+    "repro.cluster.nodes": ("NodeHandle", "NodeSupervisor"),
+    "repro.cluster.router": ("ClusterRouter", "RouterHTTPServer"),
+    "repro.cluster.shardmap": ("ShardMap", "session_key", "table_key"),
+    "repro.cluster.specs": ("TableSpec",),
+})
 
 __all__ = list(_EXPORTS)
-
-__getattr__, __dir__ = _lazy_exports(__name__, _EXPORTS)

@@ -19,8 +19,9 @@ that serves the table, imports the generators.
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, Optional
+from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ClusterError
 
@@ -30,17 +31,14 @@ if TYPE_CHECKING:  # typing only: a spec is loaded in the node, not the router
 __all__ = ["TableSpec", "dataset_names"]
 
 
-def _generators() -> Dict[str, Callable[..., Table]]:
-    # Imported lazily: workloads pulls in numpy-heavy generators, and the
-    # router and CLI import this module without ever loading a table.
-    from repro.workloads import generate_astronomy, generate_voc, generate_weblog
-
-    return {
-        "voc": generate_voc,
-        "astronomy": generate_astronomy,
-        "weblog": generate_weblog,
-    }
-
+#: Each built-in dataset → its generator, ``(module, function)``: imported by
+#: :meth:`TableSpec.load` alone, one dataset's module at a time, so neither
+#: the router nor the CLI's parser loads NumPy, nor a node other datasets.
+_GENERATORS = {
+    "voc": ("repro.workloads.voc", "generate_voc"),
+    "astronomy": ("repro.workloads.astronomy", "generate_astronomy"),
+    "weblog": ("repro.workloads.weblog", "generate_weblog"),
+}
 
 #: Default row counts per built-in dataset (``rows=None``).
 _DEFAULT_ROWS = {"voc": 5000, "astronomy": 8000, "weblog": 10000}
@@ -107,7 +105,8 @@ class TableSpec:
 
             assert self.path is not None  # __post_init__ guarantees it
             return load_csv(self.path)
-        generator = _generators()[self.name]
+        module, function = _GENERATORS[self.name]
+        generator = getattr(importlib.import_module(module), function)
         rows = self.rows if self.rows is not None else _DEFAULT_ROWS[self.name]
         return generator(rows=rows, seed=self.seed)
 

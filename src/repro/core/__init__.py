@@ -18,98 +18,45 @@ and astronomy examples.  :mod:`repro.core.baselines` holds the comparison
 strategies of the E9 study.
 """
 
-from repro.core.median import (
-    DEFAULT_LOW_CARDINALITY_THRESHOLD,
-    median_split,
-    nominal_value_order,
-)
-from repro.core.cut import cut_query, cut_segmentation
-from repro.core.compose import compose
-from repro.core.product import product, product_counts
-from repro.core.metrics import (
-    SegmentationScores,
-    balance,
-    breadth,
-    cover,
-    entropy,
-    homogeneity_proxy,
-    indep,
-    indep_from_entropies,
-    max_entropy,
-    score_segmentation,
-    simplicity,
-)
-from repro.core.dependence import (
-    analyse_dependence,
-    chi_square_test,
-    contingency_table,
-    cramers_v,
-    mutual_information,
-)
-from repro.core.hbcuts import HBCuts, HBCutsConfig, HBCutsResult, HBCutsTrace
-from repro.core.ranking import EntropyRanker, LexicographicRanker, Ranker, WeightedRanker
-from repro.core.advisor import Advice, Charles, RankedAnswer
-from repro.core.session import ExplorationSession
-from repro.core.quantiles import quantile_cut_query
-from repro.core.lazy import LazyAdvisor
-from repro.core.interestingness import SurpriseRanker
-from repro.core.baselines import (
-    all_facet_segmentations,
-    clique_like_segmentation,
-    facet_segmentation,
-    full_product_segmentation,
-    random_segmentation,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    # median / primitives
-    "DEFAULT_LOW_CARDINALITY_THRESHOLD",
-    "median_split",
-    "nominal_value_order",
-    "cut_query",
-    "cut_segmentation",
-    "compose",
-    "product",
-    "product_counts",
+# ``compose`` and ``product`` also name submodules.  Importing a submodule
+# binds it as a package attribute, which ``__getattr__`` never overrides,
+# so the two functions are bound eagerly, before any such import.
+from repro.core.compose import compose
+from repro.core.product import product
+
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    # primitives
+    "repro.core.median": (
+        "DEFAULT_LOW_CARDINALITY_THRESHOLD", "median_split", "nominal_value_order",
+    ),
+    "repro.core.cut": ("cut_query", "cut_segmentation"),
+    "repro.core.compose": ("compose",),
+    "repro.core.product": ("product", "product_counts"),
     # metrics / dependence
-    "entropy",
-    "max_entropy",
-    "balance",
-    "simplicity",
-    "breadth",
-    "cover",
-    "indep",
-    "indep_from_entropies",
-    "homogeneity_proxy",
-    "SegmentationScores",
-    "score_segmentation",
-    "analyse_dependence",
-    "contingency_table",
-    "chi_square_test",
-    "cramers_v",
-    "mutual_information",
-    # hb-cuts
-    "HBCuts",
-    "HBCutsConfig",
-    "HBCutsResult",
-    "HBCutsTrace",
-    # ranking / advisor / session
-    "Ranker",
-    "EntropyRanker",
-    "WeightedRanker",
-    "LexicographicRanker",
-    "Charles",
-    "Advice",
-    "RankedAnswer",
-    "ExplorationSession",
-    # section 5.2 extensions
-    "quantile_cut_query",
-    "LazyAdvisor",
-    "SurpriseRanker",
-    # baselines
-    "facet_segmentation",
-    "all_facet_segmentations",
-    "random_segmentation",
-    "full_product_segmentation",
-    "clique_like_segmentation",
-]
+    "repro.core.metrics": (
+        "entropy", "max_entropy", "balance", "simplicity", "breadth", "cover", "indep",
+        "indep_from_entropies", "homogeneity_proxy", "SegmentationScores",
+        "score_segmentation",
+    ),
+    "repro.core.dependence": (
+        "analyse_dependence", "contingency_table", "chi_square_test", "cramers_v",
+        "mutual_information",
+    ),
+    # hb-cuts, ranking, the advisor, sessions
+    "repro.core.hbcuts": ("HBCuts", "HBCutsConfig", "HBCutsResult", "HBCutsTrace"),
+    "repro.core.ranking": ("Ranker", "EntropyRanker", "WeightedRanker", "LexicographicRanker"),
+    "repro.core.advisor": ("Charles", "Advice", "RankedAnswer"),
+    "repro.core.session": ("ExplorationSession",),
+    # section 5.2 extensions, E9's baselines
+    "repro.core.quantiles": ("quantile_cut_query",),
+    "repro.core.lazy": ("LazyAdvisor",),
+    "repro.core.interestingness": ("SurpriseRanker",),
+    "repro.core.baselines": (
+        "facet_segmentation", "all_facet_segmentations", "random_segmentation",
+        "full_product_segmentation", "clique_like_segmentation",
+    ),
+})
+
+__all__ = list(_EXPORTS)

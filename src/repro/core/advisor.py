@@ -12,9 +12,8 @@ several segmentations, ranks them, and returns them as an
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Union
 
-from repro.backends.approx import ApproxEngine
 from repro.backends.base import ExecutionBackend
 from repro.backends.registry import open_backend
 from repro.errors import AdvisorError, SDLSyntaxError
@@ -22,12 +21,13 @@ from repro.sdl.formatter import format_segment_label, format_segmentation
 from repro.sdl.parser import parse_query
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
-from repro.storage.sql import parse_where
-from repro.storage.statistics import TableProfile, profile_backend
 from repro.storage.table import Table
 from repro.core.hbcuts import HBCuts, HBCutsConfig, HBCutsResult, HBCutsTrace
 from repro.core.metrics import SegmentationScores
 from repro.core.ranking import EntropyRanker, Ranker
+
+if TYPE_CHECKING:  # typing only: profiling runs for ``charles profile`` alone
+    from repro.storage.statistics import TableProfile
 
 __all__ = ["ContextLike", "RankedAnswer", "Advice", "Charles"]
 
@@ -249,6 +249,8 @@ class Charles:
             return parse_query(text)
         except SDLSyntaxError:
             pass
+        from repro.storage.sql import parse_where
+
         try:
             return parse_where(text)
         except Exception as exc:
@@ -281,6 +283,8 @@ class Charles:
         if mode == "exact":
             return self.engine.base_engine
         if self._view is None:
+            from repro.backends.approx import ApproxEngine
+
             self._view = ApproxEngine(self.engine)
         return self._view
 
@@ -386,6 +390,8 @@ class Charles:
     def profile(self, context: ContextLike = None) -> TableProfile:
         """Statistical profile of the context's result set (CLI ``profile``),
         exact on a sampled advisor too."""
+        from repro.storage.statistics import profile_backend
+
         return profile_backend(
             self._advice_engine("exact"), context=self.resolve_context(context)
         )

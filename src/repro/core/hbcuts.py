@@ -42,7 +42,6 @@ from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
 from repro.core.compose import compose
 from repro.core.cut import cut_query
-from repro.core.dependence import chi_square_test, contingency_table
 from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD
 from repro.core.metrics import entropy, indep_from_entropies
 from repro.core.product import assemble_product, product_cells
@@ -354,6 +353,8 @@ class HBCuts:
         if indep_value >= self.config.max_indep:
             return True
         if self.config.stopping == "chi2":
+            from repro.core.dependence import chi_square_test, contingency_table
+
             table = contingency_table(engine, first, second)
             _, p_value, _ = chi_square_test(table)
             if p_value >= self.config.alpha:

@@ -19,6 +19,10 @@ wire protocol carries an ``ingest`` operation end-to-end (service op,
 HTTP route, ``RemoteAdvisor.ingest``, ``charles ingest``).
 """
 
-from repro.live.versioned import VersionedTable
+from repro import _lazy_exports
 
-__all__ = ["VersionedTable"]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.live.versioned": ("VersionedTable",),
+})
+
+__all__ = list(_EXPORTS)

@@ -22,24 +22,14 @@ See ``docs/observability.md`` for the span model, the metric name
 catalogue and scrape examples.
 """
 
-from repro.obs.metrics import MetricsRegistry
-from repro.obs.slowlog import SlowOpLog
-from repro.obs.trace import (
-    Span,
-    current_span,
-    format_span_tree,
-    span,
-    start_trace,
-    tracing_active,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "MetricsRegistry",
-    "SlowOpLog",
-    "Span",
-    "current_span",
-    "format_span_tree",
-    "span",
-    "start_trace",
-    "tracing_active",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.obs.metrics": ("MetricsRegistry",),
+    "repro.obs.slowlog": ("SlowOpLog",),
+    "repro.obs.trace": (
+        "Span", "current_span", "format_span_tree", "span", "start_trace", "tracing_active",
+    ),
+})
+
+__all__ = list(_EXPORTS)

@@ -13,33 +13,18 @@ contains:
 * the partition check of Definition 3 (:mod:`repro.sdl.validation`).
 """
 
-from repro.sdl.predicates import (
-    ExclusionPredicate,
-    NoConstraint,
-    Predicate,
-    RangePredicate,
-    SetPredicate,
-    intersect_predicates,
-)
-from repro.sdl.query import SDLQuery
-from repro.sdl.segmentation import Segment, Segmentation
-from repro.sdl.parser import parse_query
-from repro.sdl.formatter import format_segment_label, format_segmentation, query_signature
-from repro.sdl.validation import check_partition
+from repro import _lazy_exports
 
-__all__ = [
-    "Predicate",
-    "NoConstraint",
-    "RangePredicate",
-    "SetPredicate",
-    "ExclusionPredicate",
-    "intersect_predicates",
-    "SDLQuery",
-    "Segment",
-    "Segmentation",
-    "parse_query",
-    "format_segmentation",
-    "format_segment_label",
-    "query_signature",
-    "check_partition",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.sdl.predicates": (
+        "Predicate", "NoConstraint", "RangePredicate", "SetPredicate",
+        "ExclusionPredicate", "intersect_predicates",
+    ),
+    "repro.sdl.query": ("SDLQuery",),
+    "repro.sdl.segmentation": ("Segment", "Segmentation"),
+    "repro.sdl.parser": ("parse_query",),
+    "repro.sdl.formatter": ("format_segmentation", "format_segment_label", "query_signature"),
+    "repro.sdl.validation": ("check_partition",),
+})
+
+__all__ = list(_EXPORTS)

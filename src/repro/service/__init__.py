@@ -25,13 +25,12 @@ by its :func:`~repro.workloads.concurrent.serve`);
 :class:`~repro.api.client.RemoteAdvisor` clients.
 """
 
-from repro.service.batching import BatchCoordinator, BatchedEngine
-from repro.service.service import AdvisorService
-from repro.service.sessions import ServiceSession
+from repro import _lazy_exports
 
-__all__ = [
-    "AdvisorService",
-    "ServiceSession",
-    "BatchCoordinator",
-    "BatchedEngine",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.service.service": ("AdvisorService",),
+    "repro.service.sessions": ("ServiceSession",),
+    "repro.service.batching": ("BatchCoordinator", "BatchedEngine"),
+})
+
+__all__ = list(_EXPORTS)

@@ -22,58 +22,27 @@ NumPy-backed, dictionary-encoded column store with exactly that surface:
 * :mod:`repro.storage.csv_loader` — CSV ingestion.
 """
 
-from repro.storage.types import DataType
-from repro.storage.column import (
-    BoolColumn,
-    Column,
-    NumericColumn,
-    StringColumn,
-    build_column,
-)
-from repro.storage.table import Table
-from repro.storage.expression import query_mask, refinement_delta
-from repro.storage.partition import PartitionedTable
-from repro.storage.cache import CacheStats, ResultCache
-from repro.storage.engine import (
-    OperationCounter,
-    QueryEngine,
-    deduplicated_count_batch,
-    resolve_index_features,
-)
-from repro.storage.index import BitmapIndex
-from repro.storage.zonemap import SkippingIndexes
-from repro.storage.statistics import TableProfile, column_entropy, profile_backend
-from repro.storage.sampling import sample_table, uniform_sample_indices
-from repro.storage.sql import count_query_sql, parse_where, query_to_sql, query_to_where
-from repro.storage.csv_loader import load_csv
+from repro import _lazy_exports
 
-__all__ = [
-    "DataType",
-    "Column",
-    "NumericColumn",
-    "StringColumn",
-    "BoolColumn",
-    "build_column",
-    "Table",
-    "query_mask",
-    "refinement_delta",
-    "PartitionedTable",
-    "QueryEngine",
-    "OperationCounter",
-    "resolve_index_features",
-    "deduplicated_count_batch",
-    "ResultCache",
-    "CacheStats",
-    "BitmapIndex",
-    "SkippingIndexes",
-    "TableProfile",
-    "profile_backend",
-    "column_entropy",
-    "sample_table",
-    "uniform_sample_indices",
-    "query_to_where",
-    "query_to_sql",
-    "count_query_sql",
-    "parse_where",
-    "load_csv",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.storage.types": ("DataType",),
+    "repro.storage.column": (
+        "Column", "NumericColumn", "StringColumn", "BoolColumn", "build_column",
+    ),
+    "repro.storage.table": ("Table",),
+    "repro.storage.expression": ("query_mask", "refinement_delta"),
+    "repro.storage.partition": ("PartitionedTable",),
+    "repro.storage.engine": (
+        "QueryEngine", "OperationCounter", "resolve_index_features",
+        "deduplicated_count_batch",
+    ),
+    "repro.storage.cache": ("ResultCache", "CacheStats"),
+    "repro.storage.index": ("BitmapIndex",),
+    "repro.storage.zonemap": ("SkippingIndexes",),
+    "repro.storage.statistics": ("TableProfile", "profile_backend", "column_entropy"),
+    "repro.storage.sampling": ("sample_table", "uniform_sample_indices"),
+    "repro.storage.sql": ("query_to_where", "query_to_sql", "count_query_sql", "parse_where"),
+    "repro.storage.csv_loader": ("load_csv",),
+})
+
+__all__ = list(_EXPORTS)

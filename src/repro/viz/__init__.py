@@ -6,15 +6,18 @@ information as plain text so examples, the CLI and the benchmarks stay
 headless.
 """
 
-from repro.viz.piechart import compact_pie, pie_chart
-from repro.viz.treemap import treemap
-from repro.viz.histogram import segment_distributions
-from repro.viz.report import render_advice
+from repro import _lazy_exports
 
-__all__ = [
-    "pie_chart",
-    "compact_pie",
-    "treemap",
-    "segment_distributions",
-    "render_advice",
-]
+# ``treemap`` also names its submodule.  Importing a submodule binds it as
+# a package attribute, which ``__getattr__`` never overrides, so the
+# function is bound eagerly, before any such import.
+from repro.viz.treemap import treemap
+
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.viz.piechart": ("pie_chart", "compact_pie"),
+    "repro.viz.treemap": ("treemap",),
+    "repro.viz.histogram": ("segment_distributions",),
+    "repro.viz.report": ("render_advice",),
+})
+
+__all__ = list(_EXPORTS)

@@ -10,38 +10,21 @@ parametric tables with *known* ground truth for the benchmarks, and
 scenarios for the service layer.
 """
 
-from repro.workloads.generators import (
-    dependent_categorical_series,
-    make_rng,
-    numeric_from_category,
-    year_series,
-    zipf_categorical_series,
-)
-from repro.workloads.voc import FIGURE1_CONTEXT_COLUMNS, generate_voc
-from repro.workloads.astronomy import generate_astronomy
-from repro.workloads.weblog import generate_weblog
-from repro.workloads.concurrent import generate_concurrent_workload, serve
-from repro.workloads.synthetic import (
-    make_dependent_pair_table,
-    make_gaussian_table,
-    make_wide_table,
-    make_zipf_table,
-)
+from repro import _lazy_exports
 
-__all__ = [
-    "make_rng",
-    "zipf_categorical_series",
-    "dependent_categorical_series",
-    "numeric_from_category",
-    "year_series",
-    "generate_voc",
-    "FIGURE1_CONTEXT_COLUMNS",
-    "generate_astronomy",
-    "generate_weblog",
-    "generate_concurrent_workload",
-    "serve",
-    "make_dependent_pair_table",
-    "make_wide_table",
-    "make_gaussian_table",
-    "make_zipf_table",
-]
+_EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
+    "repro.workloads.generators": (
+        "make_rng", "zipf_categorical_series", "dependent_categorical_series",
+        "numeric_from_category", "year_series",
+    ),
+    "repro.workloads.voc": ("generate_voc", "FIGURE1_CONTEXT_COLUMNS"),
+    "repro.workloads.astronomy": ("generate_astronomy",),
+    "repro.workloads.weblog": ("generate_weblog",),
+    "repro.workloads.concurrent": ("generate_concurrent_workload", "serve"),
+    "repro.workloads.synthetic": (
+        "make_dependent_pair_table", "make_wide_table", "make_gaussian_table",
+        "make_zipf_table",
+    ),
+})
+
+__all__ = list(_EXPORTS)

@@ -126,3 +126,27 @@ class TestOpenBackend:
         assert key in str(excinfo.value)
         assert f"accepted: {accepted}" in str(excinfo.value)
 
+
+    @pytest.mark.parametrize("scheme", ["memory", "sqlite"])
+    @pytest.mark.parametrize("raw", ["0", "-0.5", "nan", "2", "inf"])
+    def test_a_sample_outside_the_unit_interval_is_rejected(self, table, scheme, raw):
+        # A spec error, never the sampler's own error nor the exact engine
+        # run as if ``sample=`` were not there.
+        with pytest.raises(BackendError) as excinfo:
+            open_backend(f"{scheme}?sample={raw}", table)
+        assert excinfo.value.code == "storage_backend"
+        assert f"sample={raw!r}" in str(excinfo.value)
+
+    @pytest.mark.parametrize("raw", ["1", "1.0"])
+    def test_sample_one_is_the_exact_engine(self, table, raw):
+        assert isinstance(open_backend(f"memory?sample={raw}", table), QueryEngine)
+
+    @pytest.mark.parametrize("spec", ["memory?cache=-1", "sqlite?cache=-5"])
+    def test_a_negative_cache_is_rejected(self, table, spec):
+        # A typo, not a request to turn the cache off (that is ``cache=0``).
+        with pytest.raises(BackendError) as excinfo:
+            open_backend(spec, table)
+        assert "cache=" in str(excinfo.value)
+
+    def test_sqlite_cache_zero_disables_caching(self, table):
+        assert open_backend("sqlite?cache=0", table).cache.capacity == 0

@@ -1,17 +1,20 @@
 """What a Charles process imports: no SciPy until the chi-square rule runs,
-and no NumPy or engine at all in the cluster's front door.
+no NumPy or engine at all in the cluster's front door, and in an engine
+process none of the modules its path never runs.
 
 Start-up time and resident memory of every process (CLI, cluster node,
 router, benchmark) are dominated by imports: ``scipy.stats`` alone used to
 be two thirds of both, and the router — which only moves wire envelopes —
 used to load NumPy and every engine package through the eager package
-facade.  Module sets are asserted, not seconds: timings do not repeat on
+facades, which also had every engine process load SQLite, the CSV loader
+and every dataset generator.  Module sets are asserted, not seconds: timings do not repeat on
 a shared box, ``sys.modules`` does.  Each check runs in a fresh
 interpreter, because the test process itself has SciPy and NumPy loaded.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
 import subprocess
@@ -40,6 +43,14 @@ _ENGINE = tuple(
     f"repro.{package}"
     for package in ("core", "sdl", "storage", "backends", "live", "service", "workloads", "viz")
 )
+
+
+#: Each package facade → the size of its ``__all__``.
+_FACADES = {
+    "repro": 52, "repro.api": 14, "repro.backends": 6, "repro.cluster": 10,
+    "repro.core": 44, "repro.live": 1, "repro.obs": 8, "repro.sdl": 14,
+    "repro.service": 4, "repro.storage": 28, "repro.viz": 5, "repro.workloads": 15,
+}
 
 
 def _modules_after(script: str) -> List[str]:
@@ -173,7 +184,79 @@ def test_a_serving_router_loads_no_numpy_and_no_engine():
 
 
 def test_every_public_name_resolves():
-    assert len(repro.__all__) == 52
-    for name in repro.__all__:
-        assert getattr(repro, name) is not None, name
-    assert set(repro.__all__) <= set(dir(repro))
+    for package, size in _FACADES.items():
+        facade = importlib.import_module(package)
+        assert len(facade.__all__) == size, package
+        for name in facade.__all__:
+            assert getattr(facade, name) is not None, f"{package}.{name}"
+        assert set(facade.__all__) <= set(dir(facade)), package
+
+
+def test_exports_named_like_their_submodule_stay_functions():
+    # ``compose``, ``product`` and ``treemap`` each name a function and its
+    # submodule.  Importing a submodule binds it as a package attribute,
+    # which a PEP 562 ``__getattr__`` never overrides: the facades bind the
+    # functions first, so importing the submodules first changes nothing.
+    _modules_after("""
+import repro.core.compose, repro.core.product, repro.viz.treemap
+import repro
+from types import FunctionType
+from repro.core import compose, product
+from repro.viz import treemap
+exported = (compose, product, treemap, repro.compose, repro.product, repro.treemap)
+assert all(isinstance(function, FunctionType) for function in exported), exported
+""")
+
+
+# -- the engine tier: only what its path runs -------------------------------------
+
+#: What an exact ``memory`` engine process (a node, ``serve``, an in-process
+#: service, a benchmark process) never runs: SQLite, the CSV loader, the
+#: sampled view, the profiler, the chi-square rule, the §5.2 side modules,
+#: E9's baselines, the partition check, the other generators and
+#: workloads, the remote client, ``viz``.
+_NEVER_RUN = (
+    "sqlite3", "sqlite3.dbapi2", "_sqlite3", "csv", "_csv",
+    "repro.backends.approx", "repro.backends.sqlite",
+    "repro.storage.csv_loader", "repro.storage.sql", "repro.storage.statistics",
+    "repro.core.dependence", "repro.core.baselines", "repro.core.interestingness",
+    "repro.core.lazy", "repro.core.quantiles", "repro.sdl.validation",
+    "repro.workloads.astronomy", "repro.workloads.concurrent",
+    "repro.workloads.synthetic", "repro.workloads.weblog",
+    "repro.api.client", "repro.viz",
+)
+
+_ENGINE_SCRIPT = """
+from repro.cluster.specs import TableSpec
+from repro.service import AdvisorService
+service = AdvisorService(TableSpec.dataset("voc", rows=300, seed=3).load(), backend={backend!r})
+service.open_session("s", context=["tonnage", "type_of_boat"])
+assert service.advise("s").answers
+service.drill("s", 0, 0)
+assert service.count("(tonnage : [0, 1000])") >= 0
+service.ingest(rows=[{{"tonnage": 900, "type_of_boat": "pinas"}}])
+service.advise("s", refresh=True)
+"""
+
+
+def _never_run_loaded(backend: str) -> List[str]:
+    """Which of :data:`_NEVER_RUN` a service over ``backend`` loads on its way."""
+    loaded = _modules_after(_ENGINE_SCRIPT.format(backend=backend))
+    assert "repro.service.service" in loaded and "repro.workloads.voc" in loaded
+    return [name for name in _NEVER_RUN if name in loaded]
+
+
+def test_an_exact_memory_engine_process_loads_only_what_it_runs():
+    assert _never_run_loaded("memory") == []
+
+
+@pytest.mark.parametrize("backend, loaded", [
+    pytest.param("memory?sample=0.1", ["repro.backends.approx"], id="sampled"),
+    pytest.param(
+        "sqlite",
+        ["sqlite3", "sqlite3.dbapi2", "_sqlite3", "repro.backends.sqlite", "repro.storage.sql"],
+        id="sqlite",
+    ),
+])
+def test_a_spec_loads_the_backend_it_asks_for(backend, loaded):
+    assert _never_run_loaded(backend) == loaded

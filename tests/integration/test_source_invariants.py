@@ -10,7 +10,8 @@ under ``src/repro``.  What each one guards:
   above ``storage/`` and ``backends/``, or it is not in the protocol;
 * public width: every ``__all__`` name of a module is used outside it (in
   ``src/repro``, the examples, ``bench/`` or benchmarks E1–E9), or it
-  leaves ``__all__``; a package ``__init__`` re-exports only such names;
+  leaves ``__all__``; every package ``__init__`` is a lazy facade whose
+  ``_EXPORTS`` table re-exports only such names;
 * lock discipline: a class that owns a ``Lock``/``RLock`` mutates its
   ``self._*`` state only under ``with self.<lock>:`` (``__init__``,
   ``__post_init__`` and ``*_locked`` helpers excepted);
@@ -321,7 +322,9 @@ def test_facades_re_export_only_public_names():
         stray for facade, source in sources.items() if facade.endswith("__init__")
         for stray in facade_strays(source, homes)
     ]
-    for package in ("repro", "repro.cluster"):  # the PEP 562 facades: name → home
+    packages = [module.removesuffix(".__init__") for module in sources if module.endswith("__init__")]
+    assert len(packages) == 12
+    for package in packages:  # every one a lazy facade: ``_EXPORTS`` is name → home
         for name, home in importlib.import_module(package)._EXPORTS.items():
             if name not in getattr(importlib.import_module(home), "__all__", [name]):
                 strays.append(f"{home}.{name}")
