@@ -24,8 +24,9 @@ Package layout
 * :mod:`repro.service` — the multi-user service layer: named sessions,
   shared per-table result caches, batched engine passes;
 * :mod:`repro.api` — the wire-level advisor API: versioned JSON codec,
-  request/response envelopes, the stdlib HTTP server and the
-  :class:`RemoteAdvisor` client mirroring the in-process sessions;
+  request/response envelopes, the HTTP/1.1 server (framed on stdlib
+  sockets) and the :class:`RemoteAdvisor` client mirroring the in-process
+  sessions;
 * :mod:`repro.workloads` — synthetic datasets (VOC shipping, astronomy,
   weblog, parametric ground-truth tables, concurrent user scenarios);
 * :mod:`repro.viz` — terminal pie charts, tree maps and advice reports;

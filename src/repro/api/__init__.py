@@ -16,11 +16,13 @@ protocol provides on the storage side, applied to the service surface:
 * :mod:`repro.api.dispatcher` — :class:`Dispatcher`, mapping envelopes
   onto an :class:`~repro.service.AdvisorService` and the
   :class:`~repro.errors.CharlesError` hierarchy onto stable wire codes;
-* :mod:`repro.api.server` — :class:`AdvisorHTTPServer`, the protocol on
-  stdlib ``ThreadingHTTPServer`` (``POST /v1/rpc``, ``GET /v1/health``,
-  ``GET /v1/stats``), wired to the CLI's ``serve --http``;
+* :mod:`repro.api.server` — :class:`AdvisorHTTPServer`, the protocol
+  over its own HTTP/1.1 framer on a threaded ``socketserver`` TCP server
+  (``POST /v1/rpc``, ``GET /v1/health``, ``GET /v1/stats``), wired to the
+  CLI's ``serve --http``;
 * :mod:`repro.api.client` — :class:`RemoteAdvisor` and
-  :class:`RemoteSession`, mirroring the in-process
+  :class:`RemoteSession`, keep-alive sockets framed the same way,
+  mirroring the in-process
   :class:`~repro.service.ServiceSession` surface so exploration scripts
   run unmodified against a remote server, with **identical advice**
   (asserted end-to-end by the test suite).

@@ -2,7 +2,7 @@
 
 The client half of the front-end/back-end split: a
 :class:`RemoteAdvisor` speaks the versioned JSON protocol of
-:mod:`repro.api.protocol` over HTTP (stdlib ``http.client`` only) and hands
+:mod:`repro.api.protocol` over HTTP/1.1 and hands
 out :class:`RemoteSession` objects exposing the **same surface** as the
 in-process :class:`~repro.service.ServiceSession` —
 ``advise`` / ``drill`` / ``back`` / ``breadcrumbs`` / ``describe`` /
@@ -22,20 +22,25 @@ checked *before* the request is written and silently replaced when the
 server has closed it, but nothing is ever resent behind the caller's
 back — a failure after the write counts against ``retries`` like any
 other connection-level failure.
+
+A connection is a plain socket that frames its replies with the server
+module's own head reader (:func:`repro.api.server.read_head`): a status
+line, header fields, then exactly ``Content-Length`` body bytes.  Only an
+``https://`` client loads ``ssl``, when it opens its first connection.
 """
 
 from __future__ import annotations
 
-import http.client
 import json
 import selectors
 import socket
 import threading
 import time
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Tuple
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 from repro.api.protocol import Request, Response, error_from_wire
+from repro.api.server import read_head
 from repro.errors import RemoteError, RemoteTransportError
 
 if TYPE_CHECKING:  # typing only: the client itself loads no engine
@@ -48,14 +53,64 @@ __all__ = ["RemoteAdvisor", "RemoteSession"]
 #: connection the server is about to time out.
 MAX_IDLE_SECONDS = 10.0
 
-_HEADERS = {"Content-Type": "application/json; charset=utf-8"}
-
 
 def _readable(sock: socket.socket) -> bool:
     """Whether a read would not block: on an idle connection, a close."""
     with selectors.DefaultSelector() as selector:
         selector.register(sock, selectors.EVENT_READ)
         return bool(selector.select(0))
+
+
+class _Connection:
+    """One keep-alive HTTP/1.1 connection: a socket and its read buffer."""
+
+    def __init__(self, url: SplitResult, timeout: float) -> None:
+        https, host = url.scheme == "https", url.hostname or "localhost"
+        sock = socket.create_connection((host, url.port or (443 if https else 80)), timeout)
+        # Request head and body leave in one write, and the reply is not
+        # held back by Nagle's algorithm waiting on a delayed ACK.
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if https:
+            import ssl  # only an https client pays for the TLS stack
+
+            sock = ssl.create_default_context().wrap_socket(sock, server_hostname=host)
+        self.sock, self._url = sock, url
+        self._reader = sock.makefile("rb")
+
+    def exchange(self, method: str, path: str, body: Optional[bytes]) -> Tuple[int, bytes, bool]:
+        """Send one request; its reply as ``(status, body, server closes)``."""
+        head = f"{method} {self._url.path}{path} HTTP/1.1\r\nHost: {self._url.netloc}\r\n"
+        if body is not None:
+            head += (
+                "Content-Type: application/json; charset=utf-8\r\n"
+                f"Content-Length: {len(body)}\r\n"
+            )
+        self.sock.sendall(head.encode("latin-1") + b"\r\n" + (body or b""))
+        status = 100
+        while status < 200:  # 1xx replies are interim: the real one follows
+            start, fields = read_head(self._reader)
+            words = start.split(None, 2)
+            if len(words) < 2 or not words[0].startswith("HTTP/1.") or not words[1].isdigit():
+                raise ConnectionError(
+                    f"no HTTP/1.x status line in the reply: {start[:80]!r}"
+                    if start else "the server closed the connection without a reply"
+                )
+            status = int(words[1])
+        length = fields.get("content-length", "")
+        if "transfer-encoding" in fields or not (length.isascii() and length.isdigit()):
+            raise ConnectionError("the reply is not framed by one Content-Length")
+        data = self._reader.read(int(length))
+        if len(data) < int(length):
+            raise ConnectionError("the server closed the connection inside a reply")
+        connection = fields.get("connection", "").lower()
+        closes = "close" in connection or (
+            words[0] == "HTTP/1.0" and "keep-alive" not in connection
+        )
+        return status, data, closes
+
+    def close(self) -> None:
+        self._reader.close()
+        self.sock.close()
 
 
 class RemoteAdvisor:
@@ -112,22 +167,15 @@ class RemoteAdvisor:
         self.trace = bool(trace)
         #: Span tree of the most recent traced call (``None`` otherwise).
         self.last_trace: Optional[Dict[str, Any]] = None
-        parts = urlsplit(self.url)
-        self._connection_type = (
-            http.client.HTTPSConnection
-            if parts.scheme == "https"
-            else http.client.HTTPConnection
-        )
-        self._netloc = parts.netloc
-        self._path = parts.path
+        self._url = urlsplit(self.url)
         # Idle keep-alive connections, most recently used on top, each
         # with the time it was put back.
         self._idle_lock = threading.Lock()
-        self._idle: List[Tuple[http.client.HTTPConnection, float]] = []
+        self._idle: List[Tuple[_Connection, float]] = []
 
     # -- transport -----------------------------------------------------------
 
-    def _take(self) -> http.client.HTTPConnection:
+    def _take(self) -> _Connection:
         """An idle connection that is still open, else a new one."""
         while True:
             with self._idle_lock:
@@ -139,28 +187,21 @@ class RemoteAdvisor:
             if fresh and not _readable(connection.sock):
                 return connection
             connection.close()
-        connection = self._connection_type(self._netloc, timeout=self.timeout)
-        connection.connect()
-        # http.client sends headers and body in two writes; without this
-        # the second waits for the server's delayed ACK of the first.
-        connection.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        return connection
+        return _Connection(self._url, self.timeout)
 
     def _http_once(self, method: str, path: str, body: Optional[bytes]) -> Tuple[int, bytes]:
         connection = self._take()
         try:
-            connection.request(method, self._path + path, body=body, headers=_HEADERS)
-            reply = connection.getresponse()
-            data = reply.read()
+            status, data, closes = connection.exchange(method, path, body)
         except BaseException:
             connection.close()
             raise
-        if reply.will_close:
+        if closes:
             connection.close()
         else:
             with self._idle_lock:
                 self._idle.append((connection, time.monotonic()))
-        return reply.status, data
+        return status, data
 
     def _exchange(self, method: str, path: str, body: Optional[bytes] = None) -> bytes:
         """One exchange within the retry budget; returns the reply body."""
@@ -171,10 +212,11 @@ class RemoteAdvisor:
                 time.sleep(self.backoff * (2 ** (attempt - 1)))
             try:
                 status, data = self._http_once(method, path, body)
-            except (http.client.HTTPException, OSError) as exc:
-                # A node killed mid-exchange surfaces as RemoteDisconnected,
-                # ConnectionResetError or a bare timeout, depending on where
-                # the connection died; all are connection-level failures.
+            except (OSError, ValueError) as exc:
+                # A node killed mid-exchange surfaces as a reset, a closed
+                # connection or a bare timeout, depending on where the
+                # connection died; all are connection-level failures, as is
+                # a URL whose port does not parse (ValueError).
                 failure = exc
                 continue
             if status < 400:

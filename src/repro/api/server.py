@@ -1,29 +1,37 @@
-"""The advisor HTTP server: the wire protocol over stdlib HTTP.
+"""The advisor HTTP server: the wire protocol over a small HTTP/1.1 framer.
 
 :class:`AdvisorHTTPServer` wraps one
-:class:`~repro.service.AdvisorService` behind a
-:class:`http.server.ThreadingHTTPServer` — standard library only, one
-thread per connection, which matches the service layer's design: sessions
-are lock-protected and every session engine shares the table runtime's
-caches, so concurrent requests batch and reuse work exactly as the
-in-process multi-user path does.
+:class:`~repro.service.AdvisorService` behind a threaded
+:mod:`socketserver` TCP server — one thread per connection, which matches
+the service layer's design: sessions are lock-protected and every session
+engine shares the table runtime's caches, so concurrent requests batch and
+reuse work exactly as the in-process multi-user path does.
+
+The HTTP/1.1 framing is this module's own (:func:`read_head`, which
+:class:`~repro.api.client.RemoteAdvisor` reads its replies with too): a
+request line, header fields up to a limit, then exactly ``Content-Length``
+body bytes.  A serving process does not load the standard library's HTTP
+stack, and with it neither ``email`` (its header parser) nor ``ssl``.
 
 Connections are HTTP/1.1 keep-alive: a handler thread serves one
-connection, request after request, until the peer closes it, a read
+connection, request after request, until the peer closes it or asks to
+(``Connection: close``, or HTTP/1.0 without ``keep-alive``), a read
 stalls for :data:`SOCKET_TIMEOUT_SECONDS` (idle, silent or half-sent —
 the thread is given back quietly), a transport-level error reply
 (status >= 400) ends it, or the server shuts down — ``shutdown()`` closes
 every open connection, so a stopped server answers nobody.  Each reply
-leaves as one buffered write with Nagle's algorithm off, which is what
-makes keep-alive usable at all (``docs/api.md``, "Connections").
+leaves as one write with Nagle's algorithm off, which is what makes
+keep-alive usable at all (``docs/api.md``, "Connections").
 
 Endpoints:
 
 * ``POST /v1/rpc`` — one request envelope in, one response envelope out
   (see :mod:`repro.api.protocol`).  Operation failures are *successful*
   HTTP exchanges (status 200) carrying an error envelope; HTTP error
-  statuses are reserved for transport problems (bad JSON → 400, wrong
-  path → 404, wrong method → 405).
+  statuses are reserved for transport problems (bad JSON or framing →
+  400, wrong path → 404, any method but GET and POST → 405, no
+  ``Content-Length`` → 411, an oversized head → 414/431), and every one
+  of those replies is an error envelope too.
 * ``GET /v1/health`` — liveness probe with version, node identity
   (``node_id``, pid, start time) and per-table ``data_version``, so a
   cluster router can detect a stale replica from one cheap GET.
@@ -51,12 +59,13 @@ from __future__ import annotations
 import json
 import os
 import socket
+import socketserver
 import sys
 import threading
 import time
 import traceback
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import TYPE_CHECKING, Any, Dict, Optional, Protocol, Set, Tuple, Type
+from http import HTTPStatus
+from typing import TYPE_CHECKING, Any, BinaryIO, Dict, Optional, Protocol, Set, Tuple, Type
 
 from repro.api.codec import SCHEMA_VERSION, to_wire
 from repro.api.dispatcher import Dispatcher
@@ -98,37 +107,136 @@ class HTTPFront(Protocol):
         ...  # pragma: no cover - protocol declaration
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """One HTTP exchange; the front does all protocol work."""
+#: Longest request, status or header line, and most header lines, read.
+_MAX_LINE = 64 * 1024
+_MAX_HEADERS = 100
+
+
+class FramingError(ConnectionError):
+    """A malformed or oversized message head; ``status`` is a server's reply to it."""
+
+    def __init__(self, status: int, message: str) -> None:
+        super().__init__(message)
+        self.status = status
+
+
+def read_head(stream: BinaryIO) -> Tuple[str, Dict[str, str]]:
+    """Read one start line and its header fields, up to the blank line.
+
+    Returns ``("", {})`` when the stream ends (or a second blank line
+    comes) before a start line.  Field names are lower-cased; a repeated
+    field's values are joined with ``", "`` (RFC 9110 §5.3), so a doubled
+    ``Content-Length`` is no longer a number.  A stream that ends inside
+    the head is a :class:`ConnectionError`.
+    """
+    line = stream.readline(_MAX_LINE + 1)
+    if line in (b"\r\n", b"\n"):  # RFC 9112 §2.2: one blank line before a start line
+        line = stream.readline(_MAX_LINE + 1)
+    if not line.strip():
+        return "", {}
+    if len(line) > _MAX_LINE:
+        raise FramingError(414, f"start line exceeds {_MAX_LINE} bytes")
+    start = line.decode("latin-1").strip()
+    fields: Dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = stream.readline(_MAX_LINE + 1)
+        if len(line) > _MAX_LINE:
+            raise FramingError(431, f"header line exceeds {_MAX_LINE} bytes")
+        if line in (b"\r\n", b"\n"):
+            return start, fields
+        if not line:
+            raise ConnectionError("the stream ended inside a message head")
+        name, colon, value = line.decode("latin-1").partition(":")
+        # No colon, or whitespace around the name (a folded line).
+        if not colon or not name or name != name.strip():
+            raise FramingError(400, f"malformed header line {line[:80]!r}")
+        name, value = name.lower(), value.strip()
+        fields[name] = f"{fields[name]}, {value}" if name in fields else value
+    raise FramingError(431, f"more than {_MAX_HEADERS} header lines")
+
+
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection, request after request; the front does all protocol work."""
 
     # Set by the server factory below.
     front: HTTPFront = None  # type: ignore[assignment]
     quiet: bool = True
 
-    protocol_version = "HTTP/1.1"
-    # Status line, headers and body leave in one segment: buffered until
-    # handle_one_request flushes, and not held back by Nagle's algorithm
-    # waiting on the keep-alive peer's delayed ACK.
-    wbufsize = 64 * 1024
+    # Each reply is one write of status line, headers and body, so it is
+    # not held back by Nagle's algorithm waiting on the keep-alive peer's
+    # delayed ACK.
     disable_nagle_algorithm = True
+
+    requestline = ""  # logged by a reply to a head that did not parse
+
+    # -- framing -------------------------------------------------------------
+
+    def handle(self) -> None:
+        self.close_connection = False
+        try:
+            while not self.close_connection:
+                self.handle_one_request()
+        except OSError:
+            # A stalled peer (SOCKET_TIMEOUT_SECONDS), one that vanished
+            # mid-exchange, or a connection closed by close_connections:
+            # the thread is given back quietly.
+            pass
+
+    def handle_one_request(self) -> None:
+        self.close_connection = True  # until the request asks for keep-alive
+        try:
+            self.requestline, self.headers = read_head(self.rfile)
+        except FramingError as exc:
+            self._error(exc.status, "protocol", str(exc))
+            return
+        if not self.requestline:
+            return  # the peer closed the connection between requests
+        words = self.requestline.split()
+        if len(words) != 3 or not words[2].startswith("HTTP/"):
+            self._error(400, "protocol", f"malformed request line {self.requestline[:80]!r}")
+            return
+        method, self.path, self.request_version = words
+        if self.request_version not in ("HTTP/1.0", "HTTP/1.1"):
+            self._error(505, "protocol", f"{self.request_version} is not served; use HTTP/1.1")
+            return
+        connection = self.headers.get("connection", "").lower()
+        if self.request_version == "HTTP/1.1":
+            self.close_connection = "close" in connection
+        else:
+            self.close_connection = "keep-alive" not in connection
+        if "transfer-encoding" in self.headers:
+            self._error(
+                411, "protocol", "chunked request bodies are not read; send Content-Length"
+            )
+        elif method == "POST":
+            self.do_POST()
+        elif method == "GET":
+            if self.headers.get("content-length", "0") != "0":
+                self.close_connection = True  # a GET's body is never read
+            self.do_GET()
+        else:
+            self._error(405, "protocol", "method not allowed; POST /v1/rpc or GET /v1/health")
 
     # -- plumbing ------------------------------------------------------------
 
-    def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
-        if not self.quiet:  # pragma: no cover - debug aid
-            super().log_message(format, *args)
-
     def _send(self, status: int, content_type: str, body: bytes) -> None:
         self.server.count_request()  # type: ignore[attr-defined]
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
         if status >= 400:
             # A rejected request may have left its body unread; the next
             # request on this connection would be parsed out of it.
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(body)
+            self.close_connection = True
+        head = (
+            f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Date: {time.strftime('%a, %d %b %Y %H:%M:%S GMT', time.gmtime())}\r\n"
+            f"Content-Type: {content_type}\r\nContent-Length: {len(body)}\r\n"
+        )
+        if self.close_connection:
+            head += "Connection: close\r\n"
+        elif self.request_version == "HTTP/1.0":
+            head += "Connection: keep-alive\r\n"
+        self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
+        if not self.quiet:  # pragma: no cover - debug aid
+            print(f'{self.client_address[0]} "{self.requestline}" {status}', file=sys.stderr)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
@@ -177,7 +285,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -- endpoints -----------------------------------------------------------
 
-    def do_GET(self) -> None:  # noqa: N802 - http.server API
+    def do_GET(self) -> None:  # noqa: N802 - named after the method it serves
         path = self.path.split("?", 1)[0]
         try:
             text = self.front.get_plain(path)
@@ -198,23 +306,31 @@ class _Handler(BaseHTTPRequestHandler):
             404, "protocol", f"unknown path {path!r}; try /v1/rpc, /v1/health, /v1/stats"
         )
 
-    def do_POST(self) -> None:  # noqa: N802 - http.server API
+    def do_POST(self) -> None:  # noqa: N802 - named after the method it serves
         path = self.path.split("?", 1)[0]
         if path != "/v1/rpc":
             self._error(404, "protocol", f"unknown path {path!r}; POST to /v1/rpc")
             return
-        try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
+        field = self.headers.get("content-length")
+        if field is None:
+            self._error(411, "protocol", "POST a request envelope with a Content-Length header")
+            return
+        if not (field.isascii() and field.isdigit()):
             self._error(400, "protocol", "malformed Content-Length header")
             return
-        if length <= 0:
+        length = int(field)
+        if length == 0:
             self._error(400, "protocol", "empty request body; POST a request envelope")
             return
         if length > _MAX_BODY_BYTES:
             self._error(400, "protocol", f"request body exceeds {_MAX_BODY_BYTES} bytes")
             return
+        if self.headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")  # the body may follow now
         body = self.rfile.read(length)
+        if len(body) < length:
+            self.close_connection = True  # the peer closed inside the body
+            return
         try:
             payload = json.loads(body)
         except ValueError as exc:
@@ -231,14 +347,9 @@ class _Handler(BaseHTTPRequestHandler):
             return
         self._send_json(200, reply)
 
-    def do_PUT(self) -> None:  # noqa: N802 - http.server API
-        self._error(405, "protocol", "method not allowed; POST /v1/rpc or GET /v1/health")
 
-    do_DELETE = do_PUT
-
-
-class _TrackingHTTPServer(ThreadingHTTPServer):
-    """The stdlib threaded server, plus a record of its open connections.
+class _TrackingServer(socketserver.ThreadingTCPServer):
+    """A threaded TCP server, plus a record of its open connections.
 
     ``socketserver`` forgets a connection once its handler thread has
     started, so ``shutdown()`` alone leaves every keep-alive connection
@@ -247,11 +358,10 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
     counts connections and requests for ``/v1/metrics``.
     """
 
+    allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(
-        self, address: Tuple[str, int], handler: Type[BaseHTTPRequestHandler]
-    ) -> None:
+    def __init__(self, address: Tuple[str, int], handler: Type[_Handler]) -> None:
         self._lock = threading.Lock()
         self._open: Set[socket.socket] = set()
         #: Connections accepted and requests answered so far.
@@ -270,12 +380,6 @@ class _TrackingHTTPServer(ThreadingHTTPServer):
         with self._lock:
             self._open.discard(request)
         super().shutdown_request(request)
-
-    def handle_error(self, request: Any, client_address: Any) -> None:
-        # A peer that vanishes mid-exchange (or a connection closed under
-        # its handler by close_connections) is not a server failure.
-        if not isinstance(sys.exc_info()[1], (ConnectionError, TimeoutError)):
-            super().handle_error(request, client_address)
 
     def count_request(self) -> None:
         with self._lock:
@@ -308,7 +412,7 @@ class HTTPFrontServer:
             (_Handler,),
             {"front": self, "quiet": quiet, "timeout": SOCKET_TIMEOUT_SECONDS},
         )
-        self._httpd = _TrackingHTTPServer((host, port), handler)
+        self._httpd = _TrackingServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
 
     # -- the front surface ---------------------------------------------------

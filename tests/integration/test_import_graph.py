@@ -1,6 +1,7 @@
 """What a Charles process imports: no SciPy until the chi-square rule runs,
-no NumPy or engine at all in the cluster's front door, and in an engine
-process none of the modules its path never runs.
+no NumPy or engine at all in the cluster's front door, in an engine
+process none of the modules its path never runs, and in a serving
+process not the standard library's HTTP stack (nor ``email`` or ``ssl``).
 
 Start-up time and resident memory of every process (CLI, cluster node,
 router, benchmark) are dominated by imports: ``scipy.stats`` alone used to
@@ -180,7 +181,59 @@ def test_a_serving_router_loads_no_numpy_and_no_engine():
         for node in nodes:
             node.shutdown()
     assert _heavy(loaded) == []
+    assert _http_stack(loaded) == []
     assert "repro.cluster.router" in loaded
+
+
+# -- the HTTP transport: framed in repro.api, TLS only for https ------------------
+
+#: The standard library's HTTP stack, and what it drags in.
+_HTTP_STACK = ("http.server", "http.client", "email", "ssl", "_ssl")
+
+
+def _http_stack(modules: List[str]) -> List[str]:
+    return [name for name in _HTTP_STACK if name in modules]
+
+
+def test_a_server_and_client_round_trip_loads_no_stdlib_http():
+    loaded = _modules_after("""
+from repro.api.client import RemoteAdvisor
+from repro.api.server import AdvisorHTTPServer
+from repro.service import AdvisorService
+from repro.workloads import generate_voc
+with AdvisorHTTPServer(AdvisorService(generate_voc(rows=200, seed=1)), port=0) as server:
+    client = RemoteAdvisor(server.url)
+    assert client.count() == 200 and client.health()["status"] == "ok"
+    assert client.open_session("s", context=["tonnage"]).advise().answers
+""")
+    assert _http_stack(loaded) == []
+
+
+def test_an_https_client_loads_ssl_at_its_first_connection():
+    # A plain TCP listener answers the TLS handshake with bytes that are
+    # not TLS: the client must fail as a transport error, and only then
+    # have loaded ssl.
+    loaded = _modules_after("""
+import socket, sys, threading
+from repro.api.client import RemoteAdvisor
+from repro.errors import RemoteTransportError
+listener = socket.create_server(("127.0.0.1", 0))
+def answer():
+    connection, _ = listener.accept()
+    with connection:
+        connection.sendall(b"HTTP/1.1 400 Bad Request\\r\\n\\r\\n")
+threading.Thread(target=answer, daemon=True).start()
+client = RemoteAdvisor(f"https://127.0.0.1:{listener.getsockname()[1]}", timeout=5.0)
+assert "ssl" not in sys.modules
+try:
+    client.health()
+except RemoteTransportError:
+    pass
+else:
+    raise AssertionError("a TLS handshake with a plain listener succeeded")
+assert "ssl" in sys.modules
+""")
+    assert "ssl" in loaded
 
 
 def test_every_public_name_resolves():

@@ -675,11 +675,18 @@ _FORBIDDEN = [
         id="no-collector",
     ),
     pytest.param(
-        "one HTTP transport, and it keeps its connections: RemoteAdvisor speaks http.client "
-        "over persistent connections (docs/api.md, Connections); urlopen is a connection "
-        "per request",
+        "one HTTP transport, and it keeps its connections: RemoteAdvisor frames HTTP/1.1 "
+        "itself over persistent connections (docs/api.md, Connections); urlopen is a "
+        "connection per request",
         r"urlopen", ("src",), (),
         id="one-http-transport",
+    ),
+    pytest.param(
+        "the server and the client frame HTTP/1.1 themselves: the standard library's HTTP "
+        "stack loads email and ssl into every serving process (docs/architecture.md, What "
+        "the front door imports)",
+        r"http\.server|http\.client", ("src",), (),
+        id="own-http-framing",
     ),
     pytest.param(
         "only workers start threads, decided in one place: ExecutorPool.requested is where "
@@ -795,6 +802,7 @@ _PLANTED_LINES = {
     "one-approximate-view": "advisor = Charles(table, approx=0.1)",
     "no-collector": "    def __del__(self):",
     "one-http-transport": "    with urllib.request.urlopen(url) as response:",
+    "own-http-framing": "from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer",
     "one-pool-factory": "pool = ExecutorPool(4)",
     "few-thread-starters": "threading.Thread(target=refine, daemon=True).start()",
     "no-multiprocessing": "from multiprocessing import Process",
