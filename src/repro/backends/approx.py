@@ -257,12 +257,6 @@ class ApproxEngine(BackendWrapper):
     ) -> Dict[Any, int]:
         return self._current().engine.value_frequencies(attribute, query)
 
-    def hint_parent(self, child: SDLQuery, parent: SDLQuery) -> None:
-        """Drill-down breadcrumbs belong to the engine that scans: the sample's."""
-        hint = getattr(self._current().engine, "hint_parent", None)
-        if hint is not None:
-            hint(child, parent)
-
     def stats(self) -> Dict[str, Any]:
         sample = self._current()
         inner_stats = self.inner.stats()

@@ -28,7 +28,7 @@ tests assert this bit-for-bit on whole advise runs).
 
 Aggregate results are cached in a shared
 :class:`~repro.storage.cache.ResultCache` under the same
-``count::<signature>`` / ``median:<attr>:<signature>`` keys the memory
+``count::<key>`` / ``median:<attr>:<key>`` keys the memory
 engine uses, so the service layer's per-table cache works unchanged.  The
 connection is guarded by a lock (``check_same_thread=False``), and
 :meth:`sibling` spawns per-session views sharing the connection, schema
@@ -48,7 +48,6 @@ from repro.errors import (
     TypeMismatchError,
     UnknownColumnError,
 )
-from repro.sdl.formatter import query_signature
 from repro.sdl.predicates import (
     ExclusionPredicate,
     Predicate,
@@ -139,8 +138,8 @@ class SQLiteBackend:
     cache_size:
         Capacity of the private cache built when ``cache`` is omitted.
     cache_aggregates:
-        Cache count/median/min-max results keyed by
-        :func:`~repro.sdl.formatter.query_signature` (the service layer
+        Cache count/median/min-max results keyed by the query's
+        :attr:`~repro.sdl.query.SDLQuery.key` (the service layer
         turns this on; off by default to keep operation accounting exact).
     """
 
@@ -598,7 +597,7 @@ class SQLiteBackend:
     def count(self, query: SDLQuery) -> int:
         """``|R(Q)|`` via ``SELECT COUNT(*)`` (the paper's first operation)."""
         self.counter.add(count_calls=1)
-        key = "count::" + query_signature(query)
+        key = "count::" + query.key
         cached = self._aggregate_get(key)
         if cached is not None:
             return cached

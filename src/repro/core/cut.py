@@ -47,10 +47,6 @@ def cut_query(
         engine, query, attribute, low_cardinality_threshold=low_cardinality_threshold
     )
     context_count = engine.count(query)
-    # Pieces refine the query being cut — tell the engine so mask reuse
-    # can AND the query's cached mask with just the piece predicate
-    # (engines without the feature have no hint_parent).
-    hint = getattr(engine, "hint_parent", None)
     segments: List[Segment] = []
     for predicate in spec.predicates:
         try:
@@ -62,8 +58,6 @@ def cut_query(
             raise CannotCutError(attribute, str(error)) from error
         if piece is None:
             continue
-        if hint is not None:
-            hint(piece, query)
         count = engine.count(piece)
         if drop_empty and count == 0:
             continue

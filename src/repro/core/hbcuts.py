@@ -321,7 +321,7 @@ class HBCuts:
         if uncached:
             trace.batched_passes += 1
             trace.pair_evaluations += len(uncached)
-            cells = [product_cells(engine, *pair) for pair in uncached]
+            cells = [product_cells(*pair) for pair in uncached]
             counts = iter(
                 engine.count_batch([cell for pair_cells in cells for cell in pair_cells])
             )

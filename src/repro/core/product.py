@@ -20,7 +20,7 @@ __all__ = ["product", "product_cells", "assemble_product", "product_counts"]
 
 
 def _cell_grid(
-    engine: ExecutionBackend, first: Segmentation, second: Segmentation
+    first: Segmentation, second: Segmentation
 ) -> List[List[Optional[SDLQuery]]]:
     """The ``K × L`` grid of cell queries; ``None`` where two pieces contradict.
 
@@ -33,25 +33,13 @@ def _cell_grid(
         raise CompositionError(
             "the SDL product requires both segmentations to partition the same context"
         )
-    # Product cells refine the pieces they are merged from; the hint lets
-    # mask reuse AND a piece's cached mask with just the other side's
-    # predicate (engines without the feature have no hint_parent).
-    hint = getattr(engine, "hint_parent", None)
-    grid: List[List[Optional[SDLQuery]]] = []
-    for left in first.segments:
-        row: List[Optional[SDLQuery]] = []
-        for right in second.segments:
-            merged = left.query.merge(right.query)
-            if merged is not None and hint is not None:
-                hint(merged, left.query)
-            row.append(merged)
-        grid.append(row)
-    return grid
+    return [
+        [left.query.merge(right.query) for right in second.segments]
+        for left in first.segments
+    ]
 
 
-def product_cells(
-    engine: ExecutionBackend, first: Segmentation, second: Segmentation
-) -> List[SDLQuery]:
+def product_cells(first: Segmentation, second: Segmentation) -> List[SDLQuery]:
     """The satisfiable cell queries of ``first × second``, row-major.
 
     Whoever counts them — one :meth:`count` each in :func:`product`, one
@@ -60,7 +48,7 @@ def product_cells(
     """
     return [
         cell
-        for row in _cell_grid(engine, first, second)
+        for row in _cell_grid(first, second)
         for cell in row
         if cell is not None
     ]
@@ -111,7 +99,7 @@ def product(
     CompositionError
         When the operands partition different contexts.
     """
-    cells = product_cells(engine, first, second)
+    cells = product_cells(first, second)
     counts = [engine.count(cell) for cell in cells]
     return assemble_product(first, second, cells, counts, drop_empty)
 
@@ -128,5 +116,5 @@ def product_counts(
     """
     return [
         [0 if cell is None else engine.count(cell) for cell in row]
-        for row in _cell_grid(engine, first, second)
+        for row in _cell_grid(first, second)
     ]

@@ -233,13 +233,6 @@ class ExplorationSession:
             step.chosen_segment = segment_index
             segment = segmentation.segments[segment_index]
             label = format_segment_label(segment.query, segmentation.context)
-            # Hand the mask-reuse tier its breadcrumb: the new context refines
-            # the current one, so its selection vector is the parent's ANDed
-            # with the segment's extra predicate (engines without the feature
-            # simply have no hint_parent).
-            hint = getattr(self.advisor.engine, "hint_parent", None)
-            if hint is not None:
-                hint(segment.query, step.context)
             self._stack.append(ExplorationStep(context=segment.query, label=label))
             return self.advise()
 

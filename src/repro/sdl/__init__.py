@@ -23,7 +23,7 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.sdl.query": ("SDLQuery",),
     "repro.sdl.segmentation": ("Segment", "Segmentation"),
     "repro.sdl.parser": ("parse_query",),
-    "repro.sdl.formatter": ("format_segmentation", "format_segment_label", "query_signature"),
+    "repro.sdl.formatter": ("format_segmentation", "format_segment_label"),
     "repro.sdl.validation": ("check_partition",),
 })
 

@@ -8,8 +8,9 @@ report generator and the tests:
   unconstrained attributes out;
 * :func:`format_segmentation` — a compact one-segment-per-line listing;
 * :func:`format_segment_label` — the short labels shown on pie-chart
-  slices in Figure 1 (only the cut attributes, not the whole context);
-* :func:`query_signature` — a stable, order-independent key for caching.
+  slices in Figure 1 (only the cut attributes, not the whole context).
+
+A query's cache key is :attr:`~repro.sdl.query.SDLQuery.key`.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from repro.sdl.predicates import Predicate
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 
-__all__ = ["format_segmentation", "format_segment_label", "query_signature"]
+__all__ = ["format_segmentation", "format_segment_label"]
 
 
 def format_query(query: SDLQuery, include_unconstrained: bool = True) -> str:
@@ -88,13 +89,3 @@ def format_segmentation(
         else:
             lines.append(f"  {label}")
     return "\n".join(lines)
-
-
-def query_signature(query: SDLQuery) -> str:
-    """A stable, attribute-order-independent textual key for a query.
-
-    Used by the engine's mask cache and by tests that compare queries
-    produced through different construction paths.
-    """
-    rendered = sorted(p.to_sdl() for p in query.predicates)
-    return "&".join(rendered)

@@ -74,6 +74,21 @@ class Predicate:
         """Render the predicate in SDL text syntax."""
         raise NotImplementedError
 
+    @property
+    def text(self) -> str:
+        """The SDL text, rendered on first use and kept (the predicate is frozen).
+
+        Query keys (:attr:`repro.sdl.query.SDLQuery.key`) and query text
+        read it, so a predicate is formatted at most once however many
+        queries share it.
+        """
+        try:
+            return self.__dict__["_text"]
+        except KeyError:
+            text = self.to_sdl()
+            object.__setattr__(self, "_text", text)
+            return text
+
     def matches_value(self, value: Any) -> bool:
         """Row-at-a-time semantics; the engine uses vectorised evaluation."""
         raise NotImplementedError

@@ -8,7 +8,7 @@ constrained or not — define Charles' exploration context: by convention
 
 from __future__ import annotations
 
-from typing import Any, Dict, FrozenSet, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import QueryError
 from repro.sdl.predicates import (
@@ -42,7 +42,7 @@ class SDLQuery:
     "(date: [1550, 1650], tonnage:, type: {'fluit', 'jacht'})"
     """
 
-    __slots__ = ("_predicates", "_by_attribute", "_hash")
+    __slots__ = ("_predicates", "_by_attribute", "_hash", "_key")
 
     def __init__(self, predicates: Iterable[Predicate] = ()) -> None:
         ordered: list[Predicate] = []
@@ -62,6 +62,7 @@ class SDLQuery:
         self._predicates: Tuple[Predicate, ...] = tuple(ordered)
         self._by_attribute = by_attribute
         self._hash: Optional[int] = None
+        self._key: Optional[str] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -191,8 +192,21 @@ class SDLQuery:
 
     def to_sdl(self) -> str:
         """Render the query in the paper's SDL text syntax."""
-        inner = ", ".join(p.to_sdl() for p in self._predicates)
+        inner = ", ".join(p.text for p in self._predicates)
         return f"({inner})"
+
+    @property
+    def key(self) -> str:
+        """The query's identity as text, computed once.
+
+        The predicates' SDL texts, sorted and joined by ``&``: independent
+        of attribute order, and the suffix of every cache key
+        (``mask:<key>``, ``count::<key>``, ``advice:...:<key>``).
+        """
+        key = self._key
+        if key is None:
+            key = self._key = "&".join(sorted(p.text for p in self._predicates))
+        return key
 
     def __repr__(self) -> str:
         return f"SDLQuery{self.to_sdl()}"
@@ -200,15 +214,12 @@ class SDLQuery:
     def __str__(self) -> str:
         return self.to_sdl()
 
-    def _key(self) -> FrozenSet[Predicate]:
-        return frozenset(self._predicates)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, SDLQuery):
             return NotImplemented
-        return self._key() == other._key()
+        return frozenset(self._predicates) == frozenset(other._predicates)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self._key())
+            self._hash = hash(frozenset(self._predicates))
         return self._hash

@@ -10,7 +10,7 @@ multi-query engine passes*:
   first thread to submit in a round becomes the leader, waits a short
   window for concurrent submitters, then executes every pending request in
   one :meth:`~repro.backends.base.ExecutionBackend.count_batch` call
-  (duplicate signatures across users are evaluated once).
+  (duplicate queries across users are evaluated once).
 * :class:`BatchedEngine` — the per-session engine handed to each
   :class:`~repro.core.advisor.Charles` instance.  It shares the table's
   :class:`~repro.storage.cache.ResultCache` and routes its batched count
@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendWrapper, ExecutionBackend
-from repro.sdl.formatter import query_signature
 from repro.sdl.query import SDLQuery
 
 __all__ = ["BatchCoordinator", "BatchedEngine"]
@@ -49,7 +48,7 @@ class BatchStats:
     queries:
         Total queries submitted across all requests.
     unique_queries:
-        Queries actually evaluated after signature-level deduplication;
+        Queries actually evaluated after key-level deduplication;
         ``queries - unique_queries`` is the work the batching removed.
     fallbacks:
         Requests answered directly after a wait timeout (should stay 0).
@@ -152,16 +151,16 @@ class BatchCoordinator:
         unique: Dict[str, SDLQuery] = {}
         for request in batch:
             for query in request.queries:
-                unique.setdefault(query_signature(query), query)
+                unique.setdefault(query.key, query)
         ordered = list(unique.items())
         counts = self.engine.count_batch([query for _, query in ordered])
-        by_signature = {signature: count for (signature, _), count in zip(ordered, counts)}
+        by_key = {key: count for (key, _), count in zip(ordered, counts)}
         with self._lock:
             self.stats.passes += 1
             self.stats.unique_queries += len(ordered)
         for request in batch:
             request.results = tuple(
-                by_signature[query_signature(query)] for query in request.queries
+                by_key[query.key] for query in request.queries
             )
             request.done.set()
 

@@ -7,7 +7,7 @@ execute pipeline idiom of service layers.  Per registered table it keeps a
 
 * one shared :class:`~repro.storage.cache.ResultCache` holding selection
   masks and count/median aggregates, keyed by
-  :func:`~repro.sdl.formatter.query_signature` — the paper's observation
+  :attr:`~repro.sdl.query.SDLQuery.key` — the paper's observation
   that only two back-end operations exist makes this cache cover
   essentially all repeated work;
 * one advice-level cache, so identical context queries from different
@@ -60,7 +60,6 @@ from repro.errors import (
     UnknownOperationError,
 )
 from repro.obs import MetricsRegistry, SlowOpLog, start_trace
-from repro.sdl.formatter import query_signature
 from repro.sdl.query import SDLQuery
 from repro.service.batching import BatchCoordinator, BatchedEngine
 from repro.service.sessions import ServiceSession
@@ -505,7 +504,7 @@ class AdvisorService:
             prefix = "advice:approx:" if mode == "interactive" else "advice:"
             key = (
                 f"{prefix}{max_answers}:{ranker_key}:{config_key}:"
-                f"{query_signature(context)}"
+                f"{context.key}"
             )
             # Tagging the entry with the data version it was computed at
             # makes the advice cache mutation-aware: after an ingest, old

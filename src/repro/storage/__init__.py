@@ -30,7 +30,7 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
         "Column", "NumericColumn", "StringColumn", "BoolColumn", "build_column",
     ),
     "repro.storage.table": ("Table",),
-    "repro.storage.expression": ("query_mask", "refinement_delta"),
+    "repro.storage.expression": ("query_mask",),
     "repro.storage.partition": ("PartitionedTable",),
     "repro.storage.engine": (
         "QueryEngine", "OperationCounter", "resolve_index_features",

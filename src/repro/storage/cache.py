@@ -7,9 +7,9 @@ recur across iterations of HB-cuts, across drill-down steps, and, in a
 multi-user deployment, across users exploring the same table.
 
 :class:`ResultCache` is the one cache implementation behind all of that:
-a lockable, size-bounded LRU keyed by strings (engines use namespaced
-:func:`~repro.sdl.formatter.query_signature` keys such as ``mask:<sig>``
-or ``median:<attribute>:<sig>``).  A single instance can be shared by many
+a lockable, size-bounded LRU keyed by strings (engines namespace each
+query's :attr:`~repro.sdl.query.SDLQuery.key`, as in ``mask:<key>`` or
+``median:<attribute>:<key>``).  A single instance can be shared by many
 :class:`~repro.storage.engine.QueryEngine` objects **over the same table**;
 the :mod:`repro.service` layer creates one per registered table and wires
 every session engine to it.

@@ -14,9 +14,9 @@ private cache; passing a shared instance via the ``cache`` parameter lets
 many engines over the **same table** reuse one another's selection masks,
 which is how the :mod:`repro.service` layer shares work between concurrent
 user sessions.  With ``cache_aggregates=True`` the engine additionally
-caches count/median/min-max *results* keyed by
-:func:`~repro.sdl.formatter.query_signature`, so repeated aggregates skip
-the mask entirely.
+caches count/median/min-max *results* keyed by the query's
+:attr:`~repro.sdl.query.SDLQuery.key`, so repeated aggregates skip the
+mask entirely.
 
 Every call is tallied in an :class:`OperationCounter`, so benchmarks can
 report back-end work (number of scans, medians, counts, cache hits)
@@ -75,11 +75,9 @@ import numpy as np
 
 from repro.errors import StorageError
 from repro.obs.trace import current_span, tracing_active
-from repro.sdl.formatter import query_signature
 from repro.sdl.predicates import NoConstraint, Predicate
 from repro.sdl.query import SDLQuery
 from repro.storage.cache import ResultCache
-from repro.storage.expression import refinement_delta
 from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 from repro.storage.types import DataType
@@ -159,10 +157,10 @@ def resolve_index_features(value: Any) -> frozenset:
 
 
 def aggregate_key(op: str, attribute: str, query: Optional[SDLQuery]) -> str:
-    """The aggregate-cache key ``<op>:<attribute>:<signature>`` (``None``
-    and unconstrained queries share the empty signature)."""
+    """The aggregate-cache key ``<op>:<attribute>:<key>`` (``None``
+    and unconstrained queries share the empty key)."""
     unconstrained = query is None or not query.constrained_attributes
-    return f"{op}:{attribute}:{'' if unconstrained else query_signature(query)}"
+    return f"{op}:{attribute}:{'' if unconstrained else query.key}"
 
 
 def deduplicated_count_batch(
@@ -178,7 +176,7 @@ def deduplicated_count_batch(
     through this single implementation so their traces stay bit-for-bit
     comparable.  ``counter`` is the backend's :class:`OperationCounter`
     (tallied in place), ``aggregate_get`` / ``aggregate_put`` its
-    aggregate-cache accessors (keyed ``count::<signature>``) and
+    aggregate-cache accessors (keyed ``count::<key>``) and
     ``compute`` maps a query to one uncached cardinality.  Each distinct
     key is computed once and its result fanned out, tallying one count
     call per request and the duplicates as cache hits — exactly what the
@@ -190,7 +188,7 @@ def deduplicated_count_batch(
     results: List[int] = [0] * len(queries)
     positions: Dict[str, List[int]] = {}
     for index, query in enumerate(queries):
-        positions.setdefault("count::" + query_signature(query), []).append(index)
+        positions.setdefault("count::" + query.key, []).append(index)
     for key, indices in positions.items():
         counter.add(count_calls=len(indices))
         value = aggregate_get(key)
@@ -377,7 +375,7 @@ class QueryEngine:
         maintains one cache per registered table.
     cache_aggregates:
         Also cache count/median/min-max results (not just masks) in the
-        cache, keyed by ``<op>:<attribute>:<signature>``.  Off by default
+        cache, keyed by ``<op>:<attribute>:<key>``.  Off by default
         so single-engine operation accounting matches the paper's
         experiments; the service layer turns it on.
     partitions:
@@ -419,10 +417,6 @@ class QueryEngine:
             capacity=int(cache_size), name=f"engine:{self._source.name}"
         )
         self._cache_aggregates = bool(cache_aggregates)
-        # Drill-down breadcrumbs for mask reuse: child signature -> parent
-        # query, recorded by hint_parent() and consumed opportunistically.
-        self._hints: Dict[str, SDLQuery] = {}
-        self._hints_lock = threading.Lock()
         self._pool = pool
         # Unforced: one shard per pool worker, one without a pool.
         self._forced_partitions = None if partitions is None else max(1, int(partitions))
@@ -651,7 +645,7 @@ class QueryEngine:
     def _mask(self, query: SDLQuery, state: LiveState) -> Tuple[np.ndarray, str]:
         """One mask against an already-captured live state, with the span
         label of how it was obtained."""
-        key = "mask:" + query_signature(query)
+        key = "mask:" + query.key
         cached = self._cache.get(key, version=state.version)
         if cached is not None:
             self.counter.add(cache_hits=1)
@@ -725,62 +719,29 @@ class QueryEngine:
 
     # -- incremental mask algebra ----------------------------------------------
 
-    def hint_parent(self, child: SDLQuery, parent: SDLQuery) -> None:
-        """Record that ``child`` was formed by refining ``parent``.
-
-        Drill-downs (:meth:`repro.core.session.ExplorationSession.drill`)
-        and HB-cuts piece evaluations call this before asking for the
-        child's aggregate, so mask reuse can find the parent's cached
-        selection vector without guessing.  Hints are advisory — reuse
-        still proves the refinement relationship predicate-by-predicate —
-        and are a no-op when the ``maskreuse`` feature is forced off.
-        """
-        if "maskreuse" not in self._features:
-            return
-        with self._hints_lock:
-            while len(self._hints) >= 512:
-                self._hints.pop(next(iter(self._hints)))
-            self._hints[query_signature(child)] = parent
-
-    def _parent_candidates(self, query: SDLQuery):
-        """Possible parents of a query, most promising first.
-
-        The hinted parent (if any) leads; then each single-predicate
-        relaxation of the query — the shapes HB-cuts and drill-down
-        produce, where the child is the context plus one new constraint.
-        """
-        with self._hints_lock:
-            hinted = self._hints.get(query_signature(query))
-        if hinted is not None:
-            yield hinted
-        for predicate in query.predicates:
-            if not predicate.is_constrained:
-                continue
-            yield SDLQuery(
-                NoConstraint(p.attribute) if p is predicate else p
-                for p in query.predicates
-            )
-
     def _resident_parent(
         self, query: SDLQuery, state: LiveState
     ) -> Optional[Tuple[np.ndarray, Predicate]]:
         """A cached parent mask and the one predicate separating the query from it.
 
-        Requires a parent whose mask is already cached at the current data
-        version and whose relationship to the query is a single new
-        predicate (see :func:`~repro.storage.expression.refinement_delta`).
+        A parent is the query with one constrained predicate relaxed to
+        ``attr:`` — the shape of HB-cuts pieces, product cells and
+        drill-downs — so the query's mask is the parent's ANDed with that
+        predicate's.  Predicates are tried in query order; the first
+        relaxation whose mask is cached at the current data version wins.
         The lookup uses :meth:`ResultCache.peek` — no hit/miss/LRU side
         effects.  ``None``: no such parent.
         """
-        for parent in self._parent_candidates(query):
-            delta = refinement_delta(query, parent, state.table)
-            if delta is None:
+        for predicate in query.predicates:
+            if not predicate.is_constrained:
                 continue
-            parent_mask = self._cache.peek(
-                "mask:" + query_signature(parent), version=state.version
+            relaxed = SDLQuery(
+                NoConstraint(p.attribute) if p is predicate else p
+                for p in query.predicates
             )
+            parent_mask = self._cache.peek("mask:" + relaxed.key, version=state.version)
             if parent_mask is not None and len(parent_mask) == state.table.num_rows:
-                return parent_mask, delta
+                return parent_mask, predicate
         return None
 
     def _aggregate_get(self, key: str, version: int) -> Optional[Any]:
@@ -820,7 +781,7 @@ class QueryEngine:
         started = time.perf_counter() if observed else 0.0
         self.counter.add(count_calls=1)
         state = self._refresh()
-        key = "count::" + query_signature(query)
+        key = "count::" + query.key
         value = self._aggregate_get(key, state.version)
         if value is not None:
             if observed:
@@ -934,7 +895,7 @@ class QueryEngine:
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
         """Cardinalities of many queries in a single engine pass.
 
-        Queries with identical signatures are evaluated once and their
+        Queries with identical keys are evaluated once and their
         result fanned out, so a batch of ``n`` requests touching ``u``
         unique selections performs ``u`` evaluations at most.  Operation
         accounting matches the sequential equivalent: one count call per

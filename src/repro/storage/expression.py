@@ -30,7 +30,7 @@ from repro.sdl.predicates import (
 from repro.sdl.query import SDLQuery
 from repro.storage.table import Table
 
-__all__ = ["query_mask", "refinement_delta"]
+__all__ = ["query_mask"]
 
 #: ``bitmaps(attribute) -> BitmapIndex | None`` — an optional provider of
 #: per-column bitmap indexes (see :class:`repro.storage.index.BitmapIndex`).
@@ -96,91 +96,3 @@ def query_mask(
             break
     return mask
 
-
-def predicate_implies(child: Predicate, parent: Predicate, column: object) -> bool:
-    """Whether every row satisfying ``child`` must satisfy ``parent``.
-
-    The soundness gate of mask reuse: a drill-down step may AND the
-    parent's cached mask with only the *new* predicate's mask iff each
-    retained child predicate implies its parent counterpart.  Implication
-    is only claimed between predicates of the same shape — cross-shape
-    reasoning (a range inside a set, say) would have to re-model each
-    column's encoding quirks (INT set predicates truncate float values,
-    string ranges compare lexicographically), and a false positive here
-    silently corrupts results.  ``False`` merely declines the shortcut.
-    """
-    if not parent.is_constrained:
-        return True
-    if child == parent:
-        return True
-    if isinstance(child, SetPredicate) and isinstance(parent, SetPredicate):
-        return child.values <= parent.values
-    if isinstance(child, ExclusionPredicate) and isinstance(
-        parent, ExclusionPredicate
-    ):
-        # Excluding MORE values selects a subset.
-        return parent.values <= child.values
-    if isinstance(child, RangePredicate) and isinstance(parent, RangePredicate):
-        encode = getattr(column, "_encode_bound", None)
-        if encode is None:
-            return False
-        try:
-            child_low, child_high = encode(child.low), encode(child.high)
-            parent_low, parent_high = encode(parent.low), encode(parent.high)
-        except Exception:
-            return False
-        if child_low < parent_low or (
-            child_low == parent_low
-            and child.include_low
-            and not parent.include_low
-        ):
-            return False
-        if child_high > parent_high or (
-            child_high == parent_high
-            and child.include_high
-            and not parent.include_high
-        ):
-            return False
-        return True
-    return False
-
-
-def refinement_delta(
-    child: SDLQuery, parent: SDLQuery, table: Table
-) -> Optional[Predicate]:
-    """The single predicate separating ``child`` from ``parent``, if any.
-
-    Returns the one constrained child predicate ``p`` such that
-    ``mask(child) == mask(parent) & predicate_mask(p)`` is guaranteed by
-    implication — i.e. every other child predicate implies its parent
-    counterpart and ``p`` itself implies its counterpart (so rows outside
-    the parent mask are excluded by ``p`` alone).  ``None`` when the
-    queries differ in more than one place, constrain different attribute
-    sets, or implication cannot be established; callers then evaluate the
-    child from scratch.
-    """
-    parent_by_attr = {p.attribute: p for p in parent.predicates}
-    if set(parent_by_attr) != {p.attribute for p in child.predicates}:
-        return None
-    delta: Optional[Predicate] = None
-    for predicate in child.predicates:
-        counterpart = parent_by_attr[predicate.attribute]
-        if predicate == counterpart:
-            continue
-        try:
-            column = table.column(predicate.attribute)
-        except Exception:
-            return None
-        if not predicate_implies(predicate, counterpart, column):
-            return None
-        if not counterpart.is_constrained:
-            # A genuinely new constraint: this is the drill-down delta.
-            if delta is not None:
-                return None
-            delta = predicate
-        else:
-            # A *tightened* predicate (child strictly inside its parent
-            # counterpart) also shrinks the selection on rows inside the
-            # parent mask, which ANDing a single delta would miss.
-            return None
-    return delta

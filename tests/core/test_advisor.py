@@ -11,7 +11,14 @@ from repro.backends import ApproxEngine
 from repro.core import Charles, HBCutsConfig, WeightedRanker
 from repro.service import AdvisorService
 from repro.errors import AdvisorError
-from repro.sdl import SDLQuery, check_partition
+from repro.sdl import (
+    ExclusionPredicate,
+    NoConstraint,
+    RangePredicate,
+    SDLQuery,
+    SetPredicate,
+    check_partition,
+)
 from repro.storage import QueryEngine
 from repro.workloads import FIGURE1_CONTEXT_COLUMNS, generate_voc
 
@@ -267,3 +274,23 @@ class TestFigure1Shape:
         assert len(advice.best().attributes) >= 2
         breadths = {len(answer.attributes) for answer in advice}
         assert 1 in breadths
+
+
+class TestQueryIdentity:
+    def test_cold_advise_renders_each_predicate_at_most_once(self, voc_table, monkeypatch):
+        # Every cache key is SDLQuery.key; a predicate's SDL text is kept
+        # once rendered, so no predicate object is formatted twice.
+        renders = {}  # id -> [predicate (kept alive, so ids stay unique), calls]
+
+        def counted(render):
+            def to_sdl(predicate):
+                renders.setdefault(id(predicate), [predicate, 0])[1] += 1
+                return render(predicate)
+
+            return to_sdl
+
+        for cls in (NoConstraint, RangePredicate, SetPredicate, ExclusionPredicate):
+            monkeypatch.setattr(cls, "to_sdl", counted(cls.to_sdl))
+        Charles(voc_table).advise(list(FIGURE1_CONTEXT_COLUMNS))
+        assert renders
+        assert [p for p, calls in renders.values() if calls > 1] == []

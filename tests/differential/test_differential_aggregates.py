@@ -80,12 +80,11 @@ def test_indexed_engines_match_plain(table, queries):
 
 @given(table=small_tables(), pairs=st.lists(drilldowns(), min_size=1, max_size=4))
 def test_mask_reuse_is_invisible(table, pairs):
-    """Drill-downs with hints answer exactly like the plain engine.
+    """Drill-downs answer exactly like the plain engine.
 
-    ``hint_parent`` is called on both engines (it is a no-op without the
-    feature), so the two runs are call-for-call identical — including the
-    evaluation counters and cache hit/miss traffic, which mask reuse is
-    required to leave untouched.
+    The two runs are call-for-call identical — including the evaluation
+    counters and cache hit/miss traffic, which mask reuse is required to
+    leave untouched.
     """
     plain = QueryEngine(table)
     reuse = QueryEngine(table, use_index="maskreuse")
@@ -93,7 +92,6 @@ def test_mask_reuse_is_invisible(table, pairs):
         results = []
         for engine in (plain, reuse):
             step = [outcome(engine.count, parent)]
-            engine.hint_parent(child, parent)
             step.append(outcome(engine.count, child))
             step.append(outcome(engine.evaluate, child))
             results.append(step)

@@ -75,7 +75,6 @@ def _trace(engine: QueryEngine, queries, pairs) -> list:
         trace.append(outcome(engine.value_frequencies, "cat", query))
     for parent, child in pairs:
         trace.append(outcome(engine.count, parent))
-        engine.hint_parent(child, parent)
         trace.append(outcome(engine.count, child))
         trace.append(outcome(engine.evaluate, child))
     trace.append(outcome(engine.count_batch, queries))
@@ -260,6 +259,52 @@ def test_plan_reuses_a_resident_parent():
             other.evaluate(_PARENT)
             planned = other._plan(_CHILD, other._refresh()).parent
             assert (planned is not None) == reuses
+
+
+def _cat(*values: str) -> SetPredicate:
+    return SetPredicate("cat", frozenset(values))
+
+
+#: (case, would-be parent, child): only the child with one predicate relaxed
+#: to ``attr:`` is a parent, so reuse declines each resident query here.
+_NOT_PARENTS = [
+    (
+        "a tightened set",
+        SDLQuery([NoConstraint("num"), _cat("a", "b")]),
+        SDLQuery([NoConstraint("num"), _cat("a")]),
+    ),
+    (
+        "two new predicates",
+        SDLQuery([NoConstraint("num"), NoConstraint("cat")]),
+        SDLQuery([RangePredicate("num", 0, 50), _cat("a")]),
+    ),
+    (
+        "a different attribute set",
+        SDLQuery([NoConstraint("num")]),
+        SDLQuery([RangePredicate("num", 0, 50), NoConstraint("cat")]),
+    ),
+    (
+        "a set inside a range",
+        SDLQuery([RangePredicate("num", 0, 50), NoConstraint("cat")]),
+        SDLQuery([SetPredicate("num", frozenset({2, 4})), NoConstraint("cat")]),
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "parent,child",
+    [case[1:] for case in _NOT_PARENTS],
+    ids=[case[0] for case in _NOT_PARENTS],
+)
+def test_plan_declines_a_resident_non_parent(parent, child):
+    with _thresholds(**_RULE_THRESHOLDS):
+        engine = QueryEngine(_LARGE)
+        state = engine._refresh()
+        engine.evaluate(parent)
+        assert engine.cache.peek("mask:" + parent.key, version=state.version) is not None
+        assert engine._plan(child, state).parent is None
+        expected = _forced_plain(_LARGE).evaluate(child)
+        assert engine.evaluate(child).tolist() == expected.tolist()
 
 
 def test_unset_shard_count_follows_the_pool():

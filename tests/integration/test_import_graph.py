@@ -49,8 +49,8 @@ _ENGINE = tuple(
 #: Each package facade → the size of its ``__all__``.
 _FACADES = {
     "repro": 52, "repro.api": 14, "repro.backends": 6, "repro.cluster": 10,
-    "repro.core": 44, "repro.live": 1, "repro.obs": 8, "repro.sdl": 14,
-    "repro.service": 4, "repro.storage": 28, "repro.viz": 5, "repro.workloads": 15,
+    "repro.core": 44, "repro.live": 1, "repro.obs": 8, "repro.sdl": 13,
+    "repro.service": 4, "repro.storage": 27, "repro.viz": 5, "repro.workloads": 15,
 }
 
 

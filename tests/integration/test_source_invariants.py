@@ -350,10 +350,7 @@ _MUTATORS = {
 }
 
 #: Unlocked mutations that are safe by design, with the reason.
-_UNLOCKED_BY_DESIGN = {
-    "QueryEngine.set_metrics_sink": "replacing one reference is atomic: "
-    "an aggregate reports to the old sink or the new one, never to neither",
-}
+_UNLOCKED_BY_DESIGN: Dict[str, str] = {}
 
 
 def _owned_locks(cls: ast.ClassDef) -> Set[str]:
@@ -773,6 +770,13 @@ _FORBIDDEN = [
         r"profile_table|profile_column", _USER_FACING, (),
         id="one-profiler",
     ),
+    pytest.param(
+        "a query carries its own cache key (SDLQuery.key), and mask reuse finds a parent "
+        "only by relaxing one predicate to attr: and peeking that key",
+        r"hint_parent|refinement_delta|predicate_implies|query_signature",
+        ("src", "examples", "benchmarks"), (),
+        id="query-carries-its-key",
+    ),
 ]
 
 
@@ -817,6 +821,7 @@ _PLANTED_LINES = {
     "no-heterogeneous-cuts": "from repro.core.heterogeneous import greedy_heterogeneous",
     "no-multilevel-pie": "print(multilevel_pie(hierarchy_of(segmentation)))",
     "one-profiler": "    return profile_table(self.table, context=resolved, engine=self.engine)",
+    "query-carries-its-key": '        key = "mask:" + query_signature(query)',
 }
 
 

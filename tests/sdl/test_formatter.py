@@ -11,7 +11,6 @@ from repro.sdl import (
     SetPredicate,
     format_segment_label,
     format_segmentation,
-    query_signature,
 )
 from repro.sdl.formatter import format_query
 
@@ -82,9 +81,9 @@ class TestQuerySignature:
     def test_signature_is_order_independent(self):
         first = SDLQuery([NoConstraint("a"), RangePredicate("b", 1, 2)])
         second = SDLQuery([RangePredicate("b", 1, 2), NoConstraint("a")])
-        assert query_signature(first) == query_signature(second)
+        assert first.key == second.key
 
     def test_signature_distinguishes_constraints(self):
         first = SDLQuery([RangePredicate("b", 1, 2)])
         second = SDLQuery([RangePredicate("b", 1, 3)])
-        assert query_signature(first) != query_signature(second)
+        assert first.key != second.key

@@ -1,5 +1,5 @@
 """Unit tests for the skipping-index tier: zone maps, bitmap indexes,
-feature resolution, cache peeking and mask-reuse implication algebra."""
+feature resolution and cache peeking."""
 
 from __future__ import annotations
 
@@ -10,7 +10,6 @@ from repro.backends import open_backend
 from repro.errors import BackendError, StorageError, TypeMismatchError
 from repro.sdl import (
     ExclusionPredicate,
-    NoConstraint,
     RangePredicate,
     SDLQuery,
     SetPredicate,
@@ -21,11 +20,9 @@ from repro.storage import (
     ResultCache,
     Table,
     build_column,
-    refinement_delta,
     resolve_index_features,
 )
 from repro.storage.engine import INDEX_FEATURES
-from repro.storage.expression import predicate_implies
 from repro.storage.expression import query_mask
 from repro.storage.index import BitmapIndex
 from repro.storage.partition import PartitionedTable
@@ -199,67 +196,6 @@ class TestCachePeek:
         cache = ResultCache(capacity=0)
         cache.put("a", 1, version=None)
         assert cache.peek("a", version=None) is None
-
-
-class TestImplicationAlgebra:
-    def setup_method(self):
-        self.table = Table(
-            "t",
-            [
-                _int_column([1, 2, 3, 4, 5]),
-                _str_column(["a", "b", "c", "a", "b"]),
-            ],
-        )
-
-    def test_predicate_implies_shapes(self):
-        column = self.table.column("num")
-        assert predicate_implies(
-            RangePredicate("num", 2, 3), RangePredicate("num", 1, 4), column
-        )
-        assert not predicate_implies(
-            RangePredicate("num", 0, 3), RangePredicate("num", 1, 4), column
-        )
-        assert predicate_implies(RangePredicate("num", 2, 3), NoConstraint("num"), column)
-        cat = self.table.column("cat")
-        assert predicate_implies(
-            SetPredicate("cat", frozenset({"a"})),
-            SetPredicate("cat", frozenset({"a", "b"})),
-            cat,
-        )
-        assert predicate_implies(
-            ExclusionPredicate("cat", frozenset({"a", "b"})),
-            ExclusionPredicate("cat", frozenset({"a"})),
-            cat,
-        )
-        # Cross-shape implication is deliberately not claimed.
-        assert not predicate_implies(
-            SetPredicate("num", frozenset({2})), RangePredicate("num", 1, 4), column
-        )
-
-    def test_refinement_delta_single_new_predicate(self):
-        parent = SDLQuery([NoConstraint("num"), SetPredicate("cat", frozenset({"a"}))])
-        child = SDLQuery(
-            [RangePredicate("num", 2, 4), SetPredicate("cat", frozenset({"a"}))]
-        )
-        delta = refinement_delta(child, parent, self.table)
-        assert delta == RangePredicate("num", 2, 4)
-
-    def test_refinement_delta_rejects_tightened_predicates(self):
-        parent = SDLQuery([SetPredicate("cat", frozenset({"a", "b"}))])
-        child = SDLQuery([SetPredicate("cat", frozenset({"a"}))])
-        assert refinement_delta(child, parent, self.table) is None
-
-    def test_refinement_delta_rejects_two_deltas(self):
-        parent = SDLQuery([NoConstraint("num"), NoConstraint("cat")])
-        child = SDLQuery(
-            [RangePredicate("num", 2, 4), SetPredicate("cat", frozenset({"a"}))]
-        )
-        assert refinement_delta(child, parent, self.table) is None
-
-    def test_refinement_delta_requires_same_attributes(self):
-        parent = SDLQuery([NoConstraint("num")])
-        child = SDLQuery([RangePredicate("num", 2, 4), NoConstraint("cat")])
-        assert refinement_delta(child, parent, self.table) is None
 
 
 class TestSkippingIndexes:
