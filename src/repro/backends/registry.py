@@ -9,7 +9,7 @@ A backend *spec* is a compact URI-like string::
                                 (0 < sample ≤ 1; sample=1 is the exact engine)
     memory?cache=512            engine options as query parameters (cache=0:
                                 no result cache)
-    memory?index=zonemap,bitmap force exactly these index features
+    memory?index=zonemap        force exactly these index features
                                 (index=all, index=none: every one, the plain scan)
     memory?workers=4            a 4-worker pool; one shard per worker, fanned
                                 out when the shards are large enough

@@ -449,6 +449,8 @@ class SQLiteBackend:
                 raise BackendError(f"SQLite error for {sql!r}: {error}") from error
 
     def _encode_literal(self, dtype: DataType, value: Any) -> Any:
+        if is_missing(value):
+            return None
         if dtype is DataType.DATE and not isinstance(value, (int, float)):
             return date_to_ordinal(value)
         if dtype is DataType.BOOL and isinstance(value, bool):

@@ -26,8 +26,8 @@ trivially safe.  :class:`VersionedTable` reconciles the two: it is the one
   after a mutation rebuilds the (zero-copy) shards, every other sibling
   borrows them.  The table is the *only* owner of that triple: engines
   hold it for the length of one operation, so the moment a mutation
-  installs the next version, the superseded snapshot, its shards, zone
-  maps and bitmaps are freed by reference count — however many idle
+  installs the next version, the superseded snapshot, its shards and zone
+  maps are freed by reference count — however many idle
   sessions last saw them;
   :meth:`VersionedTable.sampled` memoizes seeded uniform samples of the
   current version the same way.
@@ -188,7 +188,7 @@ class VersionedTable:
         snapshot and the rest reuse it.
 
         This memo is also the version key of every structure derived from
-        the shards — in particular the zone maps and bitmap indexes of
+        the shards — in particular the zone maps of
         :meth:`PartitionedTable.skipping`.  An ingest or delete drops the
         memo (:meth:`_install_locked`), so superseded skipping indexes vanish
         with their shard set and can never answer a query against newer

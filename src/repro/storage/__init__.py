@@ -6,7 +6,8 @@ and median calculations (paper, Section 5.1).  This package provides a
 NumPy-backed, dictionary-encoded column store with exactly that surface:
 
 * :mod:`repro.storage.types`, :mod:`repro.storage.column`,
-  :mod:`repro.storage.table` — the physical layer;
+  :mod:`repro.storage.table` — the physical layer (a nominal set or
+  exclusion is one pass over a column's dictionary codes, no index);
 * :mod:`repro.storage.expression`, :mod:`repro.storage.engine` — SDL
   evaluation, aggregates, batched passes and operation accounting;
 * :mod:`repro.storage.partition` — row-range sharding and the
@@ -14,7 +15,6 @@ NumPy-backed, dictionary-encoded column store with exactly that surface:
 * :mod:`repro.storage.cache` — the shared, thread-safe result cache
   (masks and aggregates) engines and the service layer plug into;
 * :mod:`repro.storage.statistics` — table profiling (``charles profile``);
-* :mod:`repro.storage.index` — bitmap indexes;
 * :mod:`repro.storage.zonemap` — per-partition zone maps and shard
   skipping (the aggregate hot path's skipping-index tier);
 * :mod:`repro.storage.sampling` — uniform sampling primitives (paper §5.2, E8);
@@ -37,7 +37,6 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
         "deduplicated_count_batch",
     ),
     "repro.storage.cache": ("ResultCache", "CacheStats"),
-    "repro.storage.index": ("BitmapIndex",),
     "repro.storage.zonemap": ("SkippingIndexes",),
     "repro.storage.statistics": ("TableProfile", "profile_backend", "column_entropy"),
     "repro.storage.sampling": ("sample_table", "uniform_sample_indices"),

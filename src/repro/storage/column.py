@@ -396,12 +396,20 @@ class DateColumn(NumericColumn):
         )
 
 
+#: Most dictionary codes a set mask compares one by one; a larger set
+#: gathers a lookup table by code.  A compare pass costs 0.06-0.11 of a
+#: gather at 200 000 rows, 0.2 at 12 000 and 0.5 at 2 000 (2 vCPU,
+#: NumPy 2.4), so four compares beat one gather from about 10 000 rows.
+FEW_CODES = 4
+
+
 class StringColumn(Column):
     """A dictionary-encoded nominal column.
 
     Physical layout: an ``int32`` code per row (``-1`` for missing) plus an
-    ordered list of category strings.  Set predicates translate into a
-    membership test over codes; range predicates use lexicographic order
+    ordered list of category strings.  A set predicate compares the codes
+    of a few literals and gathers a lookup table by code for more (one pass
+    however many literals it holds); range predicates use lexicographic order
     over the decoded strings, which is rarely useful but kept for symmetry
     with SQL semantics.
     """
@@ -538,10 +546,17 @@ class StringColumn(Column):
                 selected_codes.append(code)
         return self._mask_for_codes(selected_codes)
 
-    def _mask_for_codes(self, codes: Sequence[int]) -> np.ndarray:
-        if not codes:
-            return np.zeros(len(self), dtype=bool)
-        return np.isin(self._codes, np.array(codes, dtype=np.int32))
+    def _mask_for_codes(self, codes: List[int]) -> np.ndarray:
+        if len(codes) <= FEW_CODES:
+            mask = np.zeros(len(self), dtype=bool)
+            for code in codes:
+                mask |= self._codes == code
+            return mask
+        # One boolean slot per category, gathered by code in a single pass.
+        # The trailing slot, which MISSING_CODE (-1) indexes, stays False.
+        selected = np.zeros(len(self._categories) + 1, dtype=bool)
+        selected[codes] = True
+        return selected.take(self._codes)
 
     def take(self, indices: np.ndarray) -> "StringColumn":
         indices = np.asarray(indices, dtype=np.int64)

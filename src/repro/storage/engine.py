@@ -98,13 +98,13 @@ __all__ = [
 #: ``zonemap``
 #:     Per-partition min/max/null/distinct statistics that skip shards a
 #:     predicate provably cannot match (:mod:`repro.storage.zonemap`).
-#: ``bitmap``
-#:     Per-value bitmaps over nominal columns answering equality / IN /
-#:     NOT-IN masks (:class:`~repro.storage.index.BitmapIndex`).
 #: ``maskreuse``
 #:     Incremental mask algebra: a drill-down ANDs the parent step's
 #:     cached selection vector with only the new predicate's mask.
-INDEX_FEATURES = frozenset({"zonemap", "bitmap", "maskreuse"})
+#:
+#: A nominal set needs no index: the column answers it in one pass
+#: (:meth:`~repro.storage.column.StringColumn.mask_set`).
+INDEX_FEATURES = frozenset({"zonemap", "maskreuse"})
 
 _INDEX_OFF_WORDS = frozenset({"", "none", "off", "false", "no", "0"})
 _INDEX_ALL_WORDS = frozenset({"all", "true", "yes", "on", "1"})
@@ -126,7 +126,7 @@ def resolve_index_features(value: Any) -> frozenset:
     * ``False`` / ``"none"`` / ``"off"`` — no indexes (the plain scan);
     * ``True`` / ``"true"`` / ``"all"`` — every feature in
       :data:`INDEX_FEATURES`;
-    * a comma-separated string (``"zonemap,bitmap"``, the
+    * a comma-separated string (``"zonemap,maskreuse"``, the
       ``memory?index=...`` backend-spec form) or any iterable of feature
       names.
 
@@ -136,7 +136,8 @@ def resolve_index_features(value: Any) -> frozenset:
         features: set = set()
         for part in value.lower().split(","):
             word = part.strip()
-            if word in _INDEX_OFF_WORDS:
+            # Ignored: bench/workloads.py's live_ingest spec still names it.
+            if word in _INDEX_OFF_WORDS or word == "bitmap":
                 continue
             if word in _INDEX_ALL_WORDS:
                 features |= INDEX_FEATURES
@@ -328,22 +329,21 @@ class AccessPath(NamedTuple):
 
     ``parent``: the resident parent mask and the one new predicate to scan
     and AND onto it (``None``: scan the whole query).  The scan skips
-    shards by ``zonemap``, answers nominal predicates by ``bitmap``, maps
-    shards through the pool on ``fanout`` and, with ``assemble`` off, sums
-    per-shard counts instead of building the mask.
+    shards by ``zonemap``, maps shards through the pool on ``fanout`` and,
+    with ``assemble`` off, sums per-shard counts instead of building the
+    mask.
     """
 
     parent: Optional[Tuple[np.ndarray, Predicate]]
     zonemap: bool
-    bitmap: bool
     fanout: bool
     assemble: bool = True
 
     @property
     def scan(self) -> str:
-        """The scan's span label, e.g. ``scan+zonemap+bitmap+fanout``."""
+        """The scan's span label, e.g. ``scan+zonemap+fanout``."""
         steps = ["scan" if self.assemble else "count"]
-        steps += [name for name in ("zonemap", "bitmap", "fanout") if getattr(self, name)]
+        steps += [name for name in ("zonemap", "fanout") if getattr(self, name)]
         return "+".join(steps)
 
 
@@ -364,7 +364,7 @@ class QueryEngine:
     use_index:
         ``None`` (the default) lets the engine pick index features (see
         :meth:`_plan`); anything :func:`resolve_index_features` accepts —
-        ``False``, ``"all"``, ``"zonemap,bitmap"`` — *forces* exactly
+        ``False``, ``"all"``, ``"zonemap,maskreuse"`` — *forces* exactly
         those, which is how tests and ablations pin a reference path.
         Results are bit-for-bit identical for every setting (the
         differential harness enforces it); only the work differs.
@@ -431,9 +431,8 @@ class QueryEngine:
         elif self._partitions > 1:
             self._features = INDEX_FEATURES
         else:
-            # Bitmaps only ever replace a nominal column scan, so they are
-            # on (reuse is sized per query in _plan); a single shard can
-            # skip nothing, so zone maps need at least two.
+            # Reuse is sized per query in _plan; a single shard can skip
+            # nothing, so zone maps need at least two.
             self._features = INDEX_FEATURES - {"zonemap"}
         # Optional observability sink: a callable ``(op, seconds)`` fed by
         # count/median when attached (see set_metrics_sink).  ``None``
@@ -662,13 +661,13 @@ class QueryEngine:
     ) -> AccessPath:
         """Pick the access path of one uncached mask (or count); reads, never writes.
 
-        Forced features and shards are taken as given.  Unforced: bitmaps
-        always, zone maps with more than one shard (both fixed at
-        construction), the parent's mask when one is resident and the
-        table has :data:`REUSE_MIN_ROWS` rows, the pool per
-        :meth:`_map_fn`; a count skips assembling the mask when the cache
-        could not keep it.  Every path yields bit-for-bit the plain scan's
-        answer, counters and cache traffic (``skipped_partitions`` aside).
+        Forced features and shards are taken as given.  Unforced: zone
+        maps with more than one shard (fixed at construction), the
+        parent's mask when one is resident and the table has
+        :data:`REUSE_MIN_ROWS` rows, the pool per :meth:`_map_fn`; a
+        count skips assembling the mask when the cache could not keep it.
+        Every path yields bit-for-bit the plain scan's answer, counters and
+        cache traffic (``skipped_partitions`` aside).
         """
         features = self._features
         parent = None
@@ -684,7 +683,6 @@ class QueryEngine:
         return AccessPath(
             parent,
             zonemap="zonemap" in features,
-            bitmap="bitmap" in features,
             fanout=self._map_fn(state) is not None,
             assemble=not counting or self._cache.enabled,
         )
@@ -711,7 +709,6 @@ class QueryEngine:
             query,
             self._pool.map if path.fanout else None,
             zonemaps=path.zonemap,
-            bitmaps=path.bitmap,
         )
         if skipped:
             self.counter.add(skipped_partitions=skipped)

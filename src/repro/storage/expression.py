@@ -2,7 +2,12 @@
 
 This is the column-at-a-time evaluation layer: each predicate of an SDL
 query is turned into a boolean NumPy array over one column, and the
-conjunction is the element-wise AND of those arrays.  The query engine
+conjunction is the element-wise AND of those arrays.  A set or exclusion
+predicate on a nominal column needs no index: the column compares the
+codes of a few literals and gathers a boolean lookup table over its
+dictionary for more (:meth:`StringColumn.mask_set
+<repro.storage.column.StringColumn.mask_set>`), so a set of thousands of
+literals is still one pass.  The query engine
 (:mod:`repro.storage.engine`) adds caching and operation accounting on
 top.
 
@@ -14,8 +19,6 @@ evaluation (inline, or on an :class:`~repro.backends.pool.ExecutorPool`).
 """
 
 from __future__ import annotations
-
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -32,24 +35,12 @@ from repro.storage.table import Table
 
 __all__ = ["query_mask"]
 
-#: ``bitmaps(attribute) -> BitmapIndex | None`` — an optional provider of
-#: per-column bitmap indexes (see :class:`repro.storage.index.BitmapIndex`).
-#: ``None`` for an attribute means "no index here, evaluate the column".
-BitmapLookup = Callable[[str], Optional[object]]
 
-
-def predicate_mask(
-    table: Table,
-    predicate: Predicate,
-    bitmaps: Optional[BitmapLookup] = None,
-) -> np.ndarray:
+def predicate_mask(table: Table, predicate: Predicate) -> np.ndarray:
     """Boolean selection vector for a single predicate over ``table``.
 
     Unconstrained predicates select every row.  Unknown columns raise
     :class:`~repro.errors.UnknownColumnError` via :meth:`Table.column`.
-    When ``bitmaps`` offers a bitmap index for the attribute, set and
-    exclusion masks come from its cached per-value bitmaps — bit-for-bit
-    the same vectors, computed without re-scanning the column codes.
     """
     if isinstance(predicate, NoConstraint):
         # The attribute must still exist: context queries may only mention
@@ -64,26 +55,17 @@ def predicate_mask(
             include_low=predicate.include_low,
             include_high=predicate.include_high,
         )
-    index = bitmaps(predicate.attribute) if bitmaps is not None else None
     if isinstance(predicate, SetPredicate):
-        if index is not None:
-            return index.mask_set(predicate.values)
         return column.mask_set(predicate.values)
     if isinstance(predicate, ExclusionPredicate):
         # NOT IN with SQL NULL semantics: missing values never match.
-        if index is not None:
-            return index.mask_exclusion(predicate.values)
         return column.valid_mask() & ~column.mask_set(predicate.values)
     raise TypeMismatchError(
         f"unsupported predicate type: {type(predicate).__name__}"
     )  # pragma: no cover - exhaustive over the SDL grammar
 
 
-def query_mask(
-    table: Table,
-    query: SDLQuery,
-    bitmaps: Optional[BitmapLookup] = None,
-) -> np.ndarray:
+def query_mask(table: Table, query: SDLQuery) -> np.ndarray:
     """Boolean selection vector for an SDL query (conjunction of predicates)."""
     mask = np.ones(table.num_rows, dtype=bool)
     for predicate in query.predicates:
@@ -91,7 +73,7 @@ def query_mask(
             # Still validate that the context column exists.
             table.column(predicate.attribute)
             continue
-        mask &= predicate_mask(table, predicate, bitmaps)
+        mask &= predicate_mask(table, predicate)
         if not mask.any():
             break
     return mask

@@ -140,9 +140,9 @@ class PartitionedTable:
 
         Built lazily and memoized on the partitioned table itself, so
         every engine over the same shard set (siblings on a shared cache,
-        workers on a pool) reuses one set of zone maps and bitmap
-        indexes.  Version keying is inherited: a live table is the only
-        owner of its current version's ``PartitionedTable``
+        workers on a pool) reuses one set of zone maps.  Version keying is
+        inherited: a live table is the only owner of its current version's
+        ``PartitionedTable``
         (:meth:`repro.live.VersionedTable.state`; engines borrow it per
         operation) and drops it on mutation, taking the attached indexes
         with it — at once, by reference count: the indexes refer to the
@@ -174,13 +174,11 @@ class PartitionedTable:
         computes over the unsharded table.  The plain scan is the skipping
         tier's evaluation with every index off.
         """
-        return self.skipping().query_mask(
-            query, map_fn, zonemaps=False, bitmaps=False
-        )[0]
+        return self.skipping().query_mask(query, map_fn, zonemaps=False)[0]
 
     def count(self, query: SDLQuery, map_fn: Optional[MapFn] = None) -> int:
         """``|R(Q)|`` as the sum of per-partition cardinalities."""
-        return self.skipping().count(query, map_fn, zonemaps=False, bitmaps=False)[0]
+        return self.skipping().count(query, map_fn, zonemaps=False)[0]
 
     def median(
         self,

@@ -34,6 +34,7 @@ from repro.sdl.predicates import (
     intersect_predicates,
 )
 from repro.sdl.query import SDLQuery
+from repro.storage.types import is_missing
 
 __all__ = ["query_to_where", "query_to_sql", "count_query_sql", "parse_where"]
 
@@ -76,12 +77,15 @@ def predicate_to_sql(predicate: Predicate) -> str:
             # Both bounds infinite: any non-NULL value qualifies.
             return f"{attribute} IS NOT NULL"
         return " AND ".join(conditions)
-    if isinstance(predicate, SetPredicate):
-        rendered = ", ".join(sql_literal(v) for v in predicate.sorted_values)
-        return f"{attribute} IN ({rendered})"
-    if isinstance(predicate, ExclusionPredicate):
-        rendered = ", ".join(sql_literal(v) for v in predicate.sorted_values)
-        return f"{attribute} NOT IN ({rendered})"
+    if isinstance(predicate, (SetPredicate, ExclusionPredicate)):
+        # A missing literal matches no row, as in the column store: a set
+        # left empty selects nothing, an exclusion left empty every non-NULL.
+        rendered = ", ".join(
+            sql_literal(v) for v in predicate.sorted_values if not is_missing(v)
+        )
+        if isinstance(predicate, SetPredicate):
+            return f"{attribute} IN ({rendered})" if rendered else "FALSE"
+        return f"{attribute} NOT IN ({rendered})" if rendered else f"{attribute} IS NOT NULL"
     raise SQLGenerationError(
         f"unsupported predicate type: {type(predicate).__name__}"
     )  # pragma: no cover - exhaustive over the SDL grammar

@@ -19,13 +19,12 @@ bit-for-bit identical to the unindexed path.  The differential harness
 (``tests/differential/``) re-evaluates every skipped shard brute-force to
 check the proof.
 
-:class:`SkippingIndexes` bundles the lazily built zone maps (and the
-per-shard :class:`~repro.storage.index.BitmapIndex` dictionaries) of one
+:class:`SkippingIndexes` bundles the lazily built zone maps of one
 :class:`~repro.storage.partition.PartitionedTable`.  Version keying comes
 from the substrate: partitioned tables are memoized per data version by
-:class:`~repro.live.VersionedTable` and rebuilt on mutation, so the
-indexes hanging off a superseded shard set can never answer a query
-against newer data.
+:class:`~repro.live.VersionedTable` and rebuilt on mutation, so the zone
+maps hanging off a superseded shard set can never answer a query against
+newer data.
 """
 
 from __future__ import annotations
@@ -49,7 +48,6 @@ from repro.storage.column import (
     StringColumn,
 )
 from repro.storage.expression import query_mask
-from repro.storage.index import BitmapIndex
 from repro.storage.types import DataType, coerce_value, is_missing
 
 __all__ = ["SkippingIndexes"]
@@ -248,8 +246,7 @@ class ZoneMap:
 class SkippingIndexes:
     """The skipping-index tier of one :class:`PartitionedTable`.
 
-    Holds the lazily built :class:`ZoneMap` and
-    :class:`~repro.storage.index.BitmapIndex` per ``(shard, attribute)``
+    Holds the lazily built :class:`ZoneMap` per ``(shard, attribute)``
     pair, and evaluates masks/counts with shard skipping.  One instance is
     shared by every engine over the same shard set (see
     :meth:`repro.storage.partition.PartitionedTable.skipping`, which owns
@@ -257,9 +254,9 @@ class SkippingIndexes:
     collector pass); laziness means only queried columns ever pay the
     collection scan.
 
-    Thread safety: the index dictionaries are guarded by a lock; a racing
-    double build is resolved by ``setdefault`` (both structures are
-    deterministic functions of the immutable shard, so either copy is
+    Thread safety: the zone-map dictionary is guarded by a lock; a racing
+    double build is resolved by ``setdefault`` (a zone map is a
+    deterministic function of the immutable shard, so either copy is
     correct).
     """
 
@@ -267,7 +264,6 @@ class SkippingIndexes:
         self._shards: List[Any] = partitioned.shards
         self._lock = threading.Lock()
         self._zones: Dict[Tuple[int, str], ZoneMap] = {}
-        self._bitmaps: Dict[Tuple[int, str], BitmapIndex] = {}
 
     @property
     def num_partitions(self) -> int:
@@ -285,33 +281,6 @@ class SkippingIndexes:
         zone = ZoneMap(self._shards[shard_index].column(attribute))
         with self._lock:
             return self._zones.setdefault(key, zone)
-
-    def bitmap_index(self, shard_index: int, attribute: str) -> Optional[BitmapIndex]:
-        """The (lazily built) bitmap index of one shard column.
-
-        Only dictionary-encoded nominal columns (STRING, BOOL) carry
-        bitmaps — exactly the columns HB-cuts hammers with equality and
-        IN constraints; other types return ``None`` and evaluate through
-        the plain column path.
-        """
-        column = self._shards[shard_index].column(attribute)
-        if not isinstance(column, (StringColumn, BoolColumn)):
-            return None
-        key = (shard_index, attribute)
-        with self._lock:
-            index = self._bitmaps.get(key)
-        if index is not None:
-            return index
-        index = BitmapIndex(column)
-        with self._lock:
-            return self._bitmaps.setdefault(key, index)
-
-    def bitmap_lookup(
-        self, shard_index: int
-    ) -> Callable[[str], Optional[BitmapIndex]]:
-        """The per-shard ``attribute -> BitmapIndex`` provider for
-        :func:`repro.storage.expression.predicate_mask`."""
-        return lambda attribute: self.bitmap_index(shard_index, attribute)
 
     # -- skip decisions --------------------------------------------------------
 
@@ -356,7 +325,6 @@ class SkippingIndexes:
         query: SDLQuery,
         map_fn: Optional[Callable] = None,
         zonemaps: bool = True,
-        bitmaps: bool = True,
     ) -> Tuple[np.ndarray, int]:
         """``(full-table mask, skipped shard count)`` with skipping applied.
 
@@ -373,8 +341,7 @@ class SkippingIndexes:
             shard = self._shards[shard_index]
             if decisions is not None and decisions[shard_index]:
                 return np.zeros(shard.num_rows, dtype=bool)
-            lookup = self.bitmap_lookup(shard_index) if bitmaps else None
-            return query_mask(shard, query, bitmaps=lookup)
+            return query_mask(shard, query)
 
         masks = mapper(evaluate, list(range(len(self._shards))))
         skipped = sum(decisions) if decisions is not None else 0
@@ -387,7 +354,6 @@ class SkippingIndexes:
         query: SDLQuery,
         map_fn: Optional[Callable] = None,
         zonemaps: bool = True,
-        bitmaps: bool = True,
     ) -> Tuple[int, int]:
         """``(cardinality, skipped shard count)`` without assembling the mask."""
         decisions = self.skip_decisions(query) if zonemaps else None
@@ -396,12 +362,7 @@ class SkippingIndexes:
         def partial(shard_index: int) -> int:
             if decisions is not None and decisions[shard_index]:
                 return 0
-            lookup = self.bitmap_lookup(shard_index) if bitmaps else None
-            return int(
-                np.count_nonzero(
-                    query_mask(self._shards[shard_index], query, bitmaps=lookup)
-                )
-            )
+            return int(np.count_nonzero(query_mask(self._shards[shard_index], query)))
 
         partials = mapper(partial, list(range(len(self._shards))))
         skipped = sum(decisions) if decisions is not None else 0
@@ -409,8 +370,8 @@ class SkippingIndexes:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         with self._lock:
-            zones, bitmaps = len(self._zones), len(self._bitmaps)
+            zones = len(self._zones)
         return (
             f"SkippingIndexes(partitions={self.num_partitions}, "
-            f"zone_maps={zones}, bitmap_indexes={bitmaps})"
+            f"zone_maps={zones})"
         )

@@ -10,6 +10,7 @@ from repro.api.codec import from_wire
 from repro.api.dispatcher import Dispatcher
 from repro.api.protocol import API_VERSION, Request
 from repro.core.advisor import Advice
+from repro.sdl import ExclusionPredicate, SDLQuery, SetPredicate
 from repro.service import AdvisorService
 from repro.workloads import generate_voc
 
@@ -136,6 +137,31 @@ class TestWireDispatch:
         assert not response["ok"]
         assert response["error"]["code"] == "protocol"
         assert "row mappings" in response["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "predicate",
+        [
+            SetPredicate("type_of_boat", frozenset({None, "fluit"})),
+            SetPredicate("type_of_boat", frozenset({None})),
+            ExclusionPredicate("type_of_boat", frozenset({None})),
+            ExclusionPredicate("type_of_boat", frozenset({None, "fluit"})),
+            SetPredicate("departure_date", frozenset({None})),
+            ExclusionPredicate("departure_date", frozenset({None})),
+        ],
+        ids=lambda predicate: predicate.to_sdl(),
+    )
+    def test_missing_literals_count_alike_on_every_backend(self, table, predicate):
+        # A missing literal matches no row: SQLite drops it before rendering,
+        # as the column store does, instead of failing to render NULL.
+        with_missing = table.append_rows([{"tonnage": 500}] * 7)
+        request = Request(op="count", params={"context": SDLQuery([predicate])})
+        answers = []
+        for backend in ("memory", "sqlite"):
+            service = AdvisorService(with_missing, backend=backend, batch_window=0.0)
+            response = Dispatcher(service).handle_wire(request.to_wire())
+            assert response["ok"], response["error"]
+            answers.append(response["result"])
+        assert answers[0] == answers[1]
 
 
     def test_ingest_of_an_out_of_range_integer_is_a_typed_error(self, dispatcher, service):

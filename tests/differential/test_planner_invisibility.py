@@ -155,37 +155,37 @@ _CHILD = SDLQuery(
 
 #: (case, table, engine options, counting) -> the scan the planner picks.
 _RULES = [
-    ("small table, no pool: bitmap scan, inline", _SMALL, {}, False, "scan+bitmap"),
-    ("one shard: no zone maps", _LARGE, {}, False, "scan+bitmap"),
+    ("small table, no pool: plain scan, inline", _SMALL, {}, False, "scan"),
+    ("one shard: no zone maps", _LARGE, {}, False, "scan"),
     (
         "small shards with a pool: skip, but map inline",
         _SMALL,
         {"pool": _TWO_WORKERS},
         False,
-        "scan+zonemap+bitmap",
+        "scan+zonemap",
     ),
     (
         "many rows with a pool: skip and fan out",
         _LARGE,
         {"pool": _TWO_WORKERS},
         False,
-        "scan+zonemap+bitmap+fanout",
+        "scan+zonemap+fanout",
     ),
     (
         "a one-worker pool never fans out",
         _LARGE,
         {"pool": ExecutorPool(1)},
         False,
-        "scan+bitmap",
+        "scan",
     ),
     (
         "cache disabled: count without assembling the mask",
         _SMALL,
         {"cache_size": 0},
         True,
-        "count+bitmap",
+        "count",
     ),
-    ("cache enabled: a count still keeps its mask", _SMALL, {}, True, "scan+bitmap"),
+    ("cache enabled: a count still keeps its mask", _SMALL, {}, True, "scan"),
     (
         "forced plain",
         _LARGE,
@@ -198,7 +198,7 @@ _RULES = [
         _SMALL,
         {"partitions": 4, "pool": _TWO_WORKERS},
         False,
-        "scan+zonemap+bitmap+fanout",
+        "scan+zonemap+fanout",
     ),
     (
         "forced features are taken as given",

@@ -70,4 +70,4 @@ def test_skip_counter_survives_in_stats():
     engine.count(SDLQuery([RangePredicate("num", 0, 5)]))
     stats = engine.stats()
     assert stats["operations"]["skipped_partitions"] >= 1
-    assert sorted(stats["index"]) == ["bitmap", "maskreuse", "zonemap"]
+    assert sorted(stats["index"]) == ["maskreuse", "zonemap"]

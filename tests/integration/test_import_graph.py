@@ -50,7 +50,7 @@ _ENGINE = tuple(
 _FACADES = {
     "repro": 52, "repro.api": 14, "repro.backends": 6, "repro.cluster": 10,
     "repro.core": 44, "repro.live": 1, "repro.obs": 8, "repro.sdl": 13,
-    "repro.service": 4, "repro.storage": 27, "repro.viz": 5, "repro.workloads": 15,
+    "repro.service": 4, "repro.storage": 26, "repro.viz": 5, "repro.workloads": 15,
 }
 
 

@@ -777,6 +777,13 @@ _FORBIDDEN = [
         ("src", "examples", "benchmarks"), (),
         id="query-carries-its-key",
     ),
+    pytest.param(
+        "a nominal set or exclusion is one lookup-table pass over the column's codes; "
+        "the per-value bitmap tier is deleted",
+        r"BitmapIndex|bitmap_lookup|repro\.storage\.index",
+        ("src", "examples", "benchmarks"), (),
+        id="one-set-kernel",
+    ),
 ]
 
 
@@ -822,6 +829,7 @@ _PLANTED_LINES = {
     "no-multilevel-pie": "print(multilevel_pie(hierarchy_of(segmentation)))",
     "one-profiler": "    return profile_table(self.table, context=resolved, engine=self.engine)",
     "query-carries-its-key": '        key = "mask:" + query_signature(query)',
+    "one-set-kernel": "from repro.storage.index import BitmapIndex",
 }
 
 

@@ -1,10 +1,12 @@
-"""Unit tests for the skipping-index tier: zone maps, bitmap indexes,
-feature resolution and cache peeking."""
+"""Unit tests for the skipping-index tier: zone maps, the one-pass set
+masks of nominal columns, feature resolution and cache peeking."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.backends import open_backend
 from repro.errors import BackendError, StorageError, TypeMismatchError
@@ -24,8 +26,8 @@ from repro.storage import (
 )
 from repro.storage.engine import INDEX_FEATURES
 from repro.storage.expression import query_mask
-from repro.storage.index import BitmapIndex
 from repro.storage.partition import PartitionedTable
+from repro.storage.types import is_missing
 from repro.storage.zonemap import ZoneMap
 
 
@@ -106,28 +108,85 @@ class TestZoneMapNominal:
         assert not zone.allows(SetPredicate("cat", frozenset({None})))
 
 
-class TestBitmapIndex:
-    def test_matches_column_mask_set(self):
-        column = _str_column(["a", "b", None, "a", "c"])
-        index = BitmapIndex(column)
-        for values in ({"a"}, {"b", "c"}, {"z"}, {"a", None}, {None}):
-            expected = column.mask_set(frozenset(values))
-            assert np.array_equal(index.mask_set(frozenset(values)), expected)
+def _reference_masks(rows, literals, key):
+    """Per-row ``IN`` and ``NOT IN`` answers under SQL missing-value rules."""
+    wanted = {key(value) for value in literals if not is_missing(value)}
+    in_set = [not is_missing(row) and key(row) in wanted for row in rows]
+    excluded = [not is_missing(row) and key(row) not in wanted for row in rows]
+    return np.array(in_set, dtype=bool), np.array(excluded, dtype=bool)
 
-    def test_matches_column_mask_exclusion(self):
-        column = _str_column(["a", "b", None, "a"])
-        index = BitmapIndex(column)
-        for values in ({"a"}, {"a", "b"}, {"z"}):
-            expected = column.valid_mask() & ~column.mask_set(frozenset(values))
-            assert np.array_equal(index.mask_exclusion(frozenset(values)), expected)
 
-    def test_repeated_lookups_do_not_corrupt_bitmaps(self):
-        column = _str_column(["a", "b", "a"])
-        index = BitmapIndex(column)
-        first = index.mask_set(frozenset({"a"})).copy()
-        index.mask_set(frozenset({"a", "b"}))
-        index.mask_exclusion(frozenset({"a"}))
-        assert np.array_equal(index.mask_set(frozenset({"a"})), first)
+def _assert_set_masks(column, rows, literals, key):
+    expected_in, expected_out = _reference_masks(rows, literals, key)
+    mask = column.mask_set(frozenset(literals))
+    assert mask.dtype == bool
+    assert np.array_equal(mask, expected_in)
+    assert np.array_equal(column.valid_mask() & ~mask, expected_out)
+
+
+def _literal_ids(literals):
+    return "|".join(sorted(map(repr, literals)))
+
+
+class TestSetMasks:
+    """``mask_set`` and ``valid & ~mask_set`` against a per-row reference."""
+
+    _STRINGS = ["a", "b", None, "a", "c", "True", "1", "1.0", "", "b"]
+
+    @pytest.mark.parametrize(
+        "literals",
+        [
+            {"a"},
+            {"b", "c"},
+            {"a", None},
+            {"a", float("nan")},
+            {None},
+            {"z"},
+            {"z", "y"},
+            {"a", "z"},
+            {"a", "b", "c", "True", "1", "z", None},
+            {True},
+            {1},
+            {1.0},
+            {True, "1.0"},
+        ],
+        ids=_literal_ids,
+    )
+    def test_string_column(self, literals):
+        column = _str_column(self._STRINGS)
+        _assert_set_masks(column, self._STRINGS, literals, str)
+        # A row slice shares the whole dictionary but holds only some codes.
+        _assert_set_masks(column.slice_rows(2, 7), self._STRINGS[2:7], literals, str)
+
+    @given(
+        rows=st.lists(
+            st.sampled_from(["a", "b", "c", "d", "e", "f", None]), min_size=10, max_size=40
+        ),
+        chosen=st.lists(st.booleans(), min_size=8, max_size=8),
+        start=st.integers(0, 40),
+    )
+    def test_string_column_any_set_any_slice(self, rows, chosen, start):
+        # Both kernels: up to FEW_CODES known literals compare, more gather.
+        candidates = ["a", "b", "c", "d", "e", "f", "z", None]
+        literals = [value for value, take in zip(candidates, chosen) if take] or [None]
+        column = _str_column(rows)
+        _assert_set_masks(column, rows, literals, str)
+        _assert_set_masks(column.slice_rows(start, len(rows)), rows[start:], literals, str)
+
+    def test_string_column_five_thousand_literals(self):
+        rows = [None if i % 7 == 0 else f"v{i % 3000}" for i in range(6000)]
+        literals = {f"v{i}" for i in range(0, 10_000, 2)}
+        assert len(literals) == 5000
+        _assert_set_masks(_str_column(rows), rows, literals, str)
+
+    @pytest.mark.parametrize(
+        "literals",
+        [{True}, {False}, {True, False}, {None}, {True, None}, {1}, {0}],
+        ids=_literal_ids,
+    )
+    def test_bool_column(self, literals):
+        rows = [True, False, None, True, False]
+        _assert_set_masks(_bool_column(rows), rows, literals, bool)
 
 
 class TestFeatureResolution:
@@ -135,13 +194,13 @@ class TestFeatureResolution:
         assert resolve_index_features(False) == frozenset()
         assert resolve_index_features(True) == INDEX_FEATURES
         assert resolve_index_features("1") == INDEX_FEATURES
-        assert INDEX_FEATURES == frozenset({"zonemap", "bitmap", "maskreuse"})
+        assert INDEX_FEATURES == frozenset({"zonemap", "maskreuse"})
 
     def test_strings(self):
         assert resolve_index_features("none") == frozenset()
         assert resolve_index_features("off") == frozenset()
-        assert resolve_index_features("zonemap,bitmap") == frozenset(
-            {"zonemap", "bitmap"}
+        assert resolve_index_features("zonemap,maskreuse") == frozenset(
+            {"zonemap", "maskreuse"}
         )
         assert resolve_index_features("all") == INDEX_FEATURES
         assert resolve_index_features(" Zonemap , MASKREUSE ") == frozenset(
@@ -149,9 +208,15 @@ class TestFeatureResolution:
         )
 
     def test_iterables_and_idempotence(self):
-        features = resolve_index_features(["zonemap", "bitmap"])
-        assert features == frozenset({"zonemap", "bitmap"})
+        features = resolve_index_features(["zonemap", "maskreuse"])
+        assert features == frozenset({"zonemap", "maskreuse"})
         assert resolve_index_features(features) == features
+
+    def test_bitmap_word_parses_and_is_ignored(self):
+        assert resolve_index_features("zonemap,bitmap,maskreuse") == frozenset(
+            {"zonemap", "maskreuse"}
+        )
+        assert resolve_index_features("bitmap") == frozenset()
 
     def test_unknown_feature_raises(self):
         with pytest.raises(StorageError):
@@ -159,7 +224,7 @@ class TestFeatureResolution:
 
     def test_backend_spec_parses_features(self, voc_table):
         engine = open_backend("memory?index=zonemap,bitmap", voc_table)
-        assert engine.index_features == frozenset({"zonemap", "bitmap"})
+        assert engine.index_features == frozenset({"zonemap"})
         assert open_backend("memory?index=all", voc_table).index_features == (
             INDEX_FEATURES
         )
