@@ -89,7 +89,7 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
         "ExclusionPredicate", "SDLQuery", "Segment", "Segmentation", "parse_query",
     ),
     "repro.backends": (
-        "ExecutionBackend", "BackendWrapper", "ExecutorPool", "SQLiteBackend", "open_backend",
+        "ExecutionBackend", "BackendWrapper", "SQLiteBackend", "open_backend",
     ),
     "repro.storage": (
         "DataType", "Table", "PartitionedTable", "QueryEngine", "ResultCache",

@@ -11,10 +11,8 @@ A backend *spec* is a compact URI-like string::
                                 no result cache)
     memory?index=zonemap        force exactly these index features
                                 (index=all, index=none: every one, the plain scan)
-    memory?workers=4            a 4-worker pool; one shard per worker, fanned
-                                out when the shards are large enough
-    memory?partitions=4         force 4 shards, scanned on the calling thread
-    memory?partitions=4&workers=2   … always mapped through a 2-worker pool
+    memory?partitions=4         force 4 shards, with zone maps; they fan out
+                                over threads only when large enough
     sqlite                      load the table into an in-memory SQLite db
     sqlite?sample=0.25          … sampled, materialised inside SQLite
     sqlite:///path/to/db.db#t   open table ``t`` of an existing database
@@ -40,7 +38,6 @@ from typing import Any, Dict, Optional
 from urllib.parse import parse_qsl, unquote
 
 from repro.backends.base import ExecutionBackend
-from repro.backends.pool import ExecutorPool
 from repro.errors import BackendError, StorageError
 from repro.storage.cache import ResultCache
 from repro.storage.engine import QueryEngine, resolve_index_features
@@ -117,7 +114,6 @@ def _memory_factory(
     table: Optional[Table] = None,
     cache: Optional[ResultCache] = None,
     cache_aggregates: bool = False,
-    pool: Optional[ExecutorPool] = None,
 ) -> ExecutionBackend:
     if table is None:
         raise BackendError("the 'memory' backend requires a source table")
@@ -125,10 +121,6 @@ def _memory_factory(
     if partitions is not None and partitions < 1:
         raise BackendError(f"partitions must be at least 1, got {partitions}")
     cache_size = _cache_size(spec)
-    if pool is None:  # no shared pool from the caller: the spec's own, if any
-        pool = ExecutorPool.requested(
-            _spec_number(spec, "workers"), name=f"memory:{table.name}"
-        )
     index = spec.params.get("index")  # absent: nothing forced, the engine picks
     try:  # eagerly, so a typo in ``index=`` fails here, as a BackendError
         features = None if index is None else resolve_index_features(index)
@@ -141,7 +133,6 @@ def _memory_factory(
         cache=cache,
         cache_aggregates=cache_aggregates,
         partitions=partitions,
-        pool=pool,
     )
 
 
@@ -150,11 +141,9 @@ def _sqlite_factory(
     table: Optional[Table] = None,
     cache: Optional[ResultCache] = None,
     cache_aggregates: bool = True,
-    pool: Optional[ExecutorPool] = None,
 ) -> ExecutionBackend:
     from repro.backends.sqlite import SQLiteBackend
 
-    del pool  # SQLite plans and parallelises (or not) internally
     database = spec.path or ":memory:"
     options = {
         "cache": cache,
@@ -180,7 +169,7 @@ def _sqlite_factory(
 #: scheme → (factory, the spec parameters it reads).  Any other parameter
 #: is a typo, rejected rather than silently run as the plain engine.
 _SCHEMES = {
-    "memory": (_memory_factory, ("cache", "index", "partitions", "workers", "sample", "seed")),
+    "memory": (_memory_factory, ("cache", "index", "partitions", "sample", "seed")),
     "sqlite": (_sqlite_factory, ("cache", "sample", "seed")),
 }
 
@@ -203,9 +192,9 @@ def open_backend(
         Source table for backends without external storage.
     context:
         Construction context forwarded to the factory: ``cache`` and
-        ``cache_aggregates`` from callers sharing a result cache, ``pool``
-        from callers sharing an executor pool.  Everything a spec can say
-        (cache size, shards, workers, sampling) is said in the spec.
+        ``cache_aggregates`` from callers sharing a result cache.
+        Everything a spec can say (cache size, shards, sampling) is said
+        in the spec.
     """
     if not isinstance(spec, str):
         if isinstance(spec, ExecutionBackend):

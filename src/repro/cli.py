@@ -77,8 +77,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="execution backend spec: memory (default; the "
                               "engine picks its access path per query), "
                               "memory?sample=0.1&seed=7 (advise on a uniform "
-                              "sample), memory?workers=4&partitions=4 (shards "
-                              "on a 4-thread pool; identical answers), sqlite, "
+                              "sample), memory?partitions=4 (4 shards; identical "
+                              "answers), sqlite, "
                               "sqlite:///path.db#table; index=... forces a path")
         sub.add_argument("--style", choices=("pie", "treemap", "table"), default="pie",
                          help="detail renderer for the selected answer")
@@ -147,8 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--steps", type=int, default=3,
                        help="drill/back actions per user after the first advise")
     serve.add_argument("--workers", type=int, default=1,
-                       help="threads serving the users, and of the one "
-                            "executor pool the service shares across tables "
+                       help="with --simulate: threads replaying the users "
                             "(1 = sequential)")
     serve.add_argument("--distinct-paths", type=int, default=None,
                        help="unique exploration paths shared round-robin "
@@ -184,8 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
                                help="failover candidates per shard")
     cluster_serve.add_argument("--probe-interval", type=float, default=0.5,
                                help="seconds between node health probes")
-    cluster_serve.add_argument("--workers", type=int, default=1,
-                               help="executor-pool threads per node")
     cluster_serve.add_argument("--backend", default="memory",
                                help="execution backend spec per node "
                                     "(memory, sqlite, ...)")
@@ -429,7 +426,6 @@ def _serve_service(args: argparse.Namespace, table: Table) -> AdvisorService:
         table,
         cache_capacity=args.cache_capacity,
         backend=getattr(args, "backend", None) or "memory",
-        workers=args.workers,
     )
 
 
@@ -517,7 +513,7 @@ def _command_cluster(args: argparse.Namespace) -> int:
         host=args.host,
         port=args.http,
         probe_interval=args.probe_interval,
-        service_options={"backend": args.backend, "workers": args.workers},
+        service_options={"backend": args.backend},
     )
     cluster.start()
     try:

@@ -113,8 +113,8 @@ class NodeSupervisor:
         Bind address for every node (loopback by default).
     service_options:
         Extra keyword arguments for each node's
-        :class:`~repro.service.AdvisorService` (``workers``,
-        ``backend``, ...); must be JSON-safe.
+        :class:`~repro.service.AdvisorService` (``backend``, ...); must be
+        JSON-safe.
     start_timeout:
         Seconds to wait for all nodes to report their ports.
     """

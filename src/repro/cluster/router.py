@@ -750,15 +750,6 @@ class ClusterRouter:
         """The merged cluster metrics in Prometheus text format."""
         return render_document(self.metrics_document())
 
-    def slow_ops_document(self, limit: Optional[int] = None) -> Dict[str, Any]:
-        """The merged cluster slow-op log (``GET``-side convenience)."""
-        params: Dict[str, Any] = {} if limit is None else {"limit": limit}
-        envelope = self._route_fanout(
-            "slow_ops", "", next_request_id(), _envelope("slow_ops", "", params), params
-        )
-        result = envelope.get("result")
-        return result if isinstance(result, dict) else {"per_op": 0, "ops": {}}
-
     def cluster_document(self) -> Dict[str, Any]:
         """Topology and routing state (``GET /v1/cluster``)."""
         with self._lock:

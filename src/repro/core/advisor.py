@@ -156,7 +156,7 @@ class Charles:
         Backend spec resolved through
         :func:`repro.backends.open_backend` when ``table`` is a
         :class:`Table`, and the one place execution is configured: e.g.
-        ``"memory"`` (default), ``"memory?partitions=4&workers=2"``,
+        ``"memory"`` (default), ``"memory?partitions=4"``,
         ``"sqlite"``, or ``"memory?sample=0.1&seed=7"``, whose uniform
         sample is the default data (§5.2; ``mode="exact"`` still reaches
         the unsampled backend).  A prebuilt engine is sampled by wrapping

@@ -46,7 +46,17 @@ atomically.
 from __future__ import annotations
 
 import threading
-from typing import Any, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+    Union,
+)
 
 import numpy as np
 
@@ -92,10 +102,11 @@ class VersionedTable:
         self._lock = threading.RLock()
         self._version = 1
         self._current = table
-        #: Evaluation contexts of the *current* version: partitions ->
-        #: LiveState.  The dict is replaced, never cleared, on install, so
-        #: state() reads it without the lock.
-        self._states: Dict[int, LiveState] = {}
+        #: Evaluation contexts of the *current* version: partitions (a
+        #: count, or the rule that chose one) -> LiveState.  The dict is
+        #: replaced, never cleared, on install, so state() reads it without
+        #: the lock.
+        self._states: Dict[Any, LiveState] = {}
         #: Seeded samples of the *current* version: (fraction, seed) -> Table.
         self._sampled: Dict[Tuple[float, int], Table] = {}
 
@@ -120,20 +131,27 @@ class VersionedTable:
     def num_rows(self) -> int:
         return self._current.num_rows
 
-    def state(self, partitions: int) -> LiveState:
+    def state(self, partitions: Union[int, Callable[[int], int]]) -> LiveState:
         """The current ``(version, snapshot, shard set)``, captured atomically.
 
         Every operation of every engine over this source starts here, so
         a mutation landing mid-read can never pair one version's number
-        with another version's rows or shards.  The hit is one lock-free
-        dictionary read; only the first caller after a mutation (per
-        partition count) takes the lock and shards the new snapshot.
+        with another version's rows or shards.  ``partitions`` is a shard
+        count, or a rule mapping the version's row count to one; a rule
+        runs once per version, under the lock, so its callers share one
+        shard set with each other and with callers naming its count.  The
+        hit is one lock-free dictionary read; only the first caller after
+        a mutation (per count or rule) takes the lock and shards the new
+        snapshot.
         """
         state = self._states.get(partitions)
         if state is None:
             with self._lock:
-                self.partitioned(partitions)
-                state = self._states[partitions]
+                count = (
+                    partitions(self._current.num_rows) if callable(partitions) else partitions
+                )
+                self.partitioned(count)
+                state = self._states[partitions] = self._states[count]
         return state
 
     # -- mutation -------------------------------------------------------------

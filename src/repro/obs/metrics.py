@@ -5,7 +5,7 @@ Three instrument kinds, all exported in Prometheus text format by
 the cluster router fans out for and combines):
 
 * counters (monotonically increasing counts) and gauges (point-in-time
-  values: cache entries, pool workers) — both a :class:`View`, a
+  values: cache entries, open sessions) — both a :class:`View`, a
   zero-argument callback over a tally some other structure already owns
   (say, an :class:`~repro.storage.engine.OperationCounter` field), so
   the stats the system keeps become scrapeable without double
@@ -410,7 +410,7 @@ class MetricsRegistry:
         """Combine per-node metrics documents into one cluster document.
 
         Counters and gauges sum by ``(name, labels)`` (a summed gauge is
-        the cluster total — entries across nodes, workers across pools);
+        the cluster total — entries across nodes, sessions across services);
         histograms merge their quantile sketches, so the combined
         percentile lines carry an honest, tracked rank bound.
         """

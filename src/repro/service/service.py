@@ -16,11 +16,8 @@ execute pipeline idiom of service layers.  Per registered table it keeps a
   batched INDEP passes of concurrently running HB-cuts into single
   multi-query engine evaluations.
 
-With ``workers`` set, the service additionally owns **one** bounded
-:class:`~repro.backends.pool.ExecutorPool` shared by every session and
-table: tables are sharded into row-range partitions and every session
-engine fans its scans across the pool (identical answers, more cores);
-:meth:`AdvisorService.stats` reports the pool's traffic.  Shards, index
+Shards follow each table's size, and large ones fan out over the
+process's one pool (:mod:`repro.storage.partition`); forced shards, index
 features and sampling are the table's backend spec.
 
 Sessions are named and concurrent: each owns a
@@ -28,8 +25,8 @@ Sessions are named and concurrent: each owns a
 counters, shared cache) and a thin
 :class:`~repro.core.session.ExplorationSession` navigation stack.  A
 request runs on the thread that submitted it — ``refine`` too, which is
-one exact advise through the advice cache — so a service without
-``workers`` starts no thread of its own.
+one exact advise through the advice cache — so a service over tables
+below the fan-out size starts no thread of its own.
 
 Entry point: :meth:`AdvisorService.submit` for one request; a whole
 multi-user workload is replayed against the public session methods by
@@ -46,7 +43,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.api.protocol import OPERATIONS, PARAM_KINDS, Request, Response
 from repro.backends.base import ExecutionBackend
-from repro.backends.pool import ExecutorPool
 from repro.backends.registry import open_backend
 from repro.core.advisor import Advice, Charles, ContextLike
 from repro.core.hbcuts import HBCutsConfig
@@ -118,9 +114,7 @@ class _TableRuntime:
     per-session backends are *siblings* of it (same data, same shared
     cache, private operation counters) wrapped in a
     :class:`~repro.service.batching.BatchedEngine` that routes batched
-    passes through the table's coordinator.  With the service running a
-    shared :class:`~repro.backends.pool.ExecutorPool`, the backend shards
-    the table and every sibling maps its shards through the same pool.
+    passes through the table's coordinator.
     """
 
     def __init__(
@@ -131,7 +125,6 @@ class _TableRuntime:
         advice_capacity: int,
         batch_window: float,
         backend_spec: str = "memory",
-        pool: Optional[ExecutorPool] = None,
         metrics: Optional[MetricsRegistry] = None,
     ):
         self.name = name
@@ -139,7 +132,7 @@ class _TableRuntime:
         self.cache = ResultCache(capacity=cache_capacity, name=f"results:{name}")
         self.advice_cache = ResultCache(capacity=advice_capacity, name=f"advice:{name}")
         self._backend = open_backend(
-            backend_spec, table, cache=self.cache, cache_aggregates=True, pool=pool
+            backend_spec, table, cache=self.cache, cache_aggregates=True
         )
         self.engine = BatchedEngine(self._backend)
         self.coordinator = BatchCoordinator(self.engine, window_seconds=batch_window)
@@ -235,9 +228,11 @@ class AdvisorService:
         of tables (registered under their own names), or a name → table
         mapping.  More can be added later with :meth:`register_table`.
     cache_capacity:
-        Entries of the shared per-table mask/aggregate cache.
+        Entries of the shared per-table mask/aggregate cache (``0``: no
+        cache; a negative size is an :class:`~repro.errors.AdvisorError`).
     advice_capacity:
-        Entries of the per-table advice cache (whole ranked answers).
+        Entries of the per-table advice cache (whole ranked answers),
+        checked alike.
     batch_window:
         Seconds a batch leader waits for concurrent sessions before
         flushing a merged engine pass (0 disables the wait, not batching).
@@ -249,12 +244,6 @@ class AdvisorService:
         Default backend spec for registered tables (resolved through
         :func:`repro.backends.open_backend`); ``register_table`` can
         override it per table.
-    workers:
-        Size of the **one** :class:`~repro.backends.pool.ExecutorPool` the
-        service shares across every session and table (bounded;
-        introspectable through :meth:`stats`).  ``1`` keeps execution
-        sequential; ``0`` means one worker per core.  A spec cannot say
-        this: its ``workers=K`` starts a pool per table.
     """
 
     def __init__(
@@ -266,22 +255,22 @@ class AdvisorService:
         config: Optional[HBCutsConfig] = None,
         max_answers: int = 10,
         backend: str = "memory",
-        workers: int = 1,
     ):
         self._tables: Dict[str, _TableRuntime] = {}
         self._sessions: Dict[str, ServiceSession] = {}
         self._lock = threading.RLock()
         self._cache_capacity = int(cache_capacity)
         self._advice_capacity = int(advice_capacity)
+        for what, size in (
+            ("cache_capacity", self._cache_capacity),
+            ("advice_capacity", self._advice_capacity),
+        ):
+            if size < 0:
+                raise AdvisorError(f"{what} cannot be negative, got {size}")
         self._batch_window = float(batch_window)
         self._config = config or HBCutsConfig()
         self._max_answers = int(max_answers)
         self._backend_spec = str(backend)
-        # At most one bounded pool for the whole service: every session of
-        # every table runtime maps its shards through it.  As in a memory
-        # spec, workers=0 means one per core and workers=1 runs without a pool.
-        self._pool = ExecutorPool.requested(workers, name="service")
-        self._workers = self._pool.workers if self._pool is not None else 1
         self._requests = 0
         # Observability: one registry and one slow-op log per service.
         # Service-level numbers are *views* over state the service already
@@ -302,11 +291,6 @@ class AdvisorService:
             "tables_registered",
             "Tables registered with the service.",
             fn=lambda: len(self._tables),
-        )
-        self.metrics.gauge(
-            "pool_workers",
-            "Workers in the shared executor pool (0 = sequential).",
-            fn=lambda: self._workers if self._pool is not None else 0,
         )
         if os.path.exists(_STATM):
             self.metrics.gauge(
@@ -358,7 +342,6 @@ class AdvisorService:
                 advice_capacity=self._advice_capacity,
                 batch_window=self._batch_window,
                 backend_spec=backend or self._backend_spec,
-                pool=self._pool,
                 metrics=self.metrics,
             )
         return resolved
@@ -367,11 +350,6 @@ class AdvisorService:
     def table_names(self) -> List[str]:
         with self._lock:
             return sorted(self._tables)
-
-    @property
-    def pool(self) -> Optional[ExecutorPool]:
-        """The shared executor pool (``None`` when running sequentially)."""
-        return self._pool
 
     def data_versions(self) -> Dict[str, Optional[int]]:
         """Current data version per registered table (``None`` = unversioned).
@@ -843,17 +821,13 @@ class AdvisorService:
         return self.metrics.to_document()
 
     def stats(self) -> Dict[str, Any]:
-        """Service-wide statistics: caches, batching, pool, sessions, requests."""
+        """Service-wide statistics: caches, batching, sessions, requests."""
         with self._lock:
             sessions = dict(self._sessions)
             tables = dict(self._tables)
             requests = self._requests
         return {
             "requests": requests,
-            "parallel": {
-                "workers": self._workers,
-                "pool": self._pool.stats() if self._pool is not None else None,
-            },
             "tables": {name: runtime.stats() for name, runtime in tables.items()},
             "sessions": {name: session.stats() for name, session in sessions.items()},
         }

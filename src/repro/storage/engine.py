@@ -28,11 +28,13 @@ evictions, approximate bytes) are reported by the cache itself
 Evaluation is *partitioned*: the engine always routes masks, counts and
 medians through a :class:`~repro.storage.partition.PartitionedTable` —
 the classic sequential engine is simply the one-shard special case with
-the inline mapper.  With several shards and a
-:class:`~repro.backends.pool.ExecutorPool`, per-partition work fans out
-across worker threads while counters, cache contents and results stay
-bit-for-bit identical to the sequential path (masks concatenate, counts
-sum, medians merge through per-partition value gathers).
+the inline mapper.  The shard count follows the table: one shard per
+:data:`FANOUT_MIN_ROWS_PER_SHARD` rows, at most one per available CPU.
+Several shards fan out over the process's one
+:func:`~repro.storage.partition.shared_pool` while counters, cache
+contents and results stay bit-for-bit identical to the sequential path
+(masks concatenate, counts sum, medians merge through per-partition value
+gathers).
 
 Evaluation is *planned*: every uncached mask or count goes through
 :meth:`QueryEngine._plan` (which :class:`AccessPath`, from facts the
@@ -78,7 +80,7 @@ from repro.obs.trace import current_span, tracing_active
 from repro.sdl.predicates import NoConstraint, Predicate
 from repro.sdl.query import SDLQuery
 from repro.storage.cache import ResultCache
-from repro.storage.partition import PartitionedTable
+from repro.storage.partition import PartitionedTable, available_cpus, shared_pool
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
@@ -110,12 +112,18 @@ _INDEX_OFF_WORDS = frozenset({"", "none", "off", "false", "no", "0"})
 _INDEX_ALL_WORDS = frozenset({"all", "true", "yes", "on", "1"})
 
 #: Planner thresholds, each the measured break-even (CHANGES.md, PR 12).
-#: Fewest rows per shard at which an unforced engine maps shards through
-#: its pool rather than inline.
+#: Fewest rows per shard at which shards are mapped over threads rather
+#: than inline; an unforced engine cuts one shard per this many rows.
 FANOUT_MIN_ROWS_PER_SHARD = 1_000_000
 #: Fewest rows at which an unforced engine looks for a resident parent
 #: mask (the search costs a fixed time per uncached mask, a scan per row).
 REUSE_MIN_ROWS = 10_000
+
+
+def shard_count(rows: int) -> int:
+    """An unforced engine's shard count over ``rows`` rows: one per
+    :data:`FANOUT_MIN_ROWS_PER_SHARD` rows, at most one per available CPU."""
+    return max(1, min(available_cpus(), rows // max(1, FANOUT_MIN_ROWS_PER_SHARD)))
 
 
 def resolve_index_features(value: Any) -> frozenset:
@@ -212,10 +220,9 @@ class OperationCounter:
     is shared between engines — aggregate the traffic of every session
     using it (see :meth:`QueryEngine.stats`).
 
-    Tallies are **thread-safe**: every mutation goes through :meth:`add`
-    (or :meth:`merge`, for folding per-worker counters together), which
-    applies the whole delta under an internal lock, so parallel engine
-    passes and concurrent HB-cuts INDEP evaluations never drop counts.
+    Tallies are **thread-safe**: every mutation goes through :meth:`add`,
+    which applies the whole delta under an internal lock, so concurrent
+    callers of one engine never drop counts.
     Reading individual attributes stays lock-free; :meth:`snapshot` takes
     the lock for a consistent multi-field view.
 
@@ -287,14 +294,6 @@ class OperationCounter:
                     raise AttributeError(f"OperationCounter has no tally {name!r}")
                 setattr(self, name, getattr(self, name) + int(delta))
 
-    def merge(self, other: "OperationCounter") -> None:
-        """Atomically fold another counter's tallies into this one.
-
-        The per-worker-counter alternative to sharing one locked counter:
-        workers tally privately and merge once at the end of a pass.
-        """
-        self.add(**{name: getattr(other, name) for name in self._FIELDS})
-
     def reset(self) -> None:
         """Zero every counter."""
         with self._lock:
@@ -329,14 +328,14 @@ class AccessPath(NamedTuple):
 
     ``parent``: the resident parent mask and the one new predicate to scan
     and AND onto it (``None``: scan the whole query).  The scan skips
-    shards by ``zonemap``, maps shards through the pool on ``fanout`` and,
-    with ``assemble`` off, sums per-shard counts instead of building the
-    mask.
+    shards by ``zonemap``, maps shards through the ``fanout`` pool's
+    ``map`` (``None``: inline) and, with ``assemble`` off, sums per-shard
+    counts instead of building the mask.
     """
 
     parent: Optional[Tuple[np.ndarray, Predicate]]
     zonemap: bool
-    fanout: bool
+    fanout: Optional[Callable]
     assemble: bool = True
 
     @property
@@ -379,18 +378,18 @@ class QueryEngine:
         so single-engine operation accounting matches the paper's
         experiments; the service layer turns it on.
     partitions:
-        Number of contiguous row-range shards evaluation maps over (see
-        :class:`~repro.storage.partition.PartitionedTable`).  ``None``
-        (the default): one per pool worker (one without a pool — the
-        classic sequential engine), fanned out only when large enough;
-        an explicit count is forced, mapped through the pool when there
-        is one and scanned inline when there is not — a shard count never
-        starts threads.  Results, counters and cache contents are
-        identical either way.
+        Forces this many contiguous row-range shards (see
+        :class:`~repro.storage.partition.PartitionedTable`), with zone
+        maps.  ``None`` (the default): the count follows the table, one
+        shard per :data:`FANOUT_MIN_ROWS_PER_SHARD` rows and at most one
+        per available CPU.  Either way shards fan out over the process's
+        pool only at that many rows a shard.  Results, counters and cache
+        contents are identical for every count.
     pool:
-        An :class:`~repro.backends.pool.ExecutorPool` running the
-        per-partition work; ``None`` maps inline on the calling thread.
-        Pools are shared, not owned — the engine never shuts one down.
+        Forces fan-out: every multi-shard map runs on this
+        :class:`~repro.storage.partition.ShardPool`, whatever the shard
+        size.  Pools are shared, not owned — the engine never shuts one
+        down.
     """
 
     def __init__(
@@ -418,21 +417,19 @@ class QueryEngine:
         )
         self._cache_aggregates = bool(cache_aggregates)
         self._pool = pool
-        # Unforced: one shard per pool worker, one without a pool.
         self._forced_partitions = None if partitions is None else max(1, int(partitions))
-        self._partitions = self._forced_partitions or (
-            pool.workers if pool is not None else 1
-        )
+        self._partitions = self._forced_partitions or shard_count
         self._forced_features = (
             None if use_index is None else resolve_index_features(use_index)
         )
         if self._forced_features is not None:
             self._features = self._forced_features
-        elif self._partitions > 1:
+        elif (self._forced_partitions or 1) > 1:
             self._features = INDEX_FEATURES
         else:
-            # Reuse is sized per query in _plan; a single shard can skip
-            # nothing, so zone maps need at least two.
+            # Reuse is sized per query in _plan.  Zone maps only with forced
+            # shards: over unforced (fan-out sized) shards of random contexts
+            # they cost more than they skip.
             self._features = INDEX_FEATURES - {"zonemap"}
         # Optional observability sink: a callable ``(op, seconds)`` fed by
         # count/median when attached (see set_metrics_sink).  ``None``
@@ -446,7 +443,9 @@ class QueryEngine:
 
         The source owns one ``(version, snapshot, shards)`` triple per
         version and partition count, shared by every sibling; the engine
-        keeps no copy, so the triple dies with its version.
+        keeps no copy, so the triple dies with its version.  Unforced, the
+        source applies :func:`shard_count` to each version's rows once, so
+        siblings agree on one shard set per version.
         """
         return self._source.state(self._partitions)
 
@@ -514,7 +513,7 @@ class QueryEngine:
         return self.dtype_of(attribute).is_numeric
 
     def stats(self) -> Dict[str, Any]:
-        """Backend statistics: identity, operation tallies, cache and pool."""
+        """Backend statistics: identity, operation tallies and cache."""
         state = self._refresh()
         return {
             "backend": "memory",
@@ -525,7 +524,6 @@ class QueryEngine:
             "index": sorted(self._features),
             "operations": self.counter.snapshot(),
             "cache": self._cache.stats().snapshot(),
-            "pool": None if self._pool is None else self._pool.stats(),
         }
 
     # -- backend construction helpers ----------------------------------------
@@ -534,8 +532,8 @@ class QueryEngine:
         """A fresh engine over the same source sharing this engine's cache.
 
         Used by the service layer to give each session private operation
-        counters while reusing the table runtime's shared cache — and,
-        when partitioned, the same shards and executor pool.  Sharing the
+        counters while reusing the table runtime's shared cache — and the
+        same shards, and any injected pool.  Sharing the
         :class:`~repro.live.VersionedTable` source means every sibling
         observes ingested batches and deletions immediately.
         """
@@ -596,37 +594,27 @@ class QueryEngine:
     @property
     def partitions(self) -> int:
         """Number of row-range shards evaluation maps over (1 = sequential)."""
-        return self._partitions
+        return self._refresh().partitioned.num_partitions
 
     @property
     def partitioned_table(self) -> PartitionedTable:
         """The shard set backing partitioned evaluation."""
         return self._refresh().partitioned
 
-    @property
-    def pool(self) -> Optional[Any]:
-        """The (shared) executor pool, or ``None`` for inline mapping."""
-        return self._pool
-
     def _map_fn(self, state: LiveState) -> Optional[Callable]:
-        """Where per-shard work runs: the pool's ``map``, or ``None`` (inline).
+        """Where per-shard work runs: a pool's ``map``, or ``None`` (inline).
 
-        Without a pool, always inline: only a ``workers`` request builds
-        one (:meth:`~repro.backends.pool.ExecutorPool.requested`).  With a
-        pool, forced ``partitions`` always go through it; unforced, only
-        with several workers and :data:`FANOUT_MIN_ROWS_PER_SHARD` rows a
-        shard — below that the dispatch costs more than the scan it spreads.
+        An injected pool takes every map.  Otherwise several shards of
+        :data:`FANOUT_MIN_ROWS_PER_SHARD` rows or more fan out over the
+        process's shared pool — below that the dispatch costs more than
+        the scan it spreads.
         """
-        pool = self._pool
-        if pool is None:
-            return None
-        if self._forced_partitions is None and (
-            pool.workers <= 1
-            or state.table.num_rows
-            < FANOUT_MIN_ROWS_PER_SHARD * state.partitioned.num_partitions
-        ):
-            return None
-        return pool.map
+        if self._pool is not None:
+            return self._pool.map
+        shards = state.partitioned.num_partitions
+        if shards > 1 and state.table.num_rows >= FANOUT_MIN_ROWS_PER_SHARD * shards:
+            return shared_pool().map
+        return None
 
     # -- evaluation ------------------------------------------------------------
 
@@ -662,7 +650,7 @@ class QueryEngine:
         """Pick the access path of one uncached mask (or count); reads, never writes.
 
         Forced features and shards are taken as given.  Unforced: zone
-        maps with more than one shard (fixed at construction), the
+        maps only with forced shards (fixed at construction), the
         parent's mask when one is resident and the table has
         :data:`REUSE_MIN_ROWS` rows, the pool per :meth:`_map_fn`; a
         count skips assembling the mask when the cache could not keep it.
@@ -683,7 +671,7 @@ class QueryEngine:
         return AccessPath(
             parent,
             zonemap="zonemap" in features,
-            fanout=self._map_fn(state) is not None,
+            fanout=self._map_fn(state),
             assemble=not counting or self._cache.enabled,
         )
 
@@ -705,11 +693,7 @@ class QueryEngine:
     def _scan(self, path: AccessPath, query: SDLQuery, state: LiveState) -> Any:
         skipping = state.partitioned.skipping()
         run = skipping.query_mask if path.assemble else skipping.count
-        result, skipped = run(
-            query,
-            self._pool.map if path.fanout else None,
-            zonemaps=path.zonemap,
-        )
+        result, skipped = run(query, path.fanout, zonemaps=path.zonemap)
         if skipped:
             self.counter.add(skipped_partitions=skipped)
         return result

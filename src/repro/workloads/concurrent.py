@@ -51,10 +51,6 @@ class UserScript:
     user: str
     actions: Tuple[UserAction, ...]
 
-    @property
-    def num_requests(self) -> int:
-        return len(self.actions)
-
 
 def generate_concurrent_workload(
     columns: Sequence[str],

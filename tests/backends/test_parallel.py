@@ -8,12 +8,12 @@ import pytest
 
 from repro.backends import ExecutionBackend, open_backend
 from repro.backends.approx import ApproxEngine
-from repro.backends.pool import ExecutorPool
 from repro.core import Charles
 from repro.errors import BackendError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
 from repro.service import AdvisorService
 from repro.storage import QueryEngine, ResultCache
+from repro.storage.partition import ShardPool
 from repro.workloads import generate_voc
 
 
@@ -32,37 +32,38 @@ def _queries():
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
 
-#: Who starts threads: (case, build, pool workers; ``None``: no pool).  Only
-#: ``workers`` does; a shard count alone is scanned on the calling thread.
+#: Who starts threads: (case, build, whether threads start).  Shards below
+#: the fan-out size, forced or not, are scanned on the calling thread;
+#: only an injected pool fans them out.
 _THREAD_RULES = [
-    ("spec partitions", lambda t: open_backend("memory?partitions=4", t), None),
-    ("Charles partitions", lambda t: Charles(t, backend="memory?partitions=4"), None),
+    ("spec partitions", lambda t: open_backend("memory?partitions=4", t), False),
+    ("Charles partitions", lambda t: Charles(t, backend="memory?partitions=4"), False),
     (
         "service partitions",
         lambda t: AdvisorService(t, backend="memory?partitions=4"),
-        None,
+        False,
     ),
     (
         "advise on index=all&partitions=8",
         lambda t: Charles(t, backend="memory?index=all&partitions=8"),
-        None,
+        False,
     ),
     (
-        "spec partitions and workers",
-        lambda t: open_backend("memory?partitions=4&workers=2", t),
-        2,
+        "injected pool",
+        lambda t: QueryEngine(t, partitions=4, pool=ShardPool(2)),
+        True,
     ),
 ]
 
 
 class TestPartitionedEngine:
     def test_conforms_to_the_protocol(self, voc):
-        engine = open_backend("memory?partitions=3&workers=2", voc)
+        engine = QueryEngine(voc, partitions=3, pool=ShardPool(2))
         assert isinstance(engine, ExecutionBackend)
 
     def test_everything_matches_the_sequential_engine(self, voc):
         sequential = QueryEngine(voc, use_index=False, partitions=1)
-        parallel = open_backend("memory?partitions=4&workers=2&index=none", voc)
+        parallel = QueryEngine(voc, use_index=False, partitions=4, pool=ShardPool(2))
         for query in _queries():
             assert parallel.count(query) == sequential.count(query)
             assert parallel.median("tonnage", query) == sequential.median("tonnage", query)
@@ -77,23 +78,18 @@ class TestPartitionedEngine:
         # Operation accounting is identical to the sequential path.
         assert parallel.counter.snapshot() == sequential.counter.snapshot()
 
-    def test_unset_partitions_follow_the_pool(self, voc):
-        assert QueryEngine(voc).partitions == 1
-        assert QueryEngine(voc, pool=ExecutorPool(3)).partitions == 3
-        assert QueryEngine(voc, partitions=5, pool=ExecutorPool(3)).partitions == 5
-
-    def test_shares_an_external_pool(self, voc):
-        pool = ExecutorPool(2, name="shared")
+    def test_maps_through_an_injected_pool(self, voc):
+        pool = ShardPool(2)
         engine = QueryEngine(voc, partitions=4, pool=pool)
-        assert engine.pool is pool
         engine.count(_queries()[0])
-        assert pool.stats()["tasks"] > 0
+        assert pool._executor is not None
+        pool.shutdown()
 
     def test_sibling_shares_pool_shards_and_cache(self, voc):
         cache = ResultCache(capacity=64)
-        engine = open_backend("memory?partitions=3&workers=2", voc, cache=cache)
+        engine = QueryEngine(voc, partitions=3, pool=ShardPool(2), cache=cache)
         sibling = engine.sibling()
-        assert sibling.pool is engine.pool
+        assert sibling._pool is engine._pool
         assert sibling.partitions == engine.partitions
         assert sibling.partitioned_table is engine.partitioned_table
         assert sibling.cache is engine.cache
@@ -102,12 +98,11 @@ class TestPartitionedEngine:
         assert sibling.counter.cache_hits == 1
         assert sibling.counter.evaluations == 0
 
-    def test_stats_report_the_parallel_substrate(self, voc):
-        stats = open_backend("memory?partitions=3&workers=2", voc).stats()
+    def test_stats_report_the_shards(self, voc):
+        stats = open_backend("memory?partitions=3", voc).stats()
         assert stats["backend"] == "memory"
         assert stats["partitions"] == 3
-        assert stats["pool"]["workers"] == 2
-        assert QueryEngine(voc).stats()["pool"] is None
+        assert "pool" not in stats
 
     def test_rejects_non_positive_partitions(self, voc):
         with pytest.raises(BackendError):
@@ -115,77 +110,47 @@ class TestPartitionedEngine:
 
 
 class TestParallelSpecs:
-    def test_partitions_and_workers_spec(self, voc):
-        backend = open_backend("memory?partitions=4&workers=2", voc)
+    def test_partitions_spec(self, voc):
+        backend = open_backend("memory?partitions=4", voc)
         assert isinstance(backend, QueryEngine)
         assert backend.partitions == 4
-        assert backend.pool.workers == 2
-
-    def test_workers_alone_implies_partitions(self, voc):
-        backend = open_backend("memory?workers=3", voc)
-        assert backend.partitions == 3
 
     @pytest.mark.parametrize(
-        "build,workers",
+        "build,threads",
         [rule[1:] for rule in _THREAD_RULES],
         ids=[rule[0] for rule in _THREAD_RULES],
     )
-    def test_only_workers_start_threads(self, voc, build, workers):
+    def test_only_an_injected_pool_starts_threads_on_small_shards(self, voc, build, threads):
         before = set(threading.enumerate())
         built = build(voc)
         if isinstance(built, AdvisorService):
             built.open_session("s", context=_CONTEXT)
-            pool = built.pool
         elif isinstance(built, Charles):
             built.advise(_CONTEXT)
-            pool = built.engine.pool
         else:
             built.count_batch(_queries())
-            pool = built.pool
-        if workers is None:
-            assert pool is None
-            assert set(threading.enumerate()) <= before
-        else:
-            assert pool.workers == workers
-            assert pool.stats()["parallel_batches"] > 0  # forced fan-out
-            pool.shutdown()
+        started = set(threading.enumerate()) - before
+        assert bool(started) == threads
+        if threads:
+            built._pool.shutdown()
 
     def test_plain_memory_runs_without_a_pool(self, voc):
         backend = open_backend("memory", voc)
-        assert backend.pool is None
+        assert backend._pool is None
         assert backend.partitions == 1
 
-    def test_context_parameters_from_consumers(self, voc):
-        pool = ExecutorPool(2)
-        backend = open_backend("memory?partitions=2", voc, pool=pool)
-        assert backend.partitions == 2
-        assert backend.pool is pool
-        # A caller's shared pool wins over the spec's own worker count.
-        assert open_backend("memory?workers=4", voc, pool=pool).pool is pool
+    @pytest.mark.parametrize("spec", ["memory", "sqlite"])
+    def test_a_pool_is_no_open_backend_context(self, voc, spec):
+        with pytest.raises(TypeError):
+            open_backend(spec, voc, pool=ShardPool(2))
 
     def test_shards_are_spelled_only_in_the_spec(self, voc):
         with pytest.raises(TypeError):
             open_backend("memory", voc, partitions=2)
 
     def test_composes_with_sampling(self, voc):
-        # The forced shards and the pool belong to the unsampled engine
-        # the view decorates (and refines on), not to the sample's.
-        backend = open_backend("memory?partitions=2&workers=2&sample=0.5&seed=3", voc)
+        # The forced shards belong to the unsampled engine the view
+        # decorates (and refines on), not to the sample's.
+        backend = open_backend("memory?partitions=2&sample=0.5&seed=3", voc)
         assert isinstance(backend, ApproxEngine)
         assert backend.base_engine.partitions == 2
-        assert backend.base_engine.pool.workers == 2
-
-    def test_workers_zero_shards_to_the_per_core_pool(self, voc):
-        # workers=0 means "one worker per core" everywhere; the shard
-        # count must follow the resolved pool size, not the raw sentinel.
-        from repro.backends.pool import resolve_workers
-
-        backend = open_backend("memory?workers=0", voc)
-        assert backend.pool.workers == resolve_workers(0)
-        assert backend.partitions == resolve_workers(0)
-
-    def test_sqlite_ignores_parallel_context(self, voc):
-        pool = ExecutorPool(2)
-        backend = open_backend("sqlite", voc, pool=pool)
-        assert backend.count(_queries()[0]) == QueryEngine(voc).count(_queries()[0])
-        assert pool.stats()["tasks"] == 0

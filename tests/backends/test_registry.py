@@ -13,7 +13,7 @@ from repro.storage import QueryEngine
 from repro.workloads import generate_voc
 
 #: The spec keys each factory reads, as the rejection names them.
-_MEMORY_KEYS = "cache, index, partitions, workers, sample, seed"
+_MEMORY_KEYS = "cache, index, partitions, sample, seed"
 _SQLITE_KEYS = "cache, sample, seed"
 
 
@@ -114,6 +114,7 @@ class TestOpenBackend:
             pytest.param("memory?partitons=4", "partitons", _MEMORY_KEYS, id="memory-partitons"),
             pytest.param("memory?smaple=0.1", "smaple", _MEMORY_KEYS, id="memory-smaple"),
             pytest.param("memory?index=all&worker=2", "worker", _MEMORY_KEYS, id="memory-worker"),
+            pytest.param("memory?workers=2", "workers", _MEMORY_KEYS, id="memory-workers"),
             pytest.param("sqlite?partitions=4", "partitions", _SQLITE_KEYS, id="sqlite-partitions"),
             pytest.param("sqlite?index=all", "index", _SQLITE_KEYS, id="sqlite-index"),
         ],

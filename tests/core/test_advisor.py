@@ -158,7 +158,6 @@ class TestSegmentAndProfile:
             "sqlite",
             "sqlite?sample=0.1&seed=3",
             "memory?partitions=4",
-            "memory?partitions=4&workers=2",
         ],
     )
     def test_profile_is_the_same_on_every_backend(self, advisor, voc_table, spec):

@@ -1,14 +1,14 @@
 """HB-cuts over pooled, sharded engines: bit-for-bit identical results at
-every worker and partition count."""
+every pool size and partition count."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.backends.pool import ExecutorPool
 from repro.core import Charles, HBCuts, HBCutsConfig
 from repro.sdl import SDLQuery
 from repro.storage import QueryEngine
+from repro.storage.partition import ShardPool
 from repro.workloads import generate_voc
 
 CONTEXT_COLUMNS = ("type_of_boat", "departure_harbour", "tonnage", "built")
@@ -35,7 +35,7 @@ def _segmentation_fingerprint(result):
 
 
 def _run(voc, workers=None, partitions=1, **config_options):
-    pool = ExecutorPool(workers) if workers is not None else None
+    pool = ShardPool(workers) if workers is not None else None
     engine = QueryEngine(voc, partitions=partitions, pool=pool)
     return HBCuts(HBCutsConfig(**config_options)).run(engine, _context())
 
@@ -78,14 +78,9 @@ class TestParallelIndepParity:
 
 
 class TestCharlesParallelWiring:
-    def test_charles_workers_build_a_pool(self, voc):
-        advisor = Charles(voc, backend="memory?workers=2")
-        assert advisor.engine.pool is not None
-        assert advisor.engine.pool.workers == 2
-
     def test_charles_sequential_has_no_pool(self, voc):
         advisor = Charles(voc)
-        assert advisor.engine.pool is None
+        assert advisor.engine._pool is None
 
     def test_advice_is_identical_across_worker_counts(self, voc):
         def fingerprint(advice):
@@ -100,10 +95,8 @@ class TestCharlesParallelWiring:
 
         baseline = Charles(voc).advise(list(CONTEXT_COLUMNS), max_answers=8)
         for workers, partitions in ((1, 4), (2, 2), (4, 4)):
-            spec = f"memory?workers={workers}&partitions={partitions}"
-            advice = Charles(voc, backend=spec).advise(
-                list(CONTEXT_COLUMNS), max_answers=8
-            )
+            engine = QueryEngine(voc, partitions=partitions, pool=ShardPool(workers))
+            advice = Charles(engine).advise(list(CONTEXT_COLUMNS), max_answers=8)
             assert fingerprint(advice) == fingerprint(baseline)
             assert advice.trace.indep_values == baseline.trace.indep_values
             assert advice.engine_operations == baseline.engine_operations

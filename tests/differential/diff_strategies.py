@@ -1,7 +1,7 @@
 """Strategies and helpers for the differential-testing harness.
 
 The harness's contract: every engine configuration — index features on or
-off, any partition count, with or without workers, memory or SQLite —
+off, any partition count, inline or fanned out, memory or SQLite —
 must be *observationally identical*.  Identical aggregates and masks, but
 also identical operation counters and cache traffic, so the indexes can
 never be detected from the outside (except through the purely

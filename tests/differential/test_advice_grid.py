@@ -1,26 +1,36 @@
 """End-to-end advice parity across the full execution grid.
 
 The same VOC workload, advised by Charles over: the plain memory
-backend, the fully indexed memory backend, a partitioned + worker-pool
-indexed backend, and SQLite.  The ranked segmentations (queries, counts,
-scores, trace) must be identical — and must *stay* identical after a
-live ingest and a predicate delete flow through every backend, proving
-no superseded zone map or bitmap can leak a stale answer into advice.
+backend, the fully indexed memory backend, a partitioned indexed backend
+fanned out over an injected pool, and SQLite.  The ranked segmentations
+(queries, counts, scores, trace) must be identical — and must *stay*
+identical after a live ingest and a predicate delete flow through every
+backend, proving no superseded zone map or bitmap can leak a stale answer
+into advice.
 """
 
 from __future__ import annotations
 
 import pytest
 
+from repro.backends import open_backend
 from repro.core import Charles
+from repro.storage import QueryEngine
+from repro.storage.partition import ShardPool
 from repro.workloads import generate_voc
 
-_SPECS = (
-    "memory",
-    "memory?index=all",
-    "memory?index=zonemap,bitmap,maskreuse&partitions=4&workers=2",
-    "sqlite",
-)
+#: Forces fan-out whatever the shard size (pools are shared by design).
+_POOL = ShardPool(2)
+
+#: label -> the backend over a table.
+_SPECS = {
+    "memory": lambda table: open_backend("memory", table),
+    "memory?index=all": lambda table: open_backend("memory?index=all", table),
+    "memory?index=zonemap,maskreuse&partitions=4, pooled": lambda table: QueryEngine(
+        table, use_index="zonemap,maskreuse", partitions=4, pool=_POOL
+    ),
+    "sqlite": lambda table: open_backend("sqlite", table),
+}
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage", "built"]
 
@@ -44,7 +54,10 @@ def _fingerprint(advice):
 def advisors():
     # Each backend owns its own (identical) copy so mutations replay
     # independently on every member of the grid.
-    return {spec: Charles(generate_voc(rows=400, seed=3), backend=spec) for spec in _SPECS}
+    return {
+        spec: Charles(backend(generate_voc(rows=400, seed=3)))
+        for spec, backend in _SPECS.items()
+    }
 
 
 @pytest.fixture(scope="module")

@@ -31,17 +31,17 @@ from diff_strategies import (
     sdl_queries,
     small_tables,
 )
-from repro.backends.pool import ExecutorPool
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
 from repro.storage import DataType, QueryEngine, Table, build_column
 from repro.storage import engine as engine_module
 from repro.storage.engine import FANOUT_MIN_ROWS_PER_SHARD, REUSE_MIN_ROWS
+from repro.storage.partition import ShardPool, shared_pool
 
 #: Shared by every example (pools are shared by design).
-_POOL = ExecutorPool(3, name="planner-tests")
+_POOL = ShardPool(3)
 
-#: Nothing forced, without and with a pool (the pool also sets the shard
-#: count, so the second one plans zone maps and — patched — fan-out).
+#: Nothing forced, without and with an injected pool (which forces
+#: fan-out; patched, the first one fans out over the process's pool).
 _UNFORCED = ({}, {"pool": _POOL})
 
 thresholds = pytest.mark.parametrize("zeroed", [False, True], ids=["shipped", "zero"])
@@ -147,7 +147,7 @@ def _table(rows: int) -> Table:
 _RULE_THRESHOLDS = {"fanout": 100, "reuse": 300}
 _SMALL = _table(60)
 _LARGE = _table(400)
-_TWO_WORKERS = ExecutorPool(2, name="planner-rules")
+_TWO_WORKERS = ShardPool(2)
 _PARENT = SDLQuery([RangePredicate("num", 0, 50), NoConstraint("cat")])
 _CHILD = SDLQuery(
     [RangePredicate("num", 0, 50), SetPredicate("cat", frozenset({"a"}))]
@@ -156,28 +156,6 @@ _CHILD = SDLQuery(
 #: (case, table, engine options, counting) -> the scan the planner picks.
 _RULES = [
     ("small table, no pool: plain scan, inline", _SMALL, {}, False, "scan"),
-    ("one shard: no zone maps", _LARGE, {}, False, "scan"),
-    (
-        "small shards with a pool: skip, but map inline",
-        _SMALL,
-        {"pool": _TWO_WORKERS},
-        False,
-        "scan+zonemap",
-    ),
-    (
-        "many rows with a pool: skip and fan out",
-        _LARGE,
-        {"pool": _TWO_WORKERS},
-        False,
-        "scan+zonemap+fanout",
-    ),
-    (
-        "a one-worker pool never fans out",
-        _LARGE,
-        {"pool": ExecutorPool(1)},
-        False,
-        "scan",
-    ),
     (
         "cache disabled: count without assembling the mask",
         _SMALL,
@@ -307,7 +285,53 @@ def test_plan_declines_a_resident_non_parent(parent, child):
         assert engine.evaluate(child).tolist() == expected.tolist()
 
 
-def test_unset_shard_count_follows_the_pool():
-    assert QueryEngine(_SMALL).partitions == 1
-    assert QueryEngine(_SMALL, pool=_TWO_WORKERS).partitions == 2
-    assert QueryEngine(_SMALL, pool=_TWO_WORKERS).sibling().partitions == 2
+#: (rows, CPUs, forced shards) -> (shards, zone maps, fan-out), with
+#: 100 rows a fan-out shard: one shard per 100 rows and at most one per
+#: CPU, zone maps only when shards are forced, and fan-out over the
+#: process's pool only at 100 rows a shard.
+_SHARD_RULES = [
+    (60, 4, None, 1, False, False),
+    (198, 4, None, 1, False, False),
+    (400, 1, None, 1, False, False),
+    (200, 4, None, 2, False, True),
+    (400, 2, None, 2, False, True),
+    (400, 4, None, 4, False, True),
+    (1_000, 4, None, 4, False, True),
+    (400, 1, 4, 4, True, True),
+    (60, 4, 4, 4, True, False),
+    (400, 4, 1, 1, False, False),
+]
+
+
+@pytest.mark.parametrize(
+    "rows,cpus,forced,shards,zonemaps,fanout",
+    _SHARD_RULES,
+    ids=[f"{rule[0]} rows, {rule[1]} cpus, forced {rule[2]}" for rule in _SHARD_RULES],
+)
+def test_shards_follow_rows_and_cpus(rows, cpus, forced, shards, zonemaps, fanout):
+    with _thresholds(**_RULE_THRESHOLDS), mock.patch.object(
+        engine_module, "available_cpus", lambda: cpus
+    ):
+        engine = QueryEngine(_table(rows), partitions=forced)
+        state = engine._refresh()
+        path = engine._plan(_CHILD, state)
+        assert engine.partitions == state.partitioned.num_partitions == shards
+        assert engine.sibling()._refresh() is state
+        assert ("zonemap" in engine.index_features) == path.zonemap == zonemaps
+        assert path.fanout == (shared_pool().map if fanout else None)
+        # An injected pool takes every map, whatever the shard size.
+        pooled = QueryEngine(_table(rows), partitions=forced, pool=_TWO_WORKERS)
+        assert pooled._plan(_CHILD, pooled._refresh()).fanout == _TWO_WORKERS.map
+
+
+def test_shards_follow_an_ingest():
+    with _thresholds(**_RULE_THRESHOLDS), mock.patch.object(
+        engine_module, "available_cpus", lambda: 4
+    ):
+        engine = QueryEngine(_table(150))
+        sibling = engine.sibling()
+        assert engine.partitions == 1
+        engine.ingest([{"num": 1, "cat": "a"}] * 100)
+        assert engine._refresh() is sibling._refresh()
+        assert sibling.partitions == 2
+        assert engine.count(_CHILD) == _forced_plain(engine.table).count(_CHILD)

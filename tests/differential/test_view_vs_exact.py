@@ -39,12 +39,14 @@ from hypothesis import given, settings
 from diff_strategies import outcome, sdl_queries, small_tables
 from repro.api.codec import dumps
 from repro.api.protocol import Request
+from repro.backends import open_backend
 from repro.backends.approx import ApproxEngine, Estimate
 from repro.core import Charles, ExplorationSession
 from repro.errors import EmptyColumnError
 from repro.sdl import RangePredicate, SDLQuery, SetPredicate
 from repro.service import AdvisorService
 from repro.storage import QueryEngine
+from repro.storage.partition import ShardPool
 from repro.workloads import generate_voc
 
 _ROWS, _SEED = 12_000, 7
@@ -190,14 +192,26 @@ class TestAdviceRecall:
 
 #: Extra backend parameters composed with ``sample=`` (and mirrored
 #: without it for the plain baseline): the refinement contract must hold
-#: whatever indexes or partitioning ride underneath the view.
-_GRID = ("", "index=all", "index=all&partitions=3&workers=2")
+#: whatever indexes or partitioning ride underneath the view.  ``pooled``
+#: builds the engine with an injected pool, which forces fan-out.
+_GRID = ("", "index=all", "index=all&partitions=3, pooled")
+
+_POOL = ShardPool(2)
 
 
 def _specs(base: str):
+    """(sampled, plain) backends over a table, as builders."""
+    if base.endswith(", pooled"):
+        def plain(table):
+            return QueryEngine(table, use_index="all", partitions=3, pool=_POOL)
+
+        return (lambda table: ApproxEngine(plain(table), fraction=0.5, seed=3)), plain
     sampled = "memory?sample=0.5&seed=3" + (f"&{base}" if base else "")
-    plain = "memory" + (f"?{base}" if base else "")
-    return sampled, plain
+    plain_spec = "memory" + (f"?{base}" if base else "")
+    return (
+        lambda table: open_backend(sampled, table),
+        lambda table: open_backend(plain_spec, table),
+    )
 
 
 def _answers_text(advice) -> str:
@@ -220,19 +234,18 @@ class TestRefinementIdentity:
         sampled_spec, plain_spec = _specs(base)
         context = ["type_of_boat", "tonnage", "departure_harbour"]
         session = ExplorationSession(
-            Charles(generate_voc(rows=300, seed=7), backend=sampled_spec),
+            Charles(sampled_spec(generate_voc(rows=300, seed=7))),
             max_answers=5,
         )
         first = session.start(context, mode="interactive")
         assert first.approximate is True
         refined = session.refine()
         assert refined.approximate is False and refined.error_bound is None
-        plain = Charles(generate_voc(rows=300, seed=7), backend=plain_spec).advise(
+        plain = Charles(plain_spec(generate_voc(rows=300, seed=7))).advise(
             context, max_answers=5
         )
         assert _wire_bytes(refined) == _wire_bytes(plain), (
-            f"refinement on {sampled_spec!r} diverged from a plain advise "
-            f"on {plain_spec!r}"
+            f"refinement over {base!r} diverged from a plain advise"
         )
 
     def test_refinement_is_idempotent_and_replaces_the_step(self):

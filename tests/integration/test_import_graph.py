@@ -48,7 +48,7 @@ _ENGINE = tuple(
 
 #: Each package facade → the size of its ``__all__``.
 _FACADES = {
-    "repro": 52, "repro.api": 14, "repro.backends": 6, "repro.cluster": 10,
+    "repro": 51, "repro.api": 14, "repro.backends": 5, "repro.cluster": 10,
     "repro.core": 44, "repro.live": 1, "repro.obs": 8, "repro.sdl": 13,
     "repro.service": 4, "repro.storage": 26, "repro.viz": 5, "repro.workloads": 15,
 }
@@ -207,6 +207,43 @@ with AdvisorHTTPServer(AdvisorService(generate_voc(rows=200, seed=1)), port=0) a
     assert client.open_session("s", context=["tonnage"]).advise().answers
 """)
     assert _http_stack(loaded) == []
+
+
+#: What only a fan-out loads: the thread pool and the modules it imports.
+_POOL_MODULES = ("concurrent.futures", "logging", "queue")
+
+
+def test_a_small_table_server_loads_no_thread_pool():
+    loaded = _modules_after("""
+from repro.api.client import RemoteAdvisor
+from repro.api.server import AdvisorHTTPServer
+from repro.service import AdvisorService
+from repro.workloads import generate_voc
+with AdvisorHTTPServer(AdvisorService(generate_voc(rows=300, seed=3)), port=0) as server:
+    session = RemoteAdvisor(server.url).open_session("s", context=["tonnage", "type_of_boat"])
+    assert session.advise().answers
+    assert session.drill(0, 0).answers
+""")
+    assert [name for name in _POOL_MODULES if name in loaded] == []
+
+
+def test_the_first_fan_out_starts_the_one_pool():
+    # Positive control: with the fan-out size patched below the table's,
+    # the engine shards, and its first count loads the pool's modules.
+    loaded = _modules_after("""
+import sys
+from repro.sdl import parse_query
+from repro.storage import QueryEngine, engine, partition
+from repro.workloads import generate_voc
+engine.FANOUT_MIN_ROWS_PER_SHARD = 100
+engine.available_cpus = lambda: 2
+voc = QueryEngine(generate_voc(rows=400, seed=3))
+assert voc.partitions == 2
+assert "concurrent.futures" not in sys.modules and partition._SHARED is None
+voc.count(parse_query("(tonnage: [0, 1000])"))
+assert partition._SHARED is partition.shared_pool() and partition._SHARED._executor
+""")
+    assert "concurrent.futures" in loaded
 
 
 def test_an_https_client_loads_ssl_at_its_first_connection():

@@ -686,11 +686,20 @@ _FORBIDDEN = [
         id="own-http-framing",
     ),
     pytest.param(
-        "only workers start threads, decided in one place: ExecutorPool.requested is where "
-        "the memory spec and AdvisorService turn workers= into a pool; a shard count never "
-        "does (docs/architecture.md, Parallel execution)",
-        r"ExecutorPool\(", ("src",), ("src/repro/backends/pool.py",),
+        "a process has one shard pool, made by shared_pool() next to the shard mapper; "
+        "the only other executor replays serve --simulate's users (docs/architecture.md, "
+        "Parallel execution)",
+        r"ShardPool\(|ThreadPoolExecutor\(", ("src",),
+        ("src/repro/storage/partition.py", "src/repro/workloads/concurrent.py"),
         id="one-pool-factory",
+    ),
+    pytest.param(
+        "threads follow the table: no spec key, service option, node option or flag sets "
+        "a worker count (docs/architecture.md, Parallel execution)",
+        rf"[?&]workers=|\bAdvisorService\({_CALL_ARGS}\bworkers=|[\"']workers[\"']"
+        r"|cluster serve.*--workers",
+        _USER_FACING, (),
+        id="no-workers-knob",
     ),
     pytest.param(
         "only servers and the health monitor start threads: a request runs on the thread "
@@ -736,13 +745,15 @@ _FORBIDDEN = [
         id="one-sampling-spelling",
     ),
     pytest.param(
-        "serve --workers sizes the service's one pool; shards are the spec's partitions=N",
+        "serve --workers sizes only --simulate's user threads; shards are the spec's "
+        "partitions=N",
         r"--engine-workers", _USER_FACING, (),
         id="no-engine-workers",
     ),
     pytest.param(
-        "Charles takes table, config, ranker and backend: shards, workers, pools, cache "
-        "size and sampling are the backend spec's (docs/architecture.md, Parallel execution)",
+        "Charles takes table, config, ranker and backend: shards, cache size and sampling "
+        "are the backend spec's, and threads follow the table (docs/architecture.md, "
+        "Parallel execution)",
         rf"Charles\({_CALL_ARGS}\b(workers|partitions|pool|cache_size|seed)=",
         _USER_FACING, (),
         id="charles-takes-a-spec",
@@ -814,7 +825,8 @@ _PLANTED_LINES = {
     "no-collector": "    def __del__(self):",
     "one-http-transport": "    with urllib.request.urlopen(url) as response:",
     "own-http-framing": "from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer",
-    "one-pool-factory": "pool = ExecutorPool(4)",
+    "one-pool-factory": "pool = ShardPool(4)",
+    "no-workers-knob": 'backend = open_backend("memory?partitions=4&workers=2", table)',
     "few-thread-starters": "threading.Thread(target=refine, daemon=True).start()",
     "no-multiprocessing": "from multiprocessing import Process",
     "no-version-pins": "        with source.pin() as pin:",

@@ -4,8 +4,8 @@ The live subsystem's correctness bar: counts, medians and whole HB-cuts
 advise runs on an engine that *ingested its data incrementally* (batch by
 batch, with queries interleaved so caches warm up and are invalidated)
 must be **bit-for-bit identical** to a cold engine built directly on the
-final data — for the memory and SQLite backends, across the
-partitions × workers grid.
+final data — for the memory and SQLite backends, inline and with shards
+fanned out over a pool.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import pytest
 from repro.api.codec import dumps
 from repro.backends import open_backend
 from repro.core.advisor import Charles
+from repro.storage import QueryEngine
 from repro.storage.expression import query_mask
+from repro.storage.partition import ShardPool
 from repro.storage.sql import parse_where
 from repro.workloads import generate_voc
 
@@ -27,13 +29,20 @@ _QUERIES = (
     "tonnage >= 2500",
 )
 
-#: Backend specs of the parity grid.
-_GRID = [
-    "memory",
-    "memory?workers=2&partitions=2",
-    "memory?workers=2&partitions=3",
-    "sqlite",
-]
+#: Forces fan-out of the forced shards (pools are shared by design).
+_POOL = ShardPool(2)
+
+#: The parity grid: label -> backend over a table, aggregates cached.
+_GRID = {
+    "memory": lambda table: open_backend("memory", table, cache_aggregates=True),
+    "memory?partitions=2, pooled": lambda table: QueryEngine(
+        table, cache_aggregates=True, partitions=2, pool=_POOL
+    ),
+    "memory?partitions=3, pooled": lambda table: QueryEngine(
+        table, cache_aggregates=True, partitions=3, pool=_POOL
+    ),
+    "sqlite": lambda table: open_backend("sqlite", table, cache_aggregates=True),
+}
 
 
 @pytest.fixture(scope="module")
@@ -49,9 +58,7 @@ def _advice_wire(advice):
 def _warm_backend(full_table, spec):
     """A backend seeded with a prefix that ingests the rest in batches,
     with queries interleaved so the caches have something to invalidate."""
-    backend = open_backend(
-        spec, full_table.slice_rows(0, _SEED_ROWS), cache_aggregates=True
-    )
+    backend = _GRID[spec](full_table.slice_rows(0, _SEED_ROWS))
     probe = parse_where(_QUERIES[0])
     rows = [full_table.row(i) for i in range(_SEED_ROWS, full_table.num_rows)]
     for start in range(0, len(rows), 75):
@@ -64,11 +71,11 @@ def _warm_backend(full_table, spec):
     return backend
 
 
-@pytest.mark.parametrize("spec", _GRID)
+@pytest.mark.parametrize("spec", list(_GRID))
 class TestWarmColdParity:
     def test_counts_and_medians_are_identical(self, full_table, spec):
         warm = _warm_backend(full_table, spec)
-        cold = open_backend(spec, full_table, cache_aggregates=True)
+        cold = _GRID[spec](full_table)
         assert warm.num_rows == cold.num_rows == full_table.num_rows
         for text in _QUERIES:
             query = parse_where(text)
@@ -81,7 +88,7 @@ class TestWarmColdParity:
 
     def test_advise_is_byte_identical(self, full_table, spec):
         warm = _warm_backend(full_table, spec)
-        cold = open_backend(spec, full_table, cache_aggregates=True)
+        cold = _GRID[spec](full_table)
         warm_advice = Charles(warm).advise(_CONTEXT, max_answers=8)
         cold_advice = Charles(cold).advise(_CONTEXT, max_answers=8)
         assert _advice_wire(warm_advice) == _advice_wire(cold_advice)
@@ -92,7 +99,7 @@ class TestWarmColdParity:
         deleted = warm.delete_where(delete)
         expected_table = full_table.filter(~query_mask(full_table, delete))
         assert deleted == full_table.num_rows - expected_table.num_rows
-        cold = open_backend(spec, expected_table, cache_aggregates=True)
+        cold = _GRID[spec](expected_table)
         assert warm.num_rows == cold.num_rows
         for text in _QUERIES:
             query = parse_where(text)

@@ -2,7 +2,7 @@
 
 For randomized tables and queries, counts, medians and the full ranked
 ``hb_cuts`` output must be identical to the unpartitioned sequential
-engine for every ``partitions × workers`` combination tested — including
+engine for every ``partitions × pool threads`` combination tested — including
 ``partitions > rows`` (trailing empty shards).
 """
 
@@ -13,12 +13,12 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from repro.backends.pool import ExecutorPool
 from repro.core import HBCuts, HBCutsConfig
 from repro.errors import EmptyColumnError, TypeMismatchError
 from repro.sdl import RangePredicate, SDLQuery, SetPredicate
 from repro.storage import PartitionedTable, QueryEngine, Table
 from repro.storage.expression import query_mask
+from repro.storage.partition import ShardPool
 
 _SETTINGS = settings(
     max_examples=25,
@@ -30,9 +30,10 @@ _SETTINGS = settings(
 #: largest generated table, so empty shards are always covered.
 _GRID = ((1, 1), (2, 1), (3, 2), (4, 4), (97, 2))
 
-#: One pool per worker count, shared across examples (pools are shared by
-#: design; creating thousands of executors would only slow the suite).
-_POOLS = {workers: ExecutorPool(workers) for workers in (1, 2, 4)}
+#: One injected pool per thread count, forcing fan-out; shared across
+#: examples (pools are shared by design; creating thousands of executors
+#: would only slow the suite).
+_POOLS = {workers: ShardPool(workers) for workers in (1, 2, 4)}
 
 
 @st.composite

@@ -11,7 +11,8 @@ from repro.api.protocol import Request
 from repro.core import Charles, ExplorationSession
 from repro.errors import AdvisorError, SessionError
 from repro.service import AdvisorService
-from repro.storage import QueryEngine
+from repro.storage import QueryEngine, partition
+from repro.storage import engine as engine_module
 from repro.workloads import generate_concurrent_workload, generate_voc, serve
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
@@ -132,6 +133,16 @@ class TestSharedCaching:
             for name, session in service.stats()["sessions"].items()
         }
         assert len(snapshots) == users
+
+    @pytest.mark.parametrize(
+        "option, cache", [("cache_capacity", "result_cache"), ("advice_capacity", "advice_cache")]
+    )
+    def test_a_negative_cache_size_is_an_error(self, table, option, cache):
+        with pytest.raises(AdvisorError, match=f"{option} cannot be negative"):
+            AdvisorService(table, **{option: -1})
+        # Zero stays the way to turn a cache off.
+        service = AdvisorService(table, batch_window=0.0, **{option: 0})
+        assert service.stats()["tables"]["voc"][cache]["capacity"] == 0
 
     def test_lru_eviction_bounds_service_memory(self, table):
         service = AdvisorService(table, cache_capacity=16, batch_window=0.0)
@@ -338,43 +349,30 @@ class TestWorkloadGenerator:
 
 
 class TestParallelService:
-    def test_sequential_service_has_no_pool(self, service):
-        assert service.pool is None
-        assert service.stats()["parallel"]["pool"] is None
+    @pytest.fixture()
+    def fanout(self, monkeypatch):
+        """Forced shards of any size fan out over a fresh process pool."""
+        monkeypatch.setattr(engine_module, "FANOUT_MIN_ROWS_PER_SHARD", 1)
+        monkeypatch.setattr(partition, "_SHARED", None)
+        yield
+        partition.shared_pool().shutdown()
 
-    def test_partitions_default_to_the_worker_count(self, table):
-        # Like a memory spec: asking for workers alone must actually shard
-        # the tables, otherwise the pool is created but never used.
-        service = AdvisorService(table, batch_window=0.0, workers=2)
-        assert service.stats()["tables"]["voc"]["backend"]["partitions"] == 2
+    def test_workers_is_no_service_option(self, table, service):
+        with pytest.raises(TypeError):
+            AdvisorService(table, workers=2)
+        assert "parallel" not in service.stats()
+        assert "pool_workers" not in str(service.metrics_document())
 
-    def test_workers_zero_means_one_per_core(self, table):
-        # The same opt-in rule as open_backend: workers=0 asks
-        # for one worker per core, it does not silently mean sequential.
-        from repro.backends.pool import resolve_workers
-
-        service = AdvisorService(table, batch_window=0.0, workers=0)
-        assert service.pool is not None
-        assert service.pool.workers == resolve_workers(0)
-        assert service.stats()["parallel"]["workers"] == resolve_workers(0)
-
-    def test_one_pool_is_shared_by_every_session_and_table(self, table):
-        parallel = AdvisorService(
-            table, batch_window=0.0, workers=2, backend="memory?partitions=2"
-        )
-        assert parallel.pool is not None
-        assert parallel.pool.workers == 2
-        session = parallel.open_session("alice", context=_CONTEXT)
-        assert session.advisor.engine.pool is parallel.pool
+    def test_one_pool_is_shared_by_every_session_and_table(self, table, fanout):
+        parallel = AdvisorService(table, batch_window=0.0, backend="memory?partitions=2")
+        parallel.open_session("alice", context=_CONTEXT)
         parallel.register_table(generate_voc(rows=300, seed=3), name="voc2")
-        other = parallel.open_session("bob", table="voc2", context=_CONTEXT)
-        assert other.advisor.engine.pool is parallel.pool
-        stats = parallel.stats()
-        assert stats["parallel"]["workers"] == 2
-        assert stats["tables"]["voc"]["backend"]["partitions"] == 2
-        assert stats["parallel"]["pool"]["tasks"] > 0
+        parallel.open_session("bob", table="voc2", context=_CONTEXT)
+        pool = partition.shared_pool()
+        assert 0 < len(pool._executor._threads) <= pool.workers
+        assert parallel.stats()["tables"]["voc"]["backend"]["partitions"] == 2
 
-    def test_parallel_service_answers_match_sequential(self, table):
+    def test_parallel_service_answers_match_sequential(self, table, fanout):
         def fingerprint(advice):
             return [
                 (
@@ -386,9 +384,7 @@ class TestParallelService:
             ]
 
         sequential = AdvisorService(table, batch_window=0.0)
-        parallel = AdvisorService(
-            table, batch_window=0.0, workers=2, backend="memory?partitions=4"
-        )
+        parallel = AdvisorService(table, batch_window=0.0, backend="memory?partitions=4")
         expected = fingerprint(
             sequential.open_session("a", context=_CONTEXT).current_advice()
         )
@@ -397,14 +393,12 @@ class TestParallelService:
         )
         assert observed == expected
 
-    def test_parallel_serve_workload_matches_sequential(self, table):
+    def test_parallel_serve_workload_matches_sequential(self, table, fanout):
         scripts = generate_concurrent_workload(
             table.column_names, users=4, steps=2, seed=5
         )
         sequential = AdvisorService(table, batch_window=0.0)
-        parallel = AdvisorService(
-            table, batch_window=0.0, workers=2, backend="memory?partitions=2"
-        )
+        parallel = AdvisorService(table, batch_window=0.0, backend="memory?partitions=2")
         report_a = serve(sequential, scripts, workers=2)
         report_b = serve(parallel, scripts, workers=2)
         assert not report_a.errors and not report_b.errors

@@ -197,19 +197,6 @@ class TestOperationCounterThreadSafety:
         assert counter.count_calls == 8 * rounds
         assert counter.cache_hits == 16 * rounds
 
-    def test_merge_folds_per_worker_counters(self):
-        from repro.storage import OperationCounter
-
-        total = OperationCounter()
-        worker_a = OperationCounter(count_calls=3, evaluations=1)
-        worker_b = OperationCounter(count_calls=2, median_calls=5)
-        total.merge(worker_a)
-        total.merge(worker_b)
-        assert total.count_calls == 5
-        assert total.evaluations == 1
-        assert total.median_calls == 5
-        assert total.total_database_operations == 10
-
     def test_add_rejects_unknown_tallies(self):
         from repro.storage import OperationCounter
 
@@ -229,16 +216,16 @@ class TestSample:
     """``QueryEngine.sample``: a small table of its own, never forced."""
 
     def test_sample_engine_is_never_forced(self, table):
-        from repro.backends.pool import ExecutorPool
+        from repro.storage.partition import ShardPool
 
-        pool = ExecutorPool(2)
+        pool = ShardPool(2)
         engine = QueryEngine(
             table, partitions=4, pool=pool, use_index="zonemap", cache_size=512
         )
         sampled = engine.sample(0.5, seed=9)
         assert sampled.partitions == 1
         assert sampled.partitioned_table.num_partitions == 1
-        assert sampled.pool is None
+        assert sampled._pool is None
         assert sampled.index_features != engine.index_features
         assert sampled._cache_size == 512
 

@@ -211,12 +211,12 @@ class TestPartitionedEngine:
         assert partitioned.counter.snapshot() == sequential.counter.snapshot()
 
     def test_sibling_shares_shards_and_pool(self, table):
-        from repro.backends.pool import ExecutorPool
+        from repro.storage.partition import ShardPool
 
-        pool = ExecutorPool(2)
+        pool = ShardPool(2)
         engine = QueryEngine(table, partitions=4, pool=pool)
         sibling = engine.sibling()
         assert sibling.partitioned_table is engine.partitioned_table
-        assert sibling.pool is engine.pool
+        assert sibling._pool is engine._pool
         assert sibling.cache is engine.cache
         assert sibling.counter is not engine.counter

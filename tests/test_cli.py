@@ -259,9 +259,23 @@ class TestCommands:
         ]
         assert main(arguments) == 0
         sequential = capsys.readouterr().out
-        assert main([*arguments, "--backend", "memory?workers=2&partitions=3"]) == 0
+        assert main([*arguments, "--backend", "memory?partitions=3"]) == 0
         parallel = capsys.readouterr().out
         assert parallel == sequential
+        # Threads follow the table: workers is no spec parameter.
+        assert main([*arguments, "--backend", "memory?workers=2"]) == 2
+        assert "[storage_backend]" in capsys.readouterr().err
+
+    def test_cluster_serve_has_no_workers_flag(self, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main(["cluster", "serve", "--http", "0", "--workers", "2"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
+
+    def test_serve_rejects_a_negative_cache_capacity(self, capsys):
+        arguments = ["serve", "--simulate", "--dataset", "voc", "--rows", "200"]
+        assert main([*arguments, "--cache-capacity", "-1"]) == 2
+        assert "cache_capacity cannot be negative" in capsys.readouterr().err
 
     def test_serve_with_workers_and_a_sharded_spec(self, capsys):
         exit_code = main(
