@@ -151,13 +151,6 @@ class BackendWrapper:
         """The wrapped backend (one layer down)."""
         return self._inner
 
-    def unwrap(self) -> ExecutionBackend:
-        """The innermost backend below every wrapper layer."""
-        backend = self._inner
-        while isinstance(backend, BackendWrapper):
-            backend = backend.inner
-        return backend
-
     # -- protocol delegation --------------------------------------------------
 
     @property

@@ -18,7 +18,7 @@ request) buys three properties the router needs:
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 from repro.errors import ClusterError
 
@@ -102,14 +102,6 @@ class ShardMap:
     def assignment(self) -> Dict[int, Tuple[int, ...]]:
         """The full table: shard index → (owner, replicas...)."""
         return {shard: nodes for shard, nodes in enumerate(self._assignment)}
-
-    def shards_owned_by(self, node_id: int) -> List[int]:
-        """Every shard whose owner is ``node_id``."""
-        return [
-            shard
-            for shard, nodes in enumerate(self._assignment)
-            if nodes[0] == node_id
-        ]
 
     def to_document(self) -> Dict[str, object]:
         """A JSON-safe description, served under ``GET /v1/cluster``."""

@@ -160,11 +160,6 @@ class RangePredicate(Predicate):
     def is_constrained(self) -> bool:
         return True
 
-    @property
-    def is_degenerate(self) -> bool:
-        """True when the range covers a single point (``low == high``)."""
-        return self.low == self.high
-
     def to_sdl(self) -> str:
         open_bracket = "[" if self.include_low else "]"
         close_bracket = "]" if self.include_high else "["

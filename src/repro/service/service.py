@@ -239,7 +239,7 @@ class AdvisorService:
     config:
         Base HB-cuts parameters for new sessions.
     max_answers:
-        Default number of ranked answers per advise.
+        Default number of ranked answers per advise (checked alike).
     backend:
         Default backend spec for registered tables (resolved through
         :func:`repro.backends.open_backend`); ``register_table`` can
@@ -261,15 +261,16 @@ class AdvisorService:
         self._lock = threading.RLock()
         self._cache_capacity = int(cache_capacity)
         self._advice_capacity = int(advice_capacity)
+        self._max_answers = int(max_answers)
         for what, size in (
             ("cache_capacity", self._cache_capacity),
             ("advice_capacity", self._advice_capacity),
+            ("max_answers", self._max_answers),
         ):
             if size < 0:
                 raise AdvisorError(f"{what} cannot be negative, got {size}")
         self._batch_window = float(batch_window)
         self._config = config or HBCutsConfig()
-        self._max_answers = int(max_answers)
         self._backend_spec = str(backend)
         self._requests = 0
         # Observability: one registry and one slow-op log per service.

@@ -10,14 +10,16 @@ partial results:
 
 * **masks** concatenate — shard masks in partition order reassemble the
   full-table selection vector bit-for-bit;
-* **counts** sum — ``|R(Q)|`` is the sum of per-partition cardinalities;
+* **counts** sum — ``|R(Q)|`` is the sum of per-partition cardinalities
+  (:class:`~repro.storage.zonemap.SkippingIndexes`, reached through
+  :meth:`PartitionedTable.skipping`, owns both scans);
 * **medians** merge through a per-partition value gather — each shard
   contributes the raw (encoded) values selected on its rows, and the
   median of the concatenated gather equals the median over the full
   selection, decoded by the source column exactly like the sequential
   path.
 
-The mapping step is pluggable: every method takes a ``map_fn(fn, items)``
+The mapping step is pluggable: every evaluation takes a ``map_fn(fn, items)``
 so callers choose *where* the per-partition work runs — inline (the
 sequential path is literally the one-partition / inline-map special case)
 or on a :class:`ShardPool`.  Determinism is preserved by construction:
@@ -44,8 +46,6 @@ from typing import Any, Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import StorageError, TypeMismatchError
-from repro.sdl.query import SDLQuery
-from repro.storage.expression import query_mask
 from repro.storage.table import Table
 
 __all__ = ["PartitionedTable"]
@@ -226,29 +226,6 @@ class PartitionedTable:
             return self._skipping
 
     # -- partition-aware evaluation -------------------------------------------
-
-    def partition_masks(
-        self, query: SDLQuery, map_fn: Optional[MapFn] = None
-    ) -> List[np.ndarray]:
-        """Per-partition boolean selection vectors, in partition order."""
-        mapper = map_fn or _inline_map
-        return mapper(lambda shard: query_mask(shard, query), self._shards)
-
-    def query_mask(
-        self, query: SDLQuery, map_fn: Optional[MapFn] = None
-    ) -> np.ndarray:
-        """The full-table selection mask, assembled from shard masks.
-
-        Concatenating the per-partition masks in partition order is
-        bit-for-bit the mask :func:`~repro.storage.expression.query_mask`
-        computes over the unsharded table.  The plain scan is the skipping
-        tier's evaluation with every index off.
-        """
-        return self.skipping().query_mask(query, map_fn, zonemaps=False)[0]
-
-    def count(self, query: SDLQuery, map_fn: Optional[MapFn] = None) -> int:
-        """``|R(Q)|`` as the sum of per-partition cardinalities."""
-        return self.skipping().count(query, map_fn, zonemaps=False)[0]
 
     def median(
         self,

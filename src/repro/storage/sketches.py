@@ -44,7 +44,7 @@ __all__ = ["MergeableQuantileSketch", "TableSketches"]
 DEFAULT_SKETCH_BUDGET = 512
 
 #: Default number of distinct values a nominal count sketch materialises
-#: exactly — the same cap zone maps use for distinct sets.
+#: exactly.
 DEFAULT_NOMINAL_CAP = 256
 
 #: Deterministic ordering key for values of mixed types (mirrors the

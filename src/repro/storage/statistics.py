@@ -112,10 +112,6 @@ class TableProfile:
     def column(self, name: str) -> ColumnProfile:
         return self.columns[name]
 
-    def cuttable_columns(self) -> List[str]:
-        """Columns with at least two distinct values (candidates for CUT)."""
-        return [name for name, profile in self.columns.items() if not profile.is_constant]
-
     def describe(self) -> str:
         lines = [f"table {self.table_name!r}: {self.row_count} rows, "
                  f"{len(self.columns)} columns"]

@@ -221,11 +221,6 @@ class Table:
         columns = [self._columns[n].slice_rows(start, stop) for n in self._order]
         return Table(name or self.name, columns)
 
-    def select_columns(self, names: Sequence[str], name: Optional[str] = None) -> "Table":
-        """Projection: new table with only the given columns, in that order."""
-        columns = [self.column(n) for n in names]
-        return Table(name or self.name, columns)
-
     def with_column(self, column: Column) -> "Table":
         """New table with one column added (or replaced if the name exists)."""
         if len(column) != self._num_rows:
@@ -238,10 +233,6 @@ class Table:
         if column.name not in self._columns:
             columns.append(column)
         return Table(self.name, columns)
-
-    def rename(self, name: str) -> "Table":
-        """New table object sharing the same columns under a different name."""
-        return Table(name, [self._columns[n] for n in self._order])
 
     def append_rows(self, rows: Iterable[Mapping[str, Any]]) -> "Table":
         """New table with the given row mappings appended (copy-on-write).

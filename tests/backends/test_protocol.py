@@ -65,11 +65,6 @@ class TestBackendWrapper:
         # Optional capability passes through __getattr__.
         assert wrapper.table is table
 
-    def test_unwrap_pierces_layers(self, table):
-        inner = QueryEngine(table)
-        double = BackendWrapper(BackendWrapper(inner))
-        assert double.unwrap() is inner
-
     def test_cover_through_sampling_wrappers_stays_a_fraction(self, table):
         # Regression: a cover from scaled counts over the sample's
         # num_rows used to exceed 1.

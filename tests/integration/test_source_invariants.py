@@ -795,6 +795,12 @@ _FORBIDDEN = [
         ("src", "examples", "benchmarks"), (),
         id="one-set-kernel",
     ),
+    pytest.param(
+        "a zone map is each shard's numeric min and max; distinct sets and the set and "
+        "exclusion pruning they fed are deleted",
+        r"class ZoneMap\b|DEFAULT_DISTINCT_CAP|distinct_cap", ("src",), (),
+        id="zone-maps-are-min-max",
+    ),
 ]
 
 
@@ -842,6 +848,7 @@ _PLANTED_LINES = {
     "one-profiler": "    return profile_table(self.table, context=resolved, engine=self.engine)",
     "query-carries-its-key": '        key = "mask:" + query_signature(query)',
     "one-set-kernel": "from repro.storage.index import BitmapIndex",
+    "zone-maps-are-min-max": "zone = ZoneMap(shard.column(attribute), distinct_cap=256)",
 }
 
 

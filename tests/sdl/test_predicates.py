@@ -81,7 +81,6 @@ class TestRangePredicate:
 
     def test_degenerate_range(self):
         predicate = RangePredicate("tonnage", 7, 7)
-        assert predicate.is_degenerate
         assert predicate.matches_value(7)
         assert not predicate.matches_value(8)
 

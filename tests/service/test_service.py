@@ -144,6 +144,12 @@ class TestSharedCaching:
         service = AdvisorService(table, batch_window=0.0, **{option: 0})
         assert service.stats()["tables"]["voc"][cache]["capacity"] == 0
 
+    def test_a_negative_max_answers_is_an_error(self, table):
+        with pytest.raises(AdvisorError, match="max_answers cannot be negative"):
+            AdvisorService(table, max_answers=-1)
+        service = AdvisorService(table, batch_window=0.0, max_answers=0)
+        assert service.open_session("alice", context=_CONTEXT).advise().answers == []
+
     def test_lru_eviction_bounds_service_memory(self, table):
         service = AdvisorService(table, cache_capacity=16, batch_window=0.0)
         service.open_session("alice", context=_CONTEXT)

@@ -80,16 +80,16 @@ class TestPartitionedTable:
         partitioned = PartitionedTable(table, partitions)
         for query in (_fluit_query(), _range_query()):
             expected = query_mask(table, query)
-            assert np.array_equal(partitioned.query_mask(query), expected)
-            parts = partitioned.partition_masks(query)
-            assert np.array_equal(np.concatenate(parts), expected)
+            mask, _ = partitioned.skipping().query_mask(query, zonemaps=False)
+            assert np.array_equal(mask, expected)
 
     @pytest.mark.parametrize("partitions", [1, 2, 5, 16])
     def test_counts_sum(self, table, partitions):
         partitioned = PartitionedTable(table, partitions)
         for query in (_fluit_query(), _range_query()):
-            assert partitioned.count(query) == int(
-                np.count_nonzero(query_mask(table, query))
+            assert partitioned.skipping().count(query, zonemaps=False) == (
+                int(np.count_nonzero(query_mask(table, query))),
+                0,
             )
 
     @pytest.mark.parametrize("partitions", [1, 2, 3, 8])
@@ -152,11 +152,9 @@ class TestPartitionedTable:
         tiny = Table.from_dict({"x": [1, 2, 3]}, name="tiny")
         partitioned = PartitionedTable(tiny, 7)
         query = SDLQuery([RangePredicate("x", 2, 3)])
-        assert partitioned.count(query) == 2
-        assert np.array_equal(
-            partitioned.query_mask(query), query_mask(tiny, query)
-        )
-        mask = partitioned.query_mask(query)
+        assert partitioned.skipping().count(query, zonemaps=False) == (2, 0)
+        mask, _ = partitioned.skipping().query_mask(query, zonemaps=False)
+        assert np.array_equal(mask, query_mask(tiny, query))
         assert partitioned.median("x", mask) == tiny.column("x").median(mask)
 
     def test_custom_map_fn_receives_every_shard(self, table):
@@ -167,7 +165,7 @@ class TestPartitionedTable:
             seen.extend(items)
             return [fn(item) for item in items]
 
-        partitioned.count(_fluit_query(), spy_map)
+        partitioned.skipping().count(_fluit_query(), spy_map, zonemaps=False)
         assert len(seen) == 4
 
 

@@ -85,12 +85,6 @@ class TestTableProfile:
         profile = profile_backend(QueryEngine(table), columns=["tonnage"])
         assert list(profile.columns) == ["tonnage"]
 
-    def test_cuttable_columns_excludes_constants(self, table):
-        profile = profile_backend(QueryEngine(table))
-        cuttable = profile.cuttable_columns()
-        assert "constant" not in cuttable
-        assert "tonnage" in cuttable
-
     def test_context_restricts_rows(self, table):
         context = SDLQuery([RangePredicate("tonnage", 1000, 1200)])
         profile = profile_backend(QueryEngine(table), context=context)

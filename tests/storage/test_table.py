@@ -213,10 +213,6 @@ class TestDerivation:
         with pytest.raises(SchemaError):
             table.take([99])
 
-    def test_select_columns(self, table):
-        projected = table.select_columns(["year", "type"])
-        assert projected.column_names == ["year", "type"]
-
     def test_with_column_adds(self, table):
         extra = StringColumn("flag", ["a", "b", "c", "d"])
         extended = table.with_column(extra)
@@ -232,9 +228,6 @@ class TestDerivation:
     def test_with_column_length_mismatch(self, table):
         with pytest.raises(SchemaError):
             table.with_column(NumericColumn("flag", [1], DataType.INT))
-
-    def test_rename(self, table):
-        assert table.rename("other").name == "other"
 
 
 class TestDisplay:

@@ -9,9 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.backends import open_backend
+from repro.core import Charles
 from repro.errors import BackendError, StorageError, TypeMismatchError
 from repro.sdl import (
     ExclusionPredicate,
+    NoConstraint,
     RangePredicate,
     SDLQuery,
     SetPredicate,
@@ -28,7 +30,7 @@ from repro.storage.engine import INDEX_FEATURES
 from repro.storage.expression import query_mask
 from repro.storage.partition import PartitionedTable
 from repro.storage.types import is_missing
-from repro.storage.zonemap import ZoneMap
+from repro.workloads import generate_voc
 
 
 def _int_column(values, name="num"):
@@ -43,69 +45,78 @@ def _bool_column(values, name="flag"):
     return build_column(name, values, DataType.BOOL)
 
 
-class TestZoneMapNumeric:
-    def test_statistics(self):
-        zone = ZoneMap(_int_column([3, None, 7, 5]))
-        assert zone.rows == 4
-        assert zone.null_count == 1
-        assert zone.valid_rows == 3
-        assert zone.low == 3.0 and zone.high == 7.0
-        assert zone.distinct == frozenset({3.0, 5.0, 7.0})
+def _skips(columns, query, partitions=2):
+    """Skip verdicts over a table of ``partitions`` shards, each checked
+    against a brute-force scan of the shard it skips."""
+    partitioned = PartitionedTable(Table("t", columns), partitions)
+    decisions = partitioned.skipping().skip_decisions(query)
+    for shard, skipped in zip(partitioned.shards, decisions):
+        if skipped:
+            assert not query_mask(shard, query).any()
+    return decisions
 
-    def test_range_pruning(self):
-        zone = ZoneMap(_int_column([10, 20, 30]))
-        assert zone.allows(RangePredicate("num", 15, 25))
-        assert not zone.allows(RangePredicate("num", 40, 50))
-        assert not zone.allows(RangePredicate("num", 0, 5))
-        # Exclusive bounds at the extremes.
-        assert zone.allows(RangePredicate("num", 30, 99))
-        assert not zone.allows(RangePredicate("num", 30, 99, include_low=False))
 
-    def test_distinct_gap_pruning(self):
-        # The range [11, 19] sits inside [10, 30] but between the points.
-        zone = ZoneMap(_int_column([10, 20, 30]))
-        assert not zone.allows(RangePredicate("num", 11, 19))
+class TestZoneMapSkips:
+    """A numeric range skips a shard whose [min, max] it misses."""
 
-    def test_set_pruning_respects_int_truncation(self):
-        # mask_set truncates float members to the INT dtype: 10.7 -> 10.
-        zone = ZoneMap(_int_column([10, 20]))
-        assert zone.allows(SetPredicate("num", frozenset({10.7})))
-        assert not zone.allows(SetPredicate("num", frozenset({11.7})))
+    @pytest.mark.parametrize(
+        "low, high, include_low, include_high, expected",
+        [
+            (20, 30, True, True, [False, False]),
+            (20, 30, False, True, [True, False]),
+            (20, 30, True, False, [False, True]),
+            (10, 40, False, False, [False, False]),
+            (0, 9, True, True, [True, True]),
+            (0, 10, True, False, [True, True]),
+            (40, 99, False, True, [True, True]),
+            (15, 17, True, True, [False, True]),  # inside [10, 20]: min/max cannot rule it out
+        ],
+    )
+    def test_bounds_at_the_extremes(self, low, high, include_low, include_high, expected):
+        column = _int_column([10, 20, 30, 40])  # shards [10, 20] and [30, 40]
+        query = SDLQuery([RangePredicate("num", low, high, include_low, include_high)])
+        assert _skips([column], query) == expected
 
-    def test_exclusion_pruning(self):
-        zone = ZoneMap(_int_column([10, 10, 20]))
-        assert zone.allows(ExclusionPredicate("num", frozenset({10})))
-        assert not zone.allows(ExclusionPredicate("num", frozenset({10, 20})))
+    def test_an_all_missing_shard_is_skipped(self):
+        column = _int_column([None, None, 1, 2])
+        assert _skips([column], SDLQuery([RangePredicate("num", 0, 100)])) == [True, False]
 
-    def test_all_missing_shard_allows_nothing(self):
-        zone = ZoneMap(_int_column([None, None]))
-        assert not zone.allows(RangePredicate("num", 0, 100))
-        assert not zone.allows(SetPredicate("num", frozenset({1})))
-        assert not zone.allows(ExclusionPredicate("num", frozenset({1})))
+    def test_a_date_column_takes_a_date_string_bound(self):
+        column = build_column(
+            "day", ["1700-01-01", "1700-06-01", "1750-01-01", "1760-01-01"], DataType.DATE
+        )
+        query = SDLQuery([RangePredicate("day", "1740-01-01", "1800-12-31")])
+        assert _skips([column], query) == [True, False]
 
-    def test_bad_bound_raises_like_evaluation(self):
-        zone = ZoneMap(_int_column([1, 2]))
+    def test_a_bad_bound_skips_nothing_and_the_scan_raises(self):
+        query = SDLQuery([RangePredicate("num", "aaa", "zzz")])
+        assert _skips([_int_column([1, 2, 3, 4])], query) == [False, False]
+        partitioned = PartitionedTable(Table("t", [_int_column([1, 2, 3, 4])]), 2)
         with pytest.raises(TypeMismatchError):
-            zone.allows(RangePredicate("num", "aaa", "zzz"))
+            partitioned.skipping().count(query)
 
+    def test_a_raising_predicate_blocks_later_skips(self):
+        columns = [_int_column([1, 2, 3, 4]), _int_column([5, 6, 7, 8], name="other")]
+        misses = RangePredicate("num", 100, 200)  # misses every shard
+        bad = RangePredicate("other", "aaa", "zzz")
+        assert _skips(columns, SDLQuery([bad, misses])) == [False, False]
+        assert _skips(columns, SDLQuery([NoConstraint("nope"), misses])) == [False, False]
+        # In the other order the scan stops at the empty range before the bad bound.
+        assert _skips(columns, SDLQuery([misses, bad])) == [True, True]
+        partitioned = PartitionedTable(Table("t", columns), 2)
+        assert partitioned.skipping().count(SDLQuery([misses, bad])) == (0, 2)
+        with pytest.raises(TypeMismatchError):
+            partitioned.skipping().count(SDLQuery([bad, misses]))
 
-class TestZoneMapNominal:
-    def test_string_set_and_exclusion(self):
-        zone = ZoneMap(_str_column(["a", "b", None, "b"]))
-        assert zone.distinct == frozenset({"a", "b"})
-        assert zone.allows(SetPredicate("cat", frozenset({"b", "z"})))
-        assert not zone.allows(SetPredicate("cat", frozenset({"z"})))
-        assert zone.allows(ExclusionPredicate("cat", frozenset({"a"})))
-        assert not zone.allows(ExclusionPredicate("cat", frozenset({"a", "b"})))
-
-    def test_bool_range(self):
-        zone = ZoneMap(_bool_column([False, False, None]))
-        assert zone.allows(RangePredicate("flag", False, False))
-        assert not zone.allows(RangePredicate("flag", True, True))
-
-    def test_missing_only_set_is_empty_everywhere(self):
-        zone = ZoneMap(_str_column(["a"]))
-        assert not zone.allows(SetPredicate("cat", frozenset({None})))
+    def test_only_numeric_ranges_skip(self):
+        columns = [_str_column(["a", "a", "b", "b"]), _bool_column([True, True, False, False])]
+        for predicate in (
+            SetPredicate("cat", frozenset({"b"})),
+            ExclusionPredicate("cat", frozenset({"a"})),
+            RangePredicate("cat", "b", "c"),
+            RangePredicate("flag", False, False),
+        ):
+            assert _skips(columns, SDLQuery([predicate])) == [False, False]
 
 
 def _reference_masks(rows, literals, key):
@@ -276,6 +287,35 @@ class TestSkippingIndexes:
         assert np.array_equal(mask, query_mask(table, query))
         count, skipped = skipping.count(query)
         assert (count, skipped) == (11, 4)
+
+    def test_pinned_traffic_keeps_its_skips(self):
+        # Advice over a time-ordered log: cuts on the dates and on the
+        # columns that follow them skip shards.  711 is what the zone maps
+        # skipped on this traffic when they also pruned through per-shard
+        # distinct sets, sets and exclusions; min/max keeps every one of
+        # those skips, and a rule that loses one fails here.
+        table = generate_voc(rows=4000, seed=42)
+        dates = np.asarray(table.column("departure_date").values_list())
+        table = table.take(np.argsort(dates, kind="stable"))
+        engine = QueryEngine(table, use_index="zonemap", partitions=8)
+        advisor = Charles(engine)
+        contexts = [
+            [RangePredicate("departure_date", 1650, 1700), NoConstraint("tonnage"),
+             NoConstraint("type_of_boat")],
+            [RangePredicate("built", 1700, 1779), NoConstraint("departure_harbour")],
+            [SetPredicate("type_of_boat", frozenset({"fluit"})), NoConstraint("cape_arrival"),
+             NoConstraint("tonnage")],
+            [RangePredicate("cape_arrival", 1600, 1640, include_high=False),
+             SetPredicate("departure_harbour", frozenset({"Amsterdam", "Zeeland"})),
+             NoConstraint("departure_date")],
+            [SetPredicate("yard", frozenset({"Amsterdam yard"})),
+             RangePredicate("departure_date", 1760, 1780), NoConstraint("built")],
+            [ExclusionPredicate("type_of_boat", frozenset({"fluit"})),
+             NoConstraint("departure_date"), NoConstraint("yard")],
+        ]
+        for predicates in contexts:
+            advisor.advise(SDLQuery(predicates), max_answers=5)
+        assert engine.counter.snapshot()["skipped_partitions"] == 711
 
     def test_skipping_memo_shared_and_version_keyed(self, voc_table):
         partitioned = PartitionedTable(voc_table, 4)
