@@ -20,9 +20,10 @@ Two construction paths exist:
   types.
 
 Value encoding follows the column store: dates are stored as proleptic
-Gregorian ordinals (``INTEGER``), booleans as 0/1; literals inside
-rendered predicates are encoded the same way and results are decoded
-back, so counts, medians and frequencies are **identical** to
+Gregorian ordinals (``INTEGER``), booleans as 0/1; a query is bound to
+the schema before it is rendered (:func:`~repro.storage.expression.bind`,
+the column store's one literal rule) and results are decoded back, so
+counts, medians and frequencies are **identical** to
 :class:`~repro.storage.engine.QueryEngine` (benchmark E13 and the parity
 tests assert this bit-for-bit on whole advise runs).
 
@@ -48,12 +49,6 @@ from repro.errors import (
     TypeMismatchError,
     UnknownColumnError,
 )
-from repro.sdl.predicates import (
-    ExclusionPredicate,
-    Predicate,
-    RangePredicate,
-    SetPredicate,
-)
 from repro.sdl.query import SDLQuery
 from repro.storage.cache import ResultCache
 from repro.storage.engine import (
@@ -61,14 +56,10 @@ from repro.storage.engine import (
     aggregate_key,
     deduplicated_count_batch,
 )
+from repro.storage.expression import bind
 from repro.storage.sql import count_query_sql, query_to_where
 from repro.storage.table import Table, reject_unknown_columns
-from repro.storage.types import (
-    DataType,
-    date_to_ordinal,
-    is_missing,
-    ordinal_to_date,
-)
+from repro.storage.types import DataType, coerce_value, ordinal_to_date
 
 __all__ = ["SQLiteBackend"]
 
@@ -448,53 +439,10 @@ class SQLiteBackend:
             except sqlite3.Error as error:
                 raise BackendError(f"SQLite error for {sql!r}: {error}") from error
 
-    def _encode_literal(self, dtype: DataType, value: Any) -> Any:
-        if is_missing(value):
-            return None
-        if dtype is DataType.DATE and not isinstance(value, (int, float)):
-            return date_to_ordinal(value)
-        if dtype is DataType.BOOL and isinstance(value, bool):
-            return int(value)
-        return value
-
-    def _encode_predicate(self, predicate: Predicate) -> Predicate:
-        dtype = self.dtype_of(predicate.attribute)
-        if dtype not in (DataType.DATE, DataType.BOOL):
-            return predicate
-        if isinstance(predicate, RangePredicate):
-            return RangePredicate(
-                predicate.attribute,
-                low=self._encode_literal(dtype, predicate.low),
-                high=self._encode_literal(dtype, predicate.high),
-                include_low=predicate.include_low,
-                include_high=predicate.include_high,
-            )
-        if isinstance(predicate, SetPredicate):
-            return SetPredicate(
-                predicate.attribute,
-                frozenset(self._encode_literal(dtype, v) for v in predicate.values),
-            )
-        if isinstance(predicate, ExclusionPredicate):
-            return ExclusionPredicate(
-                predicate.attribute,
-                frozenset(self._encode_literal(dtype, v) for v in predicate.values),
-            )
-        return predicate
-
-    def _encoded_query(self, query: SDLQuery) -> SDLQuery:
-        """Validate the attributes and encode date/bool literals for SQLite."""
-        for attribute in query.attributes:
-            if attribute not in self._dtypes:
-                raise UnknownColumnError(attribute, tuple(self._columns))
-        return SDLQuery(
-            self._encode_predicate(p) if p.is_constrained else p
-            for p in query.predicates
-        )
-
     def _rendered_where(self, query: Optional[SDLQuery]) -> str:
         if query is None:
             return "TRUE"
-        return query_to_where(self._encoded_query(query))
+        return query_to_where(bind(query, self._dtypes))
 
     def _decode_value(self, dtype: DataType, value: Any) -> Any:
         if value is None:
@@ -509,21 +457,16 @@ class SQLiteBackend:
 
     # -- live mutation --------------------------------------------------------
 
-    def _encode_cell(self, dtype: DataType, value: Any) -> Any:
-        if is_missing(value):
-            return None
-        if dtype is DataType.BOOL:
-            return int(bool(value))
-        return self._encode_literal(dtype, value)
-
     def ingest(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """Append row mappings in one transaction; returns the new version.
 
         Matches the column store's semantics: unknown columns are
-        rejected, missing keys become NULL, dates and booleans are stored
-        with the same encoding :meth:`from_table` uses.  Cache entries of
-        superseded versions are evicted surgically; an empty batch is a
-        no-op.
+        rejected, missing keys become NULL, and each cell is coerced by
+        the column store's rule (:func:`~repro.storage.types.coerce_value`:
+        a value the column cannot hold raises, ``'no'`` is False, a date
+        is its ordinal), the encoding :meth:`from_table` writes.  Cache
+        entries of superseded versions are evicted surgically; an empty
+        batch is a no-op.
         """
         materialised = list(rows)
         if not materialised:
@@ -531,7 +474,7 @@ class SQLiteBackend:
         reject_unknown_columns(materialised, self._columns)
         encoded: List[Tuple[Any, ...]] = [
             tuple(
-                self._encode_cell(dtype, row.get(column))
+                coerce_value(row.get(column), dtype)
                 for column, dtype in self._dtypes.items()
             )
             for row in materialised
@@ -542,6 +485,9 @@ class SQLiteBackend:
             try:
                 self._connection.executemany(sql, encoded)
                 self._connection.commit()
+            except OverflowError as error:  # an INT past 64 bits, as in the column store
+                self._connection.rollback()
+                raise TypeMismatchError(f"a value is out of range: {error}") from error
             except sqlite3.Error as error:
                 self._connection.rollback()
                 raise BackendError(
@@ -599,6 +545,7 @@ class SQLiteBackend:
     def count(self, query: SDLQuery) -> int:
         """``|R(Q)|`` via ``SELECT COUNT(*)`` (the paper's first operation)."""
         self.counter.add(count_calls=1)
+        query = bind(query, self._dtypes)
         key = "count::" + query.key
         cached = self._aggregate_get(key)
         if cached is not None:
@@ -609,7 +556,7 @@ class SQLiteBackend:
 
     def _count_uncached(self, query: SDLQuery) -> int:
         self.counter.add(evaluations=1)
-        sql = count_query_sql(self._encoded_query(query), self._table_name)
+        sql = count_query_sql(bind(query, self._dtypes), self._table_name)
         return int(self._execute(sql)[0][0])
 
     def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
@@ -620,6 +567,7 @@ class SQLiteBackend:
         INT medians stay ``int``; DATE medians round down to a date).
         """
         self.counter.add(median_calls=1)
+        query = None if query is None else bind(query, self._dtypes)
         key = aggregate_key("median", attribute, query)
         cached = self._aggregate_get(key)
         if cached is not None:
@@ -661,6 +609,7 @@ class SQLiteBackend:
     ) -> Tuple[Any, Any]:
         """Minimum and maximum via ``SELECT MIN(a), MAX(a)``."""
         self.counter.add(minmax_calls=1)
+        query = None if query is None else bind(query, self._dtypes)
         dtype = self.dtype_of(attribute)
         key = aggregate_key("minmax", attribute, query)
         cached = self._aggregate_get(key)
@@ -703,7 +652,7 @@ class SQLiteBackend:
         the columnar engine's.
         """
         return deduplicated_count_batch(
-            queries,
+            [bind(query, self._dtypes) for query in queries],
             self.counter,
             self._aggregate_get,
             self._aggregate_put,

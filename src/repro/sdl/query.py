@@ -42,7 +42,7 @@ class SDLQuery:
     "(date: [1550, 1650], tonnage:, type: {'fluit', 'jacht'})"
     """
 
-    __slots__ = ("_predicates", "_by_attribute", "_hash", "_key")
+    __slots__ = ("_predicates", "_by_attribute", "_hash", "_key", "_bound_schema", "_bound")
 
     def __init__(self, predicates: Iterable[Predicate] = ()) -> None:
         ordered: list[Predicate] = []
@@ -63,6 +63,10 @@ class SDLQuery:
         self._by_attribute = by_attribute
         self._hash: Optional[int] = None
         self._key: Optional[str] = None
+        # The schema this query was last bound to and the query it bound to
+        # (None: itself), kept by repro.storage.expression.bind.
+        self._bound_schema: Any = None
+        self._bound: Optional[SDLQuery] = None
 
     # -- constructors ------------------------------------------------------
 

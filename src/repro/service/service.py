@@ -60,6 +60,7 @@ from repro.sdl.query import SDLQuery
 from repro.service.batching import BatchCoordinator, BatchedEngine
 from repro.service.sessions import ServiceSession
 from repro.storage.cache import CacheStats, ResultCache
+from repro.storage.expression import bind
 from repro.storage.table import Table
 
 __all__ = ["AdvisorService"]
@@ -129,6 +130,7 @@ class _TableRuntime:
     ):
         self.name = name
         self.backend_spec = backend_spec
+        self.schema = table.schema()
         self.cache = ResultCache(capacity=cache_capacity, name=f"results:{name}")
         self.advice_cache = ResultCache(capacity=advice_capacity, name=f"advice:{name}")
         self._backend = open_backend(
@@ -481,9 +483,10 @@ class AdvisorService:
             # refine reads and fills exactly the entry a plain advise would.
             mode = mode or advisor.default_mode
             prefix = "advice:approx:" if mode == "interactive" else "advice:"
+            # The bound key: {1} and {1.0} differ on a STRING column only.
             key = (
                 f"{prefix}{max_answers}:{ranker_key}:{config_key}:"
-                f"{context.key}"
+                f"{bind(context, runtime.schema).key}"
             )
             # Tagging the entry with the data version it was computed at
             # makes the advice cache mutation-aware: after an ingest, old

@@ -28,7 +28,6 @@ from repro.errors import EmptyColumnError, TypeMismatchError
 from repro.storage.types import (
     DataType,
     coerce_value,
-    date_to_ordinal,
     is_missing,
     ordinal_to_date,
 )
@@ -153,7 +152,7 @@ class Column:
         """Number of distinct non-missing values under the mask."""
         return len(self.value_counts(mask))
 
-    # -- predicate evaluation ---------------------------------------------------
+    # -- predicate evaluation (canonical literals: repro.storage.expression.bind)
 
     def mask_range(
         self,
@@ -256,6 +255,25 @@ class _ArrayColumn(Column):
             raise EmptyColumnError(f"maximum of empty selection on {self.name!r}")
         return self._decode_scalar(data.max())
 
+    def mask_range(
+        self,
+        low: Any,
+        high: Any,
+        include_low: bool = True,
+        include_high: bool = True,
+    ) -> np.ndarray:
+        data = self._data
+        low_mask = data >= low if include_low else data > low
+        high_mask = data <= high if include_high else data < high
+        return low_mask & high_mask & self._valid
+
+    def mask_set(self, values: Iterable[Any]) -> np.ndarray:
+        # Not cast to the column's width: 1.5 matches nothing in an INT column.
+        wanted = [value for value in values if value is not None]
+        if not wanted:
+            return np.zeros(len(self), dtype=bool)
+        return np.isin(self._data, wanted) & self._valid
+
     def take(self, indices: np.ndarray) -> "_ArrayColumn":
         indices = np.asarray(indices, dtype=np.int64)
         return self._with_arrays(self._data[indices], self._valid[indices])
@@ -321,47 +339,6 @@ class NumericColumn(_ArrayColumn):
             for value, count in zip(values, counts)
         }
 
-    def _encode_bound(self, value: Any) -> float:
-        if is_missing(value):
-            raise TypeMismatchError(f"range bound on {self.name!r} cannot be missing")
-        if isinstance(value, str):
-            try:
-                value = float(value)
-            except ValueError as exc:
-                raise TypeMismatchError(
-                    f"range bound {value!r} is not numeric for column {self.name!r}"
-                ) from exc
-        if isinstance(value, bool):
-            value = int(value)
-        if not isinstance(value, (int, float)):
-            raise TypeMismatchError(
-                f"range bound {value!r} is not numeric for column {self.name!r}"
-            )
-        return float(value)
-
-    def mask_range(
-        self,
-        low: Any,
-        high: Any,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> np.ndarray:
-        low_value = self._encode_bound(low)
-        high_value = self._encode_bound(high)
-        data = self._data
-        low_mask = data >= low_value if include_low else data > low_value
-        high_mask = data <= high_value if include_high else data < high_value
-        return low_mask & high_mask & self._valid
-
-    def mask_set(self, values: Iterable[Any]) -> np.ndarray:
-        encoded = np.array(
-            [self._encode_bound(v) for v in values if not is_missing(v)],
-            dtype=self._data.dtype,
-        )
-        if encoded.size == 0:
-            return np.zeros(len(self), dtype=bool)
-        return np.isin(self._data, encoded) & self._valid
-
     def to_numpy(self) -> np.ndarray:
         """The raw physical array (missing rows hold the fill value)."""
         return self._data
@@ -383,17 +360,6 @@ class DateColumn(NumericColumn):
         # The arithmetic median of an even number of dates is rounded down
         # to a representable date.
         return ordinal_to_date(int(value))
-
-    def _encode_bound(self, value: Any) -> float:
-        if is_missing(value):
-            raise TypeMismatchError(f"range bound on {self.name!r} cannot be missing")
-        if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-            return float(value)
-        if isinstance(value, (_dt.date, _dt.datetime, str)):
-            return float(date_to_ordinal(value))
-        raise TypeMismatchError(
-            f"range bound {value!r} is not a date for column {self.name!r}"
-        )
 
 
 #: Most dictionary codes a set mask compares one by one; a larger set
@@ -528,23 +494,16 @@ class StringColumn(Column):
         include_low: bool = True,
         include_high: bool = True,
     ) -> np.ndarray:
-        low_text, high_text = str(low), str(high)
         selected_codes = [
             code
             for code, category in enumerate(self._categories)
-            if _within(category, low_text, high_text, include_low, include_high)
+            if _within(category, low, high, include_low, include_high)
         ]
         return self._mask_for_codes(selected_codes)
 
     def mask_set(self, values: Iterable[Any]) -> np.ndarray:
-        selected_codes = []
-        for value in values:
-            if is_missing(value):
-                continue
-            code = self._index_of.get(str(value))
-            if code is not None:
-                selected_codes.append(code)
-        return self._mask_for_codes(selected_codes)
+        codes = map(self._index_of.get, values)
+        return self._mask_for_codes([code for code in codes if code is not None])
 
     def _mask_for_codes(self, codes: List[int]) -> np.ndarray:
         if len(codes) <= FEW_CODES:
@@ -606,36 +565,6 @@ class BoolColumn(_ArrayColumn):
         if true_count:
             counts[True] = true_count
         return counts
-
-    def mask_range(
-        self,
-        low: Any,
-        high: Any,
-        include_low: bool = True,
-        include_high: bool = True,
-    ) -> np.ndarray:
-        low_value = bool(coerce_value(low, DataType.BOOL))
-        high_value = bool(coerce_value(high, DataType.BOOL))
-        data = self._data.astype(np.int8)
-        low_int, high_int = int(low_value), int(high_value)
-        low_mask = data >= low_int if include_low else data > low_int
-        high_mask = data <= high_int if include_high else data < high_int
-        return low_mask & high_mask & self._valid
-
-    def mask_set(self, values: Iterable[Any]) -> np.ndarray:
-        wanted = set()
-        for value in values:
-            if is_missing(value):
-                continue
-            wanted.add(bool(coerce_value(value, DataType.BOOL)))
-        if not wanted:
-            return np.zeros(len(self), dtype=bool)
-        mask = np.zeros(len(self), dtype=bool)
-        if True in wanted:
-            mask |= self._data
-        if False in wanted:
-            mask |= ~self._data
-        return mask & self._valid
 
 
 def build_column(name: str, values: Sequence[Any], dtype: DataType) -> Column:

@@ -16,7 +16,8 @@ which is how the :mod:`repro.service` layer shares work between concurrent
 user sessions.  With ``cache_aggregates=True`` the engine additionally
 caches count/median/min-max *results* keyed by the query's
 :attr:`~repro.sdl.query.SDLQuery.key`, so repeated aggregates skip the
-mask entirely.
+mask entirely.  Keys are those of the query bound to the table
+(:func:`~repro.storage.expression.bind`).
 
 Every call is tallied in an :class:`OperationCounter`, so benchmarks can
 report back-end work (number of scans, medians, counts, cache hits)
@@ -80,6 +81,7 @@ from repro.obs.trace import current_span, tracing_active
 from repro.sdl.predicates import NoConstraint, Predicate
 from repro.sdl.query import SDLQuery
 from repro.storage.cache import ResultCache
+from repro.storage.expression import bind
 from repro.storage.partition import PartitionedTable, available_cpus, shared_pool
 from repro.storage.table import Table
 from repro.storage.types import DataType
@@ -98,8 +100,8 @@ __all__ = [
 #: The index features ``use_index`` can force, one by one:
 #:
 #: ``zonemap``
-#:     Per-partition min/max/null/distinct statistics that skip shards a
-#:     predicate provably cannot match (:mod:`repro.storage.zonemap`).
+#:     Per-partition numeric min/max that skip shards a range provably
+#:     cannot match (:mod:`repro.storage.zonemap`).
 #: ``maskreuse``
 #:     Incremental mask algebra: a drill-down ANDs the parent step's
 #:     cached selection vector with only the new predicate's mask.
@@ -170,6 +172,11 @@ def aggregate_key(op: str, attribute: str, query: Optional[SDLQuery]) -> str:
     and unconstrained queries share the empty key)."""
     unconstrained = query is None or not query.constrained_attributes
     return f"{op}:{attribute}:{'' if unconstrained else query.key}"
+
+
+def _bound(query: Optional[SDLQuery], state: "LiveState") -> Any:
+    """``query`` bound to the snapshot's schema; ``None`` stays ``None``."""
+    return None if query is None else bind(query, state.table.schema())
 
 
 def deduplicated_count_batch(
@@ -627,11 +634,12 @@ class QueryEngine:
         sharing a cache interoperate key-for-key and a mask from before an
         ingest can never answer a query issued after it.
         """
-        return self._mask(query, self._refresh())[0]
+        state = self._refresh()
+        return self._mask(_bound(query, state), state)[0]
 
     def _mask(self, query: SDLQuery, state: LiveState) -> Tuple[np.ndarray, str]:
-        """One mask against an already-captured live state, with the span
-        label of how it was obtained."""
+        """One mask of a bound query against an already-captured live
+        state, with the span label of how it was obtained."""
         key = "mask:" + query.key
         cached = self._cache.get(key, version=state.version)
         if cached is not None:
@@ -682,12 +690,8 @@ class QueryEngine:
         and the span label of the path taken."""
         if path.parent is not None:
             parent_mask, delta = path.parent
-            try:  # Scan only the new predicate, through the same indexes.
-                return parent_mask & self._scan(path, SDLQuery([delta]), state), "reuse"
-            except Exception:
-                # It cannot encode: the whole query's scan then raises, or
-                # short-circuits before reaching it, exactly as the plain path.
-                pass
+            # Scan only the new predicate, through the same indexes.
+            return parent_mask & self._scan(path, SDLQuery([delta]), state), "reuse"
         return self._scan(path, query, state), path.scan
 
     def _scan(self, path: AccessPath, query: SDLQuery, state: LiveState) -> Any:
@@ -762,6 +766,7 @@ class QueryEngine:
         started = time.perf_counter() if observed else 0.0
         self.counter.add(count_calls=1)
         state = self._refresh()
+        query = _bound(query, state)
         key = "count::" + query.key
         value = self._aggregate_get(key, state.version)
         if value is not None:
@@ -834,6 +839,7 @@ class QueryEngine:
         started = time.perf_counter() if observed else 0.0
         self.counter.add(median_calls=1)
         state = self._refresh()
+        query = _bound(query, state)
         key = aggregate_key("median", attribute, query)
         value = self._aggregate_get(key, state.version)
         if value is not None:
@@ -850,6 +856,7 @@ class QueryEngine:
         """Minimum and maximum of ``attribute`` over the query's result set."""
         self.counter.add(minmax_calls=1)
         state = self._refresh()
+        query = _bound(query, state)
         key = aggregate_key("minmax", attribute, query)
         cached = self._aggregate_get(key, state.version)
         if cached is not None:
@@ -868,7 +875,7 @@ class QueryEngine:
         self.counter.add(frequency_calls=1)
         state = self._refresh()
         column = state.table.column(attribute)
-        mask = None if query is None else self._mask(query, state)[0]
+        mask = None if query is None else self._mask(_bound(query, state), state)[0]
         return column.value_counts(mask)
 
     # -- batched passes -----------------------------------------------------------
@@ -884,7 +891,7 @@ class QueryEngine:
         """
         state = self._refresh()
         return deduplicated_count_batch(
-            queries,
+            [_bound(query, state) for query in queries],
             self.counter,
             lambda key: self._aggregate_get(key, state.version),
             lambda key, value: self._aggregate_put(key, value, state.version),

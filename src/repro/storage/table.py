@@ -9,7 +9,8 @@ dictionaries, row mappings, and CSV files (via
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence
+from types import MappingProxyType
+from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from repro.storage.column import Column, build_column
 from repro.storage.types import DataType, infer_collection_type
 
 __all__ = ["Table", "reject_unknown_columns"]
+
+#: One read-only schema per column layout, shared by a table's shards and
+#: versions: a query bound to one is bound to all (bind keeps it per schema).
+_SCHEMAS: Dict[Tuple[Tuple[str, DataType], ...], Mapping[str, DataType]] = {}
 
 
 def reject_unknown_columns(
@@ -64,6 +69,10 @@ class Table:
         self._columns: Dict[str, Column] = {column.name: column for column in columns}
         self._order: List[str] = names
         self._num_rows = lengths.pop()
+        layout = tuple((column.name, column.dtype) for column in columns)
+        self._schema = _SCHEMAS.get(layout) or _SCHEMAS.setdefault(
+            layout, MappingProxyType(dict(layout))
+        )
 
     # -- constructors ---------------------------------------------------------
 
@@ -135,9 +144,9 @@ class Table:
     def column_names(self) -> List[str]:
         return list(self._order)
 
-    def schema(self) -> Dict[str, DataType]:
-        """Mapping of column name to logical data type, in column order."""
-        return {name: self._columns[name].dtype for name in self._order}
+    def schema(self) -> Mapping[str, DataType]:
+        """Read-only mapping of column name to logical data type, in column order."""
+        return self._schema
 
     def has_column(self, name: str) -> bool:
         return name in self._columns

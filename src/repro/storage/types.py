@@ -26,7 +26,6 @@ __all__ = [
     "infer_collection_type",
     "coerce_value",
     "is_missing",
-    "date_to_ordinal",
     "ordinal_to_date",
 ]
 

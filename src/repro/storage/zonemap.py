@@ -3,25 +3,22 @@
 A *zone map* is the classic data-skipping structure of columnar systems
 (the min/max form of Moerkotte's small materialized aggregates): per
 shard and per numeric column (INT, FLOAT, DATE), the min and max of the
-shard's non-missing values in the column's *encoded* domain — the floats
-:meth:`~repro.storage.column.NumericColumn.mask_range` compares — and
-whether the shard holds a value at all.  A range predicate whose interval
-misses a shard's ``[min, max]``, or a shard holding no value, selects
-nothing there: the shard's contribution to the mask is all-``False``, its
-contribution to a count is zero, and its contribution to a median gather
-is empty.
+shard's non-missing values in the column's stored domain (dates as
+ordinals) and whether the shard holds a value at all.  A range predicate
+whose interval misses a shard's ``[min, max]``, or a shard holding no
+value, selects nothing there: the shard's contribution to the mask is
+all-``False``, its contribution to a count is zero, and its contribution
+to a median gather is empty.
 
 Skipping is *proof-carrying*: a shard is only skipped when the zone map
 demonstrates emptiness under the exact evaluation semantics of
-:mod:`repro.storage.expression`, with the bounds encoded by the column's
-own ``_encode_bound``.  Errors stay those of the scan without any copy of
-the evaluation rules: the skip walk evaluates each predicate, in query
-order, on a zero-row slice of the table and stops at the first one that
-raises, so no shard is skipped whose real scan would raise first.  Every
-other predicate shape falls through to a real evaluation, so results are
-bit-for-bit identical to the unindexed path.  The differential harness
-(``tests/differential/``) re-evaluates every skipped shard brute-force to
-check the proof.
+:mod:`repro.storage.expression`, on the bound query: its bounds are the
+numbers :meth:`~repro.storage.column.NumericColumn.mask_range` compares,
+and binding raises before any shard is decided.  Every other predicate
+shape falls through to a real evaluation, so results are bit-for-bit
+identical to the unindexed path.
+The differential harness (``tests/differential/``) re-evaluates every
+skipped shard brute-force to check the proof.
 
 :class:`SkippingIndexes` holds the lazily built zone maps of one
 :class:`~repro.storage.partition.PartitionedTable`.  Version keying comes
@@ -33,7 +30,6 @@ newer data.
 
 from __future__ import annotations
 
-import functools
 import threading
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -41,8 +37,7 @@ import numpy as np
 
 from repro.sdl.predicates import RangePredicate
 from repro.sdl.query import SDLQuery
-from repro.storage.column import NumericColumn
-from repro.storage.expression import predicate_mask, query_mask
+from repro.storage.expression import bind, query_mask
 from repro.storage.table import Table
 
 __all__ = ["SkippingIndexes"]
@@ -78,11 +73,6 @@ class SkippingIndexes:
     def num_partitions(self) -> int:
         return len(self._shards)
 
-    @functools.cached_property
-    def _probe(self) -> Table:
-        """A zero-row slice: a predicate raises on it exactly what a scan raises."""
-        return self._shards[0].slice_rows(0, 0)
-
     def _zone_map(self, attribute: str) -> MinMax:
         """The (lazily collected) zone map of one numeric column."""
         with self._lock:
@@ -105,27 +95,14 @@ class SkippingIndexes:
     def skip_decisions(self, query: SDLQuery) -> List[bool]:
         """Per-shard skip verdicts, in partition order.
 
-        A shard is skipped when a numeric range predicate provably selects
-        nothing on it.  Predicates are walked in query order, mirroring the
-        short-circuit of :func:`~repro.storage.expression.query_mask`, and
-        the walk stops at the first predicate that raises on the zero-row
-        probe: the real scan then raises (or not) exactly as it would
-        without indexes, and only shards an earlier predicate proved empty
-        stay skipped.
+        A shard is skipped when a numeric range predicate of the bound
+        query provably selects nothing on it.
         """
+        schema = self._shards[0].schema()
         skipped = np.zeros(len(self._shards), dtype=bool)
-        predicates = list(query.predicates)
-        while predicates and not isinstance(predicates[-1], RangePredicate):
-            predicates.pop()  # nothing after the last range can add a skip
-        for predicate in predicates:
-            try:
-                predicate_mask(self._probe, predicate)
-            except Exception:
-                break
-            column = self._probe.column(predicate.attribute)
-            if isinstance(predicate, RangePredicate) and isinstance(column, NumericColumn):
-                low = column._encode_bound(predicate.low)
-                high = column._encode_bound(predicate.high)
+        for predicate in bind(query, schema).predicates:
+            if isinstance(predicate, RangePredicate) and schema[predicate.attribute].is_numeric:
+                low, high = predicate.low, predicate.high
                 lows, highs, present = self._zone_map(predicate.attribute)
                 skipped |= ~present
                 skipped |= highs < low if predicate.include_low else highs <= low

@@ -12,6 +12,7 @@ from repro.api.protocol import API_VERSION, Request
 from repro.core.advisor import Advice
 from repro.sdl import ExclusionPredicate, SDLQuery, SetPredicate
 from repro.service import AdvisorService
+from repro.storage import Table
 from repro.workloads import generate_voc
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
@@ -163,6 +164,15 @@ class TestWireDispatch:
             answers.append(response["result"])
         assert answers[0] == answers[1]
 
+
+    def test_an_unknown_column_after_an_empty_range_is_a_typed_error(self):
+        # The query binds to the table before any row is scanned, so the
+        # empty range no longer hides the unknown column (SQLite never did).
+        service = AdvisorService(Table.from_dict({"n": [1, 2, 3]}, name="t"), batch_window=0.0)
+        request = Request(op="count", params={"context": "(n: [100, 200], nosuch: {1})"})
+        response = Dispatcher(service).handle_wire(request.to_wire())
+        assert not response["ok"]
+        assert response["error"]["code"] == "storage_unknown_column"
 
     def test_ingest_of_an_out_of_range_integer_is_a_typed_error(self, dispatcher, service):
         # handle_wire never raises: the overflow comes back as an envelope.

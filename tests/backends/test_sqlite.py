@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.backends.sqlite import SQLiteBackend
-from repro.errors import BackendError, EmptyColumnError, UnknownColumnError
+from repro.errors import BackendError, EmptyColumnError, TypeMismatchError, UnknownColumnError
 from repro.sdl import ExclusionPredicate, RangePredicate, SDLQuery, SetPredicate
 from repro.storage import DataType, QueryEngine, Table
 from repro.workloads import generate_voc
@@ -168,6 +168,33 @@ class TestTypes:
         assert rows == expected
         types = [[type(v) for v in row] for row in rows]
         assert types == [[type(v) for v in row] for row in expected]
+
+
+class TestIngestCoercion:
+    """Ingest coerces each cell by the column store's rule on both backends."""
+
+    @pytest.fixture()
+    def pair(self):
+        table = Table.from_dict(
+            {"n": [1, 2, 3], "b": [True, False, True]},
+            types={"n": DataType.INT, "b": DataType.BOOL},
+        )
+        return QueryEngine(table), SQLiteBackend.from_table(table)
+
+    def test_a_textual_bool_is_stored_as_the_column_store_reads_it(self, pair):
+        for backend in pair:
+            backend.ingest([{"n": 4, "b": "no"}, {"n": 5, "b": "yes"}])
+        falses = SDLQuery([SetPredicate("b", frozenset({False}))])
+        assert [backend.count(falses) for backend in pair] == [2, 2]
+        assert [backend.value_frequencies("b") for backend in pair] == [{False: 2, True: 3}] * 2
+
+    @pytest.mark.parametrize("value", [1.5, "abc", 10**30])
+    def test_a_value_the_int_column_cannot_hold_is_rejected(self, pair, value):
+        for backend in pair:
+            with pytest.raises(TypeMismatchError):
+                backend.ingest([{"n": 4, "b": True}, {"n": value, "b": True}])
+            assert backend.data_version == 1 and backend.num_rows == 3
+            assert backend.minmax("n") == (1, 3)
 
 
 class TestLifecycle:

@@ -801,6 +801,14 @@ _FORBIDDEN = [
         r"class ZoneMap\b|DEFAULT_DISTINCT_CAP|distinct_cap", ("src",), (),
         id="zone-maps-are-min-max",
     ),
+    pytest.param(
+        "a query binds to its table once: repro.storage.expression.bind gives each literal "
+        "its column's type and raises every query error before a row is touched, so no "
+        "column, backend or zone map encodes literals or probes for errors (docs/sdl.md, "
+        "Binding)",
+        r"_encode_bound|_encode_literal|_encode_predicate|def _probe", ("src",), (),
+        id="one-literal-rule",
+    ),
 ]
 
 
@@ -849,6 +857,7 @@ _PLANTED_LINES = {
     "query-carries-its-key": '        key = "mask:" + query_signature(query)',
     "one-set-kernel": "from repro.storage.index import BitmapIndex",
     "zone-maps-are-min-max": "zone = ZoneMap(shard.column(attribute), distinct_cap=256)",
+    "one-literal-rule": "        low = column._encode_bound(predicate.low)",
 }
 
 

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given
 
 from repro.errors import EmptyColumnError, TypeMismatchError
+from repro.sdl import RangePredicate, SDLQuery
 from repro.storage.column import (
     BoolColumn,
     DateColumn,
@@ -17,7 +18,15 @@ from repro.storage.column import (
     StringColumn,
     build_column,
 )
+from repro.storage.expression import bind
 from repro.storage.types import DataType, is_missing
+
+
+def _bound_range(column, low, high):
+    """``mask_range`` of bounds bound to the column's type, as a query's are."""
+    query = SDLQuery([RangePredicate(column.name, low, high)])
+    predicate = bind(query, {column.name: column.dtype}).predicates[0]
+    return column.mask_range(predicate.low, predicate.high)
 
 
 class TestNumericColumn:
@@ -68,10 +77,11 @@ class TestNumericColumn:
         assert column.mask_set([1, 3]).tolist() == [True, False, True]
         assert column.mask_set([]).tolist() == [False, False, False]
 
-    def test_mask_range_rejects_non_numeric_bound(self):
+    def test_a_non_numeric_bound_raises_at_bind(self):
         column = NumericColumn("x", [1, 2, 3], DataType.INT)
         with pytest.raises(TypeMismatchError):
-            column.mask_range("abc", 5)
+            _bound_range(column, "abc", "xyz")
+        assert _bound_range(column, "2", "3").tolist() == [False, True, True]
 
     def test_take_and_filter(self):
         column = NumericColumn("x", [10, 20, 30, 40], DataType.INT)
@@ -110,10 +120,16 @@ class TestDateColumn:
         assert column.maximum() == dt.date(2020, 1, 5)
         assert column.median() == dt.date(2020, 1, 3)
 
-    def test_mask_range_accepts_dates_and_strings(self):
+    def test_date_and_text_bounds_bind_to_ordinals(self):
         column = DateColumn("d", ["2020-01-01", "2020-06-01", "2021-01-01"])
-        mask = column.mask_range("2020-02-01", dt.date(2020, 12, 31))
-        assert mask.tolist() == [False, True, False]
+        for low, high in [
+            ("2020-02-01", "2020-12-31"),
+            (dt.date(2020, 2, 1), dt.date(2020, 12, 31)),
+            (dt.date(2020, 2, 1).toordinal(), dt.date(2020, 12, 31).toordinal()),
+        ]:
+            assert _bound_range(column, low, high).tolist() == [False, True, False]
+        with pytest.raises(TypeMismatchError):
+            _bound_range(column, "not a date", "zzz")
 
     def test_take_preserves_type(self):
         column = DateColumn("d", ["2020-01-01", "2020-06-01"])

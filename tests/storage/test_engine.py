@@ -158,11 +158,6 @@ class TestSharedCache:
         assert engine.count_batch(queries) == tuple(engine.count(q) for q in queries)
         assert engine.counter.batch_calls == 1
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: SDL text renders 1.0 as 1, so {1} and {1.0} share a "
-        "cache key, while a STRING column compares str(value) ('1' vs '1.0')",
-    )
     @pytest.mark.parametrize("first_asked", [1, 1.0])
     def test_int_and_float_literals_keep_their_own_answers(self, first_asked):
         from repro.service import AdvisorService

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from repro.backends import open_backend
 from repro.core import Charles
-from repro.errors import BackendError, StorageError, TypeMismatchError
+from repro.errors import BackendError, StorageError, TypeMismatchError, UnknownColumnError
 from repro.sdl import (
     ExclusionPredicate,
     NoConstraint,
@@ -27,7 +27,7 @@ from repro.storage import (
     resolve_index_features,
 )
 from repro.storage.engine import INDEX_FEATURES
-from repro.storage.expression import query_mask
+from repro.storage.expression import bind, query_mask
 from repro.storage.partition import PartitionedTable
 from repro.storage.types import is_missing
 from repro.workloads import generate_voc
@@ -88,25 +88,31 @@ class TestZoneMapSkips:
         query = SDLQuery([RangePredicate("day", "1740-01-01", "1800-12-31")])
         assert _skips([column], query) == [True, False]
 
-    def test_a_bad_bound_skips_nothing_and_the_scan_raises(self):
+    def test_a_bad_bound_raises_at_bind_before_any_shard(self):
         query = SDLQuery([RangePredicate("num", "aaa", "zzz")])
-        assert _skips([_int_column([1, 2, 3, 4])], query) == [False, False]
-        partitioned = PartitionedTable(Table("t", [_int_column([1, 2, 3, 4])]), 2)
+        skipping = PartitionedTable(Table("t", [_int_column([1, 2, 3, 4])]), 2).skipping()
+        for decide in (skipping.skip_decisions, skipping.count, skipping.query_mask):
+            with pytest.raises(TypeMismatchError):
+                decide(query)
         with pytest.raises(TypeMismatchError):
-            partitioned.skipping().count(query)
+            skipping.count(query, zonemaps=False)
 
-    def test_a_raising_predicate_blocks_later_skips(self):
+    def test_a_raising_predicate_raises_wherever_it_stands(self):
+        # Binding raises before any shard is decided: an empty range
+        # cannot hide a bad predicate, in either order.
         columns = [_int_column([1, 2, 3, 4]), _int_column([5, 6, 7, 8], name="other")]
         misses = RangePredicate("num", 100, 200)  # misses every shard
-        bad = RangePredicate("other", "aaa", "zzz")
-        assert _skips(columns, SDLQuery([bad, misses])) == [False, False]
-        assert _skips(columns, SDLQuery([NoConstraint("nope"), misses])) == [False, False]
-        # In the other order the scan stops at the empty range before the bad bound.
-        assert _skips(columns, SDLQuery([misses, bad])) == [True, True]
-        partitioned = PartitionedTable(Table("t", columns), 2)
-        assert partitioned.skipping().count(SDLQuery([misses, bad])) == (0, 2)
-        with pytest.raises(TypeMismatchError):
-            partitioned.skipping().count(SDLQuery([bad, misses]))
+        assert _skips(columns, SDLQuery([misses])) == [True, True]
+        skipping = PartitionedTable(Table("t", columns), 2).skipping()
+        for bad, error in [
+            (RangePredicate("other", "aaa", "zzz"), TypeMismatchError),
+            (NoConstraint("nope"), UnknownColumnError),
+        ]:
+            for query in (SDLQuery([bad, misses]), SDLQuery([misses, bad])):
+                with pytest.raises(error):
+                    skipping.skip_decisions(query)
+                with pytest.raises(error):
+                    skipping.count(query)
 
     def test_only_numeric_ranges_skip(self):
         columns = [_str_column(["a", "a", "b", "b"]), _bool_column([True, True, False, False])]
@@ -129,7 +135,8 @@ def _reference_masks(rows, literals, key):
 
 def _assert_set_masks(column, rows, literals, key):
     expected_in, expected_out = _reference_masks(rows, literals, key)
-    mask = column.mask_set(frozenset(literals))
+    query = SDLQuery([SetPredicate(column.name, frozenset(literals))])
+    mask = column.mask_set(bind(query, {column.name: column.dtype}).predicates[0].values)
     assert mask.dtype == bool
     assert np.array_equal(mask, expected_in)
     assert np.array_equal(column.valid_mask() & ~mask, expected_out)
