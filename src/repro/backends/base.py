@@ -22,6 +22,12 @@ Conforming implementations shipped with the repo:
 * :class:`~repro.service.batching.BatchedEngine` — a wrapper that routes
   batched count passes through a cross-session coordinator.
 
+The two engines share the front half of every aggregate — tally, bind,
+key, aggregate cache, batch deduplication, latency reporting — through
+their base :class:`~repro.storage.engine.AggregateFrontEnd`, and supply
+only the uncached primitives (mask scans, SQL); the wrappers change
+what they wrap, not that policy.
+
 Backends are obtained through :func:`repro.backends.open_backend`, which
 resolves a textual spec (``"memory"``, ``"sqlite"``) or passes an instance
 through.

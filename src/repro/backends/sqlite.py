@@ -27,13 +27,15 @@ counts, medians and frequencies are **identical** to
 :class:`~repro.storage.engine.QueryEngine` (benchmark E13 and the parity
 tests assert this bit-for-bit on whole advise runs).
 
-Aggregate results are cached in a shared
-:class:`~repro.storage.cache.ResultCache` under the same
-``count::<key>`` / ``median:<attr>:<key>`` keys the memory
-engine uses, so the service layer's per-table cache works unchanged.  The
-connection is guarded by a lock (``check_same_thread=False``), and
-:meth:`sibling` spawns per-session views sharing the connection, schema
-and cache while keeping private operation counters.
+The front half of every aggregate — tally, bind, key, the shared
+:class:`~repro.storage.cache.ResultCache` of aggregate results, batch
+deduplication, latency reporting — is the memory engine's own
+:class:`~repro.storage.engine.AggregateFrontEnd`, so keys, tallies, the
+service's per-table cache and its metrics work unchanged; this module
+supplies the SQL primitives.  The connection is guarded by a lock
+(``check_same_thread=False``), and :meth:`sibling` spawns per-session
+views sharing the connection, schema and cache while keeping private
+operation counters.
 """
 
 from __future__ import annotations
@@ -41,21 +43,12 @@ from __future__ import annotations
 import itertools
 import sqlite3
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import (
-    BackendError,
-    EmptyColumnError,
-    TypeMismatchError,
-    UnknownColumnError,
-)
+from repro.errors import BackendError, EmptyColumnError, TypeMismatchError
 from repro.sdl.query import SDLQuery
 from repro.storage.cache import ResultCache
-from repro.storage.engine import (
-    OperationCounter,
-    aggregate_key,
-    deduplicated_count_batch,
-)
+from repro.storage.engine import AggregateFrontEnd, OperationCounter
 from repro.storage.expression import bind
 from repro.storage.sql import count_query_sql, query_to_where
 from repro.storage.table import Table, reject_unknown_columns
@@ -97,6 +90,20 @@ def _quote(identifier: str) -> str:
     return '"' + identifier.replace('"', '""') + '"'
 
 
+def _where(query: Optional[SDLQuery]) -> str:
+    """The ``WHERE`` condition of a bound query (``None``: every row)."""
+    return "TRUE" if query is None else query_to_where(query)
+
+
+class _Captured(NamedTuple):
+    """What one operation captures: the version its answer is cached at
+    and the schema its query binds to (a span reports one shard)."""
+
+    version: int
+    schema: Mapping[str, DataType]
+    partitions: int = 1
+
+
 class _LiveState:
     """Row count and data version shared by every sibling of one table.
 
@@ -113,7 +120,7 @@ class _LiveState:
         self.num_rows = int(num_rows)
 
 
-class SQLiteBackend:
+class SQLiteBackend(AggregateFrontEnd):
     """Executes the advisor's operations against a ``sqlite3`` database.
 
     Parameters
@@ -165,12 +172,12 @@ class SQLiteBackend:
         # Set by sample(): the backend's table is its own, dropped on close().
         self._owns_table = False
         self._table_name = self._resolve_table_name(table_name)
-        self._dtypes = dict(_dtypes) if _dtypes is not None else self._load_schema()
+        # Siblings and samples share one schema object: a query binds once per schema.
+        self._dtypes = _dtypes if _dtypes is not None else self._load_schema()
         if not self._dtypes:
             raise BackendError(
                 f"table {self._table_name!r} in {database!r} has no columns"
             )
-        self._columns = list(self._dtypes)
         self.counter = OperationCounter()
         self._cache = cache if cache is not None else ResultCache(
             capacity=int(cache_size), name=f"sqlite:{self._table_name}"
@@ -289,9 +296,9 @@ class SQLiteBackend:
         return zip(*columns)
 
     def sibling(self) -> "SQLiteBackend":
-        """A backend over the same connection, schema and cache, with
-        private operation counters (one per service session)."""
-        return SQLiteBackend(
+        """A backend over the same connection, schema, cache and metrics
+        sink, with private operation counters (one per service session)."""
+        clone = SQLiteBackend(
             self.database,
             table_name=self._table_name,
             cache=self._cache,
@@ -301,6 +308,8 @@ class SQLiteBackend:
             _dtypes=self._dtypes,
             _live=self._live,
         )
+        clone._metrics_sink = self._metrics_sink
+        return clone
 
     def sample(self, fraction: float, seed: Optional[int] = None) -> "SQLiteBackend":
         """A backend over a uniform sample, materialised as a SQLite table.
@@ -417,19 +426,6 @@ class SQLiteBackend:
         """Monotonic version of the data, shared by every sibling."""
         return self._live.version
 
-    @property
-    def column_names(self) -> List[str]:
-        return list(self._columns)
-
-    def dtype_of(self, attribute: str) -> DataType:
-        dtype = self._dtypes.get(attribute)
-        if dtype is None:
-            raise UnknownColumnError(attribute, tuple(self._columns))
-        return dtype
-
-    def is_numeric(self, attribute: str) -> bool:
-        return self.dtype_of(attribute).is_numeric
-
     # -- SQL plumbing ---------------------------------------------------------
 
     def _execute(self, sql: str, parameters: Sequence[Any] = ()) -> List[Tuple]:
@@ -438,11 +434,6 @@ class SQLiteBackend:
                 return self._connection.execute(sql, parameters).fetchall()
             except sqlite3.Error as error:
                 raise BackendError(f"SQLite error for {sql!r}: {error}") from error
-
-    def _rendered_where(self, query: Optional[SDLQuery]) -> str:
-        if query is None:
-            return "TRUE"
-        return query_to_where(bind(query, self._dtypes))
 
     def _decode_value(self, dtype: DataType, value: Any) -> Any:
         if value is None:
@@ -471,7 +462,7 @@ class SQLiteBackend:
         materialised = list(rows)
         if not materialised:
             return self._live.version
-        reject_unknown_columns(materialised, self._columns)
+        reject_unknown_columns(materialised, list(self._dtypes))
         encoded: List[Tuple[Any, ...]] = [
             tuple(
                 coerce_value(row.get(column), dtype)
@@ -505,7 +496,7 @@ class SQLiteBackend:
         A query selecting nothing keeps the version — and every cache
         entry — intact.
         """
-        where = self._rendered_where(query)
+        where = _where(bind(query, self._dtypes))
         with self._lock:
             try:
                 cursor = self._connection.execute(
@@ -526,63 +517,33 @@ class SQLiteBackend:
             self._cache.evict_superseded(version)
         return deleted
 
-    # -- aggregate cache ------------------------------------------------------
+    # -- the uncached primitives (AggregateFrontEnd hooks) --------------------
 
-    def _aggregate_get(self, key: str) -> Optional[Any]:
-        if not self._cache_aggregates:
-            return None
-        value = self._cache.get(key, version=self._live.version)
-        if value is not None:
-            self.counter.add(aggregate_hits=1)
-        return value
+    def _refresh(self) -> _Captured:
+        return _Captured(self._live.version, self._dtypes)
 
-    def _aggregate_put(self, key: str, value: Any) -> None:
-        if self._cache_aggregates:
-            self._cache.put(key, value, version=self._live.version)
-
-    # -- the two back-end operations (plus helpers) ---------------------------
-
-    def count(self, query: SDLQuery) -> int:
+    def _count(
+        self, attribute: None, query: SDLQuery, state: _Captured
+    ) -> Tuple[int, str]:
         """``|R(Q)|`` via ``SELECT COUNT(*)`` (the paper's first operation)."""
-        self.counter.add(count_calls=1)
-        query = bind(query, self._dtypes)
-        key = "count::" + query.key
-        cached = self._aggregate_get(key)
-        if cached is not None:
-            return cached
-        value = self._count_uncached(query)
-        self._aggregate_put(key, value)
-        return value
-
-    def _count_uncached(self, query: SDLQuery) -> int:
         self.counter.add(evaluations=1)
-        sql = count_query_sql(bind(query, self._dtypes), self._table_name)
-        return int(self._execute(sql)[0][0])
+        return int(self._execute(count_query_sql(query, self._table_name))[0][0]), "sql"
 
-    def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
+    def _median(
+        self, attribute: str, query: Optional[SDLQuery], state: _Captured
+    ) -> Tuple[Any, str]:
         """Arithmetic median via ordered ``LIMIT/OFFSET`` selection.
 
         Matches the column store's semantics exactly: the mean of the two
         middle values for even cardinalities, decoded per dtype (integral
         INT medians stay ``int``; DATE medians round down to a date).
         """
-        self.counter.add(median_calls=1)
-        query = None if query is None else bind(query, self._dtypes)
-        key = aggregate_key("median", attribute, query)
-        cached = self._aggregate_get(key)
-        if cached is not None:
-            return cached
-        value = self._median_uncached(attribute, query)
-        self._aggregate_put(key, value)
-        return value
-
-    def _median_uncached(self, attribute: str, query: Optional[SDLQuery]) -> Any:
         dtype = self.dtype_of(attribute)
         if not dtype.is_numeric:
             raise TypeMismatchError(
                 f"arithmetic median undefined for nominal column {attribute!r}"
             )
-        where = self._rendered_where(query)
+        where = _where(query)
         quoted = _quote(attribute)
         table = _quote(self._table_name)
         valid = int(self._execute(
@@ -595,76 +556,39 @@ class SQLiteBackend:
             f"WHERE {where} AND {quoted} IS NOT NULL "
             f"ORDER BY {quoted} LIMIT {2 - valid % 2} OFFSET {(valid - 1) // 2})"
         )
-        return self._decode_median(dtype, float(rows[0][0]))
+        median = float(rows[0][0])
+        # Decoded like any value, but an INT median between two integers stays a float.
+        if dtype is not DataType.INT or median.is_integer():
+            median = self._decode_value(dtype, median)
+        return median, "sql"
 
-    def _decode_median(self, dtype: DataType, value: float) -> Any:
-        if dtype is DataType.DATE:
-            return ordinal_to_date(int(value))
-        if dtype is DataType.INT and value.is_integer():
-            return int(value)
-        return value
-
-    def minmax(
-        self, attribute: str, query: Optional[SDLQuery] = None
-    ) -> Tuple[Any, Any]:
+    def _minmax(
+        self, attribute: str, query: Optional[SDLQuery], state: _Captured
+    ) -> Tuple[Tuple[Any, Any], str]:
         """Minimum and maximum via ``SELECT MIN(a), MAX(a)``."""
-        self.counter.add(minmax_calls=1)
-        query = None if query is None else bind(query, self._dtypes)
         dtype = self.dtype_of(attribute)
-        key = aggregate_key("minmax", attribute, query)
-        cached = self._aggregate_get(key)
-        if cached is not None:
-            return cached
-        where = self._rendered_where(query)
         quoted = _quote(attribute)
         row = self._execute(
             f"SELECT MIN({quoted}), MAX({quoted}) "
-            f"FROM {_quote(self._table_name)} WHERE {where}"
+            f"FROM {_quote(self._table_name)} WHERE {_where(query)}"
         )[0]
         if row[0] is None:
             raise EmptyColumnError(f"minimum of empty selection on {attribute!r}")
-        value = (self._decode_value(dtype, row[0]), self._decode_value(dtype, row[1]))
-        self._aggregate_put(key, value)
-        return value
+        return (self._decode_value(dtype, row[0]), self._decode_value(dtype, row[1])), "sql"
 
-    def value_frequencies(
-        self, attribute: str, query: Optional[SDLQuery] = None
-    ) -> Dict[Any, int]:
+    def _frequencies(
+        self, attribute: str, query: Optional[SDLQuery], state: _Captured
+    ) -> Tuple[Dict[Any, int], str]:
         """Value → count histogram via ``GROUP BY``."""
-        self.counter.add(frequency_calls=1)
         dtype = self.dtype_of(attribute)
-        where = self._rendered_where(query)
         quoted = _quote(attribute)
         rows = self._execute(
             f"SELECT {quoted}, COUNT(*) FROM {_quote(self._table_name)} "
-            f"WHERE ({where}) AND {quoted} IS NOT NULL GROUP BY {quoted}"
+            f"WHERE ({_where(query)}) AND {quoted} IS NOT NULL GROUP BY {quoted}"
         )
-        return {self._decode_value(dtype, value): int(count) for value, count in rows}
-
-    # -- batched passes -------------------------------------------------------
-
-    def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
-        """Cardinalities of many queries in one logical pass.
-
-        Deduplication and accounting run through the shared
-        :func:`~repro.storage.engine.deduplicated_count_batch` skeleton,
-        so traces and service statistics are bit-for-bit comparable with
-        the columnar engine's.
-        """
-        return deduplicated_count_batch(
-            [bind(query, self._dtypes) for query in queries],
-            self.counter,
-            self._aggregate_get,
-            self._aggregate_put,
-            self._count_uncached,
-        )
+        return {self._decode_value(dtype, value): int(count) for value, count in rows}, "sql"
 
     # -- statistics -----------------------------------------------------------
-
-    @property
-    def cache(self) -> ResultCache:
-        """The (possibly shared) aggregate cache backing this backend."""
-        return self._cache
 
     def stats(self) -> Dict[str, Any]:
         """Backend statistics: identity, operation tallies and cache traffic."""

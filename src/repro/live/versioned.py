@@ -65,6 +65,7 @@ from repro.storage.expression import query_mask
 from repro.storage.partition import PartitionedTable
 from repro.storage.sampling import sample_table
 from repro.storage.table import Table
+from repro.storage.types import DataType
 
 __all__ = ["LiveState", "VersionedTable"]
 
@@ -80,6 +81,16 @@ class LiveState(NamedTuple):
     version: int
     table: Table
     partitioned: PartitionedTable
+
+    @property
+    def schema(self) -> Mapping[str, DataType]:
+        """The schema a query binds to at this version."""
+        return self.table.schema()
+
+    @property
+    def partitions(self) -> int:
+        """The shard count an aggregate's span reports."""
+        return self.partitioned.num_partitions
 
 
 class VersionedTable:

@@ -276,7 +276,9 @@ def intersect_predicates(first: Predicate, second: Predicate) -> Optional[Predic
     Returns
     -------
     Predicate or None
-        ``None`` signals an empty (unsatisfiable) intersection.
+        ``None`` signals an empty (unsatisfiable) intersection.  An operand
+        equal to the conjunction is returned itself, so the text it has
+        rendered and the bindings it keeps serve the result too.
 
     Raises
     ------
@@ -284,6 +286,16 @@ def intersect_predicates(first: Predicate, second: Predicate) -> Optional[Predic
         If the predicates constrain different attributes or mix range and
         set constraints in a way that cannot be reduced.
     """
+    conjunction = _conjunction(first, second)
+    if conjunction == first:
+        return first
+    if conjunction == second:
+        return second
+    return conjunction
+
+
+def _conjunction(first: Predicate, second: Predicate) -> Optional[Predicate]:
+    """The conjunction rules of :func:`intersect_predicates`."""
     if first.attribute != second.attribute:
         raise PredicateError(
             "cannot intersect predicates on different attributes: "

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.sdl.query import SDLQuery
+from repro.storage.expression import bind
 
 __all__ = ["BatchCoordinator", "BatchedEngine"]
 
@@ -86,7 +87,8 @@ class BatchCoordinator:
     ----------
     engine:
         The engine that executes the merged passes (the table runtime's
-        primary engine, wired to the shared cache).
+        primary engine, wired to the shared cache); requests merge by
+        their key bound to its ``schema``.
     window_seconds:
         How long a leader waits for concurrent submitters before flushing.
         ``0`` flushes immediately, which still merges requests that queued
@@ -147,21 +149,25 @@ class BatchCoordinator:
         return request.results
 
     def _execute(self, batch: List[_BatchRequest]) -> None:
-        """One engine pass answering every request of the batch."""
+        """One engine pass answering every request of the batch.
+
+        Requests merge by *bound* key, the one the engine counts by:
+        ``{1}`` and ``{1.0}`` are one query on a FLOAT column and two on a
+        STRING column.
+        """
+        schema = self.engine.schema
+        keys = [[bind(query, schema).key for query in request.queries] for request in batch]
         unique: Dict[str, SDLQuery] = {}
-        for request in batch:
-            for query in request.queries:
-                unique.setdefault(query.key, query)
-        ordered = list(unique.items())
-        counts = self.engine.count_batch([query for _, query in ordered])
-        by_key = {key: count for (key, _), count in zip(ordered, counts)}
+        for request, request_keys in zip(batch, keys):
+            for key, query in zip(request_keys, request.queries):
+                unique.setdefault(key, query)
+        counts = self.engine.count_batch(list(unique.values()))
+        by_key = dict(zip(unique, counts))
         with self._lock:
             self.stats.passes += 1
-            self.stats.unique_queries += len(ordered)
-        for request in batch:
-            request.results = tuple(
-                by_key[query.key] for query in request.queries
-            )
+            self.stats.unique_queries += len(unique)
+        for request, request_keys in zip(batch, keys):
+            request.results = tuple(by_key[key] for key in request_keys)
             request.done.set()
 
 

@@ -34,7 +34,6 @@ _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
     "repro.storage.partition": ("PartitionedTable",),
     "repro.storage.engine": (
         "QueryEngine", "OperationCounter", "resolve_index_features",
-        "deduplicated_count_batch",
     ),
     "repro.storage.cache": ("ResultCache", "CacheStats"),
     "repro.storage.zonemap": ("SkippingIndexes",),

@@ -297,25 +297,9 @@ class NumericColumn(_ArrayColumn):
         super().__init__(name, values, dtype)
 
     def gather(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Raw physical values of the non-missing rows under ``mask``.
-
-        The building block of partitioned medians: each shard gathers its
-        selected values and :meth:`median_from_gathered` reduces the
-        merged parts (see :class:`repro.storage.partition.PartitionedTable`).
-        """
+        """Raw physical values of the non-missing rows under ``mask`` (what
+        a quantile sketch is built from, :mod:`repro.storage.sketches`)."""
         return self._masked_data(mask)
-
-    def median_from_gathered(self, parts: Sequence[np.ndarray]) -> Any:
-        """Median of the concatenation of per-partition :meth:`gather` results.
-
-        Equivalent to :meth:`median` over the union of the gathered
-        selections — the same multiset reaches the same reduction and the
-        same per-dtype decoding.
-        """
-        data = parts[0] if len(parts) == 1 else np.concatenate(list(parts))
-        if data.size == 0:
-            raise EmptyColumnError(f"median of empty selection on {self.name!r}")
-        return self._decode_median(float(np.median(data)))
 
     def median(self, mask: Optional[np.ndarray] = None) -> Any:
         data = self._masked_data(mask)

@@ -7,9 +7,14 @@ substitute back-end: it evaluates SDL queries into selection masks over a
 :class:`~repro.storage.table.Table` and exposes exactly the aggregates the
 advisor needs.
 
+The policy around those aggregates — tally, bind, key, aggregate cache,
+batch deduplication, latency reporting — is :class:`AggregateFrontEnd`,
+written once and shared with the SQLite backend
+(:class:`~repro.backends.sqlite.SQLiteBackend`); :class:`QueryEngine`
+supplies only the uncached primitives over masks.
+
 Caching lives in :class:`~repro.storage.cache.ResultCache` — a lockable,
-size-bounded, statistics-reporting LRU (it replaced the per-engine
-``OrderedDict`` the engine used to carry).  By default every engine owns a
+size-bounded, statistics-reporting LRU.  By default every engine owns a
 private cache; passing a shared instance via the ``cache`` parameter lets
 many engines over the **same table** reuse one another's selection masks,
 which is how the :mod:`repro.service` layer shares work between concurrent
@@ -34,8 +39,7 @@ the inline mapper.  The shard count follows the table: one shard per
 Several shards fan out over the process's one
 :func:`~repro.storage.partition.shared_pool` while counters, cache
 contents and results stay bit-for-bit identical to the sequential path
-(masks concatenate, counts sum, medians merge through per-partition value
-gathers).
+(masks concatenate, counts sum, a median reduces the assembled mask).
 
 Evaluation is *planned*: every uncached mask or count goes through
 :meth:`QueryEngine._plan` (which :class:`AccessPath`, from facts the
@@ -76,7 +80,7 @@ from typing import (
 
 import numpy as np
 
-from repro.errors import StorageError
+from repro.errors import StorageError, UnknownColumnError
 from repro.obs.trace import current_span, tracing_active
 from repro.sdl.predicates import NoConstraint, Predicate
 from repro.sdl.query import SDLQuery
@@ -90,11 +94,10 @@ if TYPE_CHECKING:  # repro.live sits above this module (see QueryEngine.__init__
     from repro.live.versioned import LiveState
 
 __all__ = [
+    "AggregateFrontEnd",
     "OperationCounter",
     "QueryEngine",
     "resolve_index_features",
-    "aggregate_key",
-    "deduplicated_count_batch",
 ]
 
 #: The index features ``use_index`` can force, one by one:
@@ -167,54 +170,17 @@ def resolve_index_features(value: Any) -> frozenset:
     return INDEX_FEATURES if value else frozenset()
 
 
-def aggregate_key(op: str, attribute: str, query: Optional[SDLQuery]) -> str:
-    """The aggregate-cache key ``<op>:<attribute>:<key>`` (``None``
-    and unconstrained queries share the empty key)."""
+def aggregate_key(op: str, attribute: Optional[str], query: Optional[SDLQuery]) -> str:
+    """The aggregate-cache key ``<op>:<attribute>:<key>`` of a bound query.
+
+    A count (``attribute`` ``None``) keys every query apart; an aggregate
+    of an attribute over ``None`` or an unconstrained query reads the
+    whole column, so those share the empty key.
+    """
+    if attribute is None:
+        return f"{op}::{query.key}"
     unconstrained = query is None or not query.constrained_attributes
     return f"{op}:{attribute}:{'' if unconstrained else query.key}"
-
-
-def _bound(query: Optional[SDLQuery], state: "LiveState") -> Any:
-    """``query`` bound to the snapshot's schema; ``None`` stays ``None``."""
-    return None if query is None else bind(query, state.table.schema())
-
-
-def deduplicated_count_batch(
-    queries: Sequence[SDLQuery],
-    counter: "OperationCounter",
-    aggregate_get,
-    aggregate_put,
-    compute,
-) -> Tuple[int, ...]:
-    """Shared engine-pass skeleton for :meth:`count_batch` implementations.
-
-    Both the columnar engine and the SQLite backend route their batches
-    through this single implementation so their traces stay bit-for-bit
-    comparable.  ``counter`` is the backend's :class:`OperationCounter`
-    (tallied in place), ``aggregate_get`` / ``aggregate_put`` its
-    aggregate-cache accessors (keyed ``count::<key>``) and
-    ``compute`` maps a query to one uncached cardinality.  Each distinct
-    key is computed once and its result fanned out, tallying one count
-    call per request and the duplicates as cache hits — exactly what the
-    sequential equivalent would have recorded.
-    """
-    if not queries:
-        return ()
-    counter.add(batch_calls=1)
-    results: List[int] = [0] * len(queries)
-    positions: Dict[str, List[int]] = {}
-    for index, query in enumerate(queries):
-        positions.setdefault("count::" + query.key, []).append(index)
-    for key, indices in positions.items():
-        counter.add(count_calls=len(indices))
-        value = aggregate_get(key)
-        if value is None:
-            value = compute(queries[indices[0]])
-            aggregate_put(key, value)
-        counter.add(cache_hits=len(indices) - 1)
-        for position in indices:
-            results[position] = value
-    return tuple(results)
 
 
 @dataclass
@@ -330,6 +296,196 @@ class OperationCounter:
         return snapshot
 
 
+class AggregateFrontEnd:
+    """The policy around the advisor's aggregates, written once for every backend.
+
+    Counts and medians (the paper's two operations, Section 5.1), min/max
+    and value frequencies all take one front half here: tally the call,
+    capture the operation's state, bind the query to the state's schema,
+    key it (:func:`aggregate_key`), answer from or fill the aggregate
+    cache (with ``cache_aggregates``; frequencies are never cached), and
+    report the latency to the metrics sink and the ambient span.
+    :meth:`count_batch` also counts each bound key once.
+
+    A backend sets ``counter``, ``_cache`` and ``_cache_aggregates`` and
+    supplies the hooks:
+
+    * ``_refresh()`` — the state one operation captures, with the data
+      ``version`` its answer is cached at, the ``schema`` its query binds
+      to and the ``partitions`` its span reports;
+    * ``_count``, ``_median``, ``_minmax``, ``_frequencies`` — the
+      uncached primitives, each called as ``(attribute, query, state)``
+      with a bound query (``attribute`` is ``None`` for a count) and
+      returning the value and the span label of the path it took.
+    """
+
+    counter: OperationCounter
+    _cache: ResultCache
+    _cache_aggregates: bool
+    #: ``(op, seconds)`` per aggregate when attached (:meth:`set_metrics_sink`);
+    #: ``None`` never reads the clock.
+    _metrics_sink: Optional[Callable[[str, float], Any]] = None
+
+    @property
+    def cache(self) -> ResultCache:
+        """The (possibly shared) result cache backing this backend."""
+        return self._cache
+
+    @property
+    def schema(self) -> Mapping[str, DataType]:
+        """Column name -> logical type: what a query binds to (current version)."""
+        return self._refresh().schema
+
+    @property
+    def column_names(self) -> List[str]:
+        """Attributes of the relation, in schema order."""
+        return list(self.schema)
+
+    def dtype_of(self, attribute: str) -> DataType:
+        """The logical type of ``attribute``."""
+        schema = self.schema
+        if attribute not in schema:
+            raise UnknownColumnError(attribute, tuple(schema))
+        return schema[attribute]
+
+    def is_numeric(self, attribute: str) -> bool:
+        """Whether ``attribute`` supports arithmetic medians (paper §4.1)."""
+        return self.dtype_of(attribute).is_numeric
+
+    def set_metrics_sink(self, sink: Optional[Callable[[str, float], Any]]) -> None:
+        """Attach a latency sink called as ``sink(op, seconds)`` per aggregate.
+
+        The service layer reaches this duck-typed through whatever backend
+        wrapper stack it opened (wrappers delegate unknown attributes to
+        their inner engine), so the storage layer stays import-free of the
+        observability package's registry.
+        """
+        self._metrics_sink = sink  # an atomic reference swap needs no lock
+
+    def count(self, query: SDLQuery) -> int:
+        """``|R(Q)|``: number of rows selected by the query."""
+        return self._aggregate("count", None, query, self._count)
+
+    def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
+        """Arithmetic median of ``attribute`` over the query's result set."""
+        return self._aggregate("median", attribute, query, self._median)
+
+    def minmax(self, attribute: str, query: Optional[SDLQuery] = None) -> Tuple[Any, Any]:
+        """Minimum and maximum of ``attribute`` over the query's result set."""
+        return self._aggregate("minmax", attribute, query, self._minmax)
+
+    def value_frequencies(
+        self, attribute: str, query: Optional[SDLQuery] = None
+    ) -> Dict[Any, int]:
+        """Value -> count of ``attribute`` over the query's result set."""
+        return self._aggregate("frequency", attribute, query, self._frequencies, cached=False)
+
+    def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
+        """Cardinalities of many queries in a single engine pass.
+
+        Queries that bind to one key are counted once and the result
+        fanned out, so a batch of ``n`` requests touching ``u`` unique
+        selections performs ``u`` evaluations at most.  Accounting matches
+        the sequential equivalent: one count call per request, duplicates
+        recorded as cache hits.
+        """
+        state = self._refresh()
+        bound = [bind(query, state.schema) for query in queries]
+        if not bound:
+            return ()
+        self.counter.add(batch_calls=1)
+        positions: Dict[str, List[int]] = {}
+        for index, query in enumerate(bound):
+            positions.setdefault(aggregate_key("count", None, query), []).append(index)
+        results: List[int] = [0] * len(bound)
+        for key, indices in positions.items():
+            self.counter.add(count_calls=len(indices))
+            value = self._aggregate_get(key, state.version)
+            if value is None:
+                value = self._count(None, bound[indices[0]], state)[0]
+                self._aggregate_put(key, value, state.version)
+            self.counter.add(cache_hits=len(indices) - 1)
+            for position in indices:
+                results[position] = value
+        return tuple(results)
+
+    def _aggregate(
+        self,
+        op: str,
+        attribute: Optional[str],
+        query: Optional[SDLQuery],
+        compute: Callable[[Optional[str], Optional[SDLQuery], Any], Tuple[Any, str]],
+        cached: bool = True,
+    ) -> Any:
+        """One aggregate through the front half; ``compute`` is its primitive."""
+        # Unobserved, the clock is never read: disabled observability costs
+        # one attribute read and one module-global check.
+        observed = self._metrics_sink is not None or tracing_active()
+        started = time.perf_counter() if observed else 0.0
+        self.counter.add(**{op + "_calls": 1})
+        state = self._refresh()
+        if query is not None:
+            query = bind(query, state.schema)
+        key = aggregate_key(op, attribute, query) if cached else None
+        value = None if key is None else self._aggregate_get(key, state.version)
+        if value is not None:
+            if observed:
+                self._observe(op, started, state, attribute)
+            return value
+        skipped = self.counter.skipped_partitions
+        value, taken = compute(attribute, query, state)
+        if key is not None:
+            self._aggregate_put(key, value, state.version)
+        if observed:
+            skipped = self.counter.skipped_partitions - skipped
+            self._observe(op, started, state, attribute, path=taken, skipped_partitions=skipped)
+        return value
+
+    def _aggregate_get(self, key: str, version: int) -> Optional[Any]:
+        """The cached aggregate, tallied as a hit; ``None`` without
+        ``cache_aggregates``."""
+        if not self._cache_aggregates:
+            return None
+        value = self._cache.get(key, version=version)
+        if value is not None:
+            self.counter.add(aggregate_hits=1)
+        return value
+
+    def _aggregate_put(self, key: str, value: Any, version: int) -> None:
+        if self._cache_aggregates:
+            self._cache.put(key, value, version=version)
+
+    def _observe(
+        self,
+        op: str,
+        started: float,
+        state: Any,
+        attribute: Optional[str],
+        **computed: Any,
+    ) -> None:
+        """Report one finished aggregate to the sink and the ambient span.
+
+        ``computed`` holds a computed answer's ``path`` label and skipped
+        shards (empty: an aggregate-cache hit).  Runs *after* the measured
+        region: the sink call is one histogram append, and the span child
+        is attached retroactively (:meth:`~repro.obs.trace.Span.record`),
+        so nothing observability-related executes inside the timed
+        operation.
+        """
+        elapsed = time.perf_counter() - started
+        sink = self._metrics_sink
+        if sink is not None:
+            sink(op, elapsed)
+        parent = current_span()
+        if parent is not None:
+            hit = not computed
+            if attribute is not None:
+                computed["attribute"] = attribute
+            parent.record(
+                f"engine.{op}", elapsed, partitions=state.partitions, cache_hit=hit, **computed
+            )
+
+
 class AccessPath(NamedTuple):
     """How :meth:`QueryEngine._execute` computes one uncached mask (or count).
 
@@ -353,7 +509,7 @@ class AccessPath(NamedTuple):
         return "+".join(steps)
 
 
-class QueryEngine:
+class QueryEngine(AggregateFrontEnd):
     """Evaluates SDL queries against a single table.
 
     Parameters
@@ -438,10 +594,6 @@ class QueryEngine:
             # shards: over unforced (fan-out sized) shards of random contexts
             # they cost more than they skip.
             self._features = INDEX_FEATURES - {"zonemap"}
-        # Optional observability sink: a callable ``(op, seconds)`` fed by
-        # count/median when attached (see set_metrics_sink).  ``None``
-        # keeps the aggregate entry points on their original fast path.
-        self._metrics_sink: Optional[Callable[[str, float], Any]] = None
 
     # -- live data -------------------------------------------------------------
 
@@ -506,19 +658,6 @@ class QueryEngine:
         """``|T|``: cardinality of the relation."""
         return self._refresh().table.num_rows
 
-    @property
-    def column_names(self) -> List[str]:
-        """Attributes of the relation, in schema order."""
-        return self._refresh().table.column_names
-
-    def dtype_of(self, attribute: str) -> DataType:
-        """The logical type of ``attribute``."""
-        return self._refresh().table.column(attribute).dtype
-
-    def is_numeric(self, attribute: str) -> bool:
-        """Whether ``attribute`` supports arithmetic medians (paper §4.1)."""
-        return self.dtype_of(attribute).is_numeric
-
     def stats(self) -> Dict[str, Any]:
         """Backend statistics: identity, operation tallies and cache."""
         state = self._refresh()
@@ -558,16 +697,6 @@ class QueryEngine:
         clone._metrics_sink = self._metrics_sink
         return clone
 
-    def set_metrics_sink(self, sink: Optional[Callable[[str, float], Any]]) -> None:
-        """Attach a latency sink called as ``sink(op, seconds)`` per aggregate.
-
-        The service layer reaches this duck-typed through whatever backend
-        wrapper stack it opened (wrappers delegate unknown attributes to
-        their inner engine), so the storage layer stays import-free of the
-        observability package's registry.
-        """
-        self._metrics_sink = sink  # an atomic reference swap needs no lock
-
     def sample(self, fraction: float, seed: Optional[int] = None) -> "QueryEngine":
         """An engine over a uniform sample of the current snapshot.
 
@@ -581,13 +710,6 @@ class QueryEngine:
         return QueryEngine(
             self._source.sampled(fraction, seed), cache_size=self._cache_size
         )
-
-    # -- cache --------------------------------------------------------------
-
-    @property
-    def cache(self) -> ResultCache:
-        """The (possibly shared) result cache backing this engine."""
-        return self._cache
 
     # -- index ---------------------------------------------------------------
 
@@ -635,7 +757,7 @@ class QueryEngine:
         ingest can never answer a query issued after it.
         """
         state = self._refresh()
-        return self._mask(_bound(query, state), state)[0]
+        return self._mask(bind(query, state.schema), state)[0]
 
     def _mask(self, query: SDLQuery, state: LiveState) -> Tuple[np.ndarray, str]:
         """One mask of a bound query against an already-captured live
@@ -729,22 +851,12 @@ class QueryEngine:
                 return parent_mask, predicate
         return None
 
-    def _aggregate_get(self, key: str, version: int) -> Optional[Any]:
-        if not self._cache_aggregates:
-            return None
-        value = self._cache.get(key, version=version)
-        if value is not None:
-            self.counter.add(aggregate_hits=1)
-        return value
+    # -- the uncached primitives (AggregateFrontEnd hooks) ----------------------
 
-    def _aggregate_put(self, key: str, value: Any, version: int) -> None:
-        if self._cache_aggregates:
-            self._cache.put(key, value, version=version)
-
-    def _count_uncached(
-        self, query: SDLQuery, state: LiveState
+    def _count(
+        self, attribute: None, query: SDLQuery, state: LiveState
     ) -> Tuple[int, str]:
-        """One cardinality and its span label, bypassing the aggregate cache.
+        """One cardinality and its span label.
 
         With mask caching disabled (``cache_size=0``) there is nothing to
         look up or keep, so the planned path sums per-shard counts without
@@ -758,145 +870,37 @@ class QueryEngine:
         self.counter.add(evaluations=1)
         return self._execute(self._plan(query, state, counting=True), query, state)
 
-    def count(self, query: SDLQuery) -> int:
-        """``|R(Q)|``: number of rows selected by the query."""
-        # Unobserved, the clock is never read: disabled observability costs
-        # one attribute read and one module-global check.
-        observed = self._metrics_sink is not None or tracing_active()
-        started = time.perf_counter() if observed else 0.0
-        self.counter.add(count_calls=1)
-        state = self._refresh()
-        query = _bound(query, state)
-        key = "count::" + query.key
-        value = self._aggregate_get(key, state.version)
-        if value is not None:
-            if observed:
-                self._observe("count", started, state)
-            return value
-        skipped_before = self.counter.skipped_partitions
-        value, taken = self._count_uncached(query, state)
-        self._aggregate_put(key, value, state.version)
-        if observed:
-            skipped = self.counter.skipped_partitions - skipped_before
-            self._observe("count", started, state, taken, skipped_partitions=skipped)
-        return value
-
-    def _observe(
-        self,
-        op: str,
-        started: float,
-        state: LiveState,
-        taken: Optional[str] = None,
-        **attributes: Any,
-    ) -> None:
-        """Report one finished aggregate to the sink and the ambient span.
-
-        ``taken`` is the path label of a computed answer (``None``: an
-        aggregate-cache hit).  Runs *after* the measured region: the sink
-        call is one histogram append, and the span child is attached
-        retroactively (:meth:`~repro.obs.trace.Span.record`), so nothing
-        observability-related executes inside the timed operation.
-        """
-        elapsed = time.perf_counter() - started
-        sink = self._metrics_sink
-        if sink is not None:
-            sink(op, elapsed)
-        parent = current_span()
-        if parent is not None:
-            if taken is not None:
-                attributes["path"] = taken
-            parent.record(
-                f"engine.{op}",
-                elapsed,
-                partitions=state.partitioned.num_partitions,
-                cache_hit=taken is None,
-                **attributes,
-            )
-
-    # -- aggregates --------------------------------------------------------------
-
-    def _median_uncached(
+    def _selection(
         self, attribute: str, query: Optional[SDLQuery], state: LiveState
-    ) -> Tuple[Any, str]:
-        """One median and its mask's span label, bypassing the aggregate cache.
-
-        Constrained medians merge per-shard value gathers, mapped wherever
-        :meth:`_map_fn` maps scans (the mask still comes from — and lands
-        in — the shared cache); nominal columns raise exactly like the
-        sequential ``column.median`` path.
-        """
+    ) -> Tuple[Any, Optional[np.ndarray], str]:
+        """``attribute``'s column, and the mask of a constrained query with its
+        span label; an unconstrained one reads the whole column (``None``)."""
         column = state.table.column(attribute)
         if query is None or not query.constrained_attributes:
-            return column.median(), "column"
-        mask, taken = self._mask(query, state)
-        if hasattr(column, "median_from_gathered"):
-            return state.partitioned.median(attribute, mask, self._map_fn(state)), taken
+            return column, None, "column"
+        return (column, *self._mask(query, state))
+
+    def _median(
+        self, attribute: str, query: Optional[SDLQuery], state: LiveState
+    ) -> Tuple[Any, str]:
+        """One median and its mask's span label; nominal columns raise."""
+        column, mask, taken = self._selection(attribute, query, state)
         return column.median(mask), taken
 
-    def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:
-        """Arithmetic median of ``attribute`` over the query's result set."""
-        observed = self._metrics_sink is not None or tracing_active()
-        started = time.perf_counter() if observed else 0.0
-        self.counter.add(median_calls=1)
-        state = self._refresh()
-        query = _bound(query, state)
-        key = aggregate_key("median", attribute, query)
-        value = self._aggregate_get(key, state.version)
-        if value is not None:
-            if observed:
-                self._observe("median", started, state, attribute=attribute)
-            return value
-        value, taken = self._median_uncached(attribute, query, state)
-        self._aggregate_put(key, value, state.version)
-        if observed:
-            self._observe("median", started, state, taken, attribute=attribute)
-        return value
+    def _minmax(
+        self, attribute: str, query: Optional[SDLQuery], state: LiveState
+    ) -> Tuple[Tuple[Any, Any], str]:
+        column, mask, taken = self._selection(attribute, query, state)
+        return (column.minimum(mask), column.maximum(mask)), taken
 
-    def minmax(self, attribute: str, query: Optional[SDLQuery] = None) -> Tuple[Any, Any]:
-        """Minimum and maximum of ``attribute`` over the query's result set."""
-        self.counter.add(minmax_calls=1)
-        state = self._refresh()
-        query = _bound(query, state)
-        key = aggregate_key("minmax", attribute, query)
-        cached = self._aggregate_get(key, state.version)
-        if cached is not None:
-            return cached
+    def _frequencies(
+        self, attribute: str, query: Optional[SDLQuery], state: LiveState
+    ) -> Tuple[Dict[Any, int], str]:
         column = state.table.column(attribute)
-        unconstrained = query is None or not query.constrained_attributes
-        mask = None if unconstrained else self._mask(query, state)[0]
-        value = (column.minimum(mask), column.maximum(mask))
-        self._aggregate_put(key, value, state.version)
-        return value
-
-    def value_frequencies(
-        self, attribute: str, query: Optional[SDLQuery] = None
-    ) -> Dict[Any, int]:
-        """Value -> count of ``attribute`` over the query's result set."""
-        self.counter.add(frequency_calls=1)
-        state = self._refresh()
-        column = state.table.column(attribute)
-        mask = None if query is None else self._mask(_bound(query, state), state)[0]
-        return column.value_counts(mask)
-
-    # -- batched passes -----------------------------------------------------------
-
-    def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
-        """Cardinalities of many queries in a single engine pass.
-
-        Queries with identical keys are evaluated once and their
-        result fanned out, so a batch of ``n`` requests touching ``u``
-        unique selections performs ``u`` evaluations at most.  Operation
-        accounting matches the sequential equivalent: one count call per
-        request, duplicates recorded as cache hits.
-        """
-        state = self._refresh()
-        return deduplicated_count_batch(
-            [_bound(query, state) for query in queries],
-            self.counter,
-            lambda key: self._aggregate_get(key, state.version),
-            lambda key, value: self._aggregate_put(key, value, state.version),
-            lambda query: self._count_uncached(query, state)[0],
-        )
+        # An unconstrained query still takes its (cached) mask: the mask
+        # cache's hit and miss tallies count it.
+        mask, taken = (None, "column") if query is None else self._mask(query, state)
+        return column.value_counts(mask), taken
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         index = ",".join(sorted(self._features)) or "off"

@@ -5,21 +5,19 @@ and medians over conjunctive predicates — an *embarrassingly scannable*
 workload: every operation is a full scan whose per-row work is independent
 of every other row.  :class:`PartitionedTable` exploits that by sharding a
 :class:`~repro.storage.table.Table` into ``N`` contiguous row-range
-partitions and evaluating each operation *per partition*, merging the
+partitions and evaluating each scan *per partition*, merging the
 partial results:
 
 * **masks** concatenate — shard masks in partition order reassemble the
   full-table selection vector bit-for-bit;
 * **counts** sum — ``|R(Q)|`` is the sum of per-partition cardinalities
   (:class:`~repro.storage.zonemap.SkippingIndexes`, reached through
-  :meth:`PartitionedTable.skipping`, owns both scans);
-* **medians** merge through a per-partition value gather — each shard
-  contributes the raw (encoded) values selected on its rows, and the
-  median of the concatenated gather equals the median over the full
-  selection, decoded by the source column exactly like the sequential
-  path.
+  :meth:`PartitionedTable.skipping`, owns both scans).
 
-The mapping step is pluggable: every evaluation takes a ``map_fn(fn, items)``
+A median needs no merge: the engine reduces the source column under the
+assembled full-table mask, one pass over the selected values.
+
+The mapping step is pluggable: every scan takes a ``map_fn(fn, items)``
 so callers choose *where* the per-partition work runs — inline (the
 sequential path is literally the one-partition / inline-map special case)
 or on a :class:`ShardPool`.  Determinism is preserved by construction:
@@ -43,15 +41,10 @@ import os
 import threading
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.errors import StorageError, TypeMismatchError
+from repro.errors import StorageError
 from repro.storage.table import Table
 
 __all__ = ["PartitionedTable"]
-
-#: ``map_fn(fn, items) -> list`` — how per-partition work is executed.
-MapFn = Callable[[Callable[[Any], Any], Sequence[Any]], List[Any]]
 
 #: Hard upper bound on the threads of a pool.
 MAX_WORKERS = 64
@@ -114,11 +107,6 @@ def shared_pool() -> ShardPool:
         if _SHARED is None:
             _SHARED = ShardPool(available_cpus())
         return _SHARED
-
-
-def _inline_map(fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-    """The default mapper: evaluate partitions one after another."""
-    return [fn(item) for item in items]
 
 
 def partition_bounds(num_rows: int, partitions: int) -> List[Tuple[int, int]]:
@@ -224,40 +212,6 @@ class PartitionedTable:
 
                 self._skipping = SkippingIndexes(self)
             return self._skipping
-
-    # -- partition-aware evaluation -------------------------------------------
-
-    def median(
-        self,
-        attribute: str,
-        mask: np.ndarray,
-        map_fn: Optional[MapFn] = None,
-    ) -> Any:
-        """Median of ``attribute`` under a full-table mask, merged per shard.
-
-        Each shard gathers the raw (encoded) values its slice of the mask
-        selects; the merged gather holds exactly the multiset the
-        sequential ``column.median(mask)`` reduces, so the result —
-        including the even-cardinality mean and per-dtype decoding — is
-        identical.  Only numeric-encoded columns (INT, FLOAT, DATE) define
-        an arithmetic median; nominal columns raise
-        :class:`~repro.errors.TypeMismatchError` exactly like the
-        sequential path.
-        """
-        column = self._table.column(attribute)
-        if not hasattr(column, "median_from_gathered"):
-            raise TypeMismatchError(
-                f"column {attribute!r} is nominal; use the nominal split rule "
-                "(repro.core.median) instead of an arithmetic median"
-            )
-        mapper = map_fn or _inline_map
-
-        def gather(item: Tuple[Tuple[int, int], Table]) -> np.ndarray:
-            (start, stop), shard = item
-            return shard.column(attribute).gather(mask[start:stop])
-
-        parts = mapper(gather, list(zip(self._bounds, self._shards)))
-        return column.median_from_gathered(parts)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

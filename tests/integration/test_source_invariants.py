@@ -809,6 +809,14 @@ _FORBIDDEN = [
         r"_encode_bound|_encode_literal|_encode_predicate|def _probe", ("src",), (),
         id="one-literal-rule",
     ),
+    pytest.param(
+        "the front half of every aggregate (tally, bind, key, aggregate cache, batch "
+        "deduplication, latency) is AggregateFrontEnd's alone; a backend supplies only "
+        "uncached primitives (docs/architecture.md, Backends)",
+        r"deduplicated_count_batch|def _aggregate_(get|put)\b", ("src",),
+        ("src/repro/storage/engine.py",),
+        id="one-aggregate-front-end",
+    ),
 ]
 
 
@@ -858,6 +866,7 @@ _PLANTED_LINES = {
     "one-set-kernel": "from repro.storage.index import BitmapIndex",
     "zone-maps-are-min-max": "zone = ZoneMap(shard.column(attribute), distinct_cap=256)",
     "one-literal-rule": "        low = column._encode_bound(predicate.low)",
+    "one-aggregate-front-end": "    def _aggregate_get(self, key: str) -> Optional[Any]:",
 }
 
 

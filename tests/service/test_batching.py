@@ -8,9 +8,9 @@ import pytest
 
 from repro.backends import open_backend
 from repro.core import HBCuts, HBCutsConfig, cut_query, product
-from repro.sdl import RangePredicate, SDLQuery
+from repro.sdl import RangePredicate, SDLQuery, SetPredicate
 from repro.service import BatchCoordinator, BatchedEngine
-from repro.storage import QueryEngine, ResultCache, Table
+from repro.storage import DataType, QueryEngine, ResultCache, Table
 from repro.workloads import generate_voc
 
 
@@ -112,6 +112,15 @@ class TestBatchCoordinator:
         assert coordinator.counts(queries) == tuple(engine.count(q) for q in queries)
         assert coordinator.stats.passes == 1
         assert coordinator.stats.requests == 1
+
+    def test_requests_merge_by_bound_key(self):
+        # {1} and {1.0} are one literal on a number column, two on a STRING one.
+        codes = Table.from_dict({"s": ["1", "1.0", "1.0"]}, types={"s": DataType.STRING})
+        engine = QueryEngine(codes)
+        queries = [SDLQuery([SetPredicate("s", frozenset({v}))]) for v in (1, 1.0)]
+        coordinator = BatchCoordinator(engine, window_seconds=0)
+        assert coordinator.counts(queries) == engine.count_batch(queries) == (1, 2)
+        assert coordinator.stats.unique_queries == 2
 
     def test_concurrent_callers_get_correct_results(self, table):
         reference = QueryEngine(table)

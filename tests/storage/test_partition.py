@@ -8,9 +8,13 @@ import pytest
 from repro.errors import StorageError, TypeMismatchError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
 from repro.storage import PartitionedTable, QueryEngine, Table
-from repro.storage.partition import partition_bounds
+from repro.storage.partition import ShardPool, partition_bounds
 from repro.storage.expression import query_mask
 from repro.workloads import generate_voc
+
+
+#: Forces fan-out on the tests' tiny tables; two threads, started at the first map.
+_POOL = ShardPool(2)
 
 
 @pytest.fixture(scope="module")
@@ -94,23 +98,20 @@ class TestPartitionedTable:
 
     @pytest.mark.parametrize("partitions", [1, 2, 3, 8])
     def test_medians_merge(self, table, partitions):
-        partitioned = PartitionedTable(table, partitions)
+        engine = QueryEngine(table, partitions=partitions, pool=_POOL)
         query = _range_query()
-        mask = query_mask(table, query)
-        expected = table.column("tonnage").median(mask)
-        assert partitioned.median("tonnage", mask) == expected
+        expected = table.column("tonnage").median(query_mask(table, query))
+        assert engine.median("tonnage", query) == expected
 
     def test_median_merges_dates(self, table, partitions=3):
-        partitioned = PartitionedTable(table, partitions)
-        mask = query_mask(table, _fluit_query())
-        expected = table.column("departure_date").median(mask)
-        assert partitioned.median("departure_date", mask) == expected
+        engine = QueryEngine(table, partitions=partitions, pool=_POOL)
+        expected = table.column("departure_date").median(query_mask(table, _fluit_query()))
+        assert engine.median("departure_date", _fluit_query()) == expected
 
     def test_median_rejects_nominal_columns(self, table):
-        partitioned = PartitionedTable(table, 2)
-        mask = np.ones(table.num_rows, dtype=bool)
+        engine = QueryEngine(table, partitions=2, pool=_POOL)
         with pytest.raises(TypeMismatchError):
-            partitioned.median("type_of_boat", mask)
+            engine.median("type_of_boat", _range_query())
 
     def test_shards_are_zero_copy_views(self, table):
         partitioned = PartitionedTable(table, 4)
@@ -155,7 +156,8 @@ class TestPartitionedTable:
         assert partitioned.skipping().count(query, zonemaps=False) == (2, 0)
         mask, _ = partitioned.skipping().query_mask(query, zonemaps=False)
         assert np.array_equal(mask, query_mask(tiny, query))
-        assert partitioned.median("x", mask) == tiny.column("x").median(mask)
+        engine = QueryEngine(tiny, partitions=7, pool=_POOL)
+        assert engine.median("x", query) == tiny.column("x").median(mask)
 
     def test_custom_map_fn_receives_every_shard(self, table):
         partitioned = PartitionedTable(table, 4)
