@@ -1,0 +1,112 @@
+"""Committed probes: each finding of ROADMAP.md as a command that prints one JSON line.
+
+Usage::
+
+    PYTHONPATH=src python scripts/probe.py m14 --rows 2000 --seed 1 [--capacity 4096]
+
+A probe prints the hash of every answer it was served, the work counters
+behind them, the process's peak resident set (``VmHWM``, kB), the wall
+seconds and the argv that reproduces the line.  Two runs of one argv on
+one commit print the same hash and counters; a change that moves them
+moved the program.  Probes use only the public ``repro`` API.
+
+``m14``: the shared result cache under cold traffic.  Every user
+explores its own context and drill path (``repro.workloads.concurrent``
+scripts), replayed sequentially on one ``AdvisorService`` over VOC, so
+the cache holds each user's work and evicts the last one's.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import sys
+import time
+from typing import Any, Callable, Dict, List, Optional
+
+from repro import AdvisorService, generate_voc
+from repro.workloads.concurrent import generate_concurrent_workload
+
+#: Users a probe replays, and drill/back steps each takes after its advise.
+USERS = 24
+STEPS = 8
+#: Seed of the generated table: ``--seed`` varies the requests, not the data.
+TABLE_SEED = 42
+
+
+def peak_rss_kb() -> Optional[int]:
+    """This process's ``VmHWM`` in kB (``None`` where /proc is absent)."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as status:
+            for line in status:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1])
+    except OSError:
+        pass
+    return None
+
+
+def m14(args: argparse.Namespace) -> Dict[str, Any]:
+    table = generate_voc(rows=args.rows, seed=TABLE_SEED)
+    service = AdvisorService(table, cache_capacity=args.capacity, batch_window=0.0)
+    # ``trip`` is a row identifier (one value a row): a context holding it
+    # costs far more than any other, and the seed would decide how many.
+    columns = [name for name in table.column_names if name != "trip"]
+    scripts = generate_concurrent_workload(
+        columns, users=USERS, steps=STEPS, seed=args.seed, hot_contexts=USERS
+    )
+    digest = hashlib.sha256()
+    evaluations = 0
+    for script in scripts:
+        session = service.open_session(script.user)
+        for action in script.actions:
+            if action.op == "advise":
+                advice = service.advise(script.user, list(action.context or ()))
+            elif action.op == "drill":
+                advice = session.current_advice()
+                if advice is None or not advice.answers:
+                    continue
+                answer = action.answer % len(advice.answers)
+                segment = action.segment % advice.answers[answer].segmentation.depth
+                advice = service.drill(script.user, answer, segment)
+            elif session.depth > 0:
+                advice = service.back(script.user)
+            else:
+                continue
+            digest.update(advice.describe(limit=None).encode("utf-8"))
+        evaluations += service.close_session(script.user)["engine_operations"]["evaluations"]
+    stats = service.stats()["tables"][table.name]
+    cache = stats["result_cache"]
+    return {
+        "answer_hash": digest.hexdigest()[:16],
+        "evaluations": evaluations + stats["primary_engine"]["evaluations"],
+        "evictions": cache["evictions"],
+        "hit_rate": round(cache["hit_rate"], 6),
+        "approx_bytes": cache["approx_bytes"],
+        "entries": cache["entries"],
+    }
+
+
+PROBES: Dict[str, Callable[[argparse.Namespace], Dict[str, Any]]] = {"m14": m14}
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("probe", choices=sorted(PROBES))
+    parser.add_argument("--rows", type=int, required=True, help="rows of the generated table")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts")
+    parser.add_argument("--capacity", type=int, default=4096,
+                        help="entries of the shared result cache (the service default)")
+    args = parser.parse_args(argv)
+    started = time.perf_counter()
+    result = {"probe": args.probe, **PROBES[args.probe](args)}
+    result["vmhwm_kb"] = peak_rss_kb()
+    result["wall_s"] = round(time.perf_counter() - started, 3)
+    result["argv"] = ["scripts/probe.py", *(sys.argv[1:] if argv is None else argv)]
+    print(json.dumps(result))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

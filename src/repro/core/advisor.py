@@ -204,9 +204,9 @@ class Charles:
     # -- live data --------------------------------------------------------------
 
     @property
-    def data_version(self) -> Optional[int]:
-        """The backend's monotonic data version (``None`` when unversioned)."""
-        return getattr(self.engine, "data_version", None)
+    def data_version(self) -> int:
+        """The backend's monotonic data version."""
+        return self.engine.data_version
 
     def ingest(self, rows: Sequence[Any]) -> int:
         """Append a batch of row mappings through the backend (new version)."""

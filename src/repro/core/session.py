@@ -179,17 +179,12 @@ class ExplorationSession:
     # -- live data ----------------------------------------------------------------
 
     @property
-    def data_version(self) -> Optional[int]:
-        """The engine's current data version (``None`` for unversioned engines)."""
-        return getattr(self.advisor.engine, "data_version", None)
+    def data_version(self) -> int:
+        """The engine's current data version."""
+        return self.advisor.data_version
 
     def _step_stale(self, step: ExplorationStep) -> bool:
-        current = self.data_version
-        return (
-            step.data_version is not None
-            and current is not None
-            and step.data_version != current
-        )
+        return step.data_version is not None and step.data_version != self.data_version
 
     def is_stale(self) -> bool:
         """Whether the current step's advice predates the newest data version.
@@ -285,7 +280,7 @@ class ExplorationSession:
             return "exploration session (not started)"
         version = self.data_version
         header = "exploration session:"
-        if version is not None and version > 1:
+        if version > 1:
             header = f"exploration session (data version {version}):"
         lines = [header]
         for level, step in enumerate(self._stack):

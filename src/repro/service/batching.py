@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendWrapper, ExecutionBackend
@@ -62,13 +62,7 @@ class BatchStats:
     fallbacks: int = 0
 
     def snapshot(self) -> Dict[str, int]:
-        return {
-            "passes": self.passes,
-            "requests": self.requests,
-            "queries": self.queries,
-            "unique_queries": self.unique_queries,
-            "fallbacks": self.fallbacks,
-        }
+        return asdict(self)
 
 
 class _BatchRequest:

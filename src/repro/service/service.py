@@ -42,7 +42,6 @@ import time
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Union
 
 from repro.api.protocol import OPERATIONS, PARAM_KINDS, Request, Response
-from repro.backends.base import ExecutionBackend
 from repro.backends.registry import open_backend
 from repro.core.advisor import Advice, Charles, ContextLike
 from repro.core.hbcuts import HBCutsConfig
@@ -147,8 +146,8 @@ class _TableRuntime:
         Views read the structures that already own the numbers (cache
         stats, the primary engine's :class:`OperationCounter`), so there
         is no double bookkeeping; the engine additionally gets a metrics
-        *sink* — reached duck-typed through whatever wrapper stack the
-        backend spec built — feeding per-operation latency histograms.
+        *sink* — reached through whatever wrapper stack the backend spec
+        built — feeding per-operation latency histograms.
         """
         for kind, cache in (("results", self.cache), ("advice", self.advice_cache)):
             labels = {"table": self.name, "cache": kind}
@@ -189,24 +188,17 @@ class _TableRuntime:
             if histogram is not None:
                 histogram.observe(seconds)
 
-        attach = getattr(self._backend, "set_metrics_sink", None)
-        if attach is not None:
-            attach(sink)
-
-    def _spawn_backend(self) -> ExecutionBackend:
-        """A per-session view of the primary backend (private counters)."""
-        if hasattr(self._backend, "sibling"):
-            return self._backend.sibling()
-        return self._backend
+        self._backend.set_metrics_sink(sink)
 
     def session_engine(self) -> BatchedEngine:
-        """A fresh per-session engine wired to the shared cache and coordinator."""
-        return BatchedEngine(self._spawn_backend(), coordinator=self.coordinator)
+        """A fresh per-session engine wired to the shared cache and coordinator:
+        a sibling of the primary backend, with private counters."""
+        return BatchedEngine(self._backend.sibling(), coordinator=self.coordinator)
 
     @property
-    def data_version(self) -> Optional[int]:
-        """The backend's monotonic data version (``None`` when unversioned)."""
-        return getattr(self._backend, "data_version", None)
+    def data_version(self) -> int:
+        """The backend's monotonic data version."""
+        return self._backend.data_version
 
     def stats(self) -> Dict[str, Any]:
         return {
@@ -354,8 +346,8 @@ class AdvisorService:
         with self._lock:
             return sorted(self._tables)
 
-    def data_versions(self) -> Dict[str, Optional[int]]:
-        """Current data version per registered table (``None`` = unversioned).
+    def data_versions(self) -> Dict[str, int]:
+        """Current data version per registered table.
 
         The cheap staleness fingerprint the HTTP health document exposes:
         a cluster router compares these across nodes to spot a replica
@@ -604,10 +596,8 @@ class AdvisorService:
                     "to delete every row of the table"
                 )
             deleted = engine.delete_where(resolved)
-        version = getattr(engine, "data_version", None)
-        advice_evicted = 0
-        if version is not None:
-            advice_evicted = runtime.advice_cache.evict_superseded(version)
+        version = engine.data_version
+        advice_evicted = runtime.advice_cache.evict_superseded(version)
         invalidated_after = runtime.cache.stats().invalidations
         return {
             "table": runtime.name,

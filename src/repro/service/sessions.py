@@ -115,7 +115,7 @@ class ServiceSession:
         return self.exploration.depth
 
     @property
-    def data_version(self) -> Optional[int]:
+    def data_version(self) -> int:
         """The backing table's current data version."""
         return self.exploration.data_version
 

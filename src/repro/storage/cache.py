@@ -14,16 +14,17 @@ query's :attr:`~repro.sdl.query.SDLQuery.key`, as in ``mask:<key>`` or
 the :mod:`repro.service` layer creates one per registered table and wires
 every session engine to it.
 
-Live data adds a second dimension: entries may be tagged with the **data
-version** they were computed at (see :class:`repro.live.VersionedTable`).
-A lookup carrying a version only matches entries of that same version —
-a mask computed before an ingest can never answer a query issued after it
-— and :meth:`ResultCache.evict_superseded` surgically drops the entries
-of superseded versions while leaving everything else (untagged entries,
-entries already recomputed at the current version, other namespaces in a
-shared cache) in place.  That is the precision alternative to
-flush-the-world invalidation: an ingest into one table leaves every
-other table's entries whole.
+Live data adds a second dimension: every entry is tagged with the **data
+version** it was computed at (see :class:`repro.live.VersionedTable`).
+A lookup only matches an entry of its own version — a mask computed
+before an ingest can never answer a query issued after it, and a reader
+still behind the data neither gets nor disturbs a newer entry — and
+:meth:`ResultCache.evict_superseded` surgically drops the entries of
+superseded versions while leaving everything else (entries already
+recomputed at the current version, other namespaces in a shared cache)
+in place.  That is the precision alternative to flush-the-world
+invalidation: an ingest into one table leaves every other table's
+entries whole.
 
 Selection masks are the bulk of what is cached, and a mask is one bit of
 information per row: a one-dimensional ``bool`` array is stored
@@ -31,10 +32,14 @@ information per row: a one-dimensional ``bool`` array is stored
 lookup hands back a fresh, equal ``bool`` array — callers never see the
 packed form, and no two lookups alias.
 
-Statistics (hits, misses, evictions, invalidations, approximate byte
-footprint) are tracked under the cache's own lock, so concurrent sessions
-always observe consistent numbers: ``hits + misses == lookups`` holds at
-any instant (a version mismatch counts as a miss *and* an invalidation).
+Each entry is one record (:class:`_Entry`): the stored value, its data
+version, and the bytes the entry holds — its key, its stored value and a
+fixed per-entry overhead (:data:`_ENTRY_OVERHEAD`), so ``approx_bytes``
+tracks what the process really spends on the cache.  Statistics (hits,
+misses, evictions, invalidations, that byte footprint) are tracked under
+the cache's own lock, so concurrent sessions always observe consistent
+numbers: ``hits + misses == lookups`` holds at any instant (a lookup
+newer than its entry counts as a miss *and* an invalidation).
 """
 
 from __future__ import annotations
@@ -42,12 +47,18 @@ from __future__ import annotations
 import sys
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, NamedTuple, Optional
 
 import numpy as np
 
 __all__ = ["CacheStats", "ResultCache"]
+
+#: Bytes one entry costs beyond its key and stored value: the record, its
+#: byte count, and the ``OrderedDict`` slot, node and index holding it.
+#: Measured with ``tracemalloc`` on CPython 3.11.7: 165–197 bytes from
+#: 4 096 to 30 000 entries (the dict's table grows in steps).
+_ENTRY_OVERHEAD = 176
 
 
 class _PackedMask(NamedTuple):
@@ -55,6 +66,14 @@ class _PackedMask(NamedTuple):
 
     bits: np.ndarray
     length: int
+
+
+class _Entry(NamedTuple):
+    """One cached entry: the stored value, its data version, its bytes."""
+
+    stored: Any
+    version: int
+    size: int
 
 
 def _pack(value: Any) -> Any:
@@ -71,16 +90,18 @@ def _unpack(stored: Any) -> Any:
     return stored
 
 
-def _approx_size(stored: Any) -> int:
-    """Approximate in-memory footprint of a stored value, in bytes."""
-    if type(stored) is _PackedMask:
-        return int(stored.bits.nbytes)
-    if isinstance(stored, np.ndarray):
-        return int(stored.nbytes)
-    try:
-        return int(sys.getsizeof(stored))
-    except TypeError:  # pragma: no cover - exotic objects
-        return 0
+def _entry_bytes(key: str, stored: Any) -> int:
+    """The bytes an entry holds: key, stored value and the fixed overhead.
+
+    A tuple — a packed mask (its bits with their array header, and its
+    length) or a min/max pair — counts with its items; anything else
+    counts ``sys.getsizeof``, which is shallow: an :class:`Advice` counts
+    its own object, not the answers it refers to.
+    """
+    size = sys.getsizeof(key) + sys.getsizeof(stored) + _ENTRY_OVERHEAD
+    if isinstance(stored, tuple):
+        size += sum(map(sys.getsizeof, stored))
+    return size
 
 
 @dataclass(frozen=True)
@@ -94,18 +115,18 @@ class CacheStats:
     entries:
         Current number of cached values.
     hits / misses:
-        Lookup outcomes since creation (or the last :meth:`ResultCache.reset_stats`).
+        Lookup outcomes since creation.
     evictions:
         Entries dropped to respect ``capacity``.
     puts:
         Successful insertions.
     approx_bytes:
-        Approximate footprint of the cached values as stored (``ceil(n /
-        8)`` bytes for an ``n``-row mask, ``ndarray.nbytes`` for any other
-        array, ``sys.getsizeof`` otherwise).
+        Approximate footprint of the entries: each one's key, its stored
+        value (a mask's packed bits, a tuple with its items, a scalar's
+        ``sys.getsizeof``) and a fixed per-entry overhead.
     invalidations:
         Entries dropped because their data version was superseded — by a
-        version-mismatched lookup or by :meth:`ResultCache.evict_superseded`.
+        newer lookup or by :meth:`ResultCache.evict_superseded`.
     """
 
     capacity: int
@@ -129,17 +150,7 @@ class CacheStats:
 
     def snapshot(self) -> Dict[str, Any]:
         """Plain-dict copy, convenient for report tables and JSON output."""
-        return {
-            "capacity": self.capacity,
-            "entries": self.entries,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "puts": self.puts,
-            "approx_bytes": self.approx_bytes,
-            "invalidations": self.invalidations,
-            "hit_rate": self.hit_rate,
-        }
+        return {**asdict(self), "hit_rate": self.hit_rate}
 
 
 class ResultCache:
@@ -157,23 +168,23 @@ class ResultCache:
     Version-keyed entries
     ---------------------
     ``get``/``peek``/``put``/``get_or_compute`` take a required
-    keyword-only ``version`` — the monotonically increasing data version
-    of a live table — so an unversioned call is a ``TypeError``, not a
-    stale answer served across a mutation.  A versioned lookup matches
-    only entries tagged with the same version (a mismatch is a miss, and
-    the stale entry is dropped on the spot); ``version=None``, written
-    out, marks an entry of a table that never changes and matches any
-    lookup.  :meth:`evict_superseded` removes every entry older than a
-    given version in one pass.
+    keyword-only ``int`` ``version`` — the monotonically increasing data
+    version of a table — so an unversioned call is a ``TypeError``, not a
+    stale answer served across a mutation.  A lookup matches only an entry
+    of the same version.  An entry older than the lookup is a miss and is
+    dropped on the spot, since a monotonically versioned table can never
+    serve it again; an entry newer than the lookup is a miss that drops
+    nothing, and a put older than its entry is ignored, so a reader that
+    an ingest overtook never evicts or overwrites the newer work.
+    :meth:`evict_superseded` removes every entry older than a given
+    version in one pass.
     """
 
     def __init__(self, capacity: int = 256, name: str = "results"):
         self.name = name
         self._capacity = max(0, int(capacity))
         self._lock = threading.RLock()
-        self._entries: "OrderedDict[str, Any]" = OrderedDict()
-        self._bytes: Dict[str, int] = {}
-        self._versions: Dict[str, int] = {}
+        self._entries: "OrderedDict[str, _Entry]" = OrderedDict()
         self._approx_bytes = 0
         self._hits = 0
         self._misses = 0
@@ -203,35 +214,33 @@ class ResultCache:
     # -- core operations ----------------------------------------------------
 
     def _drop_locked(self, key: str) -> None:
-        """Remove one entry and its bookkeeping (caller holds the lock)."""
-        del self._entries[key]
-        self._approx_bytes -= self._bytes.pop(key, 0)
-        self._versions.pop(key, None)
+        """Remove one entry (caller holds the lock)."""
+        self._approx_bytes -= self._entries.pop(key).size
 
-    def get(self, key: str, *, version: Optional[int]) -> Optional[Any]:
+    def get(self, key: str, *, version: int) -> Optional[Any]:
         """The cached value, or ``None`` (recorded as hit/miss).
 
-        With ``version`` given, an entry tagged with a *different* version
-        is a miss — and is invalidated immediately, since a monotonically
-        versioned table can never serve it again.
+        An entry of a *different* version is a miss; an older one is also
+        invalidated, since a monotonically versioned table can never serve
+        it again.
         """
         if not self.enabled:
             return None
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
+            entry = self._entries.get(key)
+            if entry is None or entry.stored is None or entry.version > version:
                 self._misses += 1
                 return None
-            if version is not None and self._versions.get(key, version) != version:
+            if entry.version < version:
                 self._drop_locked(key)
                 self._invalidations += 1
                 self._misses += 1
                 return None
             self._entries.move_to_end(key)
             self._hits += 1
-        return _unpack(value)
+        return _unpack(entry.stored)
 
-    def peek(self, key: str, *, version: Optional[int]) -> Optional[Any]:
+    def peek(self, key: str, *, version: int) -> Optional[Any]:
         """The cached value without any observable side effect.
 
         Unlike :meth:`get`, a peek records no hit or miss, does not touch
@@ -244,39 +253,33 @@ class ResultCache:
         if not self.enabled:
             return None
         with self._lock:
-            value = self._entries.get(key)
-            if value is None:
-                return None
-            if version is not None and self._versions.get(key, version) != version:
-                return None
-        return _unpack(value)
+            entry = self._entries.get(key)
+        if entry is None or entry.version != version:
+            return None
+        return _unpack(entry.stored)
 
-    def put(self, key: str, value: Any, *, version: Optional[int]) -> None:
+    def put(self, key: str, value: Any, *, version: int) -> None:
         """Insert (or refresh) an entry, evicting LRU entries beyond capacity.
 
         ``version`` tags the entry with the data version it was computed
-        at; versioned lookups only match the same tag.
+        at; a put older than the entry already held is ignored.
         """
         if not self.enabled:
             return
-        value = _pack(value)
-        size = _approx_size(value)
+        stored = _pack(value)
+        entry = _Entry(stored, int(version), _entry_bytes(key, stored))
         with self._lock:
-            if key in self._entries:
-                self._approx_bytes -= self._bytes.get(key, 0)
-            self._entries[key] = value
+            held = self._entries.get(key)
+            if held is not None:
+                if held.version > entry.version:
+                    return
+                self._approx_bytes -= held.size
+            self._entries[key] = entry
             self._entries.move_to_end(key)
-            self._bytes[key] = size
-            self._approx_bytes += size
-            if version is None:
-                self._versions.pop(key, None)
-            else:
-                self._versions[key] = int(version)
+            self._approx_bytes += entry.size
             self._puts += 1
             while len(self._entries) > self._capacity:
-                evicted_key, _ = self._entries.popitem(last=False)
-                self._approx_bytes -= self._bytes.pop(evicted_key, 0)
-                self._versions.pop(evicted_key, None)
+                self._approx_bytes -= self._entries.popitem(last=False)[1].size
                 self._evictions += 1
 
     def get_or_compute(
@@ -284,7 +287,7 @@ class ResultCache:
         key: str,
         compute: Callable[[], Any],
         *,
-        version: Optional[int],
+        version: int,
     ) -> Any:
         """The cached value, computing and inserting it on a miss.
 
@@ -301,40 +304,20 @@ class ResultCache:
     def evict_superseded(self, version: int) -> int:
         """Drop every entry tagged with a data version below ``version``.
 
-        The surgical half of live-data invalidation: untagged entries and
-        entries already recomputed at (or beyond) the current version
-        survive, so in a shared cache only the work invalidated by the
-        mutation is lost.  Returns the number of entries removed (also
-        tallied in the ``invalidations`` statistic).
+        The surgical half of live-data invalidation: entries already
+        recomputed at (or beyond) the current version survive, so in a
+        shared cache only the work invalidated by the mutation is lost.
+        Returns the number of entries removed (also tallied in the
+        ``invalidations`` statistic).
         """
-        version = int(version)
-        removed = 0
         with self._lock:
             stale = [
-                key for key, tag in self._versions.items() if tag < version
+                key for key, entry in self._entries.items() if entry.version < version
             ]
             for key in stale:
                 self._drop_locked(key)
-                removed += 1
-            self._invalidations += removed
-        return removed
-
-    def clear(self) -> None:
-        """Drop every entry (statistics are retained)."""
-        with self._lock:
-            self._entries.clear()
-            self._bytes.clear()
-            self._versions.clear()
-            self._approx_bytes = 0
-
-    def reset_stats(self) -> None:
-        """Zero the hit/miss/eviction/put counters."""
-        with self._lock:
-            self._hits = 0
-            self._misses = 0
-            self._evictions = 0
-            self._puts = 0
-            self._invalidations = 0
+            self._invalidations += len(stale)
+        return len(stale)
 
     # -- reporting ----------------------------------------------------------
 

@@ -62,7 +62,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -242,18 +242,6 @@ class OperationCounter:
         default_factory=threading.Lock, repr=False, compare=False
     )
 
-    _FIELDS = (
-        "evaluations",
-        "cache_hits",
-        "aggregate_hits",
-        "count_calls",
-        "median_calls",
-        "frequency_calls",
-        "minmax_calls",
-        "batch_calls",
-        "skipped_partitions",
-    )
-
     def add(self, **deltas: int) -> None:
         """Atomically add deltas to the named tallies.
 
@@ -286,14 +274,14 @@ class OperationCounter:
     def snapshot(self) -> Dict[str, int]:
         """Plain-dict copy, convenient for benchmark reporting."""
         with self._lock:
-            snapshot = {name: getattr(self, name) for name in self._FIELDS}
-        snapshot["total_database_operations"] = (
-            snapshot["count_calls"]
-            + snapshot["median_calls"]
-            + snapshot["frequency_calls"]
-            + snapshot["minmax_calls"]
-        )
-        return snapshot
+            return {
+                **{name: getattr(self, name) for name in self._FIELDS},
+                "total_database_operations": self.total_database_operations,
+            }
+
+
+#: The tallies, in declaration order (the lock is no tally).
+OperationCounter._FIELDS = tuple(f.name for f in fields(OperationCounter) if f.compare)
 
 
 class AggregateFrontEnd:
@@ -896,10 +884,7 @@ class QueryEngine(AggregateFrontEnd):
     def _frequencies(
         self, attribute: str, query: Optional[SDLQuery], state: LiveState
     ) -> Tuple[Dict[Any, int], str]:
-        column = state.table.column(attribute)
-        # An unconstrained query still takes its (cached) mask: the mask
-        # cache's hit and miss tallies count it.
-        mask, taken = (None, "column") if query is None else self._mask(query, state)
+        column, mask, taken = self._selection(attribute, query, state)
         return column.value_counts(mask), taken
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -1,0 +1,48 @@
+"""The committed probes (``scripts/probe.py``) run small and pin their numbers.
+
+A probe's answer hash and work counters at 2 000 rows are a regression
+case: a change that moves one changed what the program computes or how
+much work it does for it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[2]
+
+
+def _probe(*arguments: str) -> dict:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "probe.py"), *arguments],
+        capture_output=True, text=True, timeout=120, env=env,
+    )
+    assert completed.returncode == 0, completed.stderr
+    lines = completed.stdout.splitlines()
+    assert len(lines) == 1, completed.stdout
+    return json.loads(lines[0])
+
+
+def test_m14_pins_its_answers_and_work():
+    result = _probe("m14", "--rows", "2000", "--seed", "1")
+    assert result["argv"] == ["scripts/probe.py", "m14", "--rows", "2000", "--seed", "1"]
+    assert {key: result[key] for key in (
+        "probe", "answer_hash", "evaluations", "evictions", "hit_rate", "entries",
+    )} == {
+        "probe": "m14",
+        "answer_hash": "4d5bb4e4ce8561b1",
+        "evaluations": 4705,
+        "evictions": 6795,
+        "hit_rate": 0.338376,
+        "entries": 4096,
+    }
+    # Bytes depend on the interpreter's object sizes, so only their scale is
+    # pinned: a few hundred bytes an entry, keys and masks included.
+    assert 300 * result["entries"] <= result["approx_bytes"] <= 1500 * result["entries"]
+    assert result["wall_s"] > 0
+    assert result["vmhwm_kb"] is None or result["vmhwm_kb"] > 0

@@ -817,6 +817,21 @@ _FORBIDDEN = [
         ("src/repro/storage/engine.py",),
         id="one-aggregate-front-end",
     ),
+    pytest.param(
+        "every backend has an int data_version, a sibling() and set_metrics_sink "
+        "(ExecutionBackend, AggregateFrontEnd, BackendWrapper): a fallback stands for a "
+        "backend that cannot exist",
+        r"getattr\([^)]*[\"'](data_version|set_metrics_sink)[\"'],\s*None\)"
+        r"|hasattr\([^)]*[\"']sibling[\"']\)",
+        ("src",), (),
+        id="backend-members-are-required",
+    ),
+    pytest.param(
+        "a cache entry is one record with an int data version: get, peek, put and "
+        "get_or_compute require it, and no entry is unversioned (docs/analysis.md)",
+        r"\bversion=None\b", ("src",), (),
+        id="no-unversioned-entry",
+    ),
 ]
 
 
@@ -867,6 +882,8 @@ _PLANTED_LINES = {
     "zone-maps-are-min-max": "zone = ZoneMap(shard.column(attribute), distinct_cap=256)",
     "one-literal-rule": "        low = column._encode_bound(predicate.low)",
     "one-aggregate-front-end": "    def _aggregate_get(self, key: str) -> Optional[Any]:",
+    "backend-members-are-required": '        return getattr(self.engine, "data_version", None)',
+    "no-unversioned-entry": "        self._cache.put(key, value, version=None)",
 }
 
 

@@ -17,12 +17,6 @@ def table():
 
 
 class TestVersionedResultCache:
-    def test_untagged_entries_behave_classically(self):
-        cache = ResultCache(capacity=8)
-        cache.put("k", 1, version=None)
-        assert cache.get("k", version=None) == 1
-        assert cache.get("k", version=7) == 1  # untagged matches any version
-
     def test_version_match_hits(self):
         cache = ResultCache(capacity=8)
         cache.put("k", 1, version=3)
@@ -37,23 +31,34 @@ class TestVersionedResultCache:
         assert stats.invalidations == 1
         assert stats.hits + stats.misses == stats.lookups
 
-    def test_unversioned_get_serves_tagged_entry(self):
-        cache = ResultCache(capacity=8)
-        cache.put("k", 1, version=1)
-        assert cache.get("k", version=None) == 1
-
     def test_evict_superseded_is_surgical(self):
         cache = ResultCache(capacity=16)
         cache.put("old-a", 1, version=1)
         cache.put("old-b", 2, version=1)
         cache.put("current", 3, version=2)
-        cache.put("untagged", 4, version=None)
         removed = cache.evict_superseded(2)
         assert removed == 2
         assert "old-a" not in cache and "old-b" not in cache
         assert cache.get("current", version=2) == 3
-        assert cache.get("untagged", version=None) == 4
         assert cache.stats().invalidations == 2
+
+    def test_a_reader_behind_the_data_keeps_the_newer_entry(self):
+        cache = ResultCache(capacity=4)
+        cache.put("k", "new", version=2)
+        assert cache.get("k", version=1) is None  # a miss that drops nothing
+        assert cache.stats().invalidations == 0
+        assert cache.get("k", version=2) == "new"
+        cache.put("k", "old", version=1)  # older than the entry: ignored
+        assert cache.get("k", version=2) == "new"
+        stats = cache.stats()
+        assert (stats.puts, stats.hits, stats.misses) == (1, 2, 1)
+
+    def test_get_or_compute_behind_the_data_leaves_the_newer_entry(self):
+        # An ingest landed between an advise's version read and its put.
+        cache = ResultCache(capacity=4)
+        cache.put("k", "new", version=2)
+        assert cache.get_or_compute("k", lambda: "old", version=1) == "old"
+        assert cache.get("k", version=2) == "new"
 
     def test_get_or_compute_recomputes_for_new_version(self):
         cache = ResultCache(capacity=8)
@@ -82,10 +87,9 @@ class TestEngineInvalidationPrecision:
 
         stale_query = parse_where("tonnage BETWEEN 1000 AND 3000")
         engine.count(stale_query)
-        # Entries the mutation must NOT touch: untagged ones, and entries
-        # already recomputed at the post-ingest version by a racing
-        # sibling (simulated by tagging ahead).
-        cache.put("untagged-probe", "keep", version=None)
+        # Entries the mutation must NOT touch: entries already recomputed
+        # at the post-ingest version by a racing sibling (simulated by
+        # tagging ahead).
         cache.put("ahead-probe", "keep", version=engine.data_version + 1)
 
         entries_before = cache.stats().entries
@@ -96,7 +100,6 @@ class TestEngineInvalidationPrecision:
         assert stats.invalidations >= 2
         assert stats.entries < entries_before
         # ...but everything not superseded survived, for every sibling.
-        assert cache.get("untagged-probe", version=None) == "keep"
         assert cache.get("ahead-probe", version=sibling.data_version) == "keep"
 
     def test_stale_mask_never_answers_new_version(self, table):

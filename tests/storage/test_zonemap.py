@@ -263,22 +263,22 @@ class TestCachePeek:
         before = cache.stats().snapshot()
         assert cache.peek("a", version=1) == 1
         assert cache.peek("a", version=2) is None  # stale: no drop either
-        assert cache.peek("missing", version=None) is None
+        assert cache.peek("missing", version=1) is None
         assert cache.stats().snapshot() == before
         assert cache.peek("a", version=1) == 1  # stale probe kept the entry
 
     def test_peek_does_not_refresh_lru(self):
         cache = ResultCache(capacity=2)
-        cache.put("a", 1, version=None)
-        cache.put("b", 2, version=None)
-        cache.peek("a", version=None)  # a get() here would mark "a" recently used
-        cache.put("c", 3, version=None)
+        cache.put("a", 1, version=1)
+        cache.put("b", 2, version=1)
+        cache.peek("a", version=1)  # a get() here would mark "a" recently used
+        cache.put("c", 3, version=1)
         assert "a" not in cache and "b" in cache and "c" in cache
 
     def test_disabled_cache_peeks_none(self):
         cache = ResultCache(capacity=0)
-        cache.put("a", 1, version=None)
-        assert cache.peek("a", version=None) is None
+        cache.put("a", 1, version=1)
+        assert cache.peek("a", version=1) is None
 
 
 class TestSkippingIndexes:
