@@ -2,10 +2,11 @@
 
 The paper's only approximation is Section 5.2's "not all tuples are
 necessary to give good results".  :class:`ApproxEngine` is that idea as a
-backend: it decorates an unsampled backend, answers the eight statistics
-from a uniform sample of its rows (counts scaled back to ``|T|``; medians,
-min/max and value frequencies on the sample as they are) and leaves
-identity, schema, data version and mutation to the backend it decorates.
+backend: it decorates an unsampled backend, answers the statistics from
+a uniform sample of its rows (counts and contingency-table cells scaled
+back to ``|T|``; medians, min/max and value frequencies on the sample as
+they are) and leaves identity, schema, data version and mutation to the
+backend it decorates.
 
 Why a row sample and not per-column summaries: the advisor's job is to
 find *dependent* attributes, and a summary of each column alone cannot see
@@ -56,6 +57,7 @@ from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
 from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.errors import BackendError
 from repro.sdl.query import SDLQuery
+from repro.sdl.segmentation import Segmentation
 from repro.storage.engine import OperationCounter
 
 __all__ = ["INTERACTIVE_SAMPLE_ROWS", "ApproxEngine"]
@@ -242,6 +244,15 @@ class ApproxEngine(BackendWrapper):
         return tuple(
             int(round(count * sample.scale))
             for count in sample.engine.count_batch(queries)
+        )
+
+    def crosstab(
+        self, first: Segmentation, second: Segmentation
+    ) -> Tuple[Tuple[int, ...], ...]:
+        sample = self._current()
+        return tuple(
+            tuple(int(round(count * sample.scale)) for count in row)
+            for row in sample.engine.crosstab(first, second)
         )
 
     def median(self, attribute: str, query: Optional[SDLQuery] = None) -> Any:

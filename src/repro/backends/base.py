@@ -60,6 +60,7 @@ from typing import (
 )
 
 from repro.sdl.query import SDLQuery
+from repro.sdl.segmentation import Segmentation
 
 __all__ = ["ExecutionBackend", "BackendWrapper"]
 
@@ -83,6 +84,7 @@ class ExecutionBackend(Protocol):
     ``minmax(a, q)``        minimum and maximum of ``a`` over ``R(Q)``
     ``value_frequencies``   value → count histogram of ``a`` over ``R(Q)``
     ``count_batch(qs)``     many counts in one engine pass (deduplicated)
+    ``crosstab(s1, s2)``    the ``K × L`` cell counts of the product ``s1 × s2``
     ``counter``             an ``OperationCounter`` tallying logical work
     ``stats()``             backend-specific statistics snapshot (dict)
     ``data_version``        monotonic version of the data answers reflect
@@ -127,6 +129,10 @@ class ExecutionBackend(Protocol):
 
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]: ...
 
+    def crosstab(
+        self, first: Segmentation, second: Segmentation
+    ) -> Tuple[Tuple[int, ...], ...]: ...
+
     def stats(self) -> Dict[str, Any]: ...
 
     @property
@@ -143,10 +149,12 @@ class BackendWrapper:
     :class:`~repro.backends.approx.ApproxEngine` and
     :class:`~repro.service.batching.BatchedEngine` wrap **any**
     :class:`ExecutionBackend`, overriding only the operations they
-    change.  Every protocol member delegates to the wrapped backend;
-    optional capabilities (``table``, ``evaluate``, ``cache`` …) pass
-    through via ``__getattr__`` so a wrapper is exactly as capable as
-    what it wraps.
+    change.  Every protocol member is declared here and delegates to the
+    wrapped backend; none reaches it through ``__getattr__``, so a
+    wrapper that answers differently (a sample) sees each member it must
+    override.  Optional capabilities (``table``, ``evaluate``, ``cache``
+    …) pass through via ``__getattr__`` so a wrapper is exactly as
+    capable as what it wraps.
     """
 
     def __init__(self, inner: ExecutionBackend):
@@ -196,6 +204,11 @@ class BackendWrapper:
 
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
         return self._inner.count_batch(queries)
+
+    def crosstab(
+        self, first: Segmentation, second: Segmentation
+    ) -> Tuple[Tuple[int, ...], ...]:
+        return self._inner.crosstab(first, second)
 
     def stats(self) -> Dict[str, Any]:
         return self._inner.stats()

@@ -17,13 +17,13 @@ and recorded in the trace) and the computation-reuse optimisation the
 paper hints at in Section 5.1 (INDEP values of unchanged candidate pairs
 are cached across iterations).
 
-Step 2 — finding the most dependent pair — is one multi-query engine pass
-per iteration: the product cells of every pair whose INDEP is not cached
-are counted through a single
-:meth:`~repro.backends.base.ExecutionBackend.count_batch` call (the
-Section 5.1 reading: the cost of HB-cuts is counts over product cells),
-which the service layer coalesces across sessions and a partitioned
-engine fans across its shard pool.
+Step 2 — finding the most dependent pair — needs ``E(S1 × S2)`` for every
+pair whose INDEP is not cached (the Section 5.1 reading: the cost of
+HB-cuts is counts over product cells).  The product's cell counts are its
+contingency table, one
+:meth:`~repro.backends.base.ExecutionBackend.crosstab` call per pair: the
+memory engine reads it off one piece label per row of each operand, so
+no cell query is built and no cell mask is computed or cached.
 
 The loop is written once, as the generator :meth:`HBCuts.steps`;
 :meth:`HBCuts.run` drains it and :class:`~repro.core.lazy.LazyAdvisor`
@@ -36,15 +36,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import AdvisorError, CannotCutError
+from repro.errors import AdvisorError, CannotCutError, CompositionError
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
 from repro.core.compose import compose
 from repro.core.cut import cut_query
 from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD
-from repro.core.metrics import entropy, indep_from_entropies
-from repro.core.product import assemble_product, product_cells
+from repro.core.metrics import count_entropy, entropy, indep_from_entropies
 
 __all__ = ["HBCutsConfig", "HBCutsTrace", "HBCutsResult", "HBCuts"]
 
@@ -122,8 +121,8 @@ class HBCutsTrace:
     pair_cache_hits:
         Number of INDEP evaluations answered from the cache.
     batched_passes:
-        Number of multi-query engine passes issued for INDEP evaluation
-        (one per iteration that had an uncached pair).
+        Number of INDEP passes: iterations that evaluated at least one
+        uncached pair.
     compositions:
         Attribute sets composed, in order.
     indep_values:
@@ -301,8 +300,10 @@ class HBCuts:
     ) -> Tuple[Segmentation, Segmentation, float]:
         """Line 11 of Figure 4: argmin over candidate pairs of INDEP.
 
-        The product cells of every pair whose INDEP is not cached are
-        counted in one ``count_batch`` pass (Section 5.1); with
+        Each pair whose INDEP is not cached costs one ``crosstab``; the
+        product's entropy sums its cells row-major, skipping zeros — the
+        product segmentation's own order, so INDEP and its ties match
+        :func:`~repro.core.metrics.indep` bit for bit.  With
         ``reuse_indep`` off nothing carries over between iterations.
         """
         if not self.config.reuse_indep:
@@ -321,19 +322,14 @@ class HBCuts:
         if uncached:
             trace.batched_passes += 1
             trace.pair_evaluations += len(uncached)
-            cells = [product_cells(*pair) for pair in uncached]
-            counts = iter(
-                engine.count_batch([cell for pair_cells in cells for cell in pair_cells])
-            )
-            for pair, pair_cells in zip(uncached, cells):
-                product = assemble_product(
-                    *pair,
-                    pair_cells,
-                    [next(counts) for _ in pair_cells],
-                    drop_empty=self.config.drop_empty,
-                )
+            for pair in uncached:
+                cells = [count for row in engine.crosstab(*pair) for count in row]
+                if self.config.drop_empty and not any(cells):
+                    raise CompositionError("the SDL product is empty")
                 cache[key(pair)] = indep_from_entropies(
-                    entropy(product), entropy(pair[0]), entropy(pair[1])
+                    count_entropy(cells, pair[0].context_count),
+                    entropy(pair[0]),
+                    entropy(pair[1]),
                 )
         # min() keeps the first of equal values: ties go to the earlier pair.
         first, second = min(pairs, key=lambda pair: cache[key(pair)])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
@@ -31,6 +31,7 @@ from repro.core.product import product
 
 __all__ = [
     "entropy",
+    "count_entropy",
     "max_entropy",
     "balance",
     "simplicity",
@@ -51,11 +52,24 @@ def entropy(segmentation: Segmentation, base: Optional[float] = None) -> float:
     0 for a single-piece segmentation and reaches ``log M`` for ``M``
     perfectly balanced segments (paper, Definition 4).
     """
+    return count_entropy(segmentation.counts, segmentation.context_count, base)
+
+
+def count_entropy(
+    counts: Iterable[int], total: int, base: Optional[float] = None
+) -> float:
+    """The entropy of pieces of ``counts`` rows among ``total``, in order.
+
+    Zero counts are skipped, so the entropy of a contingency table read
+    row-major equals that of the product segmentation built from it
+    (:func:`entropy`), bit for bit.
+    """
     value = 0.0
-    for cover_j in segmentation.covers:
-        if cover_j <= 0.0:
-            continue
-        value -= cover_j * math.log(cover_j)
+    if total > 0:
+        for count in counts:
+            if count > 0:
+                cover_j = count / total
+                value -= cover_j * math.log(cover_j)
     if base is not None:
         value /= math.log(base)
     return value

@@ -15,12 +15,12 @@ out in Section 5.1.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import SegmentationError
+from repro.errors import CompositionError, SegmentationError
 from repro.sdl.query import SDLQuery
 
-__all__ = ["Segment", "Segmentation"]
+__all__ = ["Segment", "Segmentation", "product_grid"]
 
 
 class Segment:
@@ -227,3 +227,26 @@ class Segmentation:
         for segment, cover in zip(self._segments, self.covers):
             lines.append(f"  {cover:6.1%}  {segment.count:>8}  {segment.query.to_sdl()}")
         return "\n".join(lines)
+
+
+def product_grid(
+    first: Segmentation, second: Segmentation
+) -> List[List[Optional[SDLQuery]]]:
+    """The ``K × L`` cell queries of the SDL product ``first × second``.
+
+    Cell ``(i, j)`` is piece ``i`` of ``first`` merged with piece ``j`` of
+    ``second`` (paper, Definition 8), ``None`` where the two contradict.
+
+    Raises
+    ------
+    CompositionError
+        When the operands partition different contexts.
+    """
+    if first.context != second.context:
+        raise CompositionError(
+            "the SDL product requires both segmentations to partition the same context"
+        )
+    return [
+        [left.query.merge(right.query) for right in second.segments]
+        for left in first.segments
+    ]

@@ -10,7 +10,7 @@ is the subsystem built on that observation:
 * :mod:`repro.service.sessions` — :class:`ServiceSession`, one named
   drill-down session backed by the shared runtime;
 * :mod:`repro.service.batching` — :class:`BatchCoordinator` and
-  :class:`BatchedEngine`, which merge concurrent HB-cuts INDEP passes
+  :class:`BatchedEngine`, which merge concurrent ``count_batch`` passes
   into single multi-query engine evaluations.
 
 :meth:`AdvisorService.submit` takes and returns the wire envelopes of

@@ -1,10 +1,9 @@
 """Cross-session request batching for the advisor service.
 
 The paper (Section 5.1) notes that Charles issues only medians and counts
-over predicates; HB-cuts in particular spends most of its time computing
-counts for the cells of candidate products.  When several users explore
-the same table concurrently, those counts can be grouped into *single
-multi-query engine passes*:
+over predicates.  When several users explore the same table concurrently,
+their batched counts can be grouped into *single multi-query engine
+passes*:
 
 * :class:`BatchCoordinator` — a small leader/follower coalescer.  The
   first thread to submit in a round becomes the leader, waits a short
@@ -14,8 +13,12 @@ multi-query engine passes*:
 * :class:`BatchedEngine` — the per-session engine handed to each
   :class:`~repro.core.advisor.Charles` instance.  It shares the table's
   :class:`~repro.storage.cache.ResultCache` and routes its batched count
-  passes through the coordinator, so HB-cuts runs from different sessions
+  passes through the coordinator, so passes from different sessions
   coalesce transparently.
+
+HB-cuts' INDEP pass issues no ``count_batch``: it reads each pair's
+contingency table (:meth:`~repro.backends.base.ExecutionBackend.crosstab`),
+which the wrapper passes to the session's own backend.
 
 Correctness does not depend on the coordinator: every path degrades to the
 engine's own (deterministic) evaluation, and a follower that times out
@@ -172,8 +175,8 @@ class BatchedEngine(BackendWrapper):
     like the backend it wraps (typically one sharing the table's result
     cache, so single counts and medians reuse other sessions' work), but
     its :meth:`count_batch` is routed through the table's
-    :class:`BatchCoordinator`, merging concurrent HB-cuts INDEP passes
-    into single multi-query evaluations.
+    :class:`BatchCoordinator`, merging concurrent passes into single
+    multi-query evaluations.
     """
 
     def __init__(

@@ -12,9 +12,9 @@ execute pipeline idiom of service layers.  Per registered table it keeps a
   essentially all repeated work;
 * one advice-level cache, so identical context queries from different
   users are answered without re-running HB-cuts at all;
-* one :class:`~repro.service.batching.BatchCoordinator` that merges the
-  batched INDEP passes of concurrently running HB-cuts into single
-  multi-query engine evaluations.
+* one :class:`~repro.service.batching.BatchCoordinator` that merges
+  concurrent sessions' ``count_batch`` passes into single multi-query
+  engine evaluations.
 
 Shards follow each table's size, and large ones fan out over the
 process's one pool (:mod:`repro.storage.partition`); forced shards, index

@@ -84,6 +84,7 @@ from repro.errors import StorageError, UnknownColumnError
 from repro.obs.trace import current_span, tracing_active
 from repro.sdl.predicates import NoConstraint, Predicate
 from repro.sdl.query import SDLQuery
+from repro.sdl.segmentation import Segmentation, product_grid
 from repro.storage.cache import ResultCache
 from repro.storage.expression import bind
 from repro.storage.partition import PartitionedTable, available_cpus, shared_pool
@@ -170,6 +171,10 @@ def resolve_index_features(value: Any) -> frozenset:
     return INDEX_FEATURES if value else frozenset()
 
 
+#: A ``K × L`` contingency table of two segmentations, row-major.
+CrossTab = Tuple[Tuple[int, ...], ...]
+
+
 def aggregate_key(op: str, attribute: Optional[str], query: Optional[SDLQuery]) -> str:
     """The aggregate-cache key ``<op>:<attribute>:<key>`` of a bound query.
 
@@ -218,6 +223,9 @@ class OperationCounter:
         Number of value-frequency (group-by count) computations.
     minmax_calls:
         Number of min/max computations.
+    crosstab_calls:
+        Number of contingency tables of two segmentations
+        (:meth:`QueryEngine.crosstab`).
     batch_calls:
         Number of multi-query engine passes (:meth:`QueryEngine.count_batch`).
     skipped_partitions:
@@ -236,6 +244,7 @@ class OperationCounter:
     median_calls: int = 0
     frequency_calls: int = 0
     minmax_calls: int = 0
+    crosstab_calls: int = 0
     batch_calls: int = 0
     skipped_partitions: int = 0
     _lock: threading.Lock = field(
@@ -269,6 +278,7 @@ class OperationCounter:
             + self.median_calls
             + self.frequency_calls
             + self.minmax_calls
+            + self.crosstab_calls
         )
 
     def snapshot(self) -> Dict[str, int]:
@@ -287,13 +297,14 @@ OperationCounter._FIELDS = tuple(f.name for f in fields(OperationCounter) if f.c
 class AggregateFrontEnd:
     """The policy around the advisor's aggregates, written once for every backend.
 
-    Counts and medians (the paper's two operations, Section 5.1), min/max
-    and value frequencies all take one front half here: tally the call,
-    capture the operation's state, bind the query to the state's schema,
-    key it (:func:`aggregate_key`), answer from or fill the aggregate
-    cache (with ``cache_aggregates``; frequencies are never cached), and
-    report the latency to the metrics sink and the ambient span.
-    :meth:`count_batch` also counts each bound key once.
+    Counts and medians (the paper's two operations, Section 5.1), min/max,
+    value frequencies and contingency tables all take one front half here:
+    tally the call, capture the operation's state, bind the query to the
+    state's schema, key it (:func:`aggregate_key`), answer from or fill
+    the aggregate cache (with ``cache_aggregates``; frequencies and
+    contingency tables are never cached), and report the latency to the
+    metrics sink and the ambient span.  :meth:`count_batch` also counts
+    each bound key once.
 
     A backend sets ``counter``, ``_cache`` and ``_cache_aggregates`` and
     supplies the hooks:
@@ -304,7 +315,9 @@ class AggregateFrontEnd:
     * ``_count``, ``_median``, ``_minmax``, ``_frequencies`` — the
       uncached primitives, each called as ``(attribute, query, state)``
       with a bound query (``attribute`` is ``None`` for a count) and
-      returning the value and the span label of the path it took.
+      returning the value and the span label of the path it took;
+    * ``_crosstab(first, second, state)`` optionally — by default the
+      table is counted cell by cell with ``_count``.
     """
 
     counter: OperationCounter
@@ -368,6 +381,27 @@ class AggregateFrontEnd:
         """Value -> count of ``attribute`` over the query's result set."""
         return self._aggregate("frequency", attribute, query, self._frequencies, cached=False)
 
+    def crosstab(self, first: Segmentation, second: Segmentation) -> CrossTab:
+        """The ``K × L`` contingency table of ``first × second``.
+
+        Entry ``(i, j)`` counts the rows in piece ``i`` of ``first`` and
+        piece ``j`` of ``second``: the count of the SDL product's cell
+        (:func:`~repro.sdl.segmentation.product_grid`), 0 where the two
+        pieces contradict.
+
+        Raises
+        ------
+        CompositionError
+            When the operands partition different contexts.
+        """
+        return self._aggregate(
+            "crosstab",
+            None,
+            None,
+            lambda _attribute, _query, state: self._crosstab(first, second, state),
+            cached=False,
+        )
+
     def count_batch(self, queries: Sequence[SDLQuery]) -> Tuple[int, ...]:
         """Cardinalities of many queries in a single engine pass.
 
@@ -428,6 +462,21 @@ class AggregateFrontEnd:
             skipped = self.counter.skipped_partitions - skipped
             self._observe(op, started, state, attribute, path=taken, skipped_partitions=skipped)
         return value
+
+    def _crosstab(
+        self, first: Segmentation, second: Segmentation, state: Any
+    ) -> Tuple[CrossTab, str]:
+        """A contingency table counted cell by cell with the ``_count``
+        primitive, as ``count_batch`` over the product's cells would, and
+        its span label."""
+        table = tuple(
+            tuple(
+                0 if cell is None else self._count(None, bind(cell, state.schema), state)[0]
+                for cell in row
+            )
+            for row in product_grid(first, second)
+        )
+        return table, "cells"
 
     def _aggregate_get(self, key: str, version: int) -> Optional[Any]:
         """The cached aggregate, tallied as a hit; ``None`` without
@@ -857,6 +906,46 @@ class QueryEngine(AggregateFrontEnd):
             return int(np.count_nonzero(mask)), taken
         self.counter.add(evaluations=1)
         return self._execute(self._plan(query, state, counting=True), query, state)
+
+    def _crosstab(
+        self, first: Segmentation, second: Segmentation, state: LiveState
+    ) -> Tuple[CrossTab, str]:
+        """A contingency table from one piece label per row and segmentation.
+
+        Each row is labelled with the index of the piece holding it (the
+        segmentation's depth outside every piece), from the pieces' masks
+        at the state's version — resident in the cache, because cutting
+        counted every piece.  One ``bincount`` of ``a · (L + 1) + b`` then
+        counts every cell at once, and no cell mask is built or cached.
+        A row in no piece (a NULL the cut left out) lands in no cell, as
+        in the cell counts.  A label cannot say that pieces overlap, so
+        overlapping pieces, and operands over different contexts, take
+        the cells path.
+        """
+        if first.context == second.context:
+            rows = self._labels(first, state)
+            columns = None if rows is None else self._labels(second, state)
+            if columns is not None:
+                width = second.depth + 1
+                counts = np.bincount(
+                    rows * width + columns, minlength=(first.depth + 1) * width
+                ).reshape(first.depth + 1, width)
+                return tuple(map(tuple, counts[:-1, :-1].tolist())), "labels"
+        return super()._crosstab(first, second, state)
+
+    def _labels(self, segmentation: Segmentation, state: LiveState) -> Optional[np.ndarray]:
+        """Each row's piece index in ``segmentation``, its depth outside
+        every piece; ``None`` when two pieces share a row."""
+        outside = segmentation.depth
+        labels = np.full(state.table.num_rows, outside, dtype=np.intp)
+        labelled = 0
+        for index, segment in enumerate(segmentation.segments):
+            mask = self._mask(bind(segment.query, state.schema), state)[0]
+            labels[mask] = index
+            labelled += int(np.count_nonzero(mask))
+        if int(np.count_nonzero(labels != outside)) != labelled:
+            return None
+        return labels
 
     def _selection(
         self, attribute: str, query: Optional[SDLQuery], state: LiveState

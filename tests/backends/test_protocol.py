@@ -65,6 +65,13 @@ class TestBackendWrapper:
         # Optional capability passes through __getattr__.
         assert wrapper.table is table
 
+    def test_every_protocol_member_is_declared_on_the_wrapper(self):
+        # A member left to __getattr__ would answer from the wrapped
+        # backend: an ApproxEngine would answer it unsampled.
+        members = sorted(name for name in vars(ExecutionBackend) if not name.startswith("_"))
+        assert "crosstab" in members
+        assert [name for name in members if name not in vars(BackendWrapper)] == []
+
     def test_cover_through_sampling_wrappers_stays_a_fraction(self, table):
         # Regression: a cover from scaled counts over the sample's
         # num_rows used to exceed 1.

@@ -32,13 +32,16 @@ def test_m14_pins_its_answers_and_work():
     result = _probe("m14", "--rows", "2000", "--seed", "1")
     assert result["argv"] == ["scripts/probe.py", "m14", "--rows", "2000", "--seed", "1"]
     assert {key: result[key] for key in (
-        "probe", "answer_hash", "evaluations", "evictions", "hit_rate", "entries",
+        "probe", "answer_hash", "evaluations", "count_calls", "batch_calls", "evictions",
+        "hit_rate", "entries",
     )} == {
         "probe": "m14",
         "answer_hash": "4d5bb4e4ce8561b1",
-        "evaluations": 4705,
-        "evictions": 6795,
-        "hit_rate": 0.338376,
+        "evaluations": 2597,
+        "count_calls": 5543,
+        "batch_calls": 0,
+        "evictions": 2579,
+        "hit_rate": 0.528602,
         "entries": 4096,
     }
     # Bytes depend on the interpreter's object sizes, so only their scale is

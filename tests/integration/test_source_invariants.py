@@ -176,7 +176,7 @@ _PROTOCOL_MEMBERS = sorted(name for name in vars(ExecutionBackend) if not name.s
 
 
 def test_every_backend_protocol_member_has_a_caller_above_the_backends():
-    assert len(_PROTOCOL_MEMBERS) == 14
+    assert len(_PROTOCOL_MEMBERS) == 15
     assert uncalled_members(_PROTOCOL_MEMBERS, _sources()) == []
 
 

@@ -7,7 +7,7 @@ import threading
 import pytest
 
 from repro.backends import open_backend
-from repro.core import HBCuts, HBCutsConfig, cut_query, product
+from repro.core import HBCuts, HBCutsConfig, cut_query, product_counts
 from repro.sdl import RangePredicate, SDLQuery, SetPredicate
 from repro.service import BatchCoordinator, BatchedEngine
 from repro.storage import DataType, QueryEngine, ResultCache, Table
@@ -66,37 +66,34 @@ class TestCountBatch:
 
 
 class TestIndepPass:
-    def test_one_pass_per_iteration_with_counts_equal_to_product(self, table):
-        """Every iteration has an uncached pair (the newest composition's), so
-        it issues exactly one ``count_batch``; the first pass holds, pair by
-        pair in candidate order, the cells and counts ``product()`` returns."""
+    def test_one_crosstab_per_uncached_pair_equal_to_product_counts(self, table):
+        """Each uncached pair costs one ``crosstab`` and the pass issues no
+        ``count_batch``; the first iteration's tables are, pair by pair in
+        candidate order, the full tables ``product_counts`` returns."""
         engine = QueryEngine(table)
-        passes = []
-        count_batch = engine.count_batch
+        tables = []
+        crosstab = engine.crosstab
 
-        def recording(queries):
-            counts = count_batch(queries)
-            passes.append(list(zip(queries, counts)))
+        def recording(first, second):
+            counts = crosstab(first, second)
+            tables.append([list(row) for row in counts])
             return counts
 
-        engine.count_batch = recording
+        engine.crosstab = recording
         result = HBCuts().run(engine, _context())
         assert result.trace.iterations > 1
-        assert len(passes) == result.trace.batched_passes == result.trace.iterations
+        assert result.trace.batched_passes == result.trace.iterations
+        assert len(tables) == result.trace.pair_evaluations == engine.counter.crosstab_calls
+        assert engine.counter.batch_calls == 0
 
         reference = QueryEngine(table)
         cuts = [cut_query(reference, _context(), a) for a in _context().attributes]
         expected = [
-            (segment.query.to_sdl(), segment.count)
+            product_counts(reference, first, second)
             for i, first in enumerate(cuts)
             for second in cuts[i + 1 :]
-            for segment in product(reference, first, second, drop_empty=False)
         ]
-        assert [(query.to_sdl(), count) for query, count in passes[0]] == expected
-        for later in passes[1:]:
-            assert [count for _, count in later] == [
-                reference.count(query) for query, _ in later
-            ]
+        assert tables[: len(expected)] == expected
 
     def test_pass_respects_reuse_ablation(self, table):
         engine = QueryEngine(table)
