@@ -2,13 +2,20 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/probe.py m14 --rows 2000 --seed 1 [--capacity 4096]
+    PYTHONPATH=src python scripts/probe.py {m13,m14} --rows 2000 --seed 1 [--capacity 4096]
 
 A probe prints the hash of every answer it was served, the work counters
 behind them, the process's peak resident set (``VmHWM``, kB), the wall
 seconds and the argv that reproduces the line.  Two runs of one argv on
 one commit print the same hash and counters; a change that moves them
 moved the program.  Probes use only the public ``repro`` API.
+
+``m13``: a drill-down service over a time-ordered table, its peak
+resident set read after every context.  VOC sorted by ``departure_date``
+(as a shipping log is written) is served sharded and indexed
+(``memory?index=all&partitions=8``, five answers an advise); each of 12
+contexts is ``departure_date`` plus two of the other columns, drilled
+twice at a random answer and segment.
 
 ``m14``: the shared result cache under cold traffic.  Every user
 explores its own context and drill path (``repro.workloads.concurrent``
@@ -21,11 +28,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import random
 import sys
 import time
 from typing import Any, Callable, Dict, List, Optional
 
-from repro import AdvisorService, generate_voc
+import numpy as np
+
+from repro import AdvisorService, Table, generate_voc
 from repro.workloads.concurrent import generate_concurrent_workload
 
 #: Users a probe replays, and drill/back steps each takes after its advise.
@@ -33,7 +43,10 @@ USERS = 24
 STEPS = 8
 #: Seed of the generated table: ``--seed`` varies the requests, not the data.
 TABLE_SEED = 42
-#: The engine tallies ``m14`` sums over every session and the primary engine.
+#: ``m13``'s contexts, and drills each takes after its advise.
+CONTEXTS = 12
+DRILLS = 2
+#: The engine tallies a probe sums over every session and the primary engine.
 _WORK = ("evaluations", "count_calls", "batch_calls")
 
 
@@ -47,6 +60,65 @@ def peak_rss_kb() -> Optional[int]:
     except OSError:
         pass
     return None
+
+
+def _work_and_cache(
+    service: AdvisorService, table: Table, work: Dict[str, int]
+) -> Dict[str, Any]:
+    """``work`` (summed over closed sessions) plus the primary engine's
+    tallies, and the shared result cache's state."""
+    stats = service.stats()["tables"][table.name]
+    cache = stats["result_cache"]
+    return {
+        **{name: work[name] + stats["primary_engine"][name] for name in _WORK},
+        "evictions": cache["evictions"],
+        "hit_rate": round(cache["hit_rate"], 6),
+        "approx_bytes": cache["approx_bytes"],
+        "entries": cache["entries"],
+    }
+
+
+def m13(args: argparse.Namespace) -> Dict[str, Any]:
+    log = generate_voc(rows=args.rows, seed=TABLE_SEED)
+    dates = np.asarray(log.column("departure_date").values_list())
+    table = log.take(np.argsort(dates, kind="stable"))
+    service = AdvisorService(
+        table,
+        cache_capacity=args.capacity,
+        batch_window=0.0,
+        max_answers=5,
+        backend="memory?index=all&partitions=8",
+    )
+    others = [name for name in table.column_names if name not in ("trip", "departure_date")]
+    rng = random.Random(args.seed)
+    digest = hashlib.sha256()
+    work = dict.fromkeys(_WORK, 0)
+    vmhwm_kb: List[Optional[int]] = []
+    context_s: List[float] = []
+    for index in range(CONTEXTS):
+        started = time.perf_counter()
+        user = f"user{index}"
+        service.open_session(user)
+        advice = service.advise(user, ["departure_date", *rng.sample(others, 2)])
+        digest.update(advice.describe(limit=None).encode("utf-8"))
+        for _ in range(DRILLS):
+            if not advice.answers:
+                break
+            answer = rng.randrange(len(advice.answers))
+            segment = rng.randrange(advice.answers[answer].segmentation.depth)
+            advice = service.drill(user, answer, segment)
+            digest.update(advice.describe(limit=None).encode("utf-8"))
+        operations = service.close_session(user)["engine_operations"]
+        for name in _WORK:
+            work[name] += operations[name]
+        context_s.append(round(time.perf_counter() - started, 3))
+        vmhwm_kb.append(peak_rss_kb())
+    return {
+        "answer_hash": digest.hexdigest()[:16],
+        **_work_and_cache(service, table, work),
+        "context_s": context_s,
+        "vmhwm_kb_by_context": vmhwm_kb,
+    }
 
 
 def m14(args: argparse.Namespace) -> Dict[str, Any]:
@@ -80,19 +152,10 @@ def m14(args: argparse.Namespace) -> Dict[str, Any]:
         operations = service.close_session(script.user)["engine_operations"]
         for name in _WORK:
             work[name] += operations[name]
-    stats = service.stats()["tables"][table.name]
-    cache = stats["result_cache"]
-    return {
-        "answer_hash": digest.hexdigest()[:16],
-        **{name: work[name] + stats["primary_engine"][name] for name in _WORK},
-        "evictions": cache["evictions"],
-        "hit_rate": round(cache["hit_rate"], 6),
-        "approx_bytes": cache["approx_bytes"],
-        "entries": cache["entries"],
-    }
+    return {"answer_hash": digest.hexdigest()[:16], **_work_and_cache(service, table, work)}
 
 
-PROBES: Dict[str, Callable[[argparse.Namespace], Dict[str, Any]]] = {"m14": m14}
+PROBES: Dict[str, Callable[[argparse.Namespace], Dict[str, Any]]] = {"m13": m13, "m14": m14}
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -28,9 +28,7 @@ from repro.core.product import product
 
 _EXPORTS, __getattr__, __dir__ = _lazy_exports(__name__, {
     # primitives
-    "repro.core.median": (
-        "DEFAULT_LOW_CARDINALITY_THRESHOLD", "median_split", "nominal_value_order",
-    ),
+    "repro.core.median": ("median_split", "nominal_value_order"),
     "repro.core.cut": ("cut_query", "cut_segmentation"),
     "repro.core.compose": ("compose",),
     "repro.core.product": ("product", "product_counts"),

@@ -370,21 +370,9 @@ class Charles:
         if not attributes:
             raise AdvisorError("segment() requires at least one attribute")
         engine = self._advice_engine("exact")
-        segmentation = cut_query(
-            engine,
-            resolved,
-            attributes[0],
-            low_cardinality_threshold=self.config.low_cardinality_threshold,
-            drop_empty=self.config.drop_empty,
-        )
+        segmentation = cut_query(engine, resolved, attributes[0])
         for attribute in attributes[1:]:
-            segmentation = cut_segmentation(
-                engine,
-                segmentation,
-                attribute,
-                low_cardinality_threshold=self.config.low_cardinality_threshold,
-                drop_empty=self.config.drop_empty,
-            )
+            segmentation = cut_segmentation(engine, segmentation, attribute)
         return segmentation
 
     def profile(self, context: ContextLike = None) -> TableProfile:

@@ -26,13 +26,13 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.errors import CannotCutError, PredicateError, SegmentationError
+from repro.errors import CannotCutError, SegmentationError
 from repro.sdl.predicates import RangePredicate, SetPredicate
 from repro.sdl.query import SDLQuery
-from repro.sdl.segmentation import Segment, Segmentation
+from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
-from repro.core.cut import cut_query, cut_segmentation
-from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD, nominal_value_order
+from repro.core.cut import cut_query, cut_segmentation, split_query
+from repro.core.median import cut_range
 from repro.core.product import product
 
 __all__ = [
@@ -49,7 +49,6 @@ def facet_segmentation(
     context: SDLQuery,
     attribute: str,
     max_groups: int = 12,
-    drop_empty: bool = True,
 ) -> Segmentation:
     """A faceted-search style segmentation: one segment per value (or bin).
 
@@ -65,26 +64,7 @@ def facet_segmentation(
         predicates = _equal_width_predicates(engine, context, attribute, max_groups)
     else:
         predicates = _per_value_predicates(engine, context, attribute, max_groups)
-    segments: List[Segment] = []
-    for predicate in predicates:
-        try:
-            piece = context.refine(predicate)
-        except PredicateError as error:
-            raise CannotCutError(attribute, str(error)) from error
-        if piece is None:
-            continue
-        count = engine.count(piece)
-        if drop_empty and count == 0:
-            continue
-        segments.append(Segment(piece, count))
-    if not segments:
-        raise CannotCutError(attribute, "the facet produced no non-empty group")
-    return Segmentation(
-        context=context,
-        segments=segments,
-        context_count=context_count,
-        cut_attributes=(attribute,),
-    )
+    return split_query(engine, context, attribute, predicates, context_count, minimum=1)
 
 
 def _per_value_predicates(
@@ -93,8 +73,7 @@ def _per_value_predicates(
     frequencies = engine.value_frequencies(attribute, context)
     if len(frequencies) < 2:
         raise CannotCutError(attribute, "fewer than two distinct values remain")
-    ordered = nominal_value_order(frequencies, DEFAULT_LOW_CARDINALITY_THRESHOLD)
-    ordered = sorted(ordered, key=lambda v: (-frequencies[v], str(v)))
+    ordered = sorted(frequencies, key=lambda v: (-frequencies[v], str(v)))
     if len(ordered) <= max_groups:
         return [SetPredicate(attribute, frozenset({value})) for value in ordered]
     head = ordered[: max_groups - 1]
@@ -107,9 +86,7 @@ def _per_value_predicates(
 def _equal_width_predicates(
     engine: ExecutionBackend, context: SDLQuery, attribute: str, bins: int
 ) -> List[RangePredicate]:
-    minimum, maximum = engine.minmax(attribute, context)
-    if minimum == maximum:
-        raise CannotCutError(attribute, "a single distinct value remains")
+    minimum, maximum = cut_range(engine, context, attribute)
     low = float(minimum) if not hasattr(minimum, "toordinal") else float(minimum.toordinal())
     high = float(maximum) if not hasattr(maximum, "toordinal") else float(maximum.toordinal())
     edges = np.linspace(low, high, bins + 1)

@@ -19,7 +19,6 @@ from repro.errors import CompositionError
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
 from repro.core.cut import cut_segmentation
-from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD
 
 __all__ = ["compose"]
 
@@ -39,13 +38,7 @@ def compose_attributes(segmentation: Segmentation) -> Sequence[str]:
     return segmentation.cut_attributes
 
 
-def compose(
-    engine: ExecutionBackend,
-    first: Segmentation,
-    second: Segmentation,
-    low_cardinality_threshold: int = DEFAULT_LOW_CARDINALITY_THRESHOLD,
-    drop_empty: bool = True,
-) -> Segmentation:
+def compose(engine: ExecutionBackend, first: Segmentation, second: Segmentation) -> Segmentation:
     """``COMPOSE(first, second)``: cut ``first`` on the attributes of ``second``.
 
     Both segmentations must partition the same context.
@@ -66,12 +59,6 @@ def compose(
     # is applied to every piece, the final partition is the same for any
     # order, but we follow the listing for fidelity.
     for attribute in reversed(list(attributes)):
-        result = cut_segmentation(
-            engine,
-            result,
-            attribute,
-            low_cardinality_threshold=low_cardinality_threshold,
-            drop_empty=drop_empty,
-        )
+        result = cut_segmentation(engine, result, attribute)
     combined = tuple(dict.fromkeys((*first.cut_attributes, *attributes)))
     return result.with_cut_attributes(combined)

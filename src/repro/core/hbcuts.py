@@ -36,13 +36,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from repro.errors import AdvisorError, CannotCutError, CompositionError
+from repro.errors import AdvisorError, CannotCutError
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
 from repro.core.compose import compose
 from repro.core.cut import cut_query
-from repro.core.median import DEFAULT_LOW_CARDINALITY_THRESHOLD
 from repro.core.metrics import count_entropy, entropy, indep_from_entropies
 
 __all__ = ["HBCutsConfig", "HBCutsTrace", "HBCutsResult", "HBCuts"]
@@ -67,11 +66,6 @@ class HBCutsConfig:
     max_depth:
         Stop composing when the composition would contain at least this
         many queries (paper: about a dozen).
-    low_cardinality_threshold:
-        Cardinality below which nominal values are ordered by frequency
-        rather than alphabetically (Definition 5).
-    drop_empty:
-        Drop empty pieces produced by cuts and products.
     stopping:
         ``"threshold"`` uses the fixed ``max_indep`` bound; ``"chi2"``
         additionally requires the pair to be significantly dependent
@@ -86,8 +80,6 @@ class HBCutsConfig:
 
     max_indep: float = DEFAULT_MAX_INDEP
     max_depth: int = DEFAULT_MAX_DEPTH
-    low_cardinality_threshold: int = DEFAULT_LOW_CARDINALITY_THRESHOLD
-    drop_empty: bool = True
     stopping: str = "threshold"
     alpha: float = 0.01
     reuse_indep: bool = True
@@ -170,6 +162,10 @@ class HBCutsResult:
         return self.segmentations[0]
 
 
+#: ``ExecutionBackend.crosstab``'s answer: one row of cell counts per piece
+#: of the first operand.
+CrossTab = Tuple[Tuple[int, ...], ...]
+
 #: One event of the Figure 4 loop: a new candidate and the two candidates it
 #: replaces (none for the initial single-attribute cuts).
 Step = Tuple[Segmentation, Tuple[Segmentation, ...]]
@@ -241,13 +237,7 @@ class HBCuts:
         candidates: List[Segmentation] = []
         for attribute in explored:
             try:
-                candidate = cut_query(
-                    engine,
-                    context,
-                    attribute,
-                    low_cardinality_threshold=self.config.low_cardinality_threshold,
-                    drop_empty=self.config.drop_empty,
-                )
+                candidate = cut_query(engine, context, attribute)
             except CannotCutError:
                 trace.uncuttable_attributes.append(attribute)
                 continue
@@ -258,22 +248,16 @@ class HBCuts:
         # The INDEP cache is keyed by candidate ids, so replaced candidates
         # stay referenced for the whole run: a freed one's id could be
         # reused by a later composition and hit a stale entry.
-        indep_cache: Dict[frozenset, float] = {}
+        indep_cache: Dict[frozenset, Tuple[float, CrossTab]] = {}
         retired: List[Segmentation] = []
         while len(candidates) >= 2:
             trace.iterations += 1
-            first, second, indep_value = self._most_dependent_pair(
+            first, second, indep_value, table = self._most_dependent_pair(
                 engine, candidates, indep_cache, trace
             )
-            composed = compose(
-                engine,
-                first,
-                second,
-                low_cardinality_threshold=self.config.low_cardinality_threshold,
-                drop_empty=self.config.drop_empty,
-            )
+            composed = compose(engine, first, second)
             trace.indep_values.append(indep_value)
-            if self._should_stop(engine, first, second, indep_value, composed):
+            if self._should_stop(indep_value, table, composed):
                 trace.stop_reason = (
                     "depth" if composed.depth >= self.config.max_depth else "indep"
                 )
@@ -295,16 +279,19 @@ class HBCuts:
         self,
         engine: ExecutionBackend,
         candidates: Sequence[Segmentation],
-        cache: Dict[frozenset, float],
+        cache: Dict[frozenset, Tuple[float, CrossTab]],
         trace: HBCutsTrace,
-    ) -> Tuple[Segmentation, Segmentation, float]:
+    ) -> Tuple[Segmentation, Segmentation, float, CrossTab]:
         """Line 11 of Figure 4: argmin over candidate pairs of INDEP.
 
-        Each pair whose INDEP is not cached costs one ``crosstab``; the
-        product's entropy sums its cells row-major, skipping zeros — the
-        product segmentation's own order, so INDEP and its ties match
-        :func:`~repro.core.metrics.indep` bit for bit.  With
-        ``reuse_indep`` off nothing carries over between iterations.
+        Each pair whose INDEP is not cached costs one ``crosstab``, kept
+        next to its INDEP for the chi-square stopping rule; the product's
+        entropy sums its cells row-major, skipping zeros — the product
+        segmentation's own order, so INDEP and its ties match
+        :func:`~repro.core.metrics.indep` bit for bit.  A pair whose
+        product holds no row (two attributes never both set) reads 1.0,
+        as a zero denominator does, so it is never the most dependent.
+        With ``reuse_indep`` off nothing carries over between iterations.
         """
         if not self.config.reuse_indep:
             cache.clear()
@@ -323,25 +310,22 @@ class HBCuts:
             trace.batched_passes += 1
             trace.pair_evaluations += len(uncached)
             for pair in uncached:
-                cells = [count for row in engine.crosstab(*pair) for count in row]
-                if self.config.drop_empty and not any(cells):
-                    raise CompositionError("the SDL product is empty")
-                cache[key(pair)] = indep_from_entropies(
-                    count_entropy(cells, pair[0].context_count),
-                    entropy(pair[0]),
-                    entropy(pair[1]),
-                )
+                table = engine.crosstab(*pair)
+                cells = [count for row in table for count in row]
+                value = 1.0
+                if any(cells):
+                    value = indep_from_entropies(
+                        count_entropy(cells, pair[0].context_count),
+                        entropy(pair[0]),
+                        entropy(pair[1]),
+                    )
+                cache[key(pair)] = (value, table)
         # min() keeps the first of equal values: ties go to the earlier pair.
-        first, second = min(pairs, key=lambda pair: cache[key(pair)])
-        return first, second, cache[key((first, second))]
+        first, second = min(pairs, key=lambda pair: cache[key(pair)][0])
+        return (first, second, *cache[key((first, second))])
 
     def _should_stop(
-        self,
-        engine: ExecutionBackend,
-        first: Segmentation,
-        second: Segmentation,
-        indep_value: float,
-        new_segmentation: Segmentation,
+        self, indep_value: float, table: CrossTab, new_segmentation: Segmentation
     ) -> bool:
         """Line 15 of Figure 4: ``ind >= maxIndep || dep >= maxDepth``."""
         if new_segmentation.depth >= self.config.max_depth:
@@ -349,9 +333,8 @@ class HBCuts:
         if indep_value >= self.config.max_indep:
             return True
         if self.config.stopping == "chi2":
-            from repro.core.dependence import chi_square_test, contingency_table
+            from repro.core.dependence import chi_square_test
 
-            table = contingency_table(engine, first, second)
             _, p_value, _ = chi_square_test(table)
             if p_value >= self.config.alpha:
                 # The pair is not significantly dependent: stop composing.

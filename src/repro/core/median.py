@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Optional, Tuple
 
-from repro.errors import CannotCutError
+from repro.errors import CannotCutError, EmptyColumnError
 from repro.sdl.predicates import Predicate, RangePredicate, SetPredicate
 from repro.sdl.query import SDLQuery
 from repro.backends.base import ExecutionBackend
 
-__all__ = ["DEFAULT_LOW_CARDINALITY_THRESHOLD", "median_split", "nominal_value_order"]
+__all__ = ["median_split", "nominal_value_order"]
 
 #: Below this number of distinct values a nominal column is ordered by
 #: frequency of occurrence; at or above it, alphabetically (Definition 5:
@@ -33,7 +33,7 @@ __all__ = ["DEFAULT_LOW_CARDINALITY_THRESHOLD", "median_split", "nominal_value_o
 #: cardinality, and alphabetically otherwise").  A dozen matches the
 #: paper's recurring "a pie chart with more than a dozen slices is hard to
 #: read" bound.
-DEFAULT_LOW_CARDINALITY_THRESHOLD = 12
+_LOW_CARDINALITY = 12
 
 
 @dataclass(frozen=True)
@@ -65,17 +65,14 @@ class SplitSpec:
         return (self.lower, self.upper)
 
 
-def nominal_value_order(
-    frequencies: dict,
-    low_cardinality_threshold: int = DEFAULT_LOW_CARDINALITY_THRESHOLD,
-) -> List[Any]:
+def nominal_value_order(frequencies: dict) -> List[Any]:
     """Order nominal values per Definition 5.
 
     Low-cardinality columns are ordered by decreasing frequency (ties broken
     alphabetically for determinism); high-cardinality columns alphabetically.
     """
     values = list(frequencies)
-    if len(values) < low_cardinality_threshold:
+    if len(values) < _LOW_CARDINALITY:
         return sorted(values, key=lambda v: (-frequencies[v], str(v)))
     return sorted(values, key=str)
 
@@ -103,19 +100,15 @@ def nominal_split_point(ordered_values: List[Any], frequencies: dict) -> int:
     return best_index
 
 
-def median_split(
-    engine: ExecutionBackend,
-    query: SDLQuery,
-    attribute: str,
-    low_cardinality_threshold: int = DEFAULT_LOW_CARDINALITY_THRESHOLD,
-) -> SplitSpec:
+def median_split(engine: ExecutionBackend, query: SDLQuery, attribute: str) -> SplitSpec:
     """Compute the two complementary predicates that cut ``query`` on ``attribute``.
 
     Raises
     ------
     CannotCutError
         When the attribute has fewer than two distinct values over the
-        query's result set, or the result set is empty.
+        query's result set (none at all where it is NULL on every row), or
+        the result set is empty.
     """
     numeric = engine.is_numeric(attribute)
     count = engine.count(query)
@@ -124,13 +117,29 @@ def median_split(
 
     if numeric:
         return _numeric_split(engine, query, attribute)
-    return _nominal_split(engine, query, attribute, low_cardinality_threshold)
+    return _nominal_split(engine, query, attribute)
+
+
+def cut_range(engine: ExecutionBackend, query: SDLQuery, attribute: str) -> Tuple[Any, Any]:
+    """The attribute's minimum and maximum over the query's result set.
+
+    Raises
+    ------
+    CannotCutError
+        When no value (the attribute is NULL on every row) or a single
+        distinct value remains: there is nothing to split.
+    """
+    try:
+        minimum, maximum = engine.minmax(attribute, query)
+    except EmptyColumnError as error:
+        raise CannotCutError(attribute, "no value remains") from error
+    if minimum == maximum:
+        raise CannotCutError(attribute, "a single distinct value remains")
+    return minimum, maximum
 
 
 def _numeric_split(engine: ExecutionBackend, query: SDLQuery, attribute: str) -> SplitSpec:
-    minimum, maximum = engine.minmax(attribute, query)
-    if minimum == maximum:
-        raise CannotCutError(attribute, "a single distinct value remains")
+    minimum, maximum = cut_range(engine, query, attribute)
     median = engine.median(attribute, query)
     split_point = median
     if split_point <= minimum:
@@ -166,16 +175,11 @@ def _smallest_above(
     return min(candidates)
 
 
-def _nominal_split(
-    engine: ExecutionBackend,
-    query: SDLQuery,
-    attribute: str,
-    low_cardinality_threshold: int,
-) -> SplitSpec:
+def _nominal_split(engine: ExecutionBackend, query: SDLQuery, attribute: str) -> SplitSpec:
     frequencies = engine.value_frequencies(attribute, query)
     if len(frequencies) < 2:
         raise CannotCutError(attribute, "fewer than two distinct values remain")
-    ordered = nominal_value_order(frequencies, low_cardinality_threshold)
+    ordered = nominal_value_order(frequencies)
     split_index = nominal_split_point(ordered, frequencies)
     lower_values = frozenset(ordered[:split_index])
     upper_values = frozenset(ordered[split_index:])

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional
 
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
@@ -147,24 +147,15 @@ def indep_from_entropies(
     return product_entropy / denominator
 
 
-def indep(
-    engine: ExecutionBackend,
-    first: Segmentation,
-    second: Segmentation,
-    return_product: bool = False,
-) -> float | Tuple[float, Segmentation]:
-    """``INDEP(S1, S2)`` (Proposition 1), optionally returning the product.
+def indep(engine: ExecutionBackend, first: Segmentation, second: Segmentation) -> float:
+    """``INDEP(S1, S2)`` (Proposition 1).
 
     The quotient equals 1 for independent variables and decreases with the
     degree of dependence.
     """
-    product_segmentation = product(engine, first, second, drop_empty=True)
-    value = indep_from_entropies(
-        entropy(product_segmentation), entropy(first), entropy(second)
+    return indep_from_entropies(
+        entropy(product(engine, first, second)), entropy(first), entropy(second)
     )
-    if return_product:
-        return value, product_segmentation
-    return value
 
 
 def homogeneity_proxy(engine: ExecutionBackend, segmentation: Segmentation) -> float:

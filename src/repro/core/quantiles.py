@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-from repro.errors import CannotCutError, PredicateError
+from repro.errors import CannotCutError
 from repro.sdl.predicates import RangePredicate, SetPredicate
 from repro.sdl.query import SDLQuery
-from repro.sdl.segmentation import Segment, Segmentation
+from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
-from repro.core.median import (
-    DEFAULT_LOW_CARDINALITY_THRESHOLD,
-    nominal_value_order,
-)
+from repro.core.cut import split_query
+from repro.core.median import cut_range, nominal_value_order
 
 __all__ = ["quantile_cut_query"]
 
@@ -51,8 +49,6 @@ def quantile_cut_query(
     query: SDLQuery,
     attribute: str,
     quantiles: Sequence[float] = (1.0 / 3.0, 2.0 / 3.0),
-    low_cardinality_threshold: int = DEFAULT_LOW_CARDINALITY_THRESHOLD,
-    drop_empty: bool = True,
 ) -> Segmentation:
     """Split a query into ``len(quantiles) + 1`` pieces along one attribute.
 
@@ -77,30 +73,8 @@ def quantile_cut_query(
     if engine.is_numeric(attribute):
         predicates = _numeric_quantile_predicates(engine, query, attribute, quantiles)
     else:
-        predicates = _nominal_quantile_predicates(
-            engine, query, attribute, quantiles, low_cardinality_threshold
-        )
-
-    segments: List[Segment] = []
-    for predicate in predicates:
-        try:
-            piece = query.refine(predicate)
-        except PredicateError as error:
-            raise CannotCutError(attribute, str(error)) from error
-        if piece is None:
-            continue
-        count = engine.count(piece)
-        if drop_empty and count == 0:
-            continue
-        segments.append(Segment(piece, count))
-    if len(segments) < 2:
-        raise CannotCutError(attribute, "quantile cut produced fewer than two pieces")
-    return Segmentation(
-        context=query,
-        segments=segments,
-        context_count=context_count,
-        cut_attributes=(attribute,),
-    )
+        predicates = _nominal_quantile_predicates(engine, query, attribute, quantiles)
+    return split_query(engine, query, attribute, predicates, context_count)
 
 
 def _numeric_quantile_predicates(
@@ -109,9 +83,7 @@ def _numeric_quantile_predicates(
     attribute: str,
     quantiles: Sequence[float],
 ) -> List[RangePredicate]:
-    minimum, maximum = engine.minmax(attribute, query)
-    if minimum == maximum:
-        raise CannotCutError(attribute, "a single distinct value remains")
+    minimum, maximum = cut_range(engine, query, attribute)
     # Reconstruct the selected multiset from the backend's histogram, so
     # quantile points need no access to raw rows or selection masks.
     values: List[Any] = []
@@ -150,12 +122,11 @@ def _nominal_quantile_predicates(
     query: SDLQuery,
     attribute: str,
     quantiles: Sequence[float],
-    low_cardinality_threshold: int,
 ) -> List[SetPredicate]:
     frequencies = engine.value_frequencies(attribute, query)
     if len(frequencies) < 2:
         raise CannotCutError(attribute, "fewer than two distinct values remain")
-    ordered = nominal_value_order(frequencies, low_cardinality_threshold)
+    ordered = nominal_value_order(frequencies)
     total = sum(frequencies[value] for value in ordered)
     targets = list(quantiles)
     groups: List[List[Any]] = [[]]

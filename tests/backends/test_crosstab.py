@@ -96,12 +96,11 @@ def _cut(draw, engine: QueryEngine, context: SDLQuery) -> Segmentation:
     """CUT on one attribute, COMPOSEd with a cut on another half the time;
     an arbitrary segmentation when the data cannot be cut."""
     first, second = draw(st.permutations(list(_DTYPES)))[:2]
-    drop_empty = draw(st.booleans())
     try:
-        segmentation = cut_query(engine, context, first, drop_empty=drop_empty)
+        segmentation = cut_query(engine, context, first)
         if draw(st.booleans()):
-            other = cut_query(engine, context, second, drop_empty=drop_empty)
-            segmentation = compose(engine, segmentation, other, drop_empty=drop_empty)
+            other = cut_query(engine, context, second)
+            segmentation = compose(engine, segmentation, other)
     except (CannotCutError, CompositionError, EmptyColumnError):
         return draw(arbitrary(context))
     return segmentation

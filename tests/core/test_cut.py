@@ -102,12 +102,6 @@ class TestCutSegmentation:
         assert second.depth == 3
         assert check_partition(engine, second).is_partition
 
-    def test_strict_mode_raises_when_nothing_can_be_cut(self):
-        engine = _engine({"x": [1, 1, 2, 2], "y": ["a"] * 4})
-        first = cut_query(engine, SDLQuery.over(["x", "y"]), "x")
-        with pytest.raises(CannotCutError):
-            cut_segmentation(engine, first, "y", strict=True)
-
     def test_non_strict_mode_keeps_partition_when_nothing_can_be_cut(self):
         engine = _engine({"x": [1, 1, 2, 2], "y": ["a"] * 4})
         first = cut_query(engine, SDLQuery.over(["x", "y"]), "x")

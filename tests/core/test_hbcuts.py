@@ -5,7 +5,8 @@ from __future__ import annotations
 import pytest
 
 from builders import make_independent_table
-from repro.core import HBCuts, HBCutsConfig, entropy
+from repro.backends import open_backend
+from repro.core import Charles, HBCuts, HBCutsConfig, entropy
 from repro.errors import AdvisorError
 from repro.sdl import SDLQuery, check_partition
 from repro.storage import QueryEngine, Table
@@ -128,6 +129,49 @@ class TestStoppingRules:
         config = HBCutsConfig(stopping="chi2", alpha=0.01)
         result = HBCuts(config).run(engine, SDLQuery.over(["x", "y", "z"]))
         assert [set(c) for c in result.trace.compositions] == [{"x", "y"}]
+
+    def test_chi2_reads_each_pair_table_once(self):
+        # The chosen pair's table is kept next to its INDEP, not recounted.
+        engine = QueryEngine(generate_voc(rows=3000, seed=42))
+        context = SDLQuery.over(["tonnage", "type_of_boat", "departure_harbour", "built"])
+        result = HBCuts(HBCutsConfig(stopping="chi2")).run(engine, context)
+        assert result.trace.compositions
+        assert engine.counter.crosstab_calls == result.trace.pair_evaluations
+
+
+class TestValuelessExtents:
+    """A cut that meets an extent where an attribute has no value cannot
+    cut there; the advise goes on, alike on every backend."""
+
+    #: x is NULL on the last two rows, y on the first three.
+    OVERLAPPING = {"x": [1, 2, 3, 4, 5, 6, None, None], "y": [None, None, None, 4, 5, 6, 7, 8]}
+    #: x and y are never both set.
+    DISJOINT = {"x": [1, 2, 3, 4] + [None] * 4, "y": [None] * 4 + [5, 6, 7, 8]}
+
+    @pytest.mark.parametrize(
+        "data, context, answers, stop_reason, indep_values, uncuttable",
+        [
+            (OVERLAPPING, "x:, y:", 3, "exhausted", [pytest.approx(0.4183, abs=1e-4)], []),
+            # The drilled extent holds no y value at all.
+            (OVERLAPPING, "x:[1, 2], y:", 1, "exhausted", [], ["y"]),
+            # The pair's product holds no row: INDEP 1.0, so nothing composes.
+            (DISJOINT, "x:, y:", 2, "indep", [1.0], []),
+        ],
+        ids=["overlapping", "drilled-no-y", "disjoint"],
+    )
+    def test_advises_alike_on_memory_and_sqlite(
+        self, data, context, answers, stop_reason, indep_values, uncuttable
+    ):
+        described = []
+        for spec in ("memory", "sqlite"):
+            advisor = Charles(open_backend(spec, Table.from_dict(data, name="t")))
+            advice = advisor.advise(context)
+            assert len(advice.answers) == answers
+            assert advice.trace.stop_reason == stop_reason
+            assert advice.trace.indep_values == indep_values
+            assert advice.trace.uncuttable_attributes == uncuttable
+            described.append(advice.describe(limit=None))
+        assert described[0] == described[1]
 
 
 class TestTraceAndReuse:

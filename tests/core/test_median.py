@@ -20,24 +20,18 @@ def _engine(data: dict) -> QueryEngine:
 
 class TestNominalValueOrder:
     def test_low_cardinality_sorted_by_frequency(self):
-        frequencies = {"rare": 1, "common": 10, "medium": 5}
-        assert nominal_value_order(frequencies, low_cardinality_threshold=12) == [
-            "common",
-            "medium",
-            "rare",
-        ]
+        # 11 distinct values: below the dozen, so by decreasing frequency.
+        frequencies = {f"v{i:02d}": i + 1 for i in range(11)}
+        assert nominal_value_order(frequencies) == [f"v{i:02d}" for i in reversed(range(11))]
 
     def test_high_cardinality_sorted_alphabetically(self):
-        frequencies = {"b": 10, "a": 1, "c": 5}
-        assert nominal_value_order(frequencies, low_cardinality_threshold=2) == [
-            "a",
-            "b",
-            "c",
-        ]
+        # 12 distinct values: a dozen or more, so alphabetically.
+        frequencies = {f"v{i:02d}": i + 1 for i in range(12)}
+        assert nominal_value_order(frequencies) == [f"v{i:02d}" for i in range(12)]
 
     def test_frequency_ties_broken_alphabetically(self):
         frequencies = {"b": 5, "a": 5}
-        assert nominal_value_order(frequencies, low_cardinality_threshold=12) == ["a", "b"]
+        assert nominal_value_order(frequencies) == ["a", "b"]
 
 
 class TestNominalSplitPoint:
@@ -82,6 +76,13 @@ class TestNumericSplit:
         engine = _engine({"x": [7, 7, 7]})
         with pytest.raises(CannotCutError):
             median_split(engine, SDLQuery.over(["x"]), "x")
+
+    def test_no_value_left_cannot_be_cut(self):
+        # Rows remain, but the attribute is NULL on every one of them.
+        engine = _engine({"x": [1, 2, 3, 4], "y": [None, None, 5.0, 6.0]})
+        query = SDLQuery([RangePredicate("x", 1, 2)])
+        with pytest.raises(CannotCutError):
+            median_split(engine, query, "y")
 
     def test_empty_query_cannot_be_cut(self):
         engine = _engine({"x": [1, 2, 3]})

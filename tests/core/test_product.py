@@ -90,7 +90,8 @@ class TestProposition1:
         context = SDLQuery.over(["a0", "a1"])
         first = cut_query(engine, context, "a0")
         second = cut_query(engine, context, "a1")
-        value, combined = indep(engine, first, second, return_product=True)
+        value = indep(engine, first, second)
+        combined = product(engine, first, second)
         assert entropy(combined) == pytest.approx(entropy(first) + entropy(second), rel=0.02)
         assert value == pytest.approx(1.0, abs=0.02)
 

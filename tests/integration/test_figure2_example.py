@@ -90,7 +90,8 @@ class TestProductPanel:
         # "The example of Figure 2 shows a dependence between the type of
         # boat and the departure date": the product is unbalanced, INDEP
         # drops to 1/2 for this deterministic mapping.
-        value, cells = indep(boats_engine, by_type, by_date, return_product=True)
+        value = indep(boats_engine, by_type, by_date)
+        cells = product(boats_engine, by_type, by_date)
         assert value == pytest.approx(0.5, abs=0.01)
         assert entropy(cells) == pytest.approx(entropy(by_type), abs=0.01)
 

@@ -49,7 +49,7 @@ _ENGINE = tuple(
 #: Each package facade → the size of its ``__all__``.
 _FACADES = {
     "repro": 51, "repro.api": 14, "repro.backends": 5, "repro.cluster": 10,
-    "repro.core": 44, "repro.live": 1, "repro.obs": 8, "repro.sdl": 13,
+    "repro.core": 43, "repro.live": 1, "repro.obs": 8, "repro.sdl": 13,
     "repro.service": 4, "repro.storage": 25, "repro.viz": 5, "repro.workloads": 15,
 }
 

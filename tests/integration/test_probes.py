@@ -49,3 +49,25 @@ def test_m14_pins_its_answers_and_work():
     assert 300 * result["entries"] <= result["approx_bytes"] <= 1500 * result["entries"]
     assert result["wall_s"] > 0
     assert result["vmhwm_kb"] is None or result["vmhwm_kb"] > 0
+
+
+def test_m13_pins_its_answers_and_work():
+    result = _probe("m13", "--rows", "2000", "--seed", "1")
+    assert result["argv"] == ["scripts/probe.py", "m13", "--rows", "2000", "--seed", "1"]
+    assert {key: result[key] for key in (
+        "probe", "answer_hash", "evaluations", "count_calls", "batch_calls", "evictions",
+        "hit_rate", "entries",
+    )} == {
+        "probe": "m13",
+        "answer_hash": "f3c2148861130077",
+        "evaluations": 614,
+        "count_calls": 1277,
+        "batch_calls": 0,
+        "evictions": 0,
+        "hit_rate": 0.517573,
+        "entries": 1606,
+    }
+    # One peak and one wall time per context, the peak never falling.
+    peaks = result["vmhwm_kb_by_context"]
+    assert len(peaks) == len(result["context_s"]) == 12
+    assert peaks[-1] is None or peaks == sorted(peaks)

@@ -265,6 +265,9 @@ _UNCALLED_BY_DESIGN = {
     "repro.api.client.RemoteSession": "the session type RemoteAdvisor.open_session returns, "
     "exported at the top level beside ServiceSession so local and remote scripts name the "
     "same pair",
+    "repro.core.dependence.contingency_table": "the K × L table as an array, which the "
+    "Proposition 1 goldens pin; HB-cuts' chi-square rule reads the crosstab its INDEP pass "
+    "already holds instead of asking for it again",
     "repro.workloads.synthetic.make_gaussian_table": "E10 (the §5.2 quantile-cut "
     "experiment) isolates the middle third of this Gaussian table",
     "repro.workloads.synthetic.make_zipf_table": "E10 (the §5.2 quantile-cut experiment) "
@@ -832,6 +835,19 @@ _FORBIDDEN = [
         r"\bversion=None\b", ("src",), (),
         id="no-unversioned-entry",
     ),
+    pytest.param(
+        "empty pieces are dropped (Definition 3: they add nothing); only product() keeps "
+        "Figure 2's empty cells on request (docs/sdl.md, Cutting)",
+        r"drop_empty=", ("src",), ("src/repro/core/product.py",),
+        id="empty-pieces-dropped",
+    ),
+    pytest.param(
+        "a nominal attribute of fewer than 12 distinct values is ordered by frequency, "
+        "alphabetically otherwise, and a piece that cannot be cut is kept whole: neither "
+        "is a parameter (docs/sdl.md, Cutting)",
+        r"low_cardinality_threshold|\bstrict=", ("src/repro/core",), (),
+        id="cut-rules-fixed",
+    ),
 ]
 
 
@@ -884,6 +900,8 @@ _PLANTED_LINES = {
     "one-aggregate-front-end": "    def _aggregate_get(self, key: str) -> Optional[Any]:",
     "backend-members-are-required": '        return getattr(self.engine, "data_version", None)',
     "no-unversioned-entry": "        self._cache.put(key, value, version=None)",
+    "empty-pieces-dropped": "            result = cut_segmentation(engine, result, attribute, drop_empty=False)",
+    "cut-rules-fixed": "    ordered = nominal_value_order(frequencies, low_cardinality_threshold=20)",
 }
 
 
