@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/probe.py {m13,m14} --rows 2000 --seed 1 [--capacity 4096]
+    PYTHONPATH=src python scripts/probe.py {m13,m14,m16} --rows 2000 --seed 1 [--capacity 4096]
 
 A probe prints the hash of every answer it was served, the work counters
 behind them, the process's peak resident set (``VmHWM``, kB), the wall
@@ -21,6 +21,15 @@ twice at a random answer and segment.
 explores its own context and drill path (``repro.workloads.concurrent``
 scripts), replayed sequentially on one ``AdvisorService`` over VOC, so
 the cache holds each user's work and evicts the last one's.
+
+``m16``: what a loaded table costs.  ``generate_voc(rows, seed)`` runs
+alone (``--seed`` is the table's seed here); the probe prints the load
+seconds, ``VmRSS`` right after it and ``VmHWM``, and per column the bytes
+of its row arrays and of its dictionary (what a string column holds
+besides its codes, measured through the column's attributes), the
+dictionary's size, and one digest of every column's physical encoding —
+codes and dictionary order included — which a change to how columns are
+stored must leave unmoved.
 """
 
 from __future__ import annotations
@@ -50,12 +59,13 @@ DRILLS = 2
 _WORK = ("evaluations", "count_calls", "batch_calls")
 
 
-def peak_rss_kb() -> Optional[int]:
-    """This process's ``VmHWM`` in kB (``None`` where /proc is absent)."""
+def peak_rss_kb(field: str = "VmHWM") -> Optional[int]:
+    """This process's ``VmHWM`` (or another ``/proc/self/status`` field) in
+    kB, ``None`` where /proc is absent."""
     try:
         with open("/proc/self/status", encoding="ascii") as status:
             for line in status:
-                if line.startswith("VmHWM:"):
+                if line.startswith(f"{field}:"):
                     return int(line.split()[1])
     except OSError:
         pass
@@ -155,14 +165,71 @@ def m14(args: argparse.Namespace) -> Dict[str, Any]:
     return {"answer_hash": digest.hexdigest()[:16], **_work_and_cache(service, table, work)}
 
 
-PROBES: Dict[str, Callable[[argparse.Namespace], Dict[str, Any]]] = {"m13": m13, "m14": m14}
+def _held_bytes(value: Any, seen: set) -> int:
+    """Bytes behind ``value``: an array's buffer (a ``StringDType`` array's
+    text longer than its 15-byte inline slot counted on top), or an
+    object's own size plus everything it refers to, each object once."""
+    if id(value) in seen:
+        return 0
+    seen.add(id(value))
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind != "T" or not value.size:
+            return int(value.nbytes)
+        lengths = np.strings.str_len(value)
+        return int(value.nbytes + lengths[lengths > 15].sum())
+    size = sys.getsizeof(value)
+    if isinstance(value, dict):
+        return size + sum(_held_bytes(k, seen) + _held_bytes(v, seen) for k, v in value.items())
+    if isinstance(value, (list, tuple, set, frozenset)):
+        return size + sum(_held_bytes(item, seen) for item in value)
+    if hasattr(value, "__dict__"):
+        return size + _held_bytes(vars(value), seen)
+    slots = getattr(type(value), "__slots__", ())
+    return size + sum(_held_bytes(getattr(value, n), seen) for n in slots if hasattr(value, n))
+
+
+def m16(args: argparse.Namespace) -> Dict[str, Any]:
+    started = time.perf_counter()
+    table = generate_voc(rows=args.rows, seed=args.seed)
+    load_s = time.perf_counter() - started
+    vmrss_kb = peak_rss_kb("VmRSS")
+    digest = hashlib.sha256()
+    columns: Dict[str, Dict[str, int]] = {}
+    for name in table.column_names:
+        column = table.column(name)
+        rows = [v for v in (getattr(column, a, None) for a in ("_codes", "_data", "_valid"))
+                if v is not None]
+        held = {k: v for k, v in vars(column).items()
+                if k not in ("name", "dtype", "_codes", "_data", "_valid")}
+        digest.update(f"{name}:{type(column).__name__}:{column.dtype.value}".encode())
+        entry = {"array_bytes": sum(int(array.nbytes) for array in rows)}
+        if hasattr(column, "categories"):
+            categories = column.categories
+            digest.update(json.dumps(categories).encode())
+            entry["dictionary_size"] = len(categories)
+            entry["dictionary_bytes"] = _held_bytes(held, set()) - sys.getsizeof(held)
+        for array in rows:
+            digest.update(array.dtype.str.encode())
+            digest.update(np.ascontiguousarray(array).tobytes())
+        columns[name] = entry
+    return {
+        "load_s": round(load_s, 3),
+        "vmrss_after_load_kb": vmrss_kb,
+        "encoding_digest": digest.hexdigest()[:16],
+        "columns": columns,
+    }
+
+
+PROBES: Dict[str, Callable[[argparse.Namespace], Dict[str, Any]]] = {
+    "m13": m13, "m14": m14, "m16": m16,
+}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("probe", choices=sorted(PROBES))
     parser.add_argument("--rows", type=int, required=True, help="rows of the generated table")
-    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts (m16: of the table)")
     parser.add_argument("--capacity", type=int, default=4096,
                         help="entries of the shared result cache (the service default)")
     args = parser.parse_args(argv)

@@ -71,3 +71,21 @@ def test_m13_pins_its_answers_and_work():
     peaks = result["vmhwm_kb_by_context"]
     assert len(peaks) == len(result["context_s"]) == 12
     assert peaks[-1] is None or peaks == sorted(peaks)
+
+
+def test_m16_pins_the_encoding_of_a_loaded_table():
+    result = _probe("m16", "--rows", "2000", "--seed", "1")
+    assert result["argv"] == ["scripts/probe.py", "m16", "--rows", "2000", "--seed", "1"]
+    assert result["encoding_digest"] == "794a8fd5fd81a999"
+    sizes = {
+        name: column["dictionary_size"]
+        for name, column in result["columns"].items()
+        if "dictionary_size" in column
+    }
+    assert sizes == {
+        "trip": 2000, "master": 100, "type_of_boat": 6, "yard": 7, "departure_harbour": 7,
+    }
+    # Bytes depend on the layout and the interpreter, so only their presence is pinned.
+    assert all(column["array_bytes"] > 0 for column in result["columns"].values())
+    assert result["load_s"] > 0
+    assert result["vmrss_after_load_kb"] is None or result["vmrss_after_load_kb"] > 0
