@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
+from repro.core.metrics import indep_from_entropies
 from repro.core.product import product_counts
 
 __all__ = [
@@ -59,10 +60,7 @@ def indep_from_table(table: np.ndarray) -> float:
     joint_entropy = _entropy_from_probabilities(joint.ravel())
     row_entropy = _entropy_from_probabilities(joint.sum(axis=1))
     column_entropy = _entropy_from_probabilities(joint.sum(axis=0))
-    denominator = row_entropy + column_entropy
-    if denominator <= 0:
-        return 1.0
-    return joint_entropy / denominator
+    return indep_from_entropies(joint_entropy, row_entropy, column_entropy)
 
 
 def mutual_information(table: np.ndarray) -> float:

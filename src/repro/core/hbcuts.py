@@ -42,7 +42,7 @@ from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
 from repro.core.compose import compose
 from repro.core.cut import cut_query
-from repro.core.metrics import count_entropy, entropy, indep_from_entropies
+from repro.core.metrics import crosstab_indep, entropy
 
 __all__ = ["HBCutsConfig", "HBCutsTrace", "HBCutsResult", "HBCuts"]
 
@@ -285,13 +285,10 @@ class HBCuts:
         """Line 11 of Figure 4: argmin over candidate pairs of INDEP.
 
         Each pair whose INDEP is not cached costs one ``crosstab``, kept
-        next to its INDEP for the chi-square stopping rule; the product's
-        entropy sums its cells row-major, skipping zeros — the product
-        segmentation's own order, so INDEP and its ties match
-        :func:`~repro.core.metrics.indep` bit for bit.  A pair whose
-        product holds no row (two attributes never both set) reads 1.0,
-        as a zero denominator does, so it is never the most dependent.
-        With ``reuse_indep`` off nothing carries over between iterations.
+        next to its INDEP for the chi-square stopping rule
+        (:func:`~repro.core.metrics.crosstab_indep`: a pair whose product
+        holds no row reads 1.0, so it is never the most dependent).  With
+        ``reuse_indep`` off nothing carries over between iterations.
         """
         if not self.config.reuse_indep:
             cache.clear()
@@ -311,15 +308,7 @@ class HBCuts:
             trace.pair_evaluations += len(uncached)
             for pair in uncached:
                 table = engine.crosstab(*pair)
-                cells = [count for row in table for count in row]
-                value = 1.0
-                if any(cells):
-                    value = indep_from_entropies(
-                        count_entropy(cells, pair[0].context_count),
-                        entropy(pair[0]),
-                        entropy(pair[1]),
-                    )
-                cache[key(pair)] = (value, table)
+                cache[key(pair)] = (crosstab_indep(table, *pair), table)
         # min() keeps the first of equal values: ties go to the earlier pair.
         first, second = min(pairs, key=lambda pair: cache[key(pair)][0])
         return (first, second, *cache[key((first, second))])

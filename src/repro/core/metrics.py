@@ -27,17 +27,16 @@ from typing import Dict, Iterable, Optional
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
-from repro.core.product import product
 
 __all__ = [
     "entropy",
-    "count_entropy",
     "max_entropy",
     "balance",
     "simplicity",
     "breadth",
     "cover",
     "indep",
+    "crosstab_indep",
     "indep_from_entropies",
     "homogeneity_proxy",
     "SegmentationScores",
@@ -148,13 +147,29 @@ def indep_from_entropies(
 
 
 def indep(engine: ExecutionBackend, first: Segmentation, second: Segmentation) -> float:
-    """``INDEP(S1, S2)`` (Proposition 1).
+    """``INDEP(S1, S2)`` (Proposition 1), from one ``crosstab`` call.
 
     The quotient equals 1 for independent variables and decreases with the
     degree of dependence.
     """
+    return crosstab_indep(engine.crosstab(first, second), first, second)
+
+
+def crosstab_indep(
+    table: Iterable[Iterable[int]], first: Segmentation, second: Segmentation
+) -> float:
+    """``INDEP`` of ``first × second`` from its contingency table.
+
+    The product's entropy sums the cells row-major, skipping zeros — the
+    product segmentation's own order, so the value is that of
+    ``E(S1 × S2)`` bit for bit.  A product that holds no row (two
+    attributes never both set) reads 1.0, as a zero denominator does.
+    """
+    cells = [count for row in table for count in row]
+    if not any(cells):
+        return 1.0
     return indep_from_entropies(
-        entropy(product(engine, first, second)), entropy(first), entropy(second)
+        count_entropy(cells, first.context_count), entropy(first), entropy(second)
     )
 
 

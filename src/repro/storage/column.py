@@ -20,6 +20,7 @@ constraint and are excluded from aggregates, matching SQL semantics.
 from __future__ import annotations
 
 import datetime as _dt
+from itertools import chain, count
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,27 +37,29 @@ __all__ = ["Column", "NumericColumn", "StringColumn", "BoolColumn", "build_colum
 
 
 # Per logical type: the physical NumPy dtype, and the Python scalar types
-# that are stored without conversion.
-_LAYOUT: Dict[DataType, Tuple[Any, frozenset]] = {
-    DataType.INT: (np.int64, frozenset({int})),
-    DataType.FLOAT: (np.float64, frozenset({int, float})),
-    DataType.DATE: (np.int64, frozenset()),
-    DataType.BOOL: (np.bool_, frozenset({bool})),
+# and NumPy dtype kinds that are stored without conversion.
+_LAYOUT: Dict[DataType, Tuple[Any, frozenset, str]] = {
+    DataType.INT: (np.int64, frozenset({int}), "i"),
+    DataType.FLOAT: (np.float64, frozenset({int, float}), "if"),
+    DataType.DATE: (np.int64, frozenset(), ""),
+    DataType.BOOL: (np.bool_, frozenset({bool}), "b"),
 }
 
 
 def _encode(values: Sequence[Any], dtype: DataType) -> Tuple[np.ndarray, np.ndarray]:
     """Physical ``(data, valid)`` arrays of raw values for a non-string column.
 
-    Missing rows hold the fill value 0.  Values that are all of a type
-    the column stores without conversion (generated tables, NumPy input)
-    are adopted in one C pass; anything else is coerced value by value.
-    An integer outside int64, or a number too large for a float, is a
-    :class:`TypeMismatchError`.
+    Missing rows hold the fill value 0.  An array of a kind the column
+    stores without conversion (generated tables), or values that are all
+    of such a Python type, are adopted in one C pass; anything else is
+    coerced value by value.  An integer outside int64, or a number too
+    large for a float, is a :class:`TypeMismatchError`.
     """
-    physical, stored_as_is = _LAYOUT[dtype]
+    physical, stored_as_is, kinds = _LAYOUT[dtype]
+    if isinstance(values, np.ndarray) and values.dtype.kind not in kinds:
+        values = values.tolist()
     try:
-        if set(map(type, values)) <= stored_as_is:
+        if isinstance(values, np.ndarray) or set(map(type, values)) <= stored_as_is:
             data = np.array(values, dtype=physical)
             if dtype is not DataType.FLOAT:
                 return data, np.ones(len(data), dtype=bool)
@@ -94,14 +97,16 @@ class Column:
         The whole selection is decoded in one pass, to exactly the values
         :meth:`value_at` returns row by row.
         """
-        if mask is None:
-            return self._decoded(slice(None))
+        return self._decoded(slice(None) if mask is None else self._checked(mask))
+
+    def _checked(self, mask: np.ndarray) -> np.ndarray:
+        """A caller's selection mask as booleans, one per row."""
         mask = np.asarray(mask, dtype=bool)
         if mask.shape[0] != len(self):
             raise TypeMismatchError(
                 f"mask length {mask.shape[0]} does not match column length {len(self)}"
             )
-        return self._decoded(mask)
+        return mask
 
     def _decoded(self, rows: Any) -> List[Any]:
         """Decoded values of the rows a slice or boolean mask selects."""
@@ -114,14 +119,7 @@ class Column:
     def _effective_mask(self, mask: Optional[np.ndarray]) -> np.ndarray:
         """Combine the validity bitmap with a caller-provided selection mask."""
         valid = self.valid_mask()
-        if mask is None:
-            return valid
-        mask = np.asarray(mask, dtype=bool)
-        if mask.shape[0] != len(self):
-            raise TypeMismatchError(
-                f"mask length {mask.shape[0]} does not match column length {len(self)}"
-            )
-        return valid & mask
+        return valid if mask is None else valid & self._checked(mask)
 
     # -- aggregates ------------------------------------------------------------
 
@@ -356,68 +354,46 @@ FEW_CODES = 4
 class StringColumn(Column):
     """A dictionary-encoded nominal column.
 
-    Physical layout: an ``int32`` code per row (``-1`` for missing) plus an
-    ordered list of category strings.  A set predicate compares the codes
-    of a few literals and gathers a lookup table by code for more (one pass
-    however many literals it holds); range predicates use lexicographic order
-    over the decoded strings, which is rarely useful but kept for symmetry
-    with SQL semantics.
+    Physical layout: an ``int32`` code per row (``-1`` for missing) plus a
+    :class:`_Dictionary`, a ``StringDType`` array of the distinct texts in
+    first-appearance order — no Python object per value, and none per text
+    until :meth:`value_counts` first decodes them.  A set predicate compares the codes
+    of a few literals and gathers a lookup table by code for more (one
+    pass however many literals it holds); range predicates use code-point
+    order over the dictionary, rarely useful but kept for SQL symmetry.
     """
 
     MISSING_CODE = -1
 
     def __init__(self, name: str, values: Sequence[Any]):
         super().__init__(name, DataType.STRING)
-        self._categories: List[str] = []
-        self._index_of: Dict[str, int] = {}
-        self._codes = self._encode_strings(values, self._categories, self._index_of)
+        self._dictionary, self._codes = _Dictionary.EMPTY.encode(values)
 
     @classmethod
-    def _encode_strings(
-        cls, values: Sequence[Any], categories: List[str], index_of: Dict[str, int]
-    ) -> np.ndarray:
-        """The ``int32`` codes of raw values, growing the dictionary in place.
-
-        New texts are appended to ``categories`` (and ``index_of``) in
-        first-appearance order.  An all-``str`` batch is encoded in bulk:
-        ``dict.fromkeys`` lists its distinct texts in that order, each is
-        checked for missing once, and one ``np.fromiter`` maps the rows.
-        Other input is first turned into texts (``None`` when missing)
-        value by value.
-        """
-        if not set(map(type, values)) <= {str}:
-            values = [None if is_missing(raw) else str(raw) for raw in values]
-        code_of: Dict[Optional[str], int] = {}
-        for text in dict.fromkeys(values):
-            if text is None or is_missing(text):
-                code_of[text] = cls.MISSING_CODE
-                continue
-            code = index_of.get(text)
-            if code is None:
-                code = index_of[text] = len(categories)
-                categories.append(text)
-            code_of[text] = code
-        return np.fromiter(map(code_of.__getitem__, values), dtype=np.int32, count=len(values))
+    def from_codes(cls, name: str, indices: np.ndarray, labels: Sequence[str]) -> "StringColumn":
+        """The column whose row ``i`` holds ``labels[indices[i]]`` (distinct
+        texts, blank ones missing), from integer work on the rows only: the
+        labels held are ranked by their first row, and an array already in
+        that order is adopted as the dictionary."""
+        texts = np.asarray(labels, dtype=_TEXT)
+        first = np.full(texts.size, len(indices), dtype=np.intp)
+        np.minimum.at(first, indices, np.arange(len(indices)))
+        first[_blank(texts)] = len(indices)
+        order = np.argsort(first, kind="stable")[: np.count_nonzero(first < len(indices))]
+        rank = np.full(texts.size, cls.MISSING_CODE, dtype=np.int32)
+        rank[order] = np.arange(order.size, dtype=np.int32)
+        if order.size < texts.size or np.any(order[1:] < order[:-1]):
+            texts = texts[order]
+        return cls._over(name, _Dictionary(texts), rank[indices])
 
     @classmethod
-    def _from_encoding(
-        cls,
-        name: str,
-        codes: np.ndarray,
-        categories: List[str],
-        index_of: Dict[str, int],
-    ) -> "StringColumn":
-        """A column over ``codes`` that *shares* the given dictionary.
-
-        Neither structure is ever mutated in place (``append_values``
-        copies before it grows them), so row slices and gathers reuse the
-        parent's instead of paying O(distinct values) per shard.
-        """
+    def _over(cls, name: str, dictionary: "_Dictionary", codes: np.ndarray) -> "StringColumn":
+        """A column over ``codes`` that *shares* ``dictionary`` (row slices
+        and gathers reuse it instead of paying O(distinct values) a shard)."""
         column = cls.__new__(cls)
         Column.__init__(column, name, DataType.STRING)
         column._codes = codes
-        column._categories = categories
-        column._index_of = index_of
+        column._dictionary = dictionary
         return column
 
     def __len__(self) -> int:
@@ -426,7 +402,7 @@ class StringColumn(Column):
     @property
     def categories(self) -> List[str]:
         """The dictionary of distinct values, in first-appearance order."""
-        return list(self._categories)
+        return self._dictionary.texts.tolist()
 
     def valid_mask(self) -> np.ndarray:
         return self._codes != self.MISSING_CODE
@@ -435,23 +411,30 @@ class StringColumn(Column):
         code = int(self._codes[index])
         if code == self.MISSING_CODE:
             return None
-        return self._categories[code]
+        return self._dictionary.texts[code]
 
     def _decoded(self, rows: Any) -> List[Any]:
-        # MISSING_CODE (-1) indexes the trailing None.
-        return list(map([*self._categories, None].__getitem__, self._codes[rows].tolist()))
+        codes = self._codes[rows]
+        if not self._dictionary.texts.size:
+            return [None] * len(codes)
+        # MISSING_CODE (-1) reads the last text; those rows are reset below.
+        values = self._dictionary.texts[codes].tolist()
+        for position in np.flatnonzero(codes == self.MISSING_CODE).tolist():
+            values[position] = None
+        return values
+
+    def _present(self, mask: Optional[np.ndarray], what: str) -> List[str]:
+        """The distinct texts under the mask, in code order."""
+        counts = np.bincount(self._codes[self._effective_mask(mask)])
+        if not counts.size:
+            raise EmptyColumnError(f"{what} of empty selection on {self.name!r}")
+        return self._dictionary.texts[np.flatnonzero(counts)].tolist()
 
     def minimum(self, mask: Optional[np.ndarray] = None) -> Any:
-        values = [v for v in self.values_list(self._effective_mask(mask))]
-        if not values:
-            raise EmptyColumnError(f"minimum of empty selection on {self.name!r}")
-        return min(values)
+        return min(self._present(mask, "minimum"))
 
     def maximum(self, mask: Optional[np.ndarray] = None) -> Any:
-        values = [v for v in self.values_list(self._effective_mask(mask))]
-        if not values:
-            raise EmptyColumnError(f"maximum of empty selection on {self.name!r}")
-        return max(values)
+        return max(self._present(mask, "maximum"))
 
     def median(self, mask: Optional[np.ndarray] = None) -> Any:
         raise TypeMismatchError(
@@ -460,16 +443,10 @@ class StringColumn(Column):
         )
 
     def value_counts(self, mask: Optional[np.ndarray] = None) -> Dict[Any, int]:
-        effective = self._effective_mask(mask)
-        codes = self._codes[effective]
-        if codes.size == 0:
-            return {}
-        counts = np.bincount(codes, minlength=len(self._categories))
-        return {
-            self._categories[code]: int(count)
-            for code, count in enumerate(counts)
-            if count > 0
-        }
+        counts = np.bincount(self._codes[self._effective_mask(mask)])
+        present = np.flatnonzero(counts)
+        return dict(zip(map(self._dictionary.decoded().__getitem__, present.tolist()),
+                        counts[present].tolist()))
 
     def mask_range(
         self,
@@ -478,50 +455,170 @@ class StringColumn(Column):
         include_low: bool = True,
         include_high: bool = True,
     ) -> np.ndarray:
-        selected_codes = [
-            code
-            for code, category in enumerate(self._categories)
-            if _within(category, low, high, include_low, include_high)
-        ]
-        return self._mask_for_codes(selected_codes)
+        texts = self._dictionary.texts
+        # As arrays: a ``str`` operand is compared as a fixed-width text,
+        # which drops trailing NULs.
+        low, high = np.array(low, dtype=_TEXT), np.array(high, dtype=_TEXT)
+        inside = (texts >= low if include_low else texts > low) & (
+            texts <= high if include_high else texts < high
+        )
+        return self._mask_for_codes(np.flatnonzero(inside))
 
     def mask_set(self, values: Iterable[Any]) -> np.ndarray:
-        codes = map(self._index_of.get, values)
-        return self._mask_for_codes([code for code in codes if code is not None])
+        return self._mask_for_codes(self._dictionary.codes_in(values))
 
-    def _mask_for_codes(self, codes: List[int]) -> np.ndarray:
+    def _mask_for_codes(self, codes: np.ndarray) -> np.ndarray:
         if len(codes) <= FEW_CODES:
             mask = np.zeros(len(self), dtype=bool)
-            for code in codes:
+            for code in codes.tolist():
                 mask |= self._codes == code
             return mask
         # One boolean slot per category, gathered by code in a single pass.
         # The trailing slot, which MISSING_CODE (-1) indexes, stays False.
-        selected = np.zeros(len(self._categories) + 1, dtype=bool)
+        selected = np.zeros(self._dictionary.texts.size + 1, dtype=bool)
         selected[codes] = True
         return selected.take(self._codes)
 
     def take(self, indices: np.ndarray) -> "StringColumn":
         indices = np.asarray(indices, dtype=np.int64)
-        return StringColumn._from_encoding(
-            self.name, self._codes[indices], self._categories, self._index_of
-        )
+        return StringColumn._over(self.name, self._dictionary, self._codes[indices])
 
     def slice_rows(self, start: int, stop: int) -> "StringColumn":
-        return StringColumn._from_encoding(
-            self.name, self._codes[start:stop], self._categories, self._index_of
-        )
+        return StringColumn._over(self.name, self._dictionary, self._codes[start:stop])
 
     def append_values(self, values: Sequence[Any]) -> "StringColumn":
         # The dictionary only grows: existing codes stay valid, new
         # categories are appended in first-appearance order, exactly as if
         # the column had been built from the concatenated values.
-        categories = list(self._categories)
-        index_of = dict(self._index_of)
-        codes = self._encode_strings(values, categories, index_of)
-        return StringColumn._from_encoding(
-            self.name, np.concatenate([self._codes, codes]), categories, index_of
+        dictionary, codes = self._dictionary.encode(values)
+        return StringColumn._over(self.name, dictionary, np.concatenate([self._codes, codes]))
+
+
+_TEXT = np.dtypes.StringDType()
+
+#: Texts decoded per ``tolist`` call when a dictionary is hashed, so the
+#: ``str`` objects hashing needs are never all alive at once.
+_HASH_CHUNK = 4096
+#: Literal sets a dictionary keeps resolved (a query's, for all its shards).
+_SETS_KEPT = 256
+
+
+def _texts(values: Sequence[Any]) -> Sequence[str]:
+    """Raw values as texts, a missing value as ``""`` (``str`` as they are,
+    an array in one C pass, anything else value by value)."""
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    if set(map(type, values)) <= {str}:
+        return values
+    return ["" if is_missing(raw) else str(raw) for raw in values]
+
+
+def _blank(texts: np.ndarray) -> np.ndarray:
+    """Which texts are missing: empty or all whitespace (as ``str.strip`` sees it)."""
+    return (texts == "") | np.strings.isspace(texts)
+
+
+def _hashes(texts: Iterable[str], size: int) -> np.ndarray:
+    return np.fromiter(map(hash, texts), dtype=np.int64, count=size)
+
+
+class _Dictionary:
+    """A string column's distinct texts, shared by its shards and gathers.
+
+    ``texts`` is never mutated: an append that meets new texts builds a new
+    dictionary.  Lookups go through the hash index, every text's ``hash``
+    in ascending order (``hashes``) beside its code (``order``), confirmed
+    on the text itself.  It is built with the dictionary, and an append
+    merges its new entries into it rather than hashing and sorting the
+    texts again.  The two memos (resolved literal sets, decoded texts) are
+    filled without a lock: threads that race compute equal values.
+    """
+
+    EMPTY: "_Dictionary"
+
+    def __init__(self, texts: np.ndarray, index: Optional[Tuple[np.ndarray, np.ndarray]] = None):
+        if index is None:
+            chunks = (texts[at:at + _HASH_CHUNK].tolist() for at in range(0, texts.size, _HASH_CHUNK))
+            hashes = _hashes(chain.from_iterable(chunks), texts.size)
+            order = np.argsort(hashes, kind="stable")
+            index = (hashes[order], order.astype(np.int32))
+        self.texts = texts
+        self.hashes, self.order = index
+        self._sets: Dict[frozenset, np.ndarray] = {}
+        self._decoded: Optional[List[str]] = None
+
+    def decoded(self) -> List[str]:
+        """The texts as ``str``, decoded on first use and kept: frequency keys,
+        cached and turned into set literals, share one object per text."""
+        if self._decoded is None:
+            self._decoded = self.texts.tolist()
+        return self._decoded
+
+    def codes_of(self, texts: Sequence[str], hashes: np.ndarray) -> np.ndarray:
+        """The ``int32`` code of each text (given with its hashes), ``-1``
+        where the dictionary lacks it."""
+        if not self.texts.size:
+            return np.full(len(texts), StringColumn.MISSING_CODE, dtype=np.int32)
+        ordered, order = self.hashes, self.order
+        at = np.minimum(np.searchsorted(ordered, hashes), ordered.size - 1)
+        codes = []
+        for text, place, code, hit in zip(
+            texts, at.tolist(), order[at].tolist(), (ordered[at] == hashes).tolist()
+        ):
+            while hit and self.texts[code] != text:  # the next text of an equal hash
+                place += 1
+                hit = place < ordered.size and ordered[place] == ordered[place - 1]
+                code = int(order[place]) if hit else code
+            codes.append(code if hit else StringColumn.MISSING_CODE)
+        return np.array(codes, dtype=np.int32)
+
+    def codes_in(self, values: Iterable[Any]) -> np.ndarray:
+        """The codes of those ``values`` the dictionary holds, kept per literal
+        set: the shards and versions sharing it resolve a query's set once."""
+        key = frozenset(values)
+        codes = self._sets.get(key)
+        if codes is None:
+            texts = [value for value in key if isinstance(value, str)]
+            found = self.codes_of(texts, _hashes(texts, len(texts)))
+            if len(self._sets) >= _SETS_KEPT:
+                self._sets.clear()
+            codes = self._sets[key] = found[found != StringColumn.MISSING_CODE]
+        return codes
+
+    def encode(self, values: Sequence[Any]) -> Tuple["_Dictionary", np.ndarray]:
+        """This dictionary grown by the texts of ``values`` first seen there,
+        and the ``int32`` code of each value.
+
+        One ``dict`` pass numbers the batch's distinct texts in first-
+        appearance order (it holds them as ``str`` already); only those are
+        looked up here, and the new ones are checked for missing in one
+        array operation and appended in that order.
+        """
+        texts = _texts(values)
+        position = dict(zip(dict.fromkeys(texts), count()))
+        rows = np.fromiter(map(position.__getitem__, texts), dtype=np.intp, count=len(texts))
+        labels = list(position)
+        hashes = _hashes(labels, len(labels))
+        known = self.codes_of(labels, hashes)
+        unknown = np.flatnonzero(known == StringColumn.MISSING_CODE)
+        if not unknown.size:
+            return self, known[rows]
+        fresh = np.array([labels[at] for at in unknown.tolist()], dtype=_TEXT)
+        keep = ~_blank(fresh)
+        new = unknown[keep]
+        if not new.size:
+            return self, known[rows]
+        known[new] = self.texts.size + np.arange(new.size, dtype=np.int32)
+        by_hash = new[np.argsort(hashes[new], kind="stable")]
+        at = np.searchsorted(self.hashes, hashes[by_hash])
+        index = (
+            np.insert(self.hashes, at, hashes[by_hash]), np.insert(self.order, at, known[by_hash])
         )
+        fresh = fresh if keep.all() else fresh[keep]
+        return _Dictionary(np.concatenate([self.texts, fresh]), index), known[rows]
+
+
+_Dictionary.EMPTY = _Dictionary(np.array([], dtype=_TEXT))
 
 
 class BoolColumn(_ArrayColumn):
@@ -563,18 +660,3 @@ def build_column(name: str, values: Sequence[Any], dtype: DataType) -> Column:
         return BoolColumn(name, values)
     raise TypeMismatchError(f"unsupported data type: {dtype!r}")  # pragma: no cover
 
-
-def _within(
-    value: str, low: str, high: str, include_low: bool, include_high: bool
-) -> bool:
-    if include_low:
-        if value < low:
-            return False
-    elif value <= low:
-        return False
-    if include_high:
-        if value > high:
-            return False
-    elif value >= high:
-        return False
-    return True

@@ -92,10 +92,8 @@ class Table:
         columns = []
         for column_name, values in data.items():
             # Read each column once (it may be a one-shot iterable); a NumPy
-            # array becomes Python scalars in a single C pass.
-            if isinstance(values, np.ndarray):
-                values = values.tolist()
-            elif not isinstance(values, (list, tuple)):
+            # array goes to the column as it is.
+            if not isinstance(values, (list, tuple, np.ndarray)):
                 values = list(values)
             dtype = types.get(column_name) or infer_collection_type(values)
             columns.append(build_column(column_name, values, dtype))

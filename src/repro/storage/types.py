@@ -171,7 +171,9 @@ def infer_collection_type(values: Iterable[Any]) -> DataType:
     strings are deduplicated: ``True == 1 == 1.0`` hash alike, so a set of
     raw values would lose the types of a mixed bool/int/float column.
     """
-    if not isinstance(values, (list, tuple)):
+    if isinstance(values, np.ndarray):
+        values = values.tolist()
+    elif not isinstance(values, (list, tuple)):
         values = list(values)
     seen: set[Optional[DataType]] = set()
     texts: set[str] = set()

@@ -22,7 +22,7 @@ import numpy as np
 from repro.errors import WorkloadError
 from repro.storage.table import Table
 from repro.storage.types import DataType
-from repro.workloads.generators import make_rng, numeric_from_category
+from repro.workloads.generators import labelled, make_rng, numeric_from_category, serial_labels
 
 __all__ = ["generate_astronomy"]
 
@@ -50,8 +50,7 @@ def generate_astronomy(
         raise WorkloadError(f"rows must be positive, got {rows}")
     rng = make_rng(seed)
 
-    draws = rng.choice(len(_CLASSES), size=rows, p=_CLASS_WEIGHTS)
-    classes = np.array(_CLASSES, dtype=object)[draws].tolist()
+    classes = (_CLASSES, rng.choice(len(_CLASSES), size=rows, p=_CLASS_WEIGHTS))
 
     ra: List[float] = rng.uniform(0.0, 360.0, size=rows).tolist()
     dec: List[float] = rng.uniform(-30.0, 60.0, size=rows).tolist()
@@ -60,18 +59,18 @@ def generate_astronomy(
     magnitude = numeric_from_category(
         rng, classes, means=_MAGNITUDE_MEANS, spreads=_MAGNITUDE_SPREADS,
         minimum=8.0, maximum=26.0,
-    )
+    ).tolist()
     redshift = numeric_from_category(
         rng, classes, means=_REDSHIFT_MEANS, spreads=_REDSHIFT_SPREADS,
         minimum=0.0, maximum=6.0,
-    )
+    ).tolist()
     # Colour correlates with magnitude: fainter objects are redder on average.
     scatter = rng.normal(0.0, 0.25, size=rows)
     colour_index = (0.08 * (np.array(magnitude) - 14.0) + scatter).tolist()
 
     data = {
-        "object_id": [f"obj-{index + 1:07d}" for index in range(rows)],
-        "object_class": classes,
+        "object_id": serial_labels("obj-", rows, 7),
+        "object_class": labelled(classes),
         "ra": [round(value, 4) for value in ra],
         "dec": [round(value, 4) for value in dec],
         "field": fields,

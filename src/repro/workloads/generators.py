@@ -31,6 +31,8 @@ __all__ = [
     "dependent_categorical_series",
     "numeric_from_category",
     "year_series",
+    "labelled",
+    "serial_labels",
 ]
 
 
@@ -44,12 +46,19 @@ def _validate_rows(rows: int) -> None:
         raise WorkloadError(f"the number of rows must be positive, got {rows}")
 
 
+#: A nominal series: row ``i`` holds ``labels[indices[i]]``, the labels
+#: distinct.  Draws index their labels already, so a series never holds a
+#: string per row; :meth:`StringColumn.from_codes
+#: <repro.storage.column.StringColumn.from_codes>` stores it as a column.
+Nominal = Tuple[Sequence[str], np.ndarray]
+
+
 def categorical_series(
     rng: np.random.Generator,
     rows: int,
     categories: Sequence[str],
     probabilities: Optional[Sequence[float]] = None,
-) -> List[str]:
+) -> Nominal:
     """Draw a categorical column with the given (or uniform) probabilities."""
     _validate_rows(rows)
     if not categories:
@@ -64,8 +73,7 @@ def categorical_series(
         if total <= 0:
             raise WorkloadError("probabilities must not sum to zero")
         probabilities = probabilities / total
-    draws = rng.choice(len(categories), size=rows, p=probabilities)
-    return [categories[int(index)] for index in draws]
+    return categories, rng.choice(len(categories), size=rows, p=probabilities)
 
 
 def zipf_categorical_series(
@@ -73,7 +81,7 @@ def zipf_categorical_series(
     rows: int,
     categories: Sequence[str],
     exponent: float = 1.2,
-) -> List[str]:
+) -> Nominal:
     """Draw a categorical column with Zipf-distributed popularity.
 
     The first category is the most popular; the tail decays as
@@ -89,11 +97,11 @@ def zipf_categorical_series(
 
 def dependent_categorical_series(
     rng: np.random.Generator,
-    parent_values: Sequence[str],
+    parent: Nominal,
     mapping: Dict[str, Sequence[str]],
     noise: float = 0.1,
     all_categories: Optional[Sequence[str]] = None,
-) -> List[str]:
+) -> Nominal:
     """Draw a categorical column whose value depends on a parent column.
 
     For each row, with probability ``1 - noise`` the child value is drawn
@@ -104,20 +112,17 @@ def dependent_categorical_series(
     if not 0.0 <= noise <= 1.0:
         raise WorkloadError(f"noise must lie in [0, 1], got {noise}")
     if all_categories is None:
-        seen: Dict[str, None] = {}
-        for children in mapping.values():
-            for child in children:
-                seen.setdefault(child, None)
-        all_categories = list(seen)
+        all_categories = list(dict.fromkeys(c for children in mapping.values() for c in children))
     if not all_categories:
         raise WorkloadError("the child category set is empty")
-    distinct, codes = _factorized(parent_values)
+    parents, codes = parent
     # Pool 0 is the full set; pool 1 + c holds the children of parent c.
-    pools = [all_categories] + [mapping.get(p, all_categories) or all_categories for p in distinct]
+    pools = [all_categories] + [mapping.get(p, all_categories) or all_categories for p in parents]
+    labels = list(dict.fromkeys(child for pool in pools for child in pool))
     sizes = np.array([len(pool) for pool in pools], dtype=np.int64)
-    choices = np.empty((len(pools), int(sizes.max())), dtype=object)
+    choices = np.zeros((len(pools), int(sizes.max())), dtype=np.int64)
     for row, pool in enumerate(pools):
-        choices[row, : len(pool)] = pool
+        choices[row, : len(pool)] = [labels.index(child) for child in pool]
 
     def pool_of(drawn: List[np.ndarray], at: np.ndarray) -> np.ndarray:
         return np.where(drawn[0] < noise, 0, 1 + codes[at])
@@ -125,29 +130,29 @@ def dependent_categorical_series(
     draws, picks = _replay_draws(
         rng, len(codes), [None, lambda drawn, at: sizes[pool_of(drawn, at)]]
     )
-    return choices[pool_of([draws], np.arange(len(codes))), picks].tolist()
+    return labels, choices[np.where(draws < noise, 0, 1 + codes), picks]
 
 
 def numeric_from_category(
     rng: np.random.Generator,
-    parent_values: Sequence[str],
+    parent: Nominal,
     means: Dict[str, float],
     spreads: Dict[str, float],
     minimum: Optional[float] = None,
     maximum: Optional[float] = None,
     integer: bool = False,
-) -> List[float]:
+) -> np.ndarray:
     """Draw a numeric column as a per-category Gaussian (category drives value).
 
     This is the planted dependency the Figure 1 example relies on: the
-    boat type determines a tonnage band.
+    boat type determines a tonnage band.  ``integer`` rounds to ``int64``.
     """
     default_mean = float(np.mean(list(means.values()))) if means else 0.0
     default_spread = float(np.mean(list(spreads.values()))) if spreads else 1.0
-    distinct, codes = _factorized(parent_values)
-    mean = np.array([means.get(p, default_mean) for p in distinct], dtype=np.float64)
+    parents, codes = parent
+    mean = np.array([means.get(p, default_mean) for p in parents], dtype=np.float64)
     spread = np.array(
-        [max(1e-9, spreads.get(p, default_spread)) for p in distinct], dtype=np.float64
+        [max(1e-9, spreads.get(p, default_spread)) for p in parents], dtype=np.float64
     )
     values = rng.normal(mean[codes], spread[codes])
     # The same comparisons as ``max(minimum, v)`` and ``min(maximum, v)``.
@@ -155,7 +160,7 @@ def numeric_from_category(
         values = np.where(values > minimum, values, minimum)
     if maximum is not None:
         values = np.where(values < maximum, values, maximum)
-    return _rounded(values).tolist() if integer else values.tolist()
+    return _rounded(values) if integer else values
 
 
 def year_series(
@@ -164,8 +169,8 @@ def year_series(
     start: int,
     end: int,
     skew_towards_end: float = 0.0,
-) -> List[int]:
-    """Draw integer years in ``[start, end]``.
+) -> np.ndarray:
+    """Draw integer years in ``[start, end]`` (``int64``).
 
     ``skew_towards_end`` in ``[0, 1]`` biases draws towards the end of the
     interval (data volumes typically grow over time).
@@ -178,18 +183,24 @@ def year_series(
     uniform = rng.random(rows)
     if skew_towards_end > 0:
         uniform = uniform ** (1.0 - 0.75 * skew_towards_end)
-    return (start + _rounded(uniform * (end - start))).tolist()
+    return start + _rounded(uniform * (end - start))
+
+
+def labelled(series: Nominal) -> np.ndarray:
+    """A nominal series' row texts, as one ``StringDType`` array."""
+    return np.asarray(series[0], dtype=np.dtypes.StringDType())[series[1]]
+
+
+def serial_labels(prefix: str, rows: int, width: int) -> np.ndarray:
+    """``f"{prefix}{i:0{width}d}"`` for ``i`` in ``1..rows``, formatted as
+    one ``StringDType`` array (row identifiers, one distinct label a row)."""
+    numbers = np.arange(1, rows + 1).astype(np.dtypes.StringDType())
+    return np.strings.add(prefix, np.strings.zfill(numbers, width))
 
 
 def _rounded(values: np.ndarray) -> np.ndarray:
     """``round`` per value: to the nearest integer, half to even."""
     return np.rint(values).astype(np.int64)
-
-
-def _factorized(values: Sequence[str]) -> Tuple[List[str], np.ndarray]:
-    """The distinct values in first-appearance order, and each value's position there."""
-    index = {value: code for code, value in enumerate(dict.fromkeys(values))}
-    return list(index), np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
 #: One call of a per-row run: ``None`` is ``random()``, a bound ``n`` is
@@ -210,21 +221,33 @@ def _replay_draws(rng: np.random.Generator, rows: int, calls: Sequence[Draw]) ->
     which ``random()`` leaves alone; ``integers(0, 1)`` draws nothing.  A
     draw NumPy would reject and redraw, a computed bound outside
     ``[2, 2**32]`` or another bit generator restores the state and makes
-    the scalar calls.
+    the scalar calls.  Rows are replayed ``_REPLAY_CHUNK`` at a time (each
+    chunk starts where the last one left the generator), which bounds the
+    replay's scratch arrays whatever the table's size.
     """
     bitgen = rng.bit_generator
-    start = bitgen.state
-    if start["bit_generator"] == "PCG64":
-        results = _replayed(bitgen, start, rows, calls)
-        if results is not None:
-            return results
-        bitgen.state = start
-    return _scalar_draws(rng, rows, calls)
+    results: List[np.ndarray] = []
+    for begin in range(0, max(rows, 1), _REPLAY_CHUNK):
+        at = np.arange(begin, min(rows, begin + _REPLAY_CHUNK))
+        start = bitgen.state
+        part = _replayed(bitgen, start, at, calls) if start["bit_generator"] == "PCG64" else None
+        if part is None:
+            bitgen.state = start
+            part = _scalar_draws(rng, at, calls)
+        results = results or [np.empty(rows, dtype=values.dtype) for values in part]
+        for column, values in zip(results, part):
+            column[begin:begin + len(at)] = values
+    return results
+
+
+#: Rows a replay draws at once.
+_REPLAY_CHUNK = 1 << 16
 
 
 def _replayed(
-    bitgen: np.random.BitGenerator, start: dict, rows: int, calls: Sequence[Draw]
+    bitgen: np.random.BitGenerator, start: dict, at: np.ndarray, calls: Sequence[Draw]
 ) -> Optional[List[np.ndarray]]:
+    rows = len(at)
     is_double = np.tile(np.array([call is None for call in calls], dtype=bool), rows)
     # A computed bound is taken to draw; the check below falls back if not.
     draws_half = [call is not None and (callable(call) or call > 1) for call in calls]
@@ -248,7 +271,7 @@ def _replayed(
         if call is None:
             results.append(raw[:, slot] * 2.0**-53)
             continue
-        n = np.broadcast_to(call(results, np.arange(rows)) if callable(call) else call, rows)
+        n = np.broadcast_to(call(results, at) if callable(call) else call, rows)
         if not ((n >= (2 if callable(call) else 1)) & (n <= 2**32)).all():
             return None
         n = n.astype(np.uint64)
@@ -266,14 +289,14 @@ def _replayed(
     return results
 
 
-def _scalar_draws(rng: np.random.Generator, rows: int, calls: Sequence[Draw]) -> List[np.ndarray]:
-    results = [np.zeros(rows, dtype=float if call is None else np.int64) for call in calls]
-    for row in range(rows):
-        at = np.array([row])
+def _scalar_draws(rng: np.random.Generator, at: np.ndarray, calls: Sequence[Draw]) -> List[np.ndarray]:
+    results = [np.zeros(len(at), dtype=float if call is None else np.int64) for call in calls]
+    for row in range(len(at)):
         for slot, call in enumerate(calls):
             if call is None:
                 results[slot][row] = rng.random()
             else:
-                n = call([r[at] for r in results[:slot]], at) if callable(call) else call
+                drawn = [r[row:row + 1] for r in results[:slot]]
+                n = call(drawn, at[row:row + 1]) if callable(call) else call
                 results[slot][row] = rng.integers(0, np.asarray(n).item())
     return results

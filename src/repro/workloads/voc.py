@@ -19,22 +19,31 @@ the same statistical structure the screenshots rely on:
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.storage.column import Column, NumericColumn, StringColumn
 from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.workloads.generators import (
+    Nominal,
     _replay_draws,
     dependent_categorical_series,
     make_rng,
     numeric_from_category,
+    serial_labels,
     year_series,
 )
 
 __all__ = ["generate_voc", "FIGURE1_CONTEXT_COLUMNS"]
+
+#: The table's columns, in order.
+_COLUMNS = (
+    "trip", "master", "tonnage", "type_of_boat", "built", "yard", "departure_date",
+    "departure_harbour", "cape_arrival",
+)
 
 #: The columns ticked in the Figure 1 screenshot's context.
 FIGURE1_CONTEXT_COLUMNS = ("type_of_boat", "departure_harbour", "tonnage")
@@ -88,7 +97,7 @@ _MASTER_FIRST = ("Jan", "Pieter", "Willem", "Cornelis", "Dirck", "Hendrick", "Ge
                  "Claes", "Adriaen", "Jacob")
 _MASTER_LAST = ("Janszoon", "de Vries", "van Dam", "Bontekoe", "Tasman", "Houtman",
                 "van Neck", "de Houtman", "Evertsen", "van Riebeeck")
-_MASTER_NAMES = np.array([f"{a} {b}" for a in _MASTER_FIRST for b in _MASTER_LAST], dtype=object)
+_MASTER_NAMES = [f"{a} {b}" for a in _MASTER_FIRST for b in _MASTER_LAST]
 
 
 def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") -> Table:
@@ -106,64 +115,41 @@ def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") 
     if rows <= 0:
         raise WorkloadError(f"rows must be positive, got {rows}")
     rng = make_rng(seed)
+    # Each column is stored once no later draw reads its series, so the
+    # draws never all wait as arrays at once.
+    columns: Dict[str, Column] = {}
 
+    def nominal(column: str, series: Nominal) -> None:
+        columns[column] = StringColumn.from_codes(column, series[1], series[0])
+
+    def integers(column: str, values: np.ndarray) -> None:
+        columns[column] = NumericColumn(column, values, DataType.INT)
+
+    nominal("trip", (serial_labels("trip-", rows, 5), np.arange(rows, dtype=np.int32)))
     # Boat types: the two light types dominate, as in the historical fleet.
     type_weights = (0.30, 0.26, 0.16, 0.12, 0.09, 0.07)
-    draws = rng.choice(len(_BOAT_TYPES), size=rows, p=type_weights)
-    boat_types = np.array(_BOAT_TYPES, dtype=object)[draws].tolist()
+    boats = (_BOAT_TYPES, rng.choice(len(_BOAT_TYPES), size=rows, p=type_weights))
+    integers("tonnage", numeric_from_category(
+        rng, boats, _TONNAGE_MEANS, _TONNAGE_SPREADS, minimum=1000.0, maximum=5000.0, integer=True
+    ))
+    harbours = dependent_categorical_series(rng, boats, _HARBOURS_BY_TYPE, 0.12, _ALL_HARBOURS)
+    nominal("type_of_boat", boats)
+    del boats
+    nominal("yard", dependent_categorical_series(rng, harbours, _YARDS_BY_HARBOUR, 0.15, _ALL_YARDS))
+    nominal("departure_harbour", harbours)
+    del harbours
 
-    tonnage = numeric_from_category(
-        rng,
-        boat_types,
-        means=_TONNAGE_MEANS,
-        spreads=_TONNAGE_SPREADS,
-        minimum=1000.0,
-        maximum=5000.0,
-        integer=True,
-    )
-    harbours = dependent_categorical_series(
-        rng,
-        boat_types,
-        mapping=_HARBOURS_BY_TYPE,
-        noise=0.12,
-        all_categories=_ALL_HARBOURS,
-    )
-    yards = dependent_categorical_series(
-        rng,
-        harbours,
-        mapping=_YARDS_BY_HARBOUR,
-        noise=0.15,
-        all_categories=_ALL_YARDS,
-    )
-
-    departure_years = year_series(rng, rows, start=1600, end=1780, skew_towards_end=0.4)
-    departure = np.array(departure_years, dtype=np.int64)
+    departure = year_series(rng, rows, start=1600, end=1780, skew_towards_end=0.4)
     (ages,) = _replay_draws(rng, rows, [24])  # integers(1, 25) per row
-    built_years = np.maximum(1580, departure - 1 - ages).tolist()
+    integers("built", np.maximum(1580, departure - 1 - ages))
+    del ages
     # Voyages to the Cape took roughly four to nine months; encode the
     # arrival as a year to keep the column comparable with the paper's
     # integer date examples.
-    cape_arrival = (departure + (rng.random(rows) < 0.45)).tolist()
+    integers("cape_arrival", departure + (rng.random(rows) < 0.45))
+    integers("departure_date", departure)
+    del departure
 
     first, last = _replay_draws(rng, rows, [len(_MASTER_FIRST), len(_MASTER_LAST)])
-    masters = _MASTER_NAMES[first * len(_MASTER_LAST) + last].tolist()
-    trips = [f"trip-{index + 1:05d}" for index in range(rows)]
-
-    data = {
-        "trip": trips,
-        "master": masters,
-        "tonnage": tonnage,
-        "type_of_boat": boat_types,
-        "built": built_years,
-        "yard": yards,
-        "departure_date": departure_years,
-        "departure_harbour": harbours,
-        "cape_arrival": cape_arrival,
-    }
-    types = {
-        "tonnage": DataType.INT,
-        "built": DataType.INT,
-        "departure_date": DataType.INT,
-        "cape_arrival": DataType.INT,
-    }
-    return Table.from_dict(data, name=name, types=types)
+    nominal("master", (_MASTER_NAMES, first * len(_MASTER_LAST) + last))
+    return Table(name, [columns[column] for column in _COLUMNS])

@@ -13,7 +13,7 @@ A web-analytics access log with the skew and dependencies such logs have:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -22,8 +22,10 @@ from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.workloads.generators import (
     dependent_categorical_series,
+    labelled,
     make_rng,
     numeric_from_category,
+    serial_labels,
     zipf_categorical_series,
 )
 
@@ -95,7 +97,7 @@ def generate_weblog(
     )
     # ``int(max(200, x))``: x if above 200, truncated towards zero.
     sizes = rng.lognormal(mean=8.0, sigma=1.0, size=rows)
-    bytes_sent: List[int] = np.where(sizes > 200, sizes, 200).astype(np.int64).tolist()
+    bytes_sent = np.where(sizes > 200, sizes, 200).astype(np.int64)
     countries = zipf_categorical_series(rng, rows, _COUNTRIES, exponent=0.9)
     devices = dependent_categorical_series(
         rng, countries, mapping=_DEVICES_BY_COUNTRY, noise=0.1,
@@ -105,17 +107,17 @@ def generate_weblog(
         rng, devices, mapping=_REFERRERS_BY_DEVICE, noise=0.15,
         all_categories=_ALL_REFERRERS,
     )
-    hours = rng.integers(0, 24, size=rows).tolist()
+    hours = rng.integers(0, 24, size=rows)
 
     data = {
-        "request_id": [f"req-{index + 1:08d}" for index in range(rows)],
-        "url_category": url_categories,
-        "status_code": statuses,
+        "request_id": serial_labels("req-", rows, 8),
+        "url_category": labelled(url_categories),
+        "status_code": labelled(statuses),
         "response_time_ms": response_times,
         "bytes_sent": bytes_sent,
-        "country": countries,
-        "device": devices,
-        "referrer": referrers,
+        "country": labelled(countries),
+        "device": labelled(devices),
+        "referrer": labelled(referrers),
         "hour": hours,
     }
     types = {

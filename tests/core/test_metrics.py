@@ -17,7 +17,8 @@ from repro.core import (
     score_segmentation,
     simplicity,
 )
-from repro.core import cut_query, cut_segmentation
+from repro.backends import open_backend
+from repro.core import analyse_dependence, cut_query, cut_segmentation, indep, product
 from repro.sdl import (
     NoConstraint,
     RangePredicate,
@@ -126,6 +127,31 @@ class TestIndepFromEntropies:
 
     def test_quotient(self):
         assert indep_from_entropies(1.0, 0.6, 0.6) == pytest.approx(1.0 / 1.2)
+
+
+class TestIndep:
+    """``indep`` agrees with HB-cuts' pair pass and ``analyse_dependence``."""
+
+    #: x and y are never both set: the product of their cuts holds no row.
+    DISJOINT = {"x": [1, 2, 3, 4, None, None, None, None], "y": [None] * 4 + [5, 6, 7, 8]}
+
+    @pytest.mark.parametrize("spec", ["memory", "sqlite"])
+    def test_a_product_holding_no_row_reads_one(self, spec):
+        engine = open_backend(spec, Table.from_dict(self.DISJOINT, name="t"))
+        context = SDLQuery.over(["x", "y"])
+        first, second = cut_query(engine, context, "x"), cut_query(engine, context, "y")
+        assert indep(engine, first, second) == 1.0
+        assert analyse_dependence(engine, first, second).indep == 1.0
+
+    @pytest.mark.parametrize("spec", ["memory", "sqlite"])
+    def test_is_the_entropy_quotient_of_the_product(self, spec):
+        data = {"x": [1, 2, 3, 4, 5, 6, 7, 8], "t": ["a", "a", "a", "b", "b", "b", "b", "a"]}
+        engine = open_backend(spec, Table.from_dict(data, name="t"))
+        context = SDLQuery.over(["x", "t"])
+        first, second = cut_query(engine, context, "x"), cut_query(engine, context, "t")
+        assert indep(engine, first, second) == indep_from_entropies(
+            entropy(product(engine, first, second)), entropy(first), entropy(second)
+        )
 
 
 class TestHomogeneityProxy:

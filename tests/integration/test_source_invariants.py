@@ -848,6 +848,13 @@ _FORBIDDEN = [
         r"low_cardinality_threshold|\bstrict=", ("src/repro/core",), (),
         id="cut-rules-fixed",
     ),
+    pytest.param(
+        "a string column's dictionary is NumPy arrays looked up through a hash index, with "
+        "no Python object per text: no dict from text to code (docs/architecture.md, "
+        "Process start-up and footprint)",
+        r"_index_of", ("src",), (),
+        id="no-text-to-code-dict",
+    ),
 ]
 
 
@@ -902,6 +909,7 @@ _PLANTED_LINES = {
     "no-unversioned-entry": "        self._cache.put(key, value, version=None)",
     "empty-pieces-dropped": "            result = cut_segmentation(engine, result, attribute, drop_empty=False)",
     "cut-rules-fixed": "    ordered = nominal_value_order(frequencies, low_cardinality_threshold=20)",
+    "no-text-to-code-dict": "            code = self._index_of.get(text)",
 }
 
 

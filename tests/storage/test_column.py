@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import datetime as dt
+import sys
+import threading
 
 import hypothesis.strategies as st
 import numpy as np
@@ -247,8 +249,17 @@ def per_value_string_encoding(values, categories, index_of):
     return codes
 
 
-texts = st.sampled_from(["a", "b", "ä", "", "  ", " a", "1", "x y"])
-raw_values = st.one_of(texts, st.none(), st.integers(-3, 3), st.just(float("nan")), st.just(2.5))
+#: Blank texts (ASCII and Unicode whitespace, which ``str.strip`` removes)
+#: are missing; non-ASCII texts order by code point; texts longer than
+#: 15 bytes live outside ``StringDType``'s inline slot.
+texts = st.sampled_from([
+    "a", "b", "ä", "", "  ", " a", "1", "x y", "\x1c", "\u3000", "\x00", "a\x00",
+    "é€𝄞", "Ω", "a rather long text of 28 bytes", "ääääääää",
+])
+raw_values = st.one_of(
+    texts, st.text(max_size=18), st.none(), st.integers(-3, 3), st.just(float("nan")),
+    st.just(2.5), st.just(True),
+)
 
 
 class TestBulkStringEncoding:
@@ -258,13 +269,139 @@ class TestBulkStringEncoding:
         categories, index_of = [], {}
         codes = per_value_string_encoding(values, categories, index_of)
         assert column._codes.dtype == codes.dtype and column._codes.tolist() == codes.tolist()
-        assert column.categories == categories and column._index_of == index_of
+        assert column.categories == categories
         # Appending grows the same dictionary the concatenation would build.
         grown = column.append_values(batch)
         codes = np.concatenate([codes, per_value_string_encoding(batch, categories, index_of)])
         assert grown._codes.tolist() == codes.tolist()
-        assert grown.categories == categories and grown._index_of == index_of
+        assert grown.categories == categories
         assert column.categories == StringColumn("s", values).categories  # untouched
+
+
+def _as_texts(values):
+    return [None if is_missing(raw) else str(raw) for raw in values]
+
+
+def assert_is_the_per_value_column(column, values, literal_sets, bounds):
+    """``column`` against the per-value loop over ``values``, query by query."""
+    categories, index_of = [], {}
+    codes = per_value_string_encoding(values, categories, index_of)
+    decoded = _as_texts(values)
+    assert column._codes.dtype == np.int32 and column._codes.tolist() == codes.tolist()
+    assert column.categories == categories
+    assert column.values_list() == decoded
+    assert [column.value_at(row) for row in range(len(values))] == decoded
+    expected_counts = {}
+    for text in decoded:
+        if text is not None:
+            expected_counts[text] = expected_counts.get(text, 0) + 1
+    counts = column.value_counts()
+    assert counts == expected_counts and list(counts) == [c for c in categories if c in counts]
+    for literals in literal_sets:
+        wanted = {index_of[v] for v in literals if isinstance(v, str) and v in index_of}
+        assert column.mask_set(literals).tolist() == [c in wanted for c in codes.tolist()]
+    for low, high, include_low, include_high in bounds:
+        def inside(text):
+            if text is None:
+                return False
+            above = text >= low if include_low else text > low
+            return above and (text <= high if include_high else text < high)
+        assert column.mask_range(low, high, include_low, include_high).tolist() == [
+            inside(text) for text in decoded
+        ]
+
+
+literal_sets = st.lists(st.lists(st.one_of(texts, st.text(max_size=4), st.integers(0, 2))), max_size=3)
+bounds = st.lists(st.tuples(texts, texts, st.booleans(), st.booleans()), max_size=3)
+
+
+class TestArrayBuiltStringColumns:
+    @given(
+        values=st.lists(raw_values, max_size=30),
+        batches=st.lists(st.lists(raw_values, max_size=12), max_size=3),
+        literals=literal_sets,
+        ranges=bounds,
+    )
+    def test_array_input_is_the_per_value_loop(self, values, batches, literals, ranges):
+        as_text = ["" if text is None else text for text in _as_texts(values)]
+        fixed_width = np.array(as_text, dtype=str)  # NumPy drops trailing NULs here
+        labels = list(dict.fromkeys(as_text))
+        built = [
+            (StringColumn("s", values), values),
+            (StringColumn("s", np.array(values, dtype=object)), values),
+            (StringColumn("s", np.array(as_text, dtype=np.dtypes.StringDType())), as_text),
+            (StringColumn("s", fixed_width), fixed_width.tolist()),
+            (StringColumn.from_codes(
+                "s", np.array([labels.index(t) for t in as_text], dtype=np.int64), labels
+            ), as_text),
+        ]
+        for index, (column, source) in enumerate(built):
+            seen = list(source)
+            assert_is_the_per_value_column(column, seen, literals, ranges)
+            for batch in batches:
+                # Alternate list and array batches.
+                column = column.append_values(
+                    batch if index % 2 else np.array(batch, dtype=object)
+                )
+                seen += batch
+                assert_is_the_per_value_column(column, seen, literals, ranges)
+
+    def test_shards_and_versions_look_up_alike(self):
+        column = StringColumn("s", [f"id-{i}" for i in range(300)])
+        grown = column.append_values(["id-7", "new", None, "id-299", "new"])
+        assert grown._codes[-5:].tolist() == [7, 300, -1, 299, 300]
+        assert column.mask_set({"new"}).sum() == 0 and grown.mask_set({"new"}).sum() == 2
+        part = grown.slice_rows(290, 305)
+        assert part.mask_set({"id-295", "new", "id-3"}).tolist() == [
+            i in (5, 11, 14) for i in range(15)
+        ]
+
+
+class TestSharedDictionaryUnderThreads:
+    def test_threads_resolve_sets_and_append_alike(self):
+        # The shards of a generated column share one dictionary, which keeps
+        # the literal sets it resolved and its decoded texts: threads racing
+        # over both must see what one sees.
+        labels = [f"value-{i}" for i in range(60)] + ["  "]
+        indices = np.arange(1200) % len(labels)
+        column = StringColumn.from_codes("s", indices, labels)
+        shards = [column.slice_rows(start, start + 300) for start in range(0, 1200, 300)]
+        sets = [frozenset(labels[k:k + 9]) | {"absent", None} for k in range(0, 55, 3)]
+        batch = ["value-3", "new", "  ", "value-59", "new-too"]
+        reference = StringColumn("s", [labels[i] for i in indices])
+        expected = [
+            [reference.slice_rows(start, start + 300).mask_set(s).tolist() for s in sets]
+            for start in range(0, 1200, 300)
+        ]
+        grown = reference.append_values(batch)
+        failures = []
+
+        def work(offset):
+            try:
+                for round_ in range(3):
+                    for index, shard in enumerate(shards):
+                        for number, literals in enumerate(sets):
+                            got = shard.mask_set(literals).tolist()
+                            if got != expected[index][number]:
+                                failures.append((offset, index, number))
+                    appended = column.append_values(batch)
+                    if appended._codes.tolist() != grown._codes.tolist():
+                        failures.append((offset, "append", round_))
+            except Exception as exc:  # reported below, with the thread that raised it
+                failures.append((offset, repr(exc)))
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,)) for n in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert failures == []
 
 
 def _columns_with_missing():

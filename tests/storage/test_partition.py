@@ -142,10 +142,10 @@ class TestPartitionedTable:
             source.take(np.array([3, 1, 2])),
         ]
         for piece in pieces:
-            assert piece._categories is source._categories
-            assert piece._index_of is source._index_of
+            assert piece._dictionary is source._dictionary
+            assert piece._dictionary.texts is source._dictionary.texts
         grown = source.append_values(["row7", "new"])
-        assert grown._categories is not source._categories
+        assert grown._dictionary.texts is not source._dictionary.texts
         assert len(source.categories) == 50 and len(grown.categories) == 51
         assert pieces[-1].values_list() == ["row3", "row1", "row2"]
 

@@ -23,7 +23,7 @@ from repro.workloads import (
     year_series,
 )
 from repro.workloads import generators
-from repro.workloads.generators import _replay_draws, _rounded
+from repro.workloads.generators import _replay_draws, _rounded, labelled
 
 seeds = st.integers(min_value=0, max_value=2**32 - 1)
 #: ``None`` is a ``random()`` call, ``n`` an ``integers(0, n)`` call.
@@ -91,6 +91,19 @@ def test_per_row_runs_replay(seed, buffered, rows, calls):
     assert_replays(seed, buffered, rows, calls, scalar_path=False)
 
 
+@given(
+    seed=seeds,
+    buffered=st.booleans(),
+    rows=st.integers(0, 40),
+    calls=st.lists(st.one_of(st.none(), st.integers(1, 12)), min_size=1, max_size=4),
+    chunk=st.integers(1, 7),
+)
+def test_a_replay_in_chunks_is_one_run(seed, buffered, rows, calls, chunk):
+    # Each chunk starts where the last left the generator, a buffered half included.
+    with mock.patch.object(generators, "_REPLAY_CHUNK", chunk):
+        assert_replays(seed, buffered, rows, calls, scalar_path=False)
+
+
 @given(seed=seeds, buffered=st.booleans(), bound=wide_bounds, rows=st.integers(1, 12))
 def test_bounds_near_2_32_replay_through_rejection(seed, buffered, bound, rows):
     assert_replays(seed, buffered, rows, [None, bound])
@@ -106,15 +119,22 @@ def test_other_bit_generators_take_the_scalar_path(seed, buffered, calls):
     assert_replays(seed, buffered, 3, calls, np.random.MT19937, scalar_path=True)
 
 
-@given(seed=seeds, buffered=st.booleans(), rows=st.integers(0, 30), noise=st.floats(0, 1))
-def test_computed_bounds_replay(seed, buffered, rows, noise):
+@given(
+    seed=seeds,
+    buffered=st.booleans(),
+    rows=st.integers(0, 30),
+    noise=st.floats(0, 1),
+    chunk=st.sampled_from([4, 1 << 16]),
+)
+def test_computed_bounds_replay(seed, buffered, rows, noise, chunk):
     sizes = np.array([3, 1, 7])  # a bound of 1 draws nothing: the replay falls back
 
-    def bound(drawn, at):
+    def bound(drawn, at):  # ``at`` numbers rows across chunks
         return np.where(drawn[0] < noise, sizes[at % 3], 5)
 
     replayed, scalar = twins(seed, buffered)
-    got = _replay_draws(replayed, rows, [None, bound])
+    with mock.patch.object(generators, "_REPLAY_CHUNK", chunk):
+        got = _replay_draws(replayed, rows, [None, bound])
     doubles, picks = [], []
     for row in range(rows):
         doubles.append(scalar.random())
@@ -192,9 +212,19 @@ parents = st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), max_size=60)
 children = st.lists(st.sampled_from(["x", "y", "z", "w"]), max_size=4)
 
 
+def nominal(values):
+    """A list of texts as a nominal series (labels, indices)."""
+    labels = list(dict.fromkeys(values))
+    return labels, np.array([labels.index(value) for value in values], dtype=np.int64)
+
+
 def assert_same_calls(seed: int, buffered: bool, new, old, *args, **kwargs):
+    """``new`` (nominal parents in, arrays or nominal series out) against
+    ``old`` (lists in and out) on twin generators."""
     rewritten, reference = twins(seed, buffered)
-    got = new(rewritten, *args, **kwargs)
+    new_args = [nominal(a) if isinstance(a, list) else a for a in args]
+    got = new(rewritten, *new_args, **kwargs)
+    got = labelled(got).tolist() if isinstance(got, tuple) else got.tolist()
     expected = old(reference, *args, **kwargs)
     assert got == expected
     assert [type(v) for v in got] == [type(v) for v in expected]

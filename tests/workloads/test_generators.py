@@ -13,22 +13,32 @@ from repro.workloads import (
     year_series,
     zipf_categorical_series,
 )
-from repro.workloads.generators import categorical_series
+from repro.workloads.generators import categorical_series, labelled
+
+
+def nominal(values):
+    """A list of texts as a nominal series (labels, indices)."""
+    labels = list(dict.fromkeys(values))
+    return labels, np.array([labels.index(value) for value in values], dtype=np.int64)
+
+
+def texts(series):
+    return labelled(series).tolist()
 
 
 class TestCategoricalSeries:
     def test_respects_requested_length(self):
-        values = categorical_series(make_rng(1), 100, ["a", "b"])
+        values = texts(categorical_series(make_rng(1), 100, ["a", "b"]))
         assert len(values) == 100
         assert set(values) <= {"a", "b"}
 
     def test_probabilities_bias_the_draw(self):
-        values = categorical_series(make_rng(1), 2000, ["a", "b"], [0.9, 0.1])
+        values = texts(categorical_series(make_rng(1), 2000, ["a", "b"], [0.9, 0.1]))
         assert values.count("a") > values.count("b") * 3
 
     def test_deterministic_given_seed(self):
-        assert categorical_series(make_rng(7), 50, ["a", "b"]) == categorical_series(
-            make_rng(7), 50, ["a", "b"]
+        assert texts(categorical_series(make_rng(7), 50, ["a", "b"])) == texts(
+            categorical_series(make_rng(7), 50, ["a", "b"])
         )
 
     def test_invalid_arguments(self):
@@ -46,7 +56,7 @@ class TestCategoricalSeries:
 
 class TestZipfSeries:
     def test_first_category_is_most_popular(self):
-        values = zipf_categorical_series(make_rng(2), 5000, [f"c{i}" for i in range(8)])
+        values = texts(zipf_categorical_series(make_rng(2), 5000, [f"c{i}" for i in range(8)]))
         counts = [values.count(f"c{i}") for i in range(8)]
         assert counts[0] == max(counts)
         assert counts[0] > counts[-1]
@@ -60,7 +70,9 @@ class TestDependentCategoricalSeries:
     def test_children_mostly_follow_the_mapping(self):
         parents = ["p"] * 1000 + ["q"] * 1000
         mapping = {"p": ["x"], "q": ["y"]}
-        children = dependent_categorical_series(make_rng(3), parents, mapping, noise=0.1)
+        children = texts(
+            dependent_categorical_series(make_rng(3), nominal(parents), mapping, noise=0.1)
+        )
         agreement = sum(
             1 for parent, child in zip(parents, children)
             if (parent == "p" and child == "x") or (parent == "q" and child == "y")
@@ -70,31 +82,31 @@ class TestDependentCategoricalSeries:
     def test_noise_one_is_uniform(self):
         parents = ["p"] * 2000
         mapping = {"p": ["x"]}
-        children = dependent_categorical_series(
-            make_rng(3), parents, mapping, noise=1.0, all_categories=["x", "y"]
-        )
+        children = texts(dependent_categorical_series(
+            make_rng(3), nominal(parents), mapping, noise=1.0, all_categories=["x", "y"]
+        ))
         assert 700 < children.count("y") < 1300
 
     def test_unknown_parent_falls_back_to_full_set(self):
-        children = dependent_categorical_series(
-            make_rng(3), ["unknown"], {"p": ["x"]}, noise=0.0, all_categories=["x", "y"]
-        )
+        children = texts(dependent_categorical_series(
+            make_rng(3), nominal(["unknown"]), {"p": ["x"]}, noise=0.0, all_categories=["x", "y"]
+        ))
         assert children[0] in {"x", "y"}
 
     def test_invalid_noise(self):
         with pytest.raises(WorkloadError):
-            dependent_categorical_series(make_rng(1), ["p"], {"p": ["x"]}, noise=2.0)
+            dependent_categorical_series(make_rng(1), nominal(["p"]), {"p": ["x"]}, noise=2.0)
 
     def test_empty_category_set_rejected(self):
         with pytest.raises(WorkloadError):
-            dependent_categorical_series(make_rng(1), ["p"], {}, all_categories=[])
+            dependent_categorical_series(make_rng(1), nominal(["p"]), {}, all_categories=[])
 
 
 class TestNumericFromCategory:
     def test_category_means_are_recovered(self):
         parents = ["low"] * 500 + ["high"] * 500
         values = numeric_from_category(
-            make_rng(4), parents, means={"low": 10.0, "high": 100.0},
+            make_rng(4), nominal(parents), means={"low": 10.0, "high": 100.0},
             spreads={"low": 1.0, "high": 1.0},
         )
         low_mean = np.mean(values[:500])
@@ -104,7 +116,7 @@ class TestNumericFromCategory:
 
     def test_bounds_are_enforced(self):
         values = numeric_from_category(
-            make_rng(4), ["a"] * 200, means={"a": 0.0}, spreads={"a": 10.0},
+            make_rng(4), nominal(["a"] * 200), means={"a": 0.0}, spreads={"a": 10.0},
             minimum=-5.0, maximum=5.0,
         )
         assert min(values) >= -5.0
@@ -112,13 +124,13 @@ class TestNumericFromCategory:
 
     def test_integer_rounding(self):
         values = numeric_from_category(
-            make_rng(4), ["a"] * 10, means={"a": 3.0}, spreads={"a": 0.5}, integer=True
+            make_rng(4), nominal(["a"] * 10), means={"a": 3.0}, spreads={"a": 0.5}, integer=True
         )
         assert all(float(v).is_integer() for v in values)
 
     def test_unknown_category_uses_default(self):
         values = numeric_from_category(
-            make_rng(4), ["mystery"], means={"a": 5.0}, spreads={"a": 1.0}
+            make_rng(4), nominal(["mystery"]), means={"a": 5.0}, spreads={"a": 1.0}
         )
         assert len(values) == 1
 
