@@ -458,7 +458,7 @@ class StringColumn(Column):
         texts = self._dictionary.texts
         # As arrays: a ``str`` operand is compared as a fixed-width text,
         # which drops trailing NULs.
-        low, high = np.array(low, dtype=_TEXT), np.array(high, dtype=_TEXT)
+        low, high = _text_array(low), _text_array(high)
         inside = (texts >= low if include_low else texts > low) & (
             texts <= high if include_high else texts < high
         )
@@ -511,6 +511,15 @@ def _texts(values: Sequence[Any]) -> Sequence[str]:
     if set(map(type, values)) <= {str}:
         return values
     return ["" if is_missing(raw) else str(raw) for raw in values]
+
+
+def _text_array(texts: Any) -> np.ndarray:
+    """``texts`` as a ``StringDType`` array, which holds UTF-8: a lone
+    surrogate cannot be stored and is a :class:`TypeMismatchError`."""
+    try:
+        return np.array(texts, dtype=_TEXT)
+    except UnicodeEncodeError as exc:
+        raise TypeMismatchError(f"a STRING value is not valid Unicode text: {exc}") from exc
 
 
 def _blank(texts: np.ndarray) -> np.ndarray:
@@ -603,7 +612,7 @@ class _Dictionary:
         unknown = np.flatnonzero(known == StringColumn.MISSING_CODE)
         if not unknown.size:
             return self, known[rows]
-        fresh = np.array([labels[at] for at in unknown.tolist()], dtype=_TEXT)
+        fresh = _text_array([labels[at] for at in unknown.tolist()])
         keep = ~_blank(fresh)
         new = unknown[keep]
         if not new.size:

@@ -346,6 +346,17 @@ class TestArrayBuiltStringColumns:
                 seen += batch
                 assert_is_the_per_value_column(column, seen, literals, ranges)
 
+    def test_a_lone_surrogate_is_a_type_mismatch(self):
+        # The dictionary holds UTF-8, which cannot encode one.
+        column = StringColumn("s", ["a", "b"])
+        with pytest.raises(TypeMismatchError):
+            StringColumn("s", ["a", "\ud800"])
+        with pytest.raises(TypeMismatchError):
+            column.append_values(["\ud800"])
+        with pytest.raises(TypeMismatchError):
+            column.mask_range("\ud800", "z")
+        assert column.mask_set({"\ud800", "b"}).tolist() == [False, True]
+
     def test_shards_and_versions_look_up_alike(self):
         column = StringColumn("s", [f"id-{i}" for i in range(300)])
         grown = column.append_values(["id-7", "new", None, "id-299", "new"])
