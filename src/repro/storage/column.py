@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import datetime as _dt
 from itertools import chain, count
+from operator import ne
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -357,7 +358,8 @@ class StringColumn(Column):
     Physical layout: an ``int32`` code per row (``-1`` for missing) plus a
     :class:`_Dictionary`, a ``StringDType`` array of the distinct texts in
     first-appearance order — no Python object per value, and none per text
-    until :meth:`value_counts` first decodes them.  A set predicate compares the codes
+    until :meth:`value_counts` decodes a small dictionary (up to 65 536
+    texts) once.  A set predicate compares the codes
     of a few literals and gathers a lookup table by code for more (one
     pass however many literals it holds); range predicates use code-point
     order over the dictionary, rarely useful but kept for SQL symmetry.
@@ -445,8 +447,7 @@ class StringColumn(Column):
     def value_counts(self, mask: Optional[np.ndarray] = None) -> Dict[Any, int]:
         counts = np.bincount(self._codes[self._effective_mask(mask)])
         present = np.flatnonzero(counts)
-        return dict(zip(map(self._dictionary.decoded().__getitem__, present.tolist()),
-                        counts[present].tolist()))
+        return dict(zip(self._dictionary.decoded(present), counts[present].tolist()))
 
     def mask_range(
         self,
@@ -499,8 +500,14 @@ _TEXT = np.dtypes.StringDType()
 #: Texts decoded per ``tolist`` call when a dictionary is hashed, so the
 #: ``str`` objects hashing needs are never all alive at once.
 _HASH_CHUNK = 4096
-#: Literal sets a dictionary keeps resolved (a query's, for all its shards).
+#: Literal sets a dictionary keeps resolved, and the most literals a kept
+#: set holds.  The shards and versions sharing a dictionary meet a query's
+#: set again (88-96 % of the calls on ``scripts/probe.py m13``/``m14``), and
+#: a small set costs more NumPy calls to resolve than a lookup.
 _SETS_KEPT = 256
+_SET_KEPT_SIZE = 64
+#: Most texts a dictionary keeps decoded (about 4 MB of ``str``).
+_DECODED_KEPT = 1 << 16
 
 
 def _texts(values: Sequence[Any]) -> Sequence[str]:
@@ -539,8 +546,9 @@ class _Dictionary:
     in ascending order (``hashes``) beside its code (``order``), confirmed
     on the text itself.  It is built with the dictionary, and an append
     merges its new entries into it rather than hashing and sorting the
-    texts again.  The two memos (resolved literal sets, decoded texts) are
-    filled without a lock: threads that race compute equal values.
+    texts again.  The small literal sets it resolved and the texts of a
+    small dictionary as ``str`` are kept, filled without a lock: threads
+    that race compute equal values.
     """
 
     EMPTY: "_Dictionary"
@@ -556,42 +564,53 @@ class _Dictionary:
         self._sets: Dict[frozenset, np.ndarray] = {}
         self._decoded: Optional[List[str]] = None
 
-    def decoded(self) -> List[str]:
-        """The texts as ``str``, decoded on first use and kept: frequency keys,
-        cached and turned into set literals, share one object per text."""
+    def decoded(self, codes: np.ndarray) -> List[str]:
+        """The texts of ``codes`` as ``str``.  A dictionary of up to
+        ``_DECODED_KEPT`` texts decodes them all once and keeps them, so
+        cached frequencies and the literal sets made from them share one
+        object per text; a larger one decodes ``codes`` per call."""
+        if self.texts.size > _DECODED_KEPT:
+            return self.texts[codes].tolist()
         if self._decoded is None:
             self._decoded = self.texts.tolist()
-        return self._decoded
+        return list(map(self._decoded.__getitem__, codes.tolist()))
 
-    def codes_of(self, texts: Sequence[str], hashes: np.ndarray) -> np.ndarray:
+    def codes_of(self, texts: Sequence[Any], hashes: np.ndarray) -> np.ndarray:
         """The ``int32`` code of each text (given with its hashes), ``-1``
-        where the dictionary lacks it."""
+        where the dictionary lacks it (as it lacks any value not a ``str``)."""
         if not self.texts.size:
             return np.full(len(texts), StringColumn.MISSING_CODE, dtype=np.int32)
         ordered, order = self.hashes, self.order
-        at = np.minimum(np.searchsorted(ordered, hashes), ordered.size - 1)
-        codes = []
-        for text, place, code, hit in zip(
-            texts, at.tolist(), order[at].tolist(), (ordered[at] == hashes).tolist()
-        ):
-            while hit and self.texts[code] != text:  # the next text of an equal hash
+        # Searched in hash order, which reads ``ordered`` front to back (a
+        # stable sort, as the index's: NumPy's default kind maps 0.2 MB more code).
+        by_hash = np.argsort(hashes, kind="stable")
+        at = np.empty_like(by_hash)
+        at[by_hash] = np.minimum(np.searchsorted(ordered, hashes[by_hash]), ordered.size - 1)
+        codes = np.where(ordered[at] == hashes, order[at], StringColumn.MISSING_CODE)
+        # Every hit is confirmed on its text in one pass (a miss reads the
+        # last text, unused); one whose text differs walks its run of equal hashes.
+        differs = np.fromiter(map(ne, self.texts[codes].tolist(), texts), bool, len(texts))
+        for row in np.flatnonzero(differs & (codes != StringColumn.MISSING_CODE)).tolist():
+            place, codes[row] = int(at[row]), StringColumn.MISSING_CODE
+            while place + 1 < ordered.size and ordered[place + 1] == ordered[place]:
                 place += 1
-                hit = place < ordered.size and ordered[place] == ordered[place - 1]
-                code = int(order[place]) if hit else code
-            codes.append(code if hit else StringColumn.MISSING_CODE)
-        return np.array(codes, dtype=np.int32)
+                if self.texts[order[place]] == texts[row]:
+                    codes[row] = order[place]
+                    break
+        return codes
 
     def codes_in(self, values: Iterable[Any]) -> np.ndarray:
-        """The codes of those ``values`` the dictionary holds, kept per literal
-        set: the shards and versions sharing it resolve a query's set once."""
-        key = frozenset(values)
-        codes = self._sets.get(key)
+        """The codes of those ``values`` the dictionary holds."""
+        literals = frozenset(values)
+        codes = self._sets.get(literals)
         if codes is None:
-            texts = [value for value in key if isinstance(value, str)]
+            texts = list(literals)
             found = self.codes_of(texts, _hashes(texts, len(texts)))
-            if len(self._sets) >= _SETS_KEPT:
-                self._sets.clear()
-            codes = self._sets[key] = found[found != StringColumn.MISSING_CODE]
+            codes = found[found != StringColumn.MISSING_CODE]
+            if len(texts) <= _SET_KEPT_SIZE:
+                if len(self._sets) >= _SETS_KEPT:
+                    self._sets.clear()
+                self._sets[literals] = codes
         return codes
 
     def encode(self, values: Sequence[Any]) -> Tuple["_Dictionary", np.ndarray]:

@@ -15,14 +15,15 @@ survey exhibits:
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.storage.column import NumericColumn
 from repro.storage.table import Table
 from repro.storage.types import DataType
-from repro.workloads.generators import labelled, make_rng, numeric_from_category, serial_labels
+from repro.workloads.generators import make_rng, nominal_column, numeric_from_category, serial_labels
 
 __all__ = ["generate_astronomy"]
 
@@ -36,12 +37,6 @@ _REDSHIFT_MEANS = {"star": 0.0005, "galaxy": 0.15, "quasar": 1.8}
 _REDSHIFT_SPREADS = {"star": 0.0004, "galaxy": 0.08, "quasar": 0.7}
 
 
-def _field_for_ra(ra: float) -> str:
-    """The survey field is a coarse function of right ascension."""
-    stripe = int(ra // 60.0)
-    return f"field-{stripe:02d}"
-
-
 def generate_astronomy(
     rows: int = 8000, seed: Optional[int] = 7, name: str = "sky_survey"
 ) -> Table:
@@ -52,37 +47,34 @@ def generate_astronomy(
 
     classes = (_CLASSES, rng.choice(len(_CLASSES), size=rows, p=_CLASS_WEIGHTS))
 
-    ra: List[float] = rng.uniform(0.0, 360.0, size=rows).tolist()
-    dec: List[float] = rng.uniform(-30.0, 60.0, size=rows).tolist()
-    fields = [_field_for_ra(value) for value in ra]
+    ra = rng.uniform(0.0, 360.0, size=rows)
+    dec = rng.uniform(-30.0, 60.0, size=rows)
+    # The survey field is a coarse function of right ascension.
+    stripes = (ra // 60.0).astype(np.int64)
+    fields = ([f"field-{stripe:02d}" for stripe in range(int(stripes.max()) + 1)], stripes)
 
     magnitude = numeric_from_category(
         rng, classes, means=_MAGNITUDE_MEANS, spreads=_MAGNITUDE_SPREADS,
         minimum=8.0, maximum=26.0,
-    ).tolist()
+    )
     redshift = numeric_from_category(
         rng, classes, means=_REDSHIFT_MEANS, spreads=_REDSHIFT_SPREADS,
         minimum=0.0, maximum=6.0,
-    ).tolist()
+    )
     # Colour correlates with magnitude: fainter objects are redder on average.
     scatter = rng.normal(0.0, 0.25, size=rows)
-    colour_index = (0.08 * (np.array(magnitude) - 14.0) + scatter).tolist()
+    colour_index = 0.08 * (magnitude - 14.0) + scatter
 
-    data = {
-        "object_id": serial_labels("obj-", rows, 7),
-        "object_class": labelled(classes),
-        "ra": [round(value, 4) for value in ra],
-        "dec": [round(value, 4) for value in dec],
-        "field": fields,
-        "magnitude": [round(value, 3) for value in magnitude],
-        "redshift": [round(value, 4) for value in redshift],
-        "colour_index": [round(value, 3) for value in colour_index],
-    }
-    types = {
-        "ra": DataType.FLOAT,
-        "dec": DataType.FLOAT,
-        "magnitude": DataType.FLOAT,
-        "redshift": DataType.FLOAT,
-        "colour_index": DataType.FLOAT,
-    }
-    return Table.from_dict(data, name=name, types=types)
+    def rounded(column: str, values: np.ndarray, digits: int) -> NumericColumn:
+        return NumericColumn(column, [round(v, digits) for v in values.tolist()], DataType.FLOAT)
+
+    return Table(name, [
+        nominal_column("object_id", serial_labels("obj-", rows, 7)),
+        nominal_column("object_class", classes),
+        rounded("ra", ra, 4),
+        rounded("dec", dec, 4),
+        nominal_column("field", fields),
+        rounded("magnitude", magnitude, 3),
+        rounded("redshift", redshift, 4),
+        rounded("colour_index", colour_index, 3),
+    ])

@@ -24,6 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.storage.column import StringColumn
 
 __all__ = [
     "make_rng",
@@ -31,7 +32,7 @@ __all__ = [
     "dependent_categorical_series",
     "numeric_from_category",
     "year_series",
-    "labelled",
+    "nominal_column",
     "serial_labels",
 ]
 
@@ -48,8 +49,7 @@ def _validate_rows(rows: int) -> None:
 
 #: A nominal series: row ``i`` holds ``labels[indices[i]]``, the labels
 #: distinct.  Draws index their labels already, so a series never holds a
-#: string per row; :meth:`StringColumn.from_codes
-#: <repro.storage.column.StringColumn.from_codes>` stores it as a column.
+#: string per row; :func:`nominal_column` stores it as a column.
 Nominal = Tuple[Sequence[str], np.ndarray]
 
 
@@ -186,16 +186,16 @@ def year_series(
     return start + _rounded(uniform * (end - start))
 
 
-def labelled(series: Nominal) -> np.ndarray:
-    """A nominal series' row texts, as one ``StringDType`` array."""
-    return np.asarray(series[0], dtype=np.dtypes.StringDType())[series[1]]
+def nominal_column(name: str, series: Nominal) -> StringColumn:
+    """A nominal series as a column, from integer work on its rows."""
+    return StringColumn.from_codes(name, series[1], series[0])
 
 
-def serial_labels(prefix: str, rows: int, width: int) -> np.ndarray:
-    """``f"{prefix}{i:0{width}d}"`` for ``i`` in ``1..rows``, formatted as
-    one ``StringDType`` array (row identifiers, one distinct label a row)."""
+def serial_labels(prefix: str, rows: int, width: int) -> Nominal:
+    """Row identifiers ``f"{prefix}{i:0{width}d}"`` for ``i`` in ``1..rows``,
+    one label a row, formatted as one ``StringDType`` array."""
     numbers = np.arange(1, rows + 1).astype(np.dtypes.StringDType())
-    return np.strings.add(prefix, np.strings.zfill(numbers, width))
+    return np.strings.add(prefix, np.strings.zfill(numbers, width)), np.arange(rows, dtype=np.int32)
 
 
 def _rounded(values: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from repro.errors import WorkloadError
-from repro.storage.column import Column, NumericColumn, StringColumn
+from repro.storage.column import Column, NumericColumn
 from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.workloads.generators import (
@@ -32,6 +32,7 @@ from repro.workloads.generators import (
     _replay_draws,
     dependent_categorical_series,
     make_rng,
+    nominal_column,
     numeric_from_category,
     serial_labels,
     year_series,
@@ -120,12 +121,12 @@ def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") 
     columns: Dict[str, Column] = {}
 
     def nominal(column: str, series: Nominal) -> None:
-        columns[column] = StringColumn.from_codes(column, series[1], series[0])
+        columns[column] = nominal_column(column, series)
 
     def integers(column: str, values: np.ndarray) -> None:
         columns[column] = NumericColumn(column, values, DataType.INT)
 
-    nominal("trip", (serial_labels("trip-", rows, 5), np.arange(rows, dtype=np.int32)))
+    nominal("trip", serial_labels("trip-", rows, 5))
     # Boat types: the two light types dominate, as in the historical fleet.
     type_weights = (0.30, 0.26, 0.16, 0.12, 0.09, 0.07)
     boats = (_BOAT_TYPES, rng.choice(len(_BOAT_TYPES), size=rows, p=type_weights))

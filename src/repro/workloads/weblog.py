@@ -18,12 +18,13 @@ from typing import Optional
 import numpy as np
 
 from repro.errors import WorkloadError
+from repro.storage.column import NumericColumn
 from repro.storage.table import Table
 from repro.storage.types import DataType
 from repro.workloads.generators import (
     dependent_categorical_series,
-    labelled,
     make_rng,
+    nominal_column,
     numeric_from_category,
     serial_labels,
     zipf_categorical_series,
@@ -109,22 +110,15 @@ def generate_weblog(
     )
     hours = rng.integers(0, 24, size=rows)
 
-    data = {
-        "request_id": serial_labels("req-", rows, 8),
-        "url_category": labelled(url_categories),
-        "status_code": labelled(statuses),
-        "response_time_ms": response_times,
-        "bytes_sent": bytes_sent,
-        "country": labelled(countries),
-        "device": labelled(devices),
-        "referrer": labelled(referrers),
-        "hour": hours,
-    }
-    types = {
+    return Table(name, [
+        nominal_column("request_id", serial_labels("req-", rows, 8)),
+        nominal_column("url_category", url_categories),
         # Status codes are categorical labels, not measurements.
-        "status_code": DataType.STRING,
-        "response_time_ms": DataType.INT,
-        "bytes_sent": DataType.INT,
-        "hour": DataType.INT,
-    }
-    return Table.from_dict(data, name=name, types=types)
+        nominal_column("status_code", statuses),
+        NumericColumn("response_time_ms", response_times, DataType.INT),
+        NumericColumn("bytes_sent", bytes_sent, DataType.INT),
+        nominal_column("country", countries),
+        nominal_column("device", devices),
+        nominal_column("referrer", referrers),
+        NumericColumn("hour", hours, DataType.INT),
+    ])

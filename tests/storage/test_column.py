@@ -5,6 +5,7 @@ from __future__ import annotations
 import datetime as dt
 import sys
 import threading
+from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import given
 
 from repro.errors import EmptyColumnError, TypeMismatchError
+from repro.storage import column as column_module
 from repro.sdl import RangePredicate, SDLQuery
 from repro.storage.column import (
     BoolColumn,
@@ -346,6 +348,28 @@ class TestArrayBuiltStringColumns:
                 seen += batch
                 assert_is_the_per_value_column(column, seen, literals, ranges)
 
+    @given(
+        values=st.lists(raw_values, max_size=30),
+        batch=st.lists(raw_values, max_size=12),
+        literals=literal_sets,
+    )
+    def test_texts_sharing_a_hash_are_told_apart(self, values, batch, literals):
+        # Three hash values for every text: lookups walk runs of equal hashes.
+        def coarse(texts, size):
+            return np.fromiter((hash(text) % 3 for text in texts), dtype=np.int64, count=size)
+
+        with mock.patch.object(column_module, "_hashes", coarse):
+            column = StringColumn("s", values)
+            assert_is_the_per_value_column(column, values, literals, [])
+            column = column.append_values(batch)
+            assert_is_the_per_value_column(column, values + batch, literals, [])
+
+    @given(values=st.lists(raw_values, max_size=30), batch=st.lists(raw_values, max_size=12))
+    def test_a_large_dictionary_decodes_per_call(self, values, batch):
+        with mock.patch.object(column_module, "_DECODED_KEPT", 2):
+            column = StringColumn("s", values).append_values(batch)
+            assert_is_the_per_value_column(column, values + batch, [], [])
+
     def test_a_lone_surrogate_is_a_type_mismatch(self):
         # The dictionary holds UTF-8, which cannot encode one.
         column = StringColumn("s", ["a", "b"])
@@ -371,8 +395,8 @@ class TestArrayBuiltStringColumns:
 class TestSharedDictionaryUnderThreads:
     def test_threads_resolve_sets_and_append_alike(self):
         # The shards of a generated column share one dictionary, which keeps
-        # the literal sets it resolved and its decoded texts: threads racing
-        # over both must see what one sees.
+        # the small literal sets it resolved: threads racing over it must
+        # see what one sees.
         labels = [f"value-{i}" for i in range(60)] + ["  "]
         indices = np.arange(1200) % len(labels)
         column = StringColumn.from_codes("s", indices, labels)

@@ -13,7 +13,7 @@ from repro.workloads import (
     year_series,
     zipf_categorical_series,
 )
-from repro.workloads.generators import categorical_series, labelled
+from repro.workloads.generators import categorical_series
 
 
 def nominal(values):
@@ -23,7 +23,9 @@ def nominal(values):
 
 
 def texts(series):
-    return labelled(series).tolist()
+    """A nominal series' row texts."""
+    labels, indices = series
+    return [labels[index] for index in indices.tolist()]
 
 
 class TestCategoricalSeries:
