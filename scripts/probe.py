@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/probe.py {m13,m14,m16} --rows 2000 --seed 1 [--capacity 4096]
+    PYTHONPATH=src python scripts/probe.py {m13,m14,m15,m16} --rows 2000 --seed 1 [--capacity 4096]
 
 A probe prints the hash of every answer it was served, the work counters
 behind them, the process's peak resident set (``VmHWM``, kB), the wall
@@ -21,6 +21,15 @@ twice at a random answer and segment.
 explores its own context and drill path (``repro.workloads.concurrent``
 scripts), replayed sequentially on one ``AdvisorService`` over VOC, so
 the cache holds each user's work and evicts the last one's.
+
+``m15``: what a cold advise costs per engine operation.  Over
+``generate_voc(rows, seed)`` (``--seed`` is the table's seed here) on the
+plain ``memory`` spec, one ``Charles`` advises ``tonnage, type_of_boat,
+departure_harbour, built`` and then ``departure_date, tonnage, master``,
+each under a ``repro.obs.start_trace`` root.  The probe prints each
+advise's seconds, the engine's operation tallies, and the calls and
+seconds of every ``engine.<op>`` span (count, median, frequency, minmax,
+crosstab) summed over both.
 
 ``m16``: what a loaded table costs.  ``generate_voc(rows, seed)`` runs
 alone (``--seed`` is the table's seed here); the probe prints the load
@@ -44,7 +53,8 @@ from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
-from repro import AdvisorService, Table, generate_voc
+from repro import AdvisorService, Charles, Table, generate_voc
+from repro.obs import start_trace
 from repro.workloads.concurrent import generate_concurrent_workload
 
 #: Users a probe replays, and drill/back steps each takes after its advise.
@@ -57,6 +67,16 @@ CONTEXTS = 12
 DRILLS = 2
 #: The engine tallies a probe sums over every session and the primary engine.
 _WORK = ("evaluations", "count_calls", "batch_calls")
+#: ``m15``'s two contexts, advised cold one after the other.
+M15_CONTEXTS = (
+    ["tonnage", "type_of_boat", "departure_harbour", "built"],
+    ["departure_date", "tonnage", "master"],
+)
+#: The engine tallies ``m15`` reports.
+_M15_WORK = (
+    "evaluations", "count_calls", "median_calls", "frequency_calls", "minmax_calls",
+    "crosstab_calls",
+)
 
 
 def peak_rss_kb(field: str = "VmHWM") -> Optional[int]:
@@ -165,6 +185,41 @@ def m14(args: argparse.Namespace) -> Dict[str, Any]:
     return {"answer_hash": digest.hexdigest()[:16], **_work_and_cache(service, table, work)}
 
 
+def _engine_spans(document: Dict[str, Any], totals: Dict[str, Dict[str, Any]]) -> None:
+    """Add every ``engine.<op>`` span under ``document`` to ``totals``."""
+    for child in document.get("children", []):
+        if child["name"].startswith("engine."):
+            total = totals.setdefault(child["name"], {"calls": 0, "seconds": 0.0})
+            total["calls"] += 1
+            total["seconds"] += child["duration_seconds"]
+        _engine_spans(child, totals)
+
+
+def m15(args: argparse.Namespace) -> Dict[str, Any]:
+    advisor = Charles(generate_voc(rows=args.rows, seed=args.seed))
+    digest = hashlib.sha256()
+    advise_s: List[float] = []
+    totals: Dict[str, Dict[str, Any]] = {}
+    for context in M15_CONTEXTS:
+        root = start_trace("probe.m15")
+        started = time.perf_counter()
+        with root:
+            advice = advisor.advise(context)
+        advise_s.append(round(time.perf_counter() - started, 3))
+        digest.update(advice.describe(limit=None).encode("utf-8"))
+        _engine_spans(root.to_document(), totals)
+    counter = advisor.engine.counter
+    return {
+        "answer_hash": digest.hexdigest()[:16],
+        **{name: getattr(counter, name) for name in _M15_WORK},
+        "advise_s": advise_s,
+        "engine_spans": {
+            name: {"calls": total["calls"], "seconds": round(total["seconds"], 4)}
+            for name, total in sorted(totals.items())
+        },
+    }
+
+
 def _held_bytes(value: Any, seen: set) -> int:
     """Bytes behind ``value``: an array's buffer (a ``StringDType`` array's
     text longer than its 15-byte inline slot counted on top), or an
@@ -221,7 +276,7 @@ def m16(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 PROBES: Dict[str, Callable[[argparse.Namespace], Dict[str, Any]]] = {
-    "m13": m13, "m14": m14, "m16": m16,
+    "m13": m13, "m14": m14, "m15": m15, "m16": m16,
 }
 
 
@@ -229,7 +284,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("probe", choices=sorted(PROBES))
     parser.add_argument("--rows", type=int, required=True, help="rows of the generated table")
-    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts (m16: of the table)")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts (m15, m16: of the table)")
     parser.add_argument("--capacity", type=int, default=4096,
                         help="entries of the shared result cache (the service default)")
     args = parser.parse_args(argv)

@@ -53,6 +53,10 @@ __all__ = ["RemoteAdvisor", "RemoteSession"]
 #: connection the server is about to time out.
 MAX_IDLE_SECONDS = 10.0
 
+#: Base sleep between transport attempts; attempt ``n`` sleeps
+#: ``BACKOFF_SECONDS * 2**(n-1)``.
+BACKOFF_SECONDS = 0.05
+
 
 def _readable(sock: socket.socket) -> bool:
     """Whether a read would not block: on an idle connection, a close."""
@@ -127,9 +131,6 @@ class RemoteAdvisor:
         (unreachable host, dropped connection, timeout).  HTTP error
         responses are never retried — the server answered.  ``0`` (the
         default) keeps the historical single-attempt behaviour.
-    backoff:
-        Base sleep in seconds between attempts; attempt ``n`` sleeps
-        ``backoff * 2**(n-1)`` (exponential).
     trace:
         Ask the server to trace every request sent through this client.
         Each response's span tree is kept on :attr:`last_trace` (also on
@@ -157,13 +158,11 @@ class RemoteAdvisor:
         url: str,
         timeout: float = 30.0,
         retries: int = 0,
-        backoff: float = 0.05,
         trace: bool = False,
     ) -> None:
         self.url = url.rstrip("/")
         self.timeout = float(timeout)
         self.retries = max(0, int(retries))
-        self.backoff = max(0.0, float(backoff))
         self.trace = bool(trace)
         #: Span tree of the most recent traced call (``None`` otherwise).
         self.last_trace: Optional[Dict[str, Any]] = None
@@ -209,7 +208,7 @@ class RemoteAdvisor:
         failure: Optional[BaseException] = None
         for attempt in range(attempts):
             if attempt:
-                time.sleep(self.backoff * (2 ** (attempt - 1)))
+                time.sleep(BACKOFF_SECONDS * (2 ** (attempt - 1)))
             try:
                 status, data = self._http_once(method, path, body)
             except (OSError, ValueError) as exc:

@@ -5,17 +5,16 @@ it decodes request envelopes, routes them into an
 :class:`~repro.service.AdvisorService` (whose ``submit`` executes the
 operation and converts :class:`~repro.errors.CharlesError` failures into
 stable wire error codes), and encodes the response envelope.  The HTTP
-server is a thin shell around :meth:`handle_json`; tests drive
-:meth:`handle_wire` directly to exercise the protocol without sockets.
+server is a thin shell around :meth:`handle_wire`, which tests also drive
+directly to exercise the protocol without sockets.
 """
 
 from __future__ import annotations
 
-import json
 from typing import TYPE_CHECKING, Any, Dict, Mapping
 
 from repro.api.protocol import Request, Response
-from repro.errors import CharlesError, WireFormatError
+from repro.errors import CharlesError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from repro.service.service import AdvisorService
@@ -28,10 +27,6 @@ class Dispatcher:
 
     def __init__(self, service: "AdvisorService") -> None:
         self.service = service
-
-    def dispatch(self, request: Request) -> Response:
-        """Execute an already-decoded request (in-process fast path)."""
-        return self.service.submit(request)
 
     def handle_wire(self, payload: Any) -> Dict[str, Any]:
         """Execute one JSON-safe request envelope; never raises.
@@ -69,18 +64,3 @@ class Dispatcher:
                 request_id=request.request_id,
                 elapsed_seconds=response.elapsed_seconds,
             ).to_wire()
-
-    def handle_json(self, body: bytes | str) -> str:
-        """Execute one JSON request body and return the JSON response body."""
-        try:
-            payload = json.loads(body)
-        except (TypeError, ValueError) as exc:
-            error = WireFormatError(f"request body is not valid JSON: {exc}")
-            return json.dumps(
-                Response(
-                    ok=False, op="", error=error.message, error_code=error.code
-                ).to_wire(),
-                ensure_ascii=False,
-                sort_keys=True,
-            )
-        return json.dumps(self.handle_wire(payload), ensure_ascii=False, sort_keys=True)

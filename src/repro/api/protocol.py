@@ -223,10 +223,14 @@ class Request:
             raise WireFormatError(
                 f"request session must be a string, got {type(session).__name__}"
             )
+        try:
+            decoded = {key: from_wire(value) for key, value in params.items()}
+        except RecursionError:
+            raise WireFormatError("request params nest too deeply to decode") from None
         return cls(
             op=payload["op"],
             session=session,
-            params={key: from_wire(value) for key, value in params.items()},
+            params=decoded,
             request_id=str(payload.get("request_id", "")),
             api_version=api_version,
             trace=_validated_trace(payload.get("trace"), "request"),

@@ -160,7 +160,6 @@ class _Handler(socketserver.StreamRequestHandler):
 
     # Set by the server factory below.
     front: HTTPFront = None  # type: ignore[assignment]
-    quiet: bool = True
 
     # Each reply is one write of status line, headers and body, so it is
     # not held back by Nagle's algorithm waiting on the keep-alive peer's
@@ -235,8 +234,6 @@ class _Handler(socketserver.StreamRequestHandler):
         elif self.request_version == "HTTP/1.0":
             head += "Connection: keep-alive\r\n"
         self.wfile.write(head.encode("latin-1") + b"\r\n" + body)
-        if not self.quiet:  # pragma: no cover - debug aid
-            print(f'{self.client_address[0]} "{self.requestline}" {status}', file=sys.stderr)
 
     def _send_json(self, status: int, payload: Dict[str, Any]) -> None:
         body = json.dumps(payload, ensure_ascii=False, sort_keys=True).encode("utf-8")
@@ -333,7 +330,7 @@ class _Handler(socketserver.StreamRequestHandler):
             return
         try:
             payload = json.loads(body)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # nested past the parser's stack
             self._error(400, "protocol_wire_format", f"request body is not valid JSON: {exc}")
             return
         try:
@@ -406,11 +403,9 @@ class HTTPFrontServer:
     front door are instances.
     """
 
-    def __init__(self, host: str = "127.0.0.1", port: int = 0, quiet: bool = True) -> None:
+    def __init__(self, host: str = "127.0.0.1", port: int = 0) -> None:
         handler = type(
-            "_BoundHandler",
-            (_Handler,),
-            {"front": self, "quiet": quiet, "timeout": SOCKET_TIMEOUT_SECONDS},
+            "_BoundHandler", (_Handler,), {"front": self, "timeout": SOCKET_TIMEOUT_SECONDS}
         )
         self._httpd = _TrackingServer((host, port), handler)
         self._thread: Optional[threading.Thread] = None
@@ -515,8 +510,6 @@ class AdvisorHTTPServer(HTTPFrontServer):
         there is no authentication).
     port:
         TCP port; ``0`` picks an ephemeral free port (see :attr:`port`).
-    quiet:
-        Suppress per-request logging to stderr (default).
     node_id:
         Identity reported in ``/v1/health`` — the cluster supervisor
         names its nodes so the router's probes can tell them apart.
@@ -528,13 +521,12 @@ class AdvisorHTTPServer(HTTPFrontServer):
         service: "AdvisorService",
         host: str = "127.0.0.1",
         port: int = 0,
-        quiet: bool = True,
         node_id: Optional[str] = None,
     ) -> None:
         self.dispatcher = Dispatcher(service)
         self.node_id = node_id if node_id is not None else f"pid:{os.getpid()}"
         self.started_at = time.time()
-        super().__init__(host=host, port=port, quiet=quiet)
+        super().__init__(host=host, port=port)
         self.export_http_metrics(service.metrics, front="node")
 
     @property

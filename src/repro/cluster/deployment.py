@@ -19,7 +19,7 @@ the test that launched them.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, List, Mapping, Optional, Sequence
 
 from repro.cluster.nodes import NodeHandle, NodeSupervisor
 from repro.cluster.router import ClusterRouter, RouterHTTPServer
@@ -47,10 +47,6 @@ class AdvisorCluster:
         arguments (must be JSON-safe: they reach each node as JSON).
     probe_interval:
         Router health-probe cadence in seconds.
-    timeout, retries:
-        Router → node transport knobs.
-    start_timeout:
-        Seconds to wait for all nodes to report their ports.
     """
 
     def __init__(
@@ -62,25 +58,14 @@ class AdvisorCluster:
         port: int = 0,
         service_options: Optional[Mapping[str, Any]] = None,
         probe_interval: float = 0.5,
-        timeout: float = 15.0,
-        retries: int = 1,
-        start_timeout: float = 60.0,
-        quiet: bool = True,
     ) -> None:
         self.supervisor = NodeSupervisor(
-            specs,
-            nodes=nodes,
-            host=host,
-            service_options=service_options,
-            start_timeout=start_timeout,
+            specs, nodes=nodes, host=host, service_options=service_options
         )
         self.replicas = int(replicas)
         self.host = host
         self.port = int(port)
         self.probe_interval = float(probe_interval)
-        self.timeout = float(timeout)
-        self.retries = int(retries)
-        self.quiet = bool(quiet)
         self.router: Optional[ClusterRouter] = None
         self.server: Optional[RouterHTTPServer] = None
 
@@ -95,13 +80,9 @@ class AdvisorCluster:
             self.router = ClusterRouter(
                 self.supervisor.urls(),
                 replicas=self.replicas,
-                timeout=self.timeout,
-                retries=self.retries,
                 probe_interval=self.probe_interval,
             ).start()
-            self.server = RouterHTTPServer(
-                self.router, host=self.host, port=self.port, quiet=self.quiet
-            )
+            self.server = RouterHTTPServer(self.router, host=self.host, port=self.port)
             self.server.start()
         except BaseException:
             self.stop()
@@ -135,23 +116,6 @@ class AdvisorCluster:
 
     def handles(self) -> List[NodeHandle]:
         return self.supervisor.handles()
-
-    def serving_node(self, session: str) -> Optional[int]:
-        """The node currently hosting a session (router placement)."""
-        if self.router is None:
-            raise ClusterError("the cluster is not running")
-        placements = self.router.cluster_document()["sessions"]
-        node_id = placements.get(session)
-        return int(node_id) if node_id is not None else None
-
-    def kill_node(self, node_id: int) -> NodeHandle:
-        """SIGKILL one node process — the failure-injection hook.
-
-        The router is *not* told: it must discover the death through a
-        failed forward or a health probe, exactly as it would in
-        production.
-        """
-        return self.supervisor.kill(node_id)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.server is not None else "stopped"

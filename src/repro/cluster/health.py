@@ -28,6 +28,9 @@ from repro.api.client import RemoteAdvisor
 
 __all__ = ["HealthMonitor"]
 
+#: Consecutive failed probes that declare a node dead.
+FAILURE_THRESHOLD = 2
+
 
 @dataclass
 class NodeStatus:
@@ -67,16 +70,15 @@ class HealthMonitor:
         node.  Probes reuse the router's clients (same timeouts).
     interval:
         Seconds between background probe sweeps.
-    failure_threshold:
-        Consecutive probe failures before a node is declared dead
-        (direct :meth:`mark_dead` calls skip the threshold).
+
+    :data:`FAILURE_THRESHOLD` consecutive probe failures declare a node
+    dead (direct :meth:`mark_dead` calls skip the threshold).
     """
 
     def __init__(
         self,
         clients: Mapping[int, RemoteAdvisor],
         interval: float = 0.5,
-        failure_threshold: int = 2,
     ) -> None:
         self._clients: Dict[int, RemoteAdvisor] = dict(clients)
         self._lock = threading.Lock()
@@ -85,7 +87,6 @@ class HealthMonitor:
             for node_id, client in self._clients.items()
         }
         self.interval = max(0.05, float(interval))
-        self.failure_threshold = max(1, int(failure_threshold))
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
@@ -114,7 +115,7 @@ class HealthMonitor:
             status.probed_at = now
             if document is None:
                 status.failures += 1
-                if status.failures >= self.failure_threshold or status.state != "live":
+                if status.failures >= FAILURE_THRESHOLD or status.state != "live":
                     status.state = "dead"
                 return status.state == "live"
             node_info = document.get("node") or {}
@@ -167,7 +168,7 @@ class HealthMonitor:
         with self._lock:
             status = self._status[node_id]
             status.state = "dead"
-            status.failures = max(status.failures, self.failure_threshold)
+            status.failures = max(status.failures, FAILURE_THRESHOLD)
 
     def is_live(self, node_id: int) -> bool:
         with self._lock:

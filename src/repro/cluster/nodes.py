@@ -35,7 +35,7 @@ import selectors
 import subprocess
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Dict, List, Mapping, Optional, Sequence
 
@@ -45,6 +45,9 @@ from repro.errors import ClusterError
 __all__ = ["NodeHandle", "NodeSupervisor"]
 
 _NODE_MODULE = "repro.cluster.node_main"
+
+#: Seconds a supervisor waits for all nodes to report their ports.
+START_TIMEOUT_SECONDS = 60.0
 
 
 def _read_announcement(stream: IO[bytes], deadline: float) -> Optional[str]:
@@ -71,7 +74,6 @@ class NodeHandle:
     process: "subprocess.Popen[bytes]"
     host: str
     port: int = 0
-    killed: bool = field(default=False)
 
     @property
     def url(self) -> str:
@@ -87,16 +89,6 @@ class NodeHandle:
     @property
     def pid(self) -> Optional[int]:
         return self.process.pid
-
-    def to_document(self) -> Dict[str, Any]:
-        return {
-            "node_id": self.node_id,
-            "name": self.name,
-            "url": self.url,
-            "pid": self.pid,
-            "alive": self.alive(),
-            "killed": self.killed,
-        }
 
 
 class NodeSupervisor:
@@ -115,8 +107,9 @@ class NodeSupervisor:
         Extra keyword arguments for each node's
         :class:`~repro.service.AdvisorService` (``backend``, ...); must be
         JSON-safe.
-    start_timeout:
-        Seconds to wait for all nodes to report their ports.
+
+    :meth:`start` waits :data:`START_TIMEOUT_SECONDS` for every node to
+    report its port.
     """
 
     def __init__(
@@ -125,7 +118,6 @@ class NodeSupervisor:
         nodes: int = 2,
         host: str = "127.0.0.1",
         service_options: Optional[Mapping[str, Any]] = None,
-        start_timeout: float = 60.0,
     ) -> None:
         if nodes < 1:
             raise ClusterError(f"a cluster needs at least one node, got {nodes}")
@@ -135,7 +127,6 @@ class NodeSupervisor:
         self.nodes = int(nodes)
         self.host = host
         self.service_options = dict(service_options or {})
-        self.start_timeout = float(start_timeout)
         self._handles: Dict[int, NodeHandle] = {}
 
     def _launch(self, node_id: int) -> "subprocess.Popen[bytes]":
@@ -172,7 +163,7 @@ class NodeSupervisor:
                 self._handles[node_id] = NodeHandle(
                     node_id=node_id, process=self._launch(node_id), host=self.host
                 )
-            deadline = time.monotonic() + self.start_timeout
+            deadline = time.monotonic() + START_TIMEOUT_SECONDS
             for node_id, handle in self._handles.items():
                 stdout = handle.process.stdout
                 assert stdout is not None  # launched with stdout=PIPE
@@ -181,7 +172,7 @@ class NodeSupervisor:
                 if line is None:
                     raise ClusterError(
                         f"node {node_id} did not report a port within "
-                        f"{self.start_timeout:.0f}s"
+                        f"{START_TIMEOUT_SECONDS:.0f}s"
                     )
                 status, _, value = line.partition(" ")
                 if status != "ok":
@@ -196,28 +187,9 @@ class NodeSupervisor:
     def handles(self) -> List[NodeHandle]:
         return [self._handles[node_id] for node_id in sorted(self._handles)]
 
-    def handle(self, node_id: int) -> NodeHandle:
-        try:
-            return self._handles[node_id]
-        except KeyError:
-            raise ClusterError(f"no such node: {node_id}") from None
-
     def urls(self) -> Dict[int, str]:
         """node id → base URL, the router's bootstrap input."""
         return {handle.node_id: handle.url for handle in self.handles()}
-
-    def kill(self, node_id: int) -> NodeHandle:
-        """SIGKILL one node — the failure-injection hook for tests and CI.
-
-        The process gets no chance to flush or say goodbye, exactly like
-        a crashed machine.  The router discovers the death through its
-        next forward or health probe.
-        """
-        handle = self.handle(node_id)
-        handle.process.kill()
-        handle.process.wait(timeout=10.0)
-        handle.killed = True
-        return handle
 
     def stop(self) -> None:
         """Terminate every node process and reap it."""

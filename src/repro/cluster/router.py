@@ -59,6 +59,11 @@ from repro.obs.metrics import render_document
 
 __all__ = ["ClusterRouter", "RouterHTTPServer"]
 
+#: The per-node clients' socket timeout, and extra attempts after a
+#: connection-level failure.
+NODE_TIMEOUT_SECONDS = 15.0
+NODE_RETRIES = 1
+
 
 def _envelope(op: str, session: str, params: Dict[str, Any]) -> Dict[str, Any]:
     """A wire request envelope built router-side (journal replay)."""
@@ -152,9 +157,6 @@ class ClusterRouter:
         node id → base URL (the supervisor's :meth:`urls` output).
     replicas:
         Failover candidates per shard (see :class:`ShardMap`).
-    timeout, retries:
-        Transport knobs for the per-node
-        :class:`~repro.api.client.RemoteAdvisor` clients.
     probe_interval:
         Seconds between background health sweeps.
     """
@@ -163,14 +165,12 @@ class ClusterRouter:
         self,
         node_urls: Mapping[int, str],
         replicas: int = 1,
-        timeout: float = 15.0,
-        retries: int = 1,
         probe_interval: float = 0.5,
     ) -> None:
         if not node_urls:
             raise ClusterError("a router needs at least one node url")
         self._clients: Dict[int, RemoteAdvisor] = {
-            node_id: RemoteAdvisor(url, timeout=timeout, retries=retries)
+            node_id: RemoteAdvisor(url, timeout=NODE_TIMEOUT_SECONDS, retries=NODE_RETRIES)
             for node_id, url in sorted(node_urls.items())
         }
         self._shard_map = ShardMap(sorted(self._clients), replicas=replicas)
@@ -786,10 +786,9 @@ class RouterHTTPServer(HTTPFrontServer):
         router: ClusterRouter,
         host: str = "127.0.0.1",
         port: int = 0,
-        quiet: bool = True,
     ) -> None:
         self.router = router
-        super().__init__(host=host, port=port, quiet=quiet)
+        super().__init__(host=host, port=port)
         self.export_http_metrics(router.metrics, front="router")
 
     def handle_rpc(self, payload: Any) -> Dict[str, Any]:

@@ -43,6 +43,9 @@ __all__ = [
     "clique_like_segmentation",
 ]
 
+#: Cells a CLIQUE-style summary keeps, densest first.
+_MAX_DENSE_CELLS = 12
+
 
 def facet_segmentation(
     engine: ExecutionBackend,
@@ -105,20 +108,12 @@ def _equal_width_predicates(
     return predicates
 
 
-def all_facet_segmentations(
-    engine: ExecutionBackend,
-    context: SDLQuery,
-    attributes: Optional[Sequence[str]] = None,
-    max_groups: int = 12,
-) -> List[Segmentation]:
+def all_facet_segmentations(engine: ExecutionBackend, context: SDLQuery) -> List[Segmentation]:
     """One facet segmentation per context attribute (skipping unusable ones)."""
-    explored = list(attributes) if attributes is not None else list(context.attributes)
     results: List[Segmentation] = []
-    for attribute in explored:
+    for attribute in context.attributes:
         try:
-            results.append(
-                facet_segmentation(engine, context, attribute, max_groups=max_groups)
-            )
+            results.append(facet_segmentation(engine, context, attribute))
         except CannotCutError:
             continue
     return results
@@ -129,7 +124,6 @@ def random_segmentation(
     context: SDLQuery,
     depth: int = 4,
     seed: Optional[int] = None,
-    attributes: Optional[Sequence[str]] = None,
 ) -> Segmentation:
     """Random baseline: successive median cuts on randomly chosen attributes.
 
@@ -137,7 +131,7 @@ def random_segmentation(
     or no attribute can be cut further.
     """
     rng = np.random.default_rng(seed)
-    explored = list(attributes) if attributes is not None else list(context.attributes)
+    explored = list(context.attributes)
     if not explored:
         raise SegmentationError("the context mentions no attribute to explore")
     current: Optional[Segmentation] = None
@@ -159,21 +153,14 @@ def random_segmentation(
     return current
 
 
-def full_product_segmentation(
-    engine: ExecutionBackend,
-    context: SDLQuery,
-    attributes: Optional[Sequence[str]] = None,
-    max_depth: Optional[int] = None,
-) -> Segmentation:
+def full_product_segmentation(engine: ExecutionBackend, context: SDLQuery) -> Segmentation:
     """The exhaustive product of every single-attribute binary cut.
 
     Grows as ``2^N`` with the number of cuttable attributes — the search
-    space explosion the paper's heuristic avoids.  ``max_depth`` aborts the
-    construction once the intermediate product exceeds that many pieces.
+    space explosion the paper's heuristic avoids.
     """
-    explored = list(attributes) if attributes is not None else list(context.attributes)
     cuts: List[Segmentation] = []
-    for attribute in explored:
+    for attribute in context.attributes:
         try:
             cuts.append(cut_query(engine, context, attribute))
         except CannotCutError:
@@ -183,8 +170,6 @@ def full_product_segmentation(
     result = cuts[0]
     for other in cuts[1:]:
         result = product(engine, result, other)
-        if max_depth is not None and result.depth > max_depth:
-            break
     return result
 
 
@@ -194,14 +179,13 @@ def clique_like_segmentation(
     attributes: Optional[Sequence[str]] = None,
     bins: int = 4,
     density_threshold: float = 0.05,
-    max_cells: int = 12,
 ) -> Segmentation:
     """A CLIQUE-inspired dense-cell summary (non-exhaustive by design).
 
     Every attribute is binned (equal-width for numeric, per-value for
     nominal), the grid product is formed, and only cells holding at least
-    ``density_threshold`` of the context are kept, densest first, up to
-    ``max_cells``.
+    ``density_threshold`` of the context are kept, densest first, at most
+    a dozen (the paper's readable pie).
     """
     explored = list(attributes) if attributes is not None else list(context.attributes)
     context_count = engine.count(context)
@@ -226,7 +210,7 @@ def clique_like_segmentation(
         if segment.count / context_count >= density_threshold
     ]
     dense.sort(key=lambda segment: segment.count, reverse=True)
-    dense = dense[:max_cells]
+    dense = dense[:_MAX_DENSE_CELLS]
     if not dense:
         raise SegmentationError(
             f"no grid cell reaches the density threshold {density_threshold}"

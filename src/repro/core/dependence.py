@@ -148,10 +148,6 @@ class DependenceReport:
     degrees_of_freedom: int
     cramers_v: float
 
-    def is_dependent(self, alpha: float = 0.01) -> bool:
-        """Statistical-test verdict: reject independence at level ``alpha``."""
-        return self.p_value < alpha
-
 
 def analyse_dependence(
     engine: ExecutionBackend, first: Segmentation, second: Segmentation

@@ -53,6 +53,9 @@ DEFAULT_MAX_INDEP = 0.99
 #: read" — the default bound on the number of queries per segmentation.
 DEFAULT_MAX_DEPTH = 12
 
+#: Significance level of the chi-square stopping rule.
+CHI2_ALPHA = 0.01
+
 
 @dataclass(frozen=True)
 class HBCutsConfig:
@@ -69,10 +72,8 @@ class HBCutsConfig:
     stopping:
         ``"threshold"`` uses the fixed ``max_indep`` bound; ``"chi2"``
         additionally requires the pair to be significantly dependent
-        according to a chi-square test at level ``alpha`` before composing
-        (the hypothesis-testing variant mentioned in Section 4.2).
-    alpha:
-        Significance level of the chi-square stopping rule.
+        according to a chi-square test at level :data:`CHI2_ALPHA` before
+        composing (the hypothesis-testing variant mentioned in Section 4.2).
     reuse_indep:
         Cache INDEP values of candidate pairs across iterations (the
         Section 5.1 optimisation).  Disabling it is the E5 ablation.
@@ -81,7 +82,6 @@ class HBCutsConfig:
     max_indep: float = DEFAULT_MAX_INDEP
     max_depth: int = DEFAULT_MAX_DEPTH
     stopping: str = "threshold"
-    alpha: float = 0.01
     reuse_indep: bool = True
 
     def __post_init__(self) -> None:
@@ -91,8 +91,6 @@ class HBCutsConfig:
             raise AdvisorError(f"max_depth must be at least 2, got {self.max_depth}")
         if self.stopping not in ("threshold", "chi2"):
             raise AdvisorError(f"unknown stopping rule {self.stopping!r}")
-        if not 0.0 < self.alpha < 1.0:
-            raise AdvisorError(f"alpha must lie in (0, 1), got {self.alpha}")
 
 
 @dataclass
@@ -325,7 +323,7 @@ class HBCuts:
             from repro.core.dependence import chi_square_test
 
             _, p_value, _ = chi_square_test(table)
-            if p_value >= self.config.alpha:
+            if p_value >= CHI2_ALPHA:
                 # The pair is not significantly dependent: stop composing.
                 return True
         return False

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
@@ -77,29 +77,19 @@ def segment_surprise(
     return divergence_from_counts(segment_counts, context_counts)
 
 
-def segmentation_interestingness(
-    engine: ExecutionBackend,
-    segmentation: Segmentation,
-    probe_attributes: Optional[Sequence[str]] = None,
-) -> float:
+def segmentation_interestingness(engine: ExecutionBackend, segmentation: Segmentation) -> float:
     """Cover-weighted mean surprise of a segmentation.
 
-    Parameters
-    ----------
-    probe_attributes:
-        Attributes whose within-segment distributions are compared against
-        the context.  Defaults to the context attributes *not* used for
-        cutting — a segmentation is interesting when it implies something
-        about columns it never mentions.  When every context attribute is
-        used for cutting, the cut attributes themselves are probed.
+    The probed attributes, whose within-segment distributions are compared
+    against the context, are the context attributes *not* used for cutting
+    — a segmentation is interesting when it implies something about columns
+    it never mentions.  When every context attribute is used for cutting,
+    the cut attributes themselves are probed.
     """
-    if probe_attributes is None:
-        cut = set(segmentation.cut_attributes)
-        probe_attributes = [
-            attribute for attribute in segmentation.context.attributes if attribute not in cut
-        ]
-        if not probe_attributes:
-            probe_attributes = list(segmentation.cut_attributes)
+    cut = set(segmentation.cut_attributes)
+    probe_attributes = [
+        attribute for attribute in segmentation.context.attributes if attribute not in cut
+    ] or list(segmentation.cut_attributes)
     if not probe_attributes:
         return 0.0
     total_weight = 0.0
@@ -131,7 +121,6 @@ class SurpriseRanker(Ranker):
 
     engine: ExecutionBackend = None  # type: ignore[assignment]
     surprise_weight: float = 1.0
-    probe_attributes: Optional[Sequence[str]] = None
 
     name = "surprise"
 
@@ -142,7 +131,7 @@ class SurpriseRanker(Ranker):
             raise ValueError("surprise_weight must be non-negative")
 
     def interestingness(self, segmentation: Segmentation) -> float:
-        return segmentation_interestingness(self.engine, segmentation, self.probe_attributes)
+        return segmentation_interestingness(self.engine, segmentation)
 
     def score(self, scores: SegmentationScores) -> float:
         # Without the segmentation the surprise bonus is unknown; fall back

@@ -26,8 +26,7 @@ from repro.errors import AdvisorError
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 from repro.backends.base import ExecutionBackend
-from repro.core.hbcuts import HBCuts, HBCutsConfig
-from repro.core.metrics import entropy
+from repro.core.hbcuts import HBCuts
 
 __all__ = ["LazyAdvisor"]
 
@@ -38,9 +37,8 @@ class LazyAdvisor:
     Parameters
     ----------
     engine:
-        Query engine over the table to explore.
-    config:
-        HB-cuts parameters (the same stopping rules apply).
+        Query engine over the table to explore (HB-cuts' default stopping
+        rules apply).
 
     Examples
     --------
@@ -50,9 +48,8 @@ class LazyAdvisor:
     >>> more = advisor.next_batch(stream, 3)               # three more answers
     """
 
-    def __init__(self, engine: ExecutionBackend, config: Optional[HBCutsConfig] = None):
+    def __init__(self, engine: ExecutionBackend):
         self.engine = engine
-        self.config = config or HBCutsConfig()
 
     # -- streaming generation ----------------------------------------------------
 
@@ -67,7 +64,7 @@ class LazyAdvisor:
         available almost immediately); afterwards, each greedy composition
         is yielded as soon as it is built, until a stopping rule fires.
         """
-        for segmentation, _ in HBCuts(self.config).steps(
+        for segmentation, _ in HBCuts().steps(
             self.engine, context, attributes
         ):
             yield segmentation
@@ -82,29 +79,9 @@ class LazyAdvisor:
                 break
         return batch
 
-    def first_answer(
-        self, context: SDLQuery, attributes: Optional[Sequence[str]] = None
-    ) -> Segmentation:
+    def first_answer(self, context: SDLQuery) -> Segmentation:
         """The very first segmentation available (latency-to-first-answer probe)."""
-        stream = self.stream(context, attributes)
         try:
-            return next(stream)
+            return next(self.stream(context))
         except StopIteration:
             raise AdvisorError("no attribute of the context could be cut") from None
-
-    def top(
-        self,
-        context: SDLQuery,
-        count: int,
-        attributes: Optional[Sequence[str]] = None,
-    ) -> List[Segmentation]:
-        """The best ``count`` segmentations among those generated so far.
-
-        Generates at most ``2 * count`` candidates lazily, then keeps the
-        ``count`` with the highest entropy — a bounded-effort approximation
-        of the eager advisor's ranking.
-        """
-        stream = self.stream(context, attributes)
-        produced = self.next_batch(stream, 2 * count)
-        produced.sort(key=entropy, reverse=True)
-        return produced[:count]

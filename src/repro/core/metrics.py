@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable
 
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
@@ -44,19 +44,17 @@ __all__ = [
 ]
 
 
-def entropy(segmentation: Segmentation, base: Optional[float] = None) -> float:
+def entropy(segmentation: Segmentation) -> float:
     """``E(S) = -Σ C(Qj) · log C(Qj)`` with covers relative to the context.
 
-    Natural logarithm by default; pass ``base=2`` for bits.  The value is
-    0 for a single-piece segmentation and reaches ``log M`` for ``M``
-    perfectly balanced segments (paper, Definition 4).
+    Natural logarithm.  The value is 0 for a single-piece segmentation and
+    reaches ``log M`` for ``M`` perfectly balanced segments (paper,
+    Definition 4).
     """
-    return count_entropy(segmentation.counts, segmentation.context_count, base)
+    return count_entropy(segmentation.counts, segmentation.context_count)
 
 
-def count_entropy(
-    counts: Iterable[int], total: int, base: Optional[float] = None
-) -> float:
+def count_entropy(counts: Iterable[int], total: int) -> float:
     """The entropy of pieces of ``counts`` rows among ``total``, in order.
 
     Zero counts are skipped, so the entropy of a contingency table read
@@ -69,20 +67,13 @@ def count_entropy(
             if count > 0:
                 cover_j = count / total
                 value -= cover_j * math.log(cover_j)
-    if base is not None:
-        value /= math.log(base)
     return value
 
 
-def max_entropy(segmentation: Segmentation, base: Optional[float] = None) -> float:
+def max_entropy(segmentation: Segmentation) -> float:
     """``log M``: the entropy of a perfectly balanced M-piece segmentation."""
     pieces = sum(1 for count in segmentation.counts if count > 0)
-    if pieces <= 1:
-        return 0.0
-    value = math.log(pieces)
-    if base is not None:
-        value /= math.log(base)
-    return value
+    return math.log(pieces) if pieces > 1 else 0.0
 
 
 def balance(segmentation: Segmentation) -> float:
@@ -93,28 +84,26 @@ def balance(segmentation: Segmentation) -> float:
     return entropy(segmentation) / upper
 
 
-def simplicity(segmentation: Segmentation, relative_to_context: bool = True) -> int:
+def simplicity(segmentation: Segmentation) -> int:
     """``P(S)``: the maximum number of constraints among the queries.
 
     The paper measures the *complexity* of a segmentation this way and asks
-    for it to be as low as possible (Principle 1).  With
-    ``relative_to_context`` (the default) constraints already present in
-    the context are not charged to the segmentation, since the interface
-    only displays the added predicates.
+    for it to be as low as possible (Principle 1).  Constraints already
+    present in the context are not charged to the segmentation, since the
+    interface only displays the added predicates.
     """
     context_predicates = set(segmentation.context.predicates)
-    worst = 0
-    for query in segmentation.queries:
-        if relative_to_context:
-            charge = sum(
+    return max(
+        (
+            sum(
                 1
                 for predicate in query.predicates
                 if predicate.is_constrained and predicate not in context_predicates
             )
-        else:
-            charge = query.n_constraints
-        worst = max(worst, charge)
-    return worst
+            for query in segmentation.queries
+        ),
+        default=0,
+    )
 
 
 def breadth(segmentation: Segmentation) -> int:
@@ -122,18 +111,11 @@ def breadth(segmentation: Segmentation) -> int:
     return len(segmentation.attributes)
 
 
-def cover(
-    engine: ExecutionBackend, query: SDLQuery, context: Optional[SDLQuery] = None
-) -> float:
-    """The cover ``C(Q)``.
-
-    Table-relative (``|R(Q)| / |T|``, the paper's Definition) without a
-    context; context-relative (``|R(Q)| / |R(C)|``) otherwise.  An empty
-    denominator gives 0.
-    """
-    numerator = engine.count(query)
-    denominator = engine.num_rows if context is None else engine.count(context)
-    return numerator / denominator if denominator else 0.0
+def cover(engine: ExecutionBackend, query: SDLQuery) -> float:
+    """The cover ``C(Q) = |R(Q)| / |T|`` (the paper's Definition); an empty
+    table gives 0."""
+    rows = engine.num_rows
+    return engine.count(query) / rows if rows else 0.0
 
 
 def indep_from_entropies(

@@ -9,16 +9,17 @@ benches:
 * :class:`EntropyRanker` — the paper's behaviour;
 * :class:`WeightedRanker` — a weighted sum of normalised entropy, breadth
   and (inverse) simplicity;
-* :class:`LexicographicRanker` — strict priority ordering of the criteria.
+* :class:`LexicographicRanker` — strict priority ordering of the criteria
+  (entropy, breadth, simplicity).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from typing import List, Sequence, Tuple
 
-from repro.errors import AdvisorError
 from repro.sdl.segmentation import Segmentation
+from repro.core.hbcuts import DEFAULT_MAX_DEPTH
 from repro.core.metrics import SegmentationScores, score_segmentation
 
 __all__ = [
@@ -70,79 +71,42 @@ class EntropyRanker(Ranker):
         return scores.entropy
 
 
-@dataclass
+#: WeightedRanker's weights of normalised entropy, breadth and simplicity.
+_ENTROPY_WEIGHT = 1.0
+_BREADTH_WEIGHT = 0.5
+_SIMPLICITY_WEIGHT = 0.5
+
+
 class WeightedRanker(Ranker):
     """Weighted combination of the three principles.
 
-    The entropy term is normalised by ``log(max_depth)`` so the three terms
-    are commensurate; simplicity enters inversely (fewer constraints is
-    better), scaled by ``1 / (1 + P(S))``.
+    The entropy term is normalised by ``log`` of the paper's dozen-slice
+    bound (:data:`~repro.core.hbcuts.DEFAULT_MAX_DEPTH`), so the three terms
+    are commensurate; simplicity enters inversely
+    (fewer constraints is better), scaled by ``1 / (1 + P(S))``.
     """
-
-    entropy_weight: float = 1.0
-    breadth_weight: float = 0.5
-    simplicity_weight: float = 0.5
-    max_depth: int = 12
 
     name = "weighted"
 
-    def __post_init__(self) -> None:
-        if min(self.entropy_weight, self.breadth_weight, self.simplicity_weight) < 0:
-            raise AdvisorError("ranking weights must be non-negative")
-        if self.max_depth < 2:
-            raise AdvisorError("max_depth must be at least 2")
-
     def score(self, scores: SegmentationScores) -> float:
-        import math
-
-        normalised_entropy = (
-            scores.entropy / math.log(self.max_depth) if self.max_depth > 1 else 0.0
-        )
-        breadth_term = scores.breadth
-        simplicity_term = 1.0 / (1.0 + scores.simplicity)
         return (
-            self.entropy_weight * normalised_entropy
-            + self.breadth_weight * breadth_term
-            + self.simplicity_weight * simplicity_term
+            _ENTROPY_WEIGHT * scores.entropy / math.log(DEFAULT_MAX_DEPTH)
+            + _BREADTH_WEIGHT * scores.breadth
+            + _SIMPLICITY_WEIGHT * (1.0 / (1.0 + scores.simplicity))
         )
 
 
-@dataclass
 class LexicographicRanker(Ranker):
-    """Strict priority ordering over the criteria.
+    """Strict priority ordering: entropy, then breadth, then simplicity.
 
-    ``priorities`` is a sequence of criterion names among ``"entropy"``,
-    ``"breadth"``, ``"simplicity"`` and ``"balance"``; earlier entries
-    dominate later ones.  Simplicity is compared inverted so that fewer
-    constraints ranks higher, consistently with "larger key sorts first".
+    Simplicity is compared inverted so that fewer constraints ranks higher,
+    consistently with "larger key sorts first".
     """
-
-    priorities: Tuple[str, ...] = ("entropy", "breadth", "simplicity")
 
     name = "lexicographic"
 
-    _VALID = ("entropy", "breadth", "simplicity", "balance")
-
-    def __post_init__(self) -> None:
-        unknown = [p for p in self.priorities if p not in self._VALID]
-        if unknown:
-            raise AdvisorError(f"unknown ranking criteria: {unknown}")
-        if not self.priorities:
-            raise AdvisorError("at least one ranking criterion is required")
-
     def score(self, scores: SegmentationScores) -> float:
-        return self.sort_key(scores)[0]
+        return scores.entropy
 
     def sort_key(self, scores: SegmentationScores) -> Tuple:
-        key = []
-        for criterion in self.priorities:
-            if criterion == "entropy":
-                key.append(scores.entropy)
-            elif criterion == "breadth":
-                key.append(float(scores.breadth))
-            elif criterion == "balance":
-                key.append(scores.balance)
-            else:  # simplicity: fewer constraints is better
-                key.append(-float(scores.simplicity))
-        return tuple(key)
-
+        return (scores.entropy, float(scores.breadth), -float(scores.simplicity))

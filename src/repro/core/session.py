@@ -248,10 +248,6 @@ class ExplorationSession:
         """The labels of the path from the root to the current context."""
         return [step.label for step in self._stack]
 
-    def history(self) -> List[ExplorationStep]:
-        """A copy of the exploration stack, root first."""
-        return list(self._stack)
-
     def _step_count(self, step: ExplorationStep) -> int:
         """Row count of a step's context, cached on the step.
 

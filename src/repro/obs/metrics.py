@@ -39,7 +39,7 @@ __all__ = ["MergeableQuantileSketch", "MetricsRegistry"]
 #: Quantiles every histogram exposes in the Prometheus rendering.
 SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
-#: Default sketch budget for latency histograms — 128 items keep the
+#: Sketch budget of a latency histogram — 128 items keep the
 #: rank error of a node-local histogram under ~1% while a full scrape
 #: stays a few kilobytes per operation.
 DEFAULT_HISTOGRAM_BUDGET = 128
@@ -180,22 +180,6 @@ class MergeableQuantileSketch:
 
     # -- queries ---------------------------------------------------------------
 
-    @property
-    def max_item_weight(self) -> int:
-        """Weight of the heaviest retained item (quantile discretisation)."""
-        return max(self.weights, default=0)
-
-    @property
-    def rank_error_fraction(self) -> float:
-        """Reported rank tolerance of a quantile answer, as a fraction.
-
-        Covers both the tracked compaction error and the discretisation of
-        landing on a whole retained item.  ``0.0`` for an empty sketch.
-        """
-        if self.total_weight == 0:
-            return 0.0
-        return min(1.0, (self.rank_error + self.max_item_weight) / self.total_weight)
-
     def quantile(self, fraction: float) -> float:
         """The value whose rank is closest to ``fraction``.
 
@@ -245,25 +229,18 @@ class Histogram:
     ``_sum`` would poison the histogram for the life of the process.
     """
 
-    __slots__ = ("name", "labels", "help", "budget", "_lock", "_pending", "_sketch", "_count", "_sum")
+    __slots__ = ("name", "labels", "help", "_lock", "_pending", "_sketch", "_count", "_sum")
 
     #: Pending observations folded into the sketch once this many queue up.
     FOLD_THRESHOLD = 256
 
-    def __init__(
-        self,
-        name: str,
-        labels: _LabelsKey,
-        help_text: str,
-        budget: int = DEFAULT_HISTOGRAM_BUDGET,
-    ) -> None:
+    def __init__(self, name: str, labels: _LabelsKey, help_text: str) -> None:
         self.name = name
         self.labels = labels
         self.help = help_text
-        self.budget = max(2, int(budget))
         self._lock = threading.Lock()
         self._pending: List[float] = []
-        self._sketch = MergeableQuantileSketch.empty(self.budget)
+        self._sketch = MergeableQuantileSketch.empty(DEFAULT_HISTOGRAM_BUDGET)
         self._count = 0
         self._sum = 0.0
 
@@ -281,7 +258,7 @@ class Histogram:
     def _fold_locked(self) -> None:
         if not self._pending:
             return
-        batch = MergeableQuantileSketch.from_values(self._pending, self.budget)
+        batch = MergeableQuantileSketch.from_values(self._pending, DEFAULT_HISTOGRAM_BUDGET)
         self._sketch = self._sketch.merge(batch)
         self._pending = []
 
@@ -295,14 +272,12 @@ class Histogram:
 class MetricsRegistry:
     """A keyed collection of instruments with document/Prometheus output.
 
-    ``namespace`` prefixes every metric name in the rendered output
-    (``charles_`` by default), keeping the registry's internal names
-    short (``requests_total``) while the exposition stays conventional
-    (``charles_requests_total``).
+    The rendered output prefixes every metric name with ``charles_``,
+    keeping the registry's internal names short (``requests_total``) while
+    the exposition stays conventional (``charles_requests_total``).
     """
 
-    def __init__(self, namespace: str = "charles") -> None:
-        self.namespace = namespace
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         self._views: Dict[str, Dict[Tuple[str, _LabelsKey], View]] = {
             kind: {} for kind in _VIEW_KINDS
@@ -350,14 +325,13 @@ class MetricsRegistry:
         name: str,
         help_text: str = "",
         labels: Optional[Mapping[str, str]] = None,
-        budget: int = DEFAULT_HISTOGRAM_BUDGET,
     ) -> Histogram:
         key = (name, _labels_key(labels))
         with self._lock:
             existing = self._histograms.get(key)
             if existing is not None:
                 return existing
-            created = Histogram(name, key[1], help_text, budget=budget)
+            created = Histogram(name, key[1], help_text)
             self._histograms[key] = created
             return created
 
@@ -401,7 +375,7 @@ class MetricsRegistry:
 
     def render_prometheus(self) -> str:
         """This registry in Prometheus text exposition format."""
-        return render_document(self.to_document(), namespace=self.namespace)
+        return render_document(self.to_document())
 
     # -- merging ---------------------------------------------------------------
 
@@ -457,13 +431,13 @@ def _sketch_from_row(row: Mapping[str, Any]) -> MergeableQuantileSketch:
     )
 
 
-def render_document(document: Mapping[str, Any], namespace: str = "charles") -> str:
+def render_document(document: Mapping[str, Any]) -> str:
     """Render a metrics document (local or merged) as Prometheus text.
 
     Histograms render as summaries: one ``quantile=...`` line per entry
     of :data:`SUMMARY_QUANTILES` plus ``_sum`` and ``_count``.
     """
-    prefix = f"{namespace}_" if namespace else ""
+    prefix = "charles_"
     lines: List[str] = []
     for kind, kind_type in _VIEW_KINDS.items():
         for row in document.get(kind, []):

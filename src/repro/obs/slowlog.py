@@ -1,7 +1,7 @@
 """A bounded log of the worst (slowest) requests per operation.
 
 Every service request is offered to the log; each operation keeps only
-its ``per_op`` slowest entries (a min-heap on duration, so a fast
+its :data:`DEFAULT_PER_OP` slowest entries (a min-heap on duration, so a fast
 request on a full heap is rejected with one comparison).  When the
 request was traced, the entry carries the full span tree — the
 ``slow_ops`` wire operation then answers "where did the worst advise
@@ -23,7 +23,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 __all__ = ["SlowOpLog"]
 
-#: Default number of worst entries kept per operation.
+#: Number of worst entries kept per operation.
 DEFAULT_PER_OP = 8
 
 
@@ -34,8 +34,7 @@ class SlowOpLog:
     full heap that does not displace anything is one comparison.
     """
 
-    def __init__(self, per_op: int = DEFAULT_PER_OP) -> None:
-        self.per_op = max(1, int(per_op))
+    def __init__(self) -> None:
         self._lock = threading.Lock()
         # op -> min-heap of (seconds, tick, entry); tick breaks ties so
         # heapq never compares the entry dicts themselves.
@@ -65,7 +64,7 @@ class SlowOpLog:
         with self._lock:
             heap = self._heaps.setdefault(op, [])
             item = (float(seconds), next(self._ticks), entry)
-            if len(heap) < self.per_op:
+            if len(heap) < DEFAULT_PER_OP:
                 heapq.heappush(heap, item)
             elif heap[0][0] < item[0]:
                 heapq.heapreplace(heap, item)
@@ -78,7 +77,7 @@ class SlowOpLog:
         """
         with self._lock:
             heaps = {op: list(heap) for op, heap in self._heaps.items()}
-        per_op = self.per_op if limit is None else max(1, int(limit))
+        per_op = DEFAULT_PER_OP if limit is None else max(1, int(limit))
         ops: Dict[str, List[Dict[str, Any]]] = {}
         for op in sorted(heaps):
             ranked = sorted(heaps[op], key=lambda item: item[0], reverse=True)

@@ -4,8 +4,6 @@
 syntax; this module adds higher-level renderings used by the CLI, the
 report generator and the tests:
 
-* :func:`format_query` — ``SDLQuery.to_sdl`` with the option of leaving
-  unconstrained attributes out;
 * :func:`format_segmentation` — a compact one-segment-per-line listing;
 * :func:`format_segment_label` — the short labels shown on pie-chart
   slices in Figure 1 (only the cut attributes, not the whole context).
@@ -15,29 +13,12 @@ A query's cache key is :attr:`~repro.sdl.query.SDLQuery.key`.
 
 from __future__ import annotations
 
-from typing import Iterable, List
+from typing import List
 
-from repro.sdl.predicates import Predicate
 from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation
 
 __all__ = ["format_segmentation", "format_segment_label"]
-
-
-def format_query(query: SDLQuery, include_unconstrained: bool = True) -> str:
-    """Render a query in SDL text syntax.
-
-    Parameters
-    ----------
-    include_unconstrained:
-        When ``False``, attributes with no constraint are omitted, which is
-        how the Figure 1 interface labels pie-chart slices.
-    """
-    predicates: Iterable[Predicate] = query.predicates
-    if not include_unconstrained:
-        predicates = [p for p in query.predicates if p.is_constrained]
-    inner = ", ".join(p.to_sdl() for p in predicates)
-    return f"({inner})"
 
 
 def format_segment_label(
@@ -63,11 +44,7 @@ def format_segment_label(
     return label
 
 
-def format_segmentation(
-    segmentation: Segmentation,
-    show_counts: bool = True,
-    relative_to_context: bool = True,
-) -> str:
+def format_segmentation(segmentation: Segmentation) -> str:
     """Render a segmentation, one segment per line, largest cover first."""
     header = (
         f"Segmentation on [{', '.join(segmentation.cut_attributes) or '-'}] — "
@@ -83,9 +60,5 @@ def format_segmentation(
     for index in order:
         segment = segmentation.segments[index]
         label = format_segment_label(segment.query, segmentation.context)
-        if show_counts:
-            cover = covers[index] if relative_to_context else 0.0
-            lines.append(f"  {cover:6.1%}  {segment.count:>8}  {label}")
-        else:
-            lines.append(f"  {label}")
+        lines.append(f"  {covers[index]:6.1%}  {segment.count:>8}  {label}")
     return "\n".join(lines)

@@ -79,25 +79,6 @@ class SDLQuery:
         """
         return cls(NoConstraint(attr) for attr in attributes)
 
-    @classmethod
-    def from_mapping(cls, mapping: Mapping[str, Optional[Predicate]]) -> "SDLQuery":
-        """Build a query from an ``attribute -> predicate`` mapping.
-
-        A ``None`` value stands for the unconstrained predicate.
-        """
-        predicates = []
-        for attribute, predicate in mapping.items():
-            if predicate is None:
-                predicates.append(NoConstraint(attribute))
-            else:
-                if predicate.attribute != attribute:
-                    raise QueryError(
-                        f"predicate attribute {predicate.attribute!r} does not match "
-                        f"mapping key {attribute!r}"
-                    )
-                predicates.append(predicate)
-        return cls(predicates)
-
     # -- basic accessors ---------------------------------------------------
 
     @property
@@ -114,11 +95,6 @@ class SDLQuery:
     def constrained_attributes(self) -> Tuple[str, ...]:
         """Attributes carrying an actual constraint."""
         return tuple(p.attribute for p in self._predicates if p.is_constrained)
-
-    @property
-    def n_constraints(self) -> int:
-        """Number of constrained predicates (the paper's per-query complexity)."""
-        return sum(1 for p in self._predicates if p.is_constrained)
 
     def predicate_for(self, attribute: str) -> Optional[Predicate]:
         """The predicate constraining ``attribute``, or ``None`` if absent."""
@@ -171,15 +147,6 @@ class SDLQuery:
     def without(self, attribute: str) -> "SDLQuery":
         """Drop the predicate on ``attribute`` entirely (context narrowing)."""
         return SDLQuery(p for p in self._predicates if p.attribute != attribute)
-
-    def project(self, attributes: Sequence[str]) -> "SDLQuery":
-        """Keep only the predicates on the given attributes, in that order."""
-        kept = []
-        for attribute in attributes:
-            predicate = self._by_attribute.get(attribute)
-            if predicate is not None:
-                kept.append(predicate)
-        return SDLQuery(kept)
 
     # -- row-at-a-time evaluation (slow path, used in tests) ----------------
 

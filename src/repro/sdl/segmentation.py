@@ -155,11 +155,6 @@ class Segmentation:
         return sum(segment.count for segment in self._segments)
 
     @property
-    def is_exhaustive(self) -> bool:
-        """Whether the segments jointly cover every row of the context."""
-        return self.covered_count == self.context_count
-
-    @property
     def attributes(self) -> Tuple[str, ...]:
         """Union of constrained attributes across all queries, beyond the context."""
         context_constrained = set(self.context.constrained_attributes)
@@ -171,24 +166,6 @@ class Segmentation:
         for attribute in self.cut_attributes:
             seen.setdefault(attribute, None)
         return tuple(seen)
-
-    def non_empty(self) -> "Segmentation":
-        """Return a copy with zero-count segments removed.
-
-        Raises
-        ------
-        SegmentationError
-            If every segment is empty.
-        """
-        kept = [segment for segment in self._segments if segment.count > 0]
-        if not kept:
-            raise SegmentationError("all segments are empty")
-        return Segmentation(
-            self.context,
-            kept,
-            context_count=self.context_count,
-            cut_attributes=self.cut_attributes,
-        )
 
     # -- protocol ------------------------------------------------------------
 

@@ -45,7 +45,6 @@ from repro.api.protocol import OPERATIONS, PARAM_KINDS, Request, Response
 from repro.backends.registry import open_backend
 from repro.core.advisor import Advice, Charles, ContextLike
 from repro.core.hbcuts import HBCutsConfig
-from repro.core.ranking import EntropyRanker, Ranker
 from repro.core.session import ExplorationSession
 from repro.errors import (
     AdvisorError,
@@ -87,22 +86,6 @@ def _thread_count() -> int:
             if line.startswith("Threads:"):
                 return int(line.split()[1])
     return 0
-
-
-def _ranker_cache_key(ranker: Ranker) -> str:
-    """A cache key covering the ranker's class *and* its parameters.
-
-    ``ranker.name`` alone would let two differently-parameterised rankers
-    of the same class (e.g. two :class:`WeightedRanker` weightings) share
-    cached advice.  Instance ``vars`` cover dataclass parameters; private
-    attributes are state, not parameters, and are excluded.
-    """
-    parameters = sorted(
-        (key, repr(value))
-        for key, value in vars(ranker).items()
-        if not key.startswith("_")
-    )
-    return f"{type(ranker).__module__}.{type(ranker).__qualname__}:{parameters}"
 
 
 class _TableRuntime:
@@ -316,16 +299,9 @@ class AdvisorService:
         self,
         table: Table,
         name: Optional[str] = None,
-        backend: Optional[str] = None,
     ) -> str:
-        """Register a table and build its shared runtime; returns its name.
-
-        Parameters
-        ----------
-        backend:
-            Backend spec for this table's runtime (``"memory"``,
-            ``"sqlite"``, …); defaults to the service-wide spec.
-        """
+        """Register a table and build its shared runtime, on the
+        service-wide backend spec; returns its name."""
         resolved = name or table.name
         with self._lock:
             if resolved in self._tables:
@@ -336,7 +312,7 @@ class AdvisorService:
                 cache_capacity=self._cache_capacity,
                 advice_capacity=self._advice_capacity,
                 batch_window=self._batch_window,
-                backend_spec=backend or self._backend_spec,
+                backend_spec=self._backend_spec,
                 metrics=self.metrics,
             )
         return resolved
@@ -380,8 +356,6 @@ class AdvisorService:
         table: Optional[str] = None,
         context: ContextLike = None,
         max_answers: Optional[int] = None,
-        config: Optional[HBCutsConfig] = None,
-        ranker: Optional[Ranker] = None,
         replace: bool = False,
     ) -> ServiceSession:
         """Create a named session over a registered table.
@@ -392,12 +366,7 @@ class AdvisorService:
         if max_answers is not None and max_answers < 0:
             raise AdvisorError(f"max_answers cannot be negative, got {max_answers}")
         runtime = self._runtime(table)
-        session_config = config or self._config
-        advisor = Charles(
-            runtime.session_engine(),
-            config=session_config,
-            ranker=ranker or EntropyRanker(),
-        )
+        advisor = Charles(runtime.session_engine(), config=self._config)
         exploration = ExplorationSession(
             advisor,
             max_answers=max_answers if max_answers is not None else self._max_answers,
@@ -463,9 +432,6 @@ class AdvisorService:
         session holds the hook, so a hook holding the session would be a
         cycle and a closed session would wait for the collector.
         """
-        config_key = repr(advisor.config)
-        ranker_key = _ranker_cache_key(advisor.ranker)
-
         def advise(
             context: SDLQuery, max_answers: int, mode: Optional[str] = None
         ) -> Advice:
@@ -475,11 +441,10 @@ class AdvisorService:
             # refine reads and fills exactly the entry a plain advise would.
             mode = mode or advisor.default_mode
             prefix = "advice:approx:" if mode == "interactive" else "advice:"
+            # Every session of a service shares its config and the entropy
+            # ranking, so the context and the answer count key the advice.
             # The bound key: {1} and {1.0} differ on a STRING column only.
-            key = (
-                f"{prefix}{max_answers}:{ranker_key}:{config_key}:"
-                f"{bind(context, runtime.schema).key}"
-            )
+            key = f"{prefix}{max_answers}:{bind(context, runtime.schema).key}"
             # Tagging the entry with the data version it was computed at
             # makes the advice cache mutation-aware: after an ingest, old
             # entries miss (and are evicted) instead of serving answers

@@ -124,10 +124,6 @@ class Column:
 
     # -- aggregates ------------------------------------------------------------
 
-    def count_valid(self, mask: Optional[np.ndarray] = None) -> int:
-        """Number of non-missing rows under the mask."""
-        return int(np.count_nonzero(self._effective_mask(mask)))
-
     def minimum(self, mask: Optional[np.ndarray] = None) -> Any:
         raise NotImplementedError
 
@@ -147,9 +143,9 @@ class Column:
         """Decoded value -> number of occurrences under the mask."""
         raise NotImplementedError
 
-    def distinct_count(self, mask: Optional[np.ndarray] = None) -> int:
-        """Number of distinct non-missing values under the mask."""
-        return len(self.value_counts(mask))
+    def distinct_count(self) -> int:
+        """Number of distinct non-missing values."""
+        return len(self.value_counts())
 
     # -- predicate evaluation (canonical literals: repro.storage.expression.bind)
 
@@ -295,10 +291,10 @@ class NumericColumn(_ArrayColumn):
             raise TypeMismatchError(f"NumericColumn does not support {dtype}")
         super().__init__(name, values, dtype)
 
-    def gather(self, mask: Optional[np.ndarray] = None) -> np.ndarray:
-        """Raw physical values of the non-missing rows under ``mask`` (what
-        a quantile sketch is built from, :mod:`repro.storage.sketches`)."""
-        return self._masked_data(mask)
+    def gather(self) -> np.ndarray:
+        """Raw physical values of the non-missing rows (what a quantile
+        sketch is built from, :mod:`repro.storage.sketches`)."""
+        return self._masked_data(None)
 
     def median(self, mask: Optional[np.ndarray] = None) -> Any:
         data = self._masked_data(mask)

@@ -3,61 +3,36 @@
 The demo proposal targets "a few domain-specific databases" that a user
 would typically hold as delimited files.  This loader turns a CSV file (or
 any text stream) into a :class:`~repro.storage.table.Table`, inferring a
-logical type per column unless the caller overrides it.
+logical type per column.
 """
 
 from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Mapping, Optional, TextIO, Union
+from typing import TextIO, Union
 
 from repro.errors import CSVFormatError
 from repro.storage.table import Table
-from repro.storage.types import DataType
 
 __all__ = ["load_csv"]
 
 
-def load_csv(
-    path: Union[str, Path],
-    name: Optional[str] = None,
-    types: Optional[Mapping[str, DataType]] = None,
-    delimiter: str = ",",
-    limit: Optional[int] = None,
-) -> Table:
-    """Load a CSV file into a table.
+def load_csv(path: Union[str, Path]) -> Table:
+    """Load a comma-separated file into a table named after the file stem.
 
-    Parameters
-    ----------
-    path:
-        Path of the CSV file; the first row must contain column names.
-    name:
-        Table name; defaults to the file stem.
-    types:
-        Optional per-column type overrides (inferred otherwise).
-    delimiter:
-        Field delimiter.
-    limit:
-        Maximum number of data rows to read.
+    The first row must contain column names; every column's type is
+    inferred.
     """
     path = Path(path)
     if not path.exists():
         raise CSVFormatError(f"CSV file not found: {path}")
     with path.open("r", newline="", encoding="utf-8") as handle:
-        return _load_from_stream(
-            handle, name=name or path.stem, types=types, delimiter=delimiter, limit=limit
-        )
+        return _load_from_stream(handle, path.stem)
 
 
-def _load_from_stream(
-    stream: TextIO,
-    name: str,
-    types: Optional[Mapping[str, DataType]],
-    delimiter: str,
-    limit: Optional[int],
-) -> Table:
-    reader = csv.reader(stream, delimiter=delimiter)
+def _load_from_stream(stream: TextIO, name: str) -> Table:
+    reader = csv.reader(stream)
     try:
         header = next(reader)
     except StopIteration:
@@ -70,8 +45,6 @@ def _load_from_stream(
 
     data: dict[str, list] = {column: [] for column in header}
     for row_number, row in enumerate(reader, start=2):
-        if limit is not None and len(data[header[0]]) >= limit:
-            break
         if not row or all(field.strip() == "" for field in row):
             continue
         if len(row) != len(header):
@@ -83,4 +56,4 @@ def _load_from_stream(
 
     if not data[header[0]]:
         raise CSVFormatError("CSV input contains a header but no data rows")
-    return Table.from_dict(data, name=name, types=types)
+    return Table.from_dict(data, name=name)

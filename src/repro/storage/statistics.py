@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -79,11 +79,6 @@ class ColumnProfile:
     def missing_count(self) -> int:
         return self.row_count - self.valid_count
 
-    @property
-    def is_constant(self) -> bool:
-        """Whether the column has at most one distinct value (cannot be cut)."""
-        return self.distinct_count <= 1
-
     def describe(self) -> str:
         """One-line description used by the CLI profile command."""
         parts = [
@@ -120,17 +115,15 @@ class TableProfile:
         return "\n".join(lines)
 
 
-_DEFAULT_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
+#: The quantiles a numeric column's profile lists, and the most frequent
+#: values every profile keeps.
+_QUANTILES = (0.1, 0.25, 0.5, 0.75, 0.9)
+_TOP_VALUES = 10
 
 
-def profile_backend(
-    backend: Any,
-    context: Optional[SDLQuery] = None,
-    columns: Optional[Sequence[str]] = None,
-    top_k: int = 10,
-    quantiles: Sequence[float] = _DEFAULT_QUANTILES,
-) -> TableProfile:
-    """Profile a relation, optionally restricted to a context query.
+def profile_backend(backend: Any, context: Optional[SDLQuery] = None) -> TableProfile:
+    """Profile every column of a relation, optionally restricted to a
+    context query.
 
     Issues nothing but aggregates — counts, min/max, medians and value
     frequencies of the :class:`~repro.backends.base.ExecutionBackend`
@@ -139,16 +132,15 @@ def profile_backend(
     profiled the same way.  Quantiles are reconstructed exactly from the
     cumulative value histogram.
     """
-    names = list(columns) if columns is not None else list(backend.column_names)
     row_count = backend.num_rows if context is None else backend.count(context)
     profiles: Dict[str, ColumnProfile] = {}
-    for name in names:
+    for name in backend.column_names:
         frequencies = backend.value_frequencies(name, context)
         valid_count = sum(frequencies.values())
         entropy = column_entropy(frequencies)
         top_values = sorted(
             frequencies.items(), key=lambda kv: (-kv[1], str(kv[0]))
-        )[:top_k]
+        )[:_TOP_VALUES]
         numeric = backend.is_numeric(name)
         minimum = maximum = median = None
         quantile_values: Dict[float, Any] = {}
@@ -158,7 +150,7 @@ def profile_backend(
                 median = backend.median(name, context)
                 ordered = sorted(frequencies)
                 cumulative = np.cumsum([frequencies[value] for value in ordered])
-                for q in quantiles:
+                for q in _QUANTILES:
                     position = int(round(q * (valid_count - 1)))
                     index = int(np.searchsorted(cumulative, position + 1))
                     quantile_values[q] = ordered[index]

@@ -104,29 +104,24 @@ class Table:
         cls,
         rows: Iterable[Mapping[str, Any]],
         name: str = "table",
-        columns: Optional[Sequence[str]] = None,
-        types: Optional[Mapping[str, DataType]] = None,
     ) -> "Table":
         """Build a table from an iterable of row mappings.
 
-        Column order follows ``columns`` when given, otherwise the order of
-        first appearance across the rows.  Missing keys become missing
-        values.
+        Columns come in the order of first appearance across the rows.
+        Missing keys become missing values.
         """
         materialised = list(rows)
         if not materialised:
             raise SchemaError("cannot build a table from zero rows")
-        if columns is None:
-            ordered: List[str] = []
-            for row in materialised:
-                for key in row:
-                    if key not in ordered:
-                        ordered.append(key)
-            columns = ordered
+        columns: List[str] = []
+        for row in materialised:
+            for key in row:
+                if key not in columns:
+                    columns.append(key)
         data = {
             column: [row.get(column) for row in materialised] for column in columns
         }
-        return cls.from_dict(data, name=name, types=types)
+        return cls.from_dict(data, name=name)
 
     # -- schema ---------------------------------------------------------------
 
@@ -135,19 +130,12 @@ class Table:
         return self._num_rows
 
     @property
-    def num_columns(self) -> int:
-        return len(self._order)
-
-    @property
     def column_names(self) -> List[str]:
         return list(self._order)
 
     def schema(self) -> Mapping[str, DataType]:
         """Read-only mapping of column name to logical data type, in column order."""
         return self._schema
-
-    def has_column(self, name: str) -> bool:
-        return name in self._columns
 
     def column(self, name: str) -> Column:
         """The column object for ``name``.
@@ -187,10 +175,6 @@ class Table:
         """Decoded values per column (slow path)."""
         return {name: self._columns[name].values_list() for name in self._order}
 
-    def head(self, n: int = 5) -> List[Dict[str, Any]]:
-        """The first ``n`` decoded rows."""
-        return [self.row(i) for i in range(min(n, self._num_rows))]
-
     # -- derivation --------------------------------------------------------------
 
     def filter(self, mask: np.ndarray, name: Optional[str] = None) -> "Table":
@@ -227,19 +211,6 @@ class Table:
             )
         columns = [self._columns[n].slice_rows(start, stop) for n in self._order]
         return Table(name or self.name, columns)
-
-    def with_column(self, column: Column) -> "Table":
-        """New table with one column added (or replaced if the name exists)."""
-        if len(column) != self._num_rows:
-            raise SchemaError(
-                f"column {column.name!r} has {len(column)} rows, table has {self._num_rows}"
-            )
-        columns = [
-            column if n == column.name else self._columns[n] for n in self._order
-        ]
-        if column.name not in self._columns:
-            columns.append(column)
-        return Table(self.name, columns)
 
     def append_rows(self, rows: Iterable[Mapping[str, Any]]) -> "Table":
         """New table with the given row mappings appended (copy-on-write).

@@ -52,11 +52,6 @@ class DataType(enum.Enum):
         """Whether arithmetic medians are defined for the type (paper §4.1)."""
         return self in (DataType.INT, DataType.FLOAT, DataType.DATE)
 
-    @property
-    def is_nominal(self) -> bool:
-        """Whether the type requires the nominal median rule of Definition 5."""
-        return self in (DataType.STRING, DataType.BOOL)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return self.value
 

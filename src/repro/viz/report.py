@@ -29,51 +29,42 @@ def render_context(advice: Advice) -> str:
     return "\n".join(lines)
 
 
-def render_answer_list(advice: Advice, width: int = 24) -> str:
+def render_answer_list(advice: Advice) -> str:
     """The top panel: one line per ranked answer with a compact pie strip."""
     lines = [f"ranked answers ({advice.ranker_name}):"]
     for answer in advice.answers:
         title = ", ".join(answer.attributes) or "(no attribute)"
         lines.append(
-            f"  #{answer.rank:<2} {compact_pie(answer.segmentation, width=width)} "
+            f"  #{answer.rank:<2} {compact_pie(answer.segmentation)} "
             f"E={answer.scores.entropy:5.2f}  breadth={answer.scores.breadth}  "
             f"depth={answer.scores.depth:<3} {title}"
         )
     return "\n".join(lines)
 
 
-def render_answer(
-    answer: RankedAnswer,
-    style: str = "pie",
-    width: int = 40,
-    height: int = 10,
-) -> str:
+def render_answer(answer: RankedAnswer, style: str = "pie") -> str:
     """The main panel: the selected segmentation in detail.
 
     ``style`` selects the renderer: ``"pie"`` (default), ``"treemap"``, or
     ``"table"`` (plain per-segment listing).
     """
     if style == "treemap":
-        return treemap(answer.segmentation, width=width, height=height)
+        return treemap(answer.segmentation, width=40, height=10)
     if style == "table":
         return answer.describe()
-    return pie_chart(answer.segmentation, width=width)
+    return pie_chart(answer.segmentation)
 
 
 def render_advice(
     advice: Advice,
-    selected: int = 0,
     style: str = "pie",
-    width: int = 40,
-    height: int = 10,
     max_answers: Optional[int] = None,
 ) -> str:
-    """Render the full three-panel view for one advice.
+    """Render the full three-panel view for one advice, the best answer in
+    the detail panel.
 
     Parameters
     ----------
-    selected:
-        Index of the answer shown in the detail panel.
     style:
         Detail renderer (``"pie"``, ``"treemap"`` or ``"table"``).
     max_answers:
@@ -90,8 +81,6 @@ def render_advice(
         )
     blocks = [render_context(shown), "", render_answer_list(shown)]
     if shown.answers:
-        selected = max(0, min(selected, len(shown.answers) - 1))
-        blocks.extend(["", f"selected answer #{shown.answers[selected].rank}:",
-                       render_answer(shown.answers[selected], style=style,
-                                     width=width, height=height)])
+        blocks.extend(["", f"selected answer #{shown.answers[0].rank}:",
+                       render_answer(shown.answers[0], style=style)])
     return "\n".join(blocks)

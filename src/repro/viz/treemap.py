@@ -39,10 +39,6 @@ class TreemapCell:
     def height(self) -> int:
         return self.y1 - self.y0
 
-    @property
-    def area(self) -> int:
-        return self.width * self.height
-
 
 def treemap_layout(
     weights: Sequence[float], width: int, height: int
@@ -92,12 +88,7 @@ def _slice_and_dice(
         _slice_and_dice(rest, x0, split, x1, y1, cells)
 
 
-def treemap(
-    segmentation: Segmentation,
-    width: int = 48,
-    height: int = 12,
-    show_legend: bool = True,
-) -> str:
+def treemap(segmentation: Segmentation, width: int = 48, height: int = 12) -> str:
     """Render a segmentation as a character-grid tree map with a legend."""
     if width < 4 or height < 2:
         raise VisualizationError("treemap must be at least 4 columns by 2 rows")
@@ -119,14 +110,13 @@ def treemap(
                 grid[y][x] = glyph
     lines = ["".join(row) for row in grid]
 
-    if show_legend:
-        lines.append("")
-        for position, index in enumerate(order):
-            if position >= len(cells):
-                break
-            glyph = _FILL_GLYPHS[position % len(_FILL_GLYPHS)]
-            segment = segmentation.segments[index]
-            label = format_segment_label(segment.query, segmentation.context)
-            cover = segmentation.covers[index]
-            lines.append(f" {glyph}  {cover:6.1%} ({segment.count})  {label}")
+    lines.append("")
+    for position, index in enumerate(order):
+        if position >= len(cells):
+            break
+        glyph = _FILL_GLYPHS[position % len(_FILL_GLYPHS)]
+        segment = segmentation.segments[index]
+        label = format_segment_label(segment.query, segmentation.context)
+        cover = segmentation.covers[index]
+        lines.append(f" {glyph}  {cover:6.1%} ({segment.count})  {label}")
     return "\n".join(lines)

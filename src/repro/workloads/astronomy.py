@@ -37,10 +37,8 @@ _REDSHIFT_MEANS = {"star": 0.0005, "galaxy": 0.15, "quasar": 1.8}
 _REDSHIFT_SPREADS = {"star": 0.0004, "galaxy": 0.08, "quasar": 0.7}
 
 
-def generate_astronomy(
-    rows: int = 8000, seed: Optional[int] = 7, name: str = "sky_survey"
-) -> Table:
-    """Generate the synthetic sky-survey catalogue."""
+def generate_astronomy(rows: int = 8000, seed: Optional[int] = 7) -> Table:
+    """Generate the synthetic sky-survey catalogue, named ``sky_survey``."""
     if rows <= 0:
         raise WorkloadError(f"rows must be positive, got {rows}")
     rng = make_rng(seed)
@@ -68,7 +66,7 @@ def generate_astronomy(
     def rounded(column: str, values: np.ndarray, digits: int) -> NumericColumn:
         return NumericColumn(column, [round(v, digits) for v in values.tolist()], DataType.FLOAT)
 
-    return Table(name, [
+    return Table("sky_survey", [
         nominal_column("object_id", serial_labels("obj-", rows, 7)),
         nominal_column("object_class", classes),
         rounded("ra", ra, 4),

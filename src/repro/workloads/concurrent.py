@@ -28,6 +28,10 @@ from repro.errors import AdvisorError, CharlesError, WorkloadError
 
 __all__ = ["generate_concurrent_workload", "serve"]
 
+#: Attributes per starting context, and the chance a step goes back up.
+CONTEXT_WIDTH = 3
+BACK_PROBABILITY = 0.25
+
 
 @dataclass(frozen=True)
 class UserAction:
@@ -58,9 +62,7 @@ def generate_concurrent_workload(
     steps: int = 4,
     seed: int = 0,
     hot_contexts: int = 2,
-    context_width: int = 3,
     distinct_paths: Optional[int] = None,
-    back_probability: float = 0.25,
 ) -> List[UserScript]:
     """Seeded scripts for ``users`` simulated users over one table.
 
@@ -75,15 +77,15 @@ def generate_concurrent_workload(
     seed:
         Makes the workload fully reproducible.
     hot_contexts:
-        Size of the popular-context pool users start from.
-    context_width:
-        Attributes per starting context.
+        Size of the popular-context pool users start from; each context
+        has :data:`CONTEXT_WIDTH` attributes.
     distinct_paths:
         Number of unique (context, drill-path) combinations; users beyond
         that repeat earlier paths round-robin (the cache-friendly skew of
         real traffic).  ``None`` gives every user their own path.
-    back_probability:
-        Chance a step goes back up instead of drilling deeper.
+
+    A step goes back up instead of drilling deeper with probability
+    :data:`BACK_PROBABILITY`.
     """
     if users <= 0:
         raise WorkloadError(f"users must be positive, got {users}")
@@ -92,7 +94,7 @@ def generate_concurrent_workload(
     if not columns:
         raise WorkloadError("the workload needs at least one column")
     rng = random.Random(seed)
-    width = min(context_width, len(columns))
+    width = min(CONTEXT_WIDTH, len(columns))
     pool = [
         tuple(sorted(rng.sample(list(columns), width)))
         for _ in range(max(1, hot_contexts))
@@ -105,7 +107,7 @@ def generate_concurrent_workload(
         actions: List[UserAction] = [UserAction("advise", context=context)]
         depth = 0
         for _ in range(steps):
-            if depth > 0 and rng.random() < back_probability:
+            if depth > 0 and rng.random() < BACK_PROBABILITY:
                 actions.append(UserAction("back"))
                 depth -= 1
             else:
@@ -168,7 +170,6 @@ def serve(
     service: Any,
     scripts: Sequence[UserScript],
     workers: int = 1,
-    table: Optional[str] = None,
 ) -> ServiceReport:
     """Replay a multi-user workload against a service; report throughput.
 
@@ -183,15 +184,15 @@ def serve(
     workers:
         Thread count; ``1`` executes users sequentially (deterministic),
         more lets sessions run — and batch — concurrently.
-    table:
-        Table to serve when several are registered.
+
+    The service serves one table (its only registered one).
     """
     errors: List[str] = []
     errors_lock = threading.Lock()
 
     def run_script(script: UserScript) -> int:
         try:
-            session = service.open_session(script.user, table=table, replace=True)
+            session = service.open_session(script.user, replace=True)
         except CharlesError as error:
             with errors_lock:
                 errors.append(f"{script.user}: {error}")

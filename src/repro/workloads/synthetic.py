@@ -25,13 +25,15 @@ __all__ = [
     "make_zipf_table",
 ]
 
+#: Categories of every column of :func:`make_wide_table`.
+WIDE_CARDINALITY = 4
+
 
 def make_dependent_pair_table(
     rows: int = 2000,
     strength: float = 1.0,
     cardinality: int = 4,
     seed: Optional[int] = 0,
-    name: str = "dependent_pair",
 ) -> Table:
     """Two categorical columns ``x`` and ``y`` with tunable dependence.
 
@@ -57,23 +59,22 @@ def make_dependent_pair_table(
         "y": [f"y{int(v)}" for v in y_codes],
         "z": [f"z{int(v)}" for v in z_codes],
     }
-    return Table.from_dict(data, name=name)
+    return Table.from_dict(data, name="dependent_pair")
 
 
 def make_wide_table(
     rows: int = 2000,
     attributes: int = 8,
     dependent_pairs: int = 2,
-    cardinality: int = 4,
     seed: Optional[int] = 0,
-    name: str = "wide",
 ) -> Table:
     """A table with many attributes, some of them pairwise dependent.
 
     The first ``2 * dependent_pairs`` columns form dependent pairs
     ``(c0, c1), (c2, c3), ...`` (each pair shares its category index 85% of
-    the time); the remaining columns are independent.  Used by the
-    horizontal-scalability bench (E5).
+    the time); the remaining columns are independent.  Every column has
+    :data:`WIDE_CARDINALITY` categories.  Used by the horizontal-scalability
+    bench (E5).
     """
     if attributes < 2:
         raise WorkloadError("at least two attributes are required")
@@ -83,17 +84,17 @@ def make_wide_table(
     data = {}
     column = 0
     for _ in range(dependent_pairs):
-        base = rng.integers(0, cardinality, size=rows)
+        base = rng.integers(0, WIDE_CARDINALITY, size=rows)
         copy_mask = rng.random(rows) < 0.85
-        partner = np.where(copy_mask, base, rng.integers(0, cardinality, size=rows))
+        partner = np.where(copy_mask, base, rng.integers(0, WIDE_CARDINALITY, size=rows))
         data[f"c{column}"] = [f"p{int(v)}" for v in base]
         data[f"c{column + 1}"] = [f"q{int(v)}" for v in partner]
         column += 2
     while column < attributes:
-        draws = rng.integers(0, cardinality, size=rows)
+        draws = rng.integers(0, WIDE_CARDINALITY, size=rows)
         data[f"c{column}"] = [f"r{int(v)}" for v in draws]
         column += 1
-    return Table.from_dict(data, name=name)
+    return Table.from_dict(data, name="wide")
 
 
 def make_gaussian_table(

@@ -101,8 +101,8 @@ _MASTER_LAST = ("Janszoon", "de Vries", "van Dam", "Bontekoe", "Tasman", "Houtma
 _MASTER_NAMES = [f"{a} {b}" for a in _MASTER_FIRST for b in _MASTER_LAST]
 
 
-def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") -> Table:
-    """Generate the synthetic VOC shipping table.
+def generate_voc(rows: int = 5000, seed: Optional[int] = 42) -> Table:
+    """Generate the synthetic VOC shipping table, named ``voc``.
 
     Parameters
     ----------
@@ -110,8 +110,6 @@ def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") 
         Number of voyages to generate.
     seed:
         Random seed; identical seeds yield identical tables.
-    name:
-        Table name used in SQL rendering and reports.
     """
     if rows <= 0:
         raise WorkloadError(f"rows must be positive, got {rows}")
@@ -153,4 +151,4 @@ def generate_voc(rows: int = 5000, seed: Optional[int] = 42, name: str = "voc") 
 
     first, last = _replay_draws(rng, rows, [len(_MASTER_FIRST), len(_MASTER_LAST)])
     nominal("master", (_MASTER_NAMES, first * len(_MASTER_LAST) + last))
-    return Table(name, [columns[column] for column in _COLUMNS])
+    return Table("voc", [columns[column] for column in _COLUMNS])

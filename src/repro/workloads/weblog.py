@@ -79,10 +79,8 @@ _REFERRERS_BY_DEVICE = {
 _ALL_REFERRERS = ("search_engine", "direct", "newsletter", "social")
 
 
-def generate_weblog(
-    rows: int = 10000, seed: Optional[int] = 13, name: str = "weblog"
-) -> Table:
-    """Generate the synthetic web access log."""
+def generate_weblog(rows: int = 10000, seed: Optional[int] = 13) -> Table:
+    """Generate the synthetic web access log, named ``weblog``."""
     if rows <= 0:
         raise WorkloadError(f"rows must be positive, got {rows}")
     rng = make_rng(seed)
@@ -110,7 +108,7 @@ def generate_weblog(
     )
     hours = rng.integers(0, 24, size=rows)
 
-    return Table(name, [
+    return Table("weblog", [
         nominal_column("request_id", serial_labels("req-", rows, 8)),
         nominal_column("url_category", url_categories),
         # Status codes are categorical labels, not measurements.

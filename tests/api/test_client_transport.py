@@ -25,7 +25,7 @@ import pytest
 
 import repro.api.client as client_module
 import repro.api.server as server_module
-from repro.api.client import RemoteAdvisor
+from repro.api.client import BACKOFF_SECONDS, RemoteAdvisor
 from repro.api.server import AdvisorHTTPServer
 import json
 
@@ -63,14 +63,12 @@ class TestTransportErrors:
         assert "after 1 attempt(s)" in str(excinfo.value)
 
     def test_backoff_spaces_the_attempts(self):
-        client = RemoteAdvisor(
-            "http://127.0.0.1:9", timeout=0.5, retries=2, backoff=0.1
-        )
+        client = RemoteAdvisor("http://127.0.0.1:9", timeout=0.5, retries=2)
         started = time.monotonic()
         with pytest.raises(RemoteTransportError):
             client.health()
-        # Two sleeps between three attempts: 0.1 + 0.2 (doubling).
-        assert time.monotonic() - started >= 0.2
+        # Two sleeps between three attempts: 0.05 + 0.1 (doubling).
+        assert time.monotonic() - started >= 3 * BACKOFF_SECONDS
 
     def test_http_error_replies_are_never_retried(self):
         # A server that *answers* — even with a 500 — is not a transport
@@ -268,7 +266,7 @@ class TestConnectionLifecycle:
         # ``ingest`` must not be applied twice behind the caller's back.
         silent = _SilentServer()
         try:
-            client = RemoteAdvisor(silent.url, timeout=5.0, retries=retries, backoff=0.0)
+            client = RemoteAdvisor(silent.url, timeout=5.0, retries=retries)
             with pytest.raises(RemoteTransportError) as excinfo:
                 client.ingest(rows=[{"tonnage": 1}])
             assert f"after {retries + 1} attempt(s)" in str(excinfo.value)

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import json
-
 import pytest
 
 from repro.api.codec import from_wire
@@ -119,17 +117,19 @@ class TestWireDispatch:
         assert not response["ok"]
         assert response["error"]["code"] == "protocol"
 
-    def test_handle_json_round_trip(self, dispatcher):
-        body = json.dumps(
-            Request(op="count", params={"context": "tonnage: [0, 100000]"}).to_wire()
-        )
-        response = json.loads(dispatcher.handle_json(body))
-        assert response["ok"] and response["result"] == 800
-
-    def test_handle_json_rejects_bad_json(self, dispatcher):
-        response = json.loads(dispatcher.handle_json(b"{nope"))
+    def test_a_deeply_nested_context_is_a_wire_format_error(self, dispatcher):
+        # Deeper than the decoder's recursion can follow: a typed envelope,
+        # never a RecursionError out of a dispatcher that must not raise.
+        # An object level costs the decoder two frames (from_wire and
+        # _decode_mapping) on every Python version, so 700 levels pass the
+        # default limit of 1 000 frames.
+        context = "tonnage"
+        for _ in range(700):
+            context = {"a": context}
+        response = dispatcher.handle_wire({"op": "count", "params": {"context": context}})
         assert not response["ok"]
         assert response["error"]["code"] == "protocol_wire_format"
+        assert dispatcher.handle_wire({"op": "count", "params": {}})["result"] == 800
 
     def test_ingest_row_that_is_not_a_mapping_is_a_protocol_error(self, dispatcher):
         response = dispatcher.handle_wire(

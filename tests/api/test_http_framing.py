@@ -159,6 +159,31 @@ def test_a_rejection_is_an_envelope_and_ends_the_connection(server, sent, status
     assert envelope["error"]["message"]
 
 
+def _nested_rpc(depth: int) -> bytes:
+    """A ``count`` request whose context is ``"tonnage"`` inside ``depth``
+    objects (two decoder frames a level on every Python version)."""
+    body = b'{"op": "count", "params": {"context": ' + b'{"a": ' * depth + b'"tonnage"'
+    body += b"}" * depth + b"}}"
+    head = b"POST /v1/rpc HTTP/1.1\r\nContent-Length: %d\r\nConnection: close\r\n\r\n"
+    return head % len(body) + body
+
+
+def test_deep_nesting_is_a_wire_format_error_and_the_server_answers_on(server):
+    # 50 000 levels (300 KB, far under the body cap) defeat the JSON parser:
+    # a 400 envelope, not a dropped connection.
+    replies, _, _ = _converse(server, _nested_rpc(50_000))
+    assert [reply[0] for reply in replies] == [400]
+    assert _envelope(replies[0])["error"]["code"] == "protocol_wire_format"
+    # 700 levels parse, but defeat the envelope decoder: a 200 error envelope.
+    replies, _, _ = _converse(server, _nested_rpc(700))
+    assert [reply[0] for reply in replies] == [200]
+    assert _envelope(replies[0])["error"]["code"] == "protocol_wire_format"
+    closing = _rpc("after").replace(b"\r\n", b"\r\nConnection: close\r\n", 1)
+    replies, _, _ = _converse(server, closing)
+    assert [reply[0] for reply in replies] == [200]
+    assert _envelope(replies[0])["result"] == _ROWS
+
+
 @pytest.mark.parametrize("length", ["", "Content-Length: 4\r\n"], ids=["alone", "with-length"])
 def test_a_chunked_post_is_411_naming_content_length(server, length):
     # With both fields, Content-Length must not frame the chunks either.

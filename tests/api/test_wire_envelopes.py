@@ -105,6 +105,20 @@ class TestRequestEnvelope:
         with pytest.raises(WireFormatError):
             Request.from_wire({"op": "stats", "session": 42})
 
+    def test_params_nested_past_the_decoder_are_a_wire_format_error(self):
+        nested = "tonnage"
+        for _ in range(5000):
+            nested = {"inner": nested}
+        with pytest.raises(WireFormatError, match="nest too deeply"):
+            Request.from_wire({"op": "count", "params": {"context": nested}})
+
+    def test_nesting_the_decoder_follows_still_decodes(self):
+        nested = "tonnage"
+        for _ in range(50):
+            nested = [nested]
+        request = Request.from_wire({"op": "stats", "params": {"deep": nested}})
+        assert request.params["deep"] == nested
+
     def test_operation_table_is_the_wire_surface(self):
         assert set(OPERATIONS) == {
             "open_session",

@@ -72,6 +72,14 @@ def test_router_matches_local_service_across_grid(nodes, replicas):
         )
 
 
+def _sigkill(cluster, node_id):
+    """SIGKILL one node, like a crashed machine: no flush, no goodbye."""
+    (handle,) = [handle for handle in cluster.handles() if handle.node_id == node_id]
+    handle.process.kill()
+    handle.process.wait(timeout=10.0)
+    return handle
+
+
 def test_sigkilled_owner_fails_over_then_cluster_degrades():
     local_service = _local_service()
     with AdvisorCluster([_SPEC], nodes=2, replicas=1, probe_interval=0.3) as cluster:
@@ -83,9 +91,8 @@ def test_sigkilled_owner_fails_over_then_cluster_degrades():
         )
         assert _answers_wire(local.drill(0, 0)) == _answers_wire(remote.drill(0, 0))
 
-        owner = cluster.serving_node("alice")
-        assert owner is not None
-        handle = cluster.kill_node(owner)  # SIGKILL, router not informed
+        owner = int(client.cluster()["sessions"]["alice"])
+        handle = _sigkill(cluster, owner)  # the router is not informed
         assert not handle.alive()
 
         # The next request must fail over to the replica and resurrect
@@ -103,9 +110,9 @@ def test_sigkilled_owner_fails_over_then_cluster_degrades():
 
         # Kill the survivor: the router must answer with the typed
         # degraded error, not hang and not leak a socket error.
-        survivor = cluster.serving_node("alice")
-        assert survivor is not None and survivor != owner
-        cluster.kill_node(survivor)
+        survivor = int(client.cluster()["sessions"]["alice"])
+        assert survivor != owner
+        _sigkill(cluster, survivor)
         started = time.monotonic()
         with pytest.raises(DegradedError) as excinfo:
             remote.advise(refresh=True)
@@ -218,10 +225,11 @@ def test_service_options_that_are_not_json_fail_before_any_launch(monkeypatch):
     assert not launched
 
 
-def test_node_that_never_announces_is_killed_and_named():
+def test_node_that_never_announces_is_killed_and_named(monkeypatch):
     before = set(_children(os.getpid()))
     # Too short for an interpreter to even start: no node can announce.
-    supervisor = NodeSupervisor([_SPEC], nodes=2, start_timeout=0.05)
+    monkeypatch.setattr("repro.cluster.nodes.START_TIMEOUT_SECONDS", 0.05)
+    supervisor = NodeSupervisor([_SPEC], nodes=2)
     with pytest.raises(ClusterError) as excinfo:
         supervisor.start()
     assert "node 0 did not report a port" in str(excinfo.value)

@@ -30,7 +30,7 @@ class _ThreadedCluster:
             AdvisorHTTPServer(_node_service(), port=0, node_id=f"node-{i}").start()
             for i in range(nodes)
         ]
-        options = {"probe_interval": 60.0, "timeout": 10.0, "retries": 0}
+        options = {"probe_interval": 60.0}
         options.update(router_options)
         self.router = ClusterRouter(
             {i: server.url for i, server in enumerate(self.servers)},

@@ -13,6 +13,9 @@ an identically generated table.
 
 from __future__ import annotations
 
+import json
+import socket
+
 import pytest
 
 from repro.api.client import RemoteAdvisor
@@ -44,7 +47,7 @@ class _ThreadedCluster:
             AdvisorHTTPServer(_node_service(), port=0, node_id=f"node-{i}").start()
             for i in range(nodes)
         ]
-        options = {"probe_interval": 60.0, "timeout": 10.0, "retries": 0}
+        options = {"probe_interval": 60.0}
         options.update(router_options)
         self.router = ClusterRouter(
             {i: server.url for i, server in enumerate(self.servers)},
@@ -274,6 +277,39 @@ class TestClusterDocuments:
             assert client.health()["status"] == "ok"
             cluster.router.monitor.mark_dead(0)
             assert client.health()["status"] == "degraded"
+
+
+def _post_nested(front, depth):
+    """POST a ``count`` whose context is ``"tonnage"`` inside ``depth``
+    objects to ``front`` over a raw socket: ``(status, envelope)``."""
+    body = b'{"op": "count", "params": {"context": ' + b'{"a": ' * depth + b'"tonnage"'
+    body += b"}" * depth + b"}}"
+    head = b"POST /v1/rpc HTTP/1.1\r\nContent-Length: %d\r\nConnection: close\r\n\r\n"
+    received = b""
+    with socket.create_connection((front.host, front.port), timeout=30) as raw:
+        raw.sendall(head % len(body) + body)
+        while chunk := raw.recv(65536):
+            received += chunk
+    status_line, _, rest = received.partition(b"\r\n")
+    return int(status_line.split()[1]), json.loads(rest.partition(b"\r\n\r\n")[2])
+
+
+class TestDeepNesting:
+    def test_deep_nesting_is_a_wire_format_error_through_the_router(self):
+        with _ThreadedCluster(nodes=2) as cluster:
+            # Past the router's JSON parser: a 400 from the front door.
+            status, envelope = _post_nested(cluster.front, 50_000)
+            assert status == 400
+            assert envelope["error"]["code"] == "protocol_wire_format"
+            # Parsed, forwarded, refused by the node's envelope decoder.
+            status, envelope = _post_nested(cluster.front, 700)
+            assert status == 200
+            assert envelope["error"]["code"] == "protocol_wire_format"
+            client = cluster.client()
+            assert client.count(["tonnage"]) == _ROWS
+            document = client.cluster()
+            assert document["router"]["counters"]["node_failures"] == 0
+            assert all(node["state"] == "live" for node in document["nodes"].values())
 
 
 class TestSessionJournal:

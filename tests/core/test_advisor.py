@@ -36,7 +36,7 @@ class TestContextResolution:
     def test_list_of_columns(self, advisor):
         context = advisor.resolve_context(["tonnage", "type_of_boat"])
         assert context.attributes == ("tonnage", "type_of_boat")
-        assert context.n_constraints == 0
+        assert context.constrained_attributes == ()
 
     def test_unknown_column_rejected(self, advisor):
         with pytest.raises(AdvisorError):
@@ -176,7 +176,7 @@ class TestConfigurationOptions:
         assert entropies == sorted(entropies, reverse=True)
 
     def test_custom_ranker_is_used(self, voc_table):
-        advisor = Charles(voc_table, ranker=WeightedRanker(breadth_weight=2.0))
+        advisor = Charles(voc_table, ranker=WeightedRanker())
         advice = advisor.advise(["type_of_boat", "tonnage"], max_answers=3)
         assert advice.ranker_name == "weighted"
 

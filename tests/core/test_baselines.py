@@ -90,14 +90,6 @@ class TestFullProduct:
         assert product_segmentation.depth > 4
         assert check_partition(engine, product_segmentation).is_partition
 
-    def test_max_depth_aborts_growth(self, engine):
-        wide_context = SDLQuery.over(
-            ["type_of_boat", "departure_harbour", "tonnage", "built", "yard"]
-        )
-        bounded = full_product_segmentation(engine, wide_context, max_depth=8)
-        unbounded = full_product_segmentation(engine, wide_context)
-        assert bounded.depth <= unbounded.depth
-
     def test_no_cuttable_attribute_raises(self):
         engine = QueryEngine(Table.from_dict({"c": ["x"] * 5}))
         with pytest.raises(SegmentationError):
@@ -107,9 +99,9 @@ class TestFullProduct:
 class TestCliqueLike:
     def test_returns_dense_cells_only(self, engine, context):
         segmentation = clique_like_segmentation(
-            engine, context, bins=3, density_threshold=0.05, max_cells=6
+            engine, context, bins=3, density_threshold=0.05
         )
-        assert segmentation.depth <= 6
+        assert segmentation.depth <= 12
         total = segmentation.context_count
         for segment in segmentation.segments:
             assert segment.count / total >= 0.05
@@ -121,7 +113,7 @@ class TestCliqueLike:
             clique_like_segmentation(engine, context, density_threshold=0.99)
 
     def test_cells_ordered_by_density(self, engine, context):
-        segmentation = clique_like_segmentation(engine, context, bins=3, max_cells=5)
+        segmentation = clique_like_segmentation(engine, context, bins=3)
         counts = list(segmentation.counts)
         assert counts == sorted(counts, reverse=True)
 
@@ -148,7 +140,7 @@ class TestComparativeBehaviour:
         candidates = [
             facet_segmentation(engine, context, "type_of_boat"),
             random_segmentation(engine, context, depth=4, seed=0),
-            full_product_segmentation(engine, context, max_depth=16),
+            full_product_segmentation(engine, context),
             clique_like_segmentation(engine, context, bins=3),
         ]
         for segmentation in candidates:

@@ -136,7 +136,7 @@ class TestAnalyseDependence:
         first, second = _cuts(dependent_engine, ["x", "y"])
         report = analyse_dependence(dependent_engine, first, second)
         assert report.indep < 0.95
-        assert report.is_dependent(alpha=0.01)
+        assert report.p_value < 0.01
         assert report.cramers_v > 0.3
         assert report.mutual_information > 0.05
 
@@ -144,4 +144,4 @@ class TestAnalyseDependence:
         first, second = _cuts(independent_engine, ["a0", "a1"])
         report = analyse_dependence(independent_engine, first, second)
         assert report.indep > 0.98
-        assert not report.is_dependent(alpha=0.001)
+        assert report.p_value >= 0.001

@@ -31,12 +31,15 @@ class TestConfigValidation:
             {"max_indep": 1.5},
             {"max_depth": 1},
             {"stopping": "unknown"},
-            {"alpha": 0.0},
         ],
     )
     def test_invalid_config_rejected(self, kwargs):
         with pytest.raises(AdvisorError):
             HBCutsConfig(**kwargs)
+
+    def test_boundary_values_are_accepted(self):
+        config = HBCutsConfig(max_indep=1.0, max_depth=2, stopping="chi2")
+        assert (config.max_indep, config.max_depth) == (1.0, 2)
 
 
 class TestInitialisation:
@@ -117,7 +120,7 @@ class TestComposition:
 class TestStoppingRules:
     def test_chi2_stopping_rule_runs(self):
         engine = QueryEngine(make_independent_table(rows=1500, cardinalities=(3, 3, 3), seed=4))
-        config = HBCutsConfig(stopping="chi2", alpha=0.01)
+        config = HBCutsConfig(stopping="chi2")
         result = HBCuts(config).run(engine, SDLQuery.over(["a0", "a1", "a2"]))
         # Independent columns: the chi-square rule refuses to compose.
         assert result.trace.compositions == []
@@ -126,9 +129,21 @@ class TestStoppingRules:
         engine = QueryEngine(
             make_dependent_pair_table(rows=2000, strength=0.9, cardinality=2, seed=2)
         )
-        config = HBCutsConfig(stopping="chi2", alpha=0.01)
+        config = HBCutsConfig(stopping="chi2")
         result = HBCuts(config).run(engine, SDLQuery.over(["x", "y", "z"]))
         assert [set(c) for c in result.trace.compositions] == [{"x", "y"}]
+
+    def test_chi2_rule_tests_at_the_module_level(self, monkeypatch):
+        # At a level no p-value falls below, even the dependent pair that
+        # composes at CHI2_ALPHA is refused.
+        monkeypatch.setattr("repro.core.hbcuts.CHI2_ALPHA", 0.0)
+        engine = QueryEngine(
+            make_dependent_pair_table(rows=2000, strength=0.9, cardinality=2, seed=2)
+        )
+        result = HBCuts(HBCutsConfig(stopping="chi2")).run(
+            engine, SDLQuery.over(["x", "y", "z"])
+        )
+        assert result.trace.compositions == []
 
     def test_chi2_reads_each_pair_table_once(self):
         # The chosen pair's table is kept next to its INDEP, not recounted.

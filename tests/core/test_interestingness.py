@@ -65,7 +65,7 @@ class TestSegmentationInterestingness:
         # exactly what the probe-attribute surprise measures.
         context = SDLQuery.over(["type_of_boat", "tonnage"])
         by_type = cut_query(engine, context, "type_of_boat")
-        score = segmentation_interestingness(engine, by_type, probe_attributes=["tonnage"])
+        score = segmentation_interestingness(engine, by_type)
         assert score > 0.1
 
     def test_independent_probe_attribute_is_boring(self):
@@ -73,22 +73,15 @@ class TestSegmentationInterestingness:
         engine = QueryEngine(table)
         context = SDLQuery.over(["a0", "a1"])
         by_a0 = cut_query(engine, context, "a0")
-        score = segmentation_interestingness(engine, by_a0, probe_attributes=["a1"])
+        score = segmentation_interestingness(engine, by_a0)
         assert score < 0.02
 
-    def test_default_probe_excludes_cut_attributes(self, engine):
-        context = SDLQuery.over(["type_of_boat", "tonnage", "departure_harbour"])
-        by_type = cut_query(engine, context, "type_of_boat")
-        default_score = segmentation_interestingness(engine, by_type)
-        explicit = segmentation_interestingness(
-            engine, by_type, probe_attributes=["tonnage", "departure_harbour"]
-        )
-        assert default_score == pytest.approx(explicit)
-
-    def test_no_probe_attributes_gives_zero(self, engine):
+    def test_a_fully_cut_context_probes_its_cut_attributes(self, engine):
+        # No attribute is left unmentioned, so the cut attribute itself is
+        # probed: each segment holds a different share of the boat types.
         context = SDLQuery.over(["type_of_boat"])
         by_type = cut_query(engine, context, "type_of_boat")
-        assert segmentation_interestingness(engine, by_type, probe_attributes=[]) == 0.0
+        assert segmentation_interestingness(engine, by_type) > 0.1
 
 
 class TestSurpriseRanker:
@@ -119,8 +112,7 @@ class TestSurpriseRanker:
         # 'master' is independent of everything: cutting on it reveals nothing.
         by_master = cut_query(engine, context, "master")
         by_type = cut_query(engine, context, "type_of_boat")
-        ranker = SurpriseRanker(engine=engine, surprise_weight=5.0,
-                                probe_attributes=["tonnage"])
+        ranker = SurpriseRanker(engine=engine, surprise_weight=5.0)
         ranked = ranker.rank([by_master, by_type])
         assert ranked[0][0] is by_type
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import HBCuts, HBCutsConfig, LazyAdvisor, entropy
+from repro.core import HBCuts, HBCutsConfig, LazyAdvisor
 from repro.errors import AdvisorError
 from repro.sdl import SDLQuery, check_partition
 from repro.storage import QueryEngine, Table
@@ -41,9 +41,9 @@ class TestStream:
             assert check_partition(engine, segmentation).is_partition
 
     def test_stream_respects_stopping_rules(self, engine, context):
-        advisor = LazyAdvisor(engine, HBCutsConfig(max_depth=4))
+        advisor = LazyAdvisor(engine)
         for segmentation in advisor.stream(context):
-            assert segmentation.depth <= 4
+            assert segmentation.depth <= HBCutsConfig().max_depth
 
     def test_empty_context_rejected(self, engine):
         advisor = LazyAdvisor(engine)
@@ -76,13 +76,6 @@ class TestBatchingHelpers:
         with pytest.raises(AdvisorError):
             advisor.first_answer(SDLQuery.over(["constant"]))
 
-    def test_top_returns_best_entropy_first(self, engine, context):
-        advisor = LazyAdvisor(engine)
-        top = advisor.top(context, count=3)
-        assert len(top) <= 3
-        entropies = [entropy(segmentation) for segmentation in top]
-        assert entropies == sorted(entropies, reverse=True)
-
 
 class TestConsistencyWithEagerAdvisor:
     def test_lazy_stream_covers_the_eager_initial_cuts(self, engine, context):
@@ -111,23 +104,26 @@ class TestConsistencyWithEagerAdvisor:
         assert lazy_operations < eager_operations
 
     @pytest.mark.parametrize(
-        "config",
+        "config, chi2_alpha",
         [
-            HBCutsConfig(),
-            HBCutsConfig(max_indep=0.9),
-            HBCutsConfig(reuse_indep=False),
+            (HBCutsConfig(), None),
+            (HBCutsConfig(max_indep=0.9), None),
+            (HBCutsConfig(reuse_indep=False), None),
             # Levels at which the chi-square rule — not the INDEP threshold —
             # ends the run on these tables.
-            HBCutsConfig(stopping="chi2", alpha=1e-30),
-            HBCutsConfig(stopping="chi2", alpha=1e-60),
+            (HBCutsConfig(stopping="chi2"), 1e-30),
+            (HBCutsConfig(stopping="chi2"), 1e-60),
         ],
         ids=["threshold", "max_indep", "no_reuse", "chi2_1e-30", "chi2_1e-60"],
     )
     @pytest.mark.parametrize("dataset", ["voc", "figure3"])
     def test_drained_stream_holds_exactly_the_eager_segmentations(
-        self, engine, dataset, config
+        self, engine, dataset, config, chi2_alpha, monkeypatch
     ):
         from test_golden import _figure3_table
+
+        if chi2_alpha is not None:
+            monkeypatch.setattr("repro.core.hbcuts.CHI2_ALPHA", chi2_alpha)
 
         if dataset == "voc":
             table = engine.table
@@ -142,5 +138,8 @@ class TestConsistencyWithEagerAdvisor:
             return {(s.cut_attributes, tuple(s.counts)) for s in segmentations}
 
         eager = HBCuts(config).run(QueryEngine(table), context)
-        lazy = LazyAdvisor(QueryEngine(table), config).stream(context)
+        if config == HBCutsConfig():
+            lazy = LazyAdvisor(QueryEngine(table)).stream(context)
+        else:  # the loop LazyAdvisor drains, under another stopping rule
+            lazy = (s for s, _ in HBCuts(config).steps(QueryEngine(table), context))
         assert fingerprint(lazy) == fingerprint(eager)

@@ -63,9 +63,9 @@ class TestEntropy:
         without_empty = _segmentation([50, 50])
         assert entropy(with_empty) == pytest.approx(entropy(without_empty))
 
-    def test_base_2(self):
+    def test_natural_logarithm(self):
         segmentation = _segmentation([50, 50])
-        assert entropy(segmentation, base=2) == pytest.approx(1.0)
+        assert entropy(segmentation) == pytest.approx(math.log(2))
 
     def test_entropy_grows_with_depth(self):
         assert entropy(_segmentation([25] * 4)) > entropy(_segmentation([50] * 2))
@@ -90,12 +90,11 @@ class TestSimplicity:
         segmentation = _segmentation([10, 10])
         assert simplicity(segmentation) == 1
 
-    def test_absolute_mode_counts_all_constraints(self):
+    def test_context_constraints_are_not_charged(self):
         context = SDLQuery([RangePredicate("year", 1700, 1800), NoConstraint("x")])
         query = context.refine(RangePredicate("x", 0, 5))
         segmentation = Segmentation(context, [Segment(query, 10)])
-        assert simplicity(segmentation, relative_to_context=True) == 1
-        assert simplicity(segmentation, relative_to_context=False) == 2
+        assert simplicity(segmentation) == 1
 
     def test_takes_the_maximum_over_queries(self):
         context = _context()
@@ -112,13 +111,11 @@ class TestBreadth:
 
 
 class TestCover:
-    def test_table_relative_and_context_relative(self):
+    def test_table_relative(self):
         table = Table.from_dict({"x": list(range(10)), "t": ["a"] * 10})
         engine = QueryEngine(table)
         query = SDLQuery([RangePredicate("x", 0, 4)])
         assert cover(engine, query) == pytest.approx(0.5)
-        context = SDLQuery([RangePredicate("x", 0, 7)])
-        assert cover(engine, query, context) == pytest.approx(5 / 8)
 
 
 class TestIndepFromEntropies:

@@ -10,7 +10,6 @@ from repro.core import (
     WeightedRanker,
     score_segmentation,
 )
-from repro.errors import AdvisorError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, Segment, Segmentation
 
 
@@ -23,6 +22,22 @@ def _segmentation(counts, cut_attributes=("x",)) -> Segmentation:
         segments.append(Segment(query, count))
         low += 10
     return Segmentation(context, segments, cut_attributes=cut_attributes)
+
+
+def _equal_entropy_pair():
+    """Two segmentations of equal entropy and breadth 2: one constraint a
+    query, and two."""
+    context = SDLQuery([NoConstraint("x"), NoConstraint("y")])
+    on_x = context.refine(RangePredicate("x", 0, 5))
+    on_y = context.refine(RangePredicate("y", 0, 5))
+    on_both = on_x.refine(RangePredicate("y", 0, 5))
+    simple = Segmentation(context, [Segment(on_x, 10), Segment(on_y, 10)],
+                          cut_attributes=("x", "y"))
+    complicated = Segmentation(
+        context, [Segment(on_both, 10), Segment(on_both, 10)],
+        cut_attributes=("x", "y"),
+    )
+    return simple, complicated
 
 
 @pytest.fixture()
@@ -47,23 +62,11 @@ class TestEntropyRanker:
 
 
 class TestWeightedRanker:
-    def test_breadth_weight_changes_the_order(self, candidates):
+    def test_breadth_can_outweigh_entropy(self):
         narrow_deep = _segmentation([25, 25, 25, 25], cut_attributes=("x",))
         broad_shallow = _segmentation([40, 60], cut_attributes=("x", "y"))
-        entropy_only = WeightedRanker(entropy_weight=1.0, breadth_weight=0.0,
-                                      simplicity_weight=0.0)
-        breadth_heavy = WeightedRanker(entropy_weight=0.1, breadth_weight=2.0,
-                                       simplicity_weight=0.0)
-        assert entropy_only.rank([narrow_deep, broad_shallow])[0][0] is narrow_deep
-        assert breadth_heavy.rank([narrow_deep, broad_shallow])[0][0] is broad_shallow
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(AdvisorError):
-            WeightedRanker(entropy_weight=-1.0)
-
-    def test_invalid_max_depth_rejected(self):
-        with pytest.raises(AdvisorError):
-            WeightedRanker(max_depth=1)
+        assert EntropyRanker().rank([narrow_deep, broad_shallow])[0][0] is narrow_deep
+        assert WeightedRanker().rank([narrow_deep, broad_shallow])[0][0] is broad_shallow
 
     def test_score_is_monotone_in_entropy(self):
         ranker = WeightedRanker()
@@ -71,39 +74,39 @@ class TestWeightedRanker:
         high = score_segmentation(_segmentation([50, 50]))
         assert ranker.score(high) > ranker.score(low)
 
+    def test_fewer_constraints_score_higher(self):
+        simple, complicated = _equal_entropy_pair()
+        ranker = WeightedRanker()
+        assert ranker.score(score_segmentation(simple)) > ranker.score(
+            score_segmentation(complicated)
+        )
+
+    def test_entropy_is_normalised_by_the_dozen_slice_bound(self):
+        # Twelve balanced slices: the entropy term is exactly 1; breadth 1
+        # and one constraint a query add 0.5 * 1 and 0.5 / (1 + 1).
+        twelve = score_segmentation(_segmentation([10] * 12))
+        assert WeightedRanker().score(twelve) == pytest.approx(1.0 + 0.5 + 0.25)
+
 
 class TestLexicographicRanker:
-    def test_priority_order_is_respected(self, candidates):
-        breadth_first = LexicographicRanker(priorities=("breadth", "entropy"))
-        ranked = breadth_first.rank(candidates)
-        # Both breadth-2 candidates precede the breadth-1 one.
-        assert {id(ranked[0][0]), id(ranked[1][0])} == {
-            id(candidates[1]),
-            id(candidates[2]),
-        }
+    def test_entropy_comes_first(self, candidates):
+        ranked = LexicographicRanker().rank(candidates)
+        assert ranked[0][0] is EntropyRanker().rank(candidates)[0][0]
 
-    def test_simplicity_is_inverted(self):
-        context = SDLQuery([NoConstraint("x"), NoConstraint("y")])
-        simple_query = context.refine(RangePredicate("x", 0, 5))
-        complex_query = simple_query.refine(RangePredicate("y", 0, 5))
-        simple = Segmentation(context, [Segment(simple_query, 10), Segment(simple_query, 10)],
-                              cut_attributes=("x",))
-        complicated = Segmentation(
-            context, [Segment(complex_query, 10), Segment(complex_query, 10)],
-            cut_attributes=("x",),
-        )
-        ranker = LexicographicRanker(priorities=("simplicity",))
+    def test_simplicity_breaks_ties_inverted(self):
+        # Equal entropy and breadth: one constraint a query beats two.
+        simple, complicated = _equal_entropy_pair()
+        ranker = LexicographicRanker()
         assert ranker.rank([complicated, simple])[0][0] is simple
 
-    def test_unknown_criterion_rejected(self):
-        with pytest.raises(AdvisorError):
-            LexicographicRanker(priorities=("entropy", "magic"))
-
-    def test_empty_priorities_rejected(self):
-        with pytest.raises(AdvisorError):
-            LexicographicRanker(priorities=())
-
-    def test_balance_criterion_supported(self, candidates):
-        ranker = LexicographicRanker(priorities=("balance",))
-        ranked = ranker.rank(candidates)
-        assert ranked[-1][0] is candidates[2]
+    def test_priority_order_is_respected(self):
+        # Equal entropy: the broader segmentation wins although its queries
+        # carry more constraints, because breadth is compared before simplicity.
+        context = SDLQuery([NoConstraint("x"), NoConstraint("y")])
+        on_x = context.refine(RangePredicate("x", 0, 5))
+        on_both = on_x.refine(RangePredicate("y", 0, 5))
+        narrow = Segmentation(context, [Segment(on_x, 10), Segment(on_x, 10)],
+                              cut_attributes=("x",))
+        broad = Segmentation(context, [Segment(on_both, 10), Segment(on_both, 10)],
+                             cut_attributes=("x", "y"))
+        assert LexicographicRanker().rank([narrow, broad])[0][0] is broad

@@ -54,9 +54,9 @@ class TestDrill:
     def test_drill_records_choice(self, session):
         session.start(["type_of_boat", "tonnage"])
         session.drill(0, 1)
-        history = session.history()
-        assert history[0].chosen_answer == 0
-        assert history[0].chosen_segment == 1
+        root = session._stack[0]
+        assert root.chosen_answer == 0
+        assert root.chosen_segment == 1
 
     def test_drill_out_of_range_answer(self, session):
         session.start(["type_of_boat", "tonnage"])

@@ -124,7 +124,7 @@ _ROUTER_SCRIPT = """
 import json, sys
 from repro.cluster.router import ClusterRouter, RouterHTTPServer
 urls = {int(node): url for node, url in json.loads(sys.argv[1]).items()}
-router = ClusterRouter(urls, replicas=1, probe_interval=60.0, timeout=10.0, retries=0)
+router = ClusterRouter(urls, replicas=1, probe_interval=60.0)
 front = RouterHTTPServer(router.start(), port=0).start()
 print(front.url, flush=True)
 sys.stdin.readline()

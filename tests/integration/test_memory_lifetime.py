@@ -164,7 +164,6 @@ class TestNothingCyclicIsLeftBehind:
                 {index: server.url for index, server in enumerate(servers)},
                 replicas=1,
                 probe_interval=3600.0,
-                timeout=10.0,
             ).start()
             front = RouterHTTPServer(router, port=0).start()
             try:

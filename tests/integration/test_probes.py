@@ -89,3 +89,28 @@ def test_m16_pins_the_encoding_of_a_loaded_table():
     assert all(column["array_bytes"] > 0 for column in result["columns"].values())
     assert result["load_s"] > 0
     assert result["vmrss_after_load_kb"] is None or result["vmrss_after_load_kb"] > 0
+
+
+def test_m15_pins_its_answers_and_work():
+    result = _probe("m15", "--rows", "2000", "--seed", "1")
+    assert result["argv"] == ["scripts/probe.py", "m15", "--rows", "2000", "--seed", "1"]
+    assert {key: result[key] for key in (
+        "probe", "answer_hash", "evaluations", "count_calls", "median_calls",
+        "frequency_calls", "minmax_calls", "crosstab_calls",
+    )} == {
+        "probe": "m15",
+        "answer_hash": "27b88860552bb0bf",
+        "evaluations": 64,
+        "count_calls": 124,
+        "median_calls": 14,
+        "frequency_calls": 17,
+        "minmax_calls": 14,
+        "crosstab_calls": 12,
+    }
+    # One engine span per aggregate call; seconds depend on the machine.
+    spans = result["engine_spans"]
+    assert {name: span["calls"] for name, span in spans.items()} == {
+        "engine.count": 124, "engine.crosstab": 12, "engine.frequency": 17,
+        "engine.median": 14, "engine.minmax": 14,
+    }
+    assert len(result["advise_s"]) == 2 and all(seconds >= 0 for seconds in result["advise_s"])

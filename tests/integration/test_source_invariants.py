@@ -9,9 +9,13 @@ under ``src/repro``.  What each one guards:
 * protocol width: every ``ExecutionBackend`` member is used somewhere
   above ``storage/`` and ``backends/``, or it is not in the protocol;
 * public width: every ``__all__`` name of a module is used outside it (in
-  ``src/repro``, the examples, ``bench/`` or benchmarks E1–E9), or it
-  leaves ``__all__``; every package ``__init__`` is a lazy facade whose
-  ``_EXPORTS`` table re-exports only such names;
+  ``src/repro``, the examples, ``bench/``, benchmarks E1–E9 or the probes
+  in ``scripts/``), or it leaves ``__all__``; every package ``__init__`` is
+  a lazy facade whose ``_EXPORTS`` table re-exports only such names;
+* one level down: every public function, and every public method or
+  property of a public class, is referenced, and every defaulted parameter of a public function or
+  method — and every field of a config object — is passed by some caller
+  there, or it goes (an allow-list names each exception and its reason);
 * lock discipline: a class that owns a ``Lock``/``RLock`` mutates its
   ``self._*`` state only under ``with self.<lock>:`` (``__init__``,
   ``__post_init__`` and ``*_locked`` helpers excepted);
@@ -248,7 +252,8 @@ def uncalled_public_names(sources: Dict[str, str], callers: Dict[str, str]) -> L
 
 def _callers() -> Dict[str, str]:
     """Where a caller outside ``src/repro`` may live: the examples, the gating
-    benchmark (its own tests excluded) and the paper's experiments E1–E9."""
+    benchmark (its own tests excluded), the paper's experiments E1–E9 and
+    the committed probes (``scripts/``)."""
     paths = [
         *sorted((ROOT / "examples").rglob("*.py")),
         *sorted((ROOT / "bench").glob("*.py")),
@@ -256,6 +261,7 @@ def _callers() -> Dict[str, str]:
             path for path in (ROOT / "benchmarks").glob("bench_e*_*.py")
             if 1 <= int(path.name.split("_")[1][1:]) <= 9
         ),
+        *sorted((ROOT / "scripts").glob("*.py")),
     ]
     return {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8") for path in paths}
 
@@ -343,6 +349,262 @@ def test_facades_re_export_only_public_names():
 ])
 def test_facade_shapes(source, strays):
     assert facade_strays(source, {"repro.a.x": ["f"], "repro.a.y": None}) == strays
+
+
+# -- every method and every option has a caller -----------------------------------
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def _public_classes(tree: ast.Module) -> List[ast.ClassDef]:
+    return [
+        node for node in tree.body
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+    ]
+
+
+def unreferenced_methods(sources: Dict[str, str], callers: Dict[str, str]) -> List[str]:
+    """``module.Class.method`` for each public method or property of a
+    public class, and ``module.function`` for each public function, whose
+    name no module (its own included) and no caller file uses.  A
+    definition is no use, and neither is prose."""
+    used: Set[str] = set()
+    for source in {**sources, **callers}.values():
+        used |= referenced_names(source)
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owners = [(module, tree), *((f"{module}.{cls.name}", cls) for cls in _public_classes(tree))]
+        found += [
+            f"{owner}.{node.name}"
+            for owner, scope in owners
+            for node in scope.body
+            if isinstance(node, _DEFS) and not node.name.startswith("_") and node.name not in used
+        ]
+    return sorted(found)
+
+
+def _defaulted(function: ast.AST, method: bool) -> List[Tuple[str, Optional[int]]]:
+    """``(name, position)`` of each defaulted parameter: the index a
+    positional argument fills it at (``self``/``cls`` not counted), ``None``
+    for a keyword-only one."""
+    arguments = function.args
+    positional = arguments.posonlyargs + arguments.args
+    static = any(_terminal(decorator) == "staticmethod" for decorator in function.decorator_list)
+    bound = 1 if method and not static else 0
+    first = len(positional) - len(arguments.defaults)
+    return [
+        (argument.arg, index - bound)
+        for index, argument in enumerate(positional) if index >= first
+    ] + [
+        (argument.arg, None)
+        for argument, default in zip(arguments.kwonlyargs, arguments.kw_defaults)
+        if default is not None
+    ]
+
+
+def _is_config(cls: ast.ClassDef) -> bool:
+    """A config object: a dataclass named ``*Config``, or a ranker."""
+    dataclass = any(
+        _terminal(decorator.func if isinstance(decorator, ast.Call) else decorator) == "dataclass"
+        for decorator in cls.decorator_list
+    )
+    ranker = any(_terminal(base) == "Ranker" for base in cls.bases)
+    return dataclass and (cls.name.endswith("Config") or ranker)
+
+
+def _signatures(
+    module: str, source: str
+) -> Iterator[Tuple[str, str, List[Tuple[str, Optional[int]]]]]:
+    """``(label, the name a call uses, defaulted parameters)`` of each
+    public function, each public method or constructor of a public class,
+    and each config object's fields."""
+    tree = ast.parse(source)
+    for node in tree.body:
+        if isinstance(node, _DEFS) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node.name, _defaulted(node, method=False)
+    for cls in _public_classes(tree):
+        if _is_config(cls):
+            fields = [
+                (node.target.id, None) for node in cls.body
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                and node.value is not None
+            ]
+            yield f"{module}.{cls.name}", cls.name, fields
+        for node in cls.body:
+            if isinstance(node, _DEFS) and (node.name == "__init__" or not node.name.startswith("_")):
+                called = cls.name if node.name == "__init__" else node.name
+                yield f"{module}.{cls.name}.{node.name}", called, _defaulted(node, method=True)
+
+
+def _calls(source: str) -> Iterator[Tuple[Optional[str], Set[str], float]]:
+    """``(name, keywords, positional count)`` of each call in a source.  The
+    name is the callee's last part with an ``import … as`` alias undone, and
+    ``cls(...)`` inside a class calls that class; ``**mapping`` passes every
+    keyword (``"**"``) and ``*sequence`` every position."""
+    tree = ast.parse(source)
+    aliases = {
+        alias.asname: alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.asname
+    }
+
+    def visit(node: ast.AST, cls: Optional[str]) -> Iterator[Tuple[Optional[str], Set[str], float]]:
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        if isinstance(node, ast.Call):
+            name = _terminal(node.func)
+            name = cls if name == "cls" and cls else aliases.get(name, name)
+            keywords = {keyword.arg or "**" for keyword in node.keywords}
+            starred = any(isinstance(argument, ast.Starred) for argument in node.args)
+            yield name, keywords, float("inf") if starred else len(node.args)
+        for child in ast.iter_child_nodes(node):
+            yield from visit(child, cls)
+
+    return visit(tree, None)
+
+
+def unpassed_parameters(sources: Dict[str, str], callers: Dict[str, str]) -> List[str]:
+    """``label(parameter)`` for each defaulted parameter no call of its
+    name passes: by keyword, by position, or through ``cls(...)``."""
+    passed: Dict[Optional[str], List[Tuple[Set[str], float]]] = {}
+    for source in {**sources, **callers}.values():
+        for name, keywords, positions in _calls(source):
+            passed.setdefault(name, []).append((keywords, positions))
+    return sorted(
+        f"{label}({parameter})"
+        for module, source in sources.items()
+        for label, name, parameters in _signatures(module, source)
+        for parameter, position in parameters
+        if not any(
+            parameter in keywords or "**" in keywords
+            or (position is not None and positions > position)
+            for keywords, positions in passed.get(name, [])
+        )
+    )
+
+
+#: Why a storage/sketches.py or SkippingIndexes entry stays as it is.
+_BENCH_NAMED = (
+    "bench/spans.py wraps this class's methods as span targets; storage/sketches.py "
+    "goes whole (ROADMAP 1a) once the benchmark stops naming it"
+)
+_ZONEMAP_SPAN = "bench/spans.py wraps SkippingIndexes.query_mask/count as the zone-map layer's span"
+_E10 = "E10 (the §5.2 extensions experiment) sets it"
+
+#: Public methods and properties no caller reaches, with the reason each stays.
+_UNREFERENCED_BY_DESIGN = {
+    "repro.core.lazy.LazyAdvisor.first_answer": "E10 measures the lazy advisor's latency "
+    "to its first answer with it",
+    "repro.core.metrics.SegmentationScores.as_dict": "the E1–E4 goldens are written from "
+    "it (tests/core/golden, which stay as they are)",
+    "repro.sdl.query.SDLQuery.matches_row": "the row-at-a-time reference the vectorised "
+    "masks are checked against",
+    "repro.storage.engine.QueryEngine.index_features": "the differential suite, which "
+    "stays as it is, asserts the planner's access path through it",
+    "repro.storage.engine.QueryEngine.partitioned_table": "the differential suite, which "
+    "stays as it is, counts skipped shards through it",
+    "repro.storage.sketches.TableSketches.is_nominal": _BENCH_NAMED,
+    "repro.storage.sketches.TableSketches.merged_nominal": _BENCH_NAMED,
+    "repro.storage.sketches.TableSketches.merged_quantile": _BENCH_NAMED,
+    "repro.storage.sketches.TableSketches.merged_stats": _BENCH_NAMED,
+}
+
+#: Defaulted parameters no caller passes, with the reason each stays.
+_UNPASSED_BY_DESIGN = {
+    "repro.api.server.HTTPFrontServer.__init__(host)": "an address; both fronts pass it "
+    "on through super().__init__, which the rule does not follow",
+    "repro.api.server.HTTPFrontServer.__init__(port)": "an address; both fronts pass it "
+    "on through super().__init__, which the rule does not follow",
+    "repro.core.interestingness.SurpriseRanker(surprise_weight)": "E11 (the surprise "
+    "ranking experiment) weighs the bonus with it",
+    "repro.service.batching.BatchCoordinator.__init__(timeout_seconds)": "bench/spans.py "
+    "wraps BatchCoordinator.counts as the batching layer's span",
+    "repro.storage.sketches.NominalCountSketch.from_counts(cap)": _BENCH_NAMED,
+    "repro.storage.sketches.TableSketches.__init__(budget)": _BENCH_NAMED,
+    "repro.storage.zonemap.SkippingIndexes.count(map_fn)": _ZONEMAP_SPAN,
+    "repro.storage.zonemap.SkippingIndexes.count(zonemaps)": _ZONEMAP_SPAN,
+    "repro.storage.zonemap.SkippingIndexes.query_mask(zonemaps)": _ZONEMAP_SPAN,
+    **{
+        f"repro.workloads.synthetic.{table}({parameter})": _E10
+        for table, parameters in (
+            ("make_gaussian_table", ("mean", "name", "rows", "seed", "std")),
+            ("make_zipf_table", ("categories", "exponent", "name", "rows", "seed")),
+        )
+        for parameter in parameters
+    },
+}
+
+
+def test_every_public_method_has_a_caller():
+    assert unreferenced_methods(_sources(), _callers()) == sorted(_UNREFERENCED_BY_DESIGN)
+
+
+def test_every_option_has_a_caller():
+    assert unpassed_parameters(_sources(), _callers()) == sorted(_UNPASSED_BY_DESIGN)
+
+
+def test_no_allow_list_entry_rests_on_a_test():
+    reasons = {**_UNCALLED_BY_DESIGN, **_UNREFERENCED_BY_DESIGN, **_UNPASSED_BY_DESIGN}
+    assert all(reason and not re.search(r"\btests? (use|call|pass)", reason) for reason in reasons.values())
+
+
+_CLASS_C = (
+    "def g():\n    return C()\n\n\n"
+    "class C:\n"
+    "    def m(self, a, b=1):\n        return self._h()\n\n"
+    "    @property\n    def p(self):\n        return 0\n\n"
+    "    def _h(self):\n        return 1\n\n\n"
+    "class _D:\n    def n(self):\n        return 2\n"
+)
+
+
+@pytest.mark.parametrize("sources, unreferenced", [
+    pytest.param({"repro.b.y": "g().m(1)\ng().p\n"}, [], id="called-and-read"),
+    pytest.param({"examples/z.py": "c = g()\nc.m(1, 2)\nprint(c.p)\n"}, [], id="a-caller-file"),
+    pytest.param({"repro.b.y": "g().m(1)\n"}, ["repro.a.x.C.p"], id="an-unread-property"),
+    pytest.param({"repro.b.y": "C().m(1)\nC().p\n"}, ["repro.a.x.g"], id="an-uncalled-function"),
+    pytest.param({}, ["repro.a.x.C.m", "repro.a.x.C.p", "repro.a.x.g"], id="never-used"),
+    pytest.param(
+        {"repro.b.y": '"""Calls :meth:`C.m`."""\ng().p\n'}, ["repro.a.x.C.m"], id="docstring",
+    ),
+])
+def test_method_use_shapes(sources, unreferenced):
+    modules = {"repro.a.x": _CLASS_C}
+    callers = {}
+    for where, source in sources.items():
+        (modules if where.startswith("repro.") else callers)[where] = source
+    assert unreferenced_methods(modules, callers) == unreferenced
+
+
+_DEFINITIONS = (
+    "from dataclasses import dataclass\n\n\n"
+    "def f(a, b=1, *, c=2):\n    return a\n\n\n"
+    "class C:\n"
+    "    def __init__(self, size=4):\n        self.size = size\n\n"
+    "    @classmethod\n    def small(cls):\n        return cls(size=1)\n\n"
+    "    def m(self, a, b=1):\n        return a\n\n\n"
+    "@dataclass\nclass FooConfig:\n    alpha: float = 0.01\n"
+)
+_UNPASSED_AT_FIRST = ["repro.a.x.C.m(b)", "repro.a.x.FooConfig(alpha)", "repro.a.x.f(b)", "repro.a.x.f(c)"]
+
+
+@pytest.mark.parametrize("caller, unpassed", [
+    pytest.param("", _UNPASSED_AT_FIRST, id="nothing-passes"),
+    pytest.param("f(0, b=2, c=3)\n", ["repro.a.x.C.m(b)", "repro.a.x.FooConfig(alpha)"], id="keywords"),
+    pytest.param("f(0, 2)\nC().m(0, 2)\n", ["repro.a.x.FooConfig(alpha)", "repro.a.x.f(c)"], id="positions"),
+    pytest.param("f(*args, **options)\n", ["repro.a.x.C.m(b)", "repro.a.x.FooConfig(alpha)"], id="splats"),
+    pytest.param(
+        "from repro.a.x import f as g\ng(0, b=2)\n",
+        ["repro.a.x.C.m(b)", "repro.a.x.FooConfig(alpha)", "repro.a.x.f(c)"], id="an-alias",
+    ),
+    pytest.param("FooConfig(alpha=0.05)\n", ["repro.a.x.C.m(b)", "repro.a.x.f(b)", "repro.a.x.f(c)"], id="a-config-field"),
+    pytest.param("h(0, b=2)\n", _UNPASSED_AT_FIRST, id="another-name"),
+    pytest.param("f(0)\nC().m(0)\n", _UNPASSED_AT_FIRST, id="defaults-only"),
+])
+def test_parameter_use_shapes(caller, unpassed):
+    # ``C(size=…)`` is passed by the classmethod's ``cls(...)``.
+    assert unpassed_parameters({"repro.a.x": _DEFINITIONS}, {"examples/z.py": caller}) == unpassed
 
 
 # -- lock discipline --------------------------------------------------------------

@@ -57,7 +57,7 @@ class TestHistograms:
         assert sketch.quantile(0.5) == pytest.approx(0.5, abs=0.1)
 
     def test_pending_folds_at_the_threshold(self):
-        histogram = Histogram("x", (), "", budget=32)
+        histogram = Histogram("x", (), "")
         for _ in range(Histogram.FOLD_THRESHOLD):
             histogram.observe(1.0)
         assert len(histogram._pending) == 0
@@ -96,10 +96,10 @@ class TestDocumentAndRendering:
         assert 'charles_idle_seconds{quantile="0.5"} NaN' in text
         assert "charles_idle_seconds_count 0" in text
 
-    def test_namespace_prefixes_every_name(self):
-        registry = MetricsRegistry(namespace="other")
+    def test_every_name_is_prefixed(self):
+        registry = MetricsRegistry()
         registry.counter("x_total", fn=lambda: 1)
-        assert "other_x_total 1" in registry.render_prometheus()
+        assert "charles_x_total 1" in registry.render_prometheus()
 
 
 class TestMerging:

@@ -98,18 +98,6 @@ class _NumpySketch:
             self.rank_error + stride,
         )
 
-    @property
-    def max_item_weight(self):
-        if self.weights.size == 0:
-            return 0
-        return int(self.weights.max())
-
-    @property
-    def rank_error_fraction(self):
-        if self.total_weight == 0:
-            return 0.0
-        return min(1.0, (self.rank_error + self.max_item_weight) / self.total_weight)
-
     def quantile(self, fraction):
         if self.total_weight == 0:
             raise ValueError("quantile of an empty sketch")
@@ -137,8 +125,6 @@ def _assert_same(new, reference, fractions):
     assert new.weights == [int(weight) for weight in reference.weights]
     assert new.total_weight == reference.total_weight
     assert new.rank_error == reference.rank_error
-    assert new.max_item_weight == reference.max_item_weight
-    assert new.rank_error_fraction == reference.rank_error_fraction
     if reference.total_weight:
         for fraction in fractions:
             assert new.quantile(fraction) == reference.quantile(fraction)

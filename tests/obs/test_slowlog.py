@@ -5,20 +5,22 @@ from repro.obs.slowlog import DEFAULT_PER_OP, SlowOpLog
 
 class TestRecording:
     def test_keeps_only_the_worst_per_op(self):
-        log = SlowOpLog(per_op=3)
-        for index in range(10):
-            log.record("advise", seconds=index / 10.0)
+        log = SlowOpLog()
+        for index in range(DEFAULT_PER_OP + 2):
+            log.record("advise", seconds=float(index))
         document = log.document()
         entries = document["ops"]["advise"]
-        assert [entry["seconds"] for entry in entries] == [0.9, 0.8, 0.7]
+        assert [entry["seconds"] for entry in entries] == [
+            float(index) for index in range(DEFAULT_PER_OP + 1, 1, -1)
+        ]
 
     def test_fast_requests_do_not_displace_slow_ones(self):
-        log = SlowOpLog(per_op=2)
-        log.record("count", 5.0)
-        log.record("count", 4.0)
+        log = SlowOpLog()
+        for _ in range(DEFAULT_PER_OP):
+            log.record("count", 5.0)
         log.record("count", 0.001)
         entries = log.document()["ops"]["count"]
-        assert [entry["seconds"] for entry in entries] == [5.0, 4.0]
+        assert [entry["seconds"] for entry in entries] == [5.0] * DEFAULT_PER_OP
 
     def test_entries_carry_session_request_and_trace(self):
         log = SlowOpLog()
@@ -51,7 +53,7 @@ class TestRecording:
 
 class TestDocuments:
     def test_limit_caps_entries_per_op(self):
-        log = SlowOpLog(per_op=8)
+        log = SlowOpLog()
         for index in range(8):
             log.record("advise", float(index))
         document = log.document(limit=2)
@@ -59,16 +61,16 @@ class TestDocuments:
         assert [e["seconds"] for e in document["ops"]["advise"]] == [7.0, 6.0]
 
     def test_default_per_op_applies(self):
-        assert SlowOpLog().per_op == DEFAULT_PER_OP
+        assert SlowOpLog().document()["per_op"] == DEFAULT_PER_OP
 
     def test_merge_reranks_the_union(self):
-        left, right = SlowOpLog(per_op=2), SlowOpLog(per_op=2)
+        left, right = SlowOpLog(), SlowOpLog()
         left.record("advise", 3.0)
         left.record("advise", 1.0)
         right.record("advise", 2.0)
         right.record("count", 0.5)
         merged = SlowOpLog.merge_documents([left.document(), right.document()])
-        assert [e["seconds"] for e in merged["ops"]["advise"]] == [3.0, 2.0]
+        assert [e["seconds"] for e in merged["ops"]["advise"]] == [3.0, 2.0, 1.0]
         assert [e["seconds"] for e in merged["ops"]["count"]] == [0.5]
 
     def test_merge_honours_an_explicit_limit(self):

@@ -12,7 +12,6 @@ from repro.sdl import (
     format_segment_label,
     format_segmentation,
 )
-from repro.sdl.formatter import format_query
 
 
 def _context() -> SDLQuery:
@@ -28,16 +27,6 @@ def _segmentation() -> Segmentation:
         [Segment(low, 70), Segment(high, 30)],
         cut_attributes=("tonnage",),
     )
-
-
-class TestFormatQuery:
-    def test_includes_unconstrained_by_default(self):
-        query = SDLQuery([RangePredicate("a", 1, 2), NoConstraint("b")])
-        assert format_query(query) == "(a: [1, 2], b:)"
-
-    def test_can_hide_unconstrained(self):
-        query = SDLQuery([RangePredicate("a", 1, 2), NoConstraint("b")])
-        assert format_query(query, include_unconstrained=False) == "(a: [1, 2])"
 
 
 class TestSegmentLabel:
@@ -72,9 +61,17 @@ class TestFormatSegmentation:
     def test_header_mentions_cut_attributes(self):
         assert "tonnage" in format_segmentation(_segmentation()).splitlines()[0]
 
-    def test_without_counts(self):
-        text = format_segmentation(_segmentation(), show_counts=False)
-        assert "70" not in text
+    def test_lines_show_cover_and_count(self):
+        first_line = format_segmentation(_segmentation()).splitlines()[1]
+        assert "70.0%" in first_line and " 70 " in first_line
+
+    def test_covers_are_relative_to_the_context(self):
+        context = _context()
+        low = context.refine(RangePredicate("tonnage", 1000, 1150))
+        partial = Segmentation(context, [Segment(low, 70)], context_count=200,
+                               cut_attributes=("tonnage",))
+        first_line = format_segmentation(partial).splitlines()[1]
+        assert "35.0%" in first_line and " 70 " in first_line
 
 
 class TestQuerySignature:

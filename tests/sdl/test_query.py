@@ -34,16 +34,7 @@ class TestConstruction:
     def test_over_builds_unconstrained_context(self):
         query = SDLQuery.over(["a", "b"])
         assert query.attributes == ("a", "b")
-        assert query.n_constraints == 0
-
-    def test_from_mapping_with_none(self):
-        query = SDLQuery.from_mapping({"a": None, "b": RangePredicate("b", 1, 2)})
-        assert query.predicate_for("a") == NoConstraint("a")
-        assert query.n_constraints == 1
-
-    def test_from_mapping_key_mismatch_rejected(self):
-        with pytest.raises(QueryError):
-            SDLQuery.from_mapping({"a": RangePredicate("b", 1, 2)})
+        assert query.constrained_attributes == ()
 
     def test_empty_query_is_allowed(self):
         query = SDLQuery()
@@ -55,7 +46,7 @@ class TestAccessors:
     def test_constrained_attributes(self):
         query = _example_query()
         assert query.constrained_attributes == ("date", "type")
-        assert query.n_constraints == 2
+        assert len(query.constrained_attributes) == 2
 
     def test_predicate_for_missing_attribute(self):
         assert _example_query().predicate_for("missing") is None
@@ -131,15 +122,6 @@ class TestProjectionAndRemoval:
     def test_without_removes_attribute(self):
         query = _example_query()
         assert query.without("tonnage").attributes == ("date", "type")
-
-    def test_project_keeps_requested_order(self):
-        query = _example_query()
-        projected = query.project(["type", "date"])
-        assert projected.attributes == ("type", "date")
-
-    def test_project_ignores_unknown_attributes(self):
-        query = _example_query()
-        assert query.project(["missing"]).attributes == ()
 
 
 class TestRowMatching:

@@ -60,7 +60,6 @@ class TestSegmentationConstruction:
             context, [Segment(context, 10), Segment(context, 10)], context_count=10
         )
         assert segmentation.covered_count == 20
-        assert not segmentation.is_exhaustive or segmentation.covered_count == 10
 
     def test_single_constructor(self):
         segmentation = Segmentation.single(_context(), 42)
@@ -78,14 +77,14 @@ class TestSegmentationProperties:
     def test_covers_sum_to_one_for_exhaustive_partition(self):
         segmentation = _two_piece_segmentation()
         assert sum(segmentation.covers) == pytest.approx(1.0)
-        assert segmentation.is_exhaustive
+        assert segmentation.covered_count == segmentation.context_count
 
     def test_covers_for_non_exhaustive_segmentation(self):
         context = _context()
         piece = context.refine(RangePredicate("tonnage", 0, 10))
         segmentation = Segmentation(context, [Segment(piece, 30)], context_count=100)
         assert segmentation.covers == (0.3,)
-        assert not segmentation.is_exhaustive
+        assert segmentation.covered_count < segmentation.context_count
 
     def test_depth_and_counts(self):
         segmentation = _two_piece_segmentation()
@@ -107,26 +106,6 @@ class TestSegmentationProperties:
         assert len(segmentation) == 2
         assert segmentation[0].count == 60
         assert [segment.count for segment in segmentation] == [60, 40]
-
-
-class TestNonEmpty:
-    def test_non_empty_drops_zero_segments(self):
-        context = _context()
-        piece = context.refine(RangePredicate("tonnage", 0, 10))
-        segmentation = Segmentation(
-            context,
-            [Segment(piece, 0), Segment(context, 10)],
-            context_count=10,
-        )
-        cleaned = segmentation.non_empty()
-        assert cleaned.depth == 1
-        assert cleaned.context_count == 10
-
-    def test_non_empty_with_all_empty_segments_raises(self):
-        context = _context()
-        segmentation = Segmentation(context, [Segment(context, 0)], context_count=0)
-        with pytest.raises(SegmentationError):
-            segmentation.non_empty()
 
 
 class TestEqualityAndDescribe:

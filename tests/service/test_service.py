@@ -70,22 +70,13 @@ class TestSharedCaching:
         advice_stats = service.stats()["tables"]["voc"]["advice_cache"]
         assert advice_stats["hits"] == 1
 
-    def test_differently_parameterised_rankers_do_not_share_advice(self, service):
-        from repro.core.ranking import WeightedRanker
-
-        service.open_session(
-            "alice", ranker=WeightedRanker(entropy_weight=1.0, simplicity_weight=0.0)
-        )
-        service.open_session(
-            "bob", ranker=WeightedRanker(entropy_weight=0.0, simplicity_weight=5.0)
-        )
+    def test_different_answer_counts_do_not_share_advice(self, service):
+        for name in ("alice", "bob", "carol"):
+            service.open_session(name)
+        service.session("bob").exploration.max_answers = 5
         first = service.advise("alice", _CONTEXT)
-        second = service.advise("bob", _CONTEXT)
-        assert second is not first
-        # Same parameters do share.
-        service.open_session(
-            "carol", ranker=WeightedRanker(entropy_weight=1.0, simplicity_weight=0.0)
-        )
+        assert service.advise("bob", _CONTEXT) is not first
+        # The same answer count over the same context does share.
         assert service.advise("carol", _CONTEXT) is first
 
     def test_sessions_share_masks_and_aggregates(self, service):

@@ -19,17 +19,18 @@ _SAMPLE = """tonnage,type,year,note
 def load_text(tmp_path):
     """``load_csv`` over a file holding ``text``."""
 
-    def load(text, **options):
+    def load(text):
         path = tmp_path / "table.csv"
         path.write_text(text, encoding="utf-8")
-        return load_csv(path, **options)
+        return load_csv(path)
 
     return load
 
 
 class TestLoadCSVText:
     def test_types_are_inferred(self, load_text):
-        table = load_text(_SAMPLE, name="boats")
+        table = load_text(_SAMPLE)
+        assert table.name == "table"  # the file stem
         assert table.num_rows == 3
         schema = table.schema()
         assert schema["tonnage"] is DataType.INT
@@ -45,21 +46,9 @@ class TestLoadCSVText:
         table = load_text(_SAMPLE)
         assert table.row(1)["note"] is None
 
-    def test_type_override(self, load_text):
-        table = load_text(_SAMPLE, types={"tonnage": DataType.FLOAT})
-        assert table.dtype("tonnage") is DataType.FLOAT
-
-    def test_limit(self, load_text):
-        table = load_text(_SAMPLE, limit=2)
-        assert table.num_rows == 2
-
     def test_blank_lines_skipped(self, load_text):
         text = "a,b\n1,2\n\n3,4\n"
         assert load_text(text).num_rows == 2
-
-    def test_custom_delimiter(self, load_text):
-        table = load_text("a;b\n1;2\n", delimiter=";")
-        assert table.column_names == ["a", "b"]
 
     def test_empty_input_rejected(self, load_text):
         with pytest.raises(CSVFormatError):

@@ -40,15 +40,6 @@ class TestEvaluationAndCounts:
     def test_cover_table_relative(self, engine):
         assert cover(engine, _fluit_query()) == pytest.approx(0.5)
 
-    def test_cover_context_relative(self, engine):
-        context = SDLQuery([RangePredicate("tonnage", 1000, 1200)])
-        query = _fluit_query().refine(RangePredicate("tonnage", 1000, 1100))
-        assert cover(engine, query, context) == pytest.approx(2 / 3)
-
-    def test_cover_of_empty_context_is_zero(self, engine):
-        context = SDLQuery([RangePredicate("tonnage", 9000, 9999)])
-        assert cover(engine, _fluit_query(), context) == 0.0
-
 
 class TestAggregates:
     def test_median_whole_table(self, engine):

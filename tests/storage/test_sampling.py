@@ -13,44 +13,32 @@ from repro.workloads import generate_voc
 
 
 class TestUniformSampleIndices:
-    def test_sample_size(self):
-        indices = uniform_sample_indices(100, sample_size=10, seed=1)
-        assert len(indices) == 10
-        assert len(set(indices.tolist())) == 10
-        assert indices.max() < 100
-
     def test_fraction(self):
         indices = uniform_sample_indices(200, fraction=0.25, seed=1)
         assert len(indices) == 50
+        assert len(set(indices.tolist())) == 50
+        assert indices.max() < 200
+
+    def test_full_fraction_keeps_every_row(self):
+        assert uniform_sample_indices(40, fraction=1.0, seed=9).tolist() == list(range(40))
 
     def test_indices_are_sorted(self):
-        indices = uniform_sample_indices(100, sample_size=20, seed=3)
+        indices = uniform_sample_indices(100, fraction=0.2, seed=3)
         assert indices.tolist() == sorted(indices.tolist())
 
-    def test_sample_capped_at_population(self):
-        indices = uniform_sample_indices(5, sample_size=50, seed=1)
-        assert len(indices) == 5
+    def test_at_least_one_row(self):
+        assert len(uniform_sample_indices(5, fraction=0.01, seed=1)) == 1
 
     def test_deterministic_with_seed(self):
-        first = uniform_sample_indices(100, sample_size=10, seed=42)
-        second = uniform_sample_indices(100, sample_size=10, seed=42)
+        first = uniform_sample_indices(100, fraction=0.1, seed=42)
+        second = uniform_sample_indices(100, fraction=0.1, seed=42)
         assert first.tolist() == second.tolist()
-
-    def test_requires_exactly_one_size_argument(self):
-        with pytest.raises(StorageError):
-            uniform_sample_indices(10)
-        with pytest.raises(StorageError):
-            uniform_sample_indices(10, sample_size=2, fraction=0.5)
 
     def test_invalid_fraction(self):
         with pytest.raises(StorageError):
             uniform_sample_indices(10, fraction=0.0)
         with pytest.raises(StorageError):
             uniform_sample_indices(10, fraction=1.5)
-
-    def test_invalid_sample_size(self):
-        with pytest.raises(StorageError):
-            uniform_sample_indices(10, sample_size=0)
 
 
 class TestSampleTable:

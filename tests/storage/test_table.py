@@ -132,10 +132,6 @@ class TestConstruction:
         assert table.column_names == ["a", "b", "c"]
         assert table.row(0)["c"] is None
 
-    def test_from_rows_with_explicit_columns(self):
-        table = Table.from_rows([{"a": 1, "b": 2}], columns=["b", "a"])
-        assert table.column_names == ["b", "a"]
-
     def test_from_rows_empty_rejected(self):
         with pytest.raises(SchemaError):
             Table.from_rows([])
@@ -185,13 +181,6 @@ class TestAccess:
         assert len(rows) == 4
         assert table.to_dict()["type"] == ["fluit", "jacht", "fluit", "jacht"]
 
-    def test_head(self, table):
-        assert len(table.head(2)) == 2
-        assert len(table.head(99)) == 4
-
-    def test_has_column(self, table):
-        assert table.has_column("tonnage")
-        assert not table.has_column("missing")
 
 
 class TestDerivation:
@@ -212,22 +201,6 @@ class TestDerivation:
     def test_take_out_of_range(self, table):
         with pytest.raises(SchemaError):
             table.take([99])
-
-    def test_with_column_adds(self, table):
-        extra = StringColumn("flag", ["a", "b", "c", "d"])
-        extended = table.with_column(extra)
-        assert "flag" in extended.column_names
-        assert table.num_columns == 3  # original unchanged
-
-    def test_with_column_replaces(self, table):
-        replacement = NumericColumn("tonnage", [1, 2, 3, 4], DataType.INT)
-        replaced = table.with_column(replacement)
-        assert replaced.to_dict()["tonnage"] == [1, 2, 3, 4]
-        assert replaced.num_columns == 3
-
-    def test_with_column_length_mismatch(self, table):
-        with pytest.raises(SchemaError):
-            table.with_column(NumericColumn("flag", [1], DataType.INT))
 
 
 class TestDisplay:

@@ -27,11 +27,6 @@ class TestDataType:
         assert DataType.DATE.is_numeric
         assert not DataType.STRING.is_numeric
 
-    def test_nominal_types(self):
-        assert DataType.STRING.is_nominal
-        assert DataType.BOOL.is_nominal
-        assert not DataType.INT.is_nominal
-
 
 class TestMissing:
     @pytest.mark.parametrize("value", [None, float("nan"), "", "   "])

@@ -9,7 +9,7 @@ from repro.errors import VisualizationError
 from repro.sdl import RangePredicate, SDLQuery
 from repro.storage import QueryEngine, Table
 from repro.viz import segment_distributions
-from repro.viz.histogram import numeric_sparkline, value_histogram
+from repro.viz.histogram import numeric_sparkline
 
 
 @pytest.fixture()
@@ -24,60 +24,34 @@ def engine() -> QueryEngine:
     return QueryEngine(table)
 
 
-class TestValueHistogram:
-    def test_lists_values_with_counts(self, engine):
-        text = value_histogram(engine, "category")
-        assert "a" in text and "50" in text
-        assert text.splitlines()[0].startswith("category")
-
-    def test_bars_proportional(self, engine):
-        lines = value_histogram(engine, "category", width=20).splitlines()
-        bar_lengths = [line.count("▇") for line in lines[1:]]
-        assert bar_lengths == sorted(bar_lengths, reverse=True)
-
-    def test_respects_query_restriction(self, engine):
-        query = SDLQuery([RangePredicate("value", 0, 49)])
-        text = value_histogram(engine, "category", query)
-        assert "b" not in text.replace("▇", "")
-
-    def test_long_tail_is_collapsed(self, engine):
-        text = value_histogram(engine, "value", max_values=5)
-        assert "more values" in text
-
-    def test_empty_selection(self, engine):
-        query = SDLQuery([RangePredicate("value", 1000, 2000)])
-        assert "(no values)" in value_histogram(engine, "category", query)
-
-    def test_invalid_width(self, engine):
-        with pytest.raises(VisualizationError):
-            value_histogram(engine, "category", width=1)
-
-
 class TestNumericSparkline:
     def test_fixed_length_output(self, engine):
-        spark = numeric_sparkline(engine, "value", bins=12)
-        assert len(spark) == 12
+        spark = numeric_sparkline(engine, "value", SDLQuery.over(["value"]))
+        assert len(spark) == 16
 
     def test_uniform_data_is_flat_ish(self, engine):
-        spark = numeric_sparkline(engine, "value", bins=10)
+        spark = numeric_sparkline(engine, "value", SDLQuery.over(["value"]))
         assert len(set(spark)) <= 3
 
     def test_constant_data(self):
         engine = QueryEngine(Table.from_dict({"x": [5.0] * 20}))
-        spark = numeric_sparkline(engine, "x", bins=8)
-        assert len(spark) == 8
+        spark = numeric_sparkline(engine, "x", SDLQuery.over(["x"]))
+        assert len(spark) == 16
 
     def test_requires_numeric_column(self, engine):
         with pytest.raises(VisualizationError):
-            numeric_sparkline(engine, "category")
-
-    def test_invalid_bins(self, engine):
-        with pytest.raises(VisualizationError):
-            numeric_sparkline(engine, "value", bins=1)
+            numeric_sparkline(engine, "category", SDLQuery.over(["category"]))
 
     def test_empty_selection(self, engine):
         query = SDLQuery([RangePredicate("value", 1000, 2000)])
         assert numeric_sparkline(engine, "value", query) == "(empty)"
+
+    def test_respects_query_restriction(self):
+        engine = QueryEngine(Table.from_dict({"x": [0] * 50 + [100] * 50}))
+        whole = numeric_sparkline(engine, "x", SDLQuery.over(["x"]))
+        assert whole[0] == whole[-1] == "█" and whole[1] == "▁"
+        lower = numeric_sparkline(engine, "x", SDLQuery([RangePredicate("x", 0, 50)]))
+        assert lower == "█" * 16  # one value left: a constant selection
 
 
 class TestSegmentDistributions:
@@ -102,3 +76,19 @@ class TestSegmentDistributions:
         segmentation = cut_query(engine, context, "value")
         text = segment_distributions(engine, segmentation, "category")
         assert "0%" in text
+
+    def test_values_are_ordered_by_context_frequency(self, engine):
+        context = SDLQuery.over(["category", "value"])
+        segmentation = cut_query(engine, context, "value")
+        context_row = segment_distributions(engine, segmentation, "category").splitlines()[1]
+        assert context_row.index("a:") < context_row.index("b:") < context_row.index("c:")
+
+    def test_long_tail_is_collapsed(self):
+        engine = QueryEngine(Table.from_dict({
+            "code": [f"v{index % 10}" for index in range(100)],
+            "value": list(range(100)),
+        }))
+        segmentation = cut_query(engine, SDLQuery.over(["code", "value"]), "value")
+        rows = segment_distributions(engine, segmentation, "code").splitlines()[1:]
+        # Ten values in the context; each row shows the six most frequent.
+        assert all(row.count("%") == 6 for row in rows)

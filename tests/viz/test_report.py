@@ -43,8 +43,11 @@ class TestRenderAnswer:
         assert "pie:" in text
 
     def test_treemap_style(self, advice):
-        text = render_answer(advice.best(), style="treemap", width=30, height=6)
+        text = render_answer(advice.best(), style="treemap")
         assert "%" in text
+
+    def test_pie_is_the_default_style(self, advice):
+        assert render_answer(advice.best()) == render_answer(advice.best(), style="pie")
 
     def test_table_style(self, advice):
         text = render_answer(advice.best(), style="table")
@@ -58,9 +61,9 @@ class TestRenderAdvice:
         assert "ranked answers" in text
         assert "selected answer" in text
 
-    def test_selected_index_is_clamped(self, advice):
-        text = render_advice(advice, selected=99)
-        assert f"selected answer #{advice.answers[-1].rank}" in text
+    def test_the_best_answer_is_selected(self, advice):
+        text = render_advice(advice)
+        assert f"selected answer #{advice.answers[0].rank}:" in text
 
     def test_max_answers_truncates_list(self, advice):
         full = render_answer_list(advice)
@@ -71,3 +74,8 @@ class TestRenderAdvice:
     def test_style_is_forwarded(self, advice):
         assert "pie:" in render_advice(advice, style="pie")
         assert "pie:" not in render_advice(advice, style="table")
+
+    def test_no_answer_shown_means_no_detail_panel(self, advice):
+        text = render_advice(advice, max_answers=0)
+        assert "ranked answers" in text
+        assert "selected answer" not in text

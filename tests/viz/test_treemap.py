@@ -24,7 +24,7 @@ def _segmentation(counts) -> Segmentation:
 class TestTreemapLayout:
     def test_cells_tile_the_whole_grid(self):
         cells = treemap_layout([3, 2, 1], width=12, height=6)
-        assert sum(cell.area for cell in cells) == 72
+        assert sum(cell.width * cell.height for cell in cells) == 72
         # No overlaps: every grid point belongs to exactly one cell.
         occupancy = {}
         for cell in cells:
@@ -36,7 +36,7 @@ class TestTreemapLayout:
 
     def test_areas_roughly_proportional_to_weights(self):
         cells = treemap_layout([3, 1], width=16, height=8)
-        by_index = {cell.segment_index: cell.area for cell in cells}
+        by_index = {cell.segment_index: cell.width * cell.height for cell in cells}
         assert by_index[0] > by_index[1]
         assert by_index[0] == pytest.approx(96, abs=16)
 
@@ -47,7 +47,7 @@ class TestTreemapLayout:
     def test_single_weight_fills_everything(self):
         cells = treemap_layout([7], width=5, height=3)
         assert len(cells) == 1
-        assert cells[0].area == 15
+        assert (cells[0].width, cells[0].height) == (5, 3)
 
     def test_invalid_dimensions(self):
         with pytest.raises(VisualizationError):
@@ -75,10 +75,10 @@ class TestTreemapRendering:
         assert len(legend_lines) == segmentation.depth
 
     def test_grid_dimensions(self):
-        text = treemap(_segmentation([60, 40]), width=30, height=6, show_legend=False)
+        text = treemap(_segmentation([60, 40]), width=30, height=6)
         lines = text.splitlines()
-        assert len(lines) == 6
-        assert all(len(line) == 30 for line in lines)
+        assert lines[6] == ""  # the grid, then a blank line, then the legend
+        assert all(len(line) == 30 for line in lines[:6])
 
     def test_legend_lists_every_segment(self):
         text = treemap(_segmentation([60, 30, 10]), width=30, height=6)
@@ -86,9 +86,9 @@ class TestTreemapRendering:
         assert len(legend_lines) == 3
 
     def test_larger_segments_get_more_cells(self):
-        text = treemap(_segmentation([90, 10]), width=20, height=10, show_legend=False)
+        text = treemap(_segmentation([90, 10]), width=20, height=10)
         glyph_counts = {}
-        for line in text.splitlines():
+        for line in text.splitlines()[:10]:
             for char in line:
                 glyph_counts[char] = glyph_counts.get(char, 0) + 1
         counts = sorted(glyph_counts.values(), reverse=True)

@@ -265,7 +265,7 @@ class TestParametricTables:
 
     def test_wide_table_shape(self):
         table = make_wide_table(rows=200, attributes=7, dependent_pairs=2, seed=1)
-        assert table.num_columns == 7
+        assert len(table.column_names) == 7
         assert table.num_rows == 200
 
     def test_wide_table_too_many_pairs(self):
