@@ -2,7 +2,7 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/probe.py {m13,m14,m15,m16} --rows 2000 --seed 1 [--capacity 4096]
+    PYTHONPATH=src python scripts/probe.py {m13,m14,m15,m16,m17} --rows 2000 --seed 1 [--capacity 4096]
 
 A probe prints the hash of every answer it was served, the work counters
 behind them, the process's peak resident set (``VmHWM``, kB), the wall
@@ -39,6 +39,15 @@ besides its codes, measured through the column's attributes), the
 dictionary's size, and one digest of every column's physical encoding —
 codes and dictionary order included — which a change to how columns are
 stored must leave unmoved.
+
+``m17``: what each process of a cluster holds.  ``python -m repro.cli
+cluster serve --dataset voc --rows N --seed S --nodes 2`` starts in its
+own process group (``--seed`` is the table's seed here); one session
+through :class:`~repro.api.client.RemoteAdvisor` advises, drills, ingests
+a row and advises again with ``refresh``.  The probe prints the answer
+hash, the ``VmHWM`` of the router and of each node, and whether the
+router has OpenSSL's ``libcrypto`` mapped; the group is killed on every
+exit path.
 """
 
 from __future__ import annotations
@@ -46,14 +55,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
+import signal
+import socket
+import subprocess
 import sys
 import time
+from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
 import numpy as np
 
+import repro
 from repro import AdvisorService, Charles, Table, generate_voc
+from repro.api.client import RemoteAdvisor
 from repro.obs import start_trace
 from repro.workloads.concurrent import generate_concurrent_workload
 
@@ -79,11 +95,11 @@ _M15_WORK = (
 )
 
 
-def peak_rss_kb(field: str = "VmHWM") -> Optional[int]:
-    """This process's ``VmHWM`` (or another ``/proc/self/status`` field) in
+def peak_rss_kb(field: str = "VmHWM", pid: str = "self") -> Optional[int]:
+    """A process's ``VmHWM`` (or another ``/proc/<pid>/status`` field) in
     kB, ``None`` where /proc is absent."""
     try:
-        with open("/proc/self/status", encoding="ascii") as status:
+        with open(f"/proc/{pid}/status", encoding="ascii") as status:
             for line in status:
                 if line.startswith(f"{field}:"):
                     return int(line.split()[1])
@@ -275,8 +291,61 @@ def m16(args: argparse.Namespace) -> Dict[str, Any]:
     }
 
 
+def _maps_libcrypto(pid: int) -> Optional[bool]:
+    """Whether a process has OpenSSL's ``libcrypto`` mapped (``None``
+    where /proc is absent)."""
+    try:
+        return "libcrypto" in Path(f"/proc/{pid}/maps").read_text()
+    except OSError:
+        return None
+
+
+def m17(args: argparse.Namespace) -> Dict[str, Any]:
+    with socket.socket() as probe_socket:
+        probe_socket.bind(("127.0.0.1", 0))
+        port = probe_socket.getsockname()[1]
+    env = dict(os.environ)
+    source = str(Path(repro.__file__).resolve().parents[1])  # the repro this probe runs
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (source, env.get("PYTHONPATH")) if p)
+    command = [sys.executable, "-m", "repro.cli", "cluster", "serve", "--http", str(port),
+               "--dataset", "voc", "--rows", str(args.rows), "--seed", str(args.seed),
+               "--nodes", "2"]
+    cluster = subprocess.Popen(command, env=env, stdin=subprocess.DEVNULL,
+                               stdout=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        assert cluster.stdout is not None  # started with stdout=PIPE
+        # The banner: the router's URL, then one "node-i pid=P url" line a node.
+        banner = [cluster.stdout.readline() for _ in range(3)]
+        if not banner[-1]:
+            raise RuntimeError(f"cluster serve exited before serving: {banner!r}")
+        nodes = [int(line.split("pid=")[1].split()[0]) for line in banner[1:]]
+        client = RemoteAdvisor(banner[0].split()[-1])
+        digest = hashlib.sha256()
+        session = client.open_session("probe")
+        replies = [session.advise(["tonnage", "type_of_boat"]), session.drill(0, 0)]
+        client.ingest(rows=[{"tonnage": 900, "type_of_boat": "pinas"}])
+        replies.append(session.advise(refresh=True))
+        for advice in replies:
+            digest.update(advice.describe(limit=None).encode("utf-8"))
+        client.close()
+        return {
+            "answer_hash": digest.hexdigest()[:16],
+            "router_vmhwm_kb": peak_rss_kb(pid=str(cluster.pid)),
+            "node_vmhwm_kb": [peak_rss_kb(pid=str(node)) for node in nodes],
+            "router_maps_libcrypto": _maps_libcrypto(cluster.pid),
+        }
+    finally:
+        try:
+            os.killpg(cluster.pid, signal.SIGKILL)  # the router and its nodes, as one group
+        except ProcessLookupError:  # the whole group has exited already
+            pass
+        cluster.wait(timeout=30)
+        if cluster.stdout is not None:
+            cluster.stdout.close()
+
+
 PROBES: Dict[str, Callable[[argparse.Namespace], Dict[str, Any]]] = {
-    "m13": m13, "m14": m14, "m15": m15, "m16": m16,
+    "m13": m13, "m14": m14, "m15": m15, "m16": m16, "m17": m17,
 }
 
 
@@ -284,7 +353,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("probe", choices=sorted(PROBES))
     parser.add_argument("--rows", type=int, required=True, help="rows of the generated table")
-    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts (m15, m16: of the table)")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts (m15, m16, m17: of the table)")
     parser.add_argument("--capacity", type=int, default=4096,
                         help="entries of the shared result cache (the service default)")
     args = parser.parse_args(argv)

@@ -40,7 +40,10 @@ and every package below resolve each public name from its home module on
 first access (PEP 562).  ``from repro import Charles`` loads what
 ``Charles`` needs, and a service over the ``memory`` engine loads neither
 SQLite nor the CSV loader; the cluster router, which only moves wire
-envelopes, loads no engine at all.
+envelopes, loads no engine at all, nor :mod:`hashlib` (OpenSSL's
+``libcrypto``: routing hashes with CRC-32) or :mod:`dataclasses` (and the
+:mod:`inspect` it imports: its value types are named tuples and slotted
+classes).
 
 Quickstart
 ----------

@@ -346,10 +346,6 @@ class RemoteAdvisor:
         """
         return self._exchange("GET", "/v1/metrics").decode("utf-8")
 
-    @property
-    def table_names(self) -> List[str]:
-        return list(self.health()["tables"])
-
     def count(self, context: ContextLike = None, table: Optional[str] = None) -> int:
         """Cardinality of a context on a table (the ``count`` op)."""
         return self.call("count", context=context, table=table)

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 import itertools
 import os
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple
 
 from repro.api.codec import SCHEMA_VERSION, from_wire, to_wire
 from repro.errors import ProtocolError, WireFormatError, error_code_registry
@@ -66,8 +65,7 @@ PARAM_KINDS: Dict[str, Tuple[type, ...]] = {
 }
 
 
-@dataclass(frozen=True)
-class Operation:
+class Operation(NamedTuple):
     """One row of the op table.
 
     ``params`` maps each accepted parameter to a key of

@@ -63,7 +63,6 @@ import socketserver
 import sys
 import threading
 import time
-import traceback
 from http import HTTPStatus
 from typing import TYPE_CHECKING, Any, BinaryIO, Dict, Optional, Protocol, Set, Tuple, Type
 
@@ -258,8 +257,11 @@ class _Handler(socketserver.StreamRequestHandler):
         Carries the request's op, request_id and — when the envelope asked
         for tracing — its trace_id, so a 500 in a log aggregator joins up
         with the client-side trace instead of vanishing into a generic
-        error envelope.
+        error envelope.  ``traceback`` (and the ``linecache``/``tokenize``
+        it imports) loads at the first 500, not in every serving process.
         """
+        import traceback
+
         record: Dict[str, Any] = {
             "event": "http_internal_error",
             "time": time.time(),

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional
 
 from repro.api.client import RemoteAdvisor
@@ -32,19 +31,24 @@ __all__ = ["HealthMonitor"]
 FAILURE_THRESHOLD = 2
 
 
-@dataclass
 class NodeStatus:
     """What the monitor knows about one node."""
 
-    node_id: int
-    url: str
-    state: str = "unknown"  # "unknown" | "live" | "dead"
-    name: str = ""
-    pid: Optional[int] = None
-    started_at: Optional[float] = None
-    data_versions: Dict[str, Optional[int]] = field(default_factory=dict)
-    probed_at: Optional[float] = None
-    failures: int = 0
+    __slots__ = (
+        "node_id", "url", "state", "name", "pid", "started_at", "data_versions",
+        "probed_at", "failures",
+    )
+
+    def __init__(self, node_id: int, url: str) -> None:
+        self.node_id = node_id
+        self.url = url
+        self.state = "unknown"  # "unknown" | "live" | "dead"
+        self.name = ""
+        self.pid: Optional[int] = None
+        self.started_at: Optional[float] = None
+        self.data_versions: Dict[str, Optional[int]] = {}
+        self.probed_at: Optional[float] = None
+        self.failures = 0
 
     def to_document(self) -> Dict[str, Any]:
         return {

@@ -28,14 +28,12 @@ die with the supervisor however it dies — SIGKILL included.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import os
 import selectors
 import subprocess
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Any, Dict, List, Mapping, Optional, Sequence
 
@@ -66,14 +64,17 @@ def _read_announcement(stream: IO[bytes], deadline: float) -> Optional[str]:
     return data.split(b"\n", 1)[0].decode("utf-8", "replace")
 
 
-@dataclass
 class NodeHandle:
-    """The supervisor's view of one running node process."""
+    """The supervisor's view of one running node process (its port is
+    known once the node announces it)."""
 
-    node_id: int
-    process: "subprocess.Popen[bytes]"
-    host: str
-    port: int = 0
+    __slots__ = ("node_id", "process", "host", "port")
+
+    def __init__(self, node_id: int, process: "subprocess.Popen[bytes]", host: str) -> None:
+        self.node_id = node_id
+        self.process = process
+        self.host = host
+        self.port = 0
 
     @property
     def url(self) -> str:
@@ -133,7 +134,7 @@ class NodeSupervisor:
         config = {
             "node_id": node_id,
             "host": self.host,
-            "specs": [dataclasses.asdict(spec) for spec in self.specs],
+            "specs": [spec._asdict() for spec in self.specs],
             "service_options": self.service_options,
         }
         try:

@@ -7,9 +7,12 @@ time, and a key routes by hashing into a shard and reading the table.
 Making the table explicit (rather than recomputing ``hash % nodes`` per
 request) buys three properties the router needs:
 
-* **Determinism across processes** — the hash is SHA-1 based, never
-  Python's seeded ``hash()``, so every router restart and every test
-  process computes the same placement.
+* **Determinism across processes** — the hash is CRC-32 of the key's
+  UTF-8 bytes, never Python's seeded ``hash()``, so every router restart
+  and every test process computes the same placement.  Placement needs
+  spread, not collision resistance: CRC-32 is in :mod:`zlib`, which the
+  process has loaded anyway, where SHA-1 mapped OpenSSL's ``libcrypto``
+  (3.5 MB resident) into a router that hashes nothing else.
 * **Inspectability** — ``GET /v1/cluster`` can print the whole table.
 * **Stable failover order** — a shard's replica chain is fixed, so when
   the owner dies every router decision agrees on the next candidate.
@@ -17,7 +20,7 @@ request) buys three properties the router needs:
 
 from __future__ import annotations
 
-import hashlib
+import zlib
 from typing import Dict, Sequence, Tuple
 
 from repro.errors import ClusterError
@@ -40,10 +43,9 @@ def table_key(table: object) -> str:
 
 
 def _shard_of(key: str, shards: int) -> int:
-    # SHA-1's first 8 bytes as a big-endian integer: stable across
-    # processes, platforms and PYTHONHASHSEED (unlike builtin hash()).
-    digest = hashlib.sha1(key.encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big") % shards
+    # Stable across processes, platforms and PYTHONHASHSEED (unlike
+    # builtin hash()): zlib.crc32 is an unsigned 32-bit value everywhere.
+    return zlib.crc32(key.encode("utf-8")) % shards
 
 
 class ShardMap:

@@ -5,23 +5,24 @@ copy of the served tables.  Shipping live :class:`~repro.storage.table.Table`
 objects across a process boundary would be slow and version-fragile, so
 the supervisor ships a :class:`TableSpec` instead — a tiny JSON-safe
 recipe (a built-in synthetic dataset with its row count and seed, or a
-CSV path; ``dataclasses.asdict`` is its wire form) that every node loads
-*deterministically*: two nodes given the
-same spec hold bit-identical tables, which is what makes router-vs-local
-advice parity possible at all.
+CSV path; its fields by name, ``spec._asdict()``, are its wire form) that
+every node loads *deterministically*: two nodes given the same spec hold
+bit-identical tables, which is what makes router-vs-local advice parity
+possible at all.
 
 It is also the one table of built-in datasets: the CLI resolves
 ``--dataset`` through :meth:`TableSpec.load` too.  Importing the module
 loads neither the engine nor NumPy — the router and the CLI's argument
 parser read it; only :meth:`TableSpec.load`, which runs in the process
-that serves the table, imports the generators.
+that serves the table, imports the generators.  A spec is a named tuple,
+not a dataclass, so the router does not load :mod:`dataclasses` (and
+:mod:`inspect` with it) for it.
 """
 
 from __future__ import annotations
 
 import importlib
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.errors import ClusterError
 
@@ -49,8 +50,15 @@ def dataset_names() -> tuple:
     return tuple(sorted(_DEFAULT_ROWS))
 
 
-@dataclass(frozen=True)
-class TableSpec:
+class _Fields(NamedTuple):
+    kind: str
+    name: str
+    rows: Optional[int]
+    seed: int
+    path: Optional[str]
+
+
+class TableSpec(_Fields):
     """A deterministic, JSON-safe recipe for one served table.
 
     Parameters
@@ -69,24 +77,28 @@ class TableSpec:
         CSV file path for ``kind="csv"``.
     """
 
-    kind: str
-    name: str = ""
-    rows: Optional[int] = None
-    seed: int = 42
-    path: Optional[str] = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("dataset", "csv"):
+    def __new__(
+        cls,
+        kind: str,
+        name: str = "",
+        rows: Optional[int] = None,
+        seed: int = 42,
+        path: Optional[str] = None,
+    ) -> "TableSpec":
+        if kind not in ("dataset", "csv"):
             raise ClusterError(
-                f"unknown table spec kind {self.kind!r}; expected 'dataset' or 'csv'"
+                f"unknown table spec kind {kind!r}; expected 'dataset' or 'csv'"
             )
-        if self.kind == "dataset" and self.name not in _DEFAULT_ROWS:
+        if kind == "dataset" and name not in _DEFAULT_ROWS:
             raise ClusterError(
-                f"unknown built-in dataset {self.name!r}; "
+                f"unknown built-in dataset {name!r}; "
                 f"available: {', '.join(dataset_names())}"
             )
-        if self.kind == "csv" and not self.path:
+        if kind == "csv" and not path:
             raise ClusterError("a csv table spec requires a 'path'")
+        return super().__new__(cls, kind, name, rows, seed, path)
 
     @classmethod
     def dataset(cls, name: str, rows: Optional[int] = None, seed: int = 42) -> "TableSpec":
@@ -103,7 +115,7 @@ class TableSpec:
         if self.kind == "csv":
             from repro.storage.csv_loader import load_csv
 
-            assert self.path is not None  # __post_init__ guarantees it
+            assert self.path is not None  # __new__ guarantees it
             return load_csv(self.path)
         module, function = _GENERATORS[self.name]
         generator = getattr(importlib.import_module(module), function)

@@ -133,7 +133,7 @@ class TestRouterParity:
         with _ThreadedCluster(nodes=2) as cluster:
             client = cluster.client()
             assert client.count(_CONTEXT) == local_service.count(_CONTEXT)
-            assert client.table_names == ["voc"]
+            assert client.health()["tables"] == ["voc"]
 
 
 class TestFailover:

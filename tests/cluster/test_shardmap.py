@@ -2,9 +2,15 @@
 
 The router's correctness rests on one property: every router process,
 restarted at any time, maps the same key to the same ordered node list.
-These tests pin that mapping — including a hard-coded sha1 expectation,
+These tests pin that mapping — including hard-coded CRC-32 expectations,
 so an accidental switch to Python's randomised ``hash()`` fails loudly.
 """
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,16 +36,45 @@ class TestDeterminism:
             key = session_key(name)
             assert first.route(key) == second.route(key)
 
-    def test_pinned_sha1_expectations(self):
-        # Hard-coded outputs of the sha1-based shard function.  If these
+    def test_pinned_crc32_expectations(self):
+        # Hard-coded outputs of the CRC-32 shard function.  If these
         # move, every deployed router disagrees with every restarted one:
         # that is a wire-protocol break, not a refactor.
         shard_map = ShardMap([0, 1, 2], replicas=1)
-        assert shard_map.shard_of(session_key("alice")) == 2
-        assert shard_map.shard_of(session_key("bob")) == 13
-        assert shard_map.shard_of(table_key("voc")) == 21
-        assert shard_map.route(session_key("alice")) == (2, 0)
-        assert shard_map.route(session_key("bob")) == (1, 2)
+        assert shard_map.shard_of(session_key("alice")) == 25
+        assert shard_map.shard_of(session_key("bob")) == 21
+        assert shard_map.shard_of(table_key("voc")) == 31
+        assert shard_map.route(session_key("alice")) == (1, 2)
+        assert shard_map.route(session_key("bob")) == (0, 1)
+        assert ShardMap([0, 1], replicas=1).owner(table_key("voc")) == 1
+
+    def test_shards_do_not_depend_on_the_interpreters_hash_seed(self):
+        # Two fresh interpreters with different PYTHONHASHSEED: builtin
+        # hash() of a str differs between them, the shards must not.
+        script = (
+            "import json; from repro.cluster.shardmap import ShardMap, session_key; "
+            "m = ShardMap([0, 1, 2]); "
+            "print(json.dumps([hash('s:user0'), "
+            "[m.shard_of(session_key(f'user{i}')) for i in range(200)]]))"
+        )
+        source = str(Path(__file__).resolve().parents[2] / "src")
+        printed = []
+        for seed in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": source, "PYTHONHASHSEED": seed}
+            completed = subprocess.run(
+                [sys.executable, "-c", script], capture_output=True, text=True,
+                timeout=60, env=env, check=True,
+            )
+            printed.append(json.loads(completed.stdout))
+        (first_hash, first), (second_hash, second) = printed
+        assert first_hash != second_hash  # the seeds took effect
+        assert first == second
+        assert first == [ShardMap([0, 1, 2]).shard_of(session_key(f"user{i}")) for i in range(200)]
+
+    def test_a_thousand_session_keys_touch_every_shard(self):
+        shard_map = ShardMap([0, 1], replicas=1)
+        touched = {shard_map.shard_of(session_key(f"user{i}")) for i in range(1000)}
+        assert touched == set(range(DEFAULT_SHARDS))
 
     def test_owner_is_first_of_route(self):
         shard_map = ShardMap([0, 1, 2, 3], replicas=2)

@@ -1,5 +1,6 @@
 """What a Charles process imports: no SciPy until the chi-square rule runs,
-no NumPy or engine at all in the cluster's front door, in an engine
+no NumPy or engine at all in the cluster's front door (nor OpenSSL's
+hashes or ``dataclasses`` and the ``inspect`` it drags in), in an engine
 process none of the modules its path never runs, and in a serving
 process not the standard library's HTTP stack (nor ``email`` or ``ssl``).
 
@@ -111,13 +112,31 @@ assert chi_square_test(np.array([[400.0, 100.0], [100.0, 400.0]]))[1] < 1e-6
 # -- the wire tier: stdlib and repro.errors only ---------------------------------
 
 
+#: What the router never runs: OpenSSL's hashes (a routing key is a CRC-32)
+#: and ``dataclasses`` (the wire value types are named tuples and slotted
+#: classes), which imports ``inspect``.
+_ROUTER_NEVER_RUNS = ("hashlib", "_hashlib", "_blake2", "dataclasses", "inspect")
+
+
+def _router_never_runs(modules: List[str]) -> List[str]:
+    return [name for name in _ROUTER_NEVER_RUNS if name in modules]
+
+
 def test_the_wire_tier_imports_no_numpy_and_no_engine():
     loaded = _modules_after(
         "import repro.cluster, repro.api.client, repro.obs, repro.cli\n"
         "from repro.cluster import *  # every lazily exported name"
     )
     assert _heavy(loaded) == []
+    assert _router_never_runs(loaded) == []
     assert "repro.cluster.router" in loaded and "repro.obs.metrics" in loaded
+
+
+def test_an_engine_process_still_loads_dataclasses():
+    # Positive control for the check above: the engine's value types stay
+    # dataclasses, so a service process has the module the router lacks.
+    loaded = _modules_after("from repro.service import AdvisorService")
+    assert "dataclasses" in loaded and "inspect" in loaded
 
 
 _ROUTER_SCRIPT = """
@@ -130,7 +149,9 @@ print(front.url, flush=True)
 sys.stdin.readline()
 front.shutdown()
 router.close()
-print(json.dumps(sorted(sys.modules)), flush=True)
+with open("/proc/self/maps") as maps:
+    libcrypto = "libcrypto" in maps.read()
+print(json.dumps([sorted(sys.modules), libcrypto]), flush=True)
 """
 
 
@@ -171,7 +192,7 @@ def test_a_serving_router_loads_no_numpy_and_no_engine():
         client.close()
         router.stdin.write("report\n")
         router.stdin.flush()
-        loaded = json.loads(router.stdout.readline())
+        loaded, libcrypto = json.loads(router.stdout.readline())
         assert router.wait(timeout=30) == 0
     finally:
         router.kill()
@@ -182,6 +203,8 @@ def test_a_serving_router_loads_no_numpy_and_no_engine():
             node.shutdown()
     assert _heavy(loaded) == []
     assert _http_stack(loaded) == []
+    assert _router_never_runs(loaded) == []
+    assert not libcrypto  # OpenSSL is not mapped into the router
     assert "repro.cluster.router" in loaded
 
 

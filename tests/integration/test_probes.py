@@ -114,3 +114,13 @@ def test_m15_pins_its_answers_and_work():
         "engine.median": 14, "engine.minmax": 14,
     }
     assert len(result["advise_s"]) == 2 and all(seconds >= 0 for seconds in result["advise_s"])
+
+
+def test_m17_pins_the_answers_of_a_cluster_and_a_router_without_openssl():
+    result = _probe("m17", "--rows", "2000", "--seed", "1")
+    assert result["argv"] == ["scripts/probe.py", "m17", "--rows", "2000", "--seed", "1"]
+    assert result["answer_hash"] == "01f792171db5ec54"
+    # Bytes are not pinned: only that each process of the group reported.
+    assert len(result["node_vmhwm_kb"]) == 2
+    if result["router_vmhwm_kb"] is not None:  # /proc is there
+        assert result["router_maps_libcrypto"] is False
