@@ -316,19 +316,6 @@ class RemoteAdvisor:
         """
         return self.call("stats")
 
-    def slow_ops(self, limit: Optional[int] = None) -> Dict[str, Any]:
-        """The server's slow-op log (the ``slow_ops`` op).
-
-        Against a cluster router this fans out to every live node and
-        returns the merged worst-first log; entries made while tracing
-        was on carry their full span trees.
-        """
-        params: Dict[str, Any] = {}
-        if limit is not None:
-            params["limit"] = limit
-        result = self.call("slow_ops", **params)
-        return dict(result) if isinstance(result, Mapping) else {}
-
     def metrics_document(self) -> Dict[str, Any]:
         """The mergeable metrics document (``GET /v1/metrics.json``)."""
         reply = self._http("GET", "/v1/metrics.json")
@@ -338,13 +325,6 @@ class RemoteAdvisor:
             )
         metrics = reply.get("metrics")
         return dict(metrics) if isinstance(metrics, Mapping) else {}
-
-    def metrics_text(self) -> str:
-        """The Prometheus text exposition (``GET /v1/metrics``).
-
-        The one endpoint that is not JSON; same transport, same errors.
-        """
-        return self._exchange("GET", "/v1/metrics").decode("utf-8")
 
     def count(self, context: ContextLike = None, table: Optional[str] = None) -> int:
         """Cardinality of a context on a table (the ``count`` op)."""

@@ -11,8 +11,8 @@ A backend *spec* is a compact URI-like string::
                                 no result cache)
     memory?index=zonemap        force exactly these index features
                                 (index=all, index=none: every one, the plain scan)
-    memory?partitions=4         force 4 shards, with zone maps; they fan out
-                                over threads only when large enough
+    memory?partitions=4         force 4 shards, with zone maps, each
+                                scanned on the calling thread
     sqlite                      load the table into an in-memory SQLite db
     sqlite?sample=0.25          … sampled, materialised inside SQLite
     sqlite:///path/to/db.db#t   open table ``t`` of an existing database

@@ -40,7 +40,6 @@ operation counters.
 
 from __future__ import annotations
 
-import itertools
 import sqlite3
 import threading
 from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -59,9 +58,6 @@ __all__ = ["SQLiteBackend"]
 #: Companion table recording logical column types, so a database created
 #: by :meth:`SQLiteBackend.from_table` reopens with exact dtypes.
 _SCHEMA_TABLE = "_charles_schema"
-
-#: Process-unique suffixes for unseeded sample tables.
-_SAMPLE_ID_COUNTER = itertools.count()
 
 _SQL_TYPE_FOR = {
     DataType.INT: "INTEGER",
@@ -140,8 +136,6 @@ class SQLiteBackend(AggregateFrontEnd):
         :attr:`~repro.sdl.query.SDLQuery.key` (the service layer
         turns this on; off by default to keep operation accounting exact).
     """
-
-    _SAMPLE_IDS = _SAMPLE_ID_COUNTER
 
     def __init__(
         self,
@@ -311,7 +305,7 @@ class SQLiteBackend(AggregateFrontEnd):
         clone._metrics_sink = self._metrics_sink
         return clone
 
-    def sample(self, fraction: float, seed: Optional[int] = None) -> "SQLiteBackend":
+    def sample(self, fraction: float, seed: int) -> "SQLiteBackend":
         """A backend over a uniform sample, materialised as a SQLite table.
 
         Row positions are drawn with the same
@@ -329,11 +323,9 @@ class SQLiteBackend(AggregateFrontEnd):
             len(rowids), fraction=fraction, seed=seed
         )
         chosen = [int(rowids[int(i)]) for i in positions]
-        # Seeded samples are deterministic, so their table can be reused;
-        # unseeded ones get a process-unique suffix — two live unseeded
-        # samples must never drop and recreate each other's table.
-        seed_part = seed if seed is not None else f"u{next(self._SAMPLE_IDS)}"
-        suffix = f"{int(round(fraction * 1_000_000))}_{seed_part}"
+        # A sample is a function of its fraction and seed, so their table
+        # can be reused.
+        suffix = f"{int(round(fraction * 1_000_000))}_{int(seed)}"
         sample_name = f"{self._table_name}_sample_{suffix}"
         id_list = ", ".join(str(rowid) for rowid in chosen)
         with self._lock:

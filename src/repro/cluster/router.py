@@ -138,15 +138,6 @@ class SessionJournal:
             )
         return payloads
 
-    def to_document(self) -> Dict[str, Any]:
-        return {
-            "open_params": dict(self.open_params),
-            "advise_params": (
-                dict(self.advise_params) if self.advise_params is not None else None
-            ),
-            "drills": [list(pair) for pair in self.drills],
-        }
-
 
 class ClusterRouter:
     """Routes wire envelopes across a set of advisor nodes.

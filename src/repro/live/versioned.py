@@ -46,17 +46,7 @@ atomically.
 from __future__ import annotations
 
 import threading
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    Mapping,
-    NamedTuple,
-    Optional,
-    Tuple,
-    Union,
-)
+from typing import Any, Dict, Iterable, Mapping, NamedTuple, Tuple
 
 import numpy as np
 
@@ -113,11 +103,10 @@ class VersionedTable:
         self._lock = threading.RLock()
         self._version = 1
         self._current = table
-        #: Evaluation contexts of the *current* version: partitions (a
-        #: count, or the rule that chose one) -> LiveState.  The dict is
-        #: replaced, never cleared, on install, so state() reads it without
-        #: the lock.
-        self._states: Dict[Any, LiveState] = {}
+        #: Evaluation contexts of the *current* version: partitions ->
+        #: LiveState.  The dict is replaced, never cleared, on install, so
+        #: state() reads it without the lock.
+        self._states: Dict[int, LiveState] = {}
         #: Seeded samples of the *current* version: (fraction, seed) -> Table.
         self._sampled: Dict[Tuple[float, int], Table] = {}
 
@@ -142,27 +131,20 @@ class VersionedTable:
     def num_rows(self) -> int:
         return self._current.num_rows
 
-    def state(self, partitions: Union[int, Callable[[int], int]]) -> LiveState:
+    def state(self, partitions: int) -> LiveState:
         """The current ``(version, snapshot, shard set)``, captured atomically.
 
         Every operation of every engine over this source starts here, so
         a mutation landing mid-read can never pair one version's number
-        with another version's rows or shards.  ``partitions`` is a shard
-        count, or a rule mapping the version's row count to one; a rule
-        runs once per version, under the lock, so its callers share one
-        shard set with each other and with callers naming its count.  The
-        hit is one lock-free dictionary read; only the first caller after
-        a mutation (per count or rule) takes the lock and shards the new
-        snapshot.
+        with another version's rows or shards.  The hit is one lock-free
+        dictionary read; only the first caller after a mutation (per shard
+        count) takes the lock and shards the new snapshot.
         """
         state = self._states.get(partitions)
         if state is None:
             with self._lock:
-                count = (
-                    partitions(self._current.num_rows) if callable(partitions) else partitions
-                )
-                self.partitioned(count)
-                state = self._states[partitions] = self._states[count]
+                self.partitioned(partitions)
+                state = self._states[partitions]
         return state
 
     # -- mutation -------------------------------------------------------------
@@ -235,16 +217,13 @@ class VersionedTable:
                 self._states[partitions] = state
             return state.partitioned
 
-    def sampled(self, fraction: float, seed: Optional[int] = None) -> Table:
+    def sampled(self, fraction: float, seed: int) -> Table:
         """A uniform sample of the current version, memoized per seed.
 
         Engines sharing this source all receive the same sampled table
         for one ``(fraction, seed)``, exactly as they share shard sets;
-        a mutation clears the memo.  An unseeded sample is drawn afresh
-        on every call.
+        a mutation clears the memo.
         """
-        if seed is None:
-            return sample_table(self.table, fraction=fraction)
         key = (float(fraction), int(seed))
         with self._lock:
             table = self._sampled.get(key)

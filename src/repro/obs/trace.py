@@ -25,7 +25,7 @@ Tracing costs nothing until the first trace starts in a process:
   touches the context var.
 
 Spans are built and finished on the request thread; work handed to
-other threads (batch leaders, shard-pool threads) is not traced — the ambient
+other threads (batch leaders) is not traced — the ambient
 span deliberately does not cross threads.  A ``refine`` runs on the
 request thread, so its exact advise is traced under ``session.refine``.
 """

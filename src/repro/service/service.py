@@ -16,17 +16,17 @@ execute pipeline idiom of service layers.  Per registered table it keeps a
   concurrent sessions' ``count_batch`` passes into single multi-query
   engine evaluations.
 
-Shards follow each table's size, and large ones fan out over the
-process's one pool (:mod:`repro.storage.partition`); forced shards, index
-features and sampling are the table's backend spec.
+Each table is one shard unless its backend spec forces more
+(:mod:`repro.storage.partition`); shards, index features and sampling are
+the table's backend spec.
 
 Sessions are named and concurrent: each owns a
 :class:`~repro.service.batching.BatchedEngine` (private operation
 counters, shared cache) and a thin
 :class:`~repro.core.session.ExplorationSession` navigation stack.  A
 request runs on the thread that submitted it — ``refine`` too, which is
-one exact advise through the advice cache — so a service over tables
-below the fan-out size starts no thread of its own.
+one exact advise through the advice cache — and the engine scans every
+shard on that thread, so a service starts no thread of its own.
 
 Entry point: :meth:`AdvisorService.submit` for one request; a whole
 multi-user workload is replayed against the public session methods by

@@ -32,14 +32,12 @@ evictions, approximate bytes) are reported by the cache itself
 :meth:`repro.service.AdvisorService.stats`.
 
 Evaluation is *partitioned*: the engine always routes masks, counts and
-medians through a :class:`~repro.storage.partition.PartitionedTable` —
-the classic sequential engine is simply the one-shard special case with
-the inline mapper.  The shard count follows the table: one shard per
-:data:`FANOUT_MIN_ROWS_PER_SHARD` rows, at most one per available CPU.
-Several shards fan out over the process's one
-:func:`~repro.storage.partition.shared_pool` while counters, cache
-contents and results stay bit-for-bit identical to the sequential path
-(masks concatenate, counts sum, a median reduces the assembled mask).
+medians through a :class:`~repro.storage.partition.PartitionedTable`.
+Unforced, that is one shard, the table itself, at every size; a forced
+``partitions=N`` cuts N shards for zone maps to skip.  Every shard is
+evaluated inline on the calling thread, and counters, cache contents and
+results are bit-for-bit identical for every shard count (masks
+concatenate, counts sum, a median reduces the assembled mask).
 
 Evaluation is *planned*: every uncached mask or count goes through
 :meth:`QueryEngine._plan` (which :class:`AccessPath`, from facts the
@@ -87,7 +85,7 @@ from repro.sdl.query import SDLQuery
 from repro.sdl.segmentation import Segmentation, product_grid
 from repro.storage.cache import ResultCache
 from repro.storage.expression import bind
-from repro.storage.partition import PartitionedTable, available_cpus, shared_pool
+from repro.storage.partition import PartitionedTable
 from repro.storage.table import Table
 from repro.storage.types import DataType
 
@@ -117,19 +115,11 @@ INDEX_FEATURES = frozenset({"zonemap", "maskreuse"})
 _INDEX_OFF_WORDS = frozenset({"", "none", "off", "false", "no", "0"})
 _INDEX_ALL_WORDS = frozenset({"all", "true", "yes", "on", "1"})
 
-#: Planner thresholds, each the measured break-even (CHANGES.md, PR 12).
-#: Fewest rows per shard at which shards are mapped over threads rather
-#: than inline; an unforced engine cuts one shard per this many rows.
-FANOUT_MIN_ROWS_PER_SHARD = 1_000_000
 #: Fewest rows at which an unforced engine looks for a resident parent
-#: mask (the search costs a fixed time per uncached mask, a scan per row).
+#: mask: the measured break-even (docs/architecture.md, How the engine
+#: chooses a path), as the search costs a fixed time per uncached mask and
+#: the scan it saves costs time per row.
 REUSE_MIN_ROWS = 10_000
-
-
-def shard_count(rows: int) -> int:
-    """An unforced engine's shard count over ``rows`` rows: one per
-    :data:`FANOUT_MIN_ROWS_PER_SHARD` rows, at most one per available CPU."""
-    return max(1, min(available_cpus(), rows // max(1, FANOUT_MIN_ROWS_PER_SHARD)))
 
 
 def resolve_index_features(value: Any) -> frozenset:
@@ -528,22 +518,18 @@ class AccessPath(NamedTuple):
 
     ``parent``: the resident parent mask and the one new predicate to scan
     and AND onto it (``None``: scan the whole query).  The scan skips
-    shards by ``zonemap``, maps shards through the ``fanout`` pool's
-    ``map`` (``None``: inline) and, with ``assemble`` off, sums per-shard
+    shards by ``zonemap`` and, with ``assemble`` off, sums per-shard
     counts instead of building the mask.
     """
 
     parent: Optional[Tuple[np.ndarray, Predicate]]
     zonemap: bool
-    fanout: Optional[Callable]
     assemble: bool = True
 
     @property
     def scan(self) -> str:
-        """The scan's span label, e.g. ``scan+zonemap+fanout``."""
-        steps = ["scan" if self.assemble else "count"]
-        steps += [name for name in ("zonemap", "fanout") if getattr(self, name)]
-        return "+".join(steps)
+        """The scan's span label, e.g. ``scan+zonemap``."""
+        return ("scan" if self.assemble else "count") + ("+zonemap" if self.zonemap else "")
 
 
 class QueryEngine(AggregateFrontEnd):
@@ -580,16 +566,9 @@ class QueryEngine(AggregateFrontEnd):
     partitions:
         Forces this many contiguous row-range shards (see
         :class:`~repro.storage.partition.PartitionedTable`), with zone
-        maps.  ``None`` (the default): the count follows the table, one
-        shard per :data:`FANOUT_MIN_ROWS_PER_SHARD` rows and at most one
-        per available CPU.  Either way shards fan out over the process's
-        pool only at that many rows a shard.  Results, counters and cache
-        contents are identical for every count.
-    pool:
-        Forces fan-out: every multi-shard map runs on this
-        :class:`~repro.storage.partition.ShardPool`, whatever the shard
-        size.  Pools are shared, not owned — the engine never shuts one
-        down.
+        maps.  ``None`` (the default): one shard, the table itself.
+        Shards are evaluated inline; results, counters and cache contents
+        are identical for every count.
     """
 
     def __init__(
@@ -600,7 +579,6 @@ class QueryEngine(AggregateFrontEnd):
         cache: Optional[ResultCache] = None,
         cache_aggregates: bool = False,
         partitions: Optional[int] = None,
-        pool: Optional[Any] = None,
     ):
         # Deferred import: repro.live sits above repro.storage.statistics,
         # which itself imports this module.
@@ -616,9 +594,7 @@ class QueryEngine(AggregateFrontEnd):
             capacity=int(cache_size), name=f"engine:{self._source.name}"
         )
         self._cache_aggregates = bool(cache_aggregates)
-        self._pool = pool
         self._forced_partitions = None if partitions is None else max(1, int(partitions))
-        self._partitions = self._forced_partitions or shard_count
         self._forced_features = (
             None if use_index is None else resolve_index_features(use_index)
         )
@@ -628,8 +604,8 @@ class QueryEngine(AggregateFrontEnd):
             self._features = INDEX_FEATURES
         else:
             # Reuse is sized per query in _plan.  Zone maps only with forced
-            # shards: over unforced (fan-out sized) shards of random contexts
-            # they cost more than they skip.
+            # shards: the one unforced shard is skipped only by a range that
+            # misses the whole column.
             self._features = INDEX_FEATURES - {"zonemap"}
 
     # -- live data -------------------------------------------------------------
@@ -639,11 +615,9 @@ class QueryEngine(AggregateFrontEnd):
 
         The source owns one ``(version, snapshot, shards)`` triple per
         version and partition count, shared by every sibling; the engine
-        keeps no copy, so the triple dies with its version.  Unforced, the
-        source applies :func:`shard_count` to each version's rows once, so
-        siblings agree on one shard set per version.
+        keeps no copy, so the triple dies with its version.
         """
-        return self._source.state(self._partitions)
+        return self._source.state(self._forced_partitions or 1)
 
     @property
     def source(self) -> Any:
@@ -716,7 +690,7 @@ class QueryEngine(AggregateFrontEnd):
 
         Used by the service layer to give each session private operation
         counters while reusing the table runtime's shared cache — and the
-        same shards, and any injected pool.  Sharing the
+        same shards.  Sharing the
         :class:`~repro.live.VersionedTable` source means every sibling
         observes ingested batches and deletions immediately.
         """
@@ -726,7 +700,6 @@ class QueryEngine(AggregateFrontEnd):
             use_index=self._forced_features,
             cache_aggregates=self._cache_aggregates,
             partitions=self._forced_partitions,
-            pool=self._pool,
         )
         # Session siblings inherit the table runtime's metrics sink, so
         # every session's aggregate latencies land in the same per-table
@@ -734,7 +707,7 @@ class QueryEngine(AggregateFrontEnd):
         clone._metrics_sink = self._metrics_sink
         return clone
 
-    def sample(self, fraction: float, seed: Optional[int] = None) -> "QueryEngine":
+    def sample(self, fraction: float, seed: int) -> "QueryEngine":
         """An engine over a uniform sample of the current snapshot.
 
         The sample's engine is never forced and shares neither this
@@ -767,29 +740,14 @@ class QueryEngine(AggregateFrontEnd):
         """The shard set backing partitioned evaluation."""
         return self._refresh().partitioned
 
-    def _map_fn(self, state: LiveState) -> Optional[Callable]:
-        """Where per-shard work runs: a pool's ``map``, or ``None`` (inline).
-
-        An injected pool takes every map.  Otherwise several shards of
-        :data:`FANOUT_MIN_ROWS_PER_SHARD` rows or more fan out over the
-        process's shared pool — below that the dispatch costs more than
-        the scan it spreads.
-        """
-        if self._pool is not None:
-            return self._pool.map
-        shards = state.partitioned.num_partitions
-        if shards > 1 and state.table.num_rows >= FANOUT_MIN_ROWS_PER_SHARD * shards:
-            return shared_pool().map
-        return None
-
     # -- evaluation ------------------------------------------------------------
 
     def evaluate(self, query: SDLQuery) -> np.ndarray:
         """Boolean selection mask of the query over the table (cached).
 
-        The mask is assembled from per-partition masks (mapped through the
-        pool when one is attached) and cached whole — tagged with the data
-        version it was computed at — so sequential and partitioned engines
+        The mask is assembled from per-partition masks and cached whole —
+        tagged with the data version it was computed at — so sequential and
+        partitioned engines
         sharing a cache interoperate key-for-key and a mask from before an
         ingest can never answer a query issued after it.
         """
@@ -819,8 +777,8 @@ class QueryEngine(AggregateFrontEnd):
         Forced features and shards are taken as given.  Unforced: zone
         maps only with forced shards (fixed at construction), the
         parent's mask when one is resident and the table has
-        :data:`REUSE_MIN_ROWS` rows, the pool per :meth:`_map_fn`; a
-        count skips assembling the mask when the cache could not keep it.
+        :data:`REUSE_MIN_ROWS` rows; a count skips assembling the mask
+        when the cache could not keep it.
         Every path yields bit-for-bit the plain scan's answer, counters and
         cache traffic (``skipped_partitions`` aside).
         """
@@ -838,7 +796,6 @@ class QueryEngine(AggregateFrontEnd):
         return AccessPath(
             parent,
             zonemap="zonemap" in features,
-            fanout=self._map_fn(state),
             assemble=not counting or self._cache.enabled,
         )
 
@@ -856,7 +813,7 @@ class QueryEngine(AggregateFrontEnd):
     def _scan(self, path: AccessPath, query: SDLQuery, state: LiveState) -> Any:
         skipping = state.partitioned.skipping()
         run = skipping.query_mask if path.assemble else skipping.count
-        result, skipped = run(query, path.fanout, zonemaps=path.zonemap)
+        result, skipped = run(query, zonemaps=path.zonemap)
         if skipped:
             self.counter.add(skipped_partitions=skipped)
         return result

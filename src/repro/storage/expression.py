@@ -19,7 +19,7 @@ Evaluation is *partitionable*: a mask over a table is the concatenation
 of the masks over any contiguous row-range shards of it.  See
 :mod:`repro.storage.partition` for the sharding and
 :class:`repro.storage.zonemap.SkippingIndexes` for the per-shard
-evaluation (inline, or on a :class:`~repro.storage.partition.ShardPool`).
+evaluation, which skips the shards a zone map proves empty.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""Row-range partitioning of a table for parallel evaluation.
+"""Row-range partitioning of a table: the units zone maps skip.
 
 The paper (Section 5.1) reduces all of Charles' database work to counts
 and medians over conjunctive predicates — an *embarrassingly scannable*
@@ -17,96 +17,25 @@ partial results:
 A median needs no merge: the engine reduces the source column under the
 assembled full-table mask, one pass over the selected values.
 
-The mapping step is pluggable: every scan takes a ``map_fn(fn, items)``
-so callers choose *where* the per-partition work runs — inline (the
-sequential path is literally the one-partition / inline-map special case)
-or on a :class:`ShardPool`.  Determinism is preserved by construction:
+Shards exist for skipping: a zone map proves a shard empty under a range
+and the scan passes over it.  Every shard is evaluated inline, on the
+calling thread, and an engine that forces no shard count evaluates
+through one shard, the table itself.  Determinism holds by construction:
 partition boundaries are fixed, partial results are merged in partition
 order, and every merge is order-insensitive or order-preserving, so
-results are identical for every shard count and pool — including
+results are identical for every shard count — including
 ``partitions > rows`` (trailing empty shards contribute empty partials).
-
-Threads: NumPy releases the GIL inside the comparison and reduction
-kernels that dominate a shard scan, so row-range shards run in parallel
-on threads.  A process has at most one pool of its own
-(:func:`shared_pool`), sized to the CPUs it may run on and started at the
-first fan-out; only then is :mod:`concurrent.futures` imported.  Shard
-tasks never map again, so a bounded pool cannot deadlock on itself.
 """
 
 from __future__ import annotations
 
-import functools
-import os
 import threading
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Tuple
 
 from repro.errors import StorageError
 from repro.storage.table import Table
 
 __all__ = ["PartitionedTable"]
-
-#: Hard upper bound on the threads of a pool.
-MAX_WORKERS = 64
-
-
-@functools.lru_cache(maxsize=None)
-def available_cpus() -> int:
-    """The CPUs this process may run on (its affinity, not the host's),
-    capped at :data:`MAX_WORKERS`; read once per process."""
-    if hasattr(os, "sched_getaffinity"):  # not on macOS or Windows
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    return max(1, min(cpus, MAX_WORKERS))
-
-
-class ShardPool:
-    """A bounded thread pool mapping per-shard work, started lazily.
-
-    ``map`` preserves input order and raises what the inline path would
-    (the first failing item wins).  A batch of one item runs inline; the
-    threads start at the first larger batch and live as long as the pool.
-    """
-
-    def __init__(self, workers: int):
-        self.workers = max(1, min(int(workers), MAX_WORKERS))
-        self._lock = threading.Lock()
-        self._executor: Optional[Any] = None
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        items = list(items)
-        if len(items) <= 1 or self.workers == 1:
-            return [fn(item) for item in items]
-        with self._lock:
-            if self._executor is None:
-                from concurrent.futures import ThreadPoolExecutor
-
-                self._executor = ThreadPoolExecutor(
-                    max_workers=self.workers, thread_name_prefix="charles-shard"
-                )
-            executor = self._executor
-        return list(executor.map(fn, items))
-
-    def shutdown(self) -> None:
-        """Release the threads; a later ``map`` starts them afresh."""
-        with self._lock:
-            executor, self._executor = self._executor, None
-        if executor is not None:
-            executor.shutdown(wait=True)
-
-
-_SHARED: Optional[ShardPool] = None
-_SHARED_LOCK = threading.Lock()
-
-
-def shared_pool() -> ShardPool:
-    """The process's one pool, one thread per available CPU."""
-    global _SHARED
-    with _SHARED_LOCK:
-        if _SHARED is None:
-            _SHARED = ShardPool(available_cpus())
-        return _SHARED
 
 
 def partition_bounds(num_rows: int, partitions: int) -> List[Tuple[int, int]]:

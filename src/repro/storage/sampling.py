@@ -13,8 +13,6 @@ Benchmark E8 measures the accuracy / speed trade-off across sample rates.
 
 from __future__ import annotations
 
-from typing import Optional
-
 import numpy as np
 
 from repro.errors import StorageError
@@ -23,9 +21,7 @@ from repro.storage.table import Table
 __all__ = ["uniform_sample_indices", "sample_table"]
 
 
-def uniform_sample_indices(
-    population_size: int, fraction: float, seed: Optional[int] = None
-) -> np.ndarray:
+def uniform_sample_indices(population_size: int, fraction: float, seed: int) -> np.ndarray:
     """Sorted row positions of a uniform random sample without replacement,
     ``round(population_size * fraction)`` of them (at least one).
 
@@ -41,7 +37,7 @@ def uniform_sample_indices(
     return indices.astype(np.int64)
 
 
-def sample_table(table: Table, fraction: float, seed: Optional[int] = None) -> Table:
+def sample_table(table: Table, fraction: float, seed: int) -> Table:
     """A uniformly-sampled copy of a table (row order preserved)."""
     indices = uniform_sample_indices(table.num_rows, fraction, seed)
     return table.take(indices, name=f"{table.name}_sample")

@@ -31,7 +31,7 @@ newer data.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Tuple
 
 import numpy as np
 
@@ -111,51 +111,35 @@ class SkippingIndexes:
 
     # -- index-assisted evaluation ---------------------------------------------
 
-    def _shard_masks(
-        self, query: SDLQuery, map_fn: Optional[Callable], zonemaps: bool
-    ) -> Tuple[List[np.ndarray], int]:
+    def _shard_masks(self, query: SDLQuery, zonemaps: bool) -> Tuple[List[np.ndarray], int]:
         """Per-shard masks in partition order, and how many shards were skipped.
 
-        Skipped shards contribute all-``False`` slices.  Skip decisions are
-        made inline; the per-shard evaluations fan out through ``map_fn``.
+        Skipped shards contribute all-``False`` slices; every other shard
+        is evaluated inline.
         """
         decisions = (
             self.skip_decisions(query) if zonemaps else [False] * len(self._shards)
         )
-        mapper = map_fn or (lambda fn, items: [fn(item) for item in items])
+        masks = [
+            np.zeros(shard.num_rows, dtype=bool) if skip else query_mask(shard, query)
+            for shard, skip in zip(self._shards, decisions)
+        ]
+        return masks, sum(decisions)
 
-        def evaluate(shard_index: int) -> np.ndarray:
-            shard = self._shards[shard_index]
-            if decisions[shard_index]:
-                return np.zeros(shard.num_rows, dtype=bool)
-            return query_mask(shard, query)
-
-        return mapper(evaluate, list(range(len(self._shards)))), sum(decisions)
-
-    def query_mask(
-        self,
-        query: SDLQuery,
-        map_fn: Optional[Callable] = None,
-        zonemaps: bool = True,
-    ) -> Tuple[np.ndarray, int]:
+    def query_mask(self, query: SDLQuery, *, zonemaps: bool = True) -> Tuple[np.ndarray, int]:
         """``(full-table mask, skipped shard count)`` with skipping applied.
 
         Concatenating the shard masks in partition order is bit-for-bit
-        the unindexed mask.
+        the unindexed mask; one shard's mask is returned as it is.
         """
-        masks, skipped = self._shard_masks(query, map_fn, zonemaps)
+        masks, skipped = self._shard_masks(query, zonemaps)
         if len(masks) == 1:
             return masks[0], skipped
         return np.concatenate(masks), skipped
 
-    def count(
-        self,
-        query: SDLQuery,
-        map_fn: Optional[Callable] = None,
-        zonemaps: bool = True,
-    ) -> Tuple[int, int]:
+    def count(self, query: SDLQuery, *, zonemaps: bool = True) -> Tuple[int, int]:
         """``(cardinality, skipped shard count)`` without assembling the mask."""
-        masks, skipped = self._shard_masks(query, map_fn, zonemaps)
+        masks, skipped = self._shard_masks(query, zonemaps)
         return sum(int(np.count_nonzero(mask)) for mask in masks), skipped
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

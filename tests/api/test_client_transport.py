@@ -14,6 +14,7 @@ The cluster router leans on two client-layer contracts proven here:
 from __future__ import annotations
 
 import dataclasses
+import functools
 import http.client
 import socket
 import sys
@@ -181,9 +182,10 @@ class TestConnectionLifecycle:
     def test_sequential_calls_share_one_connection(self):
         with AdvisorHTTPServer(_service(), port=0) as server:
             client = RemoteAdvisor(server.url)
+            metrics_text = functools.partial(client._exchange, "GET", "/v1/metrics")
             for index in range(50):
                 # Both verbs, JSON and plain text: one transport for all.
-                (client.count, client.health, client.metrics_text)[index % 3]()
+                (client.count, client.health, metrics_text)[index % 3]()
             accepted, requests = _http_counts(server)
             assert accepted == 1
             assert requests == 50

@@ -266,11 +266,17 @@ class TestServiceTracing:
         assert threads(bare) is None
 
 
+def _metrics_text(url):
+    """The Prometheus text exposition, by a plain ``GET /v1/metrics``."""
+    with urllib.request.urlopen(f"{url}/v1/metrics") as reply:
+        return reply.read().decode("utf-8")
+
+
 class TestMetricsEndpoints:
     def test_plain_metrics_is_prometheus_text(self, server):
         client = RemoteAdvisor(server.url)
         client.open_session("scrape", context=_CONTEXT).close()
-        text = client.metrics_text()
+        text = _metrics_text(server.url)
         assert "# TYPE charles_requests_total counter" in text
         assert 'quantile="0.5"' in text
         assert "charles_request_seconds" in text
@@ -307,14 +313,14 @@ class TestMetricsEndpoints:
         # scrape's own reply not yet counted), no more connections: the
         # ratio of the two is the reuse rate.
         assert counts() == (accepted, requests + 11)
-        text = client.metrics_text()
+        text = _metrics_text(server.url)
         assert 'charles_http_connections_accepted_total{front="node"}' in text
         assert 'charles_http_requests_total{front="node"}' in text
 
     def test_remote_slow_ops(self, server):
         client = RemoteAdvisor(server.url)
         client.open_session("slow", context=_CONTEXT).close()
-        document = client.slow_ops(limit=2)
+        document = client.call("slow_ops", limit=2)
         assert document["per_op"] == 2
         assert "open_session" in document["ops"]
 

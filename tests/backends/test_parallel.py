@@ -1,4 +1,4 @@
-"""Tests for partitioned, pooled evaluation and its registry specs."""
+"""Tests for partitioned evaluation and its registry specs."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from repro.errors import BackendError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
 from repro.service import AdvisorService
 from repro.storage import QueryEngine, ResultCache
-from repro.storage.partition import ShardPool
 from repro.workloads import generate_voc
 
 
@@ -32,38 +31,35 @@ def _queries():
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
 
-#: Who starts threads: (case, build, whether threads start).  Shards below
-#: the fan-out size, forced or not, are scanned on the calling thread;
-#: only an injected pool fans them out.
-_THREAD_RULES = [
-    ("spec partitions", lambda t: open_backend("memory?partitions=4", t), False),
-    ("Charles partitions", lambda t: Charles(t, backend="memory?partitions=4"), False),
-    (
-        "service partitions",
-        lambda t: AdvisorService(t, backend="memory?partitions=4"),
-        False,
-    ),
+def _ingested(engine: QueryEngine) -> QueryEngine:
+    """``engine`` after an ingest, which rebuilds its shards lazily."""
+    engine.ingest([{"tonnage": 900, "type_of_boat": "fluit"}] * 50)
+    return engine
+
+
+#: Forced shards, however spelled: (case, build).  Every shard is scanned
+#: on the calling thread.
+_SHARDED_BUILDS = [
+    ("spec partitions", lambda t: open_backend("memory?partitions=4", t)),
+    ("zone maps on partitions", lambda t: open_backend("memory?index=zonemap&partitions=4", t)),
+    ("ingest into partitions", lambda t: _ingested(open_backend("memory?partitions=3", t))),
+    ("Charles partitions", lambda t: Charles(t, backend="memory?partitions=4")),
+    ("service partitions", lambda t: AdvisorService(t, backend="memory?partitions=4")),
     (
         "advise on index=all&partitions=8",
         lambda t: Charles(t, backend="memory?index=all&partitions=8"),
-        False,
-    ),
-    (
-        "injected pool",
-        lambda t: QueryEngine(t, partitions=4, pool=ShardPool(2)),
-        True,
     ),
 ]
 
 
 class TestPartitionedEngine:
     def test_conforms_to_the_protocol(self, voc):
-        engine = QueryEngine(voc, partitions=3, pool=ShardPool(2))
+        engine = QueryEngine(voc, partitions=3)
         assert isinstance(engine, ExecutionBackend)
 
     def test_everything_matches_the_sequential_engine(self, voc):
         sequential = QueryEngine(voc, use_index=False, partitions=1)
-        parallel = QueryEngine(voc, use_index=False, partitions=4, pool=ShardPool(2))
+        parallel = QueryEngine(voc, use_index=False, partitions=4)
         for query in _queries():
             assert parallel.count(query) == sequential.count(query)
             assert parallel.median("tonnage", query) == sequential.median("tonnage", query)
@@ -78,18 +74,10 @@ class TestPartitionedEngine:
         # Operation accounting is identical to the sequential path.
         assert parallel.counter.snapshot() == sequential.counter.snapshot()
 
-    def test_maps_through_an_injected_pool(self, voc):
-        pool = ShardPool(2)
-        engine = QueryEngine(voc, partitions=4, pool=pool)
-        engine.count(_queries()[0])
-        assert pool._executor is not None
-        pool.shutdown()
-
-    def test_sibling_shares_pool_shards_and_cache(self, voc):
+    def test_sibling_shares_shards_and_cache(self, voc):
         cache = ResultCache(capacity=64)
-        engine = QueryEngine(voc, partitions=3, pool=ShardPool(2), cache=cache)
+        engine = QueryEngine(voc, partitions=3, cache=cache)
         sibling = engine.sibling()
-        assert sibling._pool is engine._pool
         assert sibling.partitions == engine.partitions
         assert sibling.partitioned_table is engine.partitioned_table
         assert sibling.cache is engine.cache
@@ -116,11 +104,11 @@ class TestParallelSpecs:
         assert backend.partitions == 4
 
     @pytest.mark.parametrize(
-        "build,threads",
-        [rule[1:] for rule in _THREAD_RULES],
-        ids=[rule[0] for rule in _THREAD_RULES],
+        "build",
+        [case[1] for case in _SHARDED_BUILDS],
+        ids=[case[0] for case in _SHARDED_BUILDS],
     )
-    def test_only_an_injected_pool_starts_threads_on_small_shards(self, voc, build, threads):
+    def test_forced_shards_start_no_thread(self, voc, build):
         before = set(threading.enumerate())
         built = build(voc)
         if isinstance(built, AdvisorService):
@@ -129,20 +117,17 @@ class TestParallelSpecs:
             built.advise(_CONTEXT)
         else:
             built.count_batch(_queries())
-        started = set(threading.enumerate()) - before
-        assert bool(started) == threads
-        if threads:
-            built._pool.shutdown()
+        assert set(threading.enumerate()) - before == set()
 
-    def test_plain_memory_runs_without_a_pool(self, voc):
+    def test_plain_memory_is_one_shard(self, voc):
         backend = open_backend("memory", voc)
-        assert backend._pool is None
         assert backend.partitions == 1
+        assert backend.partitioned_table.shards[0] is backend.table
 
     @pytest.mark.parametrize("spec", ["memory", "sqlite"])
     def test_a_pool_is_no_open_backend_context(self, voc, spec):
         with pytest.raises(TypeError):
-            open_backend(spec, voc, pool=ShardPool(2))
+            open_backend(spec, voc, pool=2)
 
     def test_shards_are_spelled_only_in_the_spec(self, voc):
         with pytest.raises(TypeError):

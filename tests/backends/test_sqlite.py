@@ -237,13 +237,13 @@ class TestLifecycle:
                 smaller, database=path, table_name="voc", if_exists="skip"
             )
 
-    def test_unseeded_samples_do_not_clobber_each_other(self, voc):
+    def test_samples_of_two_seeds_do_not_clobber_each_other(self, voc):
         backend = SQLiteBackend.from_table(voc)
-        first = backend.sample(0.5)
-        second = backend.sample(0.5)
-        assert first.table_name != second.table_name
+        first = backend.sample(0.5, seed=1)
         query = SDLQuery([RangePredicate("tonnage", 300, 1500)])
         count_before = first.count(query)
+        second = backend.sample(0.5, seed=2)
+        assert first.table_name != second.table_name
         assert first.count(query) == count_before  # still reads its own table
 
     def test_sample_runs_inside_sqlite(self, voc):

@@ -17,6 +17,7 @@ import os
 import subprocess
 import sys
 import time
+import urllib.request
 from pathlib import Path
 
 import pytest
@@ -257,7 +258,8 @@ def test_the_cluster_front_door_maps_no_numpy():
         node_pids = [int(cli.stdout.readline().split("pid=")[1].split()[0]) for _ in range(2)]
         client = RemoteAdvisor(url, timeout=30.0)
         assert client.open_session("alice").advise(_CONTEXT).answers
-        assert "charles_router_forwards_total" in client.metrics_text()
+        with urllib.request.urlopen(f"{url}/v1/metrics") as reply:
+            assert b"charles_router_forwards_total" in reply.read()
         client.close()
         assert all(_maps_numpy(pid) for pid in node_pids)
         assert not _maps_numpy(cli.pid)

@@ -210,7 +210,7 @@ class TestSlowOpsFanout:
         session = client.open_session("slow", context=_CONTEXT)
         session.advise(_CONTEXT)
         session.close()
-        document = client.slow_ops()
+        document = client.call("slow_ops")
         assert sorted(document["nodes"]) == [0, 1]
         assert "advise" in document["ops"] or "open_session" in document["ops"]
         # Traced requests keep their span tree in the slow-op entries.
@@ -229,7 +229,7 @@ class TestSlowOpsFanout:
         client = cluster.client()
         for _ in range(3):
             client.stats()
-        document = client.slow_ops(limit=1)
+        document = client.call("slow_ops", limit=1)
         assert document["per_op"] == 1
         for entries in document["ops"].values():
             assert len(entries) <= 1

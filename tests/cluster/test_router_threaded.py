@@ -326,13 +326,16 @@ class TestSessionJournal:
         assert payloads[2]["params"] == {"answer_index": 0, "segment_index": 1}
 
     def test_reads_do_not_touch_the_journal(self):
+        def _replayed(journal):
+            return [(p["op"], p["params"]) for p in journal.replay_payloads("alice")]
+
         journal = SessionJournal({"name": "alice"})
         journal.record("advise", {"context": _CONTEXT})
-        before = journal.to_document()
+        before = _replayed(journal)
         journal.record("advise", {"current": True})
         journal.record("advise", {"refresh": True})  # refresh keeps context
         journal.record("describe", {})
-        assert journal.to_document() == before
+        assert _replayed(journal) == before
 
     def test_new_context_resets_the_drill_stack(self):
         journal = SessionJournal({"name": "alice"})

@@ -1,5 +1,5 @@
-"""HB-cuts over pooled, sharded engines: bit-for-bit identical results at
-every pool size and partition count."""
+"""HB-cuts over sharded engines: bit-for-bit identical results at every
+partition count."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.core import Charles, HBCuts, HBCutsConfig
 from repro.sdl import SDLQuery
 from repro.storage import QueryEngine
-from repro.storage.partition import ShardPool
 from repro.workloads import generate_voc
 
 CONTEXT_COLUMNS = ("type_of_boat", "departure_harbour", "tonnage", "built")
@@ -34,16 +33,15 @@ def _segmentation_fingerprint(result):
     ]
 
 
-def _run(voc, workers=None, partitions=1, **config_options):
-    pool = ShardPool(workers) if workers is not None else None
-    engine = QueryEngine(voc, partitions=partitions, pool=pool)
+def _run(voc, partitions=1, **config_options):
+    engine = QueryEngine(voc, partitions=partitions)
     return HBCuts(HBCutsConfig(**config_options)).run(engine, _context())
 
 
 class TestParallelIndepParity:
-    def test_workers_1_and_workers_4_are_bit_for_bit_identical(self, voc):
-        one = _run(voc, workers=1, partitions=4)
-        four = _run(voc, workers=4, partitions=4)
+    def test_one_and_four_shards_are_bit_for_bit_identical(self, voc):
+        one = _run(voc)
+        four = _run(voc, partitions=4)
         assert _segmentation_fingerprint(one) == _segmentation_fingerprint(four)
         # The whole trace — everything except wall-clock — is identical.
         for field in (
@@ -61,7 +59,7 @@ class TestParallelIndepParity:
 
     def test_parallel_matches_with_partitioned_engines(self, voc):
         baseline = _run(voc)
-        combined = _run(voc, workers=2, partitions=3)
+        combined = _run(voc, partitions=3)
         assert _segmentation_fingerprint(baseline) == (
             _segmentation_fingerprint(combined)
         )
@@ -69,7 +67,7 @@ class TestParallelIndepParity:
 
     def test_parallel_without_indep_reuse(self, voc):
         baseline = _run(voc, reuse_indep=False)
-        parallel = _run(voc, workers=4, partitions=4, reuse_indep=False)
+        parallel = _run(voc, partitions=4, reuse_indep=False)
         assert baseline.trace.indep_values == parallel.trace.indep_values
         assert baseline.trace.pair_evaluations == parallel.trace.pair_evaluations
         assert _segmentation_fingerprint(baseline) == (
@@ -78,11 +76,10 @@ class TestParallelIndepParity:
 
 
 class TestCharlesParallelWiring:
-    def test_charles_sequential_has_no_pool(self, voc):
-        advisor = Charles(voc)
-        assert advisor.engine._pool is None
+    def test_charles_default_is_one_shard(self, voc):
+        assert Charles(voc).engine.partitions == 1
 
-    def test_advice_is_identical_across_worker_counts(self, voc):
+    def test_advice_is_identical_across_shard_counts(self, voc):
         def fingerprint(advice):
             return [
                 (
@@ -94,8 +91,8 @@ class TestCharlesParallelWiring:
             ]
 
         baseline = Charles(voc).advise(list(CONTEXT_COLUMNS), max_answers=8)
-        for workers, partitions in ((1, 4), (2, 2), (4, 4)):
-            engine = QueryEngine(voc, partitions=partitions, pool=ShardPool(workers))
+        for partitions in (2, 4):
+            engine = QueryEngine(voc, partitions=partitions)
             advice = Charles(engine).advise(list(CONTEXT_COLUMNS), max_answers=8)
             assert fingerprint(advice) == fingerprint(baseline)
             assert advice.trace.indep_values == baseline.trace.indep_values

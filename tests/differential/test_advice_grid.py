@@ -2,7 +2,7 @@
 
 The same VOC workload, advised by Charles over: the plain memory
 backend, the fully indexed memory backend, a partitioned indexed backend
-fanned out over an injected pool, and SQLite.  The ranked segmentations
+and SQLite.  The ranked segmentations
 (queries, counts, scores, trace) must be identical — and must *stay*
 identical after a live ingest and a predicate delete flow through every
 backend, proving no superseded zone map or bitmap can leak a stale answer
@@ -16,18 +16,14 @@ import pytest
 from repro.backends import open_backend
 from repro.core import Charles
 from repro.storage import QueryEngine
-from repro.storage.partition import ShardPool
 from repro.workloads import generate_voc
-
-#: Forces fan-out whatever the shard size (pools are shared by design).
-_POOL = ShardPool(2)
 
 #: label -> the backend over a table.
 _SPECS = {
     "memory": lambda table: open_backend("memory", table),
     "memory?index=all": lambda table: open_backend("memory?index=all", table),
-    "memory?index=zonemap,maskreuse&partitions=4, pooled": lambda table: QueryEngine(
-        table, use_index="zonemap,maskreuse", partitions=4, pool=_POOL
+    "memory?index=zonemap,maskreuse&partitions=4": lambda table: QueryEngine(
+        table, use_index="zonemap,maskreuse", partitions=4
     ),
     "sqlite": lambda table: open_backend("sqlite", table),
 }

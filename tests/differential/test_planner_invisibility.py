@@ -5,10 +5,10 @@ An engine with nothing forced picks its path per query
 engine forced plain (``use_index=False, partitions=1``): same counts,
 masks, medians, frequency tables, batches and exception types, the same
 operation counters (``skipped_partitions`` aside) and the same cache
-statistics.  Each property runs with the module thresholds as shipped —
-Hypothesis-sized tables then stay on the small-table side of every rule —
-and with them patched to 0, which sends the same tables down the
-parent-reuse and fan-out branches.
+statistics.  Each property runs with the reuse threshold as shipped —
+Hypothesis-sized tables then stay on the small-table side of the rule —
+and with it patched to 0, which sends the same tables down the
+parent-reuse branch.
 
 The second half pins the rules themselves, table-driven, by calling
 ``_plan`` without running a query.
@@ -34,29 +34,17 @@ from diff_strategies import (
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
 from repro.storage import DataType, QueryEngine, Table, build_column
 from repro.storage import engine as engine_module
-from repro.storage.engine import FANOUT_MIN_ROWS_PER_SHARD, REUSE_MIN_ROWS
-from repro.storage.partition import ShardPool, shared_pool
-
-#: Shared by every example (pools are shared by design).
-_POOL = ShardPool(3)
-
-#: Nothing forced, without and with an injected pool (which forces
-#: fan-out; patched, the first one fans out over the process's pool).
-_UNFORCED = ({}, {"pool": _POOL})
+from repro.storage.engine import REUSE_MIN_ROWS
 
 thresholds = pytest.mark.parametrize("zeroed", [False, True], ids=["shipped", "zero"])
 
 
-def _thresholds(fanout: int, reuse: int):
-    return mock.patch.multiple(
-        engine_module, FANOUT_MIN_ROWS_PER_SHARD=fanout, REUSE_MIN_ROWS=reuse
-    )
+def _thresholds(reuse: int):
+    return mock.patch.object(engine_module, "REUSE_MIN_ROWS", reuse)
 
 
 def _patched(zeroed: bool):
-    if zeroed:
-        return _thresholds(0, 0)
-    return _thresholds(FANOUT_MIN_ROWS_PER_SHARD, REUSE_MIN_ROWS)
+    return _thresholds(0 if zeroed else REUSE_MIN_ROWS)
 
 
 def _forced_plain(table: Table, **options) -> QueryEngine:
@@ -103,9 +91,8 @@ def _assert_same_trace(expected: list, actual: list, label: str) -> None:
 def test_unforced_engine_matches_forced_plain(zeroed, table, queries, pairs):
     with _patched(zeroed):
         plain = _trace(_forced_plain(table), queries, pairs)
-        for options in _UNFORCED:
-            unforced = _trace(QueryEngine(table, **options), queries, pairs)
-            _assert_same_trace(plain, unforced, f"unforced {sorted(options)}")
+        unforced = _trace(QueryEngine(table), queries, pairs)
+        _assert_same_trace(plain, unforced, "unforced")
 
 
 @thresholds
@@ -117,16 +104,13 @@ def test_unforced_uncached_counts_match_forced_plain(zeroed, table, queries):
             plain = _forced_plain(table, cache_size=0, cache_aggregates=aggregates)
             expected = [outcome(plain.count, query) for query in queries]
             expected.append(outcome(plain.count_batch, queries))
-            for options in _UNFORCED:
-                engine = QueryEngine(
-                    table, cache_size=0, cache_aggregates=aggregates, **options
-                )
-                actual = [outcome(engine.count, query) for query in queries]
-                actual.append(outcome(engine.count_batch, queries))
-                for want, got in zip(expected, actual):
-                    assert equal_outcomes(want, got)
-                assert counters_except_skips(plain) == counters_except_skips(engine)
-                assert plain.cache.stats().snapshot() == engine.cache.stats().snapshot()
+            engine = QueryEngine(table, cache_size=0, cache_aggregates=aggregates)
+            actual = [outcome(engine.count, query) for query in queries]
+            actual.append(outcome(engine.count_batch, queries))
+            for want, got in zip(expected, actual):
+                assert equal_outcomes(want, got)
+            assert counters_except_skips(plain) == counters_except_skips(engine)
+            assert plain.cache.stats().snapshot() == engine.cache.stats().snapshot()
 
 
 # -- the rules themselves ------------------------------------------------------
@@ -142,12 +126,11 @@ def _table(rows: int) -> Table:
     )
 
 
-#: The rule tests shrink the thresholds so that 60 rows are few and 400
-#: are many: per shard for fan-out, in all for parent reuse.
-_RULE_THRESHOLDS = {"fanout": 100, "reuse": 300}
+#: The rule tests shrink the reuse threshold so that 60 rows are few and
+#: 400 are many.
+_RULE_THRESHOLDS = {"reuse": 300}
 _SMALL = _table(60)
 _LARGE = _table(400)
-_TWO_WORKERS = ShardPool(2)
 _PARENT = SDLQuery([RangePredicate("num", 0, 50), NoConstraint("cat")])
 _CHILD = SDLQuery(
     [RangePredicate("num", 0, 50), SetPredicate("cat", frozenset({"a"}))]
@@ -155,7 +138,7 @@ _CHILD = SDLQuery(
 
 #: (case, table, engine options, counting) -> the scan the planner picks.
 _RULES = [
-    ("small table, no pool: plain scan, inline", _SMALL, {}, False, "scan"),
+    ("small table: plain scan", _SMALL, {}, False, "scan"),
     (
         "cache disabled: count without assembling the mask",
         _SMALL,
@@ -164,20 +147,8 @@ _RULES = [
         "count",
     ),
     ("cache enabled: a count still keeps its mask", _SMALL, {}, True, "scan"),
-    (
-        "forced plain",
-        _LARGE,
-        {"use_index": False, "partitions": 1, "pool": _TWO_WORKERS},
-        False,
-        "scan+fanout",
-    ),
-    (
-        "forced shards always go through the pool",
-        _SMALL,
-        {"partitions": 4, "pool": _TWO_WORKERS},
-        False,
-        "scan+zonemap+fanout",
-    ),
+    ("forced plain", _LARGE, {"use_index": False, "partitions": 1}, False, "scan"),
+    ("forced shards skip by zone maps", _SMALL, {"partitions": 4}, False, "scan+zonemap"),
     (
         "forced features are taken as given",
         _SMALL,
@@ -285,53 +256,47 @@ def test_plan_declines_a_resident_non_parent(parent, child):
         assert engine.evaluate(child).tolist() == expected.tolist()
 
 
-#: (rows, CPUs, forced shards) -> (shards, zone maps, fan-out), with
-#: 100 rows a fan-out shard: one shard per 100 rows and at most one per
-#: CPU, zone maps only when shards are forced, and fan-out over the
-#: process's pool only at 100 rows a shard.
+#: (rows, forced shards) -> (shards, zone maps): one shard, the table
+#: itself, at every size unless ``partitions`` forces more; zone maps only
+#: when shards are forced.
 _SHARD_RULES = [
-    (60, 4, None, 1, False, False),
-    (198, 4, None, 1, False, False),
-    (400, 1, None, 1, False, False),
-    (200, 4, None, 2, False, True),
-    (400, 2, None, 2, False, True),
-    (400, 4, None, 4, False, True),
-    (1_000, 4, None, 4, False, True),
-    (400, 1, 4, 4, True, True),
-    (60, 4, 4, 4, True, False),
-    (400, 4, 1, 1, False, False),
+    (60, None, 1, False),
+    (198, None, 1, False),
+    (200, None, 1, False),
+    (400, None, 1, False),
+    (1_000, None, 1, False),
+    (400, 4, 4, True),
+    (1_000, 4, 4, True),
+    (60, 4, 4, True),
+    (400, 1, 1, False),
 ]
 
 
 @pytest.mark.parametrize(
-    "rows,cpus,forced,shards,zonemaps,fanout",
+    "rows,forced,shards,zonemaps",
     _SHARD_RULES,
-    ids=[f"{rule[0]} rows, {rule[1]} cpus, forced {rule[2]}" for rule in _SHARD_RULES],
+    ids=[f"{rule[0]} rows, forced {rule[1]}" for rule in _SHARD_RULES],
 )
-def test_shards_follow_rows_and_cpus(rows, cpus, forced, shards, zonemaps, fanout):
-    with _thresholds(**_RULE_THRESHOLDS), mock.patch.object(
-        engine_module, "available_cpus", lambda: cpus
-    ):
-        engine = QueryEngine(_table(rows), partitions=forced)
-        state = engine._refresh()
-        path = engine._plan(_CHILD, state)
-        assert engine.partitions == state.partitioned.num_partitions == shards
-        assert engine.sibling()._refresh() is state
-        assert ("zonemap" in engine.index_features) == path.zonemap == zonemaps
-        assert path.fanout == (shared_pool().map if fanout else None)
-        # An injected pool takes every map, whatever the shard size.
-        pooled = QueryEngine(_table(rows), partitions=forced, pool=_TWO_WORKERS)
-        assert pooled._plan(_CHILD, pooled._refresh()).fanout == _TWO_WORKERS.map
+def test_one_shard_unless_forced(rows, forced, shards, zonemaps):
+    table = _table(rows)
+    engine = QueryEngine(table, partitions=forced)
+    state = engine._refresh()
+    path = engine._plan(_CHILD, state)
+    assert engine.partitions == state.partitioned.num_partitions == shards
+    assert engine.sibling()._refresh() is state
+    assert ("zonemap" in engine.index_features) == path.zonemap == zonemaps
+    if shards == 1:
+        assert state.partitioned.shards[0] is state.table
 
 
 def test_shards_follow_an_ingest():
-    with _thresholds(**_RULE_THRESHOLDS), mock.patch.object(
-        engine_module, "available_cpus", lambda: 4
-    ):
-        engine = QueryEngine(_table(150))
+    for forced, shards in ((None, 1), (2, 2)):
+        engine = QueryEngine(_table(150), partitions=forced)
         sibling = engine.sibling()
-        assert engine.partitions == 1
+        before = engine._refresh()
         engine.ingest([{"num": 1, "cat": "a"}] * 100)
-        assert engine._refresh() is sibling._refresh()
-        assert sibling.partitions == 2
+        state = engine._refresh()
+        assert state is sibling._refresh() and state is not before
+        assert sibling.partitions == shards
+        assert state.partitioned.num_rows == 250
         assert engine.count(_CHILD) == _forced_plain(engine.table).count(_CHILD)

@@ -17,14 +17,13 @@ import pytest
 from repro.api.codec import dumps
 from repro.api.protocol import Request
 from repro.service import AdvisorService
-from repro.storage import engine as engine_module
 from repro.workloads import generate_voc
 
 _CONTEXT = ["type_of_boat", "tonnage", "departure_harbour"]
 _ROWS, _SEED = 300, 7
 
 #: Backend specs spanning the execution grid: plain, skipping indexes,
-#: partitioned-parallel, and the approximate (sketch) tier over each.
+#: forced shards, and the approximate (sketch) tier over each.
 _GRID = (
     "memory",
     "memory?index=all",
@@ -32,15 +31,6 @@ _GRID = (
     "memory?sample=0.5&seed=3",
     "memory?sample=0.5&seed=3&index=all&partitions=3",
 )
-
-
-@pytest.fixture(autouse=True)
-def _forced_shards_fan_out(monkeypatch):
-    """A service's engines take no injected pool, so the fan-out size is
-    lowered instead: the forced 100-row shards map over the process's pool,
-    while the unforced engines stay one shard."""
-    monkeypatch.setattr(engine_module, "FANOUT_MIN_ROWS_PER_SHARD", 1)
-    monkeypatch.setattr(engine_module, "available_cpus", lambda: 1)
 
 
 def _service(spec: str) -> AdvisorService:

@@ -46,7 +46,6 @@ from repro.errors import EmptyColumnError
 from repro.sdl import RangePredicate, SDLQuery, SetPredicate
 from repro.service import AdvisorService
 from repro.storage import QueryEngine
-from repro.storage.partition import ShardPool
 from repro.workloads import generate_voc
 
 _ROWS, _SEED = 12_000, 7
@@ -192,20 +191,12 @@ class TestAdviceRecall:
 
 #: Extra backend parameters composed with ``sample=`` (and mirrored
 #: without it for the plain baseline): the refinement contract must hold
-#: whatever indexes or partitioning ride underneath the view.  ``pooled``
-#: builds the engine with an injected pool, which forces fan-out.
-_GRID = ("", "index=all", "index=all&partitions=3, pooled")
-
-_POOL = ShardPool(2)
+#: whatever indexes or partitioning ride underneath the view.
+_GRID = ("", "index=all", "index=all&partitions=3")
 
 
 def _specs(base: str):
     """(sampled, plain) backends over a table, as builders."""
-    if base.endswith(", pooled"):
-        def plain(table):
-            return QueryEngine(table, use_index="all", partitions=3, pool=_POOL)
-
-        return (lambda table: ApproxEngine(plain(table), fraction=0.5, seed=3)), plain
     sampled = "memory?sample=0.5&seed=3" + (f"&{base}" if base else "")
     plain_spec = "memory" + (f"?{base}" if base else "")
     return (

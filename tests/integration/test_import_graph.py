@@ -21,6 +21,7 @@ import json
 import os
 import subprocess
 import sys
+import urllib.request
 from pathlib import Path
 from typing import List
 
@@ -184,7 +185,8 @@ def test_a_serving_router_loads_no_numpy_and_no_engine():
         assert client.count("tonnage BETWEEN 0 AND 1000") >= 0
         summary = client.ingest(rows=[{"tonnage": 900, "type_of_boat": "pinas"}])
         assert summary["cluster"]["applied_on"] == [0, 1]
-        assert 'quantile="0.95"' in client.metrics_text()
+        with urllib.request.urlopen(f"{url}/v1/metrics") as reply:
+            assert b'quantile="0.95"' in reply.read()
         for node in nodes:
             node.shutdown()
         with pytest.raises(DegradedError):
@@ -232,7 +234,7 @@ with AdvisorHTTPServer(AdvisorService(generate_voc(rows=200, seed=1)), port=0) a
     assert _http_stack(loaded) == []
 
 
-#: What only a fan-out loads: the thread pool and the modules it imports.
+#: What a thread pool loads: ``concurrent.futures`` and the modules it imports.
 _POOL_MODULES = ("concurrent.futures", "logging", "queue")
 
 
@@ -250,23 +252,30 @@ with AdvisorHTTPServer(AdvisorService(generate_voc(rows=300, seed=3)), port=0) a
     assert [name for name in _POOL_MODULES if name in loaded] == []
 
 
-def test_the_first_fan_out_starts_the_one_pool():
-    # Positive control: with the fan-out size patched below the table's,
-    # the engine shards, and its first count loads the pool's modules.
-    loaded = _modules_after("""
-import sys
+@pytest.mark.parametrize(
+    "spec, shards",
+    [
+        ("memory", 1),
+        ("memory?index=all&partitions=4", 4),
+        ("memory?index=zonemap&partitions=8", 8),
+    ],
+)
+def test_forced_shards_load_no_thread_pool(spec, shards):
+    # Shards are zone maps' skipping units, evaluated inline: one shard or
+    # forced ones, counts, medians and an advise start no pool.
+    loaded = _modules_after(f"""
+from repro.core import Charles
 from repro.sdl import parse_query
-from repro.storage import QueryEngine, engine, partition
 from repro.workloads import generate_voc
-engine.FANOUT_MIN_ROWS_PER_SHARD = 100
-engine.available_cpus = lambda: 2
-voc = QueryEngine(generate_voc(rows=400, seed=3))
-assert voc.partitions == 2
-assert "concurrent.futures" not in sys.modules and partition._SHARED is None
-voc.count(parse_query("(tonnage: [0, 1000])"))
-assert partition._SHARED is partition.shared_pool() and partition._SHARED._executor
+advisor = Charles(generate_voc(rows=400, seed=3), backend={spec!r})
+engine = advisor.engine
+assert engine.partitions == {shards}
+query = parse_query("(tonnage: [0, 1000])")
+assert engine.count(query) > 0
+assert engine.median("tonnage", query) is not None
+assert advisor.advise(["tonnage", "type_of_boat"], max_answers=4)
 """)
-    assert "concurrent.futures" in loaded
+    assert [name for name in _POOL_MODULES if name in loaded] == []
 
 
 def test_an_https_client_loads_ssl_at_its_first_connection():

@@ -522,7 +522,6 @@ _UNPASSED_BY_DESIGN = {
     "wraps BatchCoordinator.counts as the batching layer's span",
     "repro.storage.sketches.NominalCountSketch.from_counts(cap)": _BENCH_NAMED,
     "repro.storage.sketches.TableSketches.__init__(budget)": _BENCH_NAMED,
-    "repro.storage.zonemap.SkippingIndexes.count(map_fn)": _ZONEMAP_SPAN,
     "repro.storage.zonemap.SkippingIndexes.count(zonemaps)": _ZONEMAP_SPAN,
     "repro.storage.zonemap.SkippingIndexes.query_mask(zonemaps)": _ZONEMAP_SPAN,
     **{
@@ -951,16 +950,17 @@ _FORBIDDEN = [
         id="own-http-framing",
     ),
     pytest.param(
-        "a process has one shard pool, made by shared_pool() next to the shard mapper; "
-        "the only other executor replays serve --simulate's users (docs/architecture.md, "
-        "Parallel execution)",
-        r"ShardPool\(|ThreadPoolExecutor\(", ("src",),
-        ("src/repro/storage/partition.py", "src/repro/workloads/concurrent.py"),
-        id="one-pool-factory",
+        "shards are for skipping, not for threads: the engine evaluates every shard "
+        "inline and keeps no pool or CPU-sized shard rule; the only executor replays "
+        "serve --simulate's users (docs/architecture.md, Shards)",
+        r"ShardPool|shared_pool|available_cpus|shard_count\(|FANOUT_MIN_ROWS_PER_SHARD"
+        r"|Executor\(",
+        ("src",), ("src/repro/workloads/concurrent.py",),
+        id="no-engine-threads",
     ),
     pytest.param(
-        "threads follow the table: no spec key, service option, node option or flag sets "
-        "a worker count (docs/architecture.md, Parallel execution)",
+        "the engine starts no thread: no spec key, service option, node option or flag sets "
+        "a worker count (docs/architecture.md, Shards)",
         rf"[?&]workers=|\bAdvisorService\({_CALL_ARGS}\bworkers=|[\"']workers[\"']"
         r"|cluster serve.*--workers",
         _USER_FACING, (),
@@ -1017,8 +1017,8 @@ _FORBIDDEN = [
     ),
     pytest.param(
         "Charles takes table, config, ranker and backend: shards, cache size and sampling "
-        "are the backend spec's, and threads follow the table (docs/architecture.md, "
-        "Parallel execution)",
+        "are the backend spec's, and the engine starts no thread (docs/architecture.md, "
+        "Shards)",
         rf"Charles\({_CALL_ARGS}\b(workers|partitions|pool|cache_size|seed)=",
         _USER_FACING, (),
         id="charles-takes-a-spec",
@@ -1147,7 +1147,7 @@ _PLANTED_LINES = {
     "no-collector": "    def __del__(self):",
     "one-http-transport": "    with urllib.request.urlopen(url) as response:",
     "own-http-framing": "from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer",
-    "one-pool-factory": "pool = ShardPool(4)",
+    "no-engine-threads": "        return shared_pool().map",
     "no-workers-knob": 'backend = open_backend("memory?partitions=4&workers=2", table)',
     "few-thread-starters": "threading.Thread(target=refine, daemon=True).start()",
     "no-multiprocessing": "from multiprocessing import Process",
@@ -1180,6 +1180,36 @@ _PLANTED_LINES = {
 ])
 def test_a_planted_line_is_caught(pattern, planted):
     assert re.search(pattern, planted)
+
+
+def _forbidden(case: str) -> Tuple[str, str, Tuple[str, ...], Tuple[str, ...]]:
+    """``(why, pattern, where, allowed)`` of the ``_FORBIDDEN`` case ``case``."""
+    return next(param.values for param in _FORBIDDEN if param.id == case)
+
+
+#: One line per name of the deleted thread fan-out tier, and per executor.
+_ENGINE_THREAD_LINES = [
+    "_POOL = ShardPool(2)",
+    "from repro.storage.partition import shared_pool",
+    "        workers = min(available_cpus(), MAX_WORKERS)",
+    "        shards = shard_count(table.num_rows, available_cpus())",
+    "FANOUT_MIN_ROWS_PER_SHARD = 2_000_000",
+    "        self._executor = ThreadPoolExecutor(max_workers=workers)",
+    "    with ProcessPoolExecutor(max_workers=2) as executor:",
+]
+
+
+@pytest.mark.parametrize("planted", _ENGINE_THREAD_LINES)
+def test_every_name_of_the_fan_out_tier_is_caught(planted):
+    _, pattern, _, _ = _forbidden("no-engine-threads")
+    assert re.search(pattern, planted)
+
+
+def test_the_one_executor_allowance_is_still_used():
+    # The allowance is no blanket: the simulated users' executor is there.
+    _, pattern, where, allowed = _forbidden("no-engine-threads")
+    hits = {path for path, _, line in _lines(where) if re.search(pattern, line)}
+    assert hits == set(allowed)
 
 
 # -- the strict-typing gate -------------------------------------------------------

@@ -4,8 +4,8 @@ The live subsystem's correctness bar: counts, medians and whole HB-cuts
 advise runs on an engine that *ingested its data incrementally* (batch by
 batch, with queries interleaved so caches warm up and are invalidated)
 must be **bit-for-bit identical** to a cold engine built directly on the
-final data — for the memory and SQLite backends, inline and with shards
-fanned out over a pool.
+final data — for the memory and SQLite backends, with one shard and with
+forced shards.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from repro.backends import open_backend
 from repro.core.advisor import Charles
 from repro.storage import QueryEngine
 from repro.storage.expression import query_mask
-from repro.storage.partition import ShardPool
 from repro.storage.sql import parse_where
 from repro.workloads import generate_voc
 
@@ -29,17 +28,17 @@ _QUERIES = (
     "tonnage >= 2500",
 )
 
-#: Forces fan-out of the forced shards (pools are shared by design).
-_POOL = ShardPool(2)
-
 #: The parity grid: label -> backend over a table, aggregates cached.
 _GRID = {
     "memory": lambda table: open_backend("memory", table, cache_aggregates=True),
-    "memory?partitions=2, pooled": lambda table: QueryEngine(
-        table, cache_aggregates=True, partitions=2, pool=_POOL
+    "memory?partitions=2": lambda table: QueryEngine(
+        table, cache_aggregates=True, partitions=2
     ),
-    "memory?partitions=3, pooled": lambda table: QueryEngine(
-        table, cache_aggregates=True, partitions=3, pool=_POOL
+    "memory?partitions=3": lambda table: QueryEngine(
+        table, cache_aggregates=True, partitions=3
+    ),
+    "memory?index=all&partitions=4": lambda table: open_backend(
+        "memory?index=all&partitions=4", table, cache_aggregates=True
     ),
     "sqlite": lambda table: open_backend("sqlite", table, cache_aggregates=True),
 }

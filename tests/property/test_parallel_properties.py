@@ -2,7 +2,7 @@
 
 For randomized tables and queries, counts, medians and the full ranked
 ``hb_cuts`` output must be identical to the unpartitioned sequential
-engine for every ``partitions × pool threads`` combination tested — including
+engine for every shard count tested — including
 ``partitions > rows`` (trailing empty shards).
 """
 
@@ -18,7 +18,6 @@ from repro.errors import EmptyColumnError, TypeMismatchError
 from repro.sdl import RangePredicate, SDLQuery, SetPredicate
 from repro.storage import PartitionedTable, QueryEngine, Table
 from repro.storage.expression import query_mask
-from repro.storage.partition import ShardPool
 
 _SETTINGS = settings(
     max_examples=25,
@@ -26,14 +25,9 @@ _SETTINGS = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 
-#: Every combination exercised per example; partitions of 97 exceed the
+#: Every shard count exercised per example; partitions of 97 exceed the
 #: largest generated table, so empty shards are always covered.
-_GRID = ((1, 1), (2, 1), (3, 2), (4, 4), (97, 2))
-
-#: One injected pool per thread count, forcing fan-out; shared across
-#: examples (pools are shared by design; creating thousands of executors
-#: would only slow the suite).
-_POOLS = {workers: ShardPool(workers) for workers in (1, 2, 4)}
+_GRID = (1, 2, 3, 4, 97)
 
 
 @st.composite
@@ -69,13 +63,12 @@ class TestPartitionedResultParity:
     def test_counts_and_masks_identical(self, table, query):
         expected_mask = query_mask(table, query)
         expected_count = int(np.count_nonzero(expected_mask))
-        for partitions, workers in _GRID:
+        for partitions in _GRID:
             skipping = PartitionedTable(table, partitions).skipping()
-            pool = _POOLS[workers]
-            mask, _ = skipping.query_mask(query, pool.map, zonemaps=False)
+            mask, _ = skipping.query_mask(query, zonemaps=False)
             assert np.array_equal(mask, expected_mask)
-            assert skipping.count(query, pool.map, zonemaps=False) == (expected_count, 0)
-            engine = QueryEngine(table, partitions=partitions, pool=pool)
+            assert skipping.count(query, zonemaps=False) == (expected_count, 0)
+            engine = QueryEngine(table, partitions=partitions)
             assert engine.count(query) == expected_count
 
     @_SETTINGS
@@ -92,8 +85,8 @@ class TestPartitionedResultParity:
         except (EmptyColumnError, TypeMismatchError) as exc:
             expected = None
             expected_error = type(exc)
-        for partitions, workers in _GRID:
-            engine = QueryEngine(table, partitions=partitions, pool=_POOLS[workers])
+        for partitions in _GRID:
+            engine = QueryEngine(table, partitions=partitions)
             if expected_error is not None:
                 with pytest.raises(expected_error):
                     engine.median("x", query)
@@ -122,7 +115,7 @@ class TestPartitionedResultParity:
             )
 
         expected = fingerprint(baseline)
-        for partitions, workers in _GRID:
-            engine = QueryEngine(table, partitions=partitions, pool=_POOLS[workers])
+        for partitions in _GRID:
+            engine = QueryEngine(table, partitions=partitions)
             result = HBCuts(HBCutsConfig()).run(engine, context)
             assert fingerprint(result) == expected

@@ -11,8 +11,7 @@ from repro.api.protocol import Request
 from repro.core import Charles, ExplorationSession
 from repro.errors import AdvisorError, SessionError
 from repro.service import AdvisorService
-from repro.storage import QueryEngine, partition
-from repro.storage import engine as engine_module
+from repro.storage import QueryEngine
 from repro.workloads import generate_concurrent_workload, generate_voc, serve
 
 _CONTEXT = ["type_of_boat", "departure_harbour", "tonnage"]
@@ -346,30 +345,13 @@ class TestWorkloadGenerator:
 
 
 class TestParallelService:
-    @pytest.fixture()
-    def fanout(self, monkeypatch):
-        """Forced shards of any size fan out over a fresh process pool."""
-        monkeypatch.setattr(engine_module, "FANOUT_MIN_ROWS_PER_SHARD", 1)
-        monkeypatch.setattr(partition, "_SHARED", None)
-        yield
-        partition.shared_pool().shutdown()
-
     def test_workers_is_no_service_option(self, table, service):
         with pytest.raises(TypeError):
             AdvisorService(table, workers=2)
         assert "parallel" not in service.stats()
         assert "pool_workers" not in str(service.metrics_document())
 
-    def test_one_pool_is_shared_by_every_session_and_table(self, table, fanout):
-        parallel = AdvisorService(table, batch_window=0.0, backend="memory?partitions=2")
-        parallel.open_session("alice", context=_CONTEXT)
-        parallel.register_table(generate_voc(rows=300, seed=3), name="voc2")
-        parallel.open_session("bob", table="voc2", context=_CONTEXT)
-        pool = partition.shared_pool()
-        assert 0 < len(pool._executor._threads) <= pool.workers
-        assert parallel.stats()["tables"]["voc"]["backend"]["partitions"] == 2
-
-    def test_parallel_service_answers_match_sequential(self, table, fanout):
+    def test_parallel_service_answers_match_sequential(self, table):
         def fingerprint(advice):
             return [
                 (
@@ -389,8 +371,9 @@ class TestParallelService:
             parallel.open_session("a", context=_CONTEXT).current_advice()
         )
         assert observed == expected
+        assert parallel.stats()["tables"]["voc"]["backend"]["partitions"] == 4
 
-    def test_parallel_serve_workload_matches_sequential(self, table, fanout):
+    def test_parallel_serve_workload_matches_sequential(self, table):
         scripts = generate_concurrent_workload(
             table.column_names, users=4, steps=2, seed=5
         )

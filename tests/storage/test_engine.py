@@ -202,16 +202,10 @@ class TestSample:
     """``QueryEngine.sample``: a small table of its own, never forced."""
 
     def test_sample_engine_is_never_forced(self, table):
-        from repro.storage.partition import ShardPool
-
-        pool = ShardPool(2)
-        engine = QueryEngine(
-            table, partitions=4, pool=pool, use_index="zonemap", cache_size=512
-        )
+        engine = QueryEngine(table, partitions=4, use_index="zonemap", cache_size=512)
         sampled = engine.sample(0.5, seed=9)
         assert sampled.partitions == 1
         assert sampled.partitioned_table.num_partitions == 1
-        assert sampled._pool is None
         assert sampled.index_features != engine.index_features
         assert sampled._cache_size == 512
 
@@ -234,6 +228,3 @@ class TestSample:
         resampled = engine.sample(0.5, seed=9)
         assert resampled.table is not first.table
         assert engine.sibling().sample(0.5, seed=9).table is resampled.table
-
-    def test_unseeded_samples_are_drawn_afresh(self, engine):
-        assert engine.sample(0.5).table is not engine.sample(0.5).table

@@ -8,13 +8,9 @@ import pytest
 from repro.errors import StorageError, TypeMismatchError
 from repro.sdl import NoConstraint, RangePredicate, SDLQuery, SetPredicate
 from repro.storage import PartitionedTable, QueryEngine, Table
-from repro.storage.partition import ShardPool, partition_bounds
+from repro.storage.partition import partition_bounds
 from repro.storage.expression import query_mask
 from repro.workloads import generate_voc
-
-
-#: Forces fan-out on the tests' tiny tables; two threads, started at the first map.
-_POOL = ShardPool(2)
 
 
 @pytest.fixture(scope="module")
@@ -98,18 +94,18 @@ class TestPartitionedTable:
 
     @pytest.mark.parametrize("partitions", [1, 2, 3, 8])
     def test_medians_merge(self, table, partitions):
-        engine = QueryEngine(table, partitions=partitions, pool=_POOL)
+        engine = QueryEngine(table, partitions=partitions)
         query = _range_query()
         expected = table.column("tonnage").median(query_mask(table, query))
         assert engine.median("tonnage", query) == expected
 
     def test_median_merges_dates(self, table, partitions=3):
-        engine = QueryEngine(table, partitions=partitions, pool=_POOL)
+        engine = QueryEngine(table, partitions=partitions)
         expected = table.column("departure_date").median(query_mask(table, _fluit_query()))
         assert engine.median("departure_date", _fluit_query()) == expected
 
     def test_median_rejects_nominal_columns(self, table):
-        engine = QueryEngine(table, partitions=2, pool=_POOL)
+        engine = QueryEngine(table, partitions=2)
         with pytest.raises(TypeMismatchError):
             engine.median("type_of_boat", _range_query())
 
@@ -156,19 +152,8 @@ class TestPartitionedTable:
         assert partitioned.skipping().count(query, zonemaps=False) == (2, 0)
         mask, _ = partitioned.skipping().query_mask(query, zonemaps=False)
         assert np.array_equal(mask, query_mask(tiny, query))
-        engine = QueryEngine(tiny, partitions=7, pool=_POOL)
+        engine = QueryEngine(tiny, partitions=7)
         assert engine.median("x", query) == tiny.column("x").median(mask)
-
-    def test_custom_map_fn_receives_every_shard(self, table):
-        partitioned = PartitionedTable(table, 4)
-        seen = []
-
-        def spy_map(fn, items):
-            seen.extend(items)
-            return [fn(item) for item in items]
-
-        partitioned.skipping().count(_fluit_query(), spy_map, zonemaps=False)
-        assert len(seen) == 4
 
 
 class TestPartitionedEngine:
@@ -210,13 +195,9 @@ class TestPartitionedEngine:
         assert partitioned.count_batch(queries) == sequential.count_batch(queries)
         assert partitioned.counter.snapshot() == sequential.counter.snapshot()
 
-    def test_sibling_shares_shards_and_pool(self, table):
-        from repro.storage.partition import ShardPool
-
-        pool = ShardPool(2)
-        engine = QueryEngine(table, partitions=4, pool=pool)
+    def test_sibling_shares_shards(self, table):
+        engine = QueryEngine(table, partitions=4)
         sibling = engine.sibling()
         assert sibling.partitioned_table is engine.partitioned_table
-        assert sibling._pool is engine._pool
         assert sibling.cache is engine.cache
         assert sibling.counter is not engine.counter

@@ -5,8 +5,10 @@ from __future__ import annotations
 import pytest
 
 from repro.backends.approx import ApproxEngine
+from repro.backends.sqlite import SQLiteBackend
 from repro.core.metrics import cover
 from repro.errors import BackendError, StorageError
+from repro.live.versioned import VersionedTable
 from repro.sdl import RangePredicate, SDLQuery, SetPredicate
 from repro.storage import QueryEngine, Table, sample_table, uniform_sample_indices
 from repro.workloads import generate_voc
@@ -36,9 +38,9 @@ class TestUniformSampleIndices:
 
     def test_invalid_fraction(self):
         with pytest.raises(StorageError):
-            uniform_sample_indices(10, fraction=0.0)
+            uniform_sample_indices(10, fraction=0.0, seed=1)
         with pytest.raises(StorageError):
-            uniform_sample_indices(10, fraction=1.5)
+            uniform_sample_indices(10, fraction=1.5, seed=1)
 
 
 class TestSampleTable:
@@ -47,6 +49,35 @@ class TestSampleTable:
         sampled = sample_table(table, fraction=0.2, seed=1)
         assert sampled.num_rows == 20
         assert sampled.column_names == ["x"]
+
+
+#: Every way to draw a sample, each called without a seed.
+_UNSEEDED_DRAWS = [
+    ("uniform_sample_indices", lambda table: uniform_sample_indices(table.num_rows, 0.5)),
+    ("sample_table", lambda table: sample_table(table, fraction=0.5)),
+    ("QueryEngine.sample", lambda table: QueryEngine(table).sample(0.5)),
+    ("SQLiteBackend.sample", lambda table: SQLiteBackend.from_table(table).sample(0.5)),
+    ("VersionedTable.sampled", lambda table: VersionedTable(table).sampled(0.5)),
+]
+
+
+class TestSeedIsRequired:
+    """A sample is a function of its fraction and seed: no draw is unseeded."""
+
+    @pytest.mark.parametrize(
+        "draw", [case[1] for case in _UNSEEDED_DRAWS], ids=[case[0] for case in _UNSEEDED_DRAWS]
+    )
+    def test_a_draw_without_a_seed_is_a_type_error(self, draw):
+        with pytest.raises(TypeError):
+            draw(Table.from_dict({"x": list(range(100))}))
+
+    def test_a_source_memoizes_one_sample_per_seed(self):
+        source = VersionedTable(Table.from_dict({"x": list(range(100))}))
+        first = source.sampled(0.5, seed=1)
+        assert source.sampled(0.5, seed=1) is first
+        other = source.sampled(0.5, seed=2)
+        assert other is not first
+        assert other.column("x").values_list() != first.column("x").values_list()
 
 
 class TestSampledEngine:
