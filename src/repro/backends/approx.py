@@ -36,10 +36,12 @@ carry — the figure :class:`~repro.core.advisor.Advice` stamps on itself.
 The view follows its backend's ``data_version``: one integer comparison
 per call, and the first call after a mutation draws a fresh sample,
 seeded by the view's seed and the version, so equal data gives equal
-advice.  ``sample(fraction, seed)`` is the backend's own (SQLite samples
-in SQL); the sample's engine has a private cache and counts into the
-view's own counter, so approximate traffic never shows on the exact
-engine.
+advice.  ``sample(fraction, seed)`` is the backend's own, and on every
+backend it returns the memory engine over an in-memory table of the
+sampled rows, memoized per version and seed and shared by siblings, so a
+superseded sample dies by reference count.  The sample's engine has a
+private cache and counts into the view's own counter, so approximate
+traffic never shows on the exact engine.
 
 Specs: ``memory?sample=0.1`` / ``sqlite?sample=0.25`` (optionally
 ``&seed=7``) resolve here through :func:`repro.backends.open_backend`;
@@ -52,7 +54,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, Dict, NamedTuple, Optional, Sequence, Tuple
 
 from repro.backends.base import BackendWrapper, ExecutionBackend
 from repro.errors import BackendError
@@ -151,11 +153,6 @@ class ApproxEngine(BackendWrapper):
         # engine counts into it, so deltas survive a resample.
         self._counter = OperationCounter()
         self._lock = threading.Lock()
-        # close() of the sample before the current one, if it has one
-        # (SQLite: a table per sample).  Called at the *next* redraw: a
-        # call that captured that sample just before the redraw may still
-        # be reading it.
-        self._close_retired: Optional[Callable[[], None]] = None
         self._sample = self._draw()
 
     # -- the sample ---------------------------------------------------------------
@@ -188,9 +185,6 @@ class ApproxEngine(BackendWrapper):
             return sample
         with self._lock:
             if self._sample.version != self.inner.data_version:
-                if self._close_retired is not None:
-                    self._close_retired()
-                self._close_retired = getattr(self._sample.engine, "close", None)
                 self._sample = self._draw()
             return self._sample
 

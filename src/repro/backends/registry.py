@@ -14,7 +14,7 @@ A backend *spec* is a compact URI-like string::
     memory?partitions=4         force 4 shards, with zone maps, each
                                 scanned on the calling thread
     sqlite                      load the table into an in-memory SQLite db
-    sqlite?sample=0.25          … sampled, materialised inside SQLite
+    sqlite?sample=0.25          … sampled: the rows read out into memory
     sqlite:///path/to/db.db#t   open table ``t`` of an existing database
 
 Grammar: ``scheme[://path][?key=value&...][#fragment]``.  The path after

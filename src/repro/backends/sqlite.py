@@ -36,6 +36,10 @@ supplies the SQL primitives.  The connection is guarded by a lock
 (``check_same_thread=False``), and :meth:`sibling` spawns per-session
 views sharing the connection, schema and cache while keeping private
 operation counters.
+
+A sample is not SQL: :meth:`SQLiteBackend.sample` reads the sampled rows
+into an in-memory table, answered by the memory engine like every
+backend's sample; the database gains no table for it.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Seq
 from repro.errors import BackendError, EmptyColumnError, TypeMismatchError
 from repro.sdl.query import SDLQuery
 from repro.storage.cache import ResultCache
-from repro.storage.engine import AggregateFrontEnd, OperationCounter
+from repro.storage.engine import AggregateFrontEnd, OperationCounter, QueryEngine
 from repro.storage.expression import bind
 from repro.storage.sql import count_query_sql, query_to_where
 from repro.storage.table import Table, reject_unknown_columns
@@ -101,19 +105,21 @@ class _Captured(NamedTuple):
 
 
 class _LiveState:
-    """Row count and data version shared by every sibling of one table.
+    """Row count, data version and samples shared by every sibling of one table.
 
     Siblings share the connection and the cache; they must also share the
     mutation bookkeeping, or a session could keep serving the pre-ingest
     cardinality (and stale cache tags) after another session ingested.
-    All mutations happen under the backend's connection lock.
+    All mutations happen under the backend's connection lock; each one
+    that changes the rows replaces ``samples`` (per ``(fraction, seed)``).
     """
 
-    __slots__ = ("version", "num_rows")
+    __slots__ = ("version", "num_rows", "samples")
 
     def __init__(self, num_rows: int):
         self.version = 1
         self.num_rows = int(num_rows)
+        self.samples: Dict[Tuple[float, int], Table] = {}
 
 
 class SQLiteBackend(AggregateFrontEnd):
@@ -163,10 +169,8 @@ class SQLiteBackend(AggregateFrontEnd):
                 raise BackendError(f"cannot open SQLite database {database!r}: {error}")
             self._owns_connection = True
         self._lock = _lock if _lock is not None else threading.Lock()
-        # Set by sample(): the backend's table is its own, dropped on close().
-        self._owns_table = False
         self._table_name = self._resolve_table_name(table_name)
-        # Siblings and samples share one schema object: a query binds once per schema.
+        # Siblings share one schema object: a query binds once per schema.
         self._dtypes = _dtypes if _dtypes is not None else self._load_schema()
         if not self._dtypes:
             raise BackendError(
@@ -305,58 +309,42 @@ class SQLiteBackend(AggregateFrontEnd):
         clone._metrics_sink = self._metrics_sink
         return clone
 
-    def sample(self, fraction: float, seed: int) -> "SQLiteBackend":
-        """A backend over a uniform sample, materialised as a SQLite table.
+    def sample(self, fraction: float, seed: int) -> QueryEngine:
+        """A memory engine over a uniform sample of the current rows.
 
-        Row positions are drawn with the same
-        :func:`~repro.storage.sampling.uniform_sample_indices` primitive
-        the memory engine uses, then copied into a sibling table inside
-        the same database, so sampled execution stays in SQL.  The table
-        belongs to the returned backend: :meth:`close` drops it.
+        The rows at the positions the memory engine's
+        :func:`~repro.storage.sampling.uniform_sample_indices` draws are
+        read out once per data version and ``(fraction, seed)`` into a
+        :class:`~repro.storage.table.Table` that siblings share; a sample
+        dies with the last engine over it.
         """
         from repro.storage.sampling import uniform_sample_indices
 
-        rowids = [row[0] for row in self._execute(
-            f"SELECT rowid FROM {_quote(self._table_name)} ORDER BY rowid"
-        )]
-        positions = uniform_sample_indices(
-            len(rowids), fraction=fraction, seed=seed
-        )
-        chosen = [int(rowids[int(i)]) for i in positions]
-        # A sample is a function of its fraction and seed, so their table
-        # can be reused.
-        suffix = f"{int(round(fraction * 1_000_000))}_{int(seed)}"
-        sample_name = f"{self._table_name}_sample_{suffix}"
-        id_list = ", ".join(str(rowid) for rowid in chosen)
+        key = (float(fraction), int(seed))
+        source = _quote(self._table_name)
         with self._lock:
-            cursor = self._connection.cursor()
-            cursor.execute(f"DROP TABLE IF EXISTS {_quote(sample_name)}")
-            cursor.execute(
-                f"CREATE TABLE {_quote(sample_name)} AS "
-                f"SELECT * FROM {_quote(self._table_name)} "
-                f"WHERE rowid IN ({id_list}) ORDER BY rowid"
-            )
-            self._connection.commit()
-        sampled = SQLiteBackend(
-            self.database,
-            table_name=sample_name,
-            cache_size=self._cache.capacity,
-            _connection=self._connection,
-            _lock=self._lock,
-            _dtypes=self._dtypes,
-        )
-        sampled._owns_table = True
-        return sampled
+            table = self._live.samples.get(key)
+            if table is None:
+                rowids = self._fetch(f"SELECT rowid FROM {source} ORDER BY rowid")
+                positions = uniform_sample_indices(len(rowids), fraction, seed)
+                id_list = ", ".join(str(rowids[i][0]) for i in positions.tolist())
+                rows = self._fetch(
+                    f"SELECT {', '.join(map(_quote, self._dtypes))} FROM {source} "
+                    f"WHERE rowid IN ({id_list}) ORDER BY rowid"
+                )
+                table = Table.from_dict(
+                    {
+                        column: [self._decode_value(dtype, row[i]) for row in rows]
+                        for i, (column, dtype) in enumerate(self._dtypes.items())
+                    },
+                    name=f"{self._table_name}_sample",
+                    types=self._dtypes,
+                )
+                self._live.samples[key] = table
+        return QueryEngine(table, cache_size=self._cache.capacity)
 
     def close(self) -> None:
-        """Close the underlying connection (no-op for shared siblings); a
-        sample drops its table."""
-        if self._owns_table:
-            with self._lock:
-                self._connection.execute(
-                    f"DROP TABLE IF EXISTS {_quote(self._table_name)}"
-                )
-                self._connection.commit()
+        """Close the underlying connection (no-op for shared siblings)."""
         if self._owns_connection:
             self._connection.close()
 
@@ -406,10 +394,6 @@ class SQLiteBackend(AggregateFrontEnd):
         return self._table_name
 
     @property
-    def table_name(self) -> str:
-        return self._table_name
-
-    @property
     def num_rows(self) -> int:
         return self._live.num_rows
 
@@ -422,10 +406,14 @@ class SQLiteBackend(AggregateFrontEnd):
 
     def _execute(self, sql: str, parameters: Sequence[Any] = ()) -> List[Tuple]:
         with self._lock:
-            try:
-                return self._connection.execute(sql, parameters).fetchall()
-            except sqlite3.Error as error:
-                raise BackendError(f"SQLite error for {sql!r}: {error}") from error
+            return self._fetch(sql, parameters)
+
+    def _fetch(self, sql: str, parameters: Sequence[Any] = ()) -> List[Tuple]:
+        """:meth:`_execute` for a caller that holds the connection lock."""
+        try:
+            return self._connection.execute(sql, parameters).fetchall()
+        except sqlite3.Error as error:
+            raise BackendError(f"SQLite error for {sql!r}: {error}") from error
 
     def _decode_value(self, dtype: DataType, value: Any) -> Any:
         if value is None:
@@ -478,6 +466,7 @@ class SQLiteBackend(AggregateFrontEnd):
                 ) from error
             self._live.num_rows += len(encoded)
             self._live.version += 1
+            self._live.samples = {}
             version = self._live.version
         self._cache.evict_superseded(version)
         return version
@@ -504,6 +493,7 @@ class SQLiteBackend(AggregateFrontEnd):
             if deleted:
                 self._live.num_rows -= deleted
                 self._live.version += 1
+                self._live.samples = {}
             version = self._live.version
         if deleted:
             self._cache.evict_superseded(version)

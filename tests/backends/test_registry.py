@@ -82,7 +82,7 @@ class TestOpenBackend:
         path = tmp_path / "db.sqlite"
         spec = f"sqlite://{path}#voyages"
         created = open_backend(spec, table)
-        assert created.table_name == "voyages"
+        assert created.name == "voyages"
         # Re-opening the same file needs no source table at all.
         reopened = open_backend(spec)
         assert reopened.num_rows == table.num_rows

@@ -243,22 +243,85 @@ class TestLifecycle:
         query = SDLQuery([RangePredicate("tonnage", 300, 1500)])
         count_before = first.count(query)
         second = backend.sample(0.5, seed=2)
-        assert first.table_name != second.table_name
-        assert first.count(query) == count_before  # still reads its own table
+        assert second.table is not first.table
+        assert second.count(query) == QueryEngine(voc).sample(0.5, seed=2).count(query)
+        assert first.count(query) == count_before  # still reads its own rows
 
-    def test_sample_runs_inside_sqlite(self, voc):
+    def test_sample_holds_the_memory_samplers_rows(self, voc):
         backend = SQLiteBackend.from_table(voc)
         sampled = backend.sample(0.25, seed=3)
         assert sampled.num_rows == pytest.approx(voc.num_rows * 0.25, rel=0.05)
-        # Sampling inside SQLite matches the in-memory sampler bit-for-bit:
-        # both draw positions from uniform_sample_indices.
+        # Both backends draw positions from uniform_sample_indices, so the
+        # sample is the same rows, decoded to the same values and types.
         mem = QueryEngine(voc).sample(0.25, seed=3)
+        assert sampled.table.schema() == mem.table.schema()
+        assert sampled.table.to_dict() == mem.table.to_dict()
         query = SDLQuery([SetPredicate("type_of_boat", frozenset({"fluit"}))])
         assert sampled.count(query) == mem.count(query)
 
-    def test_interactive_advise_samples_inside_sqlite(self, voc):
+    def test_equal_samples_outlive_each_other(self):
+        # Two samples of one fraction and seed: ending the first one's
+        # life (closing it where it can be closed, then dropping it) must
+        # leave the second counting.
+        import gc
+
+        backend = SQLiteBackend.from_table(generate_voc(rows=300, seed=1))
+        query = SDLQuery([RangePredicate("tonnage", 300, 1500)])
+        first = backend.sample(0.5, seed=3)
+        second = backend.sample(0.5, seed=3)
+        expected = first.count(query)
+        getattr(first, "close", lambda: None)()
+        del first
+        gc.collect()
+        assert second.count(query) == expected
+
+    def test_siblings_share_one_sampled_table_per_version_and_seed(self, voc):
+        primary = SQLiteBackend.from_table(voc)
+        session = primary.sibling()
+        first = primary.sample(0.5, seed=4)
+        assert session.sample(0.5, seed=4).table is first.table
+        assert primary.sample(0.5, seed=5).table is not first.table
+        assert primary.sample(0.25, seed=4).table is not first.table
+        query = SDLQuery([RangePredicate("tonnage", 300, 1500)])
+        before = first.count(query)
+        # A delete that selects nothing keeps the version, and the memo.
+        nothing = SDLQuery([RangePredicate("tonnage", -2.0, -1.0)])
+        assert session.delete_where(nothing) == 0
+        assert primary.sample(0.5, seed=4).table is first.table
+        # An ingest, seen through a sibling, replaces it.
+        session.ingest([voc.row(0), voc.row(1)])
+        after_ingest = primary.sample(0.5, seed=4)
+        assert after_ingest.table is not first.table
+        assert session.sample(0.5, seed=4).table is after_ingest.table
+        assert first.count(query) == before  # an old sample keeps its rows
+        # So does a delete that removes rows.
+        assert session.delete_where(query) > 0
+        after_delete = session.sample(0.5, seed=4)
+        assert after_delete.table is not after_ingest.table
+        assert primary.sample(0.5, seed=4).table is after_delete.table
+        assert after_delete.count(query) == 0
+
+    def test_an_emptied_table_samples_to_zero_rows_of_every_column(self):
+        table = Table.from_dict(
+            {
+                "n": [1, 2, 3],
+                "f": [1.5, None, 2.5],
+                "s": ["a", None, "c"],
+                "d": [datetime.date(1700, 1, 1), None, datetime.date(1701, 5, 2)],
+                "b": [True, False, None],
+            },
+            name="typed",
+        )
+        backend = SQLiteBackend.from_table(table)
+        assert backend.sample(1.0, seed=1).table.to_dict() == table.to_dict()
+        assert backend.delete_where(SDLQuery([RangePredicate("n", 0, 10)])) == 3
+        sampled = backend.sample(1.0, seed=1)
+        assert sampled.num_rows == 0
+        assert sampled.table.schema() == table.schema()
+
+    def test_interactive_advise_samples_into_memory(self, voc):
         # mode="interactive" works wherever sample() does: the view's
-        # statistics run in SQL, over a sampled sibling table.
+        # statistics run on the memory engine, over the sampled rows.
         from repro.backends.approx import ApproxEngine
         from repro.core import Charles
 
@@ -275,39 +338,78 @@ class TestLifecycle:
         assert exact.approximate is False
         assert [a.attributes for a in advice] == [a.attributes for a in exact]
 
+    def test_interactive_advice_is_identical_on_memory_and_sqlite(self):
+        from repro.core import Charles
+
+        rows = generate_voc(rows=3000, seed=17)
+        fresh = generate_voc(rows=40, seed=18)
+        context = ["type_of_boat", "tonnage", "departure_harbour"]
+        advisors = [Charles(rows, backend=spec) for spec in ("memory", "sqlite")]
+        for _ in range(2):  # before and after an ingest
+            reports = []
+            for advisor in advisors:
+                advice = advisor.advise(context, mode="interactive")
+                assert advice.approximate is True
+                reports.append((advice.describe(limit=None), advice.error_bound))
+            assert reports[0] == reports[1]
+            for advisor in advisors:
+                advisor.ingest(list(fresh.iter_rows()))
+
     def test_interactive_advise_leaves_no_sample_table_per_version(self):
-        # The view draws one sample table per data version; each redraw
-        # closes the sample two versions back, so a live table under
-        # interactive traffic holds a constant number of them.
+        # Samples live in memory, so interactive traffic on a live table
+        # never adds a table to the database.
         from repro.core import Charles
 
         advisor = Charles(generate_voc(rows=3000, seed=17), backend="sqlite")
         fresh = generate_voc(rows=100, seed=18)
         context = ["type_of_boat", "tonnage"]
-
-        def master_rows():
-            return advisor.engine._execute("SELECT COUNT(*) FROM sqlite_master")[0][0]
-
         advisor.advise(context, max_answers=4, mode="interactive")
-        counts = []
         for round_index in range(50):
             advisor.ingest([fresh.row(2 * round_index), fresh.row(2 * round_index + 1)])
             advice = advisor.advise(context, max_answers=4, mode="interactive")
             assert advice.approximate is True
-            counts.append(master_rows())
-        assert counts[-1] == counts[0]
+        names = advisor.engine._execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        assert sorted(names) == [("_charles_schema",), ("voc",)]
         assert advisor.data_version == 51
 
-    def test_closing_a_sample_drops_its_table_only(self, voc):
-        backend = SQLiteBackend.from_table(voc)
-        query = SDLQuery([RangePredicate("tonnage", 300, 1500)])
-        expected = backend.count(query)
-        sampled = backend.sample(0.25, seed=3)
-        sampled.close()
-        with pytest.raises(BackendError):
-            sampled.count(query)
-        backend.counter.reset()
-        assert backend.count(query) == expected  # base table and connection intact
+    def test_threaded_interactive_service_leaves_only_the_base_table(self):
+        # Four users advising interactively while twelve ingests land: the
+        # database holds the base table and the schema companion, nothing else.
+        from repro.service import AdvisorService
+
+        service = AdvisorService(generate_voc(rows=4000, seed=3), backend="sqlite")
+        fresh = generate_voc(rows=24, seed=4)
+        contexts = [
+            ["type_of_boat", "tonnage"],
+            ["departure_harbour", "built"],
+            ["tonnage", "built"],
+            ["type_of_boat", "departure_harbour"],
+        ]
+        for user, context in enumerate(contexts):
+            service.open_session(f"u{user}", context=context)
+        errors = []
+
+        def user_loop(user):
+            try:
+                for _ in range(6):
+                    advice = service.advise(f"u{user}", refresh=True, mode="interactive")
+                    assert advice.approximate is True
+                    service.refine(f"u{user}")
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=user_loop, args=(u,)) for u in range(4)]
+        for thread in threads:
+            thread.start()
+        for index in range(12):
+            service.ingest(rows=[fresh.row(2 * index), fresh.row(2 * index + 1)])
+        for thread in threads:
+            thread.join()
+        assert not errors
+        engine = service._runtime(None).engine
+        assert engine.data_version == 13
+        names = engine._execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        assert sorted(names) == [("_charles_schema",), ("voc",)]
 
     def test_thread_safe_counts(self, voc, engine, backend):
         query = SDLQuery([RangePredicate("tonnage", 200, 2200)])
