@@ -2,13 +2,19 @@
 
 Usage::
 
-    PYTHONPATH=src python scripts/probe.py {m13,m14,m15,m16,m17} --rows 2000 --seed 1 [--capacity 4096]
+    PYTHONPATH=src python scripts/probe.py {m9,m13,m14,m15,m16,m17} --rows 2000 --seed 1 [--capacity 4096]
 
 A probe prints the hash of every answer it was served, the work counters
 behind them, the process's peak resident set (``VmHWM``, kB), the wall
 seconds and the argv that reproduces the line.  Two runs of one argv on
 one commit print the same hash and counters; a change that moves them
 moved the program.  Probes use only the public ``repro`` API.
+
+``m9``: what the whole-table default context costs.  Over
+``generate_voc(rows, seed)`` (``--seed`` is the table's seed here) on the
+plain ``memory`` spec, one ``Charles`` advises ``None`` — every column,
+the identifier ``trip`` included — cold, under a ``repro.obs.start_trace``
+root; the probe prints what ``m15`` prints for its one advise.
 
 ``m13``: a drill-down service over a time-ordered table, its peak
 resident set read after every context.  VOC sorted by ``departure_date``
@@ -63,7 +69,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -88,8 +94,8 @@ M15_CONTEXTS = (
     ["tonnage", "type_of_boat", "departure_harbour", "built"],
     ["departure_date", "tonnage", "master"],
 )
-#: The engine tallies ``m15`` reports.
-_M15_WORK = (
+#: The engine tallies ``m9`` and ``m15`` report.
+_ADVISE_WORK = (
     "evaluations", "count_calls", "median_calls", "frequency_calls", "minmax_calls",
     "crosstab_calls",
 )
@@ -211,13 +217,15 @@ def _engine_spans(document: Dict[str, Any], totals: Dict[str, Dict[str, Any]]) -
         _engine_spans(child, totals)
 
 
-def m15(args: argparse.Namespace) -> Dict[str, Any]:
-    advisor = Charles(generate_voc(rows=args.rows, seed=args.seed))
+def _traced_advises(advisor: Charles, contexts: Sequence[Optional[List[str]]]) -> Dict[str, Any]:
+    """Advise each context cold, one after the other, each under a
+    ``start_trace`` root: the answer hash, the engine tallies, each
+    advise's seconds and the summed ``engine.<op>`` spans."""
     digest = hashlib.sha256()
     advise_s: List[float] = []
     totals: Dict[str, Dict[str, Any]] = {}
-    for context in M15_CONTEXTS:
-        root = start_trace("probe.m15")
+    for context in contexts:
+        root = start_trace("probe.advise")
         started = time.perf_counter()
         with root:
             advice = advisor.advise(context)
@@ -227,13 +235,21 @@ def m15(args: argparse.Namespace) -> Dict[str, Any]:
     counter = advisor.engine.counter
     return {
         "answer_hash": digest.hexdigest()[:16],
-        **{name: getattr(counter, name) for name in _M15_WORK},
+        **{name: getattr(counter, name) for name in _ADVISE_WORK},
         "advise_s": advise_s,
         "engine_spans": {
             name: {"calls": total["calls"], "seconds": round(total["seconds"], 4)}
             for name, total in sorted(totals.items())
         },
     }
+
+
+def m9(args: argparse.Namespace) -> Dict[str, Any]:
+    return _traced_advises(Charles(generate_voc(rows=args.rows, seed=args.seed)), [None])
+
+
+def m15(args: argparse.Namespace) -> Dict[str, Any]:
+    return _traced_advises(Charles(generate_voc(rows=args.rows, seed=args.seed)), M15_CONTEXTS)
 
 
 def _held_bytes(value: Any, seen: set) -> int:
@@ -345,7 +361,7 @@ def m17(args: argparse.Namespace) -> Dict[str, Any]:
 
 
 PROBES: Dict[str, Callable[[argparse.Namespace], Dict[str, Any]]] = {
-    "m13": m13, "m14": m14, "m15": m15, "m16": m16, "m17": m17,
+    "m9": m9, "m13": m13, "m14": m14, "m15": m15, "m16": m16, "m17": m17,
 }
 
 
@@ -353,7 +369,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("probe", choices=sorted(PROBES))
     parser.add_argument("--rows", type=int, required=True, help="rows of the generated table")
-    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts (m15, m16, m17: of the table)")
+    parser.add_argument("--seed", type=int, required=True, help="seed of the request scripts (m9, m15, m16, m17: of the table)")
     parser.add_argument("--capacity", type=int, default=4096,
                         help="entries of the shared result cache (the service default)")
     args = parser.parse_args(argv)

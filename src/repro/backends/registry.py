@@ -15,7 +15,9 @@ A backend *spec* is a compact URI-like string::
                                 scanned on the calling thread
     sqlite                      load the table into an in-memory SQLite db
     sqlite?sample=0.25          … sampled: the rows read out into memory
-    sqlite:///path/to/db.db#t   open table ``t`` of an existing database
+    sqlite:///path/to/db.db#t   open table ``t`` of an existing database; given
+                                a source table, load it there, or reuse a
+                                stored ``t`` of the same columns and row count
 
 Grammar: ``scheme[://path][?key=value&...][#fragment]``.  The path after
 ``://`` is used verbatim as a filesystem path — ``sqlite://x.db`` is
@@ -155,7 +157,6 @@ def _sqlite_factory(
             table,
             database=database,
             table_name=spec.fragment or None,
-            if_exists="skip" if spec.path else "fail",
             **options,
         )
     if not spec.path:

@@ -32,10 +32,14 @@ The front half of every aggregate — tally, bind, key, the shared
 deduplication, latency reporting — is the memory engine's own
 :class:`~repro.storage.engine.AggregateFrontEnd`, so keys, tallies, the
 service's per-table cache and its metrics work unchanged; this module
-supplies the SQL primitives.  The connection is guarded by a lock
-(``check_same_thread=False``), and :meth:`sibling` spawns per-session
-views sharing the connection, schema and cache while keeping private
-operation counters.
+supplies the SQL primitives.
+
+Threading: a backend and its :meth:`sibling` views (one per service
+session) share one state record — the connection
+(``check_same_thread=False``), its lock, schema, row count, data version
+and sample memo — and keep private operation counters.  An operation
+reads the record under one hold of its lock (an aggregate through the
+front end's ``_reading()`` hook), so no answer straddles an ingest.
 
 A sample is not SQL: :meth:`SQLiteBackend.sample` reads the sampled rows
 into an in-memory table, answered by the memory engine like every
@@ -44,9 +48,10 @@ backend's sample; the database gains no table for it.
 
 from __future__ import annotations
 
+import copy
 import sqlite3
 import threading
-from typing import Any, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Any, ContextManager, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import BackendError, EmptyColumnError, TypeMismatchError
 from repro.sdl.query import SDLQuery
@@ -95,30 +100,26 @@ def _where(query: Optional[SDLQuery]) -> str:
     return "TRUE" if query is None else query_to_where(query)
 
 
-class _Captured(NamedTuple):
-    """What one operation captures: the version its answer is cached at
-    and the schema its query binds to (a span reports one shard)."""
+class _Shared:
+    """The state every sibling of one table shares, read under ``lock``.
 
-    version: int
-    schema: Mapping[str, DataType]
-    partitions: int = 1
-
-
-class _LiveState:
-    """Row count, data version and samples shared by every sibling of one table.
-
-    Siblings share the connection and the cache; they must also share the
-    mutation bookkeeping, or a session could keep serving the pre-ingest
-    cardinality (and stale cache tags) after another session ingested.
-    All mutations happen under the backend's connection lock; each one
-    that changes the rows replaces ``samples`` (per ``(fraction, seed)``).
+    The connection, the schema a query binds to, the row count, the data
+    version and the sample memo (per ``(fraction, seed)``).  Each mutation
+    that changes the rows bumps ``version`` and replaces ``samples`` under
+    ``lock``; an operation holds ``lock`` from reading the record through
+    its answer, so the record is also the state it captures (a span
+    reports one shard).
     """
 
-    __slots__ = ("version", "num_rows", "samples")
+    __slots__ = ("connection", "lock", "schema", "num_rows", "version", "samples")
+    partitions = 1
 
-    def __init__(self, num_rows: int):
+    def __init__(self, connection: sqlite3.Connection):
+        self.connection = connection
+        self.lock = threading.Lock()
+        self.schema: Dict[str, DataType] = {}
+        self.num_rows = 0
         self.version = 1
-        self.num_rows = int(num_rows)
         self.samples: Dict[Tuple[float, int], Table] = {}
 
 
@@ -151,43 +152,29 @@ class SQLiteBackend(AggregateFrontEnd):
         cache_size: int = 256,
         cache_aggregates: bool = False,
         _connection: Optional[sqlite3.Connection] = None,
-        _lock: Optional[threading.Lock] = None,
-        _dtypes: Optional[Dict[str, DataType]] = None,
-        _owns_connection: Optional[bool] = None,
-        _live: Optional[_LiveState] = None,
     ):
         self.database = database
-        if _connection is not None:
-            self._connection = _connection
-            self._owns_connection = bool(_owns_connection)
-        else:
+        if _connection is None:
             try:
-                self._connection = sqlite3.connect(
-                    database, check_same_thread=False
-                )
+                _connection = sqlite3.connect(database, check_same_thread=False)
             except sqlite3.Error as error:  # pragma: no cover - os-dependent
                 raise BackendError(f"cannot open SQLite database {database!r}: {error}")
-            self._owns_connection = True
-        self._lock = _lock if _lock is not None else threading.Lock()
+        self._shared = _Shared(_connection)
+        self._owns_connection = True
+        # No sibling exists yet, so discovery reads the connection unlocked.
         self._table_name = self._resolve_table_name(table_name)
-        # Siblings share one schema object: a query binds once per schema.
-        self._dtypes = _dtypes if _dtypes is not None else self._load_schema()
-        if not self._dtypes:
+        self._shared.schema = self._load_schema()
+        if not self._shared.schema:
             raise BackendError(
                 f"table {self._table_name!r} in {database!r} has no columns"
             )
+        source = _quote(self._table_name)
+        self._shared.num_rows = int(self._fetch(f"SELECT COUNT(*) FROM {source}")[0][0])
         self.counter = OperationCounter()
         self._cache = cache if cache is not None else ResultCache(
             capacity=int(cache_size), name=f"sqlite:{self._table_name}"
         )
         self._cache_aggregates = bool(cache_aggregates)
-        self._live = _live if _live is not None else _LiveState(
-            int(
-                self._execute(
-                    f"SELECT COUNT(*) FROM {_quote(self._table_name)}"
-                )[0][0]
-            )
-        )
 
     # -- construction ---------------------------------------------------------
 
@@ -197,10 +184,14 @@ class SQLiteBackend(AggregateFrontEnd):
         table: Table,
         database: str = ":memory:",
         table_name: Optional[str] = None,
-        if_exists: str = "fail",
         **options: Any,
     ) -> "SQLiteBackend":
         """Load a column-store table into SQLite and open a backend over it.
+
+        A database file that already holds a table of this name with the
+        same columns and row count is reused as it stands (reopening a
+        file); a different stored table is refused rather than silently
+        served or overwritten.
 
         Parameters
         ----------
@@ -210,74 +201,45 @@ class SQLiteBackend(AggregateFrontEnd):
             Target database (default: private in-memory).
         table_name:
             Name of the SQL table (defaults to ``table.name``).
-        if_exists:
-            ``"fail"`` (default), ``"replace"`` or ``"skip"`` (reuse the
-            already-loaded table, e.g. when reopening a file).
         """
         name = table_name or table.name
         connection = sqlite3.connect(database, check_same_thread=False)
-        dtypes = {
-            column: table.column(column).dtype for column in table.column_names
-        }
-        cursor = connection.cursor()
-        exists = cursor.execute(
+        exists = connection.execute(
             "SELECT 1 FROM sqlite_master WHERE type = 'table' AND name = ?", (name,)
         ).fetchone()
-        if exists and if_exists == "fail":
-            connection.close()
-            raise BackendError(
-                f"table {name!r} already exists in {database!r}; "
-                "pass if_exists='replace' or 'skip'"
-            )
-        if exists and if_exists == "skip":
-            # Reuse is only safe when the stored table plausibly holds the
-            # same data; otherwise the caller's table would be silently
-            # ignored in favour of stale contents.
-            stored_columns = [
-                row[1]
-                for row in cursor.execute(f"PRAGMA table_info({_quote(name)})")
-            ]
-            stored_rows = cursor.execute(
-                f"SELECT COUNT(*) FROM {_quote(name)}"
-            ).fetchone()[0]
-            if stored_columns != table.column_names or stored_rows != table.num_rows:
-                connection.close()
-                raise BackendError(
-                    f"table {name!r} in {database!r} does not match the "
-                    f"supplied table ({stored_rows} rows, columns "
-                    f"{stored_columns} vs {table.num_rows} rows, columns "
-                    f"{table.column_names}); pass if_exists='replace' to "
-                    "reload it, or open the database without a source table "
-                    "to use the stored data"
-                )
-        if not exists or if_exists == "replace":
-            cursor.execute(f"DROP TABLE IF EXISTS {_quote(name)}")
+        if not exists:
+            dtypes = {
+                column: table.column(column).dtype for column in table.column_names
+            }
             columns_sql = ", ".join(
                 f"{_quote(column)} {_SQL_TYPE_FOR[dtype]}"
                 for column, dtype in dtypes.items()
             )
-            cursor.execute(f"CREATE TABLE {_quote(name)} ({columns_sql})")
+            connection.execute(f"CREATE TABLE {_quote(name)} ({columns_sql})")
             placeholders = ", ".join("?" for _ in dtypes)
-            rows = cls._encoded_rows(table, dtypes)
-            cursor.executemany(
-                f"INSERT INTO {_quote(name)} VALUES ({placeholders})", rows
+            connection.executemany(
+                f"INSERT INTO {_quote(name)} VALUES ({placeholders})",
+                cls._encoded_rows(table, dtypes),
             )
-            cursor.execute(f"CREATE TABLE IF NOT EXISTS {_quote(_SCHEMA_TABLE)} "
-                           "(table_name TEXT, column_name TEXT, dtype TEXT, "
-                           "PRIMARY KEY (table_name, column_name))")
-            cursor.executemany(
+            connection.execute(f"CREATE TABLE IF NOT EXISTS {_quote(_SCHEMA_TABLE)} "
+                               "(table_name TEXT, column_name TEXT, dtype TEXT, "
+                               "PRIMARY KEY (table_name, column_name))")
+            connection.executemany(
                 f"INSERT OR REPLACE INTO {_quote(_SCHEMA_TABLE)} VALUES (?, ?, ?)",
                 [(name, column, dtype.value) for column, dtype in dtypes.items()],
             )
             connection.commit()
-        return cls(
-            database,
-            table_name=name,
-            _connection=connection,
-            _dtypes=dtypes,
-            _owns_connection=True,
-            **options,
-        )
+        backend = cls(database, table_name=name, _connection=connection, **options)
+        stored = (backend.num_rows, backend.column_names)
+        if stored != (table.num_rows, table.column_names):
+            backend.close()
+            raise BackendError(
+                f"table {name!r} in {database!r} does not match the supplied "
+                f"table ({stored[0]} rows, columns {stored[1]} vs "
+                f"{table.num_rows} rows, columns {table.column_names}); open "
+                "the database without a source table to use the stored data"
+            )
+        return backend
 
     @staticmethod
     def _encoded_rows(table: Table, dtypes: Dict[str, DataType]) -> Iterable[Tuple[Any, ...]]:
@@ -294,19 +256,12 @@ class SQLiteBackend(AggregateFrontEnd):
         return zip(*columns)
 
     def sibling(self) -> "SQLiteBackend":
-        """A backend over the same connection, schema, cache and metrics
-        sink, with private operation counters (one per service session)."""
-        clone = SQLiteBackend(
-            self.database,
-            table_name=self._table_name,
-            cache=self._cache,
-            cache_aggregates=self._cache_aggregates,
-            _connection=self._connection,
-            _lock=self._lock,
-            _dtypes=self._dtypes,
-            _live=self._live,
-        )
-        clone._metrics_sink = self._metrics_sink
+        """A backend over the same state record, cache and metrics sink,
+        with private operation counters (one per service session); it does
+        not own the connection."""
+        clone = copy.copy(self)
+        clone.counter = OperationCounter()
+        clone._owns_connection = False
         return clone
 
     def sample(self, fraction: float, seed: int) -> QueryEngine:
@@ -322,38 +277,39 @@ class SQLiteBackend(AggregateFrontEnd):
 
         key = (float(fraction), int(seed))
         source = _quote(self._table_name)
-        with self._lock:
-            table = self._live.samples.get(key)
+        shared = self._shared
+        with shared.lock:
+            table = shared.samples.get(key)
             if table is None:
                 rowids = self._fetch(f"SELECT rowid FROM {source} ORDER BY rowid")
                 positions = uniform_sample_indices(len(rowids), fraction, seed)
                 id_list = ", ".join(str(rowids[i][0]) for i in positions.tolist())
                 rows = self._fetch(
-                    f"SELECT {', '.join(map(_quote, self._dtypes))} FROM {source} "
+                    f"SELECT {', '.join(map(_quote, shared.schema))} FROM {source} "
                     f"WHERE rowid IN ({id_list}) ORDER BY rowid"
                 )
                 table = Table.from_dict(
                     {
                         column: [self._decode_value(dtype, row[i]) for row in rows]
-                        for i, (column, dtype) in enumerate(self._dtypes.items())
+                        for i, (column, dtype) in enumerate(shared.schema.items())
                     },
                     name=f"{self._table_name}_sample",
-                    types=self._dtypes,
+                    types=shared.schema,
                 )
-                self._live.samples[key] = table
+                shared.samples[key] = table
         return QueryEngine(table, cache_size=self._cache.capacity)
 
     def close(self) -> None:
         """Close the underlying connection (no-op for shared siblings)."""
         if self._owns_connection:
-            self._connection.close()
+            self._shared.connection.close()
 
     # -- schema ---------------------------------------------------------------
 
     def _resolve_table_name(self, table_name: Optional[str]) -> str:
         if table_name:
             return table_name
-        rows = self._execute(
+        rows = self._fetch(
             "SELECT name FROM sqlite_master WHERE type = 'table' AND name != ?",
             (_SCHEMA_TABLE,),
         )
@@ -371,15 +327,15 @@ class SQLiteBackend(AggregateFrontEnd):
     def _load_schema(self) -> Dict[str, DataType]:
         recorded: Dict[str, DataType] = {}
         try:
-            rows = self._execute(
+            rows = self._fetch(
                 f"SELECT column_name, dtype FROM {_quote(_SCHEMA_TABLE)} "
                 "WHERE table_name = ?",
                 (self._table_name,),
             )
             recorded = {name: DataType(value) for name, value in rows}
-        except sqlite3.Error:
+        except BackendError:  # no companion table: the declared types alone
             pass
-        declared = self._execute(f"PRAGMA table_info({_quote(self._table_name)})")
+        declared = self._fetch(f"PRAGMA table_info({_quote(self._table_name)})")
         dtypes: Dict[str, DataType] = {}
         for _, name, decltype, *_rest in declared:
             if name in recorded:
@@ -395,23 +351,20 @@ class SQLiteBackend(AggregateFrontEnd):
 
     @property
     def num_rows(self) -> int:
-        return self._live.num_rows
+        return self._shared.num_rows
 
     @property
     def data_version(self) -> int:
         """Monotonic version of the data, shared by every sibling."""
-        return self._live.version
+        return self._shared.version
 
     # -- SQL plumbing ---------------------------------------------------------
 
-    def _execute(self, sql: str, parameters: Sequence[Any] = ()) -> List[Tuple]:
-        with self._lock:
-            return self._fetch(sql, parameters)
-
     def _fetch(self, sql: str, parameters: Sequence[Any] = ()) -> List[Tuple]:
-        """:meth:`_execute` for a caller that holds the connection lock."""
+        """The rows of one statement; the caller holds the shared lock
+        (or, constructing, has no sibling yet)."""
         try:
-            return self._connection.execute(sql, parameters).fetchall()
+            return self._shared.connection.execute(sql, parameters).fetchall()
         except sqlite3.Error as error:
             raise BackendError(f"SQLite error for {sql!r}: {error}") from error
 
@@ -439,35 +392,36 @@ class SQLiteBackend(AggregateFrontEnd):
         entries of superseded versions are evicted surgically; an empty
         batch is a no-op.
         """
+        shared = self._shared
         materialised = list(rows)
         if not materialised:
-            return self._live.version
-        reject_unknown_columns(materialised, list(self._dtypes))
+            return shared.version
+        reject_unknown_columns(materialised, list(shared.schema))
         encoded: List[Tuple[Any, ...]] = [
             tuple(
                 coerce_value(row.get(column), dtype)
-                for column, dtype in self._dtypes.items()
+                for column, dtype in shared.schema.items()
             )
             for row in materialised
         ]
-        placeholders = ", ".join("?" for _ in self._dtypes)
+        placeholders = ", ".join("?" for _ in shared.schema)
         sql = f"INSERT INTO {_quote(self._table_name)} VALUES ({placeholders})"
-        with self._lock:
+        with shared.lock:
             try:
-                self._connection.executemany(sql, encoded)
-                self._connection.commit()
+                shared.connection.executemany(sql, encoded)
+                shared.connection.commit()
             except OverflowError as error:  # an INT past 64 bits, as in the column store
-                self._connection.rollback()
+                shared.connection.rollback()
                 raise TypeMismatchError(f"a value is out of range: {error}") from error
             except sqlite3.Error as error:
-                self._connection.rollback()
+                shared.connection.rollback()
                 raise BackendError(
                     f"SQLite ingest into {self._table_name!r} failed: {error}"
                 ) from error
-            self._live.num_rows += len(encoded)
-            self._live.version += 1
-            self._live.samples = {}
-            version = self._live.version
+            shared.num_rows += len(encoded)
+            shared.version += 1
+            shared.samples = {}
+            version = shared.version
         self._cache.evict_superseded(version)
         return version
 
@@ -477,42 +431,47 @@ class SQLiteBackend(AggregateFrontEnd):
         A query selecting nothing keeps the version — and every cache
         entry — intact.
         """
-        where = _where(bind(query, self._dtypes))
-        with self._lock:
+        shared = self._shared
+        where = _where(bind(query, shared.schema))
+        with shared.lock:
             try:
-                cursor = self._connection.execute(
+                cursor = shared.connection.execute(
                     f"DELETE FROM {_quote(self._table_name)} WHERE {where}"
                 )
-                self._connection.commit()
+                shared.connection.commit()
             except sqlite3.Error as error:
-                self._connection.rollback()
+                shared.connection.rollback()
                 raise BackendError(
                     f"SQLite delete on {self._table_name!r} failed: {error}"
                 ) from error
             deleted = max(0, int(cursor.rowcount))
             if deleted:
-                self._live.num_rows -= deleted
-                self._live.version += 1
-                self._live.samples = {}
-            version = self._live.version
+                shared.num_rows -= deleted
+                shared.version += 1
+                shared.samples = {}
+            version = shared.version
         if deleted:
             self._cache.evict_superseded(version)
         return deleted
 
     # -- the uncached primitives (AggregateFrontEnd hooks) --------------------
 
-    def _refresh(self) -> _Captured:
-        return _Captured(self._live.version, self._dtypes)
+    def _reading(self) -> ContextManager[Any]:
+        """The shared lock: an aggregate's version and statements agree."""
+        return self._shared.lock
+
+    def _refresh(self) -> _Shared:
+        return self._shared
 
     def _count(
-        self, attribute: None, query: SDLQuery, state: _Captured
+        self, attribute: None, query: SDLQuery, state: _Shared
     ) -> Tuple[int, str]:
         """``|R(Q)|`` via ``SELECT COUNT(*)`` (the paper's first operation)."""
         self.counter.add(evaluations=1)
-        return int(self._execute(count_query_sql(query, self._table_name))[0][0]), "sql"
+        return int(self._fetch(count_query_sql(query, self._table_name))[0][0]), "sql"
 
     def _median(
-        self, attribute: str, query: Optional[SDLQuery], state: _Captured
+        self, attribute: str, query: Optional[SDLQuery], state: _Shared
     ) -> Tuple[Any, str]:
         """Arithmetic median via ordered ``LIMIT/OFFSET`` selection.
 
@@ -528,12 +487,12 @@ class SQLiteBackend(AggregateFrontEnd):
         where = _where(query)
         quoted = _quote(attribute)
         table = _quote(self._table_name)
-        valid = int(self._execute(
+        valid = int(self._fetch(
             f"SELECT COUNT({quoted}) FROM {table} WHERE {where}"
         )[0][0])
         if valid == 0:
             raise EmptyColumnError(f"median of empty selection on {attribute!r}")
-        rows = self._execute(
+        rows = self._fetch(
             f"SELECT AVG(v) FROM (SELECT {quoted} AS v FROM {table} "
             f"WHERE {where} AND {quoted} IS NOT NULL "
             f"ORDER BY {quoted} LIMIT {2 - valid % 2} OFFSET {(valid - 1) // 2})"
@@ -545,12 +504,12 @@ class SQLiteBackend(AggregateFrontEnd):
         return median, "sql"
 
     def _minmax(
-        self, attribute: str, query: Optional[SDLQuery], state: _Captured
+        self, attribute: str, query: Optional[SDLQuery], state: _Shared
     ) -> Tuple[Tuple[Any, Any], str]:
         """Minimum and maximum via ``SELECT MIN(a), MAX(a)``."""
         dtype = self.dtype_of(attribute)
         quoted = _quote(attribute)
-        row = self._execute(
+        row = self._fetch(
             f"SELECT MIN({quoted}), MAX({quoted}) "
             f"FROM {_quote(self._table_name)} WHERE {_where(query)}"
         )[0]
@@ -559,12 +518,12 @@ class SQLiteBackend(AggregateFrontEnd):
         return (self._decode_value(dtype, row[0]), self._decode_value(dtype, row[1])), "sql"
 
     def _frequencies(
-        self, attribute: str, query: Optional[SDLQuery], state: _Captured
+        self, attribute: str, query: Optional[SDLQuery], state: _Shared
     ) -> Tuple[Dict[Any, int], str]:
         """Value → count histogram via ``GROUP BY``."""
         dtype = self.dtype_of(attribute)
         quoted = _quote(attribute)
-        rows = self._execute(
+        rows = self._fetch(
             f"SELECT {quoted}, COUNT(*) FROM {_quote(self._table_name)} "
             f"WHERE ({_where(query)}) AND {quoted} IS NOT NULL GROUP BY {quoted}"
         )

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
@@ -625,10 +626,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 1
     handler = _COMMANDS[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()  # a closed reader surfaces here, not at exit
+        return code
     except CharlesError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # stdout's reader left (`… | head`): Python's documented idiom points
+        # stdout at devnull, so the flush at interpreter exit is silent too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised through subprocess tests

@@ -445,18 +445,22 @@ class ClusterRouter:
         payload: Mapping[str, Any],
         reply: Mapping[str, Any],
     ) -> None:
-        """Fold a successful session op into journal and placement."""
-        if not reply.get("ok"):
-            return
+        """Fold a successful session op into journal and placement; a closed
+        session, or a failed op on one the router never opened, keeps no lock."""
         params = payload.get("params")
         params = params if isinstance(params, Mapping) else {}
         with self._lock:
-            if op == "open_session":
+            if not reply.get("ok"):
+                if session not in self._journals:
+                    self._session_locks.pop(session, None)
+            elif op == "open_session":
                 self._journals[session] = SessionJournal(params)
                 self._placements[session] = node_id
             elif op == "close_session":
+                # A request waiting on the dropped lock still runs after this.
                 self._journals.pop(session, None)
                 self._placements.pop(session, None)
+                self._session_locks.pop(session, None)
             else:
                 journal = self._journals.get(session)
                 if journal is not None:

@@ -60,11 +60,13 @@ from __future__ import annotations
 
 import threading
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field, fields
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
+    ContextManager,
     Dict,
     Iterable,
     List,
@@ -284,6 +286,9 @@ class OperationCounter:
 OperationCounter._FIELDS = tuple(f.name for f in fields(OperationCounter) if f.compare)
 
 
+_NO_HOLD: ContextManager[Any] = nullcontext()  # reusable: it holds nothing
+
+
 class AggregateFrontEnd:
     """The policy around the advisor's aggregates, written once for every backend.
 
@@ -307,7 +312,10 @@ class AggregateFrontEnd:
       with a bound query (``attribute`` is ``None`` for a count) and
       returning the value and the span label of the path it took;
     * ``_crosstab(first, second, state)`` optionally — by default the
-      table is counted cell by cell with ``_count``.
+      table is counted cell by cell with ``_count``;
+    * ``_reading()`` optionally — what one operation holds from
+      ``_refresh()`` through its answer (SQLite: the shared lock); nothing
+      by default, as the memory engine's state is an immutable snapshot.
     """
 
     counter: OperationCounter
@@ -401,24 +409,25 @@ class AggregateFrontEnd:
         the sequential equivalent: one count call per request, duplicates
         recorded as cache hits.
         """
-        state = self._refresh()
-        bound = [bind(query, state.schema) for query in queries]
-        if not bound:
-            return ()
-        self.counter.add(batch_calls=1)
-        positions: Dict[str, List[int]] = {}
-        for index, query in enumerate(bound):
-            positions.setdefault(aggregate_key("count", None, query), []).append(index)
-        results: List[int] = [0] * len(bound)
-        for key, indices in positions.items():
-            self.counter.add(count_calls=len(indices))
-            value = self._aggregate_get(key, state.version)
-            if value is None:
-                value = self._count(None, bound[indices[0]], state)[0]
-                self._aggregate_put(key, value, state.version)
-            self.counter.add(cache_hits=len(indices) - 1)
-            for position in indices:
-                results[position] = value
+        with self._reading():
+            state = self._refresh()
+            bound = [bind(query, state.schema) for query in queries]
+            if not bound:
+                return ()
+            self.counter.add(batch_calls=1)
+            positions: Dict[str, List[int]] = {}
+            for index, query in enumerate(bound):
+                positions.setdefault(aggregate_key("count", None, query), []).append(index)
+            results: List[int] = [0] * len(bound)
+            for key, indices in positions.items():
+                self.counter.add(count_calls=len(indices))
+                value = self._aggregate_get(key, state.version)
+                if value is None:
+                    value = self._count(None, bound[indices[0]], state)[0]
+                    self._aggregate_put(key, value, state.version)
+                self.counter.add(cache_hits=len(indices) - 1)
+                for position in indices:
+                    results[position] = value
         return tuple(results)
 
     def _aggregate(
@@ -435,23 +444,27 @@ class AggregateFrontEnd:
         observed = self._metrics_sink is not None or tracing_active()
         started = time.perf_counter() if observed else 0.0
         self.counter.add(**{op + "_calls": 1})
-        state = self._refresh()
-        if query is not None:
-            query = bind(query, state.schema)
-        key = aggregate_key(op, attribute, query) if cached else None
-        value = None if key is None else self._aggregate_get(key, state.version)
-        if value is not None:
-            if observed:
-                self._observe(op, started, state, attribute)
-            return value
-        skipped = self.counter.skipped_partitions
-        value, taken = compute(attribute, query, state)
-        if key is not None:
-            self._aggregate_put(key, value, state.version)
+        with self._reading():
+            state = self._refresh()
+            if query is not None:
+                query = bind(query, state.schema)
+            key = aggregate_key(op, attribute, query) if cached else None
+            value = None if key is None else self._aggregate_get(key, state.version)
+            if value is not None:
+                if observed:
+                    self._observe(op, started, state, attribute)
+                return value
+            skipped = self.counter.skipped_partitions
+            value, taken = compute(attribute, query, state)
+            if key is not None:
+                self._aggregate_put(key, value, state.version)
         if observed:
             skipped = self.counter.skipped_partitions - skipped
             self._observe(op, started, state, attribute, path=taken, skipped_partitions=skipped)
         return value
+
+    def _reading(self) -> ContextManager[Any]:
+        return _NO_HOLD
 
     def _crosstab(
         self, first: Segmentation, second: Segmentation, state: Any

@@ -7,6 +7,7 @@ and medians must agree with ``QueryEngine`` on randomized contexts.
 from __future__ import annotations
 
 import datetime
+import sqlite3
 import threading
 
 import numpy as np
@@ -151,9 +152,7 @@ class TestTypes:
         table = typed_table.append_rows([{"day": None, "flag": True, "label": "d"}])
         stored = SQLiteBackend.from_table(table)
         names = table.column_names
-        rows = stored._connection.execute(
-            f"SELECT {', '.join(names)} FROM typed ORDER BY rowid"
-        ).fetchall()
+        rows = stored._fetch(f"SELECT {', '.join(names)} FROM typed ORDER BY rowid")
         expected = []
         for index in range(table.num_rows):
             row = []
@@ -209,14 +208,17 @@ class TestLifecycle:
         assert not reopened.is_numeric("type_of_boat")
         reopened.close()
 
-    def test_from_table_refuses_overwrite(self, tmp_path, voc):
+    def test_reopening_a_file_reuses_a_matching_table(self, tmp_path, voc, engine):
         path = str(tmp_path / "voc.db")
         SQLiteBackend.from_table(voc, database=path).close()
-        with pytest.raises(BackendError):
-            SQLiteBackend.from_table(voc, database=path, if_exists="fail")
-        # skip reuses the already-loaded rows.
-        backend = SQLiteBackend.from_table(voc, database=path, if_exists="skip")
+        backend = SQLiteBackend.from_table(voc, database=path)
         assert backend.num_rows == voc.num_rows
+        assert backend.schema == QueryEngine(voc).schema
+        query = SDLQuery([RangePredicate("tonnage", 500, 1500)])
+        assert backend.count(query) == engine.count(query)
+        # Reused, not appended to: the file holds the rows once.
+        assert backend._fetch("SELECT COUNT(*) FROM voc") == [(voc.num_rows,)]
+        backend.close()
 
     def test_sibling_shares_cache_not_counters(self, voc):
         primary = SQLiteBackend.from_table(voc, cache_aggregates=True)
@@ -233,9 +235,7 @@ class TestLifecycle:
         SQLiteBackend.from_table(voc, database=path).close()
         smaller = generate_voc(rows=100, seed=1)
         with pytest.raises(BackendError):
-            SQLiteBackend.from_table(
-                smaller, database=path, table_name="voc", if_exists="skip"
-            )
+            SQLiteBackend.from_table(smaller, database=path, table_name="voc")
 
     def test_samples_of_two_seeds_do_not_clobber_each_other(self, voc):
         backend = SQLiteBackend.from_table(voc)
@@ -368,7 +368,7 @@ class TestLifecycle:
             advisor.ingest([fresh.row(2 * round_index), fresh.row(2 * round_index + 1)])
             advice = advisor.advise(context, max_answers=4, mode="interactive")
             assert advice.approximate is True
-        names = advisor.engine._execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        names = advisor.engine._fetch("SELECT name FROM sqlite_master WHERE type = 'table'")
         assert sorted(names) == [("_charles_schema",), ("voc",)]
         assert advisor.data_version == 51
 
@@ -408,7 +408,7 @@ class TestLifecycle:
         assert not errors
         engine = service._runtime(None).engine
         assert engine.data_version == 13
-        names = engine._execute("SELECT name FROM sqlite_master WHERE type = 'table'")
+        names = engine._fetch("SELECT name FROM sqlite_master WHERE type = 'table'")
         assert sorted(names) == [("_charles_schema",), ("voc",)]
 
     def test_thread_safe_counts(self, voc, engine, backend):
@@ -430,3 +430,90 @@ class TestLifecycle:
             thread.join()
         assert not errors
         assert results == [expected] * 8
+
+    def test_a_median_never_straddles_an_ingest(self, monkeypatch):
+        # A second session ingests between the median's COUNT and its
+        # ordered read.  The answer must be the median of one version,
+        # cached at that version; a read at the new version recomputes.
+        voc = generate_voc(rows=1001, seed=3)
+        fresh = list(generate_voc(rows=400, seed=4).iter_rows())
+        before = QueryEngine(voc).median("tonnage")
+        after = QueryEngine(voc.append_rows(fresh)).median("tonnage")
+        assert before != after
+        backend = SQLiteBackend.from_table(voc, cache_aggregates=True)
+        session = backend.sibling()
+        fetch = backend._fetch
+        started = threading.Event()
+        ingests = []
+
+        def ingest():
+            started.set()
+            session.ingest(fresh)
+
+        def delayed(sql, *parameters):
+            rows = fetch(sql, *parameters)
+            if sql.startswith('SELECT COUNT("tonnage")') and not ingests:
+                ingests.append(threading.Thread(target=ingest))
+                ingests[0].start()
+                assert started.wait(timeout=30)
+                ingests[0].join(timeout=0.2)  # done, unless the median holds it off
+            return rows
+
+        monkeypatch.setattr(backend, "_fetch", delayed)
+        first = backend.median("tonnage")
+        ingests[0].join(timeout=30)
+        assert not ingests[0].is_alive()
+        assert first in (before, after)
+        assert backend.data_version == 2
+        hits = backend.counter.aggregate_hits
+        assert backend.median("tonnage") == after
+        assert backend.counter.aggregate_hits == hits  # recomputed, not served
+
+    def test_threaded_medians_each_answer_one_version(self):
+        # Eight sessions take medians while six ingests land, with the
+        # interpreter switching threads often: every answer must be the
+        # median of one version of the table.
+        import sys
+
+        table = generate_voc(rows=1001, seed=3)
+        backend = SQLiteBackend.from_table(table)
+        batches = [list(generate_voc(rows=60, seed=10 + i).iter_rows()) for i in range(6)]
+        medians = {QueryEngine(table).median("tonnage")}
+        for batch in batches:
+            table = table.append_rows(batch)
+            medians.add(QueryEngine(table).median("tonnage"))
+        answers, errors = [], []
+
+        def reader(session):
+            try:
+                answers.extend(session.median("tonnage") for _ in range(30))
+            except Exception as error:  # pragma: no cover - failure path
+                errors.append(error)
+
+        threads = [threading.Thread(target=reader, args=(backend.sibling(),)) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for batch in batches:
+                backend.ingest(batch)
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert len(answers) == 240 and set(answers) <= medians
+
+    def test_a_database_without_the_schema_companion_opens(self, tmp_path):
+        # A table Charles did not write: types come from the declarations.
+        path = str(tmp_path / "plain.db")
+        connection = sqlite3.connect(path)
+        connection.execute("CREATE TABLE t (n INTEGER, x REAL, s TEXT)")
+        connection.executemany("INSERT INTO t VALUES (?, ?, ?)", [(1, 0.5, "a"), (3, 1.5, "b")])
+        connection.commit()
+        connection.close()
+        backend = SQLiteBackend(path)
+        assert backend.schema == {"n": DataType.INT, "x": DataType.FLOAT, "s": DataType.STRING}
+        assert backend.num_rows == 2 and backend.median("n") == 2
+        backend.close()

@@ -136,6 +136,25 @@ class TestRouterParity:
             assert client.health()["tables"] == ["voc"]
 
 
+class TestSessionLifetime:
+    def test_closed_sessions_leave_no_router_state(self):
+        # Journal, placement and the per-session lock all go with the close.
+        with _ThreadedCluster(nodes=2) as cluster:
+            client = cluster.client()
+            for index in range(20):
+                client.open_session(f"user{index}").close()
+            router = cluster.router
+            assert (router._journals, router._placements, router._session_locks) == ({}, {}, {})
+            # A name is reusable after its close, in order, under a new lock.
+            reopened = client.open_session("user0", context=_CONTEXT)
+            assert reopened.advise().answers
+            assert set(router._session_locks) == {"user0"}
+            reopened.close()
+            with pytest.raises(SessionError):
+                client.session("user0")
+            assert router._session_locks == {}
+
+
 class TestFailover:
     def test_node_death_resurrects_sessions_from_journal(self):
         local_service = _node_service()

@@ -116,6 +116,31 @@ def test_m15_pins_its_answers_and_work():
     assert len(result["advise_s"]) == 2 and all(seconds >= 0 for seconds in result["advise_s"])
 
 
+def test_m9_pins_its_answers_and_work():
+    result = _probe("m9", "--rows", "2000", "--seed", "1")
+    assert result["argv"] == ["scripts/probe.py", "m9", "--rows", "2000", "--seed", "1"]
+    assert {key: result[key] for key in (
+        "probe", "answer_hash", "evaluations", "count_calls", "median_calls",
+        "frequency_calls", "minmax_calls", "crosstab_calls",
+    )} == {
+        "probe": "m9",
+        "answer_hash": "a9280f9f58c297d9",
+        "evaluations": 67,
+        "count_calls": 132,
+        "median_calls": 12,
+        "frequency_calls": 21,
+        "minmax_calls": 12,
+        "crosstab_calls": 58,
+    }
+    # One engine span per aggregate call; seconds depend on the machine.
+    spans = result["engine_spans"]
+    assert {name: span["calls"] for name, span in spans.items()} == {
+        "engine.count": 132, "engine.crosstab": 58, "engine.frequency": 21,
+        "engine.median": 12, "engine.minmax": 12,
+    }
+    assert len(result["advise_s"]) == 1 and result["advise_s"][0] >= 0
+
+
 def test_m17_pins_the_answers_of_a_cluster_and_a_router_without_openssl():
     result = _probe("m17", "--rows", "2000", "--seed", "1")
     assert result["argv"] == ["scripts/probe.py", "m17", "--rows", "2000", "--seed", "1"]

@@ -490,6 +490,36 @@ class TestServeHTTPSubprocess:
             process.wait(timeout=10)
 
 
+class TestClosedPipe:
+    """A reader that closed stdout (``charles … | head``) ends the CLI quietly."""
+
+    @pytest.mark.parametrize("argv", [
+        ["advise", "--dataset", "voc", "--rows", "600", "--columns", "tonnage",
+         "type_of_boat", "--style", "table"],
+        ["datasets"],  # short enough to sit in the buffer until the exit flush
+    ])
+    def test_no_traceback_and_a_failing_status(self, argv):
+        import os
+        import subprocess
+        import sys as sys_module
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        reader, writer = os.pipe()
+        os.close(reader)  # closed before the CLI writes its first byte
+        try:
+            completed = subprocess.run(
+                [sys_module.executable, "-m", "repro.cli", *argv],
+                stdout=writer, stderr=subprocess.PIPE, text=True, env=env,
+                cwd=root, timeout=120,
+            )
+        finally:
+            os.close(writer)
+        assert "Traceback" not in completed.stderr
+        assert completed.stderr == ""
+        assert completed.returncode == 1
+
+
 class TestBuiltinDatasets:
     """``--dataset`` resolves through the cluster's ``TableSpec`` table."""
 
